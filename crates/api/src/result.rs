@@ -7,6 +7,7 @@
 
 use crate::row::Row;
 use crate::schema::Schema;
+use std::sync::Arc;
 
 /// Stable per-statement execution statistics.
 ///
@@ -46,8 +47,9 @@ pub struct QueryStats {
 pub struct QueryResult {
     /// Result schema (empty for statements with no rows, e.g. `CREATE VIEW`).
     pub schema: Schema,
-    /// The result rows.
-    pub rows: Vec<Row>,
+    /// The result rows, behind an `Arc` so a server hands the engine's own
+    /// row buffer to the wire without copying it; reads as a `&[Row]`.
+    pub rows: Arc<Vec<Row>>,
     /// Execution statistics.
     pub stats: QueryStats,
 }
@@ -56,7 +58,7 @@ impl QueryResult {
     /// Rows sorted lexicographically — the canonical order for differential
     /// comparison against another execution of the same statement.
     pub fn sorted_rows(&self) -> Vec<Row> {
-        let mut rows = self.rows.clone();
+        let mut rows = self.rows.to_vec();
         rows.sort_unstable();
         rows
     }
@@ -120,7 +122,7 @@ mod tests {
     fn sorted_rows_are_canonical() {
         let r = QueryResult {
             schema: Schema::new(vec![("x", DataType::Int)]),
-            rows: vec![int_row(&[3]), int_row(&[1]), int_row(&[2])],
+            rows: Arc::new(vec![int_row(&[3]), int_row(&[1]), int_row(&[2])]),
             stats: QueryStats::default(),
         };
         assert_eq!(

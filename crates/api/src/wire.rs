@@ -62,6 +62,9 @@ pub const FRAME_MAGIC: [u8; 2] = *b"RQ";
 /// Upper bound on a frame payload; larger lengths are rejected as garbage.
 pub const MAX_FRAME_LEN: usize = 64 << 20;
 
+/// Message tag of [`Response::RowBatch`].
+const ROW_BATCH_TAG: u8 = 3;
+
 /// A client-to-server message.
 #[derive(Debug, Clone, PartialEq)]
 pub enum Request {
@@ -662,10 +665,7 @@ impl Response {
                 buf.push(2);
                 put_schema(&mut buf, schema);
             }
-            Response::RowBatch { rows } => {
-                buf.push(3);
-                put_rows(&mut buf, rows);
-            }
+            Response::RowBatch { rows } => buf = encode_row_batch(rows),
             Response::StatementDone { stats } => {
                 buf.push(4);
                 put_stats(&mut buf, stats);
@@ -723,7 +723,7 @@ impl Response {
             2 => Response::ResultHeader {
                 schema: get_schema(&mut input)?,
             },
-            3 => Response::RowBatch {
+            ROW_BATCH_TAG => Response::RowBatch {
                 rows: get_rows(&mut input)?,
             },
             4 => Response::StatementDone {
@@ -840,6 +840,24 @@ pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), ApiError> {
 /// [`ErrorCode::Io`] on transport errors.
 pub fn send_response(w: &mut impl Write, resp: &Response) -> Result<(), ApiError> {
     write_frame(w, &resp.encode()).map_err(|e| ApiError::io(&e))
+}
+
+/// The payload of a `RowBatch` frame over borrowed rows: byte for byte what
+/// `Response::RowBatch { rows: rows.to_vec() }.encode()` produces, without
+/// building the owned message first.
+pub fn encode_row_batch(rows: &[Row]) -> Vec<u8> {
+    let mut buf = vec![ROW_BATCH_TAG];
+    put_rows(&mut buf, rows);
+    buf
+}
+
+/// Encode and send borrowed rows as one `RowBatch` frame — how a server
+/// streams a result straight out of the engine's row buffer.
+///
+/// # Errors
+/// [`ErrorCode::Io`] on transport errors.
+pub fn send_row_batch(w: &mut impl Write, rows: &[Row]) -> Result<(), ApiError> {
+    write_frame(w, &encode_row_batch(rows)).map_err(|e| ApiError::io(&e))
 }
 
 /// Read and decode one request frame.

@@ -5,7 +5,8 @@
 
 use proptest::prelude::*;
 use rasql_api::wire::{
-    read_request, read_response, send_request, send_response, Request, Response, FRAME_MAGIC,
+    encode_row_batch, read_request, read_response, send_request, send_response, send_row_batch,
+    Request, Response, FRAME_MAGIC,
 };
 use rasql_api::{ApiError, DataType, ErrorCode, QueryStats, Row, Schema, ServerStatus, Value};
 
@@ -143,6 +144,37 @@ proptest! {
         let mut cursor = wire.as_slice();
         prop_assert_eq!(read_response(&mut cursor).unwrap(), resp);
         prop_assert!(cursor.is_empty(), "frame reader left bytes behind");
+    }
+
+    /// A batch encoded from borrowed rows — any chunk of a larger buffer — is
+    /// the frame the owned `RowBatch` message makes, byte for byte, and it
+    /// decodes strictly: back to the same rows, no prefix of it accepted, no
+    /// trailing byte tolerated.
+    #[test]
+    fn borrowed_row_batches_equal_owned_ones(
+        rows in prop::collection::vec(row_strategy(), 0..24),
+        from in 0.0f64..1.0,
+        frac in 0.0f64..1.0,
+        extra in byte_strategy(),
+    ) {
+        let chunk = &rows[(from * rows.len() as f64) as usize..];
+        let owned = Response::RowBatch { rows: chunk.to_vec() };
+        let payload = encode_row_batch(chunk);
+        prop_assert_eq!(&payload, &owned.encode());
+
+        let (mut borrowed_frame, mut owned_frame) = (Vec::new(), Vec::new());
+        send_row_batch(&mut borrowed_frame, chunk).unwrap();
+        send_response(&mut owned_frame, &owned).unwrap();
+        prop_assert_eq!(&borrowed_frame, &owned_frame);
+        let mut cursor = borrowed_frame.as_slice();
+        prop_assert_eq!(read_response(&mut cursor).unwrap(), owned);
+        prop_assert!(cursor.is_empty(), "frame reader left bytes behind");
+
+        let cut = (frac * (payload.len() as f64)) as usize;
+        prop_assert_eq!(Response::decode(&payload[..cut]).unwrap_err().code, ErrorCode::Protocol);
+        let mut long = payload;
+        long.push(extra);
+        prop_assert_eq!(Response::decode(&long).unwrap_err().code, ErrorCode::Protocol);
     }
 
     /// Cutting a frame anywhere — mid-magic, mid-length, mid-payload — must

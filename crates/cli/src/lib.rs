@@ -171,7 +171,7 @@ impl Shell {
                         out.push_str("ok\n");
                     } else {
                         out.push_str(
-                            &Relation::new_unchecked(result.schema.clone(), result.rows.clone())
+                            &Relation::from_shared(result.schema.clone(), result.rows.clone())
                                 .pretty(40),
                         );
                     }

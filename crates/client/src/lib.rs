@@ -46,6 +46,7 @@
 use rasql_api::wire::{read_response, send_request, Request, Response, PROTOCOL_VERSION};
 use rasql_api::{ApiError, DurabilityStatus, ErrorCode, QueryResult, Row, Schema, ServerStatus};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
+use std::sync::Arc;
 use std::time::Duration;
 
 /// Bounded exponential backoff for transparent reconnects.
@@ -305,7 +306,7 @@ impl Client {
                 Response::StatementDone { stats } => match current.take() {
                     Some((schema, rows)) => results.push(QueryResult {
                         schema,
-                        rows,
+                        rows: Arc::new(rows),
                         stats,
                     }),
                     None => return Err(ApiError::protocol("StatementDone outside a statement")),

@@ -861,14 +861,15 @@ impl RaSqlContext {
         Ok(result)
     }
 
-    /// The result-cache key: the optimized plan text (cliques + final plan)
-    /// plus the version fingerprint of every base table the query reads.
+    /// The result-cache key: the optimized plan text (cliques + final plan,
+    /// constants spelled out) plus the version fingerprint of every base
+    /// table the query reads.
     fn query_cache_key(&self, q: &AnalyzedQuery, deps: &[String]) -> String {
         let mut key = String::new();
         for clique in &q.cliques {
-            key.push_str(&optimize_spec(clique.clone()).display());
+            key.push_str(&optimize_spec(clique.clone()).cache_text());
         }
-        key.push_str(&optimize(q.final_plan.clone()).display_indent());
+        key.push_str(&optimize(q.final_plan.clone()).cache_text());
         key.push('|');
         key.push_str(&crate::cache::version_fingerprint(&self.catalog, deps));
         key

@@ -6,6 +6,7 @@
 //! is parallel like everything else.
 
 use crate::error::EngineError;
+use rasql_exec::pipeline::MapFn;
 use rasql_exec::{
     run_fused, run_unfused, Cluster, Dataset, HashTable, Pipeline, PipelineStep, QueryGovernor,
     RowCombiner, TraceSink,
@@ -86,30 +87,18 @@ impl<'a> EvalContext<'a> {
         match plan {
             LogicalPlan::TableScan { table, .. } => {
                 let rel = self.catalog.get(table)?;
-                Ok(Dataset::round_robin(rel.rows().to_vec(), self.partitions))
+                Ok(Dataset::scan(&rel, self.partitions))
             }
             LogicalPlan::ViewScan { view, .. } => {
                 let rel = self
                     .views
                     .get(&view.to_ascii_lowercase())
                     .ok_or_else(|| EngineError::Other(format!("view '{view}' not materialized")))?;
-                Ok(Dataset::round_robin(rel.rows().to_vec(), self.partitions))
+                Ok(Dataset::scan(rel, self.partitions))
             }
             LogicalPlan::Values { rows, .. } => Ok(Dataset::single(rows.clone())),
-            LogicalPlan::Projection { input, exprs, .. } => {
-                let input = self.eval_node(input, &format!("{path}.0"))?;
-                let exprs = exprs.clone();
-                let project: rasql_exec::pipeline::MapFn =
-                    Arc::new(move |r: &Row| Row::new(exprs.iter().map(|e| e.eval(r)).collect()));
-                self.run_pipeline(&input, Pipeline::with_project(vec![], project), "project")
-            }
-            LogicalPlan::Filter { input, predicate } => {
-                let input = self.eval_node(input, &format!("{path}.0"))?;
-                let pred = predicate.clone();
-                let steps = vec![PipelineStep::Filter(Arc::new(move |r: &Row| {
-                    pred.eval(r).is_truthy()
-                }))];
-                self.run_pipeline(&input, Pipeline::new(steps), "filter")
+            LogicalPlan::Projection { .. } | LogicalPlan::Filter { .. } => {
+                self.eval_chain(plan, path)
             }
             LogicalPlan::Join {
                 left,
@@ -181,22 +170,68 @@ impl<'a> EvalContext<'a> {
         }
     }
 
-    fn run_pipeline(
-        &self,
-        input: &Dataset,
-        pipeline: Pipeline,
-        label: &str,
-    ) -> Result<Dataset, EngineError> {
+    /// Evaluate a `Projection` over any number of `Filter`s as one fused
+    /// stage (paper §7.3): the filters become the pipeline's steps, innermost
+    /// first, and the projection its final transform, so no row set is
+    /// materialized between the chain's nodes. Only the chain's top node and
+    /// its input get operator counters — the nodes between them have no
+    /// output of their own to count. A projection of every input column in
+    /// order (`SELECT *`) changes no row and is skipped; with no filter under
+    /// it the chain is its input, so a full scan stays the table's own buffer.
+    fn eval_chain(&self, plan: &LogicalPlan, path: &str) -> Result<Dataset, EngineError> {
+        let mut labels = Vec::new();
+        let mut node = plan;
+        let mut path = path.to_string();
+        let mut project: Option<MapFn> = None;
+        if let LogicalPlan::Projection { input, exprs, .. } = node {
+            node = input;
+            path.push_str(".0");
+            let identity = exprs.len() == input.schema().arity()
+                && exprs.iter().enumerate().all(|(i, e)| *e == PExpr::Col(i));
+            if !identity {
+                labels.push("project");
+                let exprs = exprs.clone();
+                project = Some(Arc::new(move |r: &Row| {
+                    Row::new(exprs.iter().map(|e| e.eval(r)).collect())
+                }));
+            }
+        }
+        let mut steps = Vec::new();
+        while let LogicalPlan::Filter { input, predicate } = node {
+            node = input;
+            path.push_str(".0");
+            let pred = predicate.clone();
+            steps.push(PipelineStep::Filter(Arc::new(move |r: &Row| {
+                pred.eval(r).is_truthy()
+            })));
+        }
+        if !steps.is_empty() {
+            labels.push("filter");
+        }
+        // Collected top-down; rows meet the innermost filter first.
+        steps.reverse();
+        labels.reverse();
+        let input = self.eval_node(node, &path)?;
+        if labels.is_empty() {
+            return Ok(input);
+        }
+        let pipeline = match project {
+            Some(project) => Pipeline::with_project(steps, project),
+            None => Pipeline::new(steps),
+        };
         let fused = self.fused;
-        Ok(
-            input.map_partitions_traced(self.cluster, self.trace, label, move |_p, rows| {
+        Ok(input.map_partitions_traced(
+            self.cluster,
+            self.trace,
+            &labels.join("+"),
+            move |_p, rows| {
                 if fused {
                     run_fused(rows, &pipeline)
                 } else {
                     run_unfused(rows, &pipeline)
                 }
-            })?,
-        )
+            },
+        )?)
     }
 
     #[allow(clippy::too_many_arguments)]

@@ -44,8 +44,9 @@ use std::sync::Arc;
 use std::time::Instant;
 
 /// Per-partition local-fixpoint history: one `(delta rows consumed, state
-/// rows after merge)` pair per local round (`Err` marks a task that gave up).
-type RoundHistory = Result<Vec<(u64, u64)>, LocalAbort>;
+/// rows after merge, wall-clock µs)` triple per local round (`Err` marks a
+/// task that gave up).
+type RoundHistory = Result<Vec<(u64, u64, u64)>, LocalAbort>;
 
 /// Why a decomposed local fixpoint gave up mid-stage. Local rounds run
 /// entirely inside one cluster stage, so both conditions are detected on the
@@ -838,7 +839,7 @@ impl<'a> FixpointExecutor<'a> {
             }
             Fit::Rebuild => {
                 let rel = self.eval.evaluate(plan)?;
-                let parts = rasql_storage::partition_rows(rel.rows().to_vec(), build_keys, p);
+                let parts = rasql_storage::partition_rows(rel.into_rows(), build_keys, p);
                 let layer: Vec<Arc<HashTable>> = parts
                     .into_iter()
                     .map(|rows| Arc::new(HashTable::build(&rows, build_keys)))
@@ -914,11 +915,8 @@ impl<'a> FixpointExecutor<'a> {
                                 }
                             } else if co_partitioned {
                                 let rel = self.eval.evaluate(plan)?;
-                                let parts = rasql_storage::partition_rows(
-                                    rel.rows().to_vec(),
-                                    build_keys,
-                                    p,
-                                );
+                                let parts =
+                                    rasql_storage::partition_rows(rel.into_rows(), build_keys, p);
                                 if self.config.join == JoinStrategy::SortMerge {
                                     BuildSide::PartitionedSorted(
                                         parts
@@ -1755,7 +1753,7 @@ impl<'a> FixpointExecutor<'a> {
         // token travels into the task and is polled per local round.
         let token = self.eval.governor.map(|g| g.token().clone());
         // Each task returns its local per-round history: (delta rows consumed,
-        // state rows after the round's merge).
+        // state rows after the round's merge, the round's wall time).
         let make_tasks = || -> Vec<StageTask<RoundHistory>> {
             (0..p)
                 .map(|part| {
@@ -1768,8 +1766,9 @@ impl<'a> FixpointExecutor<'a> {
                         let mut state = v.state[part].lock();
                         let mut delta = merge_into_state(v, &mut state, &base[0][part], 0);
                         let mut iters: u32 = 0;
-                        let mut history: Vec<(u64, u64)> = Vec::new();
+                        let mut history: Vec<(u64, u64, u64)> = Vec::new();
                         while !delta.is_empty() {
+                            let round_t0 = Instant::now();
                             iters += 1;
                             if iters > max_iter {
                                 return Err(LocalAbort::NonTermination);
@@ -1790,7 +1789,11 @@ impl<'a> FixpointExecutor<'a> {
                                 }));
                             }
                             delta = merge_into_state(v, &mut state, &produced, iters);
-                            history.push((consumed, state_len(&state) as u64));
+                            history.push((
+                                consumed,
+                                state_len(&state) as u64,
+                                round_t0.elapsed().as_micros() as u64,
+                            ));
                         }
                         Ok(history)
                     })
@@ -1841,7 +1844,7 @@ impl<'a> FixpointExecutor<'a> {
                 }
             }
         };
-        let mut histories: Vec<Vec<(u64, u64)>> = Vec::with_capacity(p);
+        let mut histories: Vec<Vec<(u64, u64, u64)>> = Vec::with_capacity(p);
         for r in results {
             match r {
                 Ok(history) => histories.push(history),
@@ -1873,11 +1876,15 @@ impl<'a> FixpointExecutor<'a> {
             for r in 0..max_rounds as usize {
                 let mut delta_rows = 0u64;
                 let mut total_rows = 0u64;
+                // Partitions run their local rounds side by side, so a global
+                // round lasts as long as its slowest partition.
+                let mut elapsed_us = 0u64;
                 for (part, h) in histories.iter().enumerate() {
                     match h.get(r) {
-                        Some(&(d, t)) => {
+                        Some(&(d, t, us)) => {
                             delta_rows += d;
                             total_rows += t;
+                            elapsed_us = elapsed_us.max(us);
                         }
                         None => total_rows += final_lens[part],
                     }
@@ -1891,7 +1898,7 @@ impl<'a> FixpointExecutor<'a> {
                     stages: 0,
                     shuffle_rows: 0,
                     shuffle_bytes: 0,
-                    elapsed_us: 0,
+                    elapsed_us,
                 });
             }
         }
@@ -1948,7 +1955,7 @@ impl<'a> FixpointExecutor<'a> {
             extras.hash(&mut h);
             format!(
                 "{}|{}|p{p}|s{}d{}w{:?}|x{:016x}",
-                kp.build.display_indent(),
+                kp.build.cache_text(),
                 crate::cache::version_fingerprint(self.eval.catalog, &dep_tables),
                 kp.src_col,
                 kp.dst_col,

@@ -13,12 +13,13 @@ use crate::error::EngineError;
 use rasql_api::{ApiError, ErrorCode};
 use rasql_exec::ExecError;
 
-/// Flatten an engine result into its wire form: schema, rows, and the
-/// scalar statistics subset (the trace, if any, stays server-side).
+/// Flatten an engine result into its wire form: schema, rows (the
+/// relation's own buffer, shared, not copied), and the scalar statistics
+/// subset (the trace, if any, stays server-side).
 pub fn result_to_wire(result: &QueryResult) -> rasql_api::QueryResult {
     rasql_api::QueryResult {
         schema: result.relation.schema().clone(),
-        rows: result.relation.rows().to_vec(),
+        rows: std::sync::Arc::clone(result.relation.shared_rows()),
         stats: stats_to_wire(&result.stats),
     }
 }

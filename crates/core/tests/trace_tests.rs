@@ -47,11 +47,13 @@ fn stage_combination_halves_traced_stages() {
 
 /// Fig 6: a decomposable query (TC partitioned by source vertex) runs the
 /// whole fixpoint inside each partition — the trace must show zero
-/// per-iteration shuffle.
+/// per-iteration stages and shuffle, while still timing the local rounds
+/// (the slowest partition's, per round).
 #[test]
 fn decomposed_tc_reports_zero_shuffle() {
     let ctx = traced_ctx(EngineConfig::rasql().with_workers(2).with_decomposed(true));
-    ctx.register("edge", Relation::edges(&chain_edges(10)))
+    // Long enough that the early rounds take well over a microsecond.
+    ctx.register("edge", Relation::edges(&chain_edges(120)))
         .unwrap();
     let trace = ctx
         .query(&library::transitive_closure())
@@ -63,9 +65,15 @@ fn decomposed_tc_reports_zero_shuffle() {
     assert_eq!(clique.mode, "decomposed");
     assert!(!clique.iterations.is_empty());
     for iter in &clique.iterations {
+        assert_eq!(iter.stages, 0, "round {}", iter.round);
         assert_eq!(iter.shuffle_rows, 0, "round {}", iter.round);
         assert_eq!(iter.shuffle_bytes, 0, "round {}", iter.round);
     }
+    assert!(
+        clique.iterations[0].elapsed_us > 0,
+        "local rounds are timed: {:?}",
+        clique.iterations[0]
+    );
 }
 
 /// §7.1, map side: the aggregate shuffle pre-merges rows that share a group

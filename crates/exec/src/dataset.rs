@@ -1,8 +1,11 @@
 //! Partitioned datasets: the RDD analog.
 //!
 //! A `Dataset` is a vector of immutable row partitions, each with a *home*
-//! worker. Reading a partition from its home worker is free (an `Arc` clone);
-//! reading it from elsewhere performs a deep copy and is charged to
+//! worker. A partition is a *view*: a shared row buffer plus a range, so a
+//! base table or materialized view is scanned in place — its partitions are
+//! contiguous ranges of the relation's own buffer. Reading a partition from
+//! its home worker is free (the view dereferences to `&[Row]`); reading it
+//! from elsewhere performs a deep copy and is charged to
 //! `remote_fetch_bytes` — making the partition-aware-scheduling ablation
 //! measurable in both metrics and wall-clock.
 
@@ -12,6 +15,7 @@ use crate::governor::QueryGovernor;
 use crate::metrics::Metrics;
 use crate::trace::{RecoveryEvent, RecoveryKind, StageKind, StageSpan, TraceSink};
 use rasql_storage::{partition::row_partition, Partitioning, Relation, Row, Schema};
+use std::ops::{Deref, Range};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -20,11 +24,54 @@ use std::time::Instant;
 /// monotone-aggregate contributions that share a group key (paper §7.1).
 pub type RowCombiner = Arc<dyn Fn(Vec<Row>) -> Vec<Row> + Send + Sync>;
 
+/// One partition: a range of a shared, immutable row buffer. Cloning shares
+/// the buffer; stage bodies see it as `&[Row]`.
+#[derive(Clone)]
+pub struct Partition {
+    buf: Arc<Vec<Row>>,
+    range: Range<usize>,
+}
+
+impl Partition {
+    /// The rows of `range` in `buf`, without touching a row.
+    fn view(buf: Arc<Vec<Row>>, range: Range<usize>) -> Self {
+        debug_assert!(range.start <= range.end && range.end <= buf.len());
+        Partition { buf, range }
+    }
+
+    /// The rows, moved out when this view is all of a buffer nobody else
+    /// holds and cloned otherwise.
+    fn into_rows(self) -> Vec<Row> {
+        if self.range == (0..self.buf.len()) {
+            Arc::try_unwrap(self.buf).unwrap_or_else(|shared| shared.as_ref().clone())
+        } else {
+            self.to_vec()
+        }
+    }
+}
+
+impl From<Vec<Row>> for Partition {
+    fn from(rows: Vec<Row>) -> Self {
+        let range = 0..rows.len();
+        Partition {
+            buf: Arc::new(rows),
+            range,
+        }
+    }
+}
+
+impl Deref for Partition {
+    type Target = [Row];
+    fn deref(&self) -> &[Row] {
+        &self.buf[self.range.clone()]
+    }
+}
+
 /// A hash-partitioned, distributed (simulated) collection of rows.
 #[derive(Clone)]
 pub struct Dataset {
-    /// Partition data; `Arc` so local access is zero-copy.
-    pub partitions: Vec<Arc<Vec<Row>>>,
+    /// Partition data; views, so local access is zero-copy.
+    pub partitions: Vec<Partition>,
     /// How the data is partitioned.
     pub partitioning: Partitioning,
 }
@@ -33,8 +80,22 @@ impl Dataset {
     /// Create from pre-built partitions.
     pub fn from_partitions(partitions: Vec<Vec<Row>>, partitioning: Partitioning) -> Self {
         Dataset {
-            partitions: partitions.into_iter().map(Arc::new).collect(),
+            partitions: partitions.into_iter().map(Partition::from).collect(),
             partitioning,
+        }
+    }
+
+    /// Scan a relation in place: `n` contiguous partitions over its own row
+    /// buffer, in table order, with no partitioning guarantee. No row is
+    /// copied or allocated.
+    pub fn scan(relation: &Relation, n: usize) -> Self {
+        let buf = relation.shared_rows();
+        let len = buf.len();
+        Dataset {
+            partitions: (0..n)
+                .map(|p| Partition::view(Arc::clone(buf), p * len / n..(p + 1) * len / n))
+                .collect(),
+            partitioning: Partitioning::Unknown { partitions: n },
         }
     }
 
@@ -95,30 +156,40 @@ impl Dataset {
         out
     }
 
-    /// Gather all rows to the driver, consuming the dataset. Uniquely-owned
-    /// partitions are moved, not cloned — the fast path for the end-of-query
-    /// materialization where no other stage holds the data.
+    /// Gather all rows to the driver, consuming the dataset. A partition that
+    /// is the whole of a buffer nobody else holds is moved, not cloned — the
+    /// fast path for the end-of-query materialization where no other stage
+    /// holds the data.
     pub fn into_rows(self) -> Vec<Row> {
         let mut out = Vec::with_capacity(self.len());
         for p in self.partitions {
-            match Arc::try_unwrap(p) {
-                Ok(rows) => out.extend(rows),
-                Err(shared) => out.extend(shared.iter().cloned()),
-            }
+            out.extend(p.into_rows());
         }
         out
     }
 
-    /// Materialize into a [`Relation`], consuming the dataset (see
-    /// [`Dataset::into_rows`]).
+    /// Materialize into a [`Relation`], consuming the dataset. Partitions
+    /// that tile one buffer in order (an unfiltered scan) hand that buffer
+    /// back as it is; anything else gathers as [`Dataset::into_rows`] does.
     pub fn into_relation(self, schema: Schema) -> Relation {
+        if let Some(first) = self.partitions.first() {
+            let mut at = 0;
+            let tiles = self.partitions.iter().all(|p| {
+                let next = Arc::ptr_eq(&p.buf, &first.buf) && p.range.start == at;
+                at = p.range.end;
+                next
+            });
+            if tiles && at == first.buf.len() {
+                return Relation::from_shared(schema, Arc::clone(&first.buf));
+            }
+        }
         Relation::new_unchecked(schema, self.into_rows())
     }
 
     /// Access partition `p` from worker `worker`: zero-copy if local,
     /// deep-copied (and metered) if remote.
-    pub fn read_partition(&self, cluster: &Cluster, p: usize, worker: usize) -> Arc<Vec<Row>> {
-        let data = Arc::clone(&self.partitions[p]);
+    pub fn read_partition(&self, cluster: &Cluster, p: usize, worker: usize) -> Partition {
+        let data = self.partitions[p].clone();
         if cluster.owner_of(p) == worker {
             data
         } else {
@@ -126,7 +197,7 @@ impl Dataset {
             Metrics::add(&cluster.metrics.remote_fetches, 1);
             Metrics::add(&cluster.metrics.remote_fetch_bytes, bytes as u64);
             // The deep copy is the simulated network transfer.
-            Arc::new(data.as_ref().clone())
+            Partition::from(data.to_vec())
         }
     }
 
@@ -159,12 +230,12 @@ impl Dataset {
                 let cluster_metrics = Arc::clone(&cluster.metrics);
                 let owner = cluster.owner_of(p);
                 StageTask::new(owner, move |w| {
-                    let data = Arc::clone(&this.partitions[p]);
+                    let data = this.partitions[p].clone();
                     let data = if w != owner {
                         let bytes: usize = data.iter().map(Row::size_bytes).sum();
                         Metrics::add(&cluster_metrics.remote_fetches, 1);
                         Metrics::add(&cluster_metrics.remote_fetch_bytes, bytes as u64);
-                        Arc::new(data.as_ref().clone())
+                        Partition::from(data.to_vec())
                     } else {
                         data
                     };
@@ -496,6 +567,83 @@ mod tests {
         d.map_partitions(&drift, |_p, part| part.to_vec()).unwrap();
         assert_eq!(aware.metrics.snapshot().remote_fetch_bytes, 0);
         assert!(drift.metrics.snapshot().remote_fetch_bytes > 0);
+    }
+
+    #[test]
+    fn scan_shares_the_relation_buffer() {
+        let rel = Relation::edges(&[(1, 2), (2, 3), (3, 4), (4, 5), (5, 6)]);
+        let buf = Arc::clone(rel.shared_rows());
+        let before = Arc::strong_count(&buf);
+        let d = Dataset::scan(&rel, 3);
+        // One more reference per partition, and every view points into the
+        // relation's own rows: nothing was allocated or copied.
+        assert_eq!(Arc::strong_count(&buf), before + 3);
+        let mut at = rel.rows().as_ptr();
+        for part in &d.partitions {
+            assert_eq!(part.as_ptr(), at);
+            at = at.wrapping_add(part.len());
+        }
+        // An unfiltered scan materializes back into the same buffer.
+        let back = d.into_relation(rel.schema().clone());
+        assert!(Arc::ptr_eq(back.shared_rows(), &buf));
+    }
+
+    #[test]
+    fn scan_partitions_are_contiguous_and_cover_every_row_once() {
+        for len in [0i64, 1, 2, 5, 6, 7, 20] {
+            let rel = Relation::new_unchecked(
+                Relation::edges(&[]).schema().clone(),
+                (0..len).map(|i| int_row(&[i, i])).collect(),
+            );
+            for n in [1usize, 2, 3, 7] {
+                let d = Dataset::scan(&rel, n);
+                assert_eq!(d.num_partitions(), n);
+                // Table order, each row exactly once.
+                assert_eq!(d.collect(), rel.rows(), "len {len} n {n}");
+                // Balanced: sizes differ by at most one.
+                let sizes: Vec<usize> = d.partitions.iter().map(|p| p.len()).collect();
+                let (lo, hi) = (sizes.iter().min().unwrap(), sizes.iter().max().unwrap());
+                assert!(hi - lo <= 1, "len {len} n {n}: {sizes:?}");
+            }
+        }
+    }
+
+    #[test]
+    fn into_rows_moves_when_unique_and_clones_when_shared() {
+        // Unique and whole: the rows' own value allocations move out.
+        let d = Dataset::single(rows(4));
+        let first = d.partitions[0][0].values().as_ptr();
+        assert_eq!(d.into_rows()[0].values().as_ptr(), first);
+        // Shared (the relation still holds the buffer): cloned, source intact.
+        let rel = Relation::edges(&[(1, 2), (2, 3)]);
+        let got = Dataset::scan(&rel, 1).into_rows();
+        assert_ne!(got[0].values().as_ptr(), rel.rows()[0].values().as_ptr());
+        assert_eq!(got, rel.rows());
+        // A partial view of a unique buffer also clones: only its range.
+        let part = Partition::view(Arc::new(rows(6)), 2..4);
+        assert_eq!(part.into_rows(), rows(6)[2..4]);
+    }
+
+    #[test]
+    fn remote_read_of_a_scan_is_still_a_charged_copy() {
+        let drift = Cluster::new(ClusterConfig {
+            workers: 4,
+            partition_aware: false,
+            ..Default::default()
+        });
+        let rel = Relation::edges(&[(1, 2), (2, 3), (3, 4), (4, 5)]);
+        let d = Dataset::scan(&rel, 4);
+        let owner = drift.owner_of(0);
+        let local = d.read_partition(&drift, 0, owner);
+        assert_eq!(local.as_ptr(), d.partitions[0].as_ptr());
+        assert_eq!(drift.metrics.snapshot().remote_fetch_bytes, 0);
+        let remote = d.read_partition(&drift, 0, (owner + 1) % 4);
+        assert_ne!(remote.as_ptr(), d.partitions[0].as_ptr());
+        assert_eq!(&*remote, &*d.partitions[0]);
+        let bytes: usize = d.partitions[0].iter().map(Row::size_bytes).sum();
+        assert_eq!(drift.metrics.snapshot().remote_fetch_bytes, bytes as u64);
+        d.map_partitions(&drift, |_p, part| part.to_vec()).unwrap();
+        assert!(drift.metrics.snapshot().remote_fetch_bytes > bytes as u64);
     }
 
     #[test]

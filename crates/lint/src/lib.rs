@@ -17,6 +17,7 @@
 //! | `RL0003` | `fresh_version()` called in `storage::catalog` outside a `tables` write-lock scope |
 //! | `RL0004` | `std::thread::sleep` in non-test `server`/`exec` code |
 //! | `RL0005` | direct durable file writes (`File::create`, `.write_all(`, `fs::rename`) in `crates/storage/src` outside the WAL/snapshot/spill modules |
+//! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
@@ -73,6 +74,12 @@ pub enum LintCode {
     /// checksummed append or the snapshot's temp-fsync-rename publish, or
     /// recovery cannot reason about it.
     UnmanagedDurableWrite,
+    /// `RL0006`: a relation's, partition's or frame chunk's rows copied
+    /// wholesale (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in
+    /// a read-path module. Row buffers are shared from the catalog scan to
+    /// the socket; a copy on that path costs one allocation per row per
+    /// query, so each one needs a stated reason.
+    ReadPathRowCopy,
 }
 
 impl LintCode {
@@ -84,6 +91,7 @@ impl LintCode {
             LintCode::UnscopedVersionRead => "RL0003",
             LintCode::SleepInServerPath => "RL0004",
             LintCode::UnmanagedDurableWrite => "RL0005",
+            LintCode::ReadPathRowCopy => "RL0006",
         }
     }
 
@@ -94,13 +102,14 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 5] {
+    pub fn all() -> [LintCode; 6] {
         [
             LintCode::RawLockConstruction,
             LintCode::HotPathPanic,
             LintCode::UnscopedVersionRead,
             LintCode::SleepInServerPath,
             LintCode::UnmanagedDurableWrite,
+            LintCode::ReadPathRowCopy,
         ]
     }
 
@@ -119,6 +128,9 @@ impl LintCode {
             LintCode::SleepInServerPath => "thread::sleep in non-test server/exec code",
             LintCode::UnmanagedDurableWrite => {
                 "direct durable file write in storage outside the WAL/snapshot/spill modules"
+            }
+            LintCode::ReadPathRowCopy => {
+                "whole-buffer row copy in a read-path module without an allow annotation"
             }
         }
     }
@@ -746,6 +758,59 @@ fn rule_durable_write(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppress
     }
 }
 
+/// Read-path modules covered by RL0006: everything a row passes through
+/// between the catalog scan and the socket.
+const READ_PATHS: &[&str] = &[
+    "crates/core/src/eval.rs",
+    "crates/core/src/fixpoint.rs",
+    "crates/core/src/wire.rs",
+    "crates/core/src/context.rs",
+    "crates/server/src/conn.rs",
+];
+
+/// RL0006: `rows.to_vec()` / `.rows().to_vec()` / `chunk.to_vec()` in a
+/// read-path module — the receiver is a whole relation, partition or frame
+/// chunk, so the call clones every row in it. A sliced receiver
+/// (`rows()[n..].to_vec()`) copies a chosen part and is not matched.
+fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
+    if !READ_PATHS.iter().any(|p| ctx.path.ends_with(p)) {
+        return;
+    }
+    let code = &ctx.code;
+    for i in 0..code.len() {
+        let t = &code[i];
+        if !(t.is_ident("rows") || t.is_ident("chunk")) {
+            continue;
+        }
+        // An optional `()` (the `rows()` accessor), then `.to_vec(`.
+        let call = code.get(i + 1).is_some_and(|t| t.is_punct('('))
+            && code.get(i + 2).is_some_and(|t| t.is_punct(')'));
+        let dot = if call { i + 3 } else { i + 1 };
+        if !(code.get(dot).is_some_and(|t| t.is_punct('.'))
+            && code.get(dot + 1).is_some_and(|t| t.is_ident("to_vec"))
+            && code.get(dot + 2).is_some_and(|t| t.is_punct('(')))
+        {
+            continue;
+        }
+        let span = Span::new(t.start, code[dot + 2].end);
+        ctx.emit(
+            out,
+            suppressed,
+            LintDiagnostic::new(
+                LintCode::ReadPathRowCopy,
+                ctx.path,
+                span,
+                format!("`{}` copied wholesale in a read-path module", t.text),
+            )
+            .with_help(
+                "share the buffer instead (`Relation` clones in O(1), `Dataset::scan` views it, \
+                 frames encode from borrowed chunks); a justified copy needs \
+                 `// lint: allow(RL0006, <reason>)`",
+            ),
+        );
+    }
+}
+
 // ----------------------------------------------------------------
 // Entry points
 // ----------------------------------------------------------------
@@ -768,6 +833,7 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     rule_unscoped_version(&ctx, &mut out, &mut suppressed);
     rule_sleep(&ctx, &mut out, &mut suppressed);
     rule_durable_write(&ctx, &mut out, &mut suppressed);
+    rule_read_path_copy(&ctx, &mut out, &mut suppressed);
     out.sort_by_key(|d| d.span.start);
     (out, suppressed)
 }
@@ -829,6 +895,7 @@ mod tests {
         assert_eq!(LintCode::UnscopedVersionRead.code(), "RL0003");
         assert_eq!(LintCode::SleepInServerPath.code(), "RL0004");
         assert_eq!(LintCode::UnmanagedDurableWrite.code(), "RL0005");
+        assert_eq!(LintCode::ReadPathRowCopy.code(), "RL0006");
         for c in LintCode::all() {
             assert_eq!(c.severity(), Severity::Error);
         }

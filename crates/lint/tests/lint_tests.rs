@@ -181,6 +181,53 @@ fn rl0005_exempts_the_crash_consistency_modules() {
 }
 
 #[test]
+fn rl0006_flags_whole_buffer_row_copies_in_read_path_modules() {
+    let src = include_str!("fixtures/rl0006_row_copies.rs");
+    let (diags, suppressed) = lint_file_counting("crates/core/src/wire.rs", src);
+    let got: Vec<_> = diags
+        .iter()
+        .map(|d| (d.code, d.span.start, d.span.end))
+        .collect();
+    assert_eq!(
+        got,
+        vec![
+            (LintCode::ReadPathRowCopy, 211, 225), // .rows().to_vec(
+            (LintCode::ReadPathRowCopy, 307, 319), // rows.to_vec(
+            (LintCode::ReadPathRowCopy, 445, 458), // chunk.to_vec(
+        ],
+        "{diags:#?}"
+    );
+    // The sliced `rows()[n..].to_vec()` is not a whole-buffer copy; the
+    // annotated copy is suppressed; the #[cfg(test)] one is skipped outright.
+    assert_eq!(suppressed, 1);
+    assert_eq!(&src[211..225], "rows().to_vec(");
+    assert_eq!(&src[307..319], "rows.to_vec(");
+    assert_eq!(&src[445..458], "chunk.to_vec(");
+}
+
+#[test]
+fn rl0006_only_covers_read_path_modules() {
+    let src = include_str!("fixtures/rl0006_row_copies.rs");
+    for path in [
+        "crates/core/src/eval.rs",
+        "crates/core/src/fixpoint.rs",
+        "crates/core/src/wire.rs",
+        "crates/core/src/context.rs",
+        "crates/server/src/conn.rs",
+    ] {
+        assert_eq!(lint_file(path, src).len(), 3, "{path} is covered");
+    }
+    for path in [
+        "crates/exec/src/dataset.rs", // owns the charged remote-read copy
+        "crates/storage/src/catalog.rs",
+        "crates/core/src/matview.rs",
+        "crates/bench/src/lib.rs",
+    ] {
+        assert!(lint_file(path, src).is_empty(), "{path} is not covered");
+    }
+}
+
+#[test]
 fn clean_fixture_is_clean_everywhere() {
     let src = include_str!("fixtures/clean.rs");
     for path in [
@@ -188,6 +235,7 @@ fn clean_fixture_is_clean_everywhere() {
         "crates/server/src/lib.rs",
         "crates/storage/src/catalog.rs",
         "crates/core/src/fixpoint.rs",
+        "crates/server/src/conn.rs",
     ] {
         let (diags, suppressed) = lint_file_counting(path, src);
         assert!(diags.is_empty(), "{path}: {diags:#?}");

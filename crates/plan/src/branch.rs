@@ -153,6 +153,12 @@ impl BranchProgram {
 
     /// Human-readable rendering (used in the clique plan dump).
     pub fn display(&self) -> String {
+        self.render(false)
+    }
+
+    /// The rendering, with the literal rows of `Values` nodes in base build
+    /// plans spelled out when `literals` (the text caches key on).
+    pub(crate) fn render(&self, literals: bool) -> String {
         let mut s = format!(
             "Drive δ(view#{}) [{:?}]\n",
             self.driver, self.driver_value_mode
@@ -173,7 +179,7 @@ impl BranchProgram {
                                 keys.join(", "),
                                 build_keys
                             ));
-                            for line in p.display_indent().lines() {
+                            for line in p.render(literals).lines() {
                                 s.push_str(&format!("  {line}\n"));
                             }
                         }

@@ -230,9 +230,7 @@ impl LogicalPlan {
 
     /// Indented plan rendering (the Fig 2 artifact).
     pub fn display_indent(&self) -> String {
-        let mut s = String::new();
-        self.fmt_indent(&mut s, 0);
-        s
+        self.render(false)
     }
 
     /// Indented rendering with a per-node annotation: `annotate` receives each
@@ -259,11 +257,29 @@ impl LogicalPlan {
         }
     }
 
-    fn fmt_indent(&self, out: &mut String, depth: usize) {
+    /// [`LogicalPlan::display_indent`] with every `Values` node's literal
+    /// rows spelled out. Caches key on this text: two plans that differ only
+    /// in a constant (`reach(1)` / `reach(3)`) must not share a key, while
+    /// `EXPLAIN` keeps the compact `Values (n rows)`.
+    pub fn cache_text(&self) -> String {
+        self.render(true)
+    }
+
+    pub(crate) fn render(&self, literals: bool) -> String {
+        let mut s = String::new();
+        self.fmt_indent(&mut s, 0, literals);
+        s
+    }
+
+    fn fmt_indent(&self, out: &mut String, depth: usize, literals: bool) {
         let pad = "  ".repeat(depth);
-        out.push_str(&format!("{pad}{}\n", self.node_label()));
+        out.push_str(&format!("{pad}{}", self.node_label()));
+        if let (true, LogicalPlan::Values { rows, .. }) = (literals, self) {
+            out.push_str(&format!(" {rows:?}"));
+        }
+        out.push('\n');
         for child in self.children() {
-            child.fmt_indent(out, depth + 1);
+            child.fmt_indent(out, depth + 1, literals);
         }
     }
 }
@@ -293,6 +309,16 @@ impl FixpointSpec {
 
     /// Render the clique plan (the Fig 2a artifact).
     pub fn display(&self) -> String {
+        self.render(false)
+    }
+
+    /// [`FixpointSpec::display`] with literal `Values` rows spelled out (see
+    /// [`LogicalPlan::cache_text`]).
+    pub fn cache_text(&self) -> String {
+        self.render(true)
+    }
+
+    fn render(&self, literals: bool) -> String {
         let mut s = String::new();
         for v in &self.views {
             s.push_str(&format!(
@@ -308,13 +334,13 @@ impl FixpointSpec {
             ));
             for (i, b) in v.base.iter().enumerate() {
                 s.push_str(&format!("  Base[{i}]\n"));
-                for line in b.display_indent().lines() {
+                for line in b.render(literals).lines() {
                     s.push_str(&format!("    {line}\n"));
                 }
             }
             for (i, r) in v.recursive.iter().enumerate() {
                 s.push_str(&format!("  Recursive[{i}]\n"));
-                for line in r.display().lines() {
+                for line in r.render(literals).lines() {
                     s.push_str(&format!("    {line}\n"));
                 }
             }

@@ -2,7 +2,9 @@
 //! disconnect detection.
 
 use crate::ServerState;
-use rasql_api::wire::{read_request, send_response, Request, Response, PROTOCOL_VERSION};
+use rasql_api::wire::{
+    read_request, send_response, send_row_batch, Request, Response, PROTOCOL_VERSION,
+};
 use rasql_api::{ApiError, ErrorCode, ServerStatus};
 use rasql_core::{error_to_wire, result_to_wire, Session};
 use std::net::TcpStream;
@@ -12,9 +14,13 @@ use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
 
-/// How often an idle connection checks the shutdown latch, and how long a
-/// mid-query peek waits for the client to vanish.
+/// How often an idle connection checks the shutdown latch.
 const POLL: Duration = Duration::from_millis(25);
+
+/// How long the connection thread waits on a running query's worker before
+/// it probes the socket for a vanished client. The wait ends the instant the
+/// worker reports, so this bounds disconnect detection, not query latency.
+const DISCONNECT_PROBE: Duration = Duration::from_millis(10);
 
 /// Rows per `RowBatch` frame.
 const BATCH_ROWS: usize = 512;
@@ -210,7 +216,7 @@ impl Conn {
                 });
             });
             loop {
-                match rx.recv_timeout(Duration::from_millis(10)) {
+                match rx.recv_timeout(DISCONNECT_PROBE) {
                     Ok(Event::Result(result)) => {
                         if let Err(e) = self.stream_result(&result) {
                             // Write failure: the client is gone. Cancel the
@@ -249,10 +255,9 @@ impl Conn {
         self.send(&Response::ResultHeader {
             schema: result.schema.clone(),
         })?;
+        // Frames are encoded straight from the engine's row buffer.
         for chunk in result.rows.chunks(BATCH_ROWS) {
-            self.send(&Response::RowBatch {
-                rows: chunk.to_vec(),
-            })?;
+            send_row_batch(&mut self.stream, chunk)?;
         }
         self.send(&Response::StatementDone {
             stats: result.stats,
@@ -314,16 +319,22 @@ impl Conn {
     }
 
     /// Whether the peer has closed its end (EOF on a non-consuming peek).
+    /// The peek is non-blocking — it must not hold the connection thread off
+    /// the worker's result for the socket's read timeout — so a quiet, live
+    /// client reads as `WouldBlock`.
     fn client_gone(&mut self) -> bool {
+        if self.stream.set_nonblocking(true).is_err() {
+            return true;
+        }
         let mut probe = [0u8; 1];
-        match self.stream.peek(&mut probe) {
+        let gone = match self.stream.peek(&mut probe) {
             Ok(0) => true,
             Ok(_) => false,
-            Err(e) => !matches!(
-                e.kind(),
-                std::io::ErrorKind::WouldBlock | std::io::ErrorKind::TimedOut
-            ),
-        }
+            Err(e) => e.kind() != std::io::ErrorKind::WouldBlock,
+        };
+        // A socket that cannot go back to blocking cannot be served further.
+        let restored = self.stream.set_nonblocking(false).is_ok();
+        gone || !restored
     }
 
     fn send(&mut self, response: &Response) -> Result<(), ApiError> {

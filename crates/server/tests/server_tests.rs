@@ -270,6 +270,51 @@ fn disconnect_mid_query_cancels_and_leaks_nothing() {
     }
 }
 
+/// A statement that needs more than one disconnect-probe interval in the
+/// engine must cost the client its engine time plus a round trip — the
+/// connection thread wakes on the worker's result, it does not finish a
+/// socket poll first (which used to add a flat 25 ms to every such query).
+#[test]
+fn slow_statement_costs_the_client_its_engine_time_not_a_poll_quantum() {
+    let ctx = Arc::new(RaSqlContext::builder().workers(2).build());
+    let sql = "SELECT Dst FROM edge WHERE Src = 77";
+    let median_ms = |run: &mut dyn FnMut()| {
+        let mut ms: Vec<f64> = (0..9)
+            .map(|_| {
+                let t = Instant::now();
+                run();
+                t.elapsed().as_secs_f64() * 1e3
+            })
+            .collect();
+        ms.sort_by(f64::total_cmp);
+        ms[ms.len() / 2]
+    };
+    // A point lookup over a table sized so the engine needs 12-20 ms for it,
+    // whatever the build profile: past the first 10 ms probe, and where the
+    // old 25 ms poll always landed on top of it.
+    let mut n: i64 = 150_000;
+    let mut in_process = 0.0;
+    for _ in 0..6 {
+        ctx.register_or_replace("edge", Relation::edges(&chain_edges(n)))
+            .unwrap();
+        in_process = median_ms(&mut || assert_eq!(ctx.query(sql).unwrap().relation.len(), 1));
+        if (12.0..=20.0).contains(&in_process) {
+            break;
+        }
+        n = ((n as f64 * 16.0 / in_process) as i64).max(1_000);
+    }
+    let handle =
+        rasql_server::serve_with(Arc::clone(&ctx), "127.0.0.1:0", Duration::from_secs(5)).unwrap();
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let over_the_wire = median_ms(&mut || assert_eq!(client.query(sql).unwrap()[0].rows.len(), 1));
+    assert!(
+        over_the_wire <= in_process + 5.0,
+        "client-side median {over_the_wire:.1} ms vs in-process {in_process:.1} ms ({n} rows)"
+    );
+    client.close().unwrap();
+    assert!(handle.shutdown());
+}
+
 #[test]
 fn kill_metrics_and_status_are_reachable() {
     let (handle, _ctx) = start_server(2);

@@ -76,9 +76,11 @@ impl Catalog {
         self.journal.get().is_some()
     }
 
-    fn journal_append(&self, record: &WalRecord) -> Result<(), StorageError> {
+    /// Journal the record `build` makes, when a journal is attached. The
+    /// record is built only then: a table image is a deep copy of the table.
+    fn journal_with(&self, build: impl FnOnce() -> WalRecord) -> Result<(), StorageError> {
         match self.journal.get() {
-            Some(wal) => wal.append(record),
+            Some(wal) => wal.append(&build()),
             None => Ok(()),
         }
     }
@@ -114,7 +116,7 @@ impl Catalog {
             version: v,
             rewrite_version: v,
         };
-        self.journal_append(&WalRecord::Register(Self::image(&key, &entry)))?;
+        self.journal_with(|| WalRecord::Register(Self::image(&key, &entry)))?;
         tables.insert(key, entry);
         Ok(())
     }
@@ -133,7 +135,7 @@ impl Catalog {
             version: v,
             rewrite_version: v,
         };
-        self.journal_append(&WalRecord::Replace(Self::image(&key, &entry)))?;
+        self.journal_with(|| WalRecord::Replace(Self::image(&key, &entry)))?;
         tables.insert(key, entry);
         Ok(())
     }
@@ -153,15 +155,17 @@ impl Catalog {
             version: v,
             rewrite_version: v,
         };
-        self.journal_append(&WalRecord::Replace(Self::image(&key, &entry)))?;
+        self.journal_with(|| WalRecord::Replace(Self::image(&key, &entry)))?;
         tables.insert(key, entry);
         Ok(())
     }
 
-    /// Append rows to an existing table (copy-on-write). Bumps `version`
-    /// but not `rewrite_version`, and returns the table's row count from
-    /// *before* the append — the suffix `rows[old_len..]` of the new
-    /// relation is exactly the inserted delta.
+    /// Append rows to an existing table: in place when the catalog holds the
+    /// only reference to its rows, copy-on-write while a reader's snapshot
+    /// (a `get()`, a scan, a cached result) is alive — that reader keeps
+    /// seeing the old rows. Bumps `version` but not `rewrite_version`, and
+    /// returns the table's row count from *before* the append — the suffix
+    /// `rows[old_len..]` of the new relation is exactly the inserted delta.
     pub fn insert_rows(
         &self,
         name: &str,
@@ -181,18 +185,12 @@ impl Catalog {
         }
         let old_len = entry.rel.len();
         let v = self.fresh_version();
-        if self.journal.get().is_some() {
-            self.journal_append(&WalRecord::Insert {
-                name: key.clone(),
-                rows: rows.clone(),
-                version: v,
-            })?;
-        }
-        let mut grown = (*entry.rel).clone();
-        for row in rows {
-            grown.push(row);
-        }
-        entry.rel = Arc::new(grown);
+        self.journal_with(|| WalRecord::Insert {
+            name: key.clone(),
+            rows: rows.clone(),
+            version: v,
+        })?;
+        Arc::make_mut(&mut entry.rel).append(rows);
         entry.version = v;
         Ok(old_len)
     }
@@ -210,7 +208,7 @@ impl Catalog {
         entry.rel = Arc::new(rel);
         entry.version = v;
         entry.rewrite_version = v;
-        self.journal_append(&WalRecord::Replace(Self::image(&key, entry)))?;
+        self.journal_with(|| WalRecord::Replace(Self::image(&key, entry)))?;
         Ok(())
     }
 
@@ -239,7 +237,7 @@ impl Catalog {
         entry.rel = Arc::new(rel);
         entry.version = v;
         entry.rewrite_version = v;
-        self.journal_append(&WalRecord::Replace(Self::image(&key, entry)))?;
+        self.journal_with(|| WalRecord::Replace(Self::image(&key, entry)))?;
         Ok(true)
     }
 
@@ -295,7 +293,7 @@ impl Catalog {
         let mut tables = self.tables.write();
         match tables.remove(&key) {
             Some(e) => {
-                self.journal_append(&WalRecord::Drop { name: key })?;
+                self.journal_with(|| WalRecord::Drop { name: key })?;
                 Ok(Some(e.rel))
             }
             None => Ok(None),
@@ -366,11 +364,7 @@ impl Catalog {
         if entry.version >= version {
             return Ok(());
         }
-        let mut grown = (*entry.rel).clone();
-        for row in rows {
-            grown.push(row);
-        }
-        entry.rel = Arc::new(grown);
+        Arc::make_mut(&mut entry.rel).append(rows);
         entry.version = version;
         self.bump_version_floor(version);
         Ok(())
@@ -448,6 +442,46 @@ mod tests {
         assert_eq!(v1.rewrite_version, v0.rewrite_version);
         // The suffix past old_len is exactly the delta.
         assert_eq!(c.get("t").unwrap().rows()[old_len..], [int_row(&[3, 4])]);
+    }
+
+    #[test]
+    fn held_snapshot_keeps_its_rows_across_an_insert() {
+        let c = Catalog::new();
+        c.register("t", Relation::edges(&[(1, 2)])).unwrap();
+        let snapshot = c.get("t").unwrap();
+        let v0 = c.version_of("t").unwrap();
+        c.insert_rows("t", vec![int_row(&[3, 4])]).unwrap();
+        // The reader that took `get()` before the INSERT still sees one row;
+        // the catalog copied on write instead of growing under it.
+        assert_eq!(snapshot.rows(), [int_row(&[1, 2])]);
+        let now = c.get("t").unwrap();
+        assert_eq!(now.len(), 2);
+        assert!(!Arc::ptr_eq(snapshot.shared_rows(), now.shared_rows()));
+        assert!(c.version_of("t").unwrap().version > v0.version);
+    }
+
+    #[test]
+    fn insert_appends_in_place_when_no_snapshot_is_held() {
+        let c = Catalog::new();
+        c.register("t", Relation::edges(&[(1, 2)])).unwrap();
+        // The shared buffer's identity survives every append (the `Vec`
+        // inside it grows): a copy-on-write would have made a new one.
+        let buf = Arc::as_ptr(c.get("t").unwrap().shared_rows());
+        let mut last = c.version_of("t").unwrap().version;
+        for i in 0..8 {
+            let old_len = c.insert_rows("t", vec![int_row(&[i, i])]).unwrap();
+            assert_eq!(old_len, 1 + i as usize);
+            let v = c.version_of("t").unwrap().version;
+            assert!(v > last);
+            last = v;
+        }
+        let rel = c.get("t").unwrap();
+        assert_eq!(rel.len(), 9);
+        assert_eq!(
+            Arc::as_ptr(rel.shared_rows()),
+            buf,
+            "no table copy per INSERT"
+        );
     }
 
     #[test]

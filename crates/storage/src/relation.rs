@@ -9,22 +9,25 @@ use crate::schema::{DataType, Schema};
 use crate::value::Value;
 use std::fmt;
 use std::path::Path;
+use std::sync::Arc;
 
 /// A schema plus rows. Bag semantics: duplicates are allowed until an explicit
 /// `dedup`, matching SQL.
+///
+/// The rows sit behind an `Arc`, so `Clone` is O(1) and a catalog snapshot, a
+/// scan's partitions, a query result, a result-cache entry and a wire result
+/// can all be the same allocation. Mutators copy on write: they work in place
+/// while this relation holds the only reference.
 #[derive(Debug, Clone, PartialEq)]
 pub struct Relation {
     schema: Schema,
-    rows: Vec<Row>,
+    rows: Arc<Vec<Row>>,
 }
 
 impl Relation {
     /// An empty relation with the given schema.
     pub fn empty(schema: Schema) -> Self {
-        Relation {
-            schema,
-            rows: vec![],
-        }
+        Relation::new_unchecked(schema, vec![])
     }
 
     /// Build from schema and rows, validating arity.
@@ -35,11 +38,16 @@ impl Relation {
                 actual: bad.arity(),
             });
         }
-        Ok(Relation { schema, rows })
+        Ok(Relation::new_unchecked(schema, rows))
     }
 
     /// Build without validation (hot paths that construct rows internally).
     pub fn new_unchecked(schema: Schema, rows: Vec<Row>) -> Self {
+        Relation::from_shared(schema, Arc::new(rows))
+    }
+
+    /// Build over an already-shared row buffer without touching a row.
+    pub fn from_shared(schema: Schema, rows: Arc<Vec<Row>>) -> Self {
         debug_assert!(rows.iter().all(|r| r.arity() == schema.arity()));
         Relation { schema, rows }
     }
@@ -51,7 +59,7 @@ impl Relation {
             .iter()
             .map(|&(s, d)| Row::new(vec![Value::Int(s), Value::Int(d)]))
             .collect();
-        Relation { schema, rows }
+        Relation::new_unchecked(schema, rows)
     }
 
     /// Weighted integer edge list `(src, dst, cost)`.
@@ -65,7 +73,7 @@ impl Relation {
             .iter()
             .map(|&(s, d, c)| Row::new(vec![Value::Int(s), Value::Int(d), Value::Double(c)]))
             .collect();
-        Relation { schema, rows }
+        Relation::new_unchecked(schema, rows)
     }
 
     /// The schema.
@@ -78,9 +86,15 @@ impl Relation {
         &self.rows
     }
 
-    /// Consume into rows.
+    /// The shared row buffer itself (an `Arc` clone of it shares the rows).
+    pub fn shared_rows(&self) -> &Arc<Vec<Row>> {
+        &self.rows
+    }
+
+    /// Consume into rows: moved when this relation holds the only reference
+    /// to its buffer, cloned otherwise.
     pub fn into_rows(self) -> Vec<Row> {
-        self.rows
+        Arc::try_unwrap(self.rows).unwrap_or_else(|shared| shared.as_ref().clone())
     }
 
     /// Row count.
@@ -96,19 +110,34 @@ impl Relation {
     /// Append a row (arity checked in debug builds only).
     pub fn push(&mut self, row: Row) {
         debug_assert_eq!(row.arity(), self.schema.arity());
-        self.rows.push(row);
+        Arc::make_mut(&mut self.rows).push(row);
+    }
+
+    /// Append rows (arity checked in debug builds only): in place when this
+    /// relation holds the only reference to its buffer, otherwise into one
+    /// fresh buffer sized for both, leaving the shared one untouched.
+    pub fn append(&mut self, rows: Vec<Row>) {
+        debug_assert!(rows.iter().all(|r| r.arity() == self.schema.arity()));
+        if let Some(own) = Arc::get_mut(&mut self.rows) {
+            own.extend(rows);
+        } else {
+            let mut grown = Vec::with_capacity(self.rows.len() + rows.len());
+            grown.extend_from_slice(&self.rows);
+            grown.extend(rows);
+            self.rows = Arc::new(grown);
+        }
     }
 
     /// Sort rows lexicographically — gives deterministic output for tests.
     pub fn sorted(mut self) -> Self {
-        self.rows.sort_unstable();
+        Arc::make_mut(&mut self.rows).sort_unstable();
         self
     }
 
     /// Remove duplicate rows (set semantics), preserving first occurrence.
     pub fn dedup(mut self) -> Self {
         let mut seen: FxHashSet<Row> = FxHashSet::default();
-        self.rows.retain(|r| seen.insert(r.clone()));
+        Arc::make_mut(&mut self.rows).retain(|r| seen.insert(r.clone()));
         self
     }
 
@@ -161,13 +190,13 @@ impl Relation {
             }
             rows.push(Row::new(values));
         }
-        Ok(Relation { schema, rows })
+        Ok(Relation::new_unchecked(schema, rows))
     }
 
     /// Write as one-row-per-line text (inverse of [`Relation::parse_text`]).
     pub fn save_text(&self, path: &Path) -> Result<(), StorageError> {
         let mut out = String::new();
-        for row in &self.rows {
+        for row in self.rows.iter() {
             for (i, v) in row.values().iter().enumerate() {
                 if i > 0 {
                     out.push('\t');
@@ -225,6 +254,41 @@ mod tests {
     fn dedup_preserves_first() {
         let r = Relation::edges(&[(1, 2), (1, 2), (2, 3)]).dedup();
         assert_eq!(r.len(), 2);
+    }
+
+    #[test]
+    fn clone_shares_rows_and_mutation_copies_on_write() {
+        let a = Relation::edges(&[(1, 2), (2, 3)]);
+        let mut b = a.clone();
+        assert!(Arc::ptr_eq(a.shared_rows(), b.shared_rows()));
+        // Shared: the append builds a fresh buffer and `a` keeps its rows.
+        b.append(vec![int_row(&[3, 4])]);
+        assert!(!Arc::ptr_eq(a.shared_rows(), b.shared_rows()));
+        assert_eq!((a.len(), b.len()), (2, 3));
+        // Unique: the next append grows the same buffer in place.
+        let own = Arc::as_ptr(b.shared_rows());
+        b.append(vec![int_row(&[4, 5])]);
+        b.push(int_row(&[5, 6]));
+        assert_eq!(Arc::as_ptr(b.shared_rows()), own);
+        assert_eq!(
+            b.rows()[2..],
+            [int_row(&[3, 4]), int_row(&[4, 5]), int_row(&[5, 6])]
+        );
+        // Sorting a shared relation leaves the other holder's order alone.
+        let sorted = Relation::edges(&[(2, 1), (1, 1)]);
+        let keep = sorted.clone();
+        assert_eq!(sorted.sorted().rows()[0], int_row(&[1, 1]));
+        assert_eq!(keep.rows()[0], int_row(&[2, 1]));
+    }
+
+    #[test]
+    fn into_rows_moves_when_unique_and_clones_when_shared() {
+        let a = Relation::edges(&[(1, 2)]);
+        let first = a.rows()[0].values().as_ptr();
+        let keep = a.clone();
+        let cloned = a.into_rows();
+        assert_ne!(cloned[0].values().as_ptr(), first);
+        assert_eq!(keep.into_rows()[0].values().as_ptr(), first);
     }
 
     #[test]
