@@ -1,6 +1,7 @@
 //! Row: a fixed-width tuple of [`Value`]s.
 
 use crate::value::Value;
+use std::borrow::Borrow;
 use std::fmt;
 use std::ops::Index;
 
@@ -18,6 +19,14 @@ impl Row {
     pub fn new(values: Vec<Value>) -> Self {
         Row {
             values: values.into_boxed_slice(),
+        }
+    }
+
+    /// Build a row by cloning a borrowed tuple: the one allocation a tuple
+    /// costs when it leaves a scratch buffer to be kept.
+    pub fn from_slice(values: &[Value]) -> Self {
+        Row {
+            values: values.into(),
         }
     }
 
@@ -73,6 +82,16 @@ impl Row {
 impl From<Vec<Value>> for Row {
     fn from(values: Vec<Value>) -> Self {
         Row::new(values)
+    }
+}
+
+/// A row hashes and compares exactly like the slice of its values (the
+/// derived impls delegate to the one `Box<[Value]>` field), so maps keyed by
+/// `Row` can be probed with a borrowed tuple.
+impl Borrow<[Value]> for Row {
+    #[inline]
+    fn borrow(&self) -> &[Value] {
+        &self.values
     }
 }
 

@@ -146,6 +146,21 @@ proptest! {
         prop_assert!(cursor.is_empty(), "frame reader left bytes behind");
     }
 
+    /// `Row: Borrow<[Value]>` is sound: a row and the slice of its values hash
+    /// and compare alike, so a set of rows answers for a borrowed tuple.
+    #[test]
+    fn a_row_hashes_and_compares_like_its_slice(a in row_strategy(), b in row_strategy()) {
+        use std::hash::{BuildHasher, RandomState};
+        let hasher = RandomState::new();
+        prop_assert_eq!(hasher.hash_one(&a), hasher.hash_one(a.values()));
+        prop_assert_eq!(a == b, a.values() == b.values());
+        prop_assert_eq!(a.cmp(&b), a.values().cmp(b.values()));
+        prop_assert_eq!(&Row::from_slice(a.values()), &a);
+        let set: std::collections::HashSet<Row> = [a.clone()].into_iter().collect();
+        prop_assert!(set.contains(a.values()));
+        prop_assert_eq!(set.contains(b.values()), a == b);
+    }
+
     /// A batch encoded from borrowed rows — any chunk of a larger buffer — is
     /// the frame the owned `RowBatch` message makes, byte for byte, and it
     /// decodes strictly: back to the same rows, no prefix of it accepted, no

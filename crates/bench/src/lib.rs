@@ -521,7 +521,9 @@ pub fn fig6(scale: f64) -> Table {
     t
 }
 
-/// Fig 7: effect of (fused) code generation on CC/REACH/SSSP.
+/// Fig 7: effect of (fused) code generation on CC/REACH/SSSP. Both legs run
+/// the generic interpreter (`specialized_kernels(false)`): the kernels have
+/// no operator pipeline for the switch to act on.
 pub fn fig7(scale: f64) -> Table {
     let workers = default_workers();
     let sizes: Vec<usize> = [16_000, 32_000, 64_000, 128_000]
@@ -538,26 +540,22 @@ pub fn fig7(scale: f64) -> Table {
             "speedup",
         ],
     );
+    let interpreter = |fused: bool| {
+        EngineConfig::rasql()
+            .with_workers(workers)
+            .with_decomposed(false)
+            .with_specialized_kernels(false)
+            .with_fused_codegen(fused)
+    };
     for &n in &sizes {
         for q in [GraphQuery::Cc, GraphQuery::Reach, GraphQuery::Sssp] {
             let edges = rmat_graph(n, q.weighted(), 7);
-            let (on, _) = run_rasql(
-                EngineConfig::rasql()
-                    .with_workers(workers)
-                    .with_decomposed(false),
-                q,
-                &edges,
-                1,
-            );
-            let (off, _) = run_rasql(
-                EngineConfig::rasql()
-                    .with_workers(workers)
-                    .with_decomposed(false)
-                    .with_fused_codegen(false),
-                q,
-                &edges,
-                1,
-            );
+            // Best of three per leg: one disturbed run moves neither side.
+            let best = |fused: bool| {
+                let runs = (0..3).map(|_| run_rasql(interpreter(fused), q, &edges, 1).0);
+                runs.min().unwrap_or_default()
+            };
+            let (on, off) = (best(true), best(false));
             t.row(vec![
                 format!("RMAT-{}k", n / 1000),
                 q.name().into(),
@@ -808,10 +806,12 @@ pub fn fig12(scale: f64) -> Table {
 /// record per (graph, query) with both times and the speedup.
 pub fn fig13(scale: f64) -> (Table, JsonValue) {
     let workers = default_workers();
-    let sizes: Vec<usize> = [4_096, 16_384, 65_536]
+    let mut sizes: Vec<usize> = [4_096, 16_384, 65_536]
         .iter()
         .map(|&n| (((n as f64) * scale) as usize).max(4_096))
         .collect();
+    // Small scales clamp several sizes to the 4096-vertex floor.
+    sizes.dedup();
     let mut t = Table::new(
         "Fig 13 — Specialized fixpoint kernels (times in ms)",
         &[
@@ -834,7 +834,8 @@ pub fn fig13(scale: f64) -> (Table, JsonValue) {
             let edges = rmat_graph(n, q.weighted(), 7);
             let (_, _, trace) = run_traced(base_cfg(), &[("edge", &edges)], &q.rasql_sql(1));
             let kernel = trace.cliques[0].kernel.clone();
-            // Best-of-3 per leg to keep the asserted ratio noise-tolerant.
+            // The gated ratio is min-of-3 over min-of-3: each leg's best of
+            // three runs, so one disturbed run moves neither side.
             let best = |cfg: &EngineConfig| {
                 (0..3)
                     .map(|_| run_rasql(cfg.clone(), q, &edges, 1))
@@ -888,9 +889,20 @@ pub fn fig13(scale: f64) -> (Table, JsonValue) {
     (t, json)
 }
 
+/// The floor `reproduce bench-kernels` gates every (graph, query) ratio of
+/// [`fig13`] on: half the smallest ratio measured at `--scale 0.1` with two
+/// workers when the interpreter's borrowed-tuple path landed (CC 3.69–6.54×,
+/// REACH 8.5–11.8×, SSSP 8.5–16.2× over seven runs; see `BENCH_kernels.json`).
+pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.8;
+
+/// The floor `reproduce ivm` gates the small-delta refresh speedup of [`ivm`]
+/// on, set the same way: 6.6–12.4× over seventeen runs at `--scale 0.1` (the
+/// recompute leg is an interpreter query, so a faster interpreter lowers it).
+pub const IVM_SPEEDUP_FLOOR: f64 = 3.3;
+
 /// Acceptance gate for [`fig13`]: the specialized kernels must be at least
-/// `target`× faster than the interpreter on SSSP and CC for every R-MAT
-/// graph of ≥ 4096 vertices in the artifact.
+/// `target`× faster than the interpreter on every (graph, query) row of the
+/// artifact.
 pub fn kernels_meet_target(json: &JsonValue, target: f64) -> Result<(), String> {
     let rows = json
         .get("rows")
@@ -898,15 +910,14 @@ pub fn kernels_meet_target(json: &JsonValue, target: f64) -> Result<(), String> 
         .ok_or("malformed kernel artifact: no rows")?;
     for r in rows {
         let query = r.get("query").and_then(JsonValue::as_str).unwrap_or("?");
-        let vertices = r.get("vertices").and_then(JsonValue::as_u64).unwrap_or(0);
+        let graph = r.get("graph").and_then(JsonValue::as_str).unwrap_or("?");
         let speedup = match r.get("speedup") {
             Some(JsonValue::Num(s)) => *s,
             _ => return Err(format!("malformed kernel artifact: no speedup for {query}")),
         };
-        if (query == "SSSP" || query == "CC") && vertices >= 4_096 && speedup < target {
+        if speedup < target {
             return Err(format!(
-                "kernel speedup below target on {query} ({vertices} vertices): \
-                 {speedup:.2}x < {target}x"
+                "kernel speedup below target on {query} ({graph}): {speedup:.2}x < {target}x"
             ));
         }
     }

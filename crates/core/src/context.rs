@@ -833,9 +833,10 @@ impl RaSqlContext {
             self.refresh_if_stale(t, &mut visited, parent)?;
         }
         let traced = self.tracing_enabled();
-        if traced || self.result_cache.disabled() {
+        if self.result_cache.disabled() {
             return self.execute_query(q, traced, parent);
         }
+        let started = Instant::now();
         let key = self.query_cache_key(&q, &deps);
         if let Some(hit) = self.result_cache.get(&key) {
             Metrics::add(&self.cluster.metrics.cache_hits, 1);
@@ -846,10 +847,11 @@ impl RaSqlContext {
                     cached: true,
                     ..QueryStats::default()
                 },
-                trace: None,
+                // A traced session still gets a trace; it says "cached".
+                trace: traced.then(|| QueryTrace::cached(started.elapsed())),
             });
         }
-        let result = self.execute_query(q, false, parent)?;
+        let result = self.execute_query(q, traced, parent)?;
         self.result_cache.put(
             key,
             deps,

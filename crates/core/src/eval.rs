@@ -191,8 +191,8 @@ impl<'a> EvalContext<'a> {
             if !identity {
                 labels.push("project");
                 let exprs = exprs.clone();
-                project = Some(Arc::new(move |r: &Row| {
-                    Row::new(exprs.iter().map(|e| e.eval(r)).collect())
+                project = Some(Arc::new(move |t: &[Value], out: &mut Vec<Value>| {
+                    out.extend(exprs.iter().map(|e| e.eval_vals(t)));
                 }));
             }
         }
@@ -201,8 +201,8 @@ impl<'a> EvalContext<'a> {
             node = input;
             path.push_str(".0");
             let pred = predicate.clone();
-            steps.push(PipelineStep::Filter(Arc::new(move |r: &Row| {
-                pred.eval(r).is_truthy()
+            steps.push(PipelineStep::Filter(Arc::new(move |t: &[Value]| {
+                pred.eval_vals(t).is_truthy()
             })));
         }
         if !steps.is_empty() {

@@ -23,12 +23,13 @@ use rasql_exec::checkpoint::{
     encode_set_state, Bytes, CheckpointStore,
 };
 use rasql_exec::join::SortedRun;
-use rasql_exec::state::{AggMergeResult, AggState, MonotoneOp};
+use rasql_exec::pipeline::{KeyFn, MapFn, PredFn};
+use rasql_exec::state::{AggState, MonotoneOp};
 use rasql_exec::{
-    merge_join, run_fused, run_unfused, scan_delta, scan_delta_set, Broadcast, Cluster,
-    DenseAggState, DenseSetState, ExecError, HashTable, IterationTrace, KernelValue, MaxOp,
-    MergeOp, Metrics, MinOp, Pipeline, PipelineStep, QueryGovernor, RecoveryEvent, RecoveryKind,
-    SetState, StageKind, StageTask, SumOp, TraceSink,
+    merge_join, run_unfused, scan_delta, scan_delta_set, Broadcast, Cluster, DenseAggState,
+    DenseSetState, ExecError, HashTable, IterationTrace, KernelValue, MaxOp, MergeOp, Metrics,
+    MinOp, Pipeline, PipelineStep, QueryGovernor, RecoveryEvent, RecoveryKind, SetState, StageKind,
+    StageTask, SumOp, TraceSink,
 };
 use rasql_parser::ast::AggFunc;
 use rasql_plan::{
@@ -38,8 +39,9 @@ use rasql_plan::{
 use rasql_storage::codec::CompressedRelation;
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::{
-    partition::hash_partition, Catalog, CsrGraph, FxHashMap, FxHashSet, Relation, Row, Value,
+    partition::row_partition, Catalog, CsrGraph, FxHashMap, FxHashSet, Relation, Row, Value,
 };
+use std::borrow::Cow;
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -87,10 +89,11 @@ impl DeltaBatch {
         self.rows.is_empty()
     }
 
-    /// Rows as seen by a consumer with the given value mode.
-    fn reader_rows(&self, mode: DeltaValueMode, agg_cols: &[usize]) -> Vec<Row> {
+    /// Rows as seen by a consumer with the given value mode: the delta's own
+    /// rows for totals, substituted copies for increments.
+    fn reader_rows(&self, mode: DeltaValueMode, agg_cols: &[usize]) -> Cow<'_, [Row]> {
         match mode {
-            DeltaValueMode::Total => self.rows.clone(),
+            DeltaValueMode::Total => Cow::Borrowed(&self.rows),
             DeltaValueMode::Increment => self
                 .rows
                 .iter()
@@ -139,8 +142,7 @@ impl ViewRt {
     }
 
     fn partition_of(&self, row: &Row, partitions: usize) -> usize {
-        let key: Vec<&Value> = self.partition_key.iter().map(|&c| &row[c]).collect();
-        hash_partition(&key, partitions)
+        row_partition(row, &self.partition_key, partitions)
     }
 }
 
@@ -259,12 +261,33 @@ fn plan_is_delta_layerable(plan: &LogicalPlan) -> bool {
 struct CompiledStep {
     build: BuildSide,
     stream_keys: Vec<PExpr>,
+    /// `stream_keys` as the pipeline's probe-key extractor.
+    key: KeyFn,
     build_keys: Vec<usize>,
 }
 
 enum CompiledOp {
     Join(CompiledStep),
-    Filter(PExpr),
+    Filter(PredFn),
+}
+
+impl CompiledOp {
+    fn filter(e: &PExpr) -> CompiledOp {
+        let e = e.clone();
+        CompiledOp::Filter(Arc::new(move |t: &[Value]| e.eval_vals(t).is_truthy()))
+    }
+
+    fn join(build: BuildSide, stream_keys: &[PExpr], build_keys: &[usize]) -> CompiledOp {
+        let keys = stream_keys.to_vec();
+        CompiledOp::Join(CompiledStep {
+            build,
+            stream_keys: stream_keys.to_vec(),
+            key: Arc::new(move |t: &[Value], k: &mut Vec<Value>| {
+                k.extend(keys.iter().map(|e| e.eval_vals(t)));
+            }),
+            build_keys: build_keys.to_vec(),
+        })
+    }
 }
 
 struct CompiledBranch {
@@ -272,9 +295,36 @@ struct CompiledBranch {
     driver_value_mode: DeltaValueMode,
     ops: Vec<CompiledOp>,
     target: usize,
-    key_exprs: Vec<PExpr>,
-    agg_exprs: Vec<PExpr>,
+    /// The pipeline's final projection: the branch's key and aggregate
+    /// expressions evaluated straight into the target's schema shape.
+    emit: MapFn,
     uses_recursive_build: bool,
+}
+
+impl CompiledBranch {
+    fn new(
+        prog: &BranchProgram,
+        target: &ViewRt,
+        ops: Vec<CompiledOp>,
+        uses_recursive_build: bool,
+    ) -> Self {
+        let arity = target.spec.key_cols.len() + target.agg_cols.len();
+        let mut exprs = vec![PExpr::Lit(Value::Null); arity];
+        let keys = prog.key_exprs.iter().zip(&target.spec.key_cols);
+        for (e, &c) in keys.chain(prog.agg_exprs.iter().zip(&target.agg_cols)) {
+            exprs[c] = e.clone();
+        }
+        CompiledBranch {
+            driver: prog.driver,
+            driver_value_mode: prog.driver_value_mode,
+            ops,
+            target: prog.target,
+            emit: Arc::new(move |t: &[Value], out: &mut Vec<Value>| {
+                out.extend(exprs.iter().map(|e| e.eval_vals(t)));
+            }),
+            uses_recursive_build,
+        }
+    }
 }
 
 /// Contributions produced by a map task: per target view, per target
@@ -321,25 +371,45 @@ impl<'a> FixpointExecutor<'a> {
                 return Ok(result);
             }
         }
-        let p = self.config.partitions;
+        let views = Arc::new(self.view_runtimes(spec, self.config.decomposed_plans)?);
 
-        // --- Per-view runtime state. ---
+        // --- Compile branch programs (evaluate & cache base build sides). ---
+        let mut branches: Vec<CompiledBranch> = Vec::new();
+        for (vi, v) in spec.views.iter().enumerate() {
+            for prog in &v.recursive {
+                branches.push(self.compile_branch(prog, &views, vi, None)?);
+            }
+        }
+        let branches = Arc::new(branches);
+
+        // --- Evaluate base cases (round-0 contributions). ---
+        let base_buckets = self.base_buckets(spec, &views)?;
+
+        let iterations = if views.iter().any(|v| v.decomposed) {
+            self.run_decomposed(&views, &branches, base_buckets)?
+        } else {
+            match self.config.eval_mode {
+                EvalMode::SemiNaive => self.run_semi_naive(&views, &branches, base_buckets, 0)?,
+                EvalMode::Naive => self.run_naive(&views, &branches, &base_buckets)?,
+            }
+        };
+        Ok(self.finish(&views, iterations))
+    }
+
+    /// Per-view runtime state with empty partitions. Decomposed evaluation
+    /// (when `decomposable`) is selected purely on the analyzer's
+    /// partition-preservation certificate (§7.2) — the proof already covers
+    /// single-view-ness, linearity and key pass-through.
+    fn view_runtimes(
+        &self,
+        spec: &FixpointSpec,
+        decomposable: bool,
+    ) -> Result<Vec<ViewRt>, EngineError> {
         let mut views: Vec<ViewRt> = Vec::with_capacity(spec.views.len());
         for v in &spec.views {
-            // Decomposed evaluation is selected purely on the analyzer's
-            // partition-preservation certificate (§7.2) — the proof already
-            // covers single-view-ness, linearity and key pass-through.
-            let preserved = self
-                .config
-                .decomposed_plans
+            let preserved = decomposable
                 .then(|| v.certificate.preserved_key())
                 .flatten();
-            let decomposed = preserved.is_some();
-            let partition_key = match preserved {
-                Some(key) => key.to_vec(),
-                None => v.key_cols.clone(),
-            };
-            let agg_cols: Vec<usize> = v.aggs.iter().map(|(c, _)| *c).collect();
             let funcs: Vec<AggFunc> = v.aggs.iter().map(|(_, f)| *f).collect();
             let ops: Vec<MonotoneOp> = funcs
                 .iter()
@@ -350,85 +420,70 @@ impl<'a> FixpointExecutor<'a> {
                     AggFunc::Avg => unreachable!("rejected by the analyzer"),
                 })
                 .collect();
-            let modes = resolve_count_modes(v)?;
-            let state = (0..p)
-                .map(|_| {
-                    RankedMutex::new(
-                        LockRank::FixpointState,
-                        if v.aggs.is_empty() {
-                            ViewState::Set(SetState::new())
-                        } else {
-                            ViewState::Agg(AggState::new())
-                        },
-                    )
-                })
-                .collect();
             views.push(ViewRt {
                 spec: v.clone(),
-                agg_cols,
+                agg_cols: v.aggs.iter().map(|(c, _)| *c).collect(),
                 ops,
                 funcs,
-                modes,
-                partition_key,
-                state,
-                decomposed,
+                modes: resolve_count_modes(v)?,
+                partition_key: preserved.unwrap_or(&v.key_cols).to_vec(),
+                state: (0..self.config.partitions)
+                    .map(|_| RankedMutex::new(LockRank::FixpointState, empty_state(v)))
+                    .collect(),
+                decomposed: preserved.is_some(),
             });
         }
-        let views = Arc::new(views);
+        Ok(views)
+    }
 
-        // --- Compile branch programs (evaluate & cache base build sides). ---
-        let mut branches: Vec<CompiledBranch> = Vec::new();
+    /// Round-0 contributions: every view's base branches evaluated against
+    /// the catalog, combined by set UNION (so deduplicated) and bucketed by
+    /// the view's partitioning.
+    fn base_buckets(&self, spec: &FixpointSpec, views: &[ViewRt]) -> Result<Buckets, EngineError> {
+        let p = self.config.partitions;
+        let mut buckets = empty_buckets(views.len(), p);
         for (vi, v) in spec.views.iter().enumerate() {
-            for prog in &v.recursive {
-                branches.push(self.compile_branch(prog, &views[vi], None)?);
+            for row in self.eval_base(v)? {
+                let part = views[vi].partition_of(&row, p);
+                buckets[vi][part].push(row);
             }
         }
-        let branches = Arc::new(branches);
+        Ok(buckets)
+    }
 
-        // --- Evaluate base cases (round-0 contributions). ---
-        // CTE branches are combined by set UNION, so base rows are deduped.
-        let mut base_buckets: Buckets = views
-            .iter()
-            .map(|_| (0..p).map(|_| Vec::new()).collect())
-            .collect();
-        for (vi, v) in spec.views.iter().enumerate() {
-            let mut seen: FxHashSet<Row> = FxHashSet::default();
-            for plan in &v.base {
-                let rel = self.eval.evaluate(plan)?;
-                for row in rel.into_rows() {
-                    if seen.insert(row.clone()) {
-                        let part = views[vi].partition_of(&row, p);
-                        base_buckets[vi][part].push(row);
-                    }
-                }
+    /// A view's base rows: its base branches combine by set UNION, so rows
+    /// are deduplicated, in first-occurrence order.
+    fn eval_base(&self, v: &ViewSpec) -> Result<Vec<Row>, EngineError> {
+        let mut rows = Distinct::default();
+        for plan in &v.base {
+            for row in self.eval.evaluate(plan)?.into_rows() {
+                rows.push_row(row);
             }
         }
+        Ok(rows.finish())
+    }
 
-        let iterations = if views.iter().any(|v| v.decomposed) {
-            self.run_decomposed(&views, &branches, base_buckets)?
-        } else {
-            match self.config.eval_mode {
-                EvalMode::SemiNaive => self.run_semi_naive(&views, &branches, base_buckets, 0)?,
-                EvalMode::Naive => self.run_naive(&views, &branches, &base_buckets)?,
-            }
-        };
+    /// Close the clique's trace and move the converged state into the result
+    /// relations — nothing reads the state after the last round, so set rows
+    /// are handed over, not copied.
+    fn finish(&self, views: &[ViewRt], iterations: u32) -> FixpointResult {
         if let Some(sink) = self.eval.trace {
             sink.end_clique(iterations);
         }
-
-        // --- Materialize results. ---
-        let mut out = Vec::with_capacity(views.len());
-        for v in views.iter() {
-            let mut rows = Vec::new();
-            for part in &v.state {
-                rows.extend(state_rows(v, &part.lock()));
-            }
-            out.push(Relation::new_unchecked(v.spec.schema.clone(), rows));
-        }
-        Ok(FixpointResult {
-            views: out,
-            iterations,
-        })
+        let views = views
+            .iter()
+            .map(|v| {
+                let mut rows = Vec::new();
+                for part in &v.state {
+                    match std::mem::replace(&mut *part.lock(), empty_state(&v.spec)) {
+                        ViewState::Set(s) => rows.extend(s.into_rows()),
+                        agg => rows.extend(state_rows(v, &agg)),
+                    }
+                }
+                Relation::new_unchecked(v.spec.schema.clone(), rows)
+            })
+            .collect();
+        FixpointResult { views, iterations }
     }
 
     /// Resume a converged fixpoint from retained warm state: `warm` holds
@@ -458,46 +513,10 @@ impl<'a> FixpointExecutor<'a> {
         mut builds: Option<&mut WarmBuilds>,
     ) -> Result<FixpointResult, EngineError> {
         let p = self.config.partitions;
-        // Per-view runtime state: like `run`, but decomposed evaluation is
-        // forced off — warm state is partitioned on the key columns, and the
-        // resumed loop must keep that partitioning.
-        let mut views: Vec<ViewRt> = Vec::with_capacity(spec.views.len());
-        for v in &spec.views {
-            let agg_cols: Vec<usize> = v.aggs.iter().map(|(c, _)| *c).collect();
-            let funcs: Vec<AggFunc> = v.aggs.iter().map(|(_, f)| *f).collect();
-            let ops: Vec<MonotoneOp> = funcs
-                .iter()
-                .map(|f| match f {
-                    AggFunc::Min => MonotoneOp::Min,
-                    AggFunc::Max => MonotoneOp::Max,
-                    AggFunc::Sum | AggFunc::Count => MonotoneOp::Sum,
-                    AggFunc::Avg => unreachable!("rejected by the analyzer"),
-                })
-                .collect();
-            let modes = resolve_count_modes(v)?;
-            let state = (0..p)
-                .map(|_| {
-                    RankedMutex::new(
-                        LockRank::FixpointState,
-                        if v.aggs.is_empty() {
-                            ViewState::Set(SetState::new())
-                        } else {
-                            ViewState::Agg(AggState::new())
-                        },
-                    )
-                })
-                .collect();
-            views.push(ViewRt {
-                spec: v.clone(),
-                agg_cols,
-                ops,
-                funcs,
-                modes,
-                partition_key: v.key_cols.clone(),
-                state,
-                decomposed: false,
-            });
-        }
+        // Like `run`, but decomposed evaluation is forced off — warm state is
+        // partitioned on the key columns, and the resumed loop must keep that
+        // partitioning.
+        let views = self.view_runtimes(spec, false)?;
 
         // Preload the warm rows, stamped round 0.
         for (vi, v) in views.iter().enumerate() {
@@ -506,7 +525,7 @@ impl<'a> FixpointExecutor<'a> {
                 per_part[v.partition_of(row, p)].push(row.clone());
             }
             for (part, rows) in per_part.into_iter().enumerate() {
-                merge_into_state(v, &mut v.state[part].lock(), &rows, 0);
+                merge_into_state(v, &mut v.state[part].lock(), rows, 0);
             }
         }
         let views = Arc::new(views);
@@ -517,26 +536,14 @@ impl<'a> FixpointExecutor<'a> {
         for (vi, v) in spec.views.iter().enumerate() {
             for (bi, prog) in v.recursive.iter().enumerate() {
                 let slot = builds.as_mut().map(|w| (&mut **w, vi, bi));
-                branches.push(self.compile_branch(prog, &views[vi], slot)?);
+                branches.push(self.compile_branch(prog, &views, vi, slot)?);
             }
         }
         let branches = Arc::new(branches);
 
         // Re-evaluate base branches over the new catalog. Converged rows
         // re-merge as no-ops; inserted base facts become round-1 deltas.
-        let mut base_buckets: Buckets = empty_buckets(views.len(), p);
-        for (vi, v) in spec.views.iter().enumerate() {
-            let mut seen: FxHashSet<Row> = FxHashSet::default();
-            for plan in &v.base {
-                let rel = self.eval.evaluate(plan)?;
-                for row in rel.into_rows() {
-                    if seen.insert(row.clone()) {
-                        let part = views[vi].partition_of(&row, p);
-                        base_buckets[vi][part].push(row);
-                    }
-                }
-            }
-        }
+        let mut base_buckets = self.base_buckets(spec, &views)?;
 
         // Delta-build seeding: warm driver ⋈ Δbase at each changed position.
         // One seed run per (join position, changed table); every other table
@@ -559,12 +566,14 @@ impl<'a> FixpointExecutor<'a> {
                         if !tabs.iter().any(|t| t.eq_ignore_ascii_case(table)) {
                             continue;
                         }
+                        let target = &views[prog.target];
                         let (seed, snaps) =
-                            self.compile_seed_branch(prog, si, table, delta_rows, warm)?;
-                        let produced =
-                            run_branch(&seed, &warm[seed.driver], &snaps, 0, 0, 0, self.eval.fused);
-                        let target = &views[seed.target];
-                        for row in partial_aggregate(target, produced) {
+                            self.compile_seed_branch(prog, target, si, table, delta_rows, warm)?;
+                        let mut partial = Partial::new(target);
+                        let sink = &mut |t: &[Value]| partial.push(t);
+                        let rows = &warm[seed.driver];
+                        run_branch(&seed, rows, &snaps, 0, 0, 0, self.eval.fused, sink);
+                        for row in partial.finish() {
                             let part = target.partition_of(&row, p);
                             base_buckets[seed.target][part].push(row);
                         }
@@ -575,21 +584,7 @@ impl<'a> FixpointExecutor<'a> {
 
         self.check_cancel()?;
         let iterations = self.run_semi_naive(&views, &branches, base_buckets, 1)?;
-        if let Some(sink) = self.eval.trace {
-            sink.end_clique(iterations);
-        }
-        let mut out = Vec::with_capacity(views.len());
-        for v in views.iter() {
-            let mut rows = Vec::new();
-            for part in &v.state {
-                rows.extend(state_rows(v, &part.lock()));
-            }
-            out.push(Relation::new_unchecked(v.spec.schema.clone(), rows));
-        }
-        Ok(FixpointResult {
-            views: out,
-            iterations,
-        })
+        Ok(self.finish(&views, iterations))
     }
 
     /// Compile one *seed* instance of a recursive branch for delta-seeded
@@ -600,6 +595,7 @@ impl<'a> FixpointExecutor<'a> {
     fn compile_seed_branch(
         &self,
         prog: &BranchProgram,
+        target: &ViewRt,
         delta_pos: usize,
         delta_table: &str,
         delta_rows: &[Row],
@@ -611,7 +607,7 @@ impl<'a> FixpointExecutor<'a> {
         for (si, step) in prog.steps.iter().enumerate() {
             match step {
                 BranchStep::Filter(e) => {
-                    ops.push(CompiledOp::Filter(e.clone()));
+                    ops.push(CompiledOp::filter(e));
                     snaps.push(None);
                 }
                 BranchStep::HashJoin {
@@ -642,26 +638,12 @@ impl<'a> FixpointExecutor<'a> {
                             ))])
                         }
                     };
-                    ops.push(CompiledOp::Join(CompiledStep {
-                        build: build_side,
-                        stream_keys: stream_keys.clone(),
-                        build_keys: build_keys.clone(),
-                    }));
+                    ops.push(CompiledOp::join(build_side, stream_keys, build_keys));
                 }
             }
         }
-        Ok((
-            CompiledBranch {
-                driver: prog.driver,
-                driver_value_mode: prog.driver_value_mode,
-                ops,
-                target: prog.target,
-                key_exprs: prog.key_exprs.clone(),
-                agg_exprs: prog.agg_exprs.clone(),
-                uses_recursive_build,
-            },
-            snaps,
-        ))
+        let seed = CompiledBranch::new(prog, target, ops, uses_recursive_build);
+        Ok((seed, snaps))
     }
 
     /// Evaluate `plan` with `table` replaced by only `delta_rows`; every
@@ -863,16 +845,18 @@ impl<'a> FixpointExecutor<'a> {
     fn compile_branch(
         &self,
         prog: &BranchProgram,
-        driver: &ViewRt,
+        views: &[ViewRt],
+        owner: usize,
         mut warm: Option<(&mut WarmBuilds, usize, usize)>,
     ) -> Result<CompiledBranch, EngineError> {
         let p = self.config.partitions;
+        let driver = &views[owner];
         let mut ops = Vec::with_capacity(prog.steps.len());
         let mut first_join = true;
         let mut uses_recursive_build = false;
         for (si, step) in prog.steps.iter().enumerate() {
             match step {
-                BranchStep::Filter(e) => ops.push(CompiledOp::Filter(e.clone())),
+                BranchStep::Filter(e) => ops.push(CompiledOp::filter(e)),
                 BranchStep::HashJoin {
                     build,
                     stream_keys,
@@ -976,24 +960,13 @@ impl<'a> FixpointExecutor<'a> {
                             }
                         }
                     };
-                    ops.push(CompiledOp::Join(CompiledStep {
-                        build: build_side,
-                        stream_keys: stream_keys.clone(),
-                        build_keys: build_keys.clone(),
-                    }));
+                    ops.push(CompiledOp::join(build_side, stream_keys, build_keys));
                     first_join = false;
                 }
             }
         }
-        Ok(CompiledBranch {
-            driver: prog.driver,
-            driver_value_mode: prog.driver_value_mode,
-            ops,
-            target: prog.target,
-            key_exprs: prog.key_exprs.clone(),
-            agg_exprs: prog.agg_exprs.clone(),
-            uses_recursive_build,
-        })
+        let target = &views[prog.target];
+        Ok(CompiledBranch::new(prog, target, ops, uses_recursive_build))
     }
 
     // ----------------------------------------------------------------
@@ -1105,25 +1078,19 @@ impl<'a> FixpointExecutor<'a> {
             let map_out: Vec<(u64, Buckets)> = if combine {
                 // --- One combined ShuffleMap stage: merge + join + partial
                 // aggregate per partition (Algorithm 6). ---
-                let contribs = Arc::new(contributions);
                 let views_c = Arc::clone(views);
                 let branches_c = Arc::clone(branches);
                 let fused = self.eval.fused;
-                let tasks: Vec<StageTask<(u64, Buckets)>> = (0..p)
-                    .map(|part| {
-                        let contribs = Arc::clone(&contribs);
+                let tasks: Vec<StageTask<(u64, Buckets)>> = by_partition(contributions, p)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(part, mine)| {
                         let views_c = Arc::clone(&views_c);
                         let branches_c = Arc::clone(&branches_c);
                         StageTask::new(part % self.cluster.workers(), move |w| {
-                            let mut deltas: Vec<DeltaBatch> = Vec::with_capacity(nv);
-                            for (vi, v) in views_c.iter().enumerate() {
-                                deltas.push(merge_partition(
-                                    v,
-                                    part,
-                                    &contribs[vi][part],
-                                    round - 1,
-                                ));
-                            }
+                            let deltas: Vec<DeltaBatch> = (views_c.iter().zip(mine))
+                                .map(|(v, rows)| merge_partition(v, part, rows, round - 1))
+                                .collect();
                             let delta_rows: u64 = deltas.iter().map(|d| d.rows.len() as u64).sum();
                             let refs: Vec<&DeltaBatch> = deltas.iter().collect();
                             let buckets =
@@ -1140,9 +1107,9 @@ impl<'a> FixpointExecutor<'a> {
                 ) {
                     Ok(out) => out,
                     Err(e) => {
-                        // `contributions` was moved into the stage; the drain
-                        // guarantee of `run_stage_traced` means no task
-                        // still holds it (or the state locks) here.
+                        // `contributions` was moved into the stage's tasks; the
+                        // drain guarantee of `run_stage_traced` means no task
+                        // still holds the state locks here.
                         contributions = empty_buckets(nv, p);
                         round = self.restore_or_fail(
                             store.as_ref(),
@@ -1157,19 +1124,15 @@ impl<'a> FixpointExecutor<'a> {
                 }
             } else {
                 // --- Reduce stage (Algorithm 4 lines 11-16). ---
-                let contribs = Arc::new(contributions);
                 let views_c = Arc::clone(views);
-                let reduce_tasks: Vec<StageTask<Vec<DeltaBatch>>> = (0..p)
-                    .map(|part| {
-                        let contribs = Arc::clone(&contribs);
+                let reduce_tasks: Vec<StageTask<Vec<DeltaBatch>>> = by_partition(contributions, p)
+                    .into_iter()
+                    .enumerate()
+                    .map(|(part, mine)| {
                         let views_c = Arc::clone(&views_c);
                         StageTask::new(part % self.cluster.workers(), move |_w| {
-                            views_c
-                                .iter()
-                                .enumerate()
-                                .map(|(vi, v)| {
-                                    merge_partition(v, part, &contribs[vi][part], round - 1)
-                                })
+                            (views_c.iter().zip(mine))
+                                .map(|(v, rows)| merge_partition(v, part, rows, round - 1))
                                 .collect()
                         })
                     })
@@ -1281,9 +1244,7 @@ impl<'a> FixpointExecutor<'a> {
             }
 
             // --- Shuffle: gather buckets per (view, partition). ---
-            contributions = (0..nv)
-                .map(|_| (0..p).map(|_| Vec::new()).collect())
-                .collect();
+            contributions = empty_buckets(nv, p);
             let mut moved_rows = 0u64;
             let mut moved_bytes = 0u64;
             for (src_part, (_, buckets)) in map_out.into_iter().enumerate() {
@@ -1384,11 +1345,7 @@ impl<'a> FixpointExecutor<'a> {
                         .write_blob(&name, blob.as_ref())
                         .map_err(EngineError::Exec)?;
                     files += 1;
-                    *st = if v.is_set() {
-                        ViewState::Set(SetState::new())
-                    } else {
-                        ViewState::Agg(AggState::new())
-                    };
+                    *st = empty_state(&v.spec);
                     drop(st);
                     paged_state.push((vi, part, name));
                     g.tracker().release(freed);
@@ -1551,13 +1508,13 @@ impl<'a> FixpointExecutor<'a> {
                             ViewState::Agg(a) => {
                                 for (key, entry) in a.iter() {
                                     let vals = match mode {
-                                        RecAllMode::New => Some(entry.values.clone()),
+                                        RecAllMode::New => Some(&entry.values[..]),
                                         RecAllMode::Old => a.get_before(key, cutoff),
                                     };
                                     if let Some(vals) = vals {
                                         rows.push(assemble_row(
                                             key,
-                                            &vals,
+                                            vals,
                                             &v.spec.key_cols,
                                             &v.agg_cols,
                                         ));
@@ -1666,12 +1623,9 @@ impl<'a> FixpointExecutor<'a> {
             let mut next: Vec<Vec<Vec<Row>>> = (0..nv).map(|_| vec![Vec::new(); p]).collect();
             for (vi, v) in views.iter().enumerate() {
                 for part in 0..p {
-                    let mut fresh = if v.is_set() {
-                        ViewState::Set(SetState::new())
-                    } else {
-                        ViewState::Agg(AggState::new())
-                    };
-                    merge_into_state(v, &mut fresh, &contributions[vi][part], 0);
+                    let mut fresh = empty_state(&v.spec);
+                    let rows = std::mem::take(&mut contributions[vi][part]);
+                    merge_into_state(v, &mut fresh, rows, 0);
                     let rows = state_rows(v, &fresh);
                     let mut sorted = rows.clone();
                     sorted.sort_unstable();
@@ -1764,7 +1718,7 @@ impl<'a> FixpointExecutor<'a> {
                     StageTask::new(part % self.cluster.workers(), move |w| {
                         let v = &views_c[0];
                         let mut state = v.state[part].lock();
-                        let mut delta = merge_into_state(v, &mut state, &base[0][part], 0);
+                        let mut delta = merge_into_state(v, &mut state, base[0][part].clone(), 0);
                         let mut iters: u32 = 0;
                         let mut history: Vec<(u64, u64, u64)> = Vec::new();
                         while !delta.is_empty() {
@@ -1777,18 +1731,16 @@ impl<'a> FixpointExecutor<'a> {
                                 return Err(LocalAbort::Cancelled);
                             }
                             let consumed = delta.rows.len() as u64;
-                            let mut produced: Vec<Row> = Vec::new();
+                            // Every branch's tuples go straight into this
+                            // round's merge; the preserved-column property
+                            // guarantees they stay in this partition.
+                            let mut merge = Merge::new(v, &mut state, iters);
                             for b in branches_c.iter() {
                                 let input = delta.reader_rows(b.driver_value_mode, &v.agg_cols);
-                                let out = run_branch(b, &input, &[], 0, usize::MAX, w, fused);
-                                // Translate keys-then-aggs into schema shape; the
-                                // preserved-column property guarantees rows stay
-                                // in this partition.
-                                produced.extend(out.into_iter().map(|r| {
-                                    contribution_to_schema_row(&r, &v.spec.key_cols, &v.agg_cols)
-                                }));
+                                let sink = &mut |t: &[Value]| merge.push(t);
+                                run_branch(b, &input, &[], 0, usize::MAX, w, fused, sink);
                             }
-                            delta = merge_into_state(v, &mut state, &produced, iters);
+                            delta = merge.finish();
                             history.push((
                                 consumed,
                                 state_len(&state) as u64,
@@ -1826,11 +1778,7 @@ impl<'a> FixpointExecutor<'a> {
                     }
                     reruns_left -= 1;
                     for part in &views[0].state {
-                        *part.lock() = if views[0].is_set() {
-                            ViewState::Set(SetState::new())
-                        } else {
-                            ViewState::Agg(AggState::new())
-                        };
+                        *part.lock() = empty_state(&views[0].spec);
                     }
                     Metrics::add(&self.cluster.metrics.restores, 1);
                     if let Some(s) = sink {
@@ -1923,17 +1871,7 @@ impl<'a> FixpointExecutor<'a> {
         let p = self.config.partitions;
         let v = &spec.views[0];
 
-        // Base branches combine by set UNION: dedup exactly like `run`.
-        let mut base_rows: Vec<Row> = Vec::new();
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        for plan in &v.base {
-            let rel = self.eval.evaluate(plan)?;
-            for row in rel.into_rows() {
-                if seen.insert(row.clone()) {
-                    base_rows.push(row);
-                }
-            }
-        }
+        let base_rows = self.eval_base(v)?;
         // Every base vertex becomes a CSR seed so it owns a dense id even
         // when it has no outgoing edges.
         let mut extras: Vec<i64> = Vec::with_capacity(base_rows.len());
@@ -1944,29 +1882,35 @@ impl<'a> FixpointExecutor<'a> {
             }
         }
         // Version-keyed CSR cache: a repeated kernel query against unchanged
-        // edge tables skips both the edge scan and the CSR construction. The
-        // key folds in the seed-vertex list, since CSR dense-id assignment
-        // depends on it.
+        // edge tables skips both the edge scan and the CSR construction. Seed
+        // vertices get their dense ids after every edge endpoint, so one
+        // seedless entry serves every seed list drawn from the graph's own
+        // vertices; only a list that adds a vertex is keyed by the list.
         let mut dep_tables: Vec<String> = Vec::new();
         kp.build.referenced_tables(&mut dep_tables);
-        let cache_key = self.eval.csr_cache.map(|_| {
-            use std::hash::{Hash, Hasher};
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            extras.hash(&mut h);
-            format!(
-                "{}|{}|p{p}|s{}d{}w{:?}|x{:016x}",
+        let keys = self.eval.csr_cache.map(|cache| {
+            let shared = format!(
+                "{}|{}|p{p}|s{}d{}w{:?}",
                 kp.build.cache_text(),
                 crate::cache::version_fingerprint(self.eval.catalog, &dep_tables),
                 kp.src_col,
                 kp.dst_col,
                 kp.weight,
-                h.finish()
-            )
+            );
+            use std::hash::{Hash, Hasher};
+            let mut h = std::collections::hash_map::DefaultHasher::new();
+            extras.hash(&mut h);
+            let seeded = format!("{shared}|x{:016x}", h.finish());
+            (cache, shared, seeded)
         });
-        let csr: Arc<CsrGraph> = match cache_key
-            .as_ref()
-            .and_then(|k| self.eval.csr_cache.and_then(|c| c.get(k)))
-        {
+        let cached = keys.as_ref().and_then(|(cache, shared, seeded)| {
+            let known = |g: &Arc<CsrGraph>| extras.iter().all(|&v| g.dense_id(v).is_some());
+            cache
+                .get(shared)
+                .filter(known)
+                .or_else(|| cache.get(seeded))
+        });
+        let csr: Arc<CsrGraph> = match cached {
             Some(hit) => {
                 Metrics::add(&self.cluster.metrics.cache_hits, 1);
                 hit
@@ -1979,7 +1923,9 @@ impl<'a> FixpointExecutor<'a> {
                     return Ok(None);
                 };
                 let csr = Arc::new(csr);
-                if let (Some(key), Some(cache)) = (cache_key, self.eval.csr_cache) {
+                if let Some((cache, shared, seeded)) = keys {
+                    let seedless = csr.edge_vertices == csr.vertex_count();
+                    let key = if seedless { shared } else { seeded };
                     cache.put(key, dep_tables, Arc::clone(&csr));
                 }
                 csr
@@ -2513,8 +2459,7 @@ impl KernelScalarExt for f64 {
 // --------------------------------------------------------------------
 
 /// Run all branch pipelines over one partition's deltas; returns contributions
-/// bucketed per (target view, target partition). `delta_of(vi)` supplies the
-/// partition's delta for view `vi`.
+/// bucketed per (target view, target partition).
 fn map_task(
     views: &[ViewRt],
     branches: &[CompiledBranch],
@@ -2525,10 +2470,7 @@ fn map_task(
     fused: bool,
 ) -> Buckets {
     let p = views[0].state.len();
-    let mut buckets: Buckets = views
-        .iter()
-        .map(|_| (0..p).map(|_| Vec::new()).collect())
-        .collect();
+    let mut buckets = empty_buckets(views.len(), p);
     let mut op_index = 0usize;
     for b in branches {
         let op_base = op_index;
@@ -2537,14 +2479,12 @@ fn map_task(
         if delta.is_empty() {
             continue;
         }
-        let driver_view = &views[b.driver];
-        let input = delta.reader_rows(b.driver_value_mode, &driver_view.agg_cols);
-        let produced = run_branch(b, &input, snapshots, op_base, part, worker, fused);
-        // Map-side partial aggregation (Algorithm 5 line 5) / duplicate
-        // elimination before the shuffle.
+        let input = delta.reader_rows(b.driver_value_mode, &views[b.driver].agg_cols);
         let target = &views[b.target];
-        let partial = partial_aggregate(target, produced);
-        for row in partial {
+        let mut partial = Partial::new(target);
+        let sink = &mut |t: &[Value]| partial.push(t);
+        run_branch(b, &input, snapshots, op_base, part, worker, fused, sink);
+        for row in partial.finish() {
             let dst = target.partition_of(&row, p);
             buckets[b.target][dst].push(row);
         }
@@ -2552,9 +2492,10 @@ fn map_task(
     buckets
 }
 
-/// Execute one compiled branch over input rows; returns keys-then-aggs
-/// contribution rows for the target view. `part == usize::MAX` means "no
-/// co-partitioned builds exist" (decomposed mode).
+/// Execute one compiled branch over input rows, lending every contribution —
+/// a tuple of the target view's schema shape — to `sink`. `part ==
+/// usize::MAX` means "no co-partitioned builds exist" (decomposed mode).
+#[allow(clippy::too_many_arguments)]
 fn run_branch(
     b: &CompiledBranch,
     input: &[Row],
@@ -2563,14 +2504,15 @@ fn run_branch(
     part: usize,
     worker: usize,
     fused: bool,
-) -> Vec<Row> {
+    sink: &mut impl FnMut(&[Value]),
+) {
     // A leading sort-merge join (if any) is executed eagerly; the remaining
     // operators run as a (fused or unfused) pipeline.
     let mut current: Option<Vec<Row>> = None;
     let mut start = 0usize;
     for (i, op) in b.ops.iter().enumerate() {
         match op {
-            CompiledOp::Filter(e) => {
+            CompiledOp::Filter(keep) => {
                 // Only pre-execute filters that precede a sort-merge join.
                 if b.ops[i..].iter().any(|o| {
                     matches!(
@@ -2582,7 +2524,7 @@ fn run_branch(
                     )
                 }) {
                     let rows = current.get_or_insert_with(|| input.to_vec());
-                    rows.retain(|r| e.eval(r).is_truthy());
+                    rows.retain(|r| keep(r.values()));
                     start = i + 1;
                 } else {
                     break;
@@ -2612,78 +2554,39 @@ fn run_branch(
 
     let mut steps: Vec<PipelineStep> = Vec::new();
     for (i, op) in b.ops.iter().enumerate().skip(start) {
-        match op {
-            CompiledOp::Filter(e) => {
-                let e = e.clone();
-                steps.push(PipelineStep::Filter(Arc::new(move |r: &Row| {
-                    e.eval(r).is_truthy()
-                })));
+        let (cs, key) = match op {
+            CompiledOp::Filter(keep) => {
+                steps.push(PipelineStep::Filter(Arc::clone(keep)));
+                continue;
             }
-            CompiledOp::Join(cs) => {
-                let keys = cs.stream_keys.clone();
-                let key: rasql_exec::pipeline::KeyFn =
-                    Arc::new(move |r: &Row| keys.iter().map(|e| e.eval(r)).collect());
-                steps.push(match &cs.build {
-                    BuildSide::Partitioned(tables) => PipelineStep::HashJoin {
-                        table: Arc::clone(&tables[part]),
-                        key,
-                    },
-                    BuildSide::PartitionedLayered(layers) => PipelineStep::HashJoinLayered {
-                        tables: layers.iter().map(|l| Arc::clone(&l[part])).collect(),
-                        key,
-                    },
-                    BuildSide::PartitionedSorted(_) => {
-                        unreachable!("sorted joins executed eagerly above")
-                    }
-                    BuildSide::Replicated(bc) => PipelineStep::HashJoin {
-                        table: Arc::clone(bc.on_worker(worker)),
-                        key,
-                    },
-                    BuildSide::Recursive { .. } => PipelineStep::HashJoin {
-                        table: Arc::clone(
-                            snapshots[op_base + i]
-                                .as_ref()
-                                // lint: allow(RL0002, snapshot pass above fills every Recursive slot)
-                                .expect("snapshot built for recursive build side"),
-                        ),
-                        key,
-                    },
-                });
+            CompiledOp::Join(cs) => (cs, Arc::clone(&cs.key)),
+        };
+        let table = match &cs.build {
+            BuildSide::Partitioned(tables) => &tables[part],
+            BuildSide::PartitionedLayered(layers) => {
+                let tables = layers.iter().map(|l| Arc::clone(&l[part])).collect();
+                steps.push(PipelineStep::HashJoinLayered { tables, key });
+                continue;
             }
-        }
+            BuildSide::PartitionedSorted(_) => unreachable!("sorted joins executed eagerly above"),
+            BuildSide::Replicated(bc) => bc.on_worker(worker),
+            BuildSide::Recursive { .. } => snapshots[op_base + i]
+                .as_ref()
+                // lint: allow(RL0002, snapshot pass above fills every Recursive slot)
+                .expect("snapshot built for recursive build side"),
+        };
+        let table = Arc::clone(table);
+        steps.push(PipelineStep::HashJoin { table, key });
     }
-    let key_exprs = b.key_exprs.clone();
-    let agg_exprs = b.agg_exprs.clone();
-    let project: rasql_exec::pipeline::MapFn = Arc::new(move |r: &Row| {
-        let mut vals = Vec::with_capacity(key_exprs.len() + agg_exprs.len());
-        for e in &key_exprs {
-            vals.push(e.eval(r));
-        }
-        for e in &agg_exprs {
-            vals.push(e.eval(r));
-        }
-        Row::new(vals)
-    });
-    let pipeline = Pipeline::with_project(steps, project);
+    let pipeline = Pipeline::with_project(steps, Arc::clone(&b.emit));
     let input_rows: &[Row] = current.as_deref().unwrap_or(input);
     if fused {
-        run_fused(input_rows, &pipeline)
+        pipeline.for_each(input_rows, sink);
     } else {
-        run_unfused(input_rows, &pipeline)
+        for row in run_unfused(input_rows, &pipeline) {
+            sink(row.values());
+        }
     }
-}
-
-/// Translate a keys-then-aggs contribution row into schema order.
-fn contribution_to_schema_row(row: &Row, key_cols: &[usize], agg_cols: &[usize]) -> Row {
-    let arity = key_cols.len() + agg_cols.len();
-    let mut vals = vec![Value::Null; arity];
-    for (i, &c) in key_cols.iter().enumerate() {
-        vals[c] = row[i].clone();
-    }
-    for (j, &c) in agg_cols.iter().enumerate() {
-        vals[c] = row[key_cols.len() + j].clone();
-    }
-    Row::new(vals)
 }
 
 fn assemble_row(key: &[Value], aggs: &[Value], key_cols: &[usize], agg_cols: &[usize]) -> Row {
@@ -2698,58 +2601,93 @@ fn assemble_row(key: &[Value], aggs: &[Value], key_cols: &[usize], agg_cols: &[u
     Row::new(vals)
 }
 
-/// Map-side partial aggregation / dedup before the shuffle (Algorithm 5).
-/// Input rows are keys-then-aggs; output rows are schema-shaped.
-fn partial_aggregate(target: &ViewRt, produced: Vec<Row>) -> Vec<Row> {
-    if target.is_set() {
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        let mut out = Vec::with_capacity(produced.len());
-        for r in produced {
-            let row = contribution_to_schema_row(&r, &target.spec.key_cols, &target.agg_cols);
-            if seen.insert(row.clone()) {
-                out.push(row);
+/// Duplicate elimination in first-occurrence order that allocates a tuple
+/// once, when it is first seen: the map holds the only copy of each row
+/// beside its sequence number, and `finish` moves the rows out in order.
+#[derive(Default)]
+struct Distinct(FxHashMap<Row, usize>);
+
+impl Distinct {
+    fn push(&mut self, tuple: &[Value]) {
+        if !self.0.contains_key(tuple) {
+            // lint: allow(RL0007, the one copy of a tuple seen for the first time)
+            self.0.insert(Row::from_slice(tuple), self.0.len());
+        }
+    }
+
+    fn push_row(&mut self, row: Row) {
+        let next = self.0.len();
+        self.0.entry(row).or_insert(next);
+    }
+
+    fn finish(self) -> Vec<Row> {
+        let mut rows = vec![Row::unit(); self.0.len()];
+        for (row, at) in self.0 {
+            rows[at] = row;
+        }
+        rows
+    }
+}
+
+/// Map-side partial aggregation / dedup before the shuffle (Algorithm 5), fed
+/// one borrowed schema-shaped tuple at a time.
+enum Partial<'a> {
+    /// Set views — and views with a distinct-tuple column, which must be
+    /// deduplicated globally at the reducer: locally we may only drop
+    /// *identical* tuples (idempotent), not merge.
+    Distinct(Distinct),
+    /// One tuple per group key, its aggregate columns merged in place.
+    Groups {
+        target: &'a ViewRt,
+        groups: FxHashMap<Box<[Value]>, Vec<Value>>,
+        key: Vec<Value>,
+    },
+}
+
+impl<'a> Partial<'a> {
+    fn new(target: &'a ViewRt) -> Self {
+        if target.is_set() || target.modes.contains(&CountMode::DistinctTuple) {
+            Partial::Distinct(Distinct::default())
+        } else {
+            Partial::Groups {
+                target,
+                groups: FxHashMap::default(),
+                key: Vec::new(),
             }
         }
-        return out;
     }
-    // Distinct-tuple columns must be deduplicated globally at the reducer;
-    // locally we may only drop *identical* tuples (idempotent), not merge.
-    if target.modes.contains(&CountMode::DistinctTuple) {
-        let mut seen: FxHashSet<Row> = FxHashSet::default();
-        let mut out = Vec::with_capacity(produced.len());
-        for r in produced {
-            let row = contribution_to_schema_row(&r, &target.spec.key_cols, &target.agg_cols);
-            if seen.insert(row.clone()) {
-                out.push(row);
-            }
-        }
-        return out;
-    }
-    let k = target.spec.key_cols.len();
-    let mut groups: FxHashMap<Box<[Value]>, Vec<Value>> = FxHashMap::default();
-    for r in &produced {
-        let key: Box<[Value]> = r.values()[..k].to_vec().into_boxed_slice();
-        let vals = &r.values()[k..];
-        match groups.entry(key) {
-            std::collections::hash_map::Entry::Vacant(slot) => {
-                slot.insert(vals.to_vec());
-            }
-            std::collections::hash_map::Entry::Occupied(mut slot) => {
-                for (cur, (new, op)) in slot.get_mut().iter_mut().zip(vals.iter().zip(&target.ops))
-                {
-                    op.merge(cur, new);
+
+    fn push(&mut self, tuple: &[Value]) {
+        match self {
+            Partial::Distinct(seen) => seen.push(tuple),
+            Partial::Groups {
+                target,
+                groups,
+                key,
+            } => {
+                key.clear();
+                key.extend(target.spec.key_cols.iter().map(|&c| tuple[c].clone()));
+                match groups.get_mut(&key[..]) {
+                    None => {
+                        // lint: allow(RL0007, the one copy of a group seen for the first time)
+                        groups.insert(key[..].into(), tuple.to_vec());
+                    }
+                    Some(cur) => {
+                        for (op, &c) in target.ops.iter().zip(&target.agg_cols) {
+                            op.merge(&mut cur[c], &tuple[c]);
+                        }
+                    }
                 }
             }
         }
     }
-    groups
-        .into_iter()
-        .map(|(key, vals)| {
-            let mut kv: Vec<Value> = key.into_vec();
-            kv.extend(vals);
-            contribution_to_schema_row(&Row::new(kv), &target.spec.key_cols, &target.agg_cols)
-        })
-        .collect()
+
+    fn finish(self) -> Vec<Row> {
+        match self {
+            Partial::Distinct(seen) => seen.finish(),
+            Partial::Groups { groups, .. } => groups.into_values().map(Row::new).collect(),
+        }
+    }
 }
 
 // --------------------------------------------------------------------
@@ -2758,7 +2696,7 @@ fn partial_aggregate(target: &ViewRt, produced: Vec<Row>) -> Vec<Row> {
 
 /// Merge schema-shaped contributions into one partition's state; returns the
 /// delta batch (stamped `round`).
-fn merge_partition(v: &ViewRt, part: usize, contributions: &[Row], round: u32) -> DeltaBatch {
+fn merge_partition(v: &ViewRt, part: usize, contributions: Vec<Row>, round: u32) -> DeltaBatch {
     let mut state = v.state[part].lock();
     merge_into_state(v, &mut state, contributions, round)
 }
@@ -2766,70 +2704,139 @@ fn merge_partition(v: &ViewRt, part: usize, contributions: &[Row], round: u32) -
 fn merge_into_state(
     v: &ViewRt,
     state: &mut ViewState,
-    contributions: &[Row],
+    contributions: Vec<Row>,
     round: u32,
 ) -> DeltaBatch {
-    let mut delta = DeltaBatch::default();
-    match state {
-        ViewState::Set(s) => {
-            for row in contributions {
-                if s.insert(row.clone(), round) {
-                    delta.rows.push(row.clone());
-                }
-            }
+    let mut merge = Merge::new(v, state, round);
+    for row in contributions {
+        merge.push_row(row);
+    }
+    merge.finish()
+}
+
+/// One round's merge into one partition's state, fed borrowed schema-shaped
+/// tuples: a tuple becomes a row only when the state finds it new.
+struct Merge<'a> {
+    v: &'a ViewRt,
+    state: &'a mut ViewState,
+    round: u32,
+    delta: DeltaBatch,
+    /// Changed groups; delta rows are assembled after all merges so a group
+    /// appears once per round with its final totals.
+    changed: FxHashSet<Box<[Value]>>,
+    /// Whether a column counts distinct tuples, so every contribution must
+    /// first pass the state's contributor set.
+    dedup: bool,
+    key: Vec<Value>,
+    vals: Vec<Value>,
+}
+
+impl<'a> Merge<'a> {
+    fn new(v: &'a ViewRt, state: &'a mut ViewState, round: u32) -> Self {
+        let distinct = |j: usize| {
+            v.modes[j] == CountMode::DistinctTuple
+                && matches!(v.funcs[j], AggFunc::Count | AggFunc::Sum)
+        };
+        Merge {
+            v,
+            state,
+            round,
+            delta: DeltaBatch::default(),
+            changed: FxHashSet::default(),
+            dedup: (0..v.funcs.len()).any(distinct),
+            key: Vec::new(),
+            vals: Vec::new(),
         }
-        ViewState::Agg(a) => {
-            // Track changed groups; delta rows are assembled after all merges
-            // so a group appears once per round with its final totals.
-            let mut changed: FxHashSet<Box<[Value]>> = FxHashSet::default();
-            for row in contributions {
-                let key: Vec<Value> = v.spec.key_cols.iter().map(|&c| row[c].clone()).collect();
-                let mut vals: Vec<Value> = Vec::with_capacity(v.agg_cols.len());
-                let mut needs_dedup = false;
-                for (j, &c) in v.agg_cols.iter().enumerate() {
-                    match (v.funcs[j], v.modes[j]) {
-                        (AggFunc::Count, CountMode::DistinctTuple) => {
-                            needs_dedup = true;
-                            vals.push(Value::Int(1));
-                        }
-                        (AggFunc::Sum, CountMode::DistinctTuple) => {
-                            needs_dedup = true;
-                            vals.push(row[c].clone());
-                        }
-                        _ => vals.push(row[c].clone()),
-                    }
-                }
-                let dedup_tuple: Option<Vec<Value>> = needs_dedup.then(|| row.values().to_vec());
-                let res = a.merge(&key, &vals, &v.ops, round, dedup_tuple.as_deref());
-                if matches!(res, AggMergeResult::Changed { .. }) {
-                    changed.insert(key.into_boxed_slice());
+    }
+
+    /// Merge an owned contribution: a row that is new to a set state moves
+    /// into it (the delta gets the one copy); an aggregate state only reads.
+    fn push_row(&mut self, row: Row) {
+        match &mut *self.state {
+            ViewState::Set(s) => self.delta.rows.extend(s.insert_cloned(row, self.round)),
+            ViewState::Agg(_) => self.push(row.values()),
+        }
+    }
+
+    fn push(&mut self, tuple: &[Value]) {
+        let v = self.v;
+        match &mut *self.state {
+            ViewState::Set(s) => {
+                if s.insert_slice(tuple, self.round) {
+                    // lint: allow(RL0007, the delta's copy of a tuple the state found new)
+                    self.delta.rows.push(Row::from_slice(tuple));
                 }
             }
-            for key in changed {
-                if let Some(entry_vals) = a.get(&key) {
-                    let totals: Vec<Value> = entry_vals.to_vec();
-                    let prev = a.get_before(&key, round);
-                    let increments: Box<[Value]> = v
-                        .ops
-                        .iter()
-                        .enumerate()
-                        .map(|(j, op)| match op {
-                            MonotoneOp::Sum => match &prev {
-                                Some(p) => totals[j].sub(&p[j]),
-                                None => totals[j].clone(),
-                            },
-                            _ => totals[j].clone(),
-                        })
-                        .collect();
-                    delta
-                        .rows
-                        .push(assemble_row(&key, &totals, &v.spec.key_cols, &v.agg_cols));
-                    delta.increments.push(increments);
+            ViewState::Agg(a) => {
+                self.key.clear();
+                self.key
+                    .extend(v.spec.key_cols.iter().map(|&c| tuple[c].clone()));
+                self.vals.clear();
+                for (j, &c) in v.agg_cols.iter().enumerate() {
+                    let counted =
+                        (v.funcs[j], v.modes[j]) == (AggFunc::Count, CountMode::DistinctTuple);
+                    self.vals.push(if counted {
+                        Value::Int(1)
+                    } else {
+                        tuple[c].clone()
+                    });
+                }
+                let dedup_tuple = self.dedup.then_some(tuple);
+                if a.merge_in_place(&self.key, &self.vals, &v.ops, self.round, dedup_tuple)
+                    && !self.changed.contains(&self.key[..])
+                {
+                    self.changed.insert(self.key[..].into());
                 }
             }
         }
     }
-    delta
+
+    fn finish(mut self) -> DeltaBatch {
+        let (v, round) = (self.v, self.round);
+        let ViewState::Agg(a) = self.state else {
+            return self.delta;
+        };
+        for key in self.changed {
+            if let Some(totals) = a.get(&key) {
+                let prev = a.get_before(&key, round);
+                let increments: Box<[Value]> = v
+                    .ops
+                    .iter()
+                    .enumerate()
+                    .map(|(j, op)| match (op, prev) {
+                        (MonotoneOp::Sum, Some(p)) => totals[j].sub(&p[j]),
+                        _ => totals[j].clone(),
+                    })
+                    .collect();
+                self.delta
+                    .rows
+                    .push(assemble_row(&key, totals, &v.spec.key_cols, &v.agg_cols));
+                self.delta.increments.push(increments);
+            }
+        }
+        self.delta
+    }
+}
+
+/// An empty partition state of the view's kind.
+fn empty_state(v: &ViewSpec) -> ViewState {
+    if v.aggs.is_empty() {
+        ViewState::Set(SetState::new())
+    } else {
+        ViewState::Agg(AggState::new())
+    }
+}
+
+/// Pending contributions regrouped for the merge tasks: `[partition][view]`
+/// rows, so each task owns what it merges.
+fn by_partition(contributions: Buckets, p: usize) -> Vec<Vec<Vec<Row>>> {
+    let mut out: Vec<Vec<Vec<Row>>> = (0..p).map(|_| Vec::new()).collect();
+    for per_view in contributions {
+        for (part, rows) in per_view.into_iter().enumerate() {
+            out[part].push(rows);
+        }
+    }
+    out
 }
 
 /// Freshly-allocated empty contribution buckets (`nv` views × `p` partitions).

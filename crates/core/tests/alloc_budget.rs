@@ -1,0 +1,90 @@
+//! Allocation budget of the generic fixpoint: a derived tuple stays a
+//! borrowed slice of a scratch buffer until the state finds it new, so a
+//! statement allocates in proportion to its *result*, not to its derivations.
+//! Counted with this binary's own global allocator; one worker and one
+//! partition make the counts repeat exactly.
+
+use rasql_core::{library, RaSqlContext};
+use rasql_datagen::{rmat, RmatConfig};
+use rasql_storage::Relation;
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a statistic and publishes no data.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+/// Result rows and heap allocations of one generic-interpreter statement.
+fn measure(edges: Relation, sql: &str) -> (u64, u64) {
+    let ctx = RaSqlContext::builder()
+        .workers(1)
+        .partitions(1)
+        .stage_latency_us(0)
+        .specialized_kernels(false)
+        .build();
+    ctx.register("edge", edges).unwrap();
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let result = ctx.query(sql).unwrap();
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    (result.relation.len() as u64, allocations)
+}
+
+/// One test, so nothing else in this binary allocates while it counts.
+#[test]
+fn a_statement_allocates_for_its_result_not_for_its_derivations() {
+    let graph = |weighted| {
+        let config = RmatConfig {
+            weighted,
+            ..RmatConfig::default()
+        };
+        rmat(300, config, 7)
+    };
+
+    // The parent of the borrowed-tuple path: 44 per row (benchmark size).
+    let (rows, allocations) = measure(graph(false), &library::transitive_closure());
+    assert!(rows > 50_000, "a closure worth measuring: {rows} rows");
+    assert!(
+        allocations <= 4 * rows,
+        "TC: {allocations} allocations for {rows} rows"
+    );
+
+    // The parent: 259 per row (benchmark size).
+    let (rows, allocations) = measure(graph(true), &library::apsp());
+    assert!(rows > 50_000, "shortest paths worth measuring: {rows} rows");
+    assert!(
+        allocations <= 20 * rows,
+        "APSP: {allocations} allocations for {rows} rows"
+    );
+
+    // A clique: round 1 derives every pair `n - 1` times over and finds `n`
+    // of them new; from then on every derivation is a duplicate.
+    let n: i64 = 60;
+    let pairs = (0..n).flat_map(|a| (0..n).filter(move |b| *b != a).map(move |b| (a, b)));
+    let clique = Relation::edges(&pairs.collect::<Vec<_>>());
+    let derivations = (n * (n - 1) * (n - 1)) as u64;
+    let (rows, allocations) = measure(clique, &library::transitive_closure());
+    assert_eq!(rows, (n * n) as u64);
+    assert!(
+        allocations <= 8 * rows && allocations < derivations / 4,
+        "clique: {allocations} allocations for {rows} rows, {derivations} derivations"
+    );
+}

@@ -173,6 +173,39 @@ fn explain_analyze_annotates_plan_and_iterations() {
     assert!(!trace.cliques.is_empty(), "fixpoint clique recorded");
 }
 
+/// Session tracing does not switch the result cache off: the second identical
+/// statement is a hit whose trace says so, while `EXPLAIN ANALYZE` — which
+/// exists to execute — still runs the fixpoint.
+#[test]
+fn traced_statements_are_served_from_the_result_cache() {
+    let ctx = RaSqlContext::builder()
+        .workers(2)
+        .tracing(true)
+        .result_cache(8)
+        .build();
+    ctx.register("edge", Relation::edges(&chain_edges(6)))
+        .unwrap();
+    let sql = library::transitive_closure();
+    let miss = ctx.query(&sql).unwrap();
+    let hit = ctx.query(&sql).unwrap();
+    assert!(!miss.stats.cached && hit.stats.cached);
+    assert_eq!(hit.relation.sorted(), miss.relation.sorted());
+    assert_eq!(hit.stats.iterations, miss.stats.iterations);
+    let (ran, served) = (miss.trace.unwrap(), hit.trace.unwrap());
+    assert!(!ran.cached && !ran.cliques.is_empty());
+    assert!(served.cached && served.cliques.is_empty() && served.stages.is_empty());
+    assert!(served.render().contains("cached"), "{}", served.render());
+    assert_eq!(QueryTrace::from_json(&served.to_json()).unwrap(), served);
+
+    let analyzed = ctx.query(&format!("EXPLAIN ANALYZE {sql}")).unwrap();
+    let trace = analyzed.trace.unwrap();
+    assert!(!analyzed.stats.cached && !trace.cached);
+    assert_eq!(
+        trace.cliques[0].iterations.len(),
+        ran.cliques[0].iterations.len()
+    );
+}
+
 /// Plain `EXPLAIN` renders the plan without executing anything.
 #[test]
 fn plain_explain_does_not_execute() {

@@ -6,8 +6,10 @@
 //!
 //! - [`run_unfused`] executes each step as its own pass, materializing an
 //!   intermediate row vector between operators (the volcano/RDD-chain model);
-//! - [`run_fused`] pushes every input row through all steps in one pass with
-//!   no intermediate collections.
+//! - [`Pipeline::for_each`] pushes every input row through all steps in one
+//!   pass: the tuple in flight is a borrowed slice of one reused buffer and
+//!   no row exists between operators, or after them unless the consumer
+//!   keeps one. [`run_fused`] is that consumer for callers that want rows.
 //!
 //! Both produce identical results; Fig 7 measures the difference.
 
@@ -15,21 +17,21 @@ use crate::join::HashTable;
 use rasql_storage::{Row, Value};
 use std::sync::Arc;
 
-/// A row-level predicate.
-pub type PredFn = Arc<dyn Fn(&Row) -> bool + Send + Sync>;
-/// A key extractor producing the probe key for a hash join.
-pub type KeyFn = Arc<dyn Fn(&Row) -> Vec<Value> + Send + Sync>;
-/// A row transform (final projection).
-pub type MapFn = Arc<dyn Fn(&Row) -> Row + Send + Sync>;
+/// A tuple-level predicate.
+pub type PredFn = Arc<dyn Fn(&[Value]) -> bool + Send + Sync>;
+/// A key extractor: appends the tuple's hash-join probe key to the buffer.
+pub type KeyFn = Arc<dyn Fn(&[Value], &mut Vec<Value>) + Send + Sync>;
+/// The final projection: appends the output tuple to the buffer.
+pub type MapFn = Arc<dyn Fn(&[Value], &mut Vec<Value>) + Send + Sync>;
 
 /// One step of a pipeline.
 #[derive(Clone)]
 pub enum PipelineStep {
-    /// Keep rows satisfying the predicate.
+    /// Keep tuples satisfying the predicate.
     Filter(PredFn),
-    /// Hash-join: for each input row, probe `table` with `key(row)` and emit
-    /// `row ++ match` for every match. An empty key = cross join (emit against
-    /// every build row).
+    /// Hash-join: for each input tuple, probe `table` with its key and emit
+    /// `tuple ++ match` for every match. An empty key = cross join (emit
+    /// against every build row).
     HashJoin {
         /// The (cached) build-side table.
         table: Arc<HashTable>,
@@ -37,7 +39,7 @@ pub enum PipelineStep {
         key: KeyFn,
     },
     /// Hash-join against a stack of build layers: each probe visits every
-    /// layer in order and emits `row ++ match` for every match in every
+    /// layer in order and emits `tuple ++ match` for every match in every
     /// layer. An incremental-view refresh retains the converged build table
     /// and stacks small delta-only tables on top instead of rebuilding.
     HashJoinLayered {
@@ -53,8 +55,18 @@ pub enum PipelineStep {
 pub struct Pipeline {
     /// Steps in order.
     pub steps: Vec<PipelineStep>,
-    /// Final row transform.
+    /// Final tuple transform.
     pub project: MapFn,
+}
+
+/// The fused executor's reused buffers: the tuple in flight (a join step
+/// extends it with a match and truncates it afterwards), the probe key of
+/// the join being entered, and the projected output tuple.
+#[derive(Default)]
+struct Scratch {
+    tuple: Vec<Value>,
+    key: Vec<Value>,
+    out: Vec<Value>,
 }
 
 impl Pipeline {
@@ -62,7 +74,7 @@ impl Pipeline {
     pub fn new(steps: Vec<PipelineStep>) -> Self {
         Pipeline {
             steps,
-            project: Arc::new(|r: &Row| r.clone()),
+            project: Arc::new(|t: &[Value], out: &mut Vec<Value>| out.extend_from_slice(t)),
         }
     }
 
@@ -70,25 +82,96 @@ impl Pipeline {
     pub fn with_project(steps: Vec<PipelineStep>, project: MapFn) -> Self {
         Pipeline { steps, project }
     }
+
+    /// Fused execution (the "collapsed single function" of §7.3): every
+    /// input row flows through all steps in one pass and each output tuple
+    /// is lent to `sink`, which clones what it keeps. Nothing is allocated
+    /// per tuple.
+    pub fn for_each(&self, input: &[Row], sink: &mut impl FnMut(&[Value])) {
+        let mut s = Scratch::default();
+        // Filters ahead of the first join test the input row where it lies.
+        let lead = self
+            .steps
+            .iter()
+            .take_while(|step| matches!(step, PipelineStep::Filter(_)))
+            .count();
+        for row in input {
+            let kept = self.steps[..lead]
+                .iter()
+                .all(|step| matches!(step, PipelineStep::Filter(p) if p(row.values())));
+            if kept && lead == self.steps.len() {
+                self.emit(row.values(), &mut s.out, sink);
+            } else if kept {
+                s.tuple.clear();
+                s.tuple.extend_from_slice(row.values());
+                self.push(lead, &mut s, sink);
+            }
+        }
+    }
+
+    fn emit(&self, tuple: &[Value], out: &mut Vec<Value>, sink: &mut impl FnMut(&[Value])) {
+        out.clear();
+        (self.project)(tuple, out);
+        sink(out);
+    }
+
+    fn push<S: FnMut(&[Value])>(&self, i: usize, s: &mut Scratch, sink: &mut S) {
+        match self.steps.get(i) {
+            None => self.emit(&s.tuple, &mut s.out, sink),
+            Some(PipelineStep::Filter(p)) => {
+                if p(&s.tuple) {
+                    self.push(i + 1, s, sink);
+                }
+            }
+            Some(PipelineStep::HashJoin { table, key }) => self.join(i, table, key, s, sink),
+            Some(PipelineStep::HashJoinLayered { tables, key }) => {
+                for table in tables {
+                    self.join(i, table, key, s, sink);
+                }
+            }
+        }
+    }
+
+    fn join<S: FnMut(&[Value])>(
+        &self,
+        i: usize,
+        table: &HashTable,
+        key: &KeyFn,
+        s: &mut Scratch,
+        sink: &mut S,
+    ) {
+        // The key buffer is free again once `probe` returns (the matches
+        // borrow the table), so the steps below reuse it.
+        s.key.clear();
+        key(&s.tuple, &mut s.key);
+        let arity = s.tuple.len();
+        for m in table.probe(&s.key) {
+            s.tuple.extend_from_slice(m.values());
+            self.push(i + 1, s, sink);
+            s.tuple.truncate(arity);
+        }
+    }
 }
 
 /// Unfused execution: one full pass (and one intermediate `Vec<Row>`) per
 /// operator — the cost model of chained RDD transformations without codegen.
 pub fn run_unfused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
     let mut current: Vec<Row> = input.to_vec();
+    let mut k = Vec::new();
     for step in &pipeline.steps {
         let mut next = Vec::with_capacity(current.len());
         match step {
             PipelineStep::Filter(p) => {
                 for row in &current {
-                    if p(row) {
+                    if p(row.values()) {
                         next.push(row.clone());
                     }
                 }
             }
             PipelineStep::HashJoin { table, key } => {
                 for row in &current {
-                    let k = key(row);
+                    k.clear();
+                    key(row.values(), &mut k);
                     for m in table.probe(&k) {
                         next.push(row.concat(m));
                     }
@@ -96,7 +179,8 @@ pub fn run_unfused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
             }
             PipelineStep::HashJoinLayered { tables, key } => {
                 for row in &current {
-                    let k = key(row);
+                    k.clear();
+                    key(row.values(), &mut k);
                     for table in tables {
                         for m in table.probe(&k) {
                             next.push(row.concat(m));
@@ -107,44 +191,23 @@ pub fn run_unfused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
         }
         current = next;
     }
-    current.iter().map(|r| (pipeline.project)(r)).collect()
+    let mut out = Vec::new();
+    current
+        .iter()
+        .map(|r| {
+            out.clear();
+            (pipeline.project)(r.values(), &mut out);
+            Row::from_slice(&out)
+        })
+        .collect()
 }
 
-/// Fused execution: every row flows through all steps in one pass, no
-/// intermediate collections (the "collapsed single function" of §7.3).
+/// Fused execution collected into rows: [`Pipeline::for_each`] with a sink
+/// that keeps every output tuple.
 pub fn run_fused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
     let mut out = Vec::new();
-    for row in input {
-        push_row(row, &pipeline.steps, &pipeline.project, &mut out);
-    }
+    pipeline.for_each(input, &mut |t| out.push(Row::from_slice(t)));
     out
-}
-
-fn push_row(row: &Row, steps: &[PipelineStep], project: &MapFn, out: &mut Vec<Row>) {
-    match steps.first() {
-        None => out.push(project(row)),
-        Some(PipelineStep::Filter(p)) => {
-            if p(row) {
-                push_row(row, &steps[1..], project, out);
-            }
-        }
-        Some(PipelineStep::HashJoin { table, key }) => {
-            let k = key(row);
-            for m in table.probe(&k) {
-                let joined = row.concat(m);
-                push_row(&joined, &steps[1..], project, out);
-            }
-        }
-        Some(PipelineStep::HashJoinLayered { tables, key }) => {
-            let k = key(row);
-            for table in tables {
-                for m in table.probe(&k) {
-                    let joined = row.concat(m);
-                    push_row(&joined, &steps[1..], project, out);
-                }
-            }
-        }
-    }
 }
 
 #[cfg(test)]
@@ -157,14 +220,16 @@ mod tests {
         let build: Vec<Row> = (0..7).map(|i| int_row(&[i, i * 100])).collect();
         let table = Arc::new(HashTable::build(&build, &[0]));
         let steps = vec![
-            PipelineStep::Filter(Arc::new(|r: &Row| r[0].as_int().unwrap() % 2 == 0)),
+            PipelineStep::Filter(Arc::new(|r: &[Value]| r[0].as_int().unwrap() % 2 == 0)),
             PipelineStep::HashJoin {
                 table,
-                key: Arc::new(|r: &Row| vec![r[1].clone()]),
+                key: Arc::new(|r: &[Value], k: &mut Vec<Value>| k.push(r[1].clone())),
             },
-            PipelineStep::Filter(Arc::new(|r: &Row| r[3].as_int().unwrap() >= 100)),
+            PipelineStep::Filter(Arc::new(|r: &[Value]| r[3].as_int().unwrap() >= 100)),
         ];
-        let project: MapFn = Arc::new(|r: &Row| r.project(&[0, 3]));
+        let project: MapFn = Arc::new(|r: &[Value], out: &mut Vec<Value>| {
+            out.extend([r[0].clone(), r[3].clone()]);
+        });
         (input, Pipeline::with_project(steps, project))
     }
 
@@ -182,7 +247,10 @@ mod tests {
     #[test]
     fn empty_pipeline_is_projection() {
         let input = vec![int_row(&[1, 2])];
-        let p = Pipeline::with_project(vec![], Arc::new(|r: &Row| r.project(&[1])));
+        let p = Pipeline::with_project(
+            vec![],
+            Arc::new(|r: &[Value], out: &mut Vec<Value>| out.push(r[1].clone())),
+        );
         assert_eq!(run_fused(&input, &p), vec![int_row(&[2])]);
         assert_eq!(run_unfused(&input, &p), vec![int_row(&[2])]);
     }
@@ -191,7 +259,7 @@ mod tests {
     fn layered_join_matches_single_build() {
         let input: Vec<Row> = (0..50).map(|i| int_row(&[i % 9])).collect();
         let build: Vec<Row> = (0..9).map(|i| int_row(&[i, i * 10])).collect();
-        let key: KeyFn = Arc::new(|r: &Row| vec![r[0].clone()]);
+        let key: KeyFn = Arc::new(|r: &[Value], k: &mut Vec<Value>| k.push(r[0].clone()));
         let merged = Pipeline::new(vec![PipelineStep::HashJoin {
             table: Arc::new(HashTable::build(&build, &[0])),
             key: Arc::clone(&key),

@@ -91,6 +91,32 @@ impl SetState {
         }
     }
 
+    /// Insert an owned row at `round`; if it is new, returns the copy the
+    /// delta keeps (the row itself moves into the state).
+    #[inline]
+    pub fn insert_cloned(&mut self, row: Row, round: u32) -> Option<Row> {
+        use std::collections::hash_map::Entry;
+        match self.rows.entry(row) {
+            Entry::Occupied(_) => None,
+            Entry::Vacant(v) => {
+                let copy = v.key().clone();
+                v.insert(round);
+                Some(copy)
+            }
+        }
+    }
+
+    /// Insert a borrowed tuple at `round`; true if it is new. Only a new
+    /// tuple is allocated — a duplicate costs one lookup.
+    #[inline]
+    pub fn insert_slice(&mut self, tuple: &[Value], round: u32) -> bool {
+        let new = !self.rows.contains_key(tuple);
+        if new {
+            self.rows.insert(Row::from_slice(tuple), round);
+        }
+        new
+    }
+
     /// Membership including the current round.
     #[inline]
     pub fn contains(&self, row: &Row) -> bool {
@@ -116,6 +142,12 @@ impl SetState {
     /// Iterate all rows.
     pub fn iter(&self) -> impl Iterator<Item = &Row> {
         self.rows.keys()
+    }
+
+    /// Consume the state into its rows, in [`SetState::iter`] order: a
+    /// converged fixpoint hands its rows to the result instead of copying.
+    pub fn into_rows(self) -> impl Iterator<Item = Row> {
+        self.rows.into_keys()
     }
 
     /// Iterate rows merged strictly before `round`.
@@ -196,10 +228,66 @@ impl AggState {
         self.groups.is_empty()
     }
 
-    /// Merge a contribution `(key, vals)` at `round` with per-column ops.
+    /// Merge a contribution `(key, vals)` at `round` with per-column ops;
+    /// true if the group changed (the delta must propagate). The group is
+    /// looked up by the borrowed key and everything happens in place: only
+    /// a group seen for the first time (and a contributor tuple counted for
+    /// the first time) is allocated.
     ///
     /// `dedup_tuple` — when `Some(tuple)`, the contribution is only applied if
     /// the tuple has not contributed before (distinct-tuple counting mode).
+    pub fn merge_in_place(
+        &mut self,
+        key: &[Value],
+        vals: &[Value],
+        ops: &[MonotoneOp],
+        round: u32,
+        dedup_tuple: Option<&[Value]>,
+    ) -> bool {
+        debug_assert_eq!(vals.len(), ops.len());
+        if let Some(t) = dedup_tuple {
+            if self.contributors.contains(t) {
+                return false;
+            }
+            self.contributors.insert(t.into());
+        }
+        let Some(entry) = self.groups.get_mut(key) else {
+            // First contribution: totals = the contribution itself; the
+            // "previous" totals are identity values so old snapshots see
+            // nothing for this group.
+            let prev = ops
+                .iter()
+                .map(|op| match op {
+                    MonotoneOp::Sum => Value::Int(0),
+                    _ => Value::Null,
+                })
+                .collect();
+            let entry = AggEntry {
+                values: vals.into(),
+                prev,
+                round,
+                created: round,
+            };
+            self.groups.insert(key.into(), entry);
+            return true;
+        };
+        if entry.round < round {
+            // First touch this round: snapshot previous totals.
+            entry.prev.clone_from(&entry.values);
+        }
+        let mut changed = false;
+        for ((cur, new), op) in entry.values.iter_mut().zip(vals).zip(ops) {
+            changed |= op.merge(cur, new) == MergeOutcome::Improved;
+        }
+        if changed {
+            entry.round = round;
+        }
+        changed
+    }
+
+    /// [`AggState::merge_in_place`] reporting what changed: the group's new
+    /// totals and per-column increments. The fixpoint reads neither (it
+    /// assembles one delta row per changed group after a round's merges).
     pub fn merge(
         &mut self,
         key: &[Value],
@@ -208,74 +296,24 @@ impl AggState {
         round: u32,
         dedup_tuple: Option<&[Value]>,
     ) -> AggMergeResult {
-        debug_assert_eq!(vals.len(), ops.len());
-        if let Some(t) = dedup_tuple {
-            let boxed: Box<[Value]> = t.to_vec().into_boxed_slice();
-            if !self.contributors.insert(boxed) {
-                return AggMergeResult::Unchanged;
-            }
+        // Only a sum's increment depends on the totals before the merge.
+        let before: Option<Box<[Value]>> = (ops.contains(&MonotoneOp::Sum))
+            .then(|| self.get(key).map(Box::from))
+            .flatten();
+        if !self.merge_in_place(key, vals, ops, round, dedup_tuple) {
+            return AggMergeResult::Unchanged;
         }
-        use std::collections::hash_map::Entry;
-        let key_boxed: Box<[Value]> = key.to_vec().into_boxed_slice();
-        match self.groups.entry(key_boxed) {
-            Entry::Vacant(slot) => {
-                // First contribution: totals = the contribution itself; the
-                // "previous" totals are identity values so old snapshots see
-                // nothing for this group.
-                let totals: Box<[Value]> = vals.to_vec().into_boxed_slice();
-                let prev: Box<[Value]> = ops
-                    .iter()
-                    .map(|op| match op {
-                        MonotoneOp::Sum => Value::Int(0),
-                        _ => Value::Null,
-                    })
-                    .collect();
-                slot.insert(AggEntry {
-                    values: totals.clone(),
-                    prev,
-                    round,
-                    created: round,
-                });
-                AggMergeResult::Changed {
-                    increments: totals.clone(),
-                    totals,
-                }
-            }
-            Entry::Occupied(mut slot) => {
-                let entry = slot.get_mut();
-                if entry.round < round {
-                    // First touch this round: snapshot previous totals.
-                    entry.prev = entry.values.clone();
-                }
-                let mut changed = false;
-                let mut increments: Vec<Value> = Vec::with_capacity(vals.len());
-                for ((cur, new), op) in entry.values.iter_mut().zip(vals).zip(ops) {
-                    let before = cur.clone();
-                    match op.merge(cur, new) {
-                        MergeOutcome::Improved => {
-                            changed = true;
-                            increments.push(match op {
-                                MonotoneOp::Sum => cur.sub(&before),
-                                _ => cur.clone(),
-                            });
-                        }
-                        MergeOutcome::Unchanged => increments.push(match op {
-                            MonotoneOp::Sum => Value::Int(0),
-                            _ => cur.clone(),
-                        }),
-                    }
-                }
-                if changed {
-                    entry.round = round;
-                    AggMergeResult::Changed {
-                        totals: entry.values.clone(),
-                        increments: increments.into_boxed_slice(),
-                    }
-                } else {
-                    AggMergeResult::Unchanged
-                }
-            }
-        }
+        let totals: Box<[Value]> = self.get(key).map(Box::from).unwrap_or_default();
+        let increments = match before {
+            None => totals.clone(),
+            Some(before) => (ops.iter().zip(totals.iter().zip(before.iter())))
+                .map(|(op, (now, was))| match op {
+                    MonotoneOp::Sum => now.sub(was),
+                    _ => now.clone(),
+                })
+                .collect(),
+        };
+        AggMergeResult::Changed { totals, increments }
     }
 
     /// Current totals of a group.
@@ -285,16 +323,12 @@ impl AggState {
 
     /// Totals of a group as of the snapshot before `round`; `None` if the
     /// group did not exist then.
-    pub fn get_before(&self, key: &[Value], round: u32) -> Option<Box<[Value]>> {
+    pub fn get_before(&self, key: &[Value], round: u32) -> Option<&[Value]> {
         let e = self.groups.get(key)?;
         if e.created >= round {
             return None;
         }
-        if e.round < round {
-            Some(e.values.clone())
-        } else {
-            Some(e.prev.clone())
-        }
+        Some(if e.round < round { &e.values } else { &e.prev })
     }
 
     /// Iterate `(key, entry)` pairs.

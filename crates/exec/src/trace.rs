@@ -486,6 +486,9 @@ pub struct OperatorTrace {
 /// The frozen trace of one executed query.
 #[derive(Debug, Clone, PartialEq)]
 pub struct QueryTrace {
+    /// True when the statement was answered from the result cache: nothing
+    /// executed, so there are no cliques, stages or operators to show.
+    pub cached: bool,
     /// Query wall clock, µs.
     pub elapsed_us: u64,
     /// Metric deltas accumulated by the query.
@@ -637,6 +640,7 @@ impl TraceSink {
             d.cliques.push(open);
         }
         QueryTrace {
+            cached: false,
             elapsed_us: elapsed.as_micros() as u64,
             metrics,
             cliques: d.cliques,
@@ -675,6 +679,19 @@ fn get_str(obj: &JsonValue, key: &str) -> Result<String, String> {
 }
 
 impl QueryTrace {
+    /// The trace of a statement answered from the result cache.
+    pub fn cached(elapsed: Duration) -> QueryTrace {
+        QueryTrace {
+            cached: true,
+            elapsed_us: elapsed.as_micros() as u64,
+            metrics: MetricsSnapshot::default(),
+            cliques: Vec::new(),
+            stages: Vec::new(),
+            operators: Vec::new(),
+            recovery: Vec::new(),
+        }
+    }
+
     /// Export as a compact JSON string. See DESIGN.md "Observability" for the
     /// schema; [`QueryTrace::from_json`] round-trips it.
     pub fn to_json(&self) -> String {
@@ -685,6 +702,7 @@ impl QueryTrace {
     pub fn to_json_value(&self) -> JsonValue {
         let m = &self.metrics;
         JsonValue::Obj(vec![
+            ("cached".into(), JsonValue::Bool(self.cached)),
             ("elapsed_us".into(), num(self.elapsed_us)),
             (
                 "metrics".into(),
@@ -930,6 +948,8 @@ impl QueryTrace {
             }
         }
         Ok(QueryTrace {
+            // Absent from exports that predate the marker.
+            cached: matches!(root.get("cached"), Some(JsonValue::Bool(true))),
             elapsed_us: get_u64(&root, "elapsed_us")?,
             metrics,
             cliques,
@@ -1038,6 +1058,12 @@ impl QueryTrace {
     /// the operator list.
     pub fn render(&self) -> String {
         let mut out = String::new();
+        if self.cached {
+            return format!(
+                "query: {:.3} ms, cached (served from the result cache, nothing executed)\n",
+                self.elapsed_us as f64 / 1000.0
+            );
+        }
         out.push_str(&format!(
             "query: {:.3} ms, {} stages, {} tasks, {} iterations\n",
             self.elapsed_us as f64 / 1000.0,
@@ -1116,6 +1142,7 @@ mod tests {
 
     fn sample() -> QueryTrace {
         QueryTrace {
+            cached: false,
             elapsed_us: 1234,
             metrics: MetricsSnapshot {
                 stages: 5,
@@ -1212,6 +1239,15 @@ mod tests {
         );
         let rendered = v.render();
         assert_eq!(JsonValue::parse(&rendered).unwrap(), v);
+    }
+
+    #[test]
+    fn cached_trace_says_so_and_round_trips() {
+        let t = QueryTrace::cached(Duration::from_micros(250));
+        assert!(t.render().contains("cached"), "{}", t.render());
+        assert!(t.to_json().contains("\"cached\":true"), "{}", t.to_json());
+        assert_eq!(QueryTrace::from_json(&t.to_json()).unwrap(), t);
+        assert!(!QueryTrace::from_json(&sample().to_json()).unwrap().cached);
     }
 
     #[test]

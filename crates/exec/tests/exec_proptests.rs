@@ -7,7 +7,8 @@ use rasql_exec::checkpoint::{
     decode_agg_state, decode_rows, decode_set_state, encode_agg_state, encode_rows,
     encode_set_state,
 };
-use rasql_exec::state::{AggState, MonotoneOp};
+use rasql_exec::pipeline::KeyFn;
+use rasql_exec::state::{AggMergeResult, AggState, MonotoneOp};
 use rasql_exec::{
     run_fused, run_unfused, Cluster, ClusterConfig, Dataset, HashTable, Pipeline, PipelineStep,
     SetState,
@@ -48,29 +49,97 @@ proptest! {
 
     #[test]
     fn fused_equals_unfused_on_random_pipelines(
-        input in prop::collection::vec((0i64..30, 0i64..30), 0..120),
-        build in prop::collection::vec((0i64..30, 0i64..100), 0..60),
-        threshold in 0i64..30,
+        input in prop::collection::vec((0i64..12, 0i64..12), 0..60),
+        build in prop::collection::vec((0i64..12, 0i64..40), 0..40),
+        // Step kinds: 0 filter, 1 join, 2 layered join, 3 empty-key cross join.
+        kinds in prop::collection::vec(0usize..4, 0..5),
+        threshold in 0i64..12,
+        split in 0.0f64..1.0,
     ) {
         let input_rows: Vec<Row> = input.iter().map(|&(a, b)| int_row(&[a, b])).collect();
         let build_rows: Vec<Row> = build.iter().map(|&(a, b)| int_row(&[a, b])).collect();
-        let table = Arc::new(HashTable::build(&build_rows, &[0]));
-        let steps = vec![
-            PipelineStep::Filter(Arc::new(move |r: &Row| {
-                r[0].as_int().unwrap() >= threshold
-            })),
-            PipelineStep::HashJoin {
-                table,
-                key: Arc::new(|r: &Row| vec![r[1].clone()]),
-            },
-            PipelineStep::Filter(Arc::new(|r: &Row| r[3].as_int().unwrap() % 2 == 0)),
-        ];
-        let pipeline = Pipeline::with_project(steps, Arc::new(|r: &Row| r.project(&[0, 3])));
-        let mut a = run_fused(&input_rows, &pipeline);
-        let mut b = run_unfused(&input_rows, &pipeline);
-        a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
+        let cut = (split * build_rows.len() as f64) as usize;
+        let table = |rows: &[Row], key: &[usize]| Arc::new(HashTable::build(rows, key));
+        // Every step reads the last two columns, which every join appends.
+        let key: KeyFn = Arc::new(|t: &[Value], k: &mut Vec<Value>| k.push(t[t.len() - 1].clone()));
+        let no_key: KeyFn = Arc::new(|_: &[Value], _: &mut Vec<Value>| {});
+        // At most two cross joins, so outputs stay small.
+        let mut crosses = 0;
+        let steps: Vec<PipelineStep> = kinds
+            .iter()
+            .map(|&kind| match kind {
+                1 => PipelineStep::HashJoin { table: table(&build_rows, &[0]), key: key.clone() },
+                2 => PipelineStep::HashJoinLayered {
+                    tables: vec![table(&build_rows[..cut], &[0]), table(&build_rows[cut..], &[0])],
+                    key: key.clone(),
+                },
+                3 if crosses < 2 => {
+                    crosses += 1;
+                    PipelineStep::HashJoin { table: table(&build_rows[..cut.min(5)], &[]), key: no_key.clone() }
+                }
+                _ => PipelineStep::Filter(Arc::new(move |t: &[Value]| {
+                    t[t.len() - 2].as_int().unwrap() >= threshold
+                })),
+            })
+            .collect();
+        let pipeline = Pipeline::with_project(
+            steps,
+            Arc::new(|t: &[Value], out: &mut Vec<Value>| {
+                out.extend([t[0].clone(), t[t.len() - 1].clone(), Value::Int(t.len() as i64)]);
+            }),
+        );
+        let mut streamed: Vec<Row> = Vec::new();
+        pipeline.for_each(&input_rows, &mut |t| streamed.push(Row::from_slice(t)));
+        let mut fused = run_fused(&input_rows, &pipeline);
+        let mut unfused = run_unfused(&input_rows, &pipeline);
+        prop_assert_eq!(&streamed, &fused);
+        fused.sort();
+        unfused.sort();
+        prop_assert_eq!(fused, unfused);
+    }
+
+    #[test]
+    fn borrowed_and_owned_state_operations_agree(
+        rows in prop::collection::vec((0i64..12, 0i64..12, 0u32..6), 0..120),
+        contribs in prop::collection::vec(((0i64..6, -20i64..20, 0i64..5), (0u32..6, 0i64..4)), 0..120),
+    ) {
+        // The same inserts through the borrowed-tuple and the owned-row entry
+        // points leave the same state, round stamps included.
+        let (mut owned, mut borrowed) = (SetState::new(), SetState::new());
+        for &(a, b, round) in &rows {
+            let row = int_row(&[a, b]);
+            prop_assert_eq!(
+                borrowed.insert_slice(row.values(), round),
+                owned.insert(row, round)
+            );
+        }
+        prop_assert_eq!(encode_set_state(&borrowed), encode_set_state(&owned));
+
+        // `merge_in_place` and the reporting `merge` leave the same groups —
+        // totals, `prev`, `round`, `created` — and contributor set, and agree
+        // on whether a group changed.
+        let ops = [MonotoneOp::Min, MonotoneOp::Sum];
+        let (mut reported, mut in_place) = (AggState::new(), AggState::new());
+        let mut rounds: Vec<_> = contribs.clone();
+        rounds.sort_by_key(|c| c.1 .0);
+        for &((k, lo, add), (round, tuple)) in &rounds {
+            let (key, vals) = ([Value::Int(k)], [Value::Int(lo), Value::Int(add)]);
+            let dedup = [Value::Int(k), Value::Int(tuple)];
+            let dedup = (tuple > 0).then_some(&dedup[..]);
+            let before = reported.get(&key).map(<[Value]>::to_vec);
+            let changed = in_place.merge_in_place(&key, &vals, &ops, round, dedup);
+            match reported.merge(&key, &vals, &ops, round, dedup) {
+                AggMergeResult::Unchanged => prop_assert!(!changed),
+                AggMergeResult::Changed { totals, increments } => {
+                    prop_assert!(changed);
+                    prop_assert_eq!(&totals[..], reported.get(&key).unwrap());
+                    let was = before.map_or(Value::Int(0), |b| b[1].clone());
+                    prop_assert_eq!(&increments[1], &totals[1].sub(&was));
+                    prop_assert_eq!(&increments[0], &totals[0]);
+                }
+            }
+        }
+        prop_assert_eq!(encode_agg_state(&in_place), encode_agg_state(&reported));
     }
 
     #[test]
@@ -227,7 +296,7 @@ fn agg_state_increments_sum_to_total() {
     let mut sum_of_increments = 0i64;
     for round in 0..20u32 {
         let v = (round as i64 % 5) + 1;
-        if let rasql_exec::state::AggMergeResult::Changed { increments, .. } =
+        if let AggMergeResult::Changed { increments, .. } =
             st.merge(&[Value::Int(1)], &[Value::Int(v)], &ops, round, None)
         {
             sum_of_increments += increments[0].as_int().unwrap();

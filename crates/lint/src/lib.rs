@@ -18,6 +18,7 @@
 //! | `RL0004` | `std::thread::sleep` in non-test `server`/`exec` code |
 //! | `RL0005` | direct durable file writes (`File::create`, `.write_all(`, `fs::rename`) in `crates/storage/src` outside the WAL/snapshot/spill modules |
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
+//! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s streaming executor, `core::fixpoint`'s emit/merge functions) without an allow annotation |
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
@@ -80,6 +81,12 @@ pub enum LintCode {
     /// the socket; a copy on that path costs one allocation per row per
     /// query, so each one needs a stated reason.
     ReadPathRowCopy,
+    /// `RL0007`: a row or value vector built per tuple (`Row::new(`,
+    /// `Row::from_slice(`, `.concat(`, `.to_vec(`) inside a function of the
+    /// borrowed-tuple path. A derived tuple stays a slice of a reused
+    /// buffer until the state finds it new; the allocation for a new tuple
+    /// is the reasoned exception.
+    PerTupleRowBuild,
 }
 
 impl LintCode {
@@ -92,6 +99,7 @@ impl LintCode {
             LintCode::SleepInServerPath => "RL0004",
             LintCode::UnmanagedDurableWrite => "RL0005",
             LintCode::ReadPathRowCopy => "RL0006",
+            LintCode::PerTupleRowBuild => "RL0007",
         }
     }
 
@@ -102,7 +110,7 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 6] {
+    pub fn all() -> [LintCode; 7] {
         [
             LintCode::RawLockConstruction,
             LintCode::HotPathPanic,
@@ -110,6 +118,7 @@ impl LintCode {
             LintCode::SleepInServerPath,
             LintCode::UnmanagedDurableWrite,
             LintCode::ReadPathRowCopy,
+            LintCode::PerTupleRowBuild,
         ]
     }
 
@@ -131,6 +140,9 @@ impl LintCode {
             }
             LintCode::ReadPathRowCopy => {
                 "whole-buffer row copy in a read-path module without an allow annotation"
+            }
+            LintCode::PerTupleRowBuild => {
+                "per-tuple row construction in the borrowed-tuple path without an allow annotation"
             }
         }
     }
@@ -548,6 +560,41 @@ fn rule_hot_path_panic(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppres
     }
 }
 
+/// For every code token, the innermost named `fn` whose body encloses it, as
+/// `(name, index of the body's opening brace)` — fn bodies tracked by brace
+/// depth.
+fn enclosing_fns<'a>(code: &[Token<'a>]) -> Vec<Option<(&'a str, usize)>> {
+    let mut depth = 0u32;
+    // (name, opening brace, depth of the body)
+    let mut frames: Vec<(&'a str, usize, u32)> = Vec::new();
+    let mut pending: Option<&'a str> = None;
+    let mut out = Vec::with_capacity(code.len());
+    for (i, t) in code.iter().enumerate() {
+        if t.is_ident("fn") {
+            // `fn name(...)` — a following ident is the name; `fn(` is a
+            // function-pointer type and carries no body of interest.
+            pending = code
+                .get(i + 1)
+                .filter(|n| n.kind == TokenKind::Ident)
+                .map(|n| n.text);
+        } else if t.is_punct(';') && depth == frames.last().map_or(0, |f| f.2) {
+            pending = None; // trait method declaration without a body
+        } else if t.is_punct('{') {
+            depth += 1;
+            if let Some(name) = pending.take() {
+                frames.push((name, i, depth));
+            }
+        } else if t.is_punct('}') {
+            if frames.last().is_some_and(|f| f.2 == depth) {
+                frames.pop();
+            }
+            depth = depth.saturating_sub(1);
+        }
+        out.push(frames.last().map(|f| (f.0, f.1)));
+    }
+    out
+}
+
 /// RL0003: `.fresh_version(` called from a catalog function whose body never
 /// takes the `tables` write lock. The `fresh_version` definition itself is
 /// exempt (it is the primitive the rule protects).
@@ -556,56 +603,23 @@ fn rule_unscoped_version(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppr
         return;
     }
     let code = &ctx.code;
-    // Walk tokens tracking enclosing fn bodies by brace depth.
-    struct Frame {
-        name: String,
-        start: usize,
-        depth: u32,
-    }
-    let mut depth = 0u32;
-    let mut frames: Vec<Frame> = Vec::new();
-    let mut pending: Option<String> = None;
+    let fns = enclosing_fns(code);
     for i in 0..code.len() {
         let t = &code[i];
-        if t.is_ident("fn") {
-            // `fn name(...)` — a following ident is the name; `fn(` is a
-            // function-pointer type and carries no body of interest.
-            pending = code
-                .get(i + 1)
-                .filter(|n| n.kind == TokenKind::Ident)
-                .map(|n| n.text.to_string());
-            continue;
-        }
-        if t.is_punct(';') && depth == frames.last().map_or(0, |f| f.depth) {
-            pending = None; // trait method declaration without a body
-        }
-        if t.is_punct('{') {
-            depth += 1;
-            if let Some(name) = pending.take() {
-                frames.push(Frame {
-                    name,
-                    start: i,
-                    depth,
-                });
-            }
-        } else if t.is_punct('}') {
-            if frames.last().is_some_and(|f| f.depth == depth) {
-                frames.pop();
-            }
-            depth = depth.saturating_sub(1);
-        }
         // The call pattern: `.fresh_version(`.
         if t.is_punct('.')
             && i + 2 < code.len()
             && code[i + 1].is_ident("fresh_version")
             && code[i + 2].is_punct('(')
         {
-            let Some(frame) = frames.last() else { continue };
-            if frame.name == "fresh_version" {
+            let Some((name, start)) = fns[i] else {
+                continue;
+            };
+            if name == "fresh_version" {
                 continue;
             }
             // Look for `tables . write` earlier in this body.
-            let scoped = (frame.start..i).any(|j| {
+            let scoped = (start..i).any(|j| {
                 code[j].is_ident("tables")
                     && code.get(j + 1).is_some_and(|t| t.is_punct('.'))
                     && code.get(j + 2).is_some_and(|t| t.is_ident("write"))
@@ -621,10 +635,7 @@ fn rule_unscoped_version(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppr
                     LintCode::UnscopedVersionRead,
                     ctx.path,
                     span,
-                    format!(
-                        "`fresh_version()` in `{}` outside a `tables` write-lock scope",
-                        frame.name
-                    ),
+                    format!("`fresh_version()` in `{name}` outside a `tables` write-lock scope"),
                 )
                 .with_help(
                     "take `self.tables.write()` before minting a version — the counter is only \
@@ -811,6 +822,68 @@ fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppres
     }
 }
 
+/// The borrowed-tuple path covered by RL0007, as (module, functions): the
+/// streaming executor, and the fixpoint's emit/merge sinks. `run_unfused`
+/// (the §7.3 ablation) materializes rows by design and is not listed.
+const TUPLE_PATHS: &[(&str, &[&str])] = &[
+    ("crates/exec/src/pipeline.rs", &["for_each", "push", "join"]),
+    (
+        "crates/core/src/fixpoint.rs",
+        &["push", "push_row", "merge_into_state"],
+    ),
+];
+
+/// RL0007: `Row::new(` / `Row::from_slice(` / `.concat(` / `.to_vec(` in a
+/// function that runs once per derived tuple. Most derived tuples are
+/// duplicates; building a row for each is what the borrowed-tuple path
+/// removed.
+fn rule_per_tuple_row(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
+    let Some((_, hot)) = TUPLE_PATHS.iter().find(|(p, _)| ctx.path.ends_with(p)) else {
+        return;
+    };
+    let code = &ctx.code;
+    let fns = enclosing_fns(code);
+    let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
+    for i in 0..code.len() {
+        if !fns[i].is_some_and(|(name, _)| hot.contains(&name)) {
+            continue;
+        }
+        let t = &code[i];
+        // `Row::new(` / `Row::from_slice(`, or a `.concat(` / `.to_vec(` call.
+        let end = if t.is_ident("Row")
+            && is(i + 1, &|t| t.is_punct(':'))
+            && is(i + 2, &|t| t.is_punct(':'))
+            && is(i + 3, &|t| t.is_ident("new") || t.is_ident("from_slice"))
+            && is(i + 4, &|t| t.is_punct('('))
+        {
+            i + 4
+        } else if t.is_punct('.')
+            && is(i + 1, &|t| t.is_ident("concat") || t.is_ident("to_vec"))
+            && is(i + 2, &|t| t.is_punct('('))
+        {
+            i + 2
+        } else {
+            continue;
+        };
+        let span = Span::new(t.start, code[end].end);
+        ctx.emit(
+            out,
+            suppressed,
+            LintDiagnostic::new(
+                LintCode::PerTupleRowBuild,
+                ctx.path,
+                span,
+                "row built per tuple in the borrowed-tuple path",
+            )
+            .with_help(
+                "keep the tuple a `&[Value]` of the scratch buffer and look it up by slice; the \
+                 copy kept for a tuple the state found new needs \
+                 `// lint: allow(RL0007, <reason>)`",
+            ),
+        );
+    }
+}
+
 // ----------------------------------------------------------------
 // Entry points
 // ----------------------------------------------------------------
@@ -834,6 +907,7 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     rule_sleep(&ctx, &mut out, &mut suppressed);
     rule_durable_write(&ctx, &mut out, &mut suppressed);
     rule_read_path_copy(&ctx, &mut out, &mut suppressed);
+    rule_per_tuple_row(&ctx, &mut out, &mut suppressed);
     out.sort_by_key(|d| d.span.start);
     (out, suppressed)
 }
@@ -896,6 +970,7 @@ mod tests {
         assert_eq!(LintCode::SleepInServerPath.code(), "RL0004");
         assert_eq!(LintCode::UnmanagedDurableWrite.code(), "RL0005");
         assert_eq!(LintCode::ReadPathRowCopy.code(), "RL0006");
+        assert_eq!(LintCode::PerTupleRowBuild.code(), "RL0007");
         for c in LintCode::all() {
             assert_eq!(c.severity(), Severity::Error);
         }

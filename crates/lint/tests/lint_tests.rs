@@ -228,6 +228,48 @@ fn rl0006_only_covers_read_path_modules() {
 }
 
 #[test]
+fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
+    let src = include_str!("fixtures/rl0007_per_tuple_rows.rs");
+    let spans = |path: &str| -> Vec<_> {
+        lint_file(path, src)
+            .iter()
+            .map(|d| (d.code, d.span.start, d.span.end))
+            .collect()
+    };
+    // `push` and `join` are the streaming executor's functions ...
+    let (diags, suppressed) = lint_file_counting("crates/exec/src/pipeline.rs", src);
+    assert_eq!(
+        spans("crates/exec/src/pipeline.rs"),
+        vec![
+            (LintCode::PerTupleRowBuild, 334, 342), // .to_vec(
+            (LintCode::PerTupleRowBuild, 411, 419), // .concat(
+            (LintCode::PerTupleRowBuild, 494, 503), // Row::new(
+        ],
+        "{diags:#?}"
+    );
+    // `push_row` is not one of them; `run_unfused` and the test module never are.
+    assert_eq!(suppressed, 0);
+    assert_eq!(&src[334..342], ".to_vec(");
+    assert_eq!(&src[411..419], ".concat(");
+    assert_eq!(&src[494..503], "Row::new(");
+    // ... the fixpoint's sinks are `push` and `push_row`, whose annotated
+    // copy for a new tuple is suppressed, and `join` is no function of theirs.
+    let (diags, suppressed) = lint_file_counting("crates/core/src/fixpoint.rs", src);
+    assert_eq!(
+        spans("crates/core/src/fixpoint.rs"),
+        vec![
+            (LintCode::PerTupleRowBuild, 334, 342),
+            (LintCode::PerTupleRowBuild, 411, 419),
+        ],
+        "{diags:#?}"
+    );
+    assert_eq!(suppressed, 1);
+    for path in ["crates/exec/src/state.rs", "crates/core/src/eval.rs"] {
+        assert!(lint_file(path, src).is_empty(), "{path} is not covered");
+    }
+}
+
+#[test]
 fn clean_fixture_is_clean_everywhere() {
     let src = include_str!("fixtures/clean.rs");
     for path in [

@@ -139,42 +139,51 @@ impl PExpr {
     }
 
     /// Evaluate against a row.
+    #[inline]
     pub fn eval(&self, row: &Row) -> Value {
+        self.eval_vals(row.values())
+    }
+
+    /// Evaluate against a borrowed tuple — the evaluator; a tuple in a
+    /// pipeline's scratch buffer never has to become a [`Row`] to be tested.
+    pub fn eval_vals(&self, row: &[Value]) -> Value {
         match self {
-            PExpr::Col(i) => row.get(*i).clone(),
+            PExpr::Col(i) => row[*i].clone(),
             PExpr::Lit(v) => v.clone(),
             PExpr::Binary { left, op, right } => {
                 // Short-circuit logical operators.
                 match op {
                     BinaryOp::And => {
-                        let l = left.eval(row);
+                        let l = left.eval_vals(row);
                         if !l.is_truthy() {
                             return Value::Bool(false);
                         }
-                        return Value::Bool(right.eval(row).is_truthy());
+                        return Value::Bool(right.eval_vals(row).is_truthy());
                     }
                     BinaryOp::Or => {
-                        let l = left.eval(row);
+                        let l = left.eval_vals(row);
                         if l.is_truthy() {
                             return Value::Bool(true);
                         }
-                        return Value::Bool(right.eval(row).is_truthy());
+                        return Value::Bool(right.eval_vals(row).is_truthy());
                     }
                     _ => {}
                 }
-                let l = left.eval(row);
-                let r = right.eval(row);
+                let l = left.eval_vals(row);
+                let r = right.eval_vals(row);
                 eval_binary(&l, *op, &r)
             }
-            PExpr::Neg(e) => match e.eval(row) {
+            PExpr::Neg(e) => match e.eval_vals(row) {
                 Value::Int(i) => Value::Int(-i),
                 Value::Double(d) => Value::Double(-d),
                 _ => Value::Null,
             },
-            PExpr::Not(e) => Value::Bool(!e.eval(row).is_truthy()),
-            PExpr::IsNull { expr, negated } => Value::Bool(expr.eval(row).is_null() != *negated),
+            PExpr::Not(e) => Value::Bool(!e.eval_vals(row).is_truthy()),
+            PExpr::IsNull { expr, negated } => {
+                Value::Bool(expr.eval_vals(row).is_null() != *negated)
+            }
             PExpr::Func { func, args } => {
-                let vals: Vec<Value> = args.iter().map(|a| a.eval(row)).collect();
+                let vals: Vec<Value> = args.iter().map(|a| a.eval_vals(row)).collect();
                 func.eval(&vals)
             }
         }

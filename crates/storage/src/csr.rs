@@ -64,6 +64,11 @@ pub struct CsrGraph {
     pub weights_f: Vec<f64>,
     /// Original `Int` id for each dense vertex id.
     pub orig: Vec<i64>,
+    /// How many vertices the edge rows mention. They own the dense ids below
+    /// this; a seed vertex no edge mentions is interned after them, so a
+    /// graph with `edge_vertices == vertex_count()` is the graph any seed
+    /// list drawn from its own vertices builds.
+    pub edge_vertices: usize,
     /// Precomputed hash partition of each vertex's *original* id — identical
     /// to what the generic path computes for a single-column `Int` key.
     pub part_of: Vec<u32>,
@@ -120,6 +125,7 @@ impl CsrGraph {
                 },
             }
         }
+        let edge_vertices = orig.len();
         for id in extra_vertices {
             intern(id, &mut orig)?;
         }
@@ -188,6 +194,7 @@ impl CsrGraph {
             weights_i,
             weights_f,
             orig,
+            edge_vertices,
             part_of,
             remap,
         })

@@ -39,7 +39,7 @@ cargo run --release -p rasql-bench --bin reproduce -- faults --scale 0.1
 
 # Specialized-kernel gate: the differential suite (kernel vs interpreter must
 # be bit-identical) plus a small-scale bench smoke that still enforces the
-# >= 2x speedup floor on SSSP and CC.
+# speedup floor (bench::KERNEL_SPEEDUP_FLOOR, 1.8x) on every (graph, query).
 cargo test -q -p rasql-core --test kernel_proptests
 cargo run --release -p rasql-bench --bin reproduce -- bench-kernels --scale 0.1
 
@@ -47,7 +47,7 @@ cargo run --release -p rasql-bench --bin reproduce -- bench-kernels --scale 0.1
 # view must refresh bit-identically to a full recompute after withheld
 # inserts (delta-seeded when certified, full fallback with RA0301 otherwise),
 # the differential matview suite must pass, and the small-delta R-MAT refresh
-# must stay >= 5x faster than recomputing.
+# must stay >= 3.3x (bench::IVM_SPEEDUP_FLOOR) faster than recomputing.
 cargo test -q -p rasql-core --test matview_tests
 cargo run --release -p rasql-bench --bin reproduce -- ivm --scale 0.1
 
