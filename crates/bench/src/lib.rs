@@ -891,9 +891,9 @@ pub fn fig13(scale: f64) -> (Table, JsonValue) {
 
 /// The floor `reproduce bench-kernels` gates every (graph, query) ratio of
 /// [`fig13`] on: half the smallest ratio measured at `--scale 0.1` with two
-/// workers when the interpreter's borrowed-tuple path landed (CC 3.69–6.54×,
-/// REACH 8.5–11.8×, SSSP 8.5–16.2× over seven runs; see `BENCH_kernels.json`).
-pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.8;
+/// workers when the kernels' base case became typed seeds (CC 7.37–14.56×,
+/// REACH 10.5–13.1×, SSSP 9.8–14.9× over nine runs; see `BENCH_kernels.json`).
+pub const KERNEL_SPEEDUP_FLOOR: f64 = 3.6;
 
 /// The floor `reproduce ivm` gates the small-delta refresh speedup of [`ivm`]
 /// on, set the same way: 6.6–12.4× over seventeen runs at `--scale 0.1` (the

@@ -1547,6 +1547,7 @@ impl RaSqlContext {
                     },
                 ));
                 text.push_str(&trace.render_iterations());
+                text.push_str(&trace.render_stages());
                 text.push_str(&trace.render_recovery());
                 text.push_str(&trace.render_governance());
                 text.push_str(&format!(

@@ -13,7 +13,9 @@ use rasql_exec::{
 };
 use rasql_parser::ast::AggFunc;
 use rasql_plan::{AggExpr, LogicalPlan, PExpr};
-use rasql_storage::{Catalog, DataType, FxHashMap, FxHashSet, Relation, Row, Schema, Value};
+use rasql_storage::{
+    Catalog, DataType, FxHashMap, FxHashSet, Partitioning, Relation, Row, Schema, Value,
+};
 use std::collections::HashMap;
 use std::sync::Arc;
 use std::time::Instant;
@@ -117,7 +119,7 @@ impl<'a> EvalContext<'a> {
             LogicalPlan::Union { inputs, .. } => {
                 let mut rows = Vec::new();
                 for (i, input) in inputs.iter().enumerate() {
-                    rows.extend(self.eval_node(input, &format!("{path}.{i}"))?.collect());
+                    rows.extend(self.eval_node(input, &format!("{path}.{i}"))?.into_rows());
                 }
                 Ok(Dataset::round_robin(rows, self.partitions))
             }
@@ -149,7 +151,7 @@ impl<'a> EvalContext<'a> {
                 )?)
             }
             LogicalPlan::Sort { input, keys } => {
-                let mut rows = self.eval_node(input, &format!("{path}.0"))?.collect();
+                let mut rows = self.eval_node(input, &format!("{path}.0"))?.into_rows();
                 let keys = keys.clone();
                 rows.sort_by(|a, b| {
                     for &(c, asc) in &keys {
@@ -163,7 +165,7 @@ impl<'a> EvalContext<'a> {
                 Ok(Dataset::single(rows))
             }
             LogicalPlan::Limit { input, n } => {
-                let mut rows = self.eval_node(input, &format!("{path}.0"))?.collect();
+                let mut rows = self.eval_node(input, &format!("{path}.0"))?.into_rows();
                 rows.truncate(*n as usize);
                 Ok(Dataset::single(rows))
             }
@@ -175,55 +177,20 @@ impl<'a> EvalContext<'a> {
     /// first, and the projection its final transform, so no row set is
     /// materialized between the chain's nodes. Only the chain's top node and
     /// its input get operator counters — the nodes between them have no
-    /// output of their own to count. A projection of every input column in
-    /// order (`SELECT *`) changes no row and is skipped; with no filter under
-    /// it the chain is its input, so a full scan stays the table's own buffer.
+    /// output of their own to count. With nothing left to run (see
+    /// [`peel_chain`]) the chain is its input, so a full scan stays the
+    /// table's own buffer.
     fn eval_chain(&self, plan: &LogicalPlan, path: &str) -> Result<Dataset, EngineError> {
-        let mut labels = Vec::new();
-        let mut node = plan;
-        let mut path = path.to_string();
-        let mut project: Option<MapFn> = None;
-        if let LogicalPlan::Projection { input, exprs, .. } = node {
-            node = input;
-            path.push_str(".0");
-            let identity = exprs.len() == input.schema().arity()
-                && exprs.iter().enumerate().all(|(i, e)| *e == PExpr::Col(i));
-            if !identity {
-                labels.push("project");
-                let exprs = exprs.clone();
-                project = Some(Arc::new(move |t: &[Value], out: &mut Vec<Value>| {
-                    out.extend(exprs.iter().map(|e| e.eval_vals(t)));
-                }));
-            }
-        }
-        let mut steps = Vec::new();
-        while let LogicalPlan::Filter { input, predicate } = node {
-            node = input;
-            path.push_str(".0");
-            let pred = predicate.clone();
-            steps.push(PipelineStep::Filter(Arc::new(move |t: &[Value]| {
-                pred.eval_vals(t).is_truthy()
-            })));
-        }
-        if !steps.is_empty() {
-            labels.push("filter");
-        }
-        // Collected top-down; rows meet the innermost filter first.
-        steps.reverse();
-        labels.reverse();
-        let input = self.eval_node(node, &path)?;
-        if labels.is_empty() {
+        let chain = peel_chain(plan, path);
+        let input = self.eval_node(chain.input, &chain.path)?;
+        if chain.labels.is_empty() {
             return Ok(input);
         }
-        let pipeline = match project {
-            Some(project) => Pipeline::with_project(steps, project),
-            None => Pipeline::new(steps),
-        };
-        let fused = self.fused;
+        let (fused, pipeline) = (self.fused, chain.pipeline);
         Ok(input.map_partitions_traced(
             self.cluster,
             self.trace,
-            &labels.join("+"),
+            &chain.labels.join("+"),
             move |_p, rows| {
                 if fused {
                     run_fused(rows, &pipeline)
@@ -232,6 +199,36 @@ impl<'a> EvalContext<'a> {
                 }
             },
         )?)
+    }
+
+    /// Stream a plan's output tuples into values of the caller's choosing,
+    /// one per input partition, without a row ever being built for them: the
+    /// plan's projection/filter chain runs as [`Pipeline::for_each`] over the
+    /// chain's input and every output tuple is lent to `fold`. The input
+    /// itself — a scan, or a join or aggregate evaluated as
+    /// [`EvalContext::eval_ds`] would — is folded where it lives, in one
+    /// stage labelled `label`; an unpartitioned input (`Values`, the constant
+    /// base case of a single-source query) is folded here on the driver and
+    /// costs no stage.
+    pub fn fold_partitions<A: Default + Send + 'static>(
+        &self,
+        plan: &LogicalPlan,
+        label: &str,
+        fold: impl Fn(&mut A, &[Value]) + Send + Sync + 'static,
+    ) -> Result<Vec<A>, EngineError> {
+        let chain = peel_chain(plan, "0");
+        let input = self.eval_node(chain.input, &chain.path)?;
+        let pipeline = chain.pipeline;
+        let run = move |rows: &[Row]| {
+            let mut acc = A::default();
+            pipeline.for_each(rows, &mut |t| fold(&mut acc, t));
+            acc
+        };
+        if matches!(input.partitioning, Partitioning::Single) {
+            return Ok(input.partitions.iter().map(|p| run(p)).collect());
+        }
+        Ok(input
+            .fold_partitions_traced(self.cluster, self.trace, label, move |_p, rows| run(rows))?)
     }
 
     #[allow(clippy::too_many_arguments)]
@@ -328,7 +325,7 @@ impl<'a> EvalContext<'a> {
         let key: Vec<usize> = (0..group_cols).collect();
         let child = if group_cols == 0 {
             // Global aggregate: everything to one partition.
-            Dataset::single(child.collect())
+            Dataset::single(child.into_rows())
         } else {
             child.shuffle_if_needed_combined_traced(
                 self.cluster,
@@ -364,6 +361,63 @@ impl<'a> EvalContext<'a> {
                 groups.iter().map(|(k, accs)| finish_row(k, accs)).collect()
             },
         )?)
+    }
+}
+
+/// A `Projection` over any number of `Filter`s, peeled off the node under it.
+struct Chain<'p> {
+    /// What the chain does to a row, as stage-label parts (`filter`,
+    /// `project`), in execution order; empty when it does nothing.
+    labels: Vec<&'static str>,
+    /// The filters as steps, innermost first, then the projection.
+    pipeline: Pipeline,
+    /// The node the chain reads, and its pre-order path.
+    input: &'p LogicalPlan,
+    path: String,
+}
+
+/// Peel `plan`'s projection/filter chain (either part may be absent) for
+/// [`EvalContext::eval_chain`] and [`EvalContext::fold_partitions`]. A
+/// projection of every input column in order (`SELECT *`) changes no row and
+/// is skipped.
+fn peel_chain<'p>(plan: &'p LogicalPlan, path: &str) -> Chain<'p> {
+    let mut labels = Vec::new();
+    let mut node = plan;
+    let mut path = path.to_string();
+    let mut project: Option<MapFn> = None;
+    if let LogicalPlan::Projection { input, exprs, .. } = node {
+        node = input;
+        path.push_str(".0");
+        let identity = exprs.len() == input.schema().arity()
+            && exprs.iter().enumerate().all(|(i, e)| *e == PExpr::Col(i));
+        if !identity {
+            labels.push("project");
+            let exprs = exprs.clone();
+            project = Some(Arc::new(move |t: &[Value], out: &mut Vec<Value>| {
+                out.extend(exprs.iter().map(|e| e.eval_vals(t)));
+            }));
+        }
+    }
+    let mut steps = Vec::new();
+    while let LogicalPlan::Filter { input, predicate } = node {
+        node = input;
+        path.push_str(".0");
+        let pred = predicate.clone();
+        steps.push(PipelineStep::Filter(Arc::new(move |t: &[Value]| {
+            pred.eval_vals(t).is_truthy()
+        })));
+    }
+    if !steps.is_empty() {
+        labels.push("filter");
+    }
+    // Collected top-down; rows meet the innermost filter first.
+    steps.reverse();
+    labels.reverse();
+    Chain {
+        labels,
+        pipeline: Pipeline { steps, project },
+        input: node,
+        path,
     }
 }
 

@@ -26,9 +26,9 @@ use rasql_exec::join::SortedRun;
 use rasql_exec::pipeline::{KeyFn, MapFn, PredFn};
 use rasql_exec::state::{AggState, MonotoneOp};
 use rasql_exec::{
-    merge_join, run_unfused, scan_delta, scan_delta_set, Broadcast, Cluster, DenseAggState,
-    DenseSetState, ExecError, HashTable, IterationTrace, KernelValue, MaxOp, MergeOp, Metrics,
-    MinOp, Pipeline, PipelineStep, QueryGovernor, RecoveryEvent, RecoveryKind, SetState, StageKind,
+    merge_join, run_unfused, Broadcast, Cluster, Combiner, DenseAggState, DenseSetState,
+    DenseState, ExecError, HashTable, IterationTrace, KernelValue, MaxOp, MergeOp, Metrics, MinOp,
+    Pipeline, PipelineStep, QueryGovernor, RecoveryEvent, RecoveryKind, SetState, StageKind,
     StageTask, SumOp, TraceSink,
 };
 use rasql_parser::ast::AggFunc;
@@ -1863,32 +1863,117 @@ impl<'a> FixpointExecutor<'a> {
     /// the statically selected shape (a non-`Int` vertex id, a mistyped
     /// aggregate value or edge weight) — the caller then falls back to the
     /// generic interpreter, which re-evaluates the base and build plans.
+    /// Every such check happens before any kernel state exists.
     fn run_specialized(
         &self,
         spec: &FixpointSpec,
         kp: &KernelPlan,
     ) -> Result<Option<FixpointResult>, EngineError> {
-        let p = self.config.partitions;
         let v = &spec.views[0];
+        let Some(seeds) = self.kernel_seeds(v, kp)? else {
+            return Ok(None);
+        };
+        let Some((csr, seeds)) = self.kernel_graph(kp, &seeds)? else {
+            return Ok(None);
+        };
+        match (kp.op, kp.scalar) {
+            (KernelOp::Set, _) => {
+                let p = self.config.partitions;
+                let scan = move |g: &CsrGraph, delta: &[u32], sink: &mut Combiner| {
+                    sink.scan::<(), DenseSetState>(g, delta, p, |_, _, dst| dst)
+                };
+                let materialise = |g: &CsrGraph, slab: &DenseSetState, rows: &mut Vec<Row>| {
+                    rows.extend(
+                        slab.iter()
+                            .map(|d| Row::new(vec![Value::Int(g.orig_id(d))])),
+                    );
+                };
+                self.run_kernel::<DenseSetState, ()>(v, kp, &csr, &seeds, scan, materialise)
+                    .map(Some)
+            }
+            (KernelOp::Min, KernelScalar::I64) => {
+                self.run_kernel_agg::<i64, MinOp>(v, kp, &csr, &seeds)
+            }
+            (KernelOp::Min, KernelScalar::F64) => {
+                self.run_kernel_agg::<f64, MinOp>(v, kp, &csr, &seeds)
+            }
+            (KernelOp::Max, KernelScalar::I64) => {
+                self.run_kernel_agg::<i64, MaxOp>(v, kp, &csr, &seeds)
+            }
+            (KernelOp::Max, KernelScalar::F64) => {
+                self.run_kernel_agg::<f64, MaxOp>(v, kp, &csr, &seeds)
+            }
+            (KernelOp::Sum, _) => self.run_kernel_agg::<i64, SumOp>(v, kp, &csr, &seeds),
+        }
+    }
 
-        let base_rows = self.eval_base(v)?;
-        // Every base vertex becomes a CSR seed so it owns a dense id even
-        // when it has no outgoing edges.
-        let mut extras: Vec<i64> = Vec::with_capacity(base_rows.len());
-        for row in &base_rows {
-            match row.get(kp.key_col) {
-                Value::Int(k) => extras.push(*k),
-                _ => return Ok(None),
+    /// The view's base case as typed seeds — `(vertex key, aggregate bits)`,
+    /// in first-occurrence order — streamed out of the base plans with no row
+    /// built for a tuple; `None` when a tuple is not of the kernel's types.
+    /// Base branches combine by set UNION: each input partition drops its own
+    /// exact duplicates, which is all `min`/`max`/set need (they are
+    /// idempotent); `sum` would see a duplicate, so its seeds are also
+    /// deduplicated across partitions and branches.
+    fn kernel_seeds(
+        &self,
+        v: &ViewSpec,
+        kp: &KernelPlan,
+    ) -> Result<Option<Vec<(i64, u64)>>, EngineError> {
+        let (key_col, agg) = (kp.key_col, kp.agg_col.map(|c| (c, kp.scalar)));
+        let mut seeds: Vec<(i64, u64)> = Vec::new();
+        for plan in &v.base {
+            let folds = self.eval.fold_partitions(
+                plan,
+                "kernel seeds",
+                move |f: &mut SeedFold, tuple| {
+                    f.push_seed(tuple, key_col, agg);
+                },
+            )?;
+            for fold in folds {
+                if fold.mistyped {
+                    return Ok(None);
+                }
+                seeds.extend(fold.seeds);
             }
         }
-        // Version-keyed CSR cache: a repeated kernel query against unchanged
-        // edge tables skips both the edge scan and the CSR construction. Seed
-        // vertices get their dense ids after every edge endpoint, so one
-        // seedless entry serves every seed list drawn from the graph's own
-        // vertices; only a list that adds a vertex is keyed by the list.
+        if kp.op == KernelOp::Sum {
+            let mut seen = FxHashSet::default();
+            seeds.retain(|s| seen.insert(*s));
+        }
+        Ok(Some(seeds))
+    }
+
+    /// The clique's CSR graph — out of the version-keyed cache, or built and
+    /// put there — with the seeds resolved to its dense ids (one `remap`
+    /// lookup per seed). A repeated kernel query against unchanged edge
+    /// tables skips both the edge scan and the CSR construction. Seed
+    /// vertices get their dense ids after every edge endpoint, so one
+    /// seedless entry serves every seed list drawn from the graph's own
+    /// vertices; only a list that adds a vertex is keyed by the list, and
+    /// only then is that key computed. `None` when the edge rows are not of
+    /// the kernel's types.
+    fn kernel_graph(
+        &self,
+        kp: &KernelPlan,
+        seeds: &[(i64, u64)],
+    ) -> Result<Option<(Arc<CsrGraph>, DenseSeeds)>, EngineError> {
+        let p = self.config.partitions;
+        let resolve = |g: &CsrGraph| -> Option<DenseSeeds> {
+            seeds
+                .iter()
+                .map(|&(k, bits)| Some((g.dense_id(k)?, bits)))
+                .collect()
+        };
         let mut dep_tables: Vec<String> = Vec::new();
         kp.build.referenced_tables(&mut dep_tables);
-        let keys = self.eval.csr_cache.map(|cache| {
+        let mut keys = None;
+        if let Some(cache) = self.eval.csr_cache {
+            let hit = |key: &str| {
+                let g = cache.get(key)?;
+                let dense = resolve(&g)?;
+                Metrics::add(&self.cluster.metrics.cache_hits, 1);
+                Some((g, dense))
+            };
             let shared = format!(
                 "{}|{}|p{p}|s{}d{}w{:?}",
                 kp.build.cache_text(),
@@ -1897,73 +1982,52 @@ impl<'a> FixpointExecutor<'a> {
                 kp.dst_col,
                 kp.weight,
             );
+            if let Some(found) = hit(&shared) {
+                return Ok(Some(found));
+            }
+            // The keys of the deduplicated base rows, in order.
             use std::hash::{Hash, Hasher};
+            let mut seen = FxHashSet::default();
+            let extras: Vec<i64> = seeds
+                .iter()
+                .filter(|s| seen.insert(**s))
+                .map(|s| s.0)
+                .collect();
             let mut h = std::collections::hash_map::DefaultHasher::new();
             extras.hash(&mut h);
             let seeded = format!("{shared}|x{:016x}", h.finish());
-            (cache, shared, seeded)
-        });
-        let cached = keys.as_ref().and_then(|(cache, shared, seeded)| {
-            let known = |g: &Arc<CsrGraph>| extras.iter().all(|&v| g.dense_id(v).is_some());
-            cache
-                .get(shared)
-                .filter(known)
-                .or_else(|| cache.get(seeded))
-        });
-        let csr: Arc<CsrGraph> = match cached {
-            Some(hit) => {
-                Metrics::add(&self.cluster.metrics.cache_hits, 1);
-                hit
+            if let Some(found) = hit(&seeded) {
+                return Ok(Some(found));
             }
-            None => {
-                let edges = self.eval.evaluate(&kp.build)?;
-                let Some(csr) =
-                    CsrGraph::build(edges.rows(), kp.src_col, kp.dst_col, kp.weight, extras, p)
-                else {
-                    return Ok(None);
-                };
-                let csr = Arc::new(csr);
-                if let Some((cache, shared, seeded)) = keys {
-                    let seedless = csr.edge_vertices == csr.vertex_count();
-                    let key = if seedless { shared } else { seeded };
-                    cache.put(key, dep_tables, Arc::clone(&csr));
-                }
-                csr
-            }
-        };
-        match (kp.op, kp.scalar) {
-            (KernelOp::Set, _) => self.run_kernel_set(v, kp, &csr, &base_rows),
-            (KernelOp::Min, KernelScalar::I64) => {
-                self.run_kernel_agg::<i64, MinOp>(v, kp, &csr, &base_rows)
-            }
-            (KernelOp::Min, KernelScalar::F64) => {
-                self.run_kernel_agg::<f64, MinOp>(v, kp, &csr, &base_rows)
-            }
-            (KernelOp::Max, KernelScalar::I64) => {
-                self.run_kernel_agg::<i64, MaxOp>(v, kp, &csr, &base_rows)
-            }
-            (KernelOp::Max, KernelScalar::F64) => {
-                self.run_kernel_agg::<f64, MaxOp>(v, kp, &csr, &base_rows)
-            }
-            (KernelOp::Sum, _) => self.run_kernel_agg::<i64, SumOp>(v, kp, &csr, &base_rows),
+            keys = Some((cache, shared, seeded));
         }
+        let edges = self.eval.evaluate(&kp.build)?;
+        let extras = seeds.iter().map(|s| s.0);
+        let Some(csr) = CsrGraph::build(edges.rows(), kp.src_col, kp.dst_col, kp.weight, extras, p)
+        else {
+            return Ok(None);
+        };
+        let csr = Arc::new(csr);
+        if let Some((cache, shared, seeded)) = keys {
+            let seedless = csr.edge_vertices == csr.vertex_count();
+            let key = if seedless { shared } else { seeded };
+            cache.put(key, dep_tables, Arc::clone(&csr));
+        }
+        Ok(resolve(&csr).map(|dense| (csr, dense)))
     }
 
-    /// The monomorphized aggregate kernel loop: one combined stage per round,
-    /// merging pending `(vertex, value)` pairs into dense slabs and scanning
-    /// the fresh delta against the broadcast CSR graph. Mirrors
-    /// `run_semi_naive`'s combined mode round-for-round — same iteration
-    /// counting, same closing-round bookkeeping, same shuffle accounting for
-    /// worker-crossing contributions.
+    /// The aggregate kernels: [`FixpointExecutor::run_kernel`] over
+    /// [`DenseAggState`], scanning with the plan's per-edge transform and
+    /// materializing `(vertex, total)` rows.
     fn run_kernel_agg<T, Op>(
         &self,
         v: &ViewSpec,
         kp: &KernelPlan,
         csr: &Arc<CsrGraph>,
-        base_rows: &[Row],
+        seeds: &[(u32, u64)],
     ) -> Result<Option<FixpointResult>, EngineError>
     where
-        T: KernelScalarExt,
+        T: KernelValue,
         Op: MergeOp<T>,
     {
         let p = self.config.partitions;
@@ -1972,61 +2036,123 @@ impl<'a> FixpointExecutor<'a> {
             // interpreter is strictly safer than panicking mid-query.
             return Ok(None);
         };
-        let edge_op: EdgeOp<T> = match &kp.edge_fn {
-            KernelEdgeFn::Identity => EdgeOp::Identity,
-            KernelEdgeFn::AddWeight => EdgeOp::AddWeight,
+        let edge_fn = kp.edge_fn.clone();
+        let add = match &edge_fn {
             KernelEdgeFn::AddConst(lit) => match T::from_const(lit) {
-                Some(c) => EdgeOp::AddConst(c),
+                Some(c) => c,
                 None => return Ok(None),
             },
-            KernelEdgeFn::MinWeight => EdgeOp::MinWeight,
+            _ => T::zero(),
         };
-        // Convert base rows to dense pairs, bucketed exactly where the
-        // generic partitioner would send them.
-        let mut base: Vec<Vec<(u32, T)>> = vec![Vec::new(); p];
-        for row in base_rows {
-            let Value::Int(k) = row.get(kp.key_col) else {
-                return Ok(None);
-            };
-            let Some(val) = T::from_value(row.get(agg_col)) else {
-                return Ok(None);
-            };
-            let Some(d) = csr.dense_id(*k) else {
-                return Ok(None);
-            };
-            base[csr.part_of[d as usize] as usize].push((d, val));
+        // One monomorphized walk per edge transform: no `Value` dispatch and
+        // no branch on the transform inside the loop.
+        let scan = move |g: &CsrGraph, delta: &[(u32, T)], sink: &mut Combiner| {
+            let ws = T::weights(g);
+            match edge_fn {
+                KernelEdgeFn::Identity => {
+                    sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), _, dst| (dst, val))
+                }
+                KernelEdgeFn::AddWeight => {
+                    sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), e, dst| {
+                        (dst, T::add(val, ws[e]))
+                    })
+                }
+                KernelEdgeFn::AddConst(_) => {
+                    sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), _, dst| {
+                        (dst, T::add(val, add))
+                    })
+                }
+                KernelEdgeFn::MinWeight => {
+                    sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), e, dst| {
+                        (dst, if T::lt(ws[e], val) { ws[e] } else { val })
+                    })
+                }
+            }
+        };
+        let (key_col, arity) = (kp.key_col, v.schema.arity());
+        let materialise = move |g: &CsrGraph, slab: &DenseAggState<T>, rows: &mut Vec<Row>| {
+            rows.extend(slab.iter().map(|(d, val)| {
+                let mut vals = vec![Value::Null; arity];
+                vals[key_col] = Value::Int(g.orig_id(d));
+                vals[agg_col] = val.to_value();
+                Row::new(vals)
+            }));
+        };
+        self.run_kernel::<DenseAggState<T>, Op>(v, kp, csr, seeds, scan, materialise)
+            .map(Some)
+    }
+
+    /// The kernel round loop, written once over [`DenseState`]: one combined
+    /// stage per round, in which task `part` merges what the previous round's
+    /// tasks produced for it into its dense slab and scans the fresh delta
+    /// against the broadcast CSR graph, combining map-side (Algorithm 5).
+    /// Mirrors `run_semi_naive`'s combined mode round-for-round — same
+    /// iteration counting, same closing-round bookkeeping, same shuffle
+    /// accounting for worker-crossing contributions. `scan` and
+    /// `materialise` are all that differs between kernels.
+    fn run_kernel<S, Op>(
+        &self,
+        v: &ViewSpec,
+        kp: &KernelPlan,
+        csr: &Arc<CsrGraph>,
+        seeds: &[(u32, u64)],
+        scan: impl Fn(&CsrGraph, &[S::Item], &mut Combiner) -> Vec<Vec<S::Item>> + Send + Sync + 'static,
+        materialise: impl Fn(&CsrGraph, &S, &mut Vec<Row>),
+    ) -> Result<FixpointResult, EngineError>
+    where
+        S: DenseState<Op>,
+    {
+        let p = self.config.partitions;
+        let n = csr.vertex_count();
+        // Pre-combine the seeds through a scratch state, in first-touch
+        // order, and bucket them exactly where the generic partitioner would
+        // send them: one item per seeded vertex.
+        let mut base: Vec<Vec<S::Item>> = vec![Vec::new(); p];
+        {
+            let mut scratch = S::new(n);
+            for &(d, bits) in seeds {
+                scratch.merge(S::item(d, bits), 0);
+            }
+            for item in scratch.take_delta(true) {
+                base[csr.part_of[S::vertex(item) as usize] as usize].push(item);
+            }
         }
 
-        let n = csr.vertex_count();
-        let payload = csr.size_bytes();
+        // §7.2: the graph is broadcast once and every worker reads that one
+        // copy. `broadcast_bytes` and the governor's transient charge model
+        // the network (`payload × workers`), not a memcpy.
+        let sink = self.eval.trace;
         let bc = {
-            let src = Arc::clone(csr);
+            let graph = Arc::clone(csr);
             Arc::new(
                 Broadcast::distribute_traced(
                     self.cluster,
-                    None,
-                    payload,
-                    move |_w| src.as_ref().clone(),
+                    sink,
+                    csr.size_bytes(),
+                    move |_w| Arc::clone(&graph),
                     self.eval.governor,
                 )
                 .map_err(EngineError::Exec)?,
             )
         };
-        let slabs: Arc<Vec<RankedMutex<DenseAggState<T>>>> = Arc::new(
+        let parts: Arc<Vec<RankedMutex<(S, Combiner)>>> = Arc::new(
             (0..p)
-                .map(|_| RankedMutex::new(LockRank::FixpointState, DenseAggState::new(n)))
+                .map(|_| RankedMutex::new(LockRank::FixpointState, (S::new(n), Combiner::new(n))))
                 .collect(),
         );
+        let scan = Arc::new(scan);
         let totals = kp.totals_delta;
-        let sink = self.eval.trace;
         if let Some(s) = sink {
             s.begin_clique_kernel(vec![v.name.clone()], "specialized", kp.name);
         }
 
-        let mut contributions = base.clone();
+        // The exchange: last round's task outputs as they are, `[src][dst]`.
+        // Task `part` merges `pending[src][part]` for every `src` in order —
+        // the order concatenating them would produce.
+        let mut pending = Arc::new(vec![base.clone()]);
         let mut round: u32 = 0;
         // Reset-and-rerun recovery (the decomposed path's model): dense slabs
-        // take no round-boundary snapshots, but the base pairs are immutable,
+        // take no round-boundary snapshots, but the base items are immutable,
         // so a lost stage wipes the state and restarts from round 0.
         let mut reruns_left = if self.config.checkpoint_interval > 0 {
             RESTORE_BUDGET
@@ -2034,7 +2160,7 @@ impl<'a> FixpointExecutor<'a> {
             0
         };
         let mut gov_charge: u64 = 0;
-        let iterations = loop {
+        let (iterations, total_rows) = loop {
             self.check_cancel()?;
             round += 1;
             if round > self.config.max_iterations {
@@ -2045,41 +2171,22 @@ impl<'a> FixpointExecutor<'a> {
             }
             Metrics::add(&self.cluster.metrics.iterations, 1);
             let round_t0 = Instant::now();
-            let pending = Arc::new(contributions);
-            let tasks: Vec<StageTask<ScanTaskOut<T>>> = (0..p)
+            let tasks: Vec<StageTask<ScanTaskOut<S::Item>>> = (0..p)
                 .map(|part| {
                     let pending = Arc::clone(&pending);
-                    let slabs = Arc::clone(&slabs);
+                    let parts = Arc::clone(&parts);
                     let bc = Arc::clone(&bc);
+                    let scan = Arc::clone(&scan);
                     StageTask::new(part % self.cluster.workers(), move |w| {
-                        let mut slab = slabs[part].lock();
-                        for &(d, c) in &pending[part] {
-                            slab.merge::<Op>(d, c, round - 1);
+                        let mut guard = parts[part].lock();
+                        let (slab, combiner) = &mut *guard;
+                        for src in pending.iter() {
+                            for &item in &src[part] {
+                                slab.merge(item, round - 1);
+                            }
                         }
                         let delta = slab.take_delta(totals);
-                        drop(slab);
-                        let g: &CsrGraph = bc.on_worker(w);
-                        let mut out: Vec<Vec<(u32, T)>> = vec![Vec::new(); p];
-                        match edge_op {
-                            EdgeOp::Identity => scan_delta(g, &delta, |val, _| val, &mut out),
-                            EdgeOp::AddWeight => {
-                                let ws = T::weights(g);
-                                scan_delta(g, &delta, |val, e| T::add(val, ws[e]), &mut out);
-                            }
-                            EdgeOp::AddConst(c) => {
-                                scan_delta(g, &delta, |val, _| T::add(val, c), &mut out);
-                            }
-                            EdgeOp::MinWeight => {
-                                let ws = T::weights(g);
-                                scan_delta(
-                                    g,
-                                    &delta,
-                                    |val, e| if T::lt(ws[e], val) { ws[e] } else { val },
-                                    &mut out,
-                                );
-                            }
-                        }
-                        (delta.len() as u64, out)
+                        (delta.len() as u64, scan(bc.on_worker(w), &delta, combiner))
                     })
                 })
                 .collect();
@@ -2095,10 +2202,10 @@ impl<'a> FixpointExecutor<'a> {
                         return Err(EngineError::Exec(e));
                     }
                     reruns_left -= 1;
-                    for s in slabs.iter() {
-                        s.lock().clear();
+                    for part in parts.iter() {
+                        part.lock().0.clear();
                     }
-                    contributions = base.clone();
+                    pending = Arc::new(vec![base.clone()]);
                     round = 0;
                     Metrics::add(&self.cluster.metrics.restores, 1);
                     if let Some(s) = sink {
@@ -2114,44 +2221,33 @@ impl<'a> FixpointExecutor<'a> {
             };
 
             let delta_rows: u64 = results.iter().map(|(n, _)| *n).sum();
-            let total_rows: u64 = slabs.iter().map(|s| s.lock().len() as u64).sum();
+            let (mut total_rows, mut footprint) = (0u64, 0u64);
+            for part in parts.iter() {
+                let guard = part.lock();
+                total_rows += guard.0.len() as u64;
+                footprint += guard.0.size_bytes() + guard.1.size_bytes();
+            }
             if let Some(g) = self.eval.governor {
                 // Dense slabs are the kernel's resident state: keep the
                 // tracker's charge equal to their current footprint.
-                let now: u64 = slabs.iter().map(|s| s.lock().size_bytes()).sum();
-                if now >= gov_charge {
-                    g.tracker().charge(now - gov_charge);
+                if footprint >= gov_charge {
+                    g.tracker().charge(footprint - gov_charge);
                 } else {
-                    g.tracker().release(gov_charge - now);
+                    g.tracker().release(gov_charge - footprint);
                 }
-                gov_charge = now;
+                gov_charge = footprint;
             }
-            if delta_rows == 0 {
-                // Closing round: every partition merged an empty delta.
-                if let Some(s) = sink {
-                    s.record_iteration(IterationTrace {
-                        round,
-                        delta_rows: 0,
-                        total_rows,
-                        stages: 1,
-                        shuffle_rows: 0,
-                        shuffle_bytes: 0,
-                        elapsed_us: round_t0.elapsed().as_micros() as u64,
-                    });
-                }
-                break round - 1;
-            }
-            let mut next: Vec<Vec<(u32, T)>> = vec![Vec::new(); p];
-            let mut moved_rows = 0u64;
-            let mut moved_bytes = 0u64;
-            let pair_bytes = std::mem::size_of::<(u32, T)>() as u64;
-            for (src_part, (_, out)) in results.into_iter().enumerate() {
-                for (dst_part, pairs) in out.into_iter().enumerate() {
+            // The driver moves nothing: it only counts what crosses workers.
+            // (A closing round — every partition merged an empty delta —
+            // scanned nothing, so it counts zero.)
+            let (mut moved_rows, mut moved_bytes) = (0u64, 0u64);
+            let item_bytes = std::mem::size_of::<S::Item>() as u64;
+            for (src_part, (_, out)) in results.iter().enumerate() {
+                for (dst_part, items) in out.iter().enumerate() {
                     if self.cluster.owner_of(src_part) != self.cluster.owner_of(dst_part) {
-                        moved_rows += pairs.len() as u64;
-                        moved_bytes += pairs.len() as u64 * pair_bytes;
+                        moved_rows += items.len() as u64;
+                        moved_bytes += items.len() as u64 * item_bytes;
                     }
-                    next[dst_part].extend(pairs);
                 }
             }
             Metrics::add(&self.cluster.metrics.shuffle_rows, moved_rows);
@@ -2167,7 +2263,10 @@ impl<'a> FixpointExecutor<'a> {
                     elapsed_us: round_t0.elapsed().as_micros() as u64,
                 });
             }
-            contributions = next;
+            if delta_rows == 0 {
+                break (round - 1, total_rows);
+            }
+            pending = Arc::new(results.into_iter().map(|(_, out)| out).collect());
         };
         if let Some(g) = self.eval.governor {
             g.tracker().release(gov_charge);
@@ -2177,280 +2276,53 @@ impl<'a> FixpointExecutor<'a> {
         }
 
         // Materialize: a vertex is occupied only in its owner partition.
-        let arity = v.schema.arity();
-        let mut rows: Vec<Row> = Vec::new();
-        for part in slabs.iter() {
-            let slab = part.lock();
-            for (d, val) in slab.iter() {
-                let mut vals = vec![Value::Null; arity];
-                vals[kp.key_col] = Value::Int(csr.orig_id(d));
-                vals[agg_col] = val.to_value();
-                rows.push(Row::new(vals));
-            }
+        let mut rows: Vec<Row> = Vec::with_capacity(total_rows as usize);
+        for part in parts.iter() {
+            materialise(csr, &part.lock().0, &mut rows);
         }
-        Ok(Some(FixpointResult {
+        Ok(FixpointResult {
             views: vec![Relation::new_unchecked(v.schema.clone(), rows)],
             iterations,
-        }))
+        })
     }
+}
 
-    /// Set-semantics sibling of [`FixpointExecutor::run_kernel_agg`]:
-    /// membership propagation over the broadcast CSR graph (reachability).
-    fn run_kernel_set(
-        &self,
-        v: &ViewSpec,
-        kp: &KernelPlan,
-        csr: &Arc<CsrGraph>,
-        base_rows: &[Row],
-    ) -> Result<Option<FixpointResult>, EngineError> {
-        let p = self.config.partitions;
-        let mut base: Vec<Vec<u32>> = vec![Vec::new(); p];
-        for row in base_rows {
-            let Value::Int(k) = row.get(kp.key_col) else {
-                return Ok(None);
-            };
-            let Some(d) = csr.dense_id(*k) else {
-                return Ok(None);
-            };
-            base[csr.part_of[d as usize] as usize].push(d);
-        }
+/// What a kernel scan task returns: the delta row count it consumed plus its
+/// combined contributions, bucketed by destination partition.
+type ScanTaskOut<I> = (u64, Vec<Vec<I>>);
 
-        let n = csr.vertex_count();
-        let payload = csr.size_bytes();
-        let bc = {
-            let src = Arc::clone(csr);
-            Arc::new(
-                Broadcast::distribute_traced(
-                    self.cluster,
-                    None,
-                    payload,
-                    move |_w| src.as_ref().clone(),
-                    self.eval.governor,
-                )
-                .map_err(EngineError::Exec)?,
-            )
+/// A kernel's base-case seeds resolved to a graph's dense ids:
+/// `(vertex, aggregate bits)`.
+type DenseSeeds = Vec<(u32, u64)>;
+
+/// One input partition's share of a kernel's base case: typed seeds in
+/// first-occurrence order, exact duplicates dropped.
+#[derive(Default)]
+struct SeedFold {
+    seen: FxHashSet<(i64, u64)>,
+    seeds: Vec<(i64, u64)>,
+    /// A tuple's key was not `Int`, or its aggregate not of the slab's type.
+    mistyped: bool,
+}
+
+impl SeedFold {
+    /// The fold's sink: one borrowed base tuple, checked and kept as
+    /// `(key, aggregate bits)` — `agg` names the aggregate column and the
+    /// slab's scalar type, `None` for a set kernel.
+    fn push_seed(&mut self, tuple: &[Value], key_col: usize, agg: Option<(usize, KernelScalar)>) {
+        let bits = match agg {
+            None => Some(0),
+            Some((c, KernelScalar::I64)) => i64::from_value(&tuple[c]).map(KernelValue::to_bits),
+            Some((c, KernelScalar::F64)) => f64::from_value(&tuple[c]).map(KernelValue::to_bits),
         };
-        let slabs: Arc<Vec<RankedMutex<DenseSetState>>> = Arc::new(
-            (0..p)
-                .map(|_| RankedMutex::new(LockRank::FixpointState, DenseSetState::new(n)))
-                .collect(),
-        );
-        let sink = self.eval.trace;
-        if let Some(s) = sink {
-            s.begin_clique_kernel(vec![v.name.clone()], "specialized", kp.name);
-        }
-
-        let mut contributions = base.clone();
-        let mut round: u32 = 0;
-        let mut reruns_left = if self.config.checkpoint_interval > 0 {
-            RESTORE_BUDGET
-        } else {
-            0
-        };
-        let mut gov_charge: u64 = 0;
-        let iterations = loop {
-            self.check_cancel()?;
-            round += 1;
-            if round > self.config.max_iterations {
-                return Err(EngineError::NonTermination {
-                    view: v.name.clone(),
-                    iterations: self.config.max_iterations,
-                });
-            }
-            Metrics::add(&self.cluster.metrics.iterations, 1);
-            let round_t0 = Instant::now();
-            let pending = Arc::new(contributions);
-            let tasks: Vec<StageTask<(u64, Vec<Vec<u32>>)>> = (0..p)
-                .map(|part| {
-                    let pending = Arc::clone(&pending);
-                    let slabs = Arc::clone(&slabs);
-                    let bc = Arc::clone(&bc);
-                    StageTask::new(part % self.cluster.workers(), move |w| {
-                        let mut slab = slabs[part].lock();
-                        for &d in &pending[part] {
-                            slab.insert(d);
-                        }
-                        let delta = slab.take_delta();
-                        drop(slab);
-                        let g: &CsrGraph = bc.on_worker(w);
-                        let mut out: Vec<Vec<u32>> = vec![Vec::new(); p];
-                        scan_delta_set(g, &delta, &mut out);
-                        (delta.len() as u64, out)
-                    })
-                })
-                .collect();
-            let results = match self.cluster.run_stage_traced(
-                sink,
-                "fixpoint kernel",
-                StageKind::Combined,
-                tasks,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    if reruns_left == 0 {
-                        return Err(EngineError::Exec(e));
-                    }
-                    reruns_left -= 1;
-                    for s in slabs.iter() {
-                        s.lock().clear();
-                    }
-                    contributions = base.clone();
-                    round = 0;
-                    Metrics::add(&self.cluster.metrics.restores, 1);
-                    if let Some(s) = sink {
-                        s.record_recovery(RecoveryEvent {
-                            kind: RecoveryKind::Restore,
-                            stage: v.name.clone(),
-                            round: 0,
-                            detail: format!("kernel state reset to empty; rerunning after: {e}"),
-                        });
-                    }
-                    continue;
-                }
-            };
-
-            let delta_rows: u64 = results.iter().map(|(n, _)| *n).sum();
-            let total_rows: u64 = slabs.iter().map(|s| s.lock().len() as u64).sum();
-            if let Some(g) = self.eval.governor {
-                // Dense slabs are the kernel's resident state: keep the
-                // tracker's charge equal to their current footprint.
-                let now: u64 = slabs.iter().map(|s| s.lock().size_bytes()).sum();
-                if now >= gov_charge {
-                    g.tracker().charge(now - gov_charge);
-                } else {
-                    g.tracker().release(gov_charge - now);
-                }
-                gov_charge = now;
-            }
-            if delta_rows == 0 {
-                if let Some(s) = sink {
-                    s.record_iteration(IterationTrace {
-                        round,
-                        delta_rows: 0,
-                        total_rows,
-                        stages: 1,
-                        shuffle_rows: 0,
-                        shuffle_bytes: 0,
-                        elapsed_us: round_t0.elapsed().as_micros() as u64,
-                    });
-                }
-                break round - 1;
-            }
-            let mut next: Vec<Vec<u32>> = vec![Vec::new(); p];
-            let mut moved_rows = 0u64;
-            let mut moved_bytes = 0u64;
-            for (src_part, (_, out)) in results.into_iter().enumerate() {
-                for (dst_part, ids) in out.into_iter().enumerate() {
-                    if self.cluster.owner_of(src_part) != self.cluster.owner_of(dst_part) {
-                        moved_rows += ids.len() as u64;
-                        moved_bytes += ids.len() as u64 * 4;
-                    }
-                    next[dst_part].extend(ids);
+        match (&tuple[key_col], bits) {
+            (Value::Int(k), Some(bits)) => {
+                if self.seen.insert((*k, bits)) {
+                    self.seeds.push((*k, bits));
                 }
             }
-            Metrics::add(&self.cluster.metrics.shuffle_rows, moved_rows);
-            Metrics::add(&self.cluster.metrics.shuffle_bytes, moved_bytes);
-            if let Some(s) = sink {
-                s.record_iteration(IterationTrace {
-                    round,
-                    delta_rows,
-                    total_rows,
-                    stages: 1,
-                    shuffle_rows: moved_rows,
-                    shuffle_bytes: moved_bytes,
-                    elapsed_us: round_t0.elapsed().as_micros() as u64,
-                });
-            }
-            contributions = next;
-        };
-        if let Some(g) = self.eval.governor {
-            g.tracker().release(gov_charge);
+            _ => self.mistyped = true,
         }
-        if let Some(s) = sink {
-            s.end_clique(iterations);
-        }
-
-        let mut rows: Vec<Row> = Vec::new();
-        for part in slabs.iter() {
-            let slab = part.lock();
-            for d in slab.iter() {
-                rows.push(Row::new(vec![Value::Int(csr.orig_id(d))]));
-            }
-        }
-        Ok(Some(FixpointResult {
-            views: vec![Relation::new_unchecked(v.schema.clone(), rows)],
-            iterations,
-        }))
-    }
-}
-
-/// What a specialized scan task returns: the delta row count it consumed plus
-/// per-partition `(dense dst, contribution)` buckets for the next round.
-type ScanTaskOut<T> = (u64, Vec<Vec<(u32, T)>>);
-
-/// Per-edge contribution transform, resolved to the slab scalar type so the
-/// kernel's inner loop is free of `Value` dispatch.
-#[derive(Clone, Copy)]
-enum EdgeOp<T> {
-    Identity,
-    AddWeight,
-    AddConst(T),
-    MinWeight,
-}
-
-/// Slab-scalar plumbing private to the kernel runner: *strict* conversions
-/// between [`Value`] and the slab type (any mismatch aborts the kernel and
-/// falls back to the interpreter) plus access to the CSR weight slab.
-trait KernelScalarExt: KernelValue {
-    /// Convert a state value; `None` unless the value is exactly this type.
-    fn from_value(v: &Value) -> Option<Self>;
-    /// Convert an additive literal; `f64` also accepts `Int` (the promotion
-    /// [`Value::add`] performs).
-    fn from_const(v: &Value) -> Option<Self>;
-    /// Convert back for materialization.
-    fn to_value(self) -> Value;
-    /// The CSR weight slab of this scalar type.
-    fn weights(csr: &CsrGraph) -> &[Self];
-}
-
-impl KernelScalarExt for i64 {
-    fn from_value(v: &Value) -> Option<i64> {
-        match v {
-            Value::Int(i) => Some(*i),
-            _ => None,
-        }
-    }
-    fn from_const(v: &Value) -> Option<i64> {
-        Self::from_value(v)
-    }
-    fn to_value(self) -> Value {
-        Value::Int(self)
-    }
-    fn weights(csr: &CsrGraph) -> &[i64] {
-        &csr.weights_i
-    }
-}
-
-impl KernelScalarExt for f64 {
-    fn from_value(v: &Value) -> Option<f64> {
-        match v {
-            Value::Double(d) => Some(*d),
-            _ => None,
-        }
-    }
-    fn from_const(v: &Value) -> Option<f64> {
-        match v {
-            Value::Double(d) => Some(*d),
-            #[allow(clippy::cast_precision_loss)]
-            Value::Int(i) => Some(*i as f64),
-            _ => None,
-        }
-    }
-    fn to_value(self) -> Value {
-        Value::Double(self)
-    }
-    fn weights(csr: &CsrGraph) -> &[f64] {
-        &csr.weights_f
     }
 }
 

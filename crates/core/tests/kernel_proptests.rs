@@ -124,6 +124,84 @@ proptest! {
     }
 }
 
+/// A min-label kernel query over `edge` whose base case is `base`.
+fn labels_from(base: &str) -> String {
+    format!(
+        "WITH recursive lab (V, min() AS L) AS ({base}) UNION \
+           (SELECT edge.Dst, lab.L FROM lab, edge WHERE lab.V = edge.Src) \
+         SELECT V, L FROM lab"
+    )
+}
+
+/// `seedt(K, V)`: one seed per vertex below `n`, the schema all `Int`, and
+/// `last` as the table's final row — so the final input partition's.
+fn seed_table(n: i64, last: Vec<Value>) -> Relation {
+    let schema = Schema::new(vec![("K", DataType::Int), ("V", DataType::Int)]);
+    let mut rows: Vec<Row> = (0..n)
+        .map(|k| Row::new(vec![Value::Int(k), Value::Int(k)]))
+        .collect();
+    rows.push(Row::new(last));
+    Relation::new_unchecked(schema, rows)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// Base branches combine by set UNION: two branches (and, within each,
+    /// one tuple per out-edge) emit the same `(key, 1)` row, which a `sum`
+    /// kernel must count once — across branches and input partitions.
+    #[test]
+    fn sum_kernel_dedups_seeds_across_union_branches(n in 8usize..120, seed in 0u64..1000) {
+        let sql = "WITH recursive cp (Dst, sum() AS Cnt) AS \
+                     (SELECT Src, 1 FROM edge WHERE Src < 40) UNION \
+                     (SELECT Src, 1 FROM edge WHERE Src > 10) UNION \
+                     (SELECT edge.Dst, cp.Cnt FROM cp, edge WHERE cp.Dst = edge.Src) \
+                   SELECT Dst, Cnt FROM cp";
+        assert_differential(&[("edge", dag_rmat(n, seed))], sql, "csr_sum_i64");
+    }
+
+    /// A filtered projection streams through the seed fold's pipeline.
+    #[test]
+    fn filtered_projection_base_matches_generic(n in 8usize..150, seed in 0u64..1000) {
+        let edges = rasql_datagen::rmat(n, rasql_datagen::RmatConfig::default(), seed);
+        let sql = labels_from("SELECT Src, Src + Dst FROM edge WHERE Dst > 3 AND Src < 100");
+        assert_differential(&[("edge", edges)], &sql, "csr_min_i64");
+    }
+
+    /// A join is evaluated as ever and its rows are lent to the same fold.
+    #[test]
+    fn join_base_matches_generic(n in 8usize..100, seed in 0u64..1000) {
+        let edges = rasql_datagen::rmat(n, rasql_datagen::RmatConfig::default(), seed);
+        let sql = labels_from("SELECT a.Src, b.Dst FROM edge a, edge b WHERE a.Dst = b.Src");
+        assert_differential(&[("edge", edges)], &sql, "csr_min_i64");
+    }
+
+    /// A `Str` key or a mistyped aggregate in the last input partition is
+    /// found by the seed fold before any kernel state exists: the interpreter
+    /// answers, and no kernel clique is in the trace.
+    #[test]
+    fn mistyped_seed_in_the_last_partition_falls_back(
+        n in 8usize..100,
+        seed in 0u64..1000,
+        str_key in any::<bool>(),
+    ) {
+        let edges = rasql_datagen::rmat(n, rasql_datagen::RmatConfig::default(), seed);
+        let last = if str_key {
+            vec![Value::str("x"), Value::Int(0)]
+        } else {
+            vec![Value::Int(1), Value::Double(0.5)]
+        };
+        let tables = [("edge", edges), ("seedt", seed_table(n as i64, last))];
+        let sql = labels_from("SELECT K, V FROM seedt");
+        assert_differential(&tables, &sql, "generic");
+        let trace = run(EngineConfig::rasql(), &tables, &sql).trace.unwrap();
+        prop_assert!(trace.cliques.iter().all(|c| c.kernel == "generic"));
+        // Without the odd row the same statement does select the kernel.
+        let clean = [tables[0].clone(), ("seedt", seed_table(n as i64, vec![Value::Int(0), Value::Int(0)]))];
+        assert_differential(&clean, &sql, "csr_min_i64");
+    }
+}
+
 fn int_rel(cols: &[&str], rows: &[&[i64]]) -> Relation {
     let schema = Schema::new(
         cols.iter()

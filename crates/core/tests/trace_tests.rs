@@ -251,3 +251,153 @@ fn query_carries_rows_and_stats_together() {
     assert!(!result.stats.iterations.is_empty());
     assert!(result.stats.query_id > 0);
 }
+
+/// `(round, delta_rows, total_rows, shuffle_rows)` of one kernel fixpoint.
+type Rounds = [(u32, u64, u64, u64)];
+
+/// A kernel query stays dense from seed to result, and the trace shows it:
+/// the base case is at most one `kernel seeds` stage (none for a constant
+/// source), the graph is broadcast exactly once, and every round is one
+/// `fixpoint kernel` stage. The rounds themselves — numbers, delta and state
+/// sizes — are those of the engine before the seeds were typed and the scan
+/// combined map-side (Algorithm 5), recorded here with its shuffle volume,
+/// which no round may exceed.
+#[test]
+fn kernel_queries_pin_their_stages_and_rounds() {
+    let plain = rasql_datagen::rmat(200, rasql_datagen::RmatConfig::default(), 9);
+    let weighted_config = rasql_datagen::RmatConfig {
+        weighted: true,
+        ..Default::default()
+    };
+    let weighted = rasql_datagen::rmat(200, weighted_config, 5);
+    let forward = weighted
+        .rows()
+        .iter()
+        .filter(|r| r[0].as_int().unwrap() < r[1].as_int().unwrap())
+        .cloned()
+        .collect();
+    let dag = Relation::try_new(weighted.schema().clone(), forward).unwrap();
+
+    let cases: [(&str, Relation, String, usize, &Rounds); 4] = [
+        (
+            "csr_min_i64",
+            plain.clone(),
+            library::cc(),
+            1,
+            &[
+                (1, 182, 182, 1002),
+                (2, 195, 200, 938),
+                (3, 114, 200, 346),
+                (4, 6, 200, 7),
+                (5, 0, 200, 0),
+            ],
+        ),
+        (
+            "csr_min_f64",
+            weighted,
+            library::sssp(1),
+            0,
+            &[
+                (1, 1, 1, 21),
+                (2, 44, 45, 272),
+                (3, 151, 173, 767),
+                (4, 133, 199, 555),
+                (5, 85, 199, 376),
+                (6, 44, 199, 206),
+                (7, 21, 199, 60),
+                (8, 5, 199, 18),
+                (9, 0, 199, 0),
+            ],
+        ),
+        (
+            "csr_set",
+            plain,
+            library::reach(1),
+            0,
+            &[
+                (1, 1, 1, 27),
+                (2, 46, 47, 370),
+                (3, 136, 183, 583),
+                (4, 16, 199, 21),
+                (5, 0, 199, 0),
+            ],
+        ),
+        (
+            "csr_sum_i64",
+            dag,
+            library::count_paths(1),
+            0,
+            &[
+                (1, 1, 1, 21),
+                (2, 44, 45, 144),
+                (3, 140, 158, 313),
+                (4, 173, 189, 310),
+                (5, 176, 190, 314),
+                (6, 172, 190, 274),
+                (7, 161, 190, 222),
+                (8, 150, 190, 188),
+                (9, 137, 190, 164),
+                (10, 125, 190, 137),
+                (11, 109, 190, 98),
+                (12, 89, 190, 86),
+                (13, 85, 190, 72),
+                (14, 77, 190, 46),
+                (15, 54, 190, 23),
+                (16, 34, 190, 13),
+                (17, 25, 190, 8),
+                (18, 19, 190, 3),
+                (19, 9, 190, 0),
+                (20, 2, 190, 0),
+                (21, 1, 190, 0),
+                (22, 0, 190, 0),
+            ],
+        ),
+    ];
+    for (kernel, edges, sql, seed_stages, parent) in cases {
+        let ctx = traced_ctx(EngineConfig::rasql().with_workers(2));
+        ctx.register("edge", edges).unwrap();
+        let trace = ctx.query(&sql).unwrap().trace.unwrap();
+        let clique = &trace.cliques[0];
+        assert_eq!(clique.kernel, kernel);
+
+        let mut want = vec!["kernel seeds"; seed_stages];
+        want.push("broadcast build");
+        want.extend(std::iter::repeat("fixpoint kernel").take(clique.iterations.len()));
+        let got: Vec<&str> = trace.stages.iter().map(|s| s.label.as_str()).collect();
+        assert_eq!(got, want, "{kernel}");
+
+        assert_eq!(clique.iterations.len(), parent.len(), "{kernel}");
+        for (it, &(round, delta_rows, total_rows, shuffle_rows)) in
+            clique.iterations.iter().zip(parent)
+        {
+            assert_eq!(
+                (it.round, it.delta_rows, it.total_rows),
+                (round, delta_rows, total_rows),
+                "{kernel}"
+            );
+            assert!(
+                it.shuffle_rows <= shuffle_rows,
+                "{kernel} round {round}: {} rows shuffled, {shuffle_rows} before",
+                it.shuffle_rows
+            );
+        }
+    }
+
+    // The seed stage is part of what EXPLAIN ANALYZE prints.
+    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    ctx.register("edge", Relation::edges(&chain_edges(6)))
+        .unwrap();
+    let analyzed = ctx
+        .query(&format!("EXPLAIN ANALYZE {}", library::cc()))
+        .unwrap();
+    let text: Vec<&str> = analyzed
+        .relation
+        .rows()
+        .iter()
+        .map(|r| r[0].as_str().unwrap())
+        .collect();
+    assert!(
+        text.iter().any(|line| line.contains("kernel seeds")),
+        "{text:#?}"
+    );
+}

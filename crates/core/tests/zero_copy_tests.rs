@@ -5,7 +5,39 @@
 
 use rasql_core::{library, result_to_wire, RaSqlContext};
 use rasql_storage::{Relation, Value};
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::cell::Cell;
 use std::sync::Arc;
+
+/// Counts the heap allocations of each thread apart, so a test sees what its
+/// own thread — the query's driver — allocated, whatever the workers and the
+/// tests running beside it do.
+struct CountingPerThread;
+
+thread_local! {
+    static ALLOCATIONS: Cell<u64> = const { Cell::new(0) };
+}
+
+// SAFETY: every call is forwarded unchanged to `System`, which upholds the
+// `GlobalAlloc` contract; the counter is a const-initialized thread-local
+// `Cell` without a destructor, so touching it neither allocates nor runs
+// after the thread's locals are gone.
+unsafe impl GlobalAlloc for CountingPerThread {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.alloc(layout)
+    }
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        System.dealloc(ptr, layout);
+    }
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.with(|n| n.set(n.get() + 1));
+        System.realloc(ptr, layout, new_size)
+    }
+}
+
+#[global_allocator]
+static GLOBAL: CountingPerThread = CountingPerThread;
 
 fn chain(n: i64) -> Relation {
     Relation::edges(&(0..n).map(|i| (i, i + 1)).collect::<Vec<_>>())
@@ -144,5 +176,35 @@ fn kernel_queries_from_different_sources_share_one_csr() {
         assert_eq!(got.stats.metrics.cache_hits, hits, "reach({source})");
         let want = interpreter.query(&library::reach(source)).unwrap();
         assert_eq!(got.relation.sorted(), want.relation.sorted());
+    }
+}
+
+/// An operator that gathers its input on the driver owns that input: the
+/// projection below it built the rows, and nobody else holds them. A global
+/// aggregate, `ORDER BY`, `LIMIT` and `UNION` therefore move the rows they
+/// gather — the driver thread allocates nothing per input row, where a
+/// second copy of the input would cost one allocation for each.
+#[test]
+fn driver_side_operators_move_the_rows_they_own() {
+    let n: i64 = 4000;
+    let ctx = RaSqlContext::builder().workers(2).build();
+    ctx.register("edge", chain(n)).unwrap();
+    for (sql, rows) in [
+        ("SELECT count(distinct Src + Dst) FROM edge", 1),
+        ("SELECT Src + 1 AS S FROM edge ORDER BY S DESC", n as usize),
+        ("SELECT Src + 1 FROM edge LIMIT 5", 5),
+        (
+            "(SELECT Src + 1 FROM edge) UNION (SELECT Dst + 1 FROM edge)",
+            n as usize + 1,
+        ),
+    ] {
+        let before = ALLOCATIONS.with(Cell::get);
+        let result = ctx.query(sql).unwrap();
+        let allocated = ALLOCATIONS.with(Cell::get) - before;
+        assert_eq!(result.relation.len(), rows, "{sql}");
+        assert!(
+            allocated < n as u64 / 4,
+            "{sql}: {allocated} driver-side allocations over {n} input rows"
+        );
     }
 }

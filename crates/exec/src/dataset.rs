@@ -221,9 +221,29 @@ impl Dataset {
         label: &str,
         f: impl Fn(usize, &[Row]) -> Vec<Row> + Send + Sync + 'static,
     ) -> Result<Dataset, ExecError> {
+        let parts = self.fold_partitions_traced(cluster, sink, label, f)?;
+        let n = parts.len();
+        Ok(Dataset::from_partitions(
+            parts,
+            Partitioning::Unknown { partitions: n },
+        ))
+    }
+
+    /// Run `f` over every partition as one labelled stage and hand back what
+    /// each task made of its partition, in partition order — rows for
+    /// [`Dataset::map_partitions_traced`], any other value for a caller that
+    /// consumes the partition where it lives instead of producing a dataset.
+    /// A task that runs away from its partition's home pays the charged deep
+    /// copy of [`Dataset::read_partition`].
+    pub fn fold_partitions_traced<R: Send + 'static>(
+        &self,
+        cluster: &Cluster,
+        sink: Option<&TraceSink>,
+        label: &str,
+        f: impl Fn(usize, &[Row]) -> R + Send + Sync + 'static,
+    ) -> Result<Vec<R>, ExecError> {
         let f = Arc::new(f);
-        let n = self.num_partitions();
-        let tasks: Vec<StageTask<Vec<Row>>> = (0..n)
+        let tasks: Vec<StageTask<R>> = (0..self.num_partitions())
             .map(|p| {
                 let f = Arc::clone(&f);
                 let this = self.clone();
@@ -243,11 +263,7 @@ impl Dataset {
                 })
             })
             .collect();
-        let parts = cluster.run_stage_traced(sink, label, StageKind::Map, tasks)?;
-        Ok(Dataset::from_partitions(
-            parts,
-            Partitioning::Unknown { partitions: n },
-        ))
+        cluster.run_stage_traced(sink, label, StageKind::Map, tasks)
     }
 
     /// Shuffle into `n` partitions hash-keyed on `key` columns, as a

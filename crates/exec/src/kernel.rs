@@ -19,7 +19,7 @@
 //! no-op. The differential proptests in `rasql-core` enforce this against
 //! the interpreter on random graphs.
 
-use rasql_storage::CsrGraph;
+use rasql_storage::{CsrGraph, Value};
 
 /// Scalar types the kernels are monomorphized over.
 ///
@@ -42,6 +42,24 @@ pub trait KernelValue: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'stati
     /// True for the additive identity (a `sum` contribution that cannot
     /// change an occupied slot).
     fn is_zero(self) -> bool;
+    /// The value as 64 opaque bits — how a typed base-case seed carries its
+    /// aggregate before a slab of this type exists. Equal bits are equal
+    /// values under `Value::cmp` (`f64` by `total_cmp`).
+    fn to_bits(self) -> u64;
+    /// Inverse of [`KernelValue::to_bits`].
+    fn from_bits(bits: u64) -> Self;
+    /// *Strict* conversion of a state value: `None` unless the value is
+    /// exactly this type — any mismatch sends the query to the interpreter.
+    fn from_value(v: &Value) -> Option<Self>;
+    /// Convert an additive literal; `f64` also accepts `Int` (the promotion
+    /// `Value::add` performs).
+    fn from_const(v: &Value) -> Option<Self> {
+        Self::from_value(v)
+    }
+    /// Convert back for materialization.
+    fn to_value(self) -> Value;
+    /// The CSR weight slab of this scalar type.
+    fn weights(csr: &CsrGraph) -> &[Self];
 }
 
 impl KernelValue for i64 {
@@ -69,6 +87,26 @@ impl KernelValue for i64 {
     fn is_zero(self) -> bool {
         self == 0
     }
+    #[inline]
+    fn to_bits(self) -> u64 {
+        u64::from_ne_bytes(self.to_ne_bytes())
+    }
+    #[inline]
+    fn from_bits(bits: u64) -> Self {
+        i64::from_ne_bytes(bits.to_ne_bytes())
+    }
+    fn from_value(v: &Value) -> Option<i64> {
+        match v {
+            Value::Int(i) => Some(*i),
+            _ => None,
+        }
+    }
+    fn to_value(self) -> Value {
+        Value::Int(self)
+    }
+    fn weights(csr: &CsrGraph) -> &[i64] {
+        &csr.weights_i
+    }
 }
 
 impl KernelValue for f64 {
@@ -95,6 +133,33 @@ impl KernelValue for f64 {
     #[inline]
     fn is_zero(self) -> bool {
         self == 0.0
+    }
+    #[inline]
+    fn to_bits(self) -> u64 {
+        f64::to_bits(self)
+    }
+    #[inline]
+    fn from_bits(bits: u64) -> Self {
+        f64::from_bits(bits)
+    }
+    fn from_value(v: &Value) -> Option<f64> {
+        match v {
+            Value::Double(d) => Some(*d),
+            _ => None,
+        }
+    }
+    fn from_const(v: &Value) -> Option<f64> {
+        match v {
+            #[allow(clippy::cast_precision_loss)]
+            Value::Int(i) => Some(*i as f64),
+            _ => Self::from_value(v),
+        }
+    }
+    fn to_value(self) -> Value {
+        Value::Double(self)
+    }
+    fn weights(csr: &CsrGraph) -> &[f64] {
+        &csr.weights_f
     }
 }
 
@@ -361,33 +426,209 @@ impl DenseSetState {
     }
 }
 
-/// Scan one delta against CSR adjacency, routing derived contributions to
-/// per-partition output buckets. `edge_fn(value, edge_index)` computes the
-/// contribution carried along edge `edge_index` — monomorphized per query
-/// shape (identity, `+ weight`, `+ const`, `least(value, weight)`), so the
-/// whole loop compiles to straight-line code with no `Row` allocation.
+/// One partition's dense fixpoint state as the kernel driver sees it. The
+/// driver (`rasql-core`'s `run_kernel`) is written once over this trait;
+/// `Op` picks the merge operator (`()` for the set state, which has none).
+#[allow(clippy::len_without_is_empty)]
+pub trait DenseState<Op>: Send + 'static {
+    /// A contribution and a delta entry alike: `(vertex, value)`, or the
+    /// vertex alone.
+    type Item: Copy + Send + Sync + 'static;
+    /// State for a universe of `n` dense vertex ids, all vacant.
+    fn new(n: usize) -> Self;
+    /// The item of a typed base-case seed: dense vertex plus the aggregate's
+    /// [`KernelValue::to_bits`] (ignored by the set state).
+    fn item(v: u32, bits: u64) -> Self::Item;
+    /// The vertex an item is for.
+    fn vertex(item: Self::Item) -> u32;
+    /// Map-side combine: fold `new` into the item a scan task already holds
+    /// for the same vertex — what `Partial` does for the interpreter.
+    fn combine(held: &mut Self::Item, new: Self::Item);
+    /// Merge one contribution during 1-based `round`; true when the state
+    /// changed.
+    fn merge(&mut self, item: Self::Item, round: u32) -> bool;
+    /// Drain this round's delta (`totals`: see [`DenseAggState::take_delta`]).
+    fn take_delta(&mut self, totals: bool) -> Vec<Self::Item>;
+    /// Rows held (occupied slots).
+    fn len(&self) -> usize;
+    /// Slab footprint in bytes, for memory-budget accounting.
+    fn size_bytes(&self) -> u64;
+    /// Reset to vacant (the reset-and-rerun recovery path).
+    fn clear(&mut self);
+}
+
+impl<T: KernelValue, Op: MergeOp<T>> DenseState<Op> for DenseAggState<T> {
+    type Item = (u32, T);
+    fn new(n: usize) -> Self {
+        DenseAggState::new(n)
+    }
+    #[inline]
+    fn item(v: u32, bits: u64) -> (u32, T) {
+        (v, T::from_bits(bits))
+    }
+    #[inline]
+    fn vertex(item: (u32, T)) -> u32 {
+        item.0
+    }
+    #[inline]
+    fn combine(held: &mut (u32, T), new: (u32, T)) {
+        if let Some(updated) = Op::merge(held.1, new.1) {
+            held.1 = updated;
+        }
+    }
+    #[inline]
+    fn merge(&mut self, (v, c): (u32, T), round: u32) -> bool {
+        DenseAggState::merge::<Op>(self, v, c, round)
+    }
+    fn take_delta(&mut self, totals: bool) -> Vec<(u32, T)> {
+        DenseAggState::take_delta(self, totals)
+    }
+    fn len(&self) -> usize {
+        self.rows
+    }
+    fn size_bytes(&self) -> u64 {
+        DenseAggState::size_bytes(self)
+    }
+    fn clear(&mut self) {
+        DenseAggState::clear(self);
+    }
+}
+
+impl DenseState<()> for DenseSetState {
+    type Item = u32;
+    fn new(n: usize) -> Self {
+        DenseSetState::new(n)
+    }
+    #[inline]
+    fn item(v: u32, _bits: u64) -> u32 {
+        v
+    }
+    #[inline]
+    fn vertex(item: u32) -> u32 {
+        item
+    }
+    #[inline]
+    fn combine(_held: &mut u32, _new: u32) {}
+    #[inline]
+    fn merge(&mut self, v: u32, _round: u32) -> bool {
+        self.insert(v)
+    }
+    fn take_delta(&mut self, _totals: bool) -> Vec<u32> {
+        DenseSetState::take_delta(self)
+    }
+    fn len(&self) -> usize {
+        self.rows
+    }
+    fn size_bytes(&self) -> u64 {
+        DenseSetState::size_bytes(self)
+    }
+    fn clear(&mut self) {
+        DenseSetState::clear(self);
+    }
+}
+
+/// The one edge walk every scan shares: for each delta entry, follow its
+/// vertex's CSR adjacency and hand `sink` the contribution `along` carries
+/// over each edge, with the partition that owns the destination. `along` and
+/// `sink` are monomorphized per query shape and per sink, so the loop
+/// compiles to straight-line code that allocates no row.
+#[inline]
+fn edge_walk<D: Copy, C>(
+    csr: &CsrGraph,
+    delta: &[D],
+    vertex: impl Fn(D) -> u32,
+    along: impl Fn(D, usize, u32) -> C,
+    mut sink: impl FnMut(usize, u32, C),
+) {
+    for &d in delta {
+        for e in csr.adjacency(vertex(d)) {
+            let dst = csr.targets[e];
+            sink(csr.part_of[dst as usize] as usize, dst, along(d, e, dst));
+        }
+    }
+}
+
+/// Scan one delta against CSR adjacency, pushing every derived contribution
+/// to its partition's output bucket — the walk with the uncombined sink.
+/// `edge_fn(value, edge_index)` computes the contribution carried along edge
+/// `edge_index` (identity, `+ weight`, `+ const`, `least(value, weight)`).
 #[inline]
 pub fn scan_delta<T, E>(csr: &CsrGraph, delta: &[(u32, T)], edge_fn: E, out: &mut [Vec<(u32, T)>])
 where
     T: KernelValue,
     E: Fn(T, usize) -> T,
 {
-    for &(v, val) in delta {
-        for e in csr.adjacency(v) {
-            let dst = csr.targets[e];
-            out[csr.part_of[dst as usize] as usize].push((dst, edge_fn(val, e)));
-        }
-    }
+    edge_walk(
+        csr,
+        delta,
+        |(v, _)| v,
+        |(_, val), e, dst| (dst, edge_fn(val, e)),
+        |p, _, c| out[p].push(c),
+    );
 }
 
 /// Set-kernel analog of [`scan_delta`]: propagate membership along edges.
 #[inline]
 pub fn scan_delta_set(csr: &CsrGraph, delta: &[u32], out: &mut [Vec<u32>]) {
-    for &v in delta {
-        for e in csr.adjacency(v) {
-            let dst = csr.targets[e];
-            out[csr.part_of[dst as usize] as usize].push(dst);
+    edge_walk(csr, delta, |v| v, |_, _, dst| dst, |p, _, c| out[p].push(c));
+}
+
+/// The engine's scan sink — the ShuffleMap stage's partial aggregation
+/// (paper §7.1, Algorithm 5): per scan, at most one item per destination
+/// vertex leaves the task. A vertex's first contribution is pushed to its
+/// partition's bucket and later ones are [`DenseState::combine`]d into it,
+/// exactly as `Partial::Groups` / `Partial::Distinct` pre-merge for the
+/// interpreter (a task-local `sum` that cancels still ships its zero).
+///
+/// One combiner serves one partition's scans for a whole fixpoint: `slot`
+/// maps a vertex to 1 + its item's index in the bucket being filled and is
+/// all zero between scans.
+#[derive(Debug)]
+pub struct Combiner {
+    slot: Vec<u32>,
+}
+
+impl Combiner {
+    /// A combiner for a universe of `n` dense vertex ids.
+    pub fn new(n: usize) -> Self {
+        Combiner { slot: vec![0; n] }
+    }
+
+    /// Walk `delta`'s edges and return the combined contributions, bucketed
+    /// by destination partition, each bucket in first-contribution order.
+    /// `along(delta item, edge index, destination)` is the contribution an
+    /// edge carries.
+    pub fn scan<Op, S: DenseState<Op>>(
+        &mut self,
+        csr: &CsrGraph,
+        delta: &[S::Item],
+        parts: usize,
+        along: impl Fn(S::Item, usize, u32) -> S::Item,
+    ) -> Vec<Vec<S::Item>> {
+        let slot = &mut self.slot;
+        let mut out: Vec<Vec<S::Item>> = vec![Vec::new(); parts];
+        edge_walk(csr, delta, S::vertex, along, |p, dst, c| {
+            let bucket = &mut out[p];
+            match slot[dst as usize] {
+                0 => {
+                    bucket.push(c);
+                    // A bucket holds one item per vertex, and vertex ids are `u32`.
+                    #[allow(clippy::cast_possible_truncation)]
+                    let at = bucket.len() as u32;
+                    slot[dst as usize] = at;
+                }
+                at => S::combine(&mut bucket[at as usize - 1], c),
+            }
+        });
+        for &item in out.iter().flatten() {
+            slot[S::vertex(item) as usize] = 0;
         }
+        out
+    }
+
+    /// Footprint in bytes, for memory-budget accounting.
+    pub fn size_bytes(&self) -> u64 {
+        (self.slot.len() * 4) as u64
     }
 }
 
@@ -458,6 +699,44 @@ mod tests {
         assert_eq!(s.iter().collect::<Vec<_>>(), vec![1, 2]);
         s.clear();
         assert!(s.is_empty());
+    }
+
+    #[test]
+    fn combined_scan_ships_one_item_per_destination() {
+        use rasql_storage::{row::int_row, CsrGraph, CsrWeight};
+        // 0 → 2 (+5), 1 → 2 (−5), 0 → 3 (+1), 1 → 3 (+2): one task scans both
+        // sources, so vertex 2's contributions cancel inside it.
+        let rows: Vec<_> = [(0i64, 2i64, 5i64), (1, 2, -5), (0, 3, 1), (1, 3, 2)]
+            .iter()
+            .map(|&(s, d, w)| int_row(&[s, d, w]))
+            .collect();
+        let csr = CsrGraph::build(&rows, 0, 1, CsrWeight::Int { col: 2 }, [], 1).unwrap();
+        let id = |v: i64| csr.dense_id(v).unwrap();
+        let ws = &csr.weights_i;
+        let delta = [(id(0), 0i64), (id(1), 0)];
+        let mut sink = Combiner::new(csr.vertex_count());
+        let scan = |sink: &mut Combiner| {
+            sink.scan::<SumOp, DenseAggState<i64>>(&csr, &delta, 1, |(_, val), e, dst| {
+                (dst, val + ws[e])
+            })
+        };
+        // First-contribution order, and the cancelled sum still ships its
+        // zero — exactly what `Partial::Groups` hands the interpreter.
+        assert_eq!(scan(&mut sink), vec![vec![(id(2), 0), (id(3), 3)]]);
+        // The slot index is clean again: a second scan sees no stale entry.
+        assert_eq!(scan(&mut sink), vec![vec![(id(2), 0), (id(3), 3)]]);
+        // A zero occupies a vacant slot (changed) and is a no-op on an
+        // occupied one, like the interpreter's reducer.
+        let mut state: DenseAggState<i64> = DenseAggState::new(csr.vertex_count());
+        assert!(state.merge::<SumOp>(id(2), 0, 1));
+        assert!(!state.merge::<SumOp>(id(2), 0, 2));
+        // min keeps the best, max the largest, the set kernel just skips.
+        let best = sink.scan::<MinOp, DenseAggState<i64>>(&csr, &delta, 1, |(_, val), e, dst| {
+            (dst, val + ws[e])
+        });
+        assert_eq!(best, vec![vec![(id(2), -5), (id(3), 1)]]);
+        let set = sink.scan::<(), DenseSetState>(&csr, &[id(0), id(1)], 1, |_, _, dst| dst);
+        assert_eq!(set, vec![vec![id(2), id(3)]]);
     }
 
     #[test]

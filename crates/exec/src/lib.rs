@@ -69,8 +69,8 @@ pub use governor::{
 };
 pub use join::{merge_join, HashTable};
 pub use kernel::{
-    scan_delta, scan_delta_set, DenseAggState, DenseSetState, KernelValue, MaxOp, MergeOp, MinOp,
-    SumOp,
+    scan_delta, scan_delta_set, Combiner, DenseAggState, DenseSetState, DenseState, KernelValue,
+    MaxOp, MergeOp, MinOp, SumOp,
 };
 pub use metrics::{Metrics, MetricsSnapshot};
 pub use pipeline::{run_fused, run_unfused, Pipeline, PipelineStep};

@@ -55,8 +55,8 @@ pub enum PipelineStep {
 pub struct Pipeline {
     /// Steps in order.
     pub steps: Vec<PipelineStep>,
-    /// Final tuple transform.
-    pub project: MapFn,
+    /// Final tuple transform; `None` emits the tuple as it is.
+    pub project: Option<MapFn>,
 }
 
 /// The fused executor's reused buffers: the tuple in flight (a join step
@@ -74,13 +74,16 @@ impl Pipeline {
     pub fn new(steps: Vec<PipelineStep>) -> Self {
         Pipeline {
             steps,
-            project: Arc::new(|t: &[Value], out: &mut Vec<Value>| out.extend_from_slice(t)),
+            project: None,
         }
     }
 
     /// Pipeline with a final projection.
     pub fn with_project(steps: Vec<PipelineStep>, project: MapFn) -> Self {
-        Pipeline { steps, project }
+        Pipeline {
+            steps,
+            project: Some(project),
+        }
     }
 
     /// Fused execution (the "collapsed single function" of §7.3): every
@@ -110,8 +113,11 @@ impl Pipeline {
     }
 
     fn emit(&self, tuple: &[Value], out: &mut Vec<Value>, sink: &mut impl FnMut(&[Value])) {
+        let Some(project) = &self.project else {
+            return sink(tuple);
+        };
         out.clear();
-        (self.project)(tuple, out);
+        project(tuple, out);
         sink(out);
     }
 
@@ -191,12 +197,15 @@ pub fn run_unfused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
         }
         current = next;
     }
+    let Some(project) = &pipeline.project else {
+        return current;
+    };
     let mut out = Vec::new();
     current
         .iter()
         .map(|r| {
             out.clear();
-            (pipeline.project)(r.values(), &mut out);
+            project(r.values(), &mut out);
             Row::from_slice(&out)
         })
         .collect()

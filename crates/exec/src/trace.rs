@@ -1053,6 +1053,52 @@ impl QueryTrace {
         out
     }
 
+    /// The stage-span summary, one line per label in first-run order; empty
+    /// when no span was recorded.
+    pub fn render_stages(&self) -> String {
+        let mut out = String::new();
+        if self.stages.is_empty() {
+            return out;
+        }
+        out.push_str("\nStage spans (aggregated by label):\n");
+        // Aggregate consecutive-label-equal spans into per-label totals:
+        // (stages, dispatch_us, run_us, barrier_us, total_us, tasks, attempts).
+        type SpanTotals = (u64, u64, u64, u64, u64, u64, u64);
+        let mut order: Vec<String> = Vec::new();
+        let mut agg: std::collections::HashMap<String, SpanTotals> =
+            std::collections::HashMap::new();
+        for s in &self.stages {
+            let e = agg.entry(s.label.clone()).or_insert_with(|| {
+                order.push(s.label.clone());
+                (0, 0, 0, 0, 0, 0, 0)
+            });
+            e.0 += 1;
+            e.1 += s.dispatch_us;
+            e.2 += s.run_us;
+            e.3 += s.barrier_us;
+            e.4 += s.total_us;
+            e.5 += s.tasks;
+            e.6 += s.attempts;
+        }
+        out.push_str(
+            "  label                    | stages | retries | dispatch_ms | run_ms | barrier_ms | total_ms\n",
+        );
+        for label in order {
+            let (n, d, r, b, t, tasks, attempts) = agg[&label];
+            out.push_str(&format!(
+                "  {:<24} | {:>6} | {:>7} | {:>11.3} | {:>6.3} | {:>10.3} | {:>8.3}\n",
+                label,
+                n,
+                attempts - tasks,
+                d as f64 / 1000.0,
+                r as f64 / 1000.0,
+                b as f64 / 1000.0,
+                t as f64 / 1000.0
+            ));
+        }
+        out
+    }
+
     /// Render as human-readable text: one table per clique (the per-iteration
     /// record), a stage-span summary grouped by label, recovery events, and
     /// the operator list.
@@ -1078,44 +1124,7 @@ impl QueryTrace {
             ));
         }
         out.push_str(&self.render_iterations());
-        if !self.stages.is_empty() {
-            out.push_str("\nStage spans (aggregated by label):\n");
-            // Aggregate consecutive-label-equal spans into per-label totals:
-            // (stages, dispatch_us, run_us, barrier_us, total_us, tasks, attempts).
-            type SpanTotals = (u64, u64, u64, u64, u64, u64, u64);
-            let mut order: Vec<String> = Vec::new();
-            let mut agg: std::collections::HashMap<String, SpanTotals> =
-                std::collections::HashMap::new();
-            for s in &self.stages {
-                let e = agg.entry(s.label.clone()).or_insert_with(|| {
-                    order.push(s.label.clone());
-                    (0, 0, 0, 0, 0, 0, 0)
-                });
-                e.0 += 1;
-                e.1 += s.dispatch_us;
-                e.2 += s.run_us;
-                e.3 += s.barrier_us;
-                e.4 += s.total_us;
-                e.5 += s.tasks;
-                e.6 += s.attempts;
-            }
-            out.push_str(
-                "  label                    | stages | retries | dispatch_ms | run_ms | barrier_ms | total_ms\n",
-            );
-            for label in order {
-                let (n, d, r, b, t, tasks, attempts) = agg[&label];
-                out.push_str(&format!(
-                    "  {:<24} | {:>6} | {:>7} | {:>11.3} | {:>6.3} | {:>10.3} | {:>8.3}\n",
-                    label,
-                    n,
-                    attempts - tasks,
-                    d as f64 / 1000.0,
-                    r as f64 / 1000.0,
-                    b as f64 / 1000.0,
-                    t as f64 / 1000.0
-                ));
-            }
-        }
+        out.push_str(&self.render_stages());
         out.push_str(&self.render_recovery());
         out.push_str(&self.render_governance());
         if !self.operators.is_empty() {

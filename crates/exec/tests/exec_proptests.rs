@@ -10,11 +10,12 @@ use rasql_exec::checkpoint::{
 use rasql_exec::pipeline::KeyFn;
 use rasql_exec::state::{AggMergeResult, AggState, MonotoneOp};
 use rasql_exec::{
-    run_fused, run_unfused, Cluster, ClusterConfig, Dataset, HashTable, Pipeline, PipelineStep,
-    SetState,
+    run_fused, run_unfused, scan_delta, scan_delta_set, Cluster, ClusterConfig, Combiner, Dataset,
+    DenseAggState, DenseSetState, HashTable, MaxOp, MergeOp, MinOp, Pipeline, PipelineStep,
+    SetState, SumOp,
 };
 use rasql_storage::row::int_row;
-use rasql_storage::{Row, Value};
+use rasql_storage::{CsrGraph, CsrWeight, Row, Value};
 use std::sync::Arc;
 use std::time::Duration;
 
@@ -27,8 +28,153 @@ fn quiet_cluster(workers: usize) -> Cluster {
     })
 }
 
+/// What one round of a dense fixpoint left behind, over all partitions and
+/// sorted: the occupied `(vertex, total)` slots and the round's delta.
+type RoundView = (Vec<(u32, i64)>, Vec<(u32, i64)>);
+
+/// A whole aggregate fixpoint over `parts` partitions out of the public
+/// kernel pieces, the way the engine's driver runs it: task `part` merges
+/// what every task of the previous round produced for it, `[src][dst]` in
+/// `src` order, and scans its delta — through the combining sink or the
+/// push sink. A delta entry whose increment is zero on a slot that was
+/// occupied before the round is left out of the view: contributions that
+/// cancel inside one task reach the reducer as one zero (a no-op there) when
+/// combined and one by one (a change that nets to nothing) when pushed.
+fn agg_rounds<Op: MergeOp<i64>>(
+    csr: &CsrGraph,
+    seeds: &[(u32, i64)],
+    parts: usize,
+    totals: bool,
+    along: fn(i64, i64) -> i64,
+    combined: bool,
+) -> Vec<RoundView> {
+    let n = csr.vertex_count();
+    let ws = &csr.weights_i;
+    let mut states: Vec<DenseAggState<i64>> = (0..parts).map(|_| DenseAggState::new(n)).collect();
+    let mut sinks: Vec<Combiner> = (0..parts).map(|_| Combiner::new(n)).collect();
+    let mut base = vec![Vec::new(); parts];
+    for &(v, c) in seeds {
+        base[csr.part_of[v as usize] as usize].push((v, c));
+    }
+    let mut pending = vec![base];
+    let mut views = Vec::new();
+    // The graphs are acyclic: `n` rounds reach the fixpoint, two more show
+    // that it stays there.
+    for round in 1..=n as u32 + 2 {
+        let (mut slab, mut delta_all, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        for part in 0..parts {
+            let state = &mut states[part];
+            let before: Vec<bool> = (0..n as u32).map(|v| state.get(v).is_some()).collect();
+            for src in &pending {
+                for &(v, c) in &src[part] {
+                    state.merge::<Op>(v, c, round - 1);
+                }
+            }
+            let delta = state.take_delta(totals);
+            let kept = |&(v, inc): &(u32, i64)| totals || inc != 0 || !before[v as usize];
+            delta_all.extend(delta.iter().copied().filter(kept));
+            assert_eq!(state.iter().count(), state.len());
+            slab.extend(state.iter());
+            next.push(if combined {
+                sinks[part].scan::<Op, DenseAggState<i64>>(
+                    csr,
+                    &delta,
+                    parts,
+                    |(_, val), e, dst| (dst, along(val, ws[e])),
+                )
+            } else {
+                let mut out = vec![Vec::new(); parts];
+                scan_delta(csr, &delta, |val, e| along(val, ws[e]), &mut out);
+                out
+            });
+        }
+        slab.sort_unstable();
+        delta_all.sort_unstable();
+        views.push((slab, delta_all));
+        pending = next;
+    }
+    views
+}
+
+/// [`agg_rounds`] for the set state.
+fn set_rounds(csr: &CsrGraph, seeds: &[u32], parts: usize, combined: bool) -> Vec<RoundView> {
+    let n = csr.vertex_count();
+    let mut states: Vec<DenseSetState> = (0..parts).map(|_| DenseSetState::new(n)).collect();
+    let mut sinks: Vec<Combiner> = (0..parts).map(|_| Combiner::new(n)).collect();
+    let mut base = vec![Vec::new(); parts];
+    for &v in seeds {
+        base[csr.part_of[v as usize] as usize].push(v);
+    }
+    let mut pending = vec![base];
+    let mut views = Vec::new();
+    for _ in 0..n + 2 {
+        let (mut slab, mut delta_all, mut next) = (Vec::new(), Vec::new(), Vec::new());
+        for part in 0..parts {
+            for src in &pending {
+                for &v in &src[part] {
+                    states[part].insert(v);
+                }
+            }
+            let delta = states[part].take_delta();
+            delta_all.extend(delta.iter().map(|&v| (v, 0)));
+            assert_eq!(states[part].iter().count(), states[part].len());
+            slab.extend(states[part].iter().map(|v| (v, 0)));
+            next.push(if combined {
+                sinks[part].scan::<(), DenseSetState>(csr, &delta, parts, |_, _, dst| dst)
+            } else {
+                let mut out = vec![Vec::new(); parts];
+                scan_delta_set(csr, &delta, &mut out);
+                out
+            });
+        }
+        slab.sort_unstable();
+        delta_all.sort_unstable();
+        views.push((slab, delta_all));
+        pending = next;
+    }
+    views
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(32))]
+
+    /// Algorithm 5 changes what is shipped, not what is computed: merging a
+    /// combined scan leaves, round by round, the slab, the row count and the
+    /// delta (totals for min/max, increments for sum) that merging the push
+    /// scan leaves — for every operator and for the set state, with
+    /// contributions that cancel inside one task.
+    #[test]
+    fn combined_scan_merges_like_the_push_scan(
+        edges in prop::collection::vec((0i64..14, 1i64..6, -3i64..4), 1..70),
+        seeds in prop::collection::vec((0i64..14, -3i64..4), 1..8),
+        parts in 1usize..4,
+    ) {
+        // Forward edges only: an acyclic graph, so `sum` terminates.
+        let rows: Vec<Row> = edges.iter().map(|&(s, step, w)| int_row(&[s, s + step, w])).collect();
+        let extras = seeds.iter().map(|s| s.0);
+        let csr = CsrGraph::build(&rows, 0, 1, CsrWeight::Int { col: 2 }, extras, parts).unwrap();
+        let dense: Vec<(u32, i64)> =
+            seeds.iter().map(|&(v, c)| (csr.dense_id(v).unwrap(), c)).collect();
+        let add: fn(i64, i64) -> i64 = |val, w| val + w;
+        let same: fn(i64, i64) -> i64 = |val, _| val;
+        prop_assert_eq!(
+            agg_rounds::<MinOp>(&csr, &dense, parts, true, add, true),
+            agg_rounds::<MinOp>(&csr, &dense, parts, true, add, false)
+        );
+        prop_assert_eq!(
+            agg_rounds::<MaxOp>(&csr, &dense, parts, true, add, true),
+            agg_rounds::<MaxOp>(&csr, &dense, parts, true, add, false)
+        );
+        prop_assert_eq!(
+            agg_rounds::<SumOp>(&csr, &dense, parts, false, same, true),
+            agg_rounds::<SumOp>(&csr, &dense, parts, false, same, false)
+        );
+        let members: Vec<u32> = dense.iter().map(|s| s.0).collect();
+        prop_assert_eq!(
+            set_rounds(&csr, &members, parts, true),
+            set_rounds(&csr, &members, parts, false)
+        );
+    }
 
     #[test]
     fn shuffle_preserves_multiset(

@@ -18,7 +18,7 @@
 //! | `RL0004` | `std::thread::sleep` in non-test `server`/`exec` code |
 //! | `RL0005` | direct durable file writes (`File::create`, `.write_all(`, `fs::rename`) in `crates/storage/src` outside the WAL/snapshot/spill modules |
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
-//! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s streaming executor, `core::fixpoint`'s emit/merge functions) without an allow annotation |
+//! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s streaming executor, `exec::kernel`'s edge walk, `core::fixpoint`'s emit/merge functions and seed-fold sink) without an allow annotation |
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
@@ -823,13 +823,15 @@ fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppres
 }
 
 /// The borrowed-tuple path covered by RL0007, as (module, functions): the
-/// streaming executor, and the fixpoint's emit/merge sinks. `run_unfused`
-/// (the §7.3 ablation) materializes rows by design and is not listed.
+/// streaming executor, the fixpoint's emit/merge sinks and the sink of the
+/// kernels' seed fold, and the kernels' edge walk. `run_unfused` (the §7.3
+/// ablation) materializes rows by design and is not listed.
 const TUPLE_PATHS: &[(&str, &[&str])] = &[
     ("crates/exec/src/pipeline.rs", &["for_each", "push", "join"]),
+    ("crates/exec/src/kernel.rs", &["edge_walk"]),
     (
         "crates/core/src/fixpoint.rs",
-        &["push", "push_row", "merge_into_state"],
+        &["push", "push_row", "merge_into_state", "push_seed"],
     ),
 ];
 

@@ -1,7 +1,8 @@
 // Fixture: trips RL0007. Linted under the virtual path of a module of the
 // borrowed-tuple path (`crates/exec/src/pipeline.rs`: `for_each`, `push`,
-// `join`; `crates/core/src/fixpoint.rs`: `push`, `push_row`,
-// `merge_into_state`).
+// `join`; `crates/exec/src/kernel.rs`: `edge_walk`;
+// `crates/core/src/fixpoint.rs`: `push`, `push_row`, `merge_into_state`,
+// `push_seed`).
 impl Pipeline {
     fn push(&self, row: &Row, out: &mut Vec<Row>) {
         let key = row.values().to_vec();
@@ -24,7 +25,21 @@ impl Merge<'_> {
     }
 }
 
-// Not a per-tuple function of either module: rows are its job.
+impl SeedFold {
+    fn push_seed(&mut self, tuple: &[Value]) {
+        self.rows.push(Row::from_slice(tuple));
+    }
+}
+
+fn edge_walk(csr: &CsrGraph, delta: &[(u32, i64)], out: &mut Vec<Row>) {
+    for &(v, val) in delta {
+        for e in csr.adjacency(v) {
+            out.push(Row::new(vec![Value::Int(csr.orig_id(csr.targets[e])), Value::Int(val)]));
+        }
+    }
+}
+
+// Not a per-tuple function of any module: rows are its job.
 fn run_unfused(input: &[Row]) -> Vec<Row> {
     input.iter().map(|r| r.concat(r)).collect()
 }

@@ -241,29 +241,39 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
     assert_eq!(
         spans("crates/exec/src/pipeline.rs"),
         vec![
-            (LintCode::PerTupleRowBuild, 334, 342), // .to_vec(
-            (LintCode::PerTupleRowBuild, 411, 419), // .concat(
-            (LintCode::PerTupleRowBuild, 494, 503), // Row::new(
+            (LintCode::PerTupleRowBuild, 392, 400), // .to_vec(
+            (LintCode::PerTupleRowBuild, 469, 477), // .concat(
+            (LintCode::PerTupleRowBuild, 552, 561), // Row::new(
         ],
         "{diags:#?}"
     );
-    // `push_row` is not one of them; `run_unfused` and the test module never are.
+    // `push_row`, `push_seed` and `edge_walk` are not among them;
+    // `run_unfused` and the test module never are.
     assert_eq!(suppressed, 0);
-    assert_eq!(&src[334..342], ".to_vec(");
-    assert_eq!(&src[411..419], ".concat(");
-    assert_eq!(&src[494..503], "Row::new(");
+    assert_eq!(&src[392..400], ".to_vec(");
+    assert_eq!(&src[469..477], ".concat(");
+    assert_eq!(&src[552..561], "Row::new(");
     // ... the fixpoint's sinks are `push` and `push_row`, whose annotated
-    // copy for a new tuple is suppressed, and `join` is no function of theirs.
+    // copy for a new tuple is suppressed, and the seed fold's `push_seed`;
+    // `join` is no function of theirs.
     let (diags, suppressed) = lint_file_counting("crates/core/src/fixpoint.rs", src);
     assert_eq!(
         spans("crates/core/src/fixpoint.rs"),
         vec![
-            (LintCode::PerTupleRowBuild, 334, 342),
-            (LintCode::PerTupleRowBuild, 411, 419),
+            (LintCode::PerTupleRowBuild, 392, 400),
+            (LintCode::PerTupleRowBuild, 469, 477),
+            (LintCode::PerTupleRowBuild, 973, 989), // Row::from_slice(
         ],
         "{diags:#?}"
     );
     assert_eq!(suppressed, 1);
+    assert_eq!(&src[973..989], "Row::from_slice(");
+    // ... and the kernels' edge walk is the one function of its module.
+    assert_eq!(
+        spans("crates/exec/src/kernel.rs"),
+        vec![(LintCode::PerTupleRowBuild, 1166, 1175)],
+    );
+    assert_eq!(&src[1166..1175], "Row::new(");
     for path in ["crates/exec/src/state.rs", "crates/core/src/eval.rs"] {
         assert!(lint_file(path, src).is_empty(), "{path} is not covered");
     }
