@@ -110,6 +110,9 @@ pub struct ServerStatus {
     pub sessions: u64,
     /// Names of the registered base tables, sorted.
     pub tables: Vec<String>,
+    /// One line on the index store: entries, bytes, builds, advances,
+    /// rebuilds and probes since the server started.
+    pub index_store: String,
 }
 
 #[cfg(test)]

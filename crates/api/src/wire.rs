@@ -54,7 +54,7 @@ use crate::value::Value;
 use std::io::{Read, Write};
 
 /// The protocol version this crate speaks.
-pub const PROTOCOL_VERSION: u16 = 1;
+pub const PROTOCOL_VERSION: u16 = 2;
 
 /// Frame magic: every frame starts with these two bytes.
 pub const FRAME_MAGIC: [u8; 2] = *b"RQ";
@@ -517,6 +517,7 @@ fn put_status(buf: &mut Vec<u8>, s: &ServerStatus) {
     for t in &s.tables {
         put_str(buf, t);
     }
+    put_str(buf, &s.index_store);
 }
 
 fn get_status(input: &mut &[u8]) -> Result<ServerStatus, ApiError> {
@@ -547,6 +548,7 @@ fn get_status(input: &mut &[u8]) -> Result<ServerStatus, ApiError> {
         waiting,
         sessions,
         tables,
+        index_store: get_str(input)?,
     })
 }
 

@@ -71,14 +71,16 @@ fn status_strategy() -> impl Strategy<Value = ServerStatus> {
             prop::collection::vec("[a-z]{1,8}", 0..6),
         ),
         (any::<u64>(), any::<u64>(), any::<u64>()),
+        "[ -~]{0,60}",
     )
         .prop_map(
-            |((active_queries, tables), (running, waiting, sessions))| ServerStatus {
+            |((active_queries, tables), (running, waiting, sessions), index_store)| ServerStatus {
                 active_queries,
                 running,
                 waiting,
                 sessions,
                 tables,
+                index_store,
             },
         )
 }

@@ -893,12 +893,21 @@ pub fn fig13(scale: f64) -> (Table, JsonValue) {
 /// [`fig13`] on: half the smallest ratio measured at `--scale 0.1` with two
 /// workers when the kernels' base case became typed seeds (CC 7.37–14.56×,
 /// REACH 10.5–13.1×, SSSP 9.8–14.9× over nine runs; see `BENCH_kernels.json`).
+/// The interpreter leg has since become 25–45 % cheaper — the index store
+/// hashes its build side with one allocation per row where the per-query
+/// build made three — so the ratios now read 6.5–11×; the floor is unchanged.
 pub const KERNEL_SPEEDUP_FLOOR: f64 = 3.6;
 
 /// The floor `reproduce ivm` gates the small-delta refresh speedup of [`ivm`]
 /// on, set the same way: 6.6–12.4× over seventeen runs at `--scale 0.1` (the
 /// recompute leg is an interpreter query, so a faster interpreter lowers it).
+/// It holds on the median and on the slowest refresh of a train of
+/// [`IVM_TRAIN`] (9.6–11.6× and 9.6–10.1× when the train was introduced).
 pub const IVM_SPEEDUP_FLOOR: f64 = 3.3;
+
+/// Consecutive insert-only refreshes the [`ivm`] benchmark times on one
+/// context; the floor holds on their median and on the slowest.
+pub const IVM_TRAIN: usize = 16;
 
 /// Acceptance gate for [`fig13`]: the specialized kernels must be at least
 /// `target`× faster than the interpreter on every (graph, query) row of the
@@ -2257,10 +2266,11 @@ fn insert_statement(table: &str, rows: &[rasql_storage::Row]) -> String {
 /// surface an `RA0301` maintenance finding through `CHECK`. One eligible
 /// view is also refreshed under deterministic fault injection.
 ///
-/// Part B times a small-delta SSSP refresh on an R-MAT graph against full
-/// recompute (interpreter path on both legs, best-of-3) and returns the
-/// `BENCH_ivm.json` artifact with the measured speedup, which
-/// [`ivm_meets_target`] gates.
+/// Part B times a train of [`IVM_TRAIN`] small-delta SSSP refreshes on an
+/// R-MAT graph against full recompute (interpreter path on both legs,
+/// best-of-3) and returns the `BENCH_ivm.json` artifact with the speedup of
+/// the median and of the slowest refresh, both of which [`ivm_meets_target`]
+/// gates.
 pub fn ivm(scale: f64) -> (Table, JsonValue) {
     let workers = default_workers();
     let mut t = Table::new(
@@ -2294,6 +2304,18 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
         ("transitive_closure", library::transitive_closure()),
         ("widest_path", library::widest_path(1)),
         ("sssp_hops", library::sssp_hops(1)),
+        // A build side that scans the changed table twice: overlaying both
+        // occurrences with the delta would lose old⋈Δ, so it refreshes full.
+        // Vertex 8 sits in layer 1, so its two-hop closure ends in the last
+        // layer — over the withheld edges.
+        (
+            "two_hop_reach",
+            "WITH recursive r (Dst) AS (SELECT 8) UNION \
+               (SELECT two.D FROM r, (SELECT a.Src AS S, b.Dst AS D FROM edge a, edge b \
+                 WHERE a.Dst = b.Src) two WHERE r.Dst = two.S) \
+             SELECT Dst FROM r"
+                .to_string(),
+        ),
     ];
     let held = |rel: &Relation| (rel.len() / 10).min(4);
     for (name, sql) in &queries {
@@ -2439,10 +2461,13 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
     // Part B: small-delta refresh benchmark. Both legs run the interpreter
     // (kernels off) with the simulated dispatch latency zeroed, so the ratio
     // measures delta-seeded convergence against from-scratch convergence.
+    // The refresh leg is a *train*: `IVM_TRAIN` withheld batches refreshed in
+    // a row on one context, so a cost that only every n-th refresh pays (a
+    // periodic rebuild of a retained build side) lands in the slowest one.
     let n = ((30_000.0 * scale) as usize).max(16_384);
     let edges = rmat_graph(n, true, 7);
-    let delta = 32usize.min(edges.len() / 10).max(1);
-    let split = edges.len() - delta;
+    let delta = 32usize.min(edges.len() / (10 * IVM_TRAIN)).max(1);
+    let split = edges.len() - delta * IVM_TRAIN;
     let cfg = || {
         EngineConfig::rasql()
             .with_workers(workers)
@@ -2457,14 +2482,13 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
         ctx.register("edge", edges.clone()).unwrap();
         let t0 = Instant::now();
         let r = ctx.query(&sql).unwrap();
-        let d = t0.elapsed();
-        if d < full_best {
-            full_best = d;
-        }
+        full_best = full_best.min(t0.elapsed());
         full_rows = r.relation.sorted();
     }
-    let mut incr_best = Duration::MAX;
-    let mut incr_rows = Relation::edges(&[]);
+    // Best of three trains, each summarised by its median and its slowest
+    // refresh; "best" is the train whose slowest refresh is fastest.
+    let mut incr_median = Duration::MAX;
+    let mut incr_max = Duration::MAX;
     for _ in 0..3 {
         let ctx = RaSqlContext::with_config(cfg());
         let initial =
@@ -2472,31 +2496,43 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
         ctx.register("edge", initial).unwrap();
         ctx.query(&format!("CREATE MATERIALIZED VIEW ivm_v AS {sql}"))
             .unwrap();
-        ctx.query(&insert_statement("edge", &edges.rows()[split..]))
-            .unwrap();
-        let t0 = Instant::now();
-        ctx.query("REFRESH MATERIALIZED VIEW ivm_v").unwrap();
-        let d = t0.elapsed();
-        if d < incr_best {
-            incr_best = d;
+        let mut train: Vec<Duration> = Vec::with_capacity(IVM_TRAIN);
+        for batch in edges.rows()[split..].chunks(delta) {
+            ctx.query(&insert_statement("edge", batch)).unwrap();
+            let t0 = Instant::now();
+            ctx.query("REFRESH MATERIALIZED VIEW ivm_v").unwrap();
+            train.push(t0.elapsed());
+            assert_eq!(ctx.mat_view("ivm_v").unwrap().last_refresh, "incremental");
         }
-        assert_eq!(ctx.mat_view("ivm_v").unwrap().last_refresh, "incremental");
-        incr_rows = ctx.query("SELECT * FROM ivm_v").unwrap().relation.sorted();
+        let incr_rows = ctx.query("SELECT * FROM ivm_v").unwrap().relation.sorted();
+        assert_eq!(
+            incr_rows.rows(),
+            full_rows.rows(),
+            "ivm: benchmark refresh train diverged from full recompute"
+        );
+        let index = ctx.index_stats();
+        assert_eq!(
+            (index.builds, index.advances, index.rebuilds),
+            (1, IVM_TRAIN as u64, 0),
+            "ivm: the view's build side is built once and advanced per refresh"
+        );
+        train.sort_unstable();
+        if train[IVM_TRAIN - 1] < incr_max {
+            incr_max = train[IVM_TRAIN - 1];
+            incr_median = train[IVM_TRAIN / 2];
+        }
     }
-    assert_eq!(
-        incr_rows.rows(),
-        full_rows.rows(),
-        "ivm: benchmark refresh diverged from full recompute"
-    );
-    let speedup = full_best.as_secs_f64() / incr_best.as_secs_f64();
+    let speedup = full_best.as_secs_f64() / incr_median.as_secs_f64();
+    let min_speedup = full_best.as_secs_f64() / incr_max.as_secs_f64();
     t.row(vec![
-        format!("sssp/RMAT-{n} +{delta} edges"),
+        format!("sssp/RMAT-{n} {IVM_TRAIN} x +{delta} edges"),
         "yes".into(),
         "incremental".into(),
-        incr_rows.len().to_string(),
+        full_rows.len().to_string(),
         format!(
-            "refresh {} vs recompute {} ({speedup:.1}x)",
-            ms(incr_best),
+            "refresh {} (slowest {}) vs recompute {} ({speedup:.1}x, slowest {min_speedup:.1}x)",
+            ms(incr_median),
+            ms(incr_max),
             ms(full_best)
         ),
     ]);
@@ -2508,31 +2544,42 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
         ("vertices".into(), JsonValue::Num(n as f64)),
         ("edges".into(), JsonValue::Num(edges.len() as f64)),
         ("delta_edges".into(), JsonValue::Num(delta as f64)),
+        ("refreshes".into(), JsonValue::Num(IVM_TRAIN as f64)),
         (
             "incremental_ms".into(),
-            JsonValue::Num(incr_best.as_secs_f64() * 1e3),
+            JsonValue::Num(incr_median.as_secs_f64() * 1e3),
+        ),
+        (
+            "max_incremental_ms".into(),
+            JsonValue::Num(incr_max.as_secs_f64() * 1e3),
         ),
         (
             "full_ms".into(),
             JsonValue::Num(full_best.as_secs_f64() * 1e3),
         ),
         ("speedup".into(), JsonValue::Num(speedup)),
+        ("min_speedup".into(), JsonValue::Num(min_speedup)),
         ("queries".into(), JsonValue::Arr(query_records)),
     ]);
     (t, json)
 }
 
 /// Acceptance gate for [`ivm`]: the delta-seeded refresh must be at least
-/// `target`× faster than full recompute on the small-delta R-MAT benchmark.
+/// `target`× faster than full recompute on the small-delta R-MAT benchmark —
+/// the median refresh of the train (`speedup`) and the slowest one
+/// (`min_speedup`) alike.
 pub fn ivm_meets_target(json: &JsonValue, target: f64) -> Result<(), String> {
-    let speedup = match json.get("speedup") {
-        Some(JsonValue::Num(s)) => *s,
-        _ => return Err("malformed ivm artifact: no speedup".into()),
-    };
-    if speedup < target {
-        return Err(format!(
-            "incremental refresh speedup below target: {speedup:.2}x < {target}x"
-        ));
+    for (field, which) in [("speedup", "median"), ("min_speedup", "slowest")] {
+        let speedup = match json.get(field) {
+            Some(JsonValue::Num(s)) => *s,
+            _ => return Err(format!("malformed ivm artifact: no {field}")),
+        };
+        if speedup < target {
+            return Err(format!(
+                "incremental refresh speedup ({which} of the train) below target: \
+                 {speedup:.2}x < {target}x"
+            ));
+        }
     }
     Ok(())
 }

@@ -382,13 +382,14 @@ impl Shell {
                 }
             },
             "\\running" => {
-                let (active, running, waiting, sessions) = match &mut self.remote {
+                let (active, running, waiting, sessions, index_store) = match &mut self.remote {
                     Some(client) => match client.status() {
                         Ok(s) => (
                             s.active_queries,
                             s.running as usize,
                             s.waiting as usize,
                             Some(s.sessions),
+                            s.index_store,
                         ),
                         Err(e) => return LineResult::Output(self.remote_error(&e)),
                     },
@@ -397,6 +398,7 @@ impl Shell {
                         self.ctx.running_queries(),
                         self.ctx.waiting_queries(),
                         None,
+                        self.ctx.index_stats().to_string(),
                     ),
                 };
                 let ids: Vec<String> = active
@@ -410,7 +412,7 @@ impl Shell {
                 if let Some(n) = sessions {
                     out.push_str(&format!("  sessions: {n}"));
                 }
-                out.push('\n');
+                out.push_str(&format!("\nindex store: {index_store}\n"));
                 LineResult::Output(out)
             }
             "\\load" => self.load(&parts),

@@ -1,16 +1,16 @@
-//! Version-keyed caches: ad-hoc query results and built CSR kernel graphs.
+//! The version-keyed cache of ad-hoc query results.
 //!
-//! Both caches key on a *structural* identity (the rendered plan text) plus a
+//! An entry keys on a *structural* identity (the rendered plan text) plus a
 //! *data* identity (the `(version, rewrite_version)` pairs of every base
 //! table the plan reads). Because the data identity is part of the key, a
 //! stale entry can never be served — invalidation sweeps exist to bound
 //! memory and to feed the `cache_invalidations` counter, not for
-//! correctness.
+//! correctness. (Join indexes of base data live in
+//! [`rasql_storage::IndexStore`], which advances them instead.)
 
 use rasql_storage::sync::{LockRank, RankedMutex};
-use rasql_storage::{Catalog, CsrGraph, Relation};
+use rasql_storage::{Catalog, Relation};
 use std::collections::VecDeque;
-use std::sync::Arc;
 
 /// Render a table-version fingerprint: the sorted `(table, version,
 /// rewrite_version)` triples of `tables` as seen by `catalog` right now.
@@ -49,7 +49,8 @@ struct Entry<T> {
     value: T,
 }
 
-/// A bounded FIFO cache keyed by plan text + version fingerprint.
+/// A bounded LRU cache keyed by plan text + version fingerprint: the front
+/// entry is the least recently read or written.
 struct VersionedCache<T> {
     entries: RankedMutex<VecDeque<Entry<T>>>,
     capacity: usize,
@@ -64,11 +65,12 @@ impl<T: Clone> VersionedCache<T> {
     }
 
     fn get(&self, key: &str) -> Option<T> {
-        self.entries
-            .lock()
-            .iter()
-            .find(|e| e.key == key)
-            .map(|e| e.value.clone())
+        let mut entries = self.entries.lock();
+        let at = entries.iter().position(|e| e.key == key)?;
+        let entry = entries.remove(at)?;
+        let value = entry.value.clone();
+        entries.push_back(entry);
+        Some(value)
     }
 
     fn put(&self, key: String, deps: Vec<String>, value: T) {
@@ -143,48 +145,6 @@ impl ResultCache {
     }
 }
 
-/// A cache of built CSR kernel graphs, keyed on the build-plan text, the
-/// kernel's column/partition parameters, and the version fingerprint of the
-/// edge tables — so a repeated kernel query (or an incremental-view refresh
-/// racing ad-hoc reads) skips both the edge scan and the CSR construction.
-pub struct CsrCache {
-    inner: VersionedCache<Arc<CsrGraph>>,
-}
-
-/// CSR graphs are large; a handful of distinct graph queries in flight is
-/// the realistic working set.
-const CSR_CACHE_CAPACITY: usize = 8;
-
-impl CsrCache {
-    /// A cache with the default capacity.
-    pub fn new() -> Self {
-        CsrCache {
-            inner: VersionedCache::new(LockRank::CsrCache, CSR_CACHE_CAPACITY),
-        }
-    }
-
-    /// Look up a built graph.
-    pub fn get(&self, key: &str) -> Option<Arc<CsrGraph>> {
-        self.inner.get(key)
-    }
-
-    /// Insert a built graph.
-    pub fn put(&self, key: String, deps: Vec<String>, graph: Arc<CsrGraph>) {
-        self.inner.put(key, deps, graph);
-    }
-
-    /// Drop entries built from `table`; returns how many were dropped.
-    pub fn invalidate(&self, table: &str) -> u64 {
-        self.inner.invalidate(table)
-    }
-}
-
-impl Default for CsrCache {
-    fn default() -> Self {
-        CsrCache::new()
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -195,7 +155,7 @@ mod tests {
     }
 
     #[test]
-    fn fifo_eviction_and_dedup() {
+    fn lru_eviction_and_dedup() {
         let c = ResultCache::new(2);
         let q = CachedQuery {
             relation: rel(),
@@ -204,10 +164,25 @@ mod tests {
         c.put("a".into(), vec!["t".into()], q.clone());
         c.put("a".into(), vec!["t".into()], q.clone());
         c.put("b".into(), vec!["t".into()], q.clone());
-        assert!(c.get("a").is_some());
+        assert!(c.get("a").is_some(), "a duplicate put took no second slot");
         c.put("c".into(), vec!["u".into()], q);
-        assert!(c.get("a").is_none(), "oldest entry evicted");
-        assert!(c.get("b").is_some() && c.get("c").is_some());
+        assert!(c.get("b").is_none(), "the least recently read entry goes");
+        assert!(c.get("a").is_some() && c.get("c").is_some());
+    }
+
+    #[test]
+    fn a_key_read_between_puts_survives_one_off_puts() {
+        let capacity = 4;
+        let c = ResultCache::new(capacity);
+        let q = CachedQuery {
+            relation: rel(),
+            iterations: vec![],
+        };
+        c.put("hot".into(), vec!["t".into()], q.clone());
+        for i in 0..2 * capacity {
+            c.put(format!("once{i}"), vec!["t".into()], q.clone());
+            assert!(c.get("hot").is_some(), "evicted after {i} one-off puts");
+        }
     }
 
     #[test]

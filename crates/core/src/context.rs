@@ -1,10 +1,10 @@
 //! [`RaSqlContext`] — the public entry point of the engine.
 
-use crate::cache::{CachedQuery, CsrCache, ResultCache};
+use crate::cache::{CachedQuery, ResultCache};
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
 use crate::eval::EvalContext;
-use crate::fixpoint::{FixpointExecutor, WarmBuilds};
+use crate::fixpoint::FixpointExecutor;
 use crate::matview::{query_dep_tables, warm_prefix, DepRecord, MatView};
 use rasql_exec::{
     AdmissionController, CancellationToken, Cluster, ClusterConfig, ExecError, Metrics,
@@ -19,8 +19,9 @@ use rasql_storage::snapshot::{encode_state, read_snapshot, sweep_stray_temp};
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::wal::{replay, WAL_FILE};
 use rasql_storage::{
-    decode_warm_rows, encode_warm_rows, Catalog, CrashInjector, DataType, DurableState, Relation,
-    Row, Schema, StorageError, TableImage, Value, ViewDep, ViewImage, Wal, WalRecord, WarmStore,
+    decode_warm_rows, encode_warm_rows, Catalog, CrashInjector, DataType, DurableState, IndexStats,
+    IndexStore, Relation, Row, Schema, StorageError, TableImage, Value, ViewDep, ViewImage, Wal,
+    WalRecord, WarmStore,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
@@ -109,8 +110,9 @@ pub struct RaSqlContext {
     active: RankedMutex<HashMap<u64, CancellationToken>>,
     /// Where per-query governors place spill files.
     spill_root: PathBuf,
-    /// Built CSR kernel graphs, keyed by build plan + edge-table versions.
-    csr_cache: CsrCache,
+    /// Join indexes of base data — co-partitioned hash build sides and CSR
+    /// kernel graphs — shared by recursion, view refresh and point lookups.
+    index: IndexStore,
     /// Ad-hoc query results, keyed by plan text + base-table versions
     /// (capacity from [`EngineConfig::result_cache_entries`]).
     result_cache: ResultCache,
@@ -128,9 +130,6 @@ pub struct RaSqlContext {
     view_locks: RankedMutex<HashMap<String, Arc<RankedMutex<()>>>>,
     /// Warm fixpoint state retained for delta-seeded refresh.
     warm: WarmStore,
-    /// Retained build-side hash tables per eligible view, so a delta-seeded
-    /// refresh layers a small delta build instead of re-hashing full bases.
-    warm_builds: RankedMutex<HashMap<String, WarmBuilds>>,
     /// Write-ahead journaling state; `Some` when the context owns a data
     /// directory ([`EngineConfig::data_dir`]).
     durability: Option<Durability>,
@@ -197,7 +196,7 @@ impl RaSqlContext {
             planner_catalog: RankedMutex::new(LockRank::PlannerCatalog, ViewCatalog::new()),
             cluster,
             tracing: AtomicBool::new(config.tracing),
-            csr_cache: CsrCache::new(),
+            index: IndexStore::new(),
             result_cache: ResultCache::new(config.result_cache_entries),
             config,
             admission,
@@ -207,7 +206,6 @@ impl RaSqlContext {
             matviews: RankedMutex::new(LockRank::MatViewRegistry, BTreeMap::new()),
             view_locks: RankedMutex::new(LockRank::ViewLockMap, HashMap::new()),
             warm: WarmStore::new(),
-            warm_builds: RankedMutex::new(LockRank::WarmBuilds, HashMap::new()),
             durability: None,
         };
         if let Some(dir) = ctx.config.data_dir.clone() {
@@ -371,7 +369,7 @@ impl RaSqlContext {
             self.warm.put(&k, bytes::Bytes::from(blob));
         }
         if eligible {
-            self.rebuild_warm_builds(&key, &query);
+            self.warm_view_indexes(&query);
         }
         self.matviews.lock().insert(
             key,
@@ -612,9 +610,9 @@ impl RaSqlContext {
         Ok(())
     }
 
-    /// Register or replace a base table. Cached results built from the old
-    /// contents are swept (they could never be served again anyway — their
-    /// version fingerprint no longer matches).
+    /// Register or replace a base table. Cached results and indexes built
+    /// from the old contents are swept (they could never be served again
+    /// anyway — their versions no longer match).
     ///
     /// # Errors
     /// [`EngineError::Storage`] when journaling the replacement to a durable
@@ -624,7 +622,7 @@ impl RaSqlContext {
             .lock()
             .add_table(name, rel.schema().clone());
         self.catalog.register_or_replace(name, rel)?;
-        self.invalidate_caches(name);
+        self.table_rewritten(name);
         self.maybe_compact()?;
         Ok(())
     }
@@ -636,12 +634,29 @@ impl RaSqlContext {
         self.planner_catalog.lock().add_table(name, schema.clone());
     }
 
-    /// Sweep both version-keyed caches of entries reading `table`.
-    fn invalidate_caches(&self, table: &str) {
-        let swept = self.result_cache.invalidate(table) + self.csr_cache.invalidate(table);
+    /// Rows were appended to `table`: cached results that read it are swept.
+    /// The index store is not touched — the next fetch advances its entries
+    /// by the appended rows.
+    fn table_appended(&self, table: &str) {
+        let swept = self.result_cache.invalidate(table);
         if swept > 0 {
             Metrics::add(&self.cluster.metrics.cache_invalidations, swept);
         }
+    }
+
+    /// `table` was replaced, deleted from or dropped: cached results and
+    /// indexes built from it are swept.
+    fn table_rewritten(&self, table: &str) {
+        let swept = self.result_cache.invalidate(table) + self.index.sweep(table);
+        if swept > 0 {
+            Metrics::add(&self.cluster.metrics.cache_invalidations, swept);
+        }
+    }
+
+    /// Counters of the index store (builds, advances, rebuilds, probes,
+    /// entries, bytes); `Display` is the one line status surfaces show.
+    pub fn index_stats(&self) -> IndexStats {
+        self.index.stats()
     }
 
     /// Execute one SQL statement; returns its [`QueryResult`] (empty
@@ -729,7 +744,7 @@ impl RaSqlContext {
                 self.guard_not_matview(&table, "INSERT into")?;
                 let n = rows.len();
                 self.catalog.insert_rows(&table, rows)?;
-                self.invalidate_caches(&table);
+                self.table_appended(&table);
                 self.maybe_compact()?;
                 Ok(count_result("inserted", n))
             }
@@ -756,7 +771,7 @@ impl RaSqlContext {
                         fused: self.config.fused_codegen,
                         trace: None,
                         governor: Some(governor),
-                        csr_cache: None,
+                        index: None,
                     };
                     let kept = eval.evaluate(&keep_plan)?;
                     let removed = snapshot.len().saturating_sub(kept.len());
@@ -764,7 +779,7 @@ impl RaSqlContext {
                         return Ok(removed);
                     }
                 })?;
-                self.invalidate_caches(&table);
+                self.table_rewritten(&table);
                 self.maybe_compact()?;
                 Ok(count_result("deleted", removed))
             }
@@ -785,10 +800,9 @@ impl RaSqlContext {
                     return Err(EngineError::UnknownView(name));
                 }
                 self.warm.remove_prefix(&warm_prefix(&key));
-                self.warm_builds.lock().remove(&key);
                 self.catalog.drop_table(&key)?;
                 self.planner_catalog.lock().remove_table(&key);
-                self.invalidate_caches(&key);
+                self.table_rewritten(&key);
                 self.journal_view_drop(&key)?;
                 self.cluster
                     .metrics
@@ -983,7 +997,7 @@ impl RaSqlContext {
                 fused: self.config.fused_codegen,
                 trace: sink.as_ref(),
                 governor: Some(governor),
-                csr_cache: Some(&self.csr_cache),
+                index: Some(&self.index),
             };
             let exec = FixpointExecutor::new(&eval, &self.config);
             let result = exec.run(&clique)?;
@@ -1001,7 +1015,7 @@ impl RaSqlContext {
             fused: self.config.fused_codegen,
             trace: sink.as_ref(),
             governor: Some(governor),
-            csr_cache: Some(&self.csr_cache),
+            index: Some(&self.index),
         };
         // Operator counters only around the final plan, so base-case and
         // build-side evaluations inside the fixpoint don't pollute them.
@@ -1096,7 +1110,7 @@ impl RaSqlContext {
                     .put(&format!("{prefix}{i}"), encode_warm_rows(rows));
             }
             retained = self.warm.retained_bytes_prefix(&prefix);
-            self.rebuild_warm_builds(&key, &query);
+            self.warm_view_indexes(&query);
         }
         let QueryResult {
             relation, stats, ..
@@ -1190,15 +1204,6 @@ impl RaSqlContext {
         // New dependency versions, captured before execution (see
         // `create_materialized_view`).
         let new_deps = self.snapshot_deps(&query_dep_tables(&mv.query));
-        // Retained build-side artifacts are taken out for the duration of
-        // the refresh and put back afterwards even on failure: each entry
-        // records the catalog versions it covers, so a partially updated
-        // set stays valid and a concurrent refresh simply rebuilds.
-        let mut wbuilds = self
-            .warm_builds
-            .lock()
-            .remove(&key)
-            .or_else(|| (mv.eligible && incremental).then(WarmBuilds::new));
         let run = self.with_governor(parent, |governor| {
             if incremental {
                 let start = Instant::now();
@@ -1221,10 +1226,10 @@ impl RaSqlContext {
                     fused: self.config.fused_codegen,
                     trace: None,
                     governor: Some(governor),
-                    csr_cache: Some(&self.csr_cache),
+                    index: Some(&self.index),
                 };
                 let exec = FixpointExecutor::new(&eval, &self.config);
-                let fres = exec.run_resume(&spec, &warm, &changed, wbuilds.as_mut())?;
+                let fres = exec.run_resume(&spec, &warm, &changed)?;
                 let mut vmap: HashMap<String, Arc<Relation>> = HashMap::new();
                 for (vs, rel) in spec.views.iter().zip(fres.views.iter()) {
                     vmap.insert(vs.name.to_ascii_lowercase(), Arc::new(rel.clone()));
@@ -1238,7 +1243,7 @@ impl RaSqlContext {
                     fused: self.config.fused_codegen,
                     trace: None,
                     governor: Some(governor),
-                    csr_cache: Some(&self.csr_cache),
+                    index: Some(&self.index),
                 };
                 let relation = eval.evaluate(&plan)?;
                 let elapsed = start.elapsed();
@@ -1277,9 +1282,6 @@ impl RaSqlContext {
                 Ok((result, rels))
             }
         });
-        if let Some(wb) = wbuilds {
-            self.warm_builds.lock().insert(key.clone(), wb);
-        }
         let (result, clique_rels) = run?;
         let mut retained = 0;
         if mv.eligible {
@@ -1289,10 +1291,11 @@ impl RaSqlContext {
             }
             retained = self.warm.retained_bytes_prefix(&prefix);
             if !incremental {
-                // A full fallback (e.g. after a delete) converged against the
-                // current bases; re-prepare the build artifacts so the next
-                // insert-only refresh is warm again.
-                self.rebuild_warm_builds(&key, &mv.query);
+                // A full fallback (e.g. after a delete, which swept the
+                // indexes) converged against the current bases; fetch the
+                // build sides again so the next insert-only refresh only
+                // advances them.
+                self.warm_view_indexes(&mv.query);
             }
         }
         let QueryResult {
@@ -1303,7 +1306,7 @@ impl RaSqlContext {
             .lock()
             .add_table(&mv.name, relation.schema().clone());
         self.catalog.register_or_replace(&mv.name, relation)?;
-        self.invalidate_caches(&key);
+        self.table_rewritten(&key);
         Metrics::add(&self.cluster.metrics.view_refreshes, 1);
         if incremental {
             Metrics::add(&self.cluster.metrics.view_refreshes_incremental, 1);
@@ -1393,11 +1396,10 @@ impl RaSqlContext {
             })
     }
 
-    /// (Re)build the retained build-side hash tables for an eligible view
-    /// against the current catalog, so the next delta-seeded refresh skips
-    /// the full base build. Purely an optimization: on any failure the entry
-    /// is dropped and refresh rebuilds from scratch.
-    fn rebuild_warm_builds(&self, key: &str, query: &AnalyzedQuery) {
+    /// Fetch the build-side indexes a delta-seeded refresh of an eligible
+    /// view will ask for, so that refresh only advances them. Purely an
+    /// optimization: on failure the refresh builds what it needs.
+    fn warm_view_indexes(&self, query: &AnalyzedQuery) {
         let spec = optimize_spec(query.cliques[0].clone());
         let no_views = HashMap::new();
         let eval = EvalContext {
@@ -1408,17 +1410,9 @@ impl RaSqlContext {
             fused: self.config.fused_codegen,
             trace: None,
             governor: None,
-            csr_cache: Some(&self.csr_cache),
+            index: Some(&self.index),
         };
-        let exec = FixpointExecutor::new(&eval, &self.config);
-        match exec.prepare_warm_builds(&spec) {
-            Ok(wb) => {
-                self.warm_builds.lock().insert(key.to_string(), wb);
-            }
-            Err(_) => {
-                self.warm_builds.lock().remove(key);
-            }
-        }
+        let _ = FixpointExecutor::new(&eval, &self.config).warm_indexes(&spec);
     }
 
     /// Capture the current `(version, rewrite_version, len)` triple of each
@@ -1537,8 +1531,15 @@ impl RaSqlContext {
                 text.push_str("Final plan:\n");
                 text.push_str(&plan_for_render.display_annotated(
                     &mut |path| match by_path.get(path) {
+                        // A scan answered from the index store says so; a
+                        // scanned one is followed by a `filter` stage below.
                         Some(o) => format!(
-                            "  (rows={} bytes={} time={:.3}ms)",
+                            "{}  (rows={} bytes={} time={:.3}ms)",
+                            if o.label.starts_with("index lookup") {
+                                format!("  [{}]", o.label)
+                            } else {
+                                String::new()
+                            },
                             o.rows,
                             o.bytes,
                             o.elapsed_us as f64 / 1000.0

@@ -11,10 +11,10 @@ use rasql_exec::{
     run_fused, run_unfused, Cluster, Dataset, HashTable, Pipeline, PipelineStep, QueryGovernor,
     RowCombiner, TraceSink,
 };
-use rasql_parser::ast::AggFunc;
+use rasql_parser::ast::{AggFunc, BinaryOp};
 use rasql_plan::{AggExpr, LogicalPlan, PExpr};
 use rasql_storage::{
-    Catalog, DataType, FxHashMap, FxHashSet, Partitioning, Relation, Row, Schema, Value,
+    Catalog, DataType, FxHashMap, FxHashSet, IndexStore, Partitioning, Relation, Row, Schema, Value,
 };
 use std::collections::HashMap;
 use std::sync::Arc;
@@ -37,8 +37,9 @@ pub struct EvalContext<'a> {
     /// Per-query resource governor (memory budget, deadline, cancellation);
     /// `None` runs ungoverned.
     pub governor: Option<&'a QueryGovernor>,
-    /// Version-keyed cache of built CSR kernel graphs; `None` builds fresh.
-    pub csr_cache: Option<&'a crate::cache::CsrCache>,
+    /// The store of join indexes of base data; `None` builds every index
+    /// privately and scans for every lookup.
+    pub index: Option<&'a IndexStore>,
 }
 
 impl<'a> EvalContext<'a> {
@@ -179,9 +180,19 @@ impl<'a> EvalContext<'a> {
     /// its input get operator counters — the nodes between them have no
     /// output of their own to count. With nothing left to run (see
     /// [`peel_chain`]) the chain is its input, so a full scan stays the
-    /// table's own buffer.
+    /// table's own buffer. A chain that starts with `col = literal` over a
+    /// scan runs here on the driver over an index probe when there is one
+    /// (see [`Chain::probe`]): no stage.
     fn eval_chain(&self, plan: &LogicalPlan, path: &str) -> Result<Dataset, EngineError> {
         let chain = peel_chain(plan, path);
+        if let Some(probe) = chain.probe(self)? {
+            let rows = probe.rows();
+            return Ok(Dataset::single(if self.fused {
+                run_fused(rows, &chain.pipeline)
+            } else {
+                run_unfused(rows, &chain.pipeline)
+            }));
+        }
         let input = self.eval_node(chain.input, &chain.path)?;
         if chain.labels.is_empty() {
             return Ok(input);
@@ -208,8 +219,8 @@ impl<'a> EvalContext<'a> {
     /// itself — a scan, or a join or aggregate evaluated as
     /// [`EvalContext::eval_ds`] would — is folded where it lives, in one
     /// stage labelled `label`; an unpartitioned input (`Values`, the constant
-    /// base case of a single-source query) is folded here on the driver and
-    /// costs no stage.
+    /// base case of a single-source query, or an index probe) is folded here
+    /// on the driver and costs no stage.
     pub fn fold_partitions<A: Default + Send + 'static>(
         &self,
         plan: &LogicalPlan,
@@ -217,13 +228,17 @@ impl<'a> EvalContext<'a> {
         fold: impl Fn(&mut A, &[Value]) + Send + Sync + 'static,
     ) -> Result<Vec<A>, EngineError> {
         let chain = peel_chain(plan, "0");
-        let input = self.eval_node(chain.input, &chain.path)?;
+        let probe = chain.probe(self)?;
         let pipeline = chain.pipeline;
         let run = move |rows: &[Row]| {
             let mut acc = A::default();
             pipeline.for_each(rows, &mut |t| fold(&mut acc, t));
             acc
         };
+        if let Some(probe) = probe {
+            return Ok(vec![run(probe.rows())]);
+        }
+        let input = self.eval_node(chain.input, &chain.path)?;
         if matches!(input.partitioning, Partitioning::Single) {
             return Ok(input.partitions.iter().map(|p| run(p)).collect());
         }
@@ -293,6 +308,7 @@ impl<'a> EvalContext<'a> {
         let cluster_metrics = Arc::clone(&self.cluster.metrics);
         Ok(
             l.map_partitions_traced(self.cluster, self.trace, "hash join", move |p, rows| {
+                // lint: allow(RL0008, an ad-hoc join hashes its shuffled right side, whatever plan produced it, for this statement only)
                 let table = HashTable::build(&right_parts[p], &right_keys);
                 let mut out = Vec::new();
                 for a in rows {
@@ -374,6 +390,93 @@ struct Chain<'p> {
     /// The node the chain reads, and its pre-order path.
     input: &'p LogicalPlan,
     path: String,
+    /// `(column, literal)` when the chain reads a table scan and the first
+    /// filter its rows meet has the conjunct `column = literal`.
+    lookup: Option<(usize, &'p Value)>,
+}
+
+/// The rows an index holds under a lookup's literal.
+struct Probe<'p> {
+    table: Arc<HashTable>,
+    literal: &'p Value,
+}
+
+impl Probe<'_> {
+    fn rows(&self) -> &[Row] {
+        self.table.probe(std::slice::from_ref(self.literal))
+    }
+}
+
+impl<'p> Chain<'p> {
+    /// The chain's input narrowed by an index probe, when the chain has a
+    /// lookup and the store an index for it. The probe returns a superset of
+    /// the matching rows in table order — every row whose key is `Eq` to the
+    /// literal as the hash join sees it (`Int(2)` ≡ `Double(2.0)`) — and the
+    /// caller runs the whole pipeline over them, the equality filter
+    /// included, so rows and row order are the scan's.
+    fn probe(&self, eval: &EvalContext<'_>) -> Result<Option<Probe<'p>>, EngineError> {
+        let Some((col, literal)) = self.lookup else {
+            return Ok(None);
+        };
+        let started = Instant::now();
+        let Some(table) = eval.probe_scan(self.input, col, literal)? else {
+            return Ok(None);
+        };
+        let probe = Probe { table, literal };
+        if let (Some(sink), LogicalPlan::TableScan { table, schema }) = (eval.trace, self.input) {
+            let rows = probe.rows();
+            sink.record_operator(
+                self.path.clone(),
+                format!("index lookup {table}[{}]", schema.field(col).name),
+                rows.len() as u64,
+                rows.iter().map(Row::size_bytes).sum::<usize>() as u64,
+                started.elapsed(),
+            );
+        }
+        Ok(Some(probe))
+    }
+}
+
+/// The `column = literal` conjunct of a predicate an index can answer: the
+/// literal is not `NULL` (which equals nothing) and, when numeric, small
+/// enough that `Int`/`Double` equality and hashing agree exactly (below
+/// 2^53 every integer is one `f64`).
+fn equality_lookup(predicate: &PExpr) -> Option<(usize, &Value)> {
+    let mut node = predicate;
+    loop {
+        match node {
+            PExpr::Binary {
+                left,
+                op: BinaryOp::And,
+                right,
+            } => {
+                if let Some(found) = equality_lookup(right) {
+                    return Some(found);
+                }
+                node = left;
+            }
+            PExpr::Binary {
+                left,
+                op: BinaryOp::Eq,
+                right,
+            } => {
+                let (col, literal) = match (&**left, &**right) {
+                    (PExpr::Col(c), PExpr::Lit(v)) | (PExpr::Lit(v), PExpr::Col(c)) => (*c, v),
+                    _ => return None,
+                };
+                const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+                let usable = match literal {
+                    Value::Null => false,
+                    #[allow(clippy::cast_precision_loss)]
+                    Value::Int(i) => (*i as f64).abs() < EXACT,
+                    Value::Double(d) => d.abs() < EXACT,
+                    _ => true,
+                };
+                return usable.then_some((col, literal));
+            }
+            _ => return None,
+        }
+    }
 }
 
 /// Peel `plan`'s projection/filter chain (either part may be absent) for
@@ -399,9 +502,12 @@ fn peel_chain<'p>(plan: &'p LogicalPlan, path: &str) -> Chain<'p> {
         }
     }
     let mut steps = Vec::new();
+    let mut lookup = None;
     while let LogicalPlan::Filter { input, predicate } = node {
         node = input;
         path.push_str(".0");
+        // The innermost filter is the last one this loop sees.
+        lookup = equality_lookup(predicate);
         let pred = predicate.clone();
         steps.push(PipelineStep::Filter(Arc::new(move |t: &[Value]| {
             pred.eval_vals(t).is_truthy()
@@ -416,6 +522,7 @@ fn peel_chain<'p>(plan: &'p LogicalPlan, path: &str) -> Chain<'p> {
     Chain {
         labels,
         pipeline: Pipeline { steps, project },
+        lookup: lookup.filter(|_| matches!(node, LogicalPlan::TableScan { .. })),
         input: node,
         path,
     }
@@ -605,7 +712,7 @@ mod tests {
             fused: true,
             trace: None,
             governor: None,
-            csr_cache: None,
+            index: None,
         };
         ctx.evaluate(&plan).unwrap().sorted()
     }

@@ -39,7 +39,8 @@ use rasql_plan::{
 use rasql_storage::codec::CompressedRelation;
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::{
-    partition::row_partition, Catalog, CsrGraph, FxHashMap, FxHashSet, Relation, Row, Value,
+    partition::row_partition, CsrGraph, FxHashMap, FxHashSet, Index, IndexLayout, Relation, Row,
+    Value,
 };
 use std::borrow::Cow;
 use std::sync::Arc;
@@ -176,86 +177,15 @@ fn resolve_count_modes(v: &ViewSpec) -> Result<Vec<CountMode>, EngineError> {
 
 /// The build side of a compiled join step.
 enum BuildSide {
-    /// Co-partitioned cached hash tables (one per partition).
+    /// Co-partitioned hash tables (one per partition), lent by the index
+    /// store (or built for this query alone when the plan reads its views).
     Partitioned(Vec<Arc<HashTable>>),
-    /// Co-partitioned layered hash tables, `[layer][partition]`: a retained
-    /// converged build plus one small delta-built layer per refresh.
-    PartitionedLayered(Vec<Vec<Arc<HashTable>>>),
     /// Co-partitioned cached sorted runs (sort-merge strategy).
     PartitionedSorted(Vec<Arc<SortedRun>>),
     /// One replicated table per worker (broadcast, §7.2).
     Replicated(Arc<Broadcast<HashTable>>),
     /// Snapshot of a recursive relation, rebuilt per round.
     Recursive { view: usize, mode: RecAllMode },
-}
-
-/// Delta layers retained per build step before the next refresh compacts
-/// them back into a single full rebuild.
-const MAX_WARM_LAYERS: usize = 6;
-
-/// Per-table version record of a retained build-side artifact.
-struct WarmDep {
-    table: String,
-    version: u64,
-    rewrite_version: u64,
-    len: usize,
-}
-
-/// Retained co-partitioned hash layers for one base join step.
-struct WarmStep {
-    deps: Vec<WarmDep>,
-    /// `[layer][partition]`, oldest first.
-    layers: Vec<Vec<Arc<HashTable>>>,
-}
-
-/// Retained build-side artifacts of a converged materialized view: the
-/// co-partitioned hash tables of every delta-layerable base join step, keyed
-/// by `(view, branch, step)` position in the clique. A delta-seeded resume
-/// whose base growth is insert-only stacks one small delta-built layer on
-/// the retained tables instead of re-evaluating and re-hashing the full base
-/// input; every entry records the catalog versions it covers, so a stale or
-/// rewritten dependency falls back to a rebuild, never a wrong answer.
-pub struct WarmBuilds {
-    steps: FxHashMap<(usize, usize, usize), WarmStep>,
-}
-
-impl WarmBuilds {
-    /// An empty artifact set; steps are added as they are first built.
-    pub fn new() -> Self {
-        WarmBuilds {
-            steps: FxHashMap::default(),
-        }
-    }
-}
-
-impl Default for WarmBuilds {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-/// Whether evaluating `plan` over a grown catalog yields exactly the old
-/// output plus the union of its per-table delta overlays — i.e. every node
-/// distributes over row insertion. Scans, filters, projections, joins and
-/// unions qualify; aggregates, sorts, limits and view scans do not (an
-/// inserted row can change or reorder previously emitted output). The
-/// duplicate rows a layered build can emit are no-ops under the idempotent
-/// merge the resume path already requires.
-fn plan_is_delta_layerable(plan: &LogicalPlan) -> bool {
-    match plan {
-        LogicalPlan::TableScan { .. } | LogicalPlan::Values { .. } => true,
-        LogicalPlan::Projection { input, .. }
-        | LogicalPlan::Filter { input, .. }
-        | LogicalPlan::Distinct { input } => plan_is_delta_layerable(input),
-        LogicalPlan::Join { left, right, .. } => {
-            plan_is_delta_layerable(left) && plan_is_delta_layerable(right)
-        }
-        LogicalPlan::Union { inputs, .. } => inputs.iter().all(plan_is_delta_layerable),
-        LogicalPlan::Aggregate { .. }
-        | LogicalPlan::Sort { .. }
-        | LogicalPlan::Limit { .. }
-        | LogicalPlan::ViewScan { .. } => false,
-    }
 }
 
 struct CompiledStep {
@@ -377,7 +307,7 @@ impl<'a> FixpointExecutor<'a> {
         let mut branches: Vec<CompiledBranch> = Vec::new();
         for (vi, v) in spec.views.iter().enumerate() {
             for prog in &v.recursive {
-                branches.push(self.compile_branch(prog, &views, vi, None)?);
+                branches.push(self.compile_branch(prog, &views, vi)?);
             }
         }
         let branches = Arc::new(branches);
@@ -510,7 +440,6 @@ impl<'a> FixpointExecutor<'a> {
         spec: &FixpointSpec,
         warm: &[Vec<Row>],
         changed: &[(String, Vec<Row>)],
-        mut builds: Option<&mut WarmBuilds>,
     ) -> Result<FixpointResult, EngineError> {
         let p = self.config.partitions;
         // Like `run`, but decomposed evaluation is forced off — warm state is
@@ -530,13 +459,12 @@ impl<'a> FixpointExecutor<'a> {
         }
         let views = Arc::new(views);
 
-        // Compile the loop branches against the *new* catalog, reusing (or
-        // delta-layering) any retained build-side artifacts.
+        // Compile the loop branches against the *new* catalog; the index
+        // store advances the build sides it holds by the inserted rows.
         let mut branches: Vec<CompiledBranch> = Vec::new();
         for (vi, v) in spec.views.iter().enumerate() {
-            for (bi, prog) in v.recursive.iter().enumerate() {
-                let slot = builds.as_mut().map(|w| (&mut **w, vi, bi));
-                branches.push(self.compile_branch(prog, &views, vi, slot)?);
+            for prog in &v.recursive {
+                branches.push(self.compile_branch(prog, &views, vi)?);
             }
         }
         let branches = Arc::new(branches);
@@ -619,7 +547,9 @@ impl<'a> FixpointExecutor<'a> {
                     let build_side = match build {
                         JoinBuild::RecursiveAll { view, mode, .. } => {
                             uses_recursive_build = true;
-                            snaps.push(Some(Arc::new(HashTable::build(&warm[*view], build_keys))));
+                            // lint: allow(RL0008, a snapshot of the view's own warm rows, not of base data)
+                            let snap = HashTable::build(&warm[*view], build_keys);
+                            snaps.push(Some(Arc::new(snap)));
                             BuildSide::Recursive {
                                 view: *view,
                                 mode: *mode,
@@ -627,15 +557,15 @@ impl<'a> FixpointExecutor<'a> {
                         }
                         JoinBuild::Base(plan) => {
                             let rel = if si == delta_pos {
-                                self.eval_with_table_delta(plan, delta_table, delta_rows)?
+                                self.eval
+                                    .eval_with_table_delta(plan, delta_table, delta_rows)?
                             } else {
                                 self.eval.evaluate(plan)?
                             };
                             snaps.push(None);
-                            BuildSide::Partitioned(vec![Arc::new(HashTable::build(
-                                rel.rows(),
-                                build_keys,
-                            ))])
+                            // lint: allow(RL0008, a seed run probes one whole table of the delta overlay once)
+                            let whole = HashTable::build(rel.rows(), build_keys);
+                            BuildSide::Partitioned(vec![Arc::new(whole)])
                         }
                     };
                     ops.push(CompiledOp::join(build_side, stream_keys, build_keys));
@@ -646,196 +576,41 @@ impl<'a> FixpointExecutor<'a> {
         Ok((seed, snaps))
     }
 
-    /// Evaluate `plan` with `table` replaced by only `delta_rows`; every
-    /// other referenced table sees its full current contents.
-    fn eval_with_table_delta(
-        &self,
-        plan: &LogicalPlan,
-        table: &str,
-        delta_rows: &[Row],
-    ) -> Result<Relation, EngineError> {
-        let overlay = Catalog::new();
-        let mut tabs: Vec<String> = Vec::new();
-        plan.referenced_tables(&mut tabs);
-        for t in &mut tabs {
-            t.make_ascii_lowercase();
-        }
-        tabs.sort();
-        tabs.dedup();
-        for t in &tabs {
-            let full = self.eval.catalog.get(t)?;
-            if t.eq_ignore_ascii_case(table) {
-                overlay.register_shared(
-                    t,
-                    Arc::new(Relation::new_unchecked(
-                        full.schema().clone(),
-                        delta_rows.to_vec(),
-                    )),
-                )?;
-            } else {
-                overlay.register_shared(t, full)?;
-            }
-        }
-        let eval = EvalContext {
-            cluster: self.eval.cluster,
-            catalog: &overlay,
-            views: self.eval.views,
-            partitions: self.eval.partitions,
-            fused: self.eval.fused,
-            trace: None,
-            governor: self.eval.governor,
-            csr_cache: None,
-        };
-        eval.evaluate(plan)
-    }
-
-    /// Build the retained build-side artifacts for a converged view:
-    /// evaluate and hash every delta-layerable co-partitioned base join step
-    /// once, so the first delta-seeded refresh already reuses them instead
-    /// of paying the full base build.
-    pub fn prepare_warm_builds(&self, spec: &FixpointSpec) -> Result<WarmBuilds, EngineError> {
-        let mut wb = WarmBuilds::new();
+    /// Fetch every index a delta-seeded resume of `spec` will ask the store
+    /// for, so the first refresh of a view finds its build sides built and
+    /// only advances them.
+    pub fn warm_indexes(&self, spec: &FixpointSpec) -> Result<(), EngineError> {
         if self.config.join == JoinStrategy::SortMerge {
-            return Ok(wb);
+            return Ok(());
         }
+        // Like `run_resume`: decomposed evaluation off.
+        let views = self.view_runtimes(spec, false)?;
         for (vi, v) in spec.views.iter().enumerate() {
-            for (bi, prog) in v.recursive.iter().enumerate() {
-                let mut first_join = true;
-                for (si, step) in prog.steps.iter().enumerate() {
-                    if let BranchStep::HashJoin {
-                        build,
-                        stream_keys,
-                        build_keys,
-                        ..
-                    } = step
-                    {
-                        // Mirrors the resume compile: decomposed evaluation
-                        // is forced off, so the driver partitions on the
-                        // view's key columns.
-                        if let JoinBuild::Base(plan) = build {
-                            if first_join
-                                && !build_keys.is_empty()
-                                && stream_keys_match(stream_keys, &v.key_cols)
-                                && plan_is_delta_layerable(plan)
-                            {
-                                self.warm_hash_layers(&mut wb, (vi, bi, si), plan, build_keys)?;
-                            }
-                        }
-                        first_join = false;
-                    }
+            for prog in &v.recursive {
+                if let Some((_, plan, build_keys)) = co_partitioned_build(prog, &views[vi]) {
+                    self.co_partitioned_index(plan, build_keys)?;
                 }
             }
         }
-        Ok(wb)
+        Ok(())
     }
 
-    /// Reuse, extend, or (re)build the retained hash layers for one base
-    /// join step. Reuse requires the recorded dependency versions to still
-    /// match the catalog; insert-only growth (same rewrite versions, longer
-    /// tables) appends one delta-built layer evaluated under per-table
-    /// overlay catalogs — the same superset argument as delta-build seeding,
-    /// so its duplicates are no-ops under the resume path's idempotence
-    /// certificate; anything else rebuilds from scratch.
-    fn warm_hash_layers(
+    /// The store's hash index of `plan` on `build_keys`, one table per
+    /// partition.
+    fn co_partitioned_index(
         &self,
-        wb: &mut WarmBuilds,
-        key: (usize, usize, usize),
         plan: &LogicalPlan,
         build_keys: &[usize],
-    ) -> Result<Vec<Vec<Arc<HashTable>>>, EngineError> {
-        let p = self.config.partitions;
-        let mut tabs: Vec<String> = Vec::new();
-        plan.referenced_tables(&mut tabs);
-        for t in &mut tabs {
-            t.make_ascii_lowercase();
-        }
-        tabs.sort();
-        tabs.dedup();
-        let mut cur: Vec<WarmDep> = Vec::with_capacity(tabs.len());
-        for t in &tabs {
-            let (Some(v), Ok(rel)) = (self.eval.catalog.version_of(t), self.eval.catalog.get(t))
-            else {
-                return Err(EngineError::Other(format!(
-                    "build-side table '{t}' vanished during refresh"
-                )));
-            };
-            cur.push(WarmDep {
-                table: t.clone(),
-                version: v.version,
-                rewrite_version: v.rewrite_version,
-                len: rel.len(),
-            });
-        }
-        enum Fit {
-            Unchanged,
-            Grown,
-            Rebuild,
-        }
-        let fit = match wb.steps.get(&key) {
-            Some(s)
-                if s.deps.len() == cur.len()
-                    && s.deps.iter().zip(&cur).all(|(a, b)| a.table == b.table) =>
-            {
-                if s.deps.iter().zip(&cur).all(|(a, b)| a.version == b.version) {
-                    Fit::Unchanged
-                } else if s.layers.len() < MAX_WARM_LAYERS
-                    && s.deps
-                        .iter()
-                        .zip(&cur)
-                        .all(|(a, b)| a.rewrite_version == b.rewrite_version && b.len >= a.len)
-                {
-                    Fit::Grown
-                } else {
-                    Fit::Rebuild
-                }
-            }
-            _ => Fit::Rebuild,
+    ) -> Result<Vec<Arc<HashTable>>, EngineError> {
+        let layout = IndexLayout::Hash {
+            partitions: self.config.partitions,
         };
-        match fit {
-            Fit::Unchanged => {}
-            Fit::Grown => {
-                let entry = wb.steps.get_mut(&key).ok_or_else(|| {
-                    EngineError::Other(
-                        "warm-build entry vanished between fit check and reuse".into(),
-                    )
-                })?;
-                let mut delta: Vec<Row> = Vec::new();
-                for (old, new) in entry.deps.iter().zip(&cur) {
-                    if new.len > old.len {
-                        let full = self.eval.catalog.get(&old.table)?;
-                        let rel =
-                            self.eval_with_table_delta(plan, &old.table, &full.rows()[old.len..])?;
-                        delta.extend(rel.into_rows());
-                    }
-                }
-                if !delta.is_empty() {
-                    let parts = rasql_storage::partition_rows(delta, build_keys, p);
-                    entry.layers.push(
-                        parts
-                            .into_iter()
-                            .map(|rows| Arc::new(HashTable::build(&rows, build_keys)))
-                            .collect(),
-                    );
-                }
-                entry.deps = cur;
-            }
-            Fit::Rebuild => {
-                let rel = self.eval.evaluate(plan)?;
-                let parts = rasql_storage::partition_rows(rel.into_rows(), build_keys, p);
-                let layer: Vec<Arc<HashTable>> = parts
-                    .into_iter()
-                    .map(|rows| Arc::new(HashTable::build(&rows, build_keys)))
-                    .collect();
-                wb.steps.insert(
-                    key,
-                    WarmStep {
-                        deps: cur,
-                        layers: vec![layer],
-                    },
-                );
-            }
+        match self.eval.fetch_index(plan, build_keys, layout, true)? {
+            Some(Index::Hash(index)) => Ok(index.parts().to_vec()),
+            _ => Err(EngineError::Other(
+                "index store answered a hash fetch with another layout".into(),
+            )),
         }
-        Ok(wb.steps[&key].layers.clone())
     }
 
     // ----------------------------------------------------------------
@@ -847,12 +622,10 @@ impl<'a> FixpointExecutor<'a> {
         prog: &BranchProgram,
         views: &[ViewRt],
         owner: usize,
-        mut warm: Option<(&mut WarmBuilds, usize, usize)>,
     ) -> Result<CompiledBranch, EngineError> {
         let p = self.config.partitions;
-        let driver = &views[owner];
+        let co_partitioned = co_partitioned_build(prog, &views[owner]).map(|(si, ..)| si);
         let mut ops = Vec::with_capacity(prog.steps.len());
-        let mut first_join = true;
         let mut uses_recursive_build = false;
         for (si, step) in prog.steps.iter().enumerate() {
             match step {
@@ -871,97 +644,63 @@ impl<'a> FixpointExecutor<'a> {
                                 mode: *mode,
                             }
                         }
-                        JoinBuild::Base(plan) => {
-                            // Co-partitioned iff this is the first join, the
-                            // delta arrives partitioned on exactly the probe
-                            // key, and the view is not decomposed.
-                            let co_partitioned = first_join
-                                && !driver.decomposed
-                                && !build_keys.is_empty()
-                                && stream_keys_match(stream_keys, &driver.partition_key);
-                            let warm_slot = if co_partitioned
-                                && self.config.join != JoinStrategy::SortMerge
-                                && plan_is_delta_layerable(plan)
-                            {
-                                warm.as_mut()
+                        JoinBuild::Base(plan) if co_partitioned == Some(si) => {
+                            if self.config.join == JoinStrategy::SortMerge {
+                                let rows = self.eval.evaluate(plan)?.into_rows();
+                                // lint: allow(RL0008, sorted runs are built per query: the store keeps the hash and CSR layouts)
+                                let parts = rasql_storage::partition_rows(rows, build_keys, p);
+                                BuildSide::PartitionedSorted(
+                                    parts
+                                        .into_iter()
+                                        .map(|rows| Arc::new(SortedRun::build(rows, build_keys)))
+                                        .collect(),
+                                )
                             } else {
-                                None
-                            };
-                            if let Some((wb, vi, bi)) = warm_slot {
-                                let slot = (*vi, *bi, si);
-                                let mut layers =
-                                    self.warm_hash_layers(wb, slot, plan, build_keys)?;
-                                if layers.len() == 1 {
-                                    // lint: allow(RL0002, pop guarded by the len()==1 check on the previous line)
-                                    BuildSide::Partitioned(layers.pop().expect("one layer"))
-                                } else {
-                                    BuildSide::PartitionedLayered(layers)
-                                }
-                            } else if co_partitioned {
-                                let rel = self.eval.evaluate(plan)?;
-                                let parts =
-                                    rasql_storage::partition_rows(rel.into_rows(), build_keys, p);
-                                if self.config.join == JoinStrategy::SortMerge {
-                                    BuildSide::PartitionedSorted(
-                                        parts
-                                            .into_iter()
-                                            .map(|rows| {
-                                                Arc::new(SortedRun::build(rows, build_keys))
-                                            })
-                                            .collect(),
-                                    )
-                                } else {
-                                    BuildSide::Partitioned(
-                                        parts
-                                            .into_iter()
-                                            .map(|rows| {
-                                                Arc::new(HashTable::build(&rows, build_keys))
-                                            })
-                                            .collect(),
-                                    )
-                                }
-                            } else {
-                                let rel = self.eval.evaluate(plan)?;
-                                // Broadcast build (§7.2): compressed payload +
-                                // per-worker rebuild, or ship the prebuilt
-                                // (2-3x larger) hash table.
-                                let keys = build_keys.clone();
-                                let governor = self.eval.governor;
-                                let bc = if self.config.broadcast_compression {
-                                    let compressed = Arc::new(CompressedRelation::compress(
-                                        rel.schema(),
-                                        rel.rows(),
-                                    ));
-                                    let payload = compressed.size_bytes();
-                                    Broadcast::distribute_traced(
-                                        self.cluster,
-                                        None,
-                                        payload,
-                                        move |_w| {
-                                            let rows = compressed.decompress();
-                                            // lint: allow(RL0002, round-tripping a payload this pass just compressed)
-                                            let rows = rows.expect("own payload");
-                                            HashTable::build(&rows, &keys)
-                                        },
-                                        governor,
-                                    )
-                                } else {
-                                    let master = Arc::new(HashTable::build(rel.rows(), &keys));
-                                    let payload = master.size_bytes();
-                                    Broadcast::distribute_traced(
-                                        self.cluster,
-                                        None,
-                                        payload,
-                                        move |_w| master.as_ref().clone(),
-                                        governor,
-                                    )
-                                };
-                                BuildSide::Replicated(Arc::new(bc?))
+                                BuildSide::Partitioned(self.co_partitioned_index(plan, build_keys)?)
                             }
+                        }
+                        JoinBuild::Base(plan) => {
+                            let rel = self.eval.evaluate(plan)?;
+                            // Broadcast build (§7.2): compressed payload +
+                            // per-worker rebuild, or ship the prebuilt
+                            // (2-3x larger) hash table.
+                            let keys = build_keys.clone();
+                            let governor = self.eval.governor;
+                            let bc = if self.config.broadcast_compression {
+                                let compressed = Arc::new(CompressedRelation::compress(
+                                    rel.schema(),
+                                    rel.rows(),
+                                ));
+                                let payload = compressed.size_bytes();
+                                Broadcast::distribute_traced(
+                                    self.cluster,
+                                    None,
+                                    payload,
+                                    move |_w| {
+                                        let rows = compressed.decompress();
+                                        // lint: allow(RL0002, round-tripping a payload this pass just compressed)
+                                        let rows = rows.expect("own payload");
+                                        // lint: allow(RL0008, the broadcast models the network: every worker rebuilds its copy)
+                                        HashTable::build(&rows, &keys)
+                                    },
+                                    governor,
+                                )
+                            } else {
+                                // lint: allow(RL0008, the broadcast models the network: the master copy is shipped per query)
+                                let master = Arc::new(HashTable::build(rel.rows(), &keys));
+                                let payload = master.size_bytes();
+                                Broadcast::distribute_traced(
+                                    self.cluster,
+                                    None,
+                                    payload,
+                                    move |_w| master.as_ref().clone(),
+                                    governor,
+                                )
+                            };
+                            BuildSide::Replicated(Arc::new(bc?))
                         }
                     };
                     ops.push(CompiledOp::join(build_side, stream_keys, build_keys));
-                    first_join = false;
                 }
             }
         }
@@ -1523,6 +1262,7 @@ impl<'a> FixpointExecutor<'a> {
                             }
                         }
                     }
+                    // lint: allow(RL0008, a per-round snapshot of a recursive relation, not of base data)
                     out.push(Some(Arc::new(HashTable::build(&rows, build_keys))));
                 } else {
                     out.push(None);
@@ -1673,6 +1413,7 @@ impl<'a> FixpointExecutor<'a> {
                 }) = op
                 {
                     let rows: Vec<Row> = prev[*view].iter().flatten().cloned().collect();
+                    // lint: allow(RL0008, a per-round snapshot of a recursive relation, not of base data)
                     out.push(Some(Arc::new(HashTable::build(&rows, build_keys))));
                 } else {
                     out.push(None);
@@ -1943,15 +1684,14 @@ impl<'a> FixpointExecutor<'a> {
         Ok(Some(seeds))
     }
 
-    /// The clique's CSR graph — out of the version-keyed cache, or built and
-    /// put there — with the seeds resolved to its dense ids (one `remap`
-    /// lookup per seed). A repeated kernel query against unchanged edge
-    /// tables skips both the edge scan and the CSR construction. Seed
-    /// vertices get their dense ids after every edge endpoint, so one
-    /// seedless entry serves every seed list drawn from the graph's own
-    /// vertices; only a list that adds a vertex is keyed by the list, and
-    /// only then is that key computed. `None` when the edge rows are not of
-    /// the kernel's types.
+    /// The clique's CSR graph — the index store's entry for the build plan,
+    /// lent, advanced by the edges inserted since, or built — with the seeds
+    /// resolved to its dense ids (one `remap` lookup per seed). The store
+    /// keeps the graph of the edge rows alone: seed vertices get their dense
+    /// ids after every edge endpoint, so that one entry serves every seed
+    /// list drawn from the graph's own vertices, and a list that adds a
+    /// vertex gets a private extension of it (typed arrays moved, no row
+    /// read). `None` when the edge rows are not of the kernel's types.
     fn kernel_graph(
         &self,
         kp: &KernelPlan,
@@ -1964,56 +1704,27 @@ impl<'a> FixpointExecutor<'a> {
                 .map(|&(k, bits)| Some((g.dense_id(k)?, bits)))
                 .collect()
         };
-        let mut dep_tables: Vec<String> = Vec::new();
-        kp.build.referenced_tables(&mut dep_tables);
-        let mut keys = None;
-        if let Some(cache) = self.eval.csr_cache {
-            let hit = |key: &str| {
-                let g = cache.get(key)?;
-                let dense = resolve(&g)?;
-                Metrics::add(&self.cluster.metrics.cache_hits, 1);
-                Some((g, dense))
-            };
-            let shared = format!(
-                "{}|{}|p{p}|s{}d{}w{:?}",
-                kp.build.cache_text(),
-                crate::cache::version_fingerprint(self.eval.catalog, &dep_tables),
-                kp.src_col,
-                kp.dst_col,
-                kp.weight,
-            );
-            if let Some(found) = hit(&shared) {
-                return Ok(Some(found));
-            }
-            // The keys of the deduplicated base rows, in order.
-            use std::hash::{Hash, Hasher};
-            let mut seen = FxHashSet::default();
-            let extras: Vec<i64> = seeds
-                .iter()
-                .filter(|s| seen.insert(**s))
-                .map(|s| s.0)
-                .collect();
-            let mut h = std::collections::hash_map::DefaultHasher::new();
-            extras.hash(&mut h);
-            let seeded = format!("{shared}|x{:016x}", h.finish());
-            if let Some(found) = hit(&seeded) {
-                return Ok(Some(found));
-            }
-            keys = Some((cache, shared, seeded));
-        }
-        let edges = self.eval.evaluate(&kp.build)?;
-        let extras = seeds.iter().map(|s| s.0);
-        let Some(csr) = CsrGraph::build(edges.rows(), kp.src_col, kp.dst_col, kp.weight, extras, p)
+        let layout = IndexLayout::Csr {
+            src: kp.src_col,
+            dst: kp.dst_col,
+            weight: kp.weight,
+            partitions: p,
+        };
+        let Some(Index::Csr(shared)) =
+            self.eval
+                .fetch_index(&kp.build, &[kp.src_col], layout, true)?
         else {
             return Ok(None);
         };
-        let csr = Arc::new(csr);
-        if let Some((cache, shared, seeded)) = keys {
-            let seedless = csr.edge_vertices == csr.vertex_count();
-            let key = if seedless { shared } else { seeded };
-            cache.put(key, dep_tables, Arc::clone(&csr));
+        if let Some(dense) = resolve(&shared) {
+            return Ok(Some((shared, dense)));
         }
-        Ok(resolve(&csr).map(|dense| (csr, dense)))
+        let extras = seeds.iter().map(|s| s.0);
+        let Some(seeded) = shared.extended(&[], kp.src_col, kp.dst_col, kp.weight, extras, p)
+        else {
+            return Ok(None);
+        };
+        Ok(resolve(&seeded).map(|dense| (Arc::new(seeded), dense)))
     }
 
     /// The aggregate kernels: [`FixpointExecutor::run_kernel`] over
@@ -2426,20 +2137,15 @@ fn run_branch(
 
     let mut steps: Vec<PipelineStep> = Vec::new();
     for (i, op) in b.ops.iter().enumerate().skip(start) {
-        let (cs, key) = match op {
+        let cs = match op {
             CompiledOp::Filter(keep) => {
                 steps.push(PipelineStep::Filter(Arc::clone(keep)));
                 continue;
             }
-            CompiledOp::Join(cs) => (cs, Arc::clone(&cs.key)),
+            CompiledOp::Join(cs) => cs,
         };
         let table = match &cs.build {
             BuildSide::Partitioned(tables) => &tables[part],
-            BuildSide::PartitionedLayered(layers) => {
-                let tables = layers.iter().map(|l| Arc::clone(&l[part])).collect();
-                steps.push(PipelineStep::HashJoinLayered { tables, key });
-                continue;
-            }
             BuildSide::PartitionedSorted(_) => unreachable!("sorted joins executed eagerly above"),
             BuildSide::Replicated(bc) => bc.on_worker(worker),
             BuildSide::Recursive { .. } => snapshots[op_base + i]
@@ -2447,8 +2153,10 @@ fn run_branch(
                 // lint: allow(RL0002, snapshot pass above fills every Recursive slot)
                 .expect("snapshot built for recursive build side"),
         };
-        let table = Arc::clone(table);
-        steps.push(PipelineStep::HashJoin { table, key });
+        steps.push(PipelineStep::HashJoin {
+            table: Arc::clone(table),
+            key: Arc::clone(&cs.key),
+        });
     }
     let pipeline = Pipeline::with_project(steps, Arc::clone(&b.emit));
     let input_rows: &[Row] = current.as_deref().unwrap_or(input);
@@ -2818,6 +2526,38 @@ fn state_rows(v: &ViewRt, state: &ViewState) -> Vec<Row> {
             .iter()
             .map(|(k, e)| assemble_row(k, &e.values, &v.spec.key_cols, &v.agg_cols))
             .collect(),
+    }
+}
+
+/// The branch's co-partitioned base build side, if it has one — `(step,
+/// plan, build keys)`: its first join, when that joins a base plan, the delta
+/// arrives partitioned on exactly the probe key, and the view is not
+/// decomposed. Every other base build side is broadcast.
+fn co_partitioned_build<'p>(
+    prog: &'p BranchProgram,
+    driver: &ViewRt,
+) -> Option<(usize, &'p LogicalPlan, &'p [usize])> {
+    let first_join = prog
+        .steps
+        .iter()
+        .enumerate()
+        .find(|(_, s)| matches!(s, BranchStep::HashJoin { .. }));
+    match first_join {
+        Some((
+            si,
+            BranchStep::HashJoin {
+                build: JoinBuild::Base(plan),
+                stream_keys,
+                build_keys,
+                ..
+            },
+        )) if !driver.decomposed
+            && !build_keys.is_empty()
+            && stream_keys_match(stream_keys, &driver.partition_key) =>
+        {
+            Some((si, plan, build_keys))
+        }
+        _ => None,
     }
 }
 

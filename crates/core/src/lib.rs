@@ -31,6 +31,7 @@ pub mod context;
 pub mod error;
 pub mod eval;
 pub mod fixpoint;
+mod index;
 pub mod kernel;
 pub mod library;
 pub mod matview;
@@ -38,7 +39,7 @@ pub mod prem;
 pub mod session;
 pub mod wire;
 
-pub use cache::{CachedQuery, CsrCache, ResultCache};
+pub use cache::{CachedQuery, ResultCache};
 pub use check::{CheckReport, PremColumnEvidence, PremEvidence};
 pub use config::{EngineConfig, EvalMode, JoinStrategy};
 pub use context::{ContextBuilder, QueryResult, QueryStats, RaSqlContext};

@@ -161,7 +161,7 @@ impl<'a> PremChecker<'a> {
             fused: true,
             trace: None,
             governor: None,
-            csr_cache: None,
+            index: None,
         };
 
         // Base rows (deduped — UNION semantics).
@@ -199,6 +199,7 @@ impl<'a> PremChecker<'a> {
                     } => {
                         let rel = eval.evaluate(plan)?;
                         steps.push(Step::Join {
+                            // lint: allow(RL0008, the lock-step PreM checker replays one query sequentially on its own tables)
                             table: HashTable::build(rel.rows(), build_keys),
                             keys: stream_keys.clone(),
                         });

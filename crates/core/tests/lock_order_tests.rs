@@ -169,6 +169,63 @@ fn durability_log_nests_under_catalog_and_warm_state() {
     let _ = std::fs::remove_dir_all(&dir);
 }
 
+/// `IndexStore` ranks after `CatalogTables`: the store's lock is never held
+/// across a catalog access (a fetch snapshots table versions first, builds
+/// outside the lock, re-checks under it), so taking the catalog inside it is
+/// an inversion the checker names. Drive every consumer — a view's build
+/// side, a kernel CSR, point lookups on their second use, advances after
+/// inserts, the sweep of a delete — from several threads with the checker
+/// armed.
+#[test]
+fn index_store_is_never_held_across_a_catalog_access() {
+    assert!((LockRank::ResultCache as u32) < (LockRank::IndexStore as u32));
+    let store = RankedMutex::new(LockRank::IndexStore, ());
+    let catalog = RankedMutex::new(LockRank::CatalogTables, ());
+    let err = std::panic::catch_unwind(|| {
+        let _held = store.lock();
+        let _g = catalog.lock();
+    })
+    .expect_err("a catalog access under the index store's lock must panic");
+    let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+    assert!(msg.contains("IndexStore"), "{msg}");
+
+    let ctx = Arc::new(RaSqlContext::builder().workers(2).result_cache(0).build());
+    ctx.register(
+        "edge",
+        rasql_datagen::rmat(64, rasql_datagen::RmatConfig::default(), 3),
+    )
+    .unwrap();
+    ctx.query(&format!(
+        "CREATE MATERIALIZED VIEW v AS {}",
+        library::reach(1)
+    ))
+    .unwrap();
+    let handles: Vec<_> = (0..4i64)
+        .map(|t| {
+            let ctx = Arc::clone(&ctx);
+            std::thread::spawn(move || {
+                for i in 0..12 {
+                    ctx.query(&format!("SELECT Dst FROM edge WHERE Src = {}", i % 5))
+                        .unwrap();
+                    ctx.query(&library::reach(1 + i % 3)).unwrap();
+                    ctx.query(&format!("INSERT INTO edge VALUES ({}, {i})", 200 + t))
+                        .unwrap();
+                    ctx.query("SELECT count(*) FROM v").unwrap();
+                    if t == 0 && i % 5 == 4 {
+                        ctx.query("DELETE FROM edge WHERE Src = 200").unwrap();
+                    }
+                    assert!(held_ranks().is_empty());
+                }
+            })
+        })
+        .collect();
+    for h in handles {
+        h.join().expect("no rank inversion panic on any thread");
+    }
+    let stats = ctx.index_stats();
+    assert!(stats.advances > 0 && stats.probes > 0, "{stats:?}");
+}
+
 /// Sessions overlay private views on the shared context; their locks rank
 /// before the planner catalog and the registry. Exercise the session path.
 #[test]

@@ -6,68 +6,11 @@
 //! - **Sort-merge join**: both sides sorted by key, merged; the base side's
 //!   sorted run is likewise built once and reused.
 
-use rasql_storage::{FxHashMap, Row, Value};
+use rasql_storage::Row;
 
-/// A multimap hash table over `key_cols` of the build rows.
-#[derive(Debug, Clone, Default)]
-pub struct HashTable {
-    map: FxHashMap<Box<[Value]>, Vec<Row>>,
-    key_cols: Vec<usize>,
-}
-
-impl HashTable {
-    /// Build from rows.
-    pub fn build(rows: &[Row], key_cols: &[usize]) -> Self {
-        let mut map: FxHashMap<Box<[Value]>, Vec<Row>> = FxHashMap::default();
-        for row in rows {
-            let key: Box<[Value]> = key_cols.iter().map(|&c| row[c].clone()).collect();
-            map.entry(key).or_default().push(row.clone());
-        }
-        HashTable {
-            map,
-            key_cols: key_cols.to_vec(),
-        }
-    }
-
-    /// Key columns this table is built on.
-    pub fn key_cols(&self) -> &[usize] {
-        &self.key_cols
-    }
-
-    /// Probe with key values.
-    #[inline]
-    pub fn probe(&self, key: &[Value]) -> &[Row] {
-        self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
-    }
-
-    /// Number of distinct keys.
-    pub fn keys(&self) -> usize {
-        self.map.len()
-    }
-
-    /// Total rows stored.
-    pub fn len(&self) -> usize {
-        self.map.values().map(Vec::len).sum()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.map.is_empty()
-    }
-
-    /// Approximate memory footprint: the paper notes a hashed relation is
-    /// typically 2-3x the raw data — this is what broadcast compression avoids
-    /// shipping.
-    pub fn size_bytes(&self) -> usize {
-        self.map
-            .iter()
-            .map(|(k, v)| {
-                32 + k.iter().map(Value::size_bytes).sum::<usize>()
-                    + v.iter().map(Row::size_bytes).sum::<usize>()
-            })
-            .sum()
-    }
-}
+/// The hash table lives beside the index store that keeps it across
+/// statements; this is its historical path.
+pub use rasql_storage::HashTable;
 
 /// A build side pre-sorted on its key columns, reusable across iterations.
 #[derive(Debug, Clone)]
@@ -160,24 +103,6 @@ mod tests {
     use rasql_storage::row::int_row;
 
     #[test]
-    fn hash_table_build_and_probe() {
-        let rows = vec![int_row(&[1, 10]), int_row(&[1, 11]), int_row(&[2, 20])];
-        let ht = HashTable::build(&rows, &[0]);
-        assert_eq!(ht.keys(), 2);
-        assert_eq!(ht.len(), 3);
-        assert_eq!(ht.probe(&[Value::Int(1)]).len(), 2);
-        assert_eq!(ht.probe(&[Value::Int(3)]).len(), 0);
-    }
-
-    #[test]
-    fn hash_table_is_larger_than_raw() {
-        let rows: Vec<Row> = (0..1000).map(|i| int_row(&[i, i])).collect();
-        let raw: usize = rows.iter().map(Row::size_bytes).sum();
-        let ht = HashTable::build(&rows, &[0]);
-        assert!(ht.size_bytes() > raw, "{} !> {raw}", ht.size_bytes());
-    }
-
-    #[test]
     fn merge_join_matches_hash_join() {
         let build_rows: Vec<Row> = (0..50).map(|i| int_row(&[i % 10, i])).collect();
         let probe_rows: Vec<Row> = (0..30).map(|i| int_row(&[i % 15, i * 100])).collect();
@@ -211,6 +136,4 @@ mod tests {
         merge_join(&mut probe, &[0], &run, |_| n += 1);
         assert_eq!(n, 0);
     }
-
-    use rasql_storage::Value;
 }

@@ -38,16 +38,6 @@ pub enum PipelineStep {
         /// Probe-key extractor.
         key: KeyFn,
     },
-    /// Hash-join against a stack of build layers: each probe visits every
-    /// layer in order and emits `tuple ++ match` for every match in every
-    /// layer. An incremental-view refresh retains the converged build table
-    /// and stacks small delta-only tables on top instead of rebuilding.
-    HashJoinLayered {
-        /// Build layers, oldest first.
-        tables: Vec<Arc<HashTable>>,
-        /// Probe-key extractor.
-        key: KeyFn,
-    },
 }
 
 /// A pipeline: steps then a final projection.
@@ -130,11 +120,6 @@ impl Pipeline {
                 }
             }
             Some(PipelineStep::HashJoin { table, key }) => self.join(i, table, key, s, sink),
-            Some(PipelineStep::HashJoinLayered { tables, key }) => {
-                for table in tables {
-                    self.join(i, table, key, s, sink);
-                }
-            }
         }
     }
 
@@ -180,17 +165,6 @@ pub fn run_unfused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
                     key(row.values(), &mut k);
                     for m in table.probe(&k) {
                         next.push(row.concat(m));
-                    }
-                }
-            }
-            PipelineStep::HashJoinLayered { tables, key } => {
-                for row in &current {
-                    k.clear();
-                    key(row.values(), &mut k);
-                    for table in tables {
-                        for m in table.probe(&k) {
-                            next.push(row.concat(m));
-                        }
                     }
                 }
             }
@@ -262,32 +236,6 @@ mod tests {
         );
         assert_eq!(run_fused(&input, &p), vec![int_row(&[2])]);
         assert_eq!(run_unfused(&input, &p), vec![int_row(&[2])]);
-    }
-
-    #[test]
-    fn layered_join_matches_single_build() {
-        let input: Vec<Row> = (0..50).map(|i| int_row(&[i % 9])).collect();
-        let build: Vec<Row> = (0..9).map(|i| int_row(&[i, i * 10])).collect();
-        let key: KeyFn = Arc::new(|r: &[Value], k: &mut Vec<Value>| k.push(r[0].clone()));
-        let merged = Pipeline::new(vec![PipelineStep::HashJoin {
-            table: Arc::new(HashTable::build(&build, &[0])),
-            key: Arc::clone(&key),
-        }]);
-        let layered = Pipeline::new(vec![PipelineStep::HashJoinLayered {
-            tables: vec![
-                Arc::new(HashTable::build(&build[..6], &[0])),
-                Arc::new(HashTable::build(&build[6..], &[0])),
-            ],
-            key,
-        }]);
-        for run in [run_fused, run_unfused] {
-            let mut a = run(&input, &merged);
-            let mut b = run(&input, &layered);
-            a.sort_unstable();
-            b.sort_unstable();
-            assert_eq!(a, b);
-            assert!(!a.is_empty());
-        }
     }
 
     #[test]

@@ -197,7 +197,8 @@ proptest! {
     fn fused_equals_unfused_on_random_pipelines(
         input in prop::collection::vec((0i64..12, 0i64..12), 0..60),
         build in prop::collection::vec((0i64..12, 0i64..40), 0..40),
-        // Step kinds: 0 filter, 1 join, 2 layered join, 3 empty-key cross join.
+        // Step kinds: 0 filter, 1 join, 2 join against a table built over a
+        // prefix and advanced by the rest, 3 empty-key cross join.
         kinds in prop::collection::vec(0usize..4, 0..5),
         threshold in 0i64..12,
         split in 0.0f64..1.0,
@@ -215,10 +216,11 @@ proptest! {
             .iter()
             .map(|&kind| match kind {
                 1 => PipelineStep::HashJoin { table: table(&build_rows, &[0]), key: key.clone() },
-                2 => PipelineStep::HashJoinLayered {
-                    tables: vec![table(&build_rows[..cut], &[0]), table(&build_rows[cut..], &[0])],
-                    key: key.clone(),
-                },
+                2 => {
+                    let mut advanced = HashTable::build(&build_rows[..cut], &[0]);
+                    advanced.append(&build_rows[cut..]);
+                    PipelineStep::HashJoin { table: Arc::new(advanced), key: key.clone() }
+                }
                 3 if crosses < 2 => {
                     crosses += 1;
                     PipelineStep::HashJoin { table: table(&build_rows[..cut.min(5)], &[]), key: no_key.clone() }

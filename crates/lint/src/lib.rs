@@ -19,6 +19,7 @@
 //! | `RL0005` | direct durable file writes (`File::create`, `.write_all(`, `fs::rename`) in `crates/storage/src` outside the WAL/snapshot/spill modules |
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
 //! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s streaming executor, `exec::kernel`'s edge walk, `core::fixpoint`'s emit/merge functions and seed-fold sink) without an allow annotation |
+//! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast and recursive-snapshot builds carry an allow annotation saying why they are not kept |
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
@@ -87,6 +88,13 @@ pub enum LintCode {
     /// buffer until the state finds it new; the allocation for a new tuple
     /// is the reasoned exception.
     PerTupleRowBuild,
+    /// `RL0008`: `HashTable::build(`, `partition_rows(` or `CsrGraph::build(`
+    /// in `crates/core/src` outside `index.rs`, the one module that feeds
+    /// the index store. An index of base data built anywhere else is built
+    /// again by the next statement and invalidated by nobody's protocol; a
+    /// build that is per query by design (a sort-merge run, the broadcast
+    /// that models the network, a snapshot of a recursive relation) says so.
+    IndexBuiltOutsideStore,
 }
 
 impl LintCode {
@@ -100,6 +108,7 @@ impl LintCode {
             LintCode::UnmanagedDurableWrite => "RL0005",
             LintCode::ReadPathRowCopy => "RL0006",
             LintCode::PerTupleRowBuild => "RL0007",
+            LintCode::IndexBuiltOutsideStore => "RL0008",
         }
     }
 
@@ -110,7 +119,7 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 7] {
+    pub fn all() -> [LintCode; 8] {
         [
             LintCode::RawLockConstruction,
             LintCode::HotPathPanic,
@@ -119,6 +128,7 @@ impl LintCode {
             LintCode::UnmanagedDurableWrite,
             LintCode::ReadPathRowCopy,
             LintCode::PerTupleRowBuild,
+            LintCode::IndexBuiltOutsideStore,
         ]
     }
 
@@ -143,6 +153,9 @@ impl LintCode {
             }
             LintCode::PerTupleRowBuild => {
                 "per-tuple row construction in the borrowed-tuple path without an allow annotation"
+            }
+            LintCode::IndexBuiltOutsideStore => {
+                "join index of base data built in core outside the index store's feeder module"
             }
         }
     }
@@ -886,6 +899,54 @@ fn rule_per_tuple_row(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppress
     }
 }
 
+/// RL0008: `HashTable::build(` / `partition_rows(` / `CsrGraph::build(` in
+/// `crates/core/src` outside `index.rs`. The index store builds, keeps,
+/// advances and invalidates join indexes of base data; `core::index` is the
+/// one module that feeds it.
+fn rule_index_outside_store(
+    ctx: &FileCtx<'_>,
+    out: &mut Vec<LintDiagnostic>,
+    suppressed: &mut usize,
+) {
+    if !ctx.path.contains("crates/core/src/") || ctx.path.ends_with("crates/core/src/index.rs") {
+        return;
+    }
+    let code = &ctx.code;
+    let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
+    for i in 0..code.len() {
+        let t = &code[i];
+        // `HashTable::build(` / `CsrGraph::build(`, or a `partition_rows(` call.
+        let end = if (t.is_ident("HashTable") || t.is_ident("CsrGraph"))
+            && is(i + 1, &|t| t.is_punct(':'))
+            && is(i + 2, &|t| t.is_punct(':'))
+            && is(i + 3, &|t| t.is_ident("build"))
+            && is(i + 4, &|t| t.is_punct('('))
+        {
+            i + 4
+        } else if t.is_ident("partition_rows") && is(i + 1, &|t| t.is_punct('(')) {
+            i + 1
+        } else {
+            continue;
+        };
+        let span = Span::new(t.start, code[end].end);
+        ctx.emit(
+            out,
+            suppressed,
+            LintDiagnostic::new(
+                LintCode::IndexBuiltOutsideStore,
+                ctx.path,
+                span,
+                "join index built in core outside the index store's feeder module",
+            )
+            .with_help(
+                "ask `EvalContext::fetch_index` (core::index) so the index is built once, \
+                 advanced by appends and shared; a build that is per query by design needs \
+                 `// lint: allow(RL0008, <reason>)`",
+            ),
+        );
+    }
+}
+
 // ----------------------------------------------------------------
 // Entry points
 // ----------------------------------------------------------------
@@ -910,6 +971,7 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     rule_durable_write(&ctx, &mut out, &mut suppressed);
     rule_read_path_copy(&ctx, &mut out, &mut suppressed);
     rule_per_tuple_row(&ctx, &mut out, &mut suppressed);
+    rule_index_outside_store(&ctx, &mut out, &mut suppressed);
     out.sort_by_key(|d| d.span.start);
     (out, suppressed)
 }
@@ -973,6 +1035,7 @@ mod tests {
         assert_eq!(LintCode::UnmanagedDurableWrite.code(), "RL0005");
         assert_eq!(LintCode::ReadPathRowCopy.code(), "RL0006");
         assert_eq!(LintCode::PerTupleRowBuild.code(), "RL0007");
+        assert_eq!(LintCode::IndexBuiltOutsideStore.code(), "RL0008");
         for c in LintCode::all() {
             assert_eq!(c.severity(), Severity::Error);
         }

@@ -280,6 +280,35 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
 }
 
 #[test]
+fn rl0008_flags_index_builds_in_core_outside_the_store_feeder() {
+    let src = include_str!("fixtures/rl0008_index_builds.rs");
+    let (diags, suppressed) = lint_file_counting("crates/core/src/kernel.rs", src);
+    let spans: Vec<_> = diags
+        .iter()
+        .map(|d| (d.code, d.span.start, d.span.end))
+        .collect();
+    assert_eq!(
+        spans,
+        vec![
+            (LintCode::IndexBuiltOutsideStore, 296, 311),
+            (LintCode::IndexBuiltOutsideStore, 408, 425),
+            (LintCode::IndexBuiltOutsideStore, 538, 554),
+        ],
+        "{diags:#?}"
+    );
+    assert_eq!(&src[296..311], "partition_rows(");
+    assert_eq!(&src[408..425], "HashTable::build(");
+    assert_eq!(&src[538..554], "CsrGraph::build(");
+    // The annotated broadcast build is suppressed, the test module exempt.
+    assert_eq!(suppressed, 1);
+    assert!(diags[0].help.as_deref().unwrap().contains("fetch_index"));
+    // The store's feeder itself, and every other crate, may build.
+    for path in ["crates/core/src/index.rs", "crates/exec/src/join.rs"] {
+        assert!(lint_file(path, src).is_empty(), "{path} is not covered");
+    }
+}
+
+#[test]
 fn clean_fixture_is_clean_everywhere() {
     let src = include_str!("fixtures/clean.rs");
     for path in [

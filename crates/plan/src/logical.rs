@@ -156,6 +156,51 @@ impl LogicalPlan {
         }
     }
 
+    /// How many times the plan scans base table `table` (case-insensitive).
+    /// Overlaying a table with a delta overlays every scan of it, so only a
+    /// table scanned once can be advanced or seeded by its appended rows: two
+    /// scans would pair Δ with Δ and lose old⋈Δ.
+    pub fn scans_of(&self, table: &str) -> usize {
+        let mut tables = Vec::new();
+        self.referenced_tables(&mut tables);
+        tables
+            .iter()
+            .filter(|t| t.eq_ignore_ascii_case(table))
+            .count()
+    }
+
+    /// Whether evaluating the plan over a table grown by appended rows yields
+    /// exactly the old output plus the plan evaluated with that table
+    /// overlaid by only the new rows — provided the table is scanned once
+    /// ([`LogicalPlan::scans_of`]): scans, filters, projections and joins
+    /// distribute over row insertion (a scan/filter/projection chain row for
+    /// row, a join as a multiset — its output order follows its shuffle).
+    /// `Distinct`, aggregates, sorts and limits do not (an
+    /// inserted row can change, reorder or suppress earlier output), a
+    /// union interleaves, and a view scan reads no base table at all. This
+    /// is the rule under which a retained join index or a converged fixpoint
+    /// may be advanced by a delta instead of rebuilt.
+    pub fn distributes_over_appends(&self) -> bool {
+        match self {
+            LogicalPlan::TableScan { .. } | LogicalPlan::Values { .. } => true,
+            LogicalPlan::Projection { .. }
+            | LogicalPlan::Filter { .. }
+            | LogicalPlan::Join { .. } => self
+                .children()
+                .into_iter()
+                .all(LogicalPlan::distributes_over_appends),
+            _ => false,
+        }
+    }
+
+    /// Whether the plan scans a materialized recursive view anywhere: its
+    /// output then depends on the query's own fixpoint results, not on base
+    /// tables alone.
+    pub fn reads_views(&self) -> bool {
+        matches!(self, LogicalPlan::ViewScan { .. })
+            || self.children().into_iter().any(LogicalPlan::reads_views)
+    }
+
     /// One-line label of this node (no children, no indentation) — the same
     /// text [`LogicalPlan::display_indent`] prints for the node. Execution
     /// traces key operator counters by (pre-order path, label).

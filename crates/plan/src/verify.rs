@@ -24,6 +24,7 @@
 //!    `CHECK` show *why* a plan is (in)eligible for decomposed evaluation.
 
 use crate::analyzer::{analyze_query, ViewCatalog};
+use crate::branch::{BranchProgram, BranchStep, JoinBuild};
 use crate::certificate::PartitionCertificate;
 use crate::diag::{DiagCode, Diagnostic, Severity};
 use rasql_parser::ast::{
@@ -323,6 +324,25 @@ pub fn verify_query(q: &Query, catalog: &ViewCatalog) -> VerifyReport {
         Ok(analyzed) => {
             for clique in &analyzed.cliques {
                 for spec in &clique.views {
+                    // A refresh seeds `state ⋈ Δbuild` by overlaying the
+                    // changed table with its delta; a build side scanning
+                    // that table twice would evaluate Δ⋈Δ and lose old⋈Δ.
+                    if let Some(table) = spec.recursive.iter().find_map(twice_scanned_table) {
+                        report.maintenance.push(
+                            Diagnostic::new(
+                                DiagCode::MaintenanceUnsound,
+                                spec.name_span,
+                                format!(
+                                    "a recursive join's build side scans table '{table}' more \
+                                     than once (a self-join) in view {}: overlaying every \
+                                     occurrence with an inserted delta would drop the \
+                                     derivations that pair old rows with new ones",
+                                    spec.name
+                                ),
+                            )
+                            .with_help(maintenance_help),
+                        );
+                    }
                     let Some(view) = report
                         .views
                         .iter_mut()
@@ -397,6 +417,22 @@ pub fn static_prem_verdicts(q: &Query) -> HashMap<(String, usize), StaticVerdict
     acc.into_iter()
         .map(|((vi, ci), (verdict, _))| ((q.ctes[vi].name.to_ascii_lowercase(), ci), verdict))
         .collect()
+}
+
+/// The first base table a build side of `prog` scans more than once.
+fn twice_scanned_table(prog: &BranchProgram) -> Option<String> {
+    prog.steps.iter().find_map(|step| {
+        let BranchStep::HashJoin {
+            build: JoinBuild::Base(plan),
+            ..
+        } = step
+        else {
+            return None;
+        };
+        let mut tables = Vec::new();
+        plan.referenced_tables(&mut tables);
+        tables.into_iter().find(|t| plan.scans_of(t) > 1)
+    })
 }
 
 fn proven_reason(func: AggFunc, col: &str) -> String {

@@ -349,6 +349,7 @@ impl Conn {
             waiting: ctx.waiting_queries() as u64,
             sessions: self.state.live_sessions() as u64,
             tables: ctx.table_names(),
+            index_store: ctx.index_stats().to_string(),
         }
     }
 }

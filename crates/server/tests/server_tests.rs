@@ -277,7 +277,10 @@ fn disconnect_mid_query_cancels_and_leaks_nothing() {
 #[test]
 fn slow_statement_costs_the_client_its_engine_time_not_a_poll_quantum() {
     let ctx = Arc::new(RaSqlContext::builder().workers(2).build());
-    let sql = "SELECT Dst FROM edge WHERE Src = 77";
+    // `Src + 0`, not `Src`: a bare `Src = 77` is answered from the index
+    // store in microseconds from its second use on, and this test needs the
+    // scan.
+    let sql = "SELECT Dst FROM edge WHERE Src + 0 = 77";
     let median_ms = |run: &mut dyn FnMut()| {
         let mut ms: Vec<f64> = (0..9)
             .map(|_| {
@@ -289,7 +292,7 @@ fn slow_statement_costs_the_client_its_engine_time_not_a_poll_quantum() {
         ms.sort_by(f64::total_cmp);
         ms[ms.len() / 2]
     };
-    // A point lookup over a table sized so the engine needs 12-20 ms for it,
+    // A filter over a table sized so the engine needs 12-20 ms for it,
     // whatever the build profile: past the first 10 ms probe, and where the
     // old 25 ms poll always landed on top of it.
     let mut n: i64 = 150_000;
@@ -327,12 +330,79 @@ fn kill_metrics_and_status_are_reachable() {
     assert!(status.tables.contains(&"edge".to_string()));
     assert_eq!(status.sessions, 1);
     assert!(status.active_queries.is_empty());
+    assert!(status
+        .index_store
+        .starts_with("0 entries, 0 bytes, 0 builds"));
+
+    // The second lookup on one key column builds its index; the line says so.
+    for _ in 0..3 {
+        client.query("SELECT Dst FROM edge WHERE Src = 7").unwrap();
+    }
+    let line = client.status().unwrap().index_store;
+    assert!(line.starts_with("1 entries, "), "{line}");
+    assert!(
+        line.ends_with("1 builds, 0 advances, 0 rebuilds, 1 probes"),
+        "{line}"
+    );
 
     client.query("SELECT count(*) FROM edge").unwrap();
     let metrics = client.metrics().unwrap();
     assert!(metrics.contains("# TYPE rasql_stages_total counter"));
     assert!(metrics.contains("rasql_admitted_total"));
     client.close().unwrap();
+}
+
+/// One client appends to `edge` while another looks keys up through the
+/// index store. The index is advanced by whichever lookup first sees the
+/// longer table, in place or on a copy while a reader holds it — and every
+/// answer must be exactly the key's rows of *some* prefix of the insert
+/// sequence, no shorter than the previous answer's: never a torn advance, a
+/// duplicated delta or a lost row.
+#[test]
+fn lookups_racing_inserts_see_a_prefix_of_the_insert_sequence() {
+    const KEY: i64 = 7;
+    const INSERTS: i64 = 120;
+    let (handle, ctx) = start_server(2);
+    let addr = handle.addr();
+    // Insert `i` adds (KEY, 1000 + i) and a row of another key.
+    let writer = std::thread::spawn(move || {
+        let mut client = Client::connect(addr).unwrap();
+        for i in 0..INSERTS {
+            let sql = format!(
+                "INSERT INTO edge VALUES ({KEY}, {}), ({}, 0)",
+                1000 + i,
+                500 + i
+            );
+            client.query(&sql).unwrap();
+        }
+        client.close().unwrap();
+    });
+    let mut reader = Client::connect(addr).unwrap();
+    let lookup = format!("SELECT Dst FROM edge WHERE Src = {KEY}");
+    let prefix = |n: i64| -> Vec<Value> {
+        std::iter::once(KEY + 1)
+            .chain((0..n).map(|i| 1000 + i))
+            .map(Value::Int)
+            .collect()
+    };
+    let mut seen = 0i64;
+    let mut answers = 0;
+    while seen < INSERTS {
+        let result = reader.query(&lookup).unwrap().remove(0);
+        let got: Vec<Value> = result.rows.iter().map(|r| r[0].clone()).collect();
+        let n = got.len() as i64 - 1;
+        assert!(n >= seen, "answer went back from {seen} to {n} inserts");
+        assert_eq!(got, prefix(n), "not the key's rows of a prefix");
+        seen = n;
+        answers += 1;
+    }
+    writer.join().unwrap();
+    assert!(answers >= 2);
+    let stats = ctx.index_stats();
+    assert_eq!((stats.builds, stats.rebuilds), (1, 0), "{stats:?}");
+    assert!(stats.advances >= 1, "{stats:?}");
+    reader.close().unwrap();
+    assert!(handle.shutdown(), "drain should be clean");
 }
 
 #[test]

@@ -88,13 +88,36 @@ impl CsrGraph {
         extra_vertices: impl IntoIterator<Item = i64>,
         partitions: usize,
     ) -> Option<CsrGraph> {
+        CsrGraph::default().extended(edges, src_col, dst_col, weight, extra_vertices, partitions)
+    }
+
+    /// This graph grown by appended edge rows (and extra seed vertices):
+    /// new endpoints are interned after the existing vertices and each
+    /// vertex's new edges follow its old ones — field for field the graph
+    /// [`CsrGraph::build`] makes of the old rows followed by `delta`, because
+    /// `build` interns and scatters in row order. The old adjacency is moved
+    /// as typed slices, O(V + E); only `delta` is read as `Value`s. `None`
+    /// under `build`'s conditions, and when this graph already holds seed
+    /// vertices that new edge endpoints would have to precede.
+    pub fn extended(
+        &self,
+        delta: &[Row],
+        src_col: usize,
+        dst_col: usize,
+        weight: CsrWeight,
+        extra_vertices: impl IntoIterator<Item = i64>,
+        partitions: usize,
+    ) -> Option<CsrGraph> {
+        if !delta.is_empty() && self.edge_vertices != self.orig.len() {
+            return None;
+        }
         // The per-edge vectors are sized once from the edge count. The vertex
         // tables grow: a graph has far fewer vertices than edges, and a hash
         // map sized for the edge count is a sparse table every lookup misses
         // the cache in (measured: 47 vs 35 ns/edge on RMAT-65536).
-        let m = edges.len();
-        let mut remap: FxHashMap<i64, u32> = FxHashMap::default();
-        let mut orig: Vec<i64> = Vec::new();
+        let m = delta.len();
+        let mut remap = self.remap.clone();
+        let mut orig = self.orig.clone();
         let mut intern = |id: i64, orig: &mut Vec<i64>| -> Option<u32> {
             if let Some(&d) = remap.get(&id) {
                 return Some(d);
@@ -105,9 +128,9 @@ impl CsrGraph {
             Some(d)
         };
 
-        // Intern every endpoint (and seed vertex) first so ids are stable,
-        // extracting typed (src, dst) pairs and weights, in edge order, as we
-        // go.
+        // Intern every new endpoint (and seed vertex) first so ids are
+        // stable, extracting typed (src, dst) pairs and weights, in edge
+        // order, as we go.
         let mut ends: Vec<(u32, u32)> = Vec::with_capacity(m);
         let mut edge_w_i: Vec<i64> = Vec::new();
         let mut edge_w_f: Vec<f64> = Vec::new();
@@ -116,7 +139,7 @@ impl CsrGraph {
             CsrWeight::Int { .. } => edge_w_i.reserve_exact(m),
             CsrWeight::Float { .. } => edge_w_f.reserve_exact(m),
         }
-        for row in edges {
+        for row in delta {
             let (Value::Int(s), Value::Int(d)) = (row.get(src_col), row.get(dst_col)) else {
                 return None;
             };
@@ -137,24 +160,45 @@ impl CsrGraph {
                 },
             }
         }
-        let edge_vertices = orig.len();
+        let edge_vertices = if m == 0 {
+            self.edge_vertices
+        } else {
+            orig.len()
+        };
         for id in extra_vertices {
             intern(id, &mut orig)?;
         }
 
-        let n = orig.len();
+        // A vertex's slice is its old adjacency followed by its new edges.
+        let (n_old, n) = (self.orig.len(), orig.len());
+        let old_end = |v: usize| if v < n_old { self.offsets[v + 1] } else { 0 };
+        let old_start = |v: usize| if v < n_old { self.offsets[v] } else { 0 };
         let mut offsets = vec![0usize; n + 1];
         for &(s, _) in &ends {
             offsets[s as usize + 1] += 1;
         }
         for v in 0..n {
-            offsets[v + 1] += offsets[v];
+            offsets[v + 1] += offsets[v] + old_end(v) - old_start(v);
         }
-        // Scatter each edge to its source's next free slot.
+        let total = self.targets.len() + m;
+        let mut targets = vec![0u32; total];
+        let mut weights_i = vec![0i64; self.weights_i.len() + edge_w_i.len()];
+        let mut weights_f = vec![0f64; self.weights_f.len() + edge_w_f.len()];
+        // Each vertex's next free slot: past the old adjacency just moved in.
         let mut cursor = offsets.clone();
-        let mut targets = vec![0u32; m];
-        let mut weights_i = vec![0i64; edge_w_i.len()];
-        let mut weights_f = vec![0f64; edge_w_f.len()];
+        for v in 0..n_old {
+            let (from, len) = (self.offsets[v], self.offsets[v + 1] - self.offsets[v]);
+            let at = offsets[v];
+            targets[at..at + len].copy_from_slice(&self.targets[from..from + len]);
+            if !self.weights_i.is_empty() {
+                weights_i[at..at + len].copy_from_slice(&self.weights_i[from..from + len]);
+            }
+            if !self.weights_f.is_empty() {
+                weights_f[at..at + len].copy_from_slice(&self.weights_f[from..from + len]);
+            }
+            cursor[v] = at + len;
+        }
+        // Scatter each new edge to its source's next free slot.
         for (i, &(s, d)) in ends.iter().enumerate() {
             let at = cursor[s as usize];
             cursor[s as usize] += 1;
@@ -168,14 +212,12 @@ impl CsrGraph {
         }
 
         let parts = partitions.max(1);
-        let part_of = orig
-            .iter()
-            .map(|&id| {
-                #[allow(clippy::cast_possible_truncation)]
-                let p = hash_partition(&[&Value::Int(id)], parts) as u32;
-                p
-            })
-            .collect();
+        let mut part_of = self.part_of.clone();
+        part_of.extend(orig[n_old..].iter().map(|&id| {
+            #[allow(clippy::cast_possible_truncation)]
+            let p = hash_partition(&[&Value::Int(id)], parts) as u32;
+            p
+        }));
 
         Some(CsrGraph {
             offsets,

@@ -34,6 +34,7 @@ pub mod crashpoint;
 pub mod csr;
 pub mod error;
 pub mod hasher;
+pub mod index;
 pub mod partition;
 pub mod relation;
 pub mod snapshot;
@@ -62,6 +63,9 @@ pub use crashpoint::{CrashInjector, CrashSpec, CRASH_SITES};
 pub use csr::{CsrGraph, CsrWeight};
 pub use error::StorageError;
 pub use hasher::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use index::{
+    Fetch, HashIndex, HashTable, Index, IndexDep, IndexKey, IndexLayout, IndexStats, IndexStore,
+};
 pub use partition::{hash_partition, partition_rows, Partitioning};
 pub use relation::Relation;
 pub use row::Row;

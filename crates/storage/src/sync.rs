@@ -36,12 +36,11 @@
 //! | [`LockRank::ViewLockMap`] | map of per-view guards | `core::context` |
 //! | [`LockRank::AdmissionState`] | admission running/waiting counters | `exec::governor` |
 //! | [`LockRank::ActiveQueries`] | kill-registry of cancel tokens | `core::context` |
-//! | [`LockRank::WarmBuilds`] | retained build-side hash tables | `core::context` |
 //! | [`LockRank::CatalogTables`] | base-table map + versions | `storage::catalog` |
 //! | [`LockRank::WarmStore`] | retained warm fixpoint state | `storage::warmstore` |
 //! | [`LockRank::DurabilityLog`] | WAL appender + snapshot publisher | `storage::wal` |
 //! | [`LockRank::ResultCache`] | version-keyed result cache | `core::cache` |
-//! | [`LockRank::CsrCache`] | built CSR kernel graphs | `core::cache` |
+//! | [`LockRank::IndexStore`] | join indexes of base data (hash, CSR) | `storage::index` |
 //! | [`LockRank::CheckpointStore`] | in-memory checkpoint blobs | `exec::checkpoint` |
 //! | [`LockRank::ClusterHealth`] | worker failure/blacklist table | `exec::cluster` |
 //! | [`LockRank::FixpointState`] | per-partition view state / kernel slabs (sharded) | `core::fixpoint` |
@@ -99,8 +98,6 @@ pub enum LockRank {
     AdmissionState = 70,
     /// The kill registry of active-query cancellation tokens.
     ActiveQueries = 80,
-    /// Retained build-side hash tables for delta-seeded refresh.
-    WarmBuilds = 90,
     /// The base-table catalog (tables map + version counters).
     CatalogTables = 100,
     /// The warm-state blob store.
@@ -112,8 +109,10 @@ pub enum LockRank {
     DurabilityLog = 115,
     /// The version-keyed ad-hoc result cache.
     ResultCache = 120,
-    /// The built-CSR-graph cache.
-    CsrCache = 130,
+    /// The index store. Never held across a catalog access or a plan
+    /// evaluation: readers snapshot table versions first, build outside the
+    /// lock and re-check under it.
+    IndexStore = 130,
     /// The in-memory checkpoint blob store.
     CheckpointStore = 140,
     /// Worker failure counts and blacklist flags.
@@ -142,12 +141,11 @@ impl LockRank {
             LockRank::ViewLockMap => "ViewLockMap",
             LockRank::AdmissionState => "AdmissionState",
             LockRank::ActiveQueries => "ActiveQueries",
-            LockRank::WarmBuilds => "WarmBuilds",
             LockRank::CatalogTables => "CatalogTables",
             LockRank::WarmStore => "WarmStore",
             LockRank::DurabilityLog => "DurabilityLog",
             LockRank::ResultCache => "ResultCache",
-            LockRank::CsrCache => "CsrCache",
+            LockRank::IndexStore => "IndexStore",
             LockRank::CheckpointStore => "CheckpointStore",
             LockRank::ClusterHealth => "ClusterHealth",
             LockRank::FixpointState => "FixpointState",
@@ -596,11 +594,11 @@ mod tests {
     #[test]
     fn out_of_order_release_unwinds_correctly() {
         let a = RankedMutex::new(LockRank::PlannerCatalog, ());
-        let b = RankedMutex::new(LockRank::WarmBuilds, ());
+        let b = RankedMutex::new(LockRank::ActiveQueries, ());
         let ga = a.lock();
         let gb = b.lock();
         drop(ga); // released before the later acquisition
-        assert_eq!(held_ranks(), vec![LockRank::WarmBuilds]);
+        assert_eq!(held_ranks(), vec![LockRank::ActiveQueries]);
         drop(gb);
         assert!(held_ranks().is_empty());
         // The earlier rank is acquirable again.
@@ -698,12 +696,11 @@ mod tests {
             LockRank::ViewLockMap,
             LockRank::AdmissionState,
             LockRank::ActiveQueries,
-            LockRank::WarmBuilds,
             LockRank::CatalogTables,
             LockRank::WarmStore,
             LockRank::DurabilityLog,
             LockRank::ResultCache,
-            LockRank::CsrCache,
+            LockRank::IndexStore,
             LockRank::CheckpointStore,
             LockRank::ClusterHealth,
             LockRank::FixpointState,
