@@ -1027,7 +1027,7 @@ impl RaSqlContext {
             s.enable_operators(false);
         }
         let elapsed = start.elapsed();
-        let mut metrics = diff_metrics(before, self.cluster.metrics.snapshot());
+        let mut metrics = self.cluster.metrics.snapshot().since(&before);
         // Governance numbers come from this query's own governor: global
         // counter deltas would bleed across concurrent queries.
         metrics.peak_memory = governor.tracker().peak();
@@ -1247,7 +1247,7 @@ impl RaSqlContext {
                 };
                 let relation = eval.evaluate(&plan)?;
                 let elapsed = start.elapsed();
-                let mut metrics = diff_metrics(before, self.cluster.metrics.snapshot());
+                let mut metrics = self.cluster.metrics.snapshot().since(&before);
                 metrics.peak_memory = governor.tracker().peak();
                 metrics.spilled_bytes = governor.spilled_bytes();
                 metrics.spill_files = governor.spill_files();
@@ -1993,40 +1993,4 @@ fn text_relation(text: &str) -> Relation {
         .map(|l| Row::new(vec![Value::str(l)]))
         .collect();
     Relation::new_unchecked(schema, rows)
-}
-
-fn diff_metrics(before: MetricsSnapshot, after: MetricsSnapshot) -> MetricsSnapshot {
-    MetricsSnapshot {
-        stages: after.stages - before.stages,
-        tasks: after.tasks - before.tasks,
-        shuffle_rows: after.shuffle_rows - before.shuffle_rows,
-        shuffle_bytes: after.shuffle_bytes - before.shuffle_bytes,
-        remote_fetch_bytes: after.remote_fetch_bytes - before.remote_fetch_bytes,
-        broadcast_bytes: after.broadcast_bytes - before.broadcast_bytes,
-        join_output_rows: after.join_output_rows - before.join_output_rows,
-        iterations: after.iterations - before.iterations,
-        remote_fetches: after.remote_fetches - before.remote_fetches,
-        task_failures: after.task_failures - before.task_failures,
-        task_retries: after.task_retries - before.task_retries,
-        worker_blacklists: after.worker_blacklists - before.worker_blacklists,
-        checkpoints: after.checkpoints - before.checkpoints,
-        checkpoint_bytes: after.checkpoint_bytes - before.checkpoint_bytes,
-        restores: after.restores - before.restores,
-        combined_rows: after.combined_rows - before.combined_rows,
-        spilled_bytes: after.spilled_bytes - before.spilled_bytes,
-        spill_files: after.spill_files - before.spill_files,
-        // A gauge, not a counter: the high-water mark as of `after`.
-        peak_memory: after.peak_memory,
-        cancellations: after.cancellations - before.cancellations,
-        admitted: after.admitted - before.admitted,
-        rejected: after.rejected - before.rejected,
-        cache_hits: after.cache_hits - before.cache_hits,
-        cache_invalidations: after.cache_invalidations - before.cache_invalidations,
-        view_refreshes: after.view_refreshes - before.view_refreshes,
-        view_refreshes_incremental: after.view_refreshes_incremental
-            - before.view_refreshes_incremental,
-        // A gauge: warm-state bytes retained as of `after`.
-        retained_bytes: after.retained_bytes,
-        connections_reaped: after.connections_reaped - before.connections_reaped,
-    }
 }

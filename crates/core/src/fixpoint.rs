@@ -1,12 +1,13 @@
 //! The fixpoint operator: distributed semi-naive evaluation with
 //! aggregates-in-recursion (paper §6, §7).
 //!
-//! One executor evaluates one recursive clique. The loop structure follows
-//! Algorithm 4/5 (separate Map and Reduce stages per iteration) or the
-//! optimized Algorithm 6 (one combined ShuffleMap stage per iteration) per
-//! `EngineConfig::stage_combination`; decomposable views (§7.2) instead run
+//! One executor evaluates one recursive clique, and one loop —
+//! `FixpointExecutor::drive` — runs its rounds. What a round *does* is a
+//! `RoundStep`: semi-naive (Algorithm 4/5, separate Map and Reduce stages, or
+//! the optimized Algorithm 6, one combined ShuffleMap stage, per
+//! `EngineConfig::stage_combination`), naive (Algorithm 2), decomposed (§7.2:
 //! per-partition local fixpoints against broadcast base relations with *zero*
-//! per-iteration global stages.
+//! per-iteration global stages) or a dense kernel (§7.3).
 //!
 //! Round bookkeeping: contributions merged at the end of round *r* are
 //! stamped *r* and form the delta consumed by the next round; base-case
@@ -29,7 +30,7 @@ use rasql_exec::{
     merge_join, run_unfused, Broadcast, Cluster, Combiner, DenseAggState, DenseSetState,
     DenseState, ExecError, HashTable, IterationTrace, KernelValue, MaxOp, MergeOp, Metrics, MinOp,
     Pipeline, PipelineStep, QueryGovernor, RecoveryEvent, RecoveryKind, SetState, StageKind,
-    StageTask, SumOp, TraceSink,
+    StageTask, SumOp,
 };
 use rasql_parser::ast::AggFunc;
 use rasql_plan::{
@@ -43,13 +44,13 @@ use rasql_storage::{
     Value,
 };
 use std::borrow::Cow;
+use std::marker::PhantomData;
 use std::sync::Arc;
 use std::time::Instant;
 
-/// Per-partition local-fixpoint history: one `(delta rows consumed, state
-/// rows after merge, wall-clock µs)` triple per local round (`Err` marks a
-/// task that gave up).
-type RoundHistory = Result<Vec<(u64, u64, u64)>, LocalAbort>;
+/// One partition's local fixpoint: a `(delta rows consumed, state rows after
+/// merge, wall-clock µs)` triple per local round, and the final state size.
+type LocalRounds = (Vec<(u64, u64, u64)>, u64);
 
 /// Why a decomposed local fixpoint gave up mid-stage. Local rounds run
 /// entirely inside one cluster stage, so both conditions are detected on the
@@ -115,6 +116,61 @@ impl DeltaBatch {
 enum ViewState {
     Set(SetState),
     Agg(AggState),
+}
+
+impl ViewState {
+    /// An empty partition state of the view's kind.
+    fn empty(v: &ViewSpec) -> ViewState {
+        if v.aggs.is_empty() {
+            ViewState::Set(SetState::new())
+        } else {
+            ViewState::Agg(AggState::new())
+        }
+    }
+
+    /// Rows held.
+    fn len(&self) -> usize {
+        match self {
+            ViewState::Set(s) => s.len(),
+            ViewState::Agg(a) => a.len(),
+        }
+    }
+
+    /// Estimated heap footprint.
+    fn size_bytes(&self) -> u64 {
+        match self {
+            ViewState::Set(s) => s.size_bytes(),
+            ViewState::Agg(a) => a.size_bytes(),
+        }
+    }
+
+    /// This partition in the canonical checkpoint codec.
+    fn encode(&self) -> Bytes {
+        match self {
+            ViewState::Set(s) => encode_set_state(s),
+            ViewState::Agg(a) => encode_agg_state(a),
+        }
+    }
+
+    /// The state [`ViewState::encode`] wrote for a view of `v`'s kind.
+    fn decode(v: &ViewSpec, data: Bytes) -> Result<ViewState, EngineError> {
+        Ok(if v.aggs.is_empty() {
+            ViewState::Set(decode_set_state(data)?)
+        } else {
+            ViewState::Agg(decode_agg_state(data)?)
+        })
+    }
+
+    /// Append the state's tuples to `out` as schema-shaped rows.
+    fn extend_rows(&self, v: &ViewRt, out: &mut Vec<Row>) {
+        match self {
+            ViewState::Set(s) => out.extend(s.iter().cloned()),
+            ViewState::Agg(a) => out.extend(
+                a.iter()
+                    .map(|(k, e)| assemble_row(k, &e.values, &v.spec.key_cols, &v.agg_cols)),
+            ),
+        }
+    }
 }
 
 struct ViewRt {
@@ -261,9 +317,97 @@ impl CompiledBranch {
 /// partition, schema-shaped rows.
 type Buckets = Vec<Vec<Vec<Row>>>;
 
-/// Per-op recursive-relation snapshots of a seed branch (`None` for
-/// filters and base build sides).
-type SeedSnapshots = Vec<Option<Arc<HashTable>>>;
+/// A hash-table snapshot of a recursive relation used as a join build side
+/// (`None` in the slots of filters and base build sides).
+type Snapshot = Option<Arc<HashTable>>;
+
+// --------------------------------------------------------------------
+// The round loop's interface to a strategy
+// --------------------------------------------------------------------
+
+/// What one [`RoundStep::step`] did, as the trace and the metrics see it.
+struct Round {
+    delta_rows: u64,
+    total_rows: u64,
+    stages: u64,
+    shuffle_rows: u64,
+    shuffle_bytes: u64,
+    /// The strategy's own clock for the round, where the driver's would
+    /// mislead (decomposed local rounds all run inside one stage).
+    elapsed_us: Option<u64>,
+    /// The round found nothing new: the fixpoint was reached the round
+    /// before, and this one is not an iteration.
+    closing: bool,
+}
+
+/// Why a step or a cut did not finish.
+enum Halt {
+    /// A stage was lost past its retry budget; the drain guarantee of
+    /// `run_stage_traced` means no task still holds state, so
+    /// [`FixpointExecutor::drive`] may rewind to the last cut and replay.
+    Lost(ExecError),
+    /// Anything else ends the query.
+    Fatal(EngineError),
+}
+
+impl From<EngineError> for Halt {
+    fn from(e: EngineError) -> Self {
+        Halt::Fatal(e)
+    }
+}
+
+/// One evaluation strategy as [`FixpointExecutor::drive`] sees it. A strategy
+/// only evaluates: what surrounds a round — cancellation, the cap, the
+/// checkpoint cadence, recovery, the governor's charge, metrics, the trace —
+/// is the driver's.
+trait RoundStep {
+    /// `(view names, trace mode, kernel label)` of the clique.
+    fn label(&self) -> (Vec<String>, &'static str, &'static str);
+
+    /// Evaluate round `round`. `None`: there is no such round — the fixpoint
+    /// was reached in `round - 1` and nothing is left to report.
+    fn step(&mut self, round: u32) -> Result<Option<Round>, Halt>;
+
+    /// Save the boundary after round `round` so that [`RoundStep::rewind`]
+    /// can return to it; `false` when nothing was saved. The default is for
+    /// a strategy that derives everything from an immutable base: the base
+    /// is its round-0 cut, and it takes no other.
+    fn cut(&mut self, round: u32) -> Result<bool, Halt> {
+        Ok(round == 0)
+    }
+
+    /// After a lost stage, put the state back to the cut taken at `to`;
+    /// returns what was done, for the recovery event.
+    fn rewind(&mut self, to: u32) -> Result<String, EngineError>;
+
+    /// Bring back whatever [`RoundStep::settle`] paged out: the coming round
+    /// (and a cut before it) needs the whole state resident.
+    fn page_in(&mut self, _g: &QueryGovernor) -> Result<(), EngineError> {
+        Ok(())
+    }
+
+    /// Charge what stays resident until the next round to the query's
+    /// tracker, paging out while that leaves it over budget; returns the
+    /// bytes left charged.
+    fn settle(&mut self, _g: &QueryGovernor, _round: u32) -> Result<u64, EngineError> {
+        Ok(0)
+    }
+}
+
+/// The tracker's charge for the inter-round resident set, given back on
+/// every way out of [`FixpointExecutor::drive`].
+struct Resident<'g> {
+    governor: Option<&'g QueryGovernor>,
+    bytes: u64,
+}
+
+impl Drop for Resident<'_> {
+    fn drop(&mut self) {
+        if let Some(g) = self.governor {
+            g.tracker().release(self.bytes);
+        }
+    }
+}
 
 /// The fixpoint executor for one clique.
 pub struct FixpointExecutor<'a> {
@@ -291,6 +435,33 @@ impl<'a> FixpointExecutor<'a> {
         Ok(())
     }
 
+    /// Run one traced stage of the round loop. An error means the stage is
+    /// lost: the cluster has already spent the retry budget on it.
+    fn stage<R: Send + 'static>(
+        &self,
+        label: &str,
+        kind: StageKind,
+        tasks: Vec<StageTask<R>>,
+    ) -> Result<Vec<R>, Halt> {
+        let run = self
+            .cluster
+            .run_stage_traced(self.eval.trace, label, kind, tasks);
+        run.map_err(Halt::Lost)
+    }
+
+    /// Record a fault-tolerance or governance action on clique `stage`, if
+    /// the query is traced.
+    fn note(&self, kind: RecoveryKind, stage: String, round: u32, detail: String) {
+        if let Some(t) = self.eval.trace {
+            t.record_recovery(RecoveryEvent {
+                kind,
+                stage,
+                round,
+                detail,
+            });
+        }
+    }
+
     /// Evaluate the clique to materialized view relations.
     pub fn run(&self, spec: &FixpointSpec) -> Result<FixpointResult, EngineError> {
         // Specialized-kernel fast path (§7.3): statically selected from the
@@ -302,28 +473,38 @@ impl<'a> FixpointExecutor<'a> {
             }
         }
         let views = Arc::new(self.view_runtimes(spec, self.config.decomposed_plans)?);
-
-        // --- Compile branch programs (evaluate & cache base build sides). ---
-        let mut branches: Vec<CompiledBranch> = Vec::new();
-        for (vi, v) in spec.views.iter().enumerate() {
-            for prog in &v.recursive {
-                branches.push(self.compile_branch(prog, &views, vi)?);
-            }
-        }
-        let branches = Arc::new(branches);
-
-        // --- Evaluate base cases (round-0 contributions). ---
-        let base_buckets = self.base_buckets(spec, &views)?;
-
+        let clique = self.compile_clique(spec, &views)?;
+        // The base cases: round-0 contributions.
+        let base = self.base_buckets(spec, &views)?;
         let iterations = if views.iter().any(|v| v.decomposed) {
-            self.run_decomposed(&views, &branches, base_buckets)?
+            self.drive(&mut Decomposed::new(clique, base), 0)?
         } else {
             match self.config.eval_mode {
-                EvalMode::SemiNaive => self.run_semi_naive(&views, &branches, base_buckets, 0)?,
-                EvalMode::Naive => self.run_naive(&views, &branches, &base_buckets)?,
+                EvalMode::SemiNaive => self.drive(&mut SemiNaive::new(clique, base), 0)?,
+                EvalMode::Naive => self.drive(&mut Naive::new(clique, base), 0)?,
             }
         };
         Ok(self.finish(&views, iterations))
+    }
+
+    /// Compile every recursive branch of the clique, in view order
+    /// (evaluating and caching the base build sides).
+    fn compile_clique<'e>(
+        &'e self,
+        spec: &FixpointSpec,
+        views: &Arc<Vec<ViewRt>>,
+    ) -> Result<Clique<'e, 'a>, EngineError> {
+        let mut branches: Vec<CompiledBranch> = Vec::new();
+        for (vi, v) in spec.views.iter().enumerate() {
+            for prog in &v.recursive {
+                branches.push(self.compile_branch(prog, views, vi)?);
+            }
+        }
+        Ok(Clique {
+            exec: self,
+            views: Arc::clone(views),
+            branches: Arc::new(branches),
+        })
     }
 
     /// Per-view runtime state with empty partitions. Decomposed evaluation
@@ -358,7 +539,7 @@ impl<'a> FixpointExecutor<'a> {
                 modes: resolve_count_modes(v)?,
                 partition_key: preserved.unwrap_or(&v.key_cols).to_vec(),
                 state: (0..self.config.partitions)
-                    .map(|_| RankedMutex::new(LockRank::FixpointState, empty_state(v)))
+                    .map(|_| RankedMutex::new(LockRank::FixpointState, ViewState::empty(v)))
                     .collect(),
                 decomposed: preserved.is_some(),
             });
@@ -393,21 +574,18 @@ impl<'a> FixpointExecutor<'a> {
         Ok(rows.finish())
     }
 
-    /// Close the clique's trace and move the converged state into the result
-    /// relations — nothing reads the state after the last round, so set rows
-    /// are handed over, not copied.
+    /// Move the converged state into the result relations — nothing reads
+    /// the state after the last round, so set rows are handed over, not
+    /// copied.
     fn finish(&self, views: &[ViewRt], iterations: u32) -> FixpointResult {
-        if let Some(sink) = self.eval.trace {
-            sink.end_clique(iterations);
-        }
         let views = views
             .iter()
             .map(|v| {
                 let mut rows = Vec::new();
                 for part in &v.state {
-                    match std::mem::replace(&mut *part.lock(), empty_state(&v.spec)) {
+                    match std::mem::replace(&mut *part.lock(), ViewState::empty(&v.spec)) {
                         ViewState::Set(s) => rows.extend(s.into_rows()),
-                        agg => rows.extend(state_rows(v, &agg)),
+                        agg => agg.extend_rows(v, &mut rows),
                     }
                 }
                 Relation::new_unchecked(v.spec.schema.clone(), rows)
@@ -461,13 +639,7 @@ impl<'a> FixpointExecutor<'a> {
 
         // Compile the loop branches against the *new* catalog; the index
         // store advances the build sides it holds by the inserted rows.
-        let mut branches: Vec<CompiledBranch> = Vec::new();
-        for (vi, v) in spec.views.iter().enumerate() {
-            for prog in &v.recursive {
-                branches.push(self.compile_branch(prog, &views, vi)?);
-            }
-        }
-        let branches = Arc::new(branches);
+        let clique = self.compile_clique(spec, &views)?;
 
         // Re-evaluate base branches over the new catalog. Converged rows
         // re-merge as no-ops; inserted base facts become round-1 deltas.
@@ -510,8 +682,9 @@ impl<'a> FixpointExecutor<'a> {
             }
         }
 
-        self.check_cancel()?;
-        let iterations = self.run_semi_naive(&views, &branches, base_buckets, 1)?;
+        // Warm rows keep stamp 0 and the seeds merge at stamp 1, so the first
+        // resumed round's old-snapshot cutoff selects exactly the warm rows.
+        let iterations = self.drive(&mut SemiNaive::new(clique, base_buckets), 1)?;
         Ok(self.finish(&views, iterations))
     }
 
@@ -528,9 +701,9 @@ impl<'a> FixpointExecutor<'a> {
         delta_table: &str,
         delta_rows: &[Row],
         warm: &[Vec<Row>],
-    ) -> Result<(CompiledBranch, SeedSnapshots), EngineError> {
+    ) -> Result<(CompiledBranch, Vec<Snapshot>), EngineError> {
         let mut ops = Vec::with_capacity(prog.steps.len());
-        let mut snaps: SeedSnapshots = Vec::with_capacity(prog.steps.len());
+        let mut snaps: Vec<Snapshot> = Vec::with_capacity(prog.steps.len());
         let mut uses_recursive_build = false;
         for (si, step) in prog.steps.iter().enumerate() {
             match step {
@@ -709,890 +882,113 @@ impl<'a> FixpointExecutor<'a> {
     }
 
     // ----------------------------------------------------------------
-    // Semi-naive loop (Algorithms 4/5 and 6)
+    // The round loop
     // ----------------------------------------------------------------
 
-    /// `start_round` is 0 for a from-scratch run; a delta-seeded resume
-    /// passes 1 so the warm state (stamped 0) stays distinct from the seeded
-    /// contributions (merged at stamp 1) — the old-snapshot cutoff of the
-    /// first resumed round then correctly selects exactly the warm rows.
-    fn run_semi_naive(
-        &self,
-        views: &Arc<Vec<ViewRt>>,
-        branches: &Arc<Vec<CompiledBranch>>,
-        base_buckets: Buckets,
-        start_round: u32,
-    ) -> Result<u32, EngineError> {
-        let p = self.config.partitions;
-        let nv = views.len();
-        let mut contributions: Buckets = base_buckets;
-        let mut round: u32 = start_round;
-        // Round-boundary checkpointing (see `rasql_exec::checkpoint`): between
-        // rounds every partition's state plus the pending contributions form a
-        // consistent cut, so that is where snapshots are taken and where
-        // replay resumes after an unrecoverable stage failure.
-        let ckpt_every = self.config.checkpoint_interval;
-        let store = (ckpt_every > 0).then(CheckpointStore::memory);
-        let mut last_ckpt: Option<u32> = None;
-        let mut restores_left: u32 = RESTORE_BUDGET;
-        // Stage combination fuses the reduce of round r with the map of round
-        // r+1 — sound only when no branch reads old/new snapshots of another
-        // recursive relation (those need the merge barrier).
-        let combine =
-            self.config.stage_combination && branches.iter().all(|b| !b.uses_recursive_build);
+    /// The round loop — the only one. Everything that is not evaluation is
+    /// written here, once: the trace's clique bracket, the boundary
+    /// cancellation check, the governor's inter-round charge, the checkpoint
+    /// cadence, recovery from a lost stage, the iteration cap, the iteration
+    /// and shuffle metrics and the per-round trace record. Returns the
+    /// iterations until the fixpoint.
+    ///
+    /// `start_round` is 0 for a run from the base case (stamped 0); a
+    /// delta-seeded resume passes 1 so the warm state (stamped 0) stays
+    /// distinct from the seeded contributions (merged at stamp 1).
+    ///
+    /// The cap: a fixpoint of `k` iterations succeeds iff `k <=
+    /// max_iterations`. A closing round derives nothing and is not counted,
+    /// so round `max_iterations + 1` may run — and fails the query only if
+    /// it is not the closing one.
+    fn drive(&self, s: &mut dyn RoundStep, start_round: u32) -> Result<u32, EngineError> {
         let sink = self.eval.trace;
-        if let Some(s) = sink {
-            s.begin_clique(
-                views.iter().map(|v| v.spec.name.clone()).collect(),
-                if combine {
-                    "semi_naive_combined"
-                } else {
-                    "semi_naive"
-                },
-            );
+        let metrics = &self.cluster.metrics;
+        let (views, mode, kernel) = s.label();
+        let clique = views.join(",");
+        if let Some(t) = sink {
+            t.begin_clique(views.clone(), mode, kernel);
         }
-        // Resource governance: `gov_charge` is what the tracker holds for the
-        // inter-round resident set (pending contribution buckets plus the
-        // all-relation aggregate/set state); anything the governor paged out
-        // to disk at the previous round boundary is listed here and read back
-        // right before the next round consumes it.
-        let governor = self.eval.governor;
-        let mut gov_charge: u64 = 0;
-        let mut paged_contribs: Vec<(usize, usize, String)> = Vec::new();
-        let mut paged_state: Vec<(usize, usize, String)> = Vec::new();
-
-        'rounds: loop {
+        let mut resident = Resident {
+            governor: self.eval.governor,
+            bytes: 0,
+        };
+        // Cuts are taken at round boundaries — round 0 (the base delta) and
+        // every `checkpoint_interval` rounds after — and a lost stage rewinds
+        // to the last one. The restore budget refills whenever a newer cut is
+        // saved (forward progress); a replay that comes back to the boundary
+        // it was rewound to neither re-saves it nor refills the budget.
+        let ckpt_every = self.config.checkpoint_interval;
+        let mut last_cut: Option<u32> = None;
+        let mut restores_left = RESTORE_BUDGET;
+        let mut round = start_round;
+        let iterations = loop {
             self.check_cancel()?;
-            if let Some(g) = governor {
-                // Page spilled buckets/state back in (the merge stage and the
-                // checkpoint capture below both need them resident), then drop
-                // the inter-round charge: the stages take ownership now.
-                page_in(
-                    g,
-                    views,
-                    &mut contributions,
-                    &mut paged_contribs,
-                    &mut paged_state,
-                )?;
-                g.tracker().release(std::mem::take(&mut gov_charge));
+            if let Some(g) = resident.governor {
+                s.page_in(g)?;
+                // The stages take ownership of the resident set now.
+                g.tracker().release(std::mem::take(&mut resident.bytes));
             }
-            // Capture at the round boundary: round 0 (the base delta) and
-            // every `ckpt_every` rounds after. A restore rewinds `round` to a
-            // boundary we already captured; the `last_ckpt` guard keeps the
-            // replay from re-capturing (and re-filling the restore budget for)
-            // the same snapshot.
-            if let Some(st) = store.as_ref() {
-                if round.is_multiple_of(ckpt_every) && last_ckpt != Some(round) {
-                    match self.capture_checkpoint(st, views, &contributions, round) {
-                        Ok(()) => {
-                            last_ckpt = Some(round);
-                            restores_left = RESTORE_BUDGET;
-                        }
-                        Err(e) => {
-                            // The capture stage itself was lost; rewind to the
-                            // previous snapshot (if any) and replay.
-                            round = self.restore_or_fail(
-                                Some(st),
-                                views,
-                                &mut contributions,
-                                last_ckpt,
-                                &mut restores_left,
-                                e,
-                            )?;
-                            continue 'rounds;
-                        }
-                    }
+            let due = ckpt_every > 0 && round.is_multiple_of(ckpt_every) && last_cut != Some(round);
+            let cut = if due { s.cut(round) } else { Ok(false) };
+            let stepped = cut.and_then(|saved| {
+                if saved {
+                    last_cut = Some(round);
+                    restores_left = RESTORE_BUDGET;
                 }
-            }
-            round += 1;
-            if round > self.config.max_iterations {
-                return Err(EngineError::NonTermination {
-                    view: views[0].spec.name.clone(),
-                    iterations: self.config.max_iterations,
-                });
-            }
-            Metrics::add(&self.cluster.metrics.iterations, 1);
-            let round_t0 = Instant::now();
-
-            let map_out: Vec<(u64, Buckets)> = if combine {
-                // --- One combined ShuffleMap stage: merge + join + partial
-                // aggregate per partition (Algorithm 6). ---
-                let views_c = Arc::clone(views);
-                let branches_c = Arc::clone(branches);
-                let fused = self.eval.fused;
-                let tasks: Vec<StageTask<(u64, Buckets)>> = by_partition(contributions, p)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(part, mine)| {
-                        let views_c = Arc::clone(&views_c);
-                        let branches_c = Arc::clone(&branches_c);
-                        StageTask::new(part % self.cluster.workers(), move |w| {
-                            let deltas: Vec<DeltaBatch> = (views_c.iter().zip(mine))
-                                .map(|(v, rows)| merge_partition(v, part, rows, round - 1))
-                                .collect();
-                            let delta_rows: u64 = deltas.iter().map(|d| d.rows.len() as u64).sum();
-                            let refs: Vec<&DeltaBatch> = deltas.iter().collect();
-                            let buckets =
-                                map_task(&views_c, &branches_c, &refs, &[], part, w, fused);
-                            (delta_rows, buckets)
-                        })
-                    })
-                    .collect();
-                match self.cluster.run_stage_traced(
-                    sink,
-                    "fixpoint combined",
-                    StageKind::Combined,
-                    tasks,
-                ) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        // `contributions` was moved into the stage's tasks; the
-                        // drain guarantee of `run_stage_traced` means no task
-                        // still holds the state locks here.
-                        contributions = empty_buckets(nv, p);
-                        round = self.restore_or_fail(
-                            store.as_ref(),
-                            views,
-                            &mut contributions,
-                            last_ckpt,
-                            &mut restores_left,
-                            EngineError::Exec(e),
-                        )?;
-                        continue 'rounds;
-                    }
-                }
-            } else {
-                // --- Reduce stage (Algorithm 4 lines 11-16). ---
-                let views_c = Arc::clone(views);
-                let reduce_tasks: Vec<StageTask<Vec<DeltaBatch>>> = by_partition(contributions, p)
-                    .into_iter()
-                    .enumerate()
-                    .map(|(part, mine)| {
-                        let views_c = Arc::clone(&views_c);
-                        StageTask::new(part % self.cluster.workers(), move |_w| {
-                            (views_c.iter().zip(mine))
-                                .map(|(v, rows)| merge_partition(v, part, rows, round - 1))
-                                .collect()
-                        })
-                    })
-                    .collect();
-                let merged = match self.cluster.run_stage_traced(
-                    sink,
-                    "fixpoint reduce",
-                    StageKind::Reduce,
-                    reduce_tasks,
-                ) {
-                    Ok(out) => out,
-                    Err(e) => {
-                        contributions = empty_buckets(nv, p);
-                        round = self.restore_or_fail(
-                            store.as_ref(),
-                            views,
-                            &mut contributions,
-                            last_ckpt,
-                            &mut restores_left,
-                            EngineError::Exec(e),
-                        )?;
-                        continue 'rounds;
-                    }
-                };
-                let mut deltas: Vec<Vec<DeltaBatch>> =
-                    (0..nv).map(|_| vec![DeltaBatch::default(); p]).collect();
-                let mut all_empty = true;
-                for (part, dv) in merged.into_iter().enumerate() {
-                    for (vi, d) in dv.into_iter().enumerate() {
-                        all_empty &= d.is_empty();
-                        deltas[vi][part] = d;
-                    }
-                }
-                if all_empty {
-                    // Closing round: the reduce found nothing new.
-                    if let Some(s) = sink {
-                        s.record_iteration(IterationTrace {
-                            round,
-                            delta_rows: 0,
-                            total_rows: total_state_rows(views),
-                            stages: 1,
-                            shuffle_rows: 0,
-                            shuffle_bytes: 0,
-                            elapsed_us: round_t0.elapsed().as_micros() as u64,
-                        });
-                    }
-                    return Ok(round - 1);
-                }
-
-                // --- Map stage (Algorithm 4 lines 6-9 / Algorithm 5). ---
-                // Old/new snapshots use the delta stamp `round - 1` as cutoff.
-                let snapshots = Arc::new(self.build_snapshots(views, branches, round - 1));
-                let deltas = Arc::new(deltas);
-                let views_c = Arc::clone(views);
-                let branches_c = Arc::clone(branches);
-                let fused = self.eval.fused;
-                let tasks: Vec<StageTask<(u64, Buckets)>> = (0..p)
-                    .map(|part| {
-                        let deltas = Arc::clone(&deltas);
-                        let views_c = Arc::clone(&views_c);
-                        let branches_c = Arc::clone(&branches_c);
-                        let snapshots = Arc::clone(&snapshots);
-                        StageTask::new(part % self.cluster.workers(), move |w| {
-                            let delta_rows: u64 =
-                                deltas.iter().map(|dv| dv[part].rows.len() as u64).sum();
-                            let refs: Vec<&DeltaBatch> =
-                                deltas.iter().map(|dv| &dv[part]).collect();
-                            let buckets =
-                                map_task(&views_c, &branches_c, &refs, &snapshots, part, w, fused);
-                            (delta_rows, buckets)
-                        })
-                    })
-                    .collect();
-                match self
-                    .cluster
-                    .run_stage_traced(sink, "fixpoint map", StageKind::Map, tasks)
-                {
-                    Ok(out) => out,
-                    Err(e) => {
-                        contributions = empty_buckets(nv, p);
-                        round = self.restore_or_fail(
-                            store.as_ref(),
-                            views,
-                            &mut contributions,
-                            last_ckpt,
-                            &mut restores_left,
-                            EngineError::Exec(e),
-                        )?;
-                        continue 'rounds;
-                    }
+                round += 1;
+                let t0 = Instant::now();
+                Ok((s.step(round)?, t0))
+            });
+            let (r, t0) = match stepped {
+                Ok((Some(r), t0)) => (r, t0),
+                Ok((None, _)) => break round - 1,
+                Err(Halt::Fatal(e)) => return Err(e),
+                Err(Halt::Lost(e)) => {
+                    let (Some(at), 1..) = (last_cut, restores_left) else {
+                        return Err(EngineError::Exec(e));
+                    };
+                    restores_left -= 1;
+                    let done = s.rewind(at)?;
+                    Metrics::add(&metrics.restores, 1);
+                    let detail = format!("{done} after: {e}");
+                    self.note(RecoveryKind::Restore, clique.clone(), at, detail);
+                    round = at;
+                    continue;
                 }
             };
-
-            let delta_rows: u64 = map_out.iter().map(|(n, _)| *n).sum();
-            if combine && delta_rows == 0 {
-                // Closing round: every partition merged an empty delta.
-                if let Some(s) = sink {
-                    s.record_iteration(IterationTrace {
-                        round,
-                        delta_rows: 0,
-                        total_rows: total_state_rows(views),
-                        stages: 1,
-                        shuffle_rows: 0,
-                        shuffle_bytes: 0,
-                        elapsed_us: round_t0.elapsed().as_micros() as u64,
-                    });
-                }
-                return Ok(round - 1);
-            }
-
-            // --- Shuffle: gather buckets per (view, partition). ---
-            contributions = empty_buckets(nv, p);
-            let mut moved_rows = 0u64;
-            let mut moved_bytes = 0u64;
-            for (src_part, (_, buckets)) in map_out.into_iter().enumerate() {
-                for (vi, per_view) in buckets.into_iter().enumerate() {
-                    for (dst_part, rows) in per_view.into_iter().enumerate() {
-                        if self.cluster.owner_of(src_part) != self.cluster.owner_of(dst_part) {
-                            moved_rows += rows.len() as u64;
-                            moved_bytes += rows.iter().map(Row::size_bytes).sum::<usize>() as u64;
-                        }
-                        contributions[vi][dst_part].extend(rows);
-                    }
-                }
-            }
-            Metrics::add(&self.cluster.metrics.shuffle_rows, moved_rows);
-            Metrics::add(&self.cluster.metrics.shuffle_bytes, moved_bytes);
-            if let Some(s) = sink {
-                s.record_iteration(IterationTrace {
+            Metrics::add(&metrics.iterations, 1);
+            Metrics::add(&metrics.shuffle_rows, r.shuffle_rows);
+            Metrics::add(&metrics.shuffle_bytes, r.shuffle_bytes);
+            if let Some(t) = sink {
+                t.record_iteration(IterationTrace {
                     round,
-                    delta_rows,
-                    total_rows: total_state_rows(views),
-                    stages: if combine { 1 } else { 2 },
-                    shuffle_rows: moved_rows,
-                    shuffle_bytes: moved_bytes,
-                    elapsed_us: round_t0.elapsed().as_micros() as u64,
+                    delta_rows: r.delta_rows,
+                    total_rows: r.total_rows,
+                    stages: r.stages,
+                    shuffle_rows: r.shuffle_rows,
+                    shuffle_bytes: r.shuffle_bytes,
+                    elapsed_us: r
+                        .elapsed_us
+                        .unwrap_or_else(|| t0.elapsed().as_micros() as u64),
                 });
             }
-            if let Some(g) = governor {
-                gov_charge = self.govern_round_footprint(
-                    g,
-                    views,
-                    &mut contributions,
-                    &mut paged_contribs,
-                    &mut paged_state,
-                    round,
-                    sink,
-                )?;
+            if r.closing {
+                break round - 1;
             }
-        }
-    }
-
-    /// End-of-round memory governance for the semi-naive loop: charge the
-    /// inter-round resident set (pending contribution buckets plus the
-    /// all-relation aggregate/set state) to the query's tracker, and while the
-    /// tracker is over budget page it out to the governor's spill directory —
-    /// buckets first (order-preserving row codec, so the next merge replays
-    /// contributions byte-for-byte), then per-partition state (canonical
-    /// checkpoint codec). Returns the bytes that stayed resident and charged.
-    #[allow(clippy::too_many_arguments)]
-    fn govern_round_footprint(
-        &self,
-        g: &QueryGovernor,
-        views: &[ViewRt],
-        contributions: &mut Buckets,
-        paged_contribs: &mut Vec<(usize, usize, String)>,
-        paged_state: &mut Vec<(usize, usize, String)>,
-        round: u32,
-        sink: Option<&TraceSink>,
-    ) -> Result<u64, EngineError> {
-        let mut charge = buckets_bytes(contributions) + state_size_bytes(views);
-        g.tracker().charge(charge);
-        if !g.tracker().over_budget() {
-            return Ok(charge);
-        }
-        let dir = g.spill_dir()?;
-        let mut written = 0u64;
-        let mut files = 0u64;
-        'page: {
-            for (vi, per_view) in contributions.iter_mut().enumerate() {
-                for (part, rows) in per_view.iter_mut().enumerate() {
-                    if rows.is_empty() {
-                        continue;
-                    }
-                    let freed: u64 = rows.iter().map(|r| r.size_bytes() as u64 + 16).sum();
-                    let name = format!("contrib-r{round}-v{vi}-p{part}");
-                    written += dir.append_rows(&name, rows).map_err(EngineError::Exec)?;
-                    files += 1;
-                    rows.clear();
-                    paged_contribs.push((vi, part, name));
-                    g.tracker().release(freed);
-                    charge = charge.saturating_sub(freed);
-                    if !g.tracker().over_budget() {
-                        break 'page;
-                    }
-                }
-            }
-            for (vi, v) in views.iter().enumerate() {
-                for (part, cell) in v.state.iter().enumerate() {
-                    let mut st = cell.lock();
-                    let (blob, freed) = match &*st {
-                        ViewState::Set(s) => (encode_set_state(s), s.size_bytes()),
-                        ViewState::Agg(a) => (encode_agg_state(a), a.size_bytes()),
-                    };
-                    if freed == 0 {
-                        continue;
-                    }
-                    let name = format!("state-r{round}-v{vi}-p{part}");
-                    written += dir
-                        .write_blob(&name, blob.as_ref())
-                        .map_err(EngineError::Exec)?;
-                    files += 1;
-                    *st = empty_state(&v.spec);
-                    drop(st);
-                    paged_state.push((vi, part, name));
-                    g.tracker().release(freed);
-                    charge = charge.saturating_sub(freed);
-                    if !g.tracker().over_budget() {
-                        break 'page;
-                    }
-                }
-            }
-        }
-        g.note_spill(written, files);
-        Metrics::add(&self.cluster.metrics.spilled_bytes, written);
-        Metrics::add(&self.cluster.metrics.spill_files, files);
-        if let Some(s) = sink {
-            s.record_recovery(RecoveryEvent {
-                kind: RecoveryKind::Spill,
-                stage: clique_label(views),
-                round,
-                detail: format!("paged out {written} B in {files} files (footprint over budget)"),
-            });
-        }
-        Ok(charge)
-    }
-
-    // ----------------------------------------------------------------
-    // Checkpoint / restore (round-boundary recovery)
-    // ----------------------------------------------------------------
-
-    /// Serialize every partition's state (as a traced cluster stage — the
-    /// encode work runs where the state lives, and is itself subject to fault
-    /// injection) plus the pending contribution buckets (driver-side, it
-    /// already holds them) into the store under round `round`.
-    fn capture_checkpoint(
-        &self,
-        store: &CheckpointStore,
-        views: &Arc<Vec<ViewRt>>,
-        contributions: &Buckets,
-        round: u32,
-    ) -> Result<(), EngineError> {
-        let p = self.config.partitions;
-        let sink = self.eval.trace;
-        let views_c = Arc::clone(views);
-        let tasks: Vec<StageTask<Vec<(String, Bytes)>>> = (0..p)
-            .map(|part| {
-                let views_c = Arc::clone(&views_c);
-                StageTask::new(part % self.cluster.workers(), move |_w| {
-                    views_c
-                        .iter()
-                        .enumerate()
-                        .map(|(vi, v)| {
-                            let data = match &*v.state[part].lock() {
-                                ViewState::Set(s) => encode_set_state(s),
-                                ViewState::Agg(a) => encode_agg_state(a),
-                            };
-                            (format!("r{round}/v{vi}/p{part}"), data)
-                        })
-                        .collect()
-                })
-            })
-            .collect();
-        let encoded = self
-            .cluster
-            .run_stage_traced(sink, "fixpoint checkpoint", StageKind::Checkpoint, tasks)
-            .map_err(EngineError::Exec)?;
-        let mut bytes = 0u64;
-        for per_part in encoded {
-            for (key, data) in per_part {
-                bytes += store.put(&key, data)? as u64;
-            }
-        }
-        for (vi, per_view) in contributions.iter().enumerate() {
-            for (part, rows) in per_view.iter().enumerate() {
-                let data = encode_rows(rows);
-                bytes += store.put(&format!("r{round}/contrib/v{vi}/p{part}"), data)? as u64;
-            }
-        }
-        Metrics::add(&self.cluster.metrics.checkpoints, 1);
-        Metrics::add(&self.cluster.metrics.checkpoint_bytes, bytes);
-        if let Some(s) = sink {
-            s.record_recovery(RecoveryEvent {
-                kind: RecoveryKind::Checkpoint,
-                stage: clique_label(views),
-                round,
-                detail: format!("{bytes} B across {p} partitions"),
-            });
-        }
-        Ok(())
-    }
-
-    /// Rewind to the last captured round boundary, or fail with `err` if no
-    /// snapshot (or no budget) is left. On success every partition's state and
-    /// the pending contributions hold exactly what was captured, and the
-    /// returned round is where the loop resumes.
-    fn restore_or_fail(
-        &self,
-        store: Option<&CheckpointStore>,
-        views: &[ViewRt],
-        contributions: &mut Buckets,
-        last_ckpt: Option<u32>,
-        restores_left: &mut u32,
-        err: EngineError,
-    ) -> Result<u32, EngineError> {
-        let (Some(store), Some(at), 1..) = (store, last_ckpt, *restores_left) else {
-            return Err(err);
-        };
-        *restores_left -= 1;
-        let mut bytes = 0u64;
-        for (vi, v) in views.iter().enumerate() {
-            for (part, contrib) in contributions[vi].iter_mut().enumerate() {
-                let key = format!("r{at}/v{vi}/p{part}");
-                let data = checkpoint_entry(store, &key)?;
-                bytes += data.len() as u64;
-                *v.state[part].lock() = if v.is_set() {
-                    ViewState::Set(decode_set_state(data)?)
-                } else {
-                    ViewState::Agg(decode_agg_state(data)?)
-                };
-                let data = checkpoint_entry(store, &format!("r{at}/contrib/v{vi}/p{part}"))?;
-                bytes += data.len() as u64;
-                *contrib = decode_rows(data)?;
-            }
-        }
-        Metrics::add(&self.cluster.metrics.restores, 1);
-        if let Some(s) = self.eval.trace {
-            s.record_recovery(RecoveryEvent {
-                kind: RecoveryKind::Restore,
-                stage: clique_label(views),
-                round: at,
-                detail: format!("replaying from round {at} ({bytes} B) after: {err}"),
-            });
-        }
-        Ok(at)
-    }
-
-    /// Per-round snapshots of recursive relations used as join build sides
-    /// (mutual/non-linear recursion). `cutoff` is the current delta's stamp.
-    fn build_snapshots(
-        &self,
-        views: &Arc<Vec<ViewRt>>,
-        branches: &Arc<Vec<CompiledBranch>>,
-        cutoff: u32,
-    ) -> Vec<Option<Arc<HashTable>>> {
-        let mut out = Vec::new();
-        for b in branches.iter() {
-            for op in &b.ops {
-                if let CompiledOp::Join(CompiledStep {
-                    build: BuildSide::Recursive { view, mode },
-                    build_keys,
-                    ..
-                }) = op
-                {
-                    let v = &views[*view];
-                    let mut rows = Vec::new();
-                    for part in &v.state {
-                        match &*part.lock() {
-                            ViewState::Set(s) => match mode {
-                                RecAllMode::New => rows.extend(s.iter().cloned()),
-                                RecAllMode::Old => rows.extend(s.iter_before(cutoff).cloned()),
-                            },
-                            ViewState::Agg(a) => {
-                                for (key, entry) in a.iter() {
-                                    let vals = match mode {
-                                        RecAllMode::New => Some(&entry.values[..]),
-                                        RecAllMode::Old => a.get_before(key, cutoff),
-                                    };
-                                    if let Some(vals) = vals {
-                                        rows.push(assemble_row(
-                                            key,
-                                            vals,
-                                            &v.spec.key_cols,
-                                            &v.agg_cols,
-                                        ));
-                                    }
-                                }
-                            }
-                        }
-                    }
-                    // lint: allow(RL0008, a per-round snapshot of a recursive relation, not of base data)
-                    out.push(Some(Arc::new(HashTable::build(&rows, build_keys))));
-                } else {
-                    out.push(None);
-                }
-            }
-        }
-        out
-    }
-
-    // ----------------------------------------------------------------
-    // Naive loop (Algorithm 2 / the Spark-SQL-Naive baseline of Fig 10)
-    // ----------------------------------------------------------------
-
-    fn run_naive(
-        &self,
-        views: &Arc<Vec<ViewRt>>,
-        branches: &Arc<Vec<CompiledBranch>>,
-        base_buckets: &Buckets,
-    ) -> Result<u32, EngineError> {
-        let p = self.config.partitions;
-        let nv = views.len();
-        let mut round: u32 = 0;
-        let sink = self.eval.trace;
-        if let Some(s) = sink {
-            s.begin_clique(views.iter().map(|v| v.spec.name.clone()).collect(), "naive");
-        }
-        // Previous full state as plain (schema-shaped) rows per view/partition.
-        let mut prev: Vec<Vec<Vec<Row>>> = (0..nv).map(|_| vec![Vec::new(); p]).collect();
-        loop {
-            self.check_cancel()?;
-            round += 1;
             if round > self.config.max_iterations {
                 return Err(EngineError::NonTermination {
-                    view: views[0].spec.name.clone(),
+                    view: views[0].clone(),
                     iterations: self.config.max_iterations,
                 });
             }
-            Metrics::add(&self.cluster.metrics.iterations, 1);
-            let round_t0 = Instant::now();
-
-            // Derive contributions = base ∪ T(prev); drivers read totals.
-            let mut contributions: Buckets = base_buckets.clone();
-            let snapshots = Arc::new(self.naive_snapshots(branches, &prev));
-            let prev_arc = Arc::new(prev);
-            let views_c = Arc::clone(views);
-            let branches_c = Arc::clone(branches);
-            let fused = self.eval.fused;
-            let tasks: Vec<StageTask<Buckets>> = (0..p)
-                .map(|part| {
-                    let prev = Arc::clone(&prev_arc);
-                    let views_c = Arc::clone(&views_c);
-                    let branches_c = Arc::clone(&branches_c);
-                    let snapshots = Arc::clone(&snapshots);
-                    StageTask::new(part % self.cluster.workers(), move |w| {
-                        let deltas: Vec<DeltaBatch> = views_c
-                            .iter()
-                            .enumerate()
-                            .map(|(vi, v)| DeltaBatch {
-                                rows: prev[vi][part].clone(),
-                                increments: prev[vi][part]
-                                    .iter()
-                                    .map(|r| v.agg_cols.iter().map(|&c| r[c].clone()).collect())
-                                    .collect(),
-                            })
-                            .collect();
-                        let refs: Vec<&DeltaBatch> = deltas.iter().collect();
-                        map_task(&views_c, &branches_c, &refs, &snapshots, part, w, fused)
-                    })
-                })
-                .collect();
-            // Naive evaluation has no mid-round mutable state to protect (the
-            // map is pure and state is rebuilt from scratch below), so a
-            // failed stage simply propagates as a typed error.
-            let map_out = self
-                .cluster
-                .run_stage_traced(sink, "fixpoint naive map", StageKind::Map, tasks)
-                .map_err(EngineError::Exec)?;
-            let mut derived_rows = 0u64;
-            for buckets in map_out {
-                for (vi, per_view) in buckets.into_iter().enumerate() {
-                    for (dst, rows) in per_view.into_iter().enumerate() {
-                        derived_rows += rows.len() as u64;
-                        contributions[vi][dst].extend(rows);
-                    }
-                }
-            }
-            prev = Arc::try_unwrap(prev_arc).map_err(|_| {
-                EngineError::Exec(ExecError::TaskPanicked {
-                    stage: "fixpoint naive map".into(),
-                    task: 0,
-                    worker: 0,
-                    message: "previous-state snapshot still shared after the stage".into(),
-                })
-            })?;
-
-            // Recompute state from scratch; compare with the previous round.
-            let mut changed = false;
-            let mut next: Vec<Vec<Vec<Row>>> = (0..nv).map(|_| vec![Vec::new(); p]).collect();
-            for (vi, v) in views.iter().enumerate() {
-                for part in 0..p {
-                    let mut fresh = empty_state(&v.spec);
-                    let rows = std::mem::take(&mut contributions[vi][part]);
-                    merge_into_state(v, &mut fresh, rows, 0);
-                    let rows = state_rows(v, &fresh);
-                    let mut sorted = rows.clone();
-                    sorted.sort_unstable();
-                    let mut old_sorted = prev[vi][part].clone();
-                    old_sorted.sort_unstable();
-                    if sorted != old_sorted {
-                        changed = true;
-                    }
-                    next[vi][part] = rows;
-                    *v.state[part].lock() = fresh;
-                }
-            }
-            prev = next;
-            if let Some(s) = sink {
-                // Naive evaluation has no deltas: record the re-derivation
-                // volume instead (the waste the SN ablation measures).
-                s.record_iteration(IterationTrace {
-                    round,
-                    delta_rows: if changed { derived_rows } else { 0 },
-                    total_rows: total_state_rows(views),
-                    stages: 1,
-                    shuffle_rows: 0,
-                    shuffle_bytes: 0,
-                    elapsed_us: round_t0.elapsed().as_micros() as u64,
-                });
-            }
-            if !changed {
-                return Ok(round - 1);
-            }
-        }
-    }
-
-    fn naive_snapshots(
-        &self,
-        branches: &Arc<Vec<CompiledBranch>>,
-        prev: &[Vec<Vec<Row>>],
-    ) -> Vec<Option<Arc<HashTable>>> {
-        let mut out = Vec::new();
-        for b in branches.iter() {
-            for op in &b.ops {
-                if let CompiledOp::Join(CompiledStep {
-                    build: BuildSide::Recursive { view, .. },
-                    build_keys,
-                    ..
-                }) = op
-                {
-                    let rows: Vec<Row> = prev[*view].iter().flatten().cloned().collect();
-                    // lint: allow(RL0008, a per-round snapshot of a recursive relation, not of base data)
-                    out.push(Some(Arc::new(HashTable::build(&rows, build_keys))));
-                } else {
-                    out.push(None);
-                }
-            }
-        }
-        out
-    }
-
-    // ----------------------------------------------------------------
-    // Decomposed evaluation (§7.2): per-partition local fixpoints
-    // ----------------------------------------------------------------
-
-    fn run_decomposed(
-        &self,
-        views: &Arc<Vec<ViewRt>>,
-        branches: &Arc<Vec<CompiledBranch>>,
-        base_buckets: Buckets,
-    ) -> Result<u32, EngineError> {
-        debug_assert_eq!(views.len(), 1);
-        let max_iter = self.config.max_iterations;
-        let p = self.config.partitions;
-        let sink = self.eval.trace;
-        if let Some(s) = sink {
-            s.begin_clique(vec![views[0].spec.name.clone()], "decomposed");
-        }
-        let base = Arc::new(base_buckets);
-        let views_c = Arc::clone(views);
-        let branches_c = Arc::clone(branches);
-        let fused = self.eval.fused;
-        // The whole local fixpoint runs inside one stage, so the cancellation
-        // token travels into the task and is polled per local round.
-        let token = self.eval.governor.map(|g| g.token().clone());
-        // Each task returns its local per-round history: (delta rows consumed,
-        // state rows after the round's merge, the round's wall time).
-        let make_tasks = || -> Vec<StageTask<RoundHistory>> {
-            (0..p)
-                .map(|part| {
-                    let base = Arc::clone(&base);
-                    let views_c = Arc::clone(&views_c);
-                    let branches_c = Arc::clone(&branches_c);
-                    let token = token.clone();
-                    StageTask::new(part % self.cluster.workers(), move |w| {
-                        let v = &views_c[0];
-                        let mut state = v.state[part].lock();
-                        let mut delta = merge_into_state(v, &mut state, base[0][part].clone(), 0);
-                        let mut iters: u32 = 0;
-                        let mut history: Vec<(u64, u64, u64)> = Vec::new();
-                        while !delta.is_empty() {
-                            let round_t0 = Instant::now();
-                            iters += 1;
-                            if iters > max_iter {
-                                return Err(LocalAbort::NonTermination);
-                            }
-                            if token.as_ref().is_some_and(|t| t.check().is_err()) {
-                                return Err(LocalAbort::Cancelled);
-                            }
-                            let consumed = delta.rows.len() as u64;
-                            // Every branch's tuples go straight into this
-                            // round's merge; the preserved-column property
-                            // guarantees they stay in this partition.
-                            let mut merge = Merge::new(v, &mut state, iters);
-                            for b in branches_c.iter() {
-                                let input = delta.reader_rows(b.driver_value_mode, &v.agg_cols);
-                                let sink = &mut |t: &[Value]| merge.push(t);
-                                run_branch(b, &input, &[], 0, usize::MAX, w, fused, sink);
-                            }
-                            delta = merge.finish();
-                            history.push((
-                                consumed,
-                                state_len(&state) as u64,
-                                round_t0.elapsed().as_micros() as u64,
-                            ));
-                        }
-                        Ok(history)
-                    })
-                })
-                .collect()
-        };
-        // A decomposed run has no round boundaries to checkpoint at — the
-        // entire local fixpoint is one stage — so recovery is reset-and-rerun:
-        // wipe every partition back to empty state and run the stage again
-        // (sound because the stage derives everything from the immutable base
-        // buckets). Only attempted when checkpointing is enabled; otherwise a
-        // lost stage propagates as a typed error.
-        let mut reruns_left = if self.config.checkpoint_interval > 0 {
-            RESTORE_BUDGET
-        } else {
-            0
-        };
-        let results = loop {
-            self.check_cancel()?;
-            match self.cluster.run_stage_traced(
-                sink,
-                "fixpoint decomposed",
-                StageKind::Decomposed,
-                make_tasks(),
-            ) {
-                Ok(r) => break r,
-                Err(e) => {
-                    if reruns_left == 0 {
-                        return Err(EngineError::Exec(e));
-                    }
-                    reruns_left -= 1;
-                    for part in &views[0].state {
-                        *part.lock() = empty_state(&views[0].spec);
-                    }
-                    Metrics::add(&self.cluster.metrics.restores, 1);
-                    if let Some(s) = sink {
-                        s.record_recovery(RecoveryEvent {
-                            kind: RecoveryKind::Restore,
-                            stage: clique_label(views),
-                            round: 0,
-                            detail: format!("state reset to empty; rerunning after: {e}"),
-                        });
-                    }
-                }
+            if let Some(g) = resident.governor {
+                resident.bytes = s.settle(g, round)?;
             }
         };
-        let mut histories: Vec<Vec<(u64, u64, u64)>> = Vec::with_capacity(p);
-        for r in results {
-            match r {
-                Ok(history) => histories.push(history),
-                Err(LocalAbort::NonTermination) => {
-                    return Err(EngineError::NonTermination {
-                        view: views[0].spec.name.clone(),
-                        iterations: max_iter,
-                    })
-                }
-                Err(LocalAbort::Cancelled) => {
-                    // `check_cancel` re-derives the precise typed error
-                    // (cancelled vs. deadline); the fallback covers a token
-                    // that was somehow un-fired by the time we got here.
-                    self.check_cancel()?;
-                    return Err(EngineError::Exec(ExecError::Cancelled {
-                        query_id: self.eval.governor.map_or(0, QueryGovernor::query_id),
-                    }));
-                }
-            }
+        if let Some(t) = sink {
+            t.end_clique(iterations);
         }
-        let max_rounds = histories.iter().map(Vec::len).max().unwrap_or(0) as u32;
-        if let Some(s) = sink {
-            // Partition totals only change while that partition still
-            // iterates, so a partition past its own fixpoint contributes its
-            // final state size to later global rounds.
-            let final_lens: Vec<u64> = (0..p)
-                .map(|part| state_len(&views[0].state[part].lock()) as u64)
-                .collect();
-            for r in 0..max_rounds as usize {
-                let mut delta_rows = 0u64;
-                let mut total_rows = 0u64;
-                // Partitions run their local rounds side by side, so a global
-                // round lasts as long as its slowest partition.
-                let mut elapsed_us = 0u64;
-                for (part, h) in histories.iter().enumerate() {
-                    match h.get(r) {
-                        Some(&(d, t, us)) => {
-                            delta_rows += d;
-                            total_rows += t;
-                            elapsed_us = elapsed_us.max(us);
-                        }
-                        None => total_rows += final_lens[part],
-                    }
-                }
-                s.record_iteration(IterationTrace {
-                    round: r as u32 + 1,
-                    delta_rows,
-                    total_rows,
-                    // Local rounds run inside the single decomposed stage:
-                    // no per-round stages and no shuffle (the §7.2 claim).
-                    stages: 0,
-                    shuffle_rows: 0,
-                    shuffle_bytes: 0,
-                    elapsed_us,
-                });
-            }
-        }
-        Metrics::add(&self.cluster.metrics.iterations, max_rounds as u64);
-        Ok(max_rounds)
+        Ok(iterations)
     }
 
     // ----------------------------------------------------------------
@@ -1629,7 +1025,7 @@ impl<'a> FixpointExecutor<'a> {
                             .map(|d| Row::new(vec![Value::Int(g.orig_id(d))])),
                     );
                 };
-                self.run_kernel::<DenseSetState, ()>(v, kp, &csr, &seeds, scan, materialise)
+                self.run_dense::<DenseSetState, ()>(v, kp, &csr, &seeds, scan, materialise)
                     .map(Some)
             }
             (KernelOp::Min, KernelScalar::I64) => {
@@ -1727,7 +1123,7 @@ impl<'a> FixpointExecutor<'a> {
         Ok(resolve(&seeded).map(|dense| (Arc::new(seeded), dense)))
     }
 
-    /// The aggregate kernels: [`FixpointExecutor::run_kernel`] over
+    /// The aggregate kernels: [`FixpointExecutor::run_dense`] over
     /// [`DenseAggState`], scanning with the plan's per-edge transform and
     /// materializing `(vertex, total)` rows.
     fn run_kernel_agg<T, Op>(
@@ -1789,19 +1185,15 @@ impl<'a> FixpointExecutor<'a> {
                 Row::new(vals)
             }));
         };
-        self.run_kernel::<DenseAggState<T>, Op>(v, kp, csr, seeds, scan, materialise)
+        self.run_dense::<DenseAggState<T>, Op>(v, kp, csr, seeds, scan, materialise)
             .map(Some)
     }
 
-    /// The kernel round loop, written once over [`DenseState`]: one combined
-    /// stage per round, in which task `part` merges what the previous round's
-    /// tasks produced for it into its dense slab and scans the fresh delta
-    /// against the broadcast CSR graph, combining map-side (Algorithm 5).
-    /// Mirrors `run_semi_naive`'s combined mode round-for-round — same
-    /// iteration counting, same closing-round bookkeeping, same shuffle
-    /// accounting for worker-crossing contributions. `scan` and
-    /// `materialise` are all that differs between kernels.
-    fn run_kernel<S, Op>(
+    /// A kernel-selected clique, dense from its seeds to its rows: bucket the
+    /// seeds, broadcast the graph once, drive [`Dense`] to the fixpoint and
+    /// materialise the slabs. `scan` and `materialise` are all that differs
+    /// between kernels.
+    fn run_dense<S, Op>(
         &self,
         v: &ViewSpec,
         kp: &KernelPlan,
@@ -1832,163 +1224,38 @@ impl<'a> FixpointExecutor<'a> {
         // §7.2: the graph is broadcast once and every worker reads that one
         // copy. `broadcast_bytes` and the governor's transient charge model
         // the network (`payload × workers`), not a memcpy.
-        let sink = self.eval.trace;
-        let bc = {
-            let graph = Arc::clone(csr);
-            Arc::new(
-                Broadcast::distribute_traced(
-                    self.cluster,
-                    sink,
-                    csr.size_bytes(),
-                    move |_w| Arc::clone(&graph),
-                    self.eval.governor,
-                )
-                .map_err(EngineError::Exec)?,
-            )
-        };
-        let parts: Arc<Vec<RankedMutex<(S, Combiner)>>> = Arc::new(
-            (0..p)
-                .map(|_| RankedMutex::new(LockRank::FixpointState, (S::new(n), Combiner::new(n))))
-                .collect(),
-        );
-        let scan = Arc::new(scan);
-        let totals = kp.totals_delta;
-        if let Some(s) = sink {
-            s.begin_clique_kernel(vec![v.name.clone()], "specialized", kp.name);
-        }
-
-        // The exchange: last round's task outputs as they are, `[src][dst]`.
-        // Task `part` merges `pending[src][part]` for every `src` in order —
-        // the order concatenating them would produce.
-        let mut pending = Arc::new(vec![base.clone()]);
-        let mut round: u32 = 0;
-        // Reset-and-rerun recovery (the decomposed path's model): dense slabs
-        // take no round-boundary snapshots, but the base items are immutable,
-        // so a lost stage wipes the state and restarts from round 0.
-        let mut reruns_left = if self.config.checkpoint_interval > 0 {
-            RESTORE_BUDGET
-        } else {
-            0
-        };
-        let mut gov_charge: u64 = 0;
-        let (iterations, total_rows) = loop {
-            self.check_cancel()?;
-            round += 1;
-            if round > self.config.max_iterations {
-                return Err(EngineError::NonTermination {
-                    view: v.name.clone(),
-                    iterations: self.config.max_iterations,
-                });
-            }
-            Metrics::add(&self.cluster.metrics.iterations, 1);
-            let round_t0 = Instant::now();
-            let tasks: Vec<StageTask<ScanTaskOut<S::Item>>> = (0..p)
-                .map(|part| {
-                    let pending = Arc::clone(&pending);
-                    let parts = Arc::clone(&parts);
-                    let bc = Arc::clone(&bc);
-                    let scan = Arc::clone(&scan);
-                    StageTask::new(part % self.cluster.workers(), move |w| {
-                        let mut guard = parts[part].lock();
-                        let (slab, combiner) = &mut *guard;
-                        for src in pending.iter() {
-                            for &item in &src[part] {
-                                slab.merge(item, round - 1);
-                            }
-                        }
-                        let delta = slab.take_delta(totals);
-                        (delta.len() as u64, scan(bc.on_worker(w), &delta, combiner))
+        let graph = Arc::clone(csr);
+        let bc = Broadcast::distribute_traced(
+            self.cluster,
+            self.eval.trace,
+            csr.size_bytes(),
+            move |_w| Arc::clone(&graph),
+            self.eval.governor,
+        )?;
+        let mut dense = Dense {
+            exec: self,
+            view: v.name.clone(),
+            kernel: kp.name,
+            totals: kp.totals_delta,
+            scan: Arc::new(scan),
+            bc: Arc::new(bc),
+            pending: Arc::new(vec![base.clone()]),
+            base,
+            parts: Arc::new(
+                (0..p)
+                    .map(|_| {
+                        RankedMutex::new(LockRank::FixpointState, (S::new(n), Combiner::new(n)))
                     })
-                })
-                .collect();
-            let results = match self.cluster.run_stage_traced(
-                sink,
-                "fixpoint kernel",
-                StageKind::Combined,
-                tasks,
-            ) {
-                Ok(r) => r,
-                Err(e) => {
-                    if reruns_left == 0 {
-                        return Err(EngineError::Exec(e));
-                    }
-                    reruns_left -= 1;
-                    for part in parts.iter() {
-                        part.lock().0.clear();
-                    }
-                    pending = Arc::new(vec![base.clone()]);
-                    round = 0;
-                    Metrics::add(&self.cluster.metrics.restores, 1);
-                    if let Some(s) = sink {
-                        s.record_recovery(RecoveryEvent {
-                            kind: RecoveryKind::Restore,
-                            stage: v.name.clone(),
-                            round: 0,
-                            detail: format!("kernel state reset to empty; rerunning after: {e}"),
-                        });
-                    }
-                    continue;
-                }
-            };
-
-            let delta_rows: u64 = results.iter().map(|(n, _)| *n).sum();
-            let (mut total_rows, mut footprint) = (0u64, 0u64);
-            for part in parts.iter() {
-                let guard = part.lock();
-                total_rows += guard.0.len() as u64;
-                footprint += guard.0.size_bytes() + guard.1.size_bytes();
-            }
-            if let Some(g) = self.eval.governor {
-                // Dense slabs are the kernel's resident state: keep the
-                // tracker's charge equal to their current footprint.
-                if footprint >= gov_charge {
-                    g.tracker().charge(footprint - gov_charge);
-                } else {
-                    g.tracker().release(gov_charge - footprint);
-                }
-                gov_charge = footprint;
-            }
-            // The driver moves nothing: it only counts what crosses workers.
-            // (A closing round — every partition merged an empty delta —
-            // scanned nothing, so it counts zero.)
-            let (mut moved_rows, mut moved_bytes) = (0u64, 0u64);
-            let item_bytes = std::mem::size_of::<S::Item>() as u64;
-            for (src_part, (_, out)) in results.iter().enumerate() {
-                for (dst_part, items) in out.iter().enumerate() {
-                    if self.cluster.owner_of(src_part) != self.cluster.owner_of(dst_part) {
-                        moved_rows += items.len() as u64;
-                        moved_bytes += items.len() as u64 * item_bytes;
-                    }
-                }
-            }
-            Metrics::add(&self.cluster.metrics.shuffle_rows, moved_rows);
-            Metrics::add(&self.cluster.metrics.shuffle_bytes, moved_bytes);
-            if let Some(s) = sink {
-                s.record_iteration(IterationTrace {
-                    round,
-                    delta_rows,
-                    total_rows,
-                    stages: 1,
-                    shuffle_rows: moved_rows,
-                    shuffle_bytes: moved_bytes,
-                    elapsed_us: round_t0.elapsed().as_micros() as u64,
-                });
-            }
-            if delta_rows == 0 {
-                break (round - 1, total_rows);
-            }
-            pending = Arc::new(results.into_iter().map(|(_, out)| out).collect());
+                    .collect(),
+            ),
+            op: PhantomData::<Op>,
         };
-        if let Some(g) = self.eval.governor {
-            g.tracker().release(gov_charge);
-        }
-        if let Some(s) = sink {
-            s.end_clique(iterations);
-        }
+        let iterations = self.drive(&mut dense, 0)?;
 
         // Materialize: a vertex is occupied only in its owner partition.
-        let mut rows: Vec<Row> = Vec::with_capacity(total_rows as usize);
-        for part in parts.iter() {
+        let total: usize = dense.parts.iter().map(|part| part.lock().0.len()).sum();
+        let mut rows: Vec<Row> = Vec::with_capacity(total);
+        for part in dense.parts.iter() {
             materialise(csr, &part.lock().0, &mut rows);
         }
         Ok(FixpointResult {
@@ -1997,14 +1264,6 @@ impl<'a> FixpointExecutor<'a> {
         })
     }
 }
-
-/// What a kernel scan task returns: the delta row count it consumed plus its
-/// combined contributions, bucketed by destination partition.
-type ScanTaskOut<I> = (u64, Vec<Vec<I>>);
-
-/// A kernel's base-case seeds resolved to a graph's dense ids:
-/// `(vertex, aggregate bits)`.
-type DenseSeeds = Vec<(u32, u64)>;
 
 /// One input partition's share of a kernel's base case: typed seeds in
 /// first-occurrence order, exact duplicates dropped.
@@ -2038,6 +1297,701 @@ impl SeedFold {
 }
 
 // --------------------------------------------------------------------
+// The interpreter's strategies
+// --------------------------------------------------------------------
+
+/// What the three interpreter strategies evaluate: the clique's runtime
+/// views (whose partitions hold the state) and its compiled branches.
+struct Clique<'e, 'a> {
+    exec: &'e FixpointExecutor<'a>,
+    views: Arc<Vec<ViewRt>>,
+    branches: Arc<Vec<CompiledBranch>>,
+}
+
+impl Clique<'_, '_> {
+    fn names(&self) -> Vec<String> {
+        self.views.iter().map(|v| v.spec.name.clone()).collect()
+    }
+
+    fn label(&self, mode: &'static str) -> (Vec<String>, &'static str, &'static str) {
+        (self.names(), mode, "generic")
+    }
+
+    /// Comma-joined view names — the `stage` label of clique-scoped
+    /// recovery events.
+    fn name(&self) -> String {
+        self.names().join(",")
+    }
+
+    /// Total rows across every partition of every view.
+    fn total_rows(&self) -> u64 {
+        let parts = self.views.iter().flat_map(|v| v.state.iter());
+        parts.map(|cell| cell.lock().len() as u64).sum()
+    }
+}
+
+/// Semi-naive evaluation (Algorithms 4/5, or 6 when `combine`): the state
+/// lives in the views' partitions, and `pending` holds the contributions the
+/// next round merges — base-case results first. A delta-seeded resume is this
+/// strategy over preloaded partitions, driven from round 1.
+struct SemiNaive<'e, 'a> {
+    c: Clique<'e, 'a>,
+    /// Stage combination fuses the reduce of round r with the map of round
+    /// r+1 — sound only when no branch reads old/new snapshots of another
+    /// recursive relation (those need the merge barrier).
+    combine: bool,
+    pending: Buckets,
+    /// Between rounds every partition's state plus `pending` form a
+    /// consistent cut (see `rasql_exec::checkpoint`): that is what is saved.
+    store: CheckpointStore,
+    /// What `settle` paged out to the governor's spill directory, read back
+    /// by `page_in`: `(view, partition, file)`.
+    paged_pending: Vec<(usize, usize, String)>,
+    paged_state: Vec<(usize, usize, String)>,
+}
+
+impl<'e, 'a> SemiNaive<'e, 'a> {
+    fn new(c: Clique<'e, 'a>, base: Buckets) -> Self {
+        let combine =
+            c.exec.config.stage_combination && c.branches.iter().all(|b| !b.uses_recursive_build);
+        SemiNaive {
+            c,
+            combine,
+            pending: base,
+            store: CheckpointStore::memory(),
+            paged_pending: Vec::new(),
+            paged_state: Vec::new(),
+        }
+    }
+}
+
+impl RoundStep for SemiNaive<'_, '_> {
+    fn label(&self) -> (Vec<String>, &'static str, &'static str) {
+        self.c.label(if self.combine {
+            "semi_naive_combined"
+        } else {
+            "semi_naive"
+        })
+    }
+
+    fn step(&mut self, round: u32) -> Result<Option<Round>, Halt> {
+        let exec = self.c.exec;
+        let (p, workers) = (exec.config.partitions, exec.cluster.workers());
+        // The round's two halves, each run on the partition it names. Merge:
+        // fold the pending contributions into the state, stamped with the
+        // delta's round (Algorithm 4 lines 11-16). Map: join the fresh delta
+        // through every branch and partially aggregate (lines 6-9 / Alg. 5).
+        let merge = {
+            let views = Arc::clone(&self.c.views);
+            move |part: usize, mine: Vec<Vec<Row>>| -> Vec<DeltaBatch> {
+                (views.iter().zip(mine))
+                    .map(|(v, rows)| {
+                        merge_into_state(v, &mut v.state[part].lock(), rows, round - 1)
+                    })
+                    .collect()
+            }
+        };
+        let map = {
+            let (views, branches) = (Arc::clone(&self.c.views), Arc::clone(&self.c.branches));
+            let fused = exec.eval.fused;
+            move |part: usize, deltas: &[DeltaBatch], snapshots: &[Snapshot], w: usize| {
+                let delta_rows: u64 = deltas.iter().map(|d| d.rows.len() as u64).sum();
+                let buckets = map_task(&views, &branches, deltas, snapshots, part, w, fused);
+                (delta_rows, buckets)
+            }
+        };
+        let fresh = empty_buckets(self.c.views.len(), p);
+        let mine = by_partition(std::mem::replace(&mut self.pending, fresh), p);
+        let mut stages = 1;
+        let map_out: Vec<(u64, Buckets)> = if self.combine {
+            // One combined ShuffleMap stage (Algorithm 6).
+            let tasks = (mine.into_iter().enumerate())
+                .map(|(part, rows)| {
+                    let (merge, map) = (merge.clone(), map.clone());
+                    StageTask::new(part % workers, move |w| {
+                        map(part, &merge(part, rows), &[], w)
+                    })
+                })
+                .collect();
+            exec.stage("fixpoint combined", StageKind::Combined, tasks)?
+        } else {
+            let tasks = (mine.into_iter().enumerate())
+                .map(|(part, rows)| {
+                    let merge = merge.clone();
+                    StageTask::new(part % workers, move |_w| merge(part, rows))
+                })
+                .collect();
+            let merged: Vec<Vec<DeltaBatch>> =
+                exec.stage("fixpoint reduce", StageKind::Reduce, tasks)?;
+            if merged.iter().flatten().all(DeltaBatch::is_empty) {
+                Vec::new()
+            } else {
+                stages = 2;
+                // Old/new snapshots use the delta's stamp as cutoff.
+                let views = &self.c.views;
+                let snapshots = Arc::new(snapshots(&self.c.branches, |view, mode| {
+                    state_snapshot(&views[view], mode, round - 1)
+                }));
+                let tasks = (merged.into_iter().enumerate())
+                    .map(|(part, deltas)| {
+                        let (map, snapshots) = (map.clone(), Arc::clone(&snapshots));
+                        StageTask::new(part % workers, move |w| map(part, &deltas, &snapshots, w))
+                    })
+                    .collect();
+                exec.stage("fixpoint map", StageKind::Map, tasks)?
+            }
+        };
+
+        // Shuffle: gather the map outputs per (view, partition), counting
+        // what crosses workers.
+        let delta_rows: u64 = map_out.iter().map(|(n, _)| *n).sum();
+        let (mut moved_rows, mut moved_bytes) = (0u64, 0u64);
+        for (src_part, (_, buckets)) in map_out.into_iter().enumerate() {
+            for (vi, per_view) in buckets.into_iter().enumerate() {
+                for (dst_part, rows) in per_view.into_iter().enumerate() {
+                    if exec.cluster.owner_of(src_part) != exec.cluster.owner_of(dst_part) {
+                        moved_rows += rows.len() as u64;
+                        moved_bytes += rows.iter().map(Row::size_bytes).sum::<usize>() as u64;
+                    }
+                    self.pending[vi][dst_part].extend(rows);
+                }
+            }
+        }
+        Ok(Some(Round {
+            delta_rows,
+            total_rows: self.c.total_rows(),
+            stages,
+            shuffle_rows: moved_rows,
+            shuffle_bytes: moved_bytes,
+            elapsed_us: None,
+            // Every partition merged an empty delta.
+            closing: delta_rows == 0,
+        }))
+    }
+
+    /// Serialize every partition's state (as a traced cluster stage — the
+    /// encode work runs where the state lives, and is itself subject to fault
+    /// injection) plus the pending contributions (driver-side, it already
+    /// holds them) into the store under `round`.
+    fn cut(&mut self, round: u32) -> Result<bool, Halt> {
+        let exec = self.c.exec;
+        let p = exec.config.partitions;
+        let tasks: Vec<StageTask<Vec<(String, Bytes)>>> = (0..p)
+            .map(|part| {
+                let views = Arc::clone(&self.c.views);
+                StageTask::new(part % exec.cluster.workers(), move |_w| {
+                    (views.iter().enumerate())
+                        .map(|(vi, v)| {
+                            let data = v.state[part].lock().encode();
+                            (format!("r{round}/v{vi}/p{part}"), data)
+                        })
+                        .collect()
+                })
+            })
+            .collect();
+        let encoded = exec.stage("fixpoint checkpoint", StageKind::Checkpoint, tasks)?;
+        let put = |key: &str, data: Bytes| self.store.put(key, data).map_err(EngineError::from);
+        let mut bytes = 0u64;
+        for (key, data) in encoded.into_iter().flatten() {
+            bytes += put(&key, data)? as u64;
+        }
+        for (vi, per_view) in self.pending.iter().enumerate() {
+            for (part, rows) in per_view.iter().enumerate() {
+                let key = format!("r{round}/contrib/v{vi}/p{part}");
+                bytes += put(&key, encode_rows(rows))? as u64;
+            }
+        }
+        Metrics::add(&exec.cluster.metrics.checkpoints, 1);
+        Metrics::add(&exec.cluster.metrics.checkpoint_bytes, bytes);
+        let detail = format!("{bytes} B across {p} partitions");
+        exec.note(RecoveryKind::Checkpoint, self.c.name(), round, detail);
+        Ok(true)
+    }
+
+    /// Every partition's state and the pending contributions back to exactly
+    /// what was captured at `to`.
+    fn rewind(&mut self, to: u32) -> Result<String, EngineError> {
+        let entry = |key: String| {
+            self.store.get(&key)?.ok_or_else(|| {
+                EngineError::Other(format!("checkpoint entry '{key}' missing from the store"))
+            })
+        };
+        let mut bytes = 0u64;
+        for (vi, v) in self.c.views.iter().enumerate() {
+            for (part, pending) in self.pending[vi].iter_mut().enumerate() {
+                let data = entry(format!("r{to}/v{vi}/p{part}"))?;
+                bytes += data.len() as u64;
+                *v.state[part].lock() = ViewState::decode(&v.spec, data)?;
+                let data = entry(format!("r{to}/contrib/v{vi}/p{part}"))?;
+                bytes += data.len() as u64;
+                *pending = decode_rows(data)?;
+            }
+        }
+        Ok(format!("replaying from round {to} ({bytes} B)"))
+    }
+
+    /// Spilled contribution rows go back in front of what was gathered since,
+    /// in their original order (the spill row codec preserves it); paged-out
+    /// partitions are decoded from their checkpoint-codec blobs.
+    fn page_in(&mut self, g: &QueryGovernor) -> Result<(), EngineError> {
+        if self.paged_pending.is_empty() && self.paged_state.is_empty() {
+            return Ok(());
+        }
+        let dir = g.spill_dir()?;
+        for (vi, part, name) in self.paged_pending.drain(..) {
+            let mut rows = dir.take_rows(&name)?;
+            rows.append(&mut self.pending[vi][part]);
+            self.pending[vi][part] = rows;
+        }
+        for (vi, part, name) in self.paged_state.drain(..) {
+            let blob = dir.take_blob(&name)?;
+            let v = &self.c.views[vi];
+            *v.state[part].lock() = ViewState::decode(&v.spec, Bytes::from(blob))?;
+        }
+        Ok(())
+    }
+
+    /// The resident set is the pending contribution buckets plus the
+    /// all-relation state. Over budget it is paged out to the governor's
+    /// spill directory — buckets first (order-preserving row codec, so the
+    /// next merge replays contributions byte-for-byte), then per-partition
+    /// state (canonical checkpoint codec).
+    fn settle(&mut self, g: &QueryGovernor, round: u32) -> Result<u64, EngineError> {
+        let exec = self.c.exec;
+        let row_bytes = |r: &Row| r.size_bytes() as u64 + 16;
+        let pending = self.pending.iter().flatten().flatten();
+        let cells = self.c.views.iter().flat_map(|v| v.state.iter());
+        let mut charge = pending.map(row_bytes).sum::<u64>()
+            + cells.map(|cell| cell.lock().size_bytes()).sum::<u64>();
+        g.tracker().charge(charge);
+        if !g.tracker().over_budget() {
+            return Ok(charge);
+        }
+        let dir = g.spill_dir()?;
+        let (mut written, mut files) = (0u64, 0u64);
+        let mut paged = |freed: u64| {
+            files += 1;
+            g.tracker().release(freed);
+            charge = charge.saturating_sub(freed);
+            !g.tracker().over_budget()
+        };
+        'page: {
+            for (vi, per_view) in self.pending.iter_mut().enumerate() {
+                for (part, rows) in per_view.iter_mut().enumerate() {
+                    if rows.is_empty() {
+                        continue;
+                    }
+                    let name = format!("contrib-r{round}-v{vi}-p{part}");
+                    written += dir.append_rows(&name, rows)?;
+                    let freed = rows.drain(..).map(|r| row_bytes(&r)).sum();
+                    self.paged_pending.push((vi, part, name));
+                    if paged(freed) {
+                        break 'page;
+                    }
+                }
+            }
+            for (vi, v) in self.c.views.iter().enumerate() {
+                for (part, cell) in v.state.iter().enumerate() {
+                    let mut st = cell.lock();
+                    let freed = st.size_bytes();
+                    if freed == 0 {
+                        continue;
+                    }
+                    let name = format!("state-r{round}-v{vi}-p{part}");
+                    written += dir.write_blob(&name, st.encode().as_ref())?;
+                    *st = ViewState::empty(&v.spec);
+                    drop(st);
+                    self.paged_state.push((vi, part, name));
+                    if paged(freed) {
+                        break 'page;
+                    }
+                }
+            }
+        }
+        g.note_spill(written, files);
+        Metrics::add(&exec.cluster.metrics.spilled_bytes, written);
+        Metrics::add(&exec.cluster.metrics.spill_files, files);
+        let detail = format!("paged out {written} B in {files} files (footprint over budget)");
+        exec.note(RecoveryKind::Spill, self.c.name(), round, detail);
+        Ok(charge)
+    }
+}
+
+/// Naive evaluation (Algorithm 2 / the Spark-SQL-Naive baseline of Fig 10):
+/// every round re-derives `base ∪ T(prev)` from the whole previous state and
+/// rebuilds the partitions from scratch; there is no delta to consume.
+struct Naive<'e, 'a> {
+    c: Clique<'e, 'a>,
+    base: Buckets,
+    /// The previous round's full state as schema-shaped rows per
+    /// (view, partition).
+    prev: Arc<Buckets>,
+}
+
+impl<'e, 'a> Naive<'e, 'a> {
+    fn new(c: Clique<'e, 'a>, base: Buckets) -> Self {
+        let prev = Arc::new(empty_buckets(c.views.len(), c.exec.config.partitions));
+        Naive { c, base, prev }
+    }
+}
+
+impl RoundStep for Naive<'_, '_> {
+    fn label(&self) -> (Vec<String>, &'static str, &'static str) {
+        self.c.label("naive")
+    }
+
+    fn step(&mut self, _round: u32) -> Result<Option<Round>, Halt> {
+        let exec = self.c.exec;
+        let p = exec.config.partitions;
+        let views = &self.c.views;
+        let snapshots = Arc::new(snapshots(&self.c.branches, |view, _| {
+            self.prev[view].iter().flatten().cloned().collect()
+        }));
+        // Drivers read totals: the whole previous state is the "delta".
+        let tasks: Vec<StageTask<Buckets>> = (0..p)
+            .map(|part| {
+                let prev = Arc::clone(&self.prev);
+                let (views, branches) = (Arc::clone(views), Arc::clone(&self.c.branches));
+                let snapshots = Arc::clone(&snapshots);
+                let fused = exec.eval.fused;
+                StageTask::new(part % exec.cluster.workers(), move |w| {
+                    let deltas: Vec<DeltaBatch> = (views.iter().zip(prev.iter()))
+                        .map(|(v, rows)| DeltaBatch {
+                            rows: rows[part].clone(),
+                            increments: (rows[part].iter())
+                                .map(|r| v.agg_cols.iter().map(|&c| r[c].clone()).collect())
+                                .collect(),
+                        })
+                        .collect();
+                    map_task(&views, &branches, &deltas, &snapshots, part, w, fused)
+                })
+            })
+            .collect();
+        let map_out = exec.stage("fixpoint naive map", StageKind::Map, tasks)?;
+        let mut contributions = self.base.clone();
+        let mut derived_rows = 0u64;
+        for buckets in map_out {
+            for (vi, per_view) in buckets.into_iter().enumerate() {
+                for (dst, rows) in per_view.into_iter().enumerate() {
+                    derived_rows += rows.len() as u64;
+                    contributions[vi][dst].extend(rows);
+                }
+            }
+        }
+
+        // Recompute state from scratch; compare with the previous round.
+        let mut changed = false;
+        let mut next = empty_buckets(views.len(), p);
+        for (vi, v) in views.iter().enumerate() {
+            for part in 0..p {
+                let mut fresh = ViewState::empty(&v.spec);
+                let rows = std::mem::take(&mut contributions[vi][part]);
+                merge_into_state(v, &mut fresh, rows, 0);
+                let mut rows = Vec::new();
+                fresh.extend_rows(v, &mut rows);
+                let mut sorted = rows.clone();
+                sorted.sort_unstable();
+                let mut old_sorted = self.prev[vi][part].clone();
+                old_sorted.sort_unstable();
+                changed |= sorted != old_sorted;
+                next[vi][part] = rows;
+                *v.state[part].lock() = fresh;
+            }
+        }
+        self.prev = Arc::new(next);
+        Ok(Some(Round {
+            // Naive evaluation has no deltas: record the re-derivation
+            // volume instead (the waste the SN ablation measures).
+            delta_rows: if changed { derived_rows } else { 0 },
+            total_rows: self.c.total_rows(),
+            stages: 1,
+            shuffle_rows: 0,
+            shuffle_bytes: 0,
+            elapsed_us: None,
+            closing: !changed,
+        }))
+    }
+
+    /// Every round rebuilds the partitions, so forgetting the previous state
+    /// is the whole rewind.
+    fn rewind(&mut self, _to: u32) -> Result<String, EngineError> {
+        let (nv, p) = (self.c.views.len(), self.c.exec.config.partitions);
+        self.prev = Arc::new(empty_buckets(nv, p));
+        Ok("previous state forgotten; rerunning".into())
+    }
+}
+
+/// Decomposed evaluation (§7.2): one stage runs every partition's local
+/// fixpoint to the end — the preserved-column property keeps each derivation
+/// in its partition, so there is no exchange and no per-round stage — and
+/// the local histories are then reported one global round per step.
+struct Decomposed<'e, 'a> {
+    c: Clique<'e, 'a>,
+    base: Arc<Buckets>,
+    /// Every partition's local rounds; `None` until the stage has run.
+    local: Option<Vec<LocalRounds>>,
+}
+
+impl<'e, 'a> Decomposed<'e, 'a> {
+    fn new(c: Clique<'e, 'a>, base: Buckets) -> Self {
+        debug_assert_eq!(c.views.len(), 1);
+        Decomposed {
+            c,
+            base: Arc::new(base),
+            local: None,
+        }
+    }
+
+    /// Run the one stage. The whole local fixpoint runs inside it, so the
+    /// cancellation token and the iteration cap travel into the task and are
+    /// checked per local round; a task that gives up says why.
+    fn local_fixpoints(&self) -> Result<Vec<LocalRounds>, Halt> {
+        let exec = self.c.exec;
+        let max_iter = exec.config.max_iterations;
+        let fused = exec.eval.fused;
+        let token = exec.eval.governor.map(|g| g.token().clone());
+        let tasks = (0..exec.config.partitions)
+            .map(|part| {
+                let base = Arc::clone(&self.base);
+                let (views, branches) = (Arc::clone(&self.c.views), Arc::clone(&self.c.branches));
+                let token = token.clone();
+                StageTask::new(part % exec.cluster.workers(), move |w| {
+                    let v = &views[0];
+                    let mut state = v.state[part].lock();
+                    let mut delta = merge_into_state(v, &mut state, base[0][part].clone(), 0);
+                    let mut iters: u32 = 0;
+                    let mut history: Vec<(u64, u64, u64)> = Vec::new();
+                    while !delta.is_empty() {
+                        let round_t0 = Instant::now();
+                        iters += 1;
+                        if iters > max_iter {
+                            return Err(LocalAbort::NonTermination);
+                        }
+                        if token.as_ref().is_some_and(|t| t.check().is_err()) {
+                            return Err(LocalAbort::Cancelled);
+                        }
+                        let consumed = delta.rows.len() as u64;
+                        // Every branch's tuples go straight into this
+                        // round's merge.
+                        let mut merge = Merge::new(v, &mut state, iters);
+                        for b in branches.iter() {
+                            let input = delta.reader_rows(b.driver_value_mode, &v.agg_cols);
+                            let sink = &mut |t: &[Value]| merge.push(t);
+                            run_branch(b, &input, &[], 0, usize::MAX, w, fused, sink);
+                        }
+                        delta = merge.finish();
+                        history.push((
+                            consumed,
+                            state.len() as u64,
+                            round_t0.elapsed().as_micros() as u64,
+                        ));
+                    }
+                    Ok((history, state.len() as u64))
+                })
+            })
+            .collect();
+        let results = exec.stage("fixpoint decomposed", StageKind::Decomposed, tasks)?;
+        let mut local = Vec::with_capacity(results.len());
+        for r in results {
+            match r {
+                Ok(history) => local.push(history),
+                Err(LocalAbort::NonTermination) => {
+                    // lint: allow(RL0009, a local fixpoint runs on a worker with only the token and the cap: this translates its report)
+                    return Err(Halt::Fatal(EngineError::NonTermination {
+                        view: self.c.views[0].spec.name.clone(),
+                        iterations: max_iter,
+                    }));
+                }
+                Err(LocalAbort::Cancelled) => {
+                    // `check_cancel` re-derives the precise typed error
+                    // (cancelled vs. deadline); the fallback covers a token
+                    // that was somehow un-fired by the time we got here.
+                    exec.check_cancel()?;
+                    return Err(Halt::Fatal(EngineError::Exec(ExecError::Cancelled {
+                        query_id: exec.eval.governor.map_or(0, QueryGovernor::query_id),
+                    })));
+                }
+            }
+        }
+        Ok(local)
+    }
+}
+
+impl RoundStep for Decomposed<'_, '_> {
+    fn label(&self) -> (Vec<String>, &'static str, &'static str) {
+        self.c.label("decomposed")
+    }
+
+    fn step(&mut self, round: u32) -> Result<Option<Round>, Halt> {
+        if self.local.is_none() {
+            self.local = Some(self.local_fixpoints()?);
+        }
+        let local = self.local.as_deref().unwrap_or_default();
+        let r = round as usize - 1;
+        if local.iter().all(|(history, _)| history.len() <= r) {
+            return Ok(None);
+        }
+        let (mut delta_rows, mut total_rows, mut elapsed_us) = (0u64, 0u64, 0u64);
+        for (history, final_len) in local {
+            match history.get(r) {
+                Some(&(d, t, us)) => {
+                    delta_rows += d;
+                    total_rows += t;
+                    // Partitions run their local rounds side by side, so a
+                    // global round lasts as long as its slowest partition.
+                    elapsed_us = elapsed_us.max(us);
+                }
+                // A partition past its own fixpoint keeps its final size.
+                None => total_rows += final_len,
+            }
+        }
+        Ok(Some(Round {
+            delta_rows,
+            total_rows,
+            // Local rounds run inside the single decomposed stage: no
+            // per-round stages and no shuffle (the §7.2 claim).
+            stages: 0,
+            shuffle_rows: 0,
+            shuffle_bytes: 0,
+            elapsed_us: Some(elapsed_us),
+            closing: false,
+        }))
+    }
+
+    /// There are no round boundaries to cut at — the entire local fixpoint is
+    /// one stage — so the rewind wipes every partition and the stage runs
+    /// again (sound because it derives everything from the immutable base).
+    fn rewind(&mut self, _to: u32) -> Result<String, EngineError> {
+        for part in &self.c.views[0].state {
+            *part.lock() = ViewState::empty(&self.c.views[0].spec);
+        }
+        self.local = None;
+        Ok("state reset to empty; rerunning".into())
+    }
+}
+
+// --------------------------------------------------------------------
+// The kernels' strategy (§7.3): CSR broadcast + dense state
+// --------------------------------------------------------------------
+
+/// A kernel's base-case seeds resolved to a graph's dense ids:
+/// `(vertex, aggregate bits)`.
+type DenseSeeds = Vec<(u32, u64)>;
+
+/// The kernel rounds, written once over [`DenseState`]: semi-naive's
+/// combined mode round for round — same iteration counting, same closing
+/// round, same shuffle accounting for worker-crossing contributions — over
+/// dense slabs and the broadcast CSR graph.
+struct Dense<'e, 'a, S: DenseState<Op>, Op, F> {
+    exec: &'e FixpointExecutor<'a>,
+    view: String,
+    kernel: &'static str,
+    /// Whether a delta entry carries its vertex's total rather than the
+    /// contribution that changed it (`KernelPlan::totals_delta`).
+    totals: bool,
+    scan: Arc<F>,
+    bc: Arc<Broadcast<Arc<CsrGraph>>>,
+    /// The base items by owner partition — immutable, which is what lets a
+    /// rewind restart from them.
+    base: Vec<Vec<S::Item>>,
+    /// The exchange: last round's task outputs as they are, `[src][dst]`.
+    pending: Arc<Vec<Vec<Vec<S::Item>>>>,
+    parts: Arc<Vec<RankedMutex<(S, Combiner)>>>,
+    op: PhantomData<Op>,
+}
+
+impl<S, Op, F> RoundStep for Dense<'_, '_, S, Op, F>
+where
+    S: DenseState<Op>,
+    F: Fn(&CsrGraph, &[S::Item], &mut Combiner) -> Vec<Vec<S::Item>> + Send + Sync + 'static,
+{
+    fn label(&self) -> (Vec<String>, &'static str, &'static str) {
+        (vec![self.view.clone()], "specialized", self.kernel)
+    }
+
+    /// One combined stage: task `part` merges `pending[src][part]` for every
+    /// `src` in order — the order concatenating them would produce — into its
+    /// slab and scans the fresh delta against the graph, combining map-side
+    /// (Algorithm 5).
+    fn step(&mut self, round: u32) -> Result<Option<Round>, Halt> {
+        let (exec, cluster, totals) = (self.exec, self.exec.cluster, self.totals);
+        let tasks = (0..self.parts.len())
+            .map(|part| {
+                let pending = Arc::clone(&self.pending);
+                let parts = Arc::clone(&self.parts);
+                let bc = Arc::clone(&self.bc);
+                let scan = Arc::clone(&self.scan);
+                StageTask::new(part % cluster.workers(), move |w| {
+                    let mut guard = parts[part].lock();
+                    let (slab, combiner) = &mut *guard;
+                    for src in pending.iter() {
+                        for &item in &src[part] {
+                            slab.merge(item, round - 1);
+                        }
+                    }
+                    let delta = slab.take_delta(totals);
+                    (delta.len() as u64, scan(bc.on_worker(w), &delta, combiner))
+                })
+            })
+            .collect();
+        // Each task returns the delta rows it consumed and its combined
+        // contributions, bucketed by destination partition.
+        let results = exec.stage("fixpoint kernel", StageKind::Combined, tasks)?;
+
+        let delta_rows: u64 = results.iter().map(|(n, _)| *n).sum();
+        let total_rows = (self.parts.iter())
+            .map(|part| part.lock().0.len() as u64)
+            .sum();
+        // The driver moves nothing: it only counts what crosses workers. (A
+        // closing round scanned nothing, so it counts zero.)
+        let (mut moved_rows, mut moved_bytes) = (0u64, 0u64);
+        let item_bytes = std::mem::size_of::<S::Item>() as u64;
+        for (src_part, (_, out)) in results.iter().enumerate() {
+            for (dst_part, items) in out.iter().enumerate() {
+                if cluster.owner_of(src_part) != cluster.owner_of(dst_part) {
+                    moved_rows += items.len() as u64;
+                    moved_bytes += items.len() as u64 * item_bytes;
+                }
+            }
+        }
+        self.pending = Arc::new(results.into_iter().map(|(_, out)| out).collect());
+        Ok(Some(Round {
+            delta_rows,
+            total_rows,
+            stages: 1,
+            shuffle_rows: moved_rows,
+            shuffle_bytes: moved_bytes,
+            elapsed_us: None,
+            // Every partition merged an empty delta.
+            closing: delta_rows == 0,
+        }))
+    }
+
+    /// Dense slabs take no round-boundary snapshots, but a lost stage leaves
+    /// them half merged: wipe them and start again from the base items.
+    fn rewind(&mut self, _to: u32) -> Result<String, EngineError> {
+        for part in self.parts.iter() {
+            part.lock().0.clear();
+        }
+        self.pending = Arc::new(vec![self.base.clone()]);
+        Ok("kernel state reset to empty; rerunning".into())
+    }
+
+    /// The slabs and combiners are the resident state; they are charged,
+    /// never paged.
+    fn settle(&mut self, g: &QueryGovernor, _round: u32) -> Result<u64, EngineError> {
+        let footprint = (self.parts.iter())
+            .map(|part| {
+                let guard = part.lock();
+                guard.0.size_bytes() + guard.1.size_bytes()
+            })
+            .sum();
+        g.tracker().charge(footprint);
+        Ok(footprint)
+    }
+}
+
+// --------------------------------------------------------------------
 // Map-side evaluation
 // --------------------------------------------------------------------
 
@@ -2046,8 +2000,8 @@ impl SeedFold {
 fn map_task(
     views: &[ViewRt],
     branches: &[CompiledBranch],
-    deltas: &[&DeltaBatch],
-    snapshots: &[Option<Arc<HashTable>>],
+    deltas: &[DeltaBatch],
+    snapshots: &[Snapshot],
     part: usize,
     worker: usize,
     fused: bool,
@@ -2058,7 +2012,7 @@ fn map_task(
     for b in branches {
         let op_base = op_index;
         op_index += b.ops.len();
-        let delta = deltas[b.driver];
+        let delta = &deltas[b.driver];
         if delta.is_empty() {
             continue;
         }
@@ -2082,7 +2036,7 @@ fn map_task(
 fn run_branch(
     b: &CompiledBranch,
     input: &[Row],
-    snapshots: &[Option<Arc<HashTable>>],
+    snapshots: &[Snapshot],
     op_base: usize,
     part: usize,
     worker: usize,
@@ -2167,6 +2121,47 @@ fn run_branch(
             sink(row.values());
         }
     }
+}
+
+/// The per-round snapshots of the recursive relations that branches use as
+/// join build sides (mutual/non-linear recursion), one slot per compiled op;
+/// `rows_of(view, mode)` supplies a relation's rows as the round sees them.
+fn snapshots(
+    branches: &[CompiledBranch],
+    mut rows_of: impl FnMut(usize, RecAllMode) -> Vec<Row>,
+) -> Vec<Snapshot> {
+    let ops = branches.iter().flat_map(|b| &b.ops);
+    ops.map(|op| match op {
+        CompiledOp::Join(CompiledStep {
+            build: BuildSide::Recursive { view, mode },
+            build_keys,
+            ..
+        }) => {
+            // lint: allow(RL0008, a per-round snapshot of a recursive relation, not of base data)
+            let table = HashTable::build(&rows_of(*view, *mode), build_keys);
+            Some(Arc::new(table))
+        }
+        _ => None,
+    })
+    .collect()
+}
+
+/// A view's rows as a semi-naive round whose delta is stamped `cutoff` reads
+/// them: all of them (`New`), or the state before that delta was merged
+/// (`Old`).
+fn state_snapshot(v: &ViewRt, mode: RecAllMode, cutoff: u32) -> Vec<Row> {
+    let mut rows = Vec::new();
+    for part in &v.state {
+        match (&*part.lock(), mode) {
+            (state, RecAllMode::New) => state.extend_rows(v, &mut rows),
+            (ViewState::Set(s), RecAllMode::Old) => rows.extend(s.iter_before(cutoff).cloned()),
+            (ViewState::Agg(a), RecAllMode::Old) => rows.extend(a.iter().filter_map(|(key, _)| {
+                let vals = a.get_before(key, cutoff)?;
+                Some(assemble_row(key, vals, &v.spec.key_cols, &v.agg_cols))
+            })),
+        }
+    }
+    rows
 }
 
 fn assemble_row(key: &[Value], aggs: &[Value], key_cols: &[usize], agg_cols: &[usize]) -> Row {
@@ -2276,11 +2271,6 @@ impl<'a> Partial<'a> {
 
 /// Merge schema-shaped contributions into one partition's state; returns the
 /// delta batch (stamped `round`).
-fn merge_partition(v: &ViewRt, part: usize, contributions: Vec<Row>, round: u32) -> DeltaBatch {
-    let mut state = v.state[part].lock();
-    merge_into_state(v, &mut state, contributions, round)
-}
-
 fn merge_into_state(
     v: &ViewRt,
     state: &mut ViewState,
@@ -2398,15 +2388,6 @@ impl<'a> Merge<'a> {
     }
 }
 
-/// An empty partition state of the view's kind.
-fn empty_state(v: &ViewSpec) -> ViewState {
-    if v.aggs.is_empty() {
-        ViewState::Set(SetState::new())
-    } else {
-        ViewState::Agg(AggState::new())
-    }
-}
-
 /// Pending contributions regrouped for the merge tasks: `[partition][view]`
 /// rows, so each task owns what it merges.
 fn by_partition(contributions: Buckets, p: usize) -> Vec<Vec<Vec<Row>>> {
@@ -2424,109 +2405,6 @@ fn empty_buckets(nv: usize, p: usize) -> Buckets {
     (0..nv)
         .map(|_| (0..p).map(|_| Vec::new()).collect())
         .collect()
-}
-
-/// Estimated heap footprint of pending contribution buckets (per-row payload
-/// plus container overhead — the same estimate the shuffle exchange uses).
-fn buckets_bytes(buckets: &Buckets) -> u64 {
-    buckets
-        .iter()
-        .flatten()
-        .flatten()
-        .map(|r| r.size_bytes() as u64 + 16)
-        .sum()
-}
-
-/// Estimated heap footprint of every partition's fixpoint state.
-fn state_size_bytes(views: &[ViewRt]) -> u64 {
-    views
-        .iter()
-        .flat_map(|v| v.state.iter())
-        .map(|cell| match &*cell.lock() {
-            ViewState::Set(s) => s.size_bytes(),
-            ViewState::Agg(a) => a.size_bytes(),
-        })
-        .sum()
-}
-
-/// Read back everything [`FixpointExecutor::govern_round_footprint`] paged
-/// out at the previous round boundary: spilled contribution rows are appended
-/// back in their original order (the spill row codec preserves it), and
-/// paged-out state partitions are decoded from their checkpoint-codec blobs.
-fn page_in(
-    g: &QueryGovernor,
-    views: &[ViewRt],
-    contributions: &mut Buckets,
-    paged_contribs: &mut Vec<(usize, usize, String)>,
-    paged_state: &mut Vec<(usize, usize, String)>,
-) -> Result<(), EngineError> {
-    if paged_contribs.is_empty() && paged_state.is_empty() {
-        return Ok(());
-    }
-    let dir = g.spill_dir()?;
-    for (vi, part, name) in paged_contribs.drain(..) {
-        let mut rows = dir.take_rows(&name).map_err(EngineError::Exec)?;
-        rows.append(&mut contributions[vi][part]);
-        contributions[vi][part] = rows;
-    }
-    for (vi, part, name) in paged_state.drain(..) {
-        let blob = dir.take_blob(&name).map_err(EngineError::Exec)?;
-        let v = &views[vi];
-        *v.state[part].lock() = if v.is_set() {
-            ViewState::Set(decode_set_state(Bytes::from(blob))?)
-        } else {
-            ViewState::Agg(decode_agg_state(Bytes::from(blob))?)
-        };
-    }
-    Ok(())
-}
-
-/// Comma-joined view names — the `stage` label for clique-scoped recovery
-/// events.
-fn clique_label(views: &[ViewRt]) -> String {
-    views
-        .iter()
-        .map(|v| v.spec.name.as_str())
-        .collect::<Vec<_>>()
-        .join(",")
-}
-
-/// Fetch a checkpoint entry that must exist (it was captured this run).
-fn checkpoint_entry(store: &CheckpointStore, key: &str) -> Result<Bytes, EngineError> {
-    store.get(key)?.ok_or_else(|| {
-        EngineError::Other(format!("checkpoint entry '{key}' missing from the store"))
-    })
-}
-
-/// Rows currently held in one partition's state.
-fn state_len(state: &ViewState) -> usize {
-    match state {
-        ViewState::Set(s) => s.len(),
-        ViewState::Agg(a) => a.len(),
-    }
-}
-
-/// Total rows across every partition of every view in the clique.
-fn total_state_rows(views: &[ViewRt]) -> u64 {
-    views
-        .iter()
-        .map(|v| {
-            v.state
-                .iter()
-                .map(|m| state_len(&m.lock()) as u64)
-                .sum::<u64>()
-        })
-        .sum()
-}
-
-fn state_rows(v: &ViewRt, state: &ViewState) -> Vec<Row> {
-    match state {
-        ViewState::Set(s) => s.iter().cloned().collect(),
-        ViewState::Agg(a) => a
-            .iter()
-            .map(|(k, e)| assemble_row(k, &e.values, &v.spec.key_cols, &v.agg_cols))
-            .collect(),
-    }
 }
 
 /// The branch's co-partitioned base build side, if it has one — `(step,

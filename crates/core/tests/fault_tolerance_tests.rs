@@ -282,3 +282,59 @@ fn lost_kernel_stage_resets_and_reruns_to_the_fault_free_answer() {
         "no seed in 0..60 lost a kernel stage after round 1; the rerun path never ran mid-fixpoint"
     );
 }
+
+/// Naive evaluation recovers the way every cut-less strategy does under the
+/// one round loop: its only cut is the base, so a lost stage forgets the
+/// previous round's state and reruns from round 1 to the fault-free answer.
+#[test]
+fn lost_naive_stage_reruns_to_the_fault_free_answer() {
+    let edges = rasql_datagen::rmat(60, rasql_datagen::RmatConfig::default(), 9);
+    let clean = run_query(
+        EngineConfig::spark_sql_naive(),
+        &[("edge", edges.clone())],
+        &library::transitive_closure(),
+    );
+    let clean_rows = clean.relation.clone().sorted();
+
+    let mut reruns = 0;
+    for seed in 0..60u64 {
+        let cfg = EngineConfig::spark_sql_naive()
+            .with_faults(Some(FaultSpec {
+                kill: 0.1,
+                delay: 0.0,
+                loss: 0.0,
+                delay_us: 0,
+                seed,
+            }))
+            .with_max_task_retries(0)
+            .with_checkpoint_interval(1)
+            .with_tracing(true)
+            .with_workers(2);
+        let ctx = RaSqlContext::with_config(cfg);
+        ctx.register("edge", edges.clone()).unwrap();
+        // A kill outside the round loop (the base case, the final plan)
+        // still fails the query.
+        let Ok(result) = ctx.query(&library::transitive_closure()) else {
+            continue;
+        };
+        let trace = result.trace.as_ref().expect("tracing was enabled");
+        assert_eq!(trace.cliques[0].mode, "naive");
+        let restores = trace
+            .recovery
+            .iter()
+            .filter(|e| e.kind == RecoveryKind::Restore)
+            .count();
+        if restores == 0 {
+            continue;
+        }
+        assert_eq!(
+            result.relation.sorted().rows(),
+            clean_rows.rows(),
+            "rerun diverged from the fault-free result (seed {seed})"
+        );
+        assert_eq!(result.stats.iterations, clean.stats.iterations);
+        assert_eq!(result.stats.metrics.restores as usize, restores);
+        reruns += 1;
+    }
+    assert!(reruns > 0, "no seed in 0..60 lost a naive map stage");
+}

@@ -68,13 +68,14 @@ fn recompute(cfg: &EngineConfig, edges: &Relation, sql: &str) -> Vec<Row> {
 /// of `edges`, INSERT the remainder in `batches` batches, read the view
 /// back (auto-refresh), and demand the result is bit-identical to a fresh
 /// full recompute — with every refresh having taken the incremental path.
+/// Returns the context's accumulated metrics.
 fn assert_incremental_matches(
     cfg: &EngineConfig,
     edges: &Relation,
     sql: &str,
     split: usize,
     batches: usize,
-) {
+) -> rasql_exec::MetricsSnapshot {
     let rows = edges.rows();
     let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
     let ctx = RaSqlContext::with_config(cfg.clone().with_workers(2));
@@ -114,6 +115,40 @@ fn assert_incremental_matches(
             &want[..],
             "incremental refresh diverged from full recompute ({sql})"
         );
+    }
+    ctx.metrics()
+}
+
+/// A delta-seeded resume is the semi-naive step driven from round 1, so what
+/// the round loop does around a round must hold for it too: with a cut taken
+/// at every boundary, and with a budget that pages the warm state out between
+/// rounds, every refresh still lands exactly on the recompute.
+#[test]
+fn resume_under_checkpointing_and_a_tight_budget_matches_recompute() {
+    let (plain, weighted) = (plain_rmat(48, 9), weighted_rmat(48, 5));
+    let cases = [
+        (library::transitive_closure(), &plain),
+        (library::reach(1), &plain),
+        (library::sssp(1), &weighted),
+        (library::cc(), &plain),
+        (library::apsp(), &weighted),
+    ];
+    let configs = [
+        EngineConfig::rasql().with_checkpoint_interval(1),
+        EngineConfig::rasql().with_memory_budget(32 * 1024),
+    ];
+    for cfg in configs {
+        let (mut checkpoints, mut spilled) = (0, 0);
+        for (sql, edges) in &cases {
+            let m = assert_incremental_matches(&cfg, edges, sql, edges.len() - 12, 2);
+            checkpoints += m.checkpoints;
+            spilled += m.spilled_bytes;
+        }
+        if cfg.checkpoint_interval > 0 {
+            assert!(checkpoints > 0, "no resumed round boundary was cut");
+        } else {
+            assert!(spilled > 0, "the budget never paged the warm state out");
+        }
     }
 }
 

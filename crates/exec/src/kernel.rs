@@ -427,7 +427,7 @@ impl DenseSetState {
 }
 
 /// One partition's dense fixpoint state as the kernel driver sees it. The
-/// driver (`rasql-core`'s `run_kernel`) is written once over this trait;
+/// driver (`rasql-core`'s `Dense` round step) is written once over this trait;
 /// `Op` picks the merge operator (`()` for the set state, which has none).
 #[allow(clippy::len_without_is_empty)]
 pub trait DenseState<Op>: Send + 'static {

@@ -3,73 +3,150 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-/// Shared atomic counters updated by workers during execution.
-#[derive(Debug, Default)]
-pub struct Metrics {
+/// The one declaration of every metric: `doc`, field name, Prometheus sample
+/// name and kind (`counter`: only ever added to, so two snapshots subtract;
+/// `gauge`: a level, read as of the later snapshot). Everything that lists
+/// metrics — [`Metrics`], [`MetricsSnapshot`], `reset`, `snapshot`, the
+/// Prometheus text, the trace JSON (through `fields`/`from_fields`) and
+/// `since` — is generated from this table, so a new metric is one line here.
+macro_rules! metrics_table {
+    ($( $(#[doc = $doc:literal])+ $field:ident, $prom:literal, $kind:ident; )+) => {
+        /// Shared atomic counters updated by workers during execution.
+        #[derive(Debug, Default)]
+        pub struct Metrics {
+            $( $(#[doc = $doc])+ pub $field: AtomicU64, )+
+        }
+
+        /// A point-in-time copy of [`Metrics`].
+        #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
+        pub struct MetricsSnapshot {
+            $( $(#[doc = $doc])+ pub $field: u64, )+
+        }
+
+        impl Metrics {
+            /// Reset all counters to zero.
+            pub fn reset(&self) {
+                $( self.$field.store(0, Ordering::Relaxed); )+
+            }
+
+            /// Take a plain-value snapshot.
+            pub fn snapshot(&self) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $field: self.$field.load(Ordering::Relaxed), )+
+                }
+            }
+        }
+
+        impl MetricsSnapshot {
+            /// Every metric as `(field name, value)`, in table order.
+            pub fn fields(&self) -> Vec<(&'static str, u64)> {
+                vec![$( (stringify!($field), self.$field), )+]
+            }
+
+            /// Rebuild a snapshot by asking `get` for each field by name.
+            pub fn from_fields<E>(
+                mut get: impl FnMut(&'static str) -> Result<u64, E>,
+            ) -> Result<Self, E> {
+                Ok(MetricsSnapshot {
+                    $( $field: get(stringify!($field))?, )+
+                })
+            }
+
+            /// What accumulated between `before` and this snapshot: counters
+            /// subtract (saturating — a concurrent `reset` may have zeroed
+            /// them in between), gauges read as of this snapshot.
+            pub fn since(&self, before: &MetricsSnapshot) -> MetricsSnapshot {
+                MetricsSnapshot {
+                    $( $field: metrics_table!(@since $kind, self.$field, before.$field), )+
+                }
+            }
+
+            /// Render in Prometheus text exposition format (`# TYPE` line plus
+            /// a sample per metric, `rasql_`-prefixed) — what `rasql-server`
+            /// returns for its `Metrics` command so any scraper can ingest
+            /// engine state.
+            pub fn prometheus_text(&self) -> String {
+                let mut out = String::new();
+                $(
+                    out.push_str(&format!(
+                        "# TYPE rasql_{name} {kind}\nrasql_{name} {value}\n",
+                        name = $prom,
+                        kind = stringify!($kind),
+                        value = self.$field,
+                    ));
+                )+
+                out
+            }
+        }
+    };
+    (@since counter, $after:expr, $before:expr) => { $after.saturating_sub($before) };
+    (@since gauge, $after:expr, $before:expr) => { $after };
+}
+
+metrics_table! {
     /// Stages executed (each stage = one barrier).
-    pub stages: AtomicU64,
+    stages, "stages_total", counter;
     /// Tasks executed.
-    pub tasks: AtomicU64,
+    tasks, "tasks_total", counter;
     /// Rows moved through shuffle exchanges.
-    pub shuffle_rows: AtomicU64,
+    shuffle_rows, "shuffle_rows_total", counter;
     /// Bytes moved through shuffle exchanges (worker-crossing only).
-    pub shuffle_bytes: AtomicU64,
+    shuffle_bytes, "shuffle_bytes_total", counter;
     /// Bytes deep-copied because a task ran away from its partition's home
     /// worker (the cost partition-aware scheduling avoids).
-    pub remote_fetch_bytes: AtomicU64,
+    remote_fetch_bytes, "remote_fetch_bytes_total", counter;
     /// Bytes sent by broadcast (payload × receiving workers).
-    pub broadcast_bytes: AtomicU64,
+    broadcast_bytes, "broadcast_bytes_total", counter;
     /// Rows produced by join probes.
-    pub join_output_rows: AtomicU64,
+    join_output_rows, "join_output_rows_total", counter;
     /// Fixpoint iterations executed.
-    pub iterations: AtomicU64,
+    iterations, "iterations_total", counter;
     /// Tasks that ran on a non-preferred worker (locality violations).
-    pub remote_fetches: AtomicU64,
+    remote_fetches, "remote_fetches_total", counter;
     /// Task attempts lost to injected faults.
-    pub task_failures: AtomicU64,
+    task_failures, "task_failures_total", counter;
     /// Task re-executions after injected faults.
-    pub task_retries: AtomicU64,
+    task_retries, "task_retries_total", counter;
     /// Workers blacklisted for repeated injected failures.
-    pub worker_blacklists: AtomicU64,
+    worker_blacklists, "worker_blacklists_total", counter;
     /// Fixpoint checkpoints captured.
-    pub checkpoints: AtomicU64,
+    checkpoints, "checkpoints_total", counter;
     /// Bytes written into the checkpoint store.
-    pub checkpoint_bytes: AtomicU64,
+    checkpoint_bytes, "checkpoint_bytes_total", counter;
     /// Fixpoint restores performed after unrecoverable stage failures.
-    pub restores: AtomicU64,
+    restores, "restores_total", counter;
     /// Rows eliminated by map-side combine before a shuffle exchange
     /// (input rows − combined output rows, paper §7.1 Map side).
-    pub combined_rows: AtomicU64,
+    combined_rows, "combined_rows_total", counter;
     /// Bytes written to spill files by memory-governed queries.
-    pub spilled_bytes: AtomicU64,
+    spilled_bytes, "spilled_bytes_total", counter;
     /// Spill files written by memory-governed queries.
-    pub spill_files: AtomicU64,
-    /// High-water mark of governed memory across queries (a gauge: `reset`
-    /// zeroes it, per-query peaks come from the governor, see
-    /// `QueryGovernor`).
-    pub peak_memory: AtomicU64,
+    spill_files, "spill_files_total", counter;
+    /// High-water mark of governed memory across queries (per-query peaks
+    /// come from the governor, see `QueryGovernor`).
+    peak_memory, "peak_memory_bytes", gauge;
     /// Queries that ended with `Cancelled` or `DeadlineExceeded`.
-    pub cancellations: AtomicU64,
+    cancellations, "cancellations_total", counter;
     /// Queries admitted by the admission controller.
-    pub admitted: AtomicU64,
+    admitted, "admitted_total", counter;
     /// Queries rejected because the admission wait queue was full.
-    pub rejected: AtomicU64,
+    rejected, "rejected_total", counter;
     /// Result/CSR cache hits (ad-hoc query results and retained CSR graphs
     /// served without recomputation).
-    pub cache_hits: AtomicU64,
+    cache_hits, "cache_hits_total", counter;
     /// Cache entries invalidated by base-relation version bumps.
-    pub cache_invalidations: AtomicU64,
+    cache_invalidations, "cache_invalidations_total", counter;
     /// Materialized-view refreshes that fell back to full recompute.
-    pub view_refreshes: AtomicU64,
+    view_refreshes, "view_refreshes_total", counter;
     /// Materialized-view refreshes served by delta-seeded incremental
     /// maintenance.
-    pub view_refreshes_incremental: AtomicU64,
+    view_refreshes_incremental, "view_refreshes_incremental_total", counter;
     /// Bytes of converged fixpoint state retained for materialized views
-    /// (a gauge, updated after every create/refresh/drop).
-    pub retained_bytes: AtomicU64,
+    /// (updated after every create/refresh/drop).
+    retained_bytes, "retained_bytes", gauge;
     /// Server connections reaped for exceeding the idle keepalive timeout
     /// (half-open clients that vanished without a FIN).
-    pub connections_reaped: AtomicU64,
+    connections_reaped, "connections_reaped_total", counter;
 }
 
 impl Metrics {
@@ -84,198 +161,10 @@ impl Metrics {
         counter.fetch_add(v, Ordering::Relaxed);
     }
 
-    /// Reset all counters to zero.
-    pub fn reset(&self) {
-        self.stages.store(0, Ordering::Relaxed);
-        self.tasks.store(0, Ordering::Relaxed);
-        self.shuffle_rows.store(0, Ordering::Relaxed);
-        self.shuffle_bytes.store(0, Ordering::Relaxed);
-        self.remote_fetch_bytes.store(0, Ordering::Relaxed);
-        self.broadcast_bytes.store(0, Ordering::Relaxed);
-        self.join_output_rows.store(0, Ordering::Relaxed);
-        self.iterations.store(0, Ordering::Relaxed);
-        self.remote_fetches.store(0, Ordering::Relaxed);
-        self.task_failures.store(0, Ordering::Relaxed);
-        self.task_retries.store(0, Ordering::Relaxed);
-        self.worker_blacklists.store(0, Ordering::Relaxed);
-        self.checkpoints.store(0, Ordering::Relaxed);
-        self.checkpoint_bytes.store(0, Ordering::Relaxed);
-        self.restores.store(0, Ordering::Relaxed);
-        self.combined_rows.store(0, Ordering::Relaxed);
-        self.spilled_bytes.store(0, Ordering::Relaxed);
-        self.spill_files.store(0, Ordering::Relaxed);
-        self.peak_memory.store(0, Ordering::Relaxed);
-        self.cancellations.store(0, Ordering::Relaxed);
-        self.admitted.store(0, Ordering::Relaxed);
-        self.rejected.store(0, Ordering::Relaxed);
-        self.cache_hits.store(0, Ordering::Relaxed);
-        self.cache_invalidations.store(0, Ordering::Relaxed);
-        self.view_refreshes.store(0, Ordering::Relaxed);
-        self.view_refreshes_incremental.store(0, Ordering::Relaxed);
-        self.retained_bytes.store(0, Ordering::Relaxed);
-        self.connections_reaped.store(0, Ordering::Relaxed);
-    }
-
     /// Raise the peak-memory gauge to at least `v`.
     #[inline]
     pub fn raise_peak(&self, v: u64) {
         self.peak_memory.fetch_max(v, Ordering::Relaxed);
-    }
-
-    /// Take a plain-value snapshot.
-    pub fn snapshot(&self) -> MetricsSnapshot {
-        MetricsSnapshot {
-            stages: self.stages.load(Ordering::Relaxed),
-            tasks: self.tasks.load(Ordering::Relaxed),
-            shuffle_rows: self.shuffle_rows.load(Ordering::Relaxed),
-            shuffle_bytes: self.shuffle_bytes.load(Ordering::Relaxed),
-            remote_fetch_bytes: self.remote_fetch_bytes.load(Ordering::Relaxed),
-            broadcast_bytes: self.broadcast_bytes.load(Ordering::Relaxed),
-            join_output_rows: self.join_output_rows.load(Ordering::Relaxed),
-            iterations: self.iterations.load(Ordering::Relaxed),
-            remote_fetches: self.remote_fetches.load(Ordering::Relaxed),
-            task_failures: self.task_failures.load(Ordering::Relaxed),
-            task_retries: self.task_retries.load(Ordering::Relaxed),
-            worker_blacklists: self.worker_blacklists.load(Ordering::Relaxed),
-            checkpoints: self.checkpoints.load(Ordering::Relaxed),
-            checkpoint_bytes: self.checkpoint_bytes.load(Ordering::Relaxed),
-            restores: self.restores.load(Ordering::Relaxed),
-            combined_rows: self.combined_rows.load(Ordering::Relaxed),
-            spilled_bytes: self.spilled_bytes.load(Ordering::Relaxed),
-            spill_files: self.spill_files.load(Ordering::Relaxed),
-            peak_memory: self.peak_memory.load(Ordering::Relaxed),
-            cancellations: self.cancellations.load(Ordering::Relaxed),
-            admitted: self.admitted.load(Ordering::Relaxed),
-            rejected: self.rejected.load(Ordering::Relaxed),
-            cache_hits: self.cache_hits.load(Ordering::Relaxed),
-            cache_invalidations: self.cache_invalidations.load(Ordering::Relaxed),
-            view_refreshes: self.view_refreshes.load(Ordering::Relaxed),
-            view_refreshes_incremental: self.view_refreshes_incremental.load(Ordering::Relaxed),
-            retained_bytes: self.retained_bytes.load(Ordering::Relaxed),
-            connections_reaped: self.connections_reaped.load(Ordering::Relaxed),
-        }
-    }
-}
-
-/// A point-in-time copy of [`Metrics`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub struct MetricsSnapshot {
-    /// Stages executed.
-    pub stages: u64,
-    /// Tasks executed.
-    pub tasks: u64,
-    /// Rows shuffled.
-    pub shuffle_rows: u64,
-    /// Bytes shuffled across workers.
-    pub shuffle_bytes: u64,
-    /// Bytes deep-copied for non-local tasks.
-    pub remote_fetch_bytes: u64,
-    /// Broadcast bytes.
-    pub broadcast_bytes: u64,
-    /// Join output rows.
-    pub join_output_rows: u64,
-    /// Fixpoint iterations.
-    pub iterations: u64,
-    /// Tasks that ran on a non-preferred worker.
-    pub remote_fetches: u64,
-    /// Task attempts lost to injected faults.
-    pub task_failures: u64,
-    /// Task re-executions after injected faults.
-    pub task_retries: u64,
-    /// Workers blacklisted for repeated injected failures.
-    pub worker_blacklists: u64,
-    /// Fixpoint checkpoints captured.
-    pub checkpoints: u64,
-    /// Bytes written into the checkpoint store.
-    pub checkpoint_bytes: u64,
-    /// Fixpoint restores after unrecoverable stage failures.
-    pub restores: u64,
-    /// Rows eliminated by map-side combine before shuffle exchanges.
-    pub combined_rows: u64,
-    /// Bytes written to spill files by memory-governed queries.
-    pub spilled_bytes: u64,
-    /// Spill files written by memory-governed queries.
-    pub spill_files: u64,
-    /// High-water mark of governed memory (gauge, not a counter).
-    pub peak_memory: u64,
-    /// Queries that ended with `Cancelled` or `DeadlineExceeded`.
-    pub cancellations: u64,
-    /// Queries admitted by the admission controller.
-    pub admitted: u64,
-    /// Queries rejected because the admission wait queue was full.
-    pub rejected: u64,
-    /// Result/CSR cache hits.
-    pub cache_hits: u64,
-    /// Cache entries invalidated by base-relation version bumps.
-    pub cache_invalidations: u64,
-    /// Materialized-view refreshes that fully recomputed.
-    pub view_refreshes: u64,
-    /// Materialized-view refreshes served incrementally.
-    pub view_refreshes_incremental: u64,
-    /// Bytes of retained warm fixpoint state (gauge, not a counter).
-    pub retained_bytes: u64,
-    /// Server connections reaped by the idle keepalive timeout.
-    pub connections_reaped: u64,
-}
-
-impl MetricsSnapshot {
-    /// Render in Prometheus text exposition format (`# TYPE` line plus a
-    /// sample per counter, `rasql_`-prefixed) — what `rasql-server` returns
-    /// for its `Metrics` command so any scraper can ingest engine state.
-    pub fn prometheus_text(&self) -> String {
-        let counters: [(&str, &str, u64); 28] = [
-            ("stages_total", "counter", self.stages),
-            ("tasks_total", "counter", self.tasks),
-            ("shuffle_rows_total", "counter", self.shuffle_rows),
-            ("shuffle_bytes_total", "counter", self.shuffle_bytes),
-            (
-                "remote_fetch_bytes_total",
-                "counter",
-                self.remote_fetch_bytes,
-            ),
-            ("broadcast_bytes_total", "counter", self.broadcast_bytes),
-            ("join_output_rows_total", "counter", self.join_output_rows),
-            ("iterations_total", "counter", self.iterations),
-            ("remote_fetches_total", "counter", self.remote_fetches),
-            ("task_failures_total", "counter", self.task_failures),
-            ("task_retries_total", "counter", self.task_retries),
-            ("worker_blacklists_total", "counter", self.worker_blacklists),
-            ("checkpoints_total", "counter", self.checkpoints),
-            ("checkpoint_bytes_total", "counter", self.checkpoint_bytes),
-            ("restores_total", "counter", self.restores),
-            ("combined_rows_total", "counter", self.combined_rows),
-            ("spilled_bytes_total", "counter", self.spilled_bytes),
-            ("spill_files_total", "counter", self.spill_files),
-            ("peak_memory_bytes", "gauge", self.peak_memory),
-            ("cancellations_total", "counter", self.cancellations),
-            ("admitted_total", "counter", self.admitted),
-            ("rejected_total", "counter", self.rejected),
-            ("cache_hits_total", "counter", self.cache_hits),
-            (
-                "cache_invalidations_total",
-                "counter",
-                self.cache_invalidations,
-            ),
-            ("view_refreshes_total", "counter", self.view_refreshes),
-            (
-                "view_refreshes_incremental_total",
-                "counter",
-                self.view_refreshes_incremental,
-            ),
-            ("retained_bytes", "gauge", self.retained_bytes),
-            (
-                "connections_reaped_total",
-                "counter",
-                self.connections_reaped,
-            ),
-        ];
-        let mut out = String::new();
-        for (name, kind, value) in counters {
-            out.push_str(&format!(
-                "# TYPE rasql_{name} {kind}\nrasql_{name} {value}\n"
-            ));
-        }
-        out
     }
 }
 

@@ -562,16 +562,10 @@ impl TraceSink {
         self.inner.lock().recovery.push(event);
     }
 
-    /// Open a clique trace; subsequent iterations are recorded into it. The
-    /// clique is tagged with the `generic` (interpreter) kernel; specialized
-    /// paths use [`TraceSink::begin_clique_kernel`].
-    pub fn begin_clique(&self, views: Vec<String>, mode: &str) {
-        self.begin_clique_kernel(views, mode, "generic");
-    }
-
-    /// [`TraceSink::begin_clique`] with an explicit kernel label (e.g.
-    /// `csr_min_i64` when a monomorphized fixpoint kernel was selected).
-    pub fn begin_clique_kernel(&self, views: Vec<String>, mode: &str, kernel: &str) {
+    /// Open a clique trace; subsequent iterations are recorded into it.
+    /// `kernel` is `generic` for the interpreter, else the monomorphized
+    /// fixpoint kernel that was selected (e.g. `csr_min_i64`).
+    pub fn begin_clique(&self, views: Vec<String>, mode: &str, kernel: &str) {
         let mut d = self.inner.lock();
         if let Some(open) = d.current.take() {
             d.cliques.push(open); // defensive: unterminated clique
@@ -671,6 +665,19 @@ fn get_u64_or(obj: &JsonValue, key: &str, default: u64) -> u64 {
     obj.get(key).and_then(JsonValue::as_u64).unwrap_or(default)
 }
 
+/// The counters the first trace export wrote; a trace without one of them is
+/// malformed. Every later metric reads as 0 when absent.
+const REQUIRED_METRICS: [&str; 8] = [
+    "stages",
+    "tasks",
+    "shuffle_rows",
+    "shuffle_bytes",
+    "remote_fetch_bytes",
+    "broadcast_bytes",
+    "join_output_rows",
+    "iterations",
+];
+
 fn get_str(obj: &JsonValue, key: &str) -> Result<String, String> {
     obj.get(key)
         .and_then(JsonValue::as_str)
@@ -700,36 +707,16 @@ impl QueryTrace {
 
     /// Export as a [`JsonValue`] tree.
     pub fn to_json_value(&self) -> JsonValue {
-        let m = &self.metrics;
         JsonValue::Obj(vec![
             ("cached".into(), JsonValue::Bool(self.cached)),
             ("elapsed_us".into(), num(self.elapsed_us)),
             (
                 "metrics".into(),
-                JsonValue::Obj(vec![
-                    ("stages".into(), num(m.stages)),
-                    ("tasks".into(), num(m.tasks)),
-                    ("shuffle_rows".into(), num(m.shuffle_rows)),
-                    ("shuffle_bytes".into(), num(m.shuffle_bytes)),
-                    ("remote_fetch_bytes".into(), num(m.remote_fetch_bytes)),
-                    ("broadcast_bytes".into(), num(m.broadcast_bytes)),
-                    ("join_output_rows".into(), num(m.join_output_rows)),
-                    ("iterations".into(), num(m.iterations)),
-                    ("remote_fetches".into(), num(m.remote_fetches)),
-                    ("task_failures".into(), num(m.task_failures)),
-                    ("task_retries".into(), num(m.task_retries)),
-                    ("worker_blacklists".into(), num(m.worker_blacklists)),
-                    ("checkpoints".into(), num(m.checkpoints)),
-                    ("checkpoint_bytes".into(), num(m.checkpoint_bytes)),
-                    ("restores".into(), num(m.restores)),
-                    ("combined_rows".into(), num(m.combined_rows)),
-                    ("spilled_bytes".into(), num(m.spilled_bytes)),
-                    ("spill_files".into(), num(m.spill_files)),
-                    ("peak_memory".into(), num(m.peak_memory)),
-                    ("cancellations".into(), num(m.cancellations)),
-                    ("admitted".into(), num(m.admitted)),
-                    ("rejected".into(), num(m.rejected)),
-                ]),
+                JsonValue::Obj(
+                    (self.metrics.fields().into_iter())
+                        .map(|(name, v)| (name.to_string(), num(v)))
+                        .collect(),
+                ),
             ),
             (
                 "cliques".into(),
@@ -831,36 +818,13 @@ impl QueryTrace {
     pub fn from_json(s: &str) -> Result<QueryTrace, String> {
         let root = JsonValue::parse(s)?;
         let m = root.get("metrics").ok_or("missing 'metrics'")?;
-        let metrics = MetricsSnapshot {
-            stages: get_u64(m, "stages")?,
-            tasks: get_u64(m, "tasks")?,
-            shuffle_rows: get_u64(m, "shuffle_rows")?,
-            shuffle_bytes: get_u64(m, "shuffle_bytes")?,
-            remote_fetch_bytes: get_u64(m, "remote_fetch_bytes")?,
-            broadcast_bytes: get_u64(m, "broadcast_bytes")?,
-            join_output_rows: get_u64(m, "join_output_rows")?,
-            iterations: get_u64(m, "iterations")?,
-            remote_fetches: get_u64_or(m, "remote_fetches", 0),
-            task_failures: get_u64_or(m, "task_failures", 0),
-            task_retries: get_u64_or(m, "task_retries", 0),
-            worker_blacklists: get_u64_or(m, "worker_blacklists", 0),
-            checkpoints: get_u64_or(m, "checkpoints", 0),
-            checkpoint_bytes: get_u64_or(m, "checkpoint_bytes", 0),
-            restores: get_u64_or(m, "restores", 0),
-            combined_rows: get_u64_or(m, "combined_rows", 0),
-            spilled_bytes: get_u64_or(m, "spilled_bytes", 0),
-            spill_files: get_u64_or(m, "spill_files", 0),
-            peak_memory: get_u64_or(m, "peak_memory", 0),
-            cancellations: get_u64_or(m, "cancellations", 0),
-            admitted: get_u64_or(m, "admitted", 0),
-            rejected: get_u64_or(m, "rejected", 0),
-            cache_hits: get_u64_or(m, "cache_hits", 0),
-            cache_invalidations: get_u64_or(m, "cache_invalidations", 0),
-            view_refreshes: get_u64_or(m, "view_refreshes", 0),
-            view_refreshes_incremental: get_u64_or(m, "view_refreshes_incremental", 0),
-            retained_bytes: get_u64_or(m, "retained_bytes", 0),
-            connections_reaped: get_u64_or(m, "connections_reaped", 0),
-        };
+        let metrics = MetricsSnapshot::from_fields(|name| {
+            if REQUIRED_METRICS.contains(&name) {
+                get_u64(m, name)
+            } else {
+                Ok(get_u64_or(m, name, 0))
+            }
+        })?;
         let mut cliques = Vec::new();
         for c in root
             .get("cliques")
@@ -1270,7 +1234,7 @@ mod tests {
     #[test]
     fn sink_collects_in_order() {
         let sink = TraceSink::new();
-        sink.begin_clique(vec!["v".into()], "semi_naive");
+        sink.begin_clique(vec!["v".into()], "semi_naive", "generic");
         sink.record_iteration(IterationTrace {
             round: 1,
             delta_rows: 5,

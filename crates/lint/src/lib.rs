@@ -20,6 +20,7 @@
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
 //! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s streaming executor, `exec::kernel`'s edge walk, `core::fixpoint`'s emit/merge functions and seed-fold sink) without an allow annotation |
 //! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast and recursive-snapshot builds carry an allow annotation saying why they are not kept |
+//! | `RL0009` | round-loop bookkeeping (`record_iteration(`, `EngineError::NonTermination`, `metrics.iterations`, `metrics.restores`, `begin_clique(`) in `core::fixpoint` outside fn `drive` — the trace record, the cap, the iteration count and recovery are written once; the in-task cap of the decomposed stage carries an allow annotation |
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
@@ -95,6 +96,13 @@ pub enum LintCode {
     /// build that is per query by design (a sort-merge run, the broadcast
     /// that models the network, a snapshot of a recursive relation) says so.
     IndexBuiltOutsideStore,
+    /// `RL0009`: `record_iteration(`, `EngineError::NonTermination`,
+    /// `metrics.iterations`, `metrics.restores` or `begin_clique(` in
+    /// `core::fixpoint` outside fn `drive`. Every strategy is a step of the
+    /// one round loop; a strategy that records its own rounds, counts its own
+    /// iterations, enforces its own cap or recovers by itself is a second
+    /// loop, and the copies drift (the cap once meant two things).
+    RoundLoopOutsideDrive,
 }
 
 impl LintCode {
@@ -109,6 +117,7 @@ impl LintCode {
             LintCode::ReadPathRowCopy => "RL0006",
             LintCode::PerTupleRowBuild => "RL0007",
             LintCode::IndexBuiltOutsideStore => "RL0008",
+            LintCode::RoundLoopOutsideDrive => "RL0009",
         }
     }
 
@@ -119,7 +128,7 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 8] {
+    pub fn all() -> [LintCode; 9] {
         [
             LintCode::RawLockConstruction,
             LintCode::HotPathPanic,
@@ -129,6 +138,7 @@ impl LintCode {
             LintCode::ReadPathRowCopy,
             LintCode::PerTupleRowBuild,
             LintCode::IndexBuiltOutsideStore,
+            LintCode::RoundLoopOutsideDrive,
         ]
     }
 
@@ -156,6 +166,9 @@ impl LintCode {
             }
             LintCode::IndexBuiltOutsideStore => {
                 "join index of base data built in core outside the index store's feeder module"
+            }
+            LintCode::RoundLoopOutsideDrive => {
+                "round-loop bookkeeping in core::fixpoint outside fn drive"
             }
         }
     }
@@ -947,6 +960,66 @@ fn rule_index_outside_store(
     }
 }
 
+/// The file RL0009 applies to, and the one function in it that may do the
+/// round loop's bookkeeping.
+const ROUND_LOOP_MODULE: &str = "crates/core/src/fixpoint.rs";
+const ROUND_LOOP_FN: &str = "drive";
+
+/// RL0009: `record_iteration(` / `begin_clique(` calls, an
+/// `EngineError::NonTermination` construction, or a touch of
+/// `metrics.iterations` / `metrics.restores`, in `core::fixpoint` outside fn
+/// `drive`.
+fn rule_round_loop(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
+    if !ctx.path.ends_with(ROUND_LOOP_MODULE) {
+        return;
+    }
+    let code = &ctx.code;
+    let fns = enclosing_fns(code);
+    let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
+    for i in 0..code.len() {
+        if fns[i].is_some_and(|(name, _)| name == ROUND_LOOP_FN) {
+            continue;
+        }
+        let t = &code[i];
+        let end = if (t.is_ident("record_iteration") || t.is_ident("begin_clique"))
+            && is(i + 1, &|t| t.is_punct('('))
+        {
+            i + 1
+        } else if t.is_ident("EngineError")
+            && is(i + 1, &|t| t.is_punct(':'))
+            && is(i + 2, &|t| t.is_punct(':'))
+            && is(i + 3, &|t| t.is_ident("NonTermination"))
+        {
+            i + 3
+        } else if t.is_ident("metrics")
+            && is(i + 1, &|t| t.is_punct('.'))
+            && is(i + 2, &|t| {
+                t.is_ident("iterations") || t.is_ident("restores")
+            })
+        {
+            i + 2
+        } else {
+            continue;
+        };
+        let span = Span::new(t.start, code[end].end);
+        ctx.emit(
+            out,
+            suppressed,
+            LintDiagnostic::new(
+                LintCode::RoundLoopOutsideDrive,
+                ctx.path,
+                span,
+                "round-loop bookkeeping outside `drive`",
+            )
+            .with_help(
+                "a strategy only evaluates: return a `Round` (or a `Halt`) from its `RoundStep` \
+                 and let `FixpointExecutor::drive` record, count, cap and recover; a report \
+                 that cannot go through it needs `// lint: allow(RL0009, <reason>)`",
+            ),
+        );
+    }
+}
+
 // ----------------------------------------------------------------
 // Entry points
 // ----------------------------------------------------------------
@@ -972,6 +1045,7 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     rule_read_path_copy(&ctx, &mut out, &mut suppressed);
     rule_per_tuple_row(&ctx, &mut out, &mut suppressed);
     rule_index_outside_store(&ctx, &mut out, &mut suppressed);
+    rule_round_loop(&ctx, &mut out, &mut suppressed);
     out.sort_by_key(|d| d.span.start);
     (out, suppressed)
 }
@@ -1036,6 +1110,7 @@ mod tests {
         assert_eq!(LintCode::ReadPathRowCopy.code(), "RL0006");
         assert_eq!(LintCode::PerTupleRowBuild.code(), "RL0007");
         assert_eq!(LintCode::IndexBuiltOutsideStore.code(), "RL0008");
+        assert_eq!(LintCode::RoundLoopOutsideDrive.code(), "RL0009");
         for c in LintCode::all() {
             assert_eq!(c.severity(), Severity::Error);
         }

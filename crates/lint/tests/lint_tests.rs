@@ -309,6 +309,44 @@ fn rl0008_flags_index_builds_in_core_outside_the_store_feeder() {
 }
 
 #[test]
+fn rl0009_flags_round_loop_bookkeeping_outside_drive() {
+    let src = include_str!("fixtures/rl0009_round_loop.rs");
+    let (diags, suppressed) = lint_file_counting("crates/core/src/fixpoint.rs", src);
+    let spans: Vec<_> = diags
+        .iter()
+        .map(|d| (d.code, d.span.start, d.span.end))
+        .collect();
+    assert_eq!(
+        spans,
+        vec![
+            (LintCode::RoundLoopOutsideDrive, 346, 359),
+            (LintCode::RoundLoopOutsideDrive, 544, 571),
+            (LintCode::RoundLoopOutsideDrive, 761, 779),
+            (LintCode::RoundLoopOutsideDrive, 865, 881),
+            (LintCode::RoundLoopOutsideDrive, 944, 961),
+        ],
+        "{diags:#?}"
+    );
+    assert_eq!(&src[346..359], "begin_clique(");
+    assert_eq!(&src[544..571], "EngineError::NonTermination");
+    assert_eq!(&src[761..779], "metrics.iterations");
+    assert_eq!(&src[865..881], "metrics.restores");
+    assert_eq!(&src[944..961], "record_iteration(");
+    // fn `drive` does all five and is exempt, the annotated worker-side
+    // report is suppressed, other metrics and the test module are not matched.
+    assert_eq!(suppressed, 1);
+    assert!(diags[0].help.as_deref().unwrap().contains("drive"));
+    // Only `core::fixpoint` is covered: the trace sink defines these calls.
+    for path in ["crates/exec/src/trace.rs", "crates/core/src/context.rs"] {
+        let other: Vec<_> = lint_file(path, src)
+            .into_iter()
+            .filter(|d| d.code == LintCode::RoundLoopOutsideDrive)
+            .collect();
+        assert!(other.is_empty(), "{path} is not covered");
+    }
+}
+
+#[test]
 fn clean_fixture_is_clean_everywhere() {
     let src = include_str!("fixtures/clean.rs");
     for path in [
