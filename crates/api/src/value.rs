@@ -153,6 +153,52 @@ impl Value {
     }
 }
 
+/// The type of one word-lane column: a relation whose columns are all `Int`
+/// or `Double` can keep a value as the 8 bytes of its payload — a *word* —
+/// instead of a tagged [`Value`], and the lane says how to read them back.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Lane {
+    /// `Value::Int` — the cell is the `i64`'s bits.
+    Int,
+    /// `Value::Double` — the cell is the `f64`'s bits.
+    Double,
+}
+
+/// A value left its lane: the word run must be abandoned before the tuple in
+/// flight is merged, and the clique re-evaluated on values.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct Escaped;
+
+impl Lane {
+    /// The cell of a value of exactly this lane's variant.
+    #[inline]
+    pub fn encode(self, v: &Value) -> Result<u64, Escaped> {
+        match (self, v) {
+            (Lane::Int, Value::Int(i)) => Ok(*i as u64),
+            (Lane::Double, Value::Double(d)) => Ok(d.to_bits()),
+            _ => Err(Escaped),
+        }
+    }
+
+    /// The value a cell of this lane holds.
+    #[inline]
+    pub fn decode(self, w: u64) -> Value {
+        match self {
+            Lane::Int => Value::Int(w as i64),
+            Lane::Double => Value::Double(f64::from_bits(w)),
+        }
+    }
+
+    /// `Value::cmp` of the two cells' values.
+    #[inline]
+    pub fn cmp(self, a: u64, b: u64) -> Ordering {
+        match self {
+            Lane::Int => (a as i64).cmp(&(b as i64)),
+            Lane::Double => f64::from_bits(a).total_cmp(&f64::from_bits(b)),
+        }
+    }
+}
+
 fn numeric_binop(
     a: &Value,
     b: &Value,

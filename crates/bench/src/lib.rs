@@ -703,7 +703,10 @@ pub fn fig10(scale: f64) -> Table {
     t
 }
 
-/// Fig 11 / Appendix D: shuffle-hash vs sort-merge join.
+/// Fig 11 / Appendix D: shuffle-hash vs sort-merge join — on the generic
+/// interpreter on both legs: a kernel-selected clique joins through its CSR
+/// graph whatever `join` says, so with the kernels on the two columns would
+/// time the same code.
 pub fn fig11(scale: f64) -> Table {
     let workers = default_workers();
     let sizes: Vec<usize> = [16_000, 32_000, 64_000, 128_000]
@@ -717,23 +720,12 @@ pub fn fig11(scale: f64) -> Table {
     for &n in &sizes {
         for q in [GraphQuery::Cc, GraphQuery::Reach, GraphQuery::Sssp] {
             let edges = rmat_graph(n, q.weighted(), 7);
-            let (h, _) = run_rasql(
-                EngineConfig::rasql()
-                    .with_workers(workers)
-                    .with_decomposed(false),
-                q,
-                &edges,
-                1,
-            );
-            let (m, _) = run_rasql(
-                EngineConfig::rasql()
-                    .with_workers(workers)
-                    .with_decomposed(false)
-                    .with_join(JoinStrategy::SortMerge),
-                q,
-                &edges,
-                1,
-            );
+            let interpreter = EngineConfig::rasql()
+                .with_workers(workers)
+                .with_decomposed(false)
+                .with_specialized_kernels(false);
+            let (h, _) = run_rasql(interpreter.clone(), q, &edges, 1);
+            let (m, _) = run_rasql(interpreter.with_join(JoinStrategy::SortMerge), q, &edges, 1);
             t.row(vec![
                 format!("RMAT-{}k", n / 1000),
                 q.name().into(),
@@ -891,12 +883,18 @@ pub fn fig13(scale: f64) -> (Table, JsonValue) {
 
 /// The floor `reproduce bench-kernels` gates every (graph, query) ratio of
 /// [`fig13`] on: half the smallest ratio measured at `--scale 0.1` with two
-/// workers when the kernels' base case became typed seeds (CC 7.37–14.56×,
-/// REACH 10.5–13.1×, SSSP 9.8–14.9× over nine runs; see `BENCH_kernels.json`).
-/// The interpreter leg has since become 25–45 % cheaper — the index store
-/// hashes its build side with one allocation per row where the per-query
-/// build made three — so the ratios now read 6.5–11×; the floor is unchanged.
-pub const KERNEL_SPEEDUP_FLOOR: f64 = 3.6;
+/// workers. It was 3.6 when the interpreter leg ran on rows (CC 7.37–14.56×,
+/// REACH 10.5–13.1×, SSSP 9.8–14.9×, later 6.5–11× once the index store had
+/// made that leg cheaper). The interpreter now runs these three cliques on
+/// word-lane tuples, so the denominator fell again — CC 3.77–6.62×, REACH
+/// 3.94–6.03×, SSSP 3.83–7.17× over nine runs (see `BENCH_kernels.json`; the
+/// kernel leg is unchanged) — and the floor is re-derived from those: a gate
+/// on a ratio must follow its denominator, never hold it back. What is left
+/// of the generic leg at this scale is mostly building the 40–65 k-edge hash
+/// index, which both legs' base relation shares in shape but the kernels
+/// replace with a CSR graph. A kernel that stops beating the interpreter by
+/// 1.5× would be a candidate for deletion, not for a lower floor.
+pub const KERNEL_SPEEDUP_FLOOR: f64 = 1.85;
 
 /// The floor `reproduce ivm` gates the small-delta refresh speedup of [`ivm`]
 /// on, set the same way: 6.6–12.4× over seventeen runs at `--scale 0.1` (the

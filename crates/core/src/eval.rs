@@ -6,10 +6,9 @@
 //! is parallel like everything else.
 
 use crate::error::EngineError;
-use rasql_exec::pipeline::MapFn;
 use rasql_exec::{
-    run_fused, run_unfused, Cluster, Dataset, HashTable, Pipeline, PipelineStep, QueryGovernor,
-    RowCombiner, TraceSink,
+    run_fused, run_unfused, Cluster, Dataset, HashTable, Pipeline, PipelineStep, Projection,
+    QueryGovernor, RowCombiner, TraceSink,
 };
 use rasql_parser::ast::{AggFunc, BinaryOp};
 use rasql_plan::{AggExpr, LogicalPlan, PExpr};
@@ -479,6 +478,22 @@ fn equality_lookup(predicate: &PExpr) -> Option<(usize, &Value)> {
     }
 }
 
+/// `exprs` as a pipeline's final projection over value tuples: a plain copy
+/// when every expression is a column.
+pub(crate) fn projection(exprs: Vec<PExpr>) -> Projection {
+    let cols = exprs.iter().map(|e| match e {
+        PExpr::Col(c) => Some(*c),
+        _ => None,
+    });
+    if let Some(cols) = cols.collect::<Option<Vec<usize>>>() {
+        return Projection::Columns(cols.into());
+    }
+    Projection::Map(Arc::new(move |t: &[Value], out: &mut Vec<Value>| {
+        out.extend(exprs.iter().map(|e| e.eval_vals(t)));
+        Ok(())
+    }))
+}
+
 /// Peel `plan`'s projection/filter chain (either part may be absent) for
 /// [`EvalContext::eval_chain`] and [`EvalContext::fold_partitions`]. A
 /// projection of every input column in order (`SELECT *`) changes no row and
@@ -487,7 +502,7 @@ fn peel_chain<'p>(plan: &'p LogicalPlan, path: &str) -> Chain<'p> {
     let mut labels = Vec::new();
     let mut node = plan;
     let mut path = path.to_string();
-    let mut project: Option<MapFn> = None;
+    let mut project: Option<Projection> = None;
     if let LogicalPlan::Projection { input, exprs, .. } = node {
         node = input;
         path.push_str(".0");
@@ -495,10 +510,7 @@ fn peel_chain<'p>(plan: &'p LogicalPlan, path: &str) -> Chain<'p> {
             && exprs.iter().enumerate().all(|(i, e)| *e == PExpr::Col(i));
         if !identity {
             labels.push("project");
-            let exprs = exprs.clone();
-            project = Some(Arc::new(move |t: &[Value], out: &mut Vec<Value>| {
-                out.extend(exprs.iter().map(|e| e.eval_vals(t)));
-            }));
+            project = Some(projection(exprs.clone()));
         }
     }
     let mut steps = Vec::new();
@@ -510,7 +522,7 @@ fn peel_chain<'p>(plan: &'p LogicalPlan, path: &str) -> Chain<'p> {
         lookup = equality_lookup(predicate);
         let pred = predicate.clone();
         steps.push(PipelineStep::Filter(Arc::new(move |t: &[Value]| {
-            pred.eval_vals(t).is_truthy()
+            Ok(pred.eval_vals(t).is_truthy())
         })));
     }
     if !steps.is_empty() {

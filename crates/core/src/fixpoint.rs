@@ -14,6 +14,13 @@
 //! results are stamped 0 and form the first delta. During a round with delta
 //! stamp *c*, the *old* snapshot of a relation (needed by the non-linear
 //! semi-naive term expansion) is "state before stamp *c* was merged".
+//!
+//! Tuple representation: the interpreter's strategies are written once over
+//! a cell type (`Repr`). A clique whose every recursive column is `Int` or
+//! `Double` runs on packed 8-byte words from its base case to its converged
+//! state — typed probe → emit → merge, see `rasql_exec::tuples` — and on
+//! `Value` cells otherwise, or when a value leaves its lane mid-run (the word
+//! run is abandoned and the clique re-evaluated from the immutable base).
 
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
@@ -24,27 +31,25 @@ use rasql_exec::checkpoint::{
     encode_set_state, Bytes, CheckpointStore,
 };
 use rasql_exec::join::SortedRun;
-use rasql_exec::pipeline::{KeyFn, MapFn, PredFn};
-use rasql_exec::state::{AggState, MonotoneOp};
+use rasql_exec::pipeline::{run_unfused_rows, KeyFn, PredFn, Projection};
+use rasql_exec::state::{AggChange, AggState, MonotoneOp};
 use rasql_exec::{
-    merge_join, run_unfused, Broadcast, Cluster, Combiner, DenseAggState, DenseSetState,
-    DenseState, ExecError, HashTable, IterationTrace, KernelValue, MaxOp, MergeOp, Metrics, MinOp,
-    Pipeline, PipelineStep, QueryGovernor, RecoveryEvent, RecoveryKind, SetState, StageKind,
-    StageTask, SumOp,
+    cells_of, kinds_of, merge_join, partition_of, values_of, Broadcast, Cell, Cluster, Combiner,
+    DenseAggState, DenseSetState, DenseState, Escaped, ExecError, HashTable, IterationTrace,
+    KernelValue, Lane, MaxOp, MergeOp, Metrics, MinOp, Pipeline, PipelineStep, QueryGovernor,
+    RecoveryEvent, RecoveryKind, SetState, StageKind, StageTask, SumOp, TupleSet, Tuples,
 };
 use rasql_parser::ast::AggFunc;
 use rasql_plan::{
     BranchProgram, BranchStep, CountMode, DeltaValueMode, FixpointSpec, JoinBuild, LogicalPlan,
-    PExpr, RecAllMode, ViewSpec,
+    PExpr, RecAllMode, ViewSpec, WordExpr, WordType,
 };
 use rasql_storage::codec::CompressedRelation;
 use rasql_storage::sync::{LockRank, RankedMutex};
-use rasql_storage::{
-    partition::row_partition, CsrGraph, FxHashMap, FxHashSet, Index, IndexLayout, Relation, Row,
-    Value,
-};
-use std::borrow::Cow;
+use rasql_storage::{CsrGraph, FxHashSet, Index, IndexLayout, Relation, Row, Value};
 use std::marker::PhantomData;
+use std::ops::Range;
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Instant;
 
@@ -53,14 +58,22 @@ use std::time::Instant;
 type LocalRounds = (Vec<(u64, u64, u64)>, u64);
 
 /// Why a decomposed local fixpoint gave up mid-stage. Local rounds run
-/// entirely inside one cluster stage, so both conditions are detected on the
-/// worker and reported back for the driver to turn into a typed error.
+/// entirely inside one cluster stage, so every condition is detected on the
+/// worker and reported back for the driver to act on.
 #[derive(Clone, Copy)]
 enum LocalAbort {
     /// Local rounds exceeded the iteration cap.
     NonTermination,
     /// The query's cancellation token fired (kill or deadline).
     Cancelled,
+    /// A value left its word lane.
+    Escaped,
+}
+
+impl From<Escaped> for LocalAbort {
+    fn from(_: Escaped) -> Self {
+        LocalAbort::Escaped
+    }
 }
 
 /// How many times the fixpoint may restore from the *same* checkpoint before
@@ -78,57 +91,308 @@ pub struct FixpointResult {
     pub iterations: u32,
 }
 
-/// A delta batch: schema-shaped rows (aggregate columns hold *totals*) plus a
-/// parallel vector of per-row increments for the aggregate columns.
-#[derive(Clone, Default)]
-struct DeltaBatch {
-    rows: Vec<Row>,
-    increments: Vec<Box<[Value]>>,
+/// Why a run of the interpreter on one tuple representation ended without a
+/// result.
+enum Stop {
+    /// A value left its word lane: nothing of the run is kept, and the
+    /// clique is evaluated again on value cells.
+    Escaped,
+    Failed(EngineError),
 }
 
-impl DeltaBatch {
-    fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+impl From<Escaped> for Stop {
+    fn from(_: Escaped) -> Self {
+        Stop::Escaped
+    }
+}
+
+impl From<EngineError> for Stop {
+    fn from(e: EngineError) -> Self {
+        Stop::Failed(e)
+    }
+}
+
+// --------------------------------------------------------------------
+// The two tuple representations
+// --------------------------------------------------------------------
+
+/// What the interpreter needs from a tuple representation beyond its
+/// containers ([`Cell`]): how a branch's expressions become evaluators, and
+/// which evaluation paths only it has. `u64` is word lanes, [`Value`] is rows.
+trait Repr: Cell {
+    /// The representation's name in the trace (`tuples=`).
+    const TUPLES: &'static str;
+
+    /// Whether cliques may run on it under this configuration.
+    fn runs(config: &EngineConfig) -> bool;
+
+    /// A filter over tuples whose columns have the `input` kinds (`None`: a
+    /// column the tuple does not carry); `None` to decline the clique.
+    fn pred(e: &PExpr, input: &[Option<Self::Kind>]) -> Option<PredFn<Self>>;
+
+    /// A probe-key extractor.
+    fn key(keys: &[PExpr], input: &[Option<Self::Kind>]) -> Option<KeyFn<Self>>;
+
+    /// The projection to a tuple of the `target` kinds.
+    fn emit(
+        exprs: Vec<PExpr>,
+        input: &[Option<Self::Kind>],
+        target: &[Self::Kind],
+    ) -> Option<Projection<Self>>;
+
+    /// Run the branch on an evaluation path other than the fused pipeline,
+    /// if this run is on one; false if it is not.
+    fn run_apart(
+        _b: &CompiledBranch<Self>,
+        _io: &mut impl BranchIo<Self>,
+        _at: &BranchAt<'_>,
+    ) -> Result<bool, Escaped> {
+        Ok(false)
+    }
+}
+
+/// Rows: any column type, every configuration — including the paper's
+/// ablation axes (naive evaluation, sort-merge joins, unfused operators).
+impl Repr for Value {
+    const TUPLES: &'static str = "rows";
+
+    fn runs(_: &EngineConfig) -> bool {
+        true
     }
 
-    /// Rows as seen by a consumer with the given value mode: the delta's own
-    /// rows for totals, substituted copies for increments.
-    fn reader_rows(&self, mode: DeltaValueMode, agg_cols: &[usize]) -> Cow<'_, [Row]> {
-        match mode {
-            DeltaValueMode::Total => Cow::Borrowed(&self.rows),
-            DeltaValueMode::Increment => self
-                .rows
-                .iter()
-                .zip(&self.increments)
-                .map(|(r, inc)| {
-                    let mut vals = r.values().to_vec();
-                    for (j, &c) in agg_cols.iter().enumerate() {
-                        vals[c] = inc[j].clone();
-                    }
-                    Row::new(vals)
+    fn pred(e: &PExpr, _: &[Option<()>]) -> Option<PredFn> {
+        let e = e.clone();
+        Some(Arc::new(move |t: &[Value]| Ok(e.eval_vals(t).is_truthy())))
+    }
+
+    fn key(keys: &[PExpr], _: &[Option<()>]) -> Option<KeyFn> {
+        let keys = keys.to_vec();
+        Some(Arc::new(move |t: &[Value], k: &mut Vec<Value>| {
+            k.extend(keys.iter().map(|e| e.eval_vals(t)));
+            Ok(())
+        }))
+    }
+
+    fn emit(exprs: Vec<PExpr>, _: &[Option<()>], _: &[()]) -> Option<Projection> {
+        Some(crate::eval::projection(exprs))
+    }
+
+    /// A leading sort-merge join (if any) is executed eagerly over
+    /// materialized rows; the remaining operators run as a fused or — the
+    /// §7.3 ablation — unfused pipeline.
+    fn run_apart(
+        b: &CompiledBranch<Value>,
+        io: &mut impl BranchIo<Value>,
+        at: &BranchAt<'_>,
+    ) -> Result<bool, Escaped> {
+        let sorted = |op: &CompiledOp<Value>| {
+            matches!(
+                op,
+                CompiledOp::Join(CompiledStep {
+                    build: BuildSide::PartitionedSorted(_),
+                    ..
                 })
-                .collect(),
+            )
+        };
+        if at.fused && !b.ops.iter().any(sorted) {
+            return Ok(false);
         }
+        let mut tuple = Vec::new();
+        let mut current: Vec<Row> = (0..io.len())
+            .map(|i| {
+                tuple.clear();
+                io.input(i, &mut tuple);
+                Row::from_slice(&tuple)
+            })
+            .collect();
+        let mut start = 0usize;
+        for (i, op) in b.ops.iter().enumerate() {
+            match op {
+                // Only pre-execute filters that precede a sort-merge join.
+                CompiledOp::Filter(keep) if b.ops[i..].iter().any(sorted) => {
+                    let mut kept = Ok(());
+                    current.retain(|r| {
+                        keep(r.values()).unwrap_or_else(|e| {
+                            kept = Err(e);
+                            false
+                        })
+                    });
+                    kept?;
+                    start = i + 1;
+                }
+                CompiledOp::Join(CompiledStep {
+                    build: BuildSide::PartitionedSorted(runs),
+                    stream_keys,
+                    ..
+                }) => {
+                    let probe_cols: Vec<usize> = stream_keys
+                        .iter()
+                        .map(|e| match e {
+                            PExpr::Col(c) => *c,
+                            _ => unreachable!("co-partitioned keys are plain columns"),
+                        })
+                        .collect();
+                    let mut out = Vec::new();
+                    merge_join(&mut current, &probe_cols, &runs[at.part], |r| out.push(r));
+                    current = out;
+                    start = i + 1;
+                }
+                _ => break,
+            }
+        }
+        let pipeline = b.pipeline(start, at);
+        if at.fused {
+            let mut s = pipeline.scratch();
+            for row in &current {
+                pipeline.feed(&mut s, row.values(), &mut |t| io.emit(t))?;
+            }
+        } else {
+            for row in run_unfused_rows(current, &pipeline) {
+                io.emit(row.values())?;
+            }
+        }
+        Ok(true)
+    }
+}
+
+/// Word lanes: every expression is compiled against the lanes of its input
+/// (`PExpr::compile_words`), so a derivation reads, computes and writes
+/// plain `u64` cells. Selected under the condition the kernels use —
+/// semi-naive evaluation, hash joins, fused code generation — so the
+/// paper's ablation axes keep measuring the row interpreter.
+impl Repr for u64 {
+    const TUPLES: &'static str = "words";
+
+    fn runs(config: &EngineConfig) -> bool {
+        config.eval_mode == EvalMode::SemiNaive
+            && config.join == JoinStrategy::ShuffleHash
+            && config.fused_codegen
+    }
+
+    fn pred(e: &PExpr, input: &[Option<Lane>]) -> Option<PredFn<u64>> {
+        let e = e.compile_words(input)?;
+        (e.ty() == WordType::Bool)
+            .then(|| -> PredFn<u64> { Arc::new(move |t| Ok(e.eval_cells(t)? == 1)) })
+    }
+
+    fn key(keys: &[PExpr], input: &[Option<Lane>]) -> Option<KeyFn<u64>> {
+        let keys = word_exprs(keys, input)?;
+        // The probed table holds rows, so the key is built as values — on
+        // the pipeline's reused buffer, never the heap.
+        Some(Arc::new(move |t: &[u64], k: &mut Vec<Value>| {
+            for (e, lane) in &keys {
+                k.push(lane.decode(e.eval_cells(t)?));
+            }
+            Ok(())
+        }))
+    }
+
+    fn emit(exprs: Vec<PExpr>, input: &[Option<Lane>], target: &[Lane]) -> Option<Projection<u64>> {
+        let exprs = word_exprs(&exprs, input)?;
+        // A column whose static type is not its target's lane would store
+        // another variant than the row path does.
+        if !exprs.iter().map(|(_, lane)| lane).eq(target) {
+            return None;
+        }
+        // A projection that only copies columns — every set view's.
+        let cols: Option<Vec<usize>> = exprs.iter().map(|(e, _)| e.column()).collect();
+        if let Some(cols) = cols {
+            return Some(Projection::Columns(cols.into()));
+        }
+        Some(Projection::Map(Arc::new(
+            move |t: &[u64], out: &mut Vec<u64>| {
+                for (e, _) in &exprs {
+                    out.push(e.eval_cells(t)?);
+                }
+                Ok(())
+            },
+        )))
+    }
+}
+
+/// Each expression compiled against `input`, with the lane of its result.
+fn word_exprs(exprs: &[PExpr], input: &[Option<Lane>]) -> Option<Vec<(WordExpr, Lane)>> {
+    let typed = exprs.iter().map(|e| {
+        let e = e.compile_words(input)?;
+        let lane = e.ty().lane()?;
+        Some((e, lane))
+    });
+    typed.collect()
+}
+
+// --------------------------------------------------------------------
+// Per-view runtime state
+// --------------------------------------------------------------------
+
+/// The tuples a round's merge found new — the delta the next map consumes.
+enum DeltaBatch<C: Cell> {
+    /// A set view's delta is the range of its partition's state arena that
+    /// the merge appended: nothing is copied, and a consumer reads it by
+    /// index (the decomposed loop appends to the arena while it reads).
+    Suffix(Range<usize>),
+    /// An aggregate view's delta: one schema-shaped tuple per changed group
+    /// carrying its totals and, when some branch reads increments and they
+    /// differ from the totals, the same tuples carrying those. Naive
+    /// evaluation's whole-state "deltas" are this too.
+    Owned {
+        totals: Tuples<C>,
+        increments: Option<Tuples<C>>,
+    },
+}
+
+impl<C: Cell> DeltaBatch<C> {
+    fn len(&self) -> usize {
+        match self {
+            DeltaBatch::Suffix(range) => range.len(),
+            DeltaBatch::Owned { totals, .. } => totals.len(),
+        }
+    }
+
+    fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Tuple `i` as a consumer with the given value mode sees it, appended
+    /// to `buf`; `state` is the partition state the delta came out of.
+    #[inline]
+    fn read(&self, state: &ViewState<C>, mode: DeltaValueMode, i: usize, buf: &mut Vec<C>) {
+        let tuple = match (self, state, mode) {
+            (DeltaBatch::Suffix(range), ViewState::Set(s), _) => s.tuples().get(range.start + i),
+            (
+                DeltaBatch::Owned {
+                    increments: Some(increments),
+                    ..
+                },
+                _,
+                DeltaValueMode::Increment,
+            ) => increments.get(i),
+            (DeltaBatch::Owned { totals, .. }, ..) => totals.get(i),
+            (DeltaBatch::Suffix(_), ViewState::Agg(_), _) => {
+                unreachable!("only a set state lends its suffix")
+            }
+        };
+        buf.extend_from_slice(tuple);
     }
 }
 
 /// Per-view partitioned fixpoint state.
-enum ViewState {
-    Set(SetState),
-    Agg(AggState),
+enum ViewState<C: Cell> {
+    Set(SetState<C>),
+    Agg(Box<AggState<C>>),
 }
 
-impl ViewState {
+impl<C: Cell> ViewState<C> {
     /// An empty partition state of the view's kind.
-    fn empty(v: &ViewSpec) -> ViewState {
-        if v.aggs.is_empty() {
-            ViewState::Set(SetState::new())
+    fn empty(v: &ViewRt<C>) -> ViewState<C> {
+        if v.is_set() {
+            ViewState::Set(SetState::with_kinds(v.kinds.clone()))
         } else {
-            ViewState::Agg(AggState::new())
+            let [key, agg] = [&v.key_kinds, &v.agg_kinds].map(Arc::clone);
+            ViewState::Agg(Box::new(AggState::with_kinds(key, agg, v.kinds.clone())))
         }
     }
 
-    /// Rows held.
+    /// Tuples held.
     fn len(&self) -> usize {
         match self {
             ViewState::Set(s) => s.len(),
@@ -136,7 +400,7 @@ impl ViewState {
         }
     }
 
-    /// Estimated heap footprint.
+    /// Bytes held. O(1).
     fn size_bytes(&self) -> u64 {
         match self {
             ViewState::Set(s) => s.size_bytes(),
@@ -152,31 +416,65 @@ impl ViewState {
         }
     }
 
-    /// The state [`ViewState::encode`] wrote for a view of `v`'s kind.
-    fn decode(v: &ViewSpec, data: Bytes) -> Result<ViewState, EngineError> {
-        Ok(if v.aggs.is_empty() {
-            ViewState::Set(decode_set_state(data)?)
-        } else {
-            ViewState::Agg(decode_agg_state(data)?)
+    /// The state [`ViewState::encode`] wrote for a partition of `v`.
+    fn decode(v: &ViewRt<C>, data: Bytes) -> Result<ViewState<C>, EngineError> {
+        Ok(match ViewState::empty(v) {
+            ViewState::Set(s) => ViewState::Set(decode_set_state(data, s)?),
+            ViewState::Agg(a) => ViewState::Agg(Box::new(decode_agg_state(data, *a)?)),
         })
     }
 
-    /// Append the state's tuples to `out` as schema-shaped rows.
-    fn extend_rows(&self, v: &ViewRt, out: &mut Vec<Row>) {
+    /// The state's tuples, schema-shaped.
+    fn tuples(&self, v: &ViewRt<C>) -> Tuples<C> {
         match self {
-            ViewState::Set(s) => out.extend(s.iter().cloned()),
-            ViewState::Agg(a) => out.extend(
-                a.iter()
-                    .map(|(k, e)| assemble_row(k, &e.values, &v.spec.key_cols, &v.agg_cols)),
-            ),
+            ViewState::Set(s) => s.tuples().clone(),
+            ViewState::Agg(a) => {
+                let (mut out, mut tuple) = (v.batch(), Vec::new());
+                for g in a.iter() {
+                    tuple.clear();
+                    v.assemble(g.key, g.values, &mut tuple);
+                    out.push(&tuple);
+                }
+                out
+            }
+        }
+    }
+
+    /// Append the state's tuples to `out` as schema-shaped rows; with
+    /// `before`, the state as a round whose delta is stamped that saw it
+    /// before the delta was merged.
+    fn extend_rows(&self, v: &ViewRt<C>, before: Option<u32>, out: &mut Vec<Row>) {
+        let row = |tuple: &[C]| Row::new(values_of(&v.kinds, tuple));
+        match (self, before) {
+            (ViewState::Set(s), None) => out.extend(s.iter().map(row)),
+            (ViewState::Set(s), Some(cutoff)) => out.extend(s.iter_before(cutoff).map(row)),
+            (ViewState::Agg(a), None) => out.extend(a.iter().map(|g| v.row(g.key, g.values))),
+            (ViewState::Agg(a), Some(cutoff)) => out.extend((0..a.len()).filter_map(|g| {
+                let vals = a.before(g, cutoff)?;
+                Some(v.row(a.group(g).key, vals))
+            })),
         }
     }
 }
 
-struct ViewRt {
+/// Where a schema column of an aggregate view lives in its state.
+#[derive(Clone, Copy)]
+enum Slot {
+    Key(usize),
+    Agg(usize),
+}
+
+struct ViewRt<C: Cell> {
     spec: ViewSpec,
+    /// Column kinds, in schema order, and those of the key and of the
+    /// aggregate columns.
+    kinds: Arc<[C::Kind]>,
+    key_kinds: Arc<[C::Kind]>,
+    agg_kinds: Arc<[C::Kind]>,
     /// Aggregate column positions (schema order).
     agg_cols: Vec<usize>,
+    /// Per schema column, its position among the key or aggregate columns.
+    layout: Vec<Slot>,
     /// Monotone ops per aggregate column.
     ops: Vec<MonotoneOp>,
     /// Aggregate functions per aggregate column.
@@ -184,22 +482,75 @@ struct ViewRt {
     /// Resolved accumulation mode per aggregate column (see
     /// [`resolve_count_modes`]).
     modes: Vec<CountMode>,
+    /// Whether a delta must carry increments beside its totals: some branch
+    /// reads this view's delta as increments, and a `sum` makes them differ.
+    increments: bool,
     /// Partitioning key for this view's state (key cols, or the preserved
     /// columns in decomposed mode).
     partition_key: Vec<usize>,
     /// Per-partition state.
-    state: Vec<RankedMutex<ViewState>>,
+    state: Vec<RankedMutex<ViewState<C>>>,
     /// Whether this view runs decomposed.
     decomposed: bool,
 }
 
-impl ViewRt {
+impl<C: Cell> ViewRt<C> {
     fn is_set(&self) -> bool {
         self.spec.aggs.is_empty()
     }
 
-    fn partition_of(&self, row: &Row, partitions: usize) -> usize {
-        row_partition(row, &self.partition_key, partitions)
+    /// Whether aggregate column `j` counts distinct contributing tuples.
+    fn counts_tuples(&self, j: usize) -> bool {
+        (self.funcs[j], self.modes[j]) == (AggFunc::Count, CountMode::DistinctTuple)
+    }
+
+    fn partition_of(&self, tuple: &[C], partitions: usize) -> usize {
+        partition_of(&self.kinds, tuple, &self.partition_key, partitions)
+    }
+
+    /// An empty batch of this view's tuples.
+    fn batch(&self) -> Tuples<C> {
+        Tuples::new(self.kinds.clone())
+    }
+
+    /// A group as a schema-shaped tuple, appended to `buf`.
+    #[inline]
+    fn assemble(&self, key: &[C], aggs: &[C], buf: &mut Vec<C>) {
+        let cell = |slot: &Slot| match *slot {
+            Slot::Key(i) => &key[i],
+            Slot::Agg(j) => &aggs[j],
+        };
+        // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
+        buf.extend(self.layout.iter().map(|slot| cell(slot).clone()));
+    }
+
+    /// A group as a schema-shaped row.
+    fn row(&self, key: &[C], aggs: &[C]) -> Row {
+        let cells = self.layout.iter().zip(self.kinds.iter());
+        Row::new(
+            cells
+                .map(|(slot, &kind)| match *slot {
+                    Slot::Key(i) => key[i].to_value(kind),
+                    Slot::Agg(j) => aggs[j].to_value(kind),
+                })
+                .collect(),
+        )
+    }
+
+    /// The batch of `rows`; a value outside its column's kind escapes.
+    fn tuples_of(&self, rows: &[Row]) -> Result<Tuples<C>, Escaped> {
+        Tuples::from_rows(self.kinds.clone(), rows)
+    }
+
+    /// [`ViewRt::tuples_of`] for rows this run wrote out itself (checkpoint,
+    /// spill): they are of the view's kinds.
+    fn restored(&self, rows: &[Row]) -> Result<Tuples<C>, EngineError> {
+        self.tuples_of(rows).map_err(|Escaped| {
+            EngineError::Other(format!(
+                "view '{}': a restored tuple is not of the view's column types",
+                self.spec.name
+            ))
+        })
     }
 }
 
@@ -244,78 +595,184 @@ enum BuildSide {
     Recursive { view: usize, mode: RecAllMode },
 }
 
-struct CompiledStep {
+struct CompiledStep<C: Cell> {
     build: BuildSide,
     stream_keys: Vec<PExpr>,
     /// `stream_keys` as the pipeline's probe-key extractor.
-    key: KeyFn,
+    key: KeyFn<C>,
     build_keys: Vec<usize>,
+    /// What the pipeline reads of a matched build row.
+    read: Arc<[Option<C::Kind>]>,
 }
 
-enum CompiledOp {
-    Join(CompiledStep),
-    Filter(PredFn),
+enum CompiledOp<C: Cell> {
+    Join(CompiledStep<C>),
+    Filter(PredFn<C>),
 }
 
-impl CompiledOp {
-    fn filter(e: &PExpr) -> CompiledOp {
-        let e = e.clone();
-        CompiledOp::Filter(Arc::new(move |t: &[Value]| e.eval_vals(t).is_truthy()))
+/// One step's expressions as evaluators: a filter, or a join's probe key
+/// and what it reads of a matched build row.
+enum StepEval<C: Cell> {
+    Filter(PredFn<C>),
+    Join(KeyFn<C>, Arc<[Option<C::Kind>]>),
+}
+
+/// A branch's expressions as evaluators of one representation: one per step,
+/// and the final projection — the branch's key and aggregate expressions
+/// evaluated straight into the target's schema shape.
+struct BranchEvals<C: Cell> {
+    steps: Vec<StepEval<C>>,
+    emit: Projection<C>,
+}
+
+impl<C: Repr> BranchEvals<C> {
+    /// `None` when the representation cannot type one of the expressions.
+    fn compile(prog: &BranchProgram, views: &[ViewRt<C>]) -> Option<Self> {
+        let target = &views[prog.target];
+        let arity = target.spec.key_cols.len() + target.agg_cols.len();
+        let mut emit = vec![PExpr::Lit(Value::Null); arity];
+        let keys = prog.key_exprs.iter().zip(&target.spec.key_cols);
+        for (e, &c) in keys.chain(prog.agg_exprs.iter().zip(&target.agg_cols)) {
+            emit[c] = e.clone();
+        }
+        // The columns of the combined `stream ++ build ++ …` tuple that an
+        // expression reads: a join copies only those out of a matched row.
+        let mut used: Vec<usize> = Vec::new();
+        for step in &prog.steps {
+            match step {
+                BranchStep::Filter(e) => e.columns(&mut used),
+                BranchStep::HashJoin { stream_keys, .. } => {
+                    stream_keys.iter().for_each(|e| e.columns(&mut used));
+                }
+            }
+        }
+        emit.iter().for_each(|e| e.columns(&mut used));
+
+        let mut input: Vec<Option<C::Kind>> =
+            views[prog.driver].kinds.iter().map(|&k| Some(k)).collect();
+        let mut steps = Vec::with_capacity(prog.steps.len());
+        for step in &prog.steps {
+            match step {
+                BranchStep::Filter(e) => steps.push(StepEval::Filter(C::pred(e, &input)?)),
+                BranchStep::HashJoin {
+                    build, stream_keys, ..
+                } => {
+                    let key = C::key(stream_keys, &input)?;
+                    let build_kinds: Vec<Option<C::Kind>> = match build {
+                        JoinBuild::Base(plan) => {
+                            let fields = plan.schema().fields().iter();
+                            fields.map(|f| C::kind_of(f.data_type)).collect()
+                        }
+                        JoinBuild::RecursiveAll { view, .. } => {
+                            views[*view].kinds.iter().map(|&k| Some(k)).collect()
+                        }
+                    };
+                    let base = input.len();
+                    let read: Arc<[Option<C::Kind>]> = (build_kinds.into_iter().enumerate())
+                        .map(|(c, kind)| kind.filter(|_| used.contains(&(base + c))))
+                        .collect();
+                    input.extend(read.iter().copied());
+                    steps.push(StepEval::Join(key, read));
+                }
+            }
+        }
+        let emit = C::emit(emit, &input, &target.kinds)?;
+        Some(BranchEvals { steps, emit })
     }
-
-    fn join(build: BuildSide, stream_keys: &[PExpr], build_keys: &[usize]) -> CompiledOp {
-        let keys = stream_keys.to_vec();
-        CompiledOp::Join(CompiledStep {
-            build,
-            stream_keys: stream_keys.to_vec(),
-            key: Arc::new(move |t: &[Value], k: &mut Vec<Value>| {
-                k.extend(keys.iter().map(|e| e.eval_vals(t)));
-            }),
-            build_keys: build_keys.to_vec(),
-        })
-    }
 }
 
-struct CompiledBranch {
+struct CompiledBranch<C: Cell> {
     driver: usize,
     driver_value_mode: DeltaValueMode,
-    ops: Vec<CompiledOp>,
+    ops: Vec<CompiledOp<C>>,
     target: usize,
-    /// The pipeline's final projection: the branch's key and aggregate
-    /// expressions evaluated straight into the target's schema shape.
-    emit: MapFn,
+    emit: Projection<C>,
     uses_recursive_build: bool,
 }
 
-impl CompiledBranch {
+impl<C: Cell> CompiledBranch<C> {
+    /// The branch over its evaluators, with `build(step, plan side, build
+    /// keys)` supplying each join's build side.
     fn new(
         prog: &BranchProgram,
-        target: &ViewRt,
-        ops: Vec<CompiledOp>,
-        uses_recursive_build: bool,
-    ) -> Self {
-        let arity = target.spec.key_cols.len() + target.agg_cols.len();
-        let mut exprs = vec![PExpr::Lit(Value::Null); arity];
-        let keys = prog.key_exprs.iter().zip(&target.spec.key_cols);
-        for (e, &c) in keys.chain(prog.agg_exprs.iter().zip(&target.agg_cols)) {
-            exprs[c] = e.clone();
+        evals: BranchEvals<C>,
+        mut build: impl FnMut(usize, &JoinBuild, &[usize]) -> Result<BuildSide, EngineError>,
+    ) -> Result<Self, EngineError> {
+        let mut ops = Vec::with_capacity(prog.steps.len());
+        let mut uses_recursive_build = false;
+        for (si, (step, eval)) in prog.steps.iter().zip(evals.steps).enumerate() {
+            ops.push(match (step, eval) {
+                (
+                    BranchStep::HashJoin {
+                        build: side,
+                        stream_keys,
+                        build_keys,
+                        ..
+                    },
+                    StepEval::Join(key, read),
+                ) => {
+                    uses_recursive_build |= matches!(side, JoinBuild::RecursiveAll { .. });
+                    CompiledOp::Join(CompiledStep {
+                        build: build(si, side, build_keys)?,
+                        stream_keys: stream_keys.clone(),
+                        key,
+                        build_keys: build_keys.clone(),
+                        read,
+                    })
+                }
+                (BranchStep::Filter(_), StepEval::Filter(keep)) => CompiledOp::Filter(keep),
+                _ => unreachable!("evaluators are compiled step for step"),
+            });
         }
-        CompiledBranch {
+        Ok(CompiledBranch {
             driver: prog.driver,
             driver_value_mode: prog.driver_value_mode,
             ops,
             target: prog.target,
-            emit: Arc::new(move |t: &[Value], out: &mut Vec<Value>| {
-                out.extend(exprs.iter().map(|e| e.eval_vals(t)));
-            }),
+            emit: evals.emit,
             uses_recursive_build,
+        })
+    }
+
+    /// The fused pipeline of the ops from `start` on, over the build sides
+    /// as partition `at.part` on worker `at.worker` sees them this round.
+    fn pipeline(&self, start: usize, at: &BranchAt<'_>) -> Pipeline<C> {
+        let mut steps: Vec<PipelineStep<C>> = Vec::new();
+        for (i, op) in self.ops.iter().enumerate().skip(start) {
+            let cs = match op {
+                CompiledOp::Filter(keep) => {
+                    steps.push(PipelineStep::Filter(Arc::clone(keep)));
+                    continue;
+                }
+                CompiledOp::Join(cs) => cs,
+            };
+            let table = match &cs.build {
+                BuildSide::Partitioned(tables) => &tables[at.part],
+                BuildSide::PartitionedSorted(_) => {
+                    unreachable!("sorted joins are executed eagerly, on rows")
+                }
+                BuildSide::Replicated(bc) => bc.on_worker(at.worker),
+                BuildSide::Recursive { .. } => at.snapshots[at.op_base + i]
+                    .as_ref()
+                    // lint: allow(RL0002, snapshot pass above fills every Recursive slot)
+                    .expect("snapshot built for recursive build side"),
+            };
+            steps.push(PipelineStep::HashJoin {
+                table: Arc::clone(table),
+                key: Arc::clone(&cs.key),
+                read: Arc::clone(&cs.read),
+            });
+        }
+        Pipeline {
+            steps,
+            project: Some(self.emit.clone()),
         }
     }
 }
 
 /// Contributions produced by a map task: per target view, per target
-/// partition, schema-shaped rows.
-type Buckets = Vec<Vec<Vec<Row>>>;
+/// partition, schema-shaped tuples.
+type Buckets<C> = Vec<Vec<Tuples<C>>>;
 
 /// A hash-table snapshot of a recursive relation used as a join build side
 /// (`None` in the slots of filters and base build sides).
@@ -472,52 +929,122 @@ impl<'a> FixpointExecutor<'a> {
                 return Ok(result);
             }
         }
-        let views = Arc::new(self.view_runtimes(spec, self.config.decomposed_plans)?);
-        let clique = self.compile_clique(spec, &views)?;
-        // The base cases: round-0 contributions.
-        let base = self.base_buckets(spec, &views)?;
-        let iterations = if views.iter().any(|v| v.decomposed) {
-            self.drive(&mut Decomposed::new(clique, base), 0)?
-        } else {
-            match self.config.eval_mode {
-                EvalMode::SemiNaive => self.drive(&mut SemiNaive::new(clique, base), 0)?,
-                EvalMode::Naive => self.drive(&mut Naive::new(clique, base), 0)?,
+        self.on_words_or_rows(|words| {
+            if words {
+                self.run_on::<u64>(spec)
+            } else {
+                self.run_on::<Value>(spec)
             }
-        };
-        Ok(self.finish(&views, iterations))
-    }
-
-    /// Compile every recursive branch of the clique, in view order
-    /// (evaluating and caching the base build sides).
-    fn compile_clique<'e>(
-        &'e self,
-        spec: &FixpointSpec,
-        views: &Arc<Vec<ViewRt>>,
-    ) -> Result<Clique<'e, 'a>, EngineError> {
-        let mut branches: Vec<CompiledBranch> = Vec::new();
-        for (vi, v) in spec.views.iter().enumerate() {
-            for prog in &v.recursive {
-                branches.push(self.compile_branch(prog, views, vi)?);
-            }
-        }
-        Ok(Clique {
-            exec: self,
-            views: Arc::clone(views),
-            branches: Arc::new(branches),
         })
     }
 
-    /// Per-view runtime state with empty partitions. Decomposed evaluation
-    /// (when `decomposable`) is selected purely on the analyzer's
-    /// partition-preservation certificate (§7.2) — the proof already covers
-    /// single-view-ness, linearity and key pass-through.
-    fn view_runtimes(
+    /// The interpreter's representation choice, made from the clique — never
+    /// from a setting: words when every view has lanes and every branch
+    /// compiles, rows otherwise, and rows again (from the immutable base,
+    /// nothing of the word run kept) when a value left its lane.
+    fn on_words_or_rows(
+        &self,
+        mut run: impl FnMut(bool) -> Result<Option<FixpointResult>, Stop>,
+    ) -> Result<FixpointResult, EngineError> {
+        let metrics = &self.cluster.metrics;
+        match run(true) {
+            Ok(Some(result)) => {
+                Metrics::add(&metrics.word_cliques, 1);
+                return Ok(result);
+            }
+            Ok(None) => {}
+            Err(Stop::Escaped) => {
+                Metrics::add(&metrics.lane_escapes, 1);
+                if let Some(t) = self.eval.trace {
+                    t.abandon_clique();
+                }
+            }
+            Err(Stop::Failed(e)) => return Err(e),
+        }
+        match run(false) {
+            Ok(Some(result)) => Ok(result),
+            Err(Stop::Failed(e)) => Err(e),
+            Ok(None) | Err(Stop::Escaped) => Err(EngineError::Other(
+                "the row representation declined a clique".into(),
+            )),
+        }
+    }
+
+    /// Evaluate the clique on representation `C`; `None` when `C` declines
+    /// it (before anything was evaluated).
+    fn run_on<C: Repr>(&self, spec: &FixpointSpec) -> Result<Option<FixpointResult>, Stop> {
+        let Some(views) = self.view_runtimes::<C>(spec, self.config.decomposed_plans)? else {
+            return Ok(None);
+        };
+        let views = Arc::new(views);
+        let Some(clique) = self.compile_clique(spec, &views)? else {
+            return Ok(None);
+        };
+        // The base cases: round-0 contributions.
+        let base = self.base_buckets(spec, &views)?;
+        let escaped = Arc::clone(&clique.escaped);
+        let driven = if views.iter().any(|v| v.decomposed) {
+            self.drive(&mut Decomposed::new(clique, base), 0)
+        } else {
+            match self.config.eval_mode {
+                EvalMode::SemiNaive => self.drive(&mut SemiNaive::new(clique, base), 0),
+                EvalMode::Naive => self.drive(&mut Naive::new(clique, base), 0),
+            }
+        };
+        self.finish(&views, driven, &escaped).map(Some)
+    }
+
+    /// Compile every recursive branch of the clique, in view order
+    /// (evaluating and caching the base build sides) — every branch's
+    /// evaluators first, so a clique the representation declines has
+    /// evaluated nothing.
+    fn compile_clique<'e, C: Repr>(
+        &'e self,
+        spec: &FixpointSpec,
+        views: &Arc<Vec<ViewRt<C>>>,
+    ) -> Result<Option<Clique<'e, 'a, C>>, EngineError> {
+        let progs = || {
+            spec.views
+                .iter()
+                .enumerate()
+                .flat_map(|(vi, v)| v.recursive.iter().map(move |p| (vi, p)))
+        };
+        let Some(evals) = progs()
+            .map(|(_, prog)| BranchEvals::compile(prog, views))
+            .collect::<Option<Vec<_>>>()
+        else {
+            return Ok(None);
+        };
+        let mut branches: Vec<CompiledBranch<C>> = Vec::new();
+        for ((vi, prog), evals) in progs().zip(evals) {
+            branches.push(self.compile_branch(prog, evals, views, vi)?);
+        }
+        Ok(Some(Clique {
+            exec: self,
+            views: Arc::clone(views),
+            branches: Arc::new(branches),
+            escaped: Arc::new(AtomicBool::new(false)),
+        }))
+    }
+
+    /// Per-view runtime state with empty partitions, or `None` when the
+    /// representation cannot hold a view's columns or run the configuration.
+    /// Decomposed evaluation (when `decomposable`) is selected purely on the
+    /// analyzer's partition-preservation certificate (§7.2) — the proof
+    /// already covers single-view-ness, linearity and key pass-through.
+    fn view_runtimes<C: Repr>(
         &self,
         spec: &FixpointSpec,
         decomposable: bool,
-    ) -> Result<Vec<ViewRt>, EngineError> {
-        let mut views: Vec<ViewRt> = Vec::with_capacity(spec.views.len());
-        for v in &spec.views {
+    ) -> Result<Option<Vec<ViewRt<C>>>, EngineError> {
+        if !C::runs(self.config) {
+            return Ok(None);
+        }
+        let mut views: Vec<ViewRt<C>> = Vec::with_capacity(spec.views.len());
+        for (vi, v) in spec.views.iter().enumerate() {
+            let Some(kinds) = kinds_of::<C>(&v.schema) else {
+                return Ok(None);
+            };
             let preserved = decomposable
                 .then(|| v.certificate.preserved_key())
                 .flatten();
@@ -531,67 +1058,113 @@ impl<'a> FixpointExecutor<'a> {
                     AggFunc::Avg => unreachable!("rejected by the analyzer"),
                 })
                 .collect();
-            views.push(ViewRt {
+            let agg_cols: Vec<usize> = v.aggs.iter().map(|(c, _)| *c).collect();
+            let mut layout = vec![Slot::Key(0); kinds.len()];
+            for (i, &c) in v.key_cols.iter().enumerate() {
+                layout[c] = Slot::Key(i);
+            }
+            for (j, &c) in agg_cols.iter().enumerate() {
+                layout[c] = Slot::Agg(j);
+            }
+            let pick = |cols: &[usize]| cols.iter().map(|&c| kinds[c]).collect();
+            let reads_increments = |p: &BranchProgram| {
+                p.driver == vi && p.driver_value_mode == DeltaValueMode::Increment
+            };
+            let mut rt = ViewRt {
                 spec: v.clone(),
-                agg_cols: v.aggs.iter().map(|(c, _)| *c).collect(),
+                key_kinds: pick(&v.key_cols),
+                agg_kinds: pick(&agg_cols),
+                kinds,
+                agg_cols,
+                layout,
+                increments: ops.contains(&MonotoneOp::Sum)
+                    && (spec.views.iter()).any(|v| v.recursive.iter().any(reads_increments)),
                 ops,
                 funcs,
                 modes: resolve_count_modes(v)?,
                 partition_key: preserved.unwrap_or(&v.key_cols).to_vec(),
-                state: (0..self.config.partitions)
-                    .map(|_| RankedMutex::new(LockRank::FixpointState, ViewState::empty(v)))
-                    .collect(),
+                state: Vec::new(),
                 decomposed: preserved.is_some(),
-            });
+            };
+            // A distinct-tuple `count` adds the `Int` 1 per contributor.
+            let counts = (0..rt.funcs.len()).filter(|&j| rt.counts_tuples(j));
+            if counts.into_iter().any(|j| C::one(rt.agg_kinds[j]).is_err()) {
+                return Ok(None);
+            }
+            rt.state = (0..self.config.partitions)
+                .map(|_| RankedMutex::new(LockRank::FixpointState, ViewState::empty(&rt)))
+                .collect();
+            views.push(rt);
         }
-        Ok(views)
+        Ok(Some(views))
     }
 
     /// Round-0 contributions: every view's base branches evaluated against
     /// the catalog, combined by set UNION (so deduplicated) and bucketed by
     /// the view's partitioning.
-    fn base_buckets(&self, spec: &FixpointSpec, views: &[ViewRt]) -> Result<Buckets, EngineError> {
+    fn base_buckets<C: Repr>(
+        &self,
+        spec: &FixpointSpec,
+        views: &[ViewRt<C>],
+    ) -> Result<Buckets<C>, Stop> {
         let p = self.config.partitions;
-        let mut buckets = empty_buckets(views.len(), p);
+        let mut buckets = empty_buckets(views, p);
         for (vi, v) in spec.views.iter().enumerate() {
-            for row in self.eval_base(v)? {
-                let part = views[vi].partition_of(&row, p);
-                buckets[vi][part].push(row);
+            for tuple in self.eval_base(v, &views[vi])?.iter() {
+                buckets[vi][views[vi].partition_of(tuple, p)].push(tuple);
             }
         }
         Ok(buckets)
     }
 
-    /// A view's base rows: its base branches combine by set UNION, so rows
-    /// are deduplicated, in first-occurrence order.
-    fn eval_base(&self, v: &ViewSpec) -> Result<Vec<Row>, EngineError> {
-        let mut rows = Distinct::default();
+    /// A view's base tuples: its base branches combine by set UNION, so
+    /// they are deduplicated, in first-occurrence order. The base plans'
+    /// rows are only read — nothing is allocated for a tuple.
+    fn eval_base<C: Repr>(&self, v: &ViewSpec, rt: &ViewRt<C>) -> Result<Tuples<C>, Stop> {
+        let mut distinct = TupleSet::new(rt.kinds.clone());
+        let mut tuple = Vec::new();
         for plan in &v.base {
-            for row in self.eval.evaluate(plan)?.into_rows() {
-                rows.push_row(row);
+            for row in self.eval.evaluate(plan)?.rows() {
+                cells_of(&rt.kinds, row.values(), &mut tuple)?;
+                distinct.intern(&tuple);
             }
         }
-        Ok(rows.finish())
+        Ok(distinct.into_tuples())
     }
+}
 
-    /// Move the converged state into the result relations — nothing reads
-    /// the state after the last round, so set rows are handed over, not
-    /// copied.
-    fn finish(&self, views: &[ViewRt], iterations: u32) -> FixpointResult {
+impl<'a> FixpointExecutor<'a> {
+    /// The end of a run on representation `C`: a run that stopped because a
+    /// value left its lane is reported as such; one that converged moves its
+    /// state into the result relations — one row per result tuple.
+    fn finish<C: Repr>(
+        &self,
+        views: &[ViewRt<C>],
+        driven: Result<u32, EngineError>,
+        escaped: &AtomicBool,
+    ) -> Result<FixpointResult, Stop> {
+        let iterations = match driven {
+            Ok(iterations) => iterations,
+            Err(_) if escaped.load(Ordering::SeqCst) => return Err(Stop::Escaped),
+            Err(e) => return Err(Stop::Failed(e)),
+        };
+        if let Some(t) = self.eval.trace {
+            t.set_tuples(C::TUPLES);
+        }
         let views = views
             .iter()
             .map(|v| {
-                let mut rows = Vec::new();
+                let total = v.state.iter().map(|part| part.lock().len()).sum();
+                let mut rows = Vec::with_capacity(total);
                 for part in &v.state {
-                    match std::mem::replace(&mut *part.lock(), ViewState::empty(&v.spec)) {
-                        ViewState::Set(s) => rows.extend(s.into_rows()),
-                        agg => agg.extend_rows(v, &mut rows),
-                    }
+                    // Nothing reads the state after the last round.
+                    let state = std::mem::replace(&mut *part.lock(), ViewState::empty(v));
+                    state.extend_rows(v, None, &mut rows);
                 }
                 Relation::new_unchecked(v.spec.schema.clone(), rows)
             })
             .collect();
-        FixpointResult { views, iterations }
+        Ok(FixpointResult { views, iterations })
     }
 
     /// Resume a converged fixpoint from retained warm state: `warm` holds
@@ -619,27 +1192,49 @@ impl<'a> FixpointExecutor<'a> {
         warm: &[Vec<Row>],
         changed: &[(String, Vec<Row>)],
     ) -> Result<FixpointResult, EngineError> {
+        self.on_words_or_rows(|words| {
+            if words {
+                self.resume_on::<u64>(spec, warm, changed)
+            } else {
+                self.resume_on::<Value>(spec, warm, changed)
+            }
+        })
+    }
+
+    /// [`FixpointExecutor::run_resume`] on representation `C`.
+    fn resume_on<C: Repr>(
+        &self,
+        spec: &FixpointSpec,
+        warm: &[Vec<Row>],
+        changed: &[(String, Vec<Row>)],
+    ) -> Result<Option<FixpointResult>, Stop> {
         let p = self.config.partitions;
         // Like `run`, but decomposed evaluation is forced off — warm state is
         // partitioned on the key columns, and the resumed loop must keep that
         // partitioning.
-        let views = self.view_runtimes(spec, false)?;
-
-        // Preload the warm rows, stamped round 0.
-        for (vi, v) in views.iter().enumerate() {
-            let mut per_part: Vec<Vec<Row>> = vec![Vec::new(); p];
-            for row in &warm[vi] {
-                per_part[v.partition_of(row, p)].push(row.clone());
-            }
-            for (part, rows) in per_part.into_iter().enumerate() {
-                merge_into_state(v, &mut v.state[part].lock(), rows, 0);
-            }
-        }
+        let Some(views) = self.view_runtimes::<C>(spec, false)? else {
+            return Ok(None);
+        };
         let views = Arc::new(views);
-
         // Compile the loop branches against the *new* catalog; the index
         // store advances the build sides it holds by the inserted rows.
-        let clique = self.compile_clique(spec, &views)?;
+        let Some(clique) = self.compile_clique(spec, &views)? else {
+            return Ok(None);
+        };
+
+        // Preload the warm rows, stamped round 0.
+        let mut warm_tuples = Vec::with_capacity(views.len());
+        for (v, rows) in views.iter().zip(warm) {
+            let tuples = v.tuples_of(rows)?;
+            let mut per_part: Vec<Tuples<C>> = (0..p).map(|_| v.batch()).collect();
+            for tuple in tuples.iter() {
+                per_part[v.partition_of(tuple, p)].push(tuple);
+            }
+            for (part, tuples) in per_part.iter().enumerate() {
+                merge_into_state(v, &mut v.state[part].lock(), tuples, 0)?;
+            }
+            warm_tuples.push(tuples);
+        }
 
         // Re-evaluate base branches over the new catalog. Converged rows
         // re-merge as no-ops; inserted base facts become round-1 deltas.
@@ -668,14 +1263,33 @@ impl<'a> FixpointExecutor<'a> {
                         }
                         let target = &views[prog.target];
                         let (seed, snaps) =
-                            self.compile_seed_branch(prog, target, si, table, delta_rows, warm)?;
+                            self.compile_seed_branch(prog, &views, si, table, delta_rows, warm)?;
                         let mut partial = Partial::new(target);
-                        let sink = &mut |t: &[Value]| partial.push(t);
-                        let rows = &warm[seed.driver];
-                        run_branch(&seed, rows, &snaps, 0, 0, 0, self.eval.fused, sink);
-                        for row in partial.finish() {
-                            let part = target.partition_of(&row, p);
-                            base_buckets[seed.target][part].push(row);
+                        // The whole warm relation drives the seed run, as an
+                        // owned delta (no partition state lends it).
+                        let delta = DeltaBatch::Owned {
+                            totals: warm_tuples[seed.driver].clone(),
+                            increments: None,
+                        };
+                        let at = BranchAt {
+                            snapshots: &snaps,
+                            op_base: 0,
+                            part: 0,
+                            worker: 0,
+                            fused: self.eval.fused,
+                        };
+                        let driver = views[seed.driver].state[0].lock();
+                        let mut io = MapIo {
+                            delta: &delta,
+                            mode: seed.driver_value_mode,
+                            state: &driver,
+                            partial: &mut partial,
+                        };
+                        run_branch(&seed, &mut io, &at)?;
+                        drop(driver);
+                        for tuple in partial.finish().iter() {
+                            let part = target.partition_of(tuple, p);
+                            base_buckets[seed.target][part].push(tuple);
                         }
                     }
                 }
@@ -684,8 +1298,9 @@ impl<'a> FixpointExecutor<'a> {
 
         // Warm rows keep stamp 0 and the seeds merge at stamp 1, so the first
         // resumed round's old-snapshot cutoff selects exactly the warm rows.
-        let iterations = self.drive(&mut SemiNaive::new(clique, base_buckets), 1)?;
-        Ok(self.finish(&views, iterations))
+        let escaped = Arc::clone(&clique.escaped);
+        let driven = self.drive(&mut SemiNaive::new(clique, base_buckets), 1);
+        self.finish(&views, driven, &escaped).map(Some)
     }
 
     /// Compile one *seed* instance of a recursive branch for delta-seeded
@@ -693,59 +1308,45 @@ impl<'a> FixpointExecutor<'a> {
     /// partition 0), with the base build at step `delta_pos` evaluated under
     /// an overlay catalog where `delta_table` holds only the inserted rows,
     /// and recursive build sides snapshotted from the warm rows.
-    fn compile_seed_branch(
+    fn compile_seed_branch<C: Repr>(
         &self,
         prog: &BranchProgram,
-        target: &ViewRt,
+        views: &[ViewRt<C>],
         delta_pos: usize,
         delta_table: &str,
         delta_rows: &[Row],
         warm: &[Vec<Row>],
-    ) -> Result<(CompiledBranch, Vec<Snapshot>), EngineError> {
-        let mut ops = Vec::with_capacity(prog.steps.len());
-        let mut snaps: Vec<Snapshot> = Vec::with_capacity(prog.steps.len());
-        let mut uses_recursive_build = false;
-        for (si, step) in prog.steps.iter().enumerate() {
-            match step {
-                BranchStep::Filter(e) => {
-                    ops.push(CompiledOp::filter(e));
-                    snaps.push(None);
+    ) -> Result<(CompiledBranch<C>, Vec<Snapshot>), EngineError> {
+        let Some(evals) = BranchEvals::compile(prog, views) else {
+            return Err(EngineError::Other(
+                "a seed branch declined a clique its loop branches compiled for".into(),
+            ));
+        };
+        let mut snaps: Vec<Snapshot> = vec![None; prog.steps.len()];
+        let seed = CompiledBranch::new(prog, evals, |si, build, build_keys| {
+            Ok(match build {
+                JoinBuild::RecursiveAll { view, mode, .. } => {
+                    // lint: allow(RL0008, a snapshot of the view's own warm rows, not of base data)
+                    let snap = HashTable::build(&warm[*view], build_keys);
+                    snaps[si] = Some(Arc::new(snap));
+                    BuildSide::Recursive {
+                        view: *view,
+                        mode: *mode,
+                    }
                 }
-                BranchStep::HashJoin {
-                    build,
-                    stream_keys,
-                    build_keys,
-                    ..
-                } => {
-                    let build_side = match build {
-                        JoinBuild::RecursiveAll { view, mode, .. } => {
-                            uses_recursive_build = true;
-                            // lint: allow(RL0008, a snapshot of the view's own warm rows, not of base data)
-                            let snap = HashTable::build(&warm[*view], build_keys);
-                            snaps.push(Some(Arc::new(snap)));
-                            BuildSide::Recursive {
-                                view: *view,
-                                mode: *mode,
-                            }
-                        }
-                        JoinBuild::Base(plan) => {
-                            let rel = if si == delta_pos {
-                                self.eval
-                                    .eval_with_table_delta(plan, delta_table, delta_rows)?
-                            } else {
-                                self.eval.evaluate(plan)?
-                            };
-                            snaps.push(None);
-                            // lint: allow(RL0008, a seed run probes one whole table of the delta overlay once)
-                            let whole = HashTable::build(rel.rows(), build_keys);
-                            BuildSide::Partitioned(vec![Arc::new(whole)])
-                        }
+                JoinBuild::Base(plan) => {
+                    let rel = if si == delta_pos {
+                        self.eval
+                            .eval_with_table_delta(plan, delta_table, delta_rows)?
+                    } else {
+                        self.eval.evaluate(plan)?
                     };
-                    ops.push(CompiledOp::join(build_side, stream_keys, build_keys));
+                    // lint: allow(RL0008, a seed run probes one whole table of the delta overlay once)
+                    let whole = HashTable::build(rel.rows(), build_keys);
+                    BuildSide::Partitioned(vec![Arc::new(whole)])
                 }
-            }
-        }
-        let seed = CompiledBranch::new(prog, target, ops, uses_recursive_build);
+            })
+        })?;
         Ok((seed, snaps))
     }
 
@@ -756,11 +1357,12 @@ impl<'a> FixpointExecutor<'a> {
         if self.config.join == JoinStrategy::SortMerge {
             return Ok(());
         }
-        // Like `run_resume`: decomposed evaluation off.
-        let views = self.view_runtimes(spec, false)?;
-        for (vi, v) in spec.views.iter().enumerate() {
+        // Like `run_resume`: decomposed evaluation off, so the state is
+        // partitioned on the key columns.
+        for v in &spec.views {
             for prog in &v.recursive {
-                if let Some((_, plan, build_keys)) = co_partitioned_build(prog, &views[vi]) {
+                if let Some((_, plan, build_keys)) = co_partitioned_build(prog, &v.key_cols, false)
+                {
                     self.co_partitioned_index(plan, build_keys)?;
                 }
             }
@@ -790,95 +1392,78 @@ impl<'a> FixpointExecutor<'a> {
     // Branch compilation
     // ----------------------------------------------------------------
 
-    fn compile_branch(
+    fn compile_branch<C: Repr>(
         &self,
         prog: &BranchProgram,
-        views: &[ViewRt],
+        evals: BranchEvals<C>,
+        views: &[ViewRt<C>],
         owner: usize,
-    ) -> Result<CompiledBranch, EngineError> {
+    ) -> Result<CompiledBranch<C>, EngineError> {
         let p = self.config.partitions;
-        let co_partitioned = co_partitioned_build(prog, &views[owner]).map(|(si, ..)| si);
-        let mut ops = Vec::with_capacity(prog.steps.len());
-        let mut uses_recursive_build = false;
-        for (si, step) in prog.steps.iter().enumerate() {
-            match step {
-                BranchStep::Filter(e) => ops.push(CompiledOp::filter(e)),
-                BranchStep::HashJoin {
-                    build,
-                    stream_keys,
-                    build_keys,
-                    ..
-                } => {
-                    let build_side = match build {
-                        JoinBuild::RecursiveAll { view, mode, .. } => {
-                            uses_recursive_build = true;
-                            BuildSide::Recursive {
-                                view: *view,
-                                mode: *mode,
-                            }
-                        }
-                        JoinBuild::Base(plan) if co_partitioned == Some(si) => {
-                            if self.config.join == JoinStrategy::SortMerge {
-                                let rows = self.eval.evaluate(plan)?.into_rows();
-                                // lint: allow(RL0008, sorted runs are built per query: the store keeps the hash and CSR layouts)
-                                let parts = rasql_storage::partition_rows(rows, build_keys, p);
-                                BuildSide::PartitionedSorted(
-                                    parts
-                                        .into_iter()
-                                        .map(|rows| Arc::new(SortedRun::build(rows, build_keys)))
-                                        .collect(),
-                                )
-                            } else {
-                                BuildSide::Partitioned(self.co_partitioned_index(plan, build_keys)?)
-                            }
-                        }
-                        JoinBuild::Base(plan) => {
-                            let rel = self.eval.evaluate(plan)?;
-                            // Broadcast build (§7.2): compressed payload +
-                            // per-worker rebuild, or ship the prebuilt
-                            // (2-3x larger) hash table.
-                            let keys = build_keys.clone();
-                            let governor = self.eval.governor;
-                            let bc = if self.config.broadcast_compression {
-                                let compressed = Arc::new(CompressedRelation::compress(
-                                    rel.schema(),
-                                    rel.rows(),
-                                ));
-                                let payload = compressed.size_bytes();
-                                Broadcast::distribute_traced(
-                                    self.cluster,
-                                    None,
-                                    payload,
-                                    move |_w| {
-                                        let rows = compressed.decompress();
-                                        // lint: allow(RL0002, round-tripping a payload this pass just compressed)
-                                        let rows = rows.expect("own payload");
-                                        // lint: allow(RL0008, the broadcast models the network: every worker rebuilds its copy)
-                                        HashTable::build(&rows, &keys)
-                                    },
-                                    governor,
-                                )
-                            } else {
-                                // lint: allow(RL0008, the broadcast models the network: the master copy is shipped per query)
-                                let master = Arc::new(HashTable::build(rel.rows(), &keys));
-                                let payload = master.size_bytes();
-                                Broadcast::distribute_traced(
-                                    self.cluster,
-                                    None,
-                                    payload,
-                                    move |_w| master.as_ref().clone(),
-                                    governor,
-                                )
-                            };
-                            BuildSide::Replicated(Arc::new(bc?))
-                        }
-                    };
-                    ops.push(CompiledOp::join(build_side, stream_keys, build_keys));
+        let driver = &views[owner];
+        let co_partitioned =
+            co_partitioned_build(prog, &driver.partition_key, driver.decomposed).map(|(si, ..)| si);
+        CompiledBranch::new(prog, evals, |si, build, build_keys| {
+            Ok(match build {
+                JoinBuild::RecursiveAll { view, mode, .. } => BuildSide::Recursive {
+                    view: *view,
+                    mode: *mode,
+                },
+                JoinBuild::Base(plan) if co_partitioned == Some(si) => {
+                    if self.config.join == JoinStrategy::SortMerge {
+                        let rows = self.eval.evaluate(plan)?.into_rows();
+                        // lint: allow(RL0008, sorted runs are built per query: the store keeps the hash and CSR layouts)
+                        let parts = rasql_storage::partition_rows(rows, build_keys, p);
+                        BuildSide::PartitionedSorted(
+                            parts
+                                .into_iter()
+                                .map(|rows| Arc::new(SortedRun::build(rows, build_keys)))
+                                .collect(),
+                        )
+                    } else {
+                        BuildSide::Partitioned(self.co_partitioned_index(plan, build_keys)?)
+                    }
                 }
-            }
-        }
-        let target = &views[prog.target];
-        Ok(CompiledBranch::new(prog, target, ops, uses_recursive_build))
+                JoinBuild::Base(plan) => {
+                    let rel = self.eval.evaluate(plan)?;
+                    // Broadcast build (§7.2): compressed payload +
+                    // per-worker rebuild, or ship the prebuilt
+                    // (2-3x larger) hash table.
+                    let keys = build_keys.to_vec();
+                    let governor = self.eval.governor;
+                    let bc = if self.config.broadcast_compression {
+                        let compressed =
+                            Arc::new(CompressedRelation::compress(rel.schema(), rel.rows()));
+                        let payload = compressed.size_bytes();
+                        Broadcast::distribute_traced(
+                            self.cluster,
+                            None,
+                            payload,
+                            move |_w| {
+                                let rows = compressed.decompress();
+                                // lint: allow(RL0002, round-tripping a payload this pass just compressed)
+                                let rows = rows.expect("own payload");
+                                // lint: allow(RL0008, the broadcast models the network: every worker rebuilds its copy)
+                                HashTable::build(&rows, &keys)
+                            },
+                            governor,
+                        )
+                    } else {
+                        // lint: allow(RL0008, the broadcast models the network: the master copy is shipped per query)
+                        let master = Arc::new(HashTable::build(rel.rows(), &keys));
+                        let payload = master.size_bytes();
+                        Broadcast::distribute_traced(
+                            self.cluster,
+                            None,
+                            payload,
+                            move |_w| master.as_ref().clone(),
+                            governor,
+                        )
+                    };
+                    BuildSide::Replicated(Arc::new(bc?))
+                }
+            })
+        })
     }
 
     // ----------------------------------------------------------------
@@ -1301,14 +1886,18 @@ impl SeedFold {
 // --------------------------------------------------------------------
 
 /// What the three interpreter strategies evaluate: the clique's runtime
-/// views (whose partitions hold the state) and its compiled branches.
-struct Clique<'e, 'a> {
+/// views (whose partitions hold the state) and its compiled branches, on
+/// one tuple representation.
+struct Clique<'e, 'a, C: Cell> {
     exec: &'e FixpointExecutor<'a>,
-    views: Arc<Vec<ViewRt>>,
-    branches: Arc<Vec<CompiledBranch>>,
+    views: Arc<Vec<ViewRt<C>>>,
+    branches: Arc<Vec<CompiledBranch<C>>>,
+    /// Set when a value left its lane: the error that ends the round loop
+    /// then means "evaluate the clique again on rows", not a failed query.
+    escaped: Arc<AtomicBool>,
 }
 
-impl Clique<'_, '_> {
+impl<C: Cell> Clique<'_, '_, C> {
     fn names(&self) -> Vec<String> {
         self.views.iter().map(|v| v.spec.name.clone()).collect()
     }
@@ -1328,19 +1917,34 @@ impl Clique<'_, '_> {
         let parts = self.views.iter().flat_map(|v| v.state.iter());
         parts.map(|cell| cell.lock().len() as u64).sum()
     }
+
+    /// A task reported that a value left its lane: abandon the run.
+    fn escape(&self, Escaped: Escaped) -> Halt {
+        self.escaped.store(true, Ordering::SeqCst);
+        Halt::Fatal(EngineError::Other(format!(
+            "view '{}': a value left its word lane",
+            self.views[0].spec.name
+        )))
+    }
+
+    /// The outputs of a stage whose tasks may escape.
+    fn landed<T>(&self, results: Vec<Result<T, Escaped>>) -> Result<Vec<T>, Halt> {
+        let results: Result<Vec<T>, Escaped> = results.into_iter().collect();
+        results.map_err(|e| self.escape(e))
+    }
 }
 
 /// Semi-naive evaluation (Algorithms 4/5, or 6 when `combine`): the state
 /// lives in the views' partitions, and `pending` holds the contributions the
 /// next round merges — base-case results first. A delta-seeded resume is this
 /// strategy over preloaded partitions, driven from round 1.
-struct SemiNaive<'e, 'a> {
-    c: Clique<'e, 'a>,
+struct SemiNaive<'e, 'a, C: Cell> {
+    c: Clique<'e, 'a, C>,
     /// Stage combination fuses the reduce of round r with the map of round
     /// r+1 — sound only when no branch reads old/new snapshots of another
     /// recursive relation (those need the merge barrier).
     combine: bool,
-    pending: Buckets,
+    pending: Buckets<C>,
     /// Between rounds every partition's state plus `pending` form a
     /// consistent cut (see `rasql_exec::checkpoint`): that is what is saved.
     store: CheckpointStore,
@@ -1350,8 +1954,8 @@ struct SemiNaive<'e, 'a> {
     paged_state: Vec<(usize, usize, String)>,
 }
 
-impl<'e, 'a> SemiNaive<'e, 'a> {
-    fn new(c: Clique<'e, 'a>, base: Buckets) -> Self {
+impl<'e, 'a, C: Cell> SemiNaive<'e, 'a, C> {
+    fn new(c: Clique<'e, 'a, C>, base: Buckets<C>) -> Self {
         let combine =
             c.exec.config.stage_combination && c.branches.iter().all(|b| !b.uses_recursive_build);
         SemiNaive {
@@ -1365,7 +1969,7 @@ impl<'e, 'a> SemiNaive<'e, 'a> {
     }
 }
 
-impl RoundStep for SemiNaive<'_, '_> {
+impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
     fn label(&self) -> (Vec<String>, &'static str, &'static str) {
         self.c.label(if self.combine {
             "semi_naive_combined"
@@ -1383,10 +1987,10 @@ impl RoundStep for SemiNaive<'_, '_> {
         // through every branch and partially aggregate (lines 6-9 / Alg. 5).
         let merge = {
             let views = Arc::clone(&self.c.views);
-            move |part: usize, mine: Vec<Vec<Row>>| -> Vec<DeltaBatch> {
+            move |part: usize, mine: Vec<Tuples<C>>| -> Result<Vec<DeltaBatch<C>>, Escaped> {
                 (views.iter().zip(mine))
-                    .map(|(v, rows)| {
-                        merge_into_state(v, &mut v.state[part].lock(), rows, round - 1)
+                    .map(|(v, tuples)| {
+                        merge_into_state(v, &mut v.state[part].lock(), &tuples, round - 1)
                     })
                     .collect()
             }
@@ -1394,35 +1998,40 @@ impl RoundStep for SemiNaive<'_, '_> {
         let map = {
             let (views, branches) = (Arc::clone(&self.c.views), Arc::clone(&self.c.branches));
             let fused = exec.eval.fused;
-            move |part: usize, deltas: &[DeltaBatch], snapshots: &[Snapshot], w: usize| {
-                let delta_rows: u64 = deltas.iter().map(|d| d.rows.len() as u64).sum();
-                let buckets = map_task(&views, &branches, deltas, snapshots, part, w, fused);
-                (delta_rows, buckets)
+            move |part: usize,
+                  deltas: &[DeltaBatch<C>],
+                  snapshots: &[Snapshot],
+                  w: usize|
+                  -> Result<(u64, Buckets<C>), Escaped> {
+                let delta_rows: u64 = deltas.iter().map(|d| d.len() as u64).sum();
+                let buckets = map_task(&views, &branches, deltas, snapshots, part, w, fused)?;
+                Ok((delta_rows, buckets))
             }
         };
-        let fresh = empty_buckets(self.c.views.len(), p);
+        let fresh = empty_buckets(&self.c.views, p);
         let mine = by_partition(std::mem::replace(&mut self.pending, fresh), p);
         let mut stages = 1;
-        let map_out: Vec<(u64, Buckets)> = if self.combine {
+        let map_out: Vec<(u64, Buckets<C>)> = if self.combine {
             // One combined ShuffleMap stage (Algorithm 6).
             let tasks = (mine.into_iter().enumerate())
-                .map(|(part, rows)| {
+                .map(|(part, tuples)| {
                     let (merge, map) = (merge.clone(), map.clone());
                     StageTask::new(part % workers, move |w| {
-                        map(part, &merge(part, rows), &[], w)
+                        map(part, &merge(part, tuples)?, &[], w)
                     })
                 })
                 .collect();
-            exec.stage("fixpoint combined", StageKind::Combined, tasks)?
+            let out = exec.stage("fixpoint combined", StageKind::Combined, tasks)?;
+            self.c.landed(out)?
         } else {
             let tasks = (mine.into_iter().enumerate())
-                .map(|(part, rows)| {
+                .map(|(part, tuples)| {
                     let merge = merge.clone();
-                    StageTask::new(part % workers, move |_w| merge(part, rows))
+                    StageTask::new(part % workers, move |_w| merge(part, tuples))
                 })
                 .collect();
-            let merged: Vec<Vec<DeltaBatch>> =
-                exec.stage("fixpoint reduce", StageKind::Reduce, tasks)?;
+            let merged = exec.stage("fixpoint reduce", StageKind::Reduce, tasks)?;
+            let merged: Vec<Vec<DeltaBatch<C>>> = self.c.landed(merged)?;
             if merged.iter().flatten().all(DeltaBatch::is_empty) {
                 Vec::new()
             } else {
@@ -1438,7 +2047,8 @@ impl RoundStep for SemiNaive<'_, '_> {
                         StageTask::new(part % workers, move |w| map(part, &deltas, &snapshots, w))
                     })
                     .collect();
-                exec.stage("fixpoint map", StageKind::Map, tasks)?
+                let out = exec.stage("fixpoint map", StageKind::Map, tasks)?;
+                self.c.landed(out)?
             }
         };
 
@@ -1448,12 +2058,12 @@ impl RoundStep for SemiNaive<'_, '_> {
         let (mut moved_rows, mut moved_bytes) = (0u64, 0u64);
         for (src_part, (_, buckets)) in map_out.into_iter().enumerate() {
             for (vi, per_view) in buckets.into_iter().enumerate() {
-                for (dst_part, rows) in per_view.into_iter().enumerate() {
+                for (dst_part, mut tuples) in per_view.into_iter().enumerate() {
                     if exec.cluster.owner_of(src_part) != exec.cluster.owner_of(dst_part) {
-                        moved_rows += rows.len() as u64;
-                        moved_bytes += rows.iter().map(Row::size_bytes).sum::<usize>() as u64;
+                        moved_rows += tuples.len() as u64;
+                        moved_bytes += tuples.size_bytes();
                     }
-                    self.pending[vi][dst_part].extend(rows);
+                    self.pending[vi][dst_part].append(&mut tuples);
                 }
             }
         }
@@ -1472,7 +2082,8 @@ impl RoundStep for SemiNaive<'_, '_> {
     /// Serialize every partition's state (as a traced cluster stage — the
     /// encode work runs where the state lives, and is itself subject to fault
     /// injection) plus the pending contributions (driver-side, it already
-    /// holds them) into the store under `round`.
+    /// holds them) into the store under `round`, both as rows in the
+    /// canonical codec whatever the representation.
     fn cut(&mut self, round: u32) -> Result<bool, Halt> {
         let exec = self.c.exec;
         let p = exec.config.partitions;
@@ -1496,9 +2107,9 @@ impl RoundStep for SemiNaive<'_, '_> {
             bytes += put(&key, data)? as u64;
         }
         for (vi, per_view) in self.pending.iter().enumerate() {
-            for (part, rows) in per_view.iter().enumerate() {
+            for (part, tuples) in per_view.iter().enumerate() {
                 let key = format!("r{round}/contrib/v{vi}/p{part}");
-                bytes += put(&key, encode_rows(rows))? as u64;
+                bytes += put(&key, encode_rows(&tuples.to_rows()))? as u64;
             }
         }
         Metrics::add(&exec.cluster.metrics.checkpoints, 1);
@@ -1521,16 +2132,16 @@ impl RoundStep for SemiNaive<'_, '_> {
             for (part, pending) in self.pending[vi].iter_mut().enumerate() {
                 let data = entry(format!("r{to}/v{vi}/p{part}"))?;
                 bytes += data.len() as u64;
-                *v.state[part].lock() = ViewState::decode(&v.spec, data)?;
+                *v.state[part].lock() = ViewState::decode(v, data)?;
                 let data = entry(format!("r{to}/contrib/v{vi}/p{part}"))?;
                 bytes += data.len() as u64;
-                *pending = decode_rows(data)?;
+                *pending = v.restored(&decode_rows(data)?)?;
             }
         }
         Ok(format!("replaying from round {to} ({bytes} B)"))
     }
 
-    /// Spilled contribution rows go back in front of what was gathered since,
+    /// Spilled contributions go back in front of what was gathered since,
     /// in their original order (the spill row codec preserves it); paged-out
     /// partitions are decoded from their checkpoint-codec blobs.
     fn page_in(&mut self, g: &QueryGovernor) -> Result<(), EngineError> {
@@ -1539,29 +2150,31 @@ impl RoundStep for SemiNaive<'_, '_> {
         }
         let dir = g.spill_dir()?;
         for (vi, part, name) in self.paged_pending.drain(..) {
-            let mut rows = dir.take_rows(&name)?;
-            rows.append(&mut self.pending[vi][part]);
-            self.pending[vi][part] = rows;
+            let mut tuples = self.c.views[vi].restored(&dir.take_rows(&name)?)?;
+            tuples.append(&mut self.pending[vi][part]);
+            self.pending[vi][part] = tuples;
         }
         for (vi, part, name) in self.paged_state.drain(..) {
             let blob = dir.take_blob(&name)?;
             let v = &self.c.views[vi];
-            *v.state[part].lock() = ViewState::decode(&v.spec, Bytes::from(blob))?;
+            *v.state[part].lock() = ViewState::decode(v, Bytes::from(blob))?;
         }
         Ok(())
     }
 
     /// The resident set is the pending contribution buckets plus the
-    /// all-relation state. Over budget it is paged out to the governor's
-    /// spill directory — buckets first (order-preserving row codec, so the
-    /// next merge replays contributions byte-for-byte), then per-partition
-    /// state (canonical checkpoint codec).
+    /// all-relation state, both priced without walking a tuple: a bucket as
+    /// the rows it stands for, a partition as the bytes its arena, index and
+    /// stamps hold. Over budget it is paged out to the governor's spill
+    /// directory — buckets first (order-preserving row codec, so the next
+    /// merge replays contributions byte-for-byte), then per-partition state
+    /// (canonical checkpoint codec).
     fn settle(&mut self, g: &QueryGovernor, round: u32) -> Result<u64, EngineError> {
         let exec = self.c.exec;
-        let row_bytes = |r: &Row| r.size_bytes() as u64 + 16;
-        let pending = self.pending.iter().flatten().flatten();
+        let bucket_bytes = |t: &Tuples<C>| t.size_bytes() + 16 * t.len() as u64;
+        let pending = self.pending.iter().flatten();
         let cells = self.c.views.iter().flat_map(|v| v.state.iter());
-        let mut charge = pending.map(row_bytes).sum::<u64>()
+        let mut charge = pending.map(bucket_bytes).sum::<u64>()
             + cells.map(|cell| cell.lock().size_bytes()).sum::<u64>();
         g.tracker().charge(charge);
         if !g.tracker().over_budget() {
@@ -1577,13 +2190,14 @@ impl RoundStep for SemiNaive<'_, '_> {
         };
         'page: {
             for (vi, per_view) in self.pending.iter_mut().enumerate() {
-                for (part, rows) in per_view.iter_mut().enumerate() {
-                    if rows.is_empty() {
+                for (part, tuples) in per_view.iter_mut().enumerate() {
+                    if tuples.is_empty() {
                         continue;
                     }
                     let name = format!("contrib-r{round}-v{vi}-p{part}");
-                    written += dir.append_rows(&name, rows)?;
-                    let freed = rows.drain(..).map(|r| row_bytes(&r)).sum();
+                    written += dir.append_rows(&name, &tuples.to_rows())?;
+                    let freed = bucket_bytes(tuples);
+                    *tuples = self.c.views[vi].batch();
                     self.paged_pending.push((vi, part, name));
                     if paged(freed) {
                         break 'page;
@@ -1593,13 +2207,13 @@ impl RoundStep for SemiNaive<'_, '_> {
             for (vi, v) in self.c.views.iter().enumerate() {
                 for (part, cell) in v.state.iter().enumerate() {
                     let mut st = cell.lock();
-                    let freed = st.size_bytes();
-                    if freed == 0 {
+                    if st.len() == 0 {
                         continue;
                     }
+                    let freed = st.size_bytes();
                     let name = format!("state-r{round}-v{vi}-p{part}");
                     written += dir.write_blob(&name, st.encode().as_ref())?;
-                    *st = ViewState::empty(&v.spec);
+                    *st = ViewState::empty(v);
                     drop(st);
                     self.paged_state.push((vi, part, name));
                     if paged(freed) {
@@ -1620,22 +2234,22 @@ impl RoundStep for SemiNaive<'_, '_> {
 /// Naive evaluation (Algorithm 2 / the Spark-SQL-Naive baseline of Fig 10):
 /// every round re-derives `base ∪ T(prev)` from the whole previous state and
 /// rebuilds the partitions from scratch; there is no delta to consume.
-struct Naive<'e, 'a> {
-    c: Clique<'e, 'a>,
-    base: Buckets,
-    /// The previous round's full state as schema-shaped rows per
+struct Naive<'e, 'a, C: Cell> {
+    c: Clique<'e, 'a, C>,
+    base: Buckets<C>,
+    /// The previous round's full state as schema-shaped tuples per
     /// (view, partition).
-    prev: Arc<Buckets>,
+    prev: Arc<Buckets<C>>,
 }
 
-impl<'e, 'a> Naive<'e, 'a> {
-    fn new(c: Clique<'e, 'a>, base: Buckets) -> Self {
-        let prev = Arc::new(empty_buckets(c.views.len(), c.exec.config.partitions));
+impl<'e, 'a, C: Cell> Naive<'e, 'a, C> {
+    fn new(c: Clique<'e, 'a, C>, base: Buckets<C>) -> Self {
+        let prev = Arc::new(empty_buckets(&c.views, c.exec.config.partitions));
         Naive { c, base, prev }
     }
 }
 
-impl RoundStep for Naive<'_, '_> {
+impl<C: Repr> RoundStep for Naive<'_, '_, C> {
     fn label(&self) -> (Vec<String>, &'static str, &'static str) {
         self.c.label("naive")
     }
@@ -1645,22 +2259,20 @@ impl RoundStep for Naive<'_, '_> {
         let p = exec.config.partitions;
         let views = &self.c.views;
         let snapshots = Arc::new(snapshots(&self.c.branches, |view, _| {
-            self.prev[view].iter().flatten().cloned().collect()
+            self.prev[view].iter().flat_map(Tuples::to_rows).collect()
         }));
         // Drivers read totals: the whole previous state is the "delta".
-        let tasks: Vec<StageTask<Buckets>> = (0..p)
+        let tasks: Vec<StageTask<Result<Buckets<C>, Escaped>>> = (0..p)
             .map(|part| {
                 let prev = Arc::clone(&self.prev);
                 let (views, branches) = (Arc::clone(views), Arc::clone(&self.c.branches));
                 let snapshots = Arc::clone(&snapshots);
                 let fused = exec.eval.fused;
                 StageTask::new(part % exec.cluster.workers(), move |w| {
-                    let deltas: Vec<DeltaBatch> = (views.iter().zip(prev.iter()))
-                        .map(|(v, rows)| DeltaBatch {
-                            rows: rows[part].clone(),
-                            increments: (rows[part].iter())
-                                .map(|r| v.agg_cols.iter().map(|&c| r[c].clone()).collect())
-                                .collect(),
+                    let deltas: Vec<DeltaBatch<C>> = (prev.iter())
+                        .map(|tuples| DeltaBatch::Owned {
+                            totals: tuples[part].clone(),
+                            increments: None,
                         })
                         .collect();
                     map_task(&views, &branches, &deltas, &snapshots, part, w, fused)
@@ -1670,31 +2282,29 @@ impl RoundStep for Naive<'_, '_> {
         let map_out = exec.stage("fixpoint naive map", StageKind::Map, tasks)?;
         let mut contributions = self.base.clone();
         let mut derived_rows = 0u64;
-        for buckets in map_out {
+        for buckets in self.c.landed(map_out)? {
             for (vi, per_view) in buckets.into_iter().enumerate() {
-                for (dst, rows) in per_view.into_iter().enumerate() {
-                    derived_rows += rows.len() as u64;
-                    contributions[vi][dst].extend(rows);
+                for (dst, mut tuples) in per_view.into_iter().enumerate() {
+                    derived_rows += tuples.len() as u64;
+                    contributions[vi][dst].append(&mut tuples);
                 }
             }
         }
 
         // Recompute state from scratch; compare with the previous round.
         let mut changed = false;
-        let mut next = empty_buckets(views.len(), p);
+        let mut next = empty_buckets(views, p);
         for (vi, v) in views.iter().enumerate() {
             for part in 0..p {
-                let mut fresh = ViewState::empty(&v.spec);
-                let rows = std::mem::take(&mut contributions[vi][part]);
-                merge_into_state(v, &mut fresh, rows, 0);
-                let mut rows = Vec::new();
-                fresh.extend_rows(v, &mut rows);
-                let mut sorted = rows.clone();
+                let mut fresh = ViewState::empty(v);
+                merge_into_state(v, &mut fresh, &contributions[vi][part], 0)
+                    .map_err(|e| self.c.escape(e))?;
+                let now = fresh.tuples(v);
+                let (mut sorted, mut old_sorted) = (now.to_rows(), self.prev[vi][part].to_rows());
                 sorted.sort_unstable();
-                let mut old_sorted = self.prev[vi][part].clone();
                 old_sorted.sort_unstable();
                 changed |= sorted != old_sorted;
-                next[vi][part] = rows;
+                next[vi][part] = now;
                 *v.state[part].lock() = fresh;
             }
         }
@@ -1715,8 +2325,7 @@ impl RoundStep for Naive<'_, '_> {
     /// Every round rebuilds the partitions, so forgetting the previous state
     /// is the whole rewind.
     fn rewind(&mut self, _to: u32) -> Result<String, EngineError> {
-        let (nv, p) = (self.c.views.len(), self.c.exec.config.partitions);
-        self.prev = Arc::new(empty_buckets(nv, p));
+        self.prev = Arc::new(empty_buckets(&self.c.views, self.c.exec.config.partitions));
         Ok("previous state forgotten; rerunning".into())
     }
 }
@@ -1725,15 +2334,15 @@ impl RoundStep for Naive<'_, '_> {
 /// fixpoint to the end — the preserved-column property keeps each derivation
 /// in its partition, so there is no exchange and no per-round stage — and
 /// the local histories are then reported one global round per step.
-struct Decomposed<'e, 'a> {
-    c: Clique<'e, 'a>,
-    base: Arc<Buckets>,
+struct Decomposed<'e, 'a, C: Cell> {
+    c: Clique<'e, 'a, C>,
+    base: Arc<Buckets<C>>,
     /// Every partition's local rounds; `None` until the stage has run.
     local: Option<Vec<LocalRounds>>,
 }
 
-impl<'e, 'a> Decomposed<'e, 'a> {
-    fn new(c: Clique<'e, 'a>, base: Buckets) -> Self {
+impl<'e, 'a, C: Repr> Decomposed<'e, 'a, C> {
+    fn new(c: Clique<'e, 'a, C>, base: Buckets<C>) -> Self {
         debug_assert_eq!(c.views.len(), 1);
         Decomposed {
             c,
@@ -1758,9 +2367,17 @@ impl<'e, 'a> Decomposed<'e, 'a> {
                 StageTask::new(part % exec.cluster.workers(), move |w| {
                     let v = &views[0];
                     let mut state = v.state[part].lock();
-                    let mut delta = merge_into_state(v, &mut state, base[0][part].clone(), 0);
+                    let mut delta = merge_into_state(v, &mut state, &base[0][part], 0)?;
                     let mut iters: u32 = 0;
                     let mut history: Vec<(u64, u64, u64)> = Vec::new();
+                    let at = BranchAt {
+                        snapshots: &[],
+                        op_base: 0,
+                        // No co-partitioned builds exist in decomposed mode.
+                        part: usize::MAX,
+                        worker: w,
+                        fused,
+                    };
                     while !delta.is_empty() {
                         let round_t0 = Instant::now();
                         iters += 1;
@@ -1770,16 +2387,21 @@ impl<'e, 'a> Decomposed<'e, 'a> {
                         if token.as_ref().is_some_and(|t| t.check().is_err()) {
                             return Err(LocalAbort::Cancelled);
                         }
-                        let consumed = delta.rows.len() as u64;
+                        let consumed = delta.len() as u64;
                         // Every branch's tuples go straight into this
-                        // round's merge.
-                        let mut merge = Merge::new(v, &mut state, iters);
+                        // round's merge — into the arena the delta is read
+                        // out of, which is why it is read by index.
+                        let mut merge = Merge::new(v, &state, iters);
                         for b in branches.iter() {
-                            let input = delta.reader_rows(b.driver_value_mode, &v.agg_cols);
-                            let sink = &mut |t: &[Value]| merge.push(t);
-                            run_branch(b, &input, &[], 0, usize::MAX, w, fused, sink);
+                            let mut io = LocalIo {
+                                delta: &delta,
+                                mode: b.driver_value_mode,
+                                state: &mut *state,
+                                merge: &mut merge,
+                            };
+                            run_branch(b, &mut io, &at)?;
                         }
-                        delta = merge.finish();
+                        delta = merge.finish(&state)?;
                         history.push((
                             consumed,
                             state.len() as u64,
@@ -1795,6 +2417,7 @@ impl<'e, 'a> Decomposed<'e, 'a> {
         for r in results {
             match r {
                 Ok(history) => local.push(history),
+                Err(LocalAbort::Escaped) => return Err(self.c.escape(Escaped)),
                 Err(LocalAbort::NonTermination) => {
                     // lint: allow(RL0009, a local fixpoint runs on a worker with only the token and the cap: this translates its report)
                     return Err(Halt::Fatal(EngineError::NonTermination {
@@ -1817,7 +2440,7 @@ impl<'e, 'a> Decomposed<'e, 'a> {
     }
 }
 
-impl RoundStep for Decomposed<'_, '_> {
+impl<C: Repr> RoundStep for Decomposed<'_, '_, C> {
     fn label(&self) -> (Vec<String>, &'static str, &'static str) {
         self.c.label("decomposed")
     }
@@ -1862,8 +2485,9 @@ impl RoundStep for Decomposed<'_, '_> {
     /// one stage — so the rewind wipes every partition and the stage runs
     /// again (sound because it derives everything from the immutable base).
     fn rewind(&mut self, _to: u32) -> Result<String, EngineError> {
-        for part in &self.c.views[0].state {
-            *part.lock() = ViewState::empty(&self.c.views[0].spec);
+        let v = &self.c.views[0];
+        for part in &v.state {
+            *part.lock() = ViewState::empty(v);
         }
         self.local = None;
         Ok("state reset to empty; rerunning".into())
@@ -1995,139 +2619,156 @@ where
 // Map-side evaluation
 // --------------------------------------------------------------------
 
+/// Where and how a branch runs: the round's snapshots of recursive build
+/// sides (one slot per compiled op of the clique, this branch's from
+/// `op_base`), the partition and worker whose build sides it probes, and
+/// whether operators are fused.
+struct BranchAt<'a> {
+    snapshots: &'a [Snapshot],
+    op_base: usize,
+    /// `usize::MAX`: no co-partitioned build exists (decomposed mode).
+    part: usize,
+    worker: usize,
+    fused: bool,
+}
+
+/// The two ends of a branch run: the delta tuples it consumes, by index, and
+/// where its contributions — tuples of the target view's schema shape — go.
+/// One object, because in the decomposed loop they are the same state.
+trait BranchIo<C> {
+    /// Input tuples.
+    fn len(&self) -> usize;
+    /// Append input tuple `i` to `buf`.
+    fn input(&self, i: usize, buf: &mut Vec<C>);
+    /// Take one contribution.
+    fn emit(&mut self, tuple: &[C]) -> Result<(), Escaped>;
+}
+
+/// A map task's branch run: a partition's delta in, a [`Partial`] out.
+struct MapIo<'a, 'v, C: Cell> {
+    delta: &'a DeltaBatch<C>,
+    mode: DeltaValueMode,
+    /// The driver view's partition state, which lends a set delta.
+    state: &'a ViewState<C>,
+    partial: &'a mut Partial<'v, C>,
+}
+
+impl<C: Cell> BranchIo<C> for MapIo<'_, '_, C> {
+    fn len(&self) -> usize {
+        self.delta.len()
+    }
+
+    #[inline]
+    fn input(&self, i: usize, buf: &mut Vec<C>) {
+        self.delta.read(self.state, self.mode, i, buf);
+    }
+
+    #[inline]
+    fn emit(&mut self, tuple: &[C]) -> Result<(), Escaped> {
+        self.partial.push(tuple)
+    }
+}
+
+/// A decomposed local round's branch run: the delta comes out of the state
+/// the contributions are merged into.
+struct LocalIo<'a, 'v, C: Cell> {
+    delta: &'a DeltaBatch<C>,
+    mode: DeltaValueMode,
+    state: &'a mut ViewState<C>,
+    merge: &'a mut Merge<'v, C>,
+}
+
+impl<C: Cell> BranchIo<C> for LocalIo<'_, '_, C> {
+    fn len(&self) -> usize {
+        self.delta.len()
+    }
+
+    #[inline]
+    fn input(&self, i: usize, buf: &mut Vec<C>) {
+        self.delta.read(self.state, self.mode, i, buf);
+    }
+
+    #[inline]
+    fn emit(&mut self, tuple: &[C]) -> Result<(), Escaped> {
+        self.merge.push(self.state, tuple)
+    }
+}
+
 /// Run all branch pipelines over one partition's deltas; returns contributions
 /// bucketed per (target view, target partition).
-fn map_task(
-    views: &[ViewRt],
-    branches: &[CompiledBranch],
-    deltas: &[DeltaBatch],
+fn map_task<C: Repr>(
+    views: &[ViewRt<C>],
+    branches: &[CompiledBranch<C>],
+    deltas: &[DeltaBatch<C>],
     snapshots: &[Snapshot],
     part: usize,
     worker: usize,
     fused: bool,
-) -> Buckets {
+) -> Result<Buckets<C>, Escaped> {
     let p = views[0].state.len();
-    let mut buckets = empty_buckets(views.len(), p);
+    let mut buckets = empty_buckets(views, p);
     let mut op_index = 0usize;
     for b in branches {
-        let op_base = op_index;
+        let at = BranchAt {
+            snapshots,
+            op_base: op_index,
+            part,
+            worker,
+            fused,
+        };
         op_index += b.ops.len();
         let delta = &deltas[b.driver];
         if delta.is_empty() {
             continue;
         }
-        let input = delta.reader_rows(b.driver_value_mode, &views[b.driver].agg_cols);
         let target = &views[b.target];
         let mut partial = Partial::new(target);
-        let sink = &mut |t: &[Value]| partial.push(t);
-        run_branch(b, &input, snapshots, op_base, part, worker, fused, sink);
-        for row in partial.finish() {
-            let dst = target.partition_of(&row, p);
-            buckets[b.target][dst].push(row);
+        {
+            let driver = views[b.driver].state[part].lock();
+            let mut io = MapIo {
+                delta,
+                mode: b.driver_value_mode,
+                state: &driver,
+                partial: &mut partial,
+            };
+            run_branch(b, &mut io, &at)?;
+        }
+        for tuple in partial.finish().iter() {
+            buckets[b.target][target.partition_of(tuple, p)].push(tuple);
         }
     }
-    buckets
+    Ok(buckets)
 }
 
-/// Execute one compiled branch over input rows, lending every contribution —
-/// a tuple of the target view's schema shape — to `sink`. `part ==
-/// usize::MAX` means "no co-partitioned builds exist" (decomposed mode).
-#[allow(clippy::too_many_arguments)]
-fn run_branch(
-    b: &CompiledBranch,
-    input: &[Row],
-    snapshots: &[Snapshot],
-    op_base: usize,
-    part: usize,
-    worker: usize,
-    fused: bool,
-    sink: &mut impl FnMut(&[Value]),
-) {
-    // A leading sort-merge join (if any) is executed eagerly; the remaining
-    // operators run as a (fused or unfused) pipeline.
-    let mut current: Option<Vec<Row>> = None;
-    let mut start = 0usize;
-    for (i, op) in b.ops.iter().enumerate() {
-        match op {
-            CompiledOp::Filter(keep) => {
-                // Only pre-execute filters that precede a sort-merge join.
-                if b.ops[i..].iter().any(|o| {
-                    matches!(
-                        o,
-                        CompiledOp::Join(CompiledStep {
-                            build: BuildSide::PartitionedSorted(_),
-                            ..
-                        })
-                    )
-                }) {
-                    let rows = current.get_or_insert_with(|| input.to_vec());
-                    rows.retain(|r| keep(r.values()));
-                    start = i + 1;
-                } else {
-                    break;
-                }
-            }
-            CompiledOp::Join(CompiledStep {
-                build: BuildSide::PartitionedSorted(runs),
-                stream_keys,
-                ..
-            }) => {
-                let probe_cols: Vec<usize> = stream_keys
-                    .iter()
-                    .map(|e| match e {
-                        PExpr::Col(c) => *c,
-                        _ => unreachable!("co-partitioned keys are plain columns"),
-                    })
-                    .collect();
-                let mut probe = current.take().unwrap_or_else(|| input.to_vec());
-                let mut out = Vec::new();
-                merge_join(&mut probe, &probe_cols, &runs[part], |r| out.push(r));
-                current = Some(out);
-                start = i + 1;
-            }
-            CompiledOp::Join(_) => break,
-        }
+/// Execute one compiled branch over `io`'s input tuples, lending every
+/// contribution to `io`: the fused pipeline, one input tuple at a time,
+/// unless the representation runs this branch on a path of its own.
+fn run_branch<C: Repr>(
+    b: &CompiledBranch<C>,
+    io: &mut impl BranchIo<C>,
+    at: &BranchAt<'_>,
+) -> Result<(), Escaped> {
+    if C::run_apart(b, io, at)? {
+        return Ok(());
     }
-
-    let mut steps: Vec<PipelineStep> = Vec::new();
-    for (i, op) in b.ops.iter().enumerate().skip(start) {
-        let cs = match op {
-            CompiledOp::Filter(keep) => {
-                steps.push(PipelineStep::Filter(Arc::clone(keep)));
-                continue;
-            }
-            CompiledOp::Join(cs) => cs,
-        };
-        let table = match &cs.build {
-            BuildSide::Partitioned(tables) => &tables[part],
-            BuildSide::PartitionedSorted(_) => unreachable!("sorted joins executed eagerly above"),
-            BuildSide::Replicated(bc) => bc.on_worker(worker),
-            BuildSide::Recursive { .. } => snapshots[op_base + i]
-                .as_ref()
-                // lint: allow(RL0002, snapshot pass above fills every Recursive slot)
-                .expect("snapshot built for recursive build side"),
-        };
-        steps.push(PipelineStep::HashJoin {
-            table: Arc::clone(table),
-            key: Arc::clone(&cs.key),
-        });
+    let pipeline = b.pipeline(0, at);
+    let mut scratch = pipeline.scratch();
+    let mut tuple = Vec::new();
+    for i in 0..io.len() {
+        tuple.clear();
+        io.input(i, &mut tuple);
+        pipeline.feed(&mut scratch, &tuple, &mut |t| io.emit(t))?;
     }
-    let pipeline = Pipeline::with_project(steps, Arc::clone(&b.emit));
-    let input_rows: &[Row] = current.as_deref().unwrap_or(input);
-    if fused {
-        pipeline.for_each(input_rows, sink);
-    } else {
-        for row in run_unfused(input_rows, &pipeline) {
-            sink(row.values());
-        }
-    }
+    Ok(())
 }
 
 /// The per-round snapshots of the recursive relations that branches use as
 /// join build sides (mutual/non-linear recursion), one slot per compiled op;
 /// `rows_of(view, mode)` supplies a relation's rows as the round sees them.
-fn snapshots(
-    branches: &[CompiledBranch],
+/// A hash table holds rows, so this is a cold edge: tuples become rows here
+/// whatever the representation.
+fn snapshots<C: Cell>(
+    branches: &[CompiledBranch<C>],
     mut rows_of: impl FnMut(usize, RecAllMode) -> Vec<Row>,
 ) -> Vec<Snapshot> {
     let ops = branches.iter().flat_map(|b| &b.ops);
@@ -2149,118 +2790,71 @@ fn snapshots(
 /// A view's rows as a semi-naive round whose delta is stamped `cutoff` reads
 /// them: all of them (`New`), or the state before that delta was merged
 /// (`Old`).
-fn state_snapshot(v: &ViewRt, mode: RecAllMode, cutoff: u32) -> Vec<Row> {
+fn state_snapshot<C: Cell>(v: &ViewRt<C>, mode: RecAllMode, cutoff: u32) -> Vec<Row> {
+    let before = (mode == RecAllMode::Old).then_some(cutoff);
     let mut rows = Vec::new();
     for part in &v.state {
-        match (&*part.lock(), mode) {
-            (state, RecAllMode::New) => state.extend_rows(v, &mut rows),
-            (ViewState::Set(s), RecAllMode::Old) => rows.extend(s.iter_before(cutoff).cloned()),
-            (ViewState::Agg(a), RecAllMode::Old) => rows.extend(a.iter().filter_map(|(key, _)| {
-                let vals = a.get_before(key, cutoff)?;
-                Some(assemble_row(key, vals, &v.spec.key_cols, &v.agg_cols))
-            })),
-        }
+        part.lock().extend_rows(v, before, &mut rows);
     }
     rows
 }
 
-fn assemble_row(key: &[Value], aggs: &[Value], key_cols: &[usize], agg_cols: &[usize]) -> Row {
-    let arity = key_cols.len() + agg_cols.len();
-    let mut vals = vec![Value::Null; arity];
-    for (i, &c) in key_cols.iter().enumerate() {
-        vals[c] = key[i].clone();
-    }
-    for (j, &c) in agg_cols.iter().enumerate() {
-        vals[c] = aggs[j].clone();
-    }
-    Row::new(vals)
-}
-
-/// Duplicate elimination in first-occurrence order that allocates a tuple
-/// once, when it is first seen: the map holds the only copy of each row
-/// beside its sequence number, and `finish` moves the rows out in order.
-#[derive(Default)]
-struct Distinct(FxHashMap<Row, usize>);
-
-impl Distinct {
-    fn push(&mut self, tuple: &[Value]) {
-        if !self.0.contains_key(tuple) {
-            // lint: allow(RL0007, the one copy of a tuple seen for the first time)
-            self.0.insert(Row::from_slice(tuple), self.0.len());
-        }
-    }
-
-    fn push_row(&mut self, row: Row) {
-        let next = self.0.len();
-        self.0.entry(row).or_insert(next);
-    }
-
-    fn finish(self) -> Vec<Row> {
-        let mut rows = vec![Row::unit(); self.0.len()];
-        for (row, at) in self.0 {
-            rows[at] = row;
-        }
-        rows
-    }
-}
-
 /// Map-side partial aggregation / dedup before the shuffle (Algorithm 5), fed
 /// one borrowed schema-shaped tuple at a time.
-enum Partial<'a> {
+enum Partial<'a, C: Cell> {
     /// Set views — and views with a distinct-tuple column, which must be
     /// deduplicated globally at the reducer: locally we may only drop
-    /// *identical* tuples (idempotent), not merge.
-    Distinct(Distinct),
-    /// One tuple per group key, its aggregate columns merged in place.
+    /// *identical* tuples (idempotent), not merge. First-occurrence order,
+    /// one hash per tuple.
+    Distinct(TupleSet<C>),
+    /// One group per key, its aggregate columns merged in place.
     Groups {
-        target: &'a ViewRt,
-        groups: FxHashMap<Box<[Value]>, Vec<Value>>,
-        key: Vec<Value>,
+        target: &'a ViewRt<C>,
+        groups: Box<AggState<C>>,
+        key: Vec<C>,
+        vals: Vec<C>,
     },
 }
 
-impl<'a> Partial<'a> {
-    fn new(target: &'a ViewRt) -> Self {
+impl<'a, C: Cell> Partial<'a, C> {
+    fn new(target: &'a ViewRt<C>) -> Self {
         if target.is_set() || target.modes.contains(&CountMode::DistinctTuple) {
-            Partial::Distinct(Distinct::default())
+            Partial::Distinct(TupleSet::new(target.kinds.clone()))
         } else {
+            let [key, agg] = [&target.key_kinds, &target.agg_kinds].map(Arc::clone);
             Partial::Groups {
                 target,
-                groups: FxHashMap::default(),
+                groups: Box::new(AggState::with_kinds(key, agg, Vec::new().into())),
                 key: Vec::new(),
+                vals: Vec::new(),
             }
         }
     }
 
-    fn push(&mut self, tuple: &[Value]) {
+    #[inline]
+    fn push(&mut self, tuple: &[C]) -> Result<(), Escaped> {
         match self {
-            Partial::Distinct(seen) => seen.push(tuple),
+            Partial::Distinct(seen) => {
+                seen.intern(tuple);
+            }
             Partial::Groups {
                 target,
                 groups,
                 key,
+                vals,
             } => {
-                key.clear();
-                key.extend(target.spec.key_cols.iter().map(|&c| tuple[c].clone()));
-                match groups.get_mut(&key[..]) {
-                    None => {
-                        // lint: allow(RL0007, the one copy of a group seen for the first time)
-                        groups.insert(key[..].into(), tuple.to_vec());
-                    }
-                    Some(cur) => {
-                        for (op, &c) in target.ops.iter().zip(&target.agg_cols) {
-                            op.merge(&mut cur[c], &tuple[c]);
-                        }
-                    }
-                }
+                pick(tuple, &target.spec.key_cols, key);
+                pick(tuple, &target.agg_cols, vals);
+                groups.merge_in_place(key, vals, &target.ops, 0, None)?;
             }
         }
+        Ok(())
     }
 
-    fn finish(self) -> Vec<Row> {
+    fn finish(self) -> Tuples<C> {
         match self {
-            Partial::Distinct(seen) => seen.finish(),
-            Partial::Groups { groups, .. } => groups.into_values().map(Row::new).collect(),
+            Partial::Distinct(seen) => seen.into_tuples(),
+            Partial::Groups { target, groups, .. } => ViewState::Agg(groups).tuples(target),
         }
     }
 }
@@ -2271,149 +2865,146 @@ impl<'a> Partial<'a> {
 
 /// Merge schema-shaped contributions into one partition's state; returns the
 /// delta batch (stamped `round`).
-fn merge_into_state(
-    v: &ViewRt,
-    state: &mut ViewState,
-    contributions: Vec<Row>,
+fn merge_into_state<C: Cell>(
+    v: &ViewRt<C>,
+    state: &mut ViewState<C>,
+    contributions: &Tuples<C>,
     round: u32,
-) -> DeltaBatch {
+) -> Result<DeltaBatch<C>, Escaped> {
     let mut merge = Merge::new(v, state, round);
-    for row in contributions {
-        merge.push_row(row);
+    for tuple in contributions.iter() {
+        merge.push(state, tuple)?;
     }
-    merge.finish()
+    merge.finish(state)
 }
 
 /// One round's merge into one partition's state, fed borrowed schema-shaped
-/// tuples: a tuple becomes a row only when the state finds it new.
-struct Merge<'a> {
-    v: &'a ViewRt,
-    state: &'a mut ViewState,
+/// tuples: a tuple is copied — into the state's arena — only when the state
+/// finds it new, and nothing is allocated for it.
+struct Merge<'a, C: Cell> {
+    v: &'a ViewRt<C>,
     round: u32,
-    delta: DeltaBatch,
-    /// Changed groups; delta rows are assembled after all merges so a group
-    /// appears once per round with its final totals.
-    changed: FxHashSet<Box<[Value]>>,
+    /// Tuples the set state held before this merge: its delta starts here.
+    start: usize,
+    /// Changed groups, by index, once each (the state's round stamp says
+    /// whether a group already changed this round); delta tuples are
+    /// assembled after all merges so a group appears with its final totals.
+    changed: Vec<usize>,
     /// Whether a column counts distinct tuples, so every contribution must
     /// first pass the state's contributor set.
     dedup: bool,
-    key: Vec<Value>,
-    vals: Vec<Value>,
+    key: Vec<C>,
+    vals: Vec<C>,
 }
 
-impl<'a> Merge<'a> {
-    fn new(v: &'a ViewRt, state: &'a mut ViewState, round: u32) -> Self {
+impl<'a, C: Cell> Merge<'a, C> {
+    fn new(v: &'a ViewRt<C>, state: &ViewState<C>, round: u32) -> Self {
         let distinct = |j: usize| {
             v.modes[j] == CountMode::DistinctTuple
                 && matches!(v.funcs[j], AggFunc::Count | AggFunc::Sum)
         };
         Merge {
             v,
-            state,
             round,
-            delta: DeltaBatch::default(),
-            changed: FxHashSet::default(),
+            start: state.len(),
+            changed: Vec::new(),
             dedup: (0..v.funcs.len()).any(distinct),
             key: Vec::new(),
             vals: Vec::new(),
         }
     }
 
-    /// Merge an owned contribution: a row that is new to a set state moves
-    /// into it (the delta gets the one copy); an aggregate state only reads.
-    fn push_row(&mut self, row: Row) {
-        match &mut *self.state {
-            ViewState::Set(s) => self.delta.rows.extend(s.insert_cloned(row, self.round)),
-            ViewState::Agg(_) => self.push(row.values()),
-        }
-    }
-
-    fn push(&mut self, tuple: &[Value]) {
+    #[inline]
+    fn push(&mut self, state: &mut ViewState<C>, tuple: &[C]) -> Result<(), Escaped> {
         let v = self.v;
-        match &mut *self.state {
+        match state {
             ViewState::Set(s) => {
-                if s.insert_slice(tuple, self.round) {
-                    // lint: allow(RL0007, the delta's copy of a tuple the state found new)
-                    self.delta.rows.push(Row::from_slice(tuple));
-                }
+                s.insert_slice(tuple, self.round);
             }
             ViewState::Agg(a) => {
-                self.key.clear();
-                self.key
-                    .extend(v.spec.key_cols.iter().map(|&c| tuple[c].clone()));
-                self.vals.clear();
-                for (j, &c) in v.agg_cols.iter().enumerate() {
-                    let counted =
-                        (v.funcs[j], v.modes[j]) == (AggFunc::Count, CountMode::DistinctTuple);
-                    self.vals.push(if counted {
-                        Value::Int(1)
-                    } else {
-                        tuple[c].clone()
-                    });
+                pick(tuple, &v.spec.key_cols, &mut self.key);
+                pick(tuple, &v.agg_cols, &mut self.vals);
+                for j in (0..self.vals.len()).filter(|&j| v.counts_tuples(j)) {
+                    self.vals[j] = C::one(v.agg_kinds[j])?;
                 }
                 let dedup_tuple = self.dedup.then_some(tuple);
-                if a.merge_in_place(&self.key, &self.vals, &v.ops, self.round, dedup_tuple)
-                    && !self.changed.contains(&self.key[..])
-                {
-                    self.changed.insert(self.key[..].into());
+                let change =
+                    a.merge_in_place(&self.key, &self.vals, &v.ops, self.round, dedup_tuple)?;
+                if let AggChange::First(group) = change {
+                    self.changed.push(group);
                 }
             }
         }
+        Ok(())
     }
 
-    fn finish(mut self) -> DeltaBatch {
+    fn finish(mut self, state: &ViewState<C>) -> Result<DeltaBatch<C>, Escaped> {
         let (v, round) = (self.v, self.round);
-        let ViewState::Agg(a) = self.state else {
-            return self.delta;
+        let a = match state {
+            ViewState::Set(s) => return Ok(DeltaBatch::Suffix(self.start..s.len())),
+            ViewState::Agg(a) => a,
         };
-        for key in self.changed {
-            if let Some(totals) = a.get(&key) {
-                let prev = a.get_before(&key, round);
-                let increments: Box<[Value]> = v
-                    .ops
-                    .iter()
-                    .enumerate()
-                    .map(|(j, op)| match (op, prev) {
-                        (MonotoneOp::Sum, Some(p)) => totals[j].sub(&p[j]),
-                        _ => totals[j].clone(),
-                    })
-                    .collect();
-                self.delta
-                    .rows
-                    .push(assemble_row(&key, totals, &v.spec.key_cols, &v.agg_cols));
-                self.delta.increments.push(increments);
+        let mut totals = v.batch();
+        let mut increments = v.increments.then(|| v.batch());
+        let tuple = &mut self.key;
+        for group in self.changed {
+            let g = a.group(group);
+            tuple.clear();
+            v.assemble(g.key, g.values, tuple);
+            totals.push(tuple);
+            let Some(increments) = &mut increments else {
+                continue;
+            };
+            // What a `sum` gained this round; a group new this round — and
+            // every `min`/`max` — passes its total on.
+            if let Some(prev) = a.before(group, round) {
+                for (j, &c) in v.agg_cols.iter().enumerate() {
+                    if v.ops[j] == MonotoneOp::Sum {
+                        tuple[c] = C::minus(v.agg_kinds[j], &g.values[j], &prev[j])?;
+                    }
+                }
             }
+            increments.push(tuple);
         }
-        self.delta
+        Ok(DeltaBatch::Owned { totals, increments })
     }
 }
 
+/// Replace `out` with columns `cols` of `tuple`.
+#[inline]
+fn pick<C: Cell>(tuple: &[C], cols: &[usize], out: &mut Vec<C>) {
+    out.clear();
+    // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
+    out.extend(cols.iter().map(|&c| tuple[c].clone()));
+}
+
 /// Pending contributions regrouped for the merge tasks: `[partition][view]`
-/// rows, so each task owns what it merges.
-fn by_partition(contributions: Buckets, p: usize) -> Vec<Vec<Vec<Row>>> {
-    let mut out: Vec<Vec<Vec<Row>>> = (0..p).map(|_| Vec::new()).collect();
+/// tuples, so each task owns what it merges.
+fn by_partition<C: Cell>(contributions: Buckets<C>, p: usize) -> Vec<Vec<Tuples<C>>> {
+    let mut out: Vec<Vec<Tuples<C>>> = (0..p).map(|_| Vec::new()).collect();
     for per_view in contributions {
-        for (part, rows) in per_view.into_iter().enumerate() {
-            out[part].push(rows);
+        for (part, tuples) in per_view.into_iter().enumerate() {
+            out[part].push(tuples);
         }
     }
     out
 }
 
-/// Freshly-allocated empty contribution buckets (`nv` views × `p` partitions).
-fn empty_buckets(nv: usize, p: usize) -> Buckets {
-    (0..nv)
-        .map(|_| (0..p).map(|_| Vec::new()).collect())
+/// Freshly-allocated empty contribution buckets (views × `p` partitions).
+fn empty_buckets<C: Cell>(views: &[ViewRt<C>], p: usize) -> Buckets<C> {
+    (views.iter())
+        .map(|v| (0..p).map(|_| v.batch()).collect())
         .collect()
 }
 
 /// The branch's co-partitioned base build side, if it has one — `(step,
 /// plan, build keys)`: its first join, when that joins a base plan, the delta
-/// arrives partitioned on exactly the probe key, and the view is not
-/// decomposed. Every other base build side is broadcast.
+/// arrives partitioned (on `partition_key`) on exactly the probe key, and the
+/// view is not decomposed. Every other base build side is broadcast.
 fn co_partitioned_build<'p>(
     prog: &'p BranchProgram,
-    driver: &ViewRt,
+    partition_key: &[usize],
+    decomposed: bool,
 ) -> Option<(usize, &'p LogicalPlan, &'p [usize])> {
     let first_join = prog
         .steps
@@ -2429,9 +3020,9 @@ fn co_partitioned_build<'p>(
                 build_keys,
                 ..
             },
-        )) if !driver.decomposed
+        )) if !decomposed
             && !build_keys.is_empty()
-            && stream_keys_match(stream_keys, &driver.partition_key) =>
+            && stream_keys_match(stream_keys, partition_key) =>
         {
             Some((si, plan, build_keys))
         }

@@ -152,6 +152,57 @@ fn resume_under_checkpointing_and_a_tight_budget_matches_recompute() {
     }
 }
 
+/// A view whose recursive columns are all `Int` refreshes on word-lane
+/// tuples — warm rows preloaded as words, seeds and rounds on words — until
+/// an insert puts a value outside its lane: that refresh abandons its word
+/// run before anything is merged and resumes on rows, from the same warm
+/// state, and still lands on the recompute.
+#[test]
+fn a_word_view_refreshes_after_an_escape_inducing_insert() {
+    let cfg = EngineConfig::rasql().with_specialized_kernels(false);
+    let sql = library::transitive_closure();
+    let edges = plain_rmat(40, 21);
+    let ctx = RaSqlContext::with_config(cfg.clone().with_workers(2));
+    let split = edges.len() - 10;
+    let initial = Relation::try_new(edges.schema().clone(), edges.rows()[..split].to_vec());
+    ctx.register("edge", initial.unwrap()).unwrap();
+    ctx.query(&format!("CREATE MATERIALIZED VIEW v AS {sql}"))
+        .unwrap();
+    let created = ctx.metrics();
+    assert_eq!((created.word_cliques, created.lane_escapes), (1, 0));
+
+    let refreshed = |insert: &[Row], upto: &[Row]| {
+        ctx.query(&insert_sql("edge", insert)).unwrap();
+        let got = ctx.query("SELECT * FROM v").unwrap();
+        assert_eq!(ctx.mat_view("v").unwrap().last_refresh, "incremental");
+        let base = Relation::try_new(edges.schema().clone(), upto.to_vec()).unwrap();
+        assert_eq!(
+            got.relation.sorted().rows(),
+            &recompute(&cfg, &base, &sql)[..],
+            "refresh diverged from full recompute"
+        );
+        ctx.metrics()
+    };
+    // Numbers only: the refresh runs on words.
+    let m = refreshed(&edges.rows()[split..], edges.rows());
+    assert_eq!((m.word_cliques, m.lane_escapes), (2, 0));
+
+    // A NULL endpoint under a source the closure reaches.
+    let src = edges.rows()[0][0].clone();
+    let stray = Row::new(vec![src, Value::Null]);
+    let mut all = edges.rows().to_vec();
+    all.push(stray.clone());
+    let m = refreshed(&[stray], &all);
+    assert_eq!((m.word_cliques, m.lane_escapes), (2, 1));
+
+    // The view now holds a NULL, so its warm rows no longer fit lanes: later
+    // refreshes escape at the preload, and stay right.
+    let more = Row::new(vec![Value::Int(1), Value::Int(2)]);
+    all.push(more.clone());
+    let m = refreshed(&[more], &all);
+    assert_eq!((m.word_cliques, m.lane_escapes), (2, 2));
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(8))]
 

@@ -5,7 +5,10 @@
 //!
 //! `golden/round_tables.txt` holds the per-round trace of every (query,
 //! configuration) pair below as the commit *before* the loops were unified
-//! reported it; it is not regenerated when the loop changes.
+//! reported it; it is not regenerated when the loop changes. The `no-fused`
+//! rows were added with the word-lane tuple representation, generated at
+//! *its* parent commit: that configuration always evaluates on rows, so the
+//! sweep also pins words ≡ rows — same result rows, same round tables.
 
 use rasql_core::{library, EngineConfig, EngineError, QueryResult, RaSqlContext};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
@@ -66,8 +69,9 @@ fn queries() -> Vec<(&'static str, Tables, String)> {
     ]
 }
 
-/// The seven configurations: between them every strategy runs, with and
-/// without checkpoint capture and inter-round paging.
+/// The eight configurations: between them every strategy runs, with and
+/// without checkpoint capture and inter-round paging, on both tuple
+/// representations.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
     let rasql = || EngineConfig::rasql().with_workers(2);
     vec![
@@ -86,6 +90,9 @@ fn configs() -> Vec<(&'static str, EngineConfig)> {
                 .with_decomposed(false)
                 .with_memory_budget(32 * 1024),
         ),
+        // Without fused code generation the interpreter keeps its rows (and
+        // the kernels stand aside), whatever the column types.
+        ("no-fused", rasql().with_fused_codegen(false)),
     ]
 }
 
@@ -131,6 +138,7 @@ fn every_strategy_agrees_and_matches_the_golden_round_tables() {
     let mut actual = String::new();
     let mut spilled = 0u64;
     let mut checkpoints = 0u64;
+    let (mut on_words, mut on_rows) = (0u64, 0u64);
     for (query, tables, sql) in queries() {
         let mut reference: Option<(Vec<Row>, Vec<u32>)> = None;
         for (config, cfg) in configs() {
@@ -152,6 +160,15 @@ fn every_strategy_agrees_and_matches_the_golden_round_tables() {
             let mut recorded = 0u64;
             for (c, &iters) in trace.cliques.iter().zip(&result.stats.iterations) {
                 assert_eq!(c.fixpoint_rounds, iters, "{query}/{config}");
+                // Every recursive column of the seven queries is a number:
+                // the interpreter runs them on words wherever the
+                // configuration lets it, and nowhere else.
+                let want = match (c.kernel.as_str(), config) {
+                    ("generic", "naive" | "no-fused") => "rows",
+                    ("generic", _) => "words",
+                    _ => "dense",
+                };
+                assert_eq!(c.tuples, want, "{query}/{config}");
                 for (i, it) in c.iterations.iter().enumerate() {
                     assert_eq!(it.round as usize, i + 1, "{query}/{config}: rounds skip");
                 }
@@ -161,11 +178,19 @@ fn every_strategy_agrees_and_matches_the_golden_round_tables() {
                 result.stats.metrics.iterations, recorded,
                 "{query}/{config}: metrics.iterations is not the recorded rounds"
             );
+            assert_eq!(result.stats.metrics.lane_escapes, 0, "{query}/{config}");
+            let generic = trace.cliques.iter().filter(|c| c.kernel == "generic");
+            on_words += result.stats.metrics.word_cliques;
+            on_rows += generic.count() as u64 - result.stats.metrics.word_cliques;
             spilled += result.stats.metrics.spilled_bytes;
             checkpoints += result.stats.metrics.checkpoints;
             actual.push_str(&round_table(query, config, &result));
         }
     }
+    assert!(
+        on_words > 0 && on_rows > 0,
+        "{on_words} word runs, {on_rows} row runs"
+    );
     assert!(spilled > 0, "the tight budget never paged anything out");
     assert!(checkpoints > 0, "checkpoint_interval = 1 never captured");
 

@@ -15,13 +15,15 @@
 //! through the same tagged varint/zigzag codec the broadcast compressor uses
 //! ([`rasql_storage::codec`]).
 
-use crate::state::{AggEntry, AggState, SetState};
+use crate::state::{AggGroup, AggState, SetState};
+use crate::tuples::{cells_of, values_of, Cell};
 pub use bytes::Bytes;
 use bytes::{Buf, BytesMut};
 use rasql_storage::codec::{decode_value, encode_value, read_varint, write_varint};
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::{FxHashMap, Row, StorageError, Value};
 use std::path::PathBuf;
+use std::sync::Arc;
 
 // --------------------------------------------------------------------
 // Encodings
@@ -69,28 +71,45 @@ pub fn decode_rows(mut buf: impl Buf) -> Result<Vec<Row>, StorageError> {
     Ok(rows)
 }
 
-/// Encode a [`SetState`] including per-row round watermarks. Canonical:
-/// rows are written in sorted order.
-pub fn encode_set_state(state: &SetState) -> Bytes {
-    let mut entries: Vec<(&Row, u32)> = state.iter_with_rounds().collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(b.0));
+/// The cells of decoded values; a value outside its column's kind is a
+/// corrupt payload (the encoder wrote the column's own cells).
+fn decoded_cells<C: Cell>(kinds: &[C::Kind], values: &[Value]) -> Result<Vec<C>, StorageError> {
+    let mut cells = Vec::with_capacity(values.len());
+    cells_of(kinds, values, &mut cells)
+        .map_err(|_| StorageError::Codec("checkpointed value outside its column's type".into()))?;
+    Ok(cells)
+}
+
+/// Encode a [`SetState`] including per-tuple round watermarks. Canonical:
+/// tuples are written as rows in sorted order, whatever the cell type.
+pub fn encode_set_state<C: Cell>(state: &SetState<C>) -> Bytes {
+    let kinds = state.tuples().kinds();
+    let mut entries: Vec<(Vec<Value>, u32)> = state
+        .iter_with_rounds()
+        .map(|(t, round)| (values_of(kinds, t), round))
+        .collect();
+    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut buf = BytesMut::new();
     write_varint(&mut buf, entries.len() as u64);
     for (row, round) in entries {
-        write_values(&mut buf, row.values());
+        write_values(&mut buf, &row);
         write_varint(&mut buf, round as u64);
     }
     buf.freeze()
 }
 
-/// Inverse of [`encode_set_state`].
-pub fn decode_set_state(mut buf: impl Buf) -> Result<SetState, StorageError> {
+/// Inverse of [`encode_set_state`], into `state` — an empty state created
+/// with the kinds of the encoded one.
+pub fn decode_set_state<C: Cell>(
+    mut buf: impl Buf,
+    mut state: SetState<C>,
+) -> Result<SetState<C>, StorageError> {
+    let kinds = Arc::clone(state.tuples().kinds());
     let n = read_varint(&mut buf)? as usize;
-    let mut state = SetState::new();
     for _ in 0..n {
-        let row = Row::new(read_values(&mut buf)?);
+        let tuple = decoded_cells::<C>(&kinds, &read_values(&mut buf)?)?;
         let round = read_varint(&mut buf)? as u32;
-        state.insert(row, round);
+        state.insert_slice(&tuple, round);
     }
     if buf.has_remaining() {
         return Err(StorageError::Codec("trailing bytes after set state".into()));
@@ -101,50 +120,56 @@ pub fn decode_set_state(mut buf: impl Buf) -> Result<SetState, StorageError> {
 /// Encode an [`AggState`]: every group's totals, previous totals and round
 /// watermarks, plus the distinct-contributor set. Canonical: groups and
 /// contributors are written in key-sorted order.
-pub fn encode_agg_state(state: &AggState) -> Bytes {
-    let mut groups: Vec<(&[Value], &AggEntry)> = state.iter().collect();
-    groups.sort_unstable_by(|a, b| a.0.cmp(b.0));
+pub fn encode_agg_state<C: Cell>(state: &AggState<C>) -> Bytes {
+    let [key_kinds, agg_kinds, tuple_kinds] = state.kinds();
+    let vals = values_of::<C>;
+    let mut groups: Vec<_> = state.iter().map(|g| (vals(key_kinds, g.key), g)).collect();
+    groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
     let mut buf = BytesMut::new();
     write_varint(&mut buf, groups.len() as u64);
-    for (key, entry) in groups {
-        write_values(&mut buf, key);
-        write_values(&mut buf, &entry.values);
-        write_values(&mut buf, &entry.prev);
-        write_varint(&mut buf, entry.round as u64);
-        write_varint(&mut buf, entry.created as u64);
+    for (key, g) in groups {
+        write_values(&mut buf, &key);
+        write_values(&mut buf, &vals(agg_kinds, g.values));
+        write_values(&mut buf, &vals(agg_kinds, g.prev));
+        write_varint(&mut buf, g.round as u64);
+        write_varint(&mut buf, g.created as u64);
     }
-    let mut contributors: Vec<&[Value]> = state.contributors().collect();
+    let mut contributors: Vec<Vec<Value>> =
+        state.contributors().map(|t| vals(tuple_kinds, t)).collect();
     contributors.sort_unstable();
     write_varint(&mut buf, contributors.len() as u64);
     for tuple in contributors {
-        write_values(&mut buf, tuple);
+        write_values(&mut buf, &tuple);
     }
     buf.freeze()
 }
 
-/// Inverse of [`encode_agg_state`].
-pub fn decode_agg_state(mut buf: impl Buf) -> Result<AggState, StorageError> {
-    let mut state = AggState::new();
+/// Inverse of [`encode_agg_state`], into `state` — an empty state created
+/// with the kinds of the encoded one.
+pub fn decode_agg_state<C: Cell>(
+    mut buf: impl Buf,
+    mut state: AggState<C>,
+) -> Result<AggState<C>, StorageError> {
+    let [key_kinds, agg_kinds, tuple_kinds] = state.kinds().map(Arc::clone);
     let groups = read_varint(&mut buf)? as usize;
     for _ in 0..groups {
-        let key = read_values(&mut buf)?.into_boxed_slice();
-        let values = read_values(&mut buf)?.into_boxed_slice();
-        let prev = read_values(&mut buf)?.into_boxed_slice();
+        let key = decoded_cells::<C>(&key_kinds, &read_values(&mut buf)?)?;
+        let values = decoded_cells::<C>(&agg_kinds, &read_values(&mut buf)?)?;
+        let prev = decoded_cells::<C>(&agg_kinds, &read_values(&mut buf)?)?;
         let round = read_varint(&mut buf)? as u32;
         let created = read_varint(&mut buf)? as u32;
-        state.insert_group(
-            key,
-            AggEntry {
-                values,
-                prev,
-                round,
-                created,
-            },
-        );
+        state.insert_group(&AggGroup {
+            key: &key,
+            values: &values,
+            prev: &prev,
+            round,
+            created,
+        });
     }
     let contributors = read_varint(&mut buf)? as usize;
     for _ in 0..contributors {
-        state.insert_contributor(read_values(&mut buf)?.into_boxed_slice());
+        let tuple = decoded_cells::<C>(&tuple_kinds, &read_values(&mut buf)?)?;
+        state.insert_contributor(&tuple);
     }
     if buf.has_remaining() {
         return Err(StorageError::Codec("trailing bytes after agg state".into()));
@@ -271,12 +296,12 @@ mod tests {
         let mut s = SetState::new();
         s.insert(int_row(&[1, 2]), 1);
         s.insert(int_row(&[2, 3]), 2);
-        s.insert(int_row(&[9]), 5);
+        s.insert(int_row(&[9, 9]), 5);
         let enc = encode_set_state(&s);
-        let back = decode_set_state(enc.clone()).unwrap();
+        let back = decode_set_state(enc.clone(), SetState::new()).unwrap();
         assert_eq!(back.len(), 3);
-        assert!(back.contained_before(&int_row(&[1, 2]), 2));
-        assert!(!back.contained_before(&int_row(&[2, 3]), 2));
+        assert!(back.contained_before(&vals(&[1, 2]), 2));
+        assert!(!back.contained_before(&vals(&[2, 3]), 2));
         assert_eq!(encode_set_state(&back), enc);
     }
 
@@ -294,30 +319,25 @@ mod tests {
             Some(&vals(&[2, 99])),
         );
         let enc = encode_agg_state(&a);
-        let back = decode_agg_state(enc.clone()).unwrap();
+        let back = decode_agg_state(enc.clone(), AggState::new()).unwrap();
         assert_eq!(back.len(), 2);
         assert_eq!(back.get(&vals(&[1])).unwrap(), &vals(&[3, 12])[..]);
         // Old-snapshot semantics survive (prev totals + rounds).
         assert_eq!(
-            back.get_before(&vals(&[1]), 2).unwrap().as_ref(),
+            back.get_before(&vals(&[1]), 2).unwrap(),
             &vals(&[5, 10])[..]
         );
         // The contributor dedup set survives: same tuple is still ignored.
         let mut back2 = back;
-        assert_eq!(
-            back2.merge(
-                &vals(&[2]),
-                &vals(&[7, 1]),
-                &[MonotoneOp::Min, MonotoneOp::Sum],
-                3,
-                Some(&vals(&[2, 99])),
-            ),
-            crate::state::AggMergeResult::Unchanged
-        );
-        assert_eq!(
-            encode_agg_state(&decode_agg_state(enc.clone()).unwrap()),
-            enc
-        );
+        assert!(!back2.merge(
+            &vals(&[2]),
+            &vals(&[7, 1]),
+            &[MonotoneOp::Min, MonotoneOp::Sum],
+            3,
+            Some(&vals(&[2, 99])),
+        ));
+        let again = decode_agg_state(enc.clone(), AggState::new()).unwrap();
+        assert_eq!(encode_agg_state(&again), enc);
     }
 
     #[test]
@@ -325,7 +345,7 @@ mod tests {
         let mut s = SetState::new();
         s.insert(int_row(&[1]), 1);
         let enc = encode_set_state(&s);
-        assert!(decode_set_state(enc.slice(0..enc.len() - 1)).is_err());
+        assert!(decode_set_state(enc.slice(0..enc.len() - 1), SetState::new()).is_err());
     }
 
     #[test]

@@ -48,6 +48,7 @@ pub mod pipeline;
 pub mod spill;
 pub mod state;
 pub mod trace;
+pub mod tuples;
 
 /// Rank-checked lock wrappers (re-export of [`rasql_storage::sync`], which
 /// defines the engine's single global lock-rank table).
@@ -73,10 +74,14 @@ pub use kernel::{
     MaxOp, MergeOp, MinOp, SumOp,
 };
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pipeline::{run_fused, run_unfused, Pipeline, PipelineStep};
+pub use pipeline::{run_fused, run_unfused, Pipeline, PipelineStep, Projection, Scratch};
 pub use spill::SpillDir;
-pub use state::{AggState, MergeOutcome, MonotoneOp, SetState};
+pub use state::{AggChange, AggGroup, AggState, MergeOutcome, MonotoneOp, SetState};
 pub use trace::{
     CliqueTrace, IterationTrace, JsonValue, OperatorTrace, QueryTrace, RecoveryEvent, RecoveryKind,
     StageKind, StageSpan, TraceSink,
+};
+pub use tuples::{
+    cells_of, kinds_of, lane_partition, lanes_of, partition_of, values_of, Cell, Escaped, Lane,
+    TupleSet, Tuples,
 };

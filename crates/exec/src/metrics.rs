@@ -147,6 +147,14 @@ metrics_table! {
     /// Server connections reaped for exceeding the idle keepalive timeout
     /// (half-open clients that vanished without a FIN).
     connections_reaped, "connections_reaped_total", counter;
+    /// Recursive cliques the generic fixpoint evaluated on packed word-lane
+    /// tuples (every recursive column `Int`/`Double`) from base case to
+    /// converged state.
+    word_cliques, "word_cliques_total", counter;
+    /// Word-lane runs abandoned because a value left its lane (an `Int`
+    /// overflow, a NULL, a mistyped column); the clique was re-evaluated on
+    /// rows.
+    lane_escapes, "lane_escapes_total", counter;
 }
 
 impl Metrics {
@@ -239,6 +247,13 @@ impl std::fmt::Display for MetricsSnapshot {
         }
         if self.connections_reaped > 0 {
             write!(f, " conns_reaped={}", self.connections_reaped)?;
+        }
+        if self.word_cliques + self.lane_escapes > 0 {
+            write!(
+                f,
+                " word_cliques={} lane_escapes={}",
+                self.word_cliques, self.lane_escapes
+            )?;
         }
         Ok(())
     }

@@ -6,29 +6,35 @@
 //!
 //! - [`run_unfused`] executes each step as its own pass, materializing an
 //!   intermediate row vector between operators (the volcano/RDD-chain model);
-//! - [`Pipeline::for_each`] pushes every input row through all steps in one
-//!   pass: the tuple in flight is a borrowed slice of one reused buffer and
-//!   no row exists between operators, or after them unless the consumer
-//!   keeps one. [`run_fused`] is that consumer for callers that want rows.
+//! - [`Pipeline::feed`] pushes an input tuple through all steps in one pass:
+//!   the tuple in flight is a borrowed slice of one reused buffer and no row
+//!   exists between operators, or after them unless the consumer keeps one.
+//!   It is written once over the tuple representation's [`Cell`] type: the
+//!   generic fixpoint runs it over packed words when every column is a
+//!   number, and [`Pipeline::for_each`] / [`run_fused`] run it over the
+//!   values of input rows.
 //!
 //! Both produce identical results; Fig 7 measures the difference.
 
 use crate::join::HashTable;
+use crate::tuples::{Cell, Escaped};
 use rasql_storage::{Row, Value};
 use std::sync::Arc;
 
 /// A tuple-level predicate.
-pub type PredFn = Arc<dyn Fn(&[Value]) -> bool + Send + Sync>;
-/// A key extractor: appends the tuple's hash-join probe key to the buffer.
-pub type KeyFn = Arc<dyn Fn(&[Value], &mut Vec<Value>) + Send + Sync>;
+pub type PredFn<C = Value> = Arc<dyn Fn(&[C]) -> Result<bool, Escaped> + Send + Sync>;
+/// A key extractor: appends the tuple's hash-join probe key — values,
+/// whatever the tuple's cells, because that is what a [`HashTable`] holds —
+/// to the buffer.
+pub type KeyFn<C = Value> = Arc<dyn Fn(&[C], &mut Vec<Value>) -> Result<(), Escaped> + Send + Sync>;
 /// The final projection: appends the output tuple to the buffer.
-pub type MapFn = Arc<dyn Fn(&[Value], &mut Vec<Value>) + Send + Sync>;
+pub type MapFn<C = Value> = Arc<dyn Fn(&[C], &mut Vec<C>) -> Result<(), Escaped> + Send + Sync>;
 
 /// One step of a pipeline.
 #[derive(Clone)]
-pub enum PipelineStep {
+pub enum PipelineStep<C: Cell = Value> {
     /// Keep tuples satisfying the predicate.
-    Filter(PredFn),
+    Filter(PredFn<C>),
     /// Hash-join: for each input tuple, probe `table` with its key and emit
     /// `tuple ++ match` for every match. An empty key = cross join (emit
     /// against every build row).
@@ -36,110 +42,197 @@ pub enum PipelineStep {
         /// The (cached) build-side table.
         table: Arc<HashTable>,
         /// Probe-key extractor.
-        key: KeyFn,
+        key: KeyFn<C>,
+        /// Per build column, the kind a matched row's value is read as;
+        /// `None` for a column nothing downstream reads. Word tuples need
+        /// it; value tuples copy every column and take an empty list.
+        read: Arc<[Option<C::Kind>]>,
     },
+}
+
+/// A pipeline's final projection.
+#[derive(Clone)]
+pub enum Projection<C: Cell = Value> {
+    /// Output column `j` is input column `cols[j]` — a plain copy, so a
+    /// final join assembles its output straight from the tuple in flight and
+    /// the matched row, without building their concatenation first.
+    Columns(Arc<[usize]>),
+    /// Any other transform.
+    Map(MapFn<C>),
+}
+
+impl<C: Cell> Projection<C> {
+    /// Append the projection of `tuple` to `out`.
+    #[inline]
+    fn apply(&self, tuple: &[C], out: &mut Vec<C>) -> Result<(), Escaped> {
+        match self {
+            Projection::Columns(cols) => {
+                // lint: allow(RL0010, a cell: a word copy when the tuple is packed words)
+                out.extend(cols.iter().map(|&c| tuple[c].clone()));
+                Ok(())
+            }
+            Projection::Map(map) => map(tuple, out),
+        }
+    }
 }
 
 /// A pipeline: steps then a final projection.
 #[derive(Clone)]
-pub struct Pipeline {
+pub struct Pipeline<C: Cell = Value> {
     /// Steps in order.
-    pub steps: Vec<PipelineStep>,
+    pub steps: Vec<PipelineStep<C>>,
     /// Final tuple transform; `None` emits the tuple as it is.
-    pub project: Option<MapFn>,
+    pub project: Option<Projection<C>>,
 }
 
 /// The fused executor's reused buffers: the tuple in flight (a join step
 /// extends it with a match and truncates it afterwards), the probe key of
 /// the join being entered, and the projected output tuple.
-#[derive(Default)]
-struct Scratch {
-    tuple: Vec<Value>,
+pub struct Scratch<C> {
+    /// Filters ahead of the first join, which test an input tuple in place.
+    lead: usize,
+    tuple: Vec<C>,
     key: Vec<Value>,
-    out: Vec<Value>,
+    out: Vec<C>,
 }
 
-impl Pipeline {
+/// Value cells have no lane to leave.
+fn never_escapes<T>(r: Result<T, Escaped>) -> T {
+    // lint: allow(RL0002, only word cells return `Escaped`, and these callers run value cells)
+    r.expect("value cells cannot escape")
+}
+
+impl<C: Cell> Pipeline<C> {
     /// Identity-projection pipeline.
-    pub fn new(steps: Vec<PipelineStep>) -> Self {
+    pub fn new(steps: Vec<PipelineStep<C>>) -> Self {
         Pipeline {
             steps,
             project: None,
         }
     }
 
-    /// Pipeline with a final projection.
-    pub fn with_project(steps: Vec<PipelineStep>, project: MapFn) -> Self {
+    /// Pipeline with a final transform.
+    pub fn with_project(steps: Vec<PipelineStep<C>>, project: MapFn<C>) -> Self {
         Pipeline {
             steps,
-            project: Some(project),
+            project: Some(Projection::Map(project)),
         }
     }
 
-    /// Fused execution (the "collapsed single function" of §7.3): every
-    /// input row flows through all steps in one pass and each output tuple
-    /// is lent to `sink`, which clones what it keeps. Nothing is allocated
-    /// per tuple.
-    pub fn for_each(&self, input: &[Row], sink: &mut impl FnMut(&[Value])) {
-        let mut s = Scratch::default();
-        // Filters ahead of the first join test the input row where it lies.
-        let lead = self
-            .steps
-            .iter()
-            .take_while(|step| matches!(step, PipelineStep::Filter(_)))
-            .count();
-        for row in input {
-            let kept = self.steps[..lead]
-                .iter()
-                .all(|step| matches!(step, PipelineStep::Filter(p) if p(row.values())));
-            if kept && lead == self.steps.len() {
-                self.emit(row.values(), &mut s.out, sink);
-            } else if kept {
-                s.tuple.clear();
-                s.tuple.extend_from_slice(row.values());
-                self.push(lead, &mut s, sink);
+    /// Buffers for [`Pipeline::feed`], reused across tuples.
+    pub fn scratch(&self) -> Scratch<C> {
+        let filters = self.steps.iter();
+        Scratch {
+            lead: filters
+                .take_while(|step| matches!(step, PipelineStep::Filter(_)))
+                .count(),
+            tuple: Vec::new(),
+            key: Vec::new(),
+            out: Vec::new(),
+        }
+    }
+
+    /// Fused execution (the "collapsed single function" of §7.3) of one
+    /// input tuple: it flows through all steps and each output tuple is lent
+    /// to `sink`, which copies what it keeps. Nothing is allocated per
+    /// tuple. An error — a word cell left its lane, in a step or in the
+    /// sink — ends the tuple at once.
+    #[inline]
+    pub fn feed(
+        &self,
+        s: &mut Scratch<C>,
+        row: &[C],
+        sink: &mut impl FnMut(&[C]) -> Result<(), Escaped>,
+    ) -> Result<(), Escaped> {
+        // Filters ahead of the first join test the input tuple where it lies.
+        for step in &self.steps[..s.lead] {
+            if let PipelineStep::Filter(p) = step {
+                if !p(row)? {
+                    return Ok(());
+                }
             }
         }
+        if s.lead == self.steps.len() {
+            return self.emit(row, &mut s.out, sink);
+        }
+        s.tuple.clear();
+        s.tuple.extend_from_slice(row);
+        self.push(s.lead, s, sink)
     }
 
-    fn emit(&self, tuple: &[Value], out: &mut Vec<Value>, sink: &mut impl FnMut(&[Value])) {
+    fn emit(
+        &self,
+        tuple: &[C],
+        out: &mut Vec<C>,
+        sink: &mut impl FnMut(&[C]) -> Result<(), Escaped>,
+    ) -> Result<(), Escaped> {
         let Some(project) = &self.project else {
             return sink(tuple);
         };
         out.clear();
-        project(tuple, out);
-        sink(out);
+        project.apply(tuple, out)?;
+        sink(out)
     }
 
-    fn push<S: FnMut(&[Value])>(&self, i: usize, s: &mut Scratch, sink: &mut S) {
+    fn push<S: FnMut(&[C]) -> Result<(), Escaped>>(
+        &self,
+        i: usize,
+        s: &mut Scratch<C>,
+        sink: &mut S,
+    ) -> Result<(), Escaped> {
         match self.steps.get(i) {
             None => self.emit(&s.tuple, &mut s.out, sink),
             Some(PipelineStep::Filter(p)) => {
-                if p(&s.tuple) {
-                    self.push(i + 1, s, sink);
+                if p(&s.tuple)? {
+                    self.push(i + 1, s, sink)?;
                 }
+                Ok(())
             }
-            Some(PipelineStep::HashJoin { table, key }) => self.join(i, table, key, s, sink),
+            Some(PipelineStep::HashJoin { table, key, read }) => {
+                // The key buffer is free again once `probe` returns (the
+                // matches borrow the table), so the steps below reuse it.
+                s.key.clear();
+                key(&s.tuple, &mut s.key)?;
+                let arity = s.tuple.len();
+                if let (Some(Projection::Columns(cols)), true) =
+                    (&self.project, i + 1 == self.steps.len())
+                {
+                    // The last step, under a column projection: every output
+                    // cell is a cell of the tuple or of the matched row.
+                    for m in table.probe(&s.key) {
+                        s.out.clear();
+                        for &c in cols.iter() {
+                            s.out.push(match c.checked_sub(arity) {
+                                // lint: allow(RL0010, a cell: a word copy when the tuple is packed words)
+                                None => s.tuple[c].clone(),
+                                Some(b) => C::read(read.get(b).copied().flatten(), &m.values()[b])?,
+                            });
+                        }
+                        sink(&s.out)?;
+                    }
+                    return Ok(());
+                }
+                for m in table.probe(&s.key) {
+                    C::append_row(read, m.values(), &mut s.tuple)?;
+                    self.push(i + 1, s, sink)?;
+                    s.tuple.truncate(arity);
+                }
+                Ok(())
+            }
         }
     }
+}
 
-    fn join<S: FnMut(&[Value])>(
-        &self,
-        i: usize,
-        table: &HashTable,
-        key: &KeyFn,
-        s: &mut Scratch,
-        sink: &mut S,
-    ) {
-        // The key buffer is free again once `probe` returns (the matches
-        // borrow the table), so the steps below reuse it.
-        s.key.clear();
-        key(&s.tuple, &mut s.key);
-        let arity = s.tuple.len();
-        for m in table.probe(&s.key) {
-            s.tuple.extend_from_slice(m.values());
-            self.push(i + 1, s, sink);
-            s.tuple.truncate(arity);
+impl Pipeline {
+    /// [`Pipeline::feed`] over input rows, with a sink that cannot fail.
+    pub fn for_each(&self, input: &[Row], sink: &mut impl FnMut(&[Value])) {
+        let mut s = self.scratch();
+        for row in input {
+            let fed = self.feed(&mut s, row.values(), &mut |t| {
+                sink(t);
+                Ok(())
+            });
+            never_escapes(fed);
         }
     }
 }
@@ -147,22 +240,26 @@ impl Pipeline {
 /// Unfused execution: one full pass (and one intermediate `Vec<Row>`) per
 /// operator — the cost model of chained RDD transformations without codegen.
 pub fn run_unfused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
-    let mut current: Vec<Row> = input.to_vec();
+    run_unfused_rows(input.to_vec(), pipeline)
+}
+
+/// [`run_unfused`] over rows the caller hands over.
+pub fn run_unfused_rows(mut current: Vec<Row>, pipeline: &Pipeline) -> Vec<Row> {
     let mut k = Vec::new();
     for step in &pipeline.steps {
         let mut next = Vec::with_capacity(current.len());
         match step {
             PipelineStep::Filter(p) => {
                 for row in &current {
-                    if p(row.values()) {
+                    if never_escapes(p(row.values())) {
                         next.push(row.clone());
                     }
                 }
             }
-            PipelineStep::HashJoin { table, key } => {
+            PipelineStep::HashJoin { table, key, .. } => {
                 for row in &current {
                     k.clear();
-                    key(row.values(), &mut k);
+                    never_escapes(key(row.values(), &mut k));
                     for m in table.probe(&k) {
                         next.push(row.concat(m));
                     }
@@ -179,7 +276,7 @@ pub fn run_unfused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
         .iter()
         .map(|r| {
             out.clear();
-            project(r.values(), &mut out);
+            never_escapes(project.apply(r.values(), &mut out));
             Row::from_slice(&out)
         })
         .collect()
@@ -203,15 +300,20 @@ mod tests {
         let build: Vec<Row> = (0..7).map(|i| int_row(&[i, i * 100])).collect();
         let table = Arc::new(HashTable::build(&build, &[0]));
         let steps = vec![
-            PipelineStep::Filter(Arc::new(|r: &[Value]| r[0].as_int().unwrap() % 2 == 0)),
+            PipelineStep::Filter(Arc::new(|r: &[Value]| Ok(r[0].as_int().unwrap() % 2 == 0))),
             PipelineStep::HashJoin {
                 table,
-                key: Arc::new(|r: &[Value], k: &mut Vec<Value>| k.push(r[1].clone())),
+                key: Arc::new(|r: &[Value], k: &mut Vec<Value>| {
+                    k.push(r[1].clone());
+                    Ok(())
+                }),
+                read: [].into(),
             },
-            PipelineStep::Filter(Arc::new(|r: &[Value]| r[3].as_int().unwrap() >= 100)),
+            PipelineStep::Filter(Arc::new(|r: &[Value]| Ok(r[3].as_int().unwrap() >= 100))),
         ];
         let project: MapFn = Arc::new(|r: &[Value], out: &mut Vec<Value>| {
             out.extend([r[0].clone(), r[3].clone()]);
+            Ok(())
         });
         (input, Pipeline::with_project(steps, project))
     }
@@ -232,7 +334,10 @@ mod tests {
         let input = vec![int_row(&[1, 2])];
         let p = Pipeline::with_project(
             vec![],
-            Arc::new(|r: &[Value], out: &mut Vec<Value>| out.push(r[1].clone())),
+            Arc::new(|r: &[Value], out: &mut Vec<Value>| {
+                out.push(r[1].clone());
+                Ok(())
+            }),
         );
         assert_eq!(run_fused(&input, &p), vec![int_row(&[2])]);
         assert_eq!(run_unfused(&input, &p), vec![int_row(&[2])]);
@@ -241,7 +346,7 @@ mod tests {
     #[test]
     fn filter_drops_everything() {
         let input = vec![int_row(&[1]), int_row(&[2])];
-        let p = Pipeline::new(vec![PipelineStep::Filter(Arc::new(|_| false))]);
+        let p = Pipeline::new(vec![PipelineStep::Filter(Arc::new(|_| Ok(false)))]);
         assert!(run_fused(&input, &p).is_empty());
         assert!(run_unfused(&input, &p).is_empty());
     }

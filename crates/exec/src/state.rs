@@ -3,11 +3,14 @@
 //!
 //! Both structures are *mutable and cached on their worker across iterations*
 //! — the paper's key departure from immutable RDDs: the union of the delta
-//! into the all-relation only pays for the new items, never a re-copy. Rows
+//! into the all-relation only pays for the new items, never a re-copy. Tuples
 //! carry the round in which they were merged, giving the old/new snapshots the
-//! non-linear semi-naive expansion needs.
+//! non-linear semi-naive expansion needs. Both are written once over the
+//! tuple representation's [`Cell`] type (packed words or values).
 
-use rasql_storage::{FxHashMap, FxHashSet, Row, Value};
+use crate::tuples::{Cell, Escaped, TupleSet, Tuples};
+use rasql_storage::{Row, Value};
+use std::sync::Arc;
 
 /// Monotone merge operators for aggregates-in-recursion.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -65,229 +68,175 @@ pub enum MergeOutcome {
     Unchanged,
 }
 
-/// The SetRDD analog: an append-only per-partition set of rows with round
-/// stamps.
-#[derive(Debug, Default)]
-pub struct SetState {
-    rows: FxHashMap<Row, u32>,
+/// The SetRDD analog (§6.1): an append-only per-partition set of tuples with
+/// round stamps, stored in one arena behind an open-addressing index
+/// ([`TupleSet`]) with the stamps in a parallel vector. Tuples keep their
+/// insertion order, so the tuples a round appended are the arena's suffix —
+/// that round's delta, with nothing copied.
+#[derive(Debug)]
+pub struct SetState<C: Cell = Value> {
+    set: TupleSet<C>,
+    rounds: Vec<u32>,
 }
 
-impl SetState {
-    /// Empty state.
+impl<C: Cell> Default for SetState<C> {
+    fn default() -> Self {
+        SetState::with_kinds(Vec::new().into())
+    }
+}
+
+impl SetState<Value> {
+    /// Empty state of value tuples; the first insert sets the arity.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Insert a row at `round`; true if it is new.
+    /// Insert a row at `round`; true if it is new. (The row is only read —
+    /// its values are copied into the arena — but the signature is the one
+    /// callers that hand a row over have always used.)
     #[inline]
+    #[allow(clippy::needless_pass_by_value)]
     pub fn insert(&mut self, row: Row, round: u32) -> bool {
-        use std::collections::hash_map::Entry;
-        match self.rows.entry(row) {
-            Entry::Occupied(_) => false,
-            Entry::Vacant(v) => {
-                v.insert(round);
-                true
-            }
+        self.insert_slice(row.values(), round)
+    }
+}
+
+impl<C: Cell> SetState<C> {
+    /// Empty state of tuples with these column kinds.
+    pub fn with_kinds(kinds: Arc<[C::Kind]>) -> Self {
+        SetState {
+            set: TupleSet::new(kinds),
+            rounds: Vec::new(),
         }
     }
 
-    /// Insert an owned row at `round`; if it is new, returns the copy the
-    /// delta keeps (the row itself moves into the state).
+    /// Insert a borrowed tuple at `round`; true if it is new. One hash per
+    /// call, and nothing is allocated for the tuple.
     #[inline]
-    pub fn insert_cloned(&mut self, row: Row, round: u32) -> Option<Row> {
-        use std::collections::hash_map::Entry;
-        match self.rows.entry(row) {
-            Entry::Occupied(_) => None,
-            Entry::Vacant(v) => {
-                let copy = v.key().clone();
-                v.insert(round);
-                Some(copy)
-            }
-        }
-    }
-
-    /// Insert a borrowed tuple at `round`; true if it is new. Only a new
-    /// tuple is allocated — a duplicate costs one lookup.
-    #[inline]
-    pub fn insert_slice(&mut self, tuple: &[Value], round: u32) -> bool {
-        let new = !self.rows.contains_key(tuple);
+    pub fn insert_slice(&mut self, tuple: &[C], round: u32) -> bool {
+        let (_, new) = self.set.intern(tuple);
         if new {
-            self.rows.insert(Row::from_slice(tuple), round);
+            self.rounds.push(round);
         }
         new
     }
 
     /// Membership including the current round.
     #[inline]
-    pub fn contains(&self, row: &Row) -> bool {
-        self.rows.contains_key(row)
+    pub fn contains(&self, tuple: &[C]) -> bool {
+        self.set.find(tuple).is_some()
     }
 
     /// Membership in the snapshot *before* `round` was merged.
     #[inline]
-    pub fn contained_before(&self, row: &Row, round: u32) -> bool {
-        self.rows.get(row).is_some_and(|&r| r < round)
+    pub fn contained_before(&self, tuple: &[C], round: u32) -> bool {
+        self.set.find(tuple).is_some_and(|i| self.rounds[i] < round)
     }
 
-    /// Number of rows.
+    /// Number of tuples.
+    #[inline]
     pub fn len(&self) -> usize {
-        self.rows.len()
+        self.set.len()
     }
 
     /// True if empty.
     pub fn is_empty(&self) -> bool {
-        self.rows.is_empty()
+        self.set.is_empty()
     }
 
-    /// Iterate all rows.
-    pub fn iter(&self) -> impl Iterator<Item = &Row> {
-        self.rows.keys()
+    /// The tuples, in insertion order.
+    pub fn tuples(&self) -> &Tuples<C> {
+        self.set.tuples()
     }
 
-    /// Consume the state into its rows, in [`SetState::iter`] order: a
-    /// converged fixpoint hands its rows to the result instead of copying.
-    pub fn into_rows(self) -> impl Iterator<Item = Row> {
-        self.rows.into_keys()
+    /// Iterate all tuples, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = &[C]> + '_ {
+        self.set.tuples().iter()
     }
 
-    /// Iterate rows merged strictly before `round`.
-    pub fn iter_before(&self, round: u32) -> impl Iterator<Item = &Row> + '_ {
-        self.rows
-            .iter()
-            .filter(move |(_, &r)| r < round)
-            .map(|(row, _)| row)
+    /// Iterate tuples merged strictly before `round`.
+    pub fn iter_before(&self, round: u32) -> impl Iterator<Item = &[C]> + '_ {
+        self.iter_with_rounds()
+            .filter(move |&(_, r)| r < round)
+            .map(|(tuple, _)| tuple)
     }
 
-    /// Iterate `(row, merge round)` pairs — the full state the checkpoint
+    /// Iterate `(tuple, merge round)` pairs — the full state the checkpoint
     /// codec must capture (round watermarks drive old/new snapshots).
-    pub fn iter_with_rounds(&self) -> impl Iterator<Item = (&Row, u32)> {
-        self.rows.iter().map(|(row, &r)| (row, r))
+    pub fn iter_with_rounds(&self) -> impl Iterator<Item = (&[C], u32)> + '_ {
+        self.iter().zip(self.rounds.iter().copied())
     }
 
-    /// Estimated heap footprint, for memory-budget accounting: deep row
-    /// sizes plus per-entry map overhead.
+    /// Bytes the state really holds — arena, index and stamps — for
+    /// memory-budget accounting. O(1).
     pub fn size_bytes(&self) -> u64 {
-        self.rows
-            .keys()
-            .map(|r| r.size_bytes() as u64 + 16)
-            .sum::<u64>()
+        self.set.heap_bytes() + 4 * self.rounds.len() as u64
     }
 }
 
-/// One aggregate group's stored state.
-#[derive(Debug, Clone)]
-pub struct AggEntry {
+/// One aggregate group as stored.
+#[derive(Debug, Clone, Copy)]
+pub struct AggGroup<'a, C> {
+    /// The group key.
+    pub key: &'a [C],
     /// Current aggregate values (one per aggregate column).
-    pub values: Box<[Value]>,
-    /// Values before the current round's merges (for old snapshots).
-    pub prev: Box<[Value]>,
+    pub values: &'a [C],
+    /// Values before the round of the last change (for old snapshots).
+    pub prev: &'a [C],
     /// Round of the last change.
     pub round: u32,
     /// Round in which the group first appeared.
     pub created: u32,
 }
 
-/// The monotone aggregate map: group key → aggregate values, with previous
-/// values kept for old-snapshot reads, plus an optional contributor set for
-/// distinct-tuple counting (Party Attendance-style `count()`).
-#[derive(Debug, Default)]
-pub struct AggState {
-    groups: FxHashMap<Box<[Value]>, AggEntry>,
-    /// Distinct contributing tuples (key ++ contribution) already counted.
-    contributors: FxHashSet<Box<[Value]>>,
-}
-
-/// The result of merging one contribution into an [`AggState`].
-#[derive(Debug, Clone, PartialEq)]
-pub enum AggMergeResult {
+/// What merging one contribution did to its group.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum AggChange {
     /// Nothing changed; the tuple is discarded.
     Unchanged,
-    /// The group changed; carries the new totals and per-column increments
-    /// (increment = new total − old total for Sum; = new value for Min/Max).
-    Changed {
-        /// New totals after the merge.
-        totals: Box<[Value]>,
-        /// Per-column increments to propagate to linear sum consumers.
-        increments: Box<[Value]>,
-    },
+    /// The group (by index) changed for the first time in this round: the
+    /// caller's changed list gains it.
+    First(usize),
+    /// The group changed again in a round that had already changed it.
+    Again,
 }
 
-impl AggState {
-    /// Empty state.
+/// The monotone aggregate map (§6.2): group key → aggregate values, with
+/// previous values kept for old-snapshot reads, plus a contributor set for
+/// distinct-tuple counting (Party Attendance-style `count()`). Keys live in a
+/// [`TupleSet`]; a group is its index there, and its current values,
+/// previous values and round stamps sit at that index in parallel columns.
+#[derive(Debug)]
+pub struct AggState<C: Cell = Value> {
+    keys: TupleSet<C>,
+    agg_kinds: Arc<[C::Kind]>,
+    /// Aggregate columns per group; taken from the first contribution.
+    width: usize,
+    cur: Vec<C>,
+    prev: Vec<C>,
+    round: Vec<u32>,
+    created: Vec<u32>,
+    /// Distinct contributing tuples already counted.
+    contributors: TupleSet<C>,
+    /// A group's totals before the merge in progress (reused buffer).
+    before: Vec<C>,
+}
+
+impl<C: Cell> Default for AggState<C> {
+    fn default() -> Self {
+        let none = || Arc::from(Vec::new());
+        AggState::with_kinds(none(), none(), none())
+    }
+}
+
+impl AggState<Value> {
+    /// Empty state of value groups.
     pub fn new() -> Self {
         Self::default()
     }
 
-    /// Number of groups.
-    pub fn len(&self) -> usize {
-        self.groups.len()
-    }
-
-    /// True if empty.
-    pub fn is_empty(&self) -> bool {
-        self.groups.is_empty()
-    }
-
-    /// Merge a contribution `(key, vals)` at `round` with per-column ops;
-    /// true if the group changed (the delta must propagate). The group is
-    /// looked up by the borrowed key and everything happens in place: only
-    /// a group seen for the first time (and a contributor tuple counted for
-    /// the first time) is allocated.
-    ///
-    /// `dedup_tuple` — when `Some(tuple)`, the contribution is only applied if
-    /// the tuple has not contributed before (distinct-tuple counting mode).
-    pub fn merge_in_place(
-        &mut self,
-        key: &[Value],
-        vals: &[Value],
-        ops: &[MonotoneOp],
-        round: u32,
-        dedup_tuple: Option<&[Value]>,
-    ) -> bool {
-        debug_assert_eq!(vals.len(), ops.len());
-        if let Some(t) = dedup_tuple {
-            if self.contributors.contains(t) {
-                return false;
-            }
-            self.contributors.insert(t.into());
-        }
-        let Some(entry) = self.groups.get_mut(key) else {
-            // First contribution: totals = the contribution itself; the
-            // "previous" totals are identity values so old snapshots see
-            // nothing for this group.
-            let prev = ops
-                .iter()
-                .map(|op| match op {
-                    MonotoneOp::Sum => Value::Int(0),
-                    _ => Value::Null,
-                })
-                .collect();
-            let entry = AggEntry {
-                values: vals.into(),
-                prev,
-                round,
-                created: round,
-            };
-            self.groups.insert(key.into(), entry);
-            return true;
-        };
-        if entry.round < round {
-            // First touch this round: snapshot previous totals.
-            entry.prev.clone_from(&entry.values);
-        }
-        let mut changed = false;
-        for ((cur, new), op) in entry.values.iter_mut().zip(vals).zip(ops) {
-            changed |= op.merge(cur, new) == MergeOutcome::Improved;
-        }
-        if changed {
-            entry.round = round;
-        }
-        changed
-    }
-
-    /// [`AggState::merge_in_place`] reporting what changed: the group's new
-    /// totals and per-column increments. The fixpoint reads neither (it
-    /// assembles one delta row per changed group after a round's merges).
+    /// [`AggState::merge_in_place`] on values, which cannot leave a lane;
+    /// true if the group changed.
     pub fn merge(
         &mut self,
         key: &[Value],
@@ -295,81 +244,200 @@ impl AggState {
         ops: &[MonotoneOp],
         round: u32,
         dedup_tuple: Option<&[Value]>,
-    ) -> AggMergeResult {
-        // Only a sum's increment depends on the totals before the merge.
-        let before: Option<Box<[Value]>> = (ops.contains(&MonotoneOp::Sum))
-            .then(|| self.get(key).map(Box::from))
-            .flatten();
-        if !self.merge_in_place(key, vals, ops, round, dedup_tuple) {
-            return AggMergeResult::Unchanged;
+    ) -> bool {
+        let change = self.merge_in_place(key, vals, ops, round, dedup_tuple);
+        change != Ok(AggChange::Unchanged)
+    }
+}
+
+impl<C: Cell> AggState<C> {
+    /// Empty state whose keys, aggregate columns and contributor tuples have
+    /// these kinds.
+    pub fn with_kinds(
+        key_kinds: Arc<[C::Kind]>,
+        agg_kinds: Arc<[C::Kind]>,
+        contributor_kinds: Arc<[C::Kind]>,
+    ) -> Self {
+        AggState {
+            keys: TupleSet::new(key_kinds),
+            agg_kinds,
+            width: 0,
+            cur: Vec::new(),
+            prev: Vec::new(),
+            round: Vec::new(),
+            created: Vec::new(),
+            contributors: TupleSet::new(contributor_kinds),
+            before: Vec::new(),
         }
-        let totals: Box<[Value]> = self.get(key).map(Box::from).unwrap_or_default();
-        let increments = match before {
-            None => totals.clone(),
-            Some(before) => (ops.iter().zip(totals.iter().zip(before.iter())))
-                .map(|(op, (now, was))| match op {
-                    MonotoneOp::Sum => now.sub(was),
-                    _ => now.clone(),
-                })
-                .collect(),
-        };
-        AggMergeResult::Changed { totals, increments }
+    }
+
+    /// Number of groups.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.keys.len()
+    }
+
+    /// True if empty.
+    pub fn is_empty(&self) -> bool {
+        self.keys.is_empty()
+    }
+
+    #[inline]
+    fn span(&self, group: usize) -> std::ops::Range<usize> {
+        group * self.width..(group + 1) * self.width
+    }
+
+    /// Merge a contribution `(key, vals)` at `round` with per-column ops.
+    /// The group is found with one hash of the borrowed key and everything
+    /// happens in place; nothing is allocated per contribution.
+    ///
+    /// `dedup_tuple` — when `Some(tuple)`, the contribution is only applied if
+    /// the tuple has not contributed before (distinct-tuple counting mode).
+    #[inline]
+    pub fn merge_in_place(
+        &mut self,
+        key: &[C],
+        vals: &[C],
+        ops: &[MonotoneOp],
+        round: u32,
+        dedup_tuple: Option<&[C]>,
+    ) -> Result<AggChange, Escaped> {
+        debug_assert_eq!(vals.len(), ops.len());
+        if let Some(t) = dedup_tuple {
+            if !self.contributors.intern(t).1 {
+                return Ok(AggChange::Unchanged);
+            }
+        }
+        let (group, new) = self.keys.intern(key);
+        if new {
+            // First contribution: totals = the contribution itself. Nothing
+            // reads a group's previous totals before a later round has
+            // snapshotted them (old snapshots skip a group created at or
+            // after their cutoff), so they start as a copy.
+            self.width = vals.len();
+            self.cur.extend_from_slice(vals);
+            self.prev.extend_from_slice(vals);
+            self.round.push(round);
+            self.created.push(round);
+            return Ok(AggChange::First(group));
+        }
+        // The totals as they stand, in case this merge is the group's first
+        // change of the round: an old snapshot reads `prev` only for a group
+        // changed at or after its cutoff, so `prev` (and the round stamp) is
+        // written when the group changes — a contribution that improves
+        // nothing touches the group's current totals and nothing else.
+        let span = self.span(group);
+        self.before.clear();
+        self.before
+            .extend_from_slice(&self.cur[span.start..span.end]);
+        let mut changed = false;
+        for (j, (cur, new)) in self.cur[span.start..span.end]
+            .iter_mut()
+            .zip(vals)
+            .enumerate()
+        {
+            let kind = C::kind(&self.agg_kinds, j);
+            changed |= C::merge(ops[j], kind, cur, new)? == MergeOutcome::Improved;
+        }
+        if !changed {
+            return Ok(AggChange::Unchanged);
+        }
+        let first = self.round[group] < round;
+        self.round[group] = round;
+        if !first {
+            return Ok(AggChange::Again);
+        }
+        self.prev[span].clone_from_slice(&self.before);
+        Ok(AggChange::First(group))
+    }
+
+    /// Group `group`, by index (insertion order).
+    #[inline]
+    pub fn group(&self, group: usize) -> AggGroup<'_, C> {
+        let span = self.span(group);
+        AggGroup {
+            key: self.keys.get(group),
+            values: &self.cur[span.clone()],
+            prev: &self.prev[span],
+            round: self.round[group],
+            created: self.created[group],
+        }
     }
 
     /// Current totals of a group.
-    pub fn get(&self, key: &[Value]) -> Option<&[Value]> {
-        self.groups.get(key).map(|e| e.values.as_ref())
+    pub fn get(&self, key: &[C]) -> Option<&[C]> {
+        self.keys.find(key).map(|g| self.group(g).values)
     }
 
-    /// Totals of a group as of the snapshot before `round`; `None` if the
-    /// group did not exist then.
-    pub fn get_before(&self, key: &[Value], round: u32) -> Option<&[Value]> {
-        let e = self.groups.get(key)?;
-        if e.created >= round {
+    /// Totals of group `group` as of the snapshot before `round`; `None` if
+    /// the group did not exist then.
+    #[inline]
+    pub fn before(&self, group: usize, round: u32) -> Option<&[C]> {
+        let g = self.group(group);
+        if g.created >= round {
             return None;
         }
-        Some(if e.round < round { &e.values } else { &e.prev })
+        Some(if g.round < round { g.values } else { g.prev })
     }
 
-    /// Iterate `(key, entry)` pairs.
-    pub fn iter(&self) -> impl Iterator<Item = (&[Value], &AggEntry)> {
-        self.groups.iter().map(|(k, e)| (k.as_ref(), e))
+    /// [`AggState::before`] by key.
+    pub fn get_before(&self, key: &[C], round: u32) -> Option<&[C]> {
+        self.before(self.keys.find(key)?, round)
+    }
+
+    /// Iterate the groups, in insertion order.
+    pub fn iter(&self) -> impl Iterator<Item = AggGroup<'_, C>> + '_ {
+        (0..self.len()).map(|g| self.group(g))
     }
 
     /// Iterate the distinct-contributor tuples (checkpoint capture).
-    pub fn contributors(&self) -> impl Iterator<Item = &[Value]> {
-        self.contributors.iter().map(|t| t.as_ref())
+    pub fn contributors(&self) -> impl Iterator<Item = &[C]> + '_ {
+        self.contributors.tuples().iter()
     }
 
-    /// Reinstall a group entry verbatim (checkpoint restore).
-    pub fn insert_group(&mut self, key: Box<[Value]>, entry: AggEntry) {
-        self.groups.insert(key, entry);
+    /// Reinstall a group verbatim (checkpoint restore).
+    pub fn insert_group(&mut self, g: &AggGroup<'_, C>) {
+        if self.keys.intern(g.key).1 {
+            self.width = g.values.len();
+            self.cur.extend_from_slice(g.values);
+            self.prev.extend_from_slice(g.prev);
+            self.round.push(g.round);
+            self.created.push(g.created);
+        }
     }
 
     /// Reinstall a contributor tuple verbatim (checkpoint restore).
-    pub fn insert_contributor(&mut self, tuple: Box<[Value]>) {
-        self.contributors.insert(tuple);
+    pub fn insert_contributor(&mut self, tuple: &[C]) {
+        self.contributors.intern(tuple);
     }
 
-    /// Estimated heap footprint, for memory-budget accounting: deep sizes of
-    /// keys, totals, previous totals, and contributor tuples plus per-entry
-    /// overhead.
+    /// Column kinds of the keys, the aggregate columns and the contributor
+    /// tuples — what [`AggState::with_kinds`] was given.
+    pub fn kinds(&self) -> [&Arc<[C::Kind]>; 3] {
+        [
+            self.keys.tuples().kinds(),
+            &self.agg_kinds,
+            self.contributors.tuples().kinds(),
+        ]
+    }
+
+    /// Bytes the state really holds — key arena and index, the value
+    /// columns, the stamps and the contributor set — for memory-budget
+    /// accounting. O(1).
     pub fn size_bytes(&self) -> u64 {
-        let value_bytes =
-            |vs: &[Value]| vs.iter().map(Value::size_bytes).sum::<usize>() as u64 + 16;
-        let groups: u64 = self
-            .groups
-            .iter()
-            .map(|(k, e)| value_bytes(k) + value_bytes(&e.values) + value_bytes(&e.prev) + 8)
-            .sum();
-        let contributors: u64 = self.contributors.iter().map(|t| value_bytes(t)).sum();
-        groups + contributors
+        let cells = (self.cur.len() + self.prev.len()) * std::mem::size_of::<C>();
+        self.keys.heap_bytes()
+            + cells as u64
+            + 8 * self.round.len() as u64
+            + self.contributors.heap_bytes()
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::tuples::Lane;
+    use rasql_storage::row::int_row;
 
     fn vals(v: &[i64]) -> Vec<Value> {
         v.iter().map(|&x| Value::Int(x)).collect()
@@ -378,49 +446,73 @@ mod tests {
     #[test]
     fn set_state_rounds() {
         let mut s = SetState::new();
-        assert!(s.insert(rasql_storage::row::int_row(&[1]), 1));
-        assert!(!s.insert(rasql_storage::row::int_row(&[1]), 2));
-        assert!(s.insert(rasql_storage::row::int_row(&[2]), 2));
+        assert!(s.insert(int_row(&[1]), 1));
+        assert!(!s.insert(int_row(&[1]), 2));
+        assert!(s.insert(int_row(&[2]), 2));
         assert_eq!(s.len(), 2);
-        let r1 = rasql_storage::row::int_row(&[1]);
-        let r2 = rasql_storage::row::int_row(&[2]);
-        assert!(s.contained_before(&r1, 2));
-        assert!(!s.contained_before(&r2, 2));
+        assert!(s.contained_before(&vals(&[1]), 2));
+        assert!(!s.contained_before(&vals(&[2]), 2));
         assert_eq!(s.iter_before(2).count(), 1);
+    }
+
+    #[test]
+    fn a_rounds_delta_is_the_arena_suffix() {
+        let mut s = SetState::<u64>::with_kinds(vec![Lane::Int; 2].into());
+        for t in [[1, 2], [3, 4]] {
+            s.insert_slice(&t, 0);
+        }
+        let before = s.len();
+        for t in [[3, 4], [5, 6], [1, 2], [7, 8]] {
+            s.insert_slice(&t, 1);
+        }
+        let delta: Vec<&[u64]> = (before..s.len()).map(|i| s.tuples().get(i)).collect();
+        assert_eq!(delta, [&[5, 6][..], &[7, 8]]);
+        // Arena, index and stamps, without walking a tuple.
+        assert_eq!(s.size_bytes(), 4 * 16 + 8 * 8 + 4 * 4);
     }
 
     #[test]
     fn min_merge_keeps_best_and_reports_improvement() {
         let mut st = AggState::new();
         let ops = [MonotoneOp::Min];
-        match st.merge(&vals(&[7]), &vals(&[10]), &ops, 1, None) {
-            AggMergeResult::Changed { totals, .. } => assert_eq!(totals[0], Value::Int(10)),
-            r => panic!("{r:?}"),
-        }
+        assert!(st.merge(&vals(&[7]), &vals(&[10]), &ops, 1, None));
+        assert_eq!(st.get(&vals(&[7])).unwrap()[0], Value::Int(10));
         // Worse value discarded.
-        assert_eq!(
-            st.merge(&vals(&[7]), &vals(&[12]), &ops, 2, None),
-            AggMergeResult::Unchanged
-        );
+        assert!(!st.merge(&vals(&[7]), &vals(&[12]), &ops, 2, None));
         // Better value improves.
-        match st.merge(&vals(&[7]), &vals(&[3]), &ops, 2, None) {
-            AggMergeResult::Changed { totals, .. } => assert_eq!(totals[0], Value::Int(3)),
-            r => panic!("{r:?}"),
-        }
+        assert!(st.merge(&vals(&[7]), &vals(&[3]), &ops, 2, None));
+        assert_eq!(st.get(&vals(&[7])).unwrap()[0], Value::Int(3));
     }
 
     #[test]
-    fn sum_merge_accumulates_with_increments() {
+    fn a_group_is_reported_once_per_round_it_changes_in() {
+        let mut st = AggState::<u64>::with_kinds(
+            vec![Lane::Int].into(),
+            vec![Lane::Int].into(),
+            Vec::new().into(),
+        );
+        let ops = [MonotoneOp::Sum];
+        let mut merge = |v: u64, round| st.merge_in_place(&[1], &[v], &ops, round, None);
+        assert_eq!(merge(5, 1), Ok(AggChange::First(0)));
+        assert_eq!(merge(3, 1), Ok(AggChange::Again));
+        assert_eq!(merge(0, 2), Ok(AggChange::Unchanged));
+        assert_eq!(merge(2, 2), Ok(AggChange::First(0)));
+        // `Value::add` would promote this sum to `Double`: the lane escapes.
+        assert_eq!(merge(i64::MAX as u64, 3), Err(Escaped));
+        assert_eq!(st.get(&[1]), Some(&[10][..]));
+        assert_eq!(st.before(0, 3), Some(&[10][..]));
+        assert_eq!(st.before(0, 1), None);
+    }
+
+    #[test]
+    fn sum_merge_accumulates() {
         let mut st = AggState::new();
         let ops = [MonotoneOp::Sum];
         st.merge(&vals(&[1]), &vals(&[5]), &ops, 1, None);
-        match st.merge(&vals(&[1]), &vals(&[3]), &ops, 2, None) {
-            AggMergeResult::Changed { totals, increments } => {
-                assert_eq!(totals[0], Value::Int(8));
-                assert_eq!(increments[0], Value::Int(3));
-            }
-            r => panic!("{r:?}"),
-        }
+        assert!(st.merge(&vals(&[1]), &vals(&[3]), &ops, 2, None));
+        assert_eq!(st.get(&vals(&[1])).unwrap()[0], Value::Int(8));
+        // A zero increment is no change.
+        assert!(!st.merge(&vals(&[1]), &vals(&[0]), &ops, 3, None));
     }
 
     #[test]
@@ -428,21 +520,12 @@ mod tests {
         let mut st = AggState::new();
         let ops = [MonotoneOp::Sum];
         let tuple = vals(&[1, 42]);
-        assert!(matches!(
-            st.merge(&vals(&[1]), &vals(&[1]), &ops, 1, Some(&tuple)),
-            AggMergeResult::Changed { .. }
-        ));
+        assert!(st.merge(&vals(&[1]), &vals(&[1]), &ops, 1, Some(&tuple)));
         // Same contributing tuple again: ignored.
-        assert_eq!(
-            st.merge(&vals(&[1]), &vals(&[1]), &ops, 2, Some(&tuple)),
-            AggMergeResult::Unchanged
-        );
+        assert!(!st.merge(&vals(&[1]), &vals(&[1]), &ops, 2, Some(&tuple)));
         // New tuple counts.
         let tuple2 = vals(&[1, 43]);
-        assert!(matches!(
-            st.merge(&vals(&[1]), &vals(&[1]), &ops, 2, Some(&tuple2)),
-            AggMergeResult::Changed { .. }
-        ));
+        assert!(st.merge(&vals(&[1]), &vals(&[1]), &ops, 2, Some(&tuple2)));
         assert_eq!(st.get(&vals(&[1])).unwrap()[0], Value::Int(2));
     }
 
@@ -465,11 +548,7 @@ mod tests {
         let mut st = AggState::new();
         let ops = [MonotoneOp::Min, MonotoneOp::Max];
         st.merge(&vals(&[1]), &vals(&[5, 5]), &ops, 1, None);
-        match st.merge(&vals(&[1]), &vals(&[3, 9]), &ops, 2, None) {
-            AggMergeResult::Changed { totals, .. } => {
-                assert_eq!(totals.as_ref(), &vals(&[3, 9])[..]);
-            }
-            r => panic!("{r:?}"),
-        }
+        assert!(st.merge(&vals(&[1]), &vals(&[3, 9]), &ops, 2, None));
+        assert_eq!(st.get(&vals(&[1])).unwrap(), &vals(&[3, 9])[..]);
     }
 }

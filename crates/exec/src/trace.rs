@@ -406,6 +406,10 @@ pub struct CliqueTrace {
     /// Inner-loop kernel the clique ran on: `generic` for the interpreter,
     /// or a monomorphized kernel label such as `csr_min_i64` / `csr_set`.
     pub kernel: String,
+    /// Tuple representation the clique's state and deltas lived in: `words`
+    /// (packed `Int`/`Double` lanes) or `rows` on the interpreter, `dense`
+    /// (vertex-indexed slabs) on a kernel.
+    pub tuples: String,
     /// Rounds until the fixpoint (max over partitions when decomposed).
     pub fixpoint_rounds: u32,
     /// Per-round records.
@@ -574,9 +578,26 @@ impl TraceSink {
             views,
             mode: mode.to_string(),
             kernel: kernel.to_string(),
+            tuples: default_tuples(kernel).to_string(),
             fixpoint_rounds: 0,
             iterations: Vec::new(),
         });
+    }
+
+    /// Name the tuple representation of the clique that just ran (the open
+    /// one, or else the last closed).
+    pub fn set_tuples(&self, tuples: &str) {
+        let mut d = self.inner.lock();
+        let d = &mut *d;
+        if let Some(c) = d.current.as_mut().or(d.cliques.last_mut()) {
+            c.tuples = tuples.to_string();
+        }
+    }
+
+    /// Forget the open clique and the rounds recorded for it: its run was
+    /// abandoned and the clique is evaluated again from its base case.
+    pub fn abandon_clique(&self) {
+        self.inner.lock().current = None;
     }
 
     /// Record one fixpoint round of the open clique.
@@ -590,6 +611,7 @@ impl TraceSink {
                     views: Vec::new(),
                     mode: "unknown".into(),
                     kernel: "generic".into(),
+                    tuples: default_tuples("generic").into(),
                     fixpoint_rounds: 0,
                     iterations: vec![it],
                 });
@@ -678,6 +700,16 @@ const REQUIRED_METRICS: [&str; 8] = [
     "iterations",
 ];
 
+/// The tuple representation of a clique nothing said otherwise about: the
+/// interpreter's rows, a kernel's dense slabs.
+fn default_tuples(kernel: &str) -> &'static str {
+    if kernel == "generic" {
+        "rows"
+    } else {
+        "dense"
+    }
+}
+
 fn get_str(obj: &JsonValue, key: &str) -> Result<String, String> {
     obj.get(key)
         .and_then(JsonValue::as_str)
@@ -733,6 +765,7 @@ impl QueryTrace {
                                 ),
                                 ("mode".into(), JsonValue::Str(c.mode.clone())),
                                 ("kernel".into(), JsonValue::Str(c.kernel.clone())),
+                                ("tuples".into(), JsonValue::Str(c.tuples.clone())),
                                 ("fixpoint_rounds".into(), num(c.fixpoint_rounds as u64)),
                                 (
                                     "iterations".into(),
@@ -854,12 +887,14 @@ impl QueryTrace {
                     elapsed_us: get_u64(it, "elapsed_us")?,
                 });
             }
+            // Older exports predate kernel selection — they all ran the
+            // interpreter — and word lanes.
+            let kernel = get_str(c, "kernel").unwrap_or_else(|_| "generic".into());
             cliques.push(CliqueTrace {
                 views,
                 mode: get_str(c, "mode")?,
-                // Older exports predate kernel selection; they all ran the
-                // interpreter.
-                kernel: get_str(c, "kernel").unwrap_or_else(|_| "generic".into()),
+                tuples: get_str(c, "tuples").unwrap_or_else(|_| default_tuples(&kernel).into()),
+                kernel,
                 fixpoint_rounds: get_u64(c, "fixpoint_rounds")? as u32,
                 iterations,
             });
@@ -929,11 +964,12 @@ impl QueryTrace {
         let mut out = String::new();
         for c in &self.cliques {
             out.push_str(&format!(
-                "\nFixpoint [{}] mode={} kernel={} rounds={}\n",
+                "\nFixpoint [{}] mode={} kernel={} rounds={} tuples={}\n",
                 c.views.join(", "),
                 c.mode,
                 c.kernel,
-                c.fixpoint_rounds
+                c.fixpoint_rounds,
+                c.tuples
             ));
             out.push_str(
                 "  iter | delta_rows | total_rows | stages | shuffle_rows | shuffle_bytes | time_ms\n",
@@ -1137,6 +1173,7 @@ mod tests {
                 views: vec!["tc".into()],
                 mode: "semi_naive_combined".into(),
                 kernel: "generic".into(),
+                tuples: "words".into(),
                 fixpoint_rounds: 3,
                 iterations: vec![
                     IterationTrace {

@@ -1,0 +1,700 @@
+//! Tuple representation of the generic fixpoint: flat batches of fixed-width
+//! cells, and the one place that knows what a cell is.
+//!
+//! The paper's fixpoint is fast because its all-relation is a compact,
+//! append-only set of fixed-width tuples (§6.1) and its per-iteration
+//! pipeline is compiled over binary rows (§7.3). Here a recursive relation's
+//! tuples live in [`Tuples`] — one arity-strided vector — under one of two
+//! cell types:
+//!
+//! - **word lanes** (`u64` cells): every column is [`Lane::Int`] or
+//!   [`Lane::Double`] and a cell is the value's bits. Within a lane, bit
+//!   equality is `Value` equality (`Double` compares by `total_cmp`), so a
+//!   tuple hashes and compares as plain words;
+//! - **values** (`Value` cells): any column type, NULLs included.
+//!
+//! [`Cell`] is everything the two differ in; the state tables
+//! ([`crate::state`]), the pipeline ([`crate::pipeline`]) and the fixpoint's
+//! round logic are written once over it. A word run that meets a value
+//! outside its lane — an `Int` overflow, a NULL, a mistyped base column —
+//! reports [`Escaped`] and the clique is re-evaluated on values.
+//!
+//! # The partition identity
+//!
+//! A view's state is co-partitioned with the hash indexes its delta probes,
+//! which are partitioned by `row_partition` over `Value`s. [`Cell::hash_key`]
+//! therefore feeds the hasher exactly what `Value::hash` would (an integral
+//! `Double` hashes as its `Int`), so [`partition_of`] of a word tuple equals
+//! `row_partition` of the equivalent row bit for bit.
+
+use crate::state::{MergeOutcome, MonotoneOp};
+pub use rasql_storage::value::{Escaped, Lane};
+use rasql_storage::{DataType, FxHasher, Row, Schema, Value};
+use std::cmp::Ordering;
+use std::hash::{Hash, Hasher};
+use std::sync::Arc;
+
+/// The lanes of a schema whose every column is `Int` or `Double`; `None`
+/// sends the relation to value cells.
+pub fn lanes_of(schema: &Schema) -> Option<Arc<[Lane]>> {
+    kinds_of::<u64>(schema)
+}
+
+/// The column kinds of a relation with this schema under cell type `C`, or
+/// `None` when the representation cannot hold one of its columns.
+pub fn kinds_of<C: Cell>(schema: &Schema) -> Option<Arc<[C::Kind]>> {
+    let fields = schema.fields().iter();
+    fields.map(|f| C::kind_of(f.data_type)).collect()
+}
+
+/// One column value of a tuple representation.
+pub trait Cell: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+    /// What must be known about a column to interpret its cells.
+    type Kind: Copy + std::fmt::Debug + Send + Sync + 'static;
+
+    /// The kind of a column of this declared type, or `None` when the
+    /// representation cannot hold it.
+    fn kind_of(data_type: DataType) -> Option<Self::Kind>;
+
+    /// The kind of column `col`. Values need none, so a batch of them may
+    /// be created before its arity is known, with no kinds at all.
+    fn kind(kinds: &[Self::Kind], col: usize) -> Self::Kind;
+
+    /// Hash of a whole tuple, for the state tables (the upper half is used).
+    fn hash_cells(cells: &[Self]) -> u64;
+
+    /// Feed the hasher what `Value::hash` of this cell's value would.
+    fn hash_key(&self, kind: Self::Kind, h: &mut FxHasher);
+
+    /// `Row::size_bytes` of the equivalent row.
+    fn row_bytes(cells: &[Self]) -> u64;
+
+    /// The cell's value.
+    fn to_value(&self, kind: Self::Kind) -> Value;
+
+    /// The cell of `v`, which must be of the column's kind.
+    fn from_value(v: &Value, kind: Self::Kind) -> Result<Self, Escaped>;
+
+    /// One value of a join match — a build row — as a cell: strictly of
+    /// `kind` (the declared variant or an escape); `None` is a column
+    /// nothing reads, whose cell is never looked at.
+    fn read(kind: Option<Self::Kind>, v: &Value) -> Result<Self, Escaped>;
+
+    /// Append a join match to the tuple in flight, `read[c]` being the kind
+    /// column `c` is read as.
+    fn append_row(
+        read: &[Option<Self::Kind>],
+        row: &[Value],
+        tuple: &mut Vec<Self>,
+    ) -> Result<(), Escaped>;
+
+    /// Merge `new` into `cur` under a monotone aggregate.
+    fn merge(
+        op: MonotoneOp,
+        kind: Self::Kind,
+        cur: &mut Self,
+        new: &Self,
+    ) -> Result<MergeOutcome, Escaped>;
+
+    /// `a - b`: a `sum` column's increment since the previous round.
+    fn minus(kind: Self::Kind, a: &Self, b: &Self) -> Result<Self, Escaped>;
+
+    /// The `Int` 1 a distinct-tuple `count` adds per new contributor.
+    fn one(kind: Self::Kind) -> Result<Self, Escaped>;
+}
+
+impl Cell for Value {
+    type Kind = ();
+
+    fn kind_of(_: DataType) -> Option<()> {
+        Some(())
+    }
+
+    #[inline]
+    fn kind(_: &[()], _: usize) {}
+
+    #[inline]
+    fn hash_cells(cells: &[Value]) -> u64 {
+        let mut h = FxHasher::default();
+        for v in cells {
+            v.hash(&mut h);
+        }
+        h.finish()
+    }
+
+    #[inline]
+    fn hash_key(&self, (): (), h: &mut FxHasher) {
+        self.hash(h);
+    }
+
+    #[inline]
+    fn row_bytes(cells: &[Value]) -> u64 {
+        16 + cells.iter().map(Value::size_bytes).sum::<usize>() as u64
+    }
+
+    #[inline]
+    fn to_value(&self, (): ()) -> Value {
+        self.clone()
+    }
+
+    #[inline]
+    fn from_value(v: &Value, (): ()) -> Result<Value, Escaped> {
+        Ok(v.clone())
+    }
+
+    #[inline]
+    fn read(_: Option<()>, v: &Value) -> Result<Value, Escaped> {
+        Ok(v.clone())
+    }
+
+    #[inline]
+    fn append_row(_: &[Option<()>], row: &[Value], tuple: &mut Vec<Value>) -> Result<(), Escaped> {
+        tuple.extend_from_slice(row);
+        Ok(())
+    }
+
+    #[inline]
+    fn merge(
+        op: MonotoneOp,
+        (): (),
+        cur: &mut Value,
+        new: &Value,
+    ) -> Result<MergeOutcome, Escaped> {
+        Ok(op.merge(cur, new))
+    }
+
+    #[inline]
+    fn minus((): (), a: &Value, b: &Value) -> Result<Value, Escaped> {
+        Ok(a.sub(b))
+    }
+
+    #[inline]
+    fn one((): ()) -> Result<Value, Escaped> {
+        Ok(Value::Int(1))
+    }
+}
+
+impl Cell for u64 {
+    type Kind = Lane;
+
+    fn kind_of(data_type: DataType) -> Option<Lane> {
+        match data_type {
+            DataType::Int => Some(Lane::Int),
+            DataType::Double => Some(Lane::Double),
+            _ => None,
+        }
+    }
+
+    #[inline]
+    fn kind(lanes: &[Lane], col: usize) -> Lane {
+        lanes[col]
+    }
+
+    #[inline]
+    fn hash_cells(cells: &[u64]) -> u64 {
+        let mut h = FxHasher::default();
+        for &w in cells {
+            h.write_u64(w);
+        }
+        h.finish()
+    }
+
+    #[inline]
+    fn hash_key(&self, lane: Lane, h: &mut FxHasher) {
+        match lane {
+            // `Value::Int`'s own two writes.
+            Lane::Int => {
+                h.write_u8(2);
+                h.write_i64(*self as i64);
+            }
+            Lane::Double => lane.decode(*self).hash(h),
+        }
+    }
+
+    #[inline]
+    fn row_bytes(cells: &[u64]) -> u64 {
+        16 + 8 * cells.len() as u64
+    }
+
+    #[inline]
+    fn to_value(&self, lane: Lane) -> Value {
+        lane.decode(*self)
+    }
+
+    #[inline]
+    fn from_value(v: &Value, lane: Lane) -> Result<u64, Escaped> {
+        lane.encode(v)
+    }
+
+    #[inline]
+    fn read(lane: Option<Lane>, v: &Value) -> Result<u64, Escaped> {
+        lane.map_or(Ok(0), |lane| lane.encode(v))
+    }
+
+    #[inline]
+    fn append_row(
+        read: &[Option<Lane>],
+        row: &[Value],
+        tuple: &mut Vec<u64>,
+    ) -> Result<(), Escaped> {
+        debug_assert_eq!(read.len(), row.len());
+        let base = tuple.len();
+        tuple.resize(base + read.len(), 0);
+        for (c, lane) in read.iter().enumerate() {
+            if let Some(lane) = lane {
+                tuple[base + c] = lane.encode(&row[c])?;
+            }
+        }
+        Ok(())
+    }
+
+    /// `MonotoneOp::merge` on one lane; where `Value::add` would promote an
+    /// overflowing `Int` sum to `Double`, the cell escapes instead.
+    #[inline]
+    fn merge(
+        op: MonotoneOp,
+        lane: Lane,
+        cur: &mut u64,
+        new: &u64,
+    ) -> Result<MergeOutcome, Escaped> {
+        let improved = match op {
+            MonotoneOp::Min => lane.cmp(*new, *cur) == Ordering::Less,
+            MonotoneOp::Max => lane.cmp(*new, *cur) == Ordering::Greater,
+            MonotoneOp::Sum => {
+                let sum = match lane {
+                    Lane::Int if *new == 0 => return Ok(MergeOutcome::Unchanged),
+                    Lane::Int => (*cur as i64).checked_add(*new as i64).ok_or(Escaped)? as u64,
+                    Lane::Double if f64::from_bits(*new) == 0.0 => {
+                        return Ok(MergeOutcome::Unchanged)
+                    }
+                    Lane::Double => (f64::from_bits(*cur) + f64::from_bits(*new)).to_bits(),
+                };
+                *cur = sum;
+                return Ok(MergeOutcome::Improved);
+            }
+        };
+        if improved {
+            *cur = *new;
+            Ok(MergeOutcome::Improved)
+        } else {
+            Ok(MergeOutcome::Unchanged)
+        }
+    }
+
+    #[inline]
+    fn minus(lane: Lane, a: &u64, b: &u64) -> Result<u64, Escaped> {
+        match lane {
+            Lane::Int => Ok((*a as i64).checked_sub(*b as i64).ok_or(Escaped)? as u64),
+            Lane::Double => Ok((f64::from_bits(*a) - f64::from_bits(*b)).to_bits()),
+        }
+    }
+
+    #[inline]
+    fn one(lane: Lane) -> Result<u64, Escaped> {
+        match lane {
+            Lane::Int => Ok(1),
+            Lane::Double => Err(Escaped),
+        }
+    }
+}
+
+/// A tuple's cells as values.
+pub fn values_of<C: Cell>(kinds: &[C::Kind], cells: &[C]) -> Vec<Value> {
+    let cells = cells.iter().enumerate();
+    cells
+        .map(|(c, cell)| cell.to_value(C::kind(kinds, c)))
+        .collect()
+}
+
+/// Replace `buf` with the cells of `values`, each checked against its
+/// column's kind — a tuple of rows entering the representation.
+#[inline]
+pub fn cells_of<C: Cell>(
+    kinds: &[C::Kind],
+    values: &[Value],
+    buf: &mut Vec<C>,
+) -> Result<(), Escaped> {
+    buf.clear();
+    for (i, v) in values.iter().enumerate() {
+        buf.push(C::from_value(v, C::kind(kinds, i))?);
+    }
+    Ok(())
+}
+
+/// The partition of a tuple under hash partitioning on `key` columns —
+/// `rasql_storage::partition::row_partition` of the equivalent row.
+#[inline]
+pub fn partition_of<C: Cell>(kinds: &[C::Kind], cells: &[C], key: &[usize], n: usize) -> usize {
+    let mut h = FxHasher::default();
+    for &c in key {
+        cells[c].hash_key(C::kind(kinds, c), &mut h);
+    }
+    (h.finish() % n as u64) as usize
+}
+
+/// [`partition_of`] for word tuples.
+#[inline]
+pub fn lane_partition(lanes: &[Lane], cells: &[u64], key: &[usize], n: usize) -> usize {
+    partition_of(lanes, cells, key, n)
+}
+
+/// A batch of same-arity tuples in one vector of cells, with the column
+/// kinds that interpret them (the lanes, for words).
+#[derive(Debug, Clone)]
+pub struct Tuples<C: Cell = u64> {
+    cells: Vec<C>,
+    kinds: Arc<[C::Kind]>,
+    /// Cells per tuple. A batch created without kinds (values need none)
+    /// takes the arity of its first tuple.
+    arity: usize,
+    len: usize,
+    /// Running [`Cell::row_bytes`] total.
+    bytes: u64,
+}
+
+impl<C: Cell> Default for Tuples<C> {
+    fn default() -> Self {
+        Tuples::new(Vec::new().into())
+    }
+}
+
+impl<C: Cell> Tuples<C> {
+    /// An empty batch of tuples with these column kinds.
+    pub fn new(kinds: Arc<[C::Kind]>) -> Self {
+        Tuples {
+            cells: Vec::new(),
+            arity: kinds.len(),
+            kinds,
+            len: 0,
+            bytes: 0,
+        }
+    }
+
+    /// The column kinds.
+    pub fn kinds(&self) -> &Arc<[C::Kind]> {
+        &self.kinds
+    }
+
+    /// Number of tuples.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if there are no tuples.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Tuple `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &[C] {
+        &self.cells[i * self.arity..(i + 1) * self.arity]
+    }
+
+    /// Append a tuple.
+    #[inline]
+    pub fn push(&mut self, tuple: &[C]) {
+        if self.len == 0 && self.kinds.is_empty() {
+            self.arity = tuple.len();
+        }
+        debug_assert_eq!(tuple.len(), self.arity);
+        self.cells.extend_from_slice(tuple);
+        self.len += 1;
+        self.bytes += C::row_bytes(tuple);
+    }
+
+    /// Move every tuple of `other` to the end of this batch.
+    pub fn append(&mut self, other: &mut Tuples<C>) {
+        if self.len == 0 {
+            self.arity = other.arity;
+        }
+        self.cells.append(&mut other.cells);
+        self.len += std::mem::take(&mut other.len);
+        self.bytes += std::mem::take(&mut other.bytes);
+    }
+
+    /// Iterate the tuples.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &[C]> + '_ {
+        (0..self.len).map(|i| self.get(i))
+    }
+
+    /// Bytes of the equivalent rows (`16 + 8·arity` per numeric tuple —
+    /// `Row::size_bytes`), which is what shuffle accounting counts. O(1).
+    #[inline]
+    pub fn size_bytes(&self) -> u64 {
+        self.bytes
+    }
+
+    /// Bytes this batch really holds: the cell vector plus what value cells
+    /// own beyond their 8 accounted bytes (strings). O(1).
+    pub fn heap_bytes(&self) -> u64 {
+        let accounted = 16 * self.len as u64 + 8 * self.cells.len() as u64;
+        (self.cells.len() * std::mem::size_of::<C>()) as u64 + self.bytes.saturating_sub(accounted)
+    }
+
+    /// Append a tuple given as values, each checked against its column.
+    pub fn push_values(&mut self, values: &[Value]) -> Result<(), Escaped> {
+        if self.len == 0 && self.kinds.is_empty() {
+            self.arity = values.len();
+        }
+        if values.len() != self.arity {
+            return Err(Escaped);
+        }
+        let start = self.cells.len();
+        for (i, v) in values.iter().enumerate() {
+            match C::from_value(v, C::kind(&self.kinds, i)) {
+                Ok(cell) => self.cells.push(cell),
+                Err(e) => {
+                    self.cells.truncate(start);
+                    return Err(e);
+                }
+            }
+        }
+        self.len += 1;
+        self.bytes += C::row_bytes(&self.cells[start..]);
+        Ok(())
+    }
+
+    /// The batch of `rows`, every value checked against its column.
+    pub fn from_rows(kinds: Arc<[C::Kind]>, rows: &[Row]) -> Result<Self, Escaped> {
+        let mut tuples = Tuples::new(kinds);
+        for row in rows {
+            tuples.push_values(row.values())?;
+        }
+        Ok(tuples)
+    }
+
+    /// Tuple `i` as a row — the one allocation a result tuple costs.
+    pub fn row(&self, i: usize) -> Row {
+        Row::new(values_of(&self.kinds, self.get(i)))
+    }
+
+    /// Every tuple as a row, in order.
+    pub fn to_rows(&self) -> Vec<Row> {
+        (0..self.len).map(|i| self.row(i)).collect()
+    }
+}
+
+/// A set of tuples: a [`Tuples`] arena behind an open-addressing index. A
+/// tuple is hashed once per lookup-or-insert, a slot is the tuple's arena
+/// index beside 32 bits of its hash — so a miss rarely touches the arena and
+/// growing the index never does — and nothing is allocated per tuple.
+/// Tuples keep their insertion order.
+#[derive(Debug)]
+pub struct TupleSet<C: Cell = u64> {
+    tuples: Tuples<C>,
+    /// `hash32 << 32 | (index + 1)`; 0 is an empty slot. The slot of a hash
+    /// is its top `log2(len)` bits; collisions probe linearly.
+    slots: Vec<u64>,
+}
+
+impl<C: Cell> Default for TupleSet<C> {
+    fn default() -> Self {
+        TupleSet::new(Vec::new().into())
+    }
+}
+
+impl<C: Cell> TupleSet<C> {
+    /// An empty set of tuples with these column kinds.
+    pub fn new(kinds: Arc<[C::Kind]>) -> Self {
+        TupleSet {
+            tuples: Tuples::new(kinds),
+            slots: Vec::new(),
+        }
+    }
+
+    /// Number of tuples.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.tuples.len()
+    }
+
+    /// True if empty.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.tuples.is_empty()
+    }
+
+    /// Tuple `i`, in insertion order.
+    #[inline]
+    pub fn get(&self, i: usize) -> &[C] {
+        self.tuples.get(i)
+    }
+
+    /// The tuples, in insertion order.
+    pub fn tuples(&self) -> &Tuples<C> {
+        &self.tuples
+    }
+
+    /// The tuples, in insertion order, without the index.
+    pub fn into_tuples(self) -> Tuples<C> {
+        self.tuples
+    }
+
+    /// Bytes really held: arena plus index. O(1).
+    pub fn heap_bytes(&self) -> u64 {
+        self.tuples.heap_bytes() + 8 * self.slots.len() as u64
+    }
+
+    #[inline]
+    fn home(&self, hash32: u32) -> usize {
+        // `slots.len()` is a power of two ≥ 8.
+        (hash32 >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The index of `tuple`, or the empty slot its probe sequence ends at.
+    #[inline]
+    fn probe(&self, tuple: &[C], hash32: u32) -> Result<usize, usize> {
+        let mask = self.slots.len() - 1;
+        let mut at = self.home(hash32);
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return Err(at);
+            }
+            if (slot >> 32) as u32 == hash32 {
+                let i = (slot as u32 - 1) as usize;
+                if self.tuples.get(i) == tuple {
+                    return Ok(i);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    /// The index of `tuple`, if present.
+    #[inline]
+    pub fn find(&self, tuple: &[C]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.probe(tuple, (C::hash_cells(tuple) >> 32) as u32).ok()
+    }
+
+    /// The index of `tuple`, appended if absent; true if it was absent.
+    #[inline]
+    pub fn intern(&mut self, tuple: &[C]) -> (usize, bool) {
+        // At most half full, so probe sequences stay short.
+        if (self.tuples.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let hash32 = (C::hash_cells(tuple) >> 32) as u32;
+        match self.probe(tuple, hash32) {
+            Ok(i) => (i, false),
+            Err(at) => {
+                let i = self.tuples.len();
+                assert!(i < u32::MAX as usize, "tuple set index overflow");
+                self.slots[at] = u64::from(hash32) << 32 | (i as u64 + 1);
+                self.tuples.push(tuple);
+                (i, true)
+            }
+        }
+    }
+
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![0; (old.len() * 2).max(8)];
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let mut at = self.home((slot >> 32) as u32);
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
+    }
+}
+
+#[cfg(test)]
+mod tests {
+    use super::*;
+    use rasql_storage::partition::row_partition;
+    use rasql_storage::row::int_row;
+
+    #[test]
+    fn lanes_follow_the_schema() {
+        let numeric = Schema::new(vec![("a", DataType::Int), ("b", DataType::Double)]);
+        assert_eq!(
+            lanes_of(&numeric).as_deref(),
+            Some(&[Lane::Int, Lane::Double][..])
+        );
+        let text = Schema::new(vec![("a", DataType::Int), ("s", DataType::Str)]);
+        assert!(lanes_of(&text).is_none());
+    }
+
+    #[test]
+    fn rows_round_trip_and_mistyped_values_escape() {
+        let lanes: Arc<[Lane]> = vec![Lane::Int, Lane::Double].into();
+        let rows = vec![
+            Row::new(vec![Value::Int(-3), Value::Double(0.5)]),
+            Row::new(vec![Value::Int(i64::MAX), Value::Double(f64::NAN)]),
+        ];
+        let tuples = Tuples::<u64>::from_rows(lanes.clone(), &rows).unwrap();
+        assert_eq!(tuples.len(), 2);
+        assert_eq!(tuples.to_rows(), rows);
+        assert_eq!(tuples.size_bytes(), 2 * (16 + 16));
+        assert_eq!(
+            tuples.size_bytes(),
+            rows.iter().map(|r| r.size_bytes() as u64).sum::<u64>()
+        );
+        for bad in [
+            vec![Value::Double(1.0), Value::Double(1.0)],
+            vec![Value::Int(1), Value::Int(1)],
+            vec![Value::Int(1), Value::Null],
+            vec![Value::Int(1)],
+        ] {
+            assert!(Tuples::<u64>::from_rows(lanes.clone(), &[Row::new(bad)]).is_err());
+        }
+    }
+
+    #[test]
+    fn a_set_interns_each_tuple_once_in_insertion_order() {
+        let mut set = TupleSet::<u64>::new(vec![Lane::Int, Lane::Int].into());
+        assert_eq!(set.find(&[1, 2]), None);
+        for i in 0..1000u64 {
+            let (at, new) = set.intern(&[i % 250, i % 2]);
+            assert_eq!((at, new), ((i % 250) as usize, i < 250));
+        }
+        assert_eq!(set.len(), 250);
+        assert_eq!(set.get(17), &[17, 1]);
+        assert_eq!(set.find(&[17, 1]), Some(17));
+        assert_eq!(set.find(&[17, 0]), None);
+        // The same through value cells, strings included.
+        let mut set = TupleSet::<Value>::default();
+        assert!(set.intern(&[Value::from("a"), Value::Null]).1);
+        assert!(set.intern(&[Value::from("b"), Value::Null]).1);
+        assert_eq!(set.intern(&[Value::from("a"), Value::Null]), (0, false));
+        assert_eq!(
+            set.tuples().row(1),
+            Row::new(vec![Value::from("b"), Value::Null])
+        );
+    }
+
+    #[test]
+    fn word_partitions_are_row_partitions() {
+        let lanes = [Lane::Int, Lane::Double];
+        for (i, d) in [
+            (7i64, 2.0f64),
+            (-1, 2.5),
+            (i64::MIN, -0.0),
+            (0, f64::INFINITY),
+        ] {
+            let row = Row::new(vec![Value::Int(i), Value::Double(d)]);
+            let cells = [i as u64, d.to_bits()];
+            for key in [&[0usize][..], &[1], &[0, 1]] {
+                assert_eq!(
+                    lane_partition(&lanes, &cells, key, 7),
+                    row_partition(&row, key, 7)
+                );
+            }
+        }
+        // An integral double lands where its integer does.
+        let as_int = row_partition(&int_row(&[2]), &[0], 5);
+        assert_eq!(
+            lane_partition(&[Lane::Double], &[2.0f64.to_bits()], &[0], 5),
+            as_int
+        );
+    }
+}

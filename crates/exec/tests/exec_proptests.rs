@@ -8,16 +8,46 @@ use rasql_exec::checkpoint::{
     encode_set_state,
 };
 use rasql_exec::pipeline::KeyFn;
-use rasql_exec::state::{AggMergeResult, AggState, MonotoneOp};
+use rasql_exec::state::{AggChange, AggState, MonotoneOp};
 use rasql_exec::{
-    run_fused, run_unfused, scan_delta, scan_delta_set, Cluster, ClusterConfig, Combiner, Dataset,
-    DenseAggState, DenseSetState, HashTable, MaxOp, MergeOp, MinOp, Pipeline, PipelineStep,
-    SetState, SumOp,
+    lane_partition, run_fused, run_unfused, scan_delta, scan_delta_set, Cluster, ClusterConfig,
+    Combiner, Dataset, DenseAggState, DenseSetState, HashTable, Lane, MaxOp, MergeOp, MinOp,
+    Pipeline, PipelineStep, SetState, SumOp, TupleSet, Tuples,
 };
+use rasql_storage::partition::row_partition;
 use rasql_storage::row::int_row;
 use rasql_storage::{CsrGraph, CsrWeight, Row, Value};
 use std::sync::Arc;
 use std::time::Duration;
+
+/// Integers where word and `Value` arithmetic could part ways.
+fn edge_int() -> BoxedStrategy<i64> {
+    prop_oneof![
+        -4i64..5,
+        Just(i64::MIN),
+        Just(i64::MAX),
+        Just(i64::MAX - 1),
+        Just(1 << 53),
+    ]
+    .boxed()
+}
+
+/// Doubles where word and `Value` comparison or hashing could part ways.
+fn edge_double() -> BoxedStrategy<f64> {
+    prop_oneof![
+        (-4i64..5).prop_map(|i| i as f64),
+        -2.0f64..2.0,
+        Just(0.0),
+        Just(-0.0),
+        Just(f64::NAN),
+        Just(-f64::NAN),
+        Just(f64::INFINITY),
+        Just(f64::NEG_INFINITY),
+        Just(i64::MAX as f64),
+        Just(9007199254740993.0),
+    ]
+    .boxed()
+}
 
 fn quiet_cluster(workers: usize) -> Cluster {
     Cluster::new(ClusterConfig {
@@ -208,25 +238,29 @@ proptest! {
         let cut = (split * build_rows.len() as f64) as usize;
         let table = |rows: &[Row], key: &[usize]| Arc::new(HashTable::build(rows, key));
         // Every step reads the last two columns, which every join appends.
-        let key: KeyFn = Arc::new(|t: &[Value], k: &mut Vec<Value>| k.push(t[t.len() - 1].clone()));
-        let no_key: KeyFn = Arc::new(|_: &[Value], _: &mut Vec<Value>| {});
+        let key: KeyFn = Arc::new(|t: &[Value], k: &mut Vec<Value>| {
+            k.push(t[t.len() - 1].clone());
+            Ok(())
+        });
+        let no_key: KeyFn = Arc::new(|_: &[Value], _: &mut Vec<Value>| Ok(()));
+        let read = || Arc::from([]);
         // At most two cross joins, so outputs stay small.
         let mut crosses = 0;
         let steps: Vec<PipelineStep> = kinds
             .iter()
             .map(|&kind| match kind {
-                1 => PipelineStep::HashJoin { table: table(&build_rows, &[0]), key: key.clone() },
+                1 => PipelineStep::HashJoin { table: table(&build_rows, &[0]), key: key.clone(), read: read() },
                 2 => {
                     let mut advanced = HashTable::build(&build_rows[..cut], &[0]);
                     advanced.append(&build_rows[cut..]);
-                    PipelineStep::HashJoin { table: Arc::new(advanced), key: key.clone() }
+                    PipelineStep::HashJoin { table: Arc::new(advanced), key: key.clone(), read: read() }
                 }
                 3 if crosses < 2 => {
                     crosses += 1;
-                    PipelineStep::HashJoin { table: table(&build_rows[..cut.min(5)], &[]), key: no_key.clone() }
+                    PipelineStep::HashJoin { table: table(&build_rows[..cut.min(5)], &[]), key: no_key.clone(), read: read() }
                 }
                 _ => PipelineStep::Filter(Arc::new(move |t: &[Value]| {
-                    t[t.len() - 2].as_int().unwrap() >= threshold
+                    Ok(t[t.len() - 2].as_int().unwrap() >= threshold)
                 })),
             })
             .collect();
@@ -234,6 +268,7 @@ proptest! {
             steps,
             Arc::new(|t: &[Value], out: &mut Vec<Value>| {
                 out.extend([t[0].clone(), t[t.len() - 1].clone(), Value::Int(t.len() as i64)]);
+                Ok(())
             }),
         );
         let mut streamed: Vec<Row> = Vec::new();
@@ -263,9 +298,9 @@ proptest! {
         }
         prop_assert_eq!(encode_set_state(&borrowed), encode_set_state(&owned));
 
-        // `merge_in_place` and the reporting `merge` leave the same groups —
-        // totals, `prev`, `round`, `created` — and contributor set, and agree
-        // on whether a group changed.
+        // `merge` is `merge_in_place` reporting only whether the group
+        // changed: the same groups — totals, `prev`, `round`, `created` — and
+        // contributor set either way.
         let ops = [MonotoneOp::Min, MonotoneOp::Sum];
         let (mut reported, mut in_place) = (AggState::new(), AggState::new());
         let mut rounds: Vec<_> = contribs.clone();
@@ -275,19 +310,82 @@ proptest! {
             let dedup = [Value::Int(k), Value::Int(tuple)];
             let dedup = (tuple > 0).then_some(&dedup[..]);
             let before = reported.get(&key).map(<[Value]>::to_vec);
-            let changed = in_place.merge_in_place(&key, &vals, &ops, round, dedup);
-            match reported.merge(&key, &vals, &ops, round, dedup) {
-                AggMergeResult::Unchanged => prop_assert!(!changed),
-                AggMergeResult::Changed { totals, increments } => {
-                    prop_assert!(changed);
-                    prop_assert_eq!(&totals[..], reported.get(&key).unwrap());
-                    let was = before.map_or(Value::Int(0), |b| b[1].clone());
-                    prop_assert_eq!(&increments[1], &totals[1].sub(&was));
-                    prop_assert_eq!(&increments[0], &totals[0]);
-                }
-            }
+            let change = in_place.merge_in_place(&key, &vals, &ops, round, dedup);
+            let changed = reported.merge(&key, &vals, &ops, round, dedup);
+            prop_assert_eq!(changed, change != Ok(AggChange::Unchanged));
+            let after = reported.get(&key).map(<[Value]>::to_vec);
+            prop_assert_eq!(changed, before != after);
         }
         prop_assert_eq!(encode_agg_state(&in_place), encode_agg_state(&reported));
+    }
+
+    #[test]
+    fn word_tuples_partition_hash_and_compare_like_their_rows(
+        cells in prop::collection::vec((edge_int(), edge_double(), edge_double()), 2..40),
+        parts in 1usize..9,
+    ) {
+        // Two `Double` lanes beside an `Int` one, over the values where the
+        // word and the `Value` views of a number could part ways: the i64
+        // extremes, ±0.0, NaN, ±∞ and integral doubles (which hash as ints).
+        let lanes: Arc<[Lane]> = vec![Lane::Int, Lane::Double, Lane::Double].into();
+        let rows: Vec<Row> = cells
+            .iter()
+            .map(|&(i, a, b)| Row::new(vec![Value::Int(i), Value::Double(a), Value::Double(b)]))
+            .collect();
+        let tuples = Tuples::<u64>::from_rows(lanes.clone(), &rows).unwrap();
+        prop_assert_eq!(tuples.to_rows(), rows.clone());
+        prop_assert_eq!(tuples.size_bytes(), rows.iter().map(|r| r.size_bytes() as u64).sum::<u64>());
+        for key in [&[0usize][..], &[1], &[2, 0], &[0, 1, 2]] {
+            for (t, row) in tuples.iter().zip(&rows) {
+                // The state is co-partitioned with row-partitioned indexes.
+                prop_assert_eq!(lane_partition(&lanes, t, key, parts), row_partition(row, key, parts));
+            }
+        }
+        // Word equality is `Value` equality, so a word set and a value set
+        // intern the same tuples at the same positions.
+        let (mut words, mut values) = (TupleSet::<u64>::new(lanes.clone()), TupleSet::<Value>::default());
+        for (t, row) in tuples.iter().zip(&rows) {
+            prop_assert_eq!(words.intern(t), values.intern(row.values()));
+        }
+        for (i, a) in tuples.iter().enumerate() {
+            for (j, b) in tuples.iter().enumerate() {
+                prop_assert_eq!(a == b, rows[i] == rows[j]);
+                prop_assert_eq!(lanes[1].cmp(a[1], b[1]), rows[i][1].cmp(&rows[j][1]));
+                prop_assert_eq!(lanes[0].cmp(a[0], b[0]), rows[i][0].cmp(&rows[j][0]));
+            }
+        }
+    }
+
+    #[test]
+    fn word_and_value_aggregates_merge_alike_until_a_lane_is_left(
+        contribs in prop::collection::vec((0i64..4, edge_int(), edge_double(), 0u32..5), 1..60),
+    ) {
+        // min / sum over an `Int` and a `Double` column: the word state holds
+        // what the value state holds, bit for bit, up to the merge whose
+        // `Int` sum overflows — which it refuses where `Value::add` promotes.
+        let ops = [MonotoneOp::Min, MonotoneOp::Sum, MonotoneOp::Max, MonotoneOp::Sum];
+        let lanes = |ls: &[Lane]| -> Arc<[Lane]> { ls.to_vec().into() };
+        let agg = [Lane::Int, Lane::Int, Lane::Double, Lane::Double];
+        let mut words = AggState::<u64>::with_kinds(lanes(&[Lane::Int]), lanes(&agg), lanes(&[]));
+        let mut values = AggState::new();
+        let mut contribs = contribs;
+        contribs.sort_by_key(|c| c.3);
+        for &(k, i, d, round) in &contribs {
+            let vals = [Value::Int(i), Value::Int(i), Value::Double(d), Value::Double(d)];
+            let cells = [i as u64, i as u64, d.to_bits(), d.to_bits()];
+            let word = words.merge_in_place(&[k as u64], &cells, &ops, round, None);
+            let changed = values.merge(&[Value::Int(k)], &vals, &ops, round, None);
+            let Ok(change) = word else {
+                let total = values.get(&[Value::Int(k)]).unwrap();
+                prop_assert!(matches!(total[1], Value::Double(_)), "escaped without an overflow");
+                return Ok(());
+            };
+            prop_assert_eq!(changed, change != AggChange::Unchanged);
+            let got: Vec<Value> = words.get(&[k as u64]).unwrap().iter().zip(agg).map(|(&w, l)| l.decode(w)).collect();
+            let want = values.get(&[Value::Int(k)]).unwrap();
+            // Same variant and same bits, not just `Value` equality.
+            prop_assert_eq!(format!("{got:?}"), format!("{want:?}"));
+        }
     }
 
     #[test]
@@ -359,10 +457,10 @@ proptest! {
             original.insert(int_row(&[a, b]), round);
         }
         let encoded = encode_set_state(&original);
-        let restored = decode_set_state(encoded.clone()).unwrap();
+        let restored = decode_set_state(encoded.clone(), SetState::new()).unwrap();
         prop_assert_eq!(encode_set_state(&restored), encoded);
-        let mut got: Vec<_> = restored.iter_with_rounds().map(|(r, n)| (r.clone(), n)).collect();
-        let mut want: Vec<_> = original.iter_with_rounds().map(|(r, n)| (r.clone(), n)).collect();
+        let mut got: Vec<_> = restored.iter_with_rounds().map(|(r, n)| (r.to_vec(), n)).collect();
+        let mut want: Vec<_> = original.iter_with_rounds().map(|(r, n)| (r.to_vec(), n)).collect();
         got.sort();
         want.sort();
         prop_assert_eq!(got, want);
@@ -398,7 +496,7 @@ proptest! {
             );
         }
         let encoded = encode_agg_state(&original);
-        let restored = decode_agg_state(encoded.clone()).unwrap();
+        let restored = decode_agg_state(encoded.clone(), AggState::new()).unwrap();
         prop_assert_eq!(encode_agg_state(&restored), encoded);
         for &(k, _, _) in &contribs {
             prop_assert_eq!(
@@ -437,21 +535,14 @@ proptest! {
 }
 
 #[test]
-fn agg_state_increments_sum_to_total() {
-    // The increments reported across rounds must sum to the final total.
+fn agg_state_totals_are_the_sum_of_what_was_merged() {
     let ops = [MonotoneOp::Sum];
     let mut st = AggState::new();
-    let mut sum_of_increments = 0i64;
+    let mut sum = 0i64;
     for round in 0..20u32 {
         let v = (round as i64 % 5) + 1;
-        if let AggMergeResult::Changed { increments, .. } =
-            st.merge(&[Value::Int(1)], &[Value::Int(v)], &ops, round, None)
-        {
-            sum_of_increments += increments[0].as_int().unwrap();
-        }
+        assert!(st.merge(&[Value::Int(1)], &[Value::Int(v)], &ops, round, None));
+        sum += v;
     }
-    assert_eq!(
-        st.get(&[Value::Int(1)]).unwrap()[0],
-        Value::Int(sum_of_increments)
-    );
+    assert_eq!(st.get(&[Value::Int(1)]).unwrap()[0], Value::Int(sum));
 }

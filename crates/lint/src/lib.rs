@@ -20,6 +20,7 @@
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
 //! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s streaming executor, `exec::kernel`'s edge walk, `core::fixpoint`'s emit/merge functions and seed-fold sink) without an allow annotation |
 //! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast and recursive-snapshot builds carry an allow annotation saying why they are not kept |
+//! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s executor, `exec::tuples`' set, `exec::state`'s inserts, `plan::expr`'s word evaluator, `core::fixpoint`'s branch run and merge) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
 //! | `RL0009` | round-loop bookkeeping (`record_iteration(`, `EngineError::NonTermination`, `metrics.iterations`, `metrics.restores`, `begin_clique(`) in `core::fixpoint` outside fn `drive` — the trace record, the cap, the iteration count and recovery are written once; the in-task cap of the decomposed stage carries an allow annotation |
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
@@ -103,6 +104,14 @@ pub enum LintCode {
     /// iterations, enforces its own cap or recovers by itself is a second
     /// loop, and the copies drift (the cap once meant two things).
     RoundLoopOutsideDrive,
+    /// `RL0010`: a `Value::Variant(` or `Row::constructor(` call, or a
+    /// `.clone()`, in a function that a word-lane tuple passes through. On
+    /// that path a tuple is `u64` cells from the join probe to the state's
+    /// arena; building a `Value` or a `Row` for it, or cloning one, brings
+    /// back the 16-byte tagged cell and the allocation the representation
+    /// removed. The functions are generic over the cell type, so the few
+    /// places that copy a *cell* say so in an allow annotation.
+    WordPathValueBuild,
 }
 
 impl LintCode {
@@ -118,6 +127,7 @@ impl LintCode {
             LintCode::PerTupleRowBuild => "RL0007",
             LintCode::IndexBuiltOutsideStore => "RL0008",
             LintCode::RoundLoopOutsideDrive => "RL0009",
+            LintCode::WordPathValueBuild => "RL0010",
         }
     }
 
@@ -128,7 +138,7 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 9] {
+    pub fn all() -> [LintCode; 10] {
         [
             LintCode::RawLockConstruction,
             LintCode::HotPathPanic,
@@ -139,6 +149,7 @@ impl LintCode {
             LintCode::PerTupleRowBuild,
             LintCode::IndexBuiltOutsideStore,
             LintCode::RoundLoopOutsideDrive,
+            LintCode::WordPathValueBuild,
         ]
     }
 
@@ -169,6 +180,9 @@ impl LintCode {
             }
             LintCode::RoundLoopOutsideDrive => {
                 "round-loop bookkeeping in core::fixpoint outside fn drive"
+            }
+            LintCode::WordPathValueBuild => {
+                "Value/Row built or cloned in the word-lane tuple path without an allow annotation"
             }
         }
     }
@@ -853,13 +867,66 @@ fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppres
 /// kernels' seed fold, and the kernels' edge walk. `run_unfused` (the §7.3
 /// ablation) materializes rows by design and is not listed.
 const TUPLE_PATHS: &[(&str, &[&str])] = &[
-    ("crates/exec/src/pipeline.rs", &["for_each", "push", "join"]),
+    (
+        "crates/exec/src/pipeline.rs",
+        &["for_each", "feed", "push", "emit", "apply"],
+    ),
     ("crates/exec/src/kernel.rs", &["edge_walk"]),
     (
         "crates/core/src/fixpoint.rs",
-        &["push", "push_row", "merge_into_state", "push_seed"],
+        &[
+            "push",
+            "merge_into_state",
+            "push_seed",
+            "run_branch",
+            "read",
+            "input",
+            "emit",
+            "pick",
+            "assemble",
+        ],
+    ),
+    ("crates/exec/src/tuples.rs", WORD_SET_FNS),
+    ("crates/exec/src/state.rs", WORD_STATE_FNS),
+];
+
+/// The word-lane tuple path covered by RL0010, as (module, functions): what
+/// a packed tuple passes through between the join probe and the state's
+/// arena. (`plan::expr`'s `eval_vals`, `exec::tuples`' `Cell for Value` and
+/// the row-only paths of `core::fixpoint` work on values by definition.)
+const WORD_PATHS: &[(&str, &[&str])] = &[
+    (
+        "crates/exec/src/pipeline.rs",
+        &["feed", "push", "emit", "apply"],
+    ),
+    ("crates/exec/src/tuples.rs", WORD_SET_FNS),
+    ("crates/exec/src/state.rs", WORD_STATE_FNS),
+    ("crates/plan/src/expr.rs", &["eval_cells"]),
+    (
+        "crates/core/src/fixpoint.rs",
+        &[
+            "run_branch",
+            "read",
+            "input",
+            "emit",
+            "push",
+            "pick",
+            "assemble",
+            "merge_into_state",
+        ],
     ),
 ];
+const WORD_SET_FNS: &[&str] = &[
+    "intern",
+    "probe",
+    "find",
+    "push",
+    "get",
+    "partition_of",
+    "lane_partition",
+    "hash_cells",
+];
+const WORD_STATE_FNS: &[&str] = &["insert_slice", "merge_in_place"];
 
 /// RL0007: `Row::new(` / `Row::from_slice(` / `.concat(` / `.to_vec(` in a
 /// function that runs once per derived tuple. Most derived tuples are
@@ -907,6 +974,56 @@ fn rule_per_tuple_row(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppress
                 "keep the tuple a `&[Value]` of the scratch buffer and look it up by slice; the \
                  copy kept for a tuple the state found new needs \
                  `// lint: allow(RL0007, <reason>)`",
+            ),
+        );
+    }
+}
+
+/// RL0010: `Value::Ident(` / `Row::ident(` / `.clone()` in a function of the
+/// word-lane tuple path.
+fn rule_word_path_value(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
+    let Some((_, hot)) = WORD_PATHS.iter().find(|(p, _)| ctx.path.ends_with(p)) else {
+        return;
+    };
+    let code = &ctx.code;
+    let fns = enclosing_fns(code);
+    let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
+    for i in 0..code.len() {
+        if !fns[i].is_some_and(|(name, _)| hot.contains(&name)) {
+            continue;
+        }
+        let t = &code[i];
+        // `Value::X(` / `Row::x(`, or a `.clone()` call.
+        let end = if (t.is_ident("Value") || t.is_ident("Row"))
+            && is(i + 1, &|t| t.is_punct(':'))
+            && is(i + 2, &|t| t.is_punct(':'))
+            && is(i + 3, &|t| t.kind == TokenKind::Ident)
+            && is(i + 4, &|t| t.is_punct('('))
+        {
+            i + 4
+        } else if t.is_punct('.')
+            && is(i + 1, &|t| t.is_ident("clone"))
+            && is(i + 2, &|t| t.is_punct('('))
+            && is(i + 3, &|t| t.is_punct(')'))
+        {
+            i + 3
+        } else {
+            continue;
+        };
+        let span = Span::new(t.start, code[end].end);
+        ctx.emit(
+            out,
+            suppressed,
+            LintDiagnostic::new(
+                LintCode::WordPathValueBuild,
+                ctx.path,
+                span,
+                "value or row built, or cloned, in the word-lane tuple path",
+            )
+            .with_help(
+                "keep the tuple packed cells: read a column with its lane, compute on the words \
+                 and let the cold edge (`Tuples::to_rows`, `finish`) build rows; the copy of one \
+                 generic cell needs `// lint: allow(RL0010, <reason>)`",
             ),
         );
     }
@@ -1046,6 +1163,7 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     rule_per_tuple_row(&ctx, &mut out, &mut suppressed);
     rule_index_outside_store(&ctx, &mut out, &mut suppressed);
     rule_round_loop(&ctx, &mut out, &mut suppressed);
+    rule_word_path_value(&ctx, &mut out, &mut suppressed);
     out.sort_by_key(|d| d.span.start);
     (out, suppressed)
 }
@@ -1111,6 +1229,7 @@ mod tests {
         assert_eq!(LintCode::PerTupleRowBuild.code(), "RL0007");
         assert_eq!(LintCode::IndexBuiltOutsideStore.code(), "RL0008");
         assert_eq!(LintCode::RoundLoopOutsideDrive.code(), "RL0009");
+        assert_eq!(LintCode::WordPathValueBuild.code(), "RL0010");
         for c in LintCode::all() {
             assert_eq!(c.severity(), Severity::Error);
         }

@@ -1,7 +1,7 @@
 // Fixture: trips RL0007. Linted under the virtual path of a module of the
 // borrowed-tuple path (`crates/exec/src/pipeline.rs`: `for_each`, `push`,
-// `join`; `crates/exec/src/kernel.rs`: `edge_walk`;
-// `crates/core/src/fixpoint.rs`: `push`, `push_row`, `merge_into_state`,
+// `emit`; `crates/exec/src/kernel.rs`: `edge_walk`;
+// `crates/core/src/fixpoint.rs`: `push`, `assemble`, `merge_into_state`,
 // `push_seed`).
 impl Pipeline {
     fn push(&self, row: &Row, out: &mut Vec<Row>) {
@@ -11,13 +11,13 @@ impl Pipeline {
         }
     }
 
-    fn join(&self, tuple: &[Value]) -> Row {
+    fn emit(&self, tuple: &[Value]) -> Row {
         Row::new(tuple.iter().cloned().collect())
     }
 }
 
 impl Merge<'_> {
-    fn push_row(&mut self, tuple: &[Value]) {
+    fn assemble(&mut self, tuple: &[Value]) {
         if self.state.insert_slice(tuple, self.round) {
             // lint: allow(RL0007, fixture: the delta's copy of a tuple the state found new)
             self.delta.push(Row::from_slice(tuple));

@@ -1,0 +1,49 @@
+// Fixture: trips RL0010. Linted under the virtual path of a module of the
+// word-lane tuple path (`crates/exec/src/pipeline.rs`: `feed`, `push`,
+// `emit`, `apply`; `crates/exec/src/tuples.rs`: `intern`, `probe`, ...;
+// `crates/exec/src/state.rs`: `insert_slice`, `merge_in_place`;
+// `crates/plan/src/expr.rs`: `eval_cells`; `crates/core/src/fixpoint.rs`:
+// `run_branch`, `read`, `input`, `emit`, `push`, `pick`, `assemble`,
+// `merge_into_state`).
+impl<C: Cell> Pipeline<C> {
+    fn push(&self, s: &mut Scratch<C>) {
+        let key = Value::Int(s.tuple[1] as i64);
+        for m in self.table.probe(&[key.clone()]) {
+            s.out.push(Row::from_slice(m.values()));
+        }
+    }
+
+    fn emit(&self, tuple: &[C], out: &mut Vec<C>) {
+        // lint: allow(RL0010, fixture: a cell, a word copy on the word path)
+        out.extend(self.cols.iter().map(|&c| tuple[c].clone()));
+    }
+}
+
+impl WordExpr {
+    fn eval_cells(&self, t: &[u64]) -> Result<u64, Escaped> {
+        let v = Value::Double(f64::from_bits(t[0]));
+        Ok(self.lane.encode(&v)?)
+    }
+}
+
+impl<C: Cell> SetState<C> {
+    fn insert_slice(&mut self, tuple: &[C], round: u32) -> bool {
+        self.rows.insert(Row::new(tuple.to_vec()), round)
+    }
+}
+
+// The cold edge builds rows by definition, and `eval_vals` works on values.
+fn to_rows(tuples: &Tuples<u64>) -> Vec<Row> {
+    tuples.iter().map(|t| Row::new(vec![Value::Int(t[0] as i64)])).collect()
+}
+
+fn eval_vals(e: &PExpr, row: &[Value]) -> Value {
+    row[0].clone()
+}
+
+#[cfg(test)]
+mod tests {
+    fn push(v: &Value) -> Value {
+        Value::Int(1).clone()
+    }
+}

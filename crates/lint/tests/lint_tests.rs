@@ -230,13 +230,15 @@ fn rl0006_only_covers_read_path_modules() {
 #[test]
 fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
     let src = include_str!("fixtures/rl0007_per_tuple_rows.rs");
+    // (RL0010 covers some of the same functions; it has its own fixture.)
     let spans = |path: &str| -> Vec<_> {
         lint_file(path, src)
             .iter()
+            .filter(|d| d.code == LintCode::PerTupleRowBuild)
             .map(|d| (d.code, d.span.start, d.span.end))
             .collect()
     };
-    // `push` and `join` are the streaming executor's functions ...
+    // `push` and `emit` are the streaming executor's functions ...
     let (diags, suppressed) = lint_file_counting("crates/exec/src/pipeline.rs", src);
     assert_eq!(
         spans("crates/exec/src/pipeline.rs"),
@@ -247,21 +249,21 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
         ],
         "{diags:#?}"
     );
-    // `push_row`, `push_seed` and `edge_walk` are not among them;
+    // `assemble`, `push_seed` and `edge_walk` are not among them;
     // `run_unfused` and the test module never are.
     assert_eq!(suppressed, 0);
     assert_eq!(&src[392..400], ".to_vec(");
     assert_eq!(&src[469..477], ".concat(");
     assert_eq!(&src[552..561], "Row::new(");
-    // ... the fixpoint's sinks are `push` and `push_row`, whose annotated
-    // copy for a new tuple is suppressed, and the seed fold's `push_seed`;
-    // `join` is no function of theirs.
+    // ... the fixpoint's sinks are `push`, `emit` and `assemble`, whose
+    // annotated copy is suppressed, and the seed fold's `push_seed`.
     let (diags, suppressed) = lint_file_counting("crates/core/src/fixpoint.rs", src);
     assert_eq!(
         spans("crates/core/src/fixpoint.rs"),
         vec![
             (LintCode::PerTupleRowBuild, 392, 400),
             (LintCode::PerTupleRowBuild, 469, 477),
+            (LintCode::PerTupleRowBuild, 552, 561),
             (LintCode::PerTupleRowBuild, 973, 989), // Row::from_slice(
         ],
         "{diags:#?}"
@@ -410,4 +412,49 @@ fn live_workspace_lints_clean() {
         "only {} suppressions",
         report.suppressed
     );
+}
+
+#[test]
+fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
+    let src = include_str!("fixtures/rl0010_word_path_values.rs");
+    let found = |path: &str| -> (Vec<(u32, u32)>, usize) {
+        let (diags, suppressed) = lint_file_counting(path, src);
+        let spans = diags
+            .iter()
+            .filter(|d| d.code == LintCode::WordPathValueBuild)
+            .map(|d| (d.span.start, d.span.end))
+            .collect();
+        (spans, suppressed)
+    };
+    // The executor's `push` builds a key value, clones it and builds a row;
+    // its `emit` copies a cell under an annotation.
+    let at = |needle: &str, from: u32| {
+        let start = from as usize + src[from as usize..].find(needle).unwrap();
+        (start as u32, (start + needle.len()) as u32)
+    };
+    let key = at("Value::Int(", 0);
+    let clone = at(".clone()", key.1);
+    let row = at("Row::from_slice(", clone.1);
+    assert_eq!(
+        found("crates/exec/src/pipeline.rs"),
+        (vec![key, clone, row], 1)
+    );
+    // The word evaluator and the state's insert are functions of their own
+    // modules only.
+    let double = at("Value::Double(", row.1);
+    assert_eq!(found("crates/plan/src/expr.rs"), (vec![double], 0));
+    let boxed = at("Row::new(", double.1);
+    assert_eq!(found("crates/exec/src/state.rs"), (vec![boxed], 0));
+    // `push`/`emit` are the fixpoint's sinks too: the same three findings.
+    assert_eq!(
+        found("crates/core/src/fixpoint.rs"),
+        (vec![key, clone, row], 1)
+    );
+    // `to_rows`, `eval_vals` and the test module are nobody's hot function,
+    // and other modules are not covered.
+    for path in ["crates/core/src/eval.rs", "crates/exec/src/checkpoint.rs"] {
+        assert_eq!(found(path), (vec![], 0), "{path} is not covered");
+    }
+    let diags = lint_file("crates/plan/src/expr.rs", src);
+    assert!(diags[0].help.as_deref().unwrap().contains("packed cells"));
 }

@@ -5,7 +5,9 @@
 //! executor's volcano backend interprets and the fused backend compiles into
 //! closures.
 
+use rasql_storage::value::{Escaped, Lane};
 use rasql_storage::{Row, Value};
+use std::cmp::Ordering;
 use std::fmt;
 
 pub use rasql_parser::ast::{BinaryOp, UnaryOp};
@@ -339,6 +341,246 @@ fn cmp_bool(l: &Value, r: &Value, f: impl Fn(std::cmp::Ordering) -> bool) -> Val
         return Value::Bool(false);
     }
     Value::Bool(f(l.cmp(r)))
+}
+
+/// The static type of a [`WordExpr`]: a lane, or the boolean of a predicate
+/// (the words 0 and 1).
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum WordType {
+    /// An `Int` lane.
+    Int,
+    /// A `Double` lane.
+    Double,
+    /// A truth value.
+    Bool,
+}
+
+impl WordType {
+    /// The lane a column of this type is stored in; a boolean has none.
+    pub fn lane(self) -> Option<Lane> {
+        match self {
+            WordType::Int => Some(Lane::Int),
+            WordType::Double => Some(Lane::Double),
+            WordType::Bool => None,
+        }
+    }
+
+    fn of(lane: Lane) -> WordType {
+        match lane {
+            Lane::Int => WordType::Int,
+            Lane::Double => WordType::Double,
+        }
+    }
+}
+
+/// A [`PExpr`] compiled against word-lane input columns: every node's type
+/// is known statically, so evaluation reads and writes plain `u64` cells —
+/// no `Value` is built, cloned or matched on. It computes exactly what
+/// [`PExpr::eval_vals`] computes whenever that result stays in the node's
+/// static type; where it would not — an `Int` overflow (promoted to `Double`
+/// by `Value::add`), a division yielding NULL — evaluation returns
+/// [`Escaped`] instead of a value.
+#[derive(Debug, Clone)]
+pub struct WordExpr {
+    node: WordNode,
+    ty: WordType,
+}
+
+#[derive(Debug, Clone)]
+enum WordNode {
+    Col(usize),
+    Lit(u64),
+    /// `+ - * / %` on two numbers; `Int` iff both sides are.
+    Arith(BinaryOp, Box<WordExpr>, Box<WordExpr>),
+    /// A comparison of two numbers, or of two booleans.
+    Cmp(BinaryOp, Box<WordExpr>, Box<WordExpr>),
+    And(Box<WordExpr>, Box<WordExpr>),
+    Or(Box<WordExpr>, Box<WordExpr>),
+    Not(Box<WordExpr>),
+    Neg(Box<WordExpr>),
+    Abs(Box<WordExpr>),
+    /// `least` (`Less`) or `greatest` (`Greater`) of same-typed numbers.
+    Extreme(Ordering, Vec<WordExpr>),
+}
+
+impl WordExpr {
+    /// The static result type.
+    pub fn ty(&self) -> WordType {
+        self.ty
+    }
+
+    /// The input column this expression copies, if that is all it does.
+    pub fn column(&self) -> Option<usize> {
+        match self.node {
+            WordNode::Col(i) => Some(i),
+            _ => None,
+        }
+    }
+
+    /// This expression's number as an `f64` — `Value::as_f64`.
+    #[inline]
+    fn as_f64(&self, w: u64) -> f64 {
+        match self.ty {
+            WordType::Int => w as i64 as f64,
+            _ => f64::from_bits(w),
+        }
+    }
+
+    /// Evaluate against a word tuple.
+    pub fn eval_cells(&self, t: &[u64]) -> Result<u64, Escaped> {
+        Ok(match &self.node {
+            WordNode::Col(i) => t[*i],
+            WordNode::Lit(w) => *w,
+            WordNode::Arith(op, l, r) => {
+                let (a, b) = (l.eval_cells(t)?, r.eval_cells(t)?);
+                if self.ty == WordType::Int {
+                    let (a, b) = (a as i64, b as i64);
+                    let v = match op {
+                        BinaryOp::Add => a.checked_add(b),
+                        BinaryOp::Sub => a.checked_sub(b),
+                        BinaryOp::Mul => a.checked_mul(b),
+                        BinaryOp::Div => a.checked_div(b),
+                        _ => a.checked_rem(b),
+                    };
+                    v.ok_or(Escaped)? as u64
+                } else {
+                    let (a, b) = (l.as_f64(a), r.as_f64(b));
+                    let v = match op {
+                        BinaryOp::Add => a + b,
+                        BinaryOp::Sub => a - b,
+                        BinaryOp::Mul => a * b,
+                        // A zero divisor yields NULL.
+                        _ if b == 0.0 => return Err(Escaped),
+                        _ => a / b,
+                    };
+                    v.to_bits()
+                }
+            }
+            WordNode::Cmp(op, l, r) => {
+                let (a, b) = (l.eval_cells(t)?, r.eval_cells(t)?);
+                let ord = match (l.ty, r.ty) {
+                    (WordType::Int, WordType::Int) => (a as i64).cmp(&(b as i64)),
+                    (WordType::Bool, _) => a.cmp(&b),
+                    _ => l.as_f64(a).total_cmp(&r.as_f64(b)),
+                };
+                let holds = match op {
+                    BinaryOp::Eq => ord == Ordering::Equal,
+                    BinaryOp::NotEq => ord != Ordering::Equal,
+                    BinaryOp::Lt => ord == Ordering::Less,
+                    BinaryOp::LtEq => ord != Ordering::Greater,
+                    BinaryOp::Gt => ord == Ordering::Greater,
+                    _ => ord != Ordering::Less,
+                };
+                u64::from(holds)
+            }
+            WordNode::And(l, r) => u64::from(l.eval_cells(t)? == 1 && r.eval_cells(t)? == 1),
+            WordNode::Or(l, r) => u64::from(l.eval_cells(t)? == 1 || r.eval_cells(t)? == 1),
+            WordNode::Not(e) => e.eval_cells(t)? ^ 1,
+            WordNode::Neg(e) => match e.ty {
+                WordType::Int => (e.eval_cells(t)? as i64).checked_neg().ok_or(Escaped)? as u64,
+                _ => (-f64::from_bits(e.eval_cells(t)?)).to_bits(),
+            },
+            WordNode::Abs(e) => match e.ty {
+                WordType::Int => (e.eval_cells(t)? as i64).checked_abs().ok_or(Escaped)? as u64,
+                _ => f64::from_bits(e.eval_cells(t)?).abs().to_bits(),
+            },
+            WordNode::Extreme(keep, args) => {
+                let lane = if self.ty == WordType::Int {
+                    Lane::Int
+                } else {
+                    Lane::Double
+                };
+                let mut best = args[0].eval_cells(t)?;
+                for a in &args[1..] {
+                    let w = a.eval_cells(t)?;
+                    if lane.cmp(w, best) == *keep {
+                        best = w;
+                    }
+                }
+                best
+            }
+        })
+    }
+}
+
+impl PExpr {
+    /// Compile against word-lane input: `input[i]` is column `i`'s lane, or
+    /// `None` for a column words cannot hold or that was not read into the
+    /// tuple. `None` when a node has no static word type — a NULL or string
+    /// literal, a mixed-type `least`, `IS NULL`, … — which sends the whole
+    /// clique to value cells.
+    pub fn compile_words(&self, input: &[Option<Lane>]) -> Option<WordExpr> {
+        use WordType::{Bool, Double, Int};
+        let boxed = |e: &PExpr| e.compile_words(input).map(Box::new);
+        let numeric = |e: &WordExpr| e.ty != Bool;
+        let (node, ty) = match self {
+            PExpr::Col(i) => (WordNode::Col(*i), WordType::of((*input.get(*i)?)?)),
+            PExpr::Lit(Value::Int(i)) => (WordNode::Lit(*i as u64), Int),
+            PExpr::Lit(Value::Double(d)) => (WordNode::Lit(d.to_bits()), Double),
+            PExpr::Lit(Value::Bool(b)) => (WordNode::Lit(u64::from(*b)), Bool),
+            PExpr::Lit(_) | PExpr::IsNull { .. } => return None,
+            PExpr::Binary { left, op, right } => {
+                let (l, r) = (boxed(left)?, boxed(right)?);
+                match op {
+                    BinaryOp::And | BinaryOp::Or if l.ty == Bool && r.ty == Bool => {
+                        if *op == BinaryOp::And {
+                            (WordNode::And(l, r), Bool)
+                        } else {
+                            (WordNode::Or(l, r), Bool)
+                        }
+                    }
+                    BinaryOp::And | BinaryOp::Or => return None,
+                    BinaryOp::Add
+                    | BinaryOp::Sub
+                    | BinaryOp::Mul
+                    | BinaryOp::Div
+                    | BinaryOp::Mod => {
+                        let ty = match (l.ty, r.ty) {
+                            (Int, Int) => Int,
+                            // `%` is defined on integers only.
+                            (Int | Double, Int | Double) if *op != BinaryOp::Mod => Double,
+                            _ => return None,
+                        };
+                        (WordNode::Arith(*op, l, r), ty)
+                    }
+                    _ if numeric(&l) == numeric(&r) => (WordNode::Cmp(*op, l, r), Bool),
+                    _ => return None,
+                }
+            }
+            PExpr::Neg(e) => {
+                let e = boxed(e)?;
+                let ty = e.ty;
+                (WordNode::Neg(e), numeric_type(ty)?)
+            }
+            PExpr::Not(e) => {
+                let e = boxed(e)?;
+                if e.ty != Bool {
+                    return None;
+                }
+                (WordNode::Not(e), Bool)
+            }
+            PExpr::Func { func, args } => {
+                let args: Vec<WordExpr> = (args.iter())
+                    .map(|a| a.compile_words(input))
+                    .collect::<Option<_>>()?;
+                let ty = numeric_type(args.first()?.ty)?;
+                match func {
+                    // `abs` reads its first argument.
+                    ScalarFunc::Abs => (WordNode::Abs(Box::new(args.into_iter().next()?)), ty),
+                    // With one type among the arguments the winner's variant
+                    // is static; `least(Int, Double)` returns either.
+                    _ if args.iter().any(|a| a.ty != ty) => return None,
+                    ScalarFunc::Least => (WordNode::Extreme(Ordering::Less, args), ty),
+                    ScalarFunc::Greatest => (WordNode::Extreme(Ordering::Greater, args), ty),
+                }
+            }
+        };
+        Some(WordExpr { node, ty })
+    }
+}
+
+fn numeric_type(ty: WordType) -> Option<WordType> {
+    (ty != WordType::Bool).then_some(ty)
 }
 
 impl fmt::Display for PExpr {

@@ -30,7 +30,7 @@ pub use branch::{BranchProgram, BranchStep, CountMode, DeltaValueMode, JoinBuild
 pub use certificate::{CertificateFailure, PartitionCertificate};
 pub use diag::{DiagCode, Diagnostic, Severity};
 pub use error::PlanError;
-pub use expr::{PExpr, ScalarFunc};
+pub use expr::{PExpr, ScalarFunc, WordExpr, WordType};
 pub use logical::{AggExpr, FixpointSpec, LogicalPlan, ViewSpec};
 pub use optimizer::{optimize, optimize_spec};
 pub use verify::{verify_query, PremObligation, StaticVerdict, VerifyReport, ViewVerification};

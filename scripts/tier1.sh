@@ -39,7 +39,7 @@ cargo run --release -p rasql-bench --bin reproduce -- faults --scale 0.1
 
 # Specialized-kernel gate: the differential suite (kernel vs interpreter must
 # be bit-identical) plus a small-scale bench smoke that still enforces the
-# speedup floor (bench::KERNEL_SPEEDUP_FLOOR, 3.6x) on every (graph, query).
+# speedup floor (bench::KERNEL_SPEEDUP_FLOOR, 1.85x) on every (graph, query).
 cargo test -q -p rasql-core --test kernel_proptests
 cargo run --release -p rasql-bench --bin reproduce -- bench-kernels --scale 0.1
 
