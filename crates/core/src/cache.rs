@@ -42,29 +42,38 @@ pub struct CachedQuery {
     pub iterations: Vec<u32>,
 }
 
-struct Entry<T> {
+struct Entry {
     key: String,
     /// Lower-cased base tables the entry depends on (for invalidation sweeps).
     deps: Vec<String>,
-    value: T,
+    value: CachedQuery,
 }
 
-/// A bounded LRU cache keyed by plan text + version fingerprint: the front
-/// entry is the least recently read or written.
-struct VersionedCache<T> {
-    entries: RankedMutex<VecDeque<Entry<T>>>,
+/// The version-keyed result cache for ad-hoc queries (see
+/// [`crate::EngineConfig::result_cache_entries`]): a bounded LRU keyed by
+/// plan text + version fingerprint, whose front entry is the least recently
+/// read or written.
+pub struct ResultCache {
+    entries: RankedMutex<VecDeque<Entry>>,
     capacity: usize,
 }
 
-impl<T: Clone> VersionedCache<T> {
-    fn new(rank: LockRank, capacity: usize) -> Self {
-        VersionedCache {
-            entries: RankedMutex::new(rank, VecDeque::new()),
+impl ResultCache {
+    /// A cache holding at most `capacity` results (0 disables it).
+    pub fn new(capacity: usize) -> Self {
+        ResultCache {
+            entries: RankedMutex::new(LockRank::ResultCache, VecDeque::new()),
             capacity,
         }
     }
 
-    fn get(&self, key: &str) -> Option<T> {
+    /// True when the cache can never hold anything.
+    pub fn disabled(&self) -> bool {
+        self.capacity == 0
+    }
+
+    /// Look up a cached result.
+    pub fn get(&self, key: &str) -> Option<CachedQuery> {
         let mut entries = self.entries.lock();
         let at = entries.iter().position(|e| e.key == key)?;
         let entry = entries.remove(at)?;
@@ -73,7 +82,9 @@ impl<T: Clone> VersionedCache<T> {
         Some(value)
     }
 
-    fn put(&self, key: String, deps: Vec<String>, value: T) {
+    /// Insert a result (no-op when the key is already present or capacity
+    /// is 0).
+    pub fn put(&self, key: String, deps: Vec<String>, value: CachedQuery) {
         if self.capacity == 0 {
             return;
         }
@@ -87,8 +98,8 @@ impl<T: Clone> VersionedCache<T> {
         entries.push_back(Entry { key, deps, value });
     }
 
-    /// Drop every entry depending on `table`; returns how many were dropped.
-    fn invalidate(&self, table: &str) -> u64 {
+    /// Drop entries reading `table`; returns how many were dropped.
+    pub fn invalidate(&self, table: &str) -> u64 {
         let needle = table.to_ascii_lowercase();
         let mut entries = self.entries.lock();
         let before = entries.len();
@@ -96,52 +107,12 @@ impl<T: Clone> VersionedCache<T> {
         (before - entries.len()) as u64
     }
 
-    fn clear(&self) -> u64 {
+    /// Drop everything; returns how many entries were dropped.
+    pub fn clear(&self) -> u64 {
         let mut entries = self.entries.lock();
         let n = entries.len() as u64;
         entries.clear();
         n
-    }
-}
-
-/// The version-keyed result cache for ad-hoc queries (see
-/// [`crate::EngineConfig::result_cache_entries`]).
-pub struct ResultCache {
-    inner: VersionedCache<CachedQuery>,
-}
-
-impl ResultCache {
-    /// A cache holding at most `capacity` results (0 disables it).
-    pub fn new(capacity: usize) -> Self {
-        ResultCache {
-            inner: VersionedCache::new(LockRank::ResultCache, capacity),
-        }
-    }
-
-    /// True when the cache can never hold anything.
-    pub fn disabled(&self) -> bool {
-        self.inner.capacity == 0
-    }
-
-    /// Look up a cached result.
-    pub fn get(&self, key: &str) -> Option<CachedQuery> {
-        self.inner.get(key)
-    }
-
-    /// Insert a result (no-op when the key is already present or capacity
-    /// is 0).
-    pub fn put(&self, key: String, deps: Vec<String>, value: CachedQuery) {
-        self.inner.put(key, deps, value);
-    }
-
-    /// Drop entries reading `table`; returns how many were dropped.
-    pub fn invalidate(&self, table: &str) -> u64 {
-        self.inner.invalidate(table)
-    }
-
-    /// Drop everything; returns how many entries were dropped.
-    pub fn clear(&self) -> u64 {
-        self.inner.clear()
     }
 }
 

@@ -8,13 +8,12 @@
 //! callers (the `CHECK` statement, the shell's `\lint`, `reproduce lint`)
 //! never have to stitch the two systems together.
 
-use crate::context::{QueryResult, QueryStats, RaSqlContext};
+use crate::context::{read_script, Planned, RaSqlContext, Scope};
 use crate::error::EngineError;
 use crate::prem::{PremCheckOutcome, PremChecker};
 use rasql_parser::ast::{AggFunc, Query, Statement};
 use rasql_parser::parse;
 use rasql_plan::{AnalyzedStatement, Severity, StaticVerdict, VerifyReport};
-use rasql_storage::Relation;
 
 /// How a PreM obligation was discharged.
 #[derive(Debug, Clone)]
@@ -103,7 +102,7 @@ impl RaSqlContext {
                 ))
             }
         };
-        Ok(self.run_check(&q, sql))
+        self.check_report(&q, sql, &mut Scope::default())
     }
 
     /// Verify every query statement of a `;`-separated script, *executing*
@@ -112,21 +111,25 @@ impl RaSqlContext {
     /// statement — the engine behind the shell's `\lint` and
     /// `reproduce lint`.
     pub fn lint_script(&self, sql: &str) -> Result<Vec<CheckReport>, EngineError> {
-        let statements = rasql_parser::parse_statements(sql)?;
         let mut reports = Vec::new();
-        for stmt in &statements {
+        read_script(sql, &mut Scope::default(), |stmt, scope| {
             match stmt {
-                Statement::Query(q) | Statement::Check(q) => reports.push(self.run_check(q, sql)),
+                Statement::Query(q) | Statement::Check(q) => {
+                    reports.push(self.check_report(q, sql, scope)?);
+                }
+                // Planning a view lands it in the shared catalog.
                 Statement::CreateView { .. } => {
-                    self.execute_statement(stmt, sql)?;
+                    self.plan(stmt, scope)?;
                 }
                 // Lint never executes queries, so a materialized view is
                 // checked (its defining query) and its *schema* registered so
                 // later statements resolve — without materializing anything.
                 Statement::CreateMaterializedView { name, query, .. } => {
-                    reports.push(self.run_check(query, sql));
-                    if let Ok(AnalyzedStatement::CreateMaterializedView { query: aq, .. }) =
-                        self.analyze(stmt)
+                    reports.push(self.check_report(query, sql, scope)?);
+                    if let Ok(Planned {
+                        statement: AnalyzedStatement::CreateMaterializedView { query: aq, .. },
+                        ..
+                    }) = self.plan(stmt, scope)
                     {
                         self.add_planner_table(name, aq.final_plan.schema());
                     }
@@ -137,15 +140,33 @@ impl RaSqlContext {
                 | Statement::RefreshMaterializedView { .. }
                 | Statement::DropMaterializedView { .. } => {}
             }
-        }
+            Ok(())
+        })?;
         Ok(reports)
     }
 
-    /// The shared `CHECK` implementation: `source` is the text the query's
-    /// spans index into.
-    pub(crate) fn run_check(&self, q: &Query, source: &str) -> CheckReport {
-        let verification = self.verify_ast(q);
+    /// `CHECK q` in `scope`, without running it as a statement.
+    fn check_report(
+        &self,
+        q: &Query,
+        source: &str,
+        scope: &mut Scope<'_>,
+    ) -> Result<CheckReport, EngineError> {
+        let planned = self.plan(&Statement::Check(q.clone()), scope)?;
+        Ok(self.run_check(q, planned.verification, source, scope))
+    }
 
+    /// The shared `CHECK` implementation over the static `verification` of
+    /// `q`: `source` is the text the query's spans index into, and `scope`
+    /// the catalog the dynamic fallback analyzes `q` in — the one
+    /// `verification` was made in.
+    pub(crate) fn run_check(
+        &self,
+        q: &Query,
+        verification: VerifyReport,
+        source: &str,
+        scope: &mut Scope<'_>,
+    ) -> CheckReport {
         // Dynamic fallback: run the lock-step checker once if any obligation
         // is statically unknown, and share the outcome across those columns.
         let any_unknown = verification
@@ -153,15 +174,11 @@ impl RaSqlContext {
             .iter()
             .flat_map(|v| &v.prem)
             .any(|o| o.verdict == StaticVerdict::Unknown);
-        let dynamic_outcome = if any_unknown {
-            Some(
-                PremChecker::new(self)
-                    .check_statement(&Statement::Query(q.clone()))
-                    .unwrap_or_else(|e| PremCheckOutcome::Inconclusive(e.to_string())),
-            )
-        } else {
-            None
-        };
+        let dynamic_outcome = any_unknown.then(|| {
+            self.plan(&Statement::Query(q.clone()), scope)
+                .and_then(|planned| PremChecker::new(self).check_analyzed(planned.statement))
+                .unwrap_or_else(|e| PremCheckOutcome::Inconclusive(e.to_string()))
+        });
 
         let mut prem = Vec::new();
         for view in &verification.views {
@@ -264,24 +281,4 @@ fn describe_outcome(o: &PremCheckOutcome) -> String {
         }
         PremCheckOutcome::Inconclusive(msg) => format!("inconclusive — {msg}"),
     }
-}
-
-/// Pack a check report into the single-column relation shape statement
-/// results travel in.
-pub(crate) fn check_result(report: &CheckReport) -> QueryResult {
-    QueryResult {
-        relation: text_lines(&report.rendered),
-        stats: QueryStats::default(),
-        trace: None,
-    }
-}
-
-fn text_lines(text: &str) -> Relation {
-    use rasql_storage::{DataType, Row, Schema, Value};
-    let schema = Schema::new(vec![("check", DataType::Str)]);
-    let rows = text
-        .lines()
-        .map(|l| Row::new(vec![Value::str(l)]))
-        .collect();
-    Relation::new_unchecked(schema, rows)
 }

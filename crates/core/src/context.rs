@@ -1,6 +1,6 @@
 //! [`RaSqlContext`] — the public entry point of the engine.
 
-use crate::cache::{CachedQuery, ResultCache};
+use crate::cache::{version_fingerprint, CachedQuery, ResultCache};
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
 use crate::eval::EvalContext;
@@ -10,10 +10,11 @@ use rasql_exec::{
     AdmissionController, CancellationToken, Cluster, ClusterConfig, ExecError, Metrics,
     MetricsSnapshot, QueryGovernor, QueryTrace, TraceSink,
 };
+use rasql_parser::ast::Query;
 use rasql_parser::{parse_statements, Statement};
 use rasql_plan::{
-    analyze_statement, optimize, optimize_spec, AnalyzedQuery, AnalyzedStatement, LogicalPlan,
-    ViewCatalog,
+    analyze_statement, optimize, optimize_spec, verify_query, AnalyzedQuery, AnalyzedStatement,
+    LogicalPlan, PlanError, VerifyReport, ViewCatalog,
 };
 use rasql_storage::snapshot::{encode_state, read_snapshot, sweep_stray_temp};
 use rasql_storage::sync::{LockRank, RankedMutex};
@@ -29,15 +30,16 @@ use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-/// Statistics of the most recent query execution.
+/// Statistics of one statement.
 #[derive(Debug, Clone, Default, PartialEq)]
 pub struct QueryStats {
-    /// The context-assigned query id (the handle `kill` takes); 0 for
-    /// statements that never entered execution (e.g. `CREATE VIEW`).
+    /// The context-assigned query id (the handle `kill` takes) of a statement
+    /// that ran under a governor; 0 for one that never did (e.g. `CREATE
+    /// VIEW`, a result-cache hit).
     pub query_id: u64,
     /// Fixpoint iterations, one entry per recursive clique evaluated.
     pub iterations: Vec<u32>,
-    /// Wall-clock time of the execution.
+    /// Wall-clock time of the statement, from its analysis to its result.
     pub elapsed: Duration,
     /// True when the result was served from the version-keyed result cache
     /// (nothing executed; `metrics` are zero and `query_id` is 0).
@@ -65,21 +67,96 @@ pub struct QueryResult {
     pub trace: Option<QueryTrace>,
 }
 
-/// What one statement produced when run against a caller-supplied catalog
-/// (the [`Session`](crate::Session) path): result rows, or a view definition
-/// the caller should install in its own catalog overlay.
-pub(crate) enum StatementOutcome {
-    /// The statement executed and produced rows (boxed: a result is much
-    /// larger than the `CreatedView` variant).
-    Rows(Box<QueryResult>),
-    /// The statement was a `CREATE VIEW`; nothing was installed — the
-    /// optimized plan comes back for the caller's catalog.
-    CreatedView {
-        /// The view name as written.
-        name: String,
-        /// The optimized view plan.
-        plan: LogicalPlan,
-    },
+/// Private views, in definition order: a session's, or a replay's copy.
+pub(crate) type Views = RankedMutex<Vec<(String, LogicalPlan)>>;
+
+/// Where a statement resolves its names, where the `CREATE VIEW`s of its
+/// script land, and who may cancel it — all a [`Session`](crate::Session)
+/// supplies to the statement lifecycle besides the statement itself. The
+/// default scope is the context's own: the shared catalog, no parent token.
+#[derive(Default)]
+pub(crate) struct Scope<'a> {
+    /// The private views the scope's names resolve in first, over the
+    /// shared catalog: a session's, or a throwaway copy for a replay that
+    /// must publish nothing (`prepare`, recovery). `None` resolves in — and
+    /// publishes to — the shared catalog.
+    views: Option<&'a Views>,
+    /// The shared catalog with `views` on top, built on first use and dropped
+    /// when a statement changes the shared catalog under the script.
+    overlay: Option<ViewCatalog>,
+    /// Parent of every statement's cancellation token (a session's
+    /// interrupt).
+    parent: Option<&'a CancellationToken>,
+    /// The `CREATE VIEW`s this script has run, in order: with the shared
+    /// catalog, the scope a materialized view is defined in — the one
+    /// recovery replays its defining script in.
+    script: Vec<(String, LogicalPlan)>,
+}
+
+impl<'a> Scope<'a> {
+    /// A scope over private `views`, its statements' tokens children of
+    /// `parent`.
+    pub(crate) fn private(views: &'a Views, parent: Option<&'a CancellationToken>) -> Self {
+        Scope {
+            views: Some(views),
+            parent,
+            ..Scope::default()
+        }
+    }
+
+    /// `err` of a materialized view's definition, named for what it is when
+    /// the unknown name is a view private to this scope.
+    fn private_view_error(&self, err: PlanError) -> PlanError {
+        match &err {
+            PlanError::UnknownTable(name)
+                if self.views.is_some_and(|v| {
+                    v.lock().iter().any(|(n, _)| n.eq_ignore_ascii_case(name))
+                }) =>
+            {
+                PlanError::Invalid(format!(
+                    "a materialized view may not read view '{name}': it is private to this \
+                     session and not created by the view's own script, so recovery could not \
+                     replay it — define '{name}' in the same script or on the shared context"
+                ))
+            }
+            _ => err,
+        }
+    }
+}
+
+/// A statement after phases 1–3 of its lifecycle.
+pub(crate) struct Planned {
+    /// The analyzed statement, every plan in it optimized.
+    pub(crate) statement: AnalyzedStatement,
+    /// The static verifier's report on the query the statement wraps (empty
+    /// for a plain query, which runs without one).
+    pub(crate) verification: VerifyReport,
+}
+
+/// What running a statement measured — its [`QueryStats`] except the wall
+/// time, which the lifecycle reads last — and its trace.
+#[derive(Default)]
+struct Run {
+    query_id: u64,
+    iterations: Vec<u32>,
+    cached: bool,
+    metrics: MetricsSnapshot,
+    trace: Option<QueryTrace>,
+}
+
+/// One executed query: its result, every clique view's converged relation
+/// by lower-cased name (a materialized view's warm state), and its run.
+struct Executed {
+    relation: Relation,
+    views: HashMap<String, Arc<Relation>>,
+    run: Run,
+}
+
+/// What a delta-seeded refresh resumes from: the clique's retained state,
+/// view by view, and each grown dependency's appended rows.
+struct Resume {
+    warm: Vec<Vec<Row>>,
+    changed: Vec<(String, Vec<Row>)>,
 }
 
 /// A RaSQL session: registered tables, a simulated cluster, and the SQL
@@ -313,10 +390,9 @@ impl RaSqlContext {
         Ok(())
     }
 
-    /// Rebuild one materialized view from its durable image: re-parse and
-    /// re-analyze the stored defining script (compiled plans never travel
-    /// through the log), restore warm fixpoint state, and register the
-    /// record verbatim.
+    /// Rebuild one materialized view from its durable image: re-plan the
+    /// stored defining script (compiled plans never travel through the log),
+    /// restore warm fixpoint state, and register the record verbatim.
     fn restore_view(&self, img: ViewImage) -> Result<(), EngineError> {
         let ViewImage {
             key,
@@ -329,40 +405,29 @@ impl RaSqlContext {
             deps,
             warm,
         } = img;
-        let statements = parse_statements(&sql)?;
-        // Plain views the defining query reads are planner-only state; the
-        // ones created in the same script replay into a private overlay.
-        let mut pc = self.planner_snapshot();
-        let mut create: Option<&Statement> = None;
-        for stmt in &statements {
+        // Planned where it was created: in the shared catalog plus the views
+        // its own script creates before it (plain views are planner-only
+        // state; these replay into a throwaway scope).
+        let mut defined = None;
+        let views = Views::new(LockRank::SessionViews, Vec::new());
+        read_script(&sql, &mut Scope::private(&views, None), |stmt, scope| {
             match stmt {
-                Statement::CreateView { .. } => {
-                    if let AnalyzedStatement::CreateView { name, plan } =
-                        analyze_statement(stmt, &pc)?
-                    {
-                        pc.add_view(&name, optimize(plan));
-                    }
+                Statement::CreateView { .. } if defined.is_none() => {
+                    self.plan(stmt, scope)?;
                 }
                 Statement::CreateMaterializedView { name, .. }
-                    if name.to_ascii_lowercase() == key =>
+                    if defined.is_none() && name.eq_ignore_ascii_case(&key) =>
                 {
-                    create = Some(stmt);
+                    defined = Some(self.plan(stmt, scope)?.statement);
                 }
                 _ => {}
             }
-        }
-        let Some(stmt) = create else {
+            Ok(())
+        })?;
+        let Some(AnalyzedStatement::CreateMaterializedView { name, query, .. }) = defined else {
             return Err(EngineError::Other(format!(
                 "durability recovery: stored script for materialized view \
                  '{key}' has no matching CREATE MATERIALIZED VIEW statement"
-            )));
-        };
-        let AnalyzedStatement::CreateMaterializedView { name, query, .. } =
-            analyze_statement(stmt, &pc)?
-        else {
-            return Err(EngineError::Other(format!(
-                "durability recovery: defining statement of materialized view \
-                 '{key}' no longer analyzes as CREATE MATERIALIZED VIEW"
             )));
         };
         for (k, blob) in warm {
@@ -671,88 +736,76 @@ impl RaSqlContext {
     /// Execute a `;`-separated script; returns one [`QueryResult`] per
     /// statement.
     pub fn query_script(&self, sql: &str) -> Result<Vec<QueryResult>, EngineError> {
-        let statements = parse_statements(sql)?;
-        let mut out = Vec::with_capacity(statements.len());
-        for stmt in &statements {
-            out.push(self.execute_statement(stmt, sql)?);
-        }
+        let mut out = Vec::new();
+        read_script(sql, &mut Scope::default(), |stmt, scope| {
+            out.push(self.run_statement(stmt, sql, scope)?);
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    pub(crate) fn execute_statement(
+    /// The statement lifecycle. Every statement of every surface — a
+    /// context's script, a session's, a prepared replay — runs here, in one
+    /// order: analyze, verify and optimize it in its scope's catalog
+    /// ([`plan`](Self::plan)); refresh the stale views a query reads; probe
+    /// the result cache; admit it under a fresh governor; execute; publish.
+    /// One clock times all of it. A statement kind supplies only what
+    /// differs: whether it is governed, whether its clique runs or resumes,
+    /// and where its result is published.
+    pub(crate) fn run_statement(
         &self,
         stmt: &Statement,
         source: &str,
+        scope: &mut Scope<'_>,
     ) -> Result<QueryResult, EngineError> {
-        let analyzed = {
-            let pc = self.planner_catalog.lock();
-            analyze_statement(stmt, &pc)?
-        };
-        if let AnalyzedStatement::CreateView { name, plan } = analyzed {
-            let plan = optimize(plan);
-            self.planner_catalog.lock().add_view(&name, plan);
-            return Ok(empty_result());
-        }
-        self.dispatch(analyzed, stmt, source, None)
-    }
-
-    /// Execute one statement analyzed against a caller-supplied catalog — the
-    /// session path. `CREATE VIEW` does *not* mutate the shared planner
-    /// catalog; the definition comes back as
-    /// [`StatementOutcome::CreatedView`] for the caller to install in its own
-    /// overlay. `parent` links the query's cancellation token under the
-    /// session's interrupt token, so dropping a connection cancels its
-    /// in-flight queries.
-    pub(crate) fn run_statement_in(
-        &self,
-        stmt: &Statement,
-        source: &str,
-        catalog: &ViewCatalog,
-        parent: Option<&CancellationToken>,
-    ) -> Result<StatementOutcome, EngineError> {
-        let analyzed = analyze_statement(stmt, catalog)?;
-        if let AnalyzedStatement::CreateView { name, plan } = analyzed {
-            let plan = optimize(plan);
-            return Ok(StatementOutcome::CreatedView { name, plan });
-        }
-        Ok(StatementOutcome::Rows(Box::new(
-            self.dispatch(analyzed, stmt, source, parent)?,
-        )))
-    }
-
-    /// Run a non-view analyzed statement. `CREATE VIEW` never reaches here
-    /// (both callers intercept it, because where the view lands differs);
-    /// defensively it is a no-op result.
-    fn dispatch(
-        &self,
-        analyzed: AnalyzedStatement,
-        stmt: &Statement,
-        source: &str,
-        parent: Option<&CancellationToken>,
-    ) -> Result<QueryResult, EngineError> {
-        match analyzed {
-            AnalyzedStatement::CreateView { .. } => Ok(empty_result()),
-            AnalyzedStatement::Query(q) => self.run_query_statement(q, parent),
-            AnalyzedStatement::Check(q) => {
-                Ok(crate::check::check_result(&self.run_check(&q, source)))
+        use AnalyzedStatement as S;
+        let clock = Instant::now();
+        let Planned {
+            statement,
+            verification,
+        } = self.plan(stmt, scope)?;
+        let parent = scope.parent;
+        let (relation, run) = match statement {
+            S::Query(q) => self.run_query(&q, parent, clock)?,
+            S::Explain { analyze, inner } => match *inner {
+                // EXPLAIN ANALYZE query: execute with tracing forced on, then
+                // render the plan annotated with the live counters.
+                S::Query(q) if analyze => {
+                    let Executed { run, .. } = self.execute(&q, parent, true, None, clock)?;
+                    let trace = run.trace.as_ref().expect("tracing forced on");
+                    let text = explain_analyzed(&q, trace, &verification);
+                    (text_relation("plan", &text), run)
+                }
+                // Plain EXPLAIN (and EXPLAIN ANALYZE of non-queries, which
+                // have nothing to measure): render without executing.
+                inner => {
+                    let column = if matches!(inner, S::Check(_)) {
+                        "check"
+                    } else {
+                        "plan"
+                    };
+                    let text = self.explain_text(&inner, verification, source, scope);
+                    (text_relation(column, &text), Run::default())
+                }
+            },
+            S::Check(q) => {
+                let report = self.run_check(&q, verification, source, scope);
+                (text_relation("check", &report.rendered), Run::default())
             }
-            AnalyzedStatement::Explain { analyze, inner } => {
-                let verification = innermost_query(stmt).map(|q| self.verify_ast(q).summary());
-                self.execute_explain(analyze, *inner, verification, source, parent)
-            }
-            AnalyzedStatement::Insert { table, rows, .. } => {
+            // The view landed in the scope when it was planned.
+            S::CreateView { .. } => (Relation::empty(Schema::empty()), Run::default()),
+            S::Insert { table, rows, .. } => {
                 self.guard_not_matview(&table, "INSERT into")?;
                 let n = rows.len();
                 self.catalog.insert_rows(&table, rows)?;
                 self.table_appended(&table);
                 self.maybe_compact()?;
-                Ok(count_result("inserted", n))
+                (count_relation("inserted", n), Run::default())
             }
-            AnalyzedStatement::Delete {
+            S::Delete {
                 table, keep_plan, ..
             } => {
                 self.guard_not_matview(&table, "DELETE from")?;
-                let keep_plan = optimize(keep_plan);
                 let no_views = HashMap::new();
                 // Governed like any other statement: the keep-predicate scan
                 // charges the memory budget, observes the query deadline, and
@@ -761,35 +814,31 @@ impl RaSqlContext {
                 // only if the table is still at that version — rows INSERTed
                 // concurrently force a re-evaluation instead of being
                 // silently clobbered (and the deleted count stays exact).
-                let removed = self.with_governor(parent, |governor| loop {
+                let (removed, query_id) = self.with_governor(parent, |governor| loop {
                     let (snapshot, v) = self.catalog.get_versioned(&table)?;
-                    let eval = EvalContext {
-                        cluster: &self.cluster,
-                        catalog: &self.catalog,
-                        views: &no_views,
-                        partitions: self.config.partitions,
-                        fused: self.config.fused_codegen,
-                        trace: None,
-                        governor: Some(governor),
-                        index: None,
-                    };
+                    let eval = self.eval_context(&no_views, None, Some(governor));
                     let kept = eval.evaluate(&keep_plan)?;
                     let removed = snapshot.len().saturating_sub(kept.len());
                     if self.catalog.replace_rows_if(&table, kept, v.version)? {
-                        return Ok(removed);
+                        return Ok((removed, governor.query_id()));
                     }
                 })?;
                 self.table_rewritten(&table);
                 self.maybe_compact()?;
-                Ok(count_result("deleted", removed))
+                let run = Run {
+                    query_id,
+                    ..Run::default()
+                };
+                (count_relation("deleted", removed), run)
             }
-            AnalyzedStatement::CreateMaterializedView { name, query, .. } => {
-                self.create_materialized_view(&name, query, stmt, source, parent)
+            S::CreateMaterializedView { name, query, .. } => {
+                // The view's table joins the shared catalog under the script.
+                scope.overlay = None;
+                self.create_materialized_view(&name, query, &verification, source, parent, clock)?
             }
-            AnalyzedStatement::RefreshMaterializedView { name, .. } => {
-                self.refresh_view(&name, parent)
-            }
-            AnalyzedStatement::DropMaterializedView { name, .. } => {
+            S::RefreshMaterializedView { name, .. } => self.refresh_view(&name, parent, clock)?,
+            S::DropMaterializedView { name, .. } => {
+                scope.overlay = None;
                 let key = name.to_ascii_lowercase();
                 // Serialized with CREATE/REFRESH of the same view, so a drop
                 // can never interleave with a refresh's publish step (which
@@ -809,11 +858,106 @@ impl RaSqlContext {
                     .retained_bytes
                     .store(self.warm.retained_bytes(), Ordering::Relaxed);
                 self.maybe_compact()?;
-                Ok(status_result(&format!(
-                    "dropped materialized view '{name}'"
-                )))
+                let status = format!("dropped materialized view '{name}'");
+                (text_relation("status", &status), Run::default())
+            }
+        };
+        let stats = QueryStats {
+            query_id: run.query_id,
+            iterations: run.iterations,
+            elapsed: clock.elapsed(),
+            cached: run.cached,
+            metrics: run.metrics,
+        };
+        Ok(QueryResult {
+            relation,
+            stats,
+            trace: run.trace,
+        })
+    }
+
+    /// Phases 1–3 of the lifecycle: analyze `stmt` and verify the query it
+    /// wraps in one scope catalog, then optimize every plan in it once. A
+    /// `CREATE VIEW` lands in the scope here: the rest of its script resolves
+    /// against it, whether or not the script runs.
+    pub(crate) fn plan(
+        &self,
+        stmt: &Statement,
+        scope: &mut Scope<'_>,
+    ) -> Result<Planned, EngineError> {
+        // A plain query runs without a verdict; whatever else wraps a query
+        // reports one.
+        let verified = innermost_query(stmt).filter(|_| !matches!(stmt, Statement::Query(_)));
+        let analyzed = self.in_catalog(scope, stmt, |catalog| {
+            let analyzed = analyze_statement(stmt, catalog)?;
+            let verification = verified
+                .map(|q| verify_query(q, catalog))
+                .unwrap_or_default();
+            Ok((analyzed, verification))
+        });
+        let (analyzed, verification) = analyzed.map_err(|e| {
+            if defines_matview(stmt) {
+                scope.private_view_error(e)
+            } else {
+                e
+            }
+        })?;
+        let statement = optimize_statement(analyzed);
+        if let AnalyzedStatement::CreateView { name, plan } = &statement {
+            self.define_view(scope, name, plan.clone());
+        }
+        Ok(Planned {
+            statement,
+            verification,
+        })
+    }
+
+    /// Run `f` over the catalog `stmt` resolves in under `scope`. A
+    /// materialized view's definition (and its `EXPLAIN`) resolves in the
+    /// shared catalog plus the script's own views — where recovery replays
+    /// it; everything else in the shared catalog or the scope's overlay.
+    fn in_catalog<T>(
+        &self,
+        scope: &mut Scope<'_>,
+        stmt: &Statement,
+        f: impl FnOnce(&ViewCatalog) -> T,
+    ) -> T {
+        match scope.views {
+            None => f(&self.planner_catalog.lock()),
+            Some(_) if defines_matview(stmt) => f(&self.overlay(&scope.script)),
+            Some(views) => f(scope
+                .overlay
+                .get_or_insert_with(|| self.overlay(views.lock().iter()))),
+        }
+    }
+
+    /// A snapshot of the shared catalog with `views` on top.
+    fn overlay<'v>(
+        &self,
+        views: impl IntoIterator<Item = &'v (String, LogicalPlan)>,
+    ) -> ViewCatalog {
+        let mut catalog = self.planner_catalog.lock().clone();
+        for (name, plan) in views {
+            catalog.add_view(name, plan.clone());
+        }
+        catalog
+    }
+
+    /// Publish a `CREATE VIEW` to `scope`: the rest of its script sees it,
+    /// and so does the shared catalog or the private views it belongs to.
+    fn define_view(&self, scope: &mut Scope<'_>, name: &str, plan: LogicalPlan) {
+        match scope.views {
+            None => self.planner_catalog.lock().add_view(name, plan.clone()),
+            Some(views) => {
+                let mut views = views.lock();
+                views.retain(|(n, _)| !n.eq_ignore_ascii_case(name));
+                views.push((name.to_string(), plan.clone()));
             }
         }
+        if let Some(overlay) = &mut scope.overlay {
+            overlay.add_view(name, plan.clone());
+        }
+        scope.script.push((name.to_string(), plan));
     }
 
     /// INSERT/DELETE targets must be base tables: a materialized view's
@@ -832,108 +976,142 @@ impl RaSqlContext {
         Ok(())
     }
 
-    /// Execute a query statement: refresh any stale materialized views it
-    /// reads, then serve from the version-keyed result cache when possible.
-    fn run_query_statement(
+    /// A query: refresh any stale materialized views it reads, then serve it
+    /// from the version-keyed result cache, or execute it and fill the cache.
+    fn run_query(
         &self,
-        q: AnalyzedQuery,
+        q: &AnalyzedQuery,
         parent: Option<&CancellationToken>,
-    ) -> Result<QueryResult, EngineError> {
-        let deps = query_dep_tables(&q);
-        // Reading a stale materialized view refreshes it first, so results
-        // are always as-of the current base data.
+        clock: Instant,
+    ) -> Result<(Relation, Run), EngineError> {
+        let deps = query_dep_tables(q);
+        // Reading a stale materialized view refreshes it first — before the
+        // probe, and before this query is admitted — so results are always
+        // as-of the current base data.
         let mut visited = HashSet::new();
         for t in &deps {
-            self.refresh_if_stale(t, &mut visited, parent)?;
+            self.refresh_if_stale(t, &mut visited, parent, clock)?;
         }
         let traced = self.tracing_enabled();
-        if self.result_cache.disabled() {
-            return self.execute_query(q, traced, parent);
-        }
-        let started = Instant::now();
-        let key = self.query_cache_key(&q, &deps);
-        if let Some(hit) = self.result_cache.get(&key) {
+        // The key: the optimized plan text (cliques + final plan, constants
+        // spelled out) plus the version fingerprint of every base table read.
+        let key = (!self.result_cache.disabled()).then(|| {
+            let mut key: String = q.cliques.iter().map(|c| c.cache_text()).collect();
+            key.push_str(&q.final_plan.cache_text());
+            key.push('|');
+            key.push_str(&version_fingerprint(&self.catalog, &deps));
+            key
+        });
+        if let Some(hit) = key.as_deref().and_then(|k| self.result_cache.get(k)) {
             Metrics::add(&self.cluster.metrics.cache_hits, 1);
-            return Ok(QueryResult {
-                relation: hit.relation,
-                stats: QueryStats {
-                    iterations: hit.iterations,
-                    cached: true,
-                    ..QueryStats::default()
-                },
+            let run = Run {
+                iterations: hit.iterations,
+                cached: true,
                 // A traced session still gets a trace; it says "cached".
-                trace: traced.then(|| QueryTrace::cached(started.elapsed())),
-            });
+                trace: traced.then(|| QueryTrace::cached(clock.elapsed())),
+                ..Run::default()
+            };
+            return Ok((hit.relation, run));
         }
-        let result = self.execute_query(q, traced, parent)?;
-        self.result_cache.put(
-            key,
-            deps,
-            CachedQuery {
-                relation: result.relation.clone(),
-                iterations: result.stats.iterations.clone(),
-            },
-        );
-        Ok(result)
-    }
-
-    /// The result-cache key: the optimized plan text (cliques + final plan,
-    /// constants spelled out) plus the version fingerprint of every base
-    /// table the query reads.
-    fn query_cache_key(&self, q: &AnalyzedQuery, deps: &[String]) -> String {
-        let mut key = String::new();
-        for clique in &q.cliques {
-            key.push_str(&optimize_spec(clique.clone()).cache_text());
+        let Executed { relation, run, .. } = self.execute(q, parent, traced, None, clock)?;
+        if let Some(key) = key {
+            let cached = CachedQuery {
+                relation: relation.clone(),
+                iterations: run.iterations.clone(),
+            };
+            self.result_cache.put(key, deps, cached);
         }
-        key.push_str(&optimize(q.final_plan.clone()).cache_text());
-        key.push('|');
-        key.push_str(&crate::cache::version_fingerprint(&self.catalog, deps));
-        key
+        Ok((relation, run))
     }
 
-    /// Run an analyzed query; `traced` additionally collects a [`QueryTrace`].
-    ///
-    /// This is the governed entry point: the query first passes the admission
-    /// controller (blocking in its bounded wait queue when the context is at
-    /// `max_concurrent_queries`), then runs under a fresh [`QueryGovernor`]
-    /// that enforces the memory budget and deadline and is registered in the
-    /// active-query table so [`RaSqlContext::kill`] can reach it. Every exit
-    /// path — success, typed error, cancellation — deregisters the query,
-    /// releases the admission slot, and drops the governor (removing any
-    /// spill directory it created).
-    ///
-    /// With a `parent` token the query's own token is a child of it: the
-    /// query still has its own id and deadline, but also observes the
-    /// parent's cancel flag (a session interrupt fans out to every query the
-    /// session has in flight).
-    fn execute_query(
+    /// Phases 5 and 6: admit `q` under a fresh governor and run it — each
+    /// clique to its fixpoint (resumed from `resume` for a view's
+    /// delta-seeded refresh), then the final plan — taking what the run
+    /// measured: the metrics delta, the governor's own numbers and, when
+    /// `traced`, the trace.
+    fn execute(
         &self,
-        q: AnalyzedQuery,
-        traced: bool,
+        q: &AnalyzedQuery,
         parent: Option<&CancellationToken>,
-    ) -> Result<QueryResult, EngineError> {
-        self.execute_query_with_views(q, traced, parent)
-            .map(|(result, _)| result)
-    }
-
-    /// Like [`Self::execute_query`], but also returns the materialized
-    /// recursive-clique relations (the converged fixpoint state a
-    /// materialized view retains as warm state).
-    fn execute_query_with_views(
-        &self,
-        q: AnalyzedQuery,
         traced: bool,
-        parent: Option<&CancellationToken>,
-    ) -> Result<(QueryResult, HashMap<String, Arc<Relation>>), EngineError> {
+        resume: Option<&Resume>,
+        clock: Instant,
+    ) -> Result<Executed, EngineError> {
         self.with_governor(parent, |governor| {
-            self.execute_governed(q, traced, governor)
+            let before = self.cluster.metrics.snapshot();
+            let sink = traced.then(TraceSink::new);
+            let mut views: HashMap<String, Arc<Relation>> = HashMap::new();
+            let mut iterations = Vec::new();
+            for clique in &q.cliques {
+                let eval = self.eval_context(&views, sink.as_ref(), Some(governor));
+                let exec = FixpointExecutor::new(&eval, &self.config);
+                let result = match resume {
+                    Some(r) => exec.run_resume(clique, &r.warm, &r.changed)?,
+                    None => exec.run(clique)?,
+                };
+                iterations.push(result.iterations);
+                for (spec, rel) in clique.views.iter().zip(result.views) {
+                    views.insert(spec.name.to_ascii_lowercase(), Arc::new(rel));
+                }
+            }
+            let eval = self.eval_context(&views, sink.as_ref(), Some(governor));
+            // Operator counters only around the final plan, so base-case and
+            // build-side evaluations inside the fixpoint don't pollute them.
+            if let Some(s) = &sink {
+                s.enable_operators(true);
+            }
+            let relation = eval.evaluate(&q.final_plan)?;
+            if let Some(s) = &sink {
+                s.enable_operators(false);
+            }
+            let mut metrics = self.cluster.metrics.snapshot().since(&before);
+            // Governance numbers come from this query's own governor: global
+            // counter deltas would bleed across concurrent queries.
+            metrics.peak_memory = governor.tracker().peak();
+            metrics.spilled_bytes = governor.spilled_bytes();
+            metrics.spill_files = governor.spill_files();
+            let run = Run {
+                query_id: governor.query_id(),
+                iterations,
+                cached: false,
+                metrics,
+                trace: sink.map(|s| s.finish(clock.elapsed(), metrics)),
+            };
+            Ok(Executed {
+                relation,
+                views,
+                run,
+            })
         })
     }
 
+    /// How every plan of a statement is evaluated: on the cluster, over the
+    /// catalog and the index store, with `views` the cliques materialized so
+    /// far.
+    fn eval_context<'e>(
+        &'e self,
+        views: &'e HashMap<String, Arc<Relation>>,
+        trace: Option<&'e TraceSink>,
+        governor: Option<&'e QueryGovernor>,
+    ) -> EvalContext<'e> {
+        EvalContext {
+            cluster: &self.cluster,
+            catalog: &self.catalog,
+            views,
+            partitions: self.config.partitions,
+            fused: self.config.fused_codegen,
+            trace,
+            governor,
+            index: Some(&self.index),
+        }
+    }
+
     /// Run `f` under full query governance: admission, a fresh query id and
-    /// cancellation token (child of `parent` when given), the kill registry,
-    /// and governor teardown on every exit path. Both ad-hoc queries and
-    /// materialized-view refreshes execute through here.
+    /// cancellation token (child of `parent` when given, so a session
+    /// interrupt fans out to every query it has in flight), the kill
+    /// registry, and governor teardown on every exit path — success, typed
+    /// error, cancellation — which deregisters the query, releases the
+    /// admission slot, and removes any spill directory the governor created.
     fn with_governor<T>(
         &self,
         parent: Option<&CancellationToken>,
@@ -976,80 +1154,6 @@ impl RaSqlContext {
         result
     }
 
-    fn execute_governed(
-        &self,
-        q: AnalyzedQuery,
-        traced: bool,
-        governor: &QueryGovernor,
-    ) -> Result<(QueryResult, HashMap<String, Arc<Relation>>), EngineError> {
-        let start = Instant::now();
-        let before = self.cluster.metrics.snapshot();
-        let sink = traced.then(TraceSink::new);
-        let mut views: HashMap<String, Arc<Relation>> = HashMap::new();
-        let mut iterations = Vec::new();
-        for clique in q.cliques {
-            let clique = optimize_spec(clique);
-            let eval = EvalContext {
-                cluster: &self.cluster,
-                catalog: &self.catalog,
-                views: &views,
-                partitions: self.config.partitions,
-                fused: self.config.fused_codegen,
-                trace: sink.as_ref(),
-                governor: Some(governor),
-                index: Some(&self.index),
-            };
-            let exec = FixpointExecutor::new(&eval, &self.config);
-            let result = exec.run(&clique)?;
-            iterations.push(result.iterations);
-            for (spec, rel) in clique.views.iter().zip(result.views) {
-                views.insert(spec.name.to_ascii_lowercase(), Arc::new(rel));
-            }
-        }
-        let plan = optimize(q.final_plan);
-        let eval = EvalContext {
-            cluster: &self.cluster,
-            catalog: &self.catalog,
-            views: &views,
-            partitions: self.config.partitions,
-            fused: self.config.fused_codegen,
-            trace: sink.as_ref(),
-            governor: Some(governor),
-            index: Some(&self.index),
-        };
-        // Operator counters only around the final plan, so base-case and
-        // build-side evaluations inside the fixpoint don't pollute them.
-        if let Some(s) = &sink {
-            s.enable_operators(true);
-        }
-        let rel = eval.evaluate(&plan)?;
-        if let Some(s) = &sink {
-            s.enable_operators(false);
-        }
-        let elapsed = start.elapsed();
-        let mut metrics = self.cluster.metrics.snapshot().since(&before);
-        // Governance numbers come from this query's own governor: global
-        // counter deltas would bleed across concurrent queries.
-        metrics.peak_memory = governor.tracker().peak();
-        metrics.spilled_bytes = governor.spilled_bytes();
-        metrics.spill_files = governor.spill_files();
-        let stats = QueryStats {
-            query_id: governor.query_id(),
-            iterations,
-            elapsed,
-            cached: false,
-            metrics,
-        };
-        Ok((
-            QueryResult {
-                relation: rel,
-                stats,
-                trace: sink.map(|s| s.finish(elapsed, metrics)),
-            },
-            views,
-        ))
-    }
-
     /// `CREATE MATERIALIZED VIEW`: run the defining query once, register its
     /// result as a read-only table, capture dependency versions, and — when
     /// the static maintenance certificate holds — retain the converged
@@ -1058,10 +1162,11 @@ impl RaSqlContext {
         &self,
         name: &str,
         query: AnalyzedQuery,
-        stmt: &Statement,
+        verification: &VerifyReport,
         source: &str,
         parent: Option<&CancellationToken>,
-    ) -> Result<QueryResult, EngineError> {
+        clock: Instant,
+    ) -> Result<(Relation, Run), EngineError> {
         let key = name.to_ascii_lowercase();
         // Serialized with other CREATE/REFRESH/DROP of this name: two
         // concurrent creates would both pass the existence checks and race
@@ -1081,91 +1186,39 @@ impl RaSqlContext {
         // Static maintenance certificate: idempotent Proven-PreM heads over
         // a single self-recursive clique. The RA0301 findings (if any) name
         // every violating shape; the first one becomes the recorded reason.
-        let (eligible, reason) = if query.cliques.is_empty() {
-            (false, Some("non-recursive defining query".to_string()))
-        } else if let Statement::CreateMaterializedView { query: ast, .. } = stmt {
-            match self.verify_ast(ast).maintenance.first() {
-                None => (true, None),
-                Some(d) => (false, Some(d.to_string())),
-            }
+        let reason = if query.cliques.is_empty() {
+            Some("non-recursive defining query".to_string())
         } else {
-            (false, Some("defining query AST unavailable".to_string()))
+            verification.maintenance.first().map(ToString::to_string)
         };
-        // Dependency versions are captured *before* execution: a concurrent
-        // insert during materialization leaves the view stale (and thus
-        // refreshed on next read) rather than silently missed.
-        let deps = self.snapshot_deps(&query_dep_tables(&query));
-        let (result, views) = self.execute_query_with_views(query.clone(), false, parent)?;
-        let prefix = warm_prefix(&key);
-        let mut retained = 0;
-        if eligible {
-            // `eligible` implies exactly one clique (stratified recursion is
-            // an RA0301 finding); warm blobs are keyed by view index.
-            for (i, vs) in query.cliques[0].views.iter().enumerate() {
-                let rows = views
-                    .get(&vs.name.to_ascii_lowercase())
-                    .map(|r| r.rows())
-                    .unwrap_or(&[]);
-                self.warm
-                    .put(&format!("{prefix}{i}"), encode_warm_rows(rows));
-            }
-            retained = self.warm.retained_bytes_prefix(&prefix);
-            self.warm_view_indexes(&query);
-        }
-        let QueryResult {
-            relation, stats, ..
-        } = result;
-        let nrows = relation.len();
-        self.planner_catalog
-            .lock()
-            .add_table(name, relation.schema().clone());
-        self.catalog.register_or_replace(name, relation)?;
-        self.matviews.lock().insert(
-            key.clone(),
-            MatView {
-                name: name.to_string(),
-                query,
-                sql: source.to_string(),
-                deps,
-                version: 1,
-                eligible,
-                ineligible_reason: reason.clone(),
-                last_refresh: "none".to_string(),
-                retained_bytes: retained,
-            },
-        );
-        self.journal_view_put(&key)?;
-        self.cluster
-            .metrics
-            .retained_bytes
-            .store(self.warm.retained_bytes(), Ordering::Relaxed);
-        self.maybe_compact()?;
-        let mode = if eligible {
-            "incremental refresh eligible".to_string()
-        } else {
-            format!(
-                "full recompute on refresh: {}",
-                reason.unwrap_or_else(|| "ineligible".to_string())
-            )
+        let mode = match &reason {
+            None => "incremental refresh eligible".to_string(),
+            Some(reason) => format!("full recompute on refresh: {reason}"),
         };
-        Ok(QueryResult {
-            relation: status_lines(&format!(
-                "materialized view '{name}': {nrows} rows ({mode})"
-            )),
-            stats,
-            trace: None,
-        })
+        let mv = MatView {
+            name: name.to_string(),
+            query,
+            sql: source.to_string(),
+            deps: Vec::new(),
+            version: 1,
+            eligible: reason.is_none(),
+            ineligible_reason: reason,
+            last_refresh: "none".to_string(),
+            retained_bytes: 0,
+        };
+        let (nrows, run, _) = self.materialize(&key, mv, false, parent, clock)?;
+        let status = format!("materialized view '{name}': {nrows} rows ({mode})");
+        Ok((text_relation("status", &status), run))
     }
 
     /// `REFRESH MATERIALIZED VIEW`: re-materialize a view against the
-    /// current base data — resuming semi-naive evaluation from retained warm
-    /// state seeded with only the inserted delta when the view is eligible
-    /// and the delta is insert-only, recomputing from scratch otherwise.
+    /// current base data.
     fn refresh_view(
         &self,
         name: &str,
         parent: Option<&CancellationToken>,
-    ) -> Result<QueryResult, EngineError> {
+        clock: Instant,
+    ) -> Result<(Relation, Run), EngineError> {
         let key = name.to_ascii_lowercase();
         // One refresh of a view at a time: interleaved refreshes could pair
         // one refresh's contents/warm state with the other's `DepRecord`s —
@@ -1175,172 +1228,118 @@ impl RaSqlContext {
         // delta seed is then exactly the rows that arrived in between).
         let guard = self.view_lock(&key);
         let _guard = guard.lock();
-        let mv = self
+        let mut mv = self
             .matviews
             .lock()
             .get(&key)
             .cloned()
             .ok_or_else(|| EngineError::UnknownView(name.to_string()))?;
-        let prefix = warm_prefix(&key);
-        // Incremental needs the static certificate *and* a dynamically
-        // insert-only delta *and* intact warm state.
-        let mut warm: Vec<Vec<Row>> = Vec::new();
-        let mut incremental = mv.eligible && self.insert_only_delta(&mv.deps);
-        if incremental {
-            for i in 0..mv.query.cliques[0].views.len() {
-                match self
-                    .warm
-                    .get(&format!("{prefix}{i}"))
-                    .map(|b| decode_warm_rows(&b))
-                {
-                    Some(Ok(rows)) => warm.push(rows),
-                    _ => {
-                        incremental = false;
-                        break;
-                    }
-                }
+        mv.version += 1;
+        let (view, version) = (mv.name.clone(), mv.version);
+        let (nrows, run, mode) = self.materialize(&key, mv, true, parent, clock)?;
+        let status = format!(
+            "refreshed materialized view '{view}' ({mode}): {nrows} rows, version {version}"
+        );
+        Ok((text_relation("status", &status), run))
+    }
+
+    /// Materialize view `mv` (its serialization guard held) and publish it,
+    /// in the order readers and recovery rely on: warm state, result table,
+    /// registry record, journal. A `refresh` resumes semi-naive evaluation
+    /// from the retained state seeded with only the inserted delta when
+    /// [`resume_state`](Self::resume_state) allows it, and recomputes from
+    /// scratch otherwise. Returns the row count, the run and the mode.
+    fn materialize(
+        &self,
+        key: &str,
+        mut mv: MatView,
+        refresh: bool,
+        parent: Option<&CancellationToken>,
+        clock: Instant,
+    ) -> Result<(usize, Run, &'static str), EngineError> {
+        // Dependency versions are captured *before* execution — a concurrent
+        // insert during materialization leaves the view stale (and thus
+        // refreshed on next read) rather than silently missed — and before
+        // the delta is read: a row landing in between is seeded twice,
+        // harmless under the idempotent heads of an incremental view.
+        let deps = self.snapshot_deps(&query_dep_tables(&mv.query));
+        let resume = refresh.then(|| self.resume_state(key, &mv)).flatten();
+        let Executed {
+            relation,
+            views,
+            run,
+        } = self.execute(&mv.query, parent, false, resume.as_ref(), clock)?;
+        let mode = if resume.is_some() {
+            "incremental"
+        } else {
+            "full"
+        };
+        if refresh {
+            Metrics::add(&self.cluster.metrics.view_refreshes, 1);
+            if resume.is_some() {
+                Metrics::add(&self.cluster.metrics.view_refreshes_incremental, 1);
             }
+            mv.last_refresh = mode.to_string();
         }
-        // New dependency versions, captured before execution (see
-        // `create_materialized_view`).
-        let new_deps = self.snapshot_deps(&query_dep_tables(&mv.query));
-        let run = self.with_governor(parent, |governor| {
-            if incremental {
-                let start = Instant::now();
-                let before = self.cluster.metrics.snapshot();
-                let spec = optimize_spec(mv.query.cliques[0].clone());
-                let changed: Vec<(String, Vec<Row>)> = mv
-                    .deps
-                    .iter()
-                    .filter_map(|d| {
-                        let rel = self.catalog.get(&d.table).ok()?;
-                        (rel.len() > d.len).then(|| (d.table.clone(), rel.rows()[d.len..].to_vec()))
-                    })
-                    .collect();
-                let no_views = HashMap::new();
-                let eval = EvalContext {
-                    cluster: &self.cluster,
-                    catalog: &self.catalog,
-                    views: &no_views,
-                    partitions: self.config.partitions,
-                    fused: self.config.fused_codegen,
-                    trace: None,
-                    governor: Some(governor),
-                    index: Some(&self.index),
-                };
-                let exec = FixpointExecutor::new(&eval, &self.config);
-                let fres = exec.run_resume(&spec, &warm, &changed)?;
-                let mut vmap: HashMap<String, Arc<Relation>> = HashMap::new();
-                for (vs, rel) in spec.views.iter().zip(fres.views.iter()) {
-                    vmap.insert(vs.name.to_ascii_lowercase(), Arc::new(rel.clone()));
-                }
-                let plan = optimize(mv.query.final_plan.clone());
-                let eval = EvalContext {
-                    cluster: &self.cluster,
-                    catalog: &self.catalog,
-                    views: &vmap,
-                    partitions: self.config.partitions,
-                    fused: self.config.fused_codegen,
-                    trace: None,
-                    governor: Some(governor),
-                    index: Some(&self.index),
-                };
-                let relation = eval.evaluate(&plan)?;
-                let elapsed = start.elapsed();
-                let mut metrics = self.cluster.metrics.snapshot().since(&before);
-                metrics.peak_memory = governor.tracker().peak();
-                metrics.spilled_bytes = governor.spilled_bytes();
-                metrics.spill_files = governor.spill_files();
-                let stats = QueryStats {
-                    query_id: governor.query_id(),
-                    iterations: vec![fres.iterations],
-                    elapsed,
-                    cached: false,
-                    metrics,
-                };
-                Ok((
-                    QueryResult {
-                        relation,
-                        stats,
-                        trace: None,
-                    },
-                    fres.views,
-                ))
-            } else {
-                let (result, views) = self.execute_governed(mv.query.clone(), false, governor)?;
-                let mut rels = Vec::new();
-                for clique in &mv.query.cliques {
-                    for vs in &clique.views {
-                        rels.push(
-                            views
-                                .get(&vs.name.to_ascii_lowercase())
-                                .map(|r| (**r).clone())
-                                .unwrap_or_else(|| Relation::empty(vs.schema.clone())),
-                        );
-                    }
-                }
-                Ok((result, rels))
-            }
-        });
-        let (result, clique_rels) = run?;
-        let mut retained = 0;
+        mv.deps = deps;
         if mv.eligible {
-            for (i, rel) in clique_rels.iter().enumerate() {
+            // `eligible` implies exactly one clique (stratified recursion is
+            // an RA0301 finding); warm blobs are keyed by view index.
+            let prefix = warm_prefix(key);
+            for (i, vs) in mv.query.cliques[0].views.iter().enumerate() {
+                let rows = views
+                    .get(&vs.name.to_ascii_lowercase())
+                    .map_or(&[][..], |r| r.rows());
                 self.warm
-                    .put(&format!("{prefix}{i}"), encode_warm_rows(rel.rows()));
+                    .put(&format!("{prefix}{i}"), encode_warm_rows(rows));
             }
-            retained = self.warm.retained_bytes_prefix(&prefix);
-            if !incremental {
-                // A full fallback (e.g. after a delete, which swept the
-                // indexes) converged against the current bases; fetch the
-                // build sides again so the next insert-only refresh only
-                // advances them.
+            mv.retained_bytes = self.warm.retained_bytes_prefix(&prefix);
+            // A full run (at creation, or after a delete, which swept the
+            // indexes) converged against the current bases: fetch the build
+            // sides so the next insert-only refresh only advances them.
+            if resume.is_none() {
                 self.warm_view_indexes(&mv.query);
             }
         }
-        let QueryResult {
-            relation, stats, ..
-        } = result;
         let nrows = relation.len();
         self.planner_catalog
             .lock()
             .add_table(&mv.name, relation.schema().clone());
         self.catalog.register_or_replace(&mv.name, relation)?;
-        self.table_rewritten(&key);
-        Metrics::add(&self.cluster.metrics.view_refreshes, 1);
-        if incremental {
-            Metrics::add(&self.cluster.metrics.view_refreshes_incremental, 1);
-        }
-        let mode = if incremental { "incremental" } else { "full" };
-        let new_version = {
-            let mut reg = self.matviews.lock();
-            match reg.get_mut(&key) {
-                Some(entry) => {
-                    entry.deps = new_deps;
-                    entry.version += 1;
-                    entry.last_refresh = mode.to_string();
-                    entry.retained_bytes = retained;
-                    entry.version
-                }
-                // Unreachable while the view guard serializes DROP with
-                // refresh, but defensive: nothing to record.
-                None => 0,
-            }
-        };
-        self.journal_view_put(&key)?;
+        self.table_rewritten(key);
+        self.matviews.lock().insert(key.to_string(), mv);
+        self.journal_view_put(key)?;
         self.cluster
             .metrics
             .retained_bytes
             .store(self.warm.retained_bytes(), Ordering::Relaxed);
         self.maybe_compact()?;
-        Ok(QueryResult {
-            relation: status_lines(&format!(
-                "refreshed materialized view '{}' ({mode}): {nrows} rows, version {new_version}",
-                mv.name
-            )),
-            stats,
-            trace: None,
-        })
+        Ok((nrows, run, mode))
+    }
+
+    /// The state a refresh of `mv` resumes from — `None`, a full recompute,
+    /// unless the view is certified incremental, every dependency was never
+    /// rewritten (deleted from / replaced) and only grew, and the warm state
+    /// decodes.
+    fn resume_state(&self, key: &str, mv: &MatView) -> Option<Resume> {
+        if !mv.eligible {
+            return None;
+        }
+        let mut changed = Vec::new();
+        for d in &mv.deps {
+            let (rel, v) = self.catalog.get_versioned(&d.table).ok()?;
+            if v.rewrite_version != d.rewrite_version || rel.len() < d.len {
+                return None;
+            }
+            if rel.len() > d.len {
+                changed.push((d.table.clone(), rel.rows()[d.len..].to_vec()));
+            }
+        }
+        let prefix = warm_prefix(key);
+        let warm = (0..mv.query.cliques[0].views.len())
+            .map(|i| decode_warm_rows(&self.warm.get(&format!("{prefix}{i}"))?).ok())
+            .collect::<Option<Vec<_>>>()?;
+        Some(Resume { warm, changed })
     }
 
     /// Refresh `table` if it names a stale materialized view, refreshing its
@@ -1351,6 +1350,7 @@ impl RaSqlContext {
         table: &str,
         visited: &mut HashSet<String>,
         parent: Option<&CancellationToken>,
+        clock: Instant,
     ) -> Result<(), EngineError> {
         let key = table.to_ascii_lowercase();
         if !visited.insert(key.clone()) {
@@ -1361,7 +1361,7 @@ impl RaSqlContext {
             None => return Ok(()),
         };
         for d in &deps {
-            self.refresh_if_stale(&d.table, visited, parent)?;
+            self.refresh_if_stale(&d.table, visited, parent, clock)?;
         }
         // Re-check after dependency refreshes: refreshing a dependency bumps
         // its version, which is exactly what makes this view stale.
@@ -1370,7 +1370,7 @@ impl RaSqlContext {
             None => false,
         };
         if stale {
-            self.refresh_view(&key, parent)?;
+            self.refresh_view(&key, parent, clock)?;
         }
         Ok(())
     }
@@ -1385,34 +1385,13 @@ impl RaSqlContext {
             })
     }
 
-    /// True when every dependency still exists, was never rewritten
-    /// (deleted from / replaced), and only grew — the precondition for
-    /// seeding a refresh with the `rows[len..]` suffixes.
-    fn insert_only_delta(&self, deps: &[DepRecord]) -> bool {
-        deps.iter()
-            .all(|d| match self.catalog.get_versioned(&d.table) {
-                Ok((rel, v)) => v.rewrite_version == d.rewrite_version && rel.len() >= d.len,
-                Err(_) => false,
-            })
-    }
-
     /// Fetch the build-side indexes a delta-seeded refresh of an eligible
     /// view will ask for, so that refresh only advances them. Purely an
     /// optimization: on failure the refresh builds what it needs.
     fn warm_view_indexes(&self, query: &AnalyzedQuery) {
-        let spec = optimize_spec(query.cliques[0].clone());
         let no_views = HashMap::new();
-        let eval = EvalContext {
-            cluster: &self.cluster,
-            catalog: &self.catalog,
-            views: &no_views,
-            partitions: self.config.partitions,
-            fused: self.config.fused_codegen,
-            trace: None,
-            governor: None,
-            index: Some(&self.index),
-        };
-        let _ = FixpointExecutor::new(&eval, &self.config).warm_indexes(&spec);
+        let eval = self.eval_context(&no_views, None, None);
+        let _ = FixpointExecutor::new(&eval, &self.config).warm_indexes(&query.cliques[0]);
     }
 
     /// Capture the current `(version, rewrite_version, len)` triple of each
@@ -1493,146 +1472,50 @@ impl RaSqlContext {
         self.admission.waiting()
     }
 
-    fn execute_explain(
-        &self,
-        analyze: bool,
-        inner: AnalyzedStatement,
-        verification: Option<String>,
-        source: &str,
-        parent: Option<&CancellationToken>,
-    ) -> Result<QueryResult, EngineError> {
-        match inner {
-            // EXPLAIN CHECK is the same as CHECK: the report *is* the plan
-            // explanation of a verification-only statement.
-            AnalyzedStatement::Check(q) => {
-                Ok(crate::check::check_result(&self.run_check(&q, source)))
-            }
-            // EXPLAIN ANALYZE query: execute with tracing forced on, then
-            // render the plan annotated with the live counters.
-            AnalyzedStatement::Query(q) if analyze => {
-                let plan_for_render = optimize(q.final_plan.clone());
-                let cliques_for_render: Vec<String> = q
-                    .cliques
-                    .iter()
-                    .cloned()
-                    .map(|c| optimize_spec(c).display())
-                    .collect();
-                let mut result = self.execute_query(q, true, parent)?;
-                let trace = result.trace.take().expect("tracing forced on");
-                let mut text = String::new();
-                for c in &cliques_for_render {
-                    text.push_str(c);
-                }
-                let by_path: HashMap<&str, &rasql_exec::OperatorTrace> = trace
-                    .operators
-                    .iter()
-                    .map(|o| (o.path.as_str(), o))
-                    .collect();
-                text.push_str("Final plan:\n");
-                text.push_str(&plan_for_render.display_annotated(
-                    &mut |path| match by_path.get(path) {
-                        // A scan answered from the index store says so; a
-                        // scanned one is followed by a `filter` stage below.
-                        Some(o) => format!(
-                            "{}  (rows={} bytes={} time={:.3}ms)",
-                            if o.label.starts_with("index lookup") {
-                                format!("  [{}]", o.label)
-                            } else {
-                                String::new()
-                            },
-                            o.rows,
-                            o.bytes,
-                            o.elapsed_us as f64 / 1000.0
-                        ),
-                        None => String::new(),
-                    },
-                ));
-                text.push_str(&trace.render_iterations());
-                text.push_str(&trace.render_stages());
-                text.push_str(&trace.render_recovery());
-                text.push_str(&trace.render_governance());
-                text.push_str(&format!(
-                    "\nTotals: {:.3} ms, {} stages, {} tasks, {} iterations, \
-                     shuffle {} rows / {} bytes\n",
-                    trace.elapsed_us as f64 / 1000.0,
-                    trace.metrics.stages,
-                    trace.metrics.tasks,
-                    trace.metrics.iterations,
-                    trace.metrics.shuffle_rows,
-                    trace.metrics.shuffle_bytes,
-                ));
-                if trace.metrics.task_retries + trace.metrics.restores > 0 {
-                    text.push_str(&format!(
-                        "Recovered: {} task retries, {} checkpoint restores\n",
-                        trace.metrics.task_retries, trace.metrics.restores,
-                    ));
-                }
-                if let Some(v) = verification {
-                    text.push_str("Verification:\n");
-                    text.push_str(&v);
-                }
-                Ok(QueryResult {
-                    relation: text_relation(&text),
-                    stats: result.stats,
-                    trace: Some(trace),
-                })
-            }
-            // Plain EXPLAIN (and EXPLAIN ANALYZE of non-queries, which have
-            // nothing to measure): render without executing.
-            other => {
-                let mut text = render_plan(&other);
-                if matches!(
-                    other,
-                    AnalyzedStatement::Query(_) | AnalyzedStatement::CreateMaterializedView { .. }
-                ) {
-                    if let Some(v) = verification {
-                        text.push_str("Verification:\n");
-                        text.push_str(&v);
-                    }
-                }
-                Ok(QueryResult {
-                    relation: text_relation(&text),
-                    stats: QueryStats::default(),
-                    trace: None,
-                })
-            }
-        }
-    }
-
     /// Render the compiled plan of a query: the recursive clique plans
     /// (Fig 2a) and the final plan — without executing it.
     pub fn explain(&self, sql: &str) -> Result<String, EngineError> {
-        let statements = parse_statements(sql)?;
         let mut out = String::new();
-        for stmt in &statements {
-            let analyzed = {
-                let pc = self.planner_catalog.lock();
-                analyze_statement(stmt, &pc)?
+        read_script(sql, &mut Scope::default(), |stmt, scope| {
+            let explain = Statement::Explain {
+                analyze: false,
+                inner: Box::new(stmt.clone()),
             };
-            match analyzed {
-                AnalyzedStatement::Check(q) => out.push_str(&self.run_check(&q, sql).rendered),
-                other => {
-                    out.push_str(&render_plan(&other));
-                    if matches!(
-                        other,
-                        AnalyzedStatement::Query(_)
-                            | AnalyzedStatement::CreateMaterializedView { .. }
-                    ) {
-                        if let Some(q) = innermost_query(stmt) {
-                            out.push_str("Verification:\n");
-                            out.push_str(&self.verify_ast(q).summary());
-                        }
-                    }
-                }
+            let Planned {
+                statement,
+                verification,
+            } = self.plan(&explain, scope)?;
+            if let AnalyzedStatement::Explain { inner, .. } = statement {
+                out.push_str(&self.explain_text(&inner, verification, sql, scope));
             }
-        }
+            Ok(())
+        })?;
         Ok(out)
     }
 
-    /// Run the static verifier over a query AST against this session's view
-    /// catalog (the `CHECK` statement and `EXPLAIN` verification section).
-    pub(crate) fn verify_ast(&self, q: &rasql_parser::ast::Query) -> rasql_plan::VerifyReport {
-        rasql_plan::verify_query(q, &self.planner_catalog.lock())
+    /// The text of a plain `EXPLAIN`: the optimized plan followed by the
+    /// verifier's summary of the query it runs — or, for `EXPLAIN CHECK`,
+    /// the report, which *is* the plan explanation of a verification-only
+    /// statement.
+    fn explain_text(
+        &self,
+        inner: &AnalyzedStatement,
+        verification: VerifyReport,
+        source: &str,
+        scope: &mut Scope<'_>,
+    ) -> String {
+        if let AnalyzedStatement::Check(q) = inner {
+            return self.run_check(q, verification, source, scope).rendered;
+        }
+        let mut text = render_plan(inner);
+        if matches!(
+            inner,
+            AnalyzedStatement::Query(_) | AnalyzedStatement::CreateMaterializedView { .. }
+        ) {
+            text.push_str("Verification:\n");
+            text.push_str(&verification.summary());
+        }
+        text
     }
 
     /// Names of the registered base tables.
@@ -1650,8 +1533,8 @@ impl RaSqlContext {
         self.cluster.metrics.reset();
     }
 
-    /// Analyze a parsed statement against this session's catalog (used by the
-    /// PreM checker and tests that inspect plans).
+    /// Analyze a parsed statement against the shared catalog (the PreM
+    /// checker's entry point, and tests that inspect plans).
     pub fn analyze(&self, stmt: &Statement) -> Result<AnalyzedStatement, EngineError> {
         Ok(analyze_statement(stmt, &self.planner_catalog.lock())?)
     }
@@ -1663,36 +1546,131 @@ impl RaSqlContext {
     pub(crate) fn catalog(&self) -> &Catalog {
         &self.catalog
     }
+}
 
-    /// A clone of the shared planner catalog — the base a session overlays
-    /// its private views onto.
-    pub(crate) fn planner_snapshot(&self) -> ViewCatalog {
-        self.planner_catalog.lock().clone()
+/// Parse a script and hand its statements, in order, to `each` in one
+/// scope — so a `CREATE VIEW` is visible to the statements after it. Every
+/// surface that takes SQL text reads it here; the parsed statements come
+/// back for a caller that keeps them.
+pub(crate) fn read_script<'a>(
+    sql: &str,
+    scope: &mut Scope<'a>,
+    mut each: impl FnMut(&Statement, &mut Scope<'a>) -> Result<(), EngineError>,
+) -> Result<Vec<Statement>, EngineError> {
+    let statements = parse_statements(sql)?;
+    for stmt in &statements {
+        each(stmt, scope)?;
+    }
+    Ok(statements)
+}
+
+/// Phase 3: every plan a statement carries, optimized once — what the
+/// result-cache key, the execution, `EXPLAIN` and a stored materialized view
+/// then all read.
+fn optimize_statement(analyzed: AnalyzedStatement) -> AnalyzedStatement {
+    use AnalyzedStatement as S;
+    let query = |q: AnalyzedQuery| AnalyzedQuery {
+        cliques: q.cliques.into_iter().map(optimize_spec).collect(),
+        final_plan: optimize(q.final_plan),
+    };
+    // A lone plan is a query without cliques.
+    let plan = |p: LogicalPlan| {
+        query(AnalyzedQuery {
+            cliques: Vec::new(),
+            final_plan: p,
+        })
+        .final_plan
+    };
+    match analyzed {
+        S::Query(q) => S::Query(query(q)),
+        S::CreateMaterializedView {
+            name,
+            name_span,
+            query: q,
+        } => S::CreateMaterializedView {
+            name,
+            name_span,
+            query: query(q),
+        },
+        S::CreateView { name, plan: p } => S::CreateView {
+            name,
+            plan: plan(p),
+        },
+        S::Delete {
+            table,
+            table_span,
+            keep_plan,
+        } => S::Delete {
+            table,
+            table_span,
+            keep_plan: plan(keep_plan),
+        },
+        S::Explain { analyze, inner } => S::Explain {
+            analyze,
+            inner: Box::new(optimize_statement(*inner)),
+        },
+        other => other,
     }
 }
 
-/// The empty result `CREATE VIEW` statements return.
-pub(crate) fn empty_result() -> QueryResult {
-    QueryResult {
-        relation: Relation::empty(Schema::empty()),
-        stats: QueryStats::default(),
-        trace: None,
+/// The text of `EXPLAIN ANALYZE` of a query: its plan annotated with the live
+/// counters of `trace`, the trace's tables, and the verifier's summary.
+fn explain_analyzed(q: &AnalyzedQuery, trace: &QueryTrace, verification: &VerifyReport) -> String {
+    let mut text: String = q.cliques.iter().map(|c| c.display()).collect();
+    let by_path: HashMap<&str, &rasql_exec::OperatorTrace> = trace
+        .operators
+        .iter()
+        .map(|o| (o.path.as_str(), o))
+        .collect();
+    text.push_str("Final plan:\n");
+    text.push_str(
+        &q.final_plan
+            .display_annotated(&mut |path| match by_path.get(path) {
+                // A scan answered from the index store says so; a scanned one is
+                // followed by a `filter` stage below.
+                Some(o) => format!(
+                    "{}  (rows={} bytes={} time={:.3}ms)",
+                    if o.label.starts_with("index lookup") {
+                        format!("  [{}]", o.label)
+                    } else {
+                        String::new()
+                    },
+                    o.rows,
+                    o.bytes,
+                    o.elapsed_us as f64 / 1000.0
+                ),
+                None => String::new(),
+            }),
+    );
+    text.push_str(&trace.render_iterations());
+    text.push_str(&trace.render_stages());
+    text.push_str(&trace.render_recovery());
+    text.push_str(&trace.render_governance());
+    text.push_str(&format!(
+        "\nTotals: {:.3} ms, {} stages, {} tasks, {} iterations, \
+         shuffle {} rows / {} bytes\n",
+        trace.elapsed_us as f64 / 1000.0,
+        trace.metrics.stages,
+        trace.metrics.tasks,
+        trace.metrics.iterations,
+        trace.metrics.shuffle_rows,
+        trace.metrics.shuffle_bytes,
+    ));
+    if trace.metrics.task_retries + trace.metrics.restores > 0 {
+        text.push_str(&format!(
+            "Recovered: {} task retries, {} checkpoint restores\n",
+            trace.metrics.task_retries, trace.metrics.restores,
+        ));
     }
+    text.push_str("Verification:\n");
+    text.push_str(&verification.summary());
+    text
 }
 
-/// A one-column, one-row integer result (`INSERT` / `DELETE` row counts).
-fn count_result(label: &str, n: usize) -> QueryResult {
-    let schema = Schema::new(vec![(label, DataType::Int)]);
-    QueryResult {
-        relation: Relation::new_unchecked(schema, vec![Row::new(vec![Value::Int(n as i64)])]),
-        stats: QueryStats::default(),
-        trace: None,
-    }
-}
-
-/// A one-column status relation, one row per line.
-fn status_lines(text: &str) -> Relation {
-    let schema = Schema::new(vec![("status", DataType::Str)]);
+/// A one-column relation of `text`, one row per line — the shape status
+/// messages, `EXPLAIN` and `CHECK` results travel in.
+fn text_relation(column: &str, text: &str) -> Relation {
+    let schema = Schema::new(vec![(column, DataType::Str)]);
     let rows = text
         .lines()
         .map(|l| Row::new(vec![Value::str(l)]))
@@ -1700,13 +1678,10 @@ fn status_lines(text: &str) -> Relation {
     Relation::new_unchecked(schema, rows)
 }
 
-/// A status message packed as a [`QueryResult`] with default stats.
-fn status_result(text: &str) -> QueryResult {
-    QueryResult {
-        relation: status_lines(text),
-        stats: QueryStats::default(),
-        trace: None,
-    }
+/// A one-column, one-row integer result (`INSERT` / `DELETE` row counts).
+fn count_relation(label: &str, n: usize) -> Relation {
+    let schema = Schema::new(vec![(label, DataType::Int)]);
+    Relation::new_unchecked(schema, vec![Row::new(vec![Value::Int(n as i64)])])
 }
 
 /// Fluent construction of a [`RaSqlContext`]; obtained from
@@ -1922,24 +1897,19 @@ impl ContextBuilder {
     }
 }
 
-/// Render an analyzed statement's plan as text (no execution).
+/// Render an optimized statement's plan as text (no execution).
 fn render_plan(analyzed: &AnalyzedStatement) -> String {
+    let query = |q: &AnalyzedQuery| {
+        let mut out: String = q.cliques.iter().map(|c| c.display()).collect();
+        out.push_str("Final plan:\n");
+        out.push_str(&q.final_plan.display_indent());
+        out
+    };
     match analyzed {
         AnalyzedStatement::CreateView { name, plan } => {
-            format!(
-                "CreateView {name}\n{}",
-                optimize(plan.clone()).display_indent()
-            )
+            format!("CreateView {name}\n{}", plan.display_indent())
         }
-        AnalyzedStatement::Query(q) => {
-            let mut out = String::new();
-            for clique in &q.cliques {
-                out.push_str(&optimize_spec(clique.clone()).display());
-            }
-            out.push_str("Final plan:\n");
-            out.push_str(&optimize(q.final_plan.clone()).display_indent());
-            out
-        }
+        AnalyzedStatement::Query(q) => query(q),
         AnalyzedStatement::Explain { inner, .. } => render_plan(inner),
         AnalyzedStatement::Check(_) => {
             "Check (execute the statement to run the verifier)\n".to_string()
@@ -1951,12 +1921,11 @@ fn render_plan(analyzed: &AnalyzedStatement) -> String {
             table, keep_plan, ..
         } => format!(
             "Delete from {table}, keeping:\n{}",
-            optimize(keep_plan.clone()).display_indent()
+            keep_plan.display_indent()
         ),
-        AnalyzedStatement::CreateMaterializedView { name, query, .. } => format!(
-            "CreateMaterializedView {name}\n{}",
-            render_plan(&AnalyzedStatement::Query(query.clone()))
-        ),
+        AnalyzedStatement::CreateMaterializedView { name, query: q, .. } => {
+            format!("CreateMaterializedView {name}\n{}", query(q))
+        }
         AnalyzedStatement::RefreshMaterializedView { name, .. } => {
             format!("RefreshMaterializedView {name}\n")
         }
@@ -1966,31 +1935,34 @@ fn render_plan(analyzed: &AnalyzedStatement) -> String {
     }
 }
 
+/// The statement an `EXPLAIN` wraps, through any number of layers.
+fn innermost(stmt: &Statement) -> &Statement {
+    match stmt {
+        Statement::Explain { inner, .. } => innermost(inner),
+        other => other,
+    }
+}
+
+/// Whether `stmt` defines a materialized view (or explains one): shared
+/// state, resolved where recovery replays it.
+fn defines_matview(stmt: &Statement) -> bool {
+    matches!(innermost(stmt), Statement::CreateMaterializedView { .. })
+}
+
 /// The query AST a statement ultimately wraps (through any `EXPLAIN` /
 /// `CHECK` layers) — the input to the static verifier, which needs the AST
 /// because source spans don't survive analysis.
-fn innermost_query(stmt: &Statement) -> Option<&rasql_parser::ast::Query> {
-    match stmt {
+fn innermost_query(stmt: &Statement) -> Option<&Query> {
+    match innermost(stmt) {
         Statement::Query(q) | Statement::Check(q) => Some(q),
-        Statement::Explain { inner, .. } => innermost_query(inner),
         // A materialized view's verification (including the RA0301
         // maintenance findings) is that of its defining query.
         Statement::CreateMaterializedView { query, .. } => Some(query),
-        Statement::CreateView { .. }
+        Statement::Explain { .. }
+        | Statement::CreateView { .. }
         | Statement::Insert { .. }
         | Statement::Delete { .. }
         | Statement::RefreshMaterializedView { .. }
         | Statement::DropMaterializedView { .. } => None,
     }
-}
-
-/// Pack rendered text into a single-column relation, one row per line — the
-/// shape `EXPLAIN` results travel in.
-fn text_relation(text: &str) -> Relation {
-    let schema = Schema::new(vec![("plan", DataType::Str)]);
-    let rows = text
-        .lines()
-        .map(|l| Row::new(vec![Value::str(l)]))
-        .collect();
-    Relation::new_unchecked(schema, rows)
 }

@@ -101,10 +101,19 @@ impl<'a> PremChecker<'a> {
         self.check_statement(&stmt)
     }
 
-    /// Run the lock-step check on an already-parsed statement (the static
-    /// verifier's dynamic-fallback entry point).
+    /// Run the lock-step check on an already-parsed statement, analyzed
+    /// against the shared catalog.
     pub fn check_statement(&self, stmt: &Statement) -> Result<PremCheckOutcome, EngineError> {
-        let analyzed = self.ctx.analyze(stmt)?;
+        self.check_analyzed(self.ctx.analyze(stmt)?)
+    }
+
+    /// Run the lock-step check on an analyzed statement (the static
+    /// verifier's dynamic fallback, which analyzes in the catalog of the
+    /// `CHECK` statement's own scope).
+    pub(crate) fn check_analyzed(
+        &self,
+        analyzed: AnalyzedStatement,
+    ) -> Result<PremCheckOutcome, EngineError> {
         let q = match analyzed {
             AnalyzedStatement::Query(q) => q,
             AnalyzedStatement::CreateView { .. }

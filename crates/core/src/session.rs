@@ -9,10 +9,12 @@
 //!   session's own catalog, layered over a snapshot of the shared one, so
 //!   two connections can define `tc` differently without clobbering each
 //!   other. Base tables stay shared: [`Session::register`] is visible to
-//!   everyone (a table upload is data, not session state).
-//! * **Prepared statements.** [`Session::prepare`] parses and analyzes a
+//!   everyone (a table upload is data, not session state). So is a
+//!   materialized view, which may therefore read only what recovery can
+//!   replay: base tables, shared views, and views its own script creates.
+//! * **Prepared statements.** [`Session::prepare`] parses and plans a
 //!   script once; [`Session::execute_prepared`] replays it by name without
-//!   re-planning the text.
+//!   re-parsing the text.
 //! * **An interrupt token.** Every query a session runs gets a cancellation
 //!   token *parented* under the session's interrupt token
 //!   ([`Session::interrupt`] fires it). The server calls it when a client
@@ -20,21 +22,24 @@
 //!   with `Cancelled` at its next stage boundary, releasing admission slots
 //!   and spill directories.
 //!
+//! Everything else — analysis, verification, optimization, execution — is
+//! the context's one statement lifecycle: a session supplies only its views
+//! and its interrupt token.
+//!
 //! Queries from different sessions run concurrently, subject only to the
 //! shared admission controller — there is no context-wide lock held across a
 //! fixpoint (the planner-catalog lock is held only during analysis).
 
-use crate::context::{empty_result, QueryResult, RaSqlContext, StatementOutcome};
+use crate::context::{read_script, QueryResult, RaSqlContext, Scope, Views};
 use crate::error::EngineError;
 use rasql_exec::CancellationToken;
-use rasql_parser::{parse_statements, Statement};
-use rasql_plan::{analyze_statement, optimize, AnalyzedStatement, LogicalPlan, ViewCatalog};
+use rasql_parser::Statement;
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::Relation;
 use std::collections::HashMap;
 use std::sync::Arc;
 
-/// A named, pre-analyzed script (see [`Session::prepare`]).
+/// A named, pre-planned script (see [`Session::prepare`]).
 #[derive(Clone)]
 struct Prepared {
     /// The original SQL (diagnostics quote spans from it).
@@ -65,7 +70,7 @@ pub struct Session {
     ctx: Arc<RaSqlContext>,
     /// Session-local views in definition order (later wins on re-definition
     /// when overlaid onto the shared catalog).
-    views: RankedMutex<Vec<(String, LogicalPlan)>>,
+    views: Views,
     /// Prepared statements by lowercased name.
     prepared: RankedMutex<HashMap<String, Prepared>>,
     /// Parent of every query token this session issues. One-shot: once
@@ -106,8 +111,9 @@ impl Session {
     /// Execute a `;`-separated script in this session; one [`QueryResult`]
     /// per statement. `CREATE VIEW` lands in the session overlay.
     pub fn query_script(&self, sql: &str) -> Result<Vec<QueryResult>, EngineError> {
-        let statements = parse_statements(sql)?;
-        self.run_statements(&statements, sql)
+        let mut out = Vec::new();
+        self.query_script_with(sql, |r| out.push(r))?;
+        Ok(out)
     }
 
     /// Like [`Session::query_script`], but hands each statement's result to
@@ -120,8 +126,11 @@ impl Session {
         sql: &str,
         mut on_result: impl FnMut(QueryResult),
     ) -> Result<(), EngineError> {
-        let statements = parse_statements(sql)?;
-        self.run_statements_with(&statements, sql, &mut on_result)
+        read_script(sql, &mut self.scope(), |stmt, scope| {
+            on_result(self.ctx.run_statement(stmt, sql, scope)?);
+            Ok(())
+        })?;
+        Ok(())
     }
 
     /// Streaming variant of [`Session::execute_prepared`].
@@ -136,25 +145,25 @@ impl Session {
             .get(&name.to_ascii_lowercase())
             .cloned()
             .ok_or_else(|| EngineError::Other(format!("unknown prepared statement '{name}'")))?;
-        self.run_statements_with(&prepared.statements, &prepared.source, &mut on_result)
+        let mut scope = self.scope();
+        for stmt in &prepared.statements {
+            on_result(self.ctx.run_statement(stmt, &prepared.source, &mut scope)?);
+        }
+        Ok(())
     }
 
-    /// Parse and analyze a script under `name` for later replay. Analysis
-    /// runs against the session catalog as it would be at execution time
-    /// (views the script itself creates are visible to its later
-    /// statements), so a bad script fails here, not at `EXECUTE`. Returns
-    /// the statement count. Re-preparing a name replaces it.
+    /// Parse and plan a script under `name` for later replay. Planning runs
+    /// against the session catalog as it would be at execution time (views
+    /// the script itself creates are visible to its later statements) but
+    /// publishes nothing, so a bad script fails here, not at `EXECUTE`.
+    /// Returns the statement count. Re-preparing a name replaces it.
     pub fn prepare(&self, name: &str, sql: &str) -> Result<usize, EngineError> {
-        let statements = parse_statements(sql)?;
+        let views = Views::new(LockRank::SessionViews, self.views.lock().clone());
+        let statements = read_script(sql, &mut Scope::private(&views, None), |stmt, scope| {
+            self.ctx.plan(stmt, scope).map(drop)
+        })?;
         if statements.is_empty() {
             return Err(EngineError::Other("empty statement".into()));
-        }
-        let mut catalog = self.merged_catalog();
-        for stmt in &statements {
-            if let AnalyzedStatement::CreateView { name, plan } = analyze_statement(stmt, &catalog)?
-            {
-                catalog.add_view(&name, optimize(plan));
-            }
         }
         let count = statements.len();
         self.prepared.lock().insert(
@@ -176,13 +185,9 @@ impl Session {
 
     /// Replay a prepared script; one [`QueryResult`] per statement.
     pub fn execute_prepared(&self, name: &str) -> Result<Vec<QueryResult>, EngineError> {
-        let prepared = self
-            .prepared
-            .lock()
-            .get(&name.to_ascii_lowercase())
-            .cloned()
-            .ok_or_else(|| EngineError::Other(format!("unknown prepared statement '{name}'")))?;
-        self.run_statements(&prepared.statements, &prepared.source)
+        let mut out = Vec::new();
+        self.execute_prepared_with(name, |r| out.push(r))?;
+        Ok(out)
     }
 
     /// Register or replace a base table — shared with every session (table
@@ -213,61 +218,10 @@ impl Session {
         &self.interrupt
     }
 
-    /// Shared catalog snapshot with this session's views overlaid.
-    fn merged_catalog(&self) -> ViewCatalog {
-        let mut catalog = self.ctx.planner_snapshot();
-        for (name, plan) in self.views.lock().iter() {
-            catalog.add_view(name, plan.clone());
-        }
-        catalog
-    }
-
-    fn run_statements(
-        &self,
-        statements: &[Statement],
-        source: &str,
-    ) -> Result<Vec<QueryResult>, EngineError> {
-        let mut out = Vec::with_capacity(statements.len());
-        self.run_statements_with(statements, source, &mut |r| out.push(r))?;
-        Ok(out)
-    }
-
-    fn run_statements_with(
-        &self,
-        statements: &[Statement],
-        source: &str,
-        on_result: &mut dyn FnMut(QueryResult),
-    ) -> Result<(), EngineError> {
-        let mut catalog = self.merged_catalog();
-        for stmt in statements {
-            match self
-                .ctx
-                .run_statement_in(stmt, source, &catalog, Some(&self.interrupt))?
-            {
-                StatementOutcome::Rows(result) => {
-                    // Materialized-view DDL mutates the *shared* planner
-                    // catalog; re-snapshot so later statements in this
-                    // script resolve against it.
-                    if matches!(
-                        stmt,
-                        Statement::CreateMaterializedView { .. }
-                            | Statement::DropMaterializedView { .. }
-                    ) {
-                        catalog = self.merged_catalog();
-                    }
-                    on_result(*result);
-                }
-                StatementOutcome::CreatedView { name, plan } => {
-                    catalog.add_view(&name, plan.clone());
-                    let mut views = self.views.lock();
-                    views.retain(|(n, _)| !n.eq_ignore_ascii_case(&name));
-                    views.push((name, plan));
-                    drop(views);
-                    on_result(empty_result());
-                }
-            }
-        }
-        Ok(())
+    /// What the session supplies to each statement: its views and its
+    /// interrupt token.
+    fn scope(&self) -> Scope<'_> {
+        Scope::private(&self.views, Some(&self.interrupt))
     }
 }
 

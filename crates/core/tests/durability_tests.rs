@@ -9,9 +9,11 @@
 //! consistency around an injected crash, and temp-file hygiene.
 
 use rasql_core::{library, EngineError, RaSqlContext};
+use rasql_plan::PlanError;
 use rasql_storage::{CrashSpec, Relation, StorageError};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::Arc;
 
 fn data_dir(tag: &str) -> PathBuf {
     let dir = std::env::temp_dir().join(format!(
@@ -74,6 +76,95 @@ fn restart_recovers_tables_and_views_without_ddl() {
     drop(ctx);
     let ctx = durable(&dir);
     assert_eq!(ctx.state_digest(), digest);
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// `r` reaches 2 and everything the view `through` (columns `S`, `D`) leads
+/// to.
+fn reach_through(through: &str) -> String {
+    format!(
+        "WITH recursive r (Dst) AS (SELECT 2) UNION \
+           (SELECT {through}.D FROM r, {through} WHERE r.Dst = {through}.S) \
+         SELECT Dst FROM r"
+    )
+}
+
+/// A materialized view is shared state and its defining script is what
+/// recovery replays, so its definition resolves in the shared catalog plus
+/// the views its own script creates. A session view from an earlier script is
+/// a typed plan error at CREATE — it used to be accepted, and the data
+/// directory then refused to reopen (`unknown table or view 'hop'`).
+#[test]
+fn a_materialized_view_over_an_earlier_session_view_is_refused_at_create() {
+    let dir = data_dir("private-view");
+    {
+        let ctx = Arc::new(durable(&dir));
+        ctx.register("edge", edges()).unwrap();
+        let s = ctx.session();
+        s.query("CREATE VIEW hop AS SELECT Src AS S, Dst AS D FROM edge")
+            .unwrap();
+        let err = s
+            .query(&format!(
+                "CREATE MATERIALIZED VIEW mv AS {}",
+                reach_through("hop")
+            ))
+            .unwrap_err();
+        match &err {
+            EngineError::Plan(PlanError::Invalid(msg)) => {
+                assert!(msg.contains("'hop'"), "{msg}");
+                assert!(msg.contains("same script"), "{msg}");
+                assert!(msg.contains("shared context"), "{msg}");
+            }
+            other => panic!("expected a typed plan error, got: {other}"),
+        }
+        assert!(ctx.mat_view("mv").is_none());
+        // The session still reads its own view; only shared state may not.
+        assert!(s.query("SELECT count(*) FROM hop").is_ok());
+        ctx.flush_durability().unwrap();
+    }
+    let reopened = durable(&dir);
+    assert!(reopened.view_infos().is_empty());
+    let _ = fs::remove_dir_all(&dir);
+}
+
+/// The same definition in one script restarts bit-identically, certified as
+/// the shared catalog certifies it (the view self-joins `edge`: RA0301, full
+/// refresh), and keeps answering right.
+#[test]
+fn a_materialized_view_over_a_same_script_view_restarts_exactly() {
+    let dir = data_dir("script-view");
+    let digest = {
+        let ctx = Arc::new(durable(&dir));
+        ctx.register("edge", Relation::edges(&[(1, 2), (2, 3)]))
+            .unwrap();
+        let s = ctx.session();
+        s.query_script(&format!(
+            "CREATE VIEW two AS SELECT a.Src AS S, b.Dst AS D FROM edge a, edge b \
+             WHERE a.Dst = b.Src; CREATE MATERIALIZED VIEW mv AS {}",
+            reach_through("two")
+        ))
+        .unwrap();
+        s.query("INSERT INTO edge VALUES (3, 4)").unwrap();
+        s.query("SELECT * FROM mv").unwrap();
+        ctx.flush_durability().unwrap();
+        ctx.state_digest()
+    };
+    let ctx = durable(&dir);
+    assert_eq!(
+        ctx.state_digest(),
+        digest,
+        "recovered state must be bit-identical"
+    );
+    let mv = ctx.mat_view("mv").unwrap();
+    assert!(
+        !mv.eligible,
+        "a self-joining build side is not delta-seedable"
+    );
+    assert_eq!(mv.last_refresh, "full");
+    ctx.query("INSERT INTO edge VALUES (4, 5), (5, 6)").unwrap();
+    let rows = ctx.query("SELECT * FROM mv").unwrap().relation.sorted();
+    let dst: Vec<i64> = rows.rows().iter().map(|r| r[0].as_int().unwrap()).collect();
+    assert_eq!(dst, [2, 4, 6]);
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -720,6 +720,73 @@ fn self_joining_build_side_refreshes_full_and_keeps_its_derivations() {
     );
 }
 
+/// A session analyzes, verifies and materializes a statement in one catalog.
+/// The same script on the context and on a session certifies the view over
+/// the self-joining `two` alike (RA0301, `full`), refreshes it to the same
+/// rows, and answers `CHECK` and `EXPLAIN` with the same text. A session used
+/// to verify against the shared catalog instead: the view came out
+/// `incremental` and stuck at `{2}`, `CHECK` reported `two` unknown, and
+/// `EXPLAIN` called a view with a failed verdict refresh-eligible.
+#[test]
+fn a_session_view_under_a_materialized_view_is_certified_like_a_shared_one() {
+    let create = "CREATE MATERIALIZED VIEW mv AS WITH recursive r (Dst) AS (SELECT 2) UNION \
+                  (SELECT two.D FROM r, two WHERE r.Dst = two.S) SELECT Dst FROM r";
+    let script = format!(
+        "CREATE VIEW two AS {SELF_JOIN}; CHECK SELECT S, D FROM two WHERE S < D; \
+         EXPLAIN {create}; {create}"
+    );
+    let text = |r: &rasql_core::QueryResult| -> String {
+        let lines: Vec<String> = r
+            .relation
+            .rows()
+            .iter()
+            .map(|row| row[0].to_string())
+            .collect();
+        lines.join("\n")
+    };
+    let mut answers = Vec::new();
+    for on_session in [false, true] {
+        let ctx = Arc::new(RaSqlContext::with_config(
+            EngineConfig::rasql().with_workers(2),
+        ));
+        ctx.register("edge", Relation::edges(&[(1, 2), (2, 3)]))
+            .unwrap();
+        let session = ctx.session();
+        let run = |sql: &str| {
+            if on_session {
+                session.query_script(sql)
+            } else {
+                ctx.query_script(sql)
+            }
+            .unwrap_or_else(|e| panic!("{sql}: {e}"))
+        };
+        let results = run(&script);
+        let (check, explain) = (text(&results[1]), text(&results[2]));
+        assert!(check.contains("CHECK: pass"), "{check}");
+        assert!(
+            !explain.contains("incremental refresh eligible"),
+            "{explain}"
+        );
+        let mv = ctx.mat_view("mv").unwrap();
+        assert!(!mv.eligible, "session={on_session}");
+        assert!(mv.ineligible_reason.unwrap().contains("RA0301"));
+
+        let mut rows = Vec::new();
+        for insert in ["(3, 4)", "(4, 5), (5, 6)"] {
+            run(&format!("INSERT INTO edge VALUES {insert}"));
+            run("REFRESH MATERIALIZED VIEW mv");
+            assert_eq!(ctx.mat_view("mv").unwrap().last_refresh, "full");
+            rows.push(ints(&run("SELECT * FROM mv")[0].relation));
+        }
+        assert_eq!(rows, [vec![2, 4], vec![2, 4, 6]], "session={on_session}");
+        answers.push((check, explain));
+    }
+    assert_eq!(
+        answers[0], answers[1],
+        "the session and the context disagree"
+    );
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(24))]
 

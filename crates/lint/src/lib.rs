@@ -22,6 +22,7 @@
 //! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast and recursive-snapshot builds carry an allow annotation saying why they are not kept |
 //! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s executor, `exec::tuples`' set, `exec::state`'s inserts, `plan::expr`'s word evaluator, `core::fixpoint`'s branch run and merge) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
 //! | `RL0009` | round-loop bookkeeping (`record_iteration(`, `EngineError::NonTermination`, `metrics.iterations`, `metrics.restores`, `begin_clique(`) in `core::fixpoint` outside fn `drive` — the trace record, the cap, the iteration count and recovery are written once; the in-task cap of the decomposed stage carries an allow annotation |
+//! | `RL0011` | statement bookkeeping in `core::context` outside the lifecycle function that owns it: a clock (`Instant::now(`) or a `QueryStats {` literal outside `run_statement`, a metrics delta (`.snapshot().since(`) outside `execute`, an `EvalContext {` literal outside `eval_context` — every statement is timed by one clock, measured by one delta, evaluated through one context and reported by one assembly |
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
@@ -112,6 +113,15 @@ pub enum LintCode {
     /// removed. The functions are generic over the cell type, so the few
     /// places that copy a *cell* say so in an allow annotation.
     WordPathValueBuild,
+    /// `RL0011`: statement bookkeeping in `core::context` outside the
+    /// lifecycle function that owns it — a clock (`Instant::now(`) or a
+    /// `QueryStats {` literal outside `run_statement`, a metrics delta
+    /// (`.snapshot().since(`) outside `execute`, an `EvalContext {` literal
+    /// outside `eval_context`. Every statement kind runs through the one
+    /// lifecycle; a kind that times, measures, evaluates or reports by itself
+    /// is a second statement path, and the copies drift (a cache hit and an
+    /// `INSERT` once reported no time at all).
+    StatementOutsideLifecycle,
 }
 
 impl LintCode {
@@ -128,6 +138,7 @@ impl LintCode {
             LintCode::IndexBuiltOutsideStore => "RL0008",
             LintCode::RoundLoopOutsideDrive => "RL0009",
             LintCode::WordPathValueBuild => "RL0010",
+            LintCode::StatementOutsideLifecycle => "RL0011",
         }
     }
 
@@ -138,7 +149,7 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 10] {
+    pub fn all() -> [LintCode; 11] {
         [
             LintCode::RawLockConstruction,
             LintCode::HotPathPanic,
@@ -150,6 +161,7 @@ impl LintCode {
             LintCode::IndexBuiltOutsideStore,
             LintCode::RoundLoopOutsideDrive,
             LintCode::WordPathValueBuild,
+            LintCode::StatementOutsideLifecycle,
         ]
     }
 
@@ -183,6 +195,10 @@ impl LintCode {
             }
             LintCode::WordPathValueBuild => {
                 "Value/Row built or cloned in the word-lane tuple path without an allow annotation"
+            }
+            LintCode::StatementOutsideLifecycle => {
+                "statement clock, metrics delta, EvalContext or QueryStats in core::context \
+                 outside its lifecycle function"
             }
         }
     }
@@ -1137,6 +1153,82 @@ fn rule_round_loop(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed:
     }
 }
 
+/// The file RL0011 applies to.
+const LIFECYCLE_MODULE: &str = "crates/core/src/context.rs";
+
+/// RL0011: an `Instant::now(` call or a `QueryStats {` literal outside fn
+/// `run_statement`, a `.snapshot().since(` delta outside fn `execute`, or an
+/// `EvalContext {` literal outside fn `eval_context`, in `core::context`.
+/// A type name followed by `{` after `struct`, `impl`, `for` or a return
+/// arrow opens a definition or a body, not a literal.
+fn rule_statement_lifecycle(
+    ctx: &FileCtx<'_>,
+    out: &mut Vec<LintDiagnostic>,
+    suppressed: &mut usize,
+) {
+    if !ctx.path.ends_with(LIFECYCLE_MODULE) {
+        return;
+    }
+    let code = &ctx.code;
+    let fns = enclosing_fns(code);
+    let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
+    for i in 0..code.len() {
+        let t = &code[i];
+        let (what, owner, end) = if t.is_ident("Instant")
+            && is(i + 1, &|t| t.is_punct(':'))
+            && is(i + 2, &|t| t.is_punct(':'))
+            && is(i + 3, &|t| t.is_ident("now"))
+            && is(i + 4, &|t| t.is_punct('('))
+        {
+            ("a clock", "run_statement", i + 4)
+        } else if (t.is_ident("QueryStats") || t.is_ident("EvalContext"))
+            && is(i + 1, &|t| t.is_punct('{'))
+            && !i.checked_sub(1).is_some_and(|p| {
+                let prev = &code[p];
+                ["struct", "impl", "for"].iter().any(|k| prev.is_ident(k)) || prev.is_punct('>')
+            })
+        {
+            let owner = if t.text == "QueryStats" {
+                "run_statement"
+            } else {
+                "eval_context"
+            };
+            ("a literal", owner, i + 1)
+        } else if t.is_punct('.')
+            && is(i + 1, &|t| t.is_ident("snapshot"))
+            && is(i + 2, &|t| t.is_punct('('))
+            && is(i + 3, &|t| t.is_punct(')'))
+            && is(i + 4, &|t| t.is_punct('.'))
+            && is(i + 5, &|t| t.is_ident("since"))
+            && is(i + 6, &|t| t.is_punct('('))
+        {
+            ("a metrics delta", "execute", i + 6)
+        } else {
+            continue;
+        };
+        if fns[i].is_some_and(|(name, _)| name == owner) {
+            continue;
+        }
+        let span = Span::new(t.start, code[end].end);
+        ctx.emit(
+            out,
+            suppressed,
+            LintDiagnostic::new(
+                LintCode::StatementOutsideLifecycle,
+                ctx.path,
+                span,
+                format!("{what} of statement bookkeeping outside `{owner}`"),
+            )
+            .with_help(
+                "a statement kind supplies only what differs and lets the lifecycle \
+                 (`RaSqlContext::run_statement`) time it, `execute` measure it and \
+                 `eval_context` evaluate it; a use that is not a statement's needs \
+                 `// lint: allow(RL0011, <reason>)`",
+            ),
+        );
+    }
+}
+
 // ----------------------------------------------------------------
 // Entry points
 // ----------------------------------------------------------------
@@ -1164,6 +1256,7 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     rule_index_outside_store(&ctx, &mut out, &mut suppressed);
     rule_round_loop(&ctx, &mut out, &mut suppressed);
     rule_word_path_value(&ctx, &mut out, &mut suppressed);
+    rule_statement_lifecycle(&ctx, &mut out, &mut suppressed);
     out.sort_by_key(|d| d.span.start);
     (out, suppressed)
 }
@@ -1230,6 +1323,7 @@ mod tests {
         assert_eq!(LintCode::IndexBuiltOutsideStore.code(), "RL0008");
         assert_eq!(LintCode::RoundLoopOutsideDrive.code(), "RL0009");
         assert_eq!(LintCode::WordPathValueBuild.code(), "RL0010");
+        assert_eq!(LintCode::StatementOutsideLifecycle.code(), "RL0011");
         for c in LintCode::all() {
             assert_eq!(c.severity(), Severity::Error);
         }

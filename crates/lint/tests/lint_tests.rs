@@ -349,6 +349,48 @@ fn rl0009_flags_round_loop_bookkeeping_outside_drive() {
 }
 
 #[test]
+fn rl0011_flags_statement_bookkeeping_outside_its_lifecycle_function() {
+    let src = include_str!("fixtures/rl0011_statement_lifecycle.rs");
+    let (diags, suppressed) = lint_file_counting("crates/core/src/context.rs", src);
+    let spans: Vec<_> = diags
+        .iter()
+        .map(|d| (d.code, d.span.start, d.span.end))
+        .collect();
+    assert_eq!(
+        spans,
+        vec![
+            (LintCode::StatementOutsideLifecycle, 912, 925),
+            (LintCode::StatementOutsideLifecycle, 995, 1008),
+            (LintCode::StatementOutsideLifecycle, 1078, 1096),
+            (LintCode::StatementOutsideLifecycle, 1114, 1126),
+        ],
+        "{diags:#?}"
+    );
+    assert_eq!(&src[912..925], "Instant::now(");
+    assert_eq!(&src[995..1008], "EvalContext {");
+    assert_eq!(&src[1078..1096], ".snapshot().since(");
+    assert_eq!(&src[1114..1126], "QueryStats {");
+    // Each owner does its own piece and is exempt — `execute` from inside a
+    // closure too; the struct, its impl and the return types are no
+    // literals; the annotated deadline is suppressed, the test module exempt.
+    assert_eq!(suppressed, 1);
+    assert!(diags[0].help.as_deref().unwrap().contains("run_statement"));
+    assert!(
+        diags[2].message.contains("`execute`"),
+        "{}",
+        diags[2].message
+    );
+    // Only `core::context` is covered.
+    for path in ["crates/core/src/fixpoint.rs", "crates/core/src/session.rs"] {
+        let other: Vec<_> = lint_file(path, src)
+            .into_iter()
+            .filter(|d| d.code == LintCode::StatementOutsideLifecycle)
+            .collect();
+        assert!(other.is_empty(), "{path} is not covered");
+    }
+}
+
+#[test]
 fn clean_fixture_is_clean_everywhere() {
     let src = include_str!("fixtures/clean.rs");
     for path in [
