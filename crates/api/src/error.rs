@@ -182,6 +182,13 @@ impl fmt::Display for ApiError {
 
 impl std::error::Error for ApiError {}
 
+/// A payload the codec rejects is a malformed frame.
+impl From<crate::codec::CodecError> for ApiError {
+    fn from(e: crate::codec::CodecError) -> Self {
+        ApiError::protocol(e.0)
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

@@ -19,14 +19,20 @@
 //!   code table).
 //! - **Protocol**: [`wire`] — the versioned framed request/response protocol
 //!   spoken between `rasql-server` and `rasql-client`. Frames are
-//!   `"RQ" + u32 length + payload`; payloads are hand-rolled varint
-//!   encodings (see [`wire`] for the framing, versioning, and conversation
-//!   rules). The current version is [`wire::PROTOCOL_VERSION`].
+//!   `"RQ" + u32 length + payload`; payloads are built from [`codec`] (see
+//!   [`wire`] for the framing, versioning, and conversation rules). The
+//!   current version is [`wire::PROTOCOL_VERSION`].
+//!
+//! [`codec`] is the engine's one byte codec — varints, strings, schemas,
+//! tagged values and column-lane row batches — which the WAL, snapshots,
+//! warm state, checkpoints, spill files and broadcast payloads share with
+//! the wire.
 //!
 //! The protocol never serializes internal executor types: servers translate
 //! engine results and errors into the types here, and the translation — not
 //! the engine — is what [`wire::PROTOCOL_VERSION`] freezes.
 
+pub mod codec;
 pub mod error;
 pub mod result;
 pub mod row;

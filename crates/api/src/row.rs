@@ -95,6 +95,13 @@ impl Borrow<[Value]> for Row {
     }
 }
 
+impl AsRef<[Value]> for Row {
+    #[inline]
+    fn as_ref(&self) -> &[Value] {
+        &self.values
+    }
+}
+
 impl Index<usize> for Row {
     type Output = Value;
     #[inline]

@@ -19,10 +19,10 @@
 //!
 //! ## Payload encoding
 //!
-//! Payloads are hand-rolled in the style of the engine's checkpoint varint
-//! codec: a one-byte message tag, then fields as LEB128 varints (zigzag for
-//! signed), length-prefixed UTF-8 strings, and tagged [`Value`]s. Decoding is
-//! strict: unknown tags, truncated fields, and trailing bytes are all
+//! A payload is a one-byte message tag, then fields in the engine's one byte
+//! codec ([`crate::codec`]): LEB128 varints, length-prefixed UTF-8 strings,
+//! schemas, and rows as column-lane row batches. Decoding is strict: unknown
+//! tags, truncated fields, over-long counts and trailing bytes are all
 //! [`ErrorCode::Protocol`] errors.
 //!
 //! ## Versioning
@@ -46,15 +46,19 @@
 //! `Prepare`/`Execute`, `Register`, `Kill`, `Metrics`, `Status`, `Shutdown`
 //! and `Goodbye` are single-request/single-response.
 
+use crate::codec::{
+    expect_end, get_bool, get_count, get_rows, get_schema, get_str, get_string, get_u8, get_varint,
+    put_bool, put_rows, put_schema, put_str, put_varint,
+};
 use crate::error::{ApiError, ErrorCode};
 use crate::result::{DurabilityStatus, QueryStats, ServerStatus, ViewInfo};
 use crate::row::Row;
-use crate::schema::{DataType, Field, Schema};
-use crate::value::Value;
+use crate::schema::Schema;
 use std::io::{Read, Write};
 
-/// The protocol version this crate speaks.
-pub const PROTOCOL_VERSION: u16 = 2;
+/// The protocol version this crate speaks (3: rows travel as column-lane
+/// batches).
+pub const PROTOCOL_VERSION: u16 = 3;
 
 /// Frame magic: every frame starts with these two bytes.
 pub const FRAME_MAGIC: [u8; 2] = *b"RQ";
@@ -190,49 +194,8 @@ pub enum Response {
 }
 
 // --------------------------------------------------------------------
-// Primitive payload codec (LEB128 varints, zigzag, tagged values) — the
-// same idiom as the storage crate's checkpoint codec, duplicated here so
-// the wire crate stays dependency-free.
+// Message fields (over the shared primitives of `crate::codec`)
 // --------------------------------------------------------------------
-
-fn put_varint(buf: &mut Vec<u8>, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.push(byte);
-            return;
-        }
-        buf.push(byte | 0x80);
-    }
-}
-
-fn get_varint(input: &mut &[u8]) -> Result<u64, ApiError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        let (&byte, rest) = input
-            .split_first()
-            .ok_or_else(|| ApiError::protocol("truncated varint"))?;
-        *input = rest;
-        if shift >= 64 {
-            return Err(ApiError::protocol("varint overflow"));
-        }
-        v |= u64::from(byte & 0x7f) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-    }
-}
-
-fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
 
 fn put_u16(buf: &mut Vec<u8>, v: u16) {
     put_varint(buf, u64::from(v));
@@ -240,169 +203,6 @@ fn put_u16(buf: &mut Vec<u8>, v: u16) {
 
 fn get_u16(input: &mut &[u8]) -> Result<u16, ApiError> {
     u16::try_from(get_varint(input)?).map_err(|_| ApiError::protocol("u16 out of range"))
-}
-
-fn put_bool(buf: &mut Vec<u8>, v: bool) {
-    buf.push(u8::from(v));
-}
-
-fn get_bool(input: &mut &[u8]) -> Result<bool, ApiError> {
-    match get_u8(input)? {
-        0 => Ok(false),
-        1 => Ok(true),
-        other => Err(ApiError::protocol(format!("bad bool byte {other}"))),
-    }
-}
-
-fn get_u8(input: &mut &[u8]) -> Result<u8, ApiError> {
-    let (&byte, rest) = input
-        .split_first()
-        .ok_or_else(|| ApiError::protocol("truncated byte"))?;
-    *input = rest;
-    Ok(byte)
-}
-
-fn put_str(buf: &mut Vec<u8>, s: &str) {
-    put_varint(buf, s.len() as u64);
-    buf.extend_from_slice(s.as_bytes());
-}
-
-fn get_str(input: &mut &[u8]) -> Result<String, ApiError> {
-    let len = usize::try_from(get_varint(input)?)
-        .map_err(|_| ApiError::protocol("string length out of range"))?;
-    if input.len() < len {
-        return Err(ApiError::protocol("truncated string"));
-    }
-    let (bytes, rest) = input.split_at(len);
-    *input = rest;
-    String::from_utf8(bytes.to_vec()).map_err(|_| ApiError::protocol("invalid UTF-8 string"))
-}
-
-fn put_value(buf: &mut Vec<u8>, v: &Value) {
-    match v {
-        Value::Null => buf.push(0),
-        Value::Bool(b) => {
-            buf.push(1);
-            put_bool(buf, *b);
-        }
-        Value::Int(i) => {
-            buf.push(2);
-            put_varint(buf, zigzag(*i));
-        }
-        Value::Double(d) => {
-            buf.push(3);
-            buf.extend_from_slice(&d.to_bits().to_le_bytes());
-        }
-        Value::Str(s) => {
-            buf.push(4);
-            put_str(buf, s);
-        }
-    }
-}
-
-fn get_value(input: &mut &[u8]) -> Result<Value, ApiError> {
-    match get_u8(input)? {
-        0 => Ok(Value::Null),
-        1 => Ok(Value::Bool(get_bool(input)?)),
-        2 => Ok(Value::Int(unzigzag(get_varint(input)?))),
-        3 => {
-            if input.len() < 8 {
-                return Err(ApiError::protocol("truncated double"));
-            }
-            let (bytes, rest) = input.split_at(8);
-            *input = rest;
-            let bits = u64::from_le_bytes(bytes.try_into().expect("8-byte split"));
-            Ok(Value::Double(f64::from_bits(bits)))
-        }
-        4 => Ok(Value::str(get_str(input)?)),
-        tag => Err(ApiError::protocol(format!("unknown value tag {tag}"))),
-    }
-}
-
-fn put_row(buf: &mut Vec<u8>, row: &Row) {
-    put_varint(buf, row.arity() as u64);
-    for v in row.values() {
-        put_value(buf, v);
-    }
-}
-
-fn get_row(input: &mut &[u8]) -> Result<Row, ApiError> {
-    let arity = usize::try_from(get_varint(input)?)
-        .map_err(|_| ApiError::protocol("row arity out of range"))?;
-    if arity > input.len() {
-        // Each value costs at least one byte; reject absurd arities before
-        // allocating.
-        return Err(ApiError::protocol("row arity exceeds payload"));
-    }
-    let mut values = Vec::with_capacity(arity);
-    for _ in 0..arity {
-        values.push(get_value(input)?);
-    }
-    Ok(Row::new(values))
-}
-
-fn put_rows(buf: &mut Vec<u8>, rows: &[Row]) {
-    put_varint(buf, rows.len() as u64);
-    for r in rows {
-        put_row(buf, r);
-    }
-}
-
-fn get_rows(input: &mut &[u8]) -> Result<Vec<Row>, ApiError> {
-    let n = usize::try_from(get_varint(input)?)
-        .map_err(|_| ApiError::protocol("row count out of range"))?;
-    if n > input.len() {
-        return Err(ApiError::protocol("row count exceeds payload"));
-    }
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        rows.push(get_row(input)?);
-    }
-    Ok(rows)
-}
-
-fn type_tag(t: DataType) -> u8 {
-    match t {
-        DataType::Int => 0,
-        DataType::Double => 1,
-        DataType::Str => 2,
-        DataType::Bool => 3,
-        DataType::Any => 4,
-    }
-}
-
-fn type_from_tag(tag: u8) -> Result<DataType, ApiError> {
-    match tag {
-        0 => Ok(DataType::Int),
-        1 => Ok(DataType::Double),
-        2 => Ok(DataType::Str),
-        3 => Ok(DataType::Bool),
-        4 => Ok(DataType::Any),
-        other => Err(ApiError::protocol(format!("unknown type tag {other}"))),
-    }
-}
-
-fn put_schema(buf: &mut Vec<u8>, schema: &Schema) {
-    put_varint(buf, schema.arity() as u64);
-    for f in schema.fields() {
-        put_str(buf, &f.name);
-        buf.push(type_tag(f.data_type));
-    }
-}
-
-fn get_schema(input: &mut &[u8]) -> Result<Schema, ApiError> {
-    let n = usize::try_from(get_varint(input)?)
-        .map_err(|_| ApiError::protocol("schema arity out of range"))?;
-    if n > input.len() {
-        return Err(ApiError::protocol("schema arity exceeds payload"));
-    }
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = get_str(input)?;
-        let ty = type_from_tag(get_u8(input)?)?;
-        fields.push(Field::new(name, ty));
-    }
-    Ok(Schema::from_fields(fields))
 }
 
 fn put_stats(buf: &mut Vec<u8>, s: &QueryStats) {
@@ -449,19 +249,15 @@ fn put_views(buf: &mut Vec<u8>, views: &[ViewInfo]) {
 }
 
 fn get_views(input: &mut &[u8]) -> Result<Vec<ViewInfo>, ApiError> {
-    let n = usize::try_from(get_varint(input)?)
-        .map_err(|_| ApiError::protocol("view count out of range"))?;
-    if n > input.len() {
-        return Err(ApiError::protocol("view count exceeds payload"));
-    }
+    let n = get_count(input)?;
     let mut views = Vec::with_capacity(n);
     for _ in 0..n {
         views.push(ViewInfo {
-            name: get_str(input)?,
+            name: get_string(input)?,
             version: get_varint(input)?,
             stale: get_bool(input)?,
             retained_bytes: get_varint(input)?,
-            last_refresh: get_str(input)?,
+            last_refresh: get_string(input)?,
         });
     }
     Ok(views)
@@ -486,7 +282,7 @@ fn get_durability(input: &mut &[u8]) -> Result<Option<DurabilityStatus>, ApiErro
         return Ok(None);
     }
     Ok(Some(DurabilityStatus {
-        data_dir: get_str(input)?,
+        data_dir: get_string(input)?,
         wal_records: get_varint(input)?,
         wal_bytes: get_varint(input)?,
         snapshots: get_varint(input)?,
@@ -500,8 +296,8 @@ fn put_error(buf: &mut Vec<u8>, e: &ApiError) {
 }
 
 fn get_error(input: &mut &[u8]) -> Result<ApiError, ApiError> {
-    let code = ErrorCode::from_code(&get_str(input)?);
-    let message = get_str(input)?;
+    let code = ErrorCode::from_code(get_str(input)?);
+    let message = get_string(input)?;
     Ok(ApiError { code, message })
 }
 
@@ -521,11 +317,7 @@ fn put_status(buf: &mut Vec<u8>, s: &ServerStatus) {
 }
 
 fn get_status(input: &mut &[u8]) -> Result<ServerStatus, ApiError> {
-    let n = usize::try_from(get_varint(input)?)
-        .map_err(|_| ApiError::protocol("query count out of range"))?;
-    if n > input.len() {
-        return Err(ApiError::protocol("query count exceeds payload"));
-    }
+    let n = get_count(input)?;
     let mut active_queries = Vec::with_capacity(n);
     for _ in 0..n {
         active_queries.push(get_varint(input)?);
@@ -533,14 +325,10 @@ fn get_status(input: &mut &[u8]) -> Result<ServerStatus, ApiError> {
     let running = get_varint(input)?;
     let waiting = get_varint(input)?;
     let sessions = get_varint(input)?;
-    let t = usize::try_from(get_varint(input)?)
-        .map_err(|_| ApiError::protocol("table count out of range"))?;
-    if t > input.len() {
-        return Err(ApiError::protocol("table count exceeds payload"));
-    }
+    let t = get_count(input)?;
     let mut tables = Vec::with_capacity(t);
     for _ in 0..t {
-        tables.push(get_str(input)?);
+        tables.push(get_string(input)?);
     }
     Ok(ServerStatus {
         active_queries,
@@ -548,21 +336,8 @@ fn get_status(input: &mut &[u8]) -> Result<ServerStatus, ApiError> {
         waiting,
         sessions,
         tables,
-        index_store: get_str(input)?,
+        index_store: get_string(input)?,
     })
-}
-
-/// Decoding must consume the payload exactly; leftovers mean a peer encoded
-/// something this version does not understand.
-fn expect_empty(input: &[u8]) -> Result<(), ApiError> {
-    if input.is_empty() {
-        Ok(())
-    } else {
-        Err(ApiError::protocol(format!(
-            "{} trailing byte(s) after message",
-            input.len()
-        )))
-    }
 }
 
 // --------------------------------------------------------------------
@@ -623,17 +398,17 @@ impl Request {
                 version: get_u16(&mut input)?,
             },
             2 => Request::Query {
-                sql: get_str(&mut input)?,
+                sql: get_string(&mut input)?,
             },
             3 => Request::Prepare {
-                name: get_str(&mut input)?,
-                sql: get_str(&mut input)?,
+                name: get_string(&mut input)?,
+                sql: get_string(&mut input)?,
             },
             4 => Request::Execute {
-                name: get_str(&mut input)?,
+                name: get_string(&mut input)?,
             },
             5 => Request::Register {
-                name: get_str(&mut input)?,
+                name: get_string(&mut input)?,
                 schema: get_schema(&mut input)?,
                 rows: get_rows(&mut input)?,
             },
@@ -648,7 +423,7 @@ impl Request {
             12 => Request::Durability,
             other => return Err(ApiError::protocol(format!("unknown request tag {other}"))),
         };
-        expect_empty(input)?;
+        expect_end(input)?;
         Ok(req)
     }
 }
@@ -720,7 +495,7 @@ impl Response {
         let resp = match tag {
             1 => Response::Hello {
                 version: get_u16(&mut input)?,
-                server: get_str(&mut input)?,
+                server: get_string(&mut input)?,
             },
             2 => Response::ResultHeader {
                 schema: get_schema(&mut input)?,
@@ -745,7 +520,7 @@ impl Response {
                 found: get_bool(&mut input)?,
             },
             10 => Response::MetricsText {
-                text: get_str(&mut input)?,
+                text: get_string(&mut input)?,
             },
             11 => Response::Status {
                 status: get_status(&mut input)?,
@@ -759,7 +534,7 @@ impl Response {
             },
             other => return Err(ApiError::protocol(format!("unknown response tag {other}"))),
         };
-        expect_empty(input)?;
+        expect_end(input)?;
         Ok(resp)
     }
 }
@@ -881,24 +656,6 @@ pub fn read_response(r: &mut impl Read) -> Result<Response, ApiError> {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn varint_round_trip() {
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            let mut buf = Vec::new();
-            put_varint(&mut buf, v);
-            let mut input = buf.as_slice();
-            assert_eq!(get_varint(&mut input).unwrap(), v);
-            assert!(input.is_empty());
-        }
-    }
-
-    #[test]
-    fn zigzag_round_trip() {
-        for v in [0i64, 1, -1, i64::MAX, i64::MIN, 42, -42] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
 
     #[test]
     fn frame_round_trip() {

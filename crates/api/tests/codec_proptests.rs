@@ -1,9 +1,11 @@
-//! Property-based tests for the framed wire protocol: arbitrary frames
-//! round-trip bit-exactly, and every malformed input — truncated frames,
-//! garbage prefixes, unknown tags, trailing bytes — is rejected with a typed
-//! error instead of a panic, a hang, or a misparse.
+//! Property-based tests for the byte codec and the framed wire protocol:
+//! arbitrary row batches and frames round-trip bit-exactly, and every
+//! malformed input — truncated frames, garbage prefixes, unknown tags,
+//! trailing bytes — is rejected with a typed error instead of a panic, a
+//! hang, or a misparse.
 
 use proptest::prelude::*;
+use rasql_api::codec::{decode_rows, encode_rows};
 use rasql_api::wire::{
     encode_row_batch, read_request, read_response, send_request, send_response, send_row_batch,
     Request, Response, FRAME_MAGIC,
@@ -127,8 +129,105 @@ fn byte_strategy() -> impl Strategy<Value = u8> {
     (0u32..256).prop_map(|v| v as u8)
 }
 
+/// Integers at and next to the ends of the range, where a delta between
+/// neighbours does not fit an `i64`.
+fn int_strategy() -> impl Strategy<Value = i64> {
+    prop_oneof![
+        any::<i64>(),
+        Just(i64::MIN),
+        Just(i64::MIN + 1),
+        Just(i64::MAX - 1),
+        Just(i64::MAX),
+        -3i64..3,
+    ]
+}
+
+/// Doubles by bit pattern: NaN payloads, signed zeros, infinities.
+fn double_strategy() -> impl Strategy<Value = f64> {
+    prop_oneof![
+        any::<u64>().prop_map(f64::from_bits),
+        Just(-0.0),
+        Just(0.0),
+        Just(f64::NAN),
+        Just(f64::NEG_INFINITY),
+        -1e3f64..1e3,
+    ]
+}
+
+/// A batch over a random mix of columns — packed `Int`, packed `Double`,
+/// `Int` with NULLs, strings, mixed values — of width 0 to 4; when `ragged`,
+/// each row keeps only a prefix of them.
+fn batch_strategy() -> impl Strategy<Value = Vec<Row>> {
+    let cell = (
+        (int_strategy(), double_strategy()),
+        ("[a-z]{0,6}", value_strategy()),
+        0usize..8,
+    );
+    let row = (0usize..5, prop::collection::vec(cell, 4..5));
+    (
+        prop::collection::vec(0usize..5, 0..5),
+        prop::collection::vec(row, 0..16),
+        any::<bool>(),
+    )
+        .prop_map(|(kinds, rows, ragged)| {
+            rows.into_iter()
+                .map(|(len, cells)| {
+                    let width = if ragged {
+                        len % (kinds.len() + 1)
+                    } else {
+                        kinds.len()
+                    };
+                    let values =
+                        kinds[..width]
+                            .iter()
+                            .zip(cells)
+                            .map(|(&kind, ((i, d), (s, v), null))| match kind {
+                                0 => Value::Int(i),
+                                1 => Value::Double(d),
+                                2 if null == 0 => Value::Null,
+                                2 => Value::Int(i),
+                                3 => Value::str(s),
+                                _ => v,
+                            });
+                    Row::new(values.collect())
+                })
+                .collect()
+        })
+}
+
+/// Each value by variant and bits: `-0.0` is not `0.0`, and NaN is itself.
+fn bits(rows: &[Row]) -> Vec<Vec<String>> {
+    let bits = |v: &Value| match v {
+        Value::Double(d) => format!("Double({:#x})", d.to_bits()),
+        other => format!("{other:?}"),
+    };
+    rows.iter()
+        .map(|r| r.values().iter().map(bits).collect())
+        .collect()
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    /// One row batch decodes to the same values bit for bit; no strict
+    /// prefix of it decodes, and neither does it with a byte appended.
+    #[test]
+    fn row_batches_round_trip_and_decode_strictly(
+        rows in batch_strategy(),
+        extra in byte_strategy(),
+    ) {
+        let bytes = encode_rows(&rows);
+        match decode_rows(&bytes) {
+            Ok(back) => prop_assert_eq!(bits(&back), bits(&rows)),
+            Err(e) => prop_assert!(false, "decode of a fresh encode failed: {e}"),
+        }
+        for cut in 0..bytes.len() {
+            prop_assert!(decode_rows(&bytes[..cut]).is_err(), "prefix of {} bytes decoded", cut);
+        }
+        let mut long = bytes;
+        long.push(extra);
+        prop_assert!(decode_rows(&long).is_err());
+    }
 
     #[test]
     fn requests_round_trip_through_a_frame(req in request_strategy()) {

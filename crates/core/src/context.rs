@@ -6,6 +6,7 @@ use crate::error::EngineError;
 use crate::eval::EvalContext;
 use crate::fixpoint::FixpointExecutor;
 use crate::matview::{query_dep_tables, warm_prefix, DepRecord, MatView};
+use rasql_api::codec::{decode_rows, encode_rows};
 use rasql_exec::{
     AdmissionController, CancellationToken, Cluster, ClusterConfig, ExecError, Metrics,
     MetricsSnapshot, QueryGovernor, QueryTrace, TraceSink,
@@ -20,9 +21,8 @@ use rasql_storage::snapshot::{encode_state, read_snapshot, sweep_stray_temp};
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::wal::{replay, WAL_FILE};
 use rasql_storage::{
-    decode_warm_rows, encode_warm_rows, Catalog, CrashInjector, DataType, DurableState, IndexStats,
-    IndexStore, Relation, Row, Schema, StorageError, TableImage, Value, ViewDep, ViewImage, Wal,
-    WalRecord, WarmStore,
+    Catalog, CrashInjector, DataType, DurableState, IndexStats, IndexStore, Relation, Row, Schema,
+    StorageError, TableImage, Value, ViewDep, ViewImage, Wal, WalRecord, WarmStore,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
@@ -1291,7 +1291,7 @@ impl RaSqlContext {
                     .get(&vs.name.to_ascii_lowercase())
                     .map_or(&[][..], |r| r.rows());
                 self.warm
-                    .put(&format!("{prefix}{i}"), encode_warm_rows(rows));
+                    .put(&format!("{prefix}{i}"), encode_rows(rows).into());
             }
             mv.retained_bytes = self.warm.retained_bytes_prefix(&prefix);
             // A full run (at creation, or after a delete, which swept the
@@ -1337,7 +1337,7 @@ impl RaSqlContext {
         }
         let prefix = warm_prefix(key);
         let warm = (0..mv.query.cliques[0].views.len())
-            .map(|i| decode_warm_rows(&self.warm.get(&format!("{prefix}{i}"))?).ok())
+            .map(|i| decode_rows(self.warm.get(&format!("{prefix}{i}"))?.as_ref()).ok())
             .collect::<Option<Vec<_>>>()?;
         Some(Resume { warm, changed })
     }

@@ -417,7 +417,7 @@ impl<C: Cell> ViewState<C> {
     }
 
     /// The state [`ViewState::encode`] wrote for a partition of `v`.
-    fn decode(v: &ViewRt<C>, data: Bytes) -> Result<ViewState<C>, EngineError> {
+    fn decode(v: &ViewRt<C>, data: &[u8]) -> Result<ViewState<C>, EngineError> {
         Ok(match ViewState::empty(v) {
             ViewState::Set(s) => ViewState::Set(decode_set_state(data, s)?),
             ViewState::Agg(a) => ViewState::Agg(Box::new(decode_agg_state(data, *a)?)),
@@ -2132,7 +2132,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
             for (part, pending) in self.pending[vi].iter_mut().enumerate() {
                 let data = entry(format!("r{to}/v{vi}/p{part}"))?;
                 bytes += data.len() as u64;
-                *v.state[part].lock() = ViewState::decode(v, data)?;
+                *v.state[part].lock() = ViewState::decode(v, data.as_ref())?;
                 let data = entry(format!("r{to}/contrib/v{vi}/p{part}"))?;
                 bytes += data.len() as u64;
                 *pending = v.restored(&decode_rows(data)?)?;
@@ -2157,7 +2157,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
         for (vi, part, name) in self.paged_state.drain(..) {
             let blob = dir.take_blob(&name)?;
             let v = &self.c.views[vi];
-            *v.state[part].lock() = ViewState::decode(v, Bytes::from(blob))?;
+            *v.state[part].lock() = ViewState::decode(v, &blob)?;
         }
         Ok(())
     }

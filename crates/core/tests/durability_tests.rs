@@ -340,3 +340,57 @@ fn durability_status_reports_log_and_snapshot_counters() {
     assert!(s.last_snapshot_bytes > 0);
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Every file in `dir`, by name, with its bytes.
+fn dir_contents(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
+    let mut files: Vec<_> = fs::read_dir(dir)
+        .unwrap()
+        .map(|e| {
+            let e = e.unwrap();
+            (e.file_name(), fs::read(e.path()).unwrap())
+        })
+        .collect();
+    files.sort();
+    files
+}
+
+/// `tests/fixtures/format1` is a data directory written by the release
+/// before row batches went column-major: one table, one materialized view,
+/// one published snapshot (format 1) and one logged insert (log format 1).
+/// Opening it — or its log alone — is a typed refusal that writes nothing.
+#[test]
+fn a_format_one_data_dir_is_refused_and_left_untouched() {
+    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/format1");
+    for (tag, files, refused) in [
+        ("all", &["snapshot.bin", "wal.log"][..], "snapshot"),
+        ("log", &["wal.log"][..], "wal record"),
+    ] {
+        let dir = data_dir(&format!("format1-{tag}"));
+        fs::create_dir_all(&dir).unwrap();
+        for f in files {
+            fs::copy(fixture.join(f), dir.join(f)).unwrap();
+        }
+        let before = dir_contents(&dir);
+        let Err(err) = RaSqlContext::builder()
+            .workers(2)
+            .data_dir(dir.clone())
+            .try_build()
+        else {
+            panic!("{tag}: a format-1 data dir must be refused");
+        };
+        match err {
+            EngineError::Storage(StorageError::UnsupportedFormat {
+                what,
+                found: 1,
+                expected: 2,
+            }) => assert_eq!(what, refused, "{tag}"),
+            other => panic!("{tag}: expected UnsupportedFormat, got {other}"),
+        }
+        assert_eq!(
+            dir_contents(&dir),
+            before,
+            "{tag}: recovery wrote to the dir"
+        );
+        let _ = fs::remove_dir_all(&dir);
+    }
+}

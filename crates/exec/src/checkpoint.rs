@@ -9,17 +9,18 @@
 //! snapshot the fixpoint can restore and replay forward from — semi-naive
 //! evaluation is deterministic given the state and delta at a round.
 //!
-//! The encodings are **canonical**: rows, group keys and contributor tuples
-//! are sorted before writing, so encode → decode → encode is byte-identical
-//! even though the underlying hash maps iterate in arbitrary order. Values go
-//! through the same tagged varint/zigzag codec the broadcast compressor uses
-//! ([`rasql_storage::codec`]).
+//! The encodings are **canonical**: each is made of row batches of the
+//! shared codec ([`rasql_storage::codec`]) whose rows are sorted before
+//! writing, so encode → decode → encode is byte-identical even though the
+//! underlying hash maps iterate in arbitrary order. A [`SetState`] is one
+//! batch of `round | tuple` rows; an [`AggState`] is a batch of its group
+//! keys, a batch of `round | created | totals | previous totals` in the
+//! same order, and a batch of its distinct contributors.
 
 use crate::state::{AggGroup, AggState, SetState};
 use crate::tuples::{cells_of, values_of, Cell};
 pub use bytes::Bytes;
-use bytes::{Buf, BytesMut};
-use rasql_storage::codec::{decode_value, encode_value, read_varint, write_varint};
+use rasql_storage::codec::{self, expect_end, get_rows, put_rows};
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::{FxHashMap, Row, StorageError, Value};
 use std::path::PathBuf;
@@ -29,20 +30,15 @@ use std::sync::Arc;
 // Encodings
 // --------------------------------------------------------------------
 
-fn write_values(buf: &mut BytesMut, values: &[Value]) {
-    write_varint(buf, values.len() as u64);
-    for v in values {
-        encode_value(buf, v);
-    }
+fn corrupt(what: &str) -> StorageError {
+    StorageError::Codec(format!("corrupt checkpoint: {what}"))
 }
 
-fn read_values(buf: &mut impl Buf) -> Result<Vec<Value>, StorageError> {
-    let n = read_varint(buf)? as usize;
-    let mut values = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        values.push(decode_value(buf)?);
-    }
-    Ok(values)
+/// A round stamp written as an `Int` column.
+fn stamp(v: &Value) -> Result<u32, StorageError> {
+    v.as_int()
+        .and_then(|i| u32::try_from(i).ok())
+        .ok_or_else(|| corrupt("round stamp out of range"))
 }
 
 /// Encode a plain row list (pending delta / contribution buckets). Canonical:
@@ -50,25 +46,12 @@ fn read_values(buf: &mut impl Buf) -> Result<Vec<Value>, StorageError> {
 pub fn encode_rows(rows: &[Row]) -> Bytes {
     let mut sorted: Vec<&Row> = rows.iter().collect();
     sorted.sort_unstable();
-    let mut buf = BytesMut::new();
-    write_varint(&mut buf, sorted.len() as u64);
-    for row in sorted {
-        write_values(&mut buf, row.values());
-    }
-    buf.freeze()
+    Bytes::from(codec::encode_rows(&sorted))
 }
 
 /// Inverse of [`encode_rows`].
-pub fn decode_rows(mut buf: impl Buf) -> Result<Vec<Row>, StorageError> {
-    let n = read_varint(&mut buf)? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 16));
-    for _ in 0..n {
-        rows.push(Row::new(read_values(&mut buf)?));
-    }
-    if buf.has_remaining() {
-        return Err(StorageError::Codec("trailing bytes after rows".into()));
-    }
-    Ok(rows)
+pub fn decode_rows(bytes: impl AsRef<[u8]>) -> Result<Vec<Row>, StorageError> {
+    Ok(codec::decode_rows(bytes.as_ref())?)
 }
 
 /// The cells of decoded values; a value outside its column's kind is a
@@ -76,43 +59,38 @@ pub fn decode_rows(mut buf: impl Buf) -> Result<Vec<Row>, StorageError> {
 fn decoded_cells<C: Cell>(kinds: &[C::Kind], values: &[Value]) -> Result<Vec<C>, StorageError> {
     let mut cells = Vec::with_capacity(values.len());
     cells_of(kinds, values, &mut cells)
-        .map_err(|_| StorageError::Codec("checkpointed value outside its column's type".into()))?;
+        .map_err(|_| corrupt("checkpointed value outside its column's type"))?;
     Ok(cells)
 }
 
 /// Encode a [`SetState`] including per-tuple round watermarks. Canonical:
-/// tuples are written as rows in sorted order, whatever the cell type.
+/// `round | tuple` rows in sorted order, whatever the cell type.
 pub fn encode_set_state<C: Cell>(state: &SetState<C>) -> Bytes {
     let kinds = state.tuples().kinds();
-    let mut entries: Vec<(Vec<Value>, u32)> = state
+    let mut rows: Vec<Vec<Value>> = state
         .iter_with_rounds()
-        .map(|(t, round)| (values_of(kinds, t), round))
+        .map(|(t, round)| {
+            let mut row = vec![Value::Int(round.into())];
+            row.extend(values_of(kinds, t));
+            row
+        })
         .collect();
-    entries.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut buf = BytesMut::new();
-    write_varint(&mut buf, entries.len() as u64);
-    for (row, round) in entries {
-        write_values(&mut buf, &row);
-        write_varint(&mut buf, round as u64);
-    }
-    buf.freeze()
+    rows.sort_unstable();
+    Bytes::from(codec::encode_rows(&rows))
 }
 
 /// Inverse of [`encode_set_state`], into `state` — an empty state created
 /// with the kinds of the encoded one.
 pub fn decode_set_state<C: Cell>(
-    mut buf: impl Buf,
+    bytes: impl AsRef<[u8]>,
     mut state: SetState<C>,
 ) -> Result<SetState<C>, StorageError> {
     let kinds = Arc::clone(state.tuples().kinds());
-    let n = read_varint(&mut buf)? as usize;
-    for _ in 0..n {
-        let tuple = decoded_cells::<C>(&kinds, &read_values(&mut buf)?)?;
-        let round = read_varint(&mut buf)? as u32;
-        state.insert_slice(&tuple, round);
-    }
-    if buf.has_remaining() {
-        return Err(StorageError::Codec("trailing bytes after set state".into()));
+    for row in codec::decode_rows(bytes.as_ref())? {
+        let [round, tuple @ ..] = row.values() else {
+            return Err(corrupt("set state row without a round"));
+        };
+        state.insert_slice(&decoded_cells::<C>(&kinds, tuple)?, stamp(round)?);
     }
     Ok(state)
 }
@@ -125,54 +103,59 @@ pub fn encode_agg_state<C: Cell>(state: &AggState<C>) -> Bytes {
     let vals = values_of::<C>;
     let mut groups: Vec<_> = state.iter().map(|g| (vals(key_kinds, g.key), g)).collect();
     groups.sort_unstable_by(|a, b| a.0.cmp(&b.0));
-    let mut buf = BytesMut::new();
-    write_varint(&mut buf, groups.len() as u64);
-    for (key, g) in groups {
-        write_values(&mut buf, &key);
-        write_values(&mut buf, &vals(agg_kinds, g.values));
-        write_values(&mut buf, &vals(agg_kinds, g.prev));
-        write_varint(&mut buf, g.round as u64);
-        write_varint(&mut buf, g.created as u64);
-    }
+    let totals: Vec<Vec<Value>> = groups
+        .iter()
+        .map(|(_, g)| {
+            let mut row = vec![Value::Int(g.round.into()), Value::Int(g.created.into())];
+            row.extend(vals(agg_kinds, g.values));
+            row.extend(vals(agg_kinds, g.prev));
+            row
+        })
+        .collect();
+    let keys: Vec<Vec<Value>> = groups.into_iter().map(|(key, _)| key).collect();
     let mut contributors: Vec<Vec<Value>> =
         state.contributors().map(|t| vals(tuple_kinds, t)).collect();
     contributors.sort_unstable();
-    write_varint(&mut buf, contributors.len() as u64);
-    for tuple in contributors {
-        write_values(&mut buf, &tuple);
-    }
-    buf.freeze()
+    let mut buf = Vec::new();
+    put_rows(&mut buf, &keys);
+    put_rows(&mut buf, &totals);
+    put_rows(&mut buf, &contributors);
+    Bytes::from(buf)
 }
 
 /// Inverse of [`encode_agg_state`], into `state` — an empty state created
 /// with the kinds of the encoded one.
 pub fn decode_agg_state<C: Cell>(
-    mut buf: impl Buf,
+    bytes: impl AsRef<[u8]>,
     mut state: AggState<C>,
 ) -> Result<AggState<C>, StorageError> {
     let [key_kinds, agg_kinds, tuple_kinds] = state.kinds().map(Arc::clone);
-    let groups = read_varint(&mut buf)? as usize;
-    for _ in 0..groups {
-        let key = decoded_cells::<C>(&key_kinds, &read_values(&mut buf)?)?;
-        let values = decoded_cells::<C>(&agg_kinds, &read_values(&mut buf)?)?;
-        let prev = decoded_cells::<C>(&agg_kinds, &read_values(&mut buf)?)?;
-        let round = read_varint(&mut buf)? as u32;
-        let created = read_varint(&mut buf)? as u32;
+    let mut input = bytes.as_ref();
+    let keys = get_rows(&mut input)?;
+    let totals = get_rows(&mut input)?;
+    let contributors = get_rows(&mut input)?;
+    expect_end(input)?;
+    if keys.len() != totals.len() {
+        return Err(corrupt("group keys and totals differ in number"));
+    }
+    for (key, totals) in keys.iter().zip(&totals) {
+        let [round, created, both @ ..] = totals.values() else {
+            return Err(corrupt("group totals without round stamps"));
+        };
+        if both.len() % 2 != 0 {
+            return Err(corrupt("group totals of odd width"));
+        }
+        let (values, prev) = both.split_at(both.len() / 2);
         state.insert_group(&AggGroup {
-            key: &key,
-            values: &values,
-            prev: &prev,
-            round,
-            created,
+            key: &decoded_cells::<C>(&key_kinds, key.values())?,
+            values: &decoded_cells::<C>(&agg_kinds, values)?,
+            prev: &decoded_cells::<C>(&agg_kinds, prev)?,
+            round: stamp(round)?,
+            created: stamp(created)?,
         });
     }
-    let contributors = read_varint(&mut buf)? as usize;
-    for _ in 0..contributors {
-        let tuple = decoded_cells::<C>(&tuple_kinds, &read_values(&mut buf)?)?;
-        state.insert_contributor(&tuple);
-    }
-    if buf.has_remaining() {
-        return Err(StorageError::Codec("trailing bytes after agg state".into()));
+    for tuple in &contributors {
+        state.insert_contributor(&decoded_cells::<C>(&tuple_kinds, tuple.values())?);
     }
     Ok(state)
 }
@@ -346,6 +329,8 @@ mod tests {
         s.insert(int_row(&[1]), 1);
         let enc = encode_set_state(&s);
         assert!(decode_set_state(enc.slice(0..enc.len() - 1), SetState::new()).is_err());
+        let agg = encode_agg_state(&AggState::<Value>::new());
+        assert!(decode_agg_state(agg.slice(0..agg.len() - 1), AggState::new()).is_err());
     }
 
     #[test]

@@ -6,14 +6,13 @@
 //! [`crate::governor::MemoryTracker`] reports over-budget, those structures
 //! page out here and page back in when needed.
 //!
-//! The on-disk format reuses the varint value codec the checkpoint module is
-//! built on ([`rasql_storage::codec`]) but deliberately **not**
+//! The on-disk format is the shared codec's row batch
+//! ([`rasql_storage::codec`]) but deliberately **not**
 //! [`crate::checkpoint::encode_rows`]: that encoding canonicalises by
 //! sorting, which is right for checkpoint digests and wrong for a spill —
 //! shuffle buckets must be merged back in the exact order they were written
 //! so a spilled run stays bit-identical to an in-memory one. A spill file is
-//! a sequence of batches, each `varint row-count`, then per row
-//! `varint arity` + tagged values; reading concatenates batches in file
+//! a sequence of batches, one per append; reading concatenates them in file
 //! order.
 //!
 //! Every spill file lives inside a per-query [`SpillDir`], an RAII guard
@@ -25,8 +24,7 @@ use std::io::{Read, Write};
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::{Buf, Bytes, BytesMut};
-use rasql_storage::codec::{decode_value, encode_value, read_varint, write_varint};
+use rasql_storage::codec::{encode_rows, get_rows};
 use rasql_storage::Row;
 
 use crate::error::ExecError;
@@ -41,42 +39,17 @@ fn io_err(what: &str, path: &Path, e: &std::io::Error) -> ExecError {
     }
 }
 
-/// Encode rows in **input order** (no canonicalisation) as one batch:
-/// `varint count`, then per row `varint arity` + tagged values.
-#[must_use]
-pub fn encode_row_batch(rows: &[Row]) -> Vec<u8> {
-    let mut buf = BytesMut::new();
-    write_varint(&mut buf, rows.len() as u64);
-    for row in rows {
-        write_varint(&mut buf, row.values().len() as u64);
-        for v in row.values() {
-            encode_value(&mut buf, v);
-        }
-    }
-    buf.freeze().as_ref().to_vec()
-}
-
-/// Decode a whole spill file: a concatenation of [`encode_row_batch`]
-/// outputs, yielding rows in the exact order they were appended.
+/// Decode a whole spill file: a concatenation of row batches, yielding rows
+/// in the exact order they were appended.
 ///
 /// # Errors
 /// [`ExecError::SpillIo`] on a truncated or corrupt stream.
-pub fn decode_row_stream(bytes: &[u8]) -> Result<Vec<Row>, ExecError> {
-    let corrupt = |e: &dyn std::fmt::Display| ExecError::SpillIo {
-        detail: format!("corrupt spill stream: {e}"),
-    };
-    let mut buf = Bytes::from(bytes.to_vec());
+pub fn decode_row_stream(mut bytes: &[u8]) -> Result<Vec<Row>, ExecError> {
     let mut rows = Vec::new();
-    while buf.has_remaining() {
-        let count = read_varint(&mut buf).map_err(|e| corrupt(&e))?;
-        for _ in 0..count {
-            let arity = read_varint(&mut buf).map_err(|e| corrupt(&e))? as usize;
-            let mut values = Vec::with_capacity(arity);
-            for _ in 0..arity {
-                values.push(decode_value(&mut buf).map_err(|e| corrupt(&e))?);
-            }
-            rows.push(Row::new(values));
-        }
+    while !bytes.is_empty() {
+        rows.extend(get_rows(&mut bytes).map_err(|e| ExecError::SpillIo {
+            detail: format!("corrupt spill stream: {e}"),
+        })?);
     }
     Ok(rows)
 }
@@ -120,7 +93,7 @@ impl SpillDir {
     /// # Errors
     /// [`ExecError::SpillIo`] on any filesystem failure.
     pub fn append_rows(&self, name: &str, rows: &[Row]) -> Result<u64, ExecError> {
-        let encoded = encode_row_batch(rows);
+        let encoded = encode_rows(rows);
         let path = self.file_path(name);
         let mut f = fs::OpenOptions::new()
             .create(true)
@@ -266,8 +239,21 @@ mod tests {
 
     #[test]
     fn decode_rejects_corrupt_stream() {
-        let mut bytes = encode_row_batch(&[row(&[1, 2, 3])]);
+        let mut bytes = encode_rows(&[row(&[1, 2, 3])]);
         bytes.truncate(bytes.len() - 2);
         assert!(decode_row_stream(&bytes).is_err());
+    }
+
+    /// A ragged batch whose one row claims 2^62 values is a typed spill
+    /// error, not an allocation.
+    #[test]
+    fn a_row_claiming_more_values_than_bytes_is_a_spill_error() {
+        // One row, ragged layout, arity 2^62 as a varint, then four values.
+        let mut bytes = vec![1, 0, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x80, 0x40];
+        bytes.extend_from_slice(&[0, 0, 0, 0]);
+        assert!(matches!(
+            decode_row_stream(&bytes),
+            Err(ExecError::SpillIo { .. })
+        ));
     }
 }

@@ -1,118 +1,42 @@
-//! Broadcast compression codecs (paper §7.2).
+//! Row batches for the crates above storage, and broadcast compression
+//! (paper §7.2).
+//!
+//! The row-batch functions are the shared codec's ([`rasql_api::codec`]),
+//! re-exported at this historical path for the executor's checkpoints and
+//! spill files.
 //!
 //! The paper's decomposed-plan optimization broadcasts the base relation to every
 //! worker. Spark's default builds the hash table on the master and ships it
 //! (2-3x larger than the raw data); RaSQL instead ships a *compressed* edge list
-//! and lets each worker build its own hash table. We reproduce that with a
-//! delta-encoded varint CSR codec for integer edge lists and a generic varint
-//! row codec for everything else.
+//! and lets each worker build its own hash table. We reproduce that by sorting
+//! the rows and writing them as one row batch: sorted integer columns become
+//! small zigzag deltas (the CSR analog), doubles raw bits, anything else
+//! tagged values.
 
 use crate::error::StorageError;
 use crate::row::Row;
-use crate::schema::{DataType, Schema};
-use crate::value::Value;
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use crate::schema::Schema;
+pub use rasql_api::codec::{decode_rows, encode_rows, expect_end, get_rows, put_rows};
 
-/// Write an unsigned LEB128 varint.
-pub fn write_varint(buf: &mut BytesMut, mut v: u64) {
-    loop {
-        let byte = (v & 0x7f) as u8;
-        v >>= 7;
-        if v == 0 {
-            buf.put_u8(byte);
-            return;
-        }
-        buf.put_u8(byte | 0x80);
-    }
-}
-
-/// Read an unsigned LEB128 varint.
-pub fn read_varint(buf: &mut impl Buf) -> Result<u64, StorageError> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    loop {
-        if !buf.has_remaining() {
-            return Err(StorageError::Codec("truncated varint".into()));
-        }
-        let byte = buf.get_u8();
-        v |= ((byte & 0x7f) as u64) << shift;
-        if byte & 0x80 == 0 {
-            return Ok(v);
-        }
-        shift += 7;
-        if shift >= 64 {
-            return Err(StorageError::Codec("varint overflow".into()));
-        }
-    }
-}
-
-/// ZigZag-encode a signed integer so small magnitudes stay small.
-#[inline]
-pub fn zigzag(v: i64) -> u64 {
-    ((v << 1) ^ (v >> 63)) as u64
-}
-
-/// Inverse of [`zigzag`].
-#[inline]
-pub fn unzigzag(v: u64) -> i64 {
-    ((v >> 1) as i64) ^ -((v & 1) as i64)
-}
-
-/// A compressed, broadcast-ready encoding of a relation.
-///
-/// Integer-only relations are sorted and delta/zigzag/varint encoded (the CSR
-/// analog); mixed-type relations fall back to a tagged varint row codec. Both
-/// decompress to the original bag of rows (integer relations come back sorted —
-/// order is immaterial for hash-table builds).
+/// A compressed, broadcast-ready encoding of a relation. It decompresses to
+/// the original bag of rows, sorted — order is immaterial for hash-table
+/// builds.
 #[derive(Debug, Clone)]
 pub struct CompressedRelation {
     schema: Schema,
-    payload: Bytes,
+    payload: Vec<u8>,
     rows: usize,
-    delta_encoded: bool,
 }
 
 impl CompressedRelation {
     /// Compress rows of `schema`.
     pub fn compress(schema: &Schema, rows: &[Row]) -> Self {
-        let all_int = schema.fields().iter().all(|f| f.data_type == DataType::Int)
-            && rows
-                .iter()
-                .all(|r| r.values().iter().all(|v| matches!(v, Value::Int(_))));
-        let mut buf = BytesMut::new();
-        if all_int && schema.arity() > 0 {
-            // Sort rows, then delta-encode column 0 across rows and store the
-            // remaining columns zigzag-varint raw. Sorted column 0 yields tiny
-            // deltas for edge lists grouped by source.
-            let mut sorted: Vec<&Row> = rows.iter().collect();
-            sorted.sort_unstable();
-            let mut prev0: i64 = 0;
-            for row in sorted {
-                let v0 = row.get(0).as_int().unwrap();
-                write_varint(&mut buf, zigzag(v0 - prev0));
-                prev0 = v0;
-                for i in 1..row.arity() {
-                    write_varint(&mut buf, zigzag(row.get(i).as_int().unwrap()));
-                }
-            }
-            CompressedRelation {
-                schema: schema.clone(),
-                payload: buf.freeze(),
-                rows: rows.len(),
-                delta_encoded: true,
-            }
-        } else {
-            for row in rows {
-                for v in row.values() {
-                    encode_value(&mut buf, v);
-                }
-            }
-            CompressedRelation {
-                schema: schema.clone(),
-                payload: buf.freeze(),
-                rows: rows.len(),
-                delta_encoded: false,
-            }
+        let mut sorted: Vec<&Row> = rows.iter().collect();
+        sorted.sort_unstable();
+        CompressedRelation {
+            schema: schema.clone(),
+            payload: encode_rows(&sorted),
+            rows: rows.len(),
         }
     }
 
@@ -138,94 +62,7 @@ impl CompressedRelation {
 
     /// Decompress back to rows.
     pub fn decompress(&self) -> Result<Vec<Row>, StorageError> {
-        let mut buf = self.payload.clone();
-        let arity = self.schema.arity();
-        let mut rows = Vec::with_capacity(self.rows);
-        if self.delta_encoded {
-            let mut prev0: i64 = 0;
-            for _ in 0..self.rows {
-                let mut values = Vec::with_capacity(arity);
-                let v0 = prev0 + unzigzag(read_varint(&mut buf)?);
-                prev0 = v0;
-                values.push(Value::Int(v0));
-                for _ in 1..arity {
-                    values.push(Value::Int(unzigzag(read_varint(&mut buf)?)));
-                }
-                rows.push(Row::new(values));
-            }
-        } else {
-            for _ in 0..self.rows {
-                let mut values = Vec::with_capacity(arity);
-                for _ in 0..arity {
-                    values.push(decode_value(&mut buf)?);
-                }
-                rows.push(Row::new(values));
-            }
-        }
-        if buf.has_remaining() {
-            return Err(StorageError::Codec("trailing bytes".into()));
-        }
-        Ok(rows)
-    }
-}
-
-/// Encode one [`Value`] with a 1-byte type tag (the row-codec building block,
-/// also used by the exec crate's checkpoint encoding).
-pub fn encode_value(buf: &mut BytesMut, v: &Value) {
-    match v {
-        Value::Null => buf.put_u8(0),
-        Value::Bool(b) => {
-            buf.put_u8(1);
-            buf.put_u8(*b as u8);
-        }
-        Value::Int(i) => {
-            buf.put_u8(2);
-            write_varint(buf, zigzag(*i));
-        }
-        Value::Double(d) => {
-            buf.put_u8(3);
-            buf.put_u64_le(d.to_bits());
-        }
-        Value::Str(s) => {
-            buf.put_u8(4);
-            write_varint(buf, s.len() as u64);
-            buf.put_slice(s.as_bytes());
-        }
-    }
-}
-
-/// Inverse of [`encode_value`].
-pub fn decode_value(buf: &mut impl Buf) -> Result<Value, StorageError> {
-    if !buf.has_remaining() {
-        return Err(StorageError::Codec("truncated value".into()));
-    }
-    match buf.get_u8() {
-        0 => Ok(Value::Null),
-        1 => {
-            if !buf.has_remaining() {
-                return Err(StorageError::Codec("truncated bool".into()));
-            }
-            Ok(Value::Bool(buf.get_u8() != 0))
-        }
-        2 => Ok(Value::Int(unzigzag(read_varint(buf)?))),
-        3 => {
-            if buf.remaining() < 8 {
-                return Err(StorageError::Codec("truncated double".into()));
-            }
-            Ok(Value::Double(f64::from_bits(buf.get_u64_le())))
-        }
-        4 => {
-            let len = read_varint(buf)? as usize;
-            if buf.remaining() < len {
-                return Err(StorageError::Codec("truncated string".into()));
-            }
-            let mut bytes = vec![0u8; len];
-            buf.copy_to_slice(&mut bytes);
-            let s = String::from_utf8(bytes)
-                .map_err(|e| StorageError::Codec(format!("invalid utf8: {e}")))?;
-            Ok(Value::from(s))
-        }
-        t => Err(StorageError::Codec(format!("unknown value tag {t}"))),
+        Ok(decode_rows(&self.payload)?)
     }
 }
 
@@ -233,25 +70,8 @@ pub fn decode_value(buf: &mut impl Buf) -> Result<Value, StorageError> {
 mod tests {
     use super::*;
     use crate::row::int_row;
-
-    #[test]
-    fn varint_round_trip() {
-        let mut buf = BytesMut::new();
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            write_varint(&mut buf, v);
-        }
-        let mut b = buf.freeze();
-        for v in [0u64, 1, 127, 128, 300, u32::MAX as u64, u64::MAX] {
-            assert_eq!(read_varint(&mut b).unwrap(), v);
-        }
-    }
-
-    #[test]
-    fn zigzag_round_trip() {
-        for v in [0i64, 1, -1, 63, -64, i64::MAX, i64::MIN] {
-            assert_eq!(unzigzag(zigzag(v)), v);
-        }
-    }
+    use crate::schema::DataType;
+    use crate::value::Value;
 
     #[test]
     fn int_relation_round_trip_and_compresses() {
@@ -275,9 +95,9 @@ mod tests {
     fn mixed_relation_round_trip() {
         let schema = Schema::new(vec![("m", DataType::Str), ("p", DataType::Double)]);
         let rows = vec![
-            Row::new(vec![Value::from("alice"), Value::Double(1.5)]),
             Row::new(vec![Value::Null, Value::Double(-0.25)]),
             Row::new(vec![Value::from(""), Value::Double(f64::INFINITY)]),
+            Row::new(vec![Value::from("alice"), Value::Double(1.5)]),
         ];
         let c = CompressedRelation::compress(&schema, &rows);
         assert_eq!(c.decompress().unwrap(), rows);
@@ -287,13 +107,8 @@ mod tests {
     fn corrupt_payload_is_an_error() {
         let schema = Schema::new(vec![("s", DataType::Str)]);
         let rows = vec![Row::new(vec![Value::from("hello")])];
-        let c = CompressedRelation::compress(&schema, &rows);
-        let truncated = CompressedRelation {
-            schema: c.schema.clone(),
-            payload: c.payload.slice(0..c.payload.len() - 2),
-            rows: c.rows,
-            delta_encoded: c.delta_encoded,
-        };
-        assert!(truncated.decompress().is_err());
+        let mut c = CompressedRelation::compress(&schema, &rows);
+        c.payload.truncate(c.payload.len() - 2);
+        assert!(matches!(c.decompress(), Err(StorageError::Codec(_))));
     }
 }

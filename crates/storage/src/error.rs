@@ -28,6 +28,16 @@ pub enum StorageError {
         /// What exactly failed (CRC mismatch, bad tag, truncated field...).
         detail: String,
     },
+    /// An intact durability file written in a format this build does not
+    /// read (an older or newer release's WAL or snapshot).
+    UnsupportedFormat {
+        /// Which file kind ("snapshot", "wal record").
+        what: &'static str,
+        /// The format the file carries.
+        found: u32,
+        /// The format this build reads and writes.
+        expected: u32,
+    },
     /// A deterministic crashpoint fired: the durability layer simulated
     /// process death at the named write/fsync/rename boundary.
     InjectedCrash(String),
@@ -51,6 +61,14 @@ impl fmt::Display for StorageError {
             StorageError::Corrupt { offset, detail } => {
                 write!(f, "corrupt durability record at byte {offset}: {detail}")
             }
+            StorageError::UnsupportedFormat {
+                what,
+                found,
+                expected,
+            } => write!(
+                f,
+                "{what} is in format {found}; this build reads format {expected}"
+            ),
             StorageError::InjectedCrash(site) => write!(f, "injected crash at {site}"),
             StorageError::Io(e) => write!(f, "io error: {e}"),
         }
@@ -69,5 +87,11 @@ impl std::error::Error for StorageError {
 impl From<std::io::Error> for StorageError {
     fn from(e: std::io::Error) -> Self {
         StorageError::Io(e)
+    }
+}
+
+impl From<rasql_api::codec::CodecError> for StorageError {
+    fn from(e: rasql_api::codec::CodecError) -> Self {
+        StorageError::Codec(e.to_string())
     }
 }

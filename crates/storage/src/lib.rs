@@ -3,8 +3,10 @@
 //! # rasql-storage
 //!
 //! The storage substrate of the RaSQL reproduction: in-memory relations,
-//! hash partitioning, a fast non-cryptographic hasher, and the varint/delta
-//! codecs used for compressed broadcast of base relations (paper §7.2).
+//! hash partitioning, a fast non-cryptographic hasher, compressed broadcast
+//! of base relations (paper §7.2), and the durability files (WAL,
+//! snapshots), whose bytes all come from the shared codec in
+//! `rasql_api::codec`.
 //!
 //! The dynamically-typed value, row, and schema types live in the
 //! dependency-light `rasql-api` crate (they are part of the engine's stable
@@ -74,4 +76,4 @@ pub use snapshot::DurableState;
 pub use sync::{LockRank, RankedCondvarMutex, RankedMutex, RankedRwLock};
 pub use value::Value;
 pub use wal::{TableImage, ViewDep, ViewImage, Wal, WalRecord, WalStats};
-pub use warmstore::{decode_warm_rows, encode_warm_rows, WarmStore};
+pub use warmstore::WarmStore;

@@ -15,25 +15,27 @@
 //!           | varint view_count  | view images
 //! ```
 //!
-//! A snapshot that fails its magic, version, or CRC check is a typed
+//! Table and view images are the WAL's own (rows as the shared codec's row
+//! batches). A snapshot that fails its magic or CRC check is a typed
 //! [`StorageError::Corrupt`] — torn-tail tolerance is a WAL property; a
 //! *published* snapshot was fsynced before its rename, so damage here can
-//! never be explained by a crash and must not be silently skipped.
+//! never be explained by a crash and must not be silently skipped. An
+//! intact snapshot of another format (format 1 wrote rows row-major) is
+//! [`StorageError::UnsupportedFormat`].
 
 use std::fs;
 use std::path::{Path, PathBuf};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use rasql_api::codec::{expect_end, get_count, get_varint, put_varint};
 
-use crate::codec::{read_varint, write_varint};
 use crate::error::StorageError;
 use crate::wal::{
-    crc32, read_table_image, read_view_image, write_table_image, write_view_image, TableImage,
-    ViewImage, SNAPSHOT_FILE, SNAPSHOT_TEMP_FILE,
+    crc32, get_table_image, get_view_image, put_table_image, put_view_image, TableImage, ViewImage,
+    SNAPSHOT_FILE, SNAPSHOT_TEMP_FILE,
 };
 
 const MAGIC: &[u8; 4] = b"RQSN";
-const FORMAT_VERSION: u8 = 1;
+const FORMAT_VERSION: u8 = 2;
 
 /// Everything recovery needs: the catalog and view registry, verbatim.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -50,31 +52,29 @@ pub struct DurableState {
 /// Encode a snapshot (magic, format version, body, trailing CRC).
 #[must_use]
 pub fn encode_state(state: &DurableState) -> Vec<u8> {
-    let mut body = BytesMut::new();
-    write_varint(&mut body, state.version_floor);
-    write_varint(&mut body, state.tables.len() as u64);
+    let mut out = Vec::new();
+    out.extend_from_slice(MAGIC);
+    out.push(FORMAT_VERSION);
+    put_varint(&mut out, state.version_floor);
+    put_varint(&mut out, state.tables.len() as u64);
     for t in &state.tables {
-        write_table_image(&mut body, t);
+        put_table_image(&mut out, t);
     }
-    write_varint(&mut body, state.views.len() as u64);
+    put_varint(&mut out, state.views.len() as u64);
     for v in &state.views {
-        write_view_image(&mut body, v);
+        put_view_image(&mut out, v);
     }
-    let body = body.freeze();
-    let body = body.as_ref();
-    let mut out = BytesMut::with_capacity(body.len() + 9);
-    out.put_slice(MAGIC);
-    out.put_u8(FORMAT_VERSION);
-    out.put_slice(body);
-    out.put_slice(&crc32(body).to_le_bytes());
-    out.freeze().as_ref().to_vec()
+    let crc = crc32(&out[MAGIC.len() + 1..]);
+    out.extend_from_slice(&crc.to_le_bytes());
+    out
 }
 
 /// Decode a snapshot produced by [`encode_state`].
 ///
 /// # Errors
+/// [`StorageError::UnsupportedFormat`] for another format version;
 /// [`StorageError::Corrupt`] (offset 0, the whole file is one record) on a
-/// bad magic, unknown format version, CRC mismatch, or malformed body.
+/// bad magic, CRC mismatch, or malformed body.
 pub fn decode_state(bytes: &[u8]) -> Result<DurableState, StorageError> {
     let corrupt = |detail: String| StorageError::Corrupt { offset: 0, detail };
     if bytes.len() < MAGIC.len() + 5 {
@@ -87,10 +87,11 @@ pub fn decode_state(bytes: &[u8]) -> Result<DurableState, StorageError> {
         return Err(corrupt("bad snapshot magic".into()));
     }
     if bytes[4] != FORMAT_VERSION {
-        return Err(corrupt(format!(
-            "unknown snapshot format version {}",
-            bytes[4]
-        )));
+        return Err(StorageError::UnsupportedFormat {
+            what: "snapshot",
+            found: u32::from(bytes[4]),
+            expected: u32::from(FORMAT_VERSION),
+        });
     }
     let body = &bytes[5..bytes.len() - 4];
     let stored = u32::from_le_bytes(bytes[bytes.len() - 4..].try_into().expect("4 crc bytes"));
@@ -100,22 +101,21 @@ pub fn decode_state(bytes: &[u8]) -> Result<DurableState, StorageError> {
             "snapshot crc mismatch (stored {stored:#010x}, computed {computed:#010x})"
         )));
     }
-    let mut buf = Bytes::from(body.to_vec());
+    let mut input = body;
     let state = (|| -> Result<DurableState, StorageError> {
-        let version_floor = read_varint(&mut buf)?;
-        let ntables = read_varint(&mut buf)? as usize;
-        let mut tables = Vec::with_capacity(ntables.min(1 << 16));
+        let input = &mut input;
+        let version_floor = get_varint(input)?;
+        let ntables = get_count(input)?;
+        let mut tables = Vec::with_capacity(ntables);
         for _ in 0..ntables {
-            tables.push(read_table_image(&mut buf)?);
+            tables.push(get_table_image(input)?);
         }
-        let nviews = read_varint(&mut buf)? as usize;
-        let mut views = Vec::with_capacity(nviews.min(1 << 16));
+        let nviews = get_count(input)?;
+        let mut views = Vec::with_capacity(nviews);
         for _ in 0..nviews {
-            views.push(read_view_image(&mut buf)?);
+            views.push(get_view_image(input)?);
         }
-        if buf.has_remaining() {
-            return Err(StorageError::Codec("trailing snapshot bytes".into()));
-        }
+        expect_end(input)?;
         Ok(DurableState {
             version_floor,
             tables,
@@ -229,6 +229,20 @@ mod tests {
                 "bit flip at byte {pos} must be detected"
             );
         }
+    }
+
+    #[test]
+    fn another_format_is_refused_not_corrupt() {
+        let mut bytes = encode_state(&sample_state());
+        bytes[4] = 1;
+        assert!(matches!(
+            decode_state(&bytes),
+            Err(StorageError::UnsupportedFormat {
+                what: "snapshot",
+                found: 1,
+                expected: 2
+            })
+        ));
     }
 
     #[test]

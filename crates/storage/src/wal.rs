@@ -14,8 +14,14 @@
 //!
 //! ```text
 //! frame   := varint payload_len | payload | crc32(payload) as u32 LE
-//! payload := u8 record_tag | record fields (varint/tagged-value codec)
+//! payload := u8 (WAL_FORMAT << 4 | record kind) | record fields
 //! ```
+//!
+//! Record fields are built from the shared byte codec
+//! ([`rasql_api::codec`]); rows are its row batches. The tag's high nibble
+//! carries the log format (format 1 wrote bare kinds `1..=6`), so an intact
+//! record of another format is refused as
+//! [`StorageError::UnsupportedFormat`] without a file header.
 //!
 //! Appends are serialized under [`LockRank::DurabilityLog`] — journaling
 //! happens *inside* the catalog's `tables` write section, so log order is
@@ -43,13 +49,15 @@ use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use rasql_api::codec::{
+    expect_end, get_bool, get_bytes, get_count, get_rows, get_schema, get_string, get_u8,
+    get_varint, put_bool, put_bytes, put_rows, put_schema, put_str, put_varint,
+};
 
-use crate::codec::{decode_value, encode_value, read_varint, write_varint};
 use crate::crashpoint::CrashInjector;
 use crate::error::StorageError;
 use crate::row::Row;
-use crate::schema::{DataType, Field, Schema};
+use crate::schema::Schema;
 use crate::sync::{LockRank, RankedMutex};
 
 /// WAL file name inside a data directory.
@@ -193,178 +201,79 @@ pub enum WalRecord {
 // Payload codec
 // --------------------------------------------------------------------
 
-fn write_string(buf: &mut BytesMut, s: &str) {
-    write_varint(buf, s.len() as u64);
-    buf.put_slice(s.as_bytes());
+/// The log format this build writes, carried in every record tag's high
+/// nibble.
+const WAL_FORMAT: u8 = 2;
+
+pub(crate) fn put_table_image(buf: &mut Vec<u8>, img: &TableImage) {
+    put_str(buf, &img.name);
+    put_schema(buf, &img.schema);
+    put_varint(buf, img.version);
+    put_varint(buf, img.rewrite_version);
+    put_rows(buf, &img.rows);
 }
 
-fn read_string(buf: &mut impl Buf) -> Result<String, StorageError> {
-    let len = read_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(StorageError::Codec("truncated string".into()));
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    String::from_utf8(bytes).map_err(|e| StorageError::Codec(format!("invalid utf8: {e}")))
-}
-
-fn write_bytes(buf: &mut BytesMut, b: &[u8]) {
-    write_varint(buf, b.len() as u64);
-    buf.put_slice(b);
-}
-
-fn read_bytes(buf: &mut impl Buf) -> Result<Vec<u8>, StorageError> {
-    let len = read_varint(buf)? as usize;
-    if buf.remaining() < len {
-        return Err(StorageError::Codec("truncated blob".into()));
-    }
-    let mut bytes = vec![0u8; len];
-    buf.copy_to_slice(&mut bytes);
-    Ok(bytes)
-}
-
-fn dtype_tag(t: DataType) -> u8 {
-    match t {
-        DataType::Int => 0,
-        DataType::Double => 1,
-        DataType::Str => 2,
-        DataType::Bool => 3,
-        DataType::Any => 4,
-    }
-}
-
-fn dtype_from_tag(t: u8) -> Result<DataType, StorageError> {
-    match t {
-        0 => Ok(DataType::Int),
-        1 => Ok(DataType::Double),
-        2 => Ok(DataType::Str),
-        3 => Ok(DataType::Bool),
-        4 => Ok(DataType::Any),
-        other => Err(StorageError::Codec(format!(
-            "unknown data type tag {other}"
-        ))),
-    }
-}
-
-fn write_schema(buf: &mut BytesMut, schema: &Schema) {
-    write_varint(buf, schema.arity() as u64);
-    for f in schema.fields() {
-        write_string(buf, &f.name);
-        buf.put_u8(dtype_tag(f.data_type));
-    }
-}
-
-fn read_schema(buf: &mut impl Buf) -> Result<Schema, StorageError> {
-    let n = read_varint(buf)? as usize;
-    let mut fields = Vec::with_capacity(n);
-    for _ in 0..n {
-        let name = read_string(buf)?;
-        if !buf.has_remaining() {
-            return Err(StorageError::Codec("truncated schema".into()));
-        }
-        fields.push(Field::new(name, dtype_from_tag(buf.get_u8())?));
-    }
-    Ok(Schema::from_fields(fields))
-}
-
-fn write_rows(buf: &mut BytesMut, rows: &[Row]) {
-    write_varint(buf, rows.len() as u64);
-    for row in rows {
-        write_varint(buf, row.arity() as u64);
-        for v in row.values() {
-            encode_value(buf, v);
-        }
-    }
-}
-
-fn read_rows(buf: &mut impl Buf) -> Result<Vec<Row>, StorageError> {
-    let n = read_varint(buf)? as usize;
-    let mut rows = Vec::with_capacity(n.min(1 << 20));
-    for _ in 0..n {
-        let arity = read_varint(buf)? as usize;
-        let mut values = Vec::with_capacity(arity.min(1 << 10));
-        for _ in 0..arity {
-            values.push(decode_value(buf)?);
-        }
-        rows.push(Row::new(values));
-    }
-    Ok(rows)
-}
-
-pub(crate) fn write_table_image(buf: &mut BytesMut, img: &TableImage) {
-    write_string(buf, &img.name);
-    write_schema(buf, &img.schema);
-    write_varint(buf, img.version);
-    write_varint(buf, img.rewrite_version);
-    write_rows(buf, &img.rows);
-}
-
-pub(crate) fn read_table_image(buf: &mut impl Buf) -> Result<TableImage, StorageError> {
+pub(crate) fn get_table_image(input: &mut &[u8]) -> Result<TableImage, StorageError> {
     Ok(TableImage {
-        name: read_string(buf)?,
-        schema: read_schema(buf)?,
-        version: read_varint(buf)?,
-        rewrite_version: read_varint(buf)?,
-        rows: read_rows(buf)?,
+        name: get_string(input)?,
+        schema: get_schema(input)?,
+        version: get_varint(input)?,
+        rewrite_version: get_varint(input)?,
+        rows: get_rows(input)?,
     })
 }
 
-pub(crate) fn write_view_image(buf: &mut BytesMut, img: &ViewImage) {
-    write_string(buf, &img.key);
-    write_string(buf, &img.sql);
-    write_varint(buf, img.version);
-    buf.put_u8(u8::from(img.eligible));
-    match &img.ineligible_reason {
-        Some(r) => {
-            buf.put_u8(1);
-            write_string(buf, r);
-        }
-        None => buf.put_u8(0),
+pub(crate) fn put_view_image(buf: &mut Vec<u8>, img: &ViewImage) {
+    put_str(buf, &img.key);
+    put_str(buf, &img.sql);
+    put_varint(buf, img.version);
+    put_bool(buf, img.eligible);
+    put_bool(buf, img.ineligible_reason.is_some());
+    if let Some(r) = &img.ineligible_reason {
+        put_str(buf, r);
     }
-    write_string(buf, &img.last_refresh);
-    write_varint(buf, img.retained_bytes);
-    write_varint(buf, img.deps.len() as u64);
+    put_str(buf, &img.last_refresh);
+    put_varint(buf, img.retained_bytes);
+    put_varint(buf, img.deps.len() as u64);
     for d in &img.deps {
-        write_string(buf, &d.table);
-        write_varint(buf, d.version);
-        write_varint(buf, d.rewrite_version);
-        write_varint(buf, d.len);
+        put_str(buf, &d.table);
+        put_varint(buf, d.version);
+        put_varint(buf, d.rewrite_version);
+        put_varint(buf, d.len);
     }
-    write_varint(buf, img.warm.len() as u64);
+    put_varint(buf, img.warm.len() as u64);
     for (key, blob) in &img.warm {
-        write_string(buf, key);
-        write_bytes(buf, blob);
+        put_str(buf, key);
+        put_bytes(buf, blob);
     }
 }
 
-pub(crate) fn read_view_image(buf: &mut impl Buf) -> Result<ViewImage, StorageError> {
-    let key = read_string(buf)?;
-    let sql = read_string(buf)?;
-    let version = read_varint(buf)?;
-    if buf.remaining() < 2 {
-        return Err(StorageError::Codec("truncated view image".into()));
-    }
-    let eligible = buf.get_u8() != 0;
-    let ineligible_reason = match buf.get_u8() {
-        0 => None,
-        _ => Some(read_string(buf)?),
+pub(crate) fn get_view_image(input: &mut &[u8]) -> Result<ViewImage, StorageError> {
+    let key = get_string(input)?;
+    let sql = get_string(input)?;
+    let version = get_varint(input)?;
+    let eligible = get_bool(input)?;
+    let ineligible_reason = if get_bool(input)? {
+        Some(get_string(input)?)
+    } else {
+        None
     };
-    let last_refresh = read_string(buf)?;
-    let retained_bytes = read_varint(buf)?;
-    let ndeps = read_varint(buf)? as usize;
-    let mut deps = Vec::with_capacity(ndeps.min(1 << 10));
+    let last_refresh = get_string(input)?;
+    let retained_bytes = get_varint(input)?;
+    let ndeps = get_count(input)?;
+    let mut deps = Vec::with_capacity(ndeps);
     for _ in 0..ndeps {
         deps.push(ViewDep {
-            table: read_string(buf)?,
-            version: read_varint(buf)?,
-            rewrite_version: read_varint(buf)?,
-            len: read_varint(buf)?,
+            table: get_string(input)?,
+            version: get_varint(input)?,
+            rewrite_version: get_varint(input)?,
+            len: get_varint(input)?,
         });
     }
-    let nwarm = read_varint(buf)? as usize;
-    let mut warm = Vec::with_capacity(nwarm.min(1 << 10));
+    let nwarm = get_count(input)?;
+    let mut warm = Vec::with_capacity(nwarm);
     for _ in 0..nwarm {
-        warm.push((read_string(buf)?, read_bytes(buf)?));
+        warm.push((get_string(input)?, get_bytes(input)?.to_vec()));
     }
     Ok(ViewImage {
         key,
@@ -383,77 +292,75 @@ impl WalRecord {
     /// Encode the record payload (tag + fields, no frame).
     #[must_use]
     pub fn encode(&self) -> Vec<u8> {
-        let mut buf = BytesMut::new();
+        let mut buf = Vec::new();
+        let kind = match self {
+            WalRecord::Register(_) => 1,
+            WalRecord::Insert { .. } => 2,
+            WalRecord::Replace(_) => 3,
+            WalRecord::Drop { .. } => 4,
+            WalRecord::ViewPut(_) => 5,
+            WalRecord::ViewDrop { .. } => 6,
+        };
+        buf.push(WAL_FORMAT << 4 | kind);
         match self {
-            WalRecord::Register(img) => {
-                buf.put_u8(1);
-                write_table_image(&mut buf, img);
-            }
+            WalRecord::Register(img) | WalRecord::Replace(img) => put_table_image(&mut buf, img),
             WalRecord::Insert {
                 name,
                 rows,
                 version,
             } => {
-                buf.put_u8(2);
-                write_string(&mut buf, name);
-                write_varint(&mut buf, *version);
-                write_rows(&mut buf, rows);
+                put_str(&mut buf, name);
+                put_varint(&mut buf, *version);
+                put_rows(&mut buf, rows);
             }
-            WalRecord::Replace(img) => {
-                buf.put_u8(3);
-                write_table_image(&mut buf, img);
-            }
-            WalRecord::Drop { name } => {
-                buf.put_u8(4);
-                write_string(&mut buf, name);
-            }
-            WalRecord::ViewPut(img) => {
-                buf.put_u8(5);
-                write_view_image(&mut buf, img);
-            }
-            WalRecord::ViewDrop { key } => {
-                buf.put_u8(6);
-                write_string(&mut buf, key);
-            }
+            WalRecord::Drop { name } => put_str(&mut buf, name),
+            WalRecord::ViewPut(img) => put_view_image(&mut buf, img),
+            WalRecord::ViewDrop { key } => put_str(&mut buf, key),
         }
-        buf.freeze().as_ref().to_vec()
+        buf
     }
 
     /// Decode a payload produced by [`WalRecord::encode`], rejecting
     /// trailing bytes.
     ///
     /// # Errors
-    /// [`StorageError::Codec`] on a truncated or malformed payload.
+    /// [`StorageError::UnsupportedFormat`] for a record of another log
+    /// format, [`StorageError::Codec`] on a truncated or malformed payload.
     pub fn decode(payload: &[u8]) -> Result<WalRecord, StorageError> {
-        let mut buf = Bytes::from(payload.to_vec());
-        if !buf.has_remaining() {
-            return Err(StorageError::Codec("empty wal record".into()));
+        let mut input = payload;
+        let tag = get_u8(&mut input)?;
+        let format = (tag >> 4).max(1);
+        if format != WAL_FORMAT {
+            return Err(StorageError::UnsupportedFormat {
+                what: "wal record",
+                found: u32::from(format),
+                expected: u32::from(WAL_FORMAT),
+            });
         }
-        let rec = match buf.get_u8() {
-            1 => WalRecord::Register(read_table_image(&mut buf)?),
+        let input = &mut input;
+        let rec = match tag & 0xf {
+            1 => WalRecord::Register(get_table_image(input)?),
             2 => {
-                let name = read_string(&mut buf)?;
-                let version = read_varint(&mut buf)?;
-                let rows = read_rows(&mut buf)?;
+                let name = get_string(input)?;
+                let version = get_varint(input)?;
+                let rows = get_rows(input)?;
                 WalRecord::Insert {
                     name,
                     rows,
                     version,
                 }
             }
-            3 => WalRecord::Replace(read_table_image(&mut buf)?),
+            3 => WalRecord::Replace(get_table_image(input)?),
             4 => WalRecord::Drop {
-                name: read_string(&mut buf)?,
+                name: get_string(input)?,
             },
-            5 => WalRecord::ViewPut(read_view_image(&mut buf)?),
+            5 => WalRecord::ViewPut(get_view_image(input)?),
             6 => WalRecord::ViewDrop {
-                key: read_string(&mut buf)?,
+                key: get_string(input)?,
             },
-            t => return Err(StorageError::Codec(format!("unknown wal record tag {t}"))),
+            t => return Err(StorageError::Codec(format!("unknown wal record kind {t}"))),
         };
-        if buf.has_remaining() {
-            return Err(StorageError::Codec("trailing wal record bytes".into()));
-        }
+        expect_end(input)?;
         Ok(rec)
     }
 
@@ -461,11 +368,11 @@ impl WalRecord {
     #[must_use]
     pub fn frame(&self) -> Vec<u8> {
         let payload = self.encode();
-        let mut buf = BytesMut::with_capacity(payload.len() + 9);
-        write_varint(&mut buf, payload.len() as u64);
-        buf.put_slice(&payload);
-        buf.put_slice(&crc32(&payload).to_le_bytes());
-        buf.freeze().as_ref().to_vec()
+        let mut buf = Vec::with_capacity(payload.len() + 9);
+        put_varint(&mut buf, payload.len() as u64);
+        buf.extend_from_slice(&payload);
+        buf.extend_from_slice(&crc32(&payload).to_le_bytes());
+        buf
     }
 }
 
@@ -483,26 +390,6 @@ pub struct ReplayOutcome {
     pub truncated_at: Option<u64>,
     /// Valid log bytes (the file length after any tail truncation).
     pub bytes: u64,
-}
-
-/// Parse an LEB128 varint at `pos` in `bytes`, returning `(value, width)`
-/// or `None` if it runs off the end or overflows (the offline `bytes` shim
-/// implements `Buf` only for owned buffers, so replay parses from the raw
-/// slice).
-fn read_varint_at(bytes: &[u8], pos: usize) -> Option<(u64, usize)> {
-    let mut v: u64 = 0;
-    let mut shift = 0u32;
-    for (i, &b) in bytes[pos..].iter().enumerate() {
-        if shift >= 64 {
-            return None;
-        }
-        v |= u64::from(b & 0x7f) << shift;
-        if b & 0x80 == 0 {
-            return Some((v, i + 1));
-        }
-        shift += 7;
-    }
-    None
 }
 
 /// Replay the log at `path` (missing file = empty log). A frame that fails
@@ -531,16 +418,17 @@ pub fn replay(path: &Path) -> Result<ReplayOutcome, StorageError> {
     let mut torn: Option<u64> = None;
     while pos < total {
         let frame_start = pos;
-        let Some((payload_len, header_len)) = read_varint_at(&bytes, pos) else {
-            // A length varint that runs off the end of the file can only be
-            // a torn final frame (valid frames never start with an overlong
-            // varint — lengths are bounded by the file size).
+        let mut rest = &bytes[pos..];
+        // A length varint that runs off the end of the file, or a length
+        // past it, can only be a torn final frame (valid frames never start
+        // with an overlong varint — lengths are bounded by the file size).
+        let Ok(payload_len) = get_count(&mut rest) else {
             torn = Some(frame_start as u64);
             break;
         };
-        let payload_len = payload_len as usize;
+        let header_len = total - frame_start - rest.len();
         let frame_end = frame_start + header_len + payload_len + 4;
-        if frame_end > total || payload_len > total {
+        if frame_end > total {
             torn = Some(frame_start as u64);
             break;
         }
@@ -566,6 +454,9 @@ pub fn replay(path: &Path) -> Result<ReplayOutcome, StorageError> {
         }
         match WalRecord::decode(payload) {
             Ok(rec) => records.push(rec),
+            // An intact record of another format is a typed refusal; the
+            // file is left as it is.
+            Err(e @ StorageError::UnsupportedFormat { .. }) => return Err(e),
             // The payload passed its CRC, so a decode failure is structural
             // corruption regardless of position — a torn write cannot
             // produce a checksummed-but-malformed record.
@@ -809,6 +700,7 @@ mod tests {
     use super::*;
     use crate::crashpoint::CrashSpec;
     use crate::row::int_row;
+    use crate::schema::DataType;
     use crate::value::Value;
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -940,6 +832,35 @@ mod tests {
             }
             other => panic!("expected Corrupt, got {other}"),
         }
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A format-1 record (bare kind tag) that passes its CRC is a typed
+    /// refusal, and replay leaves the log as it found it.
+    #[test]
+    fn another_format_is_refused_and_the_log_left_intact() {
+        let dir = tmp_dir("format");
+        let mut payload = sample_records()[1].encode();
+        payload[0] = 2;
+        let mut log = Vec::new();
+        put_varint(&mut log, payload.len() as u64);
+        log.extend_from_slice(&payload);
+        log.extend_from_slice(&crc32(&payload).to_le_bytes());
+        let path = dir.join(WAL_FILE);
+        fs::write(&path, &log).expect("write");
+        let err = replay(&path).expect_err("refused");
+        assert!(
+            matches!(
+                err,
+                StorageError::UnsupportedFormat {
+                    what: "wal record",
+                    found: 1,
+                    expected: 2
+                }
+            ),
+            "{err}"
+        );
+        assert_eq!(fs::read(&path).expect("read"), log);
         let _ = fs::remove_dir_all(&dir);
     }
 

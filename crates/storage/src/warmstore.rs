@@ -4,50 +4,15 @@
 //! The incremental view-maintenance subsystem (`core::matview`) keeps the
 //! converged recursive-view rows of every materialized view resident so a
 //! refresh can resume semi-naive evaluation from them instead of
-//! recomputing from scratch. This store holds that state as compact
-//! encoded-row blobs keyed by `"view-name/clique-view"` and accounts for
-//! the total retained bytes (surfaced as a metrics gauge and charged
-//! against the memory governor during refresh).
+//! recomputing the view in full. This store holds that state as row-batch
+//! blobs of the shared codec ([`rasql_api::codec`]) keyed by
+//! `"view-name/clique-view"` and accounts for the total retained bytes
+//! (surfaced as a metrics gauge and charged against the memory governor
+//! during refresh).
 
-use crate::codec::{decode_value, encode_value, read_varint, write_varint};
-use crate::error::StorageError;
-use crate::row::Row;
 use crate::sync::{LockRank, RankedRwLock};
-use bytes::{Buf, Bytes, BytesMut};
+use bytes::Bytes;
 use std::collections::BTreeMap;
-
-/// Encode rows into a compact self-delimiting blob (varint row count and
-/// arity, then tagged values).
-pub fn encode_warm_rows(rows: &[Row]) -> Bytes {
-    let mut buf = BytesMut::new();
-    write_varint(&mut buf, rows.len() as u64);
-    write_varint(&mut buf, rows.first().map_or(0, Row::arity) as u64);
-    for row in rows {
-        for v in row.values() {
-            encode_value(&mut buf, v);
-        }
-    }
-    buf.freeze()
-}
-
-/// Inverse of [`encode_warm_rows`].
-pub fn decode_warm_rows(blob: &Bytes) -> Result<Vec<Row>, StorageError> {
-    let mut buf = blob.clone();
-    let n = read_varint(&mut buf)? as usize;
-    let arity = read_varint(&mut buf)? as usize;
-    let mut rows = Vec::with_capacity(n);
-    for _ in 0..n {
-        let mut values = Vec::with_capacity(arity);
-        for _ in 0..arity {
-            values.push(decode_value(&mut buf)?);
-        }
-        rows.push(Row::new(values));
-    }
-    if buf.has_remaining() {
-        return Err(StorageError::Codec("trailing warm-state bytes".into()));
-    }
-    Ok(rows)
-}
 
 /// A thread-safe store of encoded warm-state blobs with byte accounting.
 pub struct WarmStore {
@@ -116,18 +81,12 @@ impl WarmStore {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::row::int_row;
-    use crate::value::Value;
+    use crate::error::StorageError;
+    use crate::row::{int_row, Row};
+    use rasql_api::codec::{decode_rows, encode_rows, put_varint};
 
-    #[test]
-    fn rows_round_trip() {
-        let rows = vec![
-            Row::new(vec![Value::Int(1), Value::from("a"), Value::Double(0.5)]),
-            Row::new(vec![Value::Int(-7), Value::Null, Value::Double(2.0)]),
-        ];
-        let blob = encode_warm_rows(&rows);
-        assert_eq!(decode_warm_rows(&blob).unwrap(), rows);
-        assert!(decode_warm_rows(&encode_warm_rows(&[])).unwrap().is_empty());
+    fn blob(rows: &[Row]) -> Bytes {
+        Bytes::from(encode_rows(rows))
     }
 
     #[test]
@@ -135,8 +94,8 @@ mod tests {
         let s = WarmStore::new();
         assert_eq!(s.retained_bytes(), 0);
         let rows: Vec<Row> = (0..10).map(|i| int_row(&[i, i + 1])).collect();
-        s.put("mv/a/v0", encode_warm_rows(&rows));
-        s.put("mv/b/v0", encode_warm_rows(&rows[..2]));
+        s.put("mv/a/v0", blob(&rows));
+        s.put("mv/b/v0", blob(&rows[..2]));
         assert!(s.retained_bytes() > 0);
         assert!(s.retained_bytes_prefix("mv/a/") > s.retained_bytes_prefix("mv/b/"));
         assert!(s.get("mv/a/v0").is_some());
@@ -146,11 +105,17 @@ mod tests {
         assert_eq!(s.retained_bytes(), s.retained_bytes_prefix("mv/b/"));
     }
 
+    /// A warm blob that claims 2^62 rows in ten bytes is a typed codec
+    /// error, not an allocation.
     #[test]
-    fn truncated_blob_is_an_error() {
-        let rows = vec![int_row(&[1, 2])];
-        let blob = encode_warm_rows(&rows);
-        let truncated = blob.slice(0..blob.len() - 1);
-        assert!(decode_warm_rows(&truncated).is_err());
+    fn a_blob_claiming_more_rows_than_bytes_is_a_codec_error() {
+        let mut bytes = Vec::new();
+        put_varint(&mut bytes, 1 << 62);
+        bytes.resize(10, 0);
+        let err = StorageError::from(decode_rows(&bytes).unwrap_err());
+        assert!(matches!(err, StorageError::Codec(_)), "{err}");
+        let whole = blob(&[int_row(&[1, 2])]);
+        let truncated = &whole.as_ref()[..whole.len() - 1];
+        assert!(decode_rows(truncated).is_err());
     }
 }

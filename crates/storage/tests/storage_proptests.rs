@@ -64,7 +64,8 @@ proptest! {
     #[test]
     fn codec_round_trips_mixed_rows(
         vals in prop::collection::vec(
-            prop::collection::vec(value_strategy(), 3..4), 0..40)
+            prop::collection::vec(value_strategy(), 3..4), 0..40),
+        ints in prop::collection::vec((any::<i64>(), any::<i64>()), 0..40),
     ) {
         let schema = Schema::new(vec![
             ("a", DataType::Any),
@@ -79,6 +80,17 @@ proptest! {
         back.sort();
         orig.sort();
         prop_assert_eq!(back, orig);
+
+        // An `Int`-typed edge list over the whole i64 range: neighbouring
+        // sorted values may differ by more than i64 can hold.
+        let schema = Schema::new(vec![("s", DataType::Int), ("d", DataType::Int)]);
+        let mut rows: Vec<Row> = ints
+            .into_iter()
+            .map(|(s, d)| Row::new(vec![Value::Int(s), Value::Int(d)]))
+            .collect();
+        let c = CompressedRelation::compress(&schema, &rows);
+        rows.sort();
+        prop_assert_eq!(c.decompress().unwrap(), rows);
     }
 
     #[test]
