@@ -1,5 +1,5 @@
 //! The one byte codec: every byte format of the engine — wire payloads, WAL
-//! records, snapshots, warm blobs, checkpoints, spill files and broadcast
+//! records, snapshots, view images, checkpoints, spill files and broadcast
 //! payloads — is built from the pieces here. Each caller keeps only its own
 //! framing (the `RQ` frame, the WAL's `len | payload | crc`, the snapshot's
 //! `magic | version | body | crc`, a checkpoint's sort order).

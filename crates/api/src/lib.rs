@@ -25,7 +25,7 @@
 //!
 //! [`codec`] is the engine's one byte codec — varints, strings, schemas,
 //! tagged values and column-lane row batches — which the WAL, snapshots,
-//! warm state, checkpoints, spill files and broadcast payloads share with
+//! checkpoints, spill files and broadcast payloads share with
 //! the wire.
 //!
 //! The protocol never serializes internal executor types: servers translate

@@ -73,7 +73,8 @@ pub struct ViewInfo {
     pub version: u64,
     /// Whether a base relation changed since the last refresh.
     pub stale: bool,
-    /// Bytes of warm fixpoint state retained for delta-seeded refresh.
+    /// Bytes of converged fixpoint state kept resident for delta-seeded
+    /// refresh.
     pub retained_bytes: u64,
     /// How the last refresh ran: `"full"`, `"incremental"`, or `"none"`
     /// for a view that has never been refreshed since creation.

@@ -1805,8 +1805,10 @@ pub fn crash_soak(scale: f64) -> Table {
     let edges = rmat_graph(n, true, 13);
 
     // The scripted workload. Op 0 registers the base table; the rest drive
-    // every WAL record shape: Insert, Replace+ViewPut (create and refresh),
-    // Replace alone (delete), Drop+ViewDrop.
+    // every WAL record shape: Insert, ViewPut (create of the certified view,
+    // whose table is derived), ViewDelta (its refreshes: one before the
+    // compaction `insert-3` triggers, one replayed over it), Replace alone
+    // (delete), Drop+ViewDrop.
     enum Op {
         Register,
         Sql(String),
@@ -1826,6 +1828,14 @@ pub fn crash_soak(scale: f64) -> Table {
             Op::Sql("INSERT INTO edge VALUES (9002, 2, 1.0)".into()),
         ),
         ("refresh-mv", Op::Sql("REFRESH MATERIALIZED VIEW cs".into())),
+        (
+            "insert-3",
+            Op::Sql("INSERT INTO edge VALUES (9003, 3, 1.0)".into()),
+        ),
+        (
+            "refresh-mv-2",
+            Op::Sql("REFRESH MATERIALIZED VIEW cs".into()),
+        ),
         (
             "delete",
             Op::Sql("DELETE FROM edge WHERE Src = 9001".into()),
@@ -2543,6 +2553,9 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
         ("edges".into(), JsonValue::Num(edges.len() as f64)),
         ("delta_edges".into(), JsonValue::Num(delta as f64)),
         ("refreshes".into(), JsonValue::Num(IVM_TRAIN as f64)),
+        // How big a view the train refreshes: a refresh's cost is to be
+        // judged against the view's size as well as the delta's.
+        ("view_rows".into(), JsonValue::Num(full_rows.len() as f64)),
         (
             "incremental_ms".into(),
             JsonValue::Num(incr_median.as_secs_f64() * 1e3),

@@ -233,7 +233,7 @@ impl Client {
     }
 
     /// The server's registered materialized views: name, version,
-    /// staleness, retained warm-state bytes, and last refresh mode.
+    /// staleness, resident-state bytes, and last refresh mode.
     pub fn views(&mut self) -> Result<Vec<rasql_api::ViewInfo>, ApiError> {
         match self.round_trip_idempotent(&Request::ListViews)? {
             Response::Views { views } => Ok(views),

@@ -4,9 +4,8 @@ use crate::cache::{version_fingerprint, CachedQuery, ResultCache};
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
 use crate::eval::EvalContext;
-use crate::fixpoint::FixpointExecutor;
-use crate::matview::{query_dep_tables, warm_prefix, DepRecord, MatView};
-use rasql_api::codec::{decode_rows, encode_rows};
+use crate::fixpoint::{CliqueState, FixpointExecutor};
+use crate::matview::{query_dep_tables, DepRecord, MatView};
 use rasql_exec::{
     AdmissionController, CancellationToken, Cluster, ClusterConfig, ExecError, Metrics,
     MetricsSnapshot, QueryGovernor, QueryTrace, TraceSink,
@@ -22,7 +21,7 @@ use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::wal::{replay, WAL_FILE};
 use rasql_storage::{
     Catalog, CrashInjector, DataType, DurableState, IndexStats, IndexStore, Relation, Row, Schema,
-    StorageError, TableImage, Value, ViewDep, ViewImage, Wal, WalRecord, WarmStore,
+    StorageError, TableImage, Value, ViewDelta, ViewDep, ViewImage, Wal, WalRecord,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
@@ -145,17 +144,19 @@ struct Run {
 }
 
 /// One executed query: its result, every clique view's converged relation
-/// by lower-cased name (a materialized view's warm state), and its run.
+/// by lower-cased name, its run and — for a delta-seeded refresh — the state
+/// the resumed clique converged to.
 struct Executed {
     relation: Relation,
     views: HashMap<String, Arc<Relation>>,
     run: Run,
+    state: Option<CliqueState>,
 }
 
-/// What a delta-seeded refresh resumes from: the clique's retained state,
-/// view by view, and each grown dependency's appended rows.
+/// What a delta-seeded refresh resumes from: the view's resident state,
+/// lent, and each grown dependency's appended rows.
 struct Resume {
-    warm: Vec<Vec<Row>>,
+    state: Arc<CliqueState>,
     changed: Vec<(String, Vec<Row>)>,
 }
 
@@ -198,15 +199,13 @@ pub struct RaSqlContext {
     /// Per-view serialization guards held across CREATE/REFRESH/DROP of a
     /// materialized view. Two concurrent refreshes of the same view (easily
     /// triggered by two clients reading it stale, since reads auto-refresh)
-    /// would otherwise interleave their warm-state, catalog, and
+    /// would otherwise interleave their resident-state, catalog, and
     /// dependency-record publishes — pairing one refresh's contents with the
     /// other's `DepRecord`s, which never reads as stale again. Entries are
     /// never removed: a guard may still be held by a late waiter after its
     /// view is dropped, and a tiny map entry per view name ever used is
     /// cheaper than racing on guard identity.
     view_locks: RankedMutex<HashMap<String, Arc<RankedMutex<()>>>>,
-    /// Warm fixpoint state retained for delta-seeded refresh.
-    warm: WarmStore,
     /// Write-ahead journaling state; `Some` when the context owns a data
     /// directory ([`EngineConfig::data_dir`]).
     durability: Option<Durability>,
@@ -282,7 +281,6 @@ impl RaSqlContext {
             spill_root: std::env::temp_dir(),
             matviews: RankedMutex::new(LockRank::MatViewRegistry, BTreeMap::new()),
             view_locks: RankedMutex::new(LockRank::ViewLockMap, HashMap::new()),
-            warm: WarmStore::new(),
             durability: None,
         };
         if let Some(dir) = ctx.config.data_dir.clone() {
@@ -330,8 +328,19 @@ impl RaSqlContext {
                     self.catalog.apply_drop(&name);
                     self.planner_catalog.lock().remove_table(&name);
                 }
-                WalRecord::ViewPut(img) => {
-                    views.insert(img.key.clone(), img);
+                WalRecord::ViewPut { image, table } => {
+                    if image.eligible {
+                        self.catalog.apply_derived(&image.key, table);
+                    }
+                    views.insert(image.key.clone(), image);
+                }
+                WalRecord::ViewDelta(delta) => {
+                    self.catalog.apply_derived(&delta.key, delta.table);
+                    // No image: a snapshot renamed live before the log was
+                    // truncated no longer holds a view this log drops later.
+                    if let Some(img) = views.get_mut(&delta.key) {
+                        img.apply(delta);
+                    }
                 }
                 WalRecord::ViewDrop { key } => {
                     views.remove(&key);
@@ -341,10 +350,8 @@ impl RaSqlContext {
         for (_, img) in views {
             self.restore_view(img)?;
         }
-        self.cluster
-            .metrics
-            .retained_bytes
-            .store(self.warm.retained_bytes(), Ordering::Relaxed);
+        self.derive_view_tables()?;
+        self.publish_retained_bytes();
         let injector = match self.config.crash_spec {
             Some(spec) => CrashInjector::new(spec),
             None => CrashInjector::none(),
@@ -355,7 +362,7 @@ impl RaSqlContext {
             // whole state is already in hand, and truncating here bounds
             // startup replay work for the next process.
             let encoded = encode_state(&self.durable_state());
-            wal.publish_snapshot(&encoded, wal.record_count())?;
+            wal.publish_snapshot(&encoded, wal.position())?;
         }
         self.catalog.attach_journal(Arc::clone(&wal));
         self.durability = Some(Durability {
@@ -392,7 +399,9 @@ impl RaSqlContext {
 
     /// Rebuild one materialized view from its durable image: re-plan the
     /// stored defining script (compiled plans never travel through the log),
-    /// restore warm fixpoint state, and register the record verbatim.
+    /// rebuild a certified view's resident state, and register the record
+    /// verbatim. The view's result table, when derived, is installed by
+    /// [`derive_view_tables`](Self::derive_view_tables).
     fn restore_view(&self, img: ViewImage) -> Result<(), EngineError> {
         let ViewImage {
             key,
@@ -401,7 +410,6 @@ impl RaSqlContext {
             eligible,
             ineligible_reason,
             last_refresh,
-            retained_bytes,
             deps,
             warm,
         } = img;
@@ -430,12 +438,16 @@ impl RaSqlContext {
                  '{key}' has no matching CREATE MATERIALIZED VIEW statement"
             )));
         };
-        for (k, blob) in warm {
-            self.warm.put(&k, bytes::Bytes::from(blob));
-        }
-        if eligible {
+        // Rebuilt once per open: the rows of the view's last full image and
+        // of every refresh after it, merged under its monotone ops.
+        let resident = if eligible {
+            let state = self.load_state(&query, &warm)?;
+            Metrics::add(&self.cluster.metrics.view_state_loads, 1);
             self.warm_view_indexes(&query);
-        }
+            Some(Arc::new(state))
+        } else {
+            None
+        };
         self.matviews.lock().insert(
             key,
             MatView {
@@ -455,97 +467,122 @@ impl RaSqlContext {
                 eligible,
                 ineligible_reason,
                 last_refresh,
-                retained_bytes,
+                resident,
             },
         );
         Ok(())
     }
 
+    /// Recovery, after every view is restored: evaluate each certified
+    /// view's result table from its resident state — the views it reads
+    /// first — and install it at the version its records carried. A table
+    /// the log dropped stays dropped.
+    fn derive_view_tables(&self) -> Result<(), EngineError> {
+        let registry = self.matviews.lock().clone();
+        let mut done = HashSet::new();
+        for key in registry.keys() {
+            self.derive_view_table(key, &registry, &mut done)?;
+        }
+        Ok(())
+    }
+
+    fn derive_view_table(
+        &self,
+        key: &str,
+        registry: &BTreeMap<String, MatView>,
+        done: &mut HashSet<String>,
+    ) -> Result<(), EngineError> {
+        let Some(mv) = registry.get(key) else {
+            return Ok(());
+        };
+        if !done.insert(key.to_string()) {
+            return Ok(());
+        }
+        for d in &mv.deps {
+            self.derive_view_table(&d.table, registry, done)?;
+        }
+        let Some(state) = &mv.resident else {
+            return Ok(());
+        };
+        let spec = &mv.query.cliques[0];
+        let views: HashMap<String, Arc<Relation>> = (spec.views.iter())
+            .zip(state.relations(spec))
+            .map(|(v, rel)| (v.name.to_ascii_lowercase(), Arc::new(rel)))
+            .collect();
+        let relation = self
+            .eval_context(&views, None, None)
+            .evaluate(&mv.query.final_plan)?;
+        let schema = relation.schema().clone();
+        if self.catalog.fill_derived(key, relation) {
+            self.planner_catalog.lock().add_table(&mv.name, schema);
+        }
+        Ok(())
+    }
+
+    /// The resident state of `query`'s clique built from its converged rows,
+    /// one batch per clique view.
+    fn load_state<R: AsRef<[Row]>>(
+        &self,
+        query: &AnalyzedQuery,
+        rows: &[R],
+    ) -> Result<CliqueState, EngineError> {
+        let no_views = HashMap::new();
+        let eval = self.eval_context(&no_views, None, None);
+        FixpointExecutor::new(&eval, &self.config).load_state(&query.cliques[0], rows)
+    }
+
     /// The full durable state as of now: catalog version ceiling, every
-    /// table image, every view image (warm blobs included).
+    /// table image (a derived table's without rows), every view image (a
+    /// certified view's converged rows included). The registry is read under
+    /// its lock and imaged outside it.
     fn durable_state(&self) -> DurableState {
         let tables = self.catalog.export_tables();
-        let views = {
-            let reg = self.matviews.lock();
-            reg.iter().map(|(k, mv)| self.view_image(k, mv)).collect()
-        };
+        let registry = self.matviews.lock().clone();
         DurableState {
             version_floor: self.catalog.version_ceiling(),
             tables,
-            views,
+            views: registry.iter().map(|(k, mv)| view_image(k, mv)).collect(),
         }
     }
 
-    /// One view's durable image, collected from its registry record and the
-    /// warm store.
-    fn view_image(&self, key: &str, mv: &MatView) -> ViewImage {
-        let prefix = warm_prefix(key);
-        let mut warm = Vec::new();
-        if mv.eligible {
-            // `eligible` implies exactly one clique; blobs are keyed by view
-            // index (the same layout `create_materialized_view` writes).
-            for i in 0..mv.query.cliques[0].views.len() {
-                let k = format!("{prefix}{i}");
-                if let Some(b) = self.warm.get(&k) {
-                    warm.push((k, b.as_ref().to_vec()));
-                }
-            }
+    /// Append `record` to the journal (a no-op on an in-memory context).
+    fn journal(&self, record: &WalRecord) -> Result<(), StorageError> {
+        match &self.durability {
+            Some(d) => d.wal.append(record),
+            None => Ok(()),
         }
-        ViewImage {
-            key: key.to_string(),
-            sql: mv.sql.clone(),
-            version: mv.version,
-            eligible: mv.eligible,
-            ineligible_reason: mv.ineligible_reason.clone(),
-            last_refresh: mv.last_refresh.clone(),
-            retained_bytes: mv.retained_bytes,
-            deps: mv
-                .deps
-                .iter()
-                .map(|d| ViewDep {
-                    table: d.table.clone(),
-                    version: d.version,
-                    rewrite_version: d.rewrite_version,
-                    len: d.len as u64,
-                })
-                .collect(),
-            warm,
-        }
-    }
-
-    /// Journal the current registry record of view `key` (a no-op on an
-    /// in-memory context or when the view vanished meanwhile).
-    fn journal_view_put(&self, key: &str) -> Result<(), EngineError> {
-        let Some(d) = &self.durability else {
-            return Ok(());
-        };
-        let img = {
-            let reg = self.matviews.lock();
-            match reg.get(key) {
-                Some(mv) => self.view_image(key, mv),
-                None => return Ok(()),
-            }
-        };
-        d.wal.append(&WalRecord::ViewPut(img))?;
-        Ok(())
     }
 
     /// Journal the removal of view `key` (a no-op on an in-memory context).
     fn journal_view_drop(&self, key: &str) -> Result<(), EngineError> {
-        if let Some(d) = &self.durability {
-            d.wal.append(&WalRecord::ViewDrop {
-                key: key.to_string(),
-            })?;
-        }
+        self.journal(&WalRecord::ViewDrop {
+            key: key.to_string(),
+        })?;
         Ok(())
+    }
+
+    /// Set the resident-state gauge to what the registry holds.
+    fn publish_retained_bytes(&self) {
+        let bytes = self
+            .matviews
+            .lock()
+            .values()
+            .map(MatView::retained_bytes)
+            .sum();
+        self.cluster
+            .metrics
+            .retained_bytes
+            .store(bytes, Ordering::Relaxed);
     }
 
     /// Publish a compacting snapshot when the log has grown past the
     /// configured threshold. State is collected *without* the appender lock
-    /// (catalog locks rank below it), so publication is guarded by the
-    /// record count: a mutation landing in between fails the guard and the
+    /// (catalog locks rank below it), so publication is guarded by the log
+    /// position: a mutation landing in between fails the guard and the
     /// collection retries — after three lost races the log just stays long
-    /// until the next mutation tries again.
+    /// until the next mutation tries again. (The record count is no guard:
+    /// another thread's snapshot resets it, and later appends can bring it
+    /// back to the value a stale collection read.)
     fn maybe_compact(&self) -> Result<(), EngineError> {
         let Some(d) = &self.durability else {
             return Ok(());
@@ -554,12 +591,12 @@ impl RaSqlContext {
             return Ok(());
         }
         for _ in 0..3 {
-            let expected = d.wal.record_count();
-            if expected < d.snapshot_every {
+            if d.wal.record_count() < d.snapshot_every {
                 return Ok(());
             }
+            let position = d.wal.position();
             let encoded = encode_state(&self.durable_state());
-            if d.wal.publish_snapshot(&encoded, expected)? {
+            if d.wal.publish_snapshot(&encoded, position)? {
                 return Ok(());
             }
         }
@@ -579,7 +616,7 @@ impl RaSqlContext {
     }
 
     /// A canonical digest of the whole engine state: every base table
-    /// (rows, versions), every materialized view (record, warm blobs),
+    /// (rows, versions), every materialized view (record, converged rows),
     /// serialized in sorted order and checksummed. Two contexts hold
     /// bit-identical state exactly when their digests are equal — the
     /// crash-soak's recovery assertion. The catalog's version *counter* is
@@ -842,21 +879,23 @@ impl RaSqlContext {
                 let key = name.to_ascii_lowercase();
                 // Serialized with CREATE/REFRESH of the same view, so a drop
                 // can never interleave with a refresh's publish step (which
-                // would resurrect the catalog table and warm state).
+                // would resurrect the catalog table and resident state).
                 let guard = self.view_lock(&key);
                 let _guard = guard.lock();
-                if self.matviews.lock().remove(&key).is_none() {
+                // As in `materialize`, the registry stays locked from the
+                // table's journaled drop to the entry's removal: a snapshot
+                // never holds a derived table without its view.
+                let mut registry = self.matviews.lock();
+                if !registry.contains_key(&key) {
                     return Err(EngineError::UnknownView(name));
                 }
-                self.warm.remove_prefix(&warm_prefix(&key));
                 self.catalog.drop_table(&key)?;
+                registry.remove(&key);
+                drop(registry);
                 self.planner_catalog.lock().remove_table(&key);
                 self.table_rewritten(&key);
                 self.journal_view_drop(&key)?;
-                self.cluster
-                    .metrics
-                    .retained_bytes
-                    .store(self.warm.retained_bytes(), Ordering::Relaxed);
+                self.publish_retained_bytes();
                 self.maybe_compact()?;
                 let status = format!("dropped materialized view '{name}'");
                 (text_relation("status", &status), Run::default())
@@ -1026,9 +1065,9 @@ impl RaSqlContext {
 
     /// Phases 5 and 6: admit `q` under a fresh governor and run it — each
     /// clique to its fixpoint (resumed from `resume` for a view's
-    /// delta-seeded refresh), then the final plan — taking what the run
-    /// measured: the metrics delta, the governor's own numbers and, when
-    /// `traced`, the trace.
+    /// delta-seeded refresh, which also hands back the state it converged
+    /// to), then the final plan — taking what the run measured: the metrics
+    /// delta, the governor's own numbers and, when `traced`, the trace.
     fn execute(
         &self,
         q: &AnalyzedQuery,
@@ -1042,11 +1081,16 @@ impl RaSqlContext {
             let sink = traced.then(TraceSink::new);
             let mut views: HashMap<String, Arc<Relation>> = HashMap::new();
             let mut iterations = Vec::new();
+            let mut state = None;
             for clique in &q.cliques {
                 let eval = self.eval_context(&views, sink.as_ref(), Some(governor));
                 let exec = FixpointExecutor::new(&eval, &self.config);
                 let result = match resume {
-                    Some(r) => exec.run_resume(clique, &r.warm, &r.changed)?,
+                    Some(r) => {
+                        let (result, resumed) = exec.run_resume(clique, &r.state, &r.changed)?;
+                        state = Some(resumed);
+                        result
+                    }
                     None => exec.run(clique)?,
                 };
                 iterations.push(result.iterations);
@@ -1081,6 +1125,7 @@ impl RaSqlContext {
                 relation,
                 views,
                 run,
+                state,
             })
         })
     }
@@ -1204,7 +1249,7 @@ impl RaSqlContext {
             eligible: reason.is_none(),
             ineligible_reason: reason,
             last_refresh: "none".to_string(),
-            retained_bytes: 0,
+            resident: None,
         };
         let (nrows, run, _) = self.materialize(&key, mv, false, parent, clock)?;
         let status = format!("materialized view '{name}': {nrows} rows ({mode})");
@@ -1221,7 +1266,7 @@ impl RaSqlContext {
     ) -> Result<(Relation, Run), EngineError> {
         let key = name.to_ascii_lowercase();
         // One refresh of a view at a time: interleaved refreshes could pair
-        // one refresh's contents/warm state with the other's `DepRecord`s —
+        // one refresh's contents/resident state with the other's `DepRecord`s —
         // a view silently missing derivations that never reads as stale.
         // The registry record is read *under* the guard, so a second
         // refresher sees the first one's updated dependency records (its
@@ -1243,12 +1288,17 @@ impl RaSqlContext {
         Ok((text_relation("status", &status), run))
     }
 
-    /// Materialize view `mv` (its serialization guard held) and publish it,
-    /// in the order readers and recovery rely on: warm state, result table,
-    /// registry record, journal. A `refresh` resumes semi-naive evaluation
-    /// from the retained state seeded with only the inserted delta when
+    /// Materialize view `mv` (its serialization guard held) and publish it.
+    /// A `refresh` resumes semi-naive evaluation from the view's resident
+    /// state seeded with only the inserted delta when
     /// [`resume_state`](Self::resume_state) allows it, and recomputes from
-    /// scratch otherwise. Returns the row count, the run and the mode.
+    /// scratch otherwise. Nothing is published until the view's journal
+    /// record is durable: then the result table, the registry record and
+    /// the resident state, in the order readers rely on. A certified view's
+    /// table is derived from its state, so its record — a `ViewDelta` after
+    /// a delta-seeded refresh, a `ViewPut` otherwise — is the only one; any
+    /// other view journals its table's rows (`Replace`) before its `ViewPut`.
+    /// Returns the row count, the run and the mode.
     fn materialize(
         &self,
         key: &str,
@@ -1263,11 +1313,12 @@ impl RaSqlContext {
         // the delta is read: a row landing in between is seeded twice,
         // harmless under the idempotent heads of an incremental view.
         let deps = self.snapshot_deps(&query_dep_tables(&mv.query));
-        let resume = refresh.then(|| self.resume_state(key, &mv)).flatten();
+        let resume = refresh.then(|| self.resume_state(&mv)).flatten();
         let Executed {
             relation,
             views,
             run,
+            state,
         } = self.execute(&mv.query, parent, false, resume.as_ref(), clock)?;
         let mode = if resume.is_some() {
             "incremental"
@@ -1282,49 +1333,81 @@ impl RaSqlContext {
             mv.last_refresh = mode.to_string();
         }
         mv.deps = deps;
+        let (nrows, schema) = (relation.len(), relation.schema().clone());
         if mv.eligible {
             // `eligible` implies exactly one clique (stratified recursion is
-            // an RA0301 finding); warm blobs are keyed by view index.
-            let prefix = warm_prefix(key);
-            for (i, vs) in mv.query.cliques[0].views.iter().enumerate() {
-                let rows = views
-                    .get(&vs.name.to_ascii_lowercase())
-                    .map_or(&[][..], |r| r.rows());
-                self.warm
-                    .put(&format!("{prefix}{i}"), encode_rows(rows).into());
+            // an RA0301 finding). A full run (at creation, or after a delete)
+            // leaves rows, not state: the state is built from them, and the
+            // build sides are fetched so the next insert-only refresh only
+            // advances them.
+            let state = match state {
+                Some(state) => state,
+                None => {
+                    let spec = &mv.query.cliques[0];
+                    let rows: Vec<&[Row]> = (spec.views.iter())
+                        .map(|v| {
+                            views
+                                .get(&v.name.to_ascii_lowercase())
+                                .map_or(&[][..], |r| r.rows())
+                        })
+                        .collect();
+                    let state = self.load_state(&mv.query, &rows)?;
+                    self.warm_view_indexes(&mv.query);
+                    state
+                }
+            };
+            mv.resident = Some(Arc::new(state));
+        }
+        self.planner_catalog.lock().add_table(&mv.name, schema);
+        // The registry stays locked from the journal append to the insert,
+        // so a snapshot collected meanwhile either holds the new entry or
+        // fails its log-position check: compaction never truncates a record
+        // whose registry entry it missed (`modelcheck`'s `view-journal`).
+        let mut registry = self.matviews.lock();
+        match &mv.resident {
+            Some(state) => {
+                self.catalog.replace_derived(&mv.name, relation, |table| {
+                    if self.durability.is_none() {
+                        return Ok(());
+                    }
+                    self.journal(&match resume {
+                        Some(_) => WalRecord::ViewDelta(ViewDelta {
+                            key: key.to_string(),
+                            version: mv.version,
+                            deps: view_deps(&mv.deps),
+                            table,
+                            changed: state.changed(),
+                        }),
+                        None => WalRecord::ViewPut {
+                            image: view_image(key, &mv),
+                            table,
+                        },
+                    })
+                })?;
+                self.table_rewritten(key);
             }
-            mv.retained_bytes = self.warm.retained_bytes_prefix(&prefix);
-            // A full run (at creation, or after a delete, which swept the
-            // indexes) converged against the current bases: fetch the build
-            // sides so the next insert-only refresh only advances them.
-            if resume.is_none() {
-                self.warm_view_indexes(&mv.query);
+            None => {
+                self.catalog.register_or_replace(&mv.name, relation)?;
+                self.table_rewritten(key);
+                self.journal(&WalRecord::ViewPut {
+                    image: view_image(key, &mv),
+                    table: 0,
+                })?;
             }
         }
-        let nrows = relation.len();
-        self.planner_catalog
-            .lock()
-            .add_table(&mv.name, relation.schema().clone());
-        self.catalog.register_or_replace(&mv.name, relation)?;
-        self.table_rewritten(key);
-        self.matviews.lock().insert(key.to_string(), mv);
-        self.journal_view_put(key)?;
-        self.cluster
-            .metrics
-            .retained_bytes
-            .store(self.warm.retained_bytes(), Ordering::Relaxed);
+        registry.insert(key.to_string(), mv);
+        drop(registry);
+        self.publish_retained_bytes();
         self.maybe_compact()?;
         Ok((nrows, run, mode))
     }
 
-    /// The state a refresh of `mv` resumes from — `None`, a full recompute,
-    /// unless the view is certified incremental, every dependency was never
-    /// rewritten (deleted from / replaced) and only grew, and the warm state
-    /// decodes.
-    fn resume_state(&self, key: &str, mv: &MatView) -> Option<Resume> {
-        if !mv.eligible {
-            return None;
-        }
+    /// What a refresh of `mv` resumes from — `None`, a full recompute,
+    /// unless the view is certified incremental and every dependency was
+    /// never rewritten (deleted from / replaced) and only grew. The resident
+    /// state is lent as it is: nothing is decoded.
+    fn resume_state(&self, mv: &MatView) -> Option<Resume> {
+        let state = Arc::clone(mv.resident.as_ref()?);
         let mut changed = Vec::new();
         for d in &mv.deps {
             let (rel, v) = self.catalog.get_versioned(&d.table).ok()?;
@@ -1335,11 +1418,7 @@ impl RaSqlContext {
                 changed.push((d.table.clone(), rel.rows()[d.len..].to_vec()));
             }
         }
-        let prefix = warm_prefix(key);
-        let warm = (0..mv.query.cliques[0].views.len())
-            .map(|i| decode_rows(self.warm.get(&format!("{prefix}{i}"))?.as_ref()).ok())
-            .collect::<Option<Vec<_>>>()?;
-        Some(Resume { warm, changed })
+        Some(Resume { state, changed })
     }
 
     /// Refresh `table` if it names a stale materialized view, refreshing its
@@ -1417,7 +1496,7 @@ impl RaSqlContext {
     }
 
     /// The registered materialized views — name, version, staleness,
-    /// retained warm-state bytes, and last refresh mode — for the shell's
+    /// resident-state bytes, and last refresh mode — for the shell's
     /// `\views` and the server's `ListViews`.
     pub fn view_infos(&self) -> Vec<rasql_api::ViewInfo> {
         let reg = self.matviews.lock();
@@ -1426,7 +1505,7 @@ impl RaSqlContext {
                 name: mv.name.clone(),
                 version: mv.version,
                 stale: self.deps_stale(&mv.deps),
-                retained_bytes: mv.retained_bytes,
+                retained_bytes: mv.retained_bytes(),
                 last_refresh: mv.last_refresh.clone(),
             })
             .collect()
@@ -1546,6 +1625,33 @@ impl RaSqlContext {
     pub(crate) fn catalog(&self) -> &Catalog {
         &self.catalog
     }
+}
+
+/// One view's durable image: its registry record and, when certified, its
+/// resident state's rows, sorted.
+fn view_image(key: &str, mv: &MatView) -> ViewImage {
+    ViewImage {
+        key: key.to_string(),
+        sql: mv.sql.clone(),
+        version: mv.version,
+        eligible: mv.eligible,
+        ineligible_reason: mv.ineligible_reason.clone(),
+        last_refresh: mv.last_refresh.clone(),
+        deps: view_deps(&mv.deps),
+        warm: mv.resident.as_ref().map_or_else(Vec::new, |s| s.image()),
+    }
+}
+
+/// Dependency records as the journal carries them.
+fn view_deps(deps: &[DepRecord]) -> Vec<ViewDep> {
+    deps.iter()
+        .map(|d| ViewDep {
+            table: d.table.clone(),
+            version: d.version,
+            rewrite_version: d.rewrite_version,
+            len: d.len as u64,
+        })
+        .collect()
 }
 
 /// Parse a script and hand its statements, in order, to `each` in one

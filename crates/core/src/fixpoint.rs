@@ -149,6 +149,13 @@ trait Repr: Cell {
     ) -> Result<bool, Escaped> {
         Ok(false)
     }
+
+    /// The views of a resident state held in this representation; `None`
+    /// when it is held in the other one.
+    fn lent(state: &CliqueState) -> Option<&[ResidentView<Self>]>;
+
+    /// A resident state of views held in this representation.
+    fn resident(views: Vec<ResidentView<Self>>) -> CliqueState;
 }
 
 /// Rows: any column type, every configuration — including the paper's
@@ -158,6 +165,19 @@ impl Repr for Value {
 
     fn runs(_: &EngineConfig) -> bool {
         true
+    }
+
+    fn lent(state: &CliqueState) -> Option<&[ResidentView<Value>]> {
+        match &state.views {
+            Held::Rows(views) => Some(views),
+            Held::Words(_) => None,
+        }
+    }
+
+    fn resident(views: Vec<ResidentView<Value>>) -> CliqueState {
+        CliqueState {
+            views: Held::Rows(views),
+        }
     }
 
     fn pred(e: &PExpr, _: &[Option<()>]) -> Option<PredFn> {
@@ -267,6 +287,19 @@ impl Repr for u64 {
         config.eval_mode == EvalMode::SemiNaive
             && config.join == JoinStrategy::ShuffleHash
             && config.fused_codegen
+    }
+
+    fn lent(state: &CliqueState) -> Option<&[ResidentView<u64>]> {
+        match &state.views {
+            Held::Words(views) => Some(views),
+            Held::Rows(_) => None,
+        }
+    }
+
+    fn resident(views: Vec<ResidentView<u64>>) -> CliqueState {
+        CliqueState {
+            views: Held::Words(views),
+        }
     }
 
     fn pred(e: &PExpr, input: &[Option<Lane>]) -> Option<PredFn<u64>> {
@@ -424,15 +457,16 @@ impl<C: Cell> ViewState<C> {
         })
     }
 
-    /// The state's tuples, schema-shaped.
-    fn tuples(&self, v: &ViewRt<C>) -> Tuples<C> {
+    /// The state's tuples, schema-shaped, of a view with column `kinds` and
+    /// aggregate `layout`.
+    fn tuples(&self, kinds: &Arc<[C::Kind]>, layout: &[Slot]) -> Tuples<C> {
         match self {
             ViewState::Set(s) => s.tuples().clone(),
             ViewState::Agg(a) => {
-                let (mut out, mut tuple) = (v.batch(), Vec::new());
+                let (mut out, mut tuple) = (Tuples::new(Arc::clone(kinds)), Vec::new());
                 for g in a.iter() {
                     tuple.clear();
-                    v.assemble(g.key, g.values, &mut tuple);
+                    assemble(layout, g.key, g.values, &mut tuple);
                     out.push(&tuple);
                 }
                 out
@@ -440,21 +474,83 @@ impl<C: Cell> ViewState<C> {
         }
     }
 
-    /// Append the state's tuples to `out` as schema-shaped rows; with
-    /// `before`, the state as a round whose delta is stamped that saw it
-    /// before the delta was merged.
-    fn extend_rows(&self, v: &ViewRt<C>, before: Option<u32>, out: &mut Vec<Row>) {
-        let row = |tuple: &[C]| Row::new(values_of(&v.kinds, tuple));
-        match (self, before) {
-            (ViewState::Set(s), None) => out.extend(s.iter().map(row)),
-            (ViewState::Set(s), Some(cutoff)) => out.extend(s.iter_before(cutoff).map(row)),
-            (ViewState::Agg(a), None) => out.extend(a.iter().map(|g| v.row(g.key, g.values))),
-            (ViewState::Agg(a), Some(cutoff)) => out.extend((0..a.len()).filter_map(|g| {
-                let vals = a.before(g, cutoff)?;
-                Some(v.row(a.group(g).key, vals))
-            })),
+    /// Append the `which` tuples of the state to `out` as schema-shaped rows
+    /// of a view with column `kinds` and aggregate `layout`.
+    fn extend_rows(&self, kinds: &[C::Kind], layout: &[Slot], which: Stamped, out: &mut Vec<Row>) {
+        let row = |tuple: &[C]| Row::new(values_of(kinds, tuple));
+        let group = |key: &[C], aggs: &[C]| group_row(kinds, layout, key, aggs);
+        match (self, which) {
+            (ViewState::Set(s), Stamped::All) => out.extend(s.iter().map(row)),
+            (ViewState::Set(s), Stamped::Before(cutoff)) => {
+                out.extend(s.iter_before(cutoff).map(row));
+            }
+            (ViewState::Set(s), Stamped::From(round)) => out.extend(
+                (s.iter_with_rounds())
+                    .filter(|&(_, r)| r >= round)
+                    .map(|(tuple, _)| row(tuple)),
+            ),
+            (ViewState::Agg(a), Stamped::All) => {
+                out.extend(a.iter().map(|g| group(g.key, g.values)));
+            }
+            (ViewState::Agg(a), Stamped::Before(cutoff)) => {
+                out.extend((0..a.len()).filter_map(|g| {
+                    let vals = a.before(g, cutoff)?;
+                    Some(group(a.group(g).key, vals))
+                }));
+            }
+            (ViewState::Agg(a), Stamped::From(round)) => out.extend(
+                (a.iter())
+                    .filter(|g| g.round >= round)
+                    .map(|g| group(g.key, g.values)),
+            ),
         }
     }
+
+    /// A private copy of the state with every tuple stamped round 0.
+    fn restamped(&self) -> ViewState<C> {
+        match self {
+            ViewState::Set(s) => ViewState::Set(s.restamped()),
+            ViewState::Agg(a) => ViewState::Agg(Box::new(a.restamped())),
+        }
+    }
+}
+
+/// Which tuples of a partition state a read takes, by round stamp.
+#[derive(Clone, Copy)]
+enum Stamped {
+    All,
+    /// The state as a round whose delta is stamped this saw it before the
+    /// delta was merged.
+    Before(u32),
+    /// What was merged at this round or later — for a state resumed at round
+    /// 0, every tuple the resumed run added or changed.
+    From(u32),
+}
+
+/// A group of a view with aggregate `layout` as a schema-shaped tuple,
+/// appended to `buf`.
+#[inline]
+fn assemble<C: Cell>(layout: &[Slot], key: &[C], aggs: &[C], buf: &mut Vec<C>) {
+    let cell = |slot: &Slot| match *slot {
+        Slot::Key(i) => &key[i],
+        Slot::Agg(j) => &aggs[j],
+    };
+    // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
+    buf.extend(layout.iter().map(|slot| cell(slot).clone()));
+}
+
+/// A group of a view with column `kinds` and aggregate `layout` as a
+/// schema-shaped row.
+fn group_row<C: Cell>(kinds: &[C::Kind], layout: &[Slot], key: &[C], aggs: &[C]) -> Row {
+    let cells = layout.iter().zip(kinds.iter());
+    Row::new(
+        cells
+            .map(|(slot, &kind)| match *slot {
+                Slot::Key(i) => key[i].to_value(kind),
+                Slot::Agg(j) => aggs[j].to_value(kind),
+            })
+            .collect(),
+    )
 }
 
 /// Where a schema column of an aggregate view lives in its state.
@@ -513,30 +609,6 @@ impl<C: Cell> ViewRt<C> {
         Tuples::new(self.kinds.clone())
     }
 
-    /// A group as a schema-shaped tuple, appended to `buf`.
-    #[inline]
-    fn assemble(&self, key: &[C], aggs: &[C], buf: &mut Vec<C>) {
-        let cell = |slot: &Slot| match *slot {
-            Slot::Key(i) => &key[i],
-            Slot::Agg(j) => &aggs[j],
-        };
-        // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
-        buf.extend(self.layout.iter().map(|slot| cell(slot).clone()));
-    }
-
-    /// A group as a schema-shaped row.
-    fn row(&self, key: &[C], aggs: &[C]) -> Row {
-        let cells = self.layout.iter().zip(self.kinds.iter());
-        Row::new(
-            cells
-                .map(|(slot, &kind)| match *slot {
-                    Slot::Key(i) => key[i].to_value(kind),
-                    Slot::Agg(j) => aggs[j].to_value(kind),
-                })
-                .collect(),
-        )
-    }
-
     /// The batch of `rows`; a value outside its column's kind escapes.
     fn tuples_of(&self, rows: &[Row]) -> Result<Tuples<C>, Escaped> {
         Tuples::from_rows(self.kinds.clone(), rows)
@@ -551,6 +623,121 @@ impl<C: Cell> ViewRt<C> {
                 self.spec.name
             ))
         })
+    }
+}
+
+// --------------------------------------------------------------------
+// Resident view state
+// --------------------------------------------------------------------
+
+/// A certified view clique's converged fixpoint state, kept resident between
+/// the refreshes of its materialized view — the paper's SetRDD (§6.1) kept
+/// across jobs instead of across rounds. It is immutable: a refresh lends it
+/// to [`FixpointExecutor::run_resume`], which works on a private copy and
+/// returns the state it converged to. A refresh that fails, is killed,
+/// escapes to rows or pages out under a budget therefore leaves the lent
+/// state as it was.
+pub struct CliqueState {
+    views: Held,
+}
+
+/// The views of a resident state, in the representation its run used.
+enum Held {
+    Words(Vec<ResidentView<u64>>),
+    Rows(Vec<ResidentView<Value>>),
+}
+
+/// One clique view's converged partitions (partitioned on its key, as a
+/// resumed run partitions them) and the shape a group's row takes.
+struct ResidentView<C: Cell> {
+    kinds: Arc<[C::Kind]>,
+    layout: Vec<Slot>,
+    parts: Vec<ViewState<C>>,
+}
+
+impl<C: Cell> ResidentView<C> {
+    /// The partitions `v` holds, taken out of it.
+    fn take(v: &ViewRt<C>) -> Self {
+        let parts = v.state.iter();
+        ResidentView {
+            kinds: Arc::clone(&v.kinds),
+            layout: v.layout.clone(),
+            parts: parts
+                .map(|part| std::mem::replace(&mut *part.lock(), ViewState::empty(v)))
+                .collect(),
+        }
+    }
+
+    /// The `which` tuples of every partition as rows, partition by partition.
+    fn rows(&self, which: Stamped) -> Vec<Row> {
+        let mut rows = match which {
+            Stamped::All => Vec::with_capacity(self.parts.iter().map(ViewState::len).sum()),
+            Stamped::Before(_) | Stamped::From(_) => Vec::new(),
+        };
+        for part in &self.parts {
+            part.extend_rows(&self.kinds, &self.layout, which, &mut rows);
+        }
+        rows
+    }
+
+    fn size_bytes(&self) -> u64 {
+        self.parts.iter().map(ViewState::size_bytes).sum()
+    }
+}
+
+impl CliqueState {
+    /// Per clique view, the `which` tuples as rows.
+    fn rows(&self, which: Stamped) -> Vec<Vec<Row>> {
+        match &self.views {
+            Held::Words(views) => views.iter().map(|v| v.rows(which)).collect(),
+            Held::Rows(views) => views.iter().map(|v| v.rows(which)).collect(),
+        }
+    }
+
+    /// Each clique view's converged relation, partition by partition.
+    pub fn relations(&self, spec: &FixpointSpec) -> Vec<Relation> {
+        let rows = self.rows(Stamped::All).into_iter();
+        let views = spec.views.iter().zip(rows);
+        views
+            .map(|(v, rows)| Relation::new_unchecked(v.schema.clone(), rows))
+            .collect()
+    }
+
+    /// Per clique view, its converged rows, sorted: the durable image, the
+    /// same whatever order the tuples were merged in.
+    pub fn image(&self) -> Vec<Vec<Row>> {
+        let mut rows = self.rows(Stamped::All);
+        rows.iter_mut().for_each(|r| r.sort_unstable());
+        rows
+    }
+
+    /// Per clique view, the tuples the run that converged to this state
+    /// added or changed, with their new totals — everything stamped after
+    /// the round-0 state it resumed from. What a refresh journals.
+    pub fn changed(&self) -> Vec<Vec<Row>> {
+        self.rows(Stamped::From(1))
+    }
+
+    /// Bytes the partitions hold: arenas, indexes and stamps.
+    pub fn size_bytes(&self) -> u64 {
+        match &self.views {
+            Held::Words(views) => views.iter().map(ResidentView::size_bytes).sum(),
+            Held::Rows(views) => views.iter().map(ResidentView::size_bytes).sum(),
+        }
+    }
+}
+
+impl std::fmt::Debug for CliqueState {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        let (tuples, views) = match &self.views {
+            Held::Words(views) => ("words", views.len()),
+            Held::Rows(views) => ("rows", views.len()),
+        };
+        f.debug_struct("CliqueState")
+            .field("tuples", &tuples)
+            .field("views", &views)
+            .field("bytes", &self.size_bytes())
+            .finish()
     }
 }
 
@@ -770,6 +957,18 @@ impl<C: Cell> CompiledBranch<C> {
     }
 }
 
+/// Every recursive branch's evaluators, in view order; `None` when the
+/// representation cannot type one of them.
+fn branch_evals<C: Repr>(spec: &FixpointSpec, views: &[ViewRt<C>]) -> Option<Vec<BranchEvals<C>>> {
+    (spec.views.iter().flat_map(|v| &v.recursive))
+        .map(|prog| BranchEvals::compile(prog, views))
+        .collect()
+}
+
+/// A clique's views as a resident state holds them, with the evaluators of
+/// its recursive branches.
+type ResidentViews<C> = (Arc<Vec<ViewRt<C>>>, Vec<BranchEvals<C>>);
+
 /// Contributions produced by a map task: per target view, per target
 /// partition, schema-shaped tuples.
 type Buckets<C> = Vec<Vec<Tuples<C>>>;
@@ -929,7 +1128,7 @@ impl<'a> FixpointExecutor<'a> {
                 return Ok(result);
             }
         }
-        self.on_words_or_rows(|words| {
+        self.on_words_or_rows(true, |words| {
             if words {
                 self.run_on::<u64>(spec)
             } else {
@@ -941,20 +1140,27 @@ impl<'a> FixpointExecutor<'a> {
     /// The interpreter's representation choice, made from the clique — never
     /// from a setting: words when every view has lanes and every branch
     /// compiles, rows otherwise, and rows again (from the immutable base,
-    /// nothing of the word run kept) when a value left its lane.
-    fn on_words_or_rows(
+    /// nothing of the word run kept) when a value left its lane. An
+    /// evaluation is `tally`'d (`word_cliques`, `lane_escapes`); building a
+    /// resident state from rows is not.
+    fn on_words_or_rows<T>(
         &self,
-        mut run: impl FnMut(bool) -> Result<Option<FixpointResult>, Stop>,
-    ) -> Result<FixpointResult, EngineError> {
+        tally: bool,
+        mut run: impl FnMut(bool) -> Result<Option<T>, Stop>,
+    ) -> Result<T, EngineError> {
         let metrics = &self.cluster.metrics;
         match run(true) {
             Ok(Some(result)) => {
-                Metrics::add(&metrics.word_cliques, 1);
+                if tally {
+                    Metrics::add(&metrics.word_cliques, 1);
+                }
                 return Ok(result);
             }
             Ok(None) => {}
             Err(Stop::Escaped) => {
-                Metrics::add(&metrics.lane_escapes, 1);
+                if tally {
+                    Metrics::add(&metrics.lane_escapes, 1);
+                }
                 if let Some(t) = self.eval.trace {
                     t.abandon_clique();
                 }
@@ -976,10 +1182,11 @@ impl<'a> FixpointExecutor<'a> {
         let Some(views) = self.view_runtimes::<C>(spec, self.config.decomposed_plans)? else {
             return Ok(None);
         };
-        let views = Arc::new(views);
-        let Some(clique) = self.compile_clique(spec, &views)? else {
+        let Some(evals) = branch_evals(spec, &views) else {
             return Ok(None);
         };
+        let views = Arc::new(views);
+        let clique = self.compile_clique(spec, &views, evals)?;
         // The base cases: round-0 contributions.
         let base = self.base_buckets(spec, &views)?;
         let escaped = Arc::clone(&clique.escaped);
@@ -991,40 +1198,63 @@ impl<'a> FixpointExecutor<'a> {
                 EvalMode::Naive => self.drive(&mut Naive::new(clique, base), 0),
             }
         };
-        self.finish(&views, driven, &escaped).map(Some)
+        let iterations = self.converged::<C>(driven, &escaped)?;
+        // The state moves into the result relations — one row per result
+        // tuple — a partition at a time: nothing reads it after the last
+        // round.
+        let views = (views.iter())
+            .map(|v| {
+                let total = v.state.iter().map(|part| part.lock().len()).sum();
+                let mut rows = Vec::with_capacity(total);
+                for part in &v.state {
+                    let state = std::mem::replace(&mut *part.lock(), ViewState::empty(v));
+                    state.extend_rows(&v.kinds, &v.layout, Stamped::All, &mut rows);
+                }
+                Relation::new_unchecked(v.spec.schema.clone(), rows)
+            })
+            .collect();
+        Ok(Some(FixpointResult { views, iterations }))
     }
 
     /// Compile every recursive branch of the clique, in view order
-    /// (evaluating and caching the base build sides) — every branch's
-    /// evaluators first, so a clique the representation declines has
-    /// evaluated nothing.
+    /// (evaluating and caching the base build sides), from its evaluators
+    /// ([`branch_evals`]: checked first, so a clique the representation
+    /// declines has evaluated nothing).
     fn compile_clique<'e, C: Repr>(
         &'e self,
         spec: &FixpointSpec,
         views: &Arc<Vec<ViewRt<C>>>,
-    ) -> Result<Option<Clique<'e, 'a, C>>, EngineError> {
-        let progs = || {
-            spec.views
-                .iter()
-                .enumerate()
-                .flat_map(|(vi, v)| v.recursive.iter().map(move |p| (vi, p)))
-        };
-        let Some(evals) = progs()
-            .map(|(_, prog)| BranchEvals::compile(prog, views))
-            .collect::<Option<Vec<_>>>()
-        else {
-            return Ok(None);
-        };
+        evals: Vec<BranchEvals<C>>,
+    ) -> Result<Clique<'e, 'a, C>, EngineError> {
+        let progs = (spec.views.iter().enumerate())
+            .flat_map(|(vi, v)| v.recursive.iter().map(move |p| (vi, p)));
         let mut branches: Vec<CompiledBranch<C>> = Vec::new();
-        for ((vi, prog), evals) in progs().zip(evals) {
+        for ((vi, prog), evals) in progs.zip(evals) {
             branches.push(self.compile_branch(prog, evals, views, vi)?);
         }
-        Ok(Some(Clique {
+        Ok(Clique {
             exec: self,
             views: Arc::clone(views),
             branches: Arc::new(branches),
             escaped: Arc::new(AtomicBool::new(false)),
-        }))
+        })
+    }
+
+    /// The clique's views on representation `C` as a resident state holds
+    /// them — decomposed evaluation off, so every partition is keyed on its
+    /// view's key columns — with every recursive branch's evaluators; `None`
+    /// when `C` declines the clique. Building a resident state
+    /// ([`load_state`](Self::load_state)) and resuming from one
+    /// ([`run_resume`](Self::run_resume)) both choose here, so a state is
+    /// held in the representation its refreshes run on.
+    fn resident_views<C: Repr>(
+        &self,
+        spec: &FixpointSpec,
+    ) -> Result<Option<ResidentViews<C>>, EngineError> {
+        let Some(views) = self.view_runtimes::<C>(spec, false)? else {
+            return Ok(None);
+        };
+        Ok(branch_evals(spec, &views).map(|evals| (Arc::new(views), evals)))
     }
 
     /// Per-view runtime state with empty partitions, or `None` when the
@@ -1134,15 +1364,14 @@ impl<'a> FixpointExecutor<'a> {
 }
 
 impl<'a> FixpointExecutor<'a> {
-    /// The end of a run on representation `C`: a run that stopped because a
-    /// value left its lane is reported as such; one that converged moves its
-    /// state into the result relations — one row per result tuple.
-    fn finish<C: Repr>(
+    /// How a run on representation `C` ended: its iterations when it
+    /// converged; a run that stopped because a value left its lane is
+    /// reported as such.
+    fn converged<C: Repr>(
         &self,
-        views: &[ViewRt<C>],
         driven: Result<u32, EngineError>,
         escaped: &AtomicBool,
-    ) -> Result<FixpointResult, Stop> {
+    ) -> Result<u32, Stop> {
         let iterations = match driven {
             Ok(iterations) => iterations,
             Err(_) if escaped.load(Ordering::SeqCst) => return Err(Stop::Escaped),
@@ -1151,52 +1380,40 @@ impl<'a> FixpointExecutor<'a> {
         if let Some(t) = self.eval.trace {
             t.set_tuples(C::TUPLES);
         }
-        let views = views
-            .iter()
-            .map(|v| {
-                let total = v.state.iter().map(|part| part.lock().len()).sum();
-                let mut rows = Vec::with_capacity(total);
-                for part in &v.state {
-                    // Nothing reads the state after the last round.
-                    let state = std::mem::replace(&mut *part.lock(), ViewState::empty(v));
-                    state.extend_rows(v, None, &mut rows);
-                }
-                Relation::new_unchecked(v.spec.schema.clone(), rows)
-            })
-            .collect();
-        Ok(FixpointResult { views, iterations })
+        Ok(iterations)
     }
 
-    /// Resume a converged fixpoint from retained warm state: `warm` holds
-    /// the converged rows per clique view, `changed` the *inserted* delta
-    /// rows per mutated base relation. Only sound for idempotent recursion
-    /// (set semantics or min/max aggregates with Proven PreM) over
+    /// Resume a converged fixpoint from a view's resident state: `state` is
+    /// what the view's last refresh converged to, `changed` the *inserted*
+    /// delta rows per mutated base relation. Only sound for idempotent
+    /// recursion (set semantics or min/max aggregates with Proven PreM) over
     /// insert-only deltas — the materialized-view layer certifies this
-    /// before calling.
+    /// before calling. Returns the result and the state it converged to;
+    /// `state` itself is only read.
     ///
-    /// The algorithm: preload warm state at round stamp 0; re-evaluate base
-    /// branches against the new catalog (re-merging converged rows is a
-    /// no-op under idempotence, so only genuinely new base facts survive as
-    /// deltas); additionally seed, for every recursive branch and every join
-    /// position reading a changed relation, the join of the *warm* driver
-    /// rows against only the *delta* rows at that position. Completeness:
-    /// any new derivation tree has a bottommost node whose base leaf is new
-    /// and whose recursive inputs are warm-derivable — that node is exactly
-    /// warm ⋈ Δbase (covered by the seed), and everything above it flows
-    /// through the ordinary semi-naive rounds, which the resumed loop
+    /// The algorithm: copy the resident state flat, every tuple stamped round
+    /// 0; re-evaluate base branches against the new catalog (re-merging
+    /// converged rows is a no-op under idempotence, so only genuinely new
+    /// base facts survive as deltas); additionally seed, for every recursive
+    /// branch and every join position reading a changed relation, the join of
+    /// the *warm* driver rows against only the *delta* rows at that position.
+    /// Completeness: any new derivation tree has a bottommost node whose base
+    /// leaf is new and whose recursive inputs are warm-derivable — that node
+    /// is exactly warm ⋈ Δbase (covered by the seed), and everything above it
+    /// flows through the ordinary semi-naive rounds, which the resumed loop
     /// re-enters at round 1 (warm rows keep stamp 0, so old-snapshot cutoffs
     /// of non-linear branches stay exact).
     pub fn run_resume(
         &self,
         spec: &FixpointSpec,
-        warm: &[Vec<Row>],
+        state: &CliqueState,
         changed: &[(String, Vec<Row>)],
-    ) -> Result<FixpointResult, EngineError> {
-        self.on_words_or_rows(|words| {
+    ) -> Result<(FixpointResult, CliqueState), EngineError> {
+        self.on_words_or_rows(true, |words| {
             if words {
-                self.resume_on::<u64>(spec, warm, changed)
+                self.resume_on::<u64>(spec, state, changed)
             } else {
-                self.resume_on::<Value>(spec, warm, changed)
+                self.resume_on::<Value>(spec, state, changed)
             }
         })
     }
@@ -1205,35 +1422,28 @@ impl<'a> FixpointExecutor<'a> {
     fn resume_on<C: Repr>(
         &self,
         spec: &FixpointSpec,
-        warm: &[Vec<Row>],
+        lent: &CliqueState,
         changed: &[(String, Vec<Row>)],
-    ) -> Result<Option<FixpointResult>, Stop> {
+    ) -> Result<Option<(FixpointResult, CliqueState)>, Stop> {
         let p = self.config.partitions;
-        // Like `run`, but decomposed evaluation is forced off — warm state is
-        // partitioned on the key columns, and the resumed loop must keep that
-        // partitioning.
-        let Some(views) = self.view_runtimes::<C>(spec, false)? else {
+        let Some((views, evals)) = self.resident_views::<C>(spec)? else {
             return Ok(None);
         };
-        let views = Arc::new(views);
         // Compile the loop branches against the *new* catalog; the index
         // store advances the build sides it holds by the inserted rows.
-        let Some(clique) = self.compile_clique(spec, &views)? else {
-            return Ok(None);
-        };
+        let clique = self.compile_clique(spec, &views, evals)?;
 
-        // Preload the warm rows, stamped round 0.
-        let mut warm_tuples = Vec::with_capacity(views.len());
-        for (v, rows) in views.iter().zip(warm) {
-            let tuples = v.tuples_of(rows)?;
-            let mut per_part: Vec<Tuples<C>> = (0..p).map(|_| v.batch()).collect();
-            for tuple in tuples.iter() {
-                per_part[v.partition_of(tuple, p)].push(tuple);
+        // The warm state, stamped round 0: a flat copy of the resident
+        // partitions, or — held in the other representation — its rows.
+        match C::lent(lent) {
+            Some(resident) => {
+                for (v, r) in views.iter().zip(resident) {
+                    for (cell, part) in v.state.iter().zip(&r.parts) {
+                        *cell.lock() = part.restamped();
+                    }
+                }
             }
-            for (part, tuples) in per_part.iter().enumerate() {
-                merge_into_state(v, &mut v.state[part].lock(), tuples, 0)?;
-            }
-            warm_tuples.push(tuples);
+            None => preload(&views, &lent.rows(Stamped::All))?,
         }
 
         // Re-evaluate base branches over the new catalog. Converged rows
@@ -1245,6 +1455,7 @@ impl<'a> FixpointExecutor<'a> {
         // in the position's build plan sees its full new contents, so a
         // derivation touching several changed tables is still covered (the
         // duplicates this superset produces are no-ops under idempotence).
+        let mut warm_tuples: Vec<Option<Tuples<C>>> = views.iter().map(|_| None).collect();
         for v in &spec.views {
             for prog in &v.recursive {
                 for (si, step) in prog.steps.iter().enumerate() {
@@ -1263,12 +1474,20 @@ impl<'a> FixpointExecutor<'a> {
                         }
                         let target = &views[prog.target];
                         let (seed, snaps) =
-                            self.compile_seed_branch(prog, &views, si, table, delta_rows, warm)?;
+                            self.compile_seed_branch(prog, &views, si, table, delta_rows)?;
                         let mut partial = Partial::new(target);
                         // The whole warm relation drives the seed run, as an
                         // owned delta (no partition state lends it).
+                        let driver = &views[seed.driver];
+                        let warm = warm_tuples[seed.driver].get_or_insert_with(|| {
+                            let mut all = driver.batch();
+                            for part in &driver.state {
+                                all.append(&mut part.lock().tuples(&driver.kinds, &driver.layout));
+                            }
+                            all
+                        });
                         let delta = DeltaBatch::Owned {
-                            totals: warm_tuples[seed.driver].clone(),
+                            totals: warm.clone(),
                             increments: None,
                         };
                         let at = BranchAt {
@@ -1278,15 +1497,15 @@ impl<'a> FixpointExecutor<'a> {
                             worker: 0,
                             fused: self.eval.fused,
                         };
-                        let driver = views[seed.driver].state[0].lock();
+                        let state = driver.state[0].lock();
                         let mut io = MapIo {
                             delta: &delta,
                             mode: seed.driver_value_mode,
-                            state: &driver,
+                            state: &state,
                             partial: &mut partial,
                         };
                         run_branch(&seed, &mut io, &at)?;
-                        drop(driver);
+                        drop(state);
                         for tuple in partial.finish().iter() {
                             let part = target.partition_of(tuple, p);
                             base_buckets[seed.target][part].push(tuple);
@@ -1300,14 +1519,64 @@ impl<'a> FixpointExecutor<'a> {
         // resumed round's old-snapshot cutoff selects exactly the warm rows.
         let escaped = Arc::clone(&clique.escaped);
         let driven = self.drive(&mut SemiNaive::new(clique, base_buckets), 1);
-        self.finish(&views, driven, &escaped).map(Some)
+        let iterations = self.converged::<C>(driven, &escaped)?;
+        // The converged state is the view's next resident state; the result
+        // relations are copied out of it.
+        let resident: Vec<ResidentView<C>> = views.iter().map(ResidentView::take).collect();
+        let relations = (views.iter().zip(&resident))
+            .map(|(v, r)| Relation::new_unchecked(v.spec.schema.clone(), r.rows(Stamped::All)))
+            .collect();
+        let result = FixpointResult {
+            views: relations,
+            iterations,
+        };
+        Ok(Some((result, C::resident(resident))))
+    }
+
+    /// A clique's resident state built from its converged rows, one batch
+    /// per clique view: after a full run, and from a view's durable image at
+    /// recovery — whose appended deltas merge here, under the views'
+    /// monotone ops. Held in words when the clique's branches compile on
+    /// them and every row fits its lanes — as a refresh would run it — and in
+    /// rows otherwise.
+    ///
+    /// # Errors
+    /// A row of another arity or type than its view's (a corrupt image).
+    pub fn load_state<R: AsRef<[Row]>>(
+        &self,
+        spec: &FixpointSpec,
+        rows: &[R],
+    ) -> Result<CliqueState, EngineError> {
+        self.on_words_or_rows(false, |words| {
+            if words {
+                self.load_on::<u64, R>(spec, rows)
+            } else {
+                self.load_on::<Value, R>(spec, rows)
+            }
+        })
+    }
+
+    /// [`FixpointExecutor::load_state`] on representation `C`.
+    fn load_on<C: Repr, R: AsRef<[Row]>>(
+        &self,
+        spec: &FixpointSpec,
+        rows: &[R],
+    ) -> Result<Option<CliqueState>, Stop> {
+        let Some((views, _)) = self.resident_views::<C>(spec)? else {
+            return Ok(None);
+        };
+        preload(&views, rows)?;
+        Ok(Some(C::resident(
+            views.iter().map(ResidentView::take).collect(),
+        )))
     }
 
     /// Compile one *seed* instance of a recursive branch for delta-seeded
     /// resume: sequential (each base build a single whole hash table, run on
     /// partition 0), with the base build at step `delta_pos` evaluated under
     /// an overlay catalog where `delta_table` holds only the inserted rows,
-    /// and recursive build sides snapshotted from the warm rows.
+    /// and recursive build sides snapshotted from the warm state `views`
+    /// hold.
     fn compile_seed_branch<C: Repr>(
         &self,
         prog: &BranchProgram,
@@ -1315,7 +1584,6 @@ impl<'a> FixpointExecutor<'a> {
         delta_pos: usize,
         delta_table: &str,
         delta_rows: &[Row],
-        warm: &[Vec<Row>],
     ) -> Result<(CompiledBranch<C>, Vec<Snapshot>), EngineError> {
         let Some(evals) = BranchEvals::compile(prog, views) else {
             return Err(EngineError::Other(
@@ -1326,8 +1594,9 @@ impl<'a> FixpointExecutor<'a> {
         let seed = CompiledBranch::new(prog, evals, |si, build, build_keys| {
             Ok(match build {
                 JoinBuild::RecursiveAll { view, mode, .. } => {
+                    let warm = state_snapshot(&views[*view], RecAllMode::New, 0);
                     // lint: allow(RL0008, a snapshot of the view's own warm rows, not of base data)
-                    let snap = HashTable::build(&warm[*view], build_keys);
+                    let snap = HashTable::build(&warm, build_keys);
                     snaps[si] = Some(Arc::new(snap));
                     BuildSide::Recursive {
                         view: *view,
@@ -2299,7 +2568,7 @@ impl<C: Repr> RoundStep for Naive<'_, '_, C> {
                 let mut fresh = ViewState::empty(v);
                 merge_into_state(v, &mut fresh, &contributions[vi][part], 0)
                     .map_err(|e| self.c.escape(e))?;
-                let now = fresh.tuples(v);
+                let now = fresh.tuples(&v.kinds, &v.layout);
                 let (mut sorted, mut old_sorted) = (now.to_rows(), self.prev[vi][part].to_rows());
                 sorted.sort_unstable();
                 old_sorted.sort_unstable();
@@ -2787,14 +3056,35 @@ fn snapshots<C: Cell>(
     .collect()
 }
 
+/// Merge each view's `rows` into its (empty) partitions, stamped round 0 —
+/// a key that occurs more than once keeps its merged totals. A value outside
+/// its column's kind escapes.
+fn preload<C: Cell, R: AsRef<[Row]>>(views: &[ViewRt<C>], rows: &[R]) -> Result<(), Escaped> {
+    for (v, rows) in views.iter().zip(rows) {
+        let p = v.state.len();
+        let mut per_part: Vec<Tuples<C>> = (0..p).map(|_| v.batch()).collect();
+        for tuple in v.tuples_of(rows.as_ref())?.iter() {
+            per_part[v.partition_of(tuple, p)].push(tuple);
+        }
+        for (cell, tuples) in v.state.iter().zip(&per_part) {
+            merge_into_state(v, &mut cell.lock(), tuples, 0)?;
+        }
+    }
+    Ok(())
+}
+
 /// A view's rows as a semi-naive round whose delta is stamped `cutoff` reads
 /// them: all of them (`New`), or the state before that delta was merged
 /// (`Old`).
 fn state_snapshot<C: Cell>(v: &ViewRt<C>, mode: RecAllMode, cutoff: u32) -> Vec<Row> {
-    let before = (mode == RecAllMode::Old).then_some(cutoff);
+    let which = match mode {
+        RecAllMode::Old => Stamped::Before(cutoff),
+        RecAllMode::New => Stamped::All,
+    };
     let mut rows = Vec::new();
     for part in &v.state {
-        part.lock().extend_rows(v, before, &mut rows);
+        part.lock()
+            .extend_rows(&v.kinds, &v.layout, which, &mut rows);
     }
     rows
 }
@@ -2854,7 +3144,9 @@ impl<'a, C: Cell> Partial<'a, C> {
     fn finish(self) -> Tuples<C> {
         match self {
             Partial::Distinct(seen) => seen.into_tuples(),
-            Partial::Groups { target, groups, .. } => ViewState::Agg(groups).tuples(target),
+            Partial::Groups { target, groups, .. } => {
+                ViewState::Agg(groups).tuples(&target.kinds, &target.layout)
+            }
         }
     }
 }
@@ -2950,7 +3242,7 @@ impl<'a, C: Cell> Merge<'a, C> {
         for group in self.changed {
             let g = a.group(group);
             tuple.clear();
-            v.assemble(g.key, g.values, tuple);
+            assemble(&v.layout, g.key, g.values, tuple);
             totals.push(tuple);
             let Some(increments) = &mut increments else {
                 continue;

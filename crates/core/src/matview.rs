@@ -7,9 +7,10 @@
 //! re-parses), one [`DepRecord`] per base table read (capturing the
 //! `(version, rewrite_version, len)` triple as of the last refresh), and —
 //! when the static maintenance certificate holds — the converged fixpoint
-//! state in the [`WarmStore`](rasql_storage::WarmStore) so the next refresh
+//! state, resident beside the record ([`CliqueState`]), so the next refresh
 //! can resume semi-naive evaluation seeded with only the inserted delta
-//! instead of recomputing from scratch.
+//! instead of recomputing from scratch. Such a view's result table is derived
+//! from that state: a refresh journals only the tuples whose totals changed.
 //!
 //! Eligibility for incremental refresh is decided *statically* at creation
 //! (idempotent `min`/`max` heads with Proven PreM over a single
@@ -19,7 +20,9 @@
 //! `rewrite_version` on any dependency means rows were deleted or replaced,
 //! and the refresh falls back to a full recompute).
 
+use crate::fixpoint::CliqueState;
 use rasql_plan::{AnalyzedQuery, BranchStep, JoinBuild};
+use std::sync::Arc;
 
 /// One base-table dependency of a materialized view, captured as of the
 /// view's last (re)materialization.
@@ -67,14 +70,17 @@ pub struct MatView {
     /// How the view was last materialized: `"none"` (creation only),
     /// `"full"`, or `"incremental"`.
     pub last_refresh: String,
-    /// Bytes of warm fixpoint state retained for this view.
-    pub retained_bytes: u64,
+    /// The converged state a delta-seeded refresh resumes from, when
+    /// `eligible`: immutable, replaced by a refresh only once its journal
+    /// record is durable.
+    pub resident: Option<Arc<CliqueState>>,
 }
 
-/// The warm-store key prefix of a view (`mv/<name>/`); per-clique-view
-/// blobs live at `<prefix><index>`.
-pub fn warm_prefix(view_key: &str) -> String {
-    format!("mv/{view_key}/")
+impl MatView {
+    /// Bytes of converged fixpoint state kept resident for this view.
+    pub fn retained_bytes(&self) -> u64 {
+        self.resident.as_ref().map_or(0, |s| s.size_bytes())
+    }
 }
 
 /// Every base table an analyzed query reads — the final plan, the clique

@@ -13,6 +13,7 @@ use rasql_plan::PlanError;
 use rasql_storage::{CrashSpec, Relation, StorageError};
 use std::fs;
 use std::path::{Path, PathBuf};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 
 fn data_dir(tag: &str) -> PathBuf {
@@ -357,40 +358,405 @@ fn dir_contents(dir: &Path) -> Vec<(std::ffi::OsString, Vec<u8>)> {
 /// `tests/fixtures/format1` is a data directory written by the release
 /// before row batches went column-major: one table, one materialized view,
 /// one published snapshot (format 1) and one logged insert (log format 1).
-/// Opening it — or its log alone — is a typed refusal that writes nothing.
+/// `tests/fixtures/format2` was written by the release before resident view
+/// state: a table, a certified view over it, one published snapshot (format
+/// 2, warm state as encoded blobs and the view's table as rows) and a logged
+/// insert plus an incremental refresh (log format 2: `Replace` + `ViewPut`).
+/// Opening either — or its log alone — is a typed refusal that writes
+/// nothing: never a misread.
 #[test]
 fn a_format_one_data_dir_is_refused_and_left_untouched() {
-    let fixture = Path::new(env!("CARGO_MANIFEST_DIR")).join("tests/fixtures/format1");
-    for (tag, files, refused) in [
-        ("all", &["snapshot.bin", "wal.log"][..], "snapshot"),
-        ("log", &["wal.log"][..], "wal record"),
-    ] {
-        let dir = data_dir(&format!("format1-{tag}"));
-        fs::create_dir_all(&dir).unwrap();
-        for f in files {
-            fs::copy(fixture.join(f), dir.join(f)).unwrap();
+    for format in [1u32, 2] {
+        let fixture =
+            Path::new(env!("CARGO_MANIFEST_DIR")).join(format!("tests/fixtures/format{format}"));
+        for (tag, files, refused) in [
+            ("all", &["snapshot.bin", "wal.log"][..], "snapshot"),
+            ("log", &["wal.log"][..], "wal record"),
+        ] {
+            let dir = data_dir(&format!("format{format}-{tag}"));
+            fs::create_dir_all(&dir).unwrap();
+            for f in files {
+                fs::copy(fixture.join(f), dir.join(f)).unwrap();
+            }
+            let before = dir_contents(&dir);
+            let Err(err) = RaSqlContext::builder()
+                .workers(2)
+                .data_dir(dir.clone())
+                .try_build()
+            else {
+                panic!("{tag}: a format-{format} data dir must be refused");
+            };
+            match err {
+                EngineError::Storage(StorageError::UnsupportedFormat {
+                    what,
+                    found,
+                    expected: 3,
+                }) if found == format => assert_eq!(what, refused, "{tag}"),
+                other => panic!("{tag}: expected UnsupportedFormat, got {other}"),
+            }
+            assert_eq!(
+                dir_contents(&dir),
+                before,
+                "{tag}: recovery wrote to the dir"
+            );
+            let _ = fs::remove_dir_all(&dir);
         }
-        let before = dir_contents(&dir);
-        let Err(err) = RaSqlContext::builder()
-            .workers(2)
-            .data_dir(dir.clone())
-            .try_build()
-        else {
-            panic!("{tag}: a format-1 data dir must be refused");
+    }
+}
+
+/// `reach(1)` is certified for delta-seeded refresh; `r` over a self-joining
+/// build side is not (RA0301).
+const SELF_JOIN_REACH: &str = "WITH recursive r (Dst) AS (SELECT 2) UNION \
+     (SELECT two.D FROM r, (SELECT a.Src AS S, b.Dst AS D FROM edge a, edge b \
+       WHERE a.Dst = b.Src) two WHERE r.Dst = two.S) SELECT Dst FROM r";
+
+/// A refresh publishes nothing until its journal record is durable. Killed
+/// at the last append it makes — a certified view's one `ViewDelta`, the
+/// `ViewPut` after another view's `Replace` — the live context still holds
+/// the old version and reads the view as stale, as after a killed refresh
+/// (`matview_tests::mid_refresh_kill_leaves_view_consistent`); the next read
+/// refreshes it.
+#[test]
+fn a_refresh_killed_at_its_last_append_publishes_nothing() {
+    for (certified, definition, records) in [
+        (true, library::reach(1), 1),
+        (false, SELF_JOIN_REACH.to_string(), 2),
+    ] {
+        let dir = data_dir(&format!("last-append-{certified}"));
+        let run = |spec: CrashSpec| {
+            let _ = fs::remove_dir_all(&dir);
+            let ctx = RaSqlContext::builder()
+                .workers(2)
+                .data_dir(dir.clone())
+                .crash_spec(Some(spec))
+                .try_build()
+                .unwrap();
+            ctx.register("edge", edges()).unwrap();
+            ctx.query(&format!("CREATE MATERIALIZED VIEW v AS {definition}"))
+                .unwrap();
+            assert_eq!(ctx.mat_view("v").unwrap().eligible, certified);
+            ctx.query("INSERT INTO edge VALUES (5, 6), (6, 7)").unwrap();
+            let before = ctx.crashpoint_hits();
+            let refreshed = ctx.query("REFRESH MATERIALIZED VIEW v");
+            (ctx, before, refreshed)
         };
-        match err {
-            EngineError::Storage(StorageError::UnsupportedFormat {
-                what,
-                found: 1,
-                expected: 2,
-            }) => assert_eq!(what, refused, "{tag}"),
-            other => panic!("{tag}: expected UnsupportedFormat, got {other}"),
+        let never = CrashSpec {
+            kill_at: None,
+            prob: 0.0,
+            seed: 0,
+        };
+        let (counted, before, refreshed) = run(never);
+        refreshed.unwrap();
+        let after = counted.crashpoint_hits();
+        drop(counted);
+
+        let (ctx, _, refreshed) = run(CrashSpec::at(after - 3));
+        match refreshed {
+            Err(EngineError::Storage(StorageError::InjectedCrash(site))) => {
+                assert_eq!(site, "wal-append-pre");
+            }
+            other => panic!("certified={certified}: expected the injected crash, got {other:?}"),
         }
         assert_eq!(
-            dir_contents(&dir),
-            before,
-            "{tag}: recovery wrote to the dir"
+            ctx.mat_view("v").unwrap().version,
+            1,
+            "certified={certified}"
         );
+        assert!(ctx.view_infos()[0].stale, "certified={certified}");
+        let rows = ctx.query("SELECT * FROM v").unwrap().relation.sorted();
+        assert_eq!(ctx.mat_view("v").unwrap().version, 2);
+        let reference = RaSqlContext::builder().workers(2).build();
+        reference.register("edge", edges()).unwrap();
+        reference
+            .query("INSERT INTO edge VALUES (5, 6), (6, 7)")
+            .unwrap();
+        let want = reference.query(&definition).unwrap().relation.sorted();
+        assert_eq!(rows.rows(), want.rows(), "certified={certified}");
+        // Three crash sites per append, no compaction at this size.
+        assert_eq!(after - before, 3 * records, "certified={certified}");
+        drop(ctx);
+        let _ = fs::remove_dir_all(&dir);
+    }
+}
+
+/// Compaction on another thread never drops a view statement's record. A
+/// snapshot is collected without the log's lock and published only if no
+/// record landed meanwhile, so a view statement keeps the registry locked
+/// from its journal append to its registry update: a snapshot collected in
+/// between holds the new entry or fails that check. The interleaving itself
+/// is enumerated by `exec::modelcheck`'s `view-journal` protocol; here the
+/// real locks run it end to end — inserts into an unrelated table compact
+/// after every record while the view is created, refreshed and dropped, and
+/// after each statement a copy of the data directory (what a crash right
+/// then would leave) reopens to the live state.
+#[test]
+fn compaction_racing_a_view_statement_keeps_its_record() {
+    const ROUNDS: usize = 48;
+    let dir = data_dir("compaction-race");
+    let copy = data_dir("compaction-race-copy");
+    let ctx = RaSqlContext::builder()
+        .workers(2)
+        .data_dir(dir.clone())
+        .snapshot_every(1)
+        .try_build()
+        .unwrap();
+    ctx.register("edge", edges()).unwrap();
+    ctx.register("noise", Relation::edges(&[(0, 0)])).unwrap();
+    let mut statements = vec![format!(
+        "CREATE MATERIALIZED VIEW v AS {}",
+        library::reach(1)
+    )];
+    statements.extend((0..6).map(|_| "REFRESH MATERIALIZED VIEW v".to_string()));
+    statements.push("DROP MATERIALIZED VIEW v".to_string());
+    for round in 0..ROUNDS {
+        let statement = &statements[round % statements.len()];
+        let busy = AtomicBool::new(true);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                while busy.load(Ordering::SeqCst) {
+                    ctx.query("INSERT INTO noise VALUES (0, 0)").unwrap();
+                }
+            });
+            ctx.query(statement)
+                .unwrap_or_else(|e| panic!("{statement}: {e}"));
+            busy.store(false, Ordering::SeqCst);
+        });
+        let _ = fs::remove_dir_all(&copy);
+        fs::create_dir_all(&copy).unwrap();
+        for entry in fs::read_dir(&dir).unwrap() {
+            let entry = entry.unwrap();
+            fs::copy(entry.path(), copy.join(entry.file_name())).unwrap();
+        }
+        let reopened = durable(&copy);
+        assert_eq!(
+            reopened.state_digest(),
+            ctx.state_digest(),
+            "round {round}: {statement}"
+        );
+        assert_eq!(
+            reopened.mat_view("v").map(|mv| mv.version),
+            ctx.mat_view("v").map(|mv| mv.version),
+            "round {round}: {statement}"
+        );
+    }
+    drop(ctx);
+    let _ = fs::remove_dir_all(&dir);
+    let _ = fs::remove_dir_all(&copy);
+}
+
+/// A delta-seeded refresh journals what its delta changed and lends the
+/// view's resident state: over a base graph four times larger, a train of
+/// refreshes of the same 32-row inserts appends as many log bytes (within
+/// varint widths) and rebuilds no state; reopening rebuilds it once.
+#[test]
+fn a_refresh_journals_and_loads_in_proportion_to_its_delta() {
+    const TRAIN: usize = 8;
+    const BATCH: i64 = 32;
+    let per_refresh = |vertices: usize| {
+        let dir = data_dir(&format!("proportional-{vertices}"));
+        let open = || {
+            RaSqlContext::builder()
+                .workers(2)
+                .data_dir(dir.clone())
+                .snapshot_every(1 << 20)
+                .try_build()
+                .unwrap()
+        };
+        let ctx = open();
+        let config = rasql_datagen::RmatConfig {
+            weighted: true,
+            ..Default::default()
+        };
+        ctx.register("edge", rasql_datagen::rmat(vertices, config, 7))
+            .unwrap();
+        ctx.query(&format!(
+            "CREATE MATERIALIZED VIEW v AS {}",
+            library::sssp(0)
+        ))
+        .unwrap();
+        let view_rows = ctx.query("SELECT count(*) FROM v").unwrap().relation.rows()[0][0]
+            .as_int()
+            .unwrap();
+        let loads = ctx.metrics().view_state_loads;
+        let mut bytes = 0;
+        for t in 0..TRAIN as i64 {
+            // Each batch reaches 32 new vertices from the source: the delta
+            // changes 32 totals whatever the graph's size.
+            let fresh = (0..BATCH).map(|i| format!("(0, {}, 1.5)", 1_000_000 + t * BATCH + i));
+            let values: Vec<String> = fresh.collect();
+            ctx.query(&format!("INSERT INTO edge VALUES {}", values.join(", ")))
+                .unwrap();
+            let before = ctx.durability_status().unwrap().wal_bytes;
+            ctx.query("REFRESH MATERIALIZED VIEW v").unwrap();
+            assert_eq!(ctx.mat_view("v").unwrap().last_refresh, "incremental");
+            bytes += ctx.durability_status().unwrap().wal_bytes - before;
+        }
+        assert_eq!(
+            ctx.metrics().view_state_loads,
+            loads,
+            "a refresh lends the resident state"
+        );
+        let digest = ctx.state_digest();
+        drop(ctx);
+        let reopened = open();
+        assert_eq!(reopened.metrics().view_state_loads, 1, "one load per open");
+        assert_eq!(reopened.state_digest(), digest);
+        drop(reopened);
+        let _ = fs::remove_dir_all(&dir);
+        (view_rows, bytes / TRAIN as u64)
+    };
+    let (small_rows, small) = per_refresh(512);
+    let (big_rows, big) = per_refresh(2048);
+    assert!(
+        big_rows >= 3 * small_rows,
+        "the larger view must be larger: {small_rows} vs {big_rows} rows"
+    );
+    assert!(
+        big as f64 <= 1.2 * small as f64,
+        "log bytes per refresh grew with the view: {small} B over {small_rows} rows, \
+         {big} B over {big_rows} rows"
+    );
+}
+
+/// The library's tables at a small size: a layered DAG `edge(Src, Dst,
+/// Cost)` (acyclic, so the stratified queries terminate), an assembly tree
+/// `assbl`/`basic`, and `rel(Parent, Child)` over the same tree.
+fn library_tables() -> Vec<(&'static str, Relation)> {
+    use rasql_storage::{DataType, Row, Schema, Value};
+    let (layers, width) = (6usize, 6usize);
+    let mut rows = Vec::new();
+    for l in 0..layers - 1 {
+        for i in 0..width {
+            let src = (l * width + i) as i64;
+            for k in 0..3 {
+                let dst = ((l + 1) * width + (i + 2 * k + l) % width) as i64;
+                let cost = 1.0 + ((src * 7 + dst * 3) % 10) as f64 / 2.0;
+                rows.push(Row::new(vec![
+                    Value::Int(src),
+                    Value::Int(dst),
+                    Value::Double(cost),
+                ]));
+            }
+        }
+    }
+    rows.sort();
+    rows.dedup();
+    let schema = Schema::new(vec![
+        ("Src", DataType::Int),
+        ("Dst", DataType::Int),
+        ("Cost", DataType::Double),
+    ]);
+    let edge = Relation::try_new(schema, rows).unwrap();
+    let config = rasql_datagen::TreeConfig {
+        target_nodes: 60,
+        ..Default::default()
+    };
+    let tree = rasql_datagen::tree_hierarchy(config, 23);
+    let schema = Schema::new(vec![("Parent", DataType::Int), ("Child", DataType::Int)]);
+    let rel = Relation::try_new(schema, tree.assbl.rows().to_vec()).unwrap();
+    vec![
+        ("edge", edge),
+        ("assbl", tree.assbl),
+        ("basic", tree.basic),
+        ("rel", rel),
+    ]
+}
+
+/// Every certified library view survives a restart exactly: after two
+/// incremental refreshes, the reopened context reads the same rows, digests
+/// to the same state — its result table derived from the recovered image —
+/// and its next refresh is incremental and lands on a full recompute.
+#[test]
+fn every_certified_library_view_restarts_exactly() {
+    let views = [
+        ("bom_delivery", library::bom_delivery()),
+        (
+            "bom_delivery_stratified",
+            library::bom_delivery_stratified(),
+        ),
+        ("sssp", library::sssp(1)),
+        ("sssp_stratified", library::sssp_stratified(1)),
+        ("cc", library::cc()),
+        ("cc_count", library::cc_count()),
+        ("cc_stratified", library::cc_stratified()),
+        ("same_generation", library::same_generation()),
+        ("reach", library::reach(1)),
+        ("apsp", library::apsp()),
+        ("transitive_closure", library::transitive_closure()),
+        ("widest_path", library::widest_path(1)),
+        ("sssp_hops", library::sssp_hops(1)),
+    ];
+    let tables = library_tables();
+    // Six rows of every table are withheld, inserted two at a time.
+    const HELD: usize = 6;
+    let withheld = |table: &str, part: usize| -> Vec<String> {
+        let (_, rel) = tables.iter().find(|(t, _)| *t == table).unwrap();
+        let rows = &rel.rows()[rel.len() - HELD..][2 * part..2 * part + 2];
+        rows.iter()
+            .map(|r| {
+                let vals: Vec<String> = (r.values().iter())
+                    .map(|v| match v {
+                        rasql_storage::Value::Double(d) => format!("{d:?}"),
+                        other => other.to_string(),
+                    })
+                    .collect();
+                format!("({})", vals.join(", "))
+            })
+            .collect()
+    };
+    for (name, sql) in views {
+        let dir = data_dir(&format!("library-{name}"));
+        let ctx = durable(&dir);
+        for (table, rel) in &tables {
+            let kept = rel.rows()[..rel.len() - HELD].to_vec();
+            ctx.register(
+                table,
+                Relation::try_new(rel.schema().clone(), kept).unwrap(),
+            )
+            .unwrap();
+        }
+        ctx.query(&format!("CREATE MATERIALIZED VIEW v AS {sql}"))
+            .unwrap();
+        let deps: Vec<String> = ctx
+            .mat_view("v")
+            .unwrap()
+            .deps
+            .iter()
+            .map(|d| d.table.clone())
+            .collect();
+        assert!(ctx.mat_view("v").unwrap().eligible, "{name}");
+        let refresh = |ctx: &RaSqlContext, part: usize| {
+            for table in &deps {
+                let rows = withheld(table, part);
+                ctx.query(&format!("INSERT INTO {table} VALUES {}", rows.join(", ")))
+                    .unwrap_or_else(|e| panic!("{name}: insert into {table}: {e}"));
+            }
+            ctx.query("REFRESH MATERIALIZED VIEW v").unwrap();
+            assert_eq!(
+                ctx.mat_view("v").unwrap().last_refresh,
+                "incremental",
+                "{name}"
+            );
+        };
+        refresh(&ctx, 0);
+        refresh(&ctx, 1);
+        let rows = ctx.query("SELECT * FROM v").unwrap().relation.sorted();
+        let digest = ctx.state_digest();
+        drop(ctx);
+
+        let ctx = durable(&dir);
+        let recovered = ctx.query("SELECT * FROM v").unwrap().relation.sorted();
+        assert_eq!(recovered.rows(), rows.rows(), "{name}: rows after reopen");
+        assert_eq!(ctx.state_digest(), digest, "{name}: digest after reopen");
+        refresh(&ctx, 2);
+        let got = ctx.query("SELECT * FROM v").unwrap().relation.sorted();
+        let full = RaSqlContext::builder().workers(2).build();
+        for (table, rel) in &tables {
+            full.register(table, rel.clone()).unwrap();
+        }
+        let want = full.query(&sql).unwrap().relation.sorted();
+        assert_eq!(got.rows(), want.rows(), "{name}: refresh after reopen");
+        drop(ctx);
         let _ = fs::remove_dir_all(&dir);
     }
 }

@@ -105,30 +105,31 @@ fn concurrent_statements_keep_the_discipline() {
 /// the declared order panics, naming both sites.
 #[test]
 fn inversion_still_panics_in_this_build() {
-    let outer = RankedMutex::new(LockRank::WarmStore, ());
+    let outer = RankedMutex::new(LockRank::DurabilityLog, ());
     let inner = RankedMutex::new(LockRank::CatalogTables, ());
     let err = std::panic::catch_unwind(|| {
         let _g1 = outer.lock();
-        let _g2 = inner.lock(); // CatalogTables(100) < WarmStore(110): inversion
+        let _g2 = inner.lock(); // CatalogTables(100) < DurabilityLog(115): inversion
     })
     .expect_err("out-of-order acquisition must panic in debug/test builds");
     let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
     assert!(msg.contains("lock-rank inversion"), "{msg}");
     assert!(msg.contains("CatalogTables"), "{msg}");
-    assert!(msg.contains("WarmStore"), "{msg}");
+    assert!(msg.contains("DurabilityLog"), "{msg}");
 }
 
-/// `DurabilityLog` ranks after `CatalogTables` and `WarmStore` because
-/// catalog mutations journal to the WAL from inside the catalog write lock,
-/// and snapshot publication captures warm fixpoint state before appending.
-/// Driving a fresh durable context through the full DDL/DML/matview
-/// lifecycle (with compaction forced every few records) executes every
-/// append-under-catalog-write and snapshot-under-warm-read nesting with the
-/// debug rank checker armed.
+/// `DurabilityLog` ranks after `CatalogTables` because catalog mutations —
+/// a certified view's refresh record among them — journal to the WAL from
+/// inside the catalog write lock, and after `MatViewRegistry` because
+/// snapshot publication reads the registry's resident view state before
+/// appending. Driving a fresh durable context through the full
+/// DDL/DML/matview lifecycle (with compaction forced every few records)
+/// executes every append-under-catalog-write nesting with the debug rank
+/// checker armed.
 #[test]
 fn durability_log_nests_under_catalog_and_warm_state() {
-    assert!((LockRank::CatalogTables as u32) < (LockRank::WarmStore as u32));
-    assert!((LockRank::WarmStore as u32) < (LockRank::DurabilityLog as u32));
+    assert!((LockRank::MatViewRegistry as u32) < (LockRank::CatalogTables as u32));
+    assert!((LockRank::CatalogTables as u32) < (LockRank::DurabilityLog as u32));
     assert!((LockRank::DurabilityLog as u32) < (LockRank::ResultCache as u32));
 
     let dir = std::env::temp_dir().join(format!("rasql-lock-order-dur-p{}", std::process::id()));

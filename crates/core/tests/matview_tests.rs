@@ -554,7 +554,8 @@ fn count_paths_view_is_ineligible_and_falls_back() {
     assert!(!mv.eligible);
     assert!(mv.ineligible_reason.is_some());
     assert_eq!(
-        mv.retained_bytes, 0,
+        mv.retained_bytes(),
+        0,
         "no warm state is retained for ineligible views"
     );
     ctx.query(&insert_sql("edge", &rows[split..])).unwrap();

@@ -362,7 +362,10 @@ fn kernel_queries_pin_their_stages_and_rounds() {
 
         let mut want = vec!["kernel seeds"; seed_stages];
         want.push("broadcast build");
-        want.extend(std::iter::repeat("fixpoint kernel").take(clique.iterations.len()));
+        want.extend(std::iter::repeat_n(
+            "fixpoint kernel",
+            clique.iterations.len(),
+        ));
         let got: Vec<&str> = trace.stages.iter().map(|s| s.label.as_str()).collect();
         assert_eq!(got, want, "{kernel}");
 

@@ -141,9 +141,12 @@ metrics_table! {
     /// Materialized-view refreshes served by delta-seeded incremental
     /// maintenance.
     view_refreshes_incremental, "view_refreshes_incremental_total", counter;
-    /// Bytes of converged fixpoint state retained for materialized views
-    /// (updated after every create/refresh/drop).
+    /// Bytes of converged fixpoint state kept resident for materialized
+    /// views (updated after every create/refresh/drop).
     retained_bytes, "retained_bytes", gauge;
+    /// Resident view states rebuilt from their durable image (once per
+    /// certified view per open; a refresh lends the resident state).
+    view_state_loads, "view_state_loads_total", counter;
     /// Server connections reaped for exceeding the idle keepalive timeout
     /// (half-open clients that vanished without a FIN).
     connections_reaped, "connections_reaped_total", counter;

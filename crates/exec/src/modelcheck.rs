@@ -19,8 +19,9 @@
 //! seeded splitmix64 stream — checking an invariant after every step and
 //! flagging deadlock when every unfinished thread is blocked.
 //!
-//! [`protocols`] holds the four shipped models (matview publish, DELETE vs
-//! INSERT, admission handoff, result-cache invalidation), each in a *fixed*
+//! [`protocols`] holds the five shipped models (matview publish, DELETE vs
+//! INSERT, admission handoff, result-cache invalidation, a view statement's
+//! journal record vs a concurrent compaction), each in a *fixed*
 //! variant mirroring HEAD and a *reverted* variant that mechanically undoes
 //! the fix. The test suite asserts the checker finds the PR-7 races on the
 //! reverted variants and nothing on the fixed ones — so the models are
@@ -931,6 +932,169 @@ pub mod protocols {
     }
 
     // ----------------------------------------------------------------
+    // 5. A view statement's journal record vs a concurrent compaction
+    // ----------------------------------------------------------------
+
+    /// A materialized-view statement (`materialize`) journaling its record
+    /// while another thread's INSERT compacts (`maybe_compact` under
+    /// `snapshot_every(1)`). The compactor collects without the log's lock —
+    /// the log position, then the registry under its lock — and publishes
+    /// only if the position is unchanged; the snapshot then replaces the log.
+    #[derive(Clone)]
+    pub struct ViewJournal {
+        /// Records appended so far (a snapshot does not reset it).
+        position: u32,
+        /// The statement's record is in the log.
+        logged: bool,
+        /// The live registry holds the statement's new entry.
+        registered: bool,
+        /// The registry lock is held by the statement.
+        registry_held: bool,
+        /// The published snapshot holds the new entry.
+        snapshotted: bool,
+        /// The statement returned to its caller.
+        acknowledged: bool,
+        /// The compactor's collection: the position it read...
+        expected: u32,
+        /// ...and whether the registry it cloned held the new entry.
+        collected: bool,
+    }
+
+    fn view_journal_invariant(s: &ViewJournal, _done: &[bool]) -> Result<(), String> {
+        if s.acknowledged && !(s.logged || s.snapshotted) {
+            return Err(
+                "lost record: an acknowledged view statement is in neither the log \
+                        nor the snapshot"
+                    .into(),
+            );
+        }
+        Ok(())
+    }
+
+    fn statement_locked_step(s: &mut ViewJournal, pc: usize) -> Step {
+        match pc {
+            // The registry is locked before the record is appended...
+            0 => {
+                s.registry_held = true;
+                Step::Next
+            }
+            // ...the append (under the log's own lock)...
+            1 => {
+                s.position += 1;
+                s.logged = true;
+                Step::Next
+            }
+            // ...and the entry inserted before the registry is released.
+            2 => {
+                s.registered = true;
+                s.registry_held = false;
+                Step::Next
+            }
+            _ => {
+                s.acknowledged = true;
+                Step::Done
+            }
+        }
+    }
+
+    fn statement_unlocked_step(s: &mut ViewJournal, pc: usize) -> Step {
+        // Reverted variant: the append and the registry insert are separate
+        // lock holds, so a collection can fall between them.
+        match pc {
+            0 => {
+                s.position += 1;
+                s.logged = true;
+                Step::Next
+            }
+            1 => {
+                s.registered = true;
+                Step::Next
+            }
+            _ => {
+                s.acknowledged = true;
+                Step::Done
+            }
+        }
+    }
+
+    fn compactor_step(s: &mut ViewJournal, pc: usize) -> Step {
+        match pc {
+            // The other thread's INSERT appends its own record...
+            0 => {
+                s.position += 1;
+                Step::Next
+            }
+            // ...then reads the log position...
+            1 => {
+                s.expected = s.position;
+                Step::Next
+            }
+            // ...clones the registry under its lock...
+            2 => {
+                if s.registry_held {
+                    return Step::Block;
+                }
+                s.collected = s.registered;
+                Step::Next
+            }
+            // ...and, under the log's lock, publishes and truncates if no
+            // record landed meanwhile, or collects again.
+            _ => {
+                if s.position != s.expected {
+                    return Step::Goto(1);
+                }
+                s.snapshotted = s.collected;
+                s.logged = false;
+                Step::Done
+            }
+        }
+    }
+
+    fn view_journal(
+        name: &'static str,
+        statement: fn(&mut ViewJournal, usize) -> Step,
+    ) -> Model<ViewJournal> {
+        Model {
+            name,
+            initial: ViewJournal {
+                position: 0,
+                logged: false,
+                registered: false,
+                registry_held: false,
+                snapshotted: false,
+                acknowledged: false,
+                expected: 0,
+                collected: false,
+            },
+            threads: vec![
+                Thread {
+                    name: "view-statement",
+                    step: statement,
+                },
+                Thread {
+                    name: "compactor",
+                    step: compactor_step,
+                },
+            ],
+            invariant: view_journal_invariant,
+        }
+    }
+
+    /// The statement holds the registry lock from its journal append to its
+    /// registry insert (HEAD behavior): a collection in between waits for
+    /// the entry, one before the append fails the count check.
+    pub fn view_journal_fixed() -> Model<ViewJournal> {
+        view_journal("view-journal/fixed", statement_locked_step)
+    }
+
+    /// The append and the registry insert as separate lock holds: a
+    /// collection between them publishes a snapshot without the entry and
+    /// truncates its record. The checker finds the lost record.
+    pub fn view_journal_reverted() -> Model<ViewJournal> {
+        view_journal("view-journal/reverted", statement_unlocked_step)
+    }
+
+    // ----------------------------------------------------------------
     // The suite
     // ----------------------------------------------------------------
 
@@ -977,6 +1141,11 @@ pub mod protocols {
                 protocol: "result-cache",
                 fixed: check_exhaustive(&result_cache_fixed(), limits),
                 reverted: check_exhaustive(&result_cache_reverted(), limits),
+            },
+            ProtocolReport {
+                protocol: "view-journal",
+                fixed: check_exhaustive(&view_journal_fixed(), limits),
+                reverted: check_exhaustive(&view_journal_reverted(), limits),
             },
         ]
     }

@@ -172,6 +172,16 @@ impl<C: Cell> SetState<C> {
     pub fn size_bytes(&self) -> u64 {
         self.set.heap_bytes() + 4 * self.rounds.len() as u64
     }
+
+    /// A copy of the state with every tuple stamped round 0 — what a run
+    /// resumed from it sees as the converged state. The arena and the index
+    /// are copied flat: no tuple is hashed or decoded.
+    pub fn restamped(&self) -> Self {
+        SetState {
+            set: self.set.clone(),
+            rounds: vec![0; self.rounds.len()],
+        }
+    }
 }
 
 /// One aggregate group as stored.
@@ -431,6 +441,23 @@ impl<C: Cell> AggState<C> {
             + 8 * self.round.len() as u64
             + self.contributors.heap_bytes()
     }
+
+    /// A copy of the state with every group stamped round 0 and its previous
+    /// totals equal to its current ones — the state a group's first
+    /// contribution at round 0 leaves. Copied flat: no key is hashed.
+    pub fn restamped(&self) -> Self {
+        AggState {
+            keys: self.keys.clone(),
+            agg_kinds: Arc::clone(&self.agg_kinds),
+            width: self.width,
+            cur: self.cur.clone(),
+            prev: self.cur.clone(),
+            round: vec![0; self.round.len()],
+            created: vec![0; self.created.len()],
+            contributors: self.contributors.clone(),
+            before: Vec::new(),
+        }
+    }
 }
 
 #[cfg(test)]
@@ -502,6 +529,52 @@ mod tests {
         assert_eq!(st.get(&[1]), Some(&[10][..]));
         assert_eq!(st.before(0, 3), Some(&[10][..]));
         assert_eq!(st.before(0, 1), None);
+    }
+
+    /// A restamped copy is the state a preload at round 0 builds: same
+    /// tuples and totals, every stamp 0, previous totals current — and the
+    /// original is left as it was.
+    #[test]
+    fn a_restamped_copy_reads_as_preloaded_at_round_zero() {
+        let mut s = SetState::<u64>::with_kinds(vec![Lane::Int].into());
+        s.insert_slice(&[1], 0);
+        s.insert_slice(&[2], 3);
+        let copy = s.restamped();
+        assert_eq!(
+            copy.iter_with_rounds().collect::<Vec<_>>(),
+            [(&[1][..], 0), (&[2][..], 0)]
+        );
+        assert!(
+            !s.contained_before(&[2], 1),
+            "the original keeps its stamps"
+        );
+        assert_eq!(copy.size_bytes(), s.size_bytes());
+
+        let mut a = AggState::<u64>::with_kinds(
+            vec![Lane::Int].into(),
+            vec![Lane::Int].into(),
+            Vec::new().into(),
+        );
+        let ops = [MonotoneOp::Min];
+        a.merge_in_place(&[7], &[10], &ops, 0, None).unwrap();
+        a.merge_in_place(&[7], &[4], &ops, 2, None).unwrap();
+        let mut copy = a.restamped();
+        let g = copy.group(0);
+        assert_eq!(
+            (g.values, g.prev, g.round, g.created),
+            (&[4][..], &[4][..], 0, 0)
+        );
+        assert_eq!(
+            a.before(0, 2),
+            Some(&[10][..]),
+            "the original keeps its history"
+        );
+        // Merging into the copy at round 1 reports the change as new.
+        assert_eq!(
+            copy.merge_in_place(&[7], &[3], &ops, 1, None),
+            Ok(AggChange::First(0))
+        );
+        assert_eq!(copy.before(0, 1), Some(&[4][..]));
     }
 
     #[test]

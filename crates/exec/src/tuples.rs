@@ -481,8 +481,9 @@ impl<C: Cell> Tuples<C> {
 /// tuple is hashed once per lookup-or-insert, a slot is the tuple's arena
 /// index beside 32 bits of its hash — so a miss rarely touches the arena and
 /// growing the index never does — and nothing is allocated per tuple.
-/// Tuples keep their insertion order.
-#[derive(Debug)]
+/// Tuples keep their insertion order. A clone is a flat copy of the arena
+/// and the index: nothing is hashed again.
+#[derive(Debug, Clone)]
 pub struct TupleSet<C: Cell = u64> {
     tuples: Tuples<C>,
     /// `hash32 << 32 | (index + 1)`; 0 is an empty slot. The slot of a hash

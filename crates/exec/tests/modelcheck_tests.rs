@@ -116,6 +116,32 @@ fn result_cache_without_version_keys_serves_stale() {
 }
 
 // ----------------------------------------------------------------
+// A view statement's journal record vs a concurrent compaction
+// ----------------------------------------------------------------
+
+#[test]
+fn view_journal_head_never_loses_a_record() {
+    let out = check_exhaustive(&protocols::view_journal_fixed(), Limits::default());
+    assert!(
+        out.violation.is_none(),
+        "holding the registry from append to insert must keep the record: {}",
+        out.violation.unwrap()
+    );
+    assert!(!out.stats.truncated);
+}
+
+#[test]
+fn view_journal_without_the_registry_hold_loses_a_record() {
+    let out = check_exhaustive(&protocols::view_journal_reverted(), Limits::default());
+    let v = out
+        .violation
+        .expect("appending outside the registry lock must let a compaction drop the record");
+    assert_eq!(v.kind, ViolationKind::Invariant);
+    assert!(v.message.contains("lost record"), "{v}");
+    assert!(v.schedule.iter().any(|s| s.starts_with("compactor")), "{v}");
+}
+
+// ----------------------------------------------------------------
 // The suite as a whole + the random scheduler
 // ----------------------------------------------------------------
 

@@ -35,6 +35,10 @@ struct Entry {
     rel: Arc<Relation>,
     version: u64,
     rewrite_version: u64,
+    /// The result table of a materialized view certified for delta-seeded
+    /// refresh: derived from the view's converged state, so journaled by the
+    /// view's own records and exported without rows.
+    derived: bool,
 }
 
 /// A thread-safe registry of base relations, shared between the engine's
@@ -85,11 +89,16 @@ impl Catalog {
         }
     }
 
+    /// The entry's image; a derived table's carries no rows.
     fn image(key: &str, entry: &Entry) -> TableImage {
         TableImage {
             name: key.to_string(),
             schema: entry.rel.schema().clone(),
-            rows: entry.rel.rows().to_vec(),
+            rows: if entry.derived {
+                Vec::new()
+            } else {
+                entry.rel.rows().to_vec()
+            },
             version: entry.version,
             rewrite_version: entry.rewrite_version,
         }
@@ -115,6 +124,7 @@ impl Catalog {
             rel: Arc::new(rel),
             version: v,
             rewrite_version: v,
+            derived: false,
         };
         self.journal_with(|| WalRecord::Register(Self::image(&key, &entry)))?;
         tables.insert(key, entry);
@@ -134,6 +144,7 @@ impl Catalog {
             rel: Arc::new(rel),
             version: v,
             rewrite_version: v,
+            derived: false,
         };
         self.journal_with(|| WalRecord::Replace(Self::image(&key, &entry)))?;
         tables.insert(key, entry);
@@ -154,10 +165,43 @@ impl Catalog {
             rel,
             version: v,
             rewrite_version: v,
+            derived: false,
         };
         self.journal_with(|| WalRecord::Replace(Self::image(&key, &entry)))?;
         tables.insert(key, entry);
         Ok(())
+    }
+
+    /// Publish `rel` as the result table of a materialized view certified
+    /// for delta-seeded refresh. Counts as a rewrite: both version counters
+    /// are bumped. The table is derived from the view's converged state, so
+    /// its rows are never journaled: `journal` appends the view's own record,
+    /// given the table's new version, from inside the write section — log
+    /// order is apply order, and nothing is published unless it succeeds.
+    /// Returns the version.
+    ///
+    /// # Errors
+    /// Whatever `journal` returns.
+    pub fn replace_derived(
+        &self,
+        name: &str,
+        rel: Relation,
+        journal: impl FnOnce(u64) -> Result<(), StorageError>,
+    ) -> Result<u64, StorageError> {
+        let key = name.to_ascii_lowercase();
+        let mut tables = self.tables.write();
+        let v = self.fresh_version();
+        journal(v)?;
+        tables.insert(
+            key,
+            Entry {
+                rel: Arc::new(rel),
+                version: v,
+                rewrite_version: v,
+                derived: true,
+            },
+        );
+        Ok(v)
     }
 
     /// Append rows to an existing table: in place when the catalog holds the
@@ -338,6 +382,7 @@ impl Catalog {
                 rel: Arc::new(rel),
                 version,
                 rewrite_version,
+                derived: false,
             },
         );
         self.bump_version_floor(version.max(rewrite_version));
@@ -375,7 +420,54 @@ impl Catalog {
         self.tables.write().remove(&name.to_ascii_lowercase());
     }
 
-    /// Full images of every table, for snapshot collection.
+    /// Replay a certified view's record: its derived result table reached
+    /// `version` (no-op if the table already did). The rows — and, for a
+    /// table the snapshot did not hold, the schema — are installed by
+    /// [`Catalog::fill_derived`] once the view is restored.
+    pub fn apply_derived(&self, name: &str, version: u64) {
+        let key = name.to_ascii_lowercase();
+        let mut tables = self.tables.write();
+        match tables.get_mut(&key) {
+            Some(e) if e.version >= version => {}
+            Some(e) => {
+                e.version = version;
+                e.rewrite_version = version;
+                e.derived = true;
+            }
+            None => {
+                let rel = Arc::new(Relation::empty(crate::schema::Schema::empty()));
+                tables.insert(
+                    key,
+                    Entry {
+                        rel,
+                        version,
+                        rewrite_version: version,
+                        derived: true,
+                    },
+                );
+            }
+        }
+        self.bump_version_floor(version);
+    }
+
+    /// Install the rows of a certified view's result table, which the log
+    /// and the snapshot carry without rows, keeping the versions they
+    /// recorded (recovery path — never journals). Returns false, installing
+    /// nothing, when the table is absent: a crash between a view's `Drop`
+    /// and `ViewDrop` records leaves the view registered without its table.
+    pub fn fill_derived(&self, name: &str, rel: Relation) -> bool {
+        match self.tables.write().get_mut(&name.to_ascii_lowercase()) {
+            Some(e) => {
+                e.rel = Arc::new(rel);
+                e.derived = true;
+                true
+            }
+            None => false,
+        }
+    }
+
+    /// Full images of every table, for snapshot collection; a derived table
+    /// is exported with its schema and versions and no rows.
     pub fn export_tables(&self) -> Vec<TableImage> {
         self.tables
             .read()
@@ -547,6 +639,41 @@ mod tests {
         for t in threads {
             t.join().unwrap();
         }
+    }
+
+    /// A derived table is published only once its journal closure succeeds,
+    /// is exported without rows, and comes back from a replayed version plus
+    /// the rows its view derives.
+    #[test]
+    fn a_derived_table_is_journaled_by_its_view_and_exported_without_rows() {
+        let c = Catalog::new();
+        let err = c.replace_derived("v", Relation::edges(&[(1, 2)]), |_| {
+            Err(StorageError::InjectedCrash("test".into()))
+        });
+        assert!(err.is_err());
+        assert!(!c.contains("v"), "a failed journal publishes nothing");
+        let mut journaled = 0;
+        let v = c
+            .replace_derived("v", Relation::edges(&[(1, 2)]), |v| {
+                journaled = v;
+                Ok(())
+            })
+            .unwrap();
+        assert_eq!((journaled, c.version_of("v").unwrap().version), (v, v));
+        let [header] = &c.export_tables()[..] else {
+            panic!("one table");
+        };
+        assert!(header.rows.is_empty());
+        assert_eq!(header.schema.arity(), 2);
+
+        let recovered = Catalog::new();
+        recovered.apply_derived("v", v);
+        recovered.apply_derived("v", v - 1);
+        assert!(recovered.fill_derived("v", Relation::edges(&[(1, 2)])));
+        assert_eq!(recovered.export_tables(), c.export_tables());
+        assert_eq!(recovered.get("v").unwrap().len(), 1);
+        assert!(recovered.version_ceiling() >= v);
+        assert!(!recovered.fill_derived("gone", Relation::edges(&[])));
     }
 
     #[test]

@@ -42,7 +42,6 @@ pub mod relation;
 pub mod snapshot;
 pub mod sync;
 pub mod wal;
-pub mod warmstore;
 
 /// Re-export of the wire-facing row type (now defined in `rasql-api`, kept
 /// at its historical path here).
@@ -75,5 +74,4 @@ pub use schema::{DataType, Field, Schema};
 pub use snapshot::DurableState;
 pub use sync::{LockRank, RankedCondvarMutex, RankedMutex, RankedRwLock};
 pub use value::Value;
-pub use wal::{TableImage, ViewDep, ViewImage, Wal, WalRecord, WalStats};
-pub use warmstore::WarmStore;
+pub use wal::{TableImage, ViewDelta, ViewDep, ViewImage, Wal, WalRecord, WalStats};

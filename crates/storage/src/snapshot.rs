@@ -1,8 +1,10 @@
 //! Checksummed whole-state snapshots for WAL compaction.
 //!
-//! A snapshot is the full durable state — every base table image, every
-//! materialized-view image (warm blobs included), and the catalog version
-//! floor — in one checksummed file. Publication is atomic (temp file →
+//! A snapshot is the full durable state — every table image, every
+//! materialized-view image (a certified view's converged rows included), and
+//! the catalog version floor — in one checksummed file. A certified view's
+//! result table is derived from its converged rows, so its image carries the
+//! schema and versions and no rows. Publication is atomic (temp file →
 //! `fsync` → rename over `snapshot.bin` → directory `fsync` → log
 //! truncation) and lives on [`Wal::publish_snapshot`](crate::wal::Wal) so
 //! the write path shares the appender lock and crashpoint instrumentation;
@@ -20,7 +22,8 @@
 //! [`StorageError::Corrupt`] — torn-tail tolerance is a WAL property; a
 //! *published* snapshot was fsynced before its rename, so damage here can
 //! never be explained by a crash and must not be silently skipped. An
-//! intact snapshot of another format (format 1 wrote rows row-major) is
+//! intact snapshot of another format (format 1 wrote rows row-major, format 2
+//! warm state as encoded blobs and every view table's rows) is
 //! [`StorageError::UnsupportedFormat`].
 
 use std::fs;
@@ -35,7 +38,7 @@ use crate::wal::{
 };
 
 const MAGIC: &[u8; 4] = b"RQSN";
-const FORMAT_VERSION: u8 = 2;
+const FORMAT_VERSION: u8 = 3;
 
 /// Everything recovery needs: the catalog and view registry, verbatim.
 #[derive(Debug, Clone, Default, PartialEq)]
@@ -196,7 +199,6 @@ mod tests {
                 eligible: false,
                 ineligible_reason: Some("RA0920: non-monotonic aggregate".into()),
                 last_refresh: "full".into(),
-                retained_bytes: 0,
                 deps: vec![ViewDep {
                     table: "edge".into(),
                     version: 7,
@@ -233,16 +235,18 @@ mod tests {
 
     #[test]
     fn another_format_is_refused_not_corrupt() {
-        let mut bytes = encode_state(&sample_state());
-        bytes[4] = 1;
-        assert!(matches!(
-            decode_state(&bytes),
-            Err(StorageError::UnsupportedFormat {
-                what: "snapshot",
-                found: 1,
-                expected: 2
-            })
-        ));
+        for found in [1, 2] {
+            let mut bytes = encode_state(&sample_state());
+            bytes[4] = found;
+            assert!(matches!(
+                decode_state(&bytes),
+                Err(StorageError::UnsupportedFormat {
+                    what: "snapshot",
+                    found: f,
+                    expected: 3
+                }) if f == u32::from(found)
+            ));
+        }
     }
 
     #[test]

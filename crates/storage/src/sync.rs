@@ -37,7 +37,6 @@
 //! | [`LockRank::AdmissionState`] | admission running/waiting counters | `exec::governor` |
 //! | [`LockRank::ActiveQueries`] | kill-registry of cancel tokens | `core::context` |
 //! | [`LockRank::CatalogTables`] | base-table map + versions | `storage::catalog` |
-//! | [`LockRank::WarmStore`] | retained warm fixpoint state | `storage::warmstore` |
 //! | [`LockRank::DurabilityLog`] | WAL appender + snapshot publisher | `storage::wal` |
 //! | [`LockRank::ResultCache`] | version-keyed result cache | `core::cache` |
 //! | [`LockRank::IndexStore`] | join indexes of base data (hash, CSR) | `storage::index` |
@@ -52,7 +51,7 @@
 //! read catalog versions while holding the registry (`view_infos`,
 //! `refresh_if_stale`), and `ViewSerialization` is the global outermost rank
 //! because a view guard is held across an entire refresh — admission,
-//! execution, warm-state publish and all.
+//! execution, resident-state publish and all.
 //!
 //! # Adding a new lock
 //!
@@ -100,12 +99,10 @@ pub enum LockRank {
     ActiveQueries = 80,
     /// The base-table catalog (tables map + version counters).
     CatalogTables = 100,
-    /// The warm-state blob store.
-    WarmStore = 110,
     /// The write-ahead-log appender and snapshot publisher. Ranks after
     /// [`LockRank::CatalogTables`]: catalog mutations journal from inside
     /// the tables write lock so WAL order equals apply order, and snapshot
-    /// collection reads warm state before taking this lock.
+    /// collection reads the view registry before taking this lock.
     DurabilityLog = 115,
     /// The version-keyed ad-hoc result cache.
     ResultCache = 120,
@@ -142,7 +139,6 @@ impl LockRank {
             LockRank::AdmissionState => "AdmissionState",
             LockRank::ActiveQueries => "ActiveQueries",
             LockRank::CatalogTables => "CatalogTables",
-            LockRank::WarmStore => "WarmStore",
             LockRank::DurabilityLog => "DurabilityLog",
             LockRank::ResultCache => "ResultCache",
             LockRank::IndexStore => "IndexStore",
@@ -653,10 +649,10 @@ mod tests {
     #[test]
     fn rwlock_write_then_higher_rank_ok() {
         let cat = RankedRwLock::new(LockRank::CatalogTables, 0u64);
-        let warm = RankedRwLock::new(LockRank::WarmStore, 0u64);
+        let log = RankedRwLock::new(LockRank::DurabilityLog, 0u64);
         let mut w = cat.write();
         *w += 1;
-        let r = warm.read();
+        let r = log.read();
         assert_eq!(*w, 1);
         assert_eq!(*r, 0);
     }
@@ -697,7 +693,6 @@ mod tests {
             LockRank::AdmissionState,
             LockRank::ActiveQueries,
             LockRank::CatalogTables,
-            LockRank::WarmStore,
             LockRank::DurabilityLog,
             LockRank::ResultCache,
             LockRank::IndexStore,

@@ -2,11 +2,14 @@
 //!
 //! When a context is opened with a data directory, every catalog mutation
 //! (CREATE/INSERT/DELETE under the existing `version`/`rewrite_version` bump
-//! discipline) and every materialized-view lifecycle event (create/publish/
-//! drop, warm state included) appends one record here *before* the operation
-//! is acknowledged. On restart, replaying the latest snapshot plus this log's
-//! tail reconstructs the exact pre-crash catalog and view registry — same
-//! rows, same version counters, same warm fixpoint blobs.
+//! discipline) and every materialized-view lifecycle event (create, refresh,
+//! drop) appends one record here *before* the operation is published. On
+//! restart, replaying the latest snapshot plus this log's tail reconstructs
+//! the exact pre-crash catalog and view registry — same rows, same version
+//! counters, same converged fixpoint state. A view certified for delta-seeded
+//! refresh journals a refresh as one [`WalRecord::ViewDelta`] (the tuples
+//! whose totals changed); its result table is derived from that state, so it
+//! is never journaled as rows.
 //!
 //! ## On-disk format
 //!
@@ -19,9 +22,10 @@
 //!
 //! Record fields are built from the shared byte codec
 //! ([`rasql_api::codec`]); rows are its row batches. The tag's high nibble
-//! carries the log format (format 1 wrote bare kinds `1..=6`), so an intact
-//! record of another format is refused as
-//! [`StorageError::UnsupportedFormat`] without a file header.
+//! carries the log format (format 1 wrote bare kinds `1..=6`; format 2 wrote
+//! view images with encoded warm blobs), so an intact record of another
+//! format is refused as [`StorageError::UnsupportedFormat`] without a file
+//! header.
 //!
 //! Appends are serialized under [`LockRank::DurabilityLog`] — journaling
 //! happens *inside* the catalog's `tables` write section, so log order is
@@ -50,8 +54,8 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use rasql_api::codec::{
-    expect_end, get_bool, get_bytes, get_count, get_rows, get_schema, get_string, get_u8,
-    get_varint, put_bool, put_bytes, put_rows, put_schema, put_str, put_varint,
+    expect_end, get_bool, get_count, get_rows, get_schema, get_string, get_u8, get_varint,
+    put_bool, put_rows, put_schema, put_str, put_varint,
 };
 
 use crate::crashpoint::CrashInjector;
@@ -137,11 +141,12 @@ pub struct ViewDep {
     pub len: u64,
 }
 
-/// Full image of one materialized view's registry entry plus its warm
-/// fixpoint blobs. The defining SQL is stored as the complete source script
-/// it arrived in; recovery re-parses and re-analyzes it against the restored
-/// catalog (the AST has no renderer, and re-analysis also restores planner
-/// state like `CREATE VIEW` definitions the statement depends on).
+/// Full image of one materialized view's registry entry plus, for a view
+/// certified for delta-seeded refresh, its converged fixpoint rows. The
+/// defining SQL is stored as the complete source script it arrived in;
+/// recovery re-parses and re-analyzes it against the restored catalog (the
+/// AST has no renderer, and re-analysis also restores planner state like
+/// `CREATE VIEW` definitions the statement depends on).
 #[derive(Debug, Clone, PartialEq)]
 pub struct ViewImage {
     /// Lower-cased view name (registry key).
@@ -156,12 +161,46 @@ pub struct ViewImage {
     pub ineligible_reason: Option<String>,
     /// Human-readable last-refresh mode ("none", "incremental", ...).
     pub last_refresh: String,
-    /// Warm-state bytes retained for this view.
-    pub retained_bytes: u64,
     /// Base-table versions the current contents were computed from.
     pub deps: Vec<ViewDep>,
-    /// Warm fixpoint blobs, `(warmstore key, canonical encoded rows)`.
-    pub warm: Vec<(String, Vec<u8>)>,
+    /// The converged rows of each clique view, in clique order — written
+    /// sorted — for an eligible view; empty otherwise.
+    pub warm: Vec<Vec<Row>>,
+}
+
+impl ViewImage {
+    /// Replay a refresh's delta over this image: the registry fields move to
+    /// the delta's, and each clique view's changed tuples are appended to its
+    /// rows. A key may then occur more than once; loading the rows merges its
+    /// totals under the view's monotone ops (set union, `min`, `max`), so a
+    /// delta replayed twice, or over an image that already holds it, changes
+    /// nothing.
+    pub fn apply(&mut self, delta: ViewDelta) {
+        self.version = delta.version;
+        self.deps = delta.deps;
+        self.last_refresh = "incremental".to_string();
+        for (rows, mut changed) in self.warm.iter_mut().zip(delta.changed) {
+            rows.append(&mut changed);
+        }
+    }
+}
+
+/// What a delta-seeded refresh of a certified view changed: the registry
+/// fields it moves, the version of the view's derived result table, and per
+/// clique view the tuples whose totals changed.
+#[derive(Debug, Clone, PartialEq)]
+pub struct ViewDelta {
+    /// Lower-cased view name (registry key).
+    pub key: String,
+    /// Registry version after the refresh.
+    pub version: u64,
+    /// Base-table versions the refreshed contents were computed from.
+    pub deps: Vec<ViewDep>,
+    /// Catalog version of the view's result table after the refresh.
+    pub table: u64,
+    /// Per clique view, in clique order, every tuple the refresh added or
+    /// whose aggregate improved, with its new totals.
+    pub changed: Vec<Vec<Row>>,
 }
 
 /// One durability log record. Every variant carries the versions minted when
@@ -181,15 +220,26 @@ pub enum WalRecord {
         /// `version` after the append (`rewrite_version` is unchanged).
         version: u64,
     },
-    /// Whole-table rewrite (`DELETE`, replace, view publish): full image.
+    /// Whole-table rewrite (`DELETE`, replace, the publish of a view that is
+    /// not certified): full image.
     Replace(TableImage),
     /// Table dropped.
     Drop {
         /// Lower-cased table name.
         name: String,
     },
-    /// Materialized-view create or refresh publish: full registry image.
-    ViewPut(ViewImage),
+    /// Materialized-view create or full refresh: the full registry image.
+    ViewPut {
+        /// The view's registry entry (and converged rows, when certified).
+        image: ViewImage,
+        /// Catalog version of a certified (`image.eligible`) view's result
+        /// table, which is derived from the converged rows and never
+        /// journaled itself; 0, and ignored, for any other view — its table
+        /// travels in a `Replace` record.
+        table: u64,
+    },
+    /// A certified view's delta-seeded refresh.
+    ViewDelta(ViewDelta),
     /// Materialized view dropped.
     ViewDrop {
         /// Lower-cased view name.
@@ -203,7 +253,7 @@ pub enum WalRecord {
 
 /// The log format this build writes, carried in every record tag's high
 /// nibble.
-const WAL_FORMAT: u8 = 2;
+const WAL_FORMAT: u8 = 3;
 
 pub(crate) fn put_table_image(buf: &mut Vec<u8>, img: &TableImage) {
     put_str(buf, &img.name);
@@ -223,6 +273,47 @@ pub(crate) fn get_table_image(input: &mut &[u8]) -> Result<TableImage, StorageEr
     })
 }
 
+fn put_deps(buf: &mut Vec<u8>, deps: &[ViewDep]) {
+    put_varint(buf, deps.len() as u64);
+    for d in deps {
+        put_str(buf, &d.table);
+        put_varint(buf, d.version);
+        put_varint(buf, d.rewrite_version);
+        put_varint(buf, d.len);
+    }
+}
+
+fn get_deps(input: &mut &[u8]) -> Result<Vec<ViewDep>, StorageError> {
+    let n = get_count(input)?;
+    let mut deps = Vec::with_capacity(n);
+    for _ in 0..n {
+        deps.push(ViewDep {
+            table: get_string(input)?,
+            version: get_varint(input)?,
+            rewrite_version: get_varint(input)?,
+            len: get_varint(input)?,
+        });
+    }
+    Ok(deps)
+}
+
+/// One row batch per clique view.
+fn put_batches(buf: &mut Vec<u8>, batches: &[Vec<Row>]) {
+    put_varint(buf, batches.len() as u64);
+    for rows in batches {
+        put_rows(buf, rows);
+    }
+}
+
+fn get_batches(input: &mut &[u8]) -> Result<Vec<Vec<Row>>, StorageError> {
+    let n = get_count(input)?;
+    let mut batches = Vec::with_capacity(n);
+    for _ in 0..n {
+        batches.push(get_rows(input)?);
+    }
+    Ok(batches)
+}
+
 pub(crate) fn put_view_image(buf: &mut Vec<u8>, img: &ViewImage) {
     put_str(buf, &img.key);
     put_str(buf, &img.sql);
@@ -233,19 +324,8 @@ pub(crate) fn put_view_image(buf: &mut Vec<u8>, img: &ViewImage) {
         put_str(buf, r);
     }
     put_str(buf, &img.last_refresh);
-    put_varint(buf, img.retained_bytes);
-    put_varint(buf, img.deps.len() as u64);
-    for d in &img.deps {
-        put_str(buf, &d.table);
-        put_varint(buf, d.version);
-        put_varint(buf, d.rewrite_version);
-        put_varint(buf, d.len);
-    }
-    put_varint(buf, img.warm.len() as u64);
-    for (key, blob) in &img.warm {
-        put_str(buf, key);
-        put_bytes(buf, blob);
-    }
+    put_deps(buf, &img.deps);
+    put_batches(buf, &img.warm);
 }
 
 pub(crate) fn get_view_image(input: &mut &[u8]) -> Result<ViewImage, StorageError> {
@@ -258,33 +338,15 @@ pub(crate) fn get_view_image(input: &mut &[u8]) -> Result<ViewImage, StorageErro
     } else {
         None
     };
-    let last_refresh = get_string(input)?;
-    let retained_bytes = get_varint(input)?;
-    let ndeps = get_count(input)?;
-    let mut deps = Vec::with_capacity(ndeps);
-    for _ in 0..ndeps {
-        deps.push(ViewDep {
-            table: get_string(input)?,
-            version: get_varint(input)?,
-            rewrite_version: get_varint(input)?,
-            len: get_varint(input)?,
-        });
-    }
-    let nwarm = get_count(input)?;
-    let mut warm = Vec::with_capacity(nwarm);
-    for _ in 0..nwarm {
-        warm.push((get_string(input)?, get_bytes(input)?.to_vec()));
-    }
     Ok(ViewImage {
         key,
         sql,
         version,
         eligible,
         ineligible_reason,
-        last_refresh,
-        retained_bytes,
-        deps,
-        warm,
+        last_refresh: get_string(input)?,
+        deps: get_deps(input)?,
+        warm: get_batches(input)?,
     })
 }
 
@@ -298,8 +360,9 @@ impl WalRecord {
             WalRecord::Insert { .. } => 2,
             WalRecord::Replace(_) => 3,
             WalRecord::Drop { .. } => 4,
-            WalRecord::ViewPut(_) => 5,
+            WalRecord::ViewPut { .. } => 5,
             WalRecord::ViewDrop { .. } => 6,
+            WalRecord::ViewDelta(_) => 7,
         };
         buf.push(WAL_FORMAT << 4 | kind);
         match self {
@@ -314,8 +377,18 @@ impl WalRecord {
                 put_rows(&mut buf, rows);
             }
             WalRecord::Drop { name } => put_str(&mut buf, name),
-            WalRecord::ViewPut(img) => put_view_image(&mut buf, img),
+            WalRecord::ViewPut { image, table } => {
+                put_view_image(&mut buf, image);
+                put_varint(&mut buf, *table);
+            }
             WalRecord::ViewDrop { key } => put_str(&mut buf, key),
+            WalRecord::ViewDelta(d) => {
+                put_str(&mut buf, &d.key);
+                put_varint(&mut buf, d.version);
+                put_deps(&mut buf, &d.deps);
+                put_varint(&mut buf, d.table);
+                put_batches(&mut buf, &d.changed);
+            }
         }
         buf
     }
@@ -354,10 +427,20 @@ impl WalRecord {
             4 => WalRecord::Drop {
                 name: get_string(input)?,
             },
-            5 => WalRecord::ViewPut(get_view_image(input)?),
+            5 => WalRecord::ViewPut {
+                image: get_view_image(input)?,
+                table: get_varint(input)?,
+            },
             6 => WalRecord::ViewDrop {
                 key: get_string(input)?,
             },
+            7 => WalRecord::ViewDelta(ViewDelta {
+                key: get_string(input)?,
+                version: get_varint(input)?,
+                deps: get_deps(input)?,
+                table: get_varint(input)?,
+                changed: get_batches(input)?,
+            }),
             t => return Err(StorageError::Codec(format!("unknown wal record kind {t}"))),
         };
         expect_end(input)?;
@@ -511,6 +594,7 @@ pub struct Wal {
     inner: RankedMutex<WalFile>,
     dir: PathBuf,
     records: AtomicU64,
+    position: AtomicU64,
     bytes: AtomicU64,
     snapshots: AtomicU64,
     last_snapshot_bytes: AtomicU64,
@@ -549,6 +633,7 @@ impl Wal {
             inner: RankedMutex::new(LockRank::DurabilityLog, WalFile { file }),
             dir: dir.to_path_buf(),
             records: AtomicU64::new(0),
+            position: AtomicU64::new(0),
             bytes: AtomicU64::new(len),
             snapshots: AtomicU64::new(0),
             last_snapshot_bytes: AtomicU64::new(0),
@@ -562,10 +647,17 @@ impl Wal {
         &self.dir
     }
 
-    /// Records appended since the last snapshot (the compaction trigger and
-    /// the counter the snapshot race check compares).
+    /// Records appended since the last snapshot (the compaction trigger).
     pub fn record_count(&self) -> u64 {
         self.records.load(Ordering::SeqCst)
+    }
+
+    /// Records appended through this appender so far — what the snapshot
+    /// race check compares. Unlike [`record_count`](Self::record_count) a
+    /// snapshot does not reset it, so a collection older than another
+    /// snapshot never matches again, however many records land after it.
+    pub fn position(&self) -> u64 {
+        self.position.load(Ordering::SeqCst)
     }
 
     /// Current counters for status surfaces.
@@ -601,6 +693,7 @@ impl Wal {
         inner.file.write_all(&frame)?;
         inner.file.sync_data()?;
         self.records.fetch_add(1, Ordering::SeqCst);
+        self.position.fetch_add(1, Ordering::SeqCst);
         self.bytes.fetch_add(frame.len() as u64, Ordering::Relaxed);
         if self.injector.fire("wal-append-post") {
             return Err(StorageError::InjectedCrash("wal-append-post".into()));
@@ -621,10 +714,10 @@ impl Wal {
     /// Publish a snapshot: write `encoded` to `snapshot.tmp`, `fsync`,
     /// rename over `snapshot.bin`, `fsync` the directory, then truncate the
     /// log. The whole sequence holds the appender lock, and it runs only if
-    /// the record count still equals `expected_records` — the caller
-    /// collected its state *without* this lock (catalog locks rank below
-    /// it), so a count mismatch means a mutation landed in between and the
-    /// collected state may be stale; the caller re-collects and retries.
+    /// the log is still at [`position`](Self::position) `collected_at` — the
+    /// caller collected its state *without* this lock (catalog locks rank
+    /// below it), so a moved position means a mutation landed in between and
+    /// the collected state may be stale; the caller re-collects and retries.
     ///
     /// Returns whether the snapshot was published.
     ///
@@ -635,10 +728,10 @@ impl Wal {
     pub fn publish_snapshot(
         &self,
         encoded: &[u8],
-        expected_records: u64,
+        collected_at: u64,
     ) -> Result<bool, StorageError> {
         let inner = self.inner.lock();
-        if self.records.load(Ordering::SeqCst) != expected_records {
+        if self.position.load(Ordering::SeqCst) != collected_at {
             return Ok(false);
         }
         let tmp = self.dir.join(SNAPSHOT_TEMP_FILE);
@@ -728,21 +821,35 @@ mod tests {
                 rows: vec![int_row(&[3, 4])],
                 version: 2,
             },
-            WalRecord::ViewPut(ViewImage {
+            WalRecord::ViewPut {
+                image: ViewImage {
+                    key: "paths".into(),
+                    sql: "CREATE MATERIALIZED VIEW paths AS SELECT 1;".into(),
+                    version: 3,
+                    eligible: true,
+                    ineligible_reason: None,
+                    last_refresh: "incremental".into(),
+                    deps: vec![ViewDep {
+                        table: "edge".into(),
+                        version: 2,
+                        rewrite_version: 1,
+                        len: 3,
+                    }],
+                    warm: vec![vec![int_row(&[1, 0]), int_row(&[2, 1])]],
+                },
+                table: 4,
+            },
+            WalRecord::ViewDelta(ViewDelta {
                 key: "paths".into(),
-                sql: "CREATE MATERIALIZED VIEW paths AS SELECT 1;".into(),
-                version: 3,
-                eligible: true,
-                ineligible_reason: None,
-                last_refresh: "incremental".into(),
-                retained_bytes: 17,
+                version: 4,
                 deps: vec![ViewDep {
                     table: "edge".into(),
-                    version: 2,
+                    version: 5,
                     rewrite_version: 1,
-                    len: 3,
+                    len: 4,
                 }],
-                warm: vec![("mv/paths/0".into(), vec![0, 1, 2, 255])],
+                table: 6,
+                changed: vec![vec![int_row(&[4, 2])]],
             }),
             WalRecord::Replace(TableImage {
                 name: "mixed".into(),
@@ -835,33 +942,64 @@ mod tests {
         let _ = fs::remove_dir_all(&dir);
     }
 
-    /// A format-1 record (bare kind tag) that passes its CRC is a typed
-    /// refusal, and replay leaves the log as it found it.
+    /// A record of an earlier format — format 1's bare kind tag, format 2's
+    /// nibble — that passes its CRC is a typed refusal, and replay leaves the
+    /// log as it found it.
     #[test]
     fn another_format_is_refused_and_the_log_left_intact() {
         let dir = tmp_dir("format");
-        let mut payload = sample_records()[1].encode();
-        payload[0] = 2;
-        let mut log = Vec::new();
-        put_varint(&mut log, payload.len() as u64);
-        log.extend_from_slice(&payload);
-        log.extend_from_slice(&crc32(&payload).to_le_bytes());
-        let path = dir.join(WAL_FILE);
-        fs::write(&path, &log).expect("write");
-        let err = replay(&path).expect_err("refused");
-        assert!(
-            matches!(
-                err,
-                StorageError::UnsupportedFormat {
-                    what: "wal record",
-                    found: 1,
-                    expected: 2
-                }
-            ),
-            "{err}"
-        );
-        assert_eq!(fs::read(&path).expect("read"), log);
+        for (tag, found) in [(2u8, 1u32), (0x22, 2)] {
+            let mut payload = sample_records()[1].encode();
+            payload[0] = tag;
+            let mut log = Vec::new();
+            put_varint(&mut log, payload.len() as u64);
+            log.extend_from_slice(&payload);
+            log.extend_from_slice(&crc32(&payload).to_le_bytes());
+            let path = dir.join(WAL_FILE);
+            fs::write(&path, &log).expect("write");
+            let err = replay(&path).expect_err("refused");
+            assert!(
+                matches!(
+                    err,
+                    StorageError::UnsupportedFormat {
+                        what: "wal record",
+                        found: f,
+                        expected: 3
+                    } if f == found
+                ),
+                "{err}"
+            );
+            assert_eq!(fs::read(&path).expect("read"), log);
+        }
         let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A delta replays over the image it follows, and replaying it again —
+    /// as the window between a snapshot's rename and the log's truncation
+    /// does — appends rows a load merges away, and moves nothing else.
+    #[test]
+    fn a_view_delta_applies_to_its_image_idempotently() {
+        let records = sample_records();
+        let (WalRecord::ViewPut { image, .. }, WalRecord::ViewDelta(delta)) =
+            (&records[2], &records[3])
+        else {
+            panic!("sample records changed shape");
+        };
+        let mut once = image.clone();
+        once.apply(delta.clone());
+        assert_eq!((once.version, &once.deps), (4, &delta.deps));
+        assert_eq!(once.last_refresh, "incremental");
+        assert_eq!(
+            once.warm,
+            [vec![int_row(&[1, 0]), int_row(&[2, 1]), int_row(&[4, 2])]]
+        );
+        let mut twice = once.clone();
+        twice.apply(delta.clone());
+        assert_eq!((twice.version, &twice.deps), (once.version, &once.deps));
+        let mut distinct = twice.warm[0].clone();
+        distinct.sort();
+        distinct.dedup();
+        assert_eq!(distinct, once.warm[0]);
     }
 
     #[test]
@@ -888,14 +1026,15 @@ mod tests {
         let dir = tmp_dir("snapshot");
         let wal = Wal::open(&dir, CrashInjector::none()).expect("open");
         wal.append(&sample_records()[0]).expect("append");
-        let count = wal.record_count();
+        let position = wal.position();
         // Stale expectation: refused.
         assert!(!wal
-            .publish_snapshot(b"payload", count + 1)
+            .publish_snapshot(b"payload", position + 1)
             .expect("guarded publish"));
         // Current expectation: published, log truncated, counters reset.
-        assert!(wal.publish_snapshot(b"payload", count).expect("publish"));
+        assert!(wal.publish_snapshot(b"payload", position).expect("publish"));
         assert_eq!(wal.record_count(), 0);
+        assert_eq!(wal.position(), position, "a snapshot keeps the position");
         assert_eq!(
             fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot"),
             b"payload"
@@ -903,6 +1042,28 @@ mod tests {
         assert_eq!(fs::read(dir.join(WAL_FILE)).expect("wal").len(), 0);
         assert!(!dir.join(SNAPSHOT_TEMP_FILE).exists(), "temp must be gone");
         assert_eq!(wal.stats().snapshots, 1);
+        let _ = fs::remove_dir_all(&dir);
+    }
+
+    /// A collection made before another snapshot was published is refused
+    /// even once as many records have landed since that snapshot as the
+    /// log held when it was made: the record count came back, the position
+    /// did not.
+    #[test]
+    fn a_collection_older_than_a_snapshot_is_refused() {
+        let dir = tmp_dir("snapshot-aba");
+        let wal = Wal::open(&dir, CrashInjector::none()).expect("open");
+        wal.append(&sample_records()[0]).expect("append");
+        let (stale, count) = (wal.position(), wal.record_count());
+        assert!(wal.publish_snapshot(b"newer", stale).expect("publish"));
+        wal.append(&sample_records()[1]).expect("append");
+        assert_eq!(wal.record_count(), count);
+        assert!(!wal.publish_snapshot(b"older", stale).expect("guarded"));
+        assert_eq!(
+            fs::read(dir.join(SNAPSHOT_FILE)).expect("snapshot"),
+            b"newer"
+        );
+        assert_eq!(wal.record_count(), 1, "the newer record stays in the log");
         let _ = fs::remove_dir_all(&dir);
     }
 

@@ -20,7 +20,8 @@ use proptest::prelude::*;
 use rasql_storage::crashpoint::CrashInjector;
 use rasql_storage::wal::{replay, WAL_FILE};
 use rasql_storage::{
-    DataType, Row, Schema, StorageError, TableImage, Value, ViewDep, ViewImage, Wal, WalRecord,
+    DataType, Row, Schema, StorageError, TableImage, Value, ViewDelta, ViewDep, ViewImage, Wal,
+    WalRecord,
 };
 use std::fs;
 use std::path::PathBuf;
@@ -60,11 +61,24 @@ fn table_image() -> impl Strategy<Value = TableImage> {
     )
 }
 
+fn deps() -> impl Strategy<Value = Vec<ViewDep>> {
+    prop::collection::vec(("[a-z]{1,4}", 0u64..32, 0u64..4, 0u64..64), 0..3).prop_map(|deps| {
+        deps.into_iter()
+            .map(|(table, version, rewrite_version, len)| ViewDep {
+                table,
+                version,
+                rewrite_version,
+                len,
+            })
+            .collect()
+    })
+}
+
 fn view_image() -> impl Strategy<Value = ViewImage> {
     (
         ("[a-z]{1,6}", "[a-z]{0,12}", 0u64..64, any::<bool>()),
-        prop::collection::vec(("[a-z]{1,4}", 0u64..32, 0u64..4, 0u64..64), 0..3),
-        prop::collection::vec(("[a-z]{1,4}", prop::collection::vec(0u64..256, 0..8)), 0..2),
+        deps(),
+        prop::collection::vec(rows(), 0..2),
     )
         .prop_map(|((key, sql, version, eligible), deps, warm)| ViewImage {
             key,
@@ -77,23 +91,23 @@ fn view_image() -> impl Strategy<Value = ViewImage> {
                 Some("mutual recursion".into())
             },
             last_refresh: "incremental".into(),
-            retained_bytes: warm
-                .iter()
-                .map(|(_, b): &(_, Vec<u64>)| b.len() as u64)
-                .sum(),
-            deps: deps
-                .into_iter()
-                .map(|(table, version, rewrite_version, len)| ViewDep {
-                    table,
-                    version,
-                    rewrite_version,
-                    len,
-                })
-                .collect(),
-            warm: warm
-                .into_iter()
-                .map(|(k, bytes)| (k, bytes.into_iter().map(|b| b as u8).collect()))
-                .collect(),
+            deps,
+            warm,
+        })
+}
+
+fn view_delta() -> impl Strategy<Value = ViewDelta> {
+    (
+        ("[a-z]{1,6}", 0u64..64, 0u64..1000),
+        deps(),
+        prop::collection::vec(rows(), 0..3),
+    )
+        .prop_map(|((key, version, table), deps, changed)| ViewDelta {
+            key,
+            version,
+            deps,
+            table,
+            changed,
         })
 }
 
@@ -107,7 +121,8 @@ fn record() -> impl Strategy<Value = WalRecord> {
         }),
         table_image().prop_map(WalRecord::Replace),
         "[a-z]{1,6}".prop_map(|name| WalRecord::Drop { name }),
-        view_image().prop_map(WalRecord::ViewPut),
+        (view_image(), 0u64..1000).prop_map(|(image, table)| WalRecord::ViewPut { image, table }),
+        view_delta().prop_map(WalRecord::ViewDelta),
         "[a-z]{1,6}".prop_map(|key| WalRecord::ViewDrop { key }),
     ]
 }
