@@ -363,6 +363,71 @@ pub fn get_rows(input: &mut &[u8]) -> Result<Vec<Row>, CodecError> {
     Ok(rows.into_iter().map(Row::new).collect())
 }
 
+/// One column of a batch read by [`decode_lanes`].
+#[derive(Debug, Clone, PartialEq)]
+pub enum LaneColumn {
+    /// A packed column: every cell of this lane, as its word.
+    Words(Lane, Vec<u64>),
+    /// A tagged column: its values.
+    Values(Vec<Value>),
+}
+
+/// A row batch read column by column, no row built.
+#[derive(Debug, Clone, PartialEq, Default)]
+pub struct LaneBatch {
+    /// Rows in the batch.
+    pub rows: usize,
+    /// Its columns, each `rows` cells long.
+    pub columns: Vec<LaneColumn>,
+}
+
+/// Read a payload of one batch written by [`encode_rows`] as columns: a
+/// packed column stays words, a tagged one becomes values. A batch of rows
+/// of differing arity has no columns and is an error.
+pub fn decode_lanes(mut input: &[u8]) -> Result<LaneBatch, CodecError> {
+    let input = &mut input;
+    let rows = get_count(input)?;
+    let width = get_count(input)?;
+    if width == 0 {
+        for _ in 0..rows {
+            if get_count(input)? != 0 {
+                return Err(CodecError("a ragged batch has no columns"));
+            }
+        }
+        expect_end(input)?;
+        return Ok(LaneBatch {
+            rows,
+            columns: Vec::new(),
+        });
+    }
+    if rows.saturating_mul(width) > input.len() {
+        return Err(CodecError("batch exceeds the bytes left"));
+    }
+    let mut columns = Vec::with_capacity(width);
+    for _ in 0..width {
+        let lane = match get_u8(input)? {
+            TAGGED => None,
+            1 => Some(Lane::Int),
+            2 => Some(Lane::Double),
+            _ => return Err(CodecError("unknown column kind")),
+        };
+        columns.push(match lane {
+            Some(lane) => {
+                let mut prev = 0;
+                let words = (0..rows).map(|_| get_cell(input, lane, &mut prev));
+                LaneColumn::Words(lane, words.collect::<Result<_, _>>()?)
+            }
+            None => LaneColumn::Values(
+                (0..rows)
+                    .map(|_| get_value(input))
+                    .collect::<Result<_, _>>()?,
+            ),
+        });
+    }
+    expect_end(input)?;
+    Ok(LaneBatch { rows, columns })
+}
+
 /// One row batch as a standalone payload.
 #[must_use]
 pub fn encode_rows<R: AsRef<[Value]>>(rows: &[R]) -> Vec<u8> {
@@ -440,6 +505,39 @@ mod tests {
         for rows in [mixed, ragged, units, Vec::new()] {
             assert_eq!(decode_rows(&encode_rows(&rows)).unwrap(), rows);
         }
+    }
+
+    #[test]
+    fn lanes_decode_the_cells_rows_decode() {
+        let rows = vec![
+            Row::new(vec![Value::Int(-3), Value::Double(-0.0), Value::from("a")]),
+            Row::new(vec![
+                Value::Int(i64::MAX),
+                Value::Double(f64::NAN),
+                Value::Null,
+            ]),
+        ];
+        let bytes = encode_rows(&rows);
+        let batch = decode_lanes(&bytes).unwrap();
+        assert_eq!(batch.rows, 2);
+        assert!(matches!(batch.columns[0], LaneColumn::Words(Lane::Int, _)));
+        assert!(matches!(batch.columns[2], LaneColumn::Values(_)));
+        for (r, row) in decode_rows(&bytes).unwrap().iter().enumerate() {
+            for (c, column) in batch.columns.iter().enumerate() {
+                let cell = match column {
+                    LaneColumn::Words(lane, words) => lane.decode(words[r]),
+                    LaneColumn::Values(values) => values[r].clone(),
+                };
+                assert_eq!(cell, row[c]);
+            }
+        }
+        assert_eq!(
+            decode_lanes(&encode_rows::<Row>(&[])).unwrap(),
+            LaneBatch::default()
+        );
+        let ragged = encode_rows(&[int_row(&[1, 2]), int_row(&[3])]);
+        assert!(decode_lanes(&ragged).is_err());
+        assert!(decode_lanes(&bytes[..bytes.len() - 1]).is_err());
     }
 
     #[test]

@@ -197,6 +197,43 @@ impl Lane {
             Lane::Double => f64::from_bits(a).total_cmp(&f64::from_bits(b)),
         }
     }
+
+    /// Feed `h` exactly what `Value::hash` of the cell's value would, so a
+    /// packed key lands in the partition its row would.
+    #[inline]
+    pub fn hash_word<H: Hasher>(self, w: u64, h: &mut H) {
+        match self {
+            // `Value::Int`'s own two writes.
+            Lane::Int => {
+                h.write_u8(2);
+                h.write_i64(w as i64);
+            }
+            Lane::Double => Value::Double(f64::from_bits(w)).hash(h),
+        }
+    }
+
+    /// The one cell of this lane equal to `v` as `Value::eq` sees it:
+    /// `Ok(None)` when no cell is — NULL, a string, `2.5` or `-0.0` under
+    /// `Int` — and `Escaped` when more than one might be, or the hash of a
+    /// row would disagree with the equality: an integral `Double` of at
+    /// least 2^53 under `Int`, an `Int` beyond 2^53 under `Double`.
+    #[inline]
+    pub fn key_cell(self, v: &Value) -> Result<Option<u64>, Escaped> {
+        const EXACT: f64 = 9_007_199_254_740_992.0; // 2^53
+        match (self, v) {
+            (Lane::Int, Value::Int(i)) => Ok(Some(*i as u64)),
+            (Lane::Double, Value::Double(d)) => Ok(Some(d.to_bits())),
+            (Lane::Int, Value::Double(d)) if d.is_finite() && d.abs() >= EXACT => Err(Escaped),
+            (Lane::Int, Value::Double(d)) => {
+                let i = *d as i64;
+                // Non-integral, NaN, ±∞ and `-0.0` equal no `Int`.
+                Ok(((i as f64).to_bits() == d.to_bits()).then_some(i as u64))
+            }
+            (Lane::Double, Value::Int(i)) if i.unsigned_abs() > 1 << 53 => Err(Escaped),
+            (Lane::Double, Value::Int(i)) => Ok(Some((*i as f64).to_bits())),
+            _ => Ok(None),
+        }
+    }
 }
 
 fn numeric_binop(
@@ -358,6 +395,39 @@ mod tests {
     fn equal_numerics_hash_equal() {
         assert_eq!(hash_of(&Value::Int(42)), hash_of(&Value::Double(42.0)));
         assert_ne!(hash_of(&Value::Int(42)), hash_of(&Value::Double(42.5)));
+    }
+
+    #[test]
+    fn a_key_cell_is_the_one_cell_its_value_equals() {
+        for (lane, v) in [
+            (Lane::Int, Value::Int(-7)),
+            (Lane::Int, Value::Double(2.0)),
+            (Lane::Double, Value::Double(-0.0)),
+            (Lane::Double, Value::Int(1 << 53)),
+        ] {
+            let cell = lane.key_cell(&v).unwrap().unwrap();
+            assert_eq!(lane.decode(cell), v);
+            let mut h = [DefaultHasher::default(), DefaultHasher::default()];
+            lane.hash_word(cell, &mut h[0]);
+            v.hash(&mut h[1]);
+            assert_eq!(h[0].finish(), h[1].finish());
+        }
+        for none in [
+            Value::Null,
+            Value::Double(2.5),
+            Value::Double(-0.0),
+            Value::from("2"),
+        ] {
+            assert_eq!(Lane::Int.key_cell(&none), Ok(None));
+        }
+        assert_eq!(
+            Lane::Int.key_cell(&Value::Double(2f64.powi(53))),
+            Err(Escaped)
+        );
+        assert_eq!(
+            Lane::Double.key_cell(&Value::Int((1 << 53) + 1)),
+            Err(Escaped)
+        );
     }
 
     #[test]

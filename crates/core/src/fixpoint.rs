@@ -36,8 +36,9 @@ use rasql_exec::state::{AggChange, AggState, MonotoneOp};
 use rasql_exec::{
     cells_of, kinds_of, merge_join, partition_of, values_of, Broadcast, Cell, Cluster, Combiner,
     DenseAggState, DenseSetState, DenseState, Escaped, ExecError, HashTable, IterationTrace,
-    KernelValue, Lane, MaxOp, MergeOp, Metrics, MinOp, Pipeline, PipelineStep, QueryGovernor,
-    RecoveryEvent, RecoveryKind, SetState, StageKind, StageTask, SumOp, TupleSet, Tuples,
+    JoinTable, KernelValue, Lane, MaxOp, MergeOp, Metrics, MinOp, Pipeline, PipelineStep,
+    QueryGovernor, RecoveryEvent, RecoveryKind, SetState, StageKind, StageTask, SumOp, TupleSet,
+    Tuples,
 };
 use rasql_parser::ast::AggFunc;
 use rasql_plan::{
@@ -46,7 +47,9 @@ use rasql_plan::{
 };
 use rasql_storage::codec::CompressedRelation;
 use rasql_storage::sync::{LockRank, RankedMutex};
-use rasql_storage::{CsrGraph, FxHashSet, Index, IndexLayout, Relation, Row, Value};
+use rasql_storage::{
+    CsrGraph, FxHashSet, Index, IndexLayout, Relation, Row, Value, WordShape, WordTable,
+};
 use std::marker::PhantomData;
 use std::ops::Range;
 use std::sync::atomic::{AtomicBool, Ordering};
@@ -130,8 +133,8 @@ trait Repr: Cell {
     /// column the tuple does not carry); `None` to decline the clique.
     fn pred(e: &PExpr, input: &[Option<Self::Kind>]) -> Option<PredFn<Self>>;
 
-    /// A probe-key extractor.
-    fn key(keys: &[PExpr], input: &[Option<Self::Kind>]) -> Option<KeyFn<Self>>;
+    /// A probe-key extractor, with the kinds of the key cells it appends.
+    fn key(keys: &[PExpr], input: &[Option<Self::Kind>]) -> Option<ProbeKey<Self>>;
 
     /// The projection to a tuple of the `target` kinds.
     fn emit(
@@ -145,7 +148,7 @@ trait Repr: Cell {
     fn run_apart(
         _b: &CompiledBranch<Self>,
         _io: &mut impl BranchIo<Self>,
-        _at: &BranchAt<'_>,
+        _at: &BranchAt<'_, Self>,
     ) -> Result<bool, Escaped> {
         Ok(false)
     }
@@ -156,6 +159,46 @@ trait Repr: Cell {
 
     /// A resident state of views held in this representation.
     fn resident(views: Vec<ResidentView<Self>>) -> CliqueState;
+
+    /// The layout of the index store's co-partitioned entry a join of this
+    /// shape probes.
+    fn layout(partitions: usize, join: &JoinShape<Self>) -> IndexLayout;
+
+    /// The partition tables of an index of that layout.
+    fn parts(index: Index) -> Option<Vec<Arc<Self::Table>>>;
+
+    /// A per-query build side of a plan's output rows (a seed's overlay, the
+    /// master copy of an uncompressed broadcast).
+    fn rows_table(rows: &[Row], join: &JoinShape<Self>) -> Result<Self::Table, Escaped>;
+
+    /// A worker's copy of a compressed broadcast (§7.2), decoded from the
+    /// payload.
+    fn payload_table(
+        payload: &CompressedRelation,
+        join: &JoinShape<Self>,
+    ) -> Result<Self::Table, Escaped>;
+
+    /// A snapshot of a recursive relation's tuples.
+    fn tuples_table(tuples: &Tuples<Self>, join: &JoinShape<Self>) -> Result<Self::Table, Escaped>;
+}
+
+/// A probe-key extractor and the kinds of the key cells it appends.
+type ProbeKey<C> = (KeyFn<C>, Arc<[<C as Cell>::Kind]>);
+
+/// What a join takes of its build side: the build key columns, the kinds of
+/// the probe's key cells, and per build column the kind a match is read in
+/// (`None`: nothing downstream reads it).
+#[derive(Clone)]
+struct JoinShape<C: Cell> {
+    keys: Vec<usize>,
+    key_kinds: Arc<[C::Kind]>,
+    read: Arc<[Option<C::Kind>]>,
+}
+
+impl JoinShape<u64> {
+    fn words(&self) -> WordShape {
+        WordShape::new(&self.keys, &self.key_kinds, &self.read)
+    }
 }
 
 /// Rows: any column type, every configuration — including the paper's
@@ -180,17 +223,48 @@ impl Repr for Value {
         }
     }
 
+    fn layout(partitions: usize, _: &JoinShape<Value>) -> IndexLayout {
+        IndexLayout::Hash { partitions }
+    }
+
+    fn parts(index: Index) -> Option<Vec<Arc<HashTable>>> {
+        match index {
+            Index::Hash(index) => Some(index.parts().to_vec()),
+            _ => None,
+        }
+    }
+
+    fn rows_table(rows: &[Row], join: &JoinShape<Value>) -> Result<HashTable, Escaped> {
+        // lint: allow(RL0008, a per-query build side: a seed's delta overlay or a broadcast's master copy)
+        Ok(HashTable::build(rows, &join.keys))
+    }
+
+    fn payload_table(
+        payload: &CompressedRelation,
+        join: &JoinShape<Value>,
+    ) -> Result<HashTable, Escaped> {
+        // lint: allow(RL0002, round-tripping a payload this pass just compressed)
+        let rows = payload.decompress().expect("own payload");
+        Self::rows_table(&rows, join)
+    }
+
+    fn tuples_table(tuples: &Tuples<Value>, join: &JoinShape<Value>) -> Result<HashTable, Escaped> {
+        Self::rows_table(&tuples.to_rows(), join)
+    }
+
     fn pred(e: &PExpr, _: &[Option<()>]) -> Option<PredFn> {
         let e = e.clone();
         Some(Arc::new(move |t: &[Value]| Ok(e.eval_vals(t).is_truthy())))
     }
 
-    fn key(keys: &[PExpr], _: &[Option<()>]) -> Option<KeyFn> {
+    fn key(keys: &[PExpr], _: &[Option<()>]) -> Option<ProbeKey<Value>> {
+        let kinds = vec![(); keys.len()].into();
         let keys = keys.to_vec();
-        Some(Arc::new(move |t: &[Value], k: &mut Vec<Value>| {
+        let key: KeyFn = Arc::new(move |t: &[Value], k: &mut Vec<Value>| {
             k.extend(keys.iter().map(|e| e.eval_vals(t)));
             Ok(())
-        }))
+        });
+        Some((key, kinds))
     }
 
     fn emit(exprs: Vec<PExpr>, _: &[Option<()>], _: &[()]) -> Option<Projection> {
@@ -203,7 +277,7 @@ impl Repr for Value {
     fn run_apart(
         b: &CompiledBranch<Value>,
         io: &mut impl BranchIo<Value>,
-        at: &BranchAt<'_>,
+        at: &BranchAt<'_, Value>,
     ) -> Result<bool, Escaped> {
         let sorted = |op: &CompiledOp<Value>| {
             matches!(
@@ -302,22 +376,60 @@ impl Repr for u64 {
         }
     }
 
+    fn layout(partitions: usize, join: &JoinShape<u64>) -> IndexLayout {
+        IndexLayout::Words {
+            partitions,
+            lanes: join.key_kinds.to_vec(),
+            read: join.read.to_vec(),
+        }
+    }
+
+    fn parts(index: Index) -> Option<Vec<Arc<WordTable>>> {
+        match index {
+            Index::Words(index) => Some(index.parts().to_vec()),
+            _ => None,
+        }
+    }
+
+    fn rows_table(rows: &[Row], join: &JoinShape<u64>) -> Result<WordTable, Escaped> {
+        // lint: allow(RL0008, a per-query build side: a seed's delta overlay or a broadcast's master copy)
+        WordTable::from_rows(join.words(), rows)
+    }
+
+    /// Straight from the payload's column lanes into cells: no row is built
+    /// per decompressed edge or per hashed edge.
+    fn payload_table(
+        payload: &CompressedRelation,
+        join: &JoinShape<u64>,
+    ) -> Result<WordTable, Escaped> {
+        // lint: allow(RL0002, round-tripping a payload this pass just compressed)
+        let batch = payload.decompress_lanes().expect("own payload");
+        // lint: allow(RL0008, the broadcast models the network: every worker builds its copy)
+        WordTable::from_batch(join.words(), &batch)
+    }
+
+    fn tuples_table(tuples: &Tuples<u64>, join: &JoinShape<u64>) -> Result<WordTable, Escaped> {
+        // lint: allow(RL0008, a snapshot of a recursive relation's own tuples, not of base data)
+        WordTable::from_tuples(join.words(), tuples.kinds(), tuples.iter())
+    }
+
     fn pred(e: &PExpr, input: &[Option<Lane>]) -> Option<PredFn<u64>> {
         let e = e.compile_words(input)?;
         (e.ty() == WordType::Bool)
             .then(|| -> PredFn<u64> { Arc::new(move |t| Ok(e.eval_cells(t)? == 1)) })
     }
 
-    fn key(keys: &[PExpr], input: &[Option<Lane>]) -> Option<KeyFn<u64>> {
+    fn key(keys: &[PExpr], input: &[Option<Lane>]) -> Option<ProbeKey<u64>> {
         let keys = word_exprs(keys, input)?;
-        // The probed table holds rows, so the key is built as values — on
-        // the pipeline's reused buffer, never the heap.
-        Some(Arc::new(move |t: &[u64], k: &mut Vec<Value>| {
-            for (e, lane) in &keys {
-                k.push(lane.decode(e.eval_cells(t)?));
+        let lanes = keys.iter().map(|&(_, lane)| lane).collect();
+        // The probed table is keyed on these lanes: the key is the words.
+        let key: KeyFn<u64> = Arc::new(move |t: &[u64], k: &mut Vec<u64>| {
+            for (e, _) in &keys {
+                k.push(e.eval_cells(t)?);
             }
             Ok(())
-        }))
+        });
+        Some((key, lanes))
     }
 
     fn emit(exprs: Vec<PExpr>, input: &[Option<Lane>], target: &[Lane]) -> Option<Projection<u64>> {
@@ -474,36 +586,39 @@ impl<C: Cell> ViewState<C> {
         }
     }
 
+    /// Lend the `which` tuples of the state to `f`, schema-shaped for a
+    /// view with aggregate `layout`.
+    fn for_each(&self, layout: &[Slot], which: Stamped, mut f: impl FnMut(&[C])) {
+        let mut tuple = Vec::new();
+        let mut group = |key: &[C], aggs: &[C]| {
+            tuple.clear();
+            assemble(layout, key, aggs, &mut tuple);
+            f(&tuple);
+        };
+        match (self, which) {
+            (ViewState::Set(s), Stamped::All) => s.iter().for_each(f),
+            (ViewState::Set(s), Stamped::Before(cutoff)) => s.iter_before(cutoff).for_each(f),
+            (ViewState::Set(s), Stamped::From(round)) => (s.iter_with_rounds())
+                .filter(|&(_, r)| r >= round)
+                .for_each(|(t, _)| f(t)),
+            (ViewState::Agg(a), Stamped::All) => a.iter().for_each(|g| group(g.key, g.values)),
+            (ViewState::Agg(a), Stamped::Before(cutoff)) => {
+                for g in 0..a.len() {
+                    if let Some(vals) = a.before(g, cutoff) {
+                        group(a.group(g).key, vals);
+                    }
+                }
+            }
+            (ViewState::Agg(a), Stamped::From(round)) => (a.iter())
+                .filter(|g| g.round >= round)
+                .for_each(|g| group(g.key, g.values)),
+        }
+    }
+
     /// Append the `which` tuples of the state to `out` as schema-shaped rows
     /// of a view with column `kinds` and aggregate `layout`.
     fn extend_rows(&self, kinds: &[C::Kind], layout: &[Slot], which: Stamped, out: &mut Vec<Row>) {
-        let row = |tuple: &[C]| Row::new(values_of(kinds, tuple));
-        let group = |key: &[C], aggs: &[C]| group_row(kinds, layout, key, aggs);
-        match (self, which) {
-            (ViewState::Set(s), Stamped::All) => out.extend(s.iter().map(row)),
-            (ViewState::Set(s), Stamped::Before(cutoff)) => {
-                out.extend(s.iter_before(cutoff).map(row));
-            }
-            (ViewState::Set(s), Stamped::From(round)) => out.extend(
-                (s.iter_with_rounds())
-                    .filter(|&(_, r)| r >= round)
-                    .map(|(tuple, _)| row(tuple)),
-            ),
-            (ViewState::Agg(a), Stamped::All) => {
-                out.extend(a.iter().map(|g| group(g.key, g.values)));
-            }
-            (ViewState::Agg(a), Stamped::Before(cutoff)) => {
-                out.extend((0..a.len()).filter_map(|g| {
-                    let vals = a.before(g, cutoff)?;
-                    Some(group(a.group(g).key, vals))
-                }));
-            }
-            (ViewState::Agg(a), Stamped::From(round)) => out.extend(
-                (a.iter())
-                    .filter(|g| g.round >= round)
-                    .map(|g| group(g.key, g.values)),
-            ),
-        }
+        self.for_each(layout, which, |t| out.push(Row::new(values_of(kinds, t))));
     }
 
     /// A private copy of the state with every tuple stamped round 0.
@@ -537,20 +652,6 @@ fn assemble<C: Cell>(layout: &[Slot], key: &[C], aggs: &[C], buf: &mut Vec<C>) {
     };
     // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
     buf.extend(layout.iter().map(|slot| cell(slot).clone()));
-}
-
-/// A group of a view with column `kinds` and aggregate `layout` as a
-/// schema-shaped row.
-fn group_row<C: Cell>(kinds: &[C::Kind], layout: &[Slot], key: &[C], aggs: &[C]) -> Row {
-    let cells = layout.iter().zip(kinds.iter());
-    Row::new(
-        cells
-            .map(|(slot, &kind)| match *slot {
-                Slot::Key(i) => key[i].to_value(kind),
-                Slot::Agg(j) => aggs[j].to_value(kind),
-            })
-            .collect(),
-    )
 }
 
 /// Where a schema column of an aggregate view lives in its state.
@@ -769,27 +870,27 @@ fn resolve_count_modes(v: &ViewSpec) -> Result<Vec<CountMode>, EngineError> {
         .collect())
 }
 
-/// The build side of a compiled join step.
-enum BuildSide {
-    /// Co-partitioned hash tables (one per partition), lent by the index
-    /// store (or built for this query alone when the plan reads its views).
-    Partitioned(Vec<Arc<HashTable>>),
-    /// Co-partitioned cached sorted runs (sort-merge strategy).
+/// The build side of a compiled join step: tables of the representation's
+/// own cells (`Cell::Table`).
+enum BuildSide<C: Cell> {
+    /// Co-partitioned tables (one per partition), lent by the index store
+    /// (or built for this query alone when the plan reads its views).
+    Partitioned(Vec<Arc<C::Table>>),
+    /// Co-partitioned cached sorted runs (sort-merge strategy, rows only).
     PartitionedSorted(Vec<Arc<SortedRun>>),
     /// One replicated table per worker (broadcast, §7.2).
-    Replicated(Arc<Broadcast<HashTable>>),
+    Replicated(Arc<Broadcast<C::Table>>),
     /// Snapshot of a recursive relation, rebuilt per round.
     Recursive { view: usize, mode: RecAllMode },
 }
 
 struct CompiledStep<C: Cell> {
-    build: BuildSide,
+    build: BuildSide<C>,
     stream_keys: Vec<PExpr>,
     /// `stream_keys` as the pipeline's probe-key extractor.
     key: KeyFn<C>,
-    build_keys: Vec<usize>,
-    /// What the pipeline reads of a matched build row.
-    read: Arc<[Option<C::Kind>]>,
+    /// What the join takes of its build side.
+    join: JoinShape<C>,
 }
 
 enum CompiledOp<C: Cell> {
@@ -798,10 +899,10 @@ enum CompiledOp<C: Cell> {
 }
 
 /// One step's expressions as evaluators: a filter, or a join's probe key
-/// and what it reads of a matched build row.
+/// and what it takes of its build side.
 enum StepEval<C: Cell> {
     Filter(PredFn<C>),
-    Join(KeyFn<C>, Arc<[Option<C::Kind>]>),
+    Join(KeyFn<C>, JoinShape<C>),
 }
 
 /// A branch's expressions as evaluators of one representation: one per step,
@@ -842,9 +943,12 @@ impl<C: Repr> BranchEvals<C> {
             match step {
                 BranchStep::Filter(e) => steps.push(StepEval::Filter(C::pred(e, &input)?)),
                 BranchStep::HashJoin {
-                    build, stream_keys, ..
+                    build,
+                    stream_keys,
+                    build_keys,
+                    ..
                 } => {
-                    let key = C::key(stream_keys, &input)?;
+                    let (key, key_kinds) = C::key(stream_keys, &input)?;
                     let build_kinds: Vec<Option<C::Kind>> = match build {
                         JoinBuild::Base(plan) => {
                             let fields = plan.schema().fields().iter();
@@ -859,7 +963,12 @@ impl<C: Repr> BranchEvals<C> {
                         .map(|(c, kind)| kind.filter(|_| used.contains(&(base + c))))
                         .collect();
                     input.extend(read.iter().copied());
-                    steps.push(StepEval::Join(key, read));
+                    let join = JoinShape {
+                        keys: build_keys.clone(),
+                        key_kinds,
+                        read,
+                    };
+                    steps.push(StepEval::Join(key, join));
                 }
             }
         }
@@ -878,13 +987,13 @@ struct CompiledBranch<C: Cell> {
 }
 
 impl<C: Cell> CompiledBranch<C> {
-    /// The branch over its evaluators, with `build(step, plan side, build
-    /// keys)` supplying each join's build side.
+    /// The branch over its evaluators, with `build(step, plan side, join)`
+    /// supplying each join's build side.
     fn new(
         prog: &BranchProgram,
         evals: BranchEvals<C>,
-        mut build: impl FnMut(usize, &JoinBuild, &[usize]) -> Result<BuildSide, EngineError>,
-    ) -> Result<Self, EngineError> {
+        mut build: impl FnMut(usize, &JoinBuild, &JoinShape<C>) -> Result<BuildSide<C>, Stop>,
+    ) -> Result<Self, Stop> {
         let mut ops = Vec::with_capacity(prog.steps.len());
         let mut uses_recursive_build = false;
         for (si, (step, eval)) in prog.steps.iter().zip(evals.steps).enumerate() {
@@ -893,18 +1002,16 @@ impl<C: Cell> CompiledBranch<C> {
                     BranchStep::HashJoin {
                         build: side,
                         stream_keys,
-                        build_keys,
                         ..
                     },
-                    StepEval::Join(key, read),
+                    StepEval::Join(key, join),
                 ) => {
                     uses_recursive_build |= matches!(side, JoinBuild::RecursiveAll { .. });
                     CompiledOp::Join(CompiledStep {
-                        build: build(si, side, build_keys)?,
+                        build: build(si, side, &join)?,
                         stream_keys: stream_keys.clone(),
                         key,
-                        build_keys: build_keys.clone(),
-                        read,
+                        join,
                     })
                 }
                 (BranchStep::Filter(_), StepEval::Filter(keep)) => CompiledOp::Filter(keep),
@@ -923,7 +1030,7 @@ impl<C: Cell> CompiledBranch<C> {
 
     /// The fused pipeline of the ops from `start` on, over the build sides
     /// as partition `at.part` on worker `at.worker` sees them this round.
-    fn pipeline(&self, start: usize, at: &BranchAt<'_>) -> Pipeline<C> {
+    fn pipeline(&self, start: usize, at: &BranchAt<'_, C>) -> Pipeline<C> {
         let mut steps: Vec<PipelineStep<C>> = Vec::new();
         for (i, op) in self.ops.iter().enumerate().skip(start) {
             let cs = match op {
@@ -947,7 +1054,6 @@ impl<C: Cell> CompiledBranch<C> {
             steps.push(PipelineStep::HashJoin {
                 table: Arc::clone(table),
                 key: Arc::clone(&cs.key),
-                read: Arc::clone(&cs.read),
             });
         }
         Pipeline {
@@ -973,9 +1079,9 @@ type ResidentViews<C> = (Arc<Vec<ViewRt<C>>>, Vec<BranchEvals<C>>);
 /// partition, schema-shaped tuples.
 type Buckets<C> = Vec<Vec<Tuples<C>>>;
 
-/// A hash-table snapshot of a recursive relation used as a join build side
-/// (`None` in the slots of filters and base build sides).
-type Snapshot = Option<Arc<HashTable>>;
+/// A snapshot of a recursive relation used as a join build side (`None` in
+/// the slots of filters and base build sides).
+type Snapshot<C> = Option<Arc<<C as Cell>::Table>>;
 
 // --------------------------------------------------------------------
 // The round loop's interface to a strategy
@@ -1225,7 +1331,7 @@ impl<'a> FixpointExecutor<'a> {
         spec: &FixpointSpec,
         views: &Arc<Vec<ViewRt<C>>>,
         evals: Vec<BranchEvals<C>>,
-    ) -> Result<Clique<'e, 'a, C>, EngineError> {
+    ) -> Result<Clique<'e, 'a, C>, Stop> {
         let progs = (spec.views.iter().enumerate())
             .flat_map(|(vi, v)| v.recursive.iter().map(move |p| (vi, p)));
         let mut branches: Vec<CompiledBranch<C>> = Vec::new();
@@ -1584,20 +1690,18 @@ impl<'a> FixpointExecutor<'a> {
         delta_pos: usize,
         delta_table: &str,
         delta_rows: &[Row],
-    ) -> Result<(CompiledBranch<C>, Vec<Snapshot>), EngineError> {
+    ) -> Result<(CompiledBranch<C>, Vec<Snapshot<C>>), Stop> {
         let Some(evals) = BranchEvals::compile(prog, views) else {
-            return Err(EngineError::Other(
+            return Err(Stop::Failed(EngineError::Other(
                 "a seed branch declined a clique its loop branches compiled for".into(),
-            ));
+            )));
         };
-        let mut snaps: Vec<Snapshot> = vec![None; prog.steps.len()];
-        let seed = CompiledBranch::new(prog, evals, |si, build, build_keys| {
+        let mut snaps: Vec<Snapshot<C>> = vec![None; prog.steps.len()];
+        let seed = CompiledBranch::new(prog, evals, |si, build, join| {
             Ok(match build {
                 JoinBuild::RecursiveAll { view, mode, .. } => {
-                    let warm = state_snapshot(&views[*view], RecAllMode::New, 0);
-                    // lint: allow(RL0008, a snapshot of the view's own warm rows, not of base data)
-                    let snap = HashTable::build(&warm, build_keys);
-                    snaps[si] = Some(Arc::new(snap));
+                    let warm = state_tuples(&views[*view], RecAllMode::New, 0);
+                    snaps[si] = Some(Arc::new(C::tuples_table(&warm, join)?));
                     BuildSide::Recursive {
                         view: *view,
                         mode: *mode,
@@ -1610,8 +1714,8 @@ impl<'a> FixpointExecutor<'a> {
                     } else {
                         self.eval.evaluate(plan)?
                     };
-                    // lint: allow(RL0008, a seed run probes one whole table of the delta overlay once)
-                    let whole = HashTable::build(rel.rows(), build_keys);
+                    // A seed run probes one whole table of the overlay once.
+                    let whole = C::rows_table(rel.rows(), join)?;
                     BuildSide::Partitioned(vec![Arc::new(whole)])
                 }
             })
@@ -1621,40 +1725,57 @@ impl<'a> FixpointExecutor<'a> {
 
     /// Fetch every index a delta-seeded resume of `spec` will ask the store
     /// for, so the first refresh of a view finds its build sides built and
-    /// only advances them.
+    /// only advances them: the packed one a resume on words asks for, or —
+    /// when words are declined or a build row escapes them — the row one.
+    /// The row index is also what a `WHERE col = literal` lookup of the same
+    /// plan probes; beside a packed one it is asked for as a lookup asks, so
+    /// the first such lookup builds it instead of scanning first.
     pub fn warm_indexes(&self, spec: &FixpointSpec) -> Result<(), EngineError> {
         if self.config.join == JoinStrategy::SortMerge {
             return Ok(());
         }
         // Like `run_resume`: decomposed evaluation off, so the state is
         // partitioned on the key columns.
-        for v in &spec.views {
-            for prog in &v.recursive {
-                if let Some((_, plan, build_keys)) = co_partitioned_build(prog, &v.key_cols, false)
+        let words = self.resident_views::<u64>(spec)?;
+        let progs = (spec.views.iter()).flat_map(|v| v.recursive.iter().map(move |p| (v, p)));
+        for (b, (v, prog)) in progs.enumerate() {
+            let Some((si, plan, build_keys)) = co_partitioned_build(prog, &v.key_cols, false)
+            else {
+                continue;
+            };
+            let packed = match words.as_ref().map(|(_, e)| &e[b].steps[si]) {
+                Some(StepEval::Join(_, join)) => match self.co_partitioned_index::<u64>(plan, join)
                 {
-                    self.co_partitioned_index(plan, build_keys)?;
-                }
-            }
+                    Ok(_) => true,
+                    Err(Stop::Escaped) => false,
+                    Err(Stop::Failed(e)) => return Err(e),
+                },
+                _ => false,
+            };
+            let layout = IndexLayout::Hash {
+                partitions: self.config.partitions,
+            };
+            self.eval.fetch_index(plan, build_keys, layout, !packed)?;
         }
         Ok(())
     }
 
-    /// The store's hash index of `plan` on `build_keys`, one table per
-    /// partition.
-    fn co_partitioned_index(
+    /// The store's index of `plan` for a join of this shape, one table per
+    /// partition; a packed one a build row escapes is an escape.
+    fn co_partitioned_index<C: Repr>(
         &self,
         plan: &LogicalPlan,
-        build_keys: &[usize],
-    ) -> Result<Vec<Arc<HashTable>>, EngineError> {
-        let layout = IndexLayout::Hash {
-            partitions: self.config.partitions,
+        join: &JoinShape<C>,
+    ) -> Result<Vec<Arc<C::Table>>, Stop> {
+        let layout = C::layout(self.config.partitions, join);
+        let Some(index) = self.eval.fetch_index(plan, &join.keys, layout, true)? else {
+            return Err(Stop::Escaped);
         };
-        match self.eval.fetch_index(plan, build_keys, layout, true)? {
-            Some(Index::Hash(index)) => Ok(index.parts().to_vec()),
-            _ => Err(EngineError::Other(
-                "index store answered a hash fetch with another layout".into(),
-            )),
-        }
+        C::parts(index).ok_or_else(|| {
+            Stop::Failed(EngineError::Other(
+                "index store answered a fetch with another layout".into(),
+            ))
+        })
     }
 
     // ----------------------------------------------------------------
@@ -1667,12 +1788,12 @@ impl<'a> FixpointExecutor<'a> {
         evals: BranchEvals<C>,
         views: &[ViewRt<C>],
         owner: usize,
-    ) -> Result<CompiledBranch<C>, EngineError> {
+    ) -> Result<CompiledBranch<C>, Stop> {
         let p = self.config.partitions;
         let driver = &views[owner];
         let co_partitioned =
             co_partitioned_build(prog, &driver.partition_key, driver.decomposed).map(|(si, ..)| si);
-        CompiledBranch::new(prog, evals, |si, build, build_keys| {
+        CompiledBranch::new(prog, evals, |si, build, join| {
             Ok(match build {
                 JoinBuild::RecursiveAll { view, mode, .. } => BuildSide::Recursive {
                     view: *view,
@@ -1681,55 +1802,47 @@ impl<'a> FixpointExecutor<'a> {
                 JoinBuild::Base(plan) if co_partitioned == Some(si) => {
                     if self.config.join == JoinStrategy::SortMerge {
                         let rows = self.eval.evaluate(plan)?.into_rows();
-                        // lint: allow(RL0008, sorted runs are built per query: the store keeps the hash and CSR layouts)
-                        let parts = rasql_storage::partition_rows(rows, build_keys, p);
+                        // lint: allow(RL0008, sorted runs are built per query: the store keeps the hash, packed and CSR layouts)
+                        let parts = rasql_storage::partition_rows(rows, &join.keys, p);
                         BuildSide::PartitionedSorted(
                             parts
                                 .into_iter()
-                                .map(|rows| Arc::new(SortedRun::build(rows, build_keys)))
+                                .map(|rows| Arc::new(SortedRun::build(rows, &join.keys)))
                                 .collect(),
                         )
                     } else {
-                        BuildSide::Partitioned(self.co_partitioned_index(plan, build_keys)?)
+                        BuildSide::Partitioned(self.co_partitioned_index(plan, join)?)
                     }
                 }
                 JoinBuild::Base(plan) => {
                     let rel = self.eval.evaluate(plan)?;
                     // Broadcast build (§7.2): compressed payload +
-                    // per-worker rebuild, or ship the prebuilt
-                    // (2-3x larger) hash table.
-                    let keys = build_keys.to_vec();
+                    // per-worker build, or ship the prebuilt table.
                     let governor = self.eval.governor;
                     let bc = if self.config.broadcast_compression {
                         let compressed =
                             Arc::new(CompressedRelation::compress(rel.schema(), rel.rows()));
                         let payload = compressed.size_bytes();
-                        Broadcast::distribute_traced(
+                        let join = join.clone();
+                        Broadcast::try_distribute_traced(
                             self.cluster,
                             None,
                             payload,
-                            move |_w| {
-                                let rows = compressed.decompress();
-                                // lint: allow(RL0002, round-tripping a payload this pass just compressed)
-                                let rows = rows.expect("own payload");
-                                // lint: allow(RL0008, the broadcast models the network: every worker rebuilds its copy)
-                                HashTable::build(&rows, &keys)
-                            },
+                            move |_w| C::payload_table(&compressed, &join),
                             governor,
                         )
                     } else {
-                        // lint: allow(RL0008, the broadcast models the network: the master copy is shipped per query)
-                        let master = Arc::new(HashTable::build(rel.rows(), &keys));
+                        let master = Arc::new(C::rows_table(rel.rows(), join)?);
                         let payload = master.size_bytes();
-                        Broadcast::distribute_traced(
+                        Broadcast::try_distribute_traced(
                             self.cluster,
                             None,
                             payload,
-                            move |_w| master.as_ref().clone(),
+                            move |_w| Ok(master.as_ref().clone()),
                             governor,
                         )
                     };
-                    BuildSide::Replicated(Arc::new(bc?))
+                    BuildSide::Replicated(Arc::new(bc.map_err(EngineError::from)??))
                 }
             })
         })
@@ -2269,7 +2382,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
             let fused = exec.eval.fused;
             move |part: usize,
                   deltas: &[DeltaBatch<C>],
-                  snapshots: &[Snapshot],
+                  snapshots: &[Snapshot<C>],
                   w: usize|
                   -> Result<(u64, Buckets<C>), Escaped> {
                 let delta_rows: u64 = deltas.iter().map(|d| d.len() as u64).sum();
@@ -2307,9 +2420,10 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
                 stages = 2;
                 // Old/new snapshots use the delta's stamp as cutoff.
                 let views = &self.c.views;
-                let snapshots = Arc::new(snapshots(&self.c.branches, |view, mode| {
-                    state_snapshot(&views[view], mode, round - 1)
-                }));
+                let snapshots = snapshots(&self.c.branches, |view, mode| {
+                    state_tuples(&views[view], mode, round - 1)
+                });
+                let snapshots = Arc::new(snapshots.map_err(|e| self.c.escape(e))?);
                 let tasks = (merged.into_iter().enumerate())
                     .map(|(part, deltas)| {
                         let (map, snapshots) = (map.clone(), Arc::clone(&snapshots));
@@ -2527,9 +2641,14 @@ impl<C: Repr> RoundStep for Naive<'_, '_, C> {
         let exec = self.c.exec;
         let p = exec.config.partitions;
         let views = &self.c.views;
-        let snapshots = Arc::new(snapshots(&self.c.branches, |view, _| {
-            self.prev[view].iter().flat_map(Tuples::to_rows).collect()
-        }));
+        let snapshots = snapshots(&self.c.branches, |view, _| {
+            let mut all = views[view].batch();
+            for tuple in self.prev[view].iter().flat_map(Tuples::iter) {
+                all.push(tuple);
+            }
+            all
+        });
+        let snapshots = Arc::new(snapshots.map_err(|e| self.c.escape(e))?);
         // Drivers read totals: the whole previous state is the "delta".
         let tasks: Vec<StageTask<Result<Buckets<C>, Escaped>>> = (0..p)
             .map(|part| {
@@ -2892,8 +3011,8 @@ where
 /// sides (one slot per compiled op of the clique, this branch's from
 /// `op_base`), the partition and worker whose build sides it probes, and
 /// whether operators are fused.
-struct BranchAt<'a> {
-    snapshots: &'a [Snapshot],
+struct BranchAt<'a, C: Cell> {
+    snapshots: &'a [Snapshot<C>],
     op_base: usize,
     /// `usize::MAX`: no co-partitioned build exists (decomposed mode).
     part: usize,
@@ -2969,7 +3088,7 @@ fn map_task<C: Repr>(
     views: &[ViewRt<C>],
     branches: &[CompiledBranch<C>],
     deltas: &[DeltaBatch<C>],
-    snapshots: &[Snapshot],
+    snapshots: &[Snapshot<C>],
     part: usize,
     worker: usize,
     fused: bool,
@@ -3015,7 +3134,7 @@ fn map_task<C: Repr>(
 fn run_branch<C: Repr>(
     b: &CompiledBranch<C>,
     io: &mut impl BranchIo<C>,
-    at: &BranchAt<'_>,
+    at: &BranchAt<'_, C>,
 ) -> Result<(), Escaped> {
     if C::run_apart(b, io, at)? {
         return Ok(());
@@ -3033,25 +3152,24 @@ fn run_branch<C: Repr>(
 
 /// The per-round snapshots of the recursive relations that branches use as
 /// join build sides (mutual/non-linear recursion), one slot per compiled op;
-/// `rows_of(view, mode)` supplies a relation's rows as the round sees them.
-/// A hash table holds rows, so this is a cold edge: tuples become rows here
-/// whatever the representation.
-fn snapshots<C: Cell>(
+/// `tuples_of(view, mode)` supplies a relation's tuples as the round sees
+/// them, in the representation's own cells — a word clique's snapshot is
+/// packed straight from its state tuples.
+fn snapshots<C: Repr>(
     branches: &[CompiledBranch<C>],
-    mut rows_of: impl FnMut(usize, RecAllMode) -> Vec<Row>,
-) -> Vec<Snapshot> {
+    mut tuples_of: impl FnMut(usize, RecAllMode) -> Tuples<C>,
+) -> Result<Vec<Snapshot<C>>, Escaped> {
     let ops = branches.iter().flat_map(|b| &b.ops);
     ops.map(|op| match op {
         CompiledOp::Join(CompiledStep {
             build: BuildSide::Recursive { view, mode },
-            build_keys,
+            join,
             ..
         }) => {
-            // lint: allow(RL0008, a per-round snapshot of a recursive relation, not of base data)
-            let table = HashTable::build(&rows_of(*view, *mode), build_keys);
-            Some(Arc::new(table))
+            let table = C::tuples_table(&tuples_of(*view, *mode), join)?;
+            Ok(Some(Arc::new(table)))
         }
-        _ => None,
+        _ => Ok(None),
     })
     .collect()
 }
@@ -3073,20 +3191,19 @@ fn preload<C: Cell, R: AsRef<[Row]>>(views: &[ViewRt<C>], rows: &[R]) -> Result<
     Ok(())
 }
 
-/// A view's rows as a semi-naive round whose delta is stamped `cutoff` reads
-/// them: all of them (`New`), or the state before that delta was merged
-/// (`Old`).
-fn state_snapshot<C: Cell>(v: &ViewRt<C>, mode: RecAllMode, cutoff: u32) -> Vec<Row> {
+/// A view's tuples as a semi-naive round whose delta is stamped `cutoff`
+/// reads them: all of them (`New`), or the state before that delta was
+/// merged (`Old`).
+fn state_tuples<C: Cell>(v: &ViewRt<C>, mode: RecAllMode, cutoff: u32) -> Tuples<C> {
     let which = match mode {
         RecAllMode::Old => Stamped::Before(cutoff),
         RecAllMode::New => Stamped::All,
     };
-    let mut rows = Vec::new();
+    let mut tuples = v.batch();
     for part in &v.state {
-        part.lock()
-            .extend_rows(&v.kinds, &v.layout, which, &mut rows);
+        part.lock().for_each(&v.layout, which, |t| tuples.push(t));
     }
-    rows
+    tuples
 }
 
 /// Map-side partial aggregation / dedup before the shuffle (Algorithm 5), fed

@@ -2,7 +2,7 @@
 //! decomposed aggregate views, locality/metrics behavior, error reporting,
 //! and odd-but-legal query shapes.
 
-use rasql_core::{library, EngineConfig, RaSqlContext};
+use rasql_core::{library, EngineConfig, JoinStrategy, RaSqlContext};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 fn ctx2(cfg: EngineConfig) -> RaSqlContext {
@@ -424,4 +424,74 @@ fn nonlinear_tc_equals_linear_tc() {
         nl_iters <= 10,
         "non-linear TC should need ~log2(64) rounds, took {nl_iters}"
     );
+}
+
+/// `a.k = b.k` is not true when either key is NULL, so an equi-join drops
+/// NULL-keyed pairs whichever way it runs: as a hash join (the optimizer
+/// extracted the keys), as a cross join with the predicate as a residual
+/// (`OR a.X < 0`, never true here, keeps the keys out of the join), or as
+/// a sort-merge join —
+/// and so does recursion, through a base build side and through a snapshot
+/// of the recursive relation.
+#[test]
+fn equi_joins_never_match_null_keys() {
+    let schema = Schema::new(vec![("K", DataType::Int), ("X", DataType::Int)]);
+    let cell = |v: Option<i64>| v.map_or(Value::Null, Value::Int);
+    let rows = [
+        (Some(1), 10),
+        (None, 20),
+        (None, 30),
+        (Some(2), 40),
+        (Some(1), 50),
+    ];
+    let t = rows
+        .iter()
+        .map(|&(k, x)| Row::new(vec![cell(k), Value::Int(x)]));
+    let t = Relation::try_new(schema.clone(), t.collect()).unwrap();
+    let ctx = ctx2(EngineConfig::rasql());
+    ctx.register("t", t).unwrap();
+    let pairs = |sql: &str| ctx.query(sql).unwrap().relation.sorted();
+    let hash = pairs("SELECT a.X, b.X FROM t a, t b WHERE a.K = b.K");
+    let residual = pairs("SELECT a.X, b.X FROM t a, t b WHERE a.K = b.K OR a.X < 0");
+    assert_eq!(hash.rows(), residual.rows());
+    assert_eq!(hash.len(), 5, "{:?}", hash.rows());
+
+    // 1 → NULL and NULL → 2 are edges; they do not make a path 1 → 2.
+    let edges = [(Some(1), None), (None, Some(2)), (Some(2), Some(3))];
+    let edges = edges.iter().map(|&(s, d)| Row::new(vec![cell(s), cell(d)]));
+    let schema = Schema::new(vec![("Src", DataType::Int), ("Dst", DataType::Int)]);
+    let edge = Relation::try_new(schema, edges.collect()).unwrap();
+    let want = [
+        (Some(1), None),
+        (None, Some(2)),
+        (None, Some(3)),
+        (Some(2), Some(3)),
+    ];
+    let mut want: Vec<Row> = want
+        .iter()
+        .map(|&(s, d)| Row::new(vec![cell(s), cell(d)]))
+        .collect();
+    want.sort();
+    let linear = library::transitive_closure();
+    let squared = "WITH recursive tc (Src, Dst) AS \
+           (SELECT Src, Dst FROM edge) UNION \
+           (SELECT a.Src, b.Dst FROM tc a, tc b WHERE a.Dst = b.Src) \
+         SELECT Src, Dst FROM tc";
+    let configs = [
+        ("decomposed", EngineConfig::rasql()),
+        ("hash", EngineConfig::rasql().with_decomposed(false)),
+        ("unfused", EngineConfig::rasql().with_fused_codegen(false)),
+        (
+            "sort-merge",
+            EngineConfig::rasql().with_join(JoinStrategy::SortMerge),
+        ),
+    ];
+    for (name, cfg) in configs {
+        let ctx = ctx2(cfg.with_specialized_kernels(false));
+        ctx.register("edge", edge.clone()).unwrap();
+        for sql in [linear.as_str(), squared] {
+            let got = ctx.query(sql).unwrap().relation.sorted();
+            assert_eq!(got.rows(), &want[..], "{name}: {sql}");
+        }
+    }
 }

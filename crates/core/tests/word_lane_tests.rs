@@ -208,3 +208,19 @@ fn explain_analyze_and_the_metrics_name_the_representation() {
     );
     assert!(prometheus.contains("rasql_lane_escapes_total 0\n"));
 }
+
+#[test]
+fn a_double_key_column_probed_by_an_int_lane_matches_as_rows_do() {
+    // `edge.Src` is declared `Double`: integral values an `Int` probe
+    // matches, and `2.5`, NULL and `-0.0`, which no `Int` equals.
+    let schema = Schema::new(vec![("Src", DataType::Double), ("Dst", DataType::Int)]);
+    let mut rows: Vec<Row> = (chain().iter())
+        .map(|&[s, d]| Row::new(vec![Value::Double(s as f64), Value::Int(d)]))
+        .collect();
+    for stray in [Value::Double(2.5), Value::Null, Value::Double(-0.0)] {
+        rows.push(Row::new(vec![stray, Value::Int(99)]));
+    }
+    let edge = Relation::try_new(schema, rows).unwrap();
+    let seed = int_pairs(["Src", "Dst"], &[[0, 0], [5, 6]]);
+    assert_matches_rows(&vec![("seed", seed), ("edge", edge)], REACH, 0);
+}

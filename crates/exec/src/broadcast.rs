@@ -12,6 +12,7 @@ use crate::error::ExecError;
 use crate::governor::QueryGovernor;
 use crate::metrics::Metrics;
 use crate::trace::{StageKind, TraceSink};
+use std::convert::Infallible;
 use std::sync::Arc;
 
 /// A value replicated to every worker.
@@ -51,6 +52,26 @@ impl<T: Send + Sync + 'static> Broadcast<T> {
         build: impl Fn(usize) -> T + Send + Sync + 'static,
         governor: Option<&QueryGovernor>,
     ) -> Result<Self, ExecError> {
+        let built = Broadcast::try_distribute_traced(
+            cluster,
+            sink,
+            payload_bytes,
+            move |w| Ok::<T, Infallible>(build(w)),
+            governor,
+        )?;
+        Ok(built.unwrap_or_else(|never| match never {}))
+    }
+
+    /// [`Broadcast::distribute_traced`] of a build that may refuse the
+    /// payload (a worker decoding it finds it cannot hold it): the refusal
+    /// of the first worker in order that refused, if one did.
+    pub fn try_distribute_traced<E: Send + 'static>(
+        cluster: &Cluster,
+        sink: Option<&TraceSink>,
+        payload_bytes: usize,
+        build: impl Fn(usize) -> Result<T, E> + Send + Sync + 'static,
+        governor: Option<&QueryGovernor>,
+    ) -> Result<Result<Self, E>, ExecError> {
         let replicated = (payload_bytes * cluster.workers()) as u64;
         if let Some(g) = governor {
             g.check()?;
@@ -74,7 +95,7 @@ impl<T: Send + Sync + 'static> Broadcast<T> {
         let tasks = (0..cluster.workers())
             .map(|w| {
                 let build = Arc::clone(&build);
-                StageTask::new(w, move |_wid| Arc::new(build(w)))
+                StageTask::new(w, move |_wid| build(w).map(Arc::new))
             })
             .collect();
         let stage = cluster.run_stage_traced(sink, "broadcast build", StageKind::Broadcast, tasks);
@@ -83,7 +104,8 @@ impl<T: Send + Sync + 'static> Broadcast<T> {
             // here; the live replicas are the consumer's to account.
             g.tracker().release(replicated);
         }
-        Ok(Broadcast { copies: stage? })
+        let copies: Result<Vec<Arc<T>>, E> = stage?.into_iter().collect();
+        Ok(copies.map(|copies| Broadcast { copies }))
     }
 
     /// The copy local to `worker`.

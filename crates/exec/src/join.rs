@@ -6,11 +6,55 @@
 //! - **Sort-merge join**: both sides sorted by key, merged; the base side's
 //!   sorted run is likewise built once and reused.
 
-use rasql_storage::Row;
+use rasql_storage::{Row, Value, WordMatches, WordTable};
 
 /// The hash table lives beside the index store that keeps it across
 /// statements; this is its historical path.
 pub use rasql_storage::HashTable;
+
+/// A join build side as the fused pipeline probes it: the build tuples whose
+/// key is a key of cells, as cells, in table order. The row table
+/// ([`HashTable`]) is the one value cells probe; word cells probe the packed
+/// [`WordTable`], so a match extends a packed tuple without a `Value` made.
+pub trait JoinTable<C>: Clone + Send + Sync + 'static {
+    /// The matches of one probe.
+    type Matches<'a>: Iterator<Item = &'a [C]>
+    where
+        Self: 'a,
+        C: 'a;
+
+    /// The build tuples under `key`.
+    fn matches(&self, key: &[C]) -> Self::Matches<'_>;
+
+    /// Bytes held: what shipping the built table whole would cost.
+    fn size_bytes(&self) -> usize;
+}
+
+impl JoinTable<Value> for HashTable {
+    type Matches<'a> = std::iter::Map<std::slice::Iter<'a, Row>, fn(&'a Row) -> &'a [Value]>;
+
+    #[inline]
+    fn matches(&self, key: &[Value]) -> Self::Matches<'_> {
+        self.probe(key).iter().map(Row::values)
+    }
+
+    fn size_bytes(&self) -> usize {
+        HashTable::size_bytes(self)
+    }
+}
+
+impl JoinTable<u64> for WordTable {
+    type Matches<'a> = WordMatches<'a>;
+
+    #[inline]
+    fn matches(&self, key: &[u64]) -> WordMatches<'_> {
+        self.probe(key)
+    }
+
+    fn size_bytes(&self) -> usize {
+        WordTable::size_bytes(self)
+    }
+}
 
 /// A build side pre-sorted on its key columns, reusable across iterations.
 #[derive(Debug, Clone)]
@@ -51,7 +95,8 @@ fn cmp_keys(a: &Row, b: &Row, a_cols: &[usize], b_cols: &[usize]) -> std::cmp::O
 }
 
 /// Sort-merge join: sorts the probe side, merges against the pre-sorted build
-/// run, and emits `probe ++ build` rows through `emit`.
+/// run, and emits `probe ++ build` rows through `emit`. Runs whose key holds
+/// NULL match nothing, as in the hash join.
 pub fn merge_join(
     probe: &mut [Row],
     probe_keys: &[usize],
@@ -85,7 +130,8 @@ pub fn merge_join(
                 {
                     p_end += 1;
                 }
-                for p in &probe[p_start..p_end] {
+                let null_key = probe_keys.iter().any(|&c| probe[p_start][c].is_null());
+                for p in probe[p_start..p_end].iter().filter(|_| !null_key) {
                     for b in &build_rows[b_start..b_end] {
                         emit(p.concat(b));
                     }
@@ -126,6 +172,24 @@ mod tests {
 
         assert_eq!(got, expected);
         assert!(!got.is_empty());
+    }
+
+    #[test]
+    fn null_keys_match_nothing() {
+        let null_row = |v: i64| Row::new(vec![Value::Null, Value::Int(v)]);
+        let build = vec![null_row(1), int_row(&[2, 2])];
+        let probe = vec![null_row(3), int_row(&[2, 4])];
+        let ht = HashTable::build(&build, &[0]);
+        assert_eq!(ht.len(), 1);
+        assert!(ht.probe(&[Value::Null]).is_empty());
+        let mut got = Vec::new();
+        merge_join(
+            &mut probe.clone(),
+            &[0],
+            &SortedRun::build(build, &[0]),
+            |r| got.push(r),
+        );
+        assert_eq!(got, vec![int_row(&[2, 4, 2, 2])]);
     }
 
     #[test]

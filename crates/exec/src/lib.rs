@@ -68,7 +68,7 @@ pub use fault::{FaultInjector, FaultSpec, TaskFault};
 pub use governor::{
     AdmissionController, AdmissionPermit, CancellationToken, MemoryTracker, QueryGovernor,
 };
-pub use join::{merge_join, HashTable};
+pub use join::{merge_join, HashTable, JoinTable};
 pub use kernel::{
     scan_delta, scan_delta_set, Combiner, DenseAggState, DenseSetState, DenseState, KernelValue,
     MaxOp, MergeOp, MinOp, SumOp,

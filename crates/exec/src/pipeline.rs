@@ -16,17 +16,17 @@
 //!
 //! Both produce identical results; Fig 7 measures the difference.
 
-use crate::join::HashTable;
+use crate::join::JoinTable;
 use crate::tuples::{Cell, Escaped};
 use rasql_storage::{Row, Value};
 use std::sync::Arc;
 
 /// A tuple-level predicate.
 pub type PredFn<C = Value> = Arc<dyn Fn(&[C]) -> Result<bool, Escaped> + Send + Sync>;
-/// A key extractor: appends the tuple's hash-join probe key — values,
-/// whatever the tuple's cells, because that is what a [`HashTable`] holds —
-/// to the buffer.
-pub type KeyFn<C = Value> = Arc<dyn Fn(&[C], &mut Vec<Value>) -> Result<(), Escaped> + Send + Sync>;
+/// A key extractor: appends the tuple's hash-join probe key to the buffer,
+/// as cells of the tuple's own type — the key of the build side it probes
+/// (`Cell::Table`): values for a row table, lane words for a packed one.
+pub type KeyFn<C = Value> = Arc<dyn Fn(&[C], &mut Vec<C>) -> Result<(), Escaped> + Send + Sync>;
 /// The final projection: appends the output tuple to the buffer.
 pub type MapFn<C = Value> = Arc<dyn Fn(&[C], &mut Vec<C>) -> Result<(), Escaped> + Send + Sync>;
 
@@ -36,17 +36,14 @@ pub enum PipelineStep<C: Cell = Value> {
     /// Keep tuples satisfying the predicate.
     Filter(PredFn<C>),
     /// Hash-join: for each input tuple, probe `table` with its key and emit
-    /// `tuple ++ match` for every match. An empty key = cross join (emit
-    /// against every build row).
+    /// `tuple ++ match` for every match — a match is already cells of the
+    /// tuple's type, so it is copied as it is. An empty key = cross join
+    /// (emit against every build row).
     HashJoin {
         /// The (cached) build-side table.
-        table: Arc<HashTable>,
+        table: Arc<C::Table>,
         /// Probe-key extractor.
         key: KeyFn<C>,
-        /// Per build column, the kind a matched row's value is read as;
-        /// `None` for a column nothing downstream reads. Word tuples need
-        /// it; value tuples copy every column and take an empty list.
-        read: Arc<[Option<C::Kind>]>,
     },
 }
 
@@ -92,7 +89,7 @@ pub struct Scratch<C> {
     /// Filters ahead of the first join, which test an input tuple in place.
     lead: usize,
     tuple: Vec<C>,
-    key: Vec<Value>,
+    key: Vec<C>,
     out: Vec<C>,
 }
 
@@ -188,8 +185,8 @@ impl<C: Cell> Pipeline<C> {
                 }
                 Ok(())
             }
-            Some(PipelineStep::HashJoin { table, key, read }) => {
-                // The key buffer is free again once `probe` returns (the
+            Some(PipelineStep::HashJoin { table, key }) => {
+                // The key buffer is free again once `matches` returns (the
                 // matches borrow the table), so the steps below reuse it.
                 s.key.clear();
                 key(&s.tuple, &mut s.key)?;
@@ -199,21 +196,22 @@ impl<C: Cell> Pipeline<C> {
                 {
                     // The last step, under a column projection: every output
                     // cell is a cell of the tuple or of the matched row.
-                    for m in table.probe(&s.key) {
+                    for m in table.matches(&s.key) {
                         s.out.clear();
                         for &c in cols.iter() {
-                            s.out.push(match c.checked_sub(arity) {
-                                // lint: allow(RL0010, a cell: a word copy when the tuple is packed words)
-                                None => s.tuple[c].clone(),
-                                Some(b) => C::read(read.get(b).copied().flatten(), &m.values()[b])?,
-                            });
+                            let cell = match c.checked_sub(arity) {
+                                None => &s.tuple[c],
+                                Some(b) => &m[b],
+                            };
+                            // lint: allow(RL0010, a cell: a word copy when the tuple is packed words)
+                            s.out.push(cell.clone());
                         }
                         sink(&s.out)?;
                     }
                     return Ok(());
                 }
-                for m in table.probe(&s.key) {
-                    C::append_row(read, m.values(), &mut s.tuple)?;
+                for m in table.matches(&s.key) {
+                    s.tuple.extend_from_slice(m);
                     self.push(i + 1, s, sink)?;
                     s.tuple.truncate(arity);
                 }
@@ -293,6 +291,7 @@ pub fn run_fused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::join::HashTable;
     use rasql_storage::row::int_row;
 
     fn pipeline_fixture() -> (Vec<Row>, Pipeline) {
@@ -307,7 +306,6 @@ mod tests {
                     k.push(r[1].clone());
                     Ok(())
                 }),
-                read: [].into(),
             },
             PipelineStep::Filter(Arc::new(|r: &[Value]| Ok(r[3].as_int().unwrap() >= 100))),
         ];

@@ -13,9 +13,11 @@
 //!   tuple hashes and compares as plain words;
 //! - **values** (`Value` cells): any column type, NULLs included.
 //!
-//! [`Cell`] is everything the two differ in; the state tables
-//! ([`crate::state`]), the pipeline ([`crate::pipeline`]) and the fixpoint's
-//! round logic are written once over it. A word run that meets a value
+//! [`Cell`] is everything the two differ in — down to the join build side
+//! each probes (`Cell::Table`: a row [`HashTable`] for values, a packed
+//! [`WordTable`] for words); the state tables ([`crate::state`]), the
+//! pipeline ([`crate::pipeline`]) and the fixpoint's round logic are written
+//! once over it. A word run that meets a value
 //! outside its lane — an `Int` overflow, a NULL, a mistyped base column —
 //! reports [`Escaped`] and the clique is re-evaluated on values.
 //!
@@ -27,9 +29,10 @@
 //! `Double` hashes as its `Int`), so [`partition_of`] of a word tuple equals
 //! `row_partition` of the equivalent row bit for bit.
 
+use crate::join::{HashTable, JoinTable};
 use crate::state::{MergeOutcome, MonotoneOp};
 pub use rasql_storage::value::{Escaped, Lane};
-use rasql_storage::{DataType, FxHasher, Row, Schema, Value};
+use rasql_storage::{DataType, FxHasher, Row, Schema, Value, WordTable};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::sync::Arc;
@@ -51,6 +54,10 @@ pub fn kinds_of<C: Cell>(schema: &Schema) -> Option<Arc<[C::Kind]>> {
 pub trait Cell: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// What must be known about a column to interpret its cells.
     type Kind: Copy + std::fmt::Debug + Send + Sync + 'static;
+
+    /// The join build side a tuple of these cells probes with a key of
+    /// them, and whose matches it is extended by.
+    type Table: JoinTable<Self>;
 
     /// The kind of a column of this declared type, or `None` when the
     /// representation cannot hold it.
@@ -75,19 +82,6 @@ pub trait Cell: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// The cell of `v`, which must be of the column's kind.
     fn from_value(v: &Value, kind: Self::Kind) -> Result<Self, Escaped>;
 
-    /// One value of a join match — a build row — as a cell: strictly of
-    /// `kind` (the declared variant or an escape); `None` is a column
-    /// nothing reads, whose cell is never looked at.
-    fn read(kind: Option<Self::Kind>, v: &Value) -> Result<Self, Escaped>;
-
-    /// Append a join match to the tuple in flight, `read[c]` being the kind
-    /// column `c` is read as.
-    fn append_row(
-        read: &[Option<Self::Kind>],
-        row: &[Value],
-        tuple: &mut Vec<Self>,
-    ) -> Result<(), Escaped>;
-
     /// Merge `new` into `cur` under a monotone aggregate.
     fn merge(
         op: MonotoneOp,
@@ -105,6 +99,7 @@ pub trait Cell: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
 
 impl Cell for Value {
     type Kind = ();
+    type Table = HashTable;
 
     fn kind_of(_: DataType) -> Option<()> {
         Some(())
@@ -143,17 +138,6 @@ impl Cell for Value {
     }
 
     #[inline]
-    fn read(_: Option<()>, v: &Value) -> Result<Value, Escaped> {
-        Ok(v.clone())
-    }
-
-    #[inline]
-    fn append_row(_: &[Option<()>], row: &[Value], tuple: &mut Vec<Value>) -> Result<(), Escaped> {
-        tuple.extend_from_slice(row);
-        Ok(())
-    }
-
-    #[inline]
     fn merge(
         op: MonotoneOp,
         (): (),
@@ -176,6 +160,7 @@ impl Cell for Value {
 
 impl Cell for u64 {
     type Kind = Lane;
+    type Table = WordTable;
 
     fn kind_of(data_type: DataType) -> Option<Lane> {
         match data_type {
@@ -201,14 +186,7 @@ impl Cell for u64 {
 
     #[inline]
     fn hash_key(&self, lane: Lane, h: &mut FxHasher) {
-        match lane {
-            // `Value::Int`'s own two writes.
-            Lane::Int => {
-                h.write_u8(2);
-                h.write_i64(*self as i64);
-            }
-            Lane::Double => lane.decode(*self).hash(h),
-        }
+        lane.hash_word(*self, h);
     }
 
     #[inline]
@@ -224,28 +202,6 @@ impl Cell for u64 {
     #[inline]
     fn from_value(v: &Value, lane: Lane) -> Result<u64, Escaped> {
         lane.encode(v)
-    }
-
-    #[inline]
-    fn read(lane: Option<Lane>, v: &Value) -> Result<u64, Escaped> {
-        lane.map_or(Ok(0), |lane| lane.encode(v))
-    }
-
-    #[inline]
-    fn append_row(
-        read: &[Option<Lane>],
-        row: &[Value],
-        tuple: &mut Vec<u64>,
-    ) -> Result<(), Escaped> {
-        debug_assert_eq!(read.len(), row.len());
-        let base = tuple.len();
-        tuple.resize(base + read.len(), 0);
-        for (c, lane) in read.iter().enumerate() {
-            if let Some(lane) = lane {
-                tuple[base + c] = lane.encode(&row[c])?;
-            }
-        }
-        Ok(())
     }
 
     /// `MonotoneOp::merge` on one lane; where `Value::add` would promote an

@@ -243,21 +243,20 @@ proptest! {
             Ok(())
         });
         let no_key: KeyFn = Arc::new(|_: &[Value], _: &mut Vec<Value>| Ok(()));
-        let read = || Arc::from([]);
         // At most two cross joins, so outputs stay small.
         let mut crosses = 0;
         let steps: Vec<PipelineStep> = kinds
             .iter()
             .map(|&kind| match kind {
-                1 => PipelineStep::HashJoin { table: table(&build_rows, &[0]), key: key.clone(), read: read() },
+                1 => PipelineStep::HashJoin { table: table(&build_rows, &[0]), key: key.clone() },
                 2 => {
                     let mut advanced = HashTable::build(&build_rows[..cut], &[0]);
                     advanced.append(&build_rows[cut..]);
-                    PipelineStep::HashJoin { table: Arc::new(advanced), key: key.clone(), read: read() }
+                    PipelineStep::HashJoin { table: Arc::new(advanced), key: key.clone() }
                 }
                 3 if crosses < 2 => {
                     crosses += 1;
-                    PipelineStep::HashJoin { table: table(&build_rows[..cut.min(5)], &[]), key: no_key.clone(), read: read() }
+                    PipelineStep::HashJoin { table: table(&build_rows[..cut.min(5)], &[]), key: no_key.clone() }
                 }
                 _ => PipelineStep::Filter(Arc::new(move |t: &[Value]| {
                     Ok(t[t.len() - 2].as_int().unwrap() >= threshold)

@@ -19,7 +19,7 @@
 //! | `RL0005` | direct durable file writes (`File::create`, `.write_all(`, `fs::rename`) in `crates/storage/src` outside the WAL/snapshot/spill modules |
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
 //! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s streaming executor, `exec::kernel`'s edge walk, `core::fixpoint`'s emit/merge functions and seed-fold sink) without an allow annotation |
-//! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast and recursive-snapshot builds carry an allow annotation saying why they are not kept |
+//! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `WordIndex::build(`, `WordTable::from_rows(`/`from_tuples(`/`from_batch(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast, seed and recursive-snapshot builds carry an allow annotation saying why they are not kept |
 //! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s executor, `exec::tuples`' set, `exec::state`'s inserts, `plan::expr`'s word evaluator, `core::fixpoint`'s branch run and merge) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
 //! | `RL0009` | round-loop bookkeeping (`record_iteration(`, `EngineError::NonTermination`, `metrics.iterations`, `metrics.restores`, `begin_clique(`) in `core::fixpoint` outside fn `drive` — the trace record, the cap, the iteration count and recovery are written once; the in-task cap of the decomposed stage carries an allow annotation |
 //! | `RL0011` | statement bookkeeping in `core::context` outside the lifecycle function that owns it: a clock (`Instant::now(`) or a `QueryStats {` literal outside `run_statement`, a metrics delta (`.snapshot().since(`) outside `execute`, an `EvalContext {` literal outside `eval_context` — every statement is timed by one clock, measured by one delta, evaluated through one context and reported by one assembly |
@@ -91,7 +91,8 @@ pub enum LintCode {
     /// buffer until the state finds it new; the allocation for a new tuple
     /// is the reasoned exception.
     PerTupleRowBuild,
-    /// `RL0008`: `HashTable::build(`, `partition_rows(` or `CsrGraph::build(`
+    /// `RL0008`: `HashTable::build(`, `WordIndex::build(`, `WordTable::from_…(`,
+    /// `partition_rows(` or `CsrGraph::build(`
     /// in `crates/core/src` outside `index.rs`, the one module that feeds
     /// the index store. An index of base data built anywhere else is built
     /// again by the next statement and invalidated by nobody's protocol; a
@@ -918,6 +919,7 @@ const WORD_PATHS: &[(&str, &[&str])] = &[
     ("crates/exec/src/tuples.rs", WORD_SET_FNS),
     ("crates/exec/src/state.rs", WORD_STATE_FNS),
     ("crates/plan/src/expr.rs", &["eval_cells"]),
+    ("crates/storage/src/index.rs", PACKED_TABLE_FNS),
     (
         "crates/core/src/fixpoint.rs",
         &[
@@ -943,6 +945,20 @@ const WORD_SET_FNS: &[&str] = &[
     "hash_cells",
 ];
 const WORD_STATE_FNS: &[&str] = &["insert_slice", "merge_in_place"];
+/// The packed build side's probe and build (`storage::index::WordTable`).
+const PACKED_TABLE_FNS: &[&str] = &[
+    "probe",
+    "next",
+    "find_key",
+    "slot_of",
+    "key_cells",
+    "laid_out",
+    "push_row",
+    "link",
+    "lay_out",
+    "from_tuples",
+    "from_batch",
+];
 
 /// RL0007: `Row::new(` / `Row::from_slice(` / `.concat(` / `.to_vec(` in a
 /// function that runs once per derived tuple. Most derived tuples are
@@ -1045,7 +1061,8 @@ fn rule_word_path_value(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppre
     }
 }
 
-/// RL0008: `HashTable::build(` / `partition_rows(` / `CsrGraph::build(` in
+/// RL0008: `HashTable::build(` / `WordIndex::build(` / `WordTable::from_…(`
+/// / `partition_rows(` / `CsrGraph::build(` in
 /// `crates/core/src` outside `index.rs`. The index store builds, keeps,
 /// advances and invalidates join indexes of base data; `core::index` is the
 /// one module that feeds it.
@@ -1061,11 +1078,20 @@ fn rule_index_outside_store(
     let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
     for i in 0..code.len() {
         let t = &code[i];
-        // `HashTable::build(` / `CsrGraph::build(`, or a `partition_rows(` call.
-        let end = if (t.is_ident("HashTable") || t.is_ident("CsrGraph"))
+        // `HashTable::build(` / `WordIndex::build(` / `CsrGraph::build(`,
+        // `WordTable::from_rows(` / `from_tuples(` / `from_batch(`, or a
+        // `partition_rows(` call.
+        let ctor = |f: &Token<'_>| match t.text {
+            "HashTable" | "WordIndex" | "CsrGraph" => f.is_ident("build"),
+            "WordTable" => ["from_rows", "from_tuples", "from_batch"]
+                .iter()
+                .any(|name| f.is_ident(name)),
+            _ => false,
+        };
+        let end = if t.kind == TokenKind::Ident
             && is(i + 1, &|t| t.is_punct(':'))
             && is(i + 2, &|t| t.is_punct(':'))
-            && is(i + 3, &|t| t.is_ident("build"))
+            && is(i + 3, &ctor)
             && is(i + 4, &|t| t.is_punct('('))
         {
             i + 4

@@ -23,6 +23,16 @@ fn broadcast(rel: &Relation, keys: &[usize]) -> HashTable {
     HashTable::build(rel.rows(), keys)
 }
 
+fn packed_snapshot(shape: WordShape, tuples: &Tuples<u64>) -> Result<WordTable, Escaped> {
+    WordTable::from_tuples(shape, tuples.kinds(), tuples.iter())
+}
+
+fn packed_index(rows: &[Row], shape: &WordShape) -> Result<WordIndex, Escaped> {
+    // Not a constructor the rule knows: `WordTable::probe` builds nothing.
+    let _ = WordTable::probe;
+    WordIndex::build(rows, shape, 2)
+}
+
 #[cfg(test)]
 mod tests {
     fn tests_may_build(rows: &[Row]) -> HashTable {

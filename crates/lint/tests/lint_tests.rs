@@ -295,12 +295,16 @@ fn rl0008_flags_index_builds_in_core_outside_the_store_feeder() {
             (LintCode::IndexBuiltOutsideStore, 296, 311),
             (LintCode::IndexBuiltOutsideStore, 408, 425),
             (LintCode::IndexBuiltOutsideStore, 538, 554),
+            (LintCode::IndexBuiltOutsideStore, 1111, 1134),
+            (LintCode::IndexBuiltOutsideStore, 1366, 1383),
         ],
         "{diags:#?}"
     );
     assert_eq!(&src[296..311], "partition_rows(");
     assert_eq!(&src[408..425], "HashTable::build(");
     assert_eq!(&src[538..554], "CsrGraph::build(");
+    assert_eq!(&src[1111..1134], "WordTable::from_tuples(");
+    assert_eq!(&src[1366..1383], "WordIndex::build(");
     // The annotated broadcast build is suppressed, the test module exempt.
     assert_eq!(suppressed, 1);
     assert!(diags[0].help.as_deref().unwrap().contains("fetch_index"));

@@ -16,7 +16,9 @@
 use crate::error::StorageError;
 use crate::row::Row;
 use crate::schema::Schema;
-pub use rasql_api::codec::{decode_rows, encode_rows, expect_end, get_rows, put_rows};
+pub use rasql_api::codec::{
+    decode_lanes, decode_rows, encode_rows, expect_end, get_rows, put_rows, LaneBatch, LaneColumn,
+};
 
 /// A compressed, broadcast-ready encoding of a relation. It decompresses to
 /// the original bag of rows, sorted — order is immaterial for hash-table
@@ -64,6 +66,12 @@ impl CompressedRelation {
     pub fn decompress(&self) -> Result<Vec<Row>, StorageError> {
         Ok(decode_rows(&self.payload)?)
     }
+
+    /// Decompress to columns, rows in the order [`decompress`](Self::decompress)
+    /// gives them: packed columns stay words and no row is built.
+    pub fn decompress_lanes(&self) -> Result<LaneBatch, StorageError> {
+        Ok(decode_lanes(&self.payload)?)
+    }
 }
 
 #[cfg(test)]
@@ -101,6 +109,13 @@ mod tests {
         ];
         let c = CompressedRelation::compress(&schema, &rows);
         assert_eq!(c.decompress().unwrap(), rows);
+        let lanes = c.decompress_lanes().unwrap();
+        assert_eq!(lanes.rows, 3);
+        assert!(matches!(lanes.columns[1], LaneColumn::Words(..)));
+        let LaneColumn::Values(names) = &lanes.columns[0] else {
+            panic!("a string column is tagged values");
+        };
+        assert_eq!(names[2], Value::from("alice"));
     }
 
     #[test]

@@ -215,7 +215,7 @@ impl CsrGraph {
         let mut part_of = self.part_of.clone();
         part_of.extend(orig[n_old..].iter().map(|&id| {
             #[allow(clippy::cast_possible_truncation)]
-            let p = hash_partition(&[&Value::Int(id)], parts) as u32;
+            let p = hash_partition(&[Value::Int(id)], parts) as u32;
             p
         }));
 
@@ -313,7 +313,7 @@ mod tests {
         let rows = edge_rows(&[(5, 6, 0), (6, 7, 0)]);
         let g = CsrGraph::build(&rows, 0, 1, CsrWeight::None, [], 8).unwrap();
         for (dense, &id) in g.orig.iter().enumerate() {
-            let expect = hash_partition(&[&Value::Int(id)], 8);
+            let expect = hash_partition(&[Value::Int(id)], 8);
             assert_eq!(g.part_of[dense] as usize, expect);
         }
     }

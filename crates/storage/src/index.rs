@@ -35,20 +35,25 @@
 //!
 //! # Advance ≡ rebuild
 //!
-//! A hash entry appends each delta row under its key, so per-key row order
-//! stays table order; a CSR entry is [`CsrGraph::extended`], which interns
-//! new endpoints after the existing ones and puts each vertex's new edges
-//! after its old ones — both exactly what a build over all rows produces.
+//! A hash or packed entry appends each delta row under its key, so per-key
+//! row order stays table order; a CSR entry is [`CsrGraph::extended`], which
+//! interns new endpoints after the existing ones and puts each vertex's new
+//! edges after its old ones — each exactly what a build over all rows
+//! produces.
 
 use crate::csr::{CsrGraph, CsrWeight};
-use crate::hasher::FxHashMap;
+use crate::hasher::{FxHashMap, FxHasher};
 use crate::partition::{hash_partition, row_partition};
 use crate::row::Row;
 use crate::sync::{LockRank, RankedMutex};
-use crate::value::Value;
+use crate::value::{Escaped, Lane, Value};
+use rasql_api::codec::{LaneBatch, LaneColumn};
+use std::hash::Hasher;
 use std::sync::Arc;
 
-/// A multimap hash table over `key_cols` of the build rows.
+/// A multimap hash table over `key_cols` of the build rows. An equi-join
+/// never matches NULL (`NULL = x` is not true), so a row with a NULL key
+/// column is not kept and a key holding NULL finds nothing.
 #[derive(Debug, Clone, Default)]
 pub struct HashTable {
     map: FxHashMap<Box<[Value]>, Vec<Row>>,
@@ -79,6 +84,9 @@ impl HashTable {
     fn push(&mut self, row: &Row, key: &mut Vec<Value>) {
         key.clear();
         key.extend(self.key_cols.iter().map(|&c| row[c].clone()));
+        if key.iter().any(Value::is_null) {
+            return;
+        }
         match self.map.get_mut(&key[..]) {
             Some(bucket) => bucket.push(row.clone()),
             None => {
@@ -92,7 +100,7 @@ impl HashTable {
         &self.key_cols
     }
 
-    /// Probe with key values.
+    /// Probe with key values (one holding NULL finds no row).
     #[inline]
     pub fn probe(&self, key: &[Value]) -> &[Row] {
         self.map.get(key).map(|v| v.as_slice()).unwrap_or(&[])
@@ -168,8 +176,7 @@ impl HashIndex {
 
     /// The partition table a key lives in.
     pub fn table_for(&self, key: &[Value]) -> &Arc<HashTable> {
-        let key: Vec<&Value> = key.iter().collect();
-        &self.parts[hash_partition(&key, self.parts.len())]
+        &self.parts[hash_partition(key, self.parts.len())]
     }
 
     /// Total rows stored.
@@ -188,6 +195,512 @@ impl HashIndex {
     }
 }
 
+/// What a word clique's join takes of a build side: the key columns, the
+/// lane of the probe's cell for each, and per build column the lane a match
+/// is read in (`None`: nothing downstream reads it).
+#[derive(Debug, Clone)]
+pub struct WordShape {
+    key_cols: Arc<[usize]>,
+    lanes: Arc<[Lane]>,
+    read: Arc<[Option<Lane>]>,
+}
+
+/// One cell of a row a packed table is built from.
+#[derive(Clone, Copy)]
+enum Src<'a> {
+    Value(&'a Value),
+    Word(Lane, u64),
+}
+
+impl Src<'_> {
+    /// [`Lane::key_cell`] of the cell's value.
+    #[inline]
+    fn key(self, lane: Lane) -> Result<Option<u64>, Escaped> {
+        match self {
+            Src::Word(l, w) if l == lane => Ok(Some(w)),
+            Src::Word(l, w) => lane.key_cell(&l.decode(w)),
+            Src::Value(v) => lane.key_cell(v),
+        }
+    }
+
+    /// The cell read in `lane`: strictly of its variant, or an escape.
+    #[inline]
+    fn read(self, lane: Lane) -> Result<u64, Escaped> {
+        match self {
+            Src::Word(l, w) if l == lane => Ok(w),
+            Src::Word(..) => Err(Escaped),
+            Src::Value(v) => lane.encode(v),
+        }
+    }
+}
+
+impl WordShape {
+    /// A shape; `lanes` has one lane per key column.
+    pub fn new(key_cols: &[usize], lanes: &[Lane], read: &[Option<Lane>]) -> Self {
+        debug_assert_eq!(key_cols.len(), lanes.len());
+        WordShape {
+            key_cols: key_cols.into(),
+            lanes: lanes.into(),
+            read: read.into(),
+        }
+    }
+
+    /// Replace `key` with the row's key cells; false when no probe can match
+    /// the row (a key value equal to no cell of its lane). A key value equal
+    /// to more than one cell escapes.
+    #[inline]
+    fn key_cells<'a>(
+        &self,
+        src: impl Fn(usize) -> Src<'a>,
+        key: &mut Vec<u64>,
+    ) -> Result<bool, Escaped> {
+        key.clear();
+        let mut many = false;
+        for (&c, &lane) in self.key_cols.iter().zip(self.lanes.iter()) {
+            match src(c).key(lane) {
+                Ok(Some(w)) => key.push(w),
+                Ok(None) => return Ok(false),
+                Err(Escaped) => many = true,
+            }
+        }
+        if many {
+            return Err(Escaped);
+        }
+        Ok(true)
+    }
+
+    /// Whether every column read of the row is of its lane.
+    fn reads<'a>(&self, src: impl Fn(usize) -> Src<'a>) -> Result<(), Escaped> {
+        for (c, lane) in self.read.iter().enumerate() {
+            if let Some(lane) = lane {
+                src(c).read(*lane)?;
+            }
+        }
+        Ok(())
+    }
+
+    /// The partition of `n` a row with these key cells lives in — the
+    /// partition `row_partition` gives every row whose key equals them.
+    #[inline]
+    fn partition(&self, key: &[u64], n: usize) -> usize {
+        let mut h = FxHasher::default();
+        for (&w, lane) in key.iter().zip(self.lanes.iter()) {
+            lane.hash_word(w, &mut h);
+        }
+        (h.finish() % n as u64) as usize
+    }
+}
+
+/// The end of a chain of rows.
+const NIL: u32 = u32::MAX;
+
+/// Where one key's rows are: a contiguous run, then the rows appended since
+/// the table was laid out, chained.
+#[derive(Debug, Clone, Copy)]
+struct Group {
+    start: u32,
+    len: u32,
+    first: u32,
+    last: u32,
+}
+
+/// A packed build side: the build plan's rows as arity-strided `u64` cells,
+/// grouped by key under an open-addressing index keyed on the probe's lanes.
+/// Only the columns the join reads are filled (the others are 0), so a
+/// match extends a tuple in flight to `stream ++ build` as words. Per key,
+/// matches come out in table order: a fresh build lays each key's rows out
+/// as one contiguous run, which a probe reads sequentially, and rows
+/// appended later chain after it.
+///
+/// A key value equal to no cell of its lane — NULL, `2.5` or a string under
+/// `Int` — is dropped, since no word probe can match it; an integral
+/// `Double` lands on its `Int`. A key value equal to more than one cell, or a
+/// read column outside its lane, fails the build with [`Escaped`].
+#[derive(Debug, Clone)]
+pub struct WordTable {
+    shape: WordShape,
+    cells: Vec<u64>,
+    /// Per row, the next row chained under its key (`NIL` ends a chain; a
+    /// row of a run is not chained).
+    next: Vec<u32>,
+    /// Per key, its cells, strided by the key's width.
+    keys: Vec<u64>,
+    /// Per key, where its rows are.
+    groups: Vec<Group>,
+    /// `hash32 << 32 | (key index + 1)`; 0 is an empty slot. The slot of a
+    /// hash is its top `log2(len)` bits; collisions probe linearly.
+    slots: Vec<u64>,
+}
+
+/// The matches of one probe of a [`WordTable`], in table order.
+pub struct WordMatches<'a> {
+    run: std::slice::ChunksExact<'a, u64>,
+    table: &'a WordTable,
+    at: u32,
+}
+
+impl<'a> Iterator for WordMatches<'a> {
+    type Item = &'a [u64];
+
+    #[inline]
+    fn next(&mut self) -> Option<&'a [u64]> {
+        if let Some(row) = self.run.next() {
+            return Some(row);
+        }
+        if self.at == NIL {
+            return None;
+        }
+        let row = self.at as usize;
+        self.at = self.table.next[row];
+        Some(self.table.row(row))
+    }
+}
+
+#[inline]
+fn hash32(key: &[u64]) -> u32 {
+    let mut h = FxHasher::default();
+    for &w in key {
+        h.write_u64(w);
+    }
+    (h.finish() >> 32) as u32
+}
+
+impl WordTable {
+    /// An empty table of this shape.
+    pub fn new(shape: WordShape) -> Self {
+        WordTable::with_capacity(shape, 0)
+    }
+
+    /// An empty table of this shape with room for `rows` rows.
+    fn with_capacity(shape: WordShape, rows: usize) -> Self {
+        debug_assert!(!shape.read.is_empty(), "a build plan has columns");
+        WordTable {
+            cells: Vec::with_capacity(rows * shape.read.len()),
+            next: Vec::with_capacity(rows),
+            shape,
+            keys: Vec::new(),
+            groups: Vec::new(),
+            slots: Vec::new(),
+        }
+    }
+
+    /// The table of `rows`.
+    pub fn from_rows(shape: WordShape, rows: &[Row]) -> Result<Self, Escaped> {
+        let rows = rows.iter().map(|row| move |c: usize| Src::Value(&row[c]));
+        WordTable::laid_out(shape, rows)
+    }
+
+    /// The table of tuples of word cells, of the columns' `lanes`.
+    pub fn from_tuples<'t>(
+        shape: WordShape,
+        lanes: &'t [Lane],
+        tuples: impl IntoIterator<Item = &'t [u64]>,
+    ) -> Result<Self, Escaped> {
+        let rows = (tuples.into_iter()).map(|tuple| move |c: usize| Src::Word(lanes[c], tuple[c]));
+        WordTable::laid_out(shape, rows)
+    }
+
+    /// The table of a batch decoded column by column: a packed column's
+    /// words are taken as they are, and no row is built.
+    pub fn from_batch(shape: WordShape, batch: &LaneBatch) -> Result<Self, Escaped> {
+        let rows = (0..batch.rows).map(|r| {
+            move |c: usize| match &batch.columns[c] {
+                LaneColumn::Words(lane, words) => Src::Word(*lane, words[r]),
+                LaneColumn::Values(values) => Src::Value(&values[r]),
+            }
+        });
+        WordTable::laid_out(shape, rows)
+    }
+
+    /// A fresh table of the rows `rows` lends, each as its cell accessor.
+    fn laid_out<'a, F: Fn(usize) -> Src<'a> + Copy>(
+        shape: WordShape,
+        rows: impl Iterator<Item = F>,
+    ) -> Result<Self, Escaped> {
+        let n = rows.size_hint().0;
+        let mut table = WordTable::with_capacity(shape, n);
+        let (mut key, mut keys_of) = (Vec::new(), Vec::with_capacity(n));
+        for src in rows {
+            if table.shape.key_cells(src, &mut key)? {
+                keys_of.push(table.push_row(&key, src)?);
+            }
+        }
+        table.lay_out(&keys_of);
+        Ok(table)
+    }
+
+    /// Cells per row: the build plan's arity.
+    #[inline]
+    fn arity(&self) -> usize {
+        self.shape.read.len()
+    }
+
+    #[inline]
+    fn row(&self, row: usize) -> &[u64] {
+        let arity = self.arity();
+        &self.cells[row * arity..(row + 1) * arity]
+    }
+
+    /// Rows held.
+    pub fn len(&self) -> usize {
+        self.next.len()
+    }
+
+    /// True if no row is held.
+    pub fn is_empty(&self) -> bool {
+        self.next.is_empty()
+    }
+
+    /// Distinct keys.
+    pub fn keys(&self) -> usize {
+        self.groups.len()
+    }
+
+    /// Bytes held: cells, chains, keys and index.
+    pub fn size_bytes(&self) -> usize {
+        8 * (self.cells.len() + self.keys.len() + self.slots.len())
+            + 16 * self.groups.len()
+            + 4 * self.next.len()
+    }
+
+    /// The rows whose key cells are `key`, in table order.
+    #[inline]
+    pub fn probe(&self, key: &[u64]) -> WordMatches<'_> {
+        let arity = self.arity();
+        let Some(k) = self.find_key(key) else {
+            return WordMatches {
+                run: [].chunks_exact(arity.max(1)),
+                table: self,
+                at: NIL,
+            };
+        };
+        let g = self.groups[k];
+        let (start, end) = (g.start as usize * arity, (g.start + g.len) as usize * arity);
+        WordMatches {
+            run: self.cells[start..end].chunks_exact(arity.max(1)),
+            table: self,
+            at: g.first,
+        }
+    }
+
+    #[inline]
+    fn home(&self, hash: u32) -> usize {
+        // `slots.len()` is a power of two ≥ 8.
+        (hash >> (32 - self.slots.len().trailing_zeros())) as usize
+    }
+
+    /// The index of `key`, or the empty slot its probe sequence ends at.
+    #[inline]
+    fn slot_of(&self, key: &[u64], hash: u32) -> Result<usize, usize> {
+        let (width, mask) = (key.len(), self.slots.len() - 1);
+        let mut at = self.home(hash);
+        loop {
+            let slot = self.slots[at];
+            if slot == 0 {
+                return Err(at);
+            }
+            if (slot >> 32) as u32 == hash {
+                let k = (slot as u32 - 1) as usize;
+                if self.keys[k * width..(k + 1) * width] == *key {
+                    return Ok(k);
+                }
+            }
+            at = (at + 1) & mask;
+        }
+    }
+
+    #[inline]
+    fn find_key(&self, key: &[u64]) -> Option<usize> {
+        if self.slots.is_empty() {
+            return None;
+        }
+        self.slot_of(key, hash32(key)).ok()
+    }
+
+    /// Append one row's cells under the key cells `key`; returns the key's
+    /// index. The row is not reachable from its key yet: a fresh build lays
+    /// every row out at once ([`lay_out`](Self::lay_out)), an append chains
+    /// it ([`link`](Self::link)).
+    fn push_row<'a>(
+        &mut self,
+        key: &[u64],
+        src: impl Fn(usize) -> Src<'a>,
+    ) -> Result<u32, Escaped> {
+        let start = self.cells.len();
+        for c in 0..self.arity() {
+            let cell = match self.shape.read[c] {
+                Some(lane) => src(c).read(lane),
+                None => Ok(0),
+            };
+            match cell {
+                Ok(w) => self.cells.push(w),
+                Err(e) => {
+                    self.cells.truncate(start);
+                    return Err(e);
+                }
+            }
+        }
+        assert!(self.next.len() < NIL as usize, "packed table row overflow");
+        self.next.push(NIL);
+        // At most half full, so probe sequences stay short.
+        if (self.groups.len() + 1) * 2 > self.slots.len() {
+            self.grow();
+        }
+        let hash = hash32(key);
+        Ok(match self.slot_of(key, hash) {
+            Ok(k) => k as u32,
+            Err(at) => {
+                self.slots[at] = u64::from(hash) << 32 | (self.groups.len() as u64 + 1);
+                self.keys.extend_from_slice(key);
+                self.groups.push(Group {
+                    start: 0,
+                    len: 0,
+                    first: NIL,
+                    last: NIL,
+                });
+                (self.groups.len() - 1) as u32
+            }
+        })
+    }
+
+    /// Chain the row appended last after the rows under key `k`.
+    fn link(&mut self, k: u32) {
+        let row = (self.next.len() - 1) as u32;
+        let g = &mut self.groups[k as usize];
+        match g.last {
+            NIL => g.first = row,
+            last => self.next[last as usize] = row,
+        }
+        g.last = row;
+    }
+
+    fn grow(&mut self) {
+        let old = std::mem::take(&mut self.slots);
+        self.slots = vec![0; (old.len() * 2).max(8)];
+        let mask = self.slots.len() - 1;
+        for slot in old.into_iter().filter(|&s| s != 0) {
+            let mut at = self.home((slot >> 32) as u32);
+            while self.slots[at] != 0 {
+                at = (at + 1) & mask;
+            }
+            self.slots[at] = slot;
+        }
+    }
+
+    /// Lay a fresh table's rows out — `keys_of[r]` is row `r`'s key — as one
+    /// contiguous run per key, in table order, keys in first-occurrence
+    /// order, so a probe reads its matches as a slice. A counting sort: the
+    /// rows are read once, in order.
+    fn lay_out(&mut self, keys_of: &[u32]) {
+        let arity = self.arity();
+        let mut at = vec![0u32; self.groups.len()];
+        for &k in keys_of {
+            at[k as usize] += 1;
+        }
+        let mut start = 0;
+        for (g, at) in self.groups.iter_mut().zip(&mut at) {
+            *g = Group {
+                start,
+                len: *at,
+                first: NIL,
+                last: NIL,
+            };
+            start += *at;
+            *at = g.start;
+        }
+        let mut cells = vec![0; self.cells.len()];
+        for (row, &k) in self.cells.chunks_exact(arity.max(1)).zip(keys_of) {
+            let to = at[k as usize] as usize;
+            at[k as usize] += 1;
+            cells[to * arity..(to + 1) * arity].copy_from_slice(row);
+        }
+        self.cells = cells;
+    }
+}
+
+/// A co-partitioned packed index: partition `p` holds the rows whose key
+/// cells hash to `p` — where every row whose key equals them lives, and so
+/// where a delta partitioned on the probe key probes it.
+#[derive(Debug, Clone)]
+pub struct WordIndex {
+    parts: Vec<Arc<WordTable>>,
+}
+
+impl WordIndex {
+    /// Index `rows` into `partitions` packed tables of `shape`.
+    pub fn build(rows: &[Row], shape: &WordShape, partitions: usize) -> Result<Self, Escaped> {
+        // Each partition's table, and the key of each row it holds.
+        let share = rows.len() / partitions.max(1) + 1;
+        let mut parts: Vec<(WordTable, Vec<u32>)> = (0..partitions.max(1))
+            .map(|_| {
+                (
+                    WordTable::with_capacity(shape.clone(), share),
+                    Vec::with_capacity(share),
+                )
+            })
+            .collect();
+        let (n, mut key) = (parts.len(), Vec::new());
+        for row in rows {
+            let src = |c: usize| Src::Value(&row[c]);
+            if shape.key_cells(src, &mut key)? {
+                let (table, keys_of) = &mut parts[shape.partition(&key, n)];
+                keys_of.push(table.push_row(&key, src)?);
+            }
+        }
+        let parts = parts.into_iter().map(|(mut table, keys_of)| {
+            table.lay_out(&keys_of);
+            Arc::new(table)
+        });
+        Ok(WordIndex {
+            parts: parts.collect(),
+        })
+    }
+
+    /// Append rows after the rows under their keys, in place in every table
+    /// only this index holds and on a copy of one a running query still
+    /// reads. Every row is checked before any is appended, so a row that
+    /// escapes leaves the index as it was.
+    pub fn append(&mut self, rows: &[Row]) -> Result<(), Escaped> {
+        let shape = self.parts[0].shape.clone();
+        let (n, mut key) = (self.parts.len(), Vec::new());
+        for row in rows {
+            let src = |c: usize| Src::Value(&row[c]);
+            if shape.key_cells(src, &mut key)? {
+                shape.reads(src)?;
+            }
+        }
+        for row in rows {
+            let src = |c: usize| Src::Value(&row[c]);
+            if shape.key_cells(src, &mut key)? {
+                let part = Arc::make_mut(&mut self.parts[shape.partition(&key, n)]);
+                let k = part.push_row(&key, src)?;
+                part.link(k);
+            }
+        }
+        Ok(())
+    }
+
+    /// The per-partition tables.
+    pub fn parts(&self) -> &[Arc<WordTable>] {
+        &self.parts
+    }
+
+    /// Total rows stored.
+    pub fn len(&self) -> usize {
+        self.parts.iter().map(|t| t.len()).sum()
+    }
+
+    /// True if empty.
+    pub fn is_empty(&self) -> bool {
+        self.parts.iter().all(|t| t.is_empty())
+    }
+
+    /// Bytes held.
+    pub fn size_bytes(&self) -> usize {
+        self.parts.iter().map(|t| t.size_bytes()).sum()
+    }
+}
+
 /// The physical shape of an index.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub enum IndexLayout {
@@ -195,6 +708,16 @@ pub enum IndexLayout {
     Hash {
         /// Partition count.
         partitions: usize,
+    },
+    /// Per-partition packed tables, keyed on the probe's lanes
+    /// ([`WordTable`]): what a word clique's co-partitioned join probes.
+    Words {
+        /// Partition count.
+        partitions: usize,
+        /// Per key column, the lane of the probe's cell.
+        lanes: Vec<Lane>,
+        /// Per build column, the lane a match is read in.
+        read: Vec<Option<Lane>>,
     },
     /// A CSR graph with dense vertex ids (the kernels' broadcast payload).
     Csr {
@@ -236,6 +759,8 @@ pub struct IndexDep {
 pub enum Index {
     /// A co-partitioned hash index.
     Hash(HashIndex),
+    /// A co-partitioned packed index.
+    Words(WordIndex),
     /// A CSR graph.
     Csr(Arc<CsrGraph>),
 }
@@ -243,11 +768,20 @@ pub enum Index {
 impl Index {
     /// Build the index `key` describes over the plan's output `rows`.
     /// `None` when a CSR layout meets a row that is not of its declared
-    /// types (the caller falls back to the interpreter).
+    /// types (the caller falls back to the interpreter), or a packed one a
+    /// row that escapes its lanes (the clique runs on rows).
     pub fn build(key: &IndexKey, rows: &[Row]) -> Option<Index> {
-        Some(match key.layout {
+        Some(match &key.layout {
             IndexLayout::Hash { partitions } => {
-                Index::Hash(HashIndex::build(rows, &key.key_cols, partitions))
+                Index::Hash(HashIndex::build(rows, &key.key_cols, *partitions))
+            }
+            IndexLayout::Words {
+                partitions,
+                lanes,
+                read,
+            } => {
+                let shape = WordShape::new(&key.key_cols, lanes, read);
+                Index::Words(WordIndex::build(rows, &shape, *partitions).ok()?)
             }
             IndexLayout::Csr {
                 src,
@@ -256,11 +790,11 @@ impl Index {
                 partitions,
             } => Index::Csr(Arc::new(CsrGraph::build(
                 rows,
-                src,
-                dst,
-                weight,
+                *src,
+                *dst,
+                *weight,
                 [],
-                partitions,
+                *partitions,
             )?)),
         })
     }
@@ -269,6 +803,7 @@ impl Index {
     pub fn size_bytes(&self) -> usize {
         match self {
             Index::Hash(h) => h.size_bytes(),
+            Index::Words(w) => w.size_bytes(),
             Index::Csr(g) => g.size_bytes(),
         }
     }
@@ -404,8 +939,8 @@ impl IndexStore {
     /// Advance the entry of `key` from the state [`Fetch::Grown`] reported to
     /// `now` with `delta`, the plan's output over only the appended rows.
     /// `None` when the entry is no longer at that state (another reader moved
-    /// it) or a CSR delta row is not of the graph's types; the caller
-    /// rebuilds.
+    /// it), or a delta row is not of a CSR graph's types or escapes a packed
+    /// index's lanes (the entry is left as it was); the caller rebuilds.
     pub fn advance(
         &self,
         key: &IndexKey,
@@ -429,6 +964,13 @@ impl IndexStore {
                     h.append(delta);
                     entry.deps = now.to_vec();
                     entry.bytes += delta_bytes;
+                    inner.stats.advances += 1;
+                    return Some(inner.lend(at));
+                }
+                Index::Words(w) => {
+                    w.append(delta).ok()?;
+                    entry.deps = now.to_vec();
+                    entry.bytes = w.size_bytes() as u64;
                     inner.stats.advances += 1;
                     return Some(inner.lend(at));
                 }
@@ -572,6 +1114,43 @@ mod tests {
         let raw: usize = rows.iter().map(Row::size_bytes).sum();
         let ht = HashTable::build(&rows, &[0]);
         assert!(ht.size_bytes() > raw, "{} !> {raw}", ht.size_bytes());
+    }
+
+    #[test]
+    fn a_packed_table_holds_what_the_join_reads_grouped_by_key() {
+        let rows = vec![
+            int_row(&[1, 10]),
+            int_row(&[2, 20]),
+            Row::new(vec![Value::Double(1.0), Value::Int(11)]),
+            Row::new(vec![Value::Double(2.5), Value::Int(99)]),
+            Row::new(vec![Value::Null, Value::Int(99)]),
+            Row::new(vec![Value::Double(-0.0), Value::Int(99)]),
+        ];
+        // Keyed on column 0 probed as `Int`, column 1 read as `Int`.
+        let shape = WordShape::new(&[0], &[Lane::Int], &[None, Some(Lane::Int)]);
+        let table = WordTable::from_rows(shape.clone(), &rows).unwrap();
+        assert_eq!((table.len(), table.keys()), (3, 2));
+        let one: Vec<&[u64]> = table.probe(&[1]).collect();
+        assert_eq!(
+            one,
+            [&[0, 10][..], &[0, 11]],
+            "table order, key column unread"
+        );
+        assert_eq!(table.probe(&[0]).count(), 0, "-0.0 equals no Int");
+        // A key equal to more than one cell, or a read cell off its lane.
+        let wide = Row::new(vec![Value::Double(2f64.powi(60)), Value::Int(1)]);
+        assert!(WordTable::from_rows(shape.clone(), &[wide]).is_err());
+        let stray = Row::new(vec![Value::Int(3), Value::Double(3.0)]);
+        assert!(WordTable::from_rows(shape.clone(), &[stray.clone()]).is_err());
+        // An index refuses an escaping delta and keeps what it held.
+        let mut index = WordIndex::build(&rows, &shape, 2).unwrap();
+        assert!(index.append(&[int_row(&[1, 12]), stray]).is_err());
+        assert_eq!(index.len(), 3);
+        index.append(&[int_row(&[1, 12])]).unwrap();
+        let part = shape.partition(&[1], 2);
+        let one: Vec<&[u64]> = index.parts()[part].probe(&[1]).collect();
+        assert_eq!(one, [&[0, 10][..], &[0, 11], &[0, 12]]);
+        assert_eq!(part, row_partition(&int_row(&[1]), &[0], 2));
     }
 
     #[test]

@@ -66,6 +66,7 @@ pub use error::StorageError;
 pub use hasher::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{
     Fetch, HashIndex, HashTable, Index, IndexDep, IndexKey, IndexLayout, IndexStats, IndexStore,
+    WordIndex, WordMatches, WordShape, WordTable,
 };
 pub use partition::{hash_partition, partition_rows, Partitioning};
 pub use relation::Relation;

@@ -54,7 +54,7 @@ impl Partitioning {
 
 /// Hash a key (projected values of a row) to a partition id.
 #[inline]
-pub fn hash_partition(values: &[&Value], partitions: usize) -> usize {
+pub fn hash_partition(values: &[Value], partitions: usize) -> usize {
     debug_assert!(partitions > 0);
     let mut h = FxHasher::default();
     for v in values {

@@ -3,12 +3,14 @@
 //! row order for the hash layout, every public field (and every dense id)
 //! for the CSR layout. This is what lets the index store answer an `INSERT`
 //! with an append instead of a rebuild without any reader telling the two
-//! apart.
+//! apart. The packed layout is also pinned against the row table: a probe
+//! finds exactly the rows the row table finds, projected to lanes.
 
 use proptest::prelude::*;
+use rasql_storage::value::Lane;
 use rasql_storage::{
     CsrGraph, CsrWeight, Fetch, HashIndex, HashTable, Index, IndexDep, IndexKey, IndexLayout,
-    IndexStore, Row, Value,
+    IndexStore, Row, Value, WordIndex, WordShape, WordTable,
 };
 
 /// Small domains, so keys repeat and `Int`/`Double` keys that compare equal
@@ -94,8 +96,158 @@ fn weights() -> impl Strategy<Value = CsrWeight> {
     ]
 }
 
+/// Key values across the edges of `Int`/`Double` equality: integral
+/// doubles, NULL, `2.5`, strings, `-0.0`, NaN — and, rarely, values equal
+/// to more than one cell of a lane (|d| ≥ 2^53).
+fn wild_key() -> impl Strategy<Value = Value> {
+    (0u32..60, 0i64..6).prop_map(|(pick, i)| match pick {
+        0..=24 => Value::Int(i),
+        25..=49 => Value::Double(i as f64),
+        50 => Value::Double(2.5),
+        51 | 52 => Value::Double(-0.0),
+        53 => Value::Double(f64::NAN),
+        54 | 55 => Value::Null,
+        56 | 57 => Value::from(if i % 2 == 0 { "a" } else { "b" }),
+        58 => Value::Double(2f64.powi(53)),
+        _ => Value::Int((1 << 53) + 1),
+    })
+}
+
+/// Rows `(key, int, double)`; the value columns hold a stray now and then.
+fn word_rows() -> impl Strategy<Value = Vec<Row>> {
+    let int =
+        (0u32..30, 0i64..9, cell()).prop_map(|(p, i, c)| if p == 0 { c } else { Value::Int(i) });
+    let double = (0u32..30, 0i64..9, cell()).prop_map(|(p, i, c)| {
+        if p == 0 {
+            c
+        } else {
+            Value::Double(i as f64 / 2.0)
+        }
+    });
+    let row = (wild_key(), int, double).prop_map(|(k, i, d)| Row::new(vec![k, i, d]));
+    prop::collection::vec(row, 0..24)
+}
+
+fn lane() -> impl Strategy<Value = Lane> {
+    prop_oneof![Just(Lane::Int), Just(Lane::Double)]
+}
+
+/// What the join reads: the key column in any lane or not at all, the value
+/// columns in their own lanes or not at all.
+fn reads() -> impl Strategy<Value = Vec<Option<Lane>>> {
+    let key = prop_oneof![Just(None), Just(Some(Lane::Int)), Just(Some(Lane::Double))];
+    (key, any::<bool>(), any::<bool>())
+        .prop_map(|(k, i, d)| vec![k, i.then_some(Lane::Int), d.then_some(Lane::Double)])
+}
+
+/// Whether a build over `row` escapes: it can match a probe, and a key value
+/// equals more than one cell or a read cell is off its lane.
+fn escapes(row: &Row, key_cols: &[usize], lanes: &[Lane], read: &[Option<Lane>]) -> bool {
+    let mut many = false;
+    for (&c, lane) in key_cols.iter().zip(lanes) {
+        match lane.key_cell(&row[c]) {
+            Ok(None) => return false,
+            Ok(Some(_)) => {}
+            Err(_) => many = true,
+        }
+    }
+    let off_lane =
+        |(c, lane): (usize, &Option<Lane>)| lane.is_some_and(|l| l.encode(&row[c]).is_err());
+    many || read.iter().enumerate().any(off_lane)
+}
+
+/// The keys to probe with: every row's key cells, and every lane's cells of
+/// the small domain.
+fn probe_keys(all: &[Row], key_cols: &[usize], lanes: &[Lane]) -> Vec<Vec<u64>> {
+    let mut keys: Vec<Vec<u64>> = all
+        .iter()
+        .filter_map(|r| {
+            let cells = key_cols
+                .iter()
+                .zip(lanes)
+                .map(|(&c, l)| l.key_cell(&r[c]).ok().flatten());
+            cells.collect()
+        })
+        .collect();
+    for w in [0i64, 1, 2, 5, 7] {
+        let cell = |l: &Lane| l.key_cell(&Value::Int(w)).unwrap().unwrap();
+        keys.push(lanes.iter().map(cell).collect());
+    }
+    keys
+}
+
+fn matches(table: &WordTable, key: &[u64]) -> Vec<Vec<u64>> {
+    table.probe(key).map(<[u64]>::to_vec).collect()
+}
+
+/// Two packed indexes answer every probe alike, partition by partition.
+fn assert_same_words(a: &WordIndex, b: &WordIndex, keys: &[Vec<u64>]) -> Result<(), TestCaseError> {
+    prop_assert_eq!(a.len(), b.len());
+    for (a, b) in a.parts().iter().zip(b.parts()) {
+        prop_assert_eq!(a.keys(), b.keys());
+        for key in keys {
+            prop_assert_eq!(matches(a, key), matches(b, key), "rows under {:?}", key);
+        }
+    }
+    Ok(())
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(256))]
+
+    #[test]
+    fn a_packed_probe_finds_what_the_row_table_finds(
+        all in word_rows(),
+        lane0 in lane(),
+        two_cols in any::<bool>(),
+        read in reads(),
+    ) {
+        let key_cols: &[usize] = if two_cols { &[0, 1] } else { &[0] };
+        let lanes = if two_cols { vec![lane0, Lane::Int] } else { vec![lane0] };
+        let built = WordTable::from_rows(WordShape::new(key_cols, &lanes, &read), &all);
+        let escaped = all.iter().any(|r| escapes(r, key_cols, &lanes, &read));
+        prop_assert_eq!(built.is_err(), escaped);
+        let Ok(table) = built else { return Ok(()) };
+        let rows = HashTable::build(&all, key_cols);
+        for key in probe_keys(&all, key_cols, &lanes) {
+            let values: Vec<Value> = key.iter().zip(&lanes).map(|(&w, l)| l.decode(w)).collect();
+            let project = |r: &Row| -> Vec<u64> {
+                let cells = read.iter().enumerate();
+                cells.map(|(c, l)| l.map_or(0, |l| l.encode(&r[c]).unwrap())).collect()
+            };
+            let want: Vec<Vec<u64>> = rows.probe(&values).iter().map(project).collect();
+            prop_assert_eq!(matches(&table, &key), want, "rows under {:?}", values);
+        }
+    }
+
+    #[test]
+    fn packed_index_append_is_build(
+        all in word_rows(),
+        cut in 0.0f64..1.0,
+        lane0 in lane(),
+        read in reads(),
+        partitions in 1usize..5,
+    ) {
+        let shape = WordShape::new(&[0], &[lane0], &read);
+        let k = (cut * all.len() as f64) as usize;
+        let keys = probe_keys(&all, &[0], &[lane0]);
+        let rebuilt = WordIndex::build(&all, &shape, partitions);
+        let advanced = WordIndex::build(&all[..k], &shape, partitions).and_then(|mut index| {
+            let before = index.clone();
+            match index.append(&all[k..]) {
+                Ok(()) => Ok(index),
+                Err(e) => {
+                    // A refused delta leaves the index as it was.
+                    assert_same_words(&index, &before, &keys).unwrap();
+                    Err(e)
+                }
+            }
+        });
+        prop_assert_eq!(advanced.is_ok(), rebuilt.is_ok());
+        if let (Ok(a), Ok(b)) = (&advanced, &rebuilt) {
+            assert_same_words(a, b, &keys)?;
+        }
+    }
 
     #[test]
     fn hash_table_append_is_build(all in rows(3), cut in 0.0f64..1.0, two_cols in any::<bool>()) {
@@ -123,10 +275,11 @@ proptest! {
         for (a, b) in advanced.parts().iter().zip(rebuilt.parts()) {
             assert_same_table(a, b, &all)?;
         }
-        // Every row is found through its key's partition, in table order.
+        // Every row is found through its key's partition, in table order —
+        // but a NULL key, which an equi-join never matches, finds nothing.
         for row in &all {
             let key = [row[0].clone()];
-            let want: Vec<&Row> = all.iter().filter(|r| r[0] == key[0]).collect();
+            let want: Vec<&Row> = all.iter().filter(|r| r[0] == key[0] && !key[0].is_null()).collect();
             let got: Vec<&Row> = advanced.table_for(&key).probe(&key).iter().collect();
             prop_assert_eq!(got, want);
         }
@@ -189,14 +342,18 @@ proptest! {
     fn store_advance_is_rebuild(
         all in edge_rows(false),
         cut in 0.0f64..1.0,
-        csr in any::<bool>(),
+        layout in 0usize..3,
         partitions in 1usize..5,
     ) {
         let k = (cut * all.len() as f64) as usize;
-        let layout = if csr {
-            IndexLayout::Csr { src: 0, dst: 1, weight: CsrWeight::None, partitions }
-        } else {
-            IndexLayout::Hash { partitions }
+        let layout = match layout {
+            0 => IndexLayout::Csr { src: 0, dst: 1, weight: CsrWeight::None, partitions },
+            1 => IndexLayout::Hash { partitions },
+            _ => IndexLayout::Words {
+                partitions,
+                lanes: vec![Lane::Int],
+                read: vec![None, Some(Lane::Int), None],
+            },
         };
         let key = IndexKey { plan: "TableScan edge".into(), key_cols: vec![0], layout };
         let dep = |len| vec![IndexDep { table: "edge".into(), rewrite_version: 7, len }];
@@ -218,6 +375,9 @@ proptest! {
                 for (a, b) in a.parts().iter().zip(b.parts()) {
                     assert_same_table(a, b, &all)?;
                 }
+            }
+            (Index::Words(a), Index::Words(b)) => {
+                assert_same_words(&a, &b, &probe_keys(&all, &[0], &[Lane::Int]))?;
             }
             (Index::Csr(a), Index::Csr(b)) => assert_same_graph(&a, &b)?,
             _ => prop_assert!(false, "layout changed"),
