@@ -8,7 +8,7 @@
 use crate::error::EngineError;
 use rasql_exec::{
     run_fused, run_unfused, Cluster, Dataset, HashTable, Pipeline, PipelineStep, Projection,
-    QueryGovernor, RowCombiner, TraceSink,
+    QueryGovernor, RowCombiner, TraceSink, TupleSet,
 };
 use rasql_parser::ast::{AggFunc, BinaryOp};
 use rasql_plan::{AggExpr, LogicalPlan, PExpr};
@@ -364,14 +364,18 @@ impl<'a> EvalContext<'a> {
                     let accs: Vec<Accumulator> = aggs.iter().map(Accumulator::new).collect();
                     return vec![finish_row(&[], &accs)];
                 }
+                // A group is looked up by its borrowed key and boxed only when
+                // it starts; `insert` after a miss grows the map exactly where
+                // `entry` would, so the output keeps its order.
                 for row in rows {
-                    let k: Box<[Value]> = (0..group_cols).map(|c| row[c].clone()).collect();
-                    let accs = groups
-                        .entry(k)
-                        .or_insert_with(|| aggs.iter().map(Accumulator::new).collect());
-                    for acc in accs.iter_mut() {
-                        acc.update(row);
+                    let key = &row.values()[..group_cols];
+                    if let Some(accs) = groups.get_mut(key) {
+                        accs.iter_mut().for_each(|acc| acc.update(row));
+                        continue;
                     }
+                    let mut accs: Vec<Accumulator> = aggs.iter().map(Accumulator::new).collect();
+                    accs.iter_mut().for_each(|acc| acc.update(row));
+                    groups.insert(key.into(), accs);
                 }
                 groups.iter().map(|(k, accs)| finish_row(k, accs)).collect()
             },
@@ -570,39 +574,40 @@ fn map_side_combiner(group_cols: usize, aggs: &[AggExpr], input: &Schema) -> Opt
             ops.push((c, a.func));
         }
     }
-    Some(Arc::new(move |rows: Vec<Row>| {
-        // First-seen order keeps the combined bucket deterministic.
-        let mut index: FxHashMap<Box<[Value]>, usize> = FxHashMap::default();
+    Some(Arc::new(move |rows: &[&Row]| {
+        // First-seen order keeps the combined bucket deterministic. A group
+        // is found by its borrowed key; a row is copied only when it starts
+        // a group.
+        let mut index: TupleSet<Value> = TupleSet::default();
         let mut acc: Vec<Vec<Value>> = Vec::new();
-        for row in rows {
-            let key: Box<[Value]> = row.values()[..group_cols].to_vec().into();
-            if let Some(&slot) = index.get(&key) {
-                let cur = &mut acc[slot];
-                for &(c, func) in &ops {
-                    let v = &row[c];
-                    if v.is_null() {
-                        continue; // SQL aggregates skip NULLs
-                    }
-                    let m = &mut cur[c];
-                    match func {
-                        _ if m.is_null() => *m = v.clone(),
-                        AggFunc::Min => {
-                            if *v < *m {
-                                *m = v.clone();
-                            }
-                        }
-                        AggFunc::Max => {
-                            if *v > *m {
-                                *m = v.clone();
-                            }
-                        }
-                        AggFunc::Sum => *m = m.add(v),
-                        AggFunc::Count | AggFunc::Avg => unreachable!("filtered above"),
-                    }
+        for &row in rows {
+            let (slot, new) = index.intern(&row.values()[..group_cols]);
+            if new {
+                acc.push(row.values().to_vec());
+                continue;
+            }
+            let cur = &mut acc[slot];
+            for &(c, func) in &ops {
+                let v = &row[c];
+                if v.is_null() {
+                    continue; // SQL aggregates skip NULLs
                 }
-            } else {
-                index.insert(key, acc.len());
-                acc.push(row.into_values());
+                let m = &mut cur[c];
+                match func {
+                    _ if m.is_null() => *m = v.clone(),
+                    AggFunc::Min => {
+                        if *v < *m {
+                            *m = v.clone();
+                        }
+                    }
+                    AggFunc::Max => {
+                        if *v > *m {
+                            *m = v.clone();
+                        }
+                    }
+                    AggFunc::Sum => *m = m.add(v),
+                    AggFunc::Count | AggFunc::Avg => unreachable!("filtered above"),
+                }
             }
         }
         acc.into_iter().map(Row::new).collect()

@@ -31,14 +31,14 @@ use rasql_exec::checkpoint::{
     encode_set_state, Bytes, CheckpointStore,
 };
 use rasql_exec::join::SortedRun;
-use rasql_exec::pipeline::{run_unfused_rows, KeyFn, PredFn, Projection};
-use rasql_exec::state::{AggChange, AggState, MonotoneOp};
+use rasql_exec::pipeline::{run_unfused_rows, Emitted, KeyFn, PredFn, Projection, BLOCK};
+use rasql_exec::state::{AggState, MonotoneOp};
 use rasql_exec::{
-    cells_of, kinds_of, merge_join, partition_of, values_of, Broadcast, Cell, Cluster, Combiner,
-    DenseAggState, DenseSetState, DenseState, Escaped, ExecError, HashTable, IterationTrace,
-    JoinTable, KernelValue, Lane, MaxOp, MergeOp, Metrics, MinOp, Pipeline, PipelineStep,
-    QueryGovernor, RecoveryEvent, RecoveryKind, SetState, StageKind, StageTask, SumOp, TupleSet,
-    Tuples,
+    cells_of, kinds_of, merge_join, partition_of, values_of, Block, Broadcast, Cell, Cluster,
+    Combiner, DenseAggState, DenseSetState, DenseState, Escaped, ExecError, HashTable,
+    IterationTrace, JoinTable, KernelValue, Lane, MaxOp, MergeOp, Metrics, MinOp, Pipeline,
+    PipelineStep, QueryGovernor, RecoveryEvent, RecoveryKind, Scratch, SetState, StageKind,
+    StageTask, SumOp, TupleSet, Tuples,
 };
 use rasql_parser::ast::AggFunc;
 use rasql_plan::{
@@ -291,14 +291,8 @@ impl Repr for Value {
         if at.fused && !b.ops.iter().any(sorted) {
             return Ok(false);
         }
-        let mut tuple = Vec::new();
-        let mut current: Vec<Row> = (0..io.len())
-            .map(|i| {
-                tuple.clear();
-                io.input(i, &mut tuple);
-                Row::from_slice(&tuple)
-            })
-            .collect();
+        let (tuples, range) = io.input();
+        let mut current: Vec<Row> = range.map(|i| Row::from_slice(tuples.get(i))).collect();
         let mut start = 0usize;
         for (i, op) in b.ops.iter().enumerate() {
             match op {
@@ -336,14 +330,20 @@ impl Repr for Value {
         }
         let pipeline = b.pipeline(start, at);
         if at.fused {
-            let mut s = pipeline.scratch();
-            for row in &current {
-                pipeline.feed(&mut s, row.values(), &mut |t| io.emit(t))?;
-            }
-        } else {
-            for row in run_unfused_rows(current, &pipeline) {
-                io.emit(row.values())?;
-            }
+            let rows = &current[..];
+            run_blocks(&pipeline, io, 0..rows.len(), |_, s, block| {
+                pipeline.run_block(s, rows, block)
+            })?;
+            return Ok(true);
+        }
+        let rows = run_unfused_rows(current, &pipeline);
+        let mut cells = Vec::new();
+        for chunk in rows.chunks(BLOCK) {
+            cells.clear();
+            chunk
+                .iter()
+                .for_each(|r| cells.extend_from_slice(r.values()));
+            io.emit_block(Block::new(&cells, cells.len() / chunk.len(), chunk.len()))?;
         }
         Ok(true)
     }
@@ -497,12 +497,17 @@ impl<C: Cell> DeltaBatch<C> {
         self.len() == 0
     }
 
-    /// Tuple `i` as a consumer with the given value mode sees it, appended
-    /// to `buf`; `state` is the partition state the delta came out of.
+    /// The tuples a consumer with the given value mode reads, where they
+    /// lie: tuples `range` of one batch — `state`'s arena, which the delta
+    /// came out of, or the delta's own.
     #[inline]
-    fn read(&self, state: &ViewState<C>, mode: DeltaValueMode, i: usize, buf: &mut Vec<C>) {
-        let tuple = match (self, state, mode) {
-            (DeltaBatch::Suffix(range), ViewState::Set(s), _) => s.tuples().get(range.start + i),
+    fn tuples<'a>(
+        &'a self,
+        state: &'a ViewState<C>,
+        mode: DeltaValueMode,
+    ) -> (&'a Tuples<C>, Range<usize>) {
+        match (self, state, mode) {
+            (DeltaBatch::Suffix(range), ViewState::Set(s), _) => (s.tuples(), range.clone()),
             (
                 DeltaBatch::Owned {
                     increments: Some(increments),
@@ -510,13 +515,12 @@ impl<C: Cell> DeltaBatch<C> {
                 },
                 _,
                 DeltaValueMode::Increment,
-            ) => increments.get(i),
-            (DeltaBatch::Owned { totals, .. }, ..) => totals.get(i),
+            ) => (increments, 0..increments.len()),
+            (DeltaBatch::Owned { totals, .. }, ..) => (totals, 0..totals.len()),
             (DeltaBatch::Suffix(_), ViewState::Agg(_), _) => {
                 unreachable!("only a set state lends its suffix")
             }
-        };
-        buf.extend_from_slice(tuple);
+        }
     }
 }
 
@@ -3020,16 +3024,17 @@ struct BranchAt<'a, C: Cell> {
     fused: bool,
 }
 
-/// The two ends of a branch run: the delta tuples it consumes, by index, and
-/// where its contributions — tuples of the target view's schema shape — go.
-/// One object, because in the decomposed loop they are the same state.
-trait BranchIo<C> {
-    /// Input tuples.
-    fn len(&self) -> usize;
-    /// Append input tuple `i` to `buf`.
-    fn input(&self, i: usize, buf: &mut Vec<C>);
-    /// Take one contribution.
-    fn emit(&mut self, tuple: &[C]) -> Result<(), Escaped>;
+/// The two ends of a branch run: the delta tuples it consumes, and where its
+/// contributions — blocks of tuples of the target view's schema shape, in
+/// emission order — go. One object, because in the decomposed loop they are
+/// the same state.
+trait BranchIo<C: Cell> {
+    /// The input tuples, where they lie: tuples `range` of one batch. (In
+    /// the decomposed loop that batch is the arena the contributions are
+    /// merged into, so it is borrowed anew for every block.)
+    fn input(&self) -> (&Tuples<C>, Range<usize>);
+    /// Take one block of contributions.
+    fn emit_block(&mut self, block: Block<'_, C>) -> Result<(), Escaped>;
 }
 
 /// A map task's branch run: a partition's delta in, a [`Partial`] out.
@@ -3042,18 +3047,14 @@ struct MapIo<'a, 'v, C: Cell> {
 }
 
 impl<C: Cell> BranchIo<C> for MapIo<'_, '_, C> {
-    fn len(&self) -> usize {
-        self.delta.len()
+    #[inline]
+    fn input(&self) -> (&Tuples<C>, Range<usize>) {
+        self.delta.tuples(self.state, self.mode)
     }
 
     #[inline]
-    fn input(&self, i: usize, buf: &mut Vec<C>) {
-        self.delta.read(self.state, self.mode, i, buf);
-    }
-
-    #[inline]
-    fn emit(&mut self, tuple: &[C]) -> Result<(), Escaped> {
-        self.partial.push(tuple)
+    fn emit_block(&mut self, block: Block<'_, C>) -> Result<(), Escaped> {
+        self.partial.push_block(block)
     }
 }
 
@@ -3067,18 +3068,14 @@ struct LocalIo<'a, 'v, C: Cell> {
 }
 
 impl<C: Cell> BranchIo<C> for LocalIo<'_, '_, C> {
-    fn len(&self) -> usize {
-        self.delta.len()
+    #[inline]
+    fn input(&self) -> (&Tuples<C>, Range<usize>) {
+        self.delta.tuples(self.state, self.mode)
     }
 
     #[inline]
-    fn input(&self, i: usize, buf: &mut Vec<C>) {
-        self.delta.read(self.state, self.mode, i, buf);
-    }
-
-    #[inline]
-    fn emit(&mut self, tuple: &[C]) -> Result<(), Escaped> {
-        self.merge.push(self.state, tuple)
+    fn emit_block(&mut self, block: Block<'_, C>) -> Result<(), Escaped> {
+        self.merge.push_block(self.state, block)
     }
 }
 
@@ -3128,9 +3125,10 @@ fn map_task<C: Repr>(
     Ok(buckets)
 }
 
-/// Execute one compiled branch over `io`'s input tuples, lending every
-/// contribution to `io`: the fused pipeline, one input tuple at a time,
-/// unless the representation runs this branch on a path of its own.
+/// Execute one compiled branch over `io`'s input tuples, handing every
+/// block of contributions to `io`: the fused pipeline, a block of input
+/// tuples at a time, unless the representation runs this branch on a path
+/// of its own.
 fn run_branch<C: Repr>(
     b: &CompiledBranch<C>,
     io: &mut impl BranchIo<C>,
@@ -3140,12 +3138,30 @@ fn run_branch<C: Repr>(
         return Ok(());
     }
     let pipeline = b.pipeline(0, at);
-    let mut scratch = pipeline.scratch();
-    let mut tuple = Vec::new();
-    for i in 0..io.len() {
-        tuple.clear();
-        io.input(i, &mut tuple);
-        pipeline.feed(&mut scratch, &tuple, &mut |t| io.emit(t))?;
+    let range = io.input().1;
+    run_blocks(&pipeline, io, range, |io, s, block| {
+        pipeline.run_block(s, io.input().0, block)
+    })
+}
+
+/// The block loop of a branch run: `run` is `pipeline` over the input from
+/// a block's start (it reads `io`'s own batch, borrowed anew for each
+/// block, or rows the run materialized first), and each block's
+/// contributions are handed to `io` before the next block is read.
+fn run_blocks<C: Cell, Io: BranchIo<C>>(
+    pipeline: &Pipeline<C>,
+    io: &mut Io,
+    range: Range<usize>,
+    mut run: impl FnMut(&Io, &mut Scratch<C>, Range<usize>) -> Result<usize, Escaped>,
+) -> Result<(), Escaped> {
+    let mut s = pipeline.scratch();
+    let mut next = range.start;
+    while next < range.end {
+        next = run(io, &mut s, next..range.end)?;
+        let Emitted::Block(block) = s.output() else {
+            unreachable!("a branch projects to its target's shape")
+        };
+        io.emit_block(block)?;
     }
     Ok(())
 }
@@ -3207,18 +3223,19 @@ fn state_tuples<C: Cell>(v: &ViewRt<C>, mode: RecAllMode, cutoff: u32) -> Tuples
 }
 
 /// Map-side partial aggregation / dedup before the shuffle (Algorithm 5), fed
-/// one borrowed schema-shaped tuple at a time.
+/// one block of schema-shaped tuples at a time.
 enum Partial<'a, C: Cell> {
     /// Set views — and views with a distinct-tuple column, which must be
     /// deduplicated globally at the reducer: locally we may only drop
     /// *identical* tuples (idempotent), not merge. First-occurrence order,
     /// one hash per tuple.
-    Distinct(TupleSet<C>),
+    Distinct { seen: TupleSet<C>, hashes: Vec<u32> },
     /// One group per key, its aggregate columns merged in place.
     Groups {
         target: &'a ViewRt<C>,
         groups: Box<AggState<C>>,
-        key: Vec<C>,
+        /// The block's keys and aggregate values, gathered column by column.
+        keys: Vec<C>,
         vals: Vec<C>,
     },
 }
@@ -3226,33 +3243,34 @@ enum Partial<'a, C: Cell> {
 impl<'a, C: Cell> Partial<'a, C> {
     fn new(target: &'a ViewRt<C>) -> Self {
         if target.is_set() || target.modes.contains(&CountMode::DistinctTuple) {
-            Partial::Distinct(TupleSet::new(target.kinds.clone()))
+            Partial::Distinct {
+                seen: TupleSet::new(target.kinds.clone()),
+                hashes: Vec::new(),
+            }
         } else {
             let [key, agg] = [&target.key_kinds, &target.agg_kinds].map(Arc::clone);
             Partial::Groups {
                 target,
                 groups: Box::new(AggState::with_kinds(key, agg, Vec::new().into())),
-                key: Vec::new(),
+                keys: Vec::new(),
                 vals: Vec::new(),
             }
         }
     }
 
     #[inline]
-    fn push(&mut self, tuple: &[C]) -> Result<(), Escaped> {
+    fn push_block(&mut self, block: Block<'_, C>) -> Result<(), Escaped> {
         match self {
-            Partial::Distinct(seen) => {
-                seen.intern(tuple);
-            }
+            Partial::Distinct { seen, hashes } => seen.intern_block(block, hashes),
             Partial::Groups {
                 target,
                 groups,
-                key,
+                keys,
                 vals,
             } => {
-                pick(tuple, &target.spec.key_cols, key);
-                pick(tuple, &target.agg_cols, vals);
-                groups.merge_in_place(key, vals, &target.ops, 0, None)?;
+                let keys = gather(block, &target.spec.key_cols, keys);
+                let vals = gather(block, &target.agg_cols, vals);
+                groups.merge_block(keys, vals, None, &target.ops, 0, None)?;
             }
         }
         Ok(())
@@ -3260,7 +3278,7 @@ impl<'a, C: Cell> Partial<'a, C> {
 
     fn finish(self) -> Tuples<C> {
         match self {
-            Partial::Distinct(seen) => seen.into_tuples(),
+            Partial::Distinct { seen, .. } => seen.into_tuples(),
             Partial::Groups { target, groups, .. } => {
                 ViewState::Agg(groups).tuples(&target.kinds, &target.layout)
             }
@@ -3272,8 +3290,8 @@ impl<'a, C: Cell> Partial<'a, C> {
 // Reduce-side merge
 // --------------------------------------------------------------------
 
-/// Merge schema-shaped contributions into one partition's state; returns the
-/// delta batch (stamped `round`).
+/// Merge schema-shaped contributions into one partition's state, a block at
+/// a time; returns the delta batch (stamped `round`).
 fn merge_into_state<C: Cell>(
     v: &ViewRt<C>,
     state: &mut ViewState<C>,
@@ -3281,15 +3299,17 @@ fn merge_into_state<C: Cell>(
     round: u32,
 ) -> Result<DeltaBatch<C>, Escaped> {
     let mut merge = Merge::new(v, state, round);
-    for tuple in contributions.iter() {
-        merge.push(state, tuple)?;
+    for start in (0..contributions.len()).step_by(BLOCK) {
+        let end = contributions.len().min(start + BLOCK);
+        merge.push_block(state, contributions.block(start..end))?;
     }
     merge.finish(state)
 }
 
-/// One round's merge into one partition's state, fed borrowed schema-shaped
-/// tuples: a tuple is copied — into the state's arena — only when the state
-/// finds it new, and nothing is allocated for it.
+/// One round's merge into one partition's state, fed blocks of borrowed
+/// schema-shaped tuples in emission order: a tuple is copied — into the
+/// state's arena — only when the state finds it new, and nothing is
+/// allocated for it.
 struct Merge<'a, C: Cell> {
     v: &'a ViewRt<C>,
     round: u32,
@@ -3302,7 +3322,10 @@ struct Merge<'a, C: Cell> {
     /// Whether a column counts distinct tuples, so every contribution must
     /// first pass the state's contributor set.
     dedup: bool,
-    key: Vec<C>,
+    /// A block's hashes (set views), or its keys and aggregate values
+    /// (aggregate views), gathered column by column.
+    hashes: Vec<u32>,
+    keys: Vec<C>,
     vals: Vec<C>,
 }
 
@@ -3318,35 +3341,45 @@ impl<'a, C: Cell> Merge<'a, C> {
             start: state.len(),
             changed: Vec::new(),
             dedup: (0..v.funcs.len()).any(distinct),
-            key: Vec::new(),
+            hashes: Vec::new(),
+            keys: Vec::new(),
             vals: Vec::new(),
         }
     }
 
     #[inline]
-    fn push(&mut self, state: &mut ViewState<C>, tuple: &[C]) -> Result<(), Escaped> {
+    fn push_block(&mut self, state: &mut ViewState<C>, block: Block<'_, C>) -> Result<(), Escaped> {
+        if block.is_empty() {
+            return Ok(());
+        }
         let v = self.v;
         match state {
-            ViewState::Set(s) => {
-                s.insert_slice(tuple, self.round);
-            }
+            ViewState::Set(s) => s.insert_block(block, self.round, &mut self.hashes),
             ViewState::Agg(a) => {
-                pick(tuple, &v.spec.key_cols, &mut self.key);
-                pick(tuple, &v.agg_cols, &mut self.vals);
-                for j in (0..self.vals.len()).filter(|&j| v.counts_tuples(j)) {
-                    self.vals[j] = C::one(v.agg_kinds[j])?;
+                let keys = gather(block, &v.spec.key_cols, &mut self.keys);
+                let width = v.agg_cols.len();
+                gather(block, &v.agg_cols, &mut self.vals);
+                for j in (0..width).filter(|&j| v.counts_tuples(j)) {
+                    let one = C::one(v.agg_kinds[j])?;
+                    for t in 0..block.len() {
+                        // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
+                        self.vals[t * width + j] = one.clone();
+                    }
                 }
-                let dedup_tuple = self.dedup.then_some(tuple);
-                let change =
-                    a.merge_in_place(&self.key, &self.vals, &v.ops, self.round, dedup_tuple)?;
-                if let AggChange::First(group) = change {
-                    self.changed.push(group);
-                }
+                let vals = Block::new(&self.vals, width, block.len());
+                let dedup = self.dedup.then_some(block);
+                a.merge_block(
+                    keys,
+                    vals,
+                    dedup,
+                    &v.ops,
+                    self.round,
+                    Some(&mut self.changed),
+                )?;
             }
         }
         Ok(())
     }
-
     fn finish(mut self, state: &ViewState<C>) -> Result<DeltaBatch<C>, Escaped> {
         let (v, round) = (self.v, self.round);
         let a = match state {
@@ -3355,7 +3388,7 @@ impl<'a, C: Cell> Merge<'a, C> {
         };
         let mut totals = v.batch();
         let mut increments = v.increments.then(|| v.batch());
-        let tuple = &mut self.key;
+        let tuple = &mut self.keys;
         for group in self.changed {
             let g = a.group(group);
             tuple.clear();
@@ -3379,12 +3412,16 @@ impl<'a, C: Cell> Merge<'a, C> {
     }
 }
 
-/// Replace `out` with columns `cols` of `tuple`.
+/// Replace `out` with columns `cols` of every tuple of `block` — a column
+/// gather — and lend it as a block.
 #[inline]
-fn pick<C: Cell>(tuple: &[C], cols: &[usize], out: &mut Vec<C>) {
+fn gather<'o, C: Cell>(block: Block<'_, C>, cols: &[usize], out: &'o mut Vec<C>) -> Block<'o, C> {
     out.clear();
-    // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
-    out.extend(cols.iter().map(|&c| tuple[c].clone()));
+    for tuple in block.iter() {
+        // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
+        out.extend(cols.iter().map(|&c| tuple[c].clone()));
+    }
+    Block::new(out, cols.len(), block.len())
 }
 
 /// Pending contributions regrouped for the merge tasks: `[partition][view]`

@@ -5,7 +5,7 @@
 //! straight into a packed table — a few vectors per worker, no row per edge.
 //! So a statement allocates its *result* — one row per tuple, the floor
 //! while a `Relation` holds rows — plus a constant, and nothing per
-//! derivation, per state tuple or per build row. Counted with this binary's
+//! derivation, per block, per state tuple or per build row. Counted with this binary's
 //! own global allocator; one worker and one partition make the counts
 //! repeat exactly.
 
@@ -72,9 +72,11 @@ fn a_statement_allocates_for_its_result_not_for_its_derivations() {
         rmat(300, config, 7)
     };
 
-    // Measured 1.009 per row (83 085 for 82 322 rows: the rows themselves
-    // and the statement's fixed cost); with a row table built per broadcast,
-    // 1.096; the row-state parent of the word path: 2.13.
+    // Measured 1.011 per row (83 232 for 82 322 rows: the rows themselves
+    // and the statement's fixed cost, now with the block executor's buffers,
+    // reused per branch run); packed build sides before blocks, 1.009; with a
+    // row table built per broadcast, 1.096; the row-state parent of the word
+    // path: 2.13.
     let (rows, allocations) = measure(graph(false), &library::transitive_closure());
     assert!(rows > 50_000, "a closure worth measuring: {rows} rows");
     assert!(
@@ -82,9 +84,11 @@ fn a_statement_allocates_for_its_result_not_for_its_derivations() {
         "TC: {allocations} allocations for {rows} rows"
     );
 
-    // Measured 1.017 per row; with a row table built per broadcast, 1.104;
-    // the parent of the word path, with three boxes per group and a boxed
-    // key per changed group per round: 12.2.
+    // Measured 1.028 per row (83 689 for 81 379: each round's branch run
+    // and merge grow their block buffers once); packed build sides before
+    // blocks, 1.017; with a row table built per broadcast, 1.104; the parent
+    // of the word path, with three boxes per group and a boxed key per
+    // changed group per round: 12.2.
     let (rows, allocations) = measure(graph(true), &library::apsp());
     assert!(rows > 50_000, "shortest paths worth measuring: {rows} rows");
     assert!(
@@ -100,13 +104,37 @@ fn a_statement_allocates_for_its_result_not_for_its_derivations() {
     let derivations = (n * (n - 1) * (n - 1)) as u64;
     // The base relation is as large as the result here (3 540 edges, 3 600
     // rows), so a broadcast that built a row per edge would weigh in full:
-    // measured 4 317 — 1.20 per row; with a row table per broadcast, 11 759
-    // (2.3 per base edge); the parent of the word path: 18 903.
+    // measured 4 376 — 1.22 per row (4 317 before blocks); with a row table
+    // per broadcast, 11 759 (2.3 per base edge); the parent of the word
+    // path: 18 903.
     let (rows, allocations) = measure(clique, &library::transitive_closure());
     assert_eq!(rows, (n * n) as u64);
     assert!(
         allocations * 2 <= rows * 3 && allocations < derivations / 16,
         "clique: {allocations} allocations for {rows} rows, {derivations} derivations"
+    );
+
+    // Stratified CC: the clique's state tuples (one row each, as a relation
+    // is rows) fold into one row per vertex under the final `GROUP BY`. The
+    // aggregate's map-side combiner and hash aggregate look a group up by
+    // its borrowed key and copy a row only when it starts a group, so what
+    // is left per state tuple is its row. Measured 88 228 for 82 328 state
+    // tuples and 299 groups (1.07 per state tuple); the parent cloned every
+    // row into its shuffle bucket and boxed its key twice more: 252 410
+    // (3.07 per state tuple).
+    let sql = library::cc_stratified();
+    let unfolded = sql
+        .replace("Src, min(CmpId)", "Src, CmpId")
+        .replace(" GROUP BY Src", "");
+    let state = measure(graph(false), &unfolded).0;
+    let (groups, allocations) = measure(graph(false), &sql);
+    assert!(
+        state > 10 * groups,
+        "a fold worth measuring: {state} tuples, {groups} groups"
+    );
+    assert!(
+        allocations * 100 <= 108 * state + 1_000 * groups,
+        "CC stratified: {allocations} allocations for {state} state tuples, {groups} groups"
     );
 
     // A kernel query is dense from its first base tuple to its result rows:

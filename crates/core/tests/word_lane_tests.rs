@@ -158,6 +158,49 @@ fn a_sum_that_overflows_in_round_three_escapes_to_rows() {
 }
 
 #[test]
+fn an_overflow_in_the_middle_of_a_block_abandons_the_run() {
+    // In round 1 the delta tuple `(3, 4, 1)` meets vertex 4's three edges in
+    // table order, so its derivations sit side by side in one block: the
+    // new `(3, 5, 2)` and `(3, 6, 2)`, then `(3, 7, 1 + i64::MAX)`, whose
+    // `Int` cost overflows in the projection — where `Value::add` promotes
+    // to `Double`. The block's earlier tuples go with the abandoned run;
+    // the rows rerun derives them again.
+    let rows: Vec<[i64; 3]> = vec![
+        [0, 1, 1],
+        [1, 2, 1],
+        [2, 3, 1],
+        [3, 4, 1],
+        [4, 5, 1],
+        [4, 6, 1],
+        [4, 7, i64::MAX],
+        [7, 8, 1],
+    ];
+    let schema = Schema::new(vec![
+        ("Src", DataType::Int),
+        ("Dst", DataType::Int),
+        ("W", DataType::Int),
+    ]);
+    let rows = rows.iter().map(|r| Row::new(r.map(Value::Int).to_vec()));
+    let edge = Relation::try_new(schema, rows.collect()).unwrap();
+    let sql = "WITH recursive p (Src, Dst, Cost) AS \
+           (SELECT Src, Dst, W FROM edge) UNION \
+           (SELECT p.Src, edge.Dst, p.Cost + edge.W FROM p, edge WHERE p.Dst = edge.Src) \
+         SELECT Src, Dst, Cost FROM p";
+    let tables: Tables = vec![("edge", edge)];
+    assert_matches_rows(&tables, sql, 1);
+    let result = run(&interp(), &tables, sql);
+    let cost = |src: i64, dst: i64| {
+        let rows = result.relation.rows().iter();
+        let row = rows
+            .clone()
+            .find(|r| r[0] == Value::Int(src) && r[1] == Value::Int(dst));
+        row.unwrap()[2].clone()
+    };
+    assert_eq!(cost(3, 6), Value::Int(2));
+    assert!(matches!(cost(3, 7), Value::Double(d) if d == 2f64.powi(63)));
+}
+
+#[test]
 fn a_value_outside_its_declared_type_escapes_wherever_it_is_met() {
     let strays = [Value::Double(2.5), Value::Null, Value::from("x")];
     for stray in strays {

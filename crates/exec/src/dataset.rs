@@ -19,10 +19,11 @@ use std::ops::{Deref, Range};
 use std::sync::Arc;
 use std::time::Instant;
 
-/// A map-side combine function: collapses a shuffle bucket's rows into an
-/// equivalent (for the downstream consumer) smaller set — e.g. merging
-/// monotone-aggregate contributions that share a group key (paper §7.1).
-pub type RowCombiner = Arc<dyn Fn(Vec<Row>) -> Vec<Row> + Send + Sync>;
+/// A map-side combine function: collapses a shuffle bucket's rows, lent in
+/// arrival order, into an equivalent (for the downstream consumer) smaller
+/// set — e.g. merging monotone-aggregate contributions that share a group
+/// key (paper §7.1). It copies only the rows it keeps.
+pub type RowCombiner = Arc<dyn Fn(&[&Row]) -> Vec<Row> + Send + Sync>;
 
 /// One partition: a range of a shared, immutable row buffer. Cloning shares
 /// the buffer; stage bodies see it as `&[Row]`.
@@ -332,23 +333,28 @@ impl Dataset {
                     let combiner = combiner.cloned();
                     let metrics = Arc::clone(&cluster.metrics);
                     StageTask::new(owner, move |_w| {
+                        let rows = this.partitions[p].iter();
                         let cap = this.partitions[p].len() / n.max(1) + 1;
-                        let mut out: Vec<Vec<Row>> =
-                            (0..n).map(|_| Vec::with_capacity(cap)).collect();
-                        for row in this.partitions[p].iter() {
-                            let t = row_partition(row, &key, n);
-                            out[t].push(row.clone());
-                        }
-                        if let Some(combine) = &combiner {
-                            let mut eliminated = 0u64;
-                            for bucket in &mut out {
-                                let before = bucket.len();
-                                let combined = combine(std::mem::take(bucket));
-                                eliminated += (before - combined.len()) as u64;
-                                *bucket = combined;
+                        let Some(combine) = &combiner else {
+                            let mut out: Vec<Vec<Row>> =
+                                (0..n).map(|_| Vec::with_capacity(cap)).collect();
+                            for row in rows {
+                                out[row_partition(row, &key, n)].push(row.clone());
                             }
-                            Metrics::add(&metrics.combined_rows, eliminated);
+                            return out;
+                        };
+                        // Bucket the rows by reference: the combiner copies
+                        // only the rows it keeps.
+                        let mut lent: Vec<Vec<&Row>> =
+                            (0..n).map(|_| Vec::with_capacity(cap)).collect();
+                        for row in rows {
+                            lent[row_partition(row, &key, n)].push(row);
                         }
+                        let out: Vec<Vec<Row>> =
+                            lent.iter().map(|bucket| combine(bucket)).collect();
+                        let (before, after) = (lent.iter().map(Vec::len), out.iter().map(Vec::len));
+                        let eliminated = before.sum::<usize>() - after.sum::<usize>();
+                        Metrics::add(&metrics.combined_rows, eliminated as u64);
                         out
                     })
                 })

@@ -74,7 +74,10 @@ pub use kernel::{
     MaxOp, MergeOp, MinOp, SumOp,
 };
 pub use metrics::{Metrics, MetricsSnapshot};
-pub use pipeline::{run_fused, run_unfused, Pipeline, PipelineStep, Projection, Scratch};
+pub use pipeline::{
+    run_fused, run_unfused, Emitted, Pipeline, PipelineStep, Projection, Scratch, TupleSource,
+    BLOCK,
+};
 pub use spill::SpillDir;
 pub use state::{AggChange, AggGroup, AggState, MergeOutcome, MonotoneOp, SetState};
 pub use trace::{
@@ -82,6 +85,6 @@ pub use trace::{
     StageKind, StageSpan, TraceSink,
 };
 pub use tuples::{
-    cells_of, kinds_of, lane_partition, lanes_of, partition_of, values_of, Cell, Escaped, Lane,
-    TupleSet, Tuples,
+    cells_of, kinds_of, lane_partition, lanes_of, partition_of, values_of, Block, Cell, Escaped,
+    Lane, TupleSet, Tuples,
 };

@@ -6,20 +6,37 @@
 //!
 //! - [`run_unfused`] executes each step as its own pass, materializing an
 //!   intermediate row vector between operators (the volcano/RDD-chain model);
-//! - [`Pipeline::feed`] pushes an input tuple through all steps in one pass:
-//!   the tuple in flight is a borrowed slice of one reused buffer and no row
-//!   exists between operators, or after them unless the consumer keeps one.
-//!   It is written once over the tuple representation's [`Cell`] type: the
-//!   generic fixpoint runs it over packed words when every column is a
-//!   number, and [`Pipeline::for_each`] / [`run_fused`] run it over the
-//!   values of input rows.
+//! - [`Pipeline::run_block`] runs all steps over a *block* of input tuples —
+//!   up to [`BLOCK`] of them — one step at a time: the leading filters
+//!   select from the block, each testing an input tuple where it lies; a
+//!   join computes the block's probe keys, probes its build side for each
+//!   and writes `tuple ++ match` into a reused, arity-strided buffer (or,
+//!   as the last step under a column projection, the output tuple itself);
+//!   the projection writes the output block column by column. Output tuples
+//!   come out in the order a tuple-at-a-time executor emits them — input
+//!   order, then match order, join after join — and the consumer takes the
+//!   whole block ([`Scratch::output`]). Every buffer is reused across
+//!   blocks, so nothing is allocated per tuple or per block. It is written
+//!   once over the tuple representation's [`Cell`] type: the generic
+//!   fixpoint runs it over packed words when every column is a number, and
+//!   [`Pipeline::for_each`] / [`run_fused`] run it over the values of input
+//!   rows.
 //!
 //! Both produce identical results; Fig 7 measures the difference.
 
 use crate::join::JoinTable;
-use crate::tuples::{Cell, Escaped};
+use crate::tuples::{Block, Cell, Escaped, Tuples};
 use rasql_storage::{Row, Value};
+use std::ops::Range;
 use std::sync::Arc;
+
+/// Input tuples per block of [`Pipeline::run_block`].
+pub const BLOCK: usize = 256;
+
+/// A block whose first join has written this many tuples ends after the
+/// input tuple that got it there, so a block's buffers stay bounded by the
+/// build side's fan-out rather than `BLOCK` times it.
+const OUT_CAP: usize = 16 * BLOCK;
 
 /// A tuple-level predicate.
 pub type PredFn<C = Value> = Arc<dyn Fn(&[C]) -> Result<bool, Escaped> + Send + Sync>;
@@ -50,11 +67,11 @@ pub enum PipelineStep<C: Cell = Value> {
 /// A pipeline's final projection.
 #[derive(Clone)]
 pub enum Projection<C: Cell = Value> {
-    /// Output column `j` is input column `cols[j]` — a plain copy, so a
-    /// final join assembles its output straight from the tuple in flight and
-    /// the matched row, without building their concatenation first.
+    /// Output column `j` is input column `cols[j]` — a gather, so a final
+    /// join assembles its output straight from the tuple in flight and the
+    /// matched row, without building their concatenation first.
     Columns(Arc<[usize]>),
-    /// Any other transform.
+    /// Any other transform, evaluated per tuple.
     Map(MapFn<C>),
 }
 
@@ -82,15 +99,98 @@ pub struct Pipeline<C: Cell = Value> {
     pub project: Option<Projection<C>>,
 }
 
-/// The fused executor's reused buffers: the tuple in flight (a join step
-/// extends it with a match and truncates it afterwards), the probe key of
-/// the join being entered, and the projected output tuple.
+/// Input tuples a pipeline reads by index, where they lie.
+pub trait TupleSource<C> {
+    /// Tuple `i`.
+    fn tuple(&self, i: usize) -> &[C];
+}
+
+impl TupleSource<Value> for [Row] {
+    #[inline]
+    fn tuple(&self, i: usize) -> &[Value] {
+        self[i].values()
+    }
+}
+
+impl<C: Cell> TupleSource<C> for Tuples<C> {
+    #[inline]
+    fn tuple(&self, i: usize) -> &[C] {
+        self.get(i)
+    }
+}
+
+impl<C> TupleSource<C> for Block<'_, C> {
+    #[inline]
+    fn tuple(&self, i: usize) -> &[C] {
+        self.get(i)
+    }
+}
+
+/// The selected tuples of an input, by position in the selection.
+struct Selected<'a, I: ?Sized> {
+    input: &'a I,
+    sel: &'a [usize],
+}
+
+impl<C, I: TupleSource<C> + ?Sized> TupleSource<C> for Selected<'_, I> {
+    #[inline]
+    fn tuple(&self, j: usize) -> &[C] {
+        self.input.tuple(self.sel[j])
+    }
+}
+
+/// A reused buffer of same-arity tuples.
+struct Batch<C> {
+    cells: Vec<C>,
+    arity: usize,
+    len: usize,
+}
+
+impl<C> Batch<C> {
+    fn new() -> Self {
+        Batch {
+            cells: Vec::new(),
+            arity: 0,
+            len: 0,
+        }
+    }
+
+    fn clear(&mut self) {
+        self.cells.clear();
+        self.len = 0;
+    }
+
+    fn block(&self) -> Block<'_, C> {
+        Block::new(&self.cells, self.arity, self.len)
+    }
+}
+
+/// The block executor's reused buffers: the block's selection, its probe
+/// keys, the tuples between steps and the output block.
 pub struct Scratch<C> {
     /// Filters ahead of the first join, which test an input tuple in place.
     lead: usize,
-    tuple: Vec<C>,
-    key: Vec<C>,
-    out: Vec<C>,
+    /// The block's input tuples that passed the leading filters, by index.
+    sel: Vec<usize>,
+    /// The probe keys of the tuples entering a join, one run each.
+    keys: Vec<C>,
+    /// `tuple ++ match` after a join, and the buffer the next join fills.
+    mid: Batch<C>,
+    next: Batch<C>,
+    /// The output block.
+    out: Batch<C>,
+    /// The output is the selection itself: the pipeline neither joins nor
+    /// projects, so its input tuples are lent where they lie.
+    lent: bool,
+}
+
+/// What a block run emitted, in emission order.
+pub enum Emitted<'a, C> {
+    /// The output tuples.
+    Block(Block<'a, C>),
+    /// The input tuples, by index, that passed the filters of a pipeline
+    /// that neither joins nor projects: nothing was copied.
+    Lent(&'a [usize]),
 }
 
 /// Value cells have no lane to leave.
@@ -116,121 +216,237 @@ impl<C: Cell> Pipeline<C> {
         }
     }
 
-    /// Buffers for [`Pipeline::feed`], reused across tuples.
+    /// Buffers for [`Pipeline::run_block`], reused across blocks.
     pub fn scratch(&self) -> Scratch<C> {
         let filters = self.steps.iter();
         Scratch {
             lead: filters
                 .take_while(|step| matches!(step, PipelineStep::Filter(_)))
                 .count(),
-            tuple: Vec::new(),
-            key: Vec::new(),
-            out: Vec::new(),
+            sel: Vec::with_capacity(BLOCK),
+            keys: Vec::new(),
+            mid: Batch::new(),
+            next: Batch::new(),
+            out: Batch::new(),
+            lent: false,
         }
     }
 
     /// Fused execution (the "collapsed single function" of §7.3) of one
-    /// input tuple: it flows through all steps and each output tuple is lent
-    /// to `sink`, which copies what it keeps. Nothing is allocated per
-    /// tuple. An error — a word cell left its lane, in a step or in the
-    /// sink — ends the tuple at once.
-    #[inline]
-    pub fn feed(
+    /// block: input tuples `range.start..` — at most [`BLOCK`] of them, and
+    /// fewer when a fan-out fills the buffers — flow through every step,
+    /// and the output is left in `s` ([`Scratch::output`]) until the next
+    /// call. Returns the end of the input the block consumed. An error — a
+    /// word cell left its lane — ends the block at once.
+    pub fn run_block<I: TupleSource<C> + ?Sized>(
         &self,
         s: &mut Scratch<C>,
-        row: &[C],
-        sink: &mut impl FnMut(&[C]) -> Result<(), Escaped>,
-    ) -> Result<(), Escaped> {
-        // Filters ahead of the first join test the input tuple where it lies.
-        for step in &self.steps[..s.lead] {
-            if let PipelineStep::Filter(p) = step {
-                if !p(row)? {
-                    return Ok(());
+        input: &I,
+        range: Range<usize>,
+    ) -> Result<usize, Escaped> {
+        let mut end = range.end.min(range.start + BLOCK);
+        self.select(s, input, range.start..end)?;
+        s.lent = false;
+        s.out.clear();
+        // Where the tuples in flight are: the selection until a join has
+        // run, then `s.mid` — or already `s.out`, projected by the last join.
+        let (mut joined, mut projected) = (false, false);
+        for (i, step) in self.steps.iter().enumerate().skip(s.lead) {
+            let (table, key) = match step {
+                PipelineStep::Filter(p) => {
+                    Self::filter(p, &mut s.mid)?;
+                    continue;
                 }
+                PipelineStep::HashJoin { table, key } => (&**table, key),
+            };
+            let gather = match &self.project {
+                Some(Projection::Columns(cols)) if i + 1 == self.steps.len() => Some(&**cols),
+                _ => None,
+            };
+            projected = gather.is_some();
+            let dst = if projected { &mut s.out } else { &mut s.next };
+            if joined {
+                // Only the join that reads the input may cut the block short.
+                let src = s.mid.block();
+                join(
+                    &mut s.keys,
+                    dst,
+                    table,
+                    key,
+                    &src,
+                    src.len(),
+                    gather,
+                    usize::MAX,
+                )?;
+            } else {
+                let src = Selected { input, sel: &s.sel };
+                let n = s.sel.len();
+                let stop = join(&mut s.keys, dst, table, key, &src, n, gather, OUT_CAP)?;
+                // A block cut short by its fan-out ends after the last
+                // selected tuple it consumed.
+                if let Some(j) = stop {
+                    end = s.sel[j] + 1;
+                }
+                joined = true;
+            }
+            if !projected {
+                std::mem::swap(&mut s.mid, &mut s.next);
             }
         }
-        if s.lead == self.steps.len() {
-            return self.emit(row, &mut s.out, sink);
+        if projected {
+            return Ok(end);
         }
-        s.tuple.clear();
-        s.tuple.extend_from_slice(row);
-        self.push(s.lead, s, sink)
+        match (&self.project, joined) {
+            (None, false) => s.lent = true,
+            (None, true) => std::mem::swap(&mut s.out, &mut s.mid),
+            (Some(project), false) => {
+                let src = Selected { input, sel: &s.sel };
+                emit(project, &src, s.sel.len(), &mut s.out)?;
+            }
+            (Some(project), true) => emit(project, &s.mid.block(), s.mid.len, &mut s.out)?,
+        }
+        Ok(end)
     }
 
-    fn emit(
+    /// The block's leading filters: `s.sel` becomes the input tuples of
+    /// `block` that pass them, each tested where it lies.
+    fn select<I: TupleSource<C> + ?Sized>(
         &self,
-        tuple: &[C],
-        out: &mut Vec<C>,
-        sink: &mut impl FnMut(&[C]) -> Result<(), Escaped>,
-    ) -> Result<(), Escaped> {
-        let Some(project) = &self.project else {
-            return sink(tuple);
-        };
-        out.clear();
-        project.apply(tuple, out)?;
-        sink(out)
-    }
-
-    fn push<S: FnMut(&[C]) -> Result<(), Escaped>>(
-        &self,
-        i: usize,
         s: &mut Scratch<C>,
-        sink: &mut S,
+        input: &I,
+        block: Range<usize>,
     ) -> Result<(), Escaped> {
-        match self.steps.get(i) {
-            None => self.emit(&s.tuple, &mut s.out, sink),
-            Some(PipelineStep::Filter(p)) => {
-                if p(&s.tuple)? {
-                    self.push(i + 1, s, sink)?;
-                }
-                Ok(())
-            }
-            Some(PipelineStep::HashJoin { table, key }) => {
-                // The key buffer is free again once `matches` returns (the
-                // matches borrow the table), so the steps below reuse it.
-                s.key.clear();
-                key(&s.tuple, &mut s.key)?;
-                let arity = s.tuple.len();
-                if let (Some(Projection::Columns(cols)), true) =
-                    (&self.project, i + 1 == self.steps.len())
-                {
-                    // The last step, under a column projection: every output
-                    // cell is a cell of the tuple or of the matched row.
-                    for m in table.matches(&s.key) {
-                        s.out.clear();
-                        for &c in cols.iter() {
-                            let cell = match c.checked_sub(arity) {
-                                None => &s.tuple[c],
-                                Some(b) => &m[b],
-                            };
-                            // lint: allow(RL0010, a cell: a word copy when the tuple is packed words)
-                            s.out.push(cell.clone());
-                        }
-                        sink(&s.out)?;
+        s.sel.clear();
+        'tuples: for i in block {
+            let tuple = input.tuple(i);
+            for step in &self.steps[..s.lead] {
+                if let PipelineStep::Filter(p) = step {
+                    if !p(tuple)? {
+                        continue 'tuples;
                     }
-                    return Ok(());
                 }
-                for m in table.matches(&s.key) {
-                    s.tuple.extend_from_slice(m);
-                    self.push(i + 1, s, sink)?;
-                    s.tuple.truncate(arity);
-                }
-                Ok(())
             }
+            s.sel.push(i);
+        }
+        Ok(())
+    }
+
+    /// A filter after a join: keep the tuples of `mid` that pass, in order,
+    /// moving (not copying) the survivors down.
+    fn filter(p: &PredFn<C>, mid: &mut Batch<C>) -> Result<(), Escaped> {
+        let a = mid.arity;
+        let mut kept = 0;
+        for r in 0..mid.len {
+            if p(&mid.cells[r * a..(r + 1) * a])? {
+                if kept != r {
+                    for c in 0..a {
+                        mid.cells.swap(kept * a + c, r * a + c);
+                    }
+                }
+                kept += 1;
+            }
+        }
+        mid.cells.truncate(kept * a);
+        mid.len = kept;
+        Ok(())
+    }
+}
+
+/// A join step over the `n` tuples of `src`: their probe keys first (into
+/// `keys`), then one probe each, writing `tuple ++ match` into `dst` — or,
+/// as the last step under a column projection (`gather`), the output tuple
+/// itself. Returns the position of the tuple after which `dst` reached
+/// `cap` tuples, when tuples of `src` are left: the rest is not joined.
+#[allow(clippy::too_many_arguments)]
+fn join<C: Cell, S: TupleSource<C> + ?Sized>(
+    keys: &mut Vec<C>,
+    dst: &mut Batch<C>,
+    table: &C::Table,
+    key: &KeyFn<C>,
+    src: &S,
+    n: usize,
+    gather: Option<&[usize]>,
+    cap: usize,
+) -> Result<Option<usize>, Escaped> {
+    keys.clear();
+    for j in 0..n {
+        key(src.tuple(j), keys)?;
+    }
+    let width = keys.len().checked_div(n).unwrap_or(0);
+    dst.clear();
+    for j in 0..n {
+        let tuple = src.tuple(j);
+        for m in table.matches(&keys[j * width..(j + 1) * width]) {
+            match gather {
+                // Every output cell is a cell of the tuple or of the match.
+                Some(cols) => {
+                    for &c in cols {
+                        let cell = match c.checked_sub(tuple.len()) {
+                            None => &tuple[c],
+                            Some(b) => &m[b],
+                        };
+                        // lint: allow(RL0010, a cell: a word copy when the tuple is packed words)
+                        dst.cells.push(cell.clone());
+                    }
+                    dst.arity = cols.len();
+                }
+                None => {
+                    dst.cells.extend_from_slice(tuple);
+                    dst.cells.extend_from_slice(m);
+                    dst.arity = tuple.len() + m.len();
+                }
+            }
+            dst.len += 1;
+        }
+        if dst.len >= cap && j + 1 < n {
+            return Ok(Some(j));
+        }
+    }
+    Ok(None)
+}
+
+/// The projection of the `n` tuples of `src`, as the output block `out`.
+fn emit<C: Cell, S: TupleSource<C> + ?Sized>(
+    project: &Projection<C>,
+    src: &S,
+    n: usize,
+    out: &mut Batch<C>,
+) -> Result<(), Escaped> {
+    out.clear();
+    for j in 0..n {
+        project.apply(src.tuple(j), &mut out.cells)?;
+    }
+    out.len = n;
+    out.arity = match project {
+        Projection::Columns(cols) => cols.len(),
+        Projection::Map(_) => out.cells.len().checked_div(n).unwrap_or(0),
+    };
+    Ok(())
+}
+
+impl<C: Cell> Scratch<C> {
+    /// What the last [`Pipeline::run_block`] emitted.
+    pub fn output(&self) -> Emitted<'_, C> {
+        if self.lent {
+            Emitted::Lent(&self.sel)
+        } else {
+            Emitted::Block(self.out.block())
         }
     }
 }
 
 impl Pipeline {
-    /// [`Pipeline::feed`] over input rows, with a sink that cannot fail.
+    /// [`Pipeline::run_block`] over input rows, block after block, lending
+    /// every output tuple to a sink that cannot fail.
     pub fn for_each(&self, input: &[Row], sink: &mut impl FnMut(&[Value])) {
         let mut s = self.scratch();
-        for row in input {
-            let fed = self.feed(&mut s, row.values(), &mut |t| {
-                sink(t);
-                Ok(())
-            });
-            never_escapes(fed);
+        let mut next = 0;
+        while next < input.len() {
+            next = never_escapes(self.run_block(&mut s, input, next..input.len()));
+            match s.output() {
+                Emitted::Block(block) => block.iter().for_each(&mut *sink),
+                Emitted::Lent(sel) => sel.iter().for_each(|&i| sink(input[i].values())),
+            }
         }
     }
 }

@@ -6,9 +6,12 @@
 //! into the all-relation only pays for the new items, never a re-copy. Tuples
 //! carry the round in which they were merged, giving the old/new snapshots the
 //! non-linear semi-naive expansion needs. Both are written once over the
-//! tuple representation's [`Cell`] type (packed words or values).
+//! tuple representation's [`Cell`] type (packed words or values), and both
+//! take a [`Block`] of tuples per call (`insert_block`, `merge_block`): every
+//! tuple of the block is hashed first, then inserted or merged in order — the
+//! same state as one insert per tuple.
 
-use crate::tuples::{Cell, Escaped, TupleSet, Tuples};
+use crate::tuples::{by_arity, hash_block, hash_run, nth, Block, Cell, Escaped, TupleSet, Tuples};
 use rasql_storage::{Row, Value};
 use std::sync::Arc;
 
@@ -121,6 +124,13 @@ impl<C: Cell> SetState<C> {
         new
     }
 
+    /// [`SetState::insert_slice`] of every tuple of `block` at `round`, in
+    /// order; `hashes` is a reused buffer.
+    pub fn insert_block(&mut self, block: Block<'_, C>, round: u32, hashes: &mut Vec<u32>) {
+        self.set.intern_block(block, hashes);
+        self.rounds.resize(self.set.len(), round);
+    }
+
     /// Membership including the current round.
     #[inline]
     pub fn contains(&self, tuple: &[C]) -> bool {
@@ -230,6 +240,9 @@ pub struct AggState<C: Cell = Value> {
     contributors: TupleSet<C>,
     /// A group's totals before the merge in progress (reused buffer).
     before: Vec<C>,
+    /// The hashes of a block's keys and of its contributors (reused).
+    key_hashes: Vec<u32>,
+    tuple_hashes: Vec<u32>,
 }
 
 impl<C: Cell> Default for AggState<C> {
@@ -278,6 +291,8 @@ impl<C: Cell> AggState<C> {
             created: Vec::new(),
             contributors: TupleSet::new(contributor_kinds),
             before: Vec::new(),
+            key_hashes: Vec::new(),
+            tuple_hashes: Vec::new(),
         }
     }
 
@@ -312,13 +327,92 @@ impl<C: Cell> AggState<C> {
         round: u32,
         dedup_tuple: Option<&[C]>,
     ) -> Result<AggChange, Escaped> {
-        debug_assert_eq!(vals.len(), ops.len());
         if let Some(t) = dedup_tuple {
             if !self.contributors.intern(t).1 {
                 return Ok(AggChange::Unchanged);
             }
         }
         let (group, new) = self.keys.intern(key);
+        self.settle(group, new, vals, ops, round)
+    }
+
+    /// [`AggState::merge_in_place`] of every contribution of a block, in
+    /// order: contribution `i` is key `keys.get(i)` with aggregate values
+    /// `vals.get(i)` and — distinct-tuple counting — contributing tuple
+    /// `contributors.get(i)`. Every key and contributor is hashed first and
+    /// the key arity is looked at once. Each group whose change is its first
+    /// of the round ([`AggChange::First`]) is appended to `changed`. An
+    /// escape ends the block at the contribution that escaped.
+    pub fn merge_block(
+        &mut self,
+        keys: Block<'_, C>,
+        vals: Block<'_, C>,
+        contributors: Option<Block<'_, C>>,
+        ops: &[MonotoneOp],
+        round: u32,
+        changed: Option<&mut Vec<usize>>,
+    ) -> Result<(), Escaped> {
+        let mut key_hashes = std::mem::take(&mut self.key_hashes);
+        let mut tuple_hashes = std::mem::take(&mut self.tuple_hashes);
+        if let Some(tuples) = contributors {
+            hash_block(tuples, &mut tuple_hashes);
+        }
+        let merged = by_arity!(keys.arity(), N => {
+            hash_run::<C, N>(keys, &mut key_hashes);
+            self.merge_run::<N>(keys, &key_hashes, vals, contributors, &tuple_hashes, ops, round, changed)
+        });
+        self.key_hashes = key_hashes;
+        self.tuple_hashes = tuple_hashes;
+        merged
+    }
+
+    /// [`AggState::merge_block`] for keys of `N` cells (any number when `N`
+    /// is 0), hashed.
+    #[allow(clippy::too_many_arguments)]
+    fn merge_run<const N: usize>(
+        &mut self,
+        keys: Block<'_, C>,
+        key_hashes: &[u32],
+        vals: Block<'_, C>,
+        contributors: Option<Block<'_, C>>,
+        tuple_hashes: &[u32],
+        ops: &[MonotoneOp],
+        round: u32,
+        mut changed: Option<&mut Vec<usize>>,
+    ) -> Result<(), Escaped> {
+        for (i, &hash) in key_hashes.iter().enumerate() {
+            if let Some(tuples) = contributors {
+                let tuple = tuples.get(i);
+                if !self
+                    .contributors
+                    .intern_hashed::<0>(tuple, tuple_hashes[i])
+                    .1
+                {
+                    continue;
+                }
+            }
+            let key = nth::<C, N>(keys.cells(), keys.arity(), i);
+            let (group, new) = self.keys.intern_hashed::<N>(key, hash);
+            if let AggChange::First(group) = self.settle(group, new, vals.get(i), ops, round)? {
+                if let Some(changed) = changed.as_deref_mut() {
+                    changed.push(group);
+                }
+            }
+        }
+        Ok(())
+    }
+
+    /// Merge `vals` into group `group` (`new`: just interned) at `round`.
+    #[inline(always)]
+    fn settle(
+        &mut self,
+        group: usize,
+        new: bool,
+        vals: &[C],
+        ops: &[MonotoneOp],
+        round: u32,
+    ) -> Result<AggChange, Escaped> {
+        debug_assert_eq!(vals.len(), ops.len());
         if new {
             // First contribution: totals = the contribution itself. Nothing
             // reads a group's previous totals before a later round has
@@ -456,6 +550,8 @@ impl<C: Cell> AggState<C> {
             created: vec![0; self.created.len()],
             contributors: self.contributors.clone(),
             before: Vec::new(),
+            key_hashes: Vec::new(),
+            tuple_hashes: Vec::new(),
         }
     }
 }

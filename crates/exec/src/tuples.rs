@@ -21,6 +21,17 @@
 //! outside its lane — an `Int` overflow, a NULL, a mistyped base column —
 //! reports [`Escaped`] and the clique is re-evaluated on values.
 //!
+//! # Blocks
+//!
+//! The pipeline hands its output to the state a [`Block`] at a time: a
+//! borrowed run of same-arity tuples. A block insert
+//! ([`TupleSet::intern_block`], and the state's `insert_block` and
+//! `merge_block` over it) hashes every tuple of the block first, then
+//! interns them in order — the same sequence of interns, growths and slots
+//! as one insert per tuple. It looks at the arity once per block: tuples of
+//! 1–4 cells run a body compiled for that arity (fixed-length hash and
+//! compare), wider ones the body over a runtime length.
+//!
 //! # The partition identity
 //!
 //! A view's state is co-partitioned with the hash indexes its delta probes,
@@ -35,6 +46,7 @@ pub use rasql_storage::value::{Escaped, Lane};
 use rasql_storage::{DataType, FxHasher, Row, Schema, Value, WordTable};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
+use std::ops::Range;
 use std::sync::Arc;
 
 /// The lanes of a schema whose every column is `Int` or `Double`; `None`
@@ -294,6 +306,109 @@ pub fn lane_partition(lanes: &[Lane], cells: &[u64], key: &[usize], n: usize) ->
     partition_of(lanes, cells, key, n)
 }
 
+/// Borrowed same-arity tuples in one arity-strided slice of cells: what a
+/// pipeline emits and a block insert consumes.
+#[derive(Debug)]
+pub struct Block<'a, C> {
+    cells: &'a [C],
+    arity: usize,
+    len: usize,
+}
+
+impl<C> Clone for Block<'_, C> {
+    fn clone(&self) -> Self {
+        *self
+    }
+}
+
+impl<C> Copy for Block<'_, C> {}
+
+impl<'a, C> Block<'a, C> {
+    /// `len` tuples of `arity` cells each.
+    #[inline]
+    pub fn new(cells: &'a [C], arity: usize, len: usize) -> Self {
+        debug_assert_eq!(cells.len(), arity * len);
+        Block { cells, arity, len }
+    }
+
+    /// Number of tuples.
+    #[inline]
+    pub fn len(&self) -> usize {
+        self.len
+    }
+
+    /// True if there are no tuples.
+    #[inline]
+    pub fn is_empty(&self) -> bool {
+        self.len == 0
+    }
+
+    /// Cells per tuple.
+    #[inline]
+    pub fn arity(&self) -> usize {
+        self.arity
+    }
+
+    /// The cells, tuple after tuple.
+    #[inline]
+    pub fn cells(&self) -> &'a [C] {
+        self.cells
+    }
+
+    /// Tuple `i`.
+    #[inline]
+    pub fn get(&self, i: usize) -> &'a [C] {
+        nth::<C, 0>(self.cells, self.arity, i)
+    }
+
+    /// Iterate the tuples.
+    pub fn iter(&self) -> impl ExactSizeIterator<Item = &'a [C]> + 'a {
+        let (cells, arity) = (self.cells, self.arity);
+        (0..self.len).map(move |i| nth::<C, 0>(cells, arity, i))
+    }
+}
+
+/// Tuple `i` of an arity-strided slice: `N` cells when `N` is not 0, else
+/// `arity` cells. A block body is compiled once per arity 1–4 (`N`) — the
+/// tuple's length, and so its hash and compare loops, are constants there —
+/// and once for wider tuples (`N = 0`).
+#[inline(always)]
+pub(crate) fn nth<C, const N: usize>(cells: &[C], arity: usize, i: usize) -> &[C] {
+    let a = if N == 0 { arity } else { N };
+    &cells[i * a..i * a + a]
+}
+
+/// Evaluate a const-generic block body once for `arity`, with the const
+/// `$n` = the arity for 1–4 and 0 (the runtime-length body) otherwise: one
+/// dispatch per block.
+macro_rules! by_arity {
+    ($arity:expr, $n:ident => $body:expr) => {
+        match $arity {
+            1 => {
+                const $n: usize = 1;
+                $body
+            }
+            2 => {
+                const $n: usize = 2;
+                $body
+            }
+            3 => {
+                const $n: usize = 3;
+                $body
+            }
+            4 => {
+                const $n: usize = 4;
+                $body
+            }
+            _ => {
+                const $n: usize = 0;
+                $body
+            }
+        }
+    };
+}
+pub(crate) use by_arity;
+
 /// A batch of same-arity tuples in one vector of cells, with the column
 /// kinds that interpret them (the lanes, for words).
 #[derive(Debug, Clone)]
@@ -374,6 +489,13 @@ impl<C: Cell> Tuples<C> {
     /// Iterate the tuples.
     pub fn iter(&self) -> impl ExactSizeIterator<Item = &[C]> + '_ {
         (0..self.len).map(|i| self.get(i))
+    }
+
+    /// Tuples `range`, as a block.
+    #[inline]
+    pub fn block(&self, range: Range<usize>) -> Block<'_, C> {
+        let cells = &self.cells[range.start * self.arity..range.end * self.arity];
+        Block::new(cells, self.arity, range.len())
     }
 
     /// Bytes of the equivalent rows (`16 + 8·arity` per numeric tuple —
@@ -501,9 +623,10 @@ impl<C: Cell> TupleSet<C> {
         (hash32 >> (32 - self.slots.len().trailing_zeros())) as usize
     }
 
-    /// The index of `tuple`, or the empty slot its probe sequence ends at.
-    #[inline]
-    fn probe(&self, tuple: &[C], hash32: u32) -> Result<usize, usize> {
+    /// The index of `tuple`, or the empty slot its probe sequence ends at;
+    /// the tuple has `N` cells (any number when `N` is 0).
+    #[inline(always)]
+    fn probe<const N: usize>(&self, tuple: &[C], hash32: u32) -> Result<usize, usize> {
         let mask = self.slots.len() - 1;
         let mut at = self.home(hash32);
         loop {
@@ -513,7 +636,7 @@ impl<C: Cell> TupleSet<C> {
             }
             if (slot >> 32) as u32 == hash32 {
                 let i = (slot as u32 - 1) as usize;
-                if self.tuples.get(i) == tuple {
+                if nth::<C, N>(&self.tuples.cells, self.tuples.arity, i) == tuple {
                     return Ok(i);
                 }
             }
@@ -527,18 +650,28 @@ impl<C: Cell> TupleSet<C> {
         if self.slots.is_empty() {
             return None;
         }
-        self.probe(tuple, (C::hash_cells(tuple) >> 32) as u32).ok()
+        self.probe::<0>(tuple, hash32(tuple)).ok()
     }
 
     /// The index of `tuple`, appended if absent; true if it was absent.
     #[inline]
     pub fn intern(&mut self, tuple: &[C]) -> (usize, bool) {
+        self.intern_hashed::<0>(tuple, hash32(tuple))
+    }
+
+    /// [`TupleSet::intern`] of a tuple of `N` cells (any number when `N` is
+    /// 0) whose [`hash32`] is known.
+    #[inline(always)]
+    pub(crate) fn intern_hashed<const N: usize>(
+        &mut self,
+        tuple: &[C],
+        hash32: u32,
+    ) -> (usize, bool) {
         // At most half full, so probe sequences stay short.
         if (self.tuples.len() + 1) * 2 > self.slots.len() {
             self.grow();
         }
-        let hash32 = (C::hash_cells(tuple) >> 32) as u32;
-        match self.probe(tuple, hash32) {
+        match self.probe::<N>(tuple, hash32) {
             Ok(i) => (i, false),
             Err(at) => {
                 let i = self.tuples.len();
@@ -547,6 +680,21 @@ impl<C: Cell> TupleSet<C> {
                 self.tuples.push(tuple);
                 (i, true)
             }
+        }
+    }
+
+    /// [`TupleSet::intern`] of every tuple of `block`, in order — the same
+    /// interns, growths and slots as one call per tuple — with every tuple
+    /// hashed first (into `hashes`, a reused buffer) and the arity looked at
+    /// once.
+    pub fn intern_block(&mut self, block: Block<'_, C>, hashes: &mut Vec<u32>) {
+        by_arity!(block.arity(), N => self.intern_run::<N>(block, hashes));
+    }
+
+    fn intern_run<const N: usize>(&mut self, block: Block<'_, C>, hashes: &mut Vec<u32>) {
+        hash_run::<C, N>(block, hashes);
+        for (i, &h) in hashes.iter().enumerate() {
+            self.intern_hashed::<N>(nth::<C, N>(block.cells, block.arity, i), h);
         }
     }
 
@@ -562,6 +710,25 @@ impl<C: Cell> TupleSet<C> {
             self.slots[at] = slot;
         }
     }
+}
+
+/// The 32 bits of a tuple's hash a [`TupleSet`] slot keeps.
+#[inline(always)]
+pub(crate) fn hash32<C: Cell>(tuple: &[C]) -> u32 {
+    (C::hash_cells(tuple) >> 32) as u32
+}
+
+/// [`hash32`] of every tuple of `block`, replacing `out`.
+pub(crate) fn hash_block<C: Cell>(block: Block<'_, C>, out: &mut Vec<u32>) {
+    by_arity!(block.arity(), N => hash_run::<C, N>(block, out));
+}
+
+/// [`hash_block`] for tuples of `N` cells (any number when `N` is 0).
+#[inline(always)]
+pub(crate) fn hash_run<C: Cell, const N: usize>(block: Block<'_, C>, out: &mut Vec<u32>) {
+    out.clear();
+    let (cells, arity) = (block.cells, block.arity);
+    out.extend((0..block.len).map(|i| hash32(nth::<C, N>(cells, arity, i))));
 }
 
 #[cfg(test)]

@@ -18,9 +18,9 @@
 //! | `RL0004` | `std::thread::sleep` in non-test `server`/`exec` code |
 //! | `RL0005` | direct durable file writes (`File::create`, `.write_all(`, `fs::rename`) in `crates/storage/src` outside the WAL/snapshot/spill modules |
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
-//! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s streaming executor, `exec::kernel`'s edge walk, `core::fixpoint`'s emit/merge functions and seed-fold sink) without an allow annotation |
+//! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s block executor, `exec::kernel`'s edge walk, `core::fixpoint`'s block loop, emit/merge sinks and seed-fold sink) without an allow annotation |
 //! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `WordIndex::build(`, `WordTable::from_rows(`/`from_tuples(`/`from_batch(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast, seed and recursive-snapshot builds carry an allow annotation saying why they are not kept |
-//! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s executor, `exec::tuples`' set, `exec::state`'s inserts, `plan::expr`'s word evaluator, `core::fixpoint`'s branch run and merge) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
+//! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s block executor, `exec::tuples`' set and its block interns, `exec::state`'s single and block inserts, `plan::expr`'s word evaluator, `core::fixpoint`'s branch run and block merge) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
 //! | `RL0009` | round-loop bookkeeping (`record_iteration(`, `EngineError::NonTermination`, `metrics.iterations`, `metrics.restores`, `begin_clique(`) in `core::fixpoint` outside fn `drive` — the trace record, the cap, the iteration count and recovery are written once; the in-task cap of the decomposed stage carries an allow annotation |
 //! | `RL0011` | statement bookkeeping in `core::context` outside the lifecycle function that owns it: a clock (`Instant::now(`) or a `QueryStats {` literal outside `run_statement`, a metrics delta (`.snapshot().since(`) outside `execute`, an `EvalContext {` literal outside `eval_context` — every statement is timed by one clock, measured by one delta, evaluated through one context and reported by one assembly |
 //!
@@ -880,27 +880,24 @@ fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppres
 }
 
 /// The borrowed-tuple path covered by RL0007, as (module, functions): the
-/// streaming executor, the fixpoint's emit/merge sinks and the sink of the
-/// kernels' seed fold, and the kernels' edge walk. `run_unfused` (the §7.3
-/// ablation) materializes rows by design and is not listed.
+/// block executor, the fixpoint's block loop and its emit/merge sinks, the
+/// sink of the kernels' seed fold, and the kernels' edge walk. `run_unfused`
+/// (the §7.3 ablation) materializes rows by design and is not listed.
 const TUPLE_PATHS: &[(&str, &[&str])] = &[
-    (
-        "crates/exec/src/pipeline.rs",
-        &["for_each", "feed", "push", "emit", "apply"],
-    ),
+    ("crates/exec/src/pipeline.rs", PIPELINE_FNS),
     ("crates/exec/src/kernel.rs", &["edge_walk"]),
     (
         "crates/core/src/fixpoint.rs",
         &[
-            "push",
+            "run_branch",
+            "run_blocks",
+            "input",
+            "emit_block",
+            "push_block",
+            "gather",
+            "assemble",
             "merge_into_state",
             "push_seed",
-            "run_branch",
-            "read",
-            "input",
-            "emit",
-            "pick",
-            "assemble",
         ],
     ),
     ("crates/exec/src/tuples.rs", WORD_SET_FNS),
@@ -912,10 +909,7 @@ const TUPLE_PATHS: &[(&str, &[&str])] = &[
 /// arena. (`plan::expr`'s `eval_vals`, `exec::tuples`' `Cell for Value` and
 /// the row-only paths of `core::fixpoint` work on values by definition.)
 const WORD_PATHS: &[(&str, &[&str])] = &[
-    (
-        "crates/exec/src/pipeline.rs",
-        &["feed", "push", "emit", "apply"],
-    ),
+    ("crates/exec/src/pipeline.rs", PIPELINE_FNS),
     ("crates/exec/src/tuples.rs", WORD_SET_FNS),
     ("crates/exec/src/state.rs", WORD_STATE_FNS),
     ("crates/plan/src/expr.rs", &["eval_cells"]),
@@ -924,27 +918,52 @@ const WORD_PATHS: &[(&str, &[&str])] = &[
         "crates/core/src/fixpoint.rs",
         &[
             "run_branch",
-            "read",
+            "run_blocks",
             "input",
-            "emit",
-            "push",
-            "pick",
+            "emit_block",
+            "push_block",
+            "gather",
             "assemble",
             "merge_into_state",
         ],
     ),
 ];
+/// The block executor (`exec::pipeline`): a block's selection, its joins and
+/// its projection, and `for_each`, which runs it over rows.
+const PIPELINE_FNS: &[&str] = &[
+    "for_each",
+    "run_block",
+    "select",
+    "filter",
+    "join",
+    "emit",
+    "apply",
+];
 const WORD_SET_FNS: &[&str] = &[
     "intern",
+    "intern_hashed",
+    "intern_block",
+    "intern_run",
     "probe",
     "find",
     "push",
     "get",
+    "nth",
+    "hash32",
+    "hash_block",
+    "hash_run",
     "partition_of",
     "lane_partition",
     "hash_cells",
 ];
-const WORD_STATE_FNS: &[&str] = &["insert_slice", "merge_in_place"];
+const WORD_STATE_FNS: &[&str] = &[
+    "insert_slice",
+    "insert_block",
+    "merge_in_place",
+    "merge_block",
+    "merge_run",
+    "settle",
+];
 /// The packed build side's probe and build (`storage::index::WordTable`).
 const PACKED_TABLE_FNS: &[&str] = &[
     "probe",
@@ -959,7 +978,6 @@ const PACKED_TABLE_FNS: &[&str] = &[
     "from_tuples",
     "from_batch",
 ];
-
 /// RL0007: `Row::new(` / `Row::from_slice(` / `.concat(` / `.to_vec(` in a
 /// function that runs once per derived tuple. Most derived tuples are
 /// duplicates; building a row for each is what the borrowed-tuple path

@@ -1,10 +1,10 @@
 // Fixture: trips RL0007. Linted under the virtual path of a module of the
-// borrowed-tuple path (`crates/exec/src/pipeline.rs`: `for_each`, `push`,
+// borrowed-tuple path (`crates/exec/src/pipeline.rs`: `for_each`, `join`,
 // `emit`; `crates/exec/src/kernel.rs`: `edge_walk`;
-// `crates/core/src/fixpoint.rs`: `push`, `assemble`, `merge_into_state`,
-// `push_seed`).
+// `crates/core/src/fixpoint.rs`: `push_block`, `assemble`,
+// `merge_into_state`, `push_seed`).
 impl Pipeline {
-    fn push(&self, row: &Row, out: &mut Vec<Row>) {
+    fn join(&self, row: &Row, out: &mut Vec<Row>) {
         let key = row.values().to_vec();
         for m in self.table.probe(&key) {
             out.push(row.concat(m));
@@ -17,6 +17,12 @@ impl Pipeline {
 }
 
 impl Merge<'_> {
+    fn push_block(&mut self, block: &[Value], arity: usize) {
+        for tuple in block.chunks(arity) {
+            self.pending.push(Row::from_slice(tuple));
+        }
+    }
+
     fn assemble(&mut self, tuple: &[Value]) {
         if self.state.insert_slice(tuple, self.round) {
             // lint: allow(RL0007, fixture: the delta's copy of a tuple the state found new)

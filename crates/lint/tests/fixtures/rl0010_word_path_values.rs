@@ -1,12 +1,13 @@
 // Fixture: trips RL0010. Linted under the virtual path of a module of the
-// word-lane tuple path (`crates/exec/src/pipeline.rs`: `feed`, `push`,
-// `emit`, `apply`; `crates/exec/src/tuples.rs`: `intern`, `probe`, ...;
-// `crates/exec/src/state.rs`: `insert_slice`, `merge_in_place`;
+// word-lane tuple path (`crates/exec/src/pipeline.rs`: `run_block`,
+// `select`, `filter`, `join`, `emit`, `apply`; `crates/exec/src/tuples.rs`:
+// `intern`, `intern_block`, `probe`, ...; `crates/exec/src/state.rs`:
+// `insert_slice`, `insert_block`, `merge_block`, ...;
 // `crates/plan/src/expr.rs`: `eval_cells`; `crates/core/src/fixpoint.rs`:
-// `run_branch`, `read`, `input`, `emit`, `push`, `pick`, `assemble`,
-// `merge_into_state`).
+// `run_branch`, `run_blocks`, `input`, `emit_block`, `push_block`,
+// `gather`, `assemble`, `merge_into_state`).
 impl<C: Cell> Pipeline<C> {
-    fn push(&self, s: &mut Scratch<C>) {
+    fn join(&self, s: &mut Scratch<C>) {
         let key = Value::Int(s.tuple[1] as i64);
         for m in self.table.probe(&[key.clone()]) {
             s.out.push(Row::from_slice(m.values()));
@@ -29,6 +30,20 @@ impl WordExpr {
 impl<C: Cell> SetState<C> {
     fn insert_slice(&mut self, tuple: &[C], round: u32) -> bool {
         self.rows.insert(Row::new(tuple.to_vec()), round)
+    }
+}
+
+impl<C: Cell> Merge<C> {
+    fn push_block(&mut self, block: Block<'_, C>) {
+        let one = Value::Int(1);
+        for t in block.iter() {
+            self.rows.push(Row::from_slice(&[one.clone()]));
+        }
+    }
+
+    fn gather(&self, tuple: &[C], out: &mut Vec<C>) {
+        // lint: allow(RL0010, fixture: a cell, a word copy on the word path)
+        out.extend(self.cols.iter().map(|&c| tuple[c].clone()));
     }
 }
 

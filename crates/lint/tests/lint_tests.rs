@@ -238,44 +238,41 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
             .map(|d| (d.code, d.span.start, d.span.end))
             .collect()
     };
-    // `push` and `emit` are the streaming executor's functions ...
+    let at = |needle: &str, from: usize| {
+        let start = from + src[from..].find(needle).unwrap();
+        (
+            LintCode::PerTupleRowBuild,
+            start as u32,
+            (start + needle.len()) as u32,
+        )
+    };
+    let to_vec = at(".to_vec(", 0);
+    let concat = at(".concat(", to_vec.2 as usize);
+    let new_row = at("Row::new(", concat.2 as usize);
+    let pushed = at("Row::from_slice(", new_row.2 as usize);
+    let seeded = at("Row::from_slice(", at("fn push_seed", 0).2 as usize);
+    let walked = at("Row::new(", at("fn edge_walk", 0).2 as usize);
+    // `join` and `emit` are the block executor's functions ...
     let (diags, suppressed) = lint_file_counting("crates/exec/src/pipeline.rs", src);
     assert_eq!(
         spans("crates/exec/src/pipeline.rs"),
-        vec![
-            (LintCode::PerTupleRowBuild, 392, 400), // .to_vec(
-            (LintCode::PerTupleRowBuild, 469, 477), // .concat(
-            (LintCode::PerTupleRowBuild, 552, 561), // Row::new(
-        ],
+        vec![to_vec, concat, new_row],
         "{diags:#?}"
     );
-    // `assemble`, `push_seed` and `edge_walk` are not among them;
-    // `run_unfused` and the test module never are.
+    // `push_block`, `assemble`, `push_seed` and `edge_walk` are not among
+    // them; `run_unfused` and the test module never are.
     assert_eq!(suppressed, 0);
-    assert_eq!(&src[392..400], ".to_vec(");
-    assert_eq!(&src[469..477], ".concat(");
-    assert_eq!(&src[552..561], "Row::new(");
-    // ... the fixpoint's sinks are `push`, `emit` and `assemble`, whose
+    // ... the fixpoint's sinks are `push_block` and `assemble`, whose
     // annotated copy is suppressed, and the seed fold's `push_seed`.
     let (diags, suppressed) = lint_file_counting("crates/core/src/fixpoint.rs", src);
     assert_eq!(
         spans("crates/core/src/fixpoint.rs"),
-        vec![
-            (LintCode::PerTupleRowBuild, 392, 400),
-            (LintCode::PerTupleRowBuild, 469, 477),
-            (LintCode::PerTupleRowBuild, 552, 561),
-            (LintCode::PerTupleRowBuild, 973, 989), // Row::from_slice(
-        ],
+        vec![pushed, seeded],
         "{diags:#?}"
     );
     assert_eq!(suppressed, 1);
-    assert_eq!(&src[973..989], "Row::from_slice(");
     // ... and the kernels' edge walk is the one function of its module.
-    assert_eq!(
-        spans("crates/exec/src/kernel.rs"),
-        vec![(LintCode::PerTupleRowBuild, 1166, 1175)],
-    );
-    assert_eq!(&src[1166..1175], "Row::new(");
+    assert_eq!(spans("crates/exec/src/kernel.rs"), vec![walked]);
     for path in ["crates/exec/src/state.rs", "crates/core/src/eval.rs"] {
         assert!(lint_file(path, src).is_empty(), "{path} is not covered");
     }
@@ -472,7 +469,7 @@ fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
             .collect();
         (spans, suppressed)
     };
-    // The executor's `push` builds a key value, clones it and builds a row;
+    // The executor's `join` builds a key value, clones it and builds a row;
     // its `emit` copies a cell under an annotation.
     let at = |needle: &str, from: u32| {
         let start = from as usize + src[from as usize..].find(needle).unwrap();
@@ -491,10 +488,14 @@ fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
     assert_eq!(found("crates/plan/src/expr.rs"), (vec![double], 0));
     let boxed = at("Row::new(", double.1);
     assert_eq!(found("crates/exec/src/state.rs"), (vec![boxed], 0));
-    // `push`/`emit` are the fixpoint's sinks too: the same three findings.
+    // The fixpoint's block sink builds a value and a row per tuple and
+    // clones the value; its `gather` copies a cell under an annotation.
+    let one = at("Value::Int(", boxed.1);
+    let row_per_tuple = at("Row::from_slice(", one.1);
+    let cloned = at(".clone()", row_per_tuple.1);
     assert_eq!(
         found("crates/core/src/fixpoint.rs"),
-        (vec![key, clone, row], 1)
+        (vec![one, row_per_tuple, cloned], 1)
     );
     // `to_rows`, `eval_vals` and the test module are nobody's hot function,
     // and other modules are not covered.
