@@ -556,6 +556,10 @@ pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
     frame.extend_from_slice(&FRAME_MAGIC);
     frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
     frame.extend_from_slice(payload);
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a frame goes to a socket, not to disk"
+    )]
     w.write_all(&frame)?;
     w.flush()
 }

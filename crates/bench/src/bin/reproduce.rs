@@ -19,8 +19,8 @@
 //! diagnostic or refuted PreM obligation.
 //!
 //! The `lint-src` target runs the *source* linter (`rasql-lint`) over the
-//! workspace's own `crates/*/src` tree, enforcing the concurrency and
-//! hot-path disciplines with `RL####` diagnostics (`RL` codes are about
+//! workspace's own `crates/*/src` tree, enforcing the hot-path and
+//! single-owner disciplines with `RL####` diagnostics (`RL` codes are about
 //! the engine's Rust; `RA` codes are about the user's SQL). Exits non-zero
 //! on any unsuppressed finding.
 //!

@@ -1779,6 +1779,10 @@ pub fn serve_soak(scale: f64) -> Table {
                 Instant::now() < deadline,
                 "serve-soak: leaked server threads ({before} -> {after})"
             );
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "the OS reaps exited threads with no event to wait on; bounded by the deadline"
+            )]
             std::thread::sleep(Duration::from_millis(20));
         }
     }
@@ -2143,7 +2147,7 @@ pub fn lint() -> (String, bool) {
 }
 
 /// `reproduce lint-src` — run the workspace source linter (`rasql-lint`)
-/// over `crates/*/src`, enforcing the engine's concurrency and hot-path
+/// over `crates/*/src`, enforcing the engine's hot-path and single-owner
 /// disciplines with `RL####` diagnostics (the source-level sibling of the
 /// `RA####` query codes). Returns the rendered report and whether the tree
 /// is clean. The walk is rooted at the workspace this binary was built

@@ -335,6 +335,10 @@ impl Client {
     fn backoff_and_redial(&mut self, attempt: u32) {
         let delay = self.reconnect.delay(attempt);
         if !delay.is_zero() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "reconnect backoff: the server is gone, so there is no event to wait on"
+            )]
             std::thread::sleep(delay);
         }
         if let Ok((stream, server)) = Self::dial(&self.addrs) {

@@ -21,6 +21,7 @@
 //! state — typed probe → emit → merge, see `rasql_exec::tuples` — and on
 //! `Value` cells otherwise, or when a value leaves its lane mid-run (the word
 //! run is abandoned and the clique re-evaluated from the immutable base).
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
@@ -243,7 +244,10 @@ impl Repr for Value {
         payload: &CompressedRelation,
         join: &JoinShape<Value>,
     ) -> Result<HashTable, Escaped> {
-        // lint: allow(RL0002, round-tripping a payload this pass just compressed)
+        #[expect(
+            clippy::expect_used,
+            reason = "round-tripping a payload this pass just compressed"
+        )]
         let rows = payload.decompress().expect("own payload");
         Self::rows_table(&rows, join)
     }
@@ -402,7 +406,10 @@ impl Repr for u64 {
         payload: &CompressedRelation,
         join: &JoinShape<u64>,
     ) -> Result<WordTable, Escaped> {
-        // lint: allow(RL0002, round-tripping a payload this pass just compressed)
+        #[expect(
+            clippy::expect_used,
+            reason = "round-tripping a payload this pass just compressed"
+        )]
         let batch = payload.decompress_lanes().expect("own payload");
         // lint: allow(RL0008, the broadcast models the network: every worker builds its copy)
         WordTable::from_batch(join.words(), &batch)
@@ -1050,9 +1057,12 @@ impl<C: Cell> CompiledBranch<C> {
                     unreachable!("sorted joins are executed eagerly, on rows")
                 }
                 BuildSide::Replicated(bc) => bc.on_worker(at.worker),
+                #[expect(
+                    clippy::expect_used,
+                    reason = "snapshot pass above fills every Recursive slot"
+                )]
                 BuildSide::Recursive { .. } => at.snapshots[at.op_base + i]
                     .as_ref()
-                    // lint: allow(RL0002, snapshot pass above fills every Recursive slot)
                     .expect("snapshot built for recursive build side"),
             };
             steps.push(PipelineStep::HashJoin {
@@ -1969,9 +1979,10 @@ impl<'a> FixpointExecutor<'a> {
     /// Try to evaluate the clique on the monomorphized kernel selected by
     /// [`select_kernel`]. Returns `Ok(None)` when the *data* disagrees with
     /// the statically selected shape (a non-`Int` vertex id, a mistyped
-    /// aggregate value or edge weight) — the caller then falls back to the
-    /// generic interpreter, which re-evaluates the base and build plans.
-    /// Every such check happens before any kernel state exists.
+    /// aggregate value or edge weight, checked before any kernel state
+    /// exists; an `Int` sum that leaves `i64`, found mid-run) — the caller
+    /// then falls back to the generic interpreter, which re-evaluates the
+    /// base and build plans.
     fn run_specialized(
         &self,
         spec: &FixpointSpec,
@@ -1988,7 +1999,7 @@ impl<'a> FixpointExecutor<'a> {
             (KernelOp::Set, _) => {
                 let p = self.config.partitions;
                 let scan = move |g: &CsrGraph, delta: &[u32], sink: &mut Combiner| {
-                    sink.scan::<(), DenseSetState>(g, delta, p, |_, _, dst| dst)
+                    sink.scan::<(), DenseSetState>(g, delta, p, |_, _, dst| Ok(dst))
                 };
                 let materialise = |g: &CsrGraph, slab: &DenseSetState, rows: &mut Vec<Row>| {
                     rows.extend(
@@ -1997,7 +2008,6 @@ impl<'a> FixpointExecutor<'a> {
                     );
                 };
                 self.run_dense::<DenseSetState, ()>(v, kp, &csr, &seeds, scan, materialise)
-                    .map(Some)
             }
             (KernelOp::Min, KernelScalar::I64) => {
                 self.run_kernel_agg::<i64, MinOp>(v, kp, &csr, &seeds)
@@ -2123,26 +2133,29 @@ impl<'a> FixpointExecutor<'a> {
             _ => T::zero(),
         };
         // One monomorphized walk per edge transform: no `Value` dispatch and
-        // no branch on the transform inside the loop.
+        // no branch on the transform inside the loop. A sum that leaves `i64`
+        // abandons the run (`KernelValue::add`).
         let scan = move |g: &CsrGraph, delta: &[(u32, T)], sink: &mut Combiner| {
             let ws = T::weights(g);
             match edge_fn {
                 KernelEdgeFn::Identity => {
-                    sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), _, dst| (dst, val))
+                    sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), _, dst| {
+                        Ok((dst, val))
+                    })
                 }
                 KernelEdgeFn::AddWeight => {
                     sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), e, dst| {
-                        (dst, T::add(val, ws[e]))
+                        T::add(val, ws[e]).map(|c| (dst, c)).ok_or(Escaped)
                     })
                 }
                 KernelEdgeFn::AddConst(_) => {
                     sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), _, dst| {
-                        (dst, T::add(val, add))
+                        T::add(val, add).map(|c| (dst, c)).ok_or(Escaped)
                     })
                 }
                 KernelEdgeFn::MinWeight => {
                     sink.scan::<Op, DenseAggState<T>>(g, delta, p, |(_, val), e, dst| {
-                        (dst, if T::lt(ws[e], val) { ws[e] } else { val })
+                        Ok((dst, if T::lt(ws[e], val) { ws[e] } else { val }))
                     })
                 }
             }
@@ -2157,22 +2170,25 @@ impl<'a> FixpointExecutor<'a> {
             }));
         };
         self.run_dense::<DenseAggState<T>, Op>(v, kp, csr, seeds, scan, materialise)
-            .map(Some)
     }
 
     /// A kernel-selected clique, dense from its seeds to its rows: bucket the
     /// seeds, broadcast the graph once, drive [`Dense`] to the fixpoint and
     /// materialise the slabs. `scan` and `materialise` are all that differs
-    /// between kernels.
+    /// between kernels. `None` when a value left `i64`: the run is abandoned,
+    /// as a word run a value escapes from is, and the interpreter answers.
     fn run_dense<S, Op>(
         &self,
         v: &ViewSpec,
         kp: &KernelPlan,
         csr: &Arc<CsrGraph>,
         seeds: &[(u32, u64)],
-        scan: impl Fn(&CsrGraph, &[S::Item], &mut Combiner) -> Vec<Vec<S::Item>> + Send + Sync + 'static,
+        scan: impl Fn(&CsrGraph, &[S::Item], &mut Combiner) -> KernelOut<S::Item>
+            + Send
+            + Sync
+            + 'static,
         materialise: impl Fn(&CsrGraph, &S, &mut Vec<Row>),
-    ) -> Result<FixpointResult, EngineError>
+    ) -> Result<Option<FixpointResult>, EngineError>
     where
         S: DenseState<Op>,
     {
@@ -2187,7 +2203,10 @@ impl<'a> FixpointExecutor<'a> {
             for &(d, bits) in seeds {
                 scratch.merge(S::item(d, bits), 0);
             }
-            for item in scratch.take_delta(true) {
+            let Ok(seeded) = scratch.take_delta(true) else {
+                return Ok(None);
+            };
+            for item in seeded {
                 base[csr.part_of[S::vertex(item) as usize] as usize].push(item);
             }
         }
@@ -2220,8 +2239,18 @@ impl<'a> FixpointExecutor<'a> {
                     .collect(),
             ),
             op: PhantomData::<Op>,
+            escaped: false,
         };
-        let iterations = self.drive(&mut dense, 0)?;
+        let iterations = match self.drive(&mut dense, 0) {
+            Ok(iterations) => iterations,
+            Err(_) if dense.escaped => {
+                if let Some(t) = self.eval.trace {
+                    t.abandon_clique();
+                }
+                return Ok(None);
+            }
+            Err(e) => return Err(e),
+        };
 
         // Materialize: a vertex is occupied only in its owner partition.
         let total: usize = dense.parts.iter().map(|part| part.lock().0.len()).sum();
@@ -2229,10 +2258,10 @@ impl<'a> FixpointExecutor<'a> {
         for part in dense.parts.iter() {
             materialise(csr, &part.lock().0, &mut rows);
         }
-        Ok(FixpointResult {
+        Ok(Some(FixpointResult {
             views: vec![Relation::new_unchecked(v.schema.clone(), rows)],
             iterations,
-        })
+        }))
     }
 }
 
@@ -2894,6 +2923,10 @@ impl<C: Repr> RoundStep for Decomposed<'_, '_, C> {
 /// `(vertex, aggregate bits)`.
 type DenseSeeds = Vec<(u32, u64)>;
 
+/// A kernel scan's contributions by destination partition, or `Escaped` when
+/// a value left `i64`.
+type KernelOut<I> = Result<Vec<Vec<I>>, Escaped>;
+
 /// The kernel rounds, written once over [`DenseState`]: semi-naive's
 /// combined mode round for round — same iteration counting, same closing
 /// round, same shuffle accounting for worker-crossing contributions — over
@@ -2914,12 +2947,15 @@ struct Dense<'e, 'a, S: DenseState<Op>, Op, F> {
     pending: Arc<Vec<Vec<Vec<S::Item>>>>,
     parts: Arc<Vec<RankedMutex<(S, Combiner)>>>,
     op: PhantomData<Op>,
+    /// Set when a value left `i64`: the error that ends the round loop then
+    /// means "evaluate the clique on the interpreter", not a failed query.
+    escaped: bool,
 }
 
 impl<S, Op, F> RoundStep for Dense<'_, '_, S, Op, F>
 where
     S: DenseState<Op>,
-    F: Fn(&CsrGraph, &[S::Item], &mut Combiner) -> Vec<Vec<S::Item>> + Send + Sync + 'static,
+    F: Fn(&CsrGraph, &[S::Item], &mut Combiner) -> KernelOut<S::Item> + Send + Sync + 'static,
 {
     fn label(&self) -> (Vec<String>, &'static str, &'static str) {
         (vec![self.view.clone()], "specialized", self.kernel)
@@ -2945,14 +2981,21 @@ where
                             slab.merge(item, round - 1);
                         }
                     }
-                    let delta = slab.take_delta(totals);
-                    (delta.len() as u64, scan(bc.on_worker(w), &delta, combiner))
+                    let delta = slab.take_delta(totals)?;
+                    Ok((delta.len() as u64, scan(bc.on_worker(w), &delta, combiner)?))
                 })
             })
             .collect();
         // Each task returns the delta rows it consumed and its combined
         // contributions, bucketed by destination partition.
         let results = exec.stage("fixpoint kernel", StageKind::Combined, tasks)?;
+        let Ok(results) = results.into_iter().collect::<Result<Vec<_>, Escaped>>() else {
+            self.escaped = true;
+            return Err(Halt::Fatal(EngineError::Other(format!(
+                "view '{}': a value left i64 in kernel {}",
+                self.view, self.kernel
+            ))));
+        };
 
         let delta_rows: u64 = results.iter().map(|(n, _)| *n).sum();
         let total_rows = (self.parts.iter())

@@ -78,7 +78,6 @@ impl EvalContext<'_> {
                 if plan.distributes_over_appends() && plan.scans_of(&table) == 1 =>
             {
                 let grown = snaps.iter().find(|s| s.table == table);
-                // lint: allow(RL0002, `table` was named by the store out of `now`, which is `snaps`)
                 let suffix = &grown.expect("grown table is a dependency").rel.rows()[from..];
                 let delta = self.eval_over(plan, &snaps, Some((&table, suffix)))?;
                 if let Some(index) = store.advance(&key, &table, from, &now, delta.rows()) {

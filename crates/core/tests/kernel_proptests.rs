@@ -217,6 +217,85 @@ fn int_rel(cols: &[&str], rows: &[&[i64]]) -> Relation {
     .unwrap()
 }
 
+/// The sorted rows with their value types (`Value`'s equality, and a row's
+/// `Debug`, let `Int(8)` match `Double(8.0)`).
+fn typed_rows(rel: &Relation) -> Vec<Vec<Value>> {
+    let sorted = rel.clone().sorted();
+    sorted.rows().iter().map(|r| r.values().to_vec()).collect()
+}
+
+/// Run `sql` through both engines and demand the same typed rows; the kernel
+/// run, abandoned, left only the interpreter's clique in the trace.
+fn assert_interpreter_answers(tables: &[(&str, Relation)], sql: &str) -> Vec<Vec<Value>> {
+    let typed = |cfg: EngineConfig| {
+        let result = run(cfg, tables, sql);
+        assert_eq!(kernel_of(&result), "generic", "{sql}");
+        typed_rows(&result.relation)
+    };
+    let fast = typed(EngineConfig::rasql());
+    let slow = typed(EngineConfig::rasql().with_specialized_kernels(false));
+    assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{sql}");
+    fast
+}
+
+/// A kernel adds `i64`s with checked arithmetic: a path count past
+/// `i64::MAX` abandons the kernel run, and the interpreter — which promotes
+/// an overflowing `Int` sum to `Double` — answers. Vertex `3i+3` of the
+/// diamond chain `3i → 3i+1, 3i+2 → 3i+3` is reached by `2^(i+1)` paths.
+#[test]
+fn count_paths_past_i64_falls_back_to_the_interpreter() {
+    let chain = |diamonds: i64| {
+        let rows: Vec<[i64; 2]> = (0..3 * diamonds)
+            .step_by(3)
+            .flat_map(|v| [[v, v + 1], [v, v + 2], [v + 1, v + 3], [v + 2, v + 3]])
+            .collect();
+        [(
+            "edge",
+            int_rel(
+                &["Src", "Dst"],
+                &rows.iter().map(|r| &r[..]).collect::<Vec<_>>(),
+            ),
+        )]
+    };
+    let sql = library::count_paths(0);
+    assert_differential(&chain(8), &sql, "csr_sum_i64");
+    let rows = assert_interpreter_answers(&chain(64), &sql);
+    for (v, count) in [
+        (186, Value::Int(1 << 62)),
+        (189, Value::Double(2f64.powi(63))),
+        (192, Value::Double(2f64.powi(64))),
+    ] {
+        let row = rows.iter().find(|r| r[0] == Value::Int(v)).unwrap();
+        assert_eq!(format!("{:?}", row[1]), format!("{count:?}"));
+    }
+}
+
+/// A min-plus path whose cost leaves `i64` on one edge: the interpreter
+/// promotes that candidate to `Double` and keeps the cheaper `Int` path,
+/// where a wrapping kernel kept a negative cost.
+#[test]
+fn min_plus_near_i64_max_falls_back_to_the_interpreter() {
+    let sql = "WITH recursive path (Dst, min() AS Cost) AS (SELECT 1, 0) UNION \
+               (SELECT edge.Dst, path.Cost + edge.Cost FROM path, edge WHERE path.Dst = edge.Src) \
+               SELECT Dst, Cost FROM path";
+    let graph = |far: i64| {
+        let rows: [&[i64]; 4] = [&[1, 2, far], &[2, 3, 10], &[1, 3, 7], &[3, 4, 1]];
+        [("edge", int_rel(&["Src", "Dst", "Cost"], &rows))]
+    };
+    assert_differential(&graph(1_000), sql, "csr_min_i64");
+    let want = int_rel(
+        &["Dst", "Cost"],
+        &[&[1, 0], &[2, i64::MAX - 5], &[3, 7], &[4, 8]],
+    );
+    assert_eq!(
+        format!(
+            "{:?}",
+            assert_interpreter_answers(&graph(i64::MAX - 5), sql)
+        ),
+        format!("{:?}", typed_rows(&want))
+    );
+}
+
 /// Every library query, run through both engines: results must be identical
 /// everywhere, and the set of queries that specialize is pinned exactly.
 /// The non-selecting queries document *why* the guard keeps them on the

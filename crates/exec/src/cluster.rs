@@ -20,6 +20,7 @@
 //! [`ExecError`] — they are *not* retried, because a panicking body may have
 //! partially mutated per-partition state (the price of the paper's mutable
 //! SetRDD design; see DESIGN.md "Fault tolerance").
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::error::ExecError;
 use crate::fault::{FaultInjector, FaultSpec, TaskFault};
@@ -160,6 +161,10 @@ impl Cluster {
         for w in 0..config.workers {
             let (tx, rx) = unbounded::<Job>();
             senders.push(tx);
+            #[expect(
+                clippy::expect_used,
+                reason = "OS thread spawn at pool construction; resource exhaustion here has no recovery path"
+            )]
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("rasql-worker-{w}"))
@@ -168,7 +173,6 @@ impl Cluster {
                             job(w);
                         }
                     })
-                    // lint: allow(RL0002, OS thread spawn at pool construction; resource exhaustion here has no recovery path)
                     .expect("spawn worker"),
             );
         }
@@ -263,7 +267,10 @@ impl Cluster {
         let n = tasks.len();
         let t_start = Instant::now();
         if !self.config.stage_latency.is_zero() {
-            // lint: allow(RL0004, simulated per-stage scheduling latency is the point of the knob)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "simulated per-stage scheduling latency is the point of the knob"
+            )]
             std::thread::sleep(self.config.stage_latency);
         }
         Metrics::add(&self.metrics.stages, 1);
@@ -375,7 +382,10 @@ impl Cluster {
                         .retry_backoff
                         .saturating_mul(1u32 << (prior - 1).min(10));
                     if !backoff.is_zero() {
-                        // lint: allow(RL0004, bounded retry backoff between task attempts)
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "bounded retry backoff between task attempts"
+                        )]
                         std::thread::sleep(backoff.min(Duration::from_millis(100)));
                     }
                     let target = self.retry_worker(prefs[i], attempts[i]);
@@ -442,7 +452,10 @@ impl Cluster {
                     },
                     TaskFault::None | TaskFault::Delay(_) => {
                         if let TaskFault::Delay(d) = fault {
-                            // lint: allow(RL0004, injected Delay fault IS a sleep by definition)
+                            #[expect(
+                                clippy::disallowed_methods,
+                                reason = "injected Delay fault IS a sleep by definition"
+                            )]
                             std::thread::sleep(d);
                         }
                         match std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
@@ -769,30 +782,31 @@ mod tests {
         {
             return;
         }
-        let c = Cluster::new(ClusterConfig::with_workers(4));
+        // `black_box` keeps the optimizer from folding either loop, and no
+        // simulated stage latency is added to the parallel side.
+        let work = || {
+            let mut acc = 0u64;
+            for x in 0..24_000_000u64 {
+                let x = std::hint::black_box(x);
+                acc = acc.wrapping_add(x * x);
+            }
+            acc
+        };
+        let c = Cluster::new(ClusterConfig {
+            stage_latency: Duration::ZERO,
+            ..ClusterConfig::with_workers(4)
+        });
         let t0 = std::time::Instant::now();
         c.run_stage(
             (0..4)
-                .map(|i| {
-                    StageTask::new(i, |_w| {
-                        let mut acc = 0u64;
-                        for x in 0..4_000_000u64 {
-                            acc = acc.wrapping_add(x * x);
-                        }
-                        acc
-                    })
-                })
+                .map(|i| StageTask::new(i, move |_w| work()))
                 .collect::<Vec<StageTask<u64>>>(),
         )
         .unwrap();
         let par = t0.elapsed();
         let t1 = std::time::Instant::now();
         for _ in 0..4 {
-            let mut acc = 0u64;
-            for x in 0..4_000_000u64 {
-                acc = acc.wrapping_add(x * x);
-            }
-            std::hint::black_box(acc);
+            std::hint::black_box(work());
         }
         let ser = t1.elapsed();
         assert!(par < ser, "parallel {par:?} not faster than serial {ser:?}");

@@ -5,6 +5,7 @@
 //!   the delta streams and probes.
 //! - **Sort-merge join**: both sides sorted by key, merged; the base side's
 //!   sorted run is likewise built once and reused.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use rasql_storage::{Row, Value, WordMatches, WordTable};
 

@@ -18,14 +18,17 @@
 //! `Value::cmp`), and a zero `sum` contribution onto an occupied slot is a
 //! no-op. The differential proptests in `rasql-core` enforce this against
 //! the interpreter on random graphs.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use rasql_storage::{CsrGraph, Value};
+
+use crate::Escaped;
 
 /// Scalar types the kernels are monomorphized over.
 ///
 /// `lt`/`gt` define the same total order as `Value::cmp` (`f64` uses
 /// `total_cmp`); `add`/`sub` are the slab-local analogs of
-/// `Value::add`/`Value::sub` for in-domain values.
+/// `Value::add`/`Value::sub`, checked where those promote.
 pub trait KernelValue: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'static {
     /// Additive identity (the generic path's vacant-`sum` `prev` of `Int(0)`).
     fn zero() -> Self;
@@ -33,12 +36,13 @@ pub trait KernelValue: Copy + PartialEq + Send + Sync + std::fmt::Debug + 'stati
     fn lt(a: Self, b: Self) -> bool;
     /// Strict total-order greater-than.
     fn gt(a: Self, b: Self) -> bool;
-    /// Addition. `i64` wraps rather than panicking; kernel selection only
-    /// fires on workloads whose sums stay in range (the generic path would
-    /// promote to `Double` on overflow, which the kernels cannot mirror).
-    fn add(a: Self, b: Self) -> Self;
-    /// Subtraction (used to form per-round `sum` increments).
-    fn sub(a: Self, b: Self) -> Self;
+    /// Addition; `None` when an `i64` sum leaves `i64`. `Value::add`
+    /// promotes to `Double` there, which a slab cannot hold: the kernel run
+    /// is abandoned and the interpreter answers.
+    fn add(a: Self, b: Self) -> Option<Self>;
+    /// Subtraction (used to form per-round `sum` increments); `None` as for
+    /// [`KernelValue::add`].
+    fn sub(a: Self, b: Self) -> Option<Self>;
     /// True for the additive identity (a `sum` contribution that cannot
     /// change an occupied slot).
     fn is_zero(self) -> bool;
@@ -76,12 +80,12 @@ impl KernelValue for i64 {
         a > b
     }
     #[inline]
-    fn add(a: Self, b: Self) -> Self {
-        a.wrapping_add(b)
+    fn add(a: Self, b: Self) -> Option<Self> {
+        a.checked_add(b)
     }
     #[inline]
-    fn sub(a: Self, b: Self) -> Self {
-        a.wrapping_sub(b)
+    fn sub(a: Self, b: Self) -> Option<Self> {
+        a.checked_sub(b)
     }
     #[inline]
     fn is_zero(self) -> bool {
@@ -123,12 +127,12 @@ impl KernelValue for f64 {
         a.total_cmp(&b) == std::cmp::Ordering::Greater
     }
     #[inline]
-    fn add(a: Self, b: Self) -> Self {
-        a + b
+    fn add(a: Self, b: Self) -> Option<Self> {
+        Some(a + b)
     }
     #[inline]
-    fn sub(a: Self, b: Self) -> Self {
-        a - b
+    fn sub(a: Self, b: Self) -> Option<Self> {
+        Some(a - b)
     }
     #[inline]
     fn is_zero(self) -> bool {
@@ -167,12 +171,13 @@ impl KernelValue for f64 {
 ///
 /// `merge` returns `Some(updated)` when the contribution strictly improves
 /// the current total, `None` when the slot is unchanged — the exact
-/// changed/unchanged split [`crate::MonotoneOp::merge`] reports.
+/// changed/unchanged split [`crate::MonotoneOp::merge`] reports — and
+/// `Escaped` when a `sum` leaves `i64` ([`KernelValue::add`]).
 pub trait MergeOp<T: KernelValue>: Send + Sync + 'static {
     /// Operator name as it appears in kernel labels (`min`, `max`, `sum`).
     const NAME: &'static str;
     /// Merge `new` into `cur`.
-    fn merge(cur: T, new: T) -> Option<T>;
+    fn merge(cur: T, new: T) -> Result<Option<T>, Escaped>;
 }
 
 /// `min`: move only on strictly smaller values.
@@ -188,35 +193,27 @@ pub struct SumOp;
 impl<T: KernelValue> MergeOp<T> for MinOp {
     const NAME: &'static str = "min";
     #[inline]
-    fn merge(cur: T, new: T) -> Option<T> {
-        if T::lt(new, cur) {
-            Some(new)
-        } else {
-            None
-        }
+    fn merge(cur: T, new: T) -> Result<Option<T>, Escaped> {
+        Ok(T::lt(new, cur).then_some(new))
     }
 }
 
 impl<T: KernelValue> MergeOp<T> for MaxOp {
     const NAME: &'static str = "max";
     #[inline]
-    fn merge(cur: T, new: T) -> Option<T> {
-        if T::gt(new, cur) {
-            Some(new)
-        } else {
-            None
-        }
+    fn merge(cur: T, new: T) -> Result<Option<T>, Escaped> {
+        Ok(T::gt(new, cur).then_some(new))
     }
 }
 
 impl<T: KernelValue> MergeOp<T> for SumOp {
     const NAME: &'static str = "sum";
     #[inline]
-    fn merge(cur: T, new: T) -> Option<T> {
+    fn merge(cur: T, new: T) -> Result<Option<T>, Escaped> {
         if new.is_zero() {
-            None
+            Ok(None)
         } else {
-            Some(T::add(cur, new))
+            T::add(cur, new).map(Some).ok_or(Escaped)
         }
     }
 }
@@ -239,6 +236,9 @@ pub struct DenseAggState<T> {
     inc_base: Vec<T>,
     dirty: Vec<u32>,
     rows: usize,
+    /// A merge or an increment left `i64`; the slab no longer holds what
+    /// the interpreter would, and the run must be abandoned.
+    overflowed: bool,
 }
 
 impl<T: KernelValue> DenseAggState<T> {
@@ -251,12 +251,14 @@ impl<T: KernelValue> DenseAggState<T> {
             inc_base: vec![T::zero(); n],
             dirty: Vec::new(),
             rows: 0,
+            overflowed: false,
         }
     }
 
     /// Merge one contribution for dense vertex `v` during 1-based `round`.
     /// Returns true when the slot changed (mirrors `MergeOutcome::Changed`):
-    /// always on first occupancy, otherwise per `Op::merge`.
+    /// always on first occupancy, otherwise per `Op::merge`. A merge that
+    /// leaves `i64` changes nothing and marks the state overflowed.
     #[inline]
     pub fn merge<Op: MergeOp<T>>(&mut self, v: u32, c: T, round: u32) -> bool {
         let i = v as usize;
@@ -268,13 +270,17 @@ impl<T: KernelValue> DenseAggState<T> {
             return true;
         }
         match Op::merge(self.vals[i], c) {
-            Some(updated) => {
+            Ok(Some(updated)) => {
                 let before = self.vals[i];
                 self.mark_dirty(i, round, before);
                 self.vals[i] = updated;
                 true
             }
-            None => false,
+            Ok(None) => false,
+            Err(Escaped) => {
+                self.overflowed = true;
+                false
+            }
         }
     }
 
@@ -300,7 +306,10 @@ impl<T: KernelValue> DenseAggState<T> {
                 let out = if totals {
                     self.vals[i]
                 } else {
-                    T::sub(self.vals[i], self.inc_base[i])
+                    T::sub(self.vals[i], self.inc_base[i]).unwrap_or_else(|| {
+                        self.overflowed = true;
+                        T::zero()
+                    })
                 };
                 (v, out)
             })
@@ -343,6 +352,7 @@ impl<T: KernelValue> DenseAggState<T> {
         self.inc_base.iter_mut().for_each(|b| *b = T::zero());
         self.dirty.clear();
         self.rows = 0;
+        self.overflowed = false;
     }
 
     /// Slab footprint in bytes, for memory-budget accounting. Dense slabs
@@ -443,12 +453,13 @@ pub trait DenseState<Op>: Send + 'static {
     fn vertex(item: Self::Item) -> u32;
     /// Map-side combine: fold `new` into the item a scan task already holds
     /// for the same vertex — what `Partial` does for the interpreter.
-    fn combine(held: &mut Self::Item, new: Self::Item);
+    fn combine(held: &mut Self::Item, new: Self::Item) -> Result<(), Escaped>;
     /// Merge one contribution during 1-based `round`; true when the state
     /// changed.
     fn merge(&mut self, item: Self::Item, round: u32) -> bool;
-    /// Drain this round's delta (`totals`: see [`DenseAggState::take_delta`]).
-    fn take_delta(&mut self, totals: bool) -> Vec<Self::Item>;
+    /// Drain this round's delta (`totals`: see [`DenseAggState::take_delta`]);
+    /// `Escaped` once a merge or an increment has left `i64`.
+    fn take_delta(&mut self, totals: bool) -> Result<Vec<Self::Item>, Escaped>;
     /// Rows held (occupied slots).
     fn len(&self) -> usize;
     /// Slab footprint in bytes, for memory-budget accounting.
@@ -471,17 +482,19 @@ impl<T: KernelValue, Op: MergeOp<T>> DenseState<Op> for DenseAggState<T> {
         item.0
     }
     #[inline]
-    fn combine(held: &mut (u32, T), new: (u32, T)) {
-        if let Some(updated) = Op::merge(held.1, new.1) {
+    fn combine(held: &mut (u32, T), new: (u32, T)) -> Result<(), Escaped> {
+        if let Some(updated) = Op::merge(held.1, new.1)? {
             held.1 = updated;
         }
+        Ok(())
     }
     #[inline]
     fn merge(&mut self, (v, c): (u32, T), round: u32) -> bool {
         DenseAggState::merge::<Op>(self, v, c, round)
     }
-    fn take_delta(&mut self, totals: bool) -> Vec<(u32, T)> {
-        DenseAggState::take_delta(self, totals)
+    fn take_delta(&mut self, totals: bool) -> Result<Vec<(u32, T)>, Escaped> {
+        let delta = DenseAggState::take_delta(self, totals);
+        (!self.overflowed).then_some(delta).ok_or(Escaped)
     }
     fn len(&self) -> usize {
         self.rows
@@ -508,13 +521,15 @@ impl DenseState<()> for DenseSetState {
         item
     }
     #[inline]
-    fn combine(_held: &mut u32, _new: u32) {}
+    fn combine(_held: &mut u32, _new: u32) -> Result<(), Escaped> {
+        Ok(())
+    }
     #[inline]
     fn merge(&mut self, v: u32, _round: u32) -> bool {
         self.insert(v)
     }
-    fn take_delta(&mut self, _totals: bool) -> Vec<u32> {
-        DenseSetState::take_delta(self)
+    fn take_delta(&mut self, _totals: bool) -> Result<Vec<u32>, Escaped> {
+        Ok(DenseSetState::take_delta(self))
     }
     fn len(&self) -> usize {
         self.rows
@@ -597,33 +612,35 @@ impl Combiner {
     /// Walk `delta`'s edges and return the combined contributions, bucketed
     /// by destination partition, each bucket in first-contribution order.
     /// `along(delta item, edge index, destination)` is the contribution an
-    /// edge carries.
+    /// edge carries; `Escaped` when it, or a combine, leaves `i64`.
     pub fn scan<Op, S: DenseState<Op>>(
         &mut self,
         csr: &CsrGraph,
         delta: &[S::Item],
         parts: usize,
-        along: impl Fn(S::Item, usize, u32) -> S::Item,
-    ) -> Vec<Vec<S::Item>> {
+        along: impl Fn(S::Item, usize, u32) -> Result<S::Item, Escaped>,
+    ) -> Result<Vec<Vec<S::Item>>, Escaped> {
         let slot = &mut self.slot;
         let mut out: Vec<Vec<S::Item>> = vec![Vec::new(); parts];
+        let mut escaped = Ok(());
         edge_walk(csr, delta, S::vertex, along, |p, dst, c| {
             let bucket = &mut out[p];
-            match slot[dst as usize] {
-                0 => {
+            match (c, slot[dst as usize]) {
+                (Err(e), _) => escaped = Err(e),
+                (Ok(c), 0) => {
                     bucket.push(c);
                     // A bucket holds one item per vertex, and vertex ids are `u32`.
                     #[allow(clippy::cast_possible_truncation)]
                     let at = bucket.len() as u32;
                     slot[dst as usize] = at;
                 }
-                at => S::combine(&mut bucket[at as usize - 1], c),
+                (Ok(c), at) => escaped = escaped.and(S::combine(&mut bucket[at as usize - 1], c)),
             }
         });
         for &item in out.iter().flatten() {
             slot[S::vertex(item) as usize] = 0;
         }
-        out
+        escaped.map(|()| out)
     }
 
     /// Footprint in bytes, for memory-budget accounting.
@@ -675,6 +692,24 @@ mod tests {
     }
 
     #[test]
+    fn i64_overflow_is_reported_not_wrapped() {
+        let mut s: DenseAggState<i64> = DenseAggState::new(1);
+        assert!(s.merge::<SumOp>(0, i64::MAX, 1));
+        assert!(
+            !s.merge::<SumOp>(0, 1, 1),
+            "an overflowing merge changes nothing"
+        );
+        assert_eq!(DenseState::<SumOp>::take_delta(&mut s, true), Err(Escaped));
+        // An increment that leaves `i64` is caught the same way; a reset
+        // (the rerun path) starts clean.
+        s.clear();
+        assert!(s.merge::<MinOp>(0, i64::MIN, 1));
+        assert_eq!(s.take_delta(true), vec![(0, i64::MIN)]);
+        assert!(s.merge::<MaxOp>(0, 1, 2));
+        assert_eq!(DenseState::<MaxOp>::take_delta(&mut s, false), Err(Escaped));
+    }
+
+    #[test]
     fn f64_total_order_matches_value_cmp() {
         let mut s: DenseAggState<f64> = DenseAggState::new(2);
         assert!(s.merge::<MinOp>(0, f64::NAN, 1));
@@ -717,14 +752,14 @@ mod tests {
         let mut sink = Combiner::new(csr.vertex_count());
         let scan = |sink: &mut Combiner| {
             sink.scan::<SumOp, DenseAggState<i64>>(&csr, &delta, 1, |(_, val), e, dst| {
-                (dst, val + ws[e])
+                Ok((dst, val + ws[e]))
             })
         };
         // First-contribution order, and the cancelled sum still ships its
         // zero — exactly what `Partial::Groups` hands the interpreter.
-        assert_eq!(scan(&mut sink), vec![vec![(id(2), 0), (id(3), 3)]]);
+        assert_eq!(scan(&mut sink), Ok(vec![vec![(id(2), 0), (id(3), 3)]]));
         // The slot index is clean again: a second scan sees no stale entry.
-        assert_eq!(scan(&mut sink), vec![vec![(id(2), 0), (id(3), 3)]]);
+        assert_eq!(scan(&mut sink), Ok(vec![vec![(id(2), 0), (id(3), 3)]]));
         // A zero occupies a vacant slot (changed) and is a no-op on an
         // occupied one, like the interpreter's reducer.
         let mut state: DenseAggState<i64> = DenseAggState::new(csr.vertex_count());
@@ -732,11 +767,18 @@ mod tests {
         assert!(!state.merge::<SumOp>(id(2), 0, 2));
         // min keeps the best, max the largest, the set kernel just skips.
         let best = sink.scan::<MinOp, DenseAggState<i64>>(&csr, &delta, 1, |(_, val), e, dst| {
-            (dst, val + ws[e])
+            Ok((dst, val + ws[e]))
         });
-        assert_eq!(best, vec![vec![(id(2), -5), (id(3), 1)]]);
-        let set = sink.scan::<(), DenseSetState>(&csr, &[id(0), id(1)], 1, |_, _, dst| dst);
-        assert_eq!(set, vec![vec![id(2), id(3)]]);
+        assert_eq!(best, Ok(vec![vec![(id(2), -5), (id(3), 1)]]));
+        let set = sink.scan::<(), DenseSetState>(&csr, &[id(0), id(1)], 1, |_, _, dst| Ok(dst));
+        assert_eq!(set, Ok(vec![vec![id(2), id(3)]]));
+        // A combine that leaves `i64` fails the scan, and the slot index is
+        // still left clean.
+        let far = [(id(0), i64::MAX - 1), (id(1), i64::MAX - 1)];
+        let summed = sink
+            .scan::<SumOp, DenseAggState<i64>>(&csr, &far, 1, |(_, val), _, dst| Ok((dst, val)));
+        assert_eq!(summed, Err(Escaped));
+        assert_eq!(scan(&mut sink), Ok(vec![vec![(id(2), 0), (id(3), 3)]]));
     }
 
     #[test]

@@ -23,6 +23,7 @@
 //!   rows.
 //!
 //! Both produce identical results; Fig 7 measures the difference.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::join::JoinTable;
 use crate::tuples::{Block, Cell, Escaped, Tuples};
@@ -195,7 +196,10 @@ pub enum Emitted<'a, C> {
 
 /// Value cells have no lane to leave.
 fn never_escapes<T>(r: Result<T, Escaped>) -> T {
-    // lint: allow(RL0002, only word cells return `Escaped`, and these callers run value cells)
+    #[expect(
+        clippy::expect_used,
+        reason = "only word cells return `Escaped`, and these callers run value cells"
+    )]
     r.expect("value cells cannot escape")
 }
 

@@ -100,6 +100,10 @@ impl SpillDir {
             .append(true)
             .open(&path)
             .map_err(|e| io_err("opening spill file", &path, &e))?;
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a spill file is scratch space, deleted with its query and never recovered"
+        )]
         f.write_all(&encoded)
             .map_err(|e| io_err("writing spill file", &path, &e))?;
         Ok(encoded.len() as u64)

@@ -10,6 +10,7 @@
 //! take a [`Block`] of tuples per call (`insert_block`, `merge_block`): every
 //! tuple of the block is hashed first, then inserted or merged in order — the
 //! same state as one insert per tuple.
+#![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
 use crate::tuples::{by_arity, hash_block, hash_run, nth, Block, Cell, Escaped, TupleSet, Tuples};
 use rasql_storage::{Row, Value};

@@ -106,12 +106,11 @@ fn agg_rounds<Op: MergeOp<i64>>(
             assert_eq!(state.iter().count(), state.len());
             slab.extend(state.iter());
             next.push(if combined {
-                sinks[part].scan::<Op, DenseAggState<i64>>(
-                    csr,
-                    &delta,
-                    parts,
-                    |(_, val), e, dst| (dst, along(val, ws[e])),
-                )
+                sinks[part]
+                    .scan::<Op, DenseAggState<i64>>(csr, &delta, parts, |(_, val), e, dst| {
+                        Ok((dst, along(val, ws[e])))
+                    })
+                    .unwrap()
             } else {
                 let mut out = vec![Vec::new(); parts];
                 scan_delta(csr, &delta, |val, e| along(val, ws[e]), &mut out);
@@ -150,7 +149,9 @@ fn set_rounds(csr: &CsrGraph, seeds: &[u32], parts: usize, combined: bool) -> Ve
             assert_eq!(states[part].iter().count(), states[part].len());
             slab.extend(states[part].iter().map(|v| (v, 0)));
             next.push(if combined {
-                sinks[part].scan::<(), DenseSetState>(csr, &delta, parts, |_, _, dst| dst)
+                sinks[part]
+                    .scan::<(), DenseSetState>(csr, &delta, parts, |_, _, dst| Ok(dst))
+                    .unwrap()
             } else {
                 let mut out = vec![Vec::new(); parts];
                 scan_delta_set(csr, &delta, &mut out);

@@ -1,7 +1,7 @@
 //! Engine-level source linter for the RaSQL workspace.
 //!
 //! `rasql-lint` scans the workspace's own Rust sources (`crates/*/src`) for
-//! violations of the engine's concurrency and hot-path disciplines, and
+//! violations of the engine's hot-path and single-owner disciplines, and
 //! reports them as spanned, `rustc`-style diagnostics with stable `RL####`
 //! codes — the source-level sibling of the `RA####` query-diagnostic
 //! namespace in `rasql-plan::diag`. It is driven by a hand-rolled
@@ -12,11 +12,6 @@
 //!
 //! | code | rule |
 //! |---|---|
-//! | `RL0001` | raw `Mutex`/`RwLock`/`Condvar` constructed outside `storage::sync` — every lock must carry a [`LockRank`](https://docs.rs) via the ranked wrappers |
-//! | `RL0002` | `unwrap()`/`expect()`/`panic!` in a hot-path module (`exec::{pipeline,kernel,cluster,join,state}`, `core::fixpoint`) without an allow annotation |
-//! | `RL0003` | `fresh_version()` called in `storage::catalog` outside a `tables` write-lock scope |
-//! | `RL0004` | `std::thread::sleep` in non-test `server`/`exec` code |
-//! | `RL0005` | direct durable file writes (`File::create`, `.write_all(`, `fs::rename`) in `crates/storage/src` outside the WAL/snapshot/spill modules |
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
 //! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s block executor, `exec::kernel`'s edge walk, `core::fixpoint`'s block loop, emit/merge sinks and seed-fold sink) without an allow annotation |
 //! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `WordIndex::build(`, `WordTable::from_rows(`/`from_tuples(`/`from_batch(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast, seed and recursive-snapshot builds carry an allow annotation saying why they are not kept |
@@ -24,13 +19,21 @@
 //! | `RL0009` | round-loop bookkeeping (`record_iteration(`, `EngineError::NonTermination`, `metrics.iterations`, `metrics.restores`, `begin_clique(`) in `core::fixpoint` outside fn `drive` — the trace record, the cap, the iteration count and recovery are written once; the in-task cap of the decomposed stage carries an allow annotation |
 //! | `RL0011` | statement bookkeeping in `core::context` outside the lifecycle function that owns it: a clock (`Instant::now(`) or a `QueryStats {` literal outside `run_statement`, a metrics delta (`.snapshot().since(`) outside `execute`, an `EvalContext {` literal outside `eval_context` — every statement is timed by one clock, measured by one delta, evaluated through one context and reported by one assembly |
 //!
+//! The codes below `RL0006` are retired: the checks they made by spelling are
+//! made on resolved paths by the toolchain. `clippy.toml`'s
+//! `disallowed-methods` rejects raw lock constructors outside
+//! `storage::sync`, `std::thread::sleep` and direct durable writes outside
+//! `storage::wal`; the hot-path modules deny `clippy::unwrap_used`,
+//! `expect_used` and `panic` at their top; and a catalog version can only be
+//! minted through the `tables` write guard, which owns the counter.
+//!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
 //! above:
 //!
 //! ```text
-//! // lint: allow(RL0004, bounded retry backoff; capped at 3 attempts)
-//! std::thread::sleep(delay);
+//! // lint: allow(RL0006, the copy is the simulated network transfer)
+//! rows.to_vec()
 //! ```
 //!
 //! The reason is mandatory: an `allow` without one does not suppress.
@@ -56,29 +59,6 @@ use std::path::Path;
 /// SQL, `RL` diagnostics are about the engine's own source.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum LintCode {
-    /// `RL0001`: a raw `Mutex`/`RwLock`/`Condvar` constructed outside
-    /// `crates/storage/src/sync.rs`. All engine locks must be
-    /// `RankedMutex`/`RankedRwLock`/`RankedCondvarMutex` so the lock-rank
-    /// checker can see them.
-    RawLockConstruction,
-    /// `RL0002`: `unwrap()`, `expect()`, or `panic!` in a hot-path module.
-    /// Hot paths return typed `ExecError`s; a justified panic needs an
-    /// allow annotation.
-    HotPathPanic,
-    /// `RL0003`: `fresh_version()` called in `storage::catalog` from a
-    /// function that never takes the `tables` write lock — the version
-    /// counter is only meaningful inside a tables-lock scope.
-    UnscopedVersionRead,
-    /// `RL0004`: `std::thread::sleep` in non-test `server`/`exec` code.
-    /// Blocking waits go through `RankedCondvarMutex::wait`.
-    SleepInServerPath,
-    /// `RL0005`: a direct durable write (`File::create`, `.write_all(`,
-    /// `fs::rename`) in `crates/storage/src` outside the modules that own
-    /// the crash-consistency protocol (`wal.rs`, `snapshot.rs`, spill).
-    /// Every other byte that reaches disk must go through the WAL's
-    /// checksummed append or the snapshot's temp-fsync-rename publish, or
-    /// recovery cannot reason about it.
-    UnmanagedDurableWrite,
     /// `RL0006`: a relation's, partition's or frame chunk's rows copied
     /// wholesale (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in
     /// a read-path module. Row buffers are shared from the catalog scan to
@@ -129,11 +109,6 @@ impl LintCode {
     /// The stable `RL####` code string.
     pub fn code(&self) -> &'static str {
         match self {
-            LintCode::RawLockConstruction => "RL0001",
-            LintCode::HotPathPanic => "RL0002",
-            LintCode::UnscopedVersionRead => "RL0003",
-            LintCode::SleepInServerPath => "RL0004",
-            LintCode::UnmanagedDurableWrite => "RL0005",
             LintCode::ReadPathRowCopy => "RL0006",
             LintCode::PerTupleRowBuild => "RL0007",
             LintCode::IndexBuiltOutsideStore => "RL0008",
@@ -150,13 +125,8 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 11] {
+    pub fn all() -> [LintCode; 6] {
         [
-            LintCode::RawLockConstruction,
-            LintCode::HotPathPanic,
-            LintCode::UnscopedVersionRead,
-            LintCode::SleepInServerPath,
-            LintCode::UnmanagedDurableWrite,
             LintCode::ReadPathRowCopy,
             LintCode::PerTupleRowBuild,
             LintCode::IndexBuiltOutsideStore,
@@ -169,19 +139,6 @@ impl LintCode {
     /// One-line rule description.
     pub fn summary(&self) -> &'static str {
         match self {
-            LintCode::RawLockConstruction => {
-                "raw Mutex/RwLock/Condvar constructed outside storage::sync"
-            }
-            LintCode::HotPathPanic => {
-                "unwrap()/expect()/panic! in a hot-path module without an allow annotation"
-            }
-            LintCode::UnscopedVersionRead => {
-                "catalog fresh_version() outside a tables write-lock scope"
-            }
-            LintCode::SleepInServerPath => "thread::sleep in non-test server/exec code",
-            LintCode::UnmanagedDurableWrite => {
-                "direct durable file write in storage outside the WAL/snapshot/spill modules"
-            }
             LintCode::ReadPathRowCopy => {
                 "whole-buffer row copy in a read-path module without an allow annotation"
             }
@@ -276,7 +233,7 @@ impl LintDiagnostic {
 }
 
 impl fmt::Display for LintDiagnostic {
-    /// Compact rendering: `error[RL0001] crates/x/src/y.rs at bytes 12..34: msg`.
+    /// Compact rendering: `error[RL0006] crates/x/src/y.rs at bytes 12..34: msg`.
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         write!(f, "{}[{}] {}", self.severity, self.code, self.path)?;
         if !self.span.is_synthetic() {
@@ -327,22 +284,6 @@ impl LintReport {
 // Shared scanning machinery
 // ----------------------------------------------------------------
 
-/// Hot-path modules covered by RL0002.
-const HOT_PATHS: &[&str] = &[
-    "crates/exec/src/pipeline.rs",
-    "crates/exec/src/kernel.rs",
-    "crates/exec/src/cluster.rs",
-    "crates/exec/src/join.rs",
-    "crates/exec/src/state.rs",
-    "crates/core/src/fixpoint.rs",
-];
-
-/// The one file allowed to construct raw lock primitives.
-const SYNC_MODULE: &str = "crates/storage/src/sync.rs";
-
-/// The file RL0003 applies to.
-const CATALOG_MODULE: &str = "crates/storage/src/catalog.rs";
-
 /// Byte offsets of every line start, for offset → line mapping.
 fn line_starts(src: &str) -> Vec<u32> {
     let mut starts = vec![0u32];
@@ -364,7 +305,7 @@ fn line_of(starts: &[u32], offset: u32) -> u32 {
 
 /// `// lint: allow(RL####, reason)` annotations, keyed by the 1-based line
 /// the comment sits on. An annotation covers its own line and the next one.
-/// The reason is mandatory — `allow(RL0002)` bare, or with an empty reason,
+/// The reason is mandatory — `allow(RL0006)` bare, or with an empty reason,
 /// suppresses nothing.
 fn collect_allows(tokens: &[Token<'_>], starts: &[u32]) -> HashMap<u32, Vec<String>> {
     let mut allows: HashMap<u32, Vec<String>> = HashMap::new();
@@ -528,95 +469,6 @@ impl<'a> FileCtx<'a> {
     }
 }
 
-/// RL0001: `Mutex::new` / `RwLock::new` / `Condvar::new` anywhere but the
-/// sync module itself. The pattern is the construction site, not the type
-/// mention — `fn f(m: &Mutex<T>)` in a shim-facing signature is fine; only
-/// `Mutex::new(...)` creates an unranked lock.
-fn rule_raw_lock(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    if ctx.path.ends_with(SYNC_MODULE) {
-        return;
-    }
-    let code = &ctx.code;
-    for i in 0..code.len().saturating_sub(3) {
-        let t = &code[i];
-        if t.kind != TokenKind::Ident
-            || !matches!(t.text, "Mutex" | "RwLock" | "Condvar")
-            || !(code[i + 1].is_punct(':')
-                && code[i + 2].is_punct(':')
-                && code[i + 3].is_ident("new"))
-        {
-            continue;
-        }
-        // `RankedMutex` lexes as one ident, so no false positive there; but
-        // do not flag the ranked wrappers' fully-qualified paths like
-        // `sync::RankedMutex::new` — those never match (`RankedMutex` ≠
-        // `Mutex`).
-        let span = Span::new(t.start, code[i + 3].end);
-        ctx.emit(
-            out,
-            suppressed,
-            LintDiagnostic::new(
-                LintCode::RawLockConstruction,
-                ctx.path,
-                span,
-                format!(
-                    "raw `{}::new` outside `storage::sync` — this lock has no rank",
-                    t.text
-                ),
-            )
-            .with_help(
-                "use `RankedMutex`/`RankedRwLock`/`RankedCondvarMutex` from `rasql_storage::sync` \
-                 with a rank from the global `LockRank` table",
-            ),
-        );
-    }
-}
-
-/// RL0002: `.unwrap()` / `.expect(` / `panic!` in hot-path modules.
-fn rule_hot_path_panic(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    if !HOT_PATHS.iter().any(|p| ctx.path.ends_with(p)) {
-        return;
-    }
-    let code = &ctx.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        if t.kind != TokenKind::Ident {
-            continue;
-        }
-        let (what, span) = match t.text {
-            "unwrap" | "expect"
-                if i > 0
-                    && code[i - 1].is_punct('.')
-                    && i + 1 < code.len()
-                    && code[i + 1].is_punct('(') =>
-            {
-                (
-                    format!("`.{}()`", t.text),
-                    Span::new(code[i - 1].start, code[i + 1].end),
-                )
-            }
-            "panic" if i + 1 < code.len() && code[i + 1].is_punct('!') => {
-                ("`panic!`".to_string(), Span::new(t.start, code[i + 1].end))
-            }
-            _ => continue,
-        };
-        ctx.emit(
-            out,
-            suppressed,
-            LintDiagnostic::new(
-                LintCode::HotPathPanic,
-                ctx.path,
-                span,
-                format!("{what} in a hot-path module"),
-            )
-            .with_help(
-                "return a typed `ExecError` instead; if the invariant is locally provable, \
-                 annotate with `// lint: allow(RL0002, <why it cannot fire>)`",
-            ),
-        );
-    }
-}
-
 /// For every code token, the innermost named `fn` whose body encloses it, as
 /// `(name, index of the body's opening brace)` — fn bodies tracked by brace
 /// depth.
@@ -650,180 +502,6 @@ fn enclosing_fns<'a>(code: &[Token<'a>]) -> Vec<Option<(&'a str, usize)>> {
         out.push(frames.last().map(|f| (f.0, f.1)));
     }
     out
-}
-
-/// RL0003: `.fresh_version(` called from a catalog function whose body never
-/// takes the `tables` write lock. The `fresh_version` definition itself is
-/// exempt (it is the primitive the rule protects).
-fn rule_unscoped_version(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    if !ctx.path.ends_with(CATALOG_MODULE) {
-        return;
-    }
-    let code = &ctx.code;
-    let fns = enclosing_fns(code);
-    for i in 0..code.len() {
-        let t = &code[i];
-        // The call pattern: `.fresh_version(`.
-        if t.is_punct('.')
-            && i + 2 < code.len()
-            && code[i + 1].is_ident("fresh_version")
-            && code[i + 2].is_punct('(')
-        {
-            let Some((name, start)) = fns[i] else {
-                continue;
-            };
-            if name == "fresh_version" {
-                continue;
-            }
-            // Look for `tables . write` earlier in this body.
-            let scoped = (start..i).any(|j| {
-                code[j].is_ident("tables")
-                    && code.get(j + 1).is_some_and(|t| t.is_punct('.'))
-                    && code.get(j + 2).is_some_and(|t| t.is_ident("write"))
-            });
-            if scoped {
-                continue;
-            }
-            let span = Span::new(code[i + 1].start, code[i + 1].end);
-            ctx.emit(
-                out,
-                suppressed,
-                LintDiagnostic::new(
-                    LintCode::UnscopedVersionRead,
-                    ctx.path,
-                    span,
-                    format!("`fresh_version()` in `{name}` outside a `tables` write-lock scope"),
-                )
-                .with_help(
-                    "take `self.tables.write()` before minting a version — the counter is only \
-                     meaningful while the tables lock serializes publication",
-                ),
-            );
-        }
-    }
-}
-
-/// RL0004: `thread::sleep` in non-test server/exec code.
-fn rule_sleep(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    let covered = ctx.path.contains("crates/server/src") || ctx.path.contains("crates/exec/src");
-    if !covered {
-        return;
-    }
-    let code = &ctx.code;
-    for i in 0..code.len().saturating_sub(3) {
-        let t = &code[i];
-        if !(t.is_ident("thread")
-            && code[i + 1].is_punct(':')
-            && code[i + 2].is_punct(':')
-            && code[i + 3].is_ident("sleep"))
-        {
-            continue;
-        }
-        let span = Span::new(t.start, code[i + 3].end);
-        ctx.emit(
-            out,
-            suppressed,
-            LintDiagnostic::new(
-                LintCode::SleepInServerPath,
-                ctx.path,
-                span,
-                "`thread::sleep` in non-test server/exec code",
-            )
-            .with_help(
-                "block on `RankedCondvarMutex::wait` (or an event) instead of sleeping; \
-                 a justified sleep needs `// lint: allow(RL0004, <reason>)`",
-            ),
-        );
-    }
-}
-
-/// The storage modules that own the crash-consistency protocol and may
-/// therefore write files directly. Everything else in `crates/storage/src`
-/// must route durable bytes through them, or recovery cannot account for
-/// what is on disk.
-const DURABLE_WRITE_MODULES: &[&str] = &[
-    "crates/storage/src/wal.rs",
-    "crates/storage/src/snapshot.rs",
-];
-
-/// RL0005: `File::create`, `.write_all(`, or `fs::rename` in
-/// `crates/storage/src` outside the WAL/snapshot/spill modules. The WAL
-/// appends with per-record CRCs and fsync; the snapshot publishes via
-/// temp-file, fsync, atomic rename, directory fsync. A stray write bypasses
-/// both disciplines and becomes invisible to crash recovery.
-fn rule_durable_write(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    if !ctx.path.contains("crates/storage/src") {
-        return;
-    }
-    if DURABLE_WRITE_MODULES.iter().any(|m| ctx.path.ends_with(m)) || ctx.path.contains("spill") {
-        return;
-    }
-    let help = "route the write through `storage::wal` (checksummed append) or \
-                `storage::snapshot` (temp-fsync-rename publish); a justified direct write \
-                needs `// lint: allow(RL0005, <reason>)`";
-    let code = &ctx.code;
-    for i in 0..code.len() {
-        let t = &code[i];
-        // `File::create` (also matches the tail of `fs::File::create`).
-        if t.is_ident("File")
-            && i + 3 < code.len()
-            && code[i + 1].is_punct(':')
-            && code[i + 2].is_punct(':')
-            && code[i + 3].is_ident("create")
-        {
-            let span = Span::new(t.start, code[i + 3].end);
-            ctx.emit(
-                out,
-                suppressed,
-                LintDiagnostic::new(
-                    LintCode::UnmanagedDurableWrite,
-                    ctx.path,
-                    span,
-                    "`File::create` in storage outside the WAL/snapshot/spill modules",
-                )
-                .with_help(help),
-            );
-        }
-        // `.write_all(`.
-        if t.is_punct('.')
-            && i + 2 < code.len()
-            && code[i + 1].is_ident("write_all")
-            && code[i + 2].is_punct('(')
-        {
-            let span = Span::new(t.start, code[i + 2].end);
-            ctx.emit(
-                out,
-                suppressed,
-                LintDiagnostic::new(
-                    LintCode::UnmanagedDurableWrite,
-                    ctx.path,
-                    span,
-                    "`.write_all(` in storage outside the WAL/snapshot/spill modules",
-                )
-                .with_help(help),
-            );
-        }
-        // `fs::rename` (also matches the tail of `std::fs::rename`).
-        if t.is_ident("fs")
-            && i + 3 < code.len()
-            && code[i + 1].is_punct(':')
-            && code[i + 2].is_punct(':')
-            && code[i + 3].is_ident("rename")
-        {
-            let span = Span::new(t.start, code[i + 3].end);
-            ctx.emit(
-                out,
-                suppressed,
-                LintDiagnostic::new(
-                    LintCode::UnmanagedDurableWrite,
-                    ctx.path,
-                    span,
-                    "`fs::rename` in storage outside the WAL/snapshot/spill modules",
-                )
-                .with_help(help),
-            );
-        }
-    }
 }
 
 /// Read-path modules covered by RL0006: everything a row passes through
@@ -1290,11 +968,6 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     let ctx = FileCtx::new(path, src);
     let mut out = Vec::new();
     let mut suppressed = 0;
-    rule_raw_lock(&ctx, &mut out, &mut suppressed);
-    rule_hot_path_panic(&ctx, &mut out, &mut suppressed);
-    rule_unscoped_version(&ctx, &mut out, &mut suppressed);
-    rule_sleep(&ctx, &mut out, &mut suppressed);
-    rule_durable_write(&ctx, &mut out, &mut suppressed);
     rule_read_path_copy(&ctx, &mut out, &mut suppressed);
     rule_per_tuple_row(&ctx, &mut out, &mut suppressed);
     rule_index_outside_store(&ctx, &mut out, &mut suppressed);
@@ -1357,11 +1030,6 @@ mod tests {
 
     #[test]
     fn codes_are_stable_and_error_severity() {
-        assert_eq!(LintCode::RawLockConstruction.code(), "RL0001");
-        assert_eq!(LintCode::HotPathPanic.code(), "RL0002");
-        assert_eq!(LintCode::UnscopedVersionRead.code(), "RL0003");
-        assert_eq!(LintCode::SleepInServerPath.code(), "RL0004");
-        assert_eq!(LintCode::UnmanagedDurableWrite.code(), "RL0005");
         assert_eq!(LintCode::ReadPathRowCopy.code(), "RL0006");
         assert_eq!(LintCode::PerTupleRowBuild.code(), "RL0007");
         assert_eq!(LintCode::IndexBuiltOutsideStore.code(), "RL0008");
@@ -1375,63 +1043,56 @@ mod tests {
 
     #[test]
     fn allow_requires_a_reason() {
-        let src = "// lint: allow(RL0004)\nthread::sleep(d);\n";
-        let diags = lint_file("crates/server/src/lib.rs", src);
+        let src = "// lint: allow(RL0006)\nrows.to_vec();\n";
+        let diags = lint_file("crates/server/src/conn.rs", src);
         assert_eq!(diags.len(), 1, "bare allow must not suppress");
 
-        let src = "// lint: allow(RL0004, latch poll; bounded at 50ms)\nthread::sleep(d);\n";
-        let (diags, suppressed) = lint_file_counting("crates/server/src/lib.rs", src);
+        let src = "// lint: allow(RL0006, frame copy; bounded at 512 rows)\nrows.to_vec();\n";
+        let (diags, suppressed) = lint_file_counting("crates/server/src/conn.rs", src);
         assert!(diags.is_empty());
         assert_eq!(suppressed, 1);
     }
 
     #[test]
     fn allow_on_same_line_works() {
-        let src = "thread::sleep(d); // lint: allow(RL0004, drain tick)\n";
-        let (diags, suppressed) = lint_file_counting("crates/server/src/lib.rs", src);
+        let src = "rows.to_vec(); // lint: allow(RL0006, simulated transfer)\n";
+        let (diags, suppressed) = lint_file_counting("crates/server/src/conn.rs", src);
         assert!(diags.is_empty());
         assert_eq!(suppressed, 1);
     }
 
     #[test]
     fn allow_for_wrong_code_does_not_suppress() {
-        let src = "// lint: allow(RL0002, wrong rule)\nthread::sleep(d);\n";
-        let diags = lint_file("crates/server/src/lib.rs", src);
+        let src = "// lint: allow(RL0007, wrong rule)\nrows.to_vec();\n";
+        let diags = lint_file("crates/server/src/conn.rs", src);
         assert_eq!(diags.len(), 1);
-        assert_eq!(diags[0].code, LintCode::SleepInServerPath);
+        assert_eq!(diags[0].code, LintCode::ReadPathRowCopy);
     }
 
     #[test]
     fn test_modules_are_skipped() {
-        let src = "#[cfg(test)]\nmod tests {\n    fn t() { thread::sleep(d); x.unwrap(); }\n}\n";
-        assert!(lint_file("crates/exec/src/pipeline.rs", src).is_empty());
+        let src = "#[cfg(test)]\nmod tests {\n    fn t() { rows.to_vec(); chunk.to_vec(); }\n}\n";
+        assert!(lint_file("crates/core/src/fixpoint.rs", src).is_empty());
     }
 
     #[test]
     fn strings_and_comments_do_not_fire() {
         let src = r#"
-// Mutex::new in a comment
-fn f() { let s = "Mutex::new(0) and thread::sleep"; }
+// rows.to_vec() in a comment
+fn f() { let s = "rows.to_vec() and chunk.to_vec()"; }
 "#;
-        assert!(lint_file("crates/exec/src/pipeline.rs", src).is_empty());
-    }
-
-    #[test]
-    fn sync_module_may_construct_locks() {
-        let src = "fn mk() { let m = Mutex::new(0); let c = Condvar::new(); }";
-        assert!(lint_file("crates/storage/src/sync.rs", src).is_empty());
-        assert_eq!(lint_file("crates/exec/src/governor.rs", src).len(), 2);
+        assert!(lint_file("crates/core/src/wire.rs", src).is_empty());
     }
 
     #[test]
     fn render_mirrors_plan_diag_shape() {
-        let src = "let m = Mutex::new(0);";
-        let diags = lint_file("crates/exec/src/governor.rs", src);
+        let src = "let r = rows.to_vec();";
+        let diags = lint_file("crates/core/src/wire.rs", src);
         assert_eq!(diags.len(), 1);
         let r = diags[0].render(src);
-        assert!(r.contains("error[RL0001]"), "{r}");
-        assert!(r.contains("crates/exec/src/governor.rs:1:9"), "{r}");
-        assert!(r.contains("^^^^^^^^^^"), "{r}");
+        assert!(r.contains("error[RL0006]"), "{r}");
+        assert!(r.contains("crates/core/src/wire.rs:1:9"), "{r}");
+        assert!(r.contains("^^^^^^^^^^^^"), "{r}");
         assert!(r.contains("= help:"), "{r}");
     }
 }

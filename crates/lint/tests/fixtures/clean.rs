@@ -1,15 +1,15 @@
 //! Fixture: must lint clean under ANY virtual path. Forbidden patterns
 //! appear only where the lexer must see through them — comments, strings,
-//! raw strings — plus the sanctioned ranked-lock idiom.
+//! raw strings — plus the sanctioned shared-buffer idiom.
 
-// Mutex::new in a line comment; thread::sleep too.
-/* panic! inside a /* nested */ block comment */
+// rows.to_vec() in a line comment; record_iteration( too.
+/* Row::new( inside a /* nested */ block comment */
 
 fn clean() {
-    let m = RankedMutex::new(LockRank::WarmStore, 0u32);
-    let s = "x.unwrap() and panic! and Mutex::new inside a string";
-    let r = r#"thread::sleep and RwLock::new in a raw string"#;
-    let b = b"Condvar::new in a byte string";
+    let shared = Relation::from_shared(Arc::clone(&rows));
+    let s = "rows.to_vec() and Instant::now() and HashTable::build( inside a string";
+    let r = r#"chunk.to_vec() and Value::Int( in a raw string"#;
+    let b = b"begin_clique( in a byte string";
     let lifetime_not_char: &'static str = "ok";
-    let _ = (m, s, r, b, lifetime_not_char);
+    let _ = (shared, s, r, b, lifetime_not_char);
 }

@@ -12,174 +12,6 @@
 use rasql_lint::{lint_file, lint_file_counting, lint_workspace, LintCode};
 use std::path::Path;
 
-/// (code, span start, span end) triples, in file order.
-fn triples(path: &str, src: &str) -> Vec<(LintCode, u32, u32)> {
-    lint_file(path, src)
-        .into_iter()
-        .map(|d| (d.code, d.span.start, d.span.end))
-        .collect()
-}
-
-#[test]
-fn rl0001_flags_every_raw_lock_constructor() {
-    let src = include_str!("fixtures/rl0001_raw_locks.rs");
-    let (diags, suppressed) = lint_file_counting("crates/exec/src/governor.rs", src);
-    let got: Vec<_> = diags
-        .iter()
-        .map(|d| (d.code, d.span.start, d.span.end))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (LintCode::RawLockConstruction, 203, 213), // Mutex::new
-            (LintCode::RawLockConstruction, 233, 244), // RwLock::new
-            (LintCode::RawLockConstruction, 276, 288), // Condvar::new
-        ],
-        "{diags:#?}"
-    );
-    assert_eq!(
-        suppressed, 1,
-        "the annotated Mutex::new(7) must count as suppressed"
-    );
-    // Spans point at the constructor path, verbatim.
-    assert_eq!(&src[203..213], "Mutex::new");
-    assert_eq!(&src[233..244], "RwLock::new");
-    assert_eq!(&src[276..288], "Condvar::new");
-}
-
-#[test]
-fn rl0001_does_not_apply_inside_the_sync_module() {
-    let src = include_str!("fixtures/rl0001_raw_locks.rs");
-    assert!(
-        lint_file("crates/storage/src/sync.rs", src).is_empty(),
-        "storage::sync is the one sanctioned construction site"
-    );
-}
-
-#[test]
-fn rl0002_flags_unwrap_expect_and_panic_in_hot_paths() {
-    let src = include_str!("fixtures/rl0002_hot_path_panics.rs");
-    let (diags, suppressed) = lint_file_counting("crates/exec/src/pipeline.rs", src);
-    let got: Vec<_> = diags
-        .iter()
-        .map(|d| (d.code, d.span.start, d.span.end))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (LintCode::HotPathPanic, 167, 175), // .unwrap(
-            (LintCode::HotPathPanic, 191, 199), // .expect(
-            (LintCode::HotPathPanic, 240, 246), // panic!
-        ],
-        "{diags:#?}"
-    );
-    // The annotated unwrap is suppressed; the #[cfg(test)] one is skipped
-    // outright (not even counted).
-    assert_eq!(suppressed, 1);
-    assert_eq!(&src[167..175], ".unwrap(");
-    assert_eq!(&src[240..246], "panic!");
-}
-
-#[test]
-fn rl0002_only_covers_hot_path_modules() {
-    let src = include_str!("fixtures/rl0002_hot_path_panics.rs");
-    for path in [
-        "crates/exec/src/governor.rs", // exec, but not a hot-path module
-        "crates/server/src/lib.rs",
-        "crates/core/src/matview.rs",
-    ] {
-        assert!(lint_file(path, src).is_empty(), "{path} is not covered");
-    }
-    for path in [
-        "crates/exec/src/pipeline.rs",
-        "crates/exec/src/kernel.rs",
-        "crates/exec/src/cluster.rs",
-        "crates/exec/src/join.rs",
-        "crates/exec/src/state.rs",
-        "crates/core/src/fixpoint.rs",
-    ] {
-        assert_eq!(lint_file(path, src).len(), 3, "{path} is covered");
-    }
-}
-
-#[test]
-fn rl0003_flags_only_the_unscoped_call() {
-    let src = include_str!("fixtures/rl0003_unscoped_version.rs");
-    let got = triples("crates/storage/src/catalog.rs", src);
-    // The definition of fresh_version itself and the tables.write()-scoped
-    // call in good_publish are both exempt; only bad_publish trips.
-    assert_eq!(
-        got,
-        vec![(LintCode::UnscopedVersionRead, 303, 316)],
-        "{got:?}"
-    );
-    assert_eq!(&src[303..316], "fresh_version");
-    // The finding names the offending function.
-    let d = &lint_file("crates/storage/src/catalog.rs", src)[0];
-    assert!(d.message.contains("bad_publish"), "{}", d.message);
-}
-
-#[test]
-fn rl0003_is_catalog_specific() {
-    let src = include_str!("fixtures/rl0003_unscoped_version.rs");
-    assert!(lint_file("crates/exec/src/pipeline.rs", src).is_empty());
-}
-
-#[test]
-fn rl0004_flags_sleeps_outside_tests() {
-    let src = include_str!("fixtures/rl0004_sleeps.rs");
-    let (diags, suppressed) = lint_file_counting("crates/server/src/lib.rs", src);
-    let got: Vec<_> = diags
-        .iter()
-        .map(|d| (d.code, d.span.start, d.span.end))
-        .collect();
-    assert_eq!(
-        got,
-        vec![(LintCode::SleepInServerPath, 130, 143)],
-        "{diags:#?}"
-    );
-    assert_eq!(suppressed, 1);
-    assert_eq!(&src[130..143], "thread::sleep");
-    // Covered in exec too; out of scope elsewhere (e.g. the bench harness).
-    assert_eq!(lint_file("crates/exec/src/cluster.rs", src).len(), 1);
-    assert!(lint_file("crates/bench/src/lib.rs", src).is_empty());
-}
-
-#[test]
-fn rl0005_flags_direct_durable_writes_in_storage() {
-    let src = include_str!("fixtures/rl0005_durable_writes.rs");
-    let (diags, suppressed) = lint_file_counting("crates/storage/src/catalog.rs", src);
-    let got: Vec<_> = diags
-        .iter()
-        .map(|d| (d.code, d.span.start, d.span.end))
-        .collect();
-    assert_eq!(
-        got,
-        vec![
-            (LintCode::UnmanagedDurableWrite, 203, 215), // File::create
-            (LintCode::UnmanagedDurableWrite, 229, 240), // .write_all(
-            (LintCode::UnmanagedDurableWrite, 327, 337), // std::fs::rename
-        ],
-        "{diags:#?}"
-    );
-    assert_eq!(suppressed, 1, "the annotated File::create is suppressed");
-    assert_eq!(&src[203..215], "File::create");
-    assert_eq!(&src[229..240], ".write_all(");
-    assert_eq!(&src[327..337], "fs::rename");
-}
-
-#[test]
-fn rl0005_exempts_the_crash_consistency_modules() {
-    let src = include_str!("fixtures/rl0005_durable_writes.rs");
-    // The WAL, snapshot, and spill modules own the durable-write protocol.
-    assert!(lint_file("crates/storage/src/wal.rs", src).is_empty());
-    assert!(lint_file("crates/storage/src/snapshot.rs", src).is_empty());
-    assert!(lint_file("crates/storage/src/spill.rs", src).is_empty());
-    // Out of scope entirely outside crates/storage/src.
-    assert!(lint_file("crates/exec/src/checkpoint.rs", src).is_empty());
-    assert!(lint_file("crates/bench/src/lib.rs", src).is_empty());
-}
-
 #[test]
 fn rl0006_flags_whole_buffer_row_copies_in_read_path_modules() {
     let src = include_str!("fixtures/rl0006_row_copies.rs");
@@ -396,8 +228,8 @@ fn clean_fixture_is_clean_everywhere() {
     let src = include_str!("fixtures/clean.rs");
     for path in [
         "crates/exec/src/pipeline.rs",
-        "crates/server/src/lib.rs",
-        "crates/storage/src/catalog.rs",
+        "crates/core/src/context.rs",
+        "crates/core/src/wire.rs",
         "crates/core/src/fixpoint.rs",
         "crates/server/src/conn.rs",
     ] {
@@ -409,17 +241,17 @@ fn clean_fixture_is_clean_everywhere() {
 
 #[test]
 fn diagnostics_render_rustc_style_with_path_and_caret() {
-    let src = include_str!("fixtures/rl0004_sleeps.rs");
-    let d = &lint_file("crates/server/src/lib.rs", src)[0];
+    let src = include_str!("fixtures/rl0006_row_copies.rs");
+    let d = &lint_file("crates/core/src/wire.rs", src)[0];
     let r = d.render(src);
-    assert!(r.contains("error[RL0004]"), "{r}");
-    assert!(r.contains("crates/server/src/lib.rs:5:14"), "{r}");
-    assert!(r.contains("^^^^^^^^^^^^^"), "{r}");
+    assert!(r.contains("error[RL0006]"), "{r}");
+    assert!(r.contains("crates/core/src/wire.rs:4:21"), "{r}");
+    assert!(r.contains("^^^^^^^^^^^^^^"), "{r}");
     assert!(r.contains("= help:"), "{r}");
     // Compact form, plan-diag shaped.
     let compact = d.to_string();
     assert!(
-        compact.starts_with("error[RL0004] crates/server/src/lib.rs at bytes 130..143"),
+        compact.starts_with("error[RL0006] crates/core/src/wire.rs at bytes 211..225"),
         "{compact}"
     );
 }
@@ -443,8 +275,8 @@ fn live_workspace_lints_clean() {
             .join("\n")
     );
     // Sanity: the walk actually visited the tree and honored real
-    // annotations (the justified sleeps in server/cluster, the provable
-    // expects in fixpoint), rather than scanning nothing.
+    // annotations (the per-query index builds in core, the cell copies on
+    // the word path), rather than scanning nothing.
     assert!(
         report.files_scanned >= 60,
         "only {} files",

@@ -169,7 +169,10 @@ impl ServerHandle {
     /// not itself initiate one). The binary's main thread parks here.
     pub fn wait_for_shutdown(&self) {
         while !self.is_shutting_down() {
-            // lint: allow(RL0004, shutdown latch has no waker; 50ms poll is the wire-level idle loop)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "shutdown latch has no waker; 50ms poll is the wire-level idle loop"
+            )]
             thread::sleep(Duration::from_millis(50));
         }
     }
@@ -209,7 +212,10 @@ impl ServerHandle {
                 }
                 break;
             }
-            // lint: allow(RL0004, drain loop polls joinable handles; no condvar on JoinHandle)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "drain loop polls joinable handles; no condvar on JoinHandle"
+            )]
             thread::sleep(Duration::from_millis(5));
         }
         let entries: Vec<ConnEntry> = std::mem::take(&mut *self.state.connections.lock());
@@ -261,10 +267,16 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                 }
             }
             Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                // lint: allow(RL0004, non-blocking accept; poll interval bounds shutdown latency)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "non-blocking accept; poll interval bounds shutdown latency"
+                )]
                 thread::sleep(Duration::from_millis(5));
             }
-            // lint: allow(RL0004, transient accept errors back off at the same poll interval)
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "transient accept errors back off at the same poll interval"
+            )]
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }
     }

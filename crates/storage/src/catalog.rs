@@ -18,7 +18,6 @@ use crate::relation::Relation;
 use crate::sync::{LockRank, RankedRwLock};
 use crate::wal::{TableImage, Wal, WalRecord};
 use std::collections::BTreeMap;
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
 /// The version pair tracked per table (see the module docs for the
@@ -41,11 +40,40 @@ struct Entry {
     derived: bool,
 }
 
+/// What the `tables` lock guards: the tables and the catalog-global version
+/// counter. The counter lives here so that minting a version needs `&mut` of
+/// it — only a holder of the write lock can draw one.
+#[derive(Default)]
+struct Tables {
+    map: BTreeMap<String, Entry>,
+    versions: Versions,
+}
+
+/// The catalog-global version counter: the highest version minted (or
+/// recovered) so far.
+#[derive(Default)]
+struct Versions(u64);
+
+impl Versions {
+    /// Draw the next version. Drawing inside the write section is what keeps
+    /// every individual table's version sequence monotonic (two mutations of
+    /// one table serialize on the lock and draw in that same order).
+    fn fresh_version(&mut self) -> u64 {
+        self.0 += 1;
+        self.0
+    }
+
+    /// Raise the counter to at least `floor`, so post-recovery mints can
+    /// never alias a recovered version.
+    fn bump_floor(&mut self, floor: u64) {
+        self.0 = self.0.max(floor);
+    }
+}
+
 /// A thread-safe registry of base relations, shared between the engine's
 /// planner and the executor's workers. Names are case-insensitive (SQL).
 pub struct Catalog {
-    tables: RankedRwLock<BTreeMap<String, Entry>>,
-    next_version: AtomicU64,
+    tables: RankedRwLock<Tables>,
     /// Durability journal, attached once after recovery. Mutators append
     /// from *inside* the `tables` write section (rank `CatalogTables` <
     /// `DurabilityLog`), so log order is exactly apply order.
@@ -62,8 +90,7 @@ impl Catalog {
     /// An empty catalog.
     pub fn new() -> Self {
         Catalog {
-            tables: RankedRwLock::new(LockRank::CatalogTables, BTreeMap::new()),
-            next_version: AtomicU64::new(0),
+            tables: RankedRwLock::new(LockRank::CatalogTables, Tables::default()),
             journal: OnceLock::new(),
         }
     }
@@ -104,22 +131,14 @@ impl Catalog {
         }
     }
 
-    /// Draw the next catalog-global version. Callers must hold the `tables`
-    /// write lock: drawing inside the critical section is what keeps every
-    /// individual table's version sequence monotonic (two mutations of one
-    /// table serialize on the lock and draw in that same order).
-    fn fresh_version(&self) -> u64 {
-        self.next_version.fetch_add(1, Ordering::Relaxed) + 1
-    }
-
     /// Register a table, failing if the name is taken.
     pub fn register(&self, name: &str, rel: Relation) -> Result<(), StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        if tables.contains_key(&key) {
+        if tables.map.contains_key(&key) {
             return Err(StorageError::DuplicateTable(name.to_string()));
         }
-        let v = self.fresh_version();
+        let v = tables.versions.fresh_version();
         let entry = Entry {
             rel: Arc::new(rel),
             version: v,
@@ -127,7 +146,7 @@ impl Catalog {
             derived: false,
         };
         self.journal_with(|| WalRecord::Register(Self::image(&key, &entry)))?;
-        tables.insert(key, entry);
+        tables.map.insert(key, entry);
         Ok(())
     }
 
@@ -139,7 +158,7 @@ impl Catalog {
     pub fn register_or_replace(&self, name: &str, rel: Relation) -> Result<(), StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        let v = self.fresh_version();
+        let v = tables.versions.fresh_version();
         let entry = Entry {
             rel: Arc::new(rel),
             version: v,
@@ -147,7 +166,7 @@ impl Catalog {
             derived: false,
         };
         self.journal_with(|| WalRecord::Replace(Self::image(&key, &entry)))?;
-        tables.insert(key, entry);
+        tables.map.insert(key, entry);
         Ok(())
     }
 
@@ -160,7 +179,7 @@ impl Catalog {
     pub fn register_shared(&self, name: &str, rel: Arc<Relation>) -> Result<(), StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        let v = self.fresh_version();
+        let v = tables.versions.fresh_version();
         let entry = Entry {
             rel,
             version: v,
@@ -168,7 +187,7 @@ impl Catalog {
             derived: false,
         };
         self.journal_with(|| WalRecord::Replace(Self::image(&key, &entry)))?;
-        tables.insert(key, entry);
+        tables.map.insert(key, entry);
         Ok(())
     }
 
@@ -190,9 +209,9 @@ impl Catalog {
     ) -> Result<u64, StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        let v = self.fresh_version();
+        let v = tables.versions.fresh_version();
         journal(v)?;
-        tables.insert(
+        tables.map.insert(
             key,
             Entry {
                 rel: Arc::new(rel),
@@ -217,7 +236,8 @@ impl Catalog {
     ) -> Result<usize, StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        let entry = tables
+        let Tables { map, versions } = &mut *tables;
+        let entry = map
             .get_mut(&key)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
         let arity = entry.rel.schema().arity();
@@ -228,7 +248,7 @@ impl Catalog {
             });
         }
         let old_len = entry.rel.len();
-        let v = self.fresh_version();
+        let v = versions.fresh_version();
         self.journal_with(|| WalRecord::Insert {
             name: key.clone(),
             rows: rows.clone(),
@@ -245,10 +265,11 @@ impl Catalog {
     pub fn replace_rows(&self, name: &str, rel: Relation) -> Result<(), StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        let entry = tables
+        let Tables { map, versions } = &mut *tables;
+        let entry = map
             .get_mut(&key)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
-        let v = self.fresh_version();
+        let v = versions.fresh_version();
         entry.rel = Arc::new(rel);
         entry.version = v;
         entry.rewrite_version = v;
@@ -271,13 +292,14 @@ impl Catalog {
     ) -> Result<bool, StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        let entry = tables
+        let Tables { map, versions } = &mut *tables;
+        let entry = map
             .get_mut(&key)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
         if entry.version != expected {
             return Ok(false);
         }
-        let v = self.fresh_version();
+        let v = versions.fresh_version();
         entry.rel = Arc::new(rel);
         entry.version = v;
         entry.rewrite_version = v;
@@ -289,6 +311,7 @@ impl Catalog {
     pub fn get(&self, name: &str) -> Result<Arc<Relation>, StorageError> {
         self.tables
             .read()
+            .map
             .get(&name.to_ascii_lowercase())
             .map(|e| Arc::clone(&e.rel))
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
@@ -299,6 +322,7 @@ impl Catalog {
     pub fn get_versioned(&self, name: &str) -> Result<(Arc<Relation>, TableVersion), StorageError> {
         self.tables
             .read()
+            .map
             .get(&name.to_ascii_lowercase())
             .map(|e| {
                 (
@@ -316,6 +340,7 @@ impl Catalog {
     pub fn version_of(&self, name: &str) -> Option<TableVersion> {
         self.tables
             .read()
+            .map
             .get(&name.to_ascii_lowercase())
             .map(|e| TableVersion {
                 version: e.version,
@@ -325,7 +350,10 @@ impl Catalog {
 
     /// True if the table exists.
     pub fn contains(&self, name: &str) -> bool {
-        self.tables.read().contains_key(&name.to_ascii_lowercase())
+        self.tables
+            .read()
+            .map
+            .contains_key(&name.to_ascii_lowercase())
     }
 
     /// Remove a table; returns it if present.
@@ -335,7 +363,7 @@ impl Catalog {
     pub fn drop_table(&self, name: &str) -> Result<Option<Arc<Relation>>, StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        match tables.remove(&key) {
+        match tables.map.remove(&key) {
             Some(e) => {
                 self.journal_with(|| WalRecord::Drop { name: key })?;
                 Ok(Some(e.rel))
@@ -346,7 +374,7 @@ impl Catalog {
 
     /// Sorted table names.
     pub fn table_names(&self) -> Vec<String> {
-        self.tables.read().keys().cloned().collect()
+        self.tables.read().map.keys().cloned().collect()
     }
 
     // ----------------------------------------------------------------
@@ -373,10 +401,10 @@ impl Catalog {
         let key = name.to_ascii_lowercase();
         let rel = Relation::try_new(schema, rows)?;
         let mut tables = self.tables.write();
-        if tables.get(&key).is_some_and(|e| e.version >= version) {
+        if tables.map.get(&key).is_some_and(|e| e.version >= version) {
             return Ok(());
         }
-        tables.insert(
+        tables.map.insert(
             key,
             Entry {
                 rel: Arc::new(rel),
@@ -385,7 +413,7 @@ impl Catalog {
                 derived: false,
             },
         );
-        self.bump_version_floor(version.max(rewrite_version));
+        tables.versions.bump_floor(version.max(rewrite_version));
         Ok(())
     }
 
@@ -403,7 +431,8 @@ impl Catalog {
     ) -> Result<(), StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        let entry = tables
+        let Tables { map, versions } = &mut *tables;
+        let entry = map
             .get_mut(&key)
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))?;
         if entry.version >= version {
@@ -411,13 +440,13 @@ impl Catalog {
         }
         Arc::make_mut(&mut entry.rel).append(rows);
         entry.version = version;
-        self.bump_version_floor(version);
+        versions.bump_floor(version);
         Ok(())
     }
 
     /// Replay a `Drop` record (no-op if already absent, never journals).
     pub fn apply_drop(&self, name: &str) {
-        self.tables.write().remove(&name.to_ascii_lowercase());
+        self.tables.write().map.remove(&name.to_ascii_lowercase());
     }
 
     /// Replay a certified view's record: its derived result table reached
@@ -427,7 +456,7 @@ impl Catalog {
     pub fn apply_derived(&self, name: &str, version: u64) {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        match tables.get_mut(&key) {
+        match tables.map.get_mut(&key) {
             Some(e) if e.version >= version => {}
             Some(e) => {
                 e.version = version;
@@ -436,7 +465,7 @@ impl Catalog {
             }
             None => {
                 let rel = Arc::new(Relation::empty(crate::schema::Schema::empty()));
-                tables.insert(
+                tables.map.insert(
                     key,
                     Entry {
                         rel,
@@ -447,7 +476,7 @@ impl Catalog {
                 );
             }
         }
-        self.bump_version_floor(version);
+        tables.versions.bump_floor(version);
     }
 
     /// Install the rows of a certified view's result table, which the log
@@ -456,7 +485,7 @@ impl Catalog {
     /// nothing, when the table is absent: a crash between a view's `Drop`
     /// and `ViewDrop` records leaves the view registered without its table.
     pub fn fill_derived(&self, name: &str, rel: Relation) -> bool {
-        match self.tables.write().get_mut(&name.to_ascii_lowercase()) {
+        match self.tables.write().map.get_mut(&name.to_ascii_lowercase()) {
             Some(e) => {
                 e.rel = Arc::new(rel);
                 e.derived = true;
@@ -471,6 +500,7 @@ impl Catalog {
     pub fn export_tables(&self) -> Vec<TableImage> {
         self.tables
             .read()
+            .map
             .iter()
             .map(|(k, e)| Self::image(k, e))
             .collect()
@@ -479,13 +509,13 @@ impl Catalog {
     /// The highest version this catalog has minted (snapshots persist it as
     /// the recovery floor).
     pub fn version_ceiling(&self) -> u64 {
-        self.next_version.load(Ordering::Relaxed)
+        self.tables.read().versions.0
     }
 
     /// Raise the version counter to at least `floor`, so post-recovery
     /// mints can never alias a recovered version.
     pub fn bump_version_floor(&self, floor: u64) {
-        self.next_version.fetch_max(floor, Ordering::Relaxed);
+        self.tables.write().versions.bump_floor(floor);
     }
 }
 

@@ -13,9 +13,10 @@
 //! turn a whole bug class — lock-order deadlocks between the shared-context
 //! server paths — into something that fails deterministically in any test
 //! that merely *executes* both acquisition sites, instead of requiring the
-//! unlucky interleaving. The `rasql-lint` source linter (`RL0001`) closes
-//! the loop by rejecting raw `Mutex`/`RwLock` construction outside this
-//! module, so new locks cannot silently opt out.
+//! unlucky interleaving. Clippy closes the loop: the workspace `clippy.toml`
+//! disallows the raw `Mutex`/`RwLock`/`Condvar` constructors (`std::sync`
+//! and `parking_lot`), and this module is the one exemption, so new locks
+//! cannot silently opt out.
 //!
 //! # The global lock-rank table
 //!
@@ -59,9 +60,14 @@
 //!    add a variant to [`LockRank`] (renumbering neighbors is fine; ranks
 //!    are an ordering, not a wire format).
 //! 2. Construct it with [`RankedMutex::new`] / [`RankedRwLock::new`] — raw
-//!    construction outside this module fails `reproduce lint-src` (RL0001).
+//!    construction outside this module fails `cargo clippy`
+//!    (`disallowed_methods`).
 //! 3. Run the test suite: any path that acquires against the declared order
 //!    panics with both acquisition sites.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the ranked wrappers are built on the raw primitives"
+)]
 
 use parking_lot as pl;
 use std::fmt;

@@ -43,10 +43,15 @@
 //!
 //! Snapshot publication (encode → temp file → `fsync` → atomic rename →
 //! directory `fsync` → log truncation) also lives on this type so every
-//! durable write in the crate goes through the two fsync-disciplined modules
-//! the `RL0005` lint allows. Each boundary consults the [`CrashInjector`]
-//! first, which is how the `reproduce crash-soak` gate simulates death at
-//! every enumerated point.
+//! durable write in the workspace goes through this one fsync-disciplined
+//! module, the only one `clippy.toml`'s disallowed `File::create` /
+//! `write_all` / `fs::rename` exempt. Each boundary consults the
+//! [`CrashInjector`] first, which is how the `reproduce crash-soak` gate
+//! simulates death at every enumerated point.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the WAL append and the snapshot publish are the durable-write protocol"
+)]
 
 use std::fs;
 use std::io::Write;

@@ -5,6 +5,10 @@
 //! behind parking_lot's poison-free API surface (the subset this workspace
 //! uses): `lock()`/`read()`/`write()` return guards directly, recovering the
 //! inner value if a previous holder panicked.
+#![expect(
+    clippy::disallowed_methods,
+    reason = "the shim is the primitive `rasql_storage::sync` ranks; it wraps `std::sync`'s constructors"
+)]
 
 use std::sync::{self, LockResult};
 
