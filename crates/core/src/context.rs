@@ -3,7 +3,7 @@
 use crate::cache::{version_fingerprint, CachedQuery, ResultCache};
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
-use crate::eval::EvalContext;
+use crate::eval::{view_reads, EvalContext, ViewData};
 use crate::fixpoint::{CliqueState, FixpointExecutor};
 use crate::matview::{query_dep_tables, DepRecord, MatView};
 use rasql_exec::{
@@ -143,12 +143,12 @@ struct Run {
     trace: Option<QueryTrace>,
 }
 
-/// One executed query: its result, every clique view's converged relation
-/// by lower-cased name, its run and — for a delta-seeded refresh — the state
+/// One executed query: its result, every clique view's converged tuples by
+/// lower-cased name, its run and — for a delta-seeded refresh — the state
 /// the resumed clique converged to.
 struct Executed {
     relation: Relation,
-    views: HashMap<String, Arc<Relation>>,
+    views: HashMap<String, ViewData>,
     run: Run,
     state: Option<CliqueState>,
 }
@@ -505,9 +505,9 @@ impl RaSqlContext {
             return Ok(());
         };
         let spec = &mv.query.cliques[0];
-        let views: HashMap<String, Arc<Relation>> = (spec.views.iter())
+        let views: HashMap<String, ViewData> = (spec.views.iter())
             .zip(state.relations(spec))
-            .map(|(v, rel)| (v.name.to_ascii_lowercase(), Arc::new(rel)))
+            .map(|(v, rel)| (v.name.to_ascii_lowercase(), ViewData::Rows(Arc::new(rel))))
             .collect();
         let relation = self
             .eval_context(&views, None, None)
@@ -808,7 +808,8 @@ impl RaSqlContext {
                 // EXPLAIN ANALYZE query: execute with tracing forced on, then
                 // render the plan annotated with the live counters.
                 S::Query(q) if analyze => {
-                    let Executed { run, .. } = self.execute(&q, parent, true, None, clock)?;
+                    let Executed { run, .. } =
+                        self.execute(&q, parent, true, None, false, clock)?;
                     let trace = run.trace.as_ref().expect("tracing forced on");
                     let text = explain_analyzed(&q, trace, &verification);
                     (text_relation("plan", &text), run)
@@ -1052,7 +1053,7 @@ impl RaSqlContext {
             };
             return Ok((hit.relation, run));
         }
-        let Executed { relation, run, .. } = self.execute(q, parent, traced, None, clock)?;
+        let Executed { relation, run, .. } = self.execute(q, parent, traced, None, false, clock)?;
         if let Some(key) = key {
             let cached = CachedQuery {
                 relation: relation.clone(),
@@ -1074,15 +1075,16 @@ impl RaSqlContext {
         parent: Option<&CancellationToken>,
         traced: bool,
         resume: Option<&Resume>,
+        keep_views: bool,
         clock: Instant,
     ) -> Result<Executed, EngineError> {
         self.with_governor(parent, |governor| {
             let before = self.cluster.metrics.snapshot();
             let sink = traced.then(TraceSink::new);
-            let mut views: HashMap<String, Arc<Relation>> = HashMap::new();
+            let mut views: HashMap<String, ViewData> = HashMap::new();
             let mut iterations = Vec::new();
             let mut state = None;
-            for clique in &q.cliques {
+            for (ci, clique) in q.cliques.iter().enumerate() {
                 let eval = self.eval_context(&views, sink.as_ref(), Some(governor));
                 let exec = FixpointExecutor::new(&eval, &self.config);
                 let result = match resume {
@@ -1094,8 +1096,16 @@ impl RaSqlContext {
                     None => exec.run(clique)?,
                 };
                 iterations.push(result.iterations);
-                for (spec, rel) in clique.views.iter().zip(result.views) {
-                    views.insert(spec.name.to_ascii_lowercase(), Arc::new(rel));
+                for (spec, data) in clique.views.iter().zip(result.views) {
+                    // A lane view read more than once becomes rows here,
+                    // once, so no two readers convert it.
+                    let reads = view_reads(&spec.name, &q.final_plan, &q.cliques[ci + 1..]);
+                    let data = if reads > 1 && matches!(data, ViewData::Lanes { .. }) {
+                        ViewData::Rows(data.into_relation())
+                    } else {
+                        data
+                    };
+                    views.insert(spec.name.to_ascii_lowercase(), data);
                 }
             }
             let eval = self.eval_context(&views, sink.as_ref(), Some(governor));
@@ -1104,10 +1114,17 @@ impl RaSqlContext {
             if let Some(s) = &sink {
                 s.enable_operators(true);
             }
-            let relation = eval.evaluate(&q.final_plan)?;
+            let answer = eval.eval_data(&q.final_plan)?;
             if let Some(s) = &sink {
                 s.enable_operators(false);
             }
+            // The answer's rows are built here, once. The views go first
+            // unless the caller keeps them, so a lane batch the answer reads
+            // is dropped as soon as its rows exist.
+            if !keep_views {
+                views.clear();
+            }
+            let relation = answer.into_relation(q.final_plan.schema().clone());
             let mut metrics = self.cluster.metrics.snapshot().since(&before);
             // Governance numbers come from this query's own governor: global
             // counter deltas would bleed across concurrent queries.
@@ -1135,7 +1152,7 @@ impl RaSqlContext {
     /// far.
     fn eval_context<'e>(
         &'e self,
-        views: &'e HashMap<String, Arc<Relation>>,
+        views: &'e HashMap<String, ViewData>,
         trace: Option<&'e TraceSink>,
         governor: Option<&'e QueryGovernor>,
     ) -> EvalContext<'e> {
@@ -1314,12 +1331,15 @@ impl RaSqlContext {
         // harmless under the idempotent heads of an incremental view.
         let deps = self.snapshot_deps(&query_dep_tables(&mv.query));
         let resume = refresh.then(|| self.resume_state(&mv)).flatten();
+        // A full run of a certified view builds its resident state from the
+        // clique's converged tuples.
+        let keep = mv.eligible && resume.is_none();
         let Executed {
             relation,
-            views,
+            mut views,
             run,
             state,
-        } = self.execute(&mv.query, parent, false, resume.as_ref(), clock)?;
+        } = self.execute(&mv.query, parent, false, resume.as_ref(), keep, clock)?;
         let mode = if resume.is_some() {
             "incremental"
         } else {
@@ -1344,12 +1364,12 @@ impl RaSqlContext {
                 Some(state) => state,
                 None => {
                     let spec = &mv.query.cliques[0];
-                    let rows: Vec<&[Row]> = (spec.views.iter())
-                        .map(|v| {
-                            views
-                                .get(&v.name.to_ascii_lowercase())
-                                .map_or(&[][..], |r| r.rows())
-                        })
+                    let rels: Vec<Option<Arc<Relation>>> = (spec.views.iter())
+                        .map(|v| views.remove(&v.name.to_ascii_lowercase()))
+                        .map(|data| data.map(ViewData::into_relation))
+                        .collect();
+                    let rows: Vec<&[Row]> = (rels.iter())
+                        .map(|r| r.as_ref().map_or(&[][..], |r| r.rows()))
                         .collect();
                     let state = self.load_state(&mv.query, &rows)?;
                     self.warm_view_indexes(&mv.query);

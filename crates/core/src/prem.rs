@@ -161,7 +161,7 @@ impl<'a> PremChecker<'a> {
 
     fn lockstep(&self, view: &ViewSpec) -> Result<PremCheckOutcome, EngineError> {
         let ctx = self.ctx;
-        let views_empty: HashMap<String, std::sync::Arc<rasql_storage::Relation>> = HashMap::new();
+        let views_empty: HashMap<String, crate::eval::ViewData> = HashMap::new();
         let eval = EvalContext {
             cluster: ctx.cluster(),
             catalog: ctx.catalog(),

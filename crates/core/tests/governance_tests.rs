@@ -94,28 +94,40 @@ fn run_and_kill(
 fn spilling_run_is_bit_identical_to_in_memory() {
     let before = spill_dirs();
     let edges = rmat(200, 9);
-    let sql = library::transitive_closure();
-    let run = |budget: u64| {
-        let ctx = RaSqlContext::with_config(interp(budget));
-        ctx.register("edge", edges.clone()).unwrap();
-        ctx.query(&sql).unwrap()
-    };
-    let unlimited = run(0);
-    let governed = run(64 * 1024);
-    let m = &governed.stats.metrics;
-    assert!(m.spilled_bytes > 0, "64 KiB budget never forced a spill");
-    assert!(m.spill_files > 0);
-    assert!(m.peak_memory > 0);
-    assert!(governed.stats.query_id > 0, "governed query got no id");
-    assert_eq!(
-        governed.stats.iterations, unlimited.stats.iterations,
-        "spilling changed the fixpoint round count"
+    // TC, and a final aggregate whose shuffle gathers the lane tuples of
+    // TC's word clique uncombined (`count` does not combine).
+    let tc = library::transitive_closure();
+    let counted = tc.replace(
+        "SELECT Src, Dst FROM tc",
+        "SELECT Dst, count(*) FROM tc GROUP BY Dst",
     );
-    assert_eq!(
-        governed.relation.sorted().rows(),
-        unlimited.relation.sorted().rows(),
-        "spilled TC diverged from the in-memory run"
-    );
+    for (sql, stage) in [(tc, None), (counted, Some("aggregate shuffle read"))] {
+        let run = |budget: u64| {
+            let ctx = RaSqlContext::with_config(interp(budget).with_tracing(true));
+            ctx.register("edge", edges.clone()).unwrap();
+            ctx.query(&sql).unwrap()
+        };
+        let unlimited = run(0);
+        let governed = run(64 * 1024);
+        let m = &governed.stats.metrics;
+        assert!(m.spilled_bytes > 0, "64 KiB budget never forced a spill");
+        assert!(m.spill_files > 0);
+        assert!(m.peak_memory > 0);
+        assert!(governed.stats.query_id > 0, "governed query got no id");
+        if let Some(stage) = stage {
+            let spills = &governed.trace.as_ref().unwrap().recovery;
+            assert!(spills.iter().any(|r| r.stage == stage), "{spills:?}");
+        }
+        assert_eq!(
+            governed.stats.iterations, unlimited.stats.iterations,
+            "spilling changed the fixpoint round count"
+        );
+        assert_eq!(
+            governed.relation.sorted().rows(),
+            unlimited.relation.sorted().rows(),
+            "spilled {sql} diverged from the in-memory run"
+        );
+    }
     assert_spill_dirs_settle(before);
 }
 

@@ -13,8 +13,10 @@ use crate::cluster::{Cluster, StageTask};
 use crate::error::ExecError;
 use crate::governor::QueryGovernor;
 use crate::metrics::Metrics;
+use crate::spill::SpillDir;
 use crate::trace::{RecoveryEvent, RecoveryKind, StageKind, StageSpan, TraceSink};
-use rasql_storage::{partition::row_partition, Partitioning, Relation, Row, Schema};
+use crate::tuples::{lane_partition, Block, Lane, Tuples};
+use rasql_storage::{partition::row_partition, Partitioning, Relation, Row, Schema, Value};
 use std::ops::{Deref, Range};
 use std::sync::Arc;
 use std::time::Instant;
@@ -243,28 +245,9 @@ impl Dataset {
         label: &str,
         f: impl Fn(usize, &[Row]) -> R + Send + Sync + 'static,
     ) -> Result<Vec<R>, ExecError> {
-        let f = Arc::new(f);
-        let tasks: Vec<StageTask<R>> = (0..self.num_partitions())
-            .map(|p| {
-                let f = Arc::clone(&f);
-                let this = self.clone();
-                let cluster_metrics = Arc::clone(&cluster.metrics);
-                let owner = cluster.owner_of(p);
-                StageTask::new(owner, move |w| {
-                    let data = this.partitions[p].clone();
-                    let data = if w != owner {
-                        let bytes: usize = data.iter().map(Row::size_bytes).sum();
-                        Metrics::add(&cluster_metrics.remote_fetches, 1);
-                        Metrics::add(&cluster_metrics.remote_fetch_bytes, bytes as u64);
-                        Partition::from(data.to_vec())
-                    } else {
-                        data
-                    };
-                    f(p, &data)
-                })
-            })
-            .collect();
-        cluster.run_stage_traced(sink, label, StageKind::Map, tasks)
+        fold_stage(cluster, sink, label, &self.partitions, move |p, part| {
+            f(p, part)
+        })
     }
 
     /// Shuffle into `n` partitions hash-keyed on `key` columns, as a
@@ -366,91 +349,7 @@ impl Dataset {
                 tasks,
             )?
         };
-        // Exchange: gather bucket (src → dst) into dst partitions; count the
-        // worker-crossing volume. Under a memory budget the per-dst gather
-        // buffers are the unbounded structure: each dst accumulates rows
-        // from every source partition, so once the tracker goes over budget
-        // the current dst's buffer pages out to a spill file (preserving
-        // arrival order) and its charge is released.
-        let t_read = Instant::now();
-        let cap = self.len() / n.max(1) + 1;
-        let mut parts: Vec<Vec<Row>> = (0..n).map(|_| Vec::with_capacity(cap)).collect();
-        let mut charged: Vec<u64> = vec![0; n];
-        let mut spilled: Vec<bool> = vec![false; n];
-        let mut moved_rows = 0u64;
-        let mut moved_bytes = 0u64;
-        let mut total_charged = 0u64;
-        let spill_name = |dst: usize| format!("shuffle-{label}-d{dst}");
-        for (src, mut src_buckets) in buckets.into_iter().enumerate() {
-            for (dst, bucket) in src_buckets.drain(..).enumerate() {
-                let bucket_bytes = bucket.iter().map(Row::size_bytes).sum::<usize>() as u64;
-                if cluster.owner_of(src) != cluster.owner_of(dst) {
-                    moved_rows += bucket.len() as u64;
-                    moved_bytes += bucket_bytes;
-                }
-                parts[dst].extend(bucket);
-                if let Some(g) = governor {
-                    g.tracker().charge(bucket_bytes);
-                    charged[dst] += bucket_bytes;
-                    total_charged += bucket_bytes;
-                    if g.tracker().over_budget() && !parts[dst].is_empty() {
-                        let dir = g.spill_dir()?;
-                        let first_write = !spilled[dst];
-                        let written = dir.append_rows(&spill_name(dst), &parts[dst])?;
-                        parts[dst].clear();
-                        g.tracker().release(charged[dst]);
-                        total_charged -= charged[dst];
-                        charged[dst] = 0;
-                        spilled[dst] = true;
-                        g.note_spill(written, u64::from(first_write));
-                        Metrics::add(&cluster.metrics.spilled_bytes, written);
-                        Metrics::add(&cluster.metrics.spill_files, u64::from(first_write));
-                        if let Some(s) = sink {
-                            s.record_recovery(RecoveryEvent {
-                                kind: RecoveryKind::Spill,
-                                stage: format!("{label} read"),
-                                round: 0,
-                                detail: format!("partition {dst} spilled {written} B"),
-                            });
-                        }
-                    }
-                }
-            }
-        }
-        // Merge spilled prefixes back: the spill file holds each dst's
-        // earliest rows (in arrival order); rows still in memory arrived
-        // after the last spill, so spilled ++ in-memory reproduces the
-        // unbounded gather exactly.
-        if let Some(g) = governor {
-            for (dst, part) in parts.iter_mut().enumerate() {
-                if spilled[dst] {
-                    let dir = g.spill_dir()?;
-                    let mut rows = dir.take_rows(&spill_name(dst))?;
-                    rows.append(part);
-                    *part = rows;
-                }
-            }
-            // The gather's transient charges end with the function; the
-            // returned dataset's footprint is the consumer's to account.
-            g.tracker().release(total_charged);
-        }
-        Metrics::add(&cluster.metrics.shuffle_rows, moved_rows);
-        Metrics::add(&cluster.metrics.shuffle_bytes, moved_bytes);
-        if let Some(sink) = sink {
-            // The gather runs on the driver, so the whole exchange is "run"
-            // time — there is no dispatch or barrier component.
-            let us = t_read.elapsed().as_micros() as u64;
-            sink.record_stage(StageSpan {
-                label: format!("{label} read"),
-                kind: StageKind::ShuffleRead,
-                tasks: n as u64,
-                attempts: n as u64,
-                dispatch_us: 0,
-                run_us: us,
-                barrier_us: 0,
-                total_us: us,
-            });
-        }
+        let parts = exchange(cluster, sink, label, buckets, n, self.len(), governor)?;
         Ok(Dataset::from_partitions(
             parts,
             Partitioning::Hash {
@@ -506,6 +405,448 @@ impl Dataset {
         } else {
             self.shuffle_combined_traced(cluster, sink, label, key, n, combiner, governor)
         }
+    }
+}
+
+/// A partition a stage task reads: shared, and deep-copied — the simulated
+/// network transfer — for a task that runs away from its home worker.
+trait Remote: Clone + Send + Sync + 'static {
+    /// Bytes of its rows (`Row::size_bytes`).
+    fn bytes(&self) -> u64;
+    fn copied(&self) -> Self;
+}
+
+impl Remote for Partition {
+    fn bytes(&self) -> u64 {
+        self.iter().map(Row::size_bytes).sum::<usize>() as u64
+    }
+    fn copied(&self) -> Self {
+        Partition::from(self.to_vec())
+    }
+}
+
+/// Run `f` over every partition as one labelled stage, a task per
+/// partition on its home worker, and hand back what each task made of its
+/// partition, in partition order. A task that runs away from its home pays
+/// a charged deep copy.
+fn fold_stage<P: Remote, R: Send + 'static>(
+    cluster: &Cluster,
+    sink: Option<&TraceSink>,
+    label: &str,
+    partitions: &[P],
+    f: impl Fn(usize, &P) -> R + Send + Sync + 'static,
+) -> Result<Vec<R>, ExecError> {
+    let f = Arc::new(f);
+    let tasks: Vec<StageTask<R>> = (partitions.iter().enumerate())
+        .map(|(p, part)| {
+            let (f, part) = (Arc::clone(&f), part.clone());
+            let metrics = Arc::clone(&cluster.metrics);
+            let owner = cluster.owner_of(p);
+            StageTask::new(owner, move |w| {
+                if w == owner {
+                    return f(p, &part);
+                }
+                Metrics::add(&metrics.remote_fetches, 1);
+                Metrics::add(&metrics.remote_fetch_bytes, part.bytes());
+                f(p, &part.copied())
+            })
+        })
+        .collect();
+    cluster.run_stage_traced(sink, label, StageKind::Map, tasks)
+}
+
+/// What a shuffle moves from a source partition to a destination and
+/// gathers there: a bucket of rows, or of lane tuples.
+trait Bucket: Sized {
+    fn with_capacity(cap: usize) -> Self;
+    fn rows(&self) -> usize;
+    /// Bytes of the bucket's rows (`Row::size_bytes`).
+    fn bytes(&self) -> u64;
+    fn absorb(&mut self, other: Self);
+    /// Append the bucket to the spill file `name` and empty it; the bytes
+    /// written.
+    fn spill(&mut self, dir: &SpillDir, name: &str) -> Result<u64, ExecError>;
+    /// Put the rows spilled for this bucket in front of what it holds.
+    fn unspill(&mut self, spilled: Vec<Row>);
+}
+
+impl Bucket for Vec<Row> {
+    fn with_capacity(cap: usize) -> Self {
+        Vec::with_capacity(cap)
+    }
+    fn rows(&self) -> usize {
+        self.len()
+    }
+    fn bytes(&self) -> u64 {
+        self.iter().map(Row::size_bytes).sum::<usize>() as u64
+    }
+    fn absorb(&mut self, other: Self) {
+        self.extend(other);
+    }
+    fn spill(&mut self, dir: &SpillDir, name: &str) -> Result<u64, ExecError> {
+        let written = dir.append_rows(name, self)?;
+        self.clear();
+        Ok(written)
+    }
+    fn unspill(&mut self, mut spilled: Vec<Row>) {
+        spilled.append(self);
+        *self = spilled;
+    }
+}
+
+/// The exchange side of a shuffle: gather bucket (src → dst) into dst
+/// partitions and count the worker-crossing volume. Under a memory budget
+/// the per-dst gather buffers are the unbounded structure: each dst
+/// accumulates rows from every source partition, so once the tracker goes
+/// over budget the current dst's buffer pages out to a spill file
+/// (preserving arrival order) and its charge is released.
+fn exchange<B: Bucket>(
+    cluster: &Cluster,
+    sink: Option<&TraceSink>,
+    label: &str,
+    buckets: Vec<Vec<B>>,
+    n: usize,
+    len: usize,
+    governor: Option<&QueryGovernor>,
+) -> Result<Vec<B>, ExecError> {
+    let t_read = Instant::now();
+    let cap = len / n.max(1) + 1;
+    let mut parts: Vec<B> = (0..n).map(|_| B::with_capacity(cap)).collect();
+    let mut charged: Vec<u64> = vec![0; n];
+    let mut spilled: Vec<bool> = vec![false; n];
+    let mut moved_rows = 0u64;
+    let mut moved_bytes = 0u64;
+    let mut total_charged = 0u64;
+    let spill_name = |dst: usize| format!("shuffle-{label}-d{dst}");
+    for (src, src_buckets) in buckets.into_iter().enumerate() {
+        for (dst, bucket) in src_buckets.into_iter().enumerate() {
+            let bucket_bytes = bucket.bytes();
+            if cluster.owner_of(src) != cluster.owner_of(dst) {
+                moved_rows += bucket.rows() as u64;
+                moved_bytes += bucket_bytes;
+            }
+            parts[dst].absorb(bucket);
+            if let Some(g) = governor {
+                g.tracker().charge(bucket_bytes);
+                charged[dst] += bucket_bytes;
+                total_charged += bucket_bytes;
+                if g.tracker().over_budget() && parts[dst].rows() > 0 {
+                    let dir = g.spill_dir()?;
+                    let first_write = !spilled[dst];
+                    let written = parts[dst].spill(&dir, &spill_name(dst))?;
+                    g.tracker().release(charged[dst]);
+                    total_charged -= charged[dst];
+                    charged[dst] = 0;
+                    spilled[dst] = true;
+                    g.note_spill(written, u64::from(first_write));
+                    Metrics::add(&cluster.metrics.spilled_bytes, written);
+                    Metrics::add(&cluster.metrics.spill_files, u64::from(first_write));
+                    if let Some(s) = sink {
+                        s.record_recovery(RecoveryEvent {
+                            kind: RecoveryKind::Spill,
+                            stage: format!("{label} read"),
+                            round: 0,
+                            detail: format!("partition {dst} spilled {written} B"),
+                        });
+                    }
+                }
+            }
+        }
+    }
+    // Merge spilled prefixes back: the spill file holds each dst's
+    // earliest rows (in arrival order); rows still in memory arrived
+    // after the last spill, so spilled ++ in-memory reproduces the
+    // unbounded gather exactly.
+    if let Some(g) = governor {
+        for (dst, part) in parts.iter_mut().enumerate() {
+            if spilled[dst] {
+                part.unspill(g.spill_dir()?.take_rows(&spill_name(dst))?);
+            }
+        }
+        // The gather's transient charges end with the function; the
+        // returned dataset's footprint is the consumer's to account.
+        g.tracker().release(total_charged);
+    }
+    Metrics::add(&cluster.metrics.shuffle_rows, moved_rows);
+    Metrics::add(&cluster.metrics.shuffle_bytes, moved_bytes);
+    if let Some(sink) = sink {
+        // The gather runs on the driver, so the whole exchange is "run"
+        // time — there is no dispatch or barrier component.
+        let us = t_read.elapsed().as_micros() as u64;
+        sink.record_stage(StageSpan {
+            label: format!("{label} read"),
+            kind: StageKind::ShuffleRead,
+            tasks: n as u64,
+            attempts: n as u64,
+            dispatch_us: 0,
+            run_us: us,
+            barrier_us: 0,
+            total_us: us,
+        });
+    }
+    Ok(parts)
+}
+
+/// A map-side combine function over lane tuples: [`RowCombiner`]'s
+/// counterpart for a [`LaneDataset`]'s shuffle.
+pub type LaneCombiner = Arc<dyn Fn(&[&[u64]]) -> Tuples + Send + Sync>;
+
+/// One partition of a [`LaneDataset`]: runs of shared lane batches, in
+/// order — a scan's range of a clique's converged partitions, or what a
+/// stage made of one. Cloning shares the batches.
+#[derive(Clone, Default)]
+pub struct LanePart {
+    runs: Vec<(Arc<Tuples>, Range<usize>)>,
+}
+
+impl From<Tuples> for LanePart {
+    fn from(tuples: Tuples) -> Self {
+        let range = 0..tuples.len();
+        LanePart {
+            runs: vec![(Arc::new(tuples), range)],
+        }
+    }
+}
+
+impl LanePart {
+    /// Number of tuples.
+    pub fn len(&self) -> usize {
+        self.runs.iter().map(|(_, r)| r.len()).sum()
+    }
+
+    /// True if there are no tuples.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// The runs, as blocks, in order.
+    pub fn blocks(&self) -> impl Iterator<Item = Block<'_, u64>> + '_ {
+        self.runs.iter().map(|(t, r)| t.block(r.clone()))
+    }
+
+    /// The runs, each a batch and the range of it this partition holds.
+    pub fn runs(&self) -> impl Iterator<Item = (&Tuples, Range<usize>)> + '_ {
+        self.runs.iter().map(|(t, r)| (&**t, r.clone()))
+    }
+
+    /// Every tuple as a row, in order.
+    pub fn into_rows(self) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(self.len());
+        self.append_rows(&mut rows);
+        rows
+    }
+
+    /// Append every tuple to `rows` as a row, in order; a batch nobody else
+    /// holds is dropped as soon as its rows are built.
+    fn append_rows(self, rows: &mut Vec<Row>) {
+        for (tuples, range) in self.runs {
+            rows.extend(range.map(|i| tuples.row(i)));
+        }
+    }
+}
+
+impl Remote for LanePart {
+    fn bytes(&self) -> u64 {
+        self.blocks()
+            .map(|b| (16 + 8 * b.arity() as u64) * b.len() as u64)
+            .sum()
+    }
+    /// The tuples in one batch of their own.
+    fn copied(&self) -> LanePart {
+        let Some((first, _)) = self.runs.first() else {
+            return LanePart::default();
+        };
+        let mut out = Tuples::new(Arc::clone(first.kinds()));
+        self.blocks()
+            .for_each(|b| b.iter().for_each(|t| out.push(t)));
+        LanePart::from(out)
+    }
+}
+
+impl Bucket for LanePart {
+    fn with_capacity(_: usize) -> Self {
+        LanePart::default()
+    }
+    fn rows(&self) -> usize {
+        self.len()
+    }
+    fn bytes(&self) -> u64 {
+        Remote::bytes(self)
+    }
+    fn absorb(&mut self, other: Self) {
+        self.runs
+            .extend(other.runs.into_iter().filter(|(_, r)| !r.is_empty()));
+    }
+    fn spill(&mut self, dir: &SpillDir, name: &str) -> Result<u64, ExecError> {
+        dir.append_rows(name, &std::mem::take(self).into_rows())
+    }
+    fn unspill(&mut self, spilled: Vec<Row>) {
+        // Spilled rows were lane tuples: each value is its lane's variant.
+        let Some(first) = spilled.first() else {
+            return;
+        };
+        let lanes = first.values().iter().map(|v| match v {
+            Value::Double(_) => Lane::Double,
+            _ => Lane::Int,
+        });
+        let mut tuples = Tuples::new(lanes.collect());
+        for row in &spilled {
+            #[expect(
+                clippy::expect_used,
+                reason = "a row this exchange built from lane tuples fits its lanes"
+            )]
+            tuples
+                .push_values(row.values())
+                .expect("spilled lane tuple");
+        }
+        let tail = std::mem::replace(self, LanePart::from(tuples));
+        self.absorb(tail);
+    }
+}
+
+/// A partitioned collection of lane tuples — the form a clique's word or
+/// kernel result keeps through the final plan's scans, filters,
+/// projections and aggregate shuffles, until an operator with no lane form
+/// or the answer turns it into rows. Counters and stage spans are those of
+/// the same [`Dataset`] operation over the equivalent rows.
+#[derive(Clone)]
+pub struct LaneDataset {
+    /// The lanes of the tuples' columns.
+    pub lanes: Arc<[Lane]>,
+    /// Partition data.
+    pub partitions: Vec<LanePart>,
+}
+
+impl LaneDataset {
+    /// Scan batches in place: `n` contiguous partitions over their
+    /// concatenation, split where [`Dataset::scan`] splits a relation of
+    /// the same rows. No tuple is copied.
+    pub fn scan(lanes: Arc<[Lane]>, batches: &[Arc<Tuples>], n: usize) -> Self {
+        let len: usize = batches.iter().map(|b| b.len()).sum();
+        let mut partitions: Vec<LanePart> = (0..n).map(|_| LanePart::default()).collect();
+        // The batches' first global indices, then each partition's share.
+        let mut at = 0;
+        for batch in batches {
+            let (lo, hi) = (at, at + batch.len());
+            at = hi;
+            for (p, part) in partitions.iter_mut().enumerate() {
+                let (start, end) = ((p * len / n).max(lo), ((p + 1) * len / n).min(hi));
+                if start < end {
+                    part.runs.push((Arc::clone(batch), start - lo..end - lo));
+                }
+            }
+        }
+        LaneDataset { lanes, partitions }
+    }
+
+    /// Total tuple count.
+    pub fn len(&self) -> usize {
+        self.partitions.iter().map(LanePart::len).sum()
+    }
+
+    /// True if all partitions are empty.
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Bytes of the equivalent rows.
+    pub fn size_bytes(&self) -> u64 {
+        self.partitions.iter().map(Remote::bytes).sum()
+    }
+
+    /// Every partition's runs in one partition, on the driver: what
+    /// [`Dataset::single`] of the gathered rows is, with no tuple copied.
+    pub fn gathered(self) -> Self {
+        let runs = self.partitions.into_iter().flat_map(|p| p.runs);
+        LaneDataset {
+            lanes: self.lanes,
+            partitions: vec![LanePart {
+                runs: runs.collect(),
+            }],
+        }
+    }
+
+    /// The equivalent row dataset, partition by partition: no partitioning
+    /// guarantee, like a scan's or a stage's output.
+    pub fn into_dataset(self) -> Dataset {
+        let n = self.partitions.len();
+        let parts = self.partitions.into_iter().map(LanePart::into_rows);
+        Dataset::from_partitions(parts.collect(), Partitioning::Unknown { partitions: n })
+    }
+
+    /// Every tuple as a row, partition by partition.
+    pub fn into_rows(self) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(self.len());
+        self.partitions
+            .into_iter()
+            .for_each(|part| part.append_rows(&mut rows));
+        rows
+    }
+
+    /// [`Dataset::fold_partitions_traced`] over lane partitions: one
+    /// labelled stage, a task per partition, a charged deep copy for a task
+    /// that runs away from its partition's home.
+    pub fn fold_partitions_traced<R: Send + 'static>(
+        &self,
+        cluster: &Cluster,
+        sink: Option<&TraceSink>,
+        label: &str,
+        f: impl Fn(usize, &LanePart) -> R + Send + Sync + 'static,
+    ) -> Result<Vec<R>, ExecError> {
+        fold_stage(cluster, sink, label, &self.partitions, f)
+    }
+
+    /// [`Dataset::shuffle_combined_traced`] over lane tuples: the same write
+    /// stage (one task per source partition, the combiner run per target
+    /// bucket), the same exchange, and the same counters — rows, row bytes
+    /// and combined rows as the equivalent rows would count them.
+    #[allow(clippy::too_many_arguments)]
+    pub fn shuffle_combined_traced(
+        &self,
+        cluster: &Cluster,
+        sink: Option<&TraceSink>,
+        label: &str,
+        key: &[usize],
+        n: usize,
+        combiner: Option<&LaneCombiner>,
+        governor: Option<&QueryGovernor>,
+    ) -> Result<LaneDataset, ExecError> {
+        if let Some(g) = governor {
+            g.check()?;
+        }
+        let tasks: Vec<StageTask<Vec<LanePart>>> = (self.partitions.iter().enumerate())
+            .map(|(p, part)| {
+                let (part, lanes, key) = (part.clone(), Arc::clone(&self.lanes), key.to_vec());
+                let combiner = combiner.cloned();
+                let metrics = Arc::clone(&cluster.metrics);
+                StageTask::new(cluster.owner_of(p), move |_w| {
+                    let mut lent: Vec<Vec<&[u64]>> = (0..n).map(|_| Vec::new()).collect();
+                    for t in part.blocks().flat_map(|b| b.iter()) {
+                        lent[lane_partition(&lanes, t, &key, n)].push(t);
+                    }
+                    let bucket = |tuples: &[&[u64]]| match &combiner {
+                        Some(combine) => combine(tuples),
+                        None => {
+                            let mut out = Tuples::new(Arc::clone(&lanes));
+                            tuples.iter().for_each(|t| out.push(t));
+                            out
+                        }
+                    };
+                    let out: Vec<Tuples> = lent.iter().map(|b| bucket(b)).collect();
+                    let before = lent.iter().map(Vec::len).sum::<usize>();
+                    let after = out.iter().map(Tuples::len).sum::<usize>();
+                    Metrics::add(&metrics.combined_rows, (before - after) as u64);
+                    out.into_iter().map(LanePart::from).collect()
+                })
+            })
+            .collect();
+        let write = format!("{label} write");
+        let buckets = cluster.run_stage_traced(sink, &write, StageKind::ShuffleWrite, tasks)?;
+        let partitions = exchange(cluster, sink, label, buckets, n, self.len(), governor)?;
+        Ok(LaneDataset {
+            lanes: Arc::clone(&self.lanes),
+            partitions,
+        })
     }
 }
 

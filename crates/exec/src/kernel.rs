@@ -466,6 +466,9 @@ pub trait DenseState<Op>: Send + 'static {
     fn size_bytes(&self) -> u64;
     /// Reset to vacant (the reset-and-rerun recovery path).
     fn clear(&mut self);
+    /// Lend every occupied `(dense id, aggregate bits)` pair to `f`, in
+    /// dense-id order ([`KernelValue::to_bits`]; 0 for the set state).
+    fn for_each_cell(&self, f: impl FnMut(u32, u64));
 }
 
 impl<T: KernelValue, Op: MergeOp<T>> DenseState<Op> for DenseAggState<T> {
@@ -505,6 +508,9 @@ impl<T: KernelValue, Op: MergeOp<T>> DenseState<Op> for DenseAggState<T> {
     fn clear(&mut self) {
         DenseAggState::clear(self);
     }
+    fn for_each_cell(&self, mut f: impl FnMut(u32, u64)) {
+        self.iter().for_each(|(d, val)| f(d, val.to_bits()));
+    }
 }
 
 impl DenseState<()> for DenseSetState {
@@ -539,6 +545,9 @@ impl DenseState<()> for DenseSetState {
     }
     fn clear(&mut self) {
         DenseSetState::clear(self);
+    }
+    fn for_each_cell(&self, mut f: impl FnMut(u32, u64)) {
+        self.iter().for_each(|d| f(d, 0));
     }
 }
 

@@ -62,7 +62,7 @@ pub use checkpoint::{
     encode_set_state, CheckpointStore,
 };
 pub use cluster::{Cluster, ClusterConfig, StageTask};
-pub use dataset::{Dataset, Partition, RowCombiner};
+pub use dataset::{Dataset, LaneCombiner, LaneDataset, LanePart, Partition, RowCombiner};
 pub use error::ExecError;
 pub use fault::{FaultInjector, FaultSpec, TaskFault};
 pub use governor::{

@@ -160,6 +160,11 @@ impl<C: Cell> SetState<C> {
         self.set.tuples()
     }
 
+    /// The tuples, in insertion order, without the index and the stamps.
+    pub fn into_tuples(self) -> Tuples<C> {
+        self.set.into_tuples()
+    }
+
     /// Iterate all tuples, in insertion order.
     pub fn iter(&self) -> impl Iterator<Item = &[C]> + '_ {
         self.set.tuples().iter()

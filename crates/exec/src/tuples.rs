@@ -441,6 +441,13 @@ impl<C: Cell> Tuples<C> {
         }
     }
 
+    /// An empty batch with room for `n` tuples.
+    pub fn with_capacity(kinds: Arc<[C::Kind]>, n: usize) -> Self {
+        let mut tuples = Tuples::new(kinds);
+        tuples.cells.reserve(n * tuples.arity);
+        tuples
+    }
+
     /// The column kinds.
     pub fn kinds(&self) -> &Arc<[C::Kind]> {
         &self.kinds

@@ -4,6 +4,10 @@ set -euxo pipefail
 cd "$(dirname "$0")/.."
 
 cargo build --release
+# The benchmark (`perf/`, a package of its own) builds from this tree, so an
+# engine API change that breaks it fails here. Its release profile is not the
+# root's (which keeps debug info), so it builds in its own `perf/target`.
+cargo build --release --offline --manifest-path perf/Cargo.toml
 # Every default member (the facade and the engine crates), lint and
 # model-checker suites included.
 cargo test -q
