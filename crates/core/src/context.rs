@@ -4,11 +4,11 @@ use crate::cache::{version_fingerprint, CachedQuery, ResultCache};
 use crate::config::{EngineConfig, EvalMode, JoinStrategy};
 use crate::error::EngineError;
 use crate::eval::{view_reads, EvalContext, ViewData};
-use crate::fixpoint::{CliqueState, FixpointExecutor};
-use crate::matview::{query_dep_tables, DepRecord, MatView};
+use crate::fixpoint::{CliqueState, FixpointExecutor, FixpointResult};
+use crate::matview::{query_dep_tables, DepRecord, MatView, TableShape};
 use rasql_exec::{
     AdmissionController, CancellationToken, Cluster, ClusterConfig, ExecError, Metrics,
-    MetricsSnapshot, QueryGovernor, QueryTrace, TraceSink,
+    MetricsSnapshot, OperatorTrace, QueryGovernor, QueryTrace, TraceSink,
 };
 use rasql_parser::ast::Query;
 use rasql_parser::{parse_statements, Statement};
@@ -20,8 +20,8 @@ use rasql_storage::snapshot::{encode_state, read_snapshot, sweep_stray_temp};
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::wal::{replay, WAL_FILE};
 use rasql_storage::{
-    Catalog, CrashInjector, DataType, DurableState, IndexStats, IndexStore, Relation, Row, Schema,
-    StorageError, TableImage, Value, ViewDelta, ViewDep, ViewImage, Wal, WalRecord,
+    Catalog, CrashInjector, DataType, Derived, DurableState, IndexStats, IndexStore, Relation, Row,
+    Schema, StorageError, TableImage, Value, ViewDelta, ViewDep, ViewImage, Wal, WalRecord,
 };
 use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
@@ -147,7 +147,9 @@ struct Run {
 /// lower-cased name, its run and — for a delta-seeded refresh — the state
 /// the resumed clique converged to.
 struct Executed {
-    relation: Relation,
+    /// The answer; `None` for a resumed view whose table is patched from
+    /// its state instead.
+    relation: Option<Relation>,
     views: HashMap<String, ViewData>,
     run: Run,
     state: Option<CliqueState>,
@@ -158,6 +160,9 @@ struct Executed {
 struct Resume {
     state: Arc<CliqueState>,
     changed: Vec<(String, Vec<Row>)>,
+    /// The view's table is patched from the converged state: the final plan
+    /// is not evaluated.
+    patched: bool,
 }
 
 /// A RaSQL session: registered tables, a simulated cluster, and the SQL
@@ -504,16 +509,22 @@ impl RaSqlContext {
         let Some(state) = &mv.resident else {
             return Ok(());
         };
-        let spec = &mv.query.cliques[0];
-        let views: HashMap<String, ViewData> = (spec.views.iter())
-            .zip(state.relations(spec))
-            .map(|(v, rel)| (v.name.to_ascii_lowercase(), ViewData::Rows(Arc::new(rel))))
-            .collect();
-        let relation = self
-            .eval_context(&views, None, None)
-            .evaluate(&mv.query.final_plan)?;
+        let (relation, lookup) = match TableShape::of(&mv.query) {
+            Some(shape) => (shape.table(state, &mv.query), shape.lookup(state)),
+            None => {
+                let spec = &mv.query.cliques[0];
+                let views: HashMap<String, ViewData> = (spec.views.iter())
+                    .zip(state.relations(spec))
+                    .map(|(v, rel)| (v.name.to_ascii_lowercase(), ViewData::Rows(Arc::new(rel))))
+                    .collect();
+                let relation = self
+                    .eval_context(&views, None, None)
+                    .evaluate(&mv.query.final_plan)?;
+                (relation, None)
+            }
+        };
         let schema = relation.schema().clone();
-        if self.catalog.fill_derived(key, relation) {
+        if self.catalog.fill_derived(key, relation, lookup) {
             self.planner_catalog.lock().add_table(&mv.name, schema);
         }
         Ok(())
@@ -1054,6 +1065,7 @@ impl RaSqlContext {
             return Ok((hit.relation, run));
         }
         let Executed { relation, run, .. } = self.execute(q, parent, traced, None, false, clock)?;
+        let relation = relation.unwrap_or_else(|| Relation::empty(q.final_plan.schema().clone()));
         if let Some(key) = key {
             let cached = CachedQuery {
                 relation: relation.clone(),
@@ -1089,9 +1101,17 @@ impl RaSqlContext {
                 let exec = FixpointExecutor::new(&eval, &self.config);
                 let result = match resume {
                     Some(r) => {
-                        let (result, resumed) = exec.run_resume(clique, &r.state, &r.changed)?;
+                        let (iterations, resumed) =
+                            exec.run_resume(clique, &r.state, &r.changed)?;
+                        let views = if r.patched {
+                            Vec::new()
+                        } else {
+                            (resumed.relations(clique).into_iter())
+                                .map(|rel| ViewData::Rows(Arc::new(rel)))
+                                .collect()
+                        };
                         state = Some(resumed);
-                        result
+                        FixpointResult { views, iterations }
                     }
                     None => exec.run(clique)?,
                 };
@@ -1114,7 +1134,10 @@ impl RaSqlContext {
             if let Some(s) = &sink {
                 s.enable_operators(true);
             }
-            let answer = eval.eval_data(&q.final_plan)?;
+            let answer = match resume {
+                Some(r) if r.patched => None,
+                _ => Some(eval.eval_data(&q.final_plan)?),
+            };
             if let Some(s) = &sink {
                 s.enable_operators(false);
             }
@@ -1124,7 +1147,7 @@ impl RaSqlContext {
             if !keep_views {
                 views.clear();
             }
-            let relation = answer.into_relation(q.final_plan.schema().clone());
+            let relation = answer.map(|a| a.into_relation(q.final_plan.schema().clone()));
             let mut metrics = self.cluster.metrics.snapshot().since(&before);
             // Governance numbers come from this query's own governor: global
             // counter deltas would bleed across concurrent queries.
@@ -1330,16 +1353,23 @@ impl RaSqlContext {
         // the delta is read: a row landing in between is seeded twice,
         // harmless under the idempotent heads of an incremental view.
         let deps = self.snapshot_deps(&query_dep_tables(&mv.query));
-        let resume = refresh.then(|| self.resume_state(&mv)).flatten();
+        // A certified view whose final plan projects its clique view gets its
+        // table from the state: patched after a resumed run, rebuilt in the
+        // state's order after a full one.
+        let shape = mv.eligible.then(|| TableShape::of(&mv.query)).flatten();
+        let resume = refresh
+            .then(|| self.resume_state(&mv, shape.is_some()))
+            .flatten();
         // A full run of a certified view builds its resident state from the
         // clique's converged tuples.
         let keep = mv.eligible && resume.is_none();
+        let traced = self.tracing_enabled();
         let Executed {
             relation,
             mut views,
-            run,
+            mut run,
             state,
-        } = self.execute(&mv.query, parent, false, resume.as_ref(), keep, clock)?;
+        } = self.execute(&mv.query, parent, traced, resume.as_ref(), keep, clock)?;
         let mode = if resume.is_some() {
             "incremental"
         } else {
@@ -1353,7 +1383,7 @@ impl RaSqlContext {
             mv.last_refresh = mode.to_string();
         }
         mv.deps = deps;
-        let (nrows, schema) = (relation.len(), relation.schema().clone());
+        let schema = mv.query.final_plan.schema().clone();
         if mv.eligible {
             // `eligible` implies exactly one clique (stratified recursion is
             // an RA0301 finding). A full run (at creation, or after a delete)
@@ -1378,43 +1408,84 @@ impl RaSqlContext {
             };
             mv.resident = Some(Arc::new(state));
         }
-        self.planner_catalog.lock().add_table(&mv.name, schema);
+        self.planner_catalog
+            .lock()
+            .add_table(&mv.name, schema.clone());
         // The registry stays locked from the journal append to the insert,
         // so a snapshot collected meanwhile either holds the new entry or
         // fails its log-position check: compaction never truncates a record
         // whose registry entry it missed (`modelcheck`'s `view-journal`).
         let mut registry = self.matviews.lock();
-        match &mv.resident {
+        let nrows = match &mv.resident {
             Some(state) => {
-                self.catalog.replace_derived(&mv.name, relation, |table| {
-                    if self.durability.is_none() {
-                        return Ok(());
+                let started = clock.elapsed();
+                let (rows, lookup) = match &shape {
+                    Some(shape) => {
+                        // A run that moved tuples rebuilds the table instead.
+                        let patch = (resume.as_ref())
+                            .and_then(|r| state.table_patch(&r.state, shape.view, &shape.cols));
+                        let rows = match patch {
+                            Some(patch) => Derived::Patch(patch),
+                            None => Derived::Rows(shape.table(state, &mv.query)),
+                        };
+                        (rows, shape.lookup(state))
                     }
-                    self.journal(&match resume {
-                        Some(_) => WalRecord::ViewDelta(ViewDelta {
-                            key: key.to_string(),
-                            version: mv.version,
-                            deps: view_deps(&mv.deps),
-                            table,
-                            changed: state.changed(),
-                        }),
-                        None => WalRecord::ViewPut {
-                            image: view_image(key, &mv),
-                            table,
-                        },
-                    })
-                })?;
+                    None => (
+                        Derived::Rows(relation.unwrap_or_else(|| Relation::empty(schema))),
+                        None,
+                    ),
+                };
+                let (nrows, written) = match &rows {
+                    Derived::Rows(rel) => (rel.len(), rel.len()),
+                    Derived::Patch(patch) => {
+                        let (held, added) = (patch.ranges.iter())
+                            .fold((0, 0), |(h, n), (len, a)| (h + len, n + a.len()));
+                        (held + added, patch.set.len() + added)
+                    }
+                };
+                self.catalog
+                    .replace_derived(&mv.name, rows, lookup, |table| {
+                        if self.durability.is_none() {
+                            return Ok(());
+                        }
+                        self.journal(&match resume {
+                            Some(_) => WalRecord::ViewDelta(ViewDelta {
+                                key: key.to_string(),
+                                version: mv.version,
+                                deps: view_deps(&mv.deps),
+                                table,
+                                changed: state.changed(),
+                            }),
+                            None => WalRecord::ViewPut {
+                                image: view_image(key, &mv),
+                                table,
+                            },
+                        })
+                    })?;
                 self.table_rewritten(key);
+                if let Some(trace) = &mut run.trace {
+                    trace.operators.push(OperatorTrace {
+                        path: "refresh".into(),
+                        label: format!("refresh table {}", mv.name),
+                        rows: written as u64,
+                        bytes: 0,
+                        elapsed_us: (clock.elapsed() - started).as_micros() as u64,
+                    });
+                }
+                nrows
             }
             None => {
+                let relation = relation.unwrap_or_else(|| Relation::empty(schema));
+                let nrows = relation.len();
                 self.catalog.register_or_replace(&mv.name, relation)?;
                 self.table_rewritten(key);
                 self.journal(&WalRecord::ViewPut {
                     image: view_image(key, &mv),
                     table: 0,
                 })?;
+                nrows
             }
-        }
+        };
         registry.insert(key.to_string(), mv);
         drop(registry);
         self.publish_retained_bytes();
@@ -1426,7 +1497,7 @@ impl RaSqlContext {
     /// unless the view is certified incremental and every dependency was
     /// never rewritten (deleted from / replaced) and only grew. The resident
     /// state is lent as it is: nothing is decoded.
-    fn resume_state(&self, mv: &MatView) -> Option<Resume> {
+    fn resume_state(&self, mv: &MatView, patched: bool) -> Option<Resume> {
         let state = Arc::clone(mv.resident.as_ref()?);
         let mut changed = Vec::new();
         for d in &mv.deps {
@@ -1438,7 +1509,11 @@ impl RaSqlContext {
                 changed.push((d.table.clone(), rel.rows()[d.len..].to_vec()));
             }
         }
-        Some(Resume { state, changed })
+        Some(Resume {
+            state,
+            changed,
+            patched,
+        })
     }
 
     /// Refresh `table` if it names a stale materialized view, refreshing its
@@ -1622,6 +1697,15 @@ impl RaSqlContext {
         self.catalog.table_names()
     }
 
+    /// Table `name` as the catalog holds it now — a stale materialized
+    /// view's table is not refreshed first.
+    ///
+    /// # Errors
+    /// [`EngineError::Storage`] when there is no such table.
+    pub fn table(&self, name: &str) -> Result<Arc<Relation>, EngineError> {
+        Ok(self.catalog.get(name)?)
+    }
+
     /// Cumulative cluster metrics.
     pub fn metrics(&self) -> MetricsSnapshot {
         self.cluster.metrics.snapshot()
@@ -1756,7 +1840,7 @@ fn explain_analyzed(q: &AnalyzedQuery, trace: &QueryTrace, verification: &Verify
                 // followed by a `filter` stage below.
                 Some(o) => format!(
                     "{}  (rows={} bytes={} time={:.3}ms)",
-                    if o.label.starts_with("index lookup") {
+                    if o.label.starts_with("index lookup") || o.label.starts_with("state lookup") {
                         format!("  [{}]", o.label)
                     } else {
                         String::new()

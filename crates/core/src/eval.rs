@@ -15,6 +15,7 @@
 
 use crate::error::EngineError;
 use crate::fixpoint::{word_pred, word_projection};
+use crate::index::Probed;
 use rasql_exec::pipeline::PredFn;
 use rasql_exec::{
     lanes_of, run_fused, run_unfused, values_of, Cluster, Dataset, Emitted, HashTable, Lane,
@@ -593,15 +594,18 @@ struct Chain<'p> {
     lookup: Option<(usize, &'p Value)>,
 }
 
-/// The rows an index holds under a lookup's literal.
+/// The rows an index or a view's state holds under a lookup's literal.
 struct Probe<'p> {
-    table: Arc<HashTable>,
+    found: Probed,
     literal: &'p Value,
 }
 
 impl Probe<'_> {
     fn rows(&self) -> &[Row] {
-        self.table.probe(std::slice::from_ref(self.literal))
+        match &self.found {
+            Probed::Index(table) => table.probe(std::slice::from_ref(self.literal)),
+            Probed::State(rows) => rows,
+        }
     }
 }
 
@@ -647,15 +651,19 @@ impl<'p> Chain<'p> {
             return Ok(None);
         };
         let started = Instant::now();
-        let Some(table) = eval.probe_scan(self.input, col, literal)? else {
+        let Some(found) = eval.probe_scan(self.input, col, literal)? else {
             return Ok(None);
         };
-        let probe = Probe { table, literal };
+        let probe = Probe { found, literal };
         if let (Some(sink), LogicalPlan::TableScan { table, schema }) = (eval.trace, self.input) {
             let rows = probe.rows();
+            let source = match probe.found {
+                Probed::Index(_) => "index",
+                Probed::State(_) => "state",
+            };
             sink.record_operator(
                 self.path.clone(),
-                format!("index lookup {table}[{}]", schema.field(col).name),
+                format!("{source} lookup {table}[{}]", schema.field(col).name),
                 rows.len() as u64,
                 rows.iter().map(Row::size_bytes).sum::<usize>() as u64,
                 started.elapsed(),
@@ -1022,9 +1030,15 @@ impl LaneAgg {
     fn run(&self, part: &LanePart) -> Vec<Row> {
         let (g, m) = (self.group_cols, self.aggs.len());
         let mut accs: Vec<Accumulator> = Vec::new();
-        if g == 0 && part.is_empty() {
-            // SQL: a global aggregate over zero rows still yields one row.
+        if g == 0 {
+            // One group, found without a key; SQL: a global aggregate over
+            // zero rows still yields one row.
             accs.extend(self.aggs.iter().map(Accumulator::new));
+            for t in part.blocks().flat_map(|b| b.iter()) {
+                for acc in &mut accs {
+                    acc.update_with(|c| self.lanes[c].decode(t[c]));
+                }
+            }
             return vec![finish_row(&[], &accs)];
         }
         let mut groups = TupleSet::<u64>::new(self.lanes[..g].into());

@@ -49,7 +49,8 @@ use rasql_plan::{
 use rasql_storage::codec::CompressedRelation;
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::{
-    CsrGraph, FxHashSet, Index, IndexLayout, Relation, Row, Schema, Value, WordShape, WordTable,
+    CsrGraph, FxHashSet, Index, IndexLayout, Relation, Row, RowPatch, Schema, Value, WordShape,
+    WordTable,
 };
 use std::marker::PhantomData;
 use std::ops::Range;
@@ -191,6 +192,10 @@ trait Repr: Cell {
     fn tuples_table(tuples: &Tuples<Self>, join: &JoinShape<Self>) -> Result<Self::Table, Escaped>;
 }
 
+/// A seed branch of a resumed run, its recursive build sides' snapshots, and
+/// the delta rows its changed build side holds.
+type SeedRun<C> = (CompiledBranch<C>, Vec<Snapshot<C>>, Relation);
+
 /// A probe-key extractor and the kinds of the key cells it appends.
 type ProbeKey<C> = (KeyFn<C>, Arc<[<C as Cell>::Kind]>);
 
@@ -229,6 +234,7 @@ impl Repr for Value {
     fn resident(views: Vec<ResidentView<Value>>) -> CliqueState {
         CliqueState {
             views: Held::Rows(views),
+            kept_order: true,
         }
     }
 
@@ -399,6 +405,7 @@ impl Repr for u64 {
     fn resident(views: Vec<ResidentView<u64>>) -> CliqueState {
         CliqueState {
             views: Held::Words(views),
+            kept_order: true,
         }
     }
 
@@ -665,9 +672,7 @@ impl<C: Cell> ViewState<C> {
         match (self, which) {
             (ViewState::Set(s), Stamped::All) => s.iter().for_each(f),
             (ViewState::Set(s), Stamped::Before(cutoff)) => s.iter_before(cutoff).for_each(f),
-            (ViewState::Set(s), Stamped::From(round)) => (s.iter_with_rounds())
-                .filter(|&(_, r)| r >= round)
-                .for_each(|(t, _)| f(t)),
+            (_, Stamped::From(round)) => self.for_each_from(layout, round, |_, t| f(t)),
             (ViewState::Agg(a), Stamped::All) => a.iter().for_each(|g| group(g.key, g.values)),
             (ViewState::Agg(a), Stamped::Before(cutoff)) => {
                 for g in 0..a.len() {
@@ -676,9 +681,6 @@ impl<C: Cell> ViewState<C> {
                     }
                 }
             }
-            (ViewState::Agg(a), Stamped::From(round)) => (a.iter())
-                .filter(|g| g.round >= round)
-                .for_each(|g| group(g.key, g.values)),
         }
     }
 
@@ -693,6 +695,45 @@ impl<C: Cell> ViewState<C> {
         match self {
             ViewState::Set(s) => ViewState::Set(s.restamped()),
             ViewState::Agg(a) => ViewState::Agg(Box::new(a.restamped())),
+        }
+    }
+
+    /// The index of the tuple whose key cells (in key-column order) are
+    /// `key`: a set's whole tuple, an aggregate's group.
+    fn find(&self, key: &[C]) -> Option<usize> {
+        match self {
+            ViewState::Set(s) => s.find(key),
+            ViewState::Agg(a) => a.find(key),
+        }
+    }
+
+    /// Append tuple `i`, schema-shaped, to `out`.
+    fn push_tuple(&self, layout: &[Slot], i: usize, out: &mut Tuples<C>) {
+        match self {
+            ViewState::Set(s) => out.push(s.tuples().get(i)),
+            ViewState::Agg(a) => {
+                let (g, mut tuple) = (a.group(i), Vec::new());
+                assemble(layout, g.key, g.values, &mut tuple);
+                out.push(&tuple);
+            }
+        }
+    }
+
+    /// Lend every tuple merged at `round` or later to `f`, schema-shaped,
+    /// with its index in the partition.
+    fn for_each_from(&self, layout: &[Slot], round: u32, mut f: impl FnMut(usize, &[C])) {
+        match self {
+            ViewState::Set(s) => (s.iter_with_rounds().enumerate())
+                .filter(|(_, (_, r))| *r >= round)
+                .for_each(|(i, (t, _))| f(i, t)),
+            ViewState::Agg(a) => {
+                let mut tuple = Vec::new();
+                for (i, g) in a.iter().enumerate().filter(|(_, g)| g.round >= round) {
+                    tuple.clear();
+                    assemble(layout, g.key, g.values, &mut tuple);
+                    f(i, &tuple);
+                }
+            }
         }
     }
 }
@@ -756,6 +797,9 @@ struct ViewRt<C: Cell> {
     state: Vec<RankedMutex<ViewState<C>>>,
     /// Whether this view runs decomposed.
     decomposed: bool,
+    /// Whether a partition was decoded from the checkpoint codec (a rewind,
+    /// a page-in), which writes tuples in key order, not arena order.
+    reordered: AtomicBool,
 }
 
 impl<C: Cell> ViewRt<C> {
@@ -807,6 +851,9 @@ impl<C: Cell> ViewRt<C> {
 /// state as it was.
 pub struct CliqueState {
     views: Held,
+    /// Every tuple of the state a resumed run started from kept its
+    /// position (partition and arena index): no partition was decoded.
+    kept_order: bool,
 }
 
 /// The views of a resident state, in the representation its run used.
@@ -820,6 +867,7 @@ enum Held {
 struct ResidentView<C: Cell> {
     kinds: Arc<[C::Kind]>,
     layout: Vec<Slot>,
+    key_cols: Vec<usize>,
     parts: Vec<ViewState<C>>,
 }
 
@@ -830,10 +878,74 @@ impl<C: Cell> ResidentView<C> {
         ResidentView {
             kinds: Arc::clone(&v.kinds),
             layout: v.layout.clone(),
+            key_cols: v.spec.key_cols.clone(),
             parts: parts
                 .map(|part| std::mem::replace(&mut *part.lock(), ViewState::empty(v)))
                 .collect(),
         }
+    }
+
+    /// Tuple `t` projected on `cols`, as a row.
+    fn project(&self, cols: &[usize], t: &[C]) -> Row {
+        Row::new(
+            cols.iter()
+                .map(|&c| t[c].to_value(C::kind(&self.kinds, c)))
+                .collect(),
+        )
+    }
+
+    /// Every tuple projected on `cols`, as rows in the state's order:
+    /// partition after partition, each in arena order.
+    fn table(&self, cols: &[usize]) -> Vec<Row> {
+        let mut rows = Vec::with_capacity(self.parts.iter().map(ViewState::len).sum());
+        for part in &self.parts {
+            part.for_each(&self.layout, Stamped::All, |t| {
+                rows.push(self.project(cols, t));
+            });
+        }
+        rows
+    }
+
+    /// What takes [`ResidentView::table`] of `before` to this view's: the
+    /// tuples a resumed run changed, replaced where they stand, and those
+    /// it added, at the end of their partition's range.
+    fn patch(&self, before: &[usize], cols: &[usize]) -> RowPatch {
+        let mut patch = RowPatch {
+            ranges: Vec::with_capacity(before.len()),
+            set: Vec::new(),
+        };
+        let mut start = 0;
+        for (part, &len) in self.parts.iter().zip(before) {
+            let mut added = Vec::new();
+            part.for_each_from(&self.layout, 1, |i, t| {
+                let row = self.project(cols, t);
+                if i < len {
+                    patch.set.push((start + i, row));
+                } else {
+                    added.push(row);
+                }
+            });
+            patch.ranges.push((len, added));
+            start += len;
+        }
+        patch
+    }
+
+    /// The position, in [`ResidentView::table`], of the tuple whose single
+    /// key column equals `key` (`Value::eq`); `Escaped` when the key is not
+    /// one column, or `key` might equal more than one cell of its lane.
+    fn position(&self, key: &Value) -> Result<Option<usize>, Escaped> {
+        let &[k] = &self.key_cols[..] else {
+            return Err(Escaped);
+        };
+        let kind = C::kind(&self.kinds, k);
+        let Some(cell) = C::key_cell(key, kind)? else {
+            return Ok(None);
+        };
+        let key = std::slice::from_ref(&cell);
+        let p = partition_of(&[kind], key, &[0], self.parts.len());
+        let offset: usize = self.parts[..p].iter().map(ViewState::len).sum();
+        Ok(self.parts[p].find(key).map(|i| offset + i))
     }
 
     /// The `which` tuples of every partition as rows, partition by partition.
@@ -884,6 +996,53 @@ impl CliqueState {
     /// the round-0 state it resumed from. What a refresh journals.
     pub fn changed(&self) -> Vec<Vec<Row>> {
         self.rows(Stamped::From(1))
+    }
+
+    /// Clique view `view`'s tuples projected on `cols`, as rows in the
+    /// state's order — partition after partition, each in arena order: the
+    /// table of a materialized view whose final plan projects them.
+    pub fn table(&self, view: usize, cols: &[usize]) -> Vec<Row> {
+        match &self.views {
+            Held::Words(views) => views[view].table(cols),
+            Held::Rows(views) => views[view].table(cols),
+        }
+    }
+
+    /// The patch that takes [`CliqueState::table`] of `before` — the state
+    /// this one was resumed from — to this state's: O(changed tuples) rows
+    /// built, and no other row touched. `None` when the resumed run moved
+    /// tuples (it paged a partition out or rewound to a checkpoint).
+    pub fn table_patch(
+        &self,
+        before: &CliqueState,
+        view: usize,
+        cols: &[usize],
+    ) -> Option<RowPatch> {
+        if !self.kept_order {
+            return None;
+        }
+        let lens: Vec<usize> = match &before.views {
+            Held::Words(views) => views[view].parts.iter().map(ViewState::len).collect(),
+            Held::Rows(views) => views[view].parts.iter().map(ViewState::len).collect(),
+        };
+        Some(match &self.views {
+            Held::Words(views) => views[view].patch(&lens, cols),
+            Held::Rows(views) => views[view].patch(&lens, cols),
+        })
+    }
+
+    /// The position, in [`CliqueState::table`] of clique view `view`, of
+    /// the tuple whose key — one column — equals `key`: a hash probe of the
+    /// partition that owns it, no scan.
+    ///
+    /// # Errors
+    /// `Escaped` when the view's key is not one column, or `key` might equal
+    /// more than one cell of its lane.
+    pub fn position(&self, view: usize, key: &Value) -> Result<Option<usize>, Escaped> {
+        match &self.views {
+            Held::Words(views) => views[view].position(key),
+            Held::Rows(views) => views[view].position(key),
+        }
     }
 
     /// Bytes the partitions hold: arenas, indexes and stamps.
@@ -1488,6 +1647,7 @@ impl<'a> FixpointExecutor<'a> {
                 partition_key: preserved.unwrap_or(&v.key_cols).to_vec(),
                 state: Vec::new(),
                 decomposed: preserved.is_some(),
+                reordered: AtomicBool::new(false),
             };
             // A distinct-tuple `count` adds the `Int` 1 per contributor.
             let counts = (0..rt.funcs.len()).filter(|&j| rt.counts_tuples(j));
@@ -1581,7 +1741,7 @@ impl<'a> FixpointExecutor<'a> {
         spec: &FixpointSpec,
         state: &CliqueState,
         changed: &[(String, Vec<Row>)],
-    ) -> Result<(FixpointResult, CliqueState), EngineError> {
+    ) -> Result<(u32, CliqueState), EngineError> {
         self.on_words_or_rows(true, |words| {
             if words {
                 self.resume_on::<u64>(spec, state, changed)
@@ -1597,7 +1757,7 @@ impl<'a> FixpointExecutor<'a> {
         spec: &FixpointSpec,
         lent: &CliqueState,
         changed: &[(String, Vec<Row>)],
-    ) -> Result<Option<(FixpointResult, CliqueState)>, Stop> {
+    ) -> Result<Option<(u32, CliqueState)>, Stop> {
         let p = self.config.partitions;
         let Some((views, evals)) = self.resident_views::<C>(spec)? else {
             return Ok(None);
@@ -1628,7 +1788,9 @@ impl<'a> FixpointExecutor<'a> {
         // in the position's build plan sees its full new contents, so a
         // derivation touching several changed tables is still covered (the
         // duplicates this superset produces are no-ops under idempotence).
+        let started = Instant::now();
         let mut warm_tuples: Vec<Option<Tuples<C>>> = views.iter().map(|_| None).collect();
+        let mut read = vec![0u64; views.len()];
         for v in &spec.views {
             for prog in &v.recursive {
                 for (si, step) in prog.steps.iter().enumerate() {
@@ -1646,21 +1808,25 @@ impl<'a> FixpointExecutor<'a> {
                             continue;
                         }
                         let target = &views[prog.target];
-                        let (seed, snaps) =
+                        let (seed, snaps, delta) =
                             self.compile_seed_branch(prog, &views, si, table, delta_rows)?;
                         let mut partial = Partial::new(target);
-                        // The whole warm relation drives the seed run, as an
-                        // owned delta (no partition state lends it).
                         let driver = &views[seed.driver];
-                        let warm = warm_tuples[seed.driver].get_or_insert_with(|| {
-                            let mut all = driver.batch();
-                            for part in &driver.state {
-                                all.append(&mut part.lock().tuples(&driver.kinds, &driver.layout));
-                            }
-                            all
-                        });
+                        // The warm tuples the delta can join drive the seed
+                        // run, as an owned delta (no partition state lends
+                        // it): found under the delta's keys when the delta is
+                        // the first join and probes the driver's key, else
+                        // the whole warm relation.
+                        let keyed = (si == 0).then(|| keyed_warm(prog, driver, delta.rows()));
+                        let warm = match keyed.flatten() {
+                            Some(found) => found,
+                            None => warm_tuples[seed.driver]
+                                .get_or_insert_with(|| state_tuples(driver, RecAllMode::New, 0))
+                                .clone(),
+                        };
+                        read[seed.driver] += warm.len() as u64;
                         let delta = DeltaBatch::Owned {
-                            totals: warm.clone(),
+                            totals: warm,
                             increments: None,
                         };
                         let at = BranchAt {
@@ -1687,28 +1853,24 @@ impl<'a> FixpointExecutor<'a> {
                 }
             }
         }
+        if let Some(t) = self.eval.trace {
+            for (v, rows) in spec.views.iter().zip(read) {
+                let label = format!("refresh seed {}", v.name);
+                t.record_step("refresh".into(), label, rows, 0, started.elapsed());
+            }
+        }
 
         // Warm rows keep stamp 0 and the seeds merge at stamp 1, so the first
         // resumed round's old-snapshot cutoff selects exactly the warm rows.
         let escaped = Arc::clone(&clique.escaped);
         let driven = self.drive(&mut SemiNaive::new(clique, base_buckets), 1);
         let iterations = self.converged::<C>(driven, &escaped)?;
-        // The converged state is the view's next resident state, so the
-        // result is copied out of it — as the rows the view's table needs,
-        // the one copy.
-        let resident: Vec<ResidentView<C>> = views.iter().map(ResidentView::take).collect();
-        let results = (views.iter().zip(&resident)).map(|(v, r)| {
-            let rows = r.rows(Stamped::All);
-            ViewData::Rows(Arc::new(Relation::new_unchecked(
-                v.spec.schema.clone(),
-                rows,
-            )))
-        });
-        let result = FixpointResult {
-            views: results.collect(),
-            iterations,
-        };
-        Ok(Some((result, C::resident(resident))))
+        // The converged state is the view's next resident state: the caller
+        // reads its result out of it.
+        let resident = views.iter().map(ResidentView::take).collect();
+        let mut state = C::resident(resident);
+        state.kept_order = !views.iter().any(|v| v.reordered.load(Ordering::Relaxed));
+        Ok(Some((iterations, state)))
     }
 
     /// A clique's resident state built from its converged rows, one batch
@@ -1752,9 +1914,9 @@ impl<'a> FixpointExecutor<'a> {
     /// Compile one *seed* instance of a recursive branch for delta-seeded
     /// resume: sequential (each base build a single whole hash table, run on
     /// partition 0), with the base build at step `delta_pos` evaluated under
-    /// an overlay catalog where `delta_table` holds only the inserted rows,
-    /// and recursive build sides snapshotted from the warm state `views`
-    /// hold.
+    /// an overlay catalog where `delta_table` holds only the inserted rows
+    /// (returned too), and recursive build sides snapshotted from the warm
+    /// state `views` hold.
     fn compile_seed_branch<C: Repr>(
         &self,
         prog: &BranchProgram,
@@ -1762,13 +1924,14 @@ impl<'a> FixpointExecutor<'a> {
         delta_pos: usize,
         delta_table: &str,
         delta_rows: &[Row],
-    ) -> Result<(CompiledBranch<C>, Vec<Snapshot<C>>), Stop> {
+    ) -> Result<SeedRun<C>, Stop> {
         let Some(evals) = BranchEvals::compile(prog, views) else {
             return Err(Stop::Failed(EngineError::Other(
                 "a seed branch declined a clique its loop branches compiled for".into(),
             )));
         };
         let mut snaps: Vec<Snapshot<C>> = vec![None; prog.steps.len()];
+        let mut delta = Relation::empty(Schema::empty());
         let seed = CompiledBranch::new(prog, evals, |si, build, join| {
             Ok(match build {
                 JoinBuild::RecursiveAll { view, mode, .. } => {
@@ -1788,11 +1951,14 @@ impl<'a> FixpointExecutor<'a> {
                     };
                     // A seed run probes one whole table of the overlay once.
                     let whole = C::rows_table(rel.rows(), join)?;
+                    if si == delta_pos {
+                        delta = rel;
+                    }
                     BuildSide::Partitioned(vec![Arc::new(whole)])
                 }
             })
         })?;
-        Ok((seed, snaps))
+        Ok((seed, snaps, delta))
     }
 
     /// Fetch every index a delta-seeded resume of `spec` will ask the store
@@ -2605,6 +2771,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
                 let data = entry(format!("r{to}/v{vi}/p{part}"))?;
                 bytes += data.len() as u64;
                 *v.state[part].lock() = ViewState::decode(v, data.as_ref())?;
+                v.reordered.store(true, Ordering::Relaxed);
                 let data = entry(format!("r{to}/contrib/v{vi}/p{part}"))?;
                 bytes += data.len() as u64;
                 *pending = v.restored(&decode_rows(data)?)?;
@@ -2630,6 +2797,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
             let blob = dir.take_blob(&name)?;
             let v = &self.c.views[vi];
             *v.state[part].lock() = ViewState::decode(v, &blob)?;
+            v.reordered.store(true, Ordering::Relaxed);
         }
         Ok(())
     }
@@ -3292,6 +3460,66 @@ fn snapshots<C: Repr>(
 /// Merge each view's `rows` into its (empty) partitions, stamped round 0 —
 /// a key that occurs more than once keeps its merged totals. A value outside
 /// its column's kind escapes.
+/// The warm tuples of `driver` that `build` — a seed's delta rows at the
+/// branch's first join — can join, found by key in the partitions that own
+/// them and in the order the whole warm relation presents them (partition
+/// after partition, each in arena order), so the seed run emits what it
+/// would over all of them. `None` unless the join probes exactly the
+/// driver's key columns, or when a key might equal more than one cell.
+fn keyed_warm<C: Cell>(
+    prog: &BranchProgram,
+    driver: &ViewRt<C>,
+    build: &[Row],
+) -> Option<Tuples<C>> {
+    let Some(BranchStep::HashJoin {
+        stream_keys,
+        build_keys,
+        ..
+    }) = prog.steps.first()
+    else {
+        return None;
+    };
+    let key_cols = &driver.spec.key_cols;
+    if stream_keys.len() != key_cols.len() {
+        return None;
+    }
+    // Per driver key column, the build column its value is read from.
+    let from: Vec<usize> = (key_cols.iter())
+        .map(|&k| {
+            let i = stream_keys.iter().position(|e| *e == PExpr::Col(k))?;
+            Some(build_keys[i])
+        })
+        .collect::<Option<_>>()?;
+    let (n, cols) = (driver.state.len(), (0..from.len()).collect::<Vec<usize>>());
+    let mut found: Vec<(usize, usize)> = Vec::new();
+    let mut key = Vec::with_capacity(from.len());
+    for row in build {
+        key.clear();
+        for (&c, &kind) in from.iter().zip(driver.key_kinds.iter()) {
+            match C::key_cell(&row[c], kind).ok()? {
+                Some(cell) => key.push(cell),
+                None => break,
+            }
+        }
+        if key.len() < from.len() {
+            continue; // equals no warm key (a NULL, `2.5` under `Int`)
+        }
+        let part = partition_of(&driver.key_kinds, &key, &cols, n);
+        if let Some(i) = driver.state[part].lock().find(&key) {
+            found.push((part, i));
+        }
+    }
+    found.sort_unstable();
+    found.dedup();
+    let mut warm = driver.batch();
+    for (part, i) in found {
+        driver.state[part]
+            .lock()
+            .push_tuple(&driver.layout, i, &mut warm);
+    }
+    Some(warm)
+}
+
 fn preload<C: Cell, R: AsRef<[Row]>>(views: &[ViewRt<C>], rows: &[R]) -> Result<(), Escaped> {
     for (v, rows) in views.iter().zip(rows) {
         let p = v.state.len();

@@ -17,6 +17,14 @@ use rasql_storage::{
 };
 use std::sync::Arc;
 
+/// What a key lookup's probe found.
+pub(crate) enum Probed {
+    /// The partition table of an index the literal hashes to.
+    Index(Arc<HashTable>),
+    /// The rows a view table's state holds under the literal.
+    State(Vec<Row>),
+}
+
 /// One table of a plan as a fetch saw it.
 struct TableSnapshot {
     /// Lower-cased name.
@@ -96,22 +104,29 @@ impl EvalContext<'_> {
     }
 
     /// The rows of a scanned table whose column `col` may equal `literal` —
-    /// a superset of them, in table order: the partition table of the
-    /// `Hash` index of `scan` on `[col]` that `literal` hashes to, probed by
-    /// the caller. `None` when there is no index to use (yet).
+    /// a superset of them, in table order. A view table keyed on `col`
+    /// answers from the state it is derived from (at most the one row under
+    /// the key: no index, no stage); any other table from the partition
+    /// table of the `Hash` index of `scan` on `[col]` that `literal` hashes
+    /// to, probed by the caller. `None` when there is nothing to use (yet).
     pub(crate) fn probe_scan(
         &self,
         scan: &LogicalPlan,
         col: usize,
         literal: &Value,
-    ) -> Result<Option<Arc<HashTable>>, EngineError> {
+    ) -> Result<Option<Probed>, EngineError> {
+        if let LogicalPlan::TableScan { table, .. } = scan {
+            if let Some(rows) = self.catalog.lookup(table, col, literal) {
+                return Ok(Some(Probed::State(rows)));
+            }
+        }
         let layout = IndexLayout::Hash {
             partitions: self.partitions,
         };
         Ok(match self.fetch_index(scan, &[col], layout, false)? {
-            Some(Index::Hash(index)) => {
-                Some(Arc::clone(index.table_for(std::slice::from_ref(literal))))
-            }
+            Some(Index::Hash(index)) => Some(Probed::Index(Arc::clone(
+                index.table_for(std::slice::from_ref(literal)),
+            ))),
             _ => None,
         })
     }

@@ -21,7 +21,9 @@
 //! and the refresh falls back to a full recompute).
 
 use crate::fixpoint::CliqueState;
-use rasql_plan::{AnalyzedQuery, BranchStep, JoinBuild};
+use rasql_plan::{AnalyzedQuery, BranchStep, JoinBuild, LogicalPlan, PExpr};
+use rasql_storage::value::Escaped;
+use rasql_storage::{KeyLookup, Relation, Value};
 use std::sync::Arc;
 
 /// One base-table dependency of a materialized view, captured as of the
@@ -80,6 +82,94 @@ impl MatView {
     /// Bytes of converged fixpoint state kept resident for this view.
     pub fn retained_bytes(&self) -> u64 {
         self.resident.as_ref().map_or(0, |s| s.size_bytes())
+    }
+
+    /// The result table rebuilt from the resident state, when the view's
+    /// final plan projects columns of its clique view: what a refresh's
+    /// patched table must equal, row for row and in order.
+    pub fn state_table(&self) -> Option<Relation> {
+        let shape = TableShape::of(&self.query)?;
+        Some(shape.table(self.resident.as_ref()?, &self.query))
+    }
+}
+
+/// A certified view whose final plan is a column projection of one view of
+/// its clique: its table is that view's tuples projected, in the resident
+/// state's order, so a refresh patches it in place and a key read of it is
+/// a probe of the state.
+#[derive(Debug, Clone)]
+pub(crate) struct TableShape {
+    /// The clique view the table projects.
+    pub(crate) view: usize,
+    /// Per table column, the clique view's column.
+    pub(crate) cols: Vec<usize>,
+    /// The table column holding the view's key, when the key is one column.
+    key: Option<usize>,
+}
+
+impl TableShape {
+    /// The shape of a certified view's defining query; `None` when its
+    /// final plan is not a column projection of a view of its one clique.
+    pub(crate) fn of(q: &AnalyzedQuery) -> Option<TableShape> {
+        let [clique] = &q.cliques[..] else {
+            return None;
+        };
+        let (name, cols) = match &q.final_plan {
+            LogicalPlan::Projection { input, exprs, .. } => {
+                let LogicalPlan::ViewScan { view, .. } = &**input else {
+                    return None;
+                };
+                let cols = exprs.iter().map(|e| match e {
+                    PExpr::Col(c) => Some(*c),
+                    _ => None,
+                });
+                (view, cols.collect::<Option<Vec<usize>>>()?)
+            }
+            LogicalPlan::ViewScan { view, schema } => (view, (0..schema.arity()).collect()),
+            _ => return None,
+        };
+        let view = (clique.views.iter()).position(|v| v.name.eq_ignore_ascii_case(name))?;
+        let key = match clique.views[view].key_cols[..] {
+            [k] => cols.iter().position(|&c| c == k),
+            _ => None,
+        };
+        Some(TableShape { view, cols, key })
+    }
+
+    /// The table of `state`.
+    pub(crate) fn table(&self, state: &CliqueState, q: &AnalyzedQuery) -> Relation {
+        let schema = q.final_plan.schema().clone();
+        Relation::new_unchecked(schema, state.table(self.view, &self.cols))
+    }
+
+    /// What answers key reads of the table of `state`, when its key is one
+    /// column the table keeps.
+    pub(crate) fn lookup(&self, state: &Arc<CliqueState>) -> Option<Arc<dyn KeyLookup>> {
+        let column = self.key?;
+        let lookup = StateLookup {
+            state: Arc::clone(state),
+            view: self.view,
+            column,
+        };
+        Some(Arc::new(lookup))
+    }
+}
+
+/// Key reads of a view's table answered from the resident state it is
+/// derived from, which it shares with the view's registry record.
+struct StateLookup {
+    state: Arc<CliqueState>,
+    view: usize,
+    column: usize,
+}
+
+impl KeyLookup for StateLookup {
+    fn column(&self) -> usize {
+        self.column
+    }
+
+    fn position(&self, key: &Value) -> Result<Option<usize>, Escaped> {
+        self.state.position(self.view, key)
     }
 }
 

@@ -17,6 +17,7 @@ use rasql_datagen::{rmat, RmatConfig};
 use rasql_storage::Relation;
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Mutex;
 
 struct Counting;
 
@@ -41,6 +42,9 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// The tests of this binary count one at a time.
+static SERIAL: Mutex<()> = Mutex::new(());
+
 /// Result rows, heap allocations and fixpoint rounds of one statement, on
 /// the generic interpreter or with the kernels on.
 fn measure_on(kernels: bool, edges: Relation, sql: &str) -> (u64, u64, u64) {
@@ -64,9 +68,13 @@ fn measure(edges: Relation, sql: &str) -> (u64, u64) {
     (rows, allocations)
 }
 
-/// One test, so nothing else in this binary allocates while it counts.
+/// Serialized with the other test, so nothing else in this binary
+/// allocates while it counts.
 #[test]
 fn a_statement_allocates_for_its_result_not_for_its_derivations() {
+    let _alone = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
     let graph = |weighted| {
         let config = RmatConfig {
             weighted,
@@ -161,5 +169,77 @@ fn a_statement_allocates_for_its_result_not_for_its_derivations() {
     assert!(
         allocations <= rows + 1_200,
         "kernel CC count: {allocations} allocations for {rows} rows"
+    );
+}
+
+/// Allocations of a `REFRESH` of an SSSP view over weighted RMAT-`n` that
+/// inserted `delta`, and of one key read of the refreshed view.
+fn refresh_and_read(n: usize, delta: &[(i64, i64, f64)]) -> (u64, u64) {
+    let config = RmatConfig {
+        weighted: true,
+        ..RmatConfig::default()
+    };
+    let ctx = RaSqlContext::builder()
+        .workers(1)
+        .partitions(1)
+        .stage_latency_us(0)
+        .build();
+    ctx.register("edge", rmat(n, config, 7)).unwrap();
+    ctx.query(&format!(
+        "CREATE MATERIALIZED VIEW sp AS {}",
+        library::sssp(0)
+    ))
+    .unwrap();
+    let insert = |rows: &[(i64, i64, f64)]| {
+        let values: Vec<String> = rows
+            .iter()
+            .map(|(s, d, c)| format!("({s}, {d}, {c:?})"))
+            .collect();
+        ctx.query(&format!("INSERT INTO edge VALUES {}", values.join(", ")))
+            .unwrap();
+    };
+    // One refresh first, so the measured one finds its index advanced once.
+    let warm: Vec<(i64, i64, f64)> = delta.iter().map(|&(s, d, c)| (s, d + 1_000, c)).collect();
+    insert(&warm);
+    ctx.query("REFRESH MATERIALIZED VIEW sp").unwrap();
+    insert(delta);
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    ctx.query("REFRESH MATERIALIZED VIEW sp").unwrap();
+    let refresh = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(ctx.mat_view("sp").unwrap().last_refresh, "incremental");
+    let (v, _, _) = delta[delta.len() / 2];
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let read = ctx
+        .query(&format!("SELECT Dst, Cost FROM sp WHERE Dst = {v}"))
+        .unwrap();
+    let read_allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert_eq!(read.relation.len(), 1);
+    (refresh, read_allocations)
+}
+
+/// A resumed refresh reads the warm tuples its delta joins by key, writes
+/// the changed groups into the view's table in place, and a key read of
+/// the view probes its state: the same 32 new groups cost the same at a
+/// 4-times larger view, and a read costs a constant.
+#[test]
+fn a_refresh_allocates_for_its_delta_not_its_view() {
+    let _alone = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let delta: Vec<(i64, i64, f64)> = (0..32).map(|i| (0, 1_000_000 + i, 0.5)).collect();
+    let (small, small_read) = refresh_and_read(4_096, &delta);
+    let (large, large_read) = refresh_and_read(16_384, &delta);
+    // Measured 867 and 866; the parent, which scanned the whole view for
+    // its seed driver and built one row per view tuple for the table:
+    // 4 777 and 16 819.
+    assert!(
+        large * 100 < small * 105 && small * 100 < large * 105,
+        "refresh at RMAT-4096: {small} allocations, at RMAT-16384: {large}"
+    );
+    // Measured 150 at both sizes, with no stage and no index; the parent's
+    // scan-and-filter stage: 189.
+    assert!(
+        small_read.max(large_read) < 175,
+        "a key read: {small_read} / {large_read} allocations"
     );
 }

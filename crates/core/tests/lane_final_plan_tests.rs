@@ -248,3 +248,41 @@ fn a_projection_that_overflows_its_lane_costs_the_row_paths_stages() {
         }
     }
 }
+
+/// A global aggregate over a word clique folds every lane tuple into one
+/// set of accumulators — no group key is looked up per tuple — and equals
+/// the row interpreter's on no tuples, one, many, with `count(distinct …)`,
+/// and with `sum`/`avg` totals that leave `i64`.
+#[test]
+fn a_global_aggregate_over_lanes_equals_the_rows() {
+    let view = "WITH recursive v (g, x) AS (SELECT g, x FROM t) UNION \
+                  (SELECT v.g, v.x FROM v, t WHERE v.g = t.g AND v.x = t.x) ";
+    let plans = [
+        "SELECT count(*), count(x), count(distinct x), min(x), max(x) FROM v",
+        "SELECT sum(x), avg(x), count(distinct g) FROM v",
+        "SELECT sum(x), avg(x) FROM v WHERE g < 0",
+    ];
+    let cases: [&[i64]; 4] = [
+        &[],
+        &[7],
+        &[3, -1, 3, 9, 12, 40, -6],
+        &[i64::MAX, i64::MAX - 1, i64::MAX - 2, 5],
+    ];
+    for xs in cases {
+        let rows = xs
+            .iter()
+            .enumerate()
+            .map(|(i, &x)| vec![Value::Int(i as i64 % 3), Value::Int(x)]);
+        let cols = [("g", DataType::Int), ("x", DataType::Int)];
+        let tables: Tables = vec![("t", table(&cols, rows.collect()))];
+        for plan in plans {
+            let sql = format!("{view}{plan}");
+            for partitions in 1..=3 {
+                let lanes = run(config(partitions, true), &tables, &sql);
+                let rows = run(config(partitions, false), &tables, &sql);
+                assert_eq!(typed(&lanes), typed(&rows), "{xs:?} {sql} at {partitions}");
+                assert_eq!(lanes.relation.len(), 1, "{sql}");
+            }
+        }
+    }
+}

@@ -12,7 +12,11 @@ use proptest::prelude::*;
 use rasql_core::{library, EngineConfig, EngineError, RaSqlContext};
 use rasql_exec::FaultSpec;
 use rasql_storage::{Relation, Row, Value};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
+
+/// Held by the timed refresh train and by the heaviest test of this binary,
+/// so the train's refreshes — a millisecond each — are not timed against it.
+static TIMED: Mutex<()> = Mutex::new(());
 
 fn weighted_rmat(n: usize, seed: u64) -> Relation {
     rasql_datagen::rmat(
@@ -305,6 +309,8 @@ fn mid_refresh_kill_leaves_view_consistent() {
         slow.query(&insert_sql("edge", &rows[split..])).unwrap();
         let before = slow.mat_view("v").unwrap().version;
         let built = slow.index_stats();
+        let table: Vec<Row> = slow.table("v").unwrap().rows().to_vec();
+        let state = slow.mat_view("v").unwrap().resident.unwrap();
 
         let worker = {
             let slow = Arc::clone(&slow);
@@ -338,6 +344,12 @@ fn mid_refresh_kill_leaves_view_consistent() {
             slow.view_infos()[0].stale,
             "aborted refresh must leave the view stale"
         );
+        assert_eq!(
+            slow.table("v").unwrap().rows(),
+            &table[..],
+            "a killed refresh patched"
+        );
+        assert!(Arc::ptr_eq(&mv.resident.unwrap(), &state));
         // The context keeps serving: the next read refreshes to the right
         // answer — incrementally, over the index entries the killed refresh
         // left (advanced or not, never torn): nothing is built again.
@@ -844,6 +856,7 @@ proptest! {
 /// every 7th refresh, unseen by a gate that timed one refresh per context).
 #[test]
 fn sixteen_refreshes_advance_one_index_at_an_even_price() {
+    let _timed = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
     const TRAIN: usize = 16;
     const BATCH: usize = 32;
     let edges = weighted_rmat(16_384, 7);
@@ -892,4 +905,249 @@ fn sixteen_refreshes_advance_one_index_at_an_even_price() {
         ratios.push(ratio);
     }
     panic!("slowest refresh / median refresh over three trains: {ratios:?}");
+}
+
+/// The eight library views whose final plan projects their clique view, the
+/// base table each reads, whether its base is weighted, and the column a key
+/// read filters on (the view's key where it is one column).
+fn projection_views() -> Vec<(&'static str, String, bool, &'static str)> {
+    vec![
+        ("sssp", library::sssp(0), true, "Dst"),
+        ("widest_path", library::widest_path(0), true, "Dst"),
+        ("sssp_hops", library::sssp_hops(0), false, "Dst"),
+        ("reach", library::reach(0), false, "Dst"),
+        ("cc", library::cc(), false, "Src"),
+        (
+            "transitive_closure",
+            library::transitive_closure(),
+            false,
+            "Src",
+        ),
+        ("apsp", library::apsp(), true, "Src"),
+        ("same_generation", library::same_generation(), false, "X"),
+    ]
+}
+
+/// `edges` as the table a view reads: `edge`, or same-generation's `rel`.
+fn base_table(view: &str, edges: &Relation) -> (&'static str, Relation) {
+    if view != "same_generation" {
+        return ("edge", edges.clone());
+    }
+    let schema = rasql_storage::Schema::new(vec![
+        ("Parent", rasql_storage::DataType::Int),
+        ("Child", rasql_storage::DataType::Int),
+    ]);
+    let rows = edges.rows().iter().map(|r| r.project(&[0, 1])).collect();
+    ("rel", Relation::try_new(schema, rows).unwrap())
+}
+
+/// What a reader of a just-refreshed view sees: (a) a certified view's table
+/// is, row for row and in order, the table rebuilt from its new state; (b)
+/// a `col = literal` read returns the scan's rows for a present key, an
+/// absent one, an integral `Double` and a literal off the key's lane — and,
+/// on the view's key, builds no index; (c) the table is the recompute.
+fn assert_reads_like_a_recompute(
+    query: &dyn Fn(&str) -> rasql_core::QueryResult,
+    ctx: &RaSqlContext,
+    col: &str,
+    want: &[Row],
+) {
+    let table = ctx.table("v").unwrap();
+    if let Some(rebuilt) = ctx.mat_view("v").unwrap().state_table() {
+        assert_eq!(table.rows(), rebuilt.rows(), "patched table != rebuilt");
+    }
+    let c = table.schema().index_of(col).unwrap();
+    let present = table.rows().first().map_or(Value::Int(0), |r| r[c].clone());
+    let as_double = match &present {
+        Value::Int(i) => Value::Double(*i as f64),
+        other => other.clone(),
+    };
+    let keyed = ctx.mat_view("v").unwrap().query.cliques[0].views[0]
+        .key_cols
+        .len()
+        == 1;
+    for (round, literal) in [present, Value::Int(-7), as_double, Value::Double(2.5)]
+        .iter()
+        .enumerate()
+    {
+        let before = ctx.index_stats();
+        // Twice at one version: the second ask of a key is what builds an
+        // index for a table that has no lookup of its own.
+        for _ in 0..2 {
+            let got = query(&format!(
+                "SELECT * FROM v WHERE {col} = {}",
+                literal_sql(literal)
+            ));
+            let scan: Vec<Row> = (table.rows().iter())
+                .filter(|r| r[c] == *literal)
+                .cloned()
+                .collect();
+            assert_eq!(got.relation.rows(), &scan[..], "lookup {round} of {col}");
+        }
+        if keyed {
+            let after = ctx.index_stats();
+            assert_eq!(
+                (after.builds, after.entries),
+                (before.builds, before.entries)
+            );
+        }
+    }
+    let got = query("SELECT * FROM v").relation.sorted();
+    assert_eq!(got.rows(), want, "refresh diverged from the recompute");
+}
+
+fn literal_sql(v: &Value) -> String {
+    match v {
+        Value::Double(d) => format!("{d:?}"),
+        other => literal(other),
+    }
+}
+
+/// Create view `v` over the first rows of `edges`, then insert the rest in
+/// `batches` and `REFRESH` after each, checking every read after every
+/// refresh, on a context or on a session of one.
+fn refresh_reads_like_a_recompute(
+    (view, sql, _, col): &(&'static str, String, bool, &'static str),
+    edges: &Relation,
+    batches: usize,
+    session: bool,
+) {
+    let cfg = EngineConfig::rasql().with_workers(2);
+    let rows = edges.rows();
+    let split = rows.len() - (rows.len() / 4).clamp(1, 24);
+    let ctx = Arc::new(RaSqlContext::with_config(cfg.clone()));
+    let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
+    let (table, initial) = base_table(view, &initial);
+    ctx.register(table, initial).unwrap();
+    let s = ctx.session();
+    let query = |q: &str| {
+        match session {
+            true => s.query(q),
+            false => ctx.query(q),
+        }
+        .unwrap()
+    };
+    query(&format!("CREATE MATERIALIZED VIEW v AS {sql}"));
+    let per = (rows.len() - split).div_ceil(batches).max(1);
+    let mut upto = split;
+    for chunk in rows[split..].chunks(per) {
+        upto += chunk.len();
+        let (_, chunk) = base_table(
+            view,
+            &Relation::try_new(edges.schema().clone(), chunk.to_vec()).unwrap(),
+        );
+        query(&insert_sql(table, chunk.rows()));
+        query("REFRESH MATERIALIZED VIEW v");
+        let fresh = RaSqlContext::with_config(cfg.clone());
+        let base = Relation::try_new(edges.schema().clone(), rows[..upto].to_vec()).unwrap();
+        let (_, base) = base_table(view, &base);
+        fresh.register(table, base).unwrap();
+        let want = fresh.query(sql).unwrap().relation.sorted();
+        assert_reads_like_a_recompute(&query, &ctx, col, want.rows());
+    }
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(4))]
+
+    /// Every projection view, on a context and on a session: after every
+    /// refresh of random insert batches, the table, its key reads and the
+    /// recompute agree.
+    #[test]
+    fn a_refreshed_view_reads_like_a_recomputed_one(
+        n in 16usize..64,
+        seed in 0u64..1000,
+        batches in 1usize..4,
+    ) {
+        let _timed = TIMED.lock().unwrap_or_else(PoisonError::into_inner);
+        for case in projection_views() {
+            let edges = if case.2 { weighted_rmat(n, seed) } else { plain_rmat(n, seed) };
+            for session in [false, true] {
+                refresh_reads_like_a_recompute(&case, &edges, batches, session);
+            }
+        }
+    }
+}
+
+/// A reader that holds the view's table across a refresh keeps the rows it
+/// read; the refresh patches a copy, which is the table rebuilt from state.
+#[test]
+fn a_reader_keeps_the_table_it_holds_across_a_patching_refresh() {
+    let edges = weighted_rmat(200, 3);
+    let rows = edges.rows();
+    let split = rows.len() - 16;
+    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
+    ctx.register("edge", initial).unwrap();
+    ctx.query(&format!(
+        "CREATE MATERIALIZED VIEW v AS {}",
+        library::sssp(1)
+    ))
+    .unwrap();
+    let held = ctx.query("SELECT * FROM v").unwrap().relation;
+    let copy: Vec<Row> = held.rows().to_vec();
+    ctx.query(&insert_sql("edge", &rows[split..])).unwrap();
+    ctx.query("INSERT INTO edge VALUES (1, 1000, 0.5), (1, 1001, 0.5)")
+        .unwrap();
+    ctx.query("REFRESH MATERIALIZED VIEW v").unwrap();
+    assert_eq!(ctx.mat_view("v").unwrap().last_refresh, "incremental");
+    assert_eq!(held.rows(), &copy[..], "the reader's rows moved");
+    let table = ctx.table("v").unwrap();
+    assert_ne!(table.rows(), &copy[..], "the delta reached the view");
+    let rebuilt = ctx.mat_view("v").unwrap().state_table().unwrap();
+    assert_eq!(table.rows(), rebuilt.rows());
+}
+
+/// A refresh that fails under injected task faults (no retries) publishes
+/// nothing: the table and the resident state are the ones it started from.
+#[test]
+fn a_faulted_refresh_patches_nothing() {
+    let edges = weighted_rmat(100, 11);
+    let rows = edges.rows();
+    let split = rows.len() - 12;
+    let mut failed = 0;
+    for seed in 0..60 {
+        let cfg = EngineConfig::rasql()
+            .with_workers(2)
+            .with_faults(Some(FaultSpec {
+                kill: 0.15,
+                delay: 0.0,
+                loss: 0.0,
+                delay_us: 0,
+                seed,
+            }))
+            .with_max_task_retries(0);
+        let ctx = RaSqlContext::with_config(cfg);
+        let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
+        ctx.register("edge", initial).unwrap();
+        if ctx
+            .query(&format!(
+                "CREATE MATERIALIZED VIEW v AS {}",
+                library::sssp(1)
+            ))
+            .is_err()
+        {
+            continue;
+        }
+        ctx.query(&insert_sql("edge", &rows[split..])).unwrap();
+        let (table, state) = (ctx.table("v").unwrap(), ctx.mat_view("v").unwrap().resident);
+        let copy: Vec<Row> = table.rows().to_vec();
+        drop(table);
+        if ctx.query("REFRESH MATERIALIZED VIEW v").is_ok() {
+            continue;
+        }
+        failed += 1;
+        let after = ctx.mat_view("v").unwrap();
+        assert!(Arc::ptr_eq(
+            after.resident.as_ref().unwrap(),
+            state.as_ref().unwrap()
+        ));
+        assert_eq!(
+            ctx.table("v").unwrap().rows(),
+            &copy[..],
+            "a failed refresh patched"
+        );
+        assert_eq!(after.state_table().unwrap().rows(), &copy[..]);
+    }
+    assert!(failed > 0, "no refresh failed under faults");
 }

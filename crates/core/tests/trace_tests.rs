@@ -404,3 +404,50 @@ fn kernel_queries_pin_their_stages_and_rounds() {
         "{text:#?}"
     );
 }
+
+/// A traced incremental `REFRESH` carries its trace: the resumed clique's
+/// rounds as `QueryStats` counts them, and a `refresh seed` line that read
+/// no more driver tuples than the delta has join keys — the warm tuples it
+/// joins, found by key, not the whole view.
+#[test]
+fn a_traced_refresh_shows_its_seed_and_its_rounds() {
+    let ctx = traced_ctx(EngineConfig::rasql().with_workers(2));
+    let weighted: Vec<(i64, i64, f64)> = (0..40).map(|i| (i, i + 1, 1.0)).collect();
+    ctx.register("edge", Relation::weighted_edges(&weighted))
+        .unwrap();
+    ctx.query(&format!(
+        "CREATE MATERIALIZED VIEW sp AS {}",
+        library::sssp(0)
+    ))
+    .unwrap();
+    let delta = [(3, 50, 0.5), (3, 51, 0.5), (7, 52, 0.5), (99, 53, 0.5)];
+    let values: Vec<String> = delta
+        .iter()
+        .map(|(a, b, c)| format!("({a}, {b}, {c})"))
+        .collect();
+    ctx.query(&format!("INSERT INTO edge VALUES {}", values.join(", ")))
+        .unwrap();
+    let result = ctx.query("REFRESH MATERIALIZED VIEW sp").unwrap();
+    assert_eq!(ctx.mat_view("sp").unwrap().last_refresh, "incremental");
+    let trace = result.trace.expect("a traced refresh carries its trace");
+    let line = |label: &str| {
+        let found = trace.operators.iter().find(|o| o.label == label);
+        found.unwrap_or_else(|| panic!("no `{label}` line in {:?}", trace.operators))
+    };
+    let keys = 3; // sources 3, 7 and 99; 99 reaches no warm tuple
+    let seed = line("refresh seed path");
+    assert!(
+        seed.rows <= keys,
+        "the seed read {} driver tuples",
+        seed.rows
+    );
+    assert_eq!(seed.rows, 2, "the warm tuples under keys 3 and 7");
+    // Three new groups (53 hangs off an unreached vertex), no other row.
+    assert_eq!(line("refresh table sp").rows, 3);
+    let [clique] = &trace.cliques[..] else {
+        panic!("one resumed clique: {:?}", trace.cliques);
+    };
+    assert_eq!(vec![clique.fixpoint_rounds], result.stats.iterations);
+    assert_eq!(clique.iterations.len() as u32, clique.fixpoint_rounds);
+    assert!(!trace.stages.is_empty(), "the resumed rounds' stage spans");
+}

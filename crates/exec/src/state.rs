@@ -138,6 +138,12 @@ impl<C: Cell> SetState<C> {
         self.set.find(tuple).is_some()
     }
 
+    /// The insertion-order index of `tuple`, if present.
+    #[inline]
+    pub fn find(&self, tuple: &[C]) -> Option<usize> {
+        self.set.find(tuple)
+    }
+
     /// Membership in the snapshot *before* `round` was merged.
     #[inline]
     pub fn contained_before(&self, tuple: &[C], round: u32) -> bool {
@@ -472,6 +478,12 @@ impl<C: Cell> AggState<C> {
             round: self.round[group],
             created: self.created[group],
         }
+    }
+
+    /// The insertion-order index of the group of `key`, if present.
+    #[inline]
+    pub fn find(&self, key: &[C]) -> Option<usize> {
+        self.keys.find(key)
     }
 
     /// Current totals of a group.

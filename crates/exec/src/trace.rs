@@ -637,9 +637,21 @@ impl TraceSink {
         bytes: u64,
         elapsed: Duration,
     ) {
-        if !self.operators_enabled() {
-            return;
+        if self.operators_enabled() {
+            self.record_step(path, label, rows, bytes, elapsed);
         }
+    }
+
+    /// Record an operator line outside the final plan: a step of the
+    /// statement around it (a refresh's seed, its table write).
+    pub fn record_step(
+        &self,
+        path: String,
+        label: String,
+        rows: u64,
+        bytes: u64,
+        elapsed: Duration,
+    ) {
         self.inner.lock().operators.push(OperatorTrace {
             path,
             label,

@@ -15,7 +15,9 @@
 
 use crate::error::StorageError;
 use crate::relation::Relation;
+use crate::row::Row;
 use crate::sync::{LockRank, RankedRwLock};
+use crate::value::{Escaped, Value};
 use crate::wal::{TableImage, Wal, WalRecord};
 use std::collections::BTreeMap;
 use std::sync::{Arc, OnceLock};
@@ -38,6 +40,66 @@ struct Entry {
     /// refresh: derived from the view's converged state, so journaled by the
     /// view's own records and exported without rows.
     derived: bool,
+    /// Key reads a derived table answers from the state it is derived
+    /// from; published and dropped with the rows it points into.
+    lookup: Option<Arc<dyn KeyLookup>>,
+}
+
+/// Point reads of a derived table answered by the state it is derived from:
+/// the position of the one row whose column [`KeyLookup::column`] equals a
+/// key, with no scan and no index. Implemented above this crate (a view's
+/// resident state); the catalog only publishes it beside its rows.
+pub trait KeyLookup: Send + Sync {
+    /// The table column the lookup is keyed on.
+    fn column(&self) -> usize;
+
+    /// The position of the row whose key column equals `key` as `Value::eq`
+    /// sees it, `None` when no row does; `Escaped` when the lookup cannot
+    /// tell (the caller then reads the table another way).
+    fn position(&self, key: &Value) -> Result<Option<usize>, Escaped>;
+}
+
+/// How a refresh rewrites a derived table.
+pub enum Derived {
+    /// These rows, whatever the table held.
+    Rows(Relation),
+    /// A change to the rows the table holds.
+    Patch(RowPatch),
+}
+
+/// A change to a derived table whose rows lie in consecutive ranges, one
+/// per partition of the state the table is derived from: some rows replaced
+/// where they stand, and new rows added at the end of their range. Applying
+/// it moves rows, and copies none.
+pub struct RowPatch {
+    /// Per range, in table order: its length now and the rows added to it.
+    pub ranges: Vec<(usize, Vec<Row>)>,
+    /// Rows replaced: the position of the row now, and the new row.
+    pub set: Vec<(usize, Row)>,
+}
+
+impl RowPatch {
+    /// Whether the patch was made for a table of `rows` rows.
+    fn fits(&self, rows: usize) -> bool {
+        let before: usize = self.ranges.iter().map(|(len, _)| len).sum();
+        before == rows && self.set.iter().all(|(at, _)| *at < rows)
+    }
+
+    fn apply(self, rows: &mut Vec<Row>) {
+        for (at, row) in self.set {
+            rows[at] = row;
+        }
+        if self.ranges.iter().all(|(_, added)| added.is_empty()) {
+            return;
+        }
+        let total = rows.len() + self.ranges.iter().map(|(_, a)| a.len()).sum::<usize>();
+        let mut old = std::mem::take(rows).into_iter();
+        rows.reserve_exact(total);
+        for (len, added) in self.ranges {
+            rows.extend(old.by_ref().take(len));
+            rows.extend(added);
+        }
+    }
 }
 
 /// What the `tables` lock guards: the tables and the catalog-global version
@@ -144,6 +206,7 @@ impl Catalog {
             version: v,
             rewrite_version: v,
             derived: false,
+            lookup: None,
         };
         self.journal_with(|| WalRecord::Register(Self::image(&key, &entry)))?;
         tables.map.insert(key, entry);
@@ -164,6 +227,7 @@ impl Catalog {
             version: v,
             rewrite_version: v,
             derived: false,
+            lookup: None,
         };
         self.journal_with(|| WalRecord::Replace(Self::image(&key, &entry)))?;
         tables.map.insert(key, entry);
@@ -185,39 +249,69 @@ impl Catalog {
             version: v,
             rewrite_version: v,
             derived: false,
+            lookup: None,
         };
         self.journal_with(|| WalRecord::Replace(Self::image(&key, &entry)))?;
         tables.map.insert(key, entry);
         Ok(())
     }
 
-    /// Publish `rel` as the result table of a materialized view certified
-    /// for delta-seeded refresh. Counts as a rewrite: both version counters
-    /// are bumped. The table is derived from the view's converged state, so
-    /// its rows are never journaled: `journal` appends the view's own record,
-    /// given the table's new version, from inside the write section — log
-    /// order is apply order, and nothing is published unless it succeeds.
-    /// Returns the version.
+    /// Publish the result table of a materialized view certified for
+    /// delta-seeded refresh: `rows` whole, or patched into the rows the table
+    /// holds (in place while the catalog holds the only reference to them,
+    /// copy-on-write while a reader's snapshot is alive, as
+    /// [`Catalog::insert_rows`] appends), with the `lookup` that answers key
+    /// reads of them. Counts as a rewrite: both version counters are bumped.
+    /// The table is derived from the view's converged state, so its rows are
+    /// never journaled: `journal` appends the view's own record, given the
+    /// table's new version, from inside the write section — log order is
+    /// apply order, and nothing is published unless it succeeds. Returns the
+    /// version.
     ///
     /// # Errors
-    /// Whatever `journal` returns.
+    /// Whatever `journal` returns, and [`StorageError::Conflict`] — before
+    /// anything is journaled — for a patch made for other rows than the
+    /// table's.
     pub fn replace_derived(
         &self,
         name: &str,
-        rel: Relation,
+        rows: Derived,
+        lookup: Option<Arc<dyn KeyLookup>>,
         journal: impl FnOnce(u64) -> Result<(), StorageError>,
     ) -> Result<u64, StorageError> {
         let key = name.to_ascii_lowercase();
         let mut tables = self.tables.write();
-        let v = tables.versions.fresh_version();
+        let Tables { map, versions } = &mut *tables;
+        let (mut rel, patch) = match rows {
+            Derived::Rows(rel) => (Arc::new(rel), None),
+            Derived::Patch(patch) => {
+                let held = map.get(&key).map(|e| Arc::clone(&e.rel));
+                match held.filter(|rel| patch.fits(rel.len())) {
+                    Some(rel) => (rel, Some(patch)),
+                    None => {
+                        return Err(StorageError::Conflict(format!(
+                            "table '{name}' does not hold the rows its patch was made for"
+                        )))
+                    }
+                }
+            }
+        };
+        let v = versions.fresh_version();
         journal(v)?;
-        tables.map.insert(
+        // The entry's reference goes first, so a patch applies in place
+        // unless a reader still holds the rows.
+        map.remove(&key);
+        if let Some(patch) = patch {
+            patch.apply(Arc::make_mut(&mut rel).rows_mut());
+        }
+        map.insert(
             key,
             Entry {
-                rel: Arc::new(rel),
+                rel,
                 version: v,
                 rewrite_version: v,
                 derived: true,
+                lookup,
             },
         );
         Ok(v)
@@ -256,6 +350,7 @@ impl Catalog {
         })?;
         Arc::make_mut(&mut entry.rel).append(rows);
         entry.version = v;
+        entry.lookup = None;
         Ok(old_len)
     }
 
@@ -273,6 +368,7 @@ impl Catalog {
         entry.rel = Arc::new(rel);
         entry.version = v;
         entry.rewrite_version = v;
+        entry.lookup = None;
         self.journal_with(|| WalRecord::Replace(Self::image(&key, entry)))?;
         Ok(())
     }
@@ -303,6 +399,7 @@ impl Catalog {
         entry.rel = Arc::new(rel);
         entry.version = v;
         entry.rewrite_version = v;
+        entry.lookup = None;
         self.journal_with(|| WalRecord::Replace(Self::image(&key, entry)))?;
         Ok(true)
     }
@@ -315,6 +412,22 @@ impl Catalog {
             .get(&name.to_ascii_lowercase())
             .map(|e| Arc::clone(&e.rel))
             .ok_or_else(|| StorageError::UnknownTable(name.to_string()))
+    }
+
+    /// The rows of table `name` whose column `col` equals `key`, read
+    /// through the [`KeyLookup`] published with them: at most one row, no
+    /// scan. `None` when the table has no lookup on `col`, or it cannot tell.
+    pub fn lookup(&self, name: &str, col: usize, key: &Value) -> Option<Vec<Row>> {
+        let tables = self.tables.read();
+        let entry = tables.map.get(&name.to_ascii_lowercase())?;
+        let lookup = entry.lookup.as_ref().filter(|l| l.column() == col)?;
+        let at = lookup.position(key).ok()?;
+        Some(
+            at.and_then(|i| entry.rel.rows().get(i))
+                .cloned()
+                .into_iter()
+                .collect(),
+        )
     }
 
     /// Look up a table together with its version pair and current length,
@@ -411,6 +524,7 @@ impl Catalog {
                 version,
                 rewrite_version,
                 derived: false,
+                lookup: None,
             },
         );
         tables.versions.bump_floor(version.max(rewrite_version));
@@ -440,6 +554,7 @@ impl Catalog {
         }
         Arc::make_mut(&mut entry.rel).append(rows);
         entry.version = version;
+        entry.lookup = None;
         versions.bump_floor(version);
         Ok(())
     }
@@ -462,6 +577,7 @@ impl Catalog {
                 e.version = version;
                 e.rewrite_version = version;
                 e.derived = true;
+                e.lookup = None;
             }
             None => {
                 let rel = Arc::new(Relation::empty(crate::schema::Schema::empty()));
@@ -472,6 +588,7 @@ impl Catalog {
                         version,
                         rewrite_version: version,
                         derived: true,
+                        lookup: None,
                     },
                 );
             }
@@ -484,11 +601,17 @@ impl Catalog {
     /// recorded (recovery path — never journals). Returns false, installing
     /// nothing, when the table is absent: a crash between a view's `Drop`
     /// and `ViewDrop` records leaves the view registered without its table.
-    pub fn fill_derived(&self, name: &str, rel: Relation) -> bool {
+    pub fn fill_derived(
+        &self,
+        name: &str,
+        rel: Relation,
+        lookup: Option<Arc<dyn KeyLookup>>,
+    ) -> bool {
         match self.tables.write().map.get_mut(&name.to_ascii_lowercase()) {
             Some(e) => {
                 e.rel = Arc::new(rel);
                 e.derived = true;
+                e.lookup = lookup;
                 true
             }
             None => false,
@@ -677,14 +800,15 @@ mod tests {
     #[test]
     fn a_derived_table_is_journaled_by_its_view_and_exported_without_rows() {
         let c = Catalog::new();
-        let err = c.replace_derived("v", Relation::edges(&[(1, 2)]), |_| {
+        let whole = || Derived::Rows(Relation::edges(&[(1, 2)]));
+        let err = c.replace_derived("v", whole(), None, |_| {
             Err(StorageError::InjectedCrash("test".into()))
         });
         assert!(err.is_err());
         assert!(!c.contains("v"), "a failed journal publishes nothing");
         let mut journaled = 0;
         let v = c
-            .replace_derived("v", Relation::edges(&[(1, 2)]), |v| {
+            .replace_derived("v", whole(), None, |v| {
                 journaled = v;
                 Ok(())
             })
@@ -699,11 +823,97 @@ mod tests {
         let recovered = Catalog::new();
         recovered.apply_derived("v", v);
         recovered.apply_derived("v", v - 1);
-        assert!(recovered.fill_derived("v", Relation::edges(&[(1, 2)])));
+        assert!(recovered.fill_derived("v", Relation::edges(&[(1, 2)]), None));
         assert_eq!(recovered.export_tables(), c.export_tables());
         assert_eq!(recovered.get("v").unwrap().len(), 1);
         assert!(recovered.version_ceiling() >= v);
-        assert!(!recovered.fill_derived("gone", Relation::edges(&[])));
+        assert!(!recovered.fill_derived("gone", Relation::edges(&[]), None));
+    }
+
+    /// A lookup keyed on column 0 of `edges`, found by scanning them.
+    struct Scan(Vec<i64>);
+
+    impl KeyLookup for Scan {
+        fn column(&self) -> usize {
+            0
+        }
+
+        fn position(&self, key: &Value) -> Result<Option<usize>, Escaped> {
+            Ok(self.0.iter().position(|&k| Value::Int(k) == *key))
+        }
+    }
+
+    /// A patch replaces rows where they stand and adds rows at the end of
+    /// their range; it applies in place unless a reader holds the rows, who
+    /// keeps the old ones; one made for other rows publishes nothing. The
+    /// lookup is published with the rows and dropped by an append.
+    #[test]
+    fn a_derived_table_is_patched_in_place_or_copied_on_write() {
+        let c = Catalog::new();
+        let lookup = |keys: &[i64]| Some(Arc::new(Scan(keys.to_vec())) as Arc<dyn KeyLookup>);
+        let rows = Derived::Rows(Relation::edges(&[(1, 10), (2, 20), (3, 30)]));
+        c.replace_derived("v", rows, lookup(&[1, 2, 3]), |_| Ok(()))
+            .unwrap();
+        assert_eq!(
+            c.lookup("v", 0, &Value::Int(2)),
+            Some(vec![int_row(&[2, 20])])
+        );
+        assert_eq!(c.lookup("v", 0, &Value::Int(9)), Some(vec![]));
+        assert_eq!(
+            c.lookup("v", 1, &Value::Int(20)),
+            None,
+            "no lookup on column 1"
+        );
+
+        let held = c.get("v").unwrap();
+        let patch = || RowPatch {
+            ranges: vec![(2, vec![int_row(&[4, 40])]), (1, vec![int_row(&[5, 50])])],
+            set: vec![(1, int_row(&[2, 21]))],
+        };
+        c.replace_derived(
+            "v",
+            Derived::Patch(patch()),
+            lookup(&[1, 2, 4, 3, 5]),
+            |_| Ok(()),
+        )
+        .unwrap();
+        let want = Relation::edges(&[(1, 10), (2, 21), (4, 40), (3, 30), (5, 50)]);
+        assert_eq!(c.get("v").unwrap().rows(), want.rows());
+        assert_eq!(held.len(), 3, "a reader keeps the rows it holds");
+        assert_eq!(held.rows()[1], int_row(&[2, 20]));
+        assert_eq!(
+            c.lookup("v", 0, &Value::Int(3)),
+            Some(vec![int_row(&[3, 30])])
+        );
+
+        drop(held);
+        let before = c.get("v").unwrap().rows().as_ptr();
+        let grown = RowPatch {
+            ranges: vec![(5, vec![])],
+            set: vec![(0, int_row(&[1, 11]))],
+        };
+        c.replace_derived("v", Derived::Patch(grown), None, |_| Ok(()))
+            .unwrap();
+        assert_eq!(
+            c.get("v").unwrap().rows().as_ptr(),
+            before,
+            "patched in place"
+        );
+        let version = c.version_of("v").unwrap();
+        let err = c.replace_derived("v", Derived::Patch(patch()), None, |_| Ok(()));
+        assert!(matches!(err, Err(StorageError::Conflict(_))), "{err:?}");
+        assert_eq!(c.version_of("v").unwrap(), version, "nothing is minted");
+
+        c.replace_derived("v", Derived::Rows(want), lookup(&[1, 2, 4, 3, 5]), |_| {
+            Ok(())
+        })
+        .unwrap();
+        c.insert_rows("v", vec![int_row(&[6, 60])]).unwrap();
+        assert_eq!(
+            c.lookup("v", 0, &Value::Int(1)),
+            None,
+            "an append drops the lookup"
+        );
     }
 
     #[test]

@@ -41,6 +41,8 @@ pub enum StorageError {
     /// A deterministic crashpoint fired: the durability layer simulated
     /// process death at the named write/fsync/rename boundary.
     InjectedCrash(String),
+    /// A derived table's patch was made for rows the table does not hold.
+    Conflict(String),
     /// Underlying IO error.
     Io(std::io::Error),
 }
@@ -70,6 +72,7 @@ impl fmt::Display for StorageError {
                 "{what} is in format {found}; this build reads format {expected}"
             ),
             StorageError::InjectedCrash(site) => write!(f, "injected crash at {site}"),
+            StorageError::Conflict(m) => write!(f, "conflicting write: {m}"),
             StorageError::Io(e) => write!(f, "io error: {e}"),
         }
     }

@@ -59,7 +59,7 @@ pub mod value {
     pub use rasql_api::value::*;
 }
 
-pub use catalog::{Catalog, TableVersion};
+pub use catalog::{Catalog, Derived, KeyLookup, RowPatch, TableVersion};
 pub use crashpoint::{CrashInjector, CrashSpec, CRASH_SITES};
 pub use csr::{CsrGraph, CsrWeight};
 pub use error::StorageError;

@@ -91,6 +91,12 @@ impl Relation {
         &self.rows
     }
 
+    /// The rows, to change: in place when this relation holds the only
+    /// reference to its buffer, in a copy otherwise (copy-on-write).
+    pub fn rows_mut(&mut self) -> &mut Vec<Row> {
+        Arc::make_mut(&mut self.rows)
+    }
+
     /// Consume into rows: moved when this relation holds the only reference
     /// to its buffer, cloned otherwise.
     pub fn into_rows(self) -> Vec<Row> {
