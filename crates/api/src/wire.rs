@@ -15,7 +15,9 @@
 //! "length"); the length is additionally capped at [`MAX_FRAME_LEN`]. A clean
 //! EOF *before* a frame starts is a normal disconnect
 //! ([`ErrorCode::ConnectionClosed`]); EOF *inside* a frame is a protocol
-//! error (truncated frame).
+//! error (truncated frame). A writer never sends a frame past the cap: a
+//! [`FrameBuf`] refuses the payload before any byte of it is queued, and
+//! splits a row batch that would pass it.
 //!
 //! ## Payload encoding
 //!
@@ -348,33 +350,39 @@ impl Request {
     /// Encode into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the frame payload to `buf`.
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Request::Hello { version } => {
                 buf.push(1);
-                put_u16(&mut buf, *version);
+                put_u16(buf, *version);
             }
             Request::Query { sql } => {
                 buf.push(2);
-                put_str(&mut buf, sql);
+                put_str(buf, sql);
             }
             Request::Prepare { name, sql } => {
                 buf.push(3);
-                put_str(&mut buf, name);
-                put_str(&mut buf, sql);
+                put_str(buf, name);
+                put_str(buf, sql);
             }
             Request::Execute { name } => {
                 buf.push(4);
-                put_str(&mut buf, name);
+                put_str(buf, name);
             }
             Request::Register { name, schema, rows } => {
                 buf.push(5);
-                put_str(&mut buf, name);
-                put_schema(&mut buf, schema);
-                put_rows(&mut buf, rows);
+                put_str(buf, name);
+                put_schema(buf, schema);
+                put_rows(buf, rows);
             }
             Request::Kill { query_id } => {
                 buf.push(6);
-                put_varint(&mut buf, *query_id);
+                put_varint(buf, *query_id);
             }
             Request::Metrics => buf.push(7),
             Request::Status => buf.push(8),
@@ -383,7 +391,6 @@ impl Request {
             Request::ListViews => buf.push(11),
             Request::Durability => buf.push(12),
         }
-        buf
     }
 
     /// Decode a frame payload.
@@ -432,57 +439,62 @@ impl Response {
     /// Encode into a frame payload.
     pub fn encode(&self) -> Vec<u8> {
         let mut buf = Vec::new();
+        self.encode_into(&mut buf);
+        buf
+    }
+
+    /// Append the frame payload to `buf`.
+    fn encode_into(&self, buf: &mut Vec<u8>) {
         match self {
             Response::Hello { version, server } => {
                 buf.push(1);
-                put_u16(&mut buf, *version);
-                put_str(&mut buf, server);
+                put_u16(buf, *version);
+                put_str(buf, server);
             }
             Response::ResultHeader { schema } => {
                 buf.push(2);
-                put_schema(&mut buf, schema);
+                put_schema(buf, schema);
             }
-            Response::RowBatch { rows } => buf = encode_row_batch(rows),
+            Response::RowBatch { rows } => put_row_batch(buf, rows),
             Response::StatementDone { stats } => {
                 buf.push(4);
-                put_stats(&mut buf, stats);
+                put_stats(buf, stats);
             }
             Response::QueryDone => buf.push(5),
             Response::Error { error } => {
                 buf.push(6);
-                put_error(&mut buf, error);
+                put_error(buf, error);
             }
             Response::Registered { rows } => {
                 buf.push(7);
-                put_varint(&mut buf, *rows);
+                put_varint(buf, *rows);
             }
             Response::Prepared { statements } => {
                 buf.push(8);
-                put_varint(&mut buf, *statements);
+                put_varint(buf, *statements);
             }
             Response::Killed { found } => {
                 buf.push(9);
-                put_bool(&mut buf, *found);
+                put_bool(buf, *found);
             }
             Response::MetricsText { text } => {
                 buf.push(10);
-                put_str(&mut buf, text);
+                put_str(buf, text);
             }
             Response::Status { status } => {
                 buf.push(11);
-                put_status(&mut buf, status);
+                put_status(buf, status);
             }
             Response::Goodbye => buf.push(12),
             Response::Views { views } => {
                 buf.push(13);
-                put_views(&mut buf, views);
+                put_views(buf, views);
             }
             Response::Durability { status } => {
                 buf.push(14);
-                put_durability(&mut buf, status);
+                put_durability(buf, status);
             }
         }
-        buf
     }
 
     /// Decode a frame payload.
@@ -543,25 +555,113 @@ impl Response {
 // Frame I/O
 // --------------------------------------------------------------------
 
+/// Bytes before a frame's payload: the magic, then the length.
+const FRAME_HEADER: usize = 6;
+
+/// Capacity a [`FrameBuf`] keeps between writes. An outsized frame's buffer
+/// is released once it is written, so one big answer does not pin its size
+/// for the connection's life.
+const RETAINED_CAPACITY: usize = 1 << 20;
+
+/// Frames queued for one write. Each payload is encoded straight into the
+/// buffer behind its header, and [`FrameBuf::write_to`] sends everything
+/// queued with one `write_all`: a short reply of several frames leaves in
+/// one write, and no payload is copied into a frame of its own.
+///
+/// A frame whose payload would pass [`MAX_FRAME_LEN`] is refused before any
+/// byte of it is queued, so no peer ever reads a length it must reject.
+#[derive(Debug, Default)]
+pub struct FrameBuf {
+    buf: Vec<u8>,
+}
+
+impl FrameBuf {
+    /// Queue one frame whose payload `encode` appends; refuse it (the buffer
+    /// unchanged) when the payload passes the cap.
+    fn push(&mut self, encode: impl FnOnce(&mut Vec<u8>)) -> Result<(), ApiError> {
+        let start = self.buf.len();
+        self.buf.extend_from_slice(&FRAME_MAGIC);
+        self.buf.extend_from_slice(&[0; FRAME_HEADER - 2]);
+        encode(&mut self.buf);
+        let len = self.buf.len() - start - FRAME_HEADER;
+        match u32::try_from(len) {
+            Ok(len32) if len <= MAX_FRAME_LEN => {
+                self.buf[start + 2..start + FRAME_HEADER].copy_from_slice(&len32.to_be_bytes());
+                Ok(())
+            }
+            _ => {
+                self.buf.truncate(start);
+                Err(ApiError::protocol(format!(
+                    "frame length {len} exceeds cap {MAX_FRAME_LEN}"
+                )))
+            }
+        }
+    }
+
+    /// Queue a request frame.
+    ///
+    /// # Errors
+    /// [`ErrorCode::Protocol`] when its payload passes [`MAX_FRAME_LEN`].
+    pub fn push_request(&mut self, req: &Request) -> Result<(), ApiError> {
+        self.push(|buf| req.encode_into(buf))
+    }
+
+    /// Queue a response frame.
+    ///
+    /// # Errors
+    /// [`ErrorCode::Protocol`] when its payload passes [`MAX_FRAME_LEN`].
+    pub fn push_response(&mut self, resp: &Response) -> Result<(), ApiError> {
+        self.push(|buf| resp.encode_into(buf))
+    }
+
+    /// Queue a `RowBatch` frame of the first rows of `rows`, encoded straight
+    /// from the borrowed slice: all of them when their payload fits under
+    /// [`MAX_FRAME_LEN`], else the longest halving that does. Returns how
+    /// many rows the frame holds. Each frame is byte for byte
+    /// `Response::RowBatch { rows: taken.to_vec() }.encode()`.
+    ///
+    /// # Errors
+    /// [`ErrorCode::Protocol`] when one row alone passes the cap.
+    pub fn push_row_batch(&mut self, rows: &[Row]) -> Result<usize, ApiError> {
+        let mut n = rows.len();
+        loop {
+            match self.push(|buf| put_row_batch(buf, &rows[..n])) {
+                Ok(()) => return Ok(n),
+                Err(_) if n > 1 => n /= 2,
+                Err(e) => return Err(e),
+            }
+        }
+    }
+
+    /// Send every queued frame with one write, then flush. The buffer is
+    /// empty afterwards whether or not the write succeeded.
+    ///
+    /// # Errors
+    /// [`ErrorCode::Io`] on transport errors.
+    pub fn write_to(&mut self, w: &mut impl Write) -> Result<(), ApiError> {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "frames go to a socket, not to disk"
+        )]
+        let sent = w.write_all(&self.buf).and_then(|()| w.flush());
+        self.buf.clear();
+        if self.buf.capacity() > RETAINED_CAPACITY {
+            self.buf = Vec::new();
+        }
+        sent.map_err(|e| ApiError::io(&e))
+    }
+}
+
 /// Write one frame (magic, length, payload) and flush.
 ///
 /// # Errors
-/// Propagates transport I/O errors.
-pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> std::io::Result<()> {
-    debug_assert!(
-        payload.len() <= MAX_FRAME_LEN,
-        "frame exceeds MAX_FRAME_LEN"
-    );
-    let mut frame = Vec::with_capacity(6 + payload.len());
-    frame.extend_from_slice(&FRAME_MAGIC);
-    frame.extend_from_slice(&(payload.len() as u32).to_be_bytes());
-    frame.extend_from_slice(payload);
-    #[expect(
-        clippy::disallowed_methods,
-        reason = "a frame goes to a socket, not to disk"
-    )]
-    w.write_all(&frame)?;
-    w.flush()
+/// - [`ErrorCode::Protocol`] when the payload passes [`MAX_FRAME_LEN`];
+///   nothing is sent.
+/// - [`ErrorCode::Io`] on transport errors.
+pub fn write_frame(w: &mut impl Write, payload: &[u8]) -> Result<(), ApiError> {
+    let mut frames = FrameBuf::default();
+    frames.push(|buf| buf.extend_from_slice(payload))?;
+    frames.write_to(w)
 }
 
 /// Read one frame payload.
@@ -610,35 +710,27 @@ fn read_exact_or(r: &mut impl Read, buf: &mut [u8], eof_code: ErrorCode) -> Resu
 /// Encode and send a request as one frame.
 ///
 /// # Errors
-/// [`ErrorCode::Io`] on transport errors.
+/// As [`FrameBuf::push_request`] and [`FrameBuf::write_to`].
 pub fn send_request(w: &mut impl Write, req: &Request) -> Result<(), ApiError> {
-    write_frame(w, &req.encode()).map_err(|e| ApiError::io(&e))
+    let mut frames = FrameBuf::default();
+    frames.push_request(req)?;
+    frames.write_to(w)
 }
 
 /// Encode and send a response as one frame.
 ///
 /// # Errors
-/// [`ErrorCode::Io`] on transport errors.
+/// As [`FrameBuf::push_response`] and [`FrameBuf::write_to`].
 pub fn send_response(w: &mut impl Write, resp: &Response) -> Result<(), ApiError> {
-    write_frame(w, &resp.encode()).map_err(|e| ApiError::io(&e))
+    let mut frames = FrameBuf::default();
+    frames.push_response(resp)?;
+    frames.write_to(w)
 }
 
-/// The payload of a `RowBatch` frame over borrowed rows: byte for byte what
-/// `Response::RowBatch { rows: rows.to_vec() }.encode()` produces, without
-/// building the owned message first.
-pub fn encode_row_batch(rows: &[Row]) -> Vec<u8> {
-    let mut buf = vec![ROW_BATCH_TAG];
-    put_rows(&mut buf, rows);
-    buf
-}
-
-/// Encode and send borrowed rows as one `RowBatch` frame — how a server
-/// streams a result straight out of the engine's row buffer.
-///
-/// # Errors
-/// [`ErrorCode::Io`] on transport errors.
-pub fn send_row_batch(w: &mut impl Write, rows: &[Row]) -> Result<(), ApiError> {
-    write_frame(w, &encode_row_batch(rows)).map_err(|e| ApiError::io(&e))
+/// Append a `RowBatch` payload over borrowed rows.
+fn put_row_batch(buf: &mut Vec<u8>, rows: &[Row]) {
+    buf.push(ROW_BATCH_TAG);
+    put_rows(buf, rows);
 }
 
 /// Read and decode one request frame.
@@ -667,6 +759,14 @@ mod tests {
         write_frame(&mut buf, b"hello").unwrap();
         let mut cursor = buf.as_slice();
         assert_eq!(read_frame(&mut cursor).unwrap(), b"hello");
+    }
+
+    #[test]
+    fn oversized_frame_is_refused_before_sending() {
+        let mut sent = Vec::new();
+        let err = write_frame(&mut sent, &vec![0; MAX_FRAME_LEN + 1]).unwrap_err();
+        assert_eq!(err.code, ErrorCode::Protocol);
+        assert!(sent.is_empty(), "{} bytes sent", sent.len());
     }
 
     #[test]

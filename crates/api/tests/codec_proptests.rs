@@ -7,8 +7,8 @@
 use proptest::prelude::*;
 use rasql_api::codec::{decode_rows, encode_rows};
 use rasql_api::wire::{
-    encode_row_batch, read_request, read_response, send_request, send_response, send_row_batch,
-    Request, Response, FRAME_MAGIC,
+    read_request, read_response, send_request, send_response, FrameBuf, Request, Response,
+    FRAME_MAGIC,
 };
 use rasql_api::{ApiError, DataType, ErrorCode, QueryStats, Row, Schema, ServerStatus, Value};
 
@@ -275,11 +275,12 @@ proptest! {
     ) {
         let chunk = &rows[(from * rows.len() as f64) as usize..];
         let owned = Response::RowBatch { rows: chunk.to_vec() };
-        let payload = encode_row_batch(chunk);
-        prop_assert_eq!(&payload, &owned.encode());
+        let payload = owned.encode();
 
         let (mut borrowed_frame, mut owned_frame) = (Vec::new(), Vec::new());
-        send_row_batch(&mut borrowed_frame, chunk).unwrap();
+        let mut frames = FrameBuf::default();
+        prop_assert_eq!(frames.push_row_batch(chunk).unwrap(), chunk.len());
+        frames.write_to(&mut borrowed_frame).unwrap();
         send_response(&mut owned_frame, &owned).unwrap();
         prop_assert_eq!(&borrowed_frame, &owned_frame);
         let mut cursor = borrowed_frame.as_slice();

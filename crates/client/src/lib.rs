@@ -43,8 +43,9 @@
 //! statements and session-local views do not survive it. After retries
 //! exhaust, the last typed [`ApiError`] is returned.
 
-use rasql_api::wire::{read_response, send_request, Request, Response, PROTOCOL_VERSION};
+use rasql_api::wire::{read_response, send_request, FrameBuf, Request, Response, PROTOCOL_VERSION};
 use rasql_api::{ApiError, DurabilityStatus, ErrorCode, QueryResult, Row, Schema, ServerStatus};
+use std::io::BufReader;
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::Arc;
 use std::time::Duration;
@@ -92,7 +93,12 @@ impl Default for ReconnectPolicy {
 
 /// A connected `rasql-server` session.
 pub struct Client {
+    /// Requests go out on the socket; responses come in through `reader`, a
+    /// buffered clone of it, so a frame costs one `read` rather than three.
     stream: TcpStream,
+    reader: BufReader<TcpStream>,
+    /// The request frame being sent.
+    out: FrameBuf,
     /// The server's identifier from the handshake (e.g. `rasql-server/0.1.0`).
     server: String,
     /// Resolved dial addresses, retained for reconnects.
@@ -117,9 +123,11 @@ impl Client {
             .to_socket_addrs()
             .map_err(|e| ApiError::io(&e))?
             .collect();
-        let (stream, server) = Self::dial(&addrs)?;
+        let (stream, reader, server) = Self::dial(&addrs)?;
         Ok(Client {
             stream,
+            reader,
+            out: FrameBuf::default(),
             server,
             addrs,
             reconnect,
@@ -127,7 +135,7 @@ impl Client {
     }
 
     /// Dial the first reachable address and perform the handshake.
-    fn dial(addrs: &[SocketAddr]) -> Result<(TcpStream, String), ApiError> {
+    fn dial(addrs: &[SocketAddr]) -> Result<(TcpStream, BufReader<TcpStream>, String), ApiError> {
         let mut last: Option<ApiError> = None;
         for addr in addrs {
             let mut stream = match TcpStream::connect(addr) {
@@ -138,13 +146,20 @@ impl Client {
                 }
             };
             let _ = stream.set_nodelay(true);
+            let mut reader = match stream.try_clone() {
+                Ok(s) => BufReader::new(s),
+                Err(e) => {
+                    last = Some(ApiError::io(&e));
+                    continue;
+                }
+            };
             let hello = Request::Hello {
                 version: PROTOCOL_VERSION,
             };
             let outcome =
-                send_request(&mut stream, &hello).and_then(|()| read_response(&mut stream));
+                send_request(&mut stream, &hello).and_then(|()| read_response(&mut reader));
             match outcome {
-                Ok(Response::Hello { server, .. }) => return Ok((stream, server)),
+                Ok(Response::Hello { server, .. }) => return Ok((stream, reader, server)),
                 Ok(Response::Error { error }) => return Err(error),
                 Ok(other) => return Err(unexpected("Hello", &other)),
                 Err(e) => last = Some(e),
@@ -193,7 +208,9 @@ impl Client {
     }
 
     /// Register (or replace) a base table in the server's shared catalog.
-    /// Returns the row count the server accepted.
+    /// Returns the row count the server accepted. A table whose encoding
+    /// passes the frame cap ([`rasql_api::wire::MAX_FRAME_LEN`]) fails with
+    /// [`ErrorCode::Protocol`] before anything is sent.
     pub fn register(
         &mut self,
         name: &str,
@@ -329,9 +346,11 @@ impl Client {
         matches!(e.code, ErrorCode::Io | ErrorCode::ConnectionClosed)
     }
 
-    /// Back off (attempt is 1-based) and redial. A failed redial leaves the
-    /// dead stream in place: the caller's next send fails fast and either
-    /// burns another attempt or surfaces the error.
+    /// Back off (attempt is 1-based) and redial. The reader is replaced with
+    /// the stream, so no byte left from the dead connection is ever parsed
+    /// as a reply. A failed redial leaves the dead stream in place: the
+    /// caller's next send fails fast and either burns another attempt or
+    /// surfaces the error.
     fn backoff_and_redial(&mut self, attempt: u32) {
         let delay = self.reconnect.delay(attempt);
         if !delay.is_zero() {
@@ -341,8 +360,9 @@ impl Client {
             )]
             std::thread::sleep(delay);
         }
-        if let Ok((stream, server)) = Self::dial(&self.addrs) {
+        if let Ok((stream, reader, server)) = Self::dial(&self.addrs) {
             self.stream = stream;
+            self.reader = reader;
             self.server = server;
         }
     }
@@ -379,12 +399,15 @@ impl Client {
         }
     }
 
+    /// Encode and send one request. A request past the frame cap fails with
+    /// [`ErrorCode::Protocol`] before any byte is sent.
     fn send(&mut self, request: &Request) -> Result<(), ApiError> {
-        send_request(&mut self.stream, request)
+        self.out.push_request(request)?;
+        self.out.write_to(&mut self.stream)
     }
 
     fn recv(&mut self) -> Result<Response, ApiError> {
-        read_response(&mut self.stream)
+        read_response(&mut self.reader)
     }
 }
 

@@ -1,15 +1,13 @@
-//! One connection: handshake, request dispatch, streaming execution, and
-//! disconnect detection.
+//! One connection: handshake, request dispatch, streaming execution on the
+//! connection's statement worker, and disconnect detection.
 
 use crate::ServerState;
-use rasql_api::wire::{
-    read_request, send_response, send_row_batch, Request, Response, PROTOCOL_VERSION,
-};
+use rasql_api::wire::{read_request, FrameBuf, Request, Response, PROTOCOL_VERSION};
 use rasql_api::{ApiError, ErrorCode, ServerStatus};
 use rasql_core::{error_to_wire, result_to_wire, Session};
 use std::net::TcpStream;
 use std::sync::atomic::Ordering;
-use std::sync::mpsc;
+use std::sync::mpsc::{self, Receiver, RecvTimeoutError, Sender, TryRecvError};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -22,29 +20,71 @@ const POLL: Duration = Duration::from_millis(25);
 /// worker reports, so this bounds disconnect detection, not query latency.
 const DISCONNECT_PROBE: Duration = Duration::from_millis(10);
 
-/// Rows per `RowBatch` frame.
+/// Rows per `RowBatch` frame (fewer when their bytes would pass the frame
+/// cap).
 const BATCH_ROWS: usize = 512;
 
-/// Run a connection to completion. Always leaves the session interrupted on
-/// exit, so a dropped connection can never strand an in-flight query.
+/// Run a connection to completion on this thread, with one statement worker
+/// beside it for the connection's life. Always leaves the session
+/// interrupted on exit, so a dropped connection can never strand an
+/// in-flight query, and joins the worker before returning.
 pub(crate) fn run(stream: TcpStream, session: &Arc<Session>, state: &Arc<ServerState>) {
     let _ = stream.set_nodelay(true);
+    let (jobs, job_rx) = mpsc::channel::<Job>();
+    let (event_tx, events) = mpsc::channel::<Event>();
+    let worker_session = Arc::clone(session);
+    let worker = thread::Builder::new()
+        .name("rasql-stmt".into())
+        .spawn(move || run_jobs(&worker_session, &job_rx, &event_tx));
+    let Ok(worker) = worker else {
+        session.interrupt();
+        return;
+    };
     let mut conn = Conn {
         stream,
+        out: FrameBuf::default(),
         session: Arc::clone(session),
         state: Arc::clone(state),
+        jobs,
+        events,
     };
     let _ = conn.serve();
     session.interrupt();
+    // Closes the socket and drops the job sender, which ends the worker's
+    // loop once its interrupted statement unwinds.
+    drop(conn);
+    let _ = worker.join();
+}
+
+/// The statement worker: runs the connection's jobs in order, reporting each
+/// statement's result the moment it completes.
+fn run_jobs(session: &Session, jobs: &Receiver<Job>, events: &Sender<Event>) {
+    for job in jobs {
+        let on_result = |r: rasql_core::QueryResult| {
+            drop(events.send(Event::Result(result_to_wire(&r))));
+        };
+        let run = match &job {
+            Job::Script(sql) => session.query_script_with(sql, on_result),
+            Job::Prepared(name) => session.execute_prepared_with(name, on_result),
+        };
+        let _ = events.send(match run {
+            Ok(()) => Event::Done,
+            Err(e) => Event::Failed(error_to_wire(&e)),
+        });
+    }
 }
 
 struct Conn {
     stream: TcpStream,
+    /// Frames not yet written; see [`Conn::run_streaming`] for when they go.
+    out: FrameBuf,
     session: Arc<Session>,
     state: Arc<ServerState>,
+    jobs: Sender<Job>,
+    events: Receiver<Event>,
 }
 
-/// What a query worker reports back to the connection thread.
+/// What the statement worker reports back to the connection thread.
 enum Event {
     Result(rasql_api::QueryResult),
     Done,
@@ -81,10 +121,10 @@ impl Conn {
                 }
             };
             match request {
-                Request::Query { sql } => self.run_streaming(&Job::Script(sql))?,
+                Request::Query { sql } => self.run_streaming(Job::Script(sql))?,
                 Request::Execute { name } => {
                     if self.session.has_prepared(&name) {
-                        self.run_streaming(&Job::Prepared(name))?;
+                        self.run_streaming(Job::Prepared(name))?;
                     } else {
                         self.send(&Response::Error {
                             error: ApiError::new(
@@ -191,77 +231,101 @@ impl Conn {
         }
     }
 
-    /// Run a script (or prepared script) on a worker thread while this
+    /// Hand a script (or prepared script) to the statement worker while this
     /// thread streams results out and watches the socket for a disconnect.
     /// A vanished client interrupts the session: every query token is a
     /// child of the session token, so the in-flight fixpoint unwinds with
     /// `Cancelled` at its next stage or round boundary.
-    fn run_streaming(&mut self, job: &Job) -> Result<(), ApiError> {
-        let (tx, rx) = mpsc::channel::<Event>();
-        let session = Arc::clone(&self.session);
-        let mut outcome: Result<(), ApiError> = Ok(());
-        thread::scope(|scope| {
-            scope.spawn(move || {
-                let tx_results = tx.clone();
-                let on_result = |r: rasql_core::QueryResult| {
-                    drop(tx_results.send(Event::Result(result_to_wire(&r))));
-                };
-                let run = match job {
-                    Job::Script(sql) => session.query_script_with(sql, on_result),
-                    Job::Prepared(name) => session.execute_prepared_with(name, on_result),
-                };
-                let _ = tx.send(match run {
-                    Ok(()) => Event::Done,
-                    Err(e) => Event::Failed(error_to_wire(&e)),
-                });
-            });
-            loop {
-                match rx.recv_timeout(DISCONNECT_PROBE) {
-                    Ok(Event::Result(result)) => {
-                        if let Err(e) = self.stream_result(&result) {
-                            // Write failure: the client is gone. Cancel the
-                            // rest of the script and report the dead socket.
-                            self.session.interrupt();
-                            outcome = Err(e);
-                            break;
+    ///
+    /// Frames are queued in `out` and written when the worker has nothing
+    /// more ready, after every `RowBatch`, and at the end of the script: a
+    /// small answer leaves in one or two writes, each statement of a script
+    /// the moment it completes, and a large answer frame by frame.
+    fn run_streaming(&mut self, job: Job) -> Result<(), ApiError> {
+        if self.jobs.send(job).is_err() {
+            return Err(self.worker_died());
+        }
+        // Set once a result could not be framed: its error is sent, and the
+        // script's remaining events are drained without reply.
+        let mut abandoned = false;
+        loop {
+            let event = match self.events.try_recv() {
+                Ok(event) => event,
+                Err(TryRecvError::Empty) => {
+                    self.flush()?;
+                    match self.events.recv_timeout(DISCONNECT_PROBE) {
+                        Ok(event) => event,
+                        Err(RecvTimeoutError::Timeout) => {
+                            if self.client_gone() {
+                                self.session.interrupt();
+                                // Keep draining: the worker will surface
+                                // `Cancelled` as Event::Failed shortly.
+                            }
+                            continue;
                         }
+                        Err(RecvTimeoutError::Disconnected) => return Err(self.worker_died()),
                     }
-                    Ok(Event::Done) => {
-                        outcome = self.send(&Response::QueryDone);
-                        break;
+                }
+                Err(TryRecvError::Disconnected) => return Err(self.worker_died()),
+            };
+            match event {
+                Event::Result(_) if abandoned => {}
+                Event::Result(result) => match self.stream_result(&result) {
+                    Ok(()) => {}
+                    // The write failed: the client is gone (`flush` has
+                    // cancelled the rest of the script).
+                    Err(e) if e.code == ErrorCode::Io => return Err(e),
+                    Err(error) => {
+                        abandoned = true;
+                        self.send(&Response::Error { error })?;
                     }
-                    Ok(Event::Failed(error)) => {
-                        // Best effort: the socket may already be gone when
-                        // the failure *is* the disconnect cancellation.
-                        let _ = self.send(&Response::Error { error });
-                        break;
-                    }
-                    Err(mpsc::RecvTimeoutError::Timeout) => {
-                        if self.client_gone() {
-                            self.session.interrupt();
-                            // Keep draining: the worker will surface
-                            // `Cancelled` as Event::Failed shortly.
-                        }
-                    }
-                    Err(mpsc::RecvTimeoutError::Disconnected) => break,
+                },
+                Event::Done | Event::Failed(_) if abandoned => return Ok(()),
+                Event::Done => return self.send(&Response::QueryDone),
+                Event::Failed(error) => {
+                    // Best effort: the socket may already be gone when the
+                    // failure *is* the disconnect cancellation.
+                    let _ = self.send(&Response::Error { error });
+                    return Ok(());
                 }
             }
-        });
-        outcome
+        }
     }
 
-    /// Stream one statement's result: header, row batches, stats.
+    /// Queue one statement's result: header, row batches (each written as
+    /// soon as it is encoded, straight from the engine's row buffer), stats.
+    ///
+    /// # Errors
+    /// `Io` when a write fails; `Protocol` when one row alone passes the
+    /// frame cap.
     fn stream_result(&mut self, result: &rasql_api::QueryResult) -> Result<(), ApiError> {
-        self.send(&Response::ResultHeader {
+        self.out.push_response(&Response::ResultHeader {
             schema: result.schema.clone(),
         })?;
-        // Frames are encoded straight from the engine's row buffer.
-        for chunk in result.rows.chunks(BATCH_ROWS) {
-            send_row_batch(&mut self.stream, chunk)?;
+        let mut rest = &result.rows[..];
+        while !rest.is_empty() {
+            let taken = self
+                .out
+                .push_row_batch(&rest[..rest.len().min(BATCH_ROWS)])?;
+            self.flush()?;
+            rest = &rest[taken..];
         }
-        self.send(&Response::StatementDone {
+        self.out.push_response(&Response::StatementDone {
             stats: result.stats,
         })
+    }
+
+    /// The worker is gone mid-job (it panicked), so no statement can run on
+    /// this connection any more: answer with an `Error` and end it.
+    fn worker_died(&mut self) -> ApiError {
+        let error = ApiError::new(
+            ErrorCode::Internal,
+            "the connection's statement worker died",
+        );
+        let _ = self.send(&Response::Error {
+            error: error.clone(),
+        });
+        error
     }
 
     /// Block for the next request, waking every [`POLL`] to check the
@@ -337,8 +401,21 @@ impl Conn {
         gone || !restored
     }
 
+    /// Queue a response — or, should it pass the frame cap, an `Error`
+    /// saying so — and write everything queued.
     fn send(&mut self, response: &Response) -> Result<(), ApiError> {
-        send_response(&mut self.stream, response)
+        if let Err(error) = self.out.push_response(response) {
+            self.out.push_response(&Response::Error { error })?;
+        }
+        self.flush()
+    }
+
+    /// Write every queued frame. A failed write means the client is gone:
+    /// the session is interrupted, cancelling the rest of any script.
+    fn flush(&mut self) -> Result<(), ApiError> {
+        self.out.write_to(&mut self.stream).inspect_err(|_| {
+            self.session.interrupt();
+        })
     }
 
     fn status(&self) -> ServerStatus {

@@ -4,9 +4,11 @@
 //!
 //! A long-running multi-client query daemon over a shared
 //! [`RaSqlContext`]. One OS thread accepts TCP connections; each
-//! connection gets its own thread and its own [`rasql_core::Session`]
-//! (private views and prepared statements over the shared base catalog),
-//! speaking the versioned framed protocol defined in [`rasql_api::wire`].
+//! connection gets a thread that speaks the versioned framed protocol
+//! defined in [`rasql_api::wire`], one statement worker thread that runs its
+//! statements for as long as it lives, and its own
+//! [`rasql_core::Session`] (private views and prepared statements over the
+//! shared base catalog).
 //!
 //! The engine's resource governance applies unchanged on the server: every
 //! query passes the shared admission controller, runs under its own memory
@@ -42,7 +44,7 @@ mod conn;
 use rasql_core::{RaSqlContext, Session};
 use rasql_storage::sync::{LockRank, RankedMutex};
 use std::io;
-use std::net::{SocketAddr, TcpListener};
+use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread;
@@ -125,8 +127,6 @@ pub fn serve_full(
     idle_timeout: Duration,
 ) -> io::Result<ServerHandle> {
     let listener = TcpListener::bind(addr)?;
-    // Non-blocking accept lets the loop poll the shutdown latch.
-    listener.set_nonblocking(true)?;
     let addr = listener.local_addr()?;
     let state = Arc::new(ServerState {
         ctx,
@@ -187,12 +187,22 @@ impl ServerHandle {
     }
 
     fn shutdown_inner(&mut self) -> bool {
-        self.state.shutdown.store(true, Ordering::Relaxed);
-        if let Some(h) = self.accept.take() {
-            let _ = h.join();
-        } else {
+        self.state.shutdown.store(true, Ordering::SeqCst);
+        let Some(accept) = self.accept.take() else {
             return true; // already shut down
+        };
+        // The acceptor blocks in `accept`; a connection of our own wakes it
+        // to see the latch. A listener on an unspecified address is reached
+        // through loopback.
+        let mut wake = self.addr;
+        if wake.ip().is_unspecified() {
+            wake.set_ip(match wake {
+                SocketAddr::V4(_) => Ipv4Addr::LOCALHOST.into(),
+                SocketAddr::V6(_) => Ipv6Addr::LOCALHOST.into(),
+            });
         }
+        drop(TcpStream::connect(wake));
+        let _ = accept.join();
         let deadline = Instant::now() + self.drain_timeout;
         let mut clean = true;
         loop {
@@ -236,9 +246,16 @@ impl Drop for ServerHandle {
     }
 }
 
+/// Accept connections until the shutdown latch is set. `accept` blocks, so a
+/// new connection is served the moment it arrives; shutdown wakes the loop
+/// with a connection of its own, which is dropped unserved.
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
-    while !state.shutdown.load(Ordering::Relaxed) {
-        match listener.accept() {
+    loop {
+        let accepted = listener.accept();
+        if state.shutdown.load(Ordering::SeqCst) {
+            return;
+        }
+        match accepted {
             Ok((stream, _peer)) => {
                 let session = Arc::new(state.ctx.session());
                 let conn_session = Arc::clone(&session);
@@ -266,16 +283,9 @@ fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
                     }
                 }
             }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                #[expect(
-                    clippy::disallowed_methods,
-                    reason = "non-blocking accept; poll interval bounds shutdown latency"
-                )]
-                thread::sleep(Duration::from_millis(5));
-            }
             #[expect(
                 clippy::disallowed_methods,
-                reason = "transient accept errors back off at the same poll interval"
+                reason = "transient accept errors (out of descriptors) back off briefly"
             )]
             Err(_) => thread::sleep(Duration::from_millis(5)),
         }

@@ -1,7 +1,9 @@
 //! Integration tests: real TCP connections against an in-process server.
 
-use rasql_api::wire::{read_response, send_request, Request, Response, PROTOCOL_VERSION};
-use rasql_api::ErrorCode;
+use rasql_api::wire::{
+    read_frame, read_response, send_request, Request, Response, MAX_FRAME_LEN, PROTOCOL_VERSION,
+};
+use rasql_api::{DataType, ErrorCode, Row, Schema};
 use rasql_client::Client;
 use rasql_core::RaSqlContext;
 use rasql_storage::{Relation, Value};
@@ -41,6 +43,55 @@ fn thread_count() -> Option<usize> {
         .lines()
         .find_map(|l| l.strip_prefix("Threads:"))
         .and_then(|v| v.trim().parse().ok())
+}
+
+/// A raw socket past the handshake.
+fn raw_connection(handle: &rasql_server::ServerHandle) -> TcpStream {
+    let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    send_request(
+        &mut stream,
+        &Request::Hello {
+            version: PROTOCOL_VERSION,
+        },
+    )
+    .unwrap();
+    let hello = read_response(&mut stream).unwrap();
+    assert!(matches!(hello, Response::Hello { .. }));
+    stream
+}
+
+/// A context whose `edge` table makes the transitive closure slow: still
+/// running when a test acts on it. The tight budget keeps it spilling.
+fn slow_tc_context() -> (Arc<RaSqlContext>, i64) {
+    let ctx = Arc::new(
+        RaSqlContext::builder()
+            .workers(2)
+            .memory_budget(256 * 1024)
+            .build(),
+    );
+    let n: i64 = 400;
+    let mut edges: Vec<(i64, i64)> = chain_edges(n);
+    edges.extend((0..n).map(|i| (i, (i * 7 + 3) % n)));
+    edges.extend((0..n).map(|i| (i, (i * 13 + 1) % n)));
+    ctx.register("edge", Relation::edges(&edges)).unwrap();
+    (ctx, n)
+}
+
+const SLOW_TC: &str = "WITH recursive tc (Src, Dst) AS \
+                        (SELECT Src, Dst FROM edge) UNION \
+                        (SELECT tc.Src, edge.Dst FROM tc, edge WHERE tc.Dst = edge.Src) \
+                      SELECT count(*) FROM tc";
+
+/// Wait up to `secs` for `done`, polling.
+fn wait_until(secs: u64, mut done: impl FnMut() -> bool) -> bool {
+    let deadline = Instant::now() + Duration::from_secs(secs);
+    while !done() {
+        if Instant::now() >= deadline {
+            return false;
+        }
+        std::thread::sleep(Duration::from_millis(2));
+    }
+    true
 }
 
 #[test]
@@ -553,4 +604,180 @@ fn durable_server_restart_serves_pre_crash_state() {
     client.close().unwrap();
     assert!(handle.shutdown());
     let _ = std::fs::remove_dir_all(&dir);
+}
+
+/// A new connection is served the moment it arrives: the acceptor blocks in
+/// `accept` instead of polling it, which used to add about 5 ms to every
+/// connect.
+#[test]
+fn connect_is_served_without_an_accept_poll() {
+    let (handle, _ctx) = start_server(2);
+    let mut us: Vec<u128> = (0..20)
+        .map(|_| {
+            let t = Instant::now();
+            let client = Client::connect(handle.addr()).unwrap();
+            let elapsed = t.elapsed().as_micros();
+            client.close().unwrap();
+            elapsed
+        })
+        .collect();
+    us.sort_unstable();
+    assert!(
+        us[us.len() / 2] < 1_000,
+        "connect p50 {} us: {us:?}",
+        us[10]
+    );
+    assert!(handle.shutdown());
+}
+
+/// Rows whose 512-row batch would pass the frame cap travel in smaller
+/// batches, and the connection stays in step: the next query on the same
+/// client succeeds. A `Register` past the cap is refused with a typed error
+/// before a byte is sent, and a row that alone passes the cap fails its
+/// script with one; either way the connection stays usable.
+#[test]
+fn an_answer_past_the_frame_cap_travels_in_smaller_batches() {
+    let (handle, ctx) = start_server(2);
+    let text: Arc<str> = "x".repeat(160 * 1024).into();
+    let schema = Schema::new(vec![("Id", DataType::Int), ("Body", DataType::Str)]);
+    let rows: Vec<Row> = (0..600)
+        .map(|i| Row::new(vec![Value::Int(i), Value::Str(Arc::clone(&text))]))
+        .collect();
+    assert!(rows.len() * text.len() > MAX_FRAME_LEN);
+    ctx.register(
+        "big",
+        Relation::try_new(schema.clone(), rows.clone()).unwrap(),
+    )
+    .unwrap();
+
+    let mut client = Client::connect(handle.addr()).unwrap();
+    let results = client.query("SELECT Id, Body FROM big").unwrap();
+    assert_eq!(results[0].sorted_rows(), rows);
+    let next = client.query("SELECT count(*) FROM edge").unwrap();
+    assert_eq!(next[0].rows[0][0], Value::Int(64));
+
+    let err = client
+        .register("big_copy", schema.clone(), rows)
+        .unwrap_err();
+    assert_eq!(err.code, ErrorCode::Protocol, "{err}");
+    let next = client.query("SELECT count(*) FROM big").unwrap();
+    assert_eq!(next[0].rows[0][0], Value::Int(600));
+
+    let huge: Arc<str> = "x".repeat(MAX_FRAME_LEN).into();
+    let row = Row::new(vec![Value::Int(0), Value::Str(huge)]);
+    ctx.register("huge", Relation::try_new(schema, vec![row]).unwrap())
+        .unwrap();
+    let err = client
+        .query("SELECT Id, Body FROM huge; SELECT count(*) FROM edge")
+        .unwrap_err();
+    assert_eq!(err.code, ErrorCode::Protocol, "{err}");
+    let next = client.query("SELECT count(*) FROM huge").unwrap();
+    assert_eq!(next[0].rows[0][0], Value::Int(1));
+    client.close().unwrap();
+    assert!(handle.shutdown());
+}
+
+/// Buffered replies still stream: a script's first statement reaches the
+/// client while its second is still running in the engine.
+#[test]
+fn a_script_streams_each_statement_when_it_completes() {
+    let (ctx, _n) = slow_tc_context();
+    let handle =
+        rasql_server::serve_with(Arc::clone(&ctx), "127.0.0.1:0", Duration::from_secs(5)).unwrap();
+    let mut stream = raw_connection(&handle);
+    send_request(
+        &mut stream,
+        &Request::Query {
+            sql: format!("SELECT count(*) FROM edge; {SLOW_TC}"),
+        },
+    )
+    .unwrap();
+    loop {
+        match read_response(&mut stream).unwrap() {
+            Response::StatementDone { .. } => break,
+            Response::ResultHeader { .. } | Response::RowBatch { .. } => {}
+            other => panic!("expected the first statement's frames, got {other:?}"),
+        }
+    }
+    // The closure is admitted right after the first statement completes; it
+    // must still be running once the first statement's reply is in.
+    assert!(
+        wait_until(5, || !ctx.active_queries().is_empty()),
+        "the first statement arrived only after the script had finished"
+    );
+    drop(stream);
+    assert!(wait_until(10, || ctx.active_queries().is_empty()));
+    assert!(handle.shutdown());
+}
+
+/// The frames of a reply are byte for byte the encoded responses: an empty
+/// answer, a one-row answer and a 1 500-row answer in three 512-row (or
+/// fewer) batches, then `QueryDone`.
+#[test]
+fn reply_frames_are_the_encoded_responses() {
+    let ctx = Arc::new(RaSqlContext::builder().workers(2).build());
+    ctx.register("edge", Relation::edges(&chain_edges(1_500)))
+        .unwrap();
+    let handle =
+        rasql_server::serve_with(Arc::clone(&ctx), "127.0.0.1:0", Duration::from_secs(5)).unwrap();
+    let statements = [
+        "SELECT Src, Dst FROM edge WHERE Dst = 0",
+        "SELECT count(*) FROM edge",
+        "SELECT Src, Dst FROM edge",
+    ];
+    let mut stream = raw_connection(&handle);
+    send_request(
+        &mut stream,
+        &Request::Query {
+            sql: statements.join("; "),
+        },
+    )
+    .unwrap();
+    let mut frames = Vec::new();
+    loop {
+        let payload = read_frame(&mut stream).unwrap();
+        let done = Response::decode(&payload).unwrap() == Response::QueryDone;
+        frames.push(payload);
+        if done {
+            break;
+        }
+    }
+
+    let mut expected = Vec::new();
+    for sql in statements {
+        let local = rasql_core::result_to_wire(&ctx.query(sql).unwrap());
+        expected.push(Response::ResultHeader {
+            schema: local.schema.clone(),
+        });
+        expected.extend(
+            local
+                .rows
+                .chunks(512)
+                .map(|c| Response::RowBatch { rows: c.to_vec() }),
+        );
+        // Stats carry ids and timings: take the server's own.
+        let stats = match Response::decode(&frames[expected.len()]).unwrap() {
+            Response::StatementDone { stats } => stats,
+            other => panic!("expected StatementDone, got {other:?}"),
+        };
+        expected.push(Response::StatementDone { stats });
+    }
+    expected.push(Response::QueryDone);
+    let batches = |n: usize| {
+        expected
+            .iter()
+            .filter(|r| matches!(r, Response::RowBatch { .. }))
+            .count()
+            == n
+    };
+    assert!(
+        batches(1 + 3),
+        "one batch for the count, three for the scan"
+    );
+    assert_eq!(frames.len(), expected.len());
+    for (i, (got, want)) in frames.iter().zip(&expected).enumerate() {
+        assert!(*got == want.encode(), "frame {i} differs from {want:?}");
+    }
+    drop(stream);
+    assert!(handle.shutdown());
 }

@@ -8,6 +8,10 @@ cargo build --release
 # engine API change that breaks it fails here. Its release profile is not the
 # root's (which keeps debug info), so it builds in its own `perf/target`.
 cargo build --release --offline --manifest-path perf/Cargo.toml
+# The benchmark's own tests, a smoke pass of every workload against its
+# independent oracle among them: a wire change that breaks `serve_mixed`'s
+# answers fails here rather than in a benchmark run.
+cargo test --release --offline -q --manifest-path perf/Cargo.toml
 # Every default member (the facade and the engine crates), lint and
 # model-checker suites included.
 cargo test -q
