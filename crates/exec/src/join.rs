@@ -7,7 +7,7 @@
 //!   sorted run is likewise built once and reused.
 #![deny(clippy::unwrap_used, clippy::expect_used, clippy::panic)]
 
-use rasql_storage::{Row, Value, WordMatches, WordTable};
+use rasql_storage::{KeyIndex, Row, Value, WordMatches, WordTable};
 
 /// The hash table lives beside the index store that keeps it across
 /// statements; this is its historical path.
@@ -29,6 +29,11 @@ pub trait JoinTable<C>: Clone + Send + Sync + 'static {
 
     /// Bytes held: what shipping the built table whole would cost.
     fn size_bytes(&self) -> usize;
+
+    /// The index of the table's keys, when it keeps a [`KeyIndex`].
+    fn key_index(&self) -> Option<&KeyIndex> {
+        None
+    }
 }
 
 impl JoinTable<Value> for HashTable {
@@ -54,6 +59,10 @@ impl JoinTable<u64> for WordTable {
 
     fn size_bytes(&self) -> usize {
         WordTable::size_bytes(self)
+    }
+
+    fn key_index(&self) -> Option<&KeyIndex> {
+        Some(WordTable::key_index(self))
     }
 }
 

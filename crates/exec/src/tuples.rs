@@ -42,8 +42,9 @@
 
 use crate::join::{HashTable, JoinTable};
 use crate::state::{MergeOutcome, MonotoneOp};
+pub(crate) use rasql_storage::keys::{hash32, nth};
 pub use rasql_storage::value::{Escaped, Lane};
-use rasql_storage::{DataType, FxHasher, Row, Schema, Value, WordTable};
+use rasql_storage::{DataType, FxHasher, KeyCell, KeyIndex, Row, Schema, Value, WordTable};
 use std::cmp::Ordering;
 use std::hash::{Hash, Hasher};
 use std::ops::Range;
@@ -62,8 +63,9 @@ pub fn kinds_of<C: Cell>(schema: &Schema) -> Option<Arc<[C::Kind]>> {
     fields.map(|f| C::kind_of(f.data_type)).collect()
 }
 
-/// One column value of a tuple representation.
-pub trait Cell: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
+/// One column value of a tuple representation; a tuple of them is a key a
+/// [`KeyIndex`] indexes (and hashes, [`hash32`]).
+pub trait Cell: KeyCell + Clone + std::fmt::Debug + Send + Sync + 'static {
     /// What must be known about a column to interpret its cells.
     type Kind: Copy + std::fmt::Debug + Send + Sync + 'static;
 
@@ -78,9 +80,6 @@ pub trait Cell: Clone + PartialEq + std::fmt::Debug + Send + Sync + 'static {
     /// The kind of column `col`. Values need none, so a batch of them may
     /// be created before its arity is known, with no kinds at all.
     fn kind(kinds: &[Self::Kind], col: usize) -> Self::Kind;
-
-    /// Hash of a whole tuple, for the state tables (the upper half is used).
-    fn hash_cells(cells: &[Self]) -> u64;
 
     /// Feed the hasher what `Value::hash` of this cell's value would.
     fn hash_key(&self, kind: Self::Kind, h: &mut FxHasher);
@@ -124,15 +123,6 @@ impl Cell for Value {
 
     #[inline]
     fn kind(_: &[()], _: usize) {}
-
-    #[inline]
-    fn hash_cells(cells: &[Value]) -> u64 {
-        let mut h = FxHasher::default();
-        for v in cells {
-            v.hash(&mut h);
-        }
-        h.finish()
-    }
 
     #[inline]
     fn hash_key(&self, (): (), h: &mut FxHasher) {
@@ -194,15 +184,6 @@ impl Cell for u64 {
     #[inline]
     fn kind(lanes: &[Lane], col: usize) -> Lane {
         lanes[col]
-    }
-
-    #[inline]
-    fn hash_cells(cells: &[u64]) -> u64 {
-        let mut h = FxHasher::default();
-        for &w in cells {
-            h.write_u64(w);
-        }
-        h.finish()
     }
 
     #[inline]
@@ -379,16 +360,6 @@ impl<'a, C> Block<'a, C> {
         let (cells, arity) = (self.cells, self.arity);
         (0..self.len).map(move |i| nth::<C, 0>(cells, arity, i))
     }
-}
-
-/// Tuple `i` of an arity-strided slice: `N` cells when `N` is not 0, else
-/// `arity` cells. A block body is compiled once per arity 1–4 (`N`) — the
-/// tuple's length, and so its hash and compare loops, are constants there —
-/// and once for wider tuples (`N = 0`).
-#[inline(always)]
-pub(crate) fn nth<C, const N: usize>(cells: &[C], arity: usize, i: usize) -> &[C] {
-    let a = if N == 0 { arity } else { N };
-    &cells[i * a..i * a + a]
 }
 
 /// Evaluate a const-generic block body once for `arity`, with the const
@@ -575,18 +546,15 @@ impl<C: Cell> Tuples<C> {
     }
 }
 
-/// A set of tuples: a [`Tuples`] arena behind an open-addressing index. A
-/// tuple is hashed once per lookup-or-insert, a slot is the tuple's arena
-/// index beside 32 bits of its hash — so a miss rarely touches the arena and
-/// growing the index never does — and nothing is allocated per tuple.
-/// Tuples keep their insertion order. A clone is a flat copy of the arena
-/// and the index: nothing is hashed again.
+/// A set of tuples: a [`Tuples`] arena behind a [`KeyIndex`] — hashed
+/// slots, or a directory addressed by the tuple itself when its cells are
+/// small words. Nothing is allocated per tuple, and tuples keep their
+/// insertion order. A clone is a flat copy of the arena and the index:
+/// nothing is hashed again.
 #[derive(Debug, Clone)]
 pub struct TupleSet<C: Cell = u64> {
     tuples: Tuples<C>,
-    /// `hash32 << 32 | (index + 1)`; 0 is an empty slot. The slot of a hash
-    /// is its top `log2(len)` bits; collisions probe linearly.
-    slots: Vec<u64>,
+    index: KeyIndex,
 }
 
 impl<C: Cell> Default for TupleSet<C> {
@@ -600,7 +568,7 @@ impl<C: Cell> TupleSet<C> {
     pub fn new(kinds: Arc<[C::Kind]>) -> Self {
         TupleSet {
             tuples: Tuples::new(kinds),
-            slots: Vec::new(),
+            index: KeyIndex::default(),
         }
     }
 
@@ -632,76 +600,40 @@ impl<C: Cell> TupleSet<C> {
         self.tuples
     }
 
+    /// The index of the tuples.
+    pub fn key_index(&self) -> &KeyIndex {
+        &self.index
+    }
+
     /// Bytes really held: arena plus index. O(1).
     pub fn heap_bytes(&self) -> u64 {
-        self.tuples.heap_bytes() + 8 * self.slots.len() as u64
-    }
-
-    #[inline]
-    fn home(&self, hash32: u32) -> usize {
-        // `slots.len()` is a power of two ≥ 8.
-        (hash32 >> (32 - self.slots.len().trailing_zeros())) as usize
-    }
-
-    /// The index of `tuple`, or the empty slot its probe sequence ends at;
-    /// the tuple has `N` cells (any number when `N` is 0).
-    #[inline(always)]
-    fn probe<const N: usize>(&self, tuple: &[C], hash32: u32) -> Result<usize, usize> {
-        let mask = self.slots.len() - 1;
-        let mut at = self.home(hash32);
-        loop {
-            let slot = self.slots[at];
-            if slot == 0 {
-                return Err(at);
-            }
-            if (slot >> 32) as u32 == hash32 {
-                let i = (slot as u32 - 1) as usize;
-                // Zero-width tuples are all equal. Comparing them anyway
-                // hands the empty arena's dangling pointer to the
-                // platform's `bcmp`, which is ~20x slower than a hit.
-                if tuple.is_empty()
-                    || nth::<C, N>(&self.tuples.cells, self.tuples.arity, i) == tuple
-                {
-                    return Ok(i);
-                }
-            }
-            at = (at + 1) & mask;
-        }
+        self.tuples.heap_bytes() + self.index.heap_bytes()
     }
 
     /// The index of `tuple`, if present.
     #[inline]
     pub fn find(&self, tuple: &[C]) -> Option<usize> {
-        if self.slots.is_empty() {
-            return None;
-        }
-        self.probe::<0>(tuple, hash32(tuple)).ok()
+        self.index.find(&self.tuples.cells, tuple)
     }
 
     /// The index of `tuple`, appended if absent; true if it was absent.
     #[inline]
     pub fn intern(&mut self, tuple: &[C]) -> (usize, bool) {
-        self.intern_hashed::<0>(tuple, hash32(tuple))
+        self.intern_hashed::<0>(tuple, None)
     }
 
     /// [`TupleSet::intern`] of a tuple of `N` cells (any number when `N` is
-    /// 0) whose [`hash32`] is known.
+    /// 0) whose [`hash32`] may be known.
     #[inline(always)]
     pub(crate) fn intern_hashed<const N: usize>(
         &mut self,
         tuple: &[C],
-        hash32: u32,
+        hash32: Option<u32>,
     ) -> (usize, bool) {
-        // At most half full, so probe sequences stay short.
-        if (self.tuples.len() + 1) * 2 > self.slots.len() {
-            self.grow();
-        }
-        match self.probe::<N>(tuple, hash32) {
+        let len = self.tuples.len();
+        match (self.index).intern::<C, N>(&self.tuples.cells, len, tuple, hash32) {
             Ok(i) => (i, false),
-            Err(at) => {
-                let i = self.tuples.len();
-                assert!(i < u32::MAX as usize, "tuple set index overflow");
-                self.slots[at] = u64::from(hash32) << 32 | (i as u64 + 1);
+            Err(i) => {
                 self.tuples.push(tuple);
                 (i, true)
             }
@@ -709,46 +641,40 @@ impl<C: Cell> TupleSet<C> {
     }
 
     /// [`TupleSet::intern`] of every tuple of `block`, in order — the same
-    /// interns, growths and slots as one call per tuple — with every tuple
-    /// hashed first (into `hashes`, a reused buffer) and the arity looked at
-    /// once.
+    /// interns as one call per tuple — with the arity looked at once and,
+    /// while the index is hashed, every tuple hashed first (into `hashes`, a
+    /// reused buffer).
     pub fn intern_block(&mut self, block: Block<'_, C>, hashes: &mut Vec<u32>) {
         by_arity!(block.arity(), N => self.intern_run::<N>(block, hashes));
     }
 
     fn intern_run<const N: usize>(&mut self, block: Block<'_, C>, hashes: &mut Vec<u32>) {
-        hash_run::<C, N>(block, hashes);
-        for (i, &h) in hashes.iter().enumerate() {
-            self.intern_hashed::<N>(nth::<C, N>(block.cells, block.arity, i), h);
+        self.hash_run::<N>(block, hashes);
+        for i in 0..block.len {
+            let tuple = nth::<C, N>(block.cells, block.arity, i);
+            self.intern_hashed::<N>(tuple, hashes.get(i).copied());
         }
     }
 
-    fn grow(&mut self) {
-        let old = std::mem::take(&mut self.slots);
-        self.slots = vec![0; (old.len() * 2).max(8)];
-        let mask = self.slots.len() - 1;
-        for slot in old.into_iter().filter(|&s| s != 0) {
-            let mut at = self.home((slot >> 32) as u32);
-            while self.slots[at] != 0 {
-                at = (at + 1) & mask;
-            }
-            self.slots[at] = slot;
+    /// [`hash_run`] of `block` into `hashes` while the index is hashed; no
+    /// hash at all (`hashes` emptied) while it is addressed by position.
+    #[inline(always)]
+    pub(crate) fn hash_run<const N: usize>(&self, block: Block<'_, C>, hashes: &mut Vec<u32>) {
+        if self.index.by_position() {
+            hashes.clear();
+        } else {
+            hash_run::<C, N>(block, hashes);
         }
+    }
+
+    /// [`TupleSet::hash_run`] for a block of any arity.
+    pub(crate) fn hash_block(&self, block: Block<'_, C>, hashes: &mut Vec<u32>) {
+        by_arity!(block.arity(), N => self.hash_run::<N>(block, hashes));
     }
 }
 
-/// The 32 bits of a tuple's hash a [`TupleSet`] slot keeps.
-#[inline(always)]
-pub(crate) fn hash32<C: Cell>(tuple: &[C]) -> u32 {
-    (C::hash_cells(tuple) >> 32) as u32
-}
-
-/// [`hash32`] of every tuple of `block`, replacing `out`.
-pub(crate) fn hash_block<C: Cell>(block: Block<'_, C>, out: &mut Vec<u32>) {
-    by_arity!(block.arity(), N => hash_run::<C, N>(block, out));
-}
-
-/// [`hash_block`] for tuples of `N` cells (any number when `N` is 0).
+/// [`hash32`] of every tuple of `block` (of `N` cells, any number when `N`
+/// is 0), replacing `out`.
 #[inline(always)]
 pub(crate) fn hash_run<C: Cell, const N: usize>(block: Block<'_, C>, out: &mut Vec<u32>) {
     out.clear();

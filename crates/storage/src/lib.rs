@@ -37,6 +37,7 @@ pub mod csr;
 pub mod error;
 pub mod hasher;
 pub mod index;
+pub mod keys;
 pub mod partition;
 pub mod relation;
 pub mod snapshot;
@@ -68,6 +69,7 @@ pub use index::{
     Fetch, HashIndex, HashTable, Index, IndexDep, IndexKey, IndexLayout, IndexStats, IndexStore,
     WordIndex, WordMatches, WordShape, WordTable,
 };
+pub use keys::{KeyCell, KeyIndex};
 pub use partition::{hash_partition, partition_rows, Partitioning};
 pub use relation::Relation;
 pub use row::Row;
