@@ -592,6 +592,7 @@ const WORD_PATHS: &[(&str, &[&str])] = &[
     ("crates/exec/src/state.rs", WORD_STATE_FNS),
     ("crates/plan/src/expr.rs", &["eval_cells"]),
     ("crates/storage/src/index.rs", PACKED_TABLE_FNS),
+    ("crates/storage/src/keys.rs", KEY_INDEX_FNS),
     (
         "crates/core/src/fixpoint.rs",
         &[
@@ -626,13 +627,10 @@ const WORD_SET_FNS: &[&str] = &[
     "find",
     "push",
     "get",
-    "nth",
-    "hash32",
     "hash_block",
     "hash_run",
     "partition_of",
     "lane_partition",
-    "hash_cells",
 ];
 const WORD_STATE_FNS: &[&str] = &[
     "insert_slice",
@@ -646,8 +644,6 @@ const WORD_STATE_FNS: &[&str] = &[
 const PACKED_TABLE_FNS: &[&str] = &[
     "probe",
     "next",
-    "find_key",
-    "slot_of",
     "key_cells",
     "laid_out",
     "push_row",
@@ -655,6 +651,11 @@ const PACKED_TABLE_FNS: &[&str] = &[
     "lay_out",
     "from_tuples",
     "from_batch",
+];
+/// The key index under both (`storage::keys::KeyIndex`): a lookup or an
+/// insert, by position or hashed.
+const KEY_INDEX_FNS: &[&str] = &[
+    "find", "intern", "probe", "position", "note", "hash32", "nth",
 ];
 /// RL0007: `Row::new(` / `Row::from_slice(` / `.concat(` / `.to_vec(` in a
 /// function that runs once per derived tuple. Most derived tuples are
