@@ -16,16 +16,18 @@
 //! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s block executor, `exec::kernel`'s edge walk, `core::fixpoint`'s block loop, emit/merge sinks and seed-fold sink) without an allow annotation |
 //! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `WordIndex::build(`, `WordTable::from_rows(`/`from_tuples(`/`from_batch(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast, seed and recursive-snapshot builds carry an allow annotation saying why they are not kept |
 //! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s block executor, `exec::tuples`' set and its block interns, `exec::state`'s single and block inserts, `plan::expr`'s word evaluator, `core::fixpoint`'s branch run and block merge) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
-//! | `RL0009` | round-loop bookkeeping (`record_iteration(`, `EngineError::NonTermination`, `metrics.iterations`, `metrics.restores`, `begin_clique(`) in `core::fixpoint` outside fn `drive` — the trace record, the cap, the iteration count and recovery are written once; the in-task cap of the decomposed stage carries an allow annotation |
 //! | `RL0011` | statement bookkeeping in `core::context` outside the lifecycle function that owns it: a clock (`Instant::now(`) or a `QueryStats {` literal outside `run_statement`, a metrics delta (`.snapshot().since(`) outside `execute`, an `EvalContext {` literal outside `eval_context` — every statement is timed by one clock, measured by one delta, evaluated through one context and reported by one assembly |
 //!
-//! The codes below `RL0006` are retired: the checks they made by spelling are
-//! made on resolved paths by the toolchain. `clippy.toml`'s
-//! `disallowed-methods` rejects raw lock constructors outside
-//! `storage::sync`, `std::thread::sleep` and direct durable writes outside
-//! `storage::wal`; the hot-path modules deny `clippy::unwrap_used`,
-//! `expect_used` and `panic` at their top; and a catalog version can only be
-//! minted through the `tables` write guard, which owns the counter.
+//! The codes missing from the table are retired: the checks they made by
+//! spelling are made by the toolchain. `clippy.toml`'s `disallowed-methods`
+//! rejects raw lock constructors outside `storage::sync`,
+//! `std::thread::sleep` and direct durable writes outside `storage::wal`;
+//! the hot-path modules deny `clippy::unwrap_used`, `expect_used` and
+//! `panic` at their top; a catalog version can only be minted through the
+//! `tables` write guard, which owns the counter; and only the module of
+//! `core::fixpoint` that holds the round loop (`drive`) can run a round —
+//! a `RoundStep`'s round methods take a `Turn` that no other module can
+//! make — or reach the trace's round records and the iteration count.
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
@@ -79,13 +81,6 @@ pub enum LintCode {
     /// build that is per query by design (a sort-merge run, the broadcast
     /// that models the network, a snapshot of a recursive relation) says so.
     IndexBuiltOutsideStore,
-    /// `RL0009`: `record_iteration(`, `EngineError::NonTermination`,
-    /// `metrics.iterations`, `metrics.restores` or `begin_clique(` in
-    /// `core::fixpoint` outside fn `drive`. Every strategy is a step of the
-    /// one round loop; a strategy that records its own rounds, counts its own
-    /// iterations, enforces its own cap or recovers by itself is a second
-    /// loop, and the copies drift (the cap once meant two things).
-    RoundLoopOutsideDrive,
     /// `RL0010`: a `Value::Variant(` or `Row::constructor(` call, or a
     /// `.clone()`, in a function that a word-lane tuple passes through. On
     /// that path a tuple is `u64` cells from the join probe to the state's
@@ -112,7 +107,6 @@ impl LintCode {
             LintCode::ReadPathRowCopy => "RL0006",
             LintCode::PerTupleRowBuild => "RL0007",
             LintCode::IndexBuiltOutsideStore => "RL0008",
-            LintCode::RoundLoopOutsideDrive => "RL0009",
             LintCode::WordPathValueBuild => "RL0010",
             LintCode::StatementOutsideLifecycle => "RL0011",
         }
@@ -125,12 +119,11 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 6] {
+    pub fn all() -> [LintCode; 5] {
         [
             LintCode::ReadPathRowCopy,
             LintCode::PerTupleRowBuild,
             LintCode::IndexBuiltOutsideStore,
-            LintCode::RoundLoopOutsideDrive,
             LintCode::WordPathValueBuild,
             LintCode::StatementOutsideLifecycle,
         ]
@@ -147,9 +140,6 @@ impl LintCode {
             }
             LintCode::IndexBuiltOutsideStore => {
                 "join index of base data built in core outside the index store's feeder module"
-            }
-            LintCode::RoundLoopOutsideDrive => {
-                "round-loop bookkeeping in core::fixpoint outside fn drive"
             }
             LintCode::WordPathValueBuild => {
                 "Value/Row built or cloned in the word-lane tuple path without an allow annotation"
@@ -505,10 +495,11 @@ fn enclosing_fns<'a>(code: &[Token<'a>]) -> Vec<Option<(&'a str, usize)>> {
 }
 
 /// Read-path modules covered by RL0006: everything a row passes through
-/// between the catalog scan and the socket.
+/// between the catalog scan and the socket (`fixpoint/`: every module of the
+/// directory).
 const READ_PATHS: &[&str] = &[
     "crates/core/src/eval.rs",
-    "crates/core/src/fixpoint.rs",
+    "crates/core/src/fixpoint/",
     "crates/core/src/wire.rs",
     "crates/core/src/context.rs",
     "crates/server/src/conn.rs",
@@ -519,7 +510,7 @@ const READ_PATHS: &[&str] = &[
 /// chunk, so the call clones every row in it. A sliced receiver
 /// (`rows()[n..].to_vec()`) copies a chosen part and is not matched.
 fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    if !READ_PATHS.iter().any(|p| ctx.path.ends_with(p)) {
+    if !READ_PATHS.iter().any(|p| ctx.path.contains(p)) {
         return;
     }
     let code = &ctx.code;
@@ -564,20 +555,10 @@ fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppres
 const TUPLE_PATHS: &[(&str, &[&str])] = &[
     ("crates/exec/src/pipeline.rs", PIPELINE_FNS),
     ("crates/exec/src/kernel.rs", &["edge_walk"]),
-    (
-        "crates/core/src/fixpoint.rs",
-        &[
-            "run_branch",
-            "run_blocks",
-            "input",
-            "emit_block",
-            "push_block",
-            "gather",
-            "assemble",
-            "merge_into_state",
-            "push_seed",
-        ],
-    ),
+    ("crates/core/src/fixpoint/io.rs", BRANCH_IO_FNS),
+    ("crates/core/src/fixpoint/merge.rs", EVERY_FN),
+    ("crates/core/src/fixpoint/state.rs", &["assemble"]),
+    ("crates/core/src/fixpoint/dense.rs", &["push_seed"]),
     ("crates/exec/src/tuples.rs", WORD_SET_FNS),
     ("crates/exec/src/state.rs", WORD_STATE_FNS),
 ];
@@ -593,19 +574,20 @@ const WORD_PATHS: &[(&str, &[&str])] = &[
     ("crates/plan/src/expr.rs", &["eval_cells"]),
     ("crates/storage/src/index.rs", PACKED_TABLE_FNS),
     ("crates/storage/src/keys.rs", KEY_INDEX_FNS),
-    (
-        "crates/core/src/fixpoint.rs",
-        &[
-            "run_branch",
-            "run_blocks",
-            "input",
-            "emit_block",
-            "push_block",
-            "gather",
-            "assemble",
-            "merge_into_state",
-        ],
-    ),
+    ("crates/core/src/fixpoint/io.rs", BRANCH_IO_FNS),
+    ("crates/core/src/fixpoint/merge.rs", EVERY_FN),
+    ("crates/core/src/fixpoint/state.rs", &["assemble"]),
+];
+/// A module that is hot path from end to end: every function in it is
+/// covered.
+const EVERY_FN: &[&str] = &[];
+/// A fixpoint branch's run over its input blocks (`core::fixpoint::io`).
+const BRANCH_IO_FNS: &[&str] = &[
+    "run_branch",
+    "run_blocks",
+    "input",
+    "emit_block",
+    "push_block",
 ];
 /// The block executor (`exec::pipeline`): a block's selection, its joins and
 /// its projection, and `for_each`, which runs it over rows.
@@ -669,7 +651,7 @@ fn rule_per_tuple_row(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppress
     let fns = enclosing_fns(code);
     let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
     for i in 0..code.len() {
-        if !fns[i].is_some_and(|(name, _)| hot.contains(&name)) {
+        if !fns[i].is_some_and(|(name, _)| hot.is_empty() || hot.contains(&name)) {
             continue;
         }
         let t = &code[i];
@@ -718,7 +700,7 @@ fn rule_word_path_value(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppre
     let fns = enclosing_fns(code);
     let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
     for i in 0..code.len() {
-        if !fns[i].is_some_and(|(name, _)| hot.contains(&name)) {
+        if !fns[i].is_some_and(|(name, _)| hot.is_empty() || hot.contains(&name)) {
             continue;
         }
         let t = &code[i];
@@ -811,66 +793,6 @@ fn rule_index_outside_store(
                 "ask `EvalContext::fetch_index` (core::index) so the index is built once, \
                  advanced by appends and shared; a build that is per query by design needs \
                  `// lint: allow(RL0008, <reason>)`",
-            ),
-        );
-    }
-}
-
-/// The file RL0009 applies to, and the one function in it that may do the
-/// round loop's bookkeeping.
-const ROUND_LOOP_MODULE: &str = "crates/core/src/fixpoint.rs";
-const ROUND_LOOP_FN: &str = "drive";
-
-/// RL0009: `record_iteration(` / `begin_clique(` calls, an
-/// `EngineError::NonTermination` construction, or a touch of
-/// `metrics.iterations` / `metrics.restores`, in `core::fixpoint` outside fn
-/// `drive`.
-fn rule_round_loop(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    if !ctx.path.ends_with(ROUND_LOOP_MODULE) {
-        return;
-    }
-    let code = &ctx.code;
-    let fns = enclosing_fns(code);
-    let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
-    for i in 0..code.len() {
-        if fns[i].is_some_and(|(name, _)| name == ROUND_LOOP_FN) {
-            continue;
-        }
-        let t = &code[i];
-        let end = if (t.is_ident("record_iteration") || t.is_ident("begin_clique"))
-            && is(i + 1, &|t| t.is_punct('('))
-        {
-            i + 1
-        } else if t.is_ident("EngineError")
-            && is(i + 1, &|t| t.is_punct(':'))
-            && is(i + 2, &|t| t.is_punct(':'))
-            && is(i + 3, &|t| t.is_ident("NonTermination"))
-        {
-            i + 3
-        } else if t.is_ident("metrics")
-            && is(i + 1, &|t| t.is_punct('.'))
-            && is(i + 2, &|t| {
-                t.is_ident("iterations") || t.is_ident("restores")
-            })
-        {
-            i + 2
-        } else {
-            continue;
-        };
-        let span = Span::new(t.start, code[end].end);
-        ctx.emit(
-            out,
-            suppressed,
-            LintDiagnostic::new(
-                LintCode::RoundLoopOutsideDrive,
-                ctx.path,
-                span,
-                "round-loop bookkeeping outside `drive`",
-            )
-            .with_help(
-                "a strategy only evaluates: return a `Round` (or a `Halt`) from its `RoundStep` \
-                 and let `FixpointExecutor::drive` record, count, cap and recover; a report \
-                 that cannot go through it needs `// lint: allow(RL0009, <reason>)`",
             ),
         );
     }
@@ -972,7 +894,6 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     rule_read_path_copy(&ctx, &mut out, &mut suppressed);
     rule_per_tuple_row(&ctx, &mut out, &mut suppressed);
     rule_index_outside_store(&ctx, &mut out, &mut suppressed);
-    rule_round_loop(&ctx, &mut out, &mut suppressed);
     rule_word_path_value(&ctx, &mut out, &mut suppressed);
     rule_statement_lifecycle(&ctx, &mut out, &mut suppressed);
     out.sort_by_key(|d| d.span.start);
@@ -1034,7 +955,6 @@ mod tests {
         assert_eq!(LintCode::ReadPathRowCopy.code(), "RL0006");
         assert_eq!(LintCode::PerTupleRowBuild.code(), "RL0007");
         assert_eq!(LintCode::IndexBuiltOutsideStore.code(), "RL0008");
-        assert_eq!(LintCode::RoundLoopOutsideDrive.code(), "RL0009");
         assert_eq!(LintCode::WordPathValueBuild.code(), "RL0010");
         assert_eq!(LintCode::StatementOutsideLifecycle.code(), "RL0011");
         for c in LintCode::all() {
@@ -1073,7 +993,7 @@ mod tests {
     #[test]
     fn test_modules_are_skipped() {
         let src = "#[cfg(test)]\nmod tests {\n    fn t() { rows.to_vec(); chunk.to_vec(); }\n}\n";
-        assert!(lint_file("crates/core/src/fixpoint.rs", src).is_empty());
+        assert!(lint_file("crates/core/src/fixpoint/mod.rs", src).is_empty());
     }
 
     #[test]

@@ -1,8 +1,8 @@
 // Fixture: trips RL0007. Linted under the virtual path of a module of the
 // borrowed-tuple path (`crates/exec/src/pipeline.rs`: `for_each`, `join`,
-// `emit`; `crates/exec/src/kernel.rs`: `edge_walk`;
-// `crates/core/src/fixpoint.rs`: `push_block`, `assemble`,
-// `merge_into_state`, `push_seed`).
+// `emit`; `crates/exec/src/kernel.rs`: `edge_walk`; `crates/core/src/fixpoint/`:
+// `io.rs`'s `push_block`, `state.rs`'s `assemble`, `dense.rs`'s `push_seed`
+// and every function of `merge.rs`).
 impl Pipeline {
     fn join(&self, row: &Row, out: &mut Vec<Row>) {
         let key = row.values().to_vec();

@@ -3,9 +3,9 @@
 // `select`, `filter`, `join`, `emit`, `apply`; `crates/exec/src/tuples.rs`:
 // `intern`, `intern_block`, `probe`, ...; `crates/exec/src/state.rs`:
 // `insert_slice`, `insert_block`, `merge_block`, ...;
-// `crates/plan/src/expr.rs`: `eval_cells`; `crates/core/src/fixpoint.rs`:
-// `run_branch`, `run_blocks`, `input`, `emit_block`, `push_block`,
-// `gather`, `assemble`, `merge_into_state`).
+// `crates/plan/src/expr.rs`: `eval_cells`; `crates/core/src/fixpoint/`:
+// `io.rs`'s `run_branch`, `run_blocks`, `input`, `emit_block`, `push_block`,
+// `state.rs`'s `assemble` and every function of `merge.rs`).
 impl<C: Cell> Pipeline<C> {
     fn join(&self, s: &mut Scratch<C>) {
         let key = Value::Int(s.tuple[1] as i64);

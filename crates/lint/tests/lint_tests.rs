@@ -42,7 +42,8 @@ fn rl0006_only_covers_read_path_modules() {
     let src = include_str!("fixtures/rl0006_row_copies.rs");
     for path in [
         "crates/core/src/eval.rs",
-        "crates/core/src/fixpoint.rs",
+        "crates/core/src/fixpoint/mod.rs",
+        "crates/core/src/fixpoint/strategy.rs",
         "crates/core/src/wire.rs",
         "crates/core/src/context.rs",
         "crates/server/src/conn.rs",
@@ -84,6 +85,7 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
     let pushed = at("Row::from_slice(", new_row.2 as usize);
     let seeded = at("Row::from_slice(", at("fn push_seed", 0).2 as usize);
     let walked = at("Row::new(", at("fn edge_walk", 0).2 as usize);
+    let unfused = at(".concat(", at("fn run_unfused", 0).2 as usize);
     // `join` and `emit` are the block executor's functions ...
     let (diags, suppressed) = lint_file_counting("crates/exec/src/pipeline.rs", src);
     assert_eq!(
@@ -94,12 +96,20 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
     // `push_block`, `assemble`, `push_seed` and `edge_walk` are not among
     // them; `run_unfused` and the test module never are.
     assert_eq!(suppressed, 0);
-    // ... the fixpoint's sinks are `push_block` and `assemble`, whose
-    // annotated copy is suppressed, and the seed fold's `push_seed`.
-    let (diags, suppressed) = lint_file_counting("crates/core/src/fixpoint.rs", src);
+    // ... the fixpoint's sinks are the branch run's `push_block`, the state's
+    // `assemble`, whose annotated copy is suppressed, and the seed fold's
+    // `push_seed`, each in its own module ...
+    let fixpoint = |file: &str| format!("crates/core/src/fixpoint/{file}");
+    assert_eq!(spans(&fixpoint("io.rs")), vec![pushed]);
+    let (_, suppressed) = lint_file_counting(&fixpoint("state.rs"), src);
+    assert_eq!((spans(&fixpoint("state.rs")), suppressed), (vec![], 1));
+    assert_eq!(spans(&fixpoint("dense.rs")), vec![seeded]);
+    // ... and the merge is hot path from end to end: every function of its
+    // module is covered, the test module still is not.
+    let (diags, suppressed) = lint_file_counting(&fixpoint("merge.rs"), src);
     assert_eq!(
-        spans("crates/core/src/fixpoint.rs"),
-        vec![pushed, seeded],
+        spans(&fixpoint("merge.rs")),
+        vec![to_vec, concat, new_row, pushed, seeded, walked, unfused],
         "{diags:#?}"
     );
     assert_eq!(suppressed, 1);
@@ -144,44 +154,6 @@ fn rl0008_flags_index_builds_in_core_outside_the_store_feeder() {
 }
 
 #[test]
-fn rl0009_flags_round_loop_bookkeeping_outside_drive() {
-    let src = include_str!("fixtures/rl0009_round_loop.rs");
-    let (diags, suppressed) = lint_file_counting("crates/core/src/fixpoint.rs", src);
-    let spans: Vec<_> = diags
-        .iter()
-        .map(|d| (d.code, d.span.start, d.span.end))
-        .collect();
-    assert_eq!(
-        spans,
-        vec![
-            (LintCode::RoundLoopOutsideDrive, 346, 359),
-            (LintCode::RoundLoopOutsideDrive, 544, 571),
-            (LintCode::RoundLoopOutsideDrive, 761, 779),
-            (LintCode::RoundLoopOutsideDrive, 865, 881),
-            (LintCode::RoundLoopOutsideDrive, 944, 961),
-        ],
-        "{diags:#?}"
-    );
-    assert_eq!(&src[346..359], "begin_clique(");
-    assert_eq!(&src[544..571], "EngineError::NonTermination");
-    assert_eq!(&src[761..779], "metrics.iterations");
-    assert_eq!(&src[865..881], "metrics.restores");
-    assert_eq!(&src[944..961], "record_iteration(");
-    // fn `drive` does all five and is exempt, the annotated worker-side
-    // report is suppressed, other metrics and the test module are not matched.
-    assert_eq!(suppressed, 1);
-    assert!(diags[0].help.as_deref().unwrap().contains("drive"));
-    // Only `core::fixpoint` is covered: the trace sink defines these calls.
-    for path in ["crates/exec/src/trace.rs", "crates/core/src/context.rs"] {
-        let other: Vec<_> = lint_file(path, src)
-            .into_iter()
-            .filter(|d| d.code == LintCode::RoundLoopOutsideDrive)
-            .collect();
-        assert!(other.is_empty(), "{path} is not covered");
-    }
-}
-
-#[test]
 fn rl0011_flags_statement_bookkeeping_outside_its_lifecycle_function() {
     let src = include_str!("fixtures/rl0011_statement_lifecycle.rs");
     let (diags, suppressed) = lint_file_counting("crates/core/src/context.rs", src);
@@ -214,7 +186,7 @@ fn rl0011_flags_statement_bookkeeping_outside_its_lifecycle_function() {
         diags[2].message
     );
     // Only `core::context` is covered.
-    for path in ["crates/core/src/fixpoint.rs", "crates/core/src/session.rs"] {
+    for path in ["crates/core/src/eval.rs", "crates/core/src/session.rs"] {
         let other: Vec<_> = lint_file(path, src)
             .into_iter()
             .filter(|d| d.code == LintCode::StatementOutsideLifecycle)
@@ -230,7 +202,7 @@ fn clean_fixture_is_clean_everywhere() {
         "crates/exec/src/pipeline.rs",
         "crates/core/src/context.rs",
         "crates/core/src/wire.rs",
-        "crates/core/src/fixpoint.rs",
+        "crates/core/src/fixpoint/merge.rs",
         "crates/server/src/conn.rs",
     ] {
         let (diags, suppressed) = lint_file_counting(path, src);
@@ -320,15 +292,35 @@ fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
     assert_eq!(found("crates/plan/src/expr.rs"), (vec![double], 0));
     let boxed = at("Row::new(", double.1);
     assert_eq!(found("crates/exec/src/state.rs"), (vec![boxed], 0));
-    // The fixpoint's block sink builds a value and a row per tuple and
-    // clones the value; its `gather` copies a cell under an annotation.
+    // The branch run's block sink builds a value and a row per tuple and
+    // clones the value.
     let one = at("Value::Int(", boxed.1);
     let row_per_tuple = at("Row::from_slice(", one.1);
     let cloned = at(".clone()", row_per_tuple.1);
     assert_eq!(
-        found("crates/core/src/fixpoint.rs"),
-        (vec![one, row_per_tuple, cloned], 1)
+        found("crates/core/src/fixpoint/io.rs"),
+        (vec![one, row_per_tuple, cloned], 0)
     );
+    // Every function of the merge's module is covered: the cold edge's
+    // `to_rows` and `eval_vals` too, and the two annotated cell copies are
+    // suppressed; the test module is not covered.
+    let cold_row = at("Row::new(", cloned.1);
+    let cold_value = at("Value::Int(", cold_row.1);
+    let cold_clone = at(".clone()", cold_value.1);
+    let every = vec![
+        key,
+        clone,
+        row,
+        double,
+        boxed,
+        one,
+        row_per_tuple,
+        cloned,
+        cold_row,
+        cold_value,
+        cold_clone,
+    ];
+    assert_eq!(found("crates/core/src/fixpoint/merge.rs"), (every, 2));
     // `to_rows`, `eval_vals` and the test module are nobody's hot function,
     // and other modules are not covered.
     for path in ["crates/core/src/eval.rs", "crates/exec/src/checkpoint.rs"] {
