@@ -772,43 +772,30 @@ mod tests {
 
     #[test]
     fn parallel_speedup_is_real() {
-        // Sanity check that tasks actually run concurrently: 4 tasks of ~20ms
-        // on 4 workers should take well under 4×20ms. Timing is only
-        // meaningful with real parallelism, so skip on single-core hosts.
-        if std::thread::available_parallelism()
-            .map(|n| n.get())
-            .unwrap_or(1)
-            < 2
-        {
-            return;
-        }
-        // `black_box` keeps the optimizer from folding either loop, and no
-        // simulated stage latency is added to the parallel side.
-        let work = || {
-            let mut acc = 0u64;
-            for x in 0..24_000_000u64 {
-                let x = std::hint::black_box(x);
-                acc = acc.wrapping_add(x * x);
-            }
-            acc
-        };
+        // The tasks of one stage run at once, one per worker: each of four
+        // tasks arrives at a shared counter, then waits (yielding, up to a
+        // 10 s deadline) until all four have arrived. Tasks run one after
+        // another would each wait alone until the deadline, so every task
+        // seeing four proves the overlap on any number of cores.
         let c = Cluster::new(ClusterConfig {
             stage_latency: Duration::ZERO,
             ..ClusterConfig::with_workers(4)
         });
-        let t0 = std::time::Instant::now();
-        c.run_stage(
-            (0..4)
-                .map(|i| StageTask::new(i, move |_w| work()))
-                .collect::<Vec<StageTask<u64>>>(),
-        )
-        .unwrap();
-        let par = t0.elapsed();
-        let t1 = std::time::Instant::now();
-        for _ in 0..4 {
-            std::hint::black_box(work());
-        }
-        let ser = t1.elapsed();
-        assert!(par < ser, "parallel {par:?} not faster than serial {ser:?}");
+        let arrived = Arc::new(std::sync::atomic::AtomicUsize::new(0));
+        let tasks = (0..4)
+            .map(|i| {
+                let arrived = Arc::clone(&arrived);
+                StageTask::new(i, move |_w| {
+                    arrived.fetch_add(1, Ordering::SeqCst);
+                    let deadline = Instant::now() + Duration::from_secs(10);
+                    while arrived.load(Ordering::SeqCst) < 4 && Instant::now() < deadline {
+                        std::thread::yield_now();
+                    }
+                    arrived.load(Ordering::SeqCst)
+                })
+            })
+            .collect::<Vec<StageTask<usize>>>();
+        let seen = c.run_stage(tasks).unwrap();
+        assert_eq!(seen, vec![4; 4], "the stage's tasks did not run at once");
     }
 }

@@ -577,6 +577,7 @@ impl<T> Drop for RankedCondvarGuard<'_, T> {
 mod tests {
     use super::*;
 
+    #[cfg(debug_assertions)]
     #[test]
     fn in_order_acquisition_is_silent() {
         let a = RankedMutex::new(LockRank::MatViewRegistry, 1);
@@ -593,6 +594,7 @@ mod tests {
         assert!(held_ranks().is_empty());
     }
 
+    #[cfg(debug_assertions)]
     #[test]
     fn out_of_order_release_unwinds_correctly() {
         let a = RankedMutex::new(LockRank::PlannerCatalog, ());

@@ -13,8 +13,10 @@ cargo build --release --offline --manifest-path perf/Cargo.toml
 # answers fails here rather than in a benchmark run.
 cargo test --release --offline -q --manifest-path perf/Cargo.toml
 # Every default member (the facade and the engine crates), lint and
-# model-checker suites included.
-cargo test -q
+# model-checker suites included. `--no-fail-fast` runs every test binary even
+# after one fails (the exit status is still non-zero), so one failure cannot
+# hide the binaries after it.
+cargo test -q --no-fail-fast
 cargo fmt --check
 # Default lints plus a curated pedantic subset the codebase holds itself to.
 # `clippy.toml` disallows raw locks, sleeps and direct durable writes.
