@@ -44,7 +44,16 @@ fn one_statement_worker_per_connection() {
         Client::connect(handle.addr()).unwrap(),
         Client::connect(handle.addr()).unwrap(),
     ];
-    let workers = stmt_workers().unwrap();
+    // A new thread takes its name when it first runs, which on a busy host
+    // may be after its connection answered the handshake.
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let workers = loop {
+        let workers = stmt_workers().unwrap();
+        if workers.len() >= clients.len() || Instant::now() >= deadline {
+            break workers;
+        }
+        std::thread::yield_now();
+    };
     assert_eq!(workers.len(), clients.len(), "{workers:?}");
     for i in 0..200 {
         let client = &mut clients[i % 2];
