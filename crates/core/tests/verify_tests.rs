@@ -3,7 +3,9 @@
 //! surfaces. The span assertions are pinned against the fixture text itself
 //! (`Span::text`), so a lexer regression that shifts offsets fails loudly.
 
-use rasql_core::{library, DiagCode, PremEvidence, RaSqlContext, Severity, StaticVerdict};
+use rasql_core::{
+    library, DiagCode, PremCheckOutcome, PremEvidence, RaSqlContext, Severity, StaticVerdict,
+};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 fn ctx_with_graph() -> RaSqlContext {
@@ -295,4 +297,214 @@ fn diag(diags: &[rasql_core::Diagnostic], code: DiagCode) -> &rasql_core::Diagno
         .iter()
         .find(|d| d.code == code)
         .unwrap_or_else(|| panic!("no {code} diagnostic in {diags:?}"))
+}
+
+// --------------------------------------------------------------------
+// Analysis errors (RA0004) and the order of findings.
+// --------------------------------------------------------------------
+
+/// A recursive TC whose loop joins an unknown table `hop` and negates the
+/// recursive relation: analysis fails, the AST finding still stands.
+const UNANALYZABLE_TC: &str = "WITH recursive tc (Src, Dst) AS \
+       (SELECT Src, Dst FROM edge) UNION \
+       (SELECT tc.Src, hop.Dst FROM tc, hop \
+        WHERE tc.Dst = hop.Src AND NOT tc.Src) \
+     SELECT Src, Dst FROM tc";
+
+#[test]
+fn check_of_an_unanalyzable_query_is_ra0004_after_its_spanned_findings() {
+    let ctx = ctx_with_graph();
+    for sql in [
+        UNANALYZABLE_TC.to_string(),
+        format!("CHECK {UNANALYZABLE_TC}"),
+    ] {
+        let report = ctx.check(&sql).unwrap();
+        assert!(!report.passed(), "{}", report.rendered);
+        let codes: Vec<DiagCode> = (report.verification.diagnostics.iter())
+            .map(|d| d.code)
+            .collect();
+        assert_eq!(
+            codes,
+            vec![DiagCode::NegationInRecursion, DiagCode::AnalysisError],
+            "{}",
+            report.rendered
+        );
+        let negation = diag(
+            &report.verification.diagnostics,
+            DiagCode::NegationInRecursion,
+        );
+        assert_eq!(negation.span.text(&sql), "NOT tc.Src");
+        let analysis = diag(&report.verification.diagnostics, DiagCode::AnalysisError);
+        assert_eq!(analysis.severity, Severity::Error);
+        assert!(analysis.span.is_synthetic());
+        assert_eq!(
+            analysis.message,
+            "analysis failed: unknown table or view 'hop'"
+        );
+        assert_eq!(
+            analysis.help.as_deref(),
+            Some("fix the analysis error; spanned findings above still apply")
+        );
+        // No analysis, no certificate.
+        assert!(report
+            .verification
+            .views
+            .iter()
+            .all(|v| v.certificate.is_none()));
+        assert!(
+            report.rendered.contains("error[RA0004]: analysis failed"),
+            "{}",
+            report.rendered
+        );
+        assert!(
+            report
+                .rendered
+                .contains("CHECK: FAIL (2 error(s), 0 warning(s))"),
+            "{}",
+            report.rendered
+        );
+    }
+    // The statement surface renders the same report.
+    let result = ctx.query(&format!("CHECK {UNANALYZABLE_TC}")).unwrap();
+    let lines: Vec<&str> = (result.relation.rows().iter())
+        .map(|r| r[0].as_str().unwrap())
+        .collect();
+    assert!(
+        lines.iter().any(|l| l.contains("error[RA0001]")),
+        "{lines:?}"
+    );
+    assert!(
+        lines.iter().any(|l| l.contains("error[RA0004]")),
+        "{lines:?}"
+    );
+}
+
+#[test]
+fn dynamic_fallback_of_an_unanalyzable_query_reports_the_analysis_error() {
+    let ctx = ctx_with_graph();
+    // `abs(path.Cost)` has no syntactic monotonicity proof: Unknown, so the
+    // dynamic checker is asked, and it cannot run without an analysis.
+    let sql = "WITH recursive path (Dst, min() AS Cost) AS \
+                 (SELECT 1, 0.0) UNION \
+                 (SELECT hop.Dst, abs(path.Cost) FROM path, hop \
+                  WHERE path.Dst = hop.Src) \
+               SELECT Dst, Cost FROM path";
+    let report = ctx.check(sql).unwrap();
+    let codes: Vec<DiagCode> = (report.verification.diagnostics.iter())
+        .map(|d| d.code)
+        .collect();
+    assert_eq!(
+        codes,
+        vec![DiagCode::PremUnknown, DiagCode::AnalysisError],
+        "{}",
+        report.rendered
+    );
+    assert_eq!(report.prem.len(), 1);
+    match &report.prem[0].evidence {
+        PremEvidence::Dynamic {
+            outcome: PremCheckOutcome::Inconclusive(msg),
+        } => assert_eq!(msg, "unknown table or view 'hop'"),
+        other => panic!("expected an inconclusive dynamic check, got {other:?}"),
+    }
+    assert!(
+        report.rendered.contains(
+            "path.Cost (min): statically Unknown → dynamic: inconclusive — \
+             unknown table or view 'hop'"
+        ),
+        "{}",
+        report.rendered
+    );
+}
+
+/// `(code, span)` of every finding of `CHECK sql`, diagnostics then
+/// maintenance findings, in report order.
+fn findings(ctx: &RaSqlContext, sql: &str) -> Vec<String> {
+    let report = ctx.check(sql).unwrap();
+    let line = |d: &rasql_core::Diagnostic| {
+        if d.span.is_synthetic() {
+            format!("{} -", d.code)
+        } else {
+            format!("{} {:?}", d.code, d.span.text(sql))
+        }
+    };
+    let v = &report.verification;
+    let mut out: Vec<String> = v.diagnostics.iter().map(line).collect();
+    out.push("--".into());
+    out.extend(v.maintenance.iter().map(line));
+    out
+}
+
+#[test]
+fn check_findings_keep_their_order() {
+    let ctx = ctx_with_graph();
+    let table = |name: &str, cols: Vec<(&str, DataType)>, rows: Vec<Row>| {
+        ctx.register(name, Relation::try_new(Schema::new(cols), rows).unwrap())
+            .unwrap();
+    };
+    let s = |v: &str| Value::from(v);
+    table(
+        "organizer",
+        vec![("OrgName", DataType::Str)],
+        vec![Row::new(vec![s("a")])],
+    );
+    table(
+        "friend",
+        vec![("Pname", DataType::Str), ("FName", DataType::Str)],
+        vec![Row::new(vec![s("a"), s("b")])],
+    );
+    table(
+        "shares",
+        vec![
+            ("By", DataType::Str),
+            ("Of", DataType::Str),
+            ("Percent", DataType::Double),
+        ],
+        vec![Row::new(vec![s("a"), s("b"), Value::Double(60.0)])],
+    );
+
+    // Mutual recursion with count() and a threshold on it.
+    assert_eq!(
+        findings(&ctx, &library::party_attendance()),
+        [
+            "RA0101 \"count() AS Ncount\"",
+            "RA0202 \"attend\"",
+            "RA0202 \"cntfriends\"",
+            "--",
+            "RA0301 \"attend\"",
+            "RA0301 \"count() AS Ncount\"",
+        ],
+    );
+    // Mutual recursion with sum().
+    assert_eq!(
+        findings(&ctx, &library::company_control()),
+        [
+            "RA0101 \"sum() AS Tot\"",
+            "RA0202 \"cshares\"",
+            "RA0202 \"control\"",
+            "--",
+            "RA0301 \"cshares\"",
+            "RA0301 \"sum() AS Tot\"",
+        ],
+    );
+    // Two cliques, the first declared reading the second: the verifier
+    // reports them in declaration order, the certificates come in
+    // evaluation order, and the later clique is the stratified one.
+    let two_cliques = "WITH recursive path (Dst, min() AS Cost) AS \
+                         (SELECT Dst, 0.0 FROM reach) UNION \
+                         (SELECT edge.Dst, path.Cost + edge.Cost FROM path, edge \
+                          WHERE path.Dst = edge.Src), \
+                       recursive reach (Dst) AS \
+                         (SELECT 1) UNION \
+                         (SELECT edge.Dst FROM reach, edge WHERE reach.Dst = edge.Src) \
+                       SELECT Dst, Cost FROM path";
+    assert_eq!(
+        findings(&ctx, two_cliques),
+        [
+            "RA0101 \"min() AS Cost\"",
+            "RA0202 \"reach\"",
+            "RA0202 \"path\"",
+            "--",
+            "RA0301 \"reach\"",
+        ],
+    );
 }
