@@ -8,12 +8,14 @@
 //! callers (the `CHECK` statement, the shell's `\lint`, `reproduce lint`)
 //! never have to stitch the two systems together.
 
-use crate::context::{read_script, Planned, RaSqlContext, Scope};
+use crate::context::{optimize_statement, read_script, Planned, RaSqlContext, Scope};
 use crate::error::EngineError;
 use crate::prem::{PremCheckOutcome, PremChecker};
 use rasql_parser::ast::{AggFunc, Query, Statement};
 use rasql_parser::parse;
-use rasql_plan::{AnalyzedStatement, Severity, StaticVerdict, VerifyReport};
+use rasql_plan::{
+    AnalyzedQuery, AnalyzedStatement, PlanError, Severity, StaticVerdict, VerifyReport,
+};
 
 /// How a PreM obligation was discharged.
 #[derive(Debug, Clone)]
@@ -153,19 +155,17 @@ impl RaSqlContext {
         scope: &mut Scope<'_>,
     ) -> Result<CheckReport, EngineError> {
         let planned = self.plan(&Statement::Check(q.clone()), scope)?;
-        Ok(self.run_check(q, planned.verification, source, scope))
+        Ok(self.run_check(planned.verification, planned.checked, source))
     }
 
-    /// The shared `CHECK` implementation over the static `verification` of
-    /// `q`: `source` is the text the query's spans index into, and `scope`
-    /// the catalog the dynamic fallback analyzes `q` in — the one
-    /// `verification` was made in.
+    /// The shared `CHECK` implementation over the static `verification` of a
+    /// query and `checked`, the analysis `verification` was made from:
+    /// `source` is the text the query's spans index into.
     pub(crate) fn run_check(
         &self,
-        q: &Query,
         verification: VerifyReport,
+        checked: Option<Result<AnalyzedQuery, PlanError>>,
         source: &str,
-        scope: &mut Scope<'_>,
     ) -> CheckReport {
         // Dynamic fallback: run the lock-step checker once if any obligation
         // is statically unknown, and share the outcome across those columns.
@@ -174,9 +174,12 @@ impl RaSqlContext {
             .iter()
             .flat_map(|v| &v.prem)
             .any(|o| o.verdict == StaticVerdict::Unknown);
-        let dynamic_outcome = any_unknown.then(|| {
-            self.plan(&Statement::Query(q.clone()), scope)
-                .and_then(|planned| PremChecker::new(self).check_analyzed(planned.statement))
+        let dynamic_outcome = checked.filter(|_| any_unknown).map(|analysis| {
+            let checker = PremChecker::new(self);
+            (analysis.map_err(EngineError::from))
+                .and_then(|q| {
+                    checker.check_analyzed(optimize_statement(AnalyzedStatement::Query(q)))
+                })
                 .unwrap_or_else(|e| PremCheckOutcome::Inconclusive(e.to_string()))
         });
 

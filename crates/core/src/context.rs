@@ -13,8 +13,8 @@ use rasql_exec::{
 use rasql_parser::ast::Query;
 use rasql_parser::{parse_statements, Statement};
 use rasql_plan::{
-    analyze_statement, optimize, optimize_spec, verify_query, AnalyzedQuery, AnalyzedStatement,
-    LogicalPlan, PlanError, VerifyReport, ViewCatalog,
+    analyze_query, analyze_statement, optimize, optimize_spec, verify_query, AnalyzedQuery,
+    AnalyzedStatement, LogicalPlan, PlanError, VerifyReport, ViewCatalog,
 };
 use rasql_storage::snapshot::{encode_state, read_snapshot, sweep_stray_temp};
 use rasql_storage::sync::{LockRank, RankedMutex};
@@ -130,6 +130,9 @@ pub(crate) struct Planned {
     /// The static verifier's report on the query the statement wraps (empty
     /// for a plain query, which runs without one).
     pub(crate) verification: VerifyReport,
+    /// The analysis of the query a `CHECK` wraps, or why there is none —
+    /// what its dynamic PreM fallback runs on. `None` for anything else.
+    pub(crate) checked: Option<Result<AnalyzedQuery, PlanError>>,
 }
 
 /// What running a statement measured — its [`QueryStats`] except the wall
@@ -811,6 +814,7 @@ impl RaSqlContext {
         let Planned {
             statement,
             verification,
+            checked,
         } = self.plan(stmt, scope)?;
         let parent = scope.parent;
         let (relation, run) = match statement {
@@ -833,12 +837,12 @@ impl RaSqlContext {
                     } else {
                         "plan"
                     };
-                    let text = self.explain_text(&inner, verification, source, scope);
+                    let text = self.explain_text(&inner, verification, checked, source);
                     (text_relation(column, &text), Run::default())
                 }
             },
-            S::Check(q) => {
-                let report = self.run_check(&q, verification, source, scope);
+            S::Check(_) => {
+                let report = self.run_check(verification, checked, source);
                 (text_relation("check", &report.rendered), Run::default())
             }
             // The view landed in the scope when it was planned.
@@ -941,12 +945,20 @@ impl RaSqlContext {
         let verified = innermost_query(stmt).filter(|_| !matches!(stmt, Statement::Query(_)));
         let analyzed = self.in_catalog(scope, stmt, |catalog| {
             let analyzed = analyze_statement(stmt, catalog)?;
-            let verification = verified
-                .map(|q| verify_query(q, catalog))
+            // A CHECK keeps its AST, so its query is analyzed here, once (the
+            // analysis may fail); whatever else wraps a query carries its own.
+            let checked = match innermost(stmt) {
+                Statement::Check(q) => Some(analyze_query(q, catalog)),
+                _ => None,
+            };
+            let analysis = (checked.as_ref().map(Result::as_ref))
+                .or_else(|| analyzed_query(&analyzed).map(Ok));
+            let verification = (verified.zip(analysis))
+                .map(|(q, analysis)| verify_query(q, analysis))
                 .unwrap_or_default();
-            Ok((analyzed, verification))
+            Ok((analyzed, verification, checked))
         });
-        let (analyzed, verification) = analyzed.map_err(|e| {
+        let (analyzed, verification, checked) = analyzed.map_err(|e| {
             if defines_matview(stmt) {
                 scope.private_view_error(e)
             } else {
@@ -960,6 +972,7 @@ impl RaSqlContext {
         Ok(Planned {
             statement,
             verification,
+            checked,
         })
     }
 
@@ -1658,9 +1671,10 @@ impl RaSqlContext {
             let Planned {
                 statement,
                 verification,
+                checked,
             } = self.plan(&explain, scope)?;
             if let AnalyzedStatement::Explain { inner, .. } = statement {
-                out.push_str(&self.explain_text(&inner, verification, sql, scope));
+                out.push_str(&self.explain_text(&inner, verification, checked, sql));
             }
             Ok(())
         })?;
@@ -1675,11 +1689,11 @@ impl RaSqlContext {
         &self,
         inner: &AnalyzedStatement,
         verification: VerifyReport,
+        checked: Option<Result<AnalyzedQuery, PlanError>>,
         source: &str,
-        scope: &mut Scope<'_>,
     ) -> String {
-        if let AnalyzedStatement::Check(q) = inner {
-            return self.run_check(q, verification, source, scope).rendered;
+        if let AnalyzedStatement::Check(_) = inner {
+            return self.run_check(verification, checked, source).rendered;
         }
         let mut text = render_plan(inner);
         if matches!(
@@ -1777,7 +1791,7 @@ pub(crate) fn read_script<'a>(
 /// Phase 3: every plan a statement carries, optimized once — what the
 /// result-cache key, the execution, `EXPLAIN` and a stored materialized view
 /// then all read.
-fn optimize_statement(analyzed: AnalyzedStatement) -> AnalyzedStatement {
+pub(crate) fn optimize_statement(analyzed: AnalyzedStatement) -> AnalyzedStatement {
     use AnalyzedStatement as S;
     let query = |q: AnalyzedQuery| AnalyzedQuery {
         cliques: q.cliques.into_iter().map(optimize_spec).collect(),
@@ -2157,6 +2171,17 @@ fn innermost(stmt: &Statement) -> &Statement {
 /// state, resolved where recovery replays it.
 fn defines_matview(stmt: &Statement) -> bool {
     matches!(innermost(stmt), Statement::CreateMaterializedView { .. })
+}
+
+/// The analyzed query an analyzed statement ultimately wraps (through any
+/// `EXPLAIN` layers): a query's, or a materialized view's defining one.
+fn analyzed_query(analyzed: &AnalyzedStatement) -> Option<&AnalyzedQuery> {
+    match analyzed {
+        AnalyzedStatement::Explain { inner, .. } => analyzed_query(inner),
+        AnalyzedStatement::Query(q)
+        | AnalyzedStatement::CreateMaterializedView { query: q, .. } => Some(q),
+        _ => None,
+    }
 }
 
 /// The query AST a statement ultimately wraps (through any `EXPLAIN` /

@@ -318,11 +318,7 @@ pub fn analyze_statement(
 /// Fold a literal expression (including a leading minus) to a [`Value`].
 fn fold_literal_expr(e: &Expr) -> Option<Value> {
     match e {
-        Expr::Literal(Literal::Int(v)) => Some(Value::Int(*v)),
-        Expr::Literal(Literal::Double(v)) => Some(Value::Double(*v)),
-        Expr::Literal(Literal::Str(s)) => Some(Value::from(s.as_str())),
-        Expr::Literal(Literal::Bool(b)) => Some(Value::Bool(*b)),
-        Expr::Literal(Literal::Null) => Some(Value::Null),
+        Expr::Literal(l) => Some(literal_value(l)),
         Expr::Unary {
             op: UnaryOp::Neg,
             expr,
@@ -429,37 +425,14 @@ impl<'a> Analyzer<'a> {
 
     /// Analyze a full query.
     pub fn analyze(mut self, query: &Query) -> Result<AnalyzedQuery, PlanError> {
-        // --- Step 1: dependency graph over CTEs (by FROM references). ---
-        let n = query.ctes.len();
-        let name_to_idx: HashMap<String, usize> = query
-            .ctes
-            .iter()
-            .enumerate()
-            .map(|(i, c)| (c.name.to_ascii_lowercase(), i))
-            .collect();
-        let mut deps: Vec<Vec<usize>> = vec![Vec::new(); n];
-        for (i, cte) in query.ctes.iter().enumerate() {
-            let mut refs = Vec::new();
-            for b in &cte.branches {
-                collect_table_refs(b, &mut refs);
-            }
-            for r in refs {
-                if let Some(&j) = name_to_idx.get(&r.to_ascii_lowercase()) {
-                    if !deps[i].contains(&j) {
-                        deps[i].push(j);
-                    }
-                }
-            }
-        }
-
-        // --- Step 2: SCCs in topological order. ---
-        let sccs = tarjan_sccs(n, &deps);
-        for scc in sccs {
-            let self_recursive = scc.len() > 1 || deps[scc[0]].contains(&scc[0]);
-            if self_recursive {
-                self.analyze_clique(&scc.iter().map(|&i| &query.ctes[i]).collect::<Vec<_>>())?;
+        // --- Steps 1–2: the CTE reference graph's SCCs, in topological order. ---
+        let components = cte_components(&query.ctes);
+        for scc in &components {
+            if scc.recursive {
+                let ctes: Vec<&CteDef> = scc.members.iter().map(|&i| &query.ctes[i]).collect();
+                self.analyze_clique(&ctes)?;
             } else {
-                let cte = &query.ctes[scc[0]];
+                let cte = &query.ctes[scc.members[0]];
                 let plan = self
                     .analyze_union(&cte.branches, None)
                     .map_err(|e| to_plan_err(e, &cte.name))?;
@@ -472,7 +445,7 @@ impl<'a> Analyzer<'a> {
         // verdict (Proven / Refuted / Unknown). Kernel selection reads this
         // off the spec; `Unknown` stays for columns the syntactic proof
         // cannot decide.
-        let verdicts = crate::verify::static_prem_verdicts(query);
+        let verdicts = crate::verify::static_prem_verdicts(query, &components);
         for clique in &mut self.cliques {
             for view in &mut clique.views {
                 let name = view.name.to_ascii_lowercase();
@@ -820,18 +793,17 @@ impl<'a> Analyzer<'a> {
                 name,
                 schema,
                 source,
-                offset: 0,
             });
         }
-        let mut offset = 0;
+        let mut offsets = Vec::with_capacity(bindings.len());
         let mut fields = Vec::new();
-        for b in &mut bindings {
-            b.offset = offset;
-            offset += b.schema.arity();
+        for b in &bindings {
+            offsets.push(Some(fields.len()));
             fields.extend(b.schema.fields().iter().cloned());
         }
         Ok(Scope {
             bindings,
+            offsets,
             combined: Schema::from_fields(fields),
         })
     }
@@ -1038,6 +1010,7 @@ impl<'a> Analyzer<'a> {
         }
         let empty = Scope {
             bindings: vec![],
+            offsets: vec![],
             combined: Schema::empty(),
         };
         let mut values = Vec::new();
@@ -1234,9 +1207,9 @@ impl<'a> Analyzer<'a> {
             }
         }
 
-        let mut conjuncts: Vec<Expr> = Vec::new();
+        let mut conjuncts = Vec::new();
         if let Some(w) = &select.where_clause {
-            split_ast_conjuncts(w, &mut conjuncts);
+            split_conjuncts(w, &mut conjuncts);
         }
 
         let mut programs = Vec::new();
@@ -1264,7 +1237,7 @@ impl<'a> Analyzer<'a> {
         target_aggs: &[(usize, AggFunc)],
         all_agg_cols: &[Vec<usize>],
         proj: &[Expr],
-        conjuncts: &[Expr],
+        conjuncts: &[&Expr],
         driver_pos: usize,
         driver_rank: usize,
         rec_positions: &[usize],
@@ -1278,20 +1251,11 @@ impl<'a> Analyzer<'a> {
         let mut cur_arity = scope.bindings[driver_pos].schema.arity();
         let mut joined: Vec<usize> = vec![driver_pos];
         let mut steps: Vec<BranchStep> = Vec::new();
-        let mut pending: Vec<Expr> = conjuncts.to_vec();
+        let mut pending: Vec<&Expr> = conjuncts.to_vec();
 
         // Local scope that binds names using the join-order offsets.
         let bind_local = |e: &Expr, offsets: &[Option<usize>]| -> ARes<PExpr> {
-            bind_expr_with_offsets(e, scope, offsets)
-        };
-
-        // Which bindings does an AST conjunct reference?
-        let refs_of = |e: &Expr| -> ARes<Vec<usize>> {
-            let mut out = Vec::new();
-            collect_expr_bindings(e, scope, &mut out)?;
-            out.sort_unstable();
-            out.dedup();
-            Ok(out)
+            bind_expr_with_offsets(e, scope, offsets, "in a recursive branch")
         };
 
         // Apply any pending conjuncts fully contained in the joined set.
@@ -1299,9 +1263,9 @@ impl<'a> Analyzer<'a> {
             () => {{
                 let mut remaining = Vec::new();
                 for c in pending.drain(..) {
-                    let refs = refs_of(&c)?;
+                    let refs = expr_bindings(c, scope)?;
                     if refs.iter().all(|b| joined.contains(b)) {
-                        steps.push(BranchStep::Filter(bind_local(&c, &offsets)?));
+                        steps.push(BranchStep::Filter(bind_local(c, &offsets)?));
                     } else {
                         remaining.push(c);
                     }
@@ -1322,7 +1286,7 @@ impl<'a> Analyzer<'a> {
                     continue;
                 }
                 let mut keys = Vec::new();
-                for c in &pending {
+                for &c in &pending {
                     if let Some((stream_e, build_col)) = equi_edge(c, scope, &joined, cand)? {
                         let bound = bind_local(&stream_e, &offsets)?;
                         keys.push((bound, build_col));
@@ -1344,14 +1308,14 @@ impl<'a> Analyzer<'a> {
             };
 
             // Remove consumed equi conjuncts from pending.
-            let consumed: Vec<Expr> = pending
+            let consumed: Vec<&Expr> = pending
                 .iter()
+                .copied()
                 .filter(|c| {
                     equi_edge(c, scope, &joined, cand)
                         .map(|o| o.is_some())
                         .unwrap_or(false)
                 })
-                .cloned()
                 .collect();
             pending.retain(|c| !consumed.contains(c));
 
@@ -1535,11 +1499,12 @@ struct ScopeBinding {
     name: String,
     schema: Schema,
     source: TableSource,
-    offset: usize,
 }
 
 struct Scope {
     bindings: Vec<ScopeBinding>,
+    /// Each binding's offset in the combined layout (FROM order).
+    offsets: Vec<Option<usize>>,
     combined: Schema,
 }
 
@@ -1551,81 +1516,22 @@ impl Scope {
             .ok_or_else(|| AErr::Plan(PlanError::UnknownTable(name.to_string())))
     }
 
-    /// Resolve a column reference to an absolute position.
-    fn resolve_column(&self, qualifier: Option<&str>, name: &str) -> ARes<usize> {
-        match qualifier {
-            Some(q) => {
-                let b = self.binding_by_name(q)?;
-                let idx = b
-                    .schema
-                    .index_of(name)
-                    .ok_or_else(|| PlanError::UnknownColumn(format!("{q}.{name}")))?;
-                Ok(b.offset + idx)
-            }
-            None => {
-                let mut found = None;
-                for b in &self.bindings {
-                    if let Some(idx) = b.schema.index_of(name) {
-                        if found.is_some() {
-                            return Err(AErr::Plan(PlanError::AmbiguousColumn(name.to_string())));
-                        }
-                        found = Some(b.offset + idx);
-                    }
-                }
-                found.ok_or_else(|| AErr::Plan(PlanError::UnknownColumn(name.to_string())))
-            }
-        }
-    }
-
     /// Bind an AST expression to the combined layout.
     fn bind(&self, e: &Expr) -> ARes<PExpr> {
-        match e {
-            Expr::Column {
-                qualifier, name, ..
-            } => Ok(PExpr::Col(self.resolve_column(qualifier.as_deref(), name)?)),
-            Expr::Literal(l) => Ok(PExpr::Lit(literal_value(l))),
-            Expr::Binary { left, op, right } => Ok(PExpr::Binary {
-                left: Box::new(self.bind(left)?),
-                op: *op,
-                right: Box::new(self.bind(right)?),
-            }),
-            Expr::Unary { op, expr, .. } => {
-                let inner = Box::new(self.bind(expr)?);
-                Ok(match op {
-                    UnaryOp::Neg => PExpr::Neg(inner),
-                    UnaryOp::Not => PExpr::Not(inner),
-                })
-            }
-            Expr::IsNull { expr, negated } => Ok(PExpr::IsNull {
-                expr: Box::new(self.bind(expr)?),
-                negated: *negated,
-            }),
-            Expr::Func {
-                name,
-                args,
-                distinct,
-                star,
-                ..
-            } => {
-                if let Some(func) = crate::expr::ScalarFunc::from_name(name) {
-                    if *distinct || *star {
-                        return Err(AErr::Plan(PlanError::Invalid(format!(
-                            "scalar function '{name}' takes plain arguments"
-                        ))));
-                    }
-                    let bound: ARes<Vec<PExpr>> = args.iter().map(|a| self.bind(a)).collect();
-                    return Ok(PExpr::Func { func, args: bound? });
-                }
-                Err(AErr::Plan(PlanError::Unsupported(format!(
-                    "function '{name}' in this position"
-                ))))
-            }
-        }
+        bind_expr_with_offsets(e, self, &self.offsets, "in this position")
     }
 }
 
-/// Bind an expression using join-order offsets (recursive branch layouts).
-fn bind_expr_with_offsets(e: &Expr, scope: &Scope, offsets: &[Option<usize>]) -> ARes<PExpr> {
+/// Bind an expression with each binding at `offsets` (the combined layout,
+/// or a recursive branch's join order); `position` names where a function
+/// that is not a scalar one was found.
+fn bind_expr_with_offsets(
+    e: &Expr,
+    scope: &Scope,
+    offsets: &[Option<usize>],
+    position: &str,
+) -> ARes<PExpr> {
+    let bind = |e: &Expr| bind_expr_with_offsets(e, scope, offsets, position);
     match e {
         Expr::Column {
             qualifier, name, ..
@@ -1640,19 +1546,19 @@ fn bind_expr_with_offsets(e: &Expr, scope: &Scope, offsets: &[Option<usize>]) ->
         }
         Expr::Literal(l) => Ok(PExpr::Lit(literal_value(l))),
         Expr::Binary { left, op, right } => Ok(PExpr::Binary {
-            left: Box::new(bind_expr_with_offsets(left, scope, offsets)?),
+            left: Box::new(bind(left)?),
             op: *op,
-            right: Box::new(bind_expr_with_offsets(right, scope, offsets)?),
+            right: Box::new(bind(right)?),
         }),
         Expr::Unary { op, expr, .. } => {
-            let inner = Box::new(bind_expr_with_offsets(expr, scope, offsets)?);
+            let inner = Box::new(bind(expr)?);
             Ok(match op {
                 UnaryOp::Neg => PExpr::Neg(inner),
                 UnaryOp::Not => PExpr::Not(inner),
             })
         }
         Expr::IsNull { expr, negated } => Ok(PExpr::IsNull {
-            expr: Box::new(bind_expr_with_offsets(expr, scope, offsets)?),
+            expr: Box::new(bind(expr)?),
             negated: *negated,
         }),
         Expr::Func {
@@ -1668,14 +1574,11 @@ fn bind_expr_with_offsets(e: &Expr, scope: &Scope, offsets: &[Option<usize>]) ->
                         "scalar function '{name}' takes plain arguments"
                     ))));
                 }
-                let bound: ARes<Vec<PExpr>> = args
-                    .iter()
-                    .map(|a| bind_expr_with_offsets(a, scope, offsets))
-                    .collect();
+                let bound: ARes<Vec<PExpr>> = args.iter().map(bind).collect();
                 return Ok(PExpr::Func { func, args: bound? });
             }
             Err(AErr::Plan(PlanError::Unsupported(format!(
-                "function '{name}' in a recursive branch"
+                "function '{name}' {position}"
             ))))
         }
     }
@@ -1712,31 +1615,26 @@ fn resolve_binding_col(scope: &Scope, qualifier: Option<&str>, name: &str) -> AR
     }
 }
 
-/// Which bindings an AST expression references.
-fn collect_expr_bindings(e: &Expr, scope: &Scope, out: &mut Vec<usize>) -> ARes<()> {
-    match e {
-        Expr::Column {
+/// The bindings an AST expression references, ascending and without repeats.
+fn expr_bindings(e: &Expr, scope: &Scope) -> ARes<Vec<usize>> {
+    let (mut out, mut failed) = (Vec::new(), None);
+    e.visit(&mut |node| {
+        if let Expr::Column {
             qualifier, name, ..
-        } => {
-            let (b, _) = resolve_binding_col(scope, qualifier.as_deref(), name)?;
-            out.push(b);
-            Ok(())
-        }
-        Expr::Literal(_) => Ok(()),
-        Expr::Binary { left, right, .. } => {
-            collect_expr_bindings(left, scope, out)?;
-            collect_expr_bindings(right, scope, out)
-        }
-        Expr::Unary { expr, .. } | Expr::IsNull { expr, .. } => {
-            collect_expr_bindings(expr, scope, out)
-        }
-        Expr::Func { args, .. } => {
-            for a in args {
-                collect_expr_bindings(a, scope, out)?;
+        } = node
+        {
+            match resolve_binding_col(scope, qualifier.as_deref(), name) {
+                Ok((b, _)) => out.push(b),
+                Err(e) => failed = failed.take().or(Some(e)),
             }
-            Ok(())
         }
+    });
+    if let Some(e) = failed {
+        return Err(e);
     }
+    out.sort_unstable();
+    out.dedup();
+    Ok(out)
 }
 
 /// If `c` is an equality usable as a hash-join edge between the joined set and
@@ -1755,16 +1653,7 @@ fn equi_edge(
     else {
         return Ok(None);
     };
-    let l_refs = {
-        let mut v = Vec::new();
-        collect_expr_bindings(left, scope, &mut v)?;
-        v
-    };
-    let r_refs = {
-        let mut v = Vec::new();
-        collect_expr_bindings(right, scope, &mut v)?;
-        v
-    };
+    let (l_refs, r_refs) = (expr_bindings(left, scope)?, expr_bindings(right, scope)?);
     let try_side = |stream: &Expr,
                     stream_refs: &[usize],
                     build: &Expr,
@@ -1794,18 +1683,18 @@ fn equi_edge(
     try_side(right, &r_refs, left, &l_refs)
 }
 
-/// Split an AST predicate into AND-conjuncts.
-fn split_ast_conjuncts(e: &Expr, out: &mut Vec<Expr>) {
-    if let Expr::Binary {
-        left,
-        op: BinaryOp::And,
-        right,
-    } = e
-    {
-        split_ast_conjuncts(left, out);
-        split_ast_conjuncts(right, out);
-    } else {
-        out.push(e.clone());
+/// Split an AST predicate into its AND-conjuncts.
+pub(crate) fn split_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
+    match e {
+        Expr::Binary {
+            left,
+            op: BinaryOp::And,
+            right,
+        } => {
+            split_conjuncts(left, out);
+            split_conjuncts(right, out);
+        }
+        other => out.push(other),
     }
 }
 
@@ -1902,7 +1791,7 @@ fn rewrite_agg_expr(
 }
 
 /// FROM-referenced table names, recursing through derived tables.
-fn collect_table_refs(select: &Select, out: &mut Vec<String>) {
+pub(crate) fn collect_table_refs(select: &Select, out: &mut Vec<String>) {
     for item in &select.from {
         match item {
             TableRef::Table { name, .. } => out.push(name.clone()),
@@ -2057,6 +1946,49 @@ fn output_name(e: &Expr, alias: Option<&str>, i: usize) -> String {
         Expr::Func { name, .. } => name.clone(),
         _ => format!("col{i}"),
     }
+}
+
+/// A strongly connected component of a query's CTE reference graph.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct CteComponent {
+    /// CTE indices in the component, ascending.
+    pub members: Vec<usize>,
+    /// The component holds a cycle (several members, or one that reads
+    /// itself): a recursive clique.
+    pub recursive: bool,
+}
+
+/// The strongly connected components of the CTE reference graph — an edge
+/// from each CTE to every CTE a branch of it reads in FROM, derived tables
+/// included — in topological order, dependencies first. The analyzer
+/// evaluates the cliques in this order; the verifier reads the same ones.
+pub fn cte_components(ctes: &[CteDef]) -> Vec<CteComponent> {
+    let name_to_idx: HashMap<String, usize> = ctes
+        .iter()
+        .enumerate()
+        .map(|(i, c)| (c.name.to_ascii_lowercase(), i))
+        .collect();
+    let mut deps: Vec<Vec<usize>> = vec![Vec::new(); ctes.len()];
+    for (i, cte) in ctes.iter().enumerate() {
+        let mut refs = Vec::new();
+        for b in &cte.branches {
+            collect_table_refs(b, &mut refs);
+        }
+        for r in refs {
+            if let Some(&j) = name_to_idx.get(&r.to_ascii_lowercase()) {
+                if !deps[i].contains(&j) {
+                    deps[i].push(j);
+                }
+            }
+        }
+    }
+    tarjan_sccs(ctes.len(), &deps)
+        .into_iter()
+        .map(|members| {
+            let recursive = members.len() > 1 || deps[members[0]].contains(&members[0]);
+            CteComponent { members, recursive }
+        })
+        .collect()
 }
 
 /// Tarjan's strongly-connected components; returned in topological order

@@ -23,10 +23,13 @@
 //!    recursive view's [`PartitionCertificate`] is surfaced, so `EXPLAIN` and
 //!    `CHECK` show *why* a plan is (in)eligible for decomposed evaluation.
 
-use crate::analyzer::{analyze_query, ViewCatalog};
+use crate::analyzer::{
+    collect_table_refs, cte_components, split_conjuncts, AnalyzedQuery, CteComponent,
+};
 use crate::branch::{BranchProgram, BranchStep, JoinBuild};
-use crate::certificate::PartitionCertificate;
+use crate::certificate::{CertificateFailure, PartitionCertificate};
 use crate::diag::{DiagCode, Diagnostic, Severity};
+use crate::error::PlanError;
 use rasql_parser::ast::{
     AggFunc, BinaryOp, CteDef, Expr, Query, Select, SelectItem, TableRef, UnaryOp,
 };
@@ -168,20 +171,13 @@ impl VerifyReport {
     }
 }
 
-/// Run the static verifier over a parsed query.
-pub fn verify_query(q: &Query, catalog: &ViewCatalog) -> VerifyReport {
+/// Run the static verifier over a parsed query and `analysis`, the caller's
+/// one analysis of it: the analyzed query, or the error analysis failed with
+/// (reported as `RA0004`).
+pub fn verify_query(q: &Query, analysis: Result<&AnalyzedQuery, &PlanError>) -> VerifyReport {
     let mut report = VerifyReport::default();
-    let sccs = recursive_components(&q.ctes);
-
-    // Obligation accumulator: (cte index, column index) → running verdict.
-    let mut acc: HashMap<(usize, usize), (StaticVerdict, Vec<String>)> = HashMap::new();
-    for &(vi, ci) in sccs.iter().flat_map(|s| &s.agg_cols) {
-        acc.insert((vi, ci), (StaticVerdict::Proven, Vec::new()));
-    }
-
-    for scc in &sccs {
-        check_clique(q, scc, &mut report.diagnostics, &mut acc);
-    }
+    let sccs = recursive_cliques(q, &cte_components(&q.ctes));
+    let acc = prem_pass(q, &sccs, &mut report.diagnostics);
 
     // Per-view PreM verdicts → diagnostics + report entries.
     for scc in &sccs {
@@ -320,7 +316,7 @@ pub fn verify_query(q: &Query, catalog: &ViewCatalog) -> VerifyReport {
     }
 
     // Certificates come from the analyzed plan, when analysis succeeds.
-    match analyze_query(q, catalog) {
+    match analysis {
         Ok(analyzed) => {
             for clique in &analyzed.cliques {
                 for spec in &clique.views {
@@ -363,13 +359,8 @@ pub fn verify_query(q: &Query, catalog: &ViewCatalog) -> VerifyReport {
                         ),
                         PartitionCertificate::NotPreserved { failure } => {
                             let span = match failure {
-                                crate::certificate::CertificateFailure::NonLinear {
-                                    span, ..
-                                }
-                                | crate::certificate::CertificateFailure::NonSelfRecursive {
-                                    span,
-                                    ..
-                                } => *span,
+                                CertificateFailure::NonLinear { span, .. }
+                                | CertificateFailure::NonSelfRecursive { span, .. } => *span,
                                 _ => view.name_span,
                             };
                             (
@@ -402,19 +393,16 @@ pub fn verify_query(q: &Query, catalog: &ViewCatalog) -> VerifyReport {
 
 /// Static PreM verdicts keyed by `(lowercased view name, head column index)`
 /// — the compile-time evidence kernel selection consults, without the
-/// diagnostic rendering of the full [`verify_query`] pass. Columns of
-/// non-recursive views are absent from the map.
-pub fn static_prem_verdicts(q: &Query) -> HashMap<(String, usize), StaticVerdict> {
-    let sccs = recursive_components(&q.ctes);
-    let mut acc: HashMap<(usize, usize), (StaticVerdict, Vec<String>)> = HashMap::new();
-    for &(vi, ci) in sccs.iter().flat_map(|s| &s.agg_cols) {
-        acc.insert((vi, ci), (StaticVerdict::Proven, Vec::new()));
-    }
-    let mut throwaway = Vec::new();
-    for scc in &sccs {
-        check_clique(q, scc, &mut throwaway, &mut acc);
-    }
-    acc.into_iter()
+/// diagnostic rendering of the full [`verify_query`] pass — over the
+/// analyzer's `components` of `q`. Columns of non-recursive views are absent
+/// from the map.
+pub fn static_prem_verdicts(
+    q: &Query,
+    components: &[CteComponent],
+) -> HashMap<(String, usize), StaticVerdict> {
+    let sccs = recursive_cliques(q, components);
+    prem_pass(q, &sccs, &mut Vec::new())
+        .into_iter()
         .map(|((vi, ci), (verdict, _))| ((q.ctes[vi].name.to_ascii_lowercase(), ci), verdict))
         .collect()
 }
@@ -458,85 +446,52 @@ fn proven_reason(func: AggFunc, col: &str) -> String {
 // --------------------------------------------------------------------
 
 struct RecursiveScc {
-    /// CTE indices in the component, in declaration order.
+    /// CTE indices in the component, ascending.
     members: Vec<usize>,
     /// `(cte index, column index)` of every aggregate head column.
     agg_cols: Vec<(usize, usize)>,
 }
 
-/// Strongly connected components of the CTE reference graph that contain a
-/// cycle — the recursive cliques at the syntax level.
-fn recursive_components(ctes: &[CteDef]) -> Vec<RecursiveScc> {
-    let n = ctes.len();
-    let names: HashMap<String, usize> = ctes
-        .iter()
-        .enumerate()
-        .map(|(i, c)| (c.name.to_ascii_lowercase(), i))
+/// The recursive cliques among the CTE reference graph's `components`, in
+/// order of their first member (the verifier's finding order; a later clique
+/// is a stratified one).
+fn recursive_cliques(q: &Query, components: &[CteComponent]) -> Vec<RecursiveScc> {
+    let mut out: Vec<RecursiveScc> = (components.iter())
+        .filter(|c| c.recursive)
+        .map(|c| RecursiveScc {
+            members: c.members.clone(),
+            agg_cols: (c.members.iter())
+                .flat_map(|&m| {
+                    (q.ctes[m].columns.iter().enumerate())
+                        .filter(|(_, col)| col.agg.is_some())
+                        .map(move |(ci, _)| (m, ci))
+                })
+                .collect(),
+        })
         .collect();
-    let mut reach = vec![vec![false; n]; n];
-    for (i, cte) in ctes.iter().enumerate() {
-        for branch in &cte.branches {
-            let mut refs = Vec::new();
-            table_refs(branch, &mut refs);
-            for r in refs {
-                if let Some(&j) = names.get(&r.to_ascii_lowercase()) {
-                    reach[i][j] = true;
-                }
-            }
-        }
-    }
-    for k in 0..n {
-        for i in 0..n {
-            for j in 0..n {
-                reach[i][j] |= reach[i][k] && reach[k][j];
-            }
-        }
-    }
-    let mut seen = vec![false; n];
-    let mut out = Vec::new();
-    for i in 0..n {
-        if seen[i] || !reach[i][i] {
-            continue;
-        }
-        let members: Vec<usize> = (0..n).filter(|&j| reach[i][j] && reach[j][i]).collect();
-        for &m in &members {
-            seen[m] = true;
-        }
-        let agg_cols = members
-            .iter()
-            .flat_map(|&m| {
-                ctes[m]
-                    .columns
-                    .iter()
-                    .enumerate()
-                    .filter(|(_, c)| c.agg.is_some())
-                    .map(move |(ci, _)| (m, ci))
-            })
-            .collect();
-        out.push(RecursiveScc { members, agg_cols });
-    }
+    out.sort_unstable_by_key(|scc| scc.members[0]);
     out
-}
-
-/// FROM-referenced table names, recursing through derived tables.
-fn table_refs(select: &Select, out: &mut Vec<String>) {
-    for item in &select.from {
-        match item {
-            TableRef::Table { name, .. } => out.push(name.clone()),
-            TableRef::Subquery { query, .. } => {
-                for s in &query.body {
-                    table_refs(s, out);
-                }
-            }
-        }
-    }
 }
 
 // --------------------------------------------------------------------
 // Per-clique checking
 // --------------------------------------------------------------------
 
+/// Obligation accumulator: (cte index, column index) → running verdict.
 type Acc = HashMap<(usize, usize), (StaticVerdict, Vec<String>)>;
+
+/// The static PreM pass: check every clique of `sccs`, pushing its
+/// stratification findings to `diags`; returns each aggregate head column's
+/// verdict and reasons.
+fn prem_pass(q: &Query, sccs: &[RecursiveScc], diags: &mut Vec<Diagnostic>) -> Acc {
+    let mut acc: Acc = (sccs.iter().flat_map(|s| &s.agg_cols))
+        .map(|&col| (col, (StaticVerdict::Proven, Vec::new())))
+        .collect();
+    for scc in sccs {
+        check_clique(q, scc, diags, &mut acc);
+    }
+    acc
+}
 
 fn downgrade(acc: &mut Acc, key: (usize, usize), verdict: StaticVerdict, reason: String) {
     if let Some((v, reasons)) = acc.get_mut(&key) {
@@ -587,7 +542,7 @@ fn check_clique(q: &Query, scc: &RecursiveScc, diags: &mut Vec<Diagnostic>, acc:
 
         for branch in &cte.branches {
             let mut refs = Vec::new();
-            table_refs(branch, &mut refs);
+            collect_table_refs(branch, &mut refs);
             let is_recursive = refs
                 .iter()
                 .any(|r| member_names.contains_key(&r.to_ascii_lowercase()));
@@ -748,15 +703,13 @@ fn check_branch_values(vi: usize, cte: &CteDef, branch: &Select, scope: &Scope<'
     if agg_positions.is_empty() {
         return;
     }
-    if scope.opaque_recursion {
+    let unknown_all = |acc: &mut Acc, reason: &str| {
         for &ci in &agg_positions {
-            downgrade(
-                acc,
-                (vi, ci),
-                StaticVerdict::Unknown,
-                "recursive reference inside a derived table".into(),
-            );
+            downgrade(acc, (vi, ci), StaticVerdict::Unknown, reason.into());
         }
+    };
+    if scope.opaque_recursion {
+        unknown_all(acc, "recursive reference inside a derived table");
         return;
     }
     let exprs: Option<Vec<&Expr>> = branch
@@ -768,25 +721,14 @@ fn check_branch_values(vi: usize, cte: &CteDef, branch: &Select, scope: &Scope<'
         })
         .collect();
     let Some(exprs) = exprs else {
-        for &ci in &agg_positions {
-            downgrade(
-                acc,
-                (vi, ci),
-                StaticVerdict::Unknown,
-                "wildcard projection cannot be aligned with the head columns".into(),
-            );
-        }
+        unknown_all(
+            acc,
+            "wildcard projection cannot be aligned with the head columns",
+        );
         return;
     };
     if exprs.len() != cte.columns.len() {
-        for &ci in &agg_positions {
-            downgrade(
-                acc,
-                (vi, ci),
-                StaticVerdict::Unknown,
-                "projection arity differs from the head".into(),
-            );
-        }
+        unknown_all(acc, "projection arity differs from the head");
         return;
     }
     for (ci, col) in cte.columns.iter().enumerate() {
@@ -836,14 +778,9 @@ fn check_branch_values(vi: usize, cte: &CteDef, branch: &Select, scope: &Scope<'
             None => {
                 // Key columns must not depend on any aggregate column.
                 if tone(exprs[ci], scope) != Tone::Indep {
-                    for &ca in &agg_positions {
-                        downgrade(
-                            acc,
-                            (vi, ca),
-                            StaticVerdict::Unknown,
-                            format!("key column `{}` depends on an aggregate column", col.name),
-                        );
-                    }
+                    let reason =
+                        format!("key column `{}` depends on an aggregate column", col.name);
+                    unknown_all(acc, &reason);
                 }
             }
         }
@@ -971,20 +908,6 @@ fn flip_comparison(op: BinaryOp) -> BinaryOp {
     }
 }
 
-fn split_conjuncts<'a>(e: &'a Expr, out: &mut Vec<&'a Expr>) {
-    match e {
-        Expr::Binary {
-            left,
-            op: BinaryOp::And,
-            right,
-        } => {
-            split_conjuncts(left, out);
-            split_conjuncts(right, out);
-        }
-        other => out.push(other),
-    }
-}
-
 fn agg_refs(e: &Expr, scope: &Scope<'_>) -> Vec<(usize, usize)> {
     let mut out = Vec::new();
     e.visit(&mut |node| {
@@ -1034,7 +957,7 @@ impl<'a> Scope<'a> {
                 TableRef::Subquery { query, .. } => {
                     let mut refs = Vec::new();
                     for s in &query.body {
-                        table_refs(s, &mut refs);
+                        collect_table_refs(s, &mut refs);
                     }
                     if refs
                         .iter()
