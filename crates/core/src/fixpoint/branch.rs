@@ -122,8 +122,8 @@ impl<C: Cell> CompiledBranch<C> {
     pub(super) fn new(
         prog: &BranchProgram,
         evals: BranchEvals<C>,
-        mut build: impl FnMut(usize, &JoinBuild, &JoinShape<C>) -> Result<BuildSide<C>, Stop>,
-    ) -> Result<Self, Stop> {
+        mut build: impl FnMut(usize, &JoinBuild, &JoinShape<C>) -> Result<BuildSide<C>, Halt>,
+    ) -> Result<Self, Halt> {
         let mut ops = Vec::with_capacity(prog.steps.len());
         let mut uses_recursive_build = false;
         for (si, (step, eval)) in prog.steps.iter().zip(evals.steps).enumerate() {

@@ -251,17 +251,12 @@ impl<'a> FixpointExecutor<'a> {
                     .collect(),
             ),
             op: PhantomData::<Op>,
-            escaped: false,
         };
         let iterations = match self.drive(&mut dense, 0) {
             Ok(iterations) => iterations,
-            Err(_) if dense.escaped => {
-                if let Some(t) = self.eval().trace {
-                    t.abandon_clique();
-                }
-                return Ok(None);
-            }
-            Err(e) => return Err(e),
+            // A value left `i64`: the interpreter evaluates the clique.
+            Err(Halt::Escaped) => return Ok(None),
+            Err(h) => return Err(h.into()),
         };
 
         // A vertex is occupied only in its owner partition. A kernel view's
@@ -355,9 +350,6 @@ struct Dense<'e, 'a, S: DenseState<Op>, Op, F> {
     pending: Arc<Vec<Vec<Vec<S::Item>>>>,
     parts: Arc<Vec<RankedMutex<(S, Combiner)>>>,
     op: PhantomData<Op>,
-    /// Set when a value left `i64`: the error that ends the round loop then
-    /// means "evaluate the clique on the interpreter", not a failed query.
-    escaped: bool,
 }
 
 impl<S, Op, F> RoundStep for Dense<'_, '_, S, Op, F>
@@ -397,13 +389,7 @@ where
         // Each task returns the delta rows it consumed and its combined
         // contributions, bucketed by destination partition.
         let results = exec.stage("fixpoint kernel", StageKind::Combined, tasks)?;
-        let Ok(results) = results.into_iter().collect::<Result<Vec<_>, Escaped>>() else {
-            self.escaped = true;
-            return Err(Halt::Fatal(EngineError::Other(format!(
-                "view '{}': a value left i64 in kernel {}",
-                self.view, self.kernel
-            ))));
-        };
+        let results = results.into_iter().collect::<Result<Vec<_>, Escaped>>()?;
 
         let delta_rows: u64 = results.iter().map(|(n, _)| *n).sum();
         let total_rows = (self.parts.iter())

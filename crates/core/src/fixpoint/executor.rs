@@ -28,6 +28,11 @@ pub(super) enum Halt {
     /// A decomposed local fixpoint ran past the iteration cap on its
     /// worker; [`FixpointExecutor::drive`] reports it as its own cap.
     Capped,
+    /// A value left its word lane, or `i64` in a kernel: nothing of the run
+    /// is kept, and the clique is evaluated again on the next representation
+    /// (value cells, or the interpreter). [`FixpointExecutor::drive`]
+    /// abandons its clique record and lets the escape out.
+    Escaped,
     /// Anything else ends the query.
     Fatal(EngineError),
 }
@@ -35,6 +40,26 @@ pub(super) enum Halt {
 impl From<EngineError> for Halt {
     fn from(e: EngineError) -> Self {
         Halt::Fatal(e)
+    }
+}
+
+impl From<Escaped> for Halt {
+    fn from(_: Escaped) -> Self {
+        Halt::Escaped
+    }
+}
+
+impl From<Halt> for EngineError {
+    /// The error a halt ends the query with where nothing recovers from it.
+    fn from(h: Halt) -> Self {
+        match h {
+            Halt::Lost(e) => EngineError::Exec(e),
+            Halt::Fatal(e) => e,
+            // Only a step halts so, and `drive` answers both.
+            Halt::Capped | Halt::Escaped => {
+                EngineError::Other("a fixpoint step halted outside its round loop".into())
+            }
+        }
     }
 }
 
@@ -155,7 +180,7 @@ impl<'a> FixpointExecutor<'a> {
     pub(super) fn on_words_or_rows<T>(
         &self,
         tally: bool,
-        mut run: impl FnMut(bool) -> Result<Option<T>, Stop>,
+        mut run: impl FnMut(bool) -> Result<Option<T>, Halt>,
     ) -> Result<T, EngineError> {
         let metrics = &self.eval.cluster.metrics;
         match run(true) {
@@ -166,28 +191,25 @@ impl<'a> FixpointExecutor<'a> {
                 return Ok(result);
             }
             Ok(None) => {}
-            Err(Stop::Escaped) => {
+            Err(Halt::Escaped) => {
                 if tally {
                     Metrics::add(&metrics.lane_escapes, 1);
                 }
-                if let Some(t) = self.eval.trace {
-                    t.abandon_clique();
-                }
             }
-            Err(Stop::Failed(e)) => return Err(e),
+            Err(h) => return Err(h.into()),
         }
         match run(false) {
             Ok(Some(result)) => Ok(result),
-            Err(Stop::Failed(e)) => Err(e),
-            Ok(None) | Err(Stop::Escaped) => Err(EngineError::Other(
+            Ok(None) | Err(Halt::Escaped) => Err(EngineError::Other(
                 "the row representation declined a clique".into(),
             )),
+            Err(h) => Err(h.into()),
         }
     }
 
     /// Evaluate the clique on representation `C`; `None` when `C` declines
     /// it (before anything was evaluated).
-    fn run_on<C: Repr>(&self, spec: &FixpointSpec) -> Result<Option<FixpointResult>, Stop> {
+    fn run_on<C: Repr>(&self, spec: &FixpointSpec) -> Result<Option<FixpointResult>, Halt> {
         let Some(views) = self.view_runtimes::<C>(spec, self.config.decomposed_plans)? else {
             return Ok(None);
         };
@@ -198,16 +220,15 @@ impl<'a> FixpointExecutor<'a> {
         let clique = self.compile_clique(spec, &views, evals)?;
         // The base cases: round-0 contributions.
         let base = self.base_buckets(spec, &views)?;
-        let escaped = Arc::clone(&clique.escaped);
-        let driven = if views.iter().any(|v| v.decomposed) {
+        let iterations = if views.iter().any(|v| v.decomposed) {
             self.drive(&mut Decomposed::new(clique, base), 0)
         } else {
             match self.config.eval_mode {
                 EvalMode::SemiNaive => self.drive(&mut SemiNaive::new(clique, base), 0),
                 EvalMode::Naive => self.drive(&mut Naive::new(clique, base), 0),
             }
-        };
-        let iterations = self.converged(driven, &escaped, &views)?;
+        }?;
+        self.converged(&views);
         // The state moves into the result a partition at a time — a set's
         // arena as it is — for nothing reads it after the last round.
         let views = (views.iter())
@@ -231,7 +252,7 @@ impl<'a> FixpointExecutor<'a> {
         spec: &FixpointSpec,
         views: &Arc<Vec<ViewRt<C>>>,
         evals: Vec<BranchEvals<C>>,
-    ) -> Result<Clique<'e, 'a, C>, Stop> {
+    ) -> Result<Clique<'e, 'a, C>, Halt> {
         let progs = (spec.views.iter().enumerate())
             .flat_map(|(vi, v)| v.recursive.iter().map(move |p| (vi, p)));
         let mut branches: Vec<CompiledBranch<C>> = Vec::new();
@@ -242,7 +263,6 @@ impl<'a> FixpointExecutor<'a> {
             exec: StepCx(self),
             views: Arc::clone(views),
             branches: Arc::new(branches),
-            escaped: Arc::new(AtomicBool::new(false)),
         })
     }
 
@@ -343,7 +363,7 @@ impl<'a> FixpointExecutor<'a> {
         &self,
         spec: &FixpointSpec,
         views: &[ViewRt<C>],
-    ) -> Result<Buckets<C>, Stop> {
+    ) -> Result<Buckets<C>, Halt> {
         let p = self.config.partitions;
         let mut buckets = empty_buckets(views, p);
         for (vi, v) in spec.views.iter().enumerate() {
@@ -357,7 +377,7 @@ impl<'a> FixpointExecutor<'a> {
     /// A view's base tuples: its base branches combine by set UNION, so
     /// they are deduplicated, in first-occurrence order. The base plans'
     /// rows are only read — nothing is allocated for a tuple.
-    fn eval_base<C: Repr>(&self, v: &ViewSpec, rt: &ViewRt<C>) -> Result<Tuples<C>, Stop> {
+    fn eval_base<C: Repr>(&self, v: &ViewSpec, rt: &ViewRt<C>) -> Result<Tuples<C>, Halt> {
         let mut distinct = TupleSet::new(rt.kinds.clone());
         let mut tuple = Vec::new();
         for plan in &v.base {
@@ -442,20 +462,9 @@ impl<'a> StepCx<'_, 'a> {
 }
 
 impl<'a> FixpointExecutor<'a> {
-    /// How a run on representation `C` ended: its iterations when it
-    /// converged; a run that stopped because a value left its lane is
-    /// reported as such.
-    pub(super) fn converged<C: Repr>(
-        &self,
-        driven: Result<u32, EngineError>,
-        escaped: &AtomicBool,
-        views: &[ViewRt<C>],
-    ) -> Result<u32, Stop> {
-        let iterations = match driven {
-            Ok(iterations) => iterations,
-            Err(_) if escaped.load(Ordering::SeqCst) => return Err(Stop::Escaped),
-            Err(e) => return Err(Stop::Failed(e)),
-        };
+    /// A run on representation `C` converged: name its tuples in the trace
+    /// and count its views' key indexes.
+    pub(super) fn converged<C: Repr>(&self, views: &[ViewRt<C>]) {
         if let Some(t) = self.eval.trace {
             t.set_tuples(C::TUPLES);
         }
@@ -465,7 +474,6 @@ impl<'a> FixpointExecutor<'a> {
                 ViewState::Agg(a) => a.key_index(),
             }]);
         }
-        Ok(iterations)
     }
 
     /// Count the key indexes laid out by position, and their re-layouts.
@@ -503,8 +511,8 @@ impl<'a> FixpointExecutor<'a> {
                 Some(StepEval::Join(_, join)) => match self.co_partitioned_index::<u64>(plan, join)
                 {
                     Ok(_) => true,
-                    Err(Stop::Escaped) => false,
-                    Err(Stop::Failed(e)) => return Err(e),
+                    Err(Halt::Escaped) => false,
+                    Err(h) => return Err(h.into()),
                 },
                 _ => false,
             };
@@ -522,13 +530,13 @@ impl<'a> FixpointExecutor<'a> {
         &self,
         plan: &LogicalPlan,
         join: &JoinShape<C>,
-    ) -> Result<Vec<Arc<C::Table>>, Stop> {
+    ) -> Result<Vec<Arc<C::Table>>, Halt> {
         let layout = C::layout(self.config.partitions, join);
         let Some(index) = self.eval.fetch_index(plan, &join.keys, layout, true)? else {
-            return Err(Stop::Escaped);
+            return Err(Halt::Escaped);
         };
         let parts = C::parts(index).ok_or_else(|| {
-            Stop::Failed(EngineError::Other(
+            Halt::Fatal(EngineError::Other(
                 "index store answered a fetch with another layout".into(),
             ))
         })?;
@@ -546,7 +554,7 @@ impl<'a> FixpointExecutor<'a> {
         evals: BranchEvals<C>,
         views: &[ViewRt<C>],
         owner: usize,
-    ) -> Result<CompiledBranch<C>, Stop> {
+    ) -> Result<CompiledBranch<C>, Halt> {
         let p = self.config.partitions;
         let driver = &views[owner];
         let co_partitioned =
@@ -616,7 +624,8 @@ impl<'a> FixpointExecutor<'a> {
     /// cancellation check, the governor's inter-round charge, the checkpoint
     /// cadence, recovery from a lost stage, the iteration cap, the iteration
     /// and shuffle metrics and the per-round trace record. Returns the
-    /// iterations until the fixpoint.
+    /// iterations until the fixpoint; halts only with [`Halt::Escaped`] (the
+    /// clique record abandoned) or [`Halt::Fatal`].
     ///
     /// `start_round` is 0 for a run from the base case (stamped 0); a
     /// delta-seeded resume passes 1 so the warm state (stamped 0) stays
@@ -626,11 +635,7 @@ impl<'a> FixpointExecutor<'a> {
     /// max_iterations`. A closing round derives nothing and is not counted,
     /// so round `max_iterations + 1` may run — and fails the query only if
     /// it is not the closing one.
-    pub(super) fn drive(
-        &self,
-        s: &mut dyn RoundStep,
-        start_round: u32,
-    ) -> Result<u32, EngineError> {
+    pub(super) fn drive(&self, s: &mut dyn RoundStep, start_round: u32) -> Result<u32, Halt> {
         let sink = self.eval.trace;
         let metrics = &self.eval.cluster.metrics;
         let (views, mode, kernel) = s.label();
@@ -651,15 +656,17 @@ impl<'a> FixpointExecutor<'a> {
         let mut last_cut: Option<u32> = None;
         let mut restores_left = RESTORE_BUDGET;
         let mut round = start_round;
-        let capped = || EngineError::NonTermination {
-            view: views[0].clone(),
-            iterations: self.config.max_iterations,
+        let capped = || {
+            Halt::Fatal(EngineError::NonTermination {
+                view: views[0].clone(),
+                iterations: self.config.max_iterations,
+            })
         };
         let iterations = loop {
             if let Some(g) = resident.governor {
                 // Cooperative cancellation and the deadline, at every round
                 // boundary.
-                g.check()?;
+                g.check().map_err(EngineError::from)?;
                 s.page_in(g, Turn(()))?;
                 // The stages take ownership of the resident set now.
                 g.tracker().release(std::mem::take(&mut resident.bytes));
@@ -682,11 +689,16 @@ impl<'a> FixpointExecutor<'a> {
             let (r, t0) = match stepped {
                 Ok((Some(r), t0)) => (r, t0),
                 Ok((None, _)) => break round - 1,
-                Err(Halt::Fatal(e)) => return Err(e),
+                Err(Halt::Escaped) => {
+                    if let Some(t) = sink {
+                        t.abandon_clique();
+                    }
+                    return Err(Halt::Escaped);
+                }
                 Err(Halt::Capped) => return Err(capped()),
                 Err(Halt::Lost(e)) => {
                     let (Some(at), 1..) = (last_cut, restores_left) else {
-                        return Err(EngineError::Exec(e));
+                        return Err(Halt::Fatal(EngineError::Exec(e)));
                     };
                     restores_left -= 1;
                     let done = s.rewind(at, Turn(()))?;
@@ -696,6 +708,7 @@ impl<'a> FixpointExecutor<'a> {
                     round = at;
                     continue;
                 }
+                Err(fatal) => return Err(fatal),
             };
             Metrics::add(&metrics.iterations, 1);
             Metrics::add(&metrics.shuffle_rows, r.shuffle_rows);

@@ -117,24 +117,3 @@ pub struct FixpointResult {
     /// evaluation).
     pub iterations: u32,
 }
-
-/// Why a run of the interpreter on one tuple representation ended without a
-/// result.
-enum Stop {
-    /// A value left its word lane: nothing of the run is kept, and the
-    /// clique is evaluated again on value cells.
-    Escaped,
-    Failed(EngineError),
-}
-
-impl From<Escaped> for Stop {
-    fn from(_: Escaped) -> Self {
-        Stop::Escaped
-    }
-}
-
-impl From<EngineError> for Stop {
-    fn from(e: EngineError) -> Self {
-        Stop::Failed(e)
-    }
-}

@@ -42,7 +42,7 @@ impl<'a> FixpointExecutor<'a> {
         spec: &FixpointSpec,
         lent: &CliqueState,
         changed: &[(String, Vec<Row>)],
-    ) -> Result<Option<(u32, CliqueState)>, Stop> {
+    ) -> Result<Option<(u32, CliqueState)>, Halt> {
         let p = self.config().partitions;
         let Some((views, evals)) = self.resident_views::<C>(spec)? else {
             return Ok(None);
@@ -147,9 +147,8 @@ impl<'a> FixpointExecutor<'a> {
 
         // Warm rows keep stamp 0 and the seeds merge at stamp 1, so the first
         // resumed round's old-snapshot cutoff selects exactly the warm rows.
-        let escaped = Arc::clone(&clique.escaped);
-        let driven = self.drive(&mut SemiNaive::new(clique, base_buckets), 1);
-        let iterations = self.converged(driven, &escaped, &views)?;
+        let iterations = self.drive(&mut SemiNaive::new(clique, base_buckets), 1)?;
+        self.converged(&views);
         // The converged state is the view's next resident state: the caller
         // reads its result out of it.
         let resident = views.iter().map(ResidentView::take).collect();
@@ -186,7 +185,7 @@ impl<'a> FixpointExecutor<'a> {
         &self,
         spec: &FixpointSpec,
         rows: &[R],
-    ) -> Result<Option<CliqueState>, Stop> {
+    ) -> Result<Option<CliqueState>, Halt> {
         let Some((views, _)) = self.resident_views::<C>(spec)? else {
             return Ok(None);
         };
@@ -209,9 +208,9 @@ impl<'a> FixpointExecutor<'a> {
         delta_pos: usize,
         delta_table: &str,
         delta_rows: &[Row],
-    ) -> Result<SeedRun<C>, Stop> {
+    ) -> Result<SeedRun<C>, Halt> {
         let Some(evals) = BranchEvals::compile(prog, views) else {
-            return Err(Stop::Failed(EngineError::Other(
+            return Err(Halt::Fatal(EngineError::Other(
                 "a seed branch declined a clique its loop branches compiled for".into(),
             )));
         };

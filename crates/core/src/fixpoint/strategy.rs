@@ -11,9 +11,6 @@ pub(super) struct Clique<'e, 'a, C: Cell> {
     pub(super) exec: StepCx<'e, 'a>,
     pub(super) views: Arc<Vec<ViewRt<C>>>,
     pub(super) branches: Arc<Vec<CompiledBranch<C>>>,
-    /// Set when a value left its lane: the error that ends the round loop
-    /// then means "evaluate the clique again on rows", not a failed query.
-    pub(super) escaped: Arc<AtomicBool>,
 }
 
 impl<C: Cell> Clique<'_, '_, C> {
@@ -36,21 +33,11 @@ impl<C: Cell> Clique<'_, '_, C> {
         let parts = self.views.iter().flat_map(|v| v.state.iter());
         parts.map(|cell| cell.lock().len() as u64).sum()
     }
+}
 
-    /// A task reported that a value left its lane: abandon the run.
-    fn escape(&self, Escaped: Escaped) -> Halt {
-        self.escaped.store(true, Ordering::SeqCst);
-        Halt::Fatal(EngineError::Other(format!(
-            "view '{}': a value left its word lane",
-            self.views[0].spec.name
-        )))
-    }
-
-    /// The outputs of a stage whose tasks may escape.
-    fn landed<T>(&self, results: Vec<Result<T, Escaped>>) -> Result<Vec<T>, Halt> {
-        let results: Result<Vec<T>, Escaped> = results.into_iter().collect();
-        results.map_err(|e| self.escape(e))
-    }
+/// The outputs of a stage whose tasks may escape.
+fn landed<T>(results: Vec<Result<T, Escaped>>) -> Result<Vec<T>, Halt> {
+    Ok(results.into_iter().collect::<Result<Vec<T>, Escaped>>()?)
 }
 
 /// Semi-naive evaluation (Algorithms 4/5, or 6 when `combine`): the state
@@ -141,7 +128,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
                 })
                 .collect();
             let out = exec.stage("fixpoint combined", StageKind::Combined, tasks)?;
-            self.c.landed(out)?
+            landed(out)?
         } else {
             let tasks = (mine.into_iter().enumerate())
                 .map(|(part, tuples)| {
@@ -150,7 +137,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
                 })
                 .collect();
             let merged = exec.stage("fixpoint reduce", StageKind::Reduce, tasks)?;
-            let merged: Vec<Vec<DeltaBatch<C>>> = self.c.landed(merged)?;
+            let merged: Vec<Vec<DeltaBatch<C>>> = landed(merged)?;
             if merged.iter().flatten().all(DeltaBatch::is_empty) {
                 Vec::new()
             } else {
@@ -160,7 +147,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
                 let snapshots = snapshots(&self.c.branches, |view, mode| {
                     state_tuples(&views[view], mode, round - 1)
                 });
-                let snapshots = Arc::new(snapshots.map_err(|e| self.c.escape(e))?);
+                let snapshots = Arc::new(snapshots?);
                 let tasks = (merged.into_iter().enumerate())
                     .map(|(part, deltas)| {
                         let (map, snapshots) = (map.clone(), Arc::clone(&snapshots));
@@ -168,7 +155,7 @@ impl<C: Repr> RoundStep for SemiNaive<'_, '_, C> {
                     })
                     .collect();
                 let out = exec.stage("fixpoint map", StageKind::Map, tasks)?;
-                self.c.landed(out)?
+                landed(out)?
             }
         };
 
@@ -385,7 +372,7 @@ impl<C: Repr> RoundStep for Naive<'_, '_, C> {
             }
             all
         });
-        let snapshots = Arc::new(snapshots.map_err(|e| self.c.escape(e))?);
+        let snapshots = Arc::new(snapshots?);
         // Drivers read totals: the whole previous state is the "delta".
         let tasks: Vec<StageTask<Result<Buckets<C>, Escaped>>> = (0..p)
             .map(|part| {
@@ -407,7 +394,7 @@ impl<C: Repr> RoundStep for Naive<'_, '_, C> {
         let map_out = exec.stage("fixpoint naive map", StageKind::Map, tasks)?;
         let mut contributions = self.base.clone();
         let mut derived_rows = 0u64;
-        for buckets in self.c.landed(map_out)? {
+        for buckets in landed(map_out)? {
             for (vi, per_view) in buckets.into_iter().enumerate() {
                 for (dst, mut tuples) in per_view.into_iter().enumerate() {
                     derived_rows += tuples.len() as u64;
@@ -422,8 +409,7 @@ impl<C: Repr> RoundStep for Naive<'_, '_, C> {
         for (vi, v) in views.iter().enumerate() {
             for part in 0..p {
                 let mut fresh = ViewState::empty(v);
-                merge_into_state(v, &mut fresh, &contributions[vi][part], 0)
-                    .map_err(|e| self.c.escape(e))?;
+                merge_into_state(v, &mut fresh, &contributions[vi][part], 0)?;
                 let now = fresh.tuples(&v.kinds, &v.layout);
                 let (mut sorted, mut old_sorted) = (now.to_rows(), self.prev[vi][part].to_rows());
                 sorted.sort_unstable();
@@ -545,7 +531,7 @@ impl<'e, 'a, C: Repr> Decomposed<'e, 'a, C> {
         for r in results {
             match r {
                 Ok(history) => local.push(history),
-                Err(LocalAbort::Escaped) => return Err(self.c.escape(Escaped)),
+                Err(LocalAbort::Escaped) => return Err(Halt::Escaped),
                 Err(LocalAbort::NonTermination) => return Err(Halt::Capped),
                 Err(LocalAbort::Cancelled) => {
                     // The governor's check re-derives the precise typed
