@@ -51,7 +51,7 @@ pub mod lexer;
 
 use lexer::{lex, Token, TokenKind};
 use rasql_parser::Span;
-use rasql_plan::Severity;
+use rasql_plan::{render_snippet, Severity};
 use std::collections::HashMap;
 use std::fmt;
 use std::path::Path;
@@ -202,7 +202,7 @@ impl LintDiagnostic {
     }
 
     /// Render against the file's source: a `rustc`-style snippet with the
-    /// span underlined, same shape as `rasql_plan::Diagnostic::render`.
+    /// span underlined by the verifier's own renderer (`rasql_plan::render_snippet`).
     pub fn render(&self, source: &str) -> String {
         let mut out = format!("{}[{}]: {}\n", self.severity, self.code, self.message);
         if !self.span.is_synthetic() && (self.span.end as usize) <= source.len() {
@@ -231,25 +231,6 @@ impl fmt::Display for LintDiagnostic {
         }
         write!(f, ": {}", self.message)
     }
-}
-
-/// Same caret-snippet shape as `rasql_plan::diag::render_snippet`.
-fn render_snippet(source: &str, span: Span, line: u32, col: u32) -> String {
-    let start = span.start as usize;
-    let line_start = source[..start].rfind('\n').map(|p| p + 1).unwrap_or(0);
-    let line_end = source[start..]
-        .find('\n')
-        .map(|p| start + p)
-        .unwrap_or(source.len());
-    let text = &source[line_start..line_end];
-    let underline_len = ((span.end as usize).min(line_end) - start).max(1);
-    let gutter = format!("{line}");
-    let pad = " ".repeat(gutter.len());
-    format!(
-        "{pad} |\n{gutter} | {text}\n{pad} | {}{}\n",
-        " ".repeat(col.saturating_sub(1) as usize),
-        "^".repeat(underline_len),
-    )
 }
 
 /// Result of linting a set of files.

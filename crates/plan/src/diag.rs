@@ -176,9 +176,11 @@ impl fmt::Display for Diagnostic {
     }
 }
 
-/// The `  N | source line` / caret-underline block for a span. Multi-line
-/// spans underline to the end of the first line.
-fn render_snippet(source: &str, span: Span, line: u32, col: u32) -> String {
+/// The `  N | source line` / caret-underline block for a span at (1-based)
+/// `line`, `col` of `source`. Multi-line spans underline to the end of the
+/// first line. The query verifier's and the engine-source linter's
+/// diagnostics both render through it.
+pub fn render_snippet(source: &str, span: Span, line: u32, col: u32) -> String {
     let start = span.start as usize;
     let line_start = source[..start].rfind('\n').map(|p| p + 1).unwrap_or(0);
     let line_end = source[start..]
