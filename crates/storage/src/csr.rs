@@ -271,6 +271,93 @@ impl CsrGraph {
             + self.part_of.len() * 4
             + self.remap.len() * 12
     }
+
+    /// The graph's in-edges, by a counting sort over its adjacency: O(V + E),
+    /// no row read. `None` when the graph has `u32::MAX` edges or more.
+    pub fn in_edges(&self) -> Option<InEdges> {
+        let n = self.vertex_count();
+        let m = u32::try_from(self.edge_count()).ok()?;
+        let mut offsets = vec![0u32; n + 1];
+        for &d in &self.targets {
+            offsets[d as usize + 1] += 1;
+        }
+        for v in 0..n {
+            offsets[v + 1] += offsets[v];
+        }
+        debug_assert_eq!(offsets[n], m);
+        let mut cursor = offsets[..n].to_vec();
+        let mut sources = vec![0u32; m as usize];
+        let mut weights_i = vec![0i64; self.weights_i.len()];
+        let mut weights_f = vec![0f64; self.weights_f.len()];
+        // Sources in ascending order, so each vertex's in-edges come out by
+        // source id, a source's parallel edges in adjacency order.
+        for u in 0..n {
+            #[allow(clippy::cast_possible_truncation)]
+            let src = u as u32;
+            for e in self.adjacency(src) {
+                let d = self.targets[e] as usize;
+                let at = cursor[d] as usize;
+                cursor[d] += 1;
+                sources[at] = src;
+                if let Some(&w) = self.weights_i.get(e) {
+                    weights_i[at] = w;
+                }
+                if let Some(&w) = self.weights_f.get(e) {
+                    weights_f[at] = w;
+                }
+            }
+        }
+        Some(InEdges {
+            offsets,
+            sources,
+            weights_i,
+            weights_f,
+        })
+    }
+}
+
+/// A [`CsrGraph`]'s edges grouped by destination: what a pull round gathers
+/// over. The in-edges of dense vertex `v` are
+/// `sources[offsets[v]..offsets[v + 1]]`, by ascending source id, with the
+/// graph's weight slabs (when it has them) laid out in the same order, so a
+/// gather reads its weights sequentially. The dense ids are the graph's.
+#[derive(Debug, Clone, Default, PartialEq)]
+pub struct InEdges {
+    /// `offsets[v]..offsets[v + 1]` bounds vertex `v`'s in-edges.
+    pub offsets: Vec<u32>,
+    /// Dense source ids, grouped by destination.
+    pub sources: Vec<u32>,
+    /// `i64` weights parallel to `sources` (empty unless the graph has them).
+    pub weights_i: Vec<i64>,
+    /// `f64` weights parallel to `sources` (empty unless the graph has them).
+    pub weights_f: Vec<f64>,
+}
+
+impl InEdges {
+    /// Number of vertices the in-edges are laid out for.
+    #[inline]
+    pub fn vertex_count(&self) -> usize {
+        self.offsets.len().saturating_sub(1)
+    }
+
+    /// Number of edges.
+    #[inline]
+    pub fn edge_count(&self) -> usize {
+        self.sources.len()
+    }
+
+    /// In-edge slice bounds for dense vertex `v`.
+    #[inline]
+    pub fn incoming(&self, v: u32) -> std::ops::Range<usize> {
+        self.offsets[v as usize] as usize..self.offsets[v as usize + 1] as usize
+    }
+
+    /// Approximate in-memory footprint.
+    pub fn size_bytes(&self) -> usize {
+        (self.offsets.len() + self.sources.len()) * 4
+            + self.weights_i.len() * 8
+            + self.weights_f.len() * 8
+    }
 }
 
 #[cfg(test)]
@@ -297,6 +384,26 @@ mod tests {
         out.sort_unstable();
         assert_eq!(out, vec![(20, 1), (30, 2)]);
         assert!(g.dense_id(99).is_none());
+    }
+
+    #[test]
+    fn in_edges_are_the_transpose_by_source() {
+        // Parallel edges, a self-loop and a vertex with no in-edge.
+        let rows = edge_rows(&[(3, 1, 7), (1, 2, 5), (2, 1, 6), (1, 1, 4), (3, 1, 8)]);
+        let g = CsrGraph::build(&rows, 0, 1, CsrWeight::Int { col: 2 }, [9], 2).unwrap();
+        let inn = g.in_edges().unwrap();
+        assert_eq!((inn.vertex_count(), inn.edge_count()), (4, 5));
+        let into = |id: i64| -> Vec<(i64, i64)> {
+            let v = g.dense_id(id).unwrap();
+            (inn.incoming(v))
+                .map(|ie| (g.orig_id(inn.sources[ie]), inn.weights_i[ie]))
+                .collect()
+        };
+        // By source dense id (3 is interned first), parallel edges in order.
+        assert_eq!(into(1), vec![(3, 7), (3, 8), (1, 4), (2, 6)]);
+        assert_eq!(into(2), vec![(1, 5)]);
+        assert!(into(3).is_empty() && into(9).is_empty());
+        assert!(inn.weights_f.is_empty());
     }
 
     #[test]

@@ -62,7 +62,7 @@ pub mod value {
 
 pub use catalog::{Catalog, Derived, KeyLookup, RowPatch, TableVersion};
 pub use crashpoint::{CrashInjector, CrashSpec, CRASH_SITES};
-pub use csr::{CsrGraph, CsrWeight};
+pub use csr::{CsrGraph, CsrWeight, InEdges};
 pub use error::StorageError;
 pub use hasher::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{
