@@ -124,6 +124,154 @@ proptest! {
     }
 }
 
+/// The sorted rows with each `Double` spelled by its bits, so `0.0` and
+/// `-0.0` (equal as values) are told apart.
+fn exact_rows(rel: &Relation) -> Vec<String> {
+    let sorted = rel.clone().sorted();
+    let cell = |v: &Value| match v {
+        Value::Double(d) => format!("D{:016x}", d.to_bits()),
+        other => format!("{other:?}"),
+    };
+    (sorted.rows().iter())
+        .map(|r| r.values().iter().map(cell).collect::<Vec<_>>().join(","))
+        .collect()
+}
+
+/// [`assert_differential`] on a dense frontier, bit for bit: the kernel run
+/// has a round traced `pull` exactly when `pulls` says it must (an
+/// idempotent kernel), and its rows and rounds are the interpreter's.
+fn assert_pull_differential(
+    tables: &[(&str, Relation)],
+    sql: &str,
+    expect_kernel: &str,
+    pulls: bool,
+) {
+    let fast = run(EngineConfig::rasql(), tables, sql);
+    let slow = run(
+        EngineConfig::rasql().with_specialized_kernels(false),
+        tables,
+        sql,
+    );
+    assert_eq!(kernel_of(&fast), expect_kernel, "{sql}");
+    let rounds = &fast.trace.as_ref().unwrap().cliques[0].iterations;
+    assert_eq!(rounds.iter().any(|it| it.pull), pulls, "{sql}: {rounds:?}");
+    assert_eq!(
+        exact_rows(&fast.relation),
+        exact_rows(&slow.relation),
+        "{sql}"
+    );
+    assert_eq!(fast.stats.iterations, slow.stats.iterations, "{sql}");
+}
+
+/// Weights that tell the order of a fold: both zeros among them.
+const WEIGHTS: [f64; 4] = [0.0, -0.0, 1.5, 3.0];
+
+/// A hub `offset` with an edge to and from each of `spokes` spokes, self-loops
+/// on the hub and on spoke 2, two duplicates of the hub's first edge, and
+/// `extra` edges between spokes; every id shifted by `offset`.
+fn hub_and_spoke(spokes: i64, extra: &[(i64, i64, usize)], offset: i64) -> Relation {
+    let mut edges = vec![
+        (0, 0, 0.0),
+        (0, 0, -0.0),
+        (0, 1, -0.0),
+        (0, 1, 0.0),
+        (2, 2, 1.5),
+    ];
+    for s in 1..=spokes {
+        edges.push((0, s, WEIGHTS[s as usize % 4]));
+        edges.push((s, 0, WEIGHTS[(s as usize + 1) % 4]));
+    }
+    for &(a, b, w) in extra {
+        edges.push((a % spokes + 1, b % spokes + 1, WEIGHTS[w % 4]));
+    }
+    let shifted: Vec<_> = (edges.iter())
+        .map(|&(a, b, w)| (a + offset, b + offset, w))
+        .collect();
+    Relation::weighted_edges(&shifted)
+}
+
+/// `rel` with its `Src` and `Dst` ids shifted by `offset`.
+fn shifted(rel: &Relation, offset: i64) -> Relation {
+    let rows = (rel.rows().iter())
+        .map(|r| {
+            let mut values = r.values().to_vec();
+            for id in &mut values[..2] {
+                *id = Value::Int(id.as_int().unwrap() + offset);
+            }
+            Row::new(values)
+        })
+        .collect();
+    Relation::new_unchecked(rel.schema().clone(), rows)
+}
+
+proptest! {
+    #![proptest_config(ProptestConfig::with_cases(8))]
+
+    /// A hub's delta walks every spoke: every idempotent kernel pulls, with
+    /// ids dense or far apart, and answers as the interpreter does.
+    #[test]
+    fn hub_and_spoke_rounds_pull_bit_for_bit(
+        spokes in 40i64..120,
+        extra in prop::collection::vec((0i64..1000, 0i64..1000, 0usize..4), 0..20),
+        far in any::<bool>(),
+    ) {
+        let offset = if far { 1 << 40 } else { 0 };
+        let tables = [("edge", hub_and_spoke(spokes, &extra, offset))];
+        for (sql, kernel) in [
+            (library::sssp(offset), "csr_min_f64"),
+            (library::widest_path(offset), "csr_max_f64"),
+            (library::sssp_hops(offset), "csr_min_i64"),
+            (library::reach(offset), "csr_set"),
+            (library::cc(), "csr_min_i64"),
+        ] {
+            assert_pull_differential(&tables, &sql, kernel, true);
+        }
+        // Seeds that include a vertex no edge mentions: it gets a dense id
+        // past the in-edges', and gathers nothing.
+        let ids = (0..=spokes).map(|v| v + offset).chain([offset + 5000]);
+        let seeds: Vec<[i64; 2]> = ids.map(|v| [v, v]).collect();
+        let seedt = int_rel(&["K", "V"], &seeds.iter().map(|r| &r[..]).collect::<Vec<_>>());
+        let tables = [tables[0].clone(), ("seedt", seedt)];
+        let sql = labels_from("SELECT K, V FROM seedt");
+        assert_pull_differential(&tables, &sql, "csr_min_i64", true);
+    }
+
+    /// Sparse ids: R-MAT with every id offset by 2^40. Components start from
+    /// every vertex at once, so their first round pulls.
+    #[test]
+    fn sparse_rmat_rounds_pull_bit_for_bit(n in 60usize..200, seed in 0u64..1000) {
+        let offset = 1i64 << 40;
+        let plain = shifted(&rasql_datagen::rmat(n, rasql_datagen::RmatConfig::default(), seed), offset);
+        assert_pull_differential(&[("edge", plain.clone())], &library::cc(), "csr_min_i64", true);
+        let weighted = shifted(&weighted_rmat(n, seed), offset);
+        for (tables, sql, kernel) in [
+            ([("edge", weighted.clone())], library::sssp(offset), "csr_min_f64"),
+            ([("edge", weighted)], library::widest_path(offset), "csr_max_f64"),
+            ([("edge", plain)], library::reach(offset), "csr_set"),
+        ] {
+            let fast = run(EngineConfig::rasql(), &tables, &sql);
+            let slow = run(EngineConfig::rasql().with_specialized_kernels(false), &tables, &sql);
+            prop_assert_eq!(kernel_of(&fast), kernel);
+            prop_assert_eq!(exact_rows(&fast.relation), exact_rows(&slow.relation));
+            prop_assert_eq!(&fast.stats.iterations, &slow.stats.iterations);
+        }
+    }
+
+    /// `sum` is not idempotent: a path count never pulls, however dense its
+    /// frontier, and still answers as the interpreter does.
+    #[test]
+    fn a_sum_kernel_never_pulls(k in 20i64..60) {
+        // The hub feeds `k` vertices, each of which feeds the same `k` others:
+        // the second round's delta walks `k²` edges (a min kernel pulls it).
+        let mut edges: Vec<(i64, i64, f64)> = (1..=k).map(|a| (0, a, 1.0)).collect();
+        edges.extend((1..=k).flat_map(|a| (k + 1..=2 * k).map(move |b| (a, b, 1.0))));
+        let tables = [("edge", Relation::weighted_edges(&edges))];
+        let hops = library::sssp_hops(0);
+        assert_pull_differential(&tables, &hops, "csr_min_i64", true);
+        assert_pull_differential(&tables, &library::count_paths(0), "csr_sum_i64", false);
+    }
+}
+
 /// A min-label kernel query over `edge` whose base case is `base`.
 fn labels_from(base: &str) -> String {
     format!(
