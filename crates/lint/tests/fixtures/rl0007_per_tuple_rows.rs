@@ -1,6 +1,7 @@
 // Fixture: trips RL0007. Linted under the virtual path of a module of the
 // borrowed-tuple path (`crates/exec/src/pipeline.rs`: `for_each`, `join`,
-// `emit`; `crates/exec/src/kernel.rs`: `edge_walk`; `crates/core/src/fixpoint/`:
+// `emit`; `crates/exec/src/kernel.rs`: `edge_walk`, `edge_gather`;
+// `crates/core/src/fixpoint/`:
 // `io.rs`'s `push_block`, `state.rs`'s `assemble`, `dense.rs`'s `push_seed`
 // and every function of `merge.rs`).
 impl Pipeline {
@@ -41,6 +42,14 @@ fn edge_walk(csr: &CsrGraph, delta: &[(u32, i64)], out: &mut Vec<Row>) {
     for &(v, val) in delta {
         for e in csr.adjacency(v) {
             out.push(Row::new(vec![Value::Int(csr.orig_id(csr.targets[e])), Value::Int(val)]));
+        }
+    }
+}
+
+fn edge_gather(inn: &InEdges, owned: &[u32], out: &mut Vec<Row>) {
+    for &v in owned {
+        for ie in inn.incoming(v) {
+            out.push(Row::new(vec![Value::Int(i64::from(inn.sources[ie]))]));
         }
     }
 }

@@ -3,7 +3,8 @@
 // `select`, `filter`, `join`, `emit`, `apply`; `crates/exec/src/tuples.rs`:
 // `intern`, `intern_block`, `probe`, ...; `crates/exec/src/state.rs`:
 // `insert_slice`, `insert_block`, `merge_block`, ...;
-// `crates/plan/src/expr.rs`: `eval_cells`; `crates/core/src/fixpoint/`:
+// `crates/plan/src/expr.rs`: `eval_cells`; `crates/exec/src/kernel.rs`:
+// `edge_walk`, `edge_gather`; `crates/core/src/fixpoint/`:
 // `io.rs`'s `run_branch`, `run_blocks`, `input`, `emit_block`, `push_block`,
 // `state.rs`'s `assemble` and every function of `merge.rs`).
 impl<C: Cell> Pipeline<C> {
@@ -44,6 +45,20 @@ impl<C: Cell> Merge<C> {
     fn gather(&self, tuple: &[C], out: &mut Vec<C>) {
         // lint: allow(RL0010, fixture: a cell, a word copy on the word path)
         out.extend(self.cols.iter().map(|&c| tuple[c].clone()));
+    }
+}
+
+fn edge_walk(csr: &CsrGraph, delta: &[u32], out: &mut Vec<u32>) {
+    for &v in delta {
+        out.extend(csr.adjacency(v).map(|e| csr.targets[e]));
+    }
+}
+
+fn edge_gather(inn: &InEdges, owned: &[u32], seen: &[bool], out: &mut Vec<Value>) {
+    for &v in owned {
+        if inn.incoming(v).any(|ie| seen[inn.sources[ie] as usize]) {
+            out.push(Value::Int(i64::from(v)));
+        }
     }
 }
 

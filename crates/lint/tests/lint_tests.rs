@@ -85,6 +85,7 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
     let pushed = at("Row::from_slice(", new_row.2 as usize);
     let seeded = at("Row::from_slice(", at("fn push_seed", 0).2 as usize);
     let walked = at("Row::new(", at("fn edge_walk", 0).2 as usize);
+    let gathered = at("Row::new(", at("fn edge_gather", 0).2 as usize);
     let unfused = at(".concat(", at("fn run_unfused", 0).2 as usize);
     // `join` and `emit` are the block executor's functions ...
     let (diags, suppressed) = lint_file_counting("crates/exec/src/pipeline.rs", src);
@@ -93,7 +94,7 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
         vec![to_vec, concat, new_row],
         "{diags:#?}"
     );
-    // `push_block`, `assemble`, `push_seed` and `edge_walk` are not among
+    // `push_block`, `assemble`, `push_seed` and the edge walks are not among
     // them; `run_unfused` and the test module never are.
     assert_eq!(suppressed, 0);
     // ... the fixpoint's sinks are the branch run's `push_block`, the state's
@@ -109,12 +110,12 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
     let (diags, suppressed) = lint_file_counting(&fixpoint("merge.rs"), src);
     assert_eq!(
         spans(&fixpoint("merge.rs")),
-        vec![to_vec, concat, new_row, pushed, seeded, walked, unfused],
+        vec![to_vec, concat, new_row, pushed, seeded, walked, gathered, unfused],
         "{diags:#?}"
     );
     assert_eq!(suppressed, 1);
-    // ... and the kernels' edge walk is the one function of its module.
-    assert_eq!(spans("crates/exec/src/kernel.rs"), vec![walked]);
+    // ... and the kernels' edge walk and gather are the functions of theirs.
+    assert_eq!(spans("crates/exec/src/kernel.rs"), vec![walked, gathered]);
     for path in ["crates/exec/src/state.rs", "crates/core/src/eval.rs"] {
         assert!(lint_file(path, src).is_empty(), "{path} is not covered");
     }
@@ -301,10 +302,13 @@ fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
         found("crates/core/src/fixpoint/io.rs"),
         (vec![one, row_per_tuple, cloned], 0)
     );
+    // The kernels' gather builds a value per vertex; their walk builds none.
+    let gathered = at("Value::Int(", cloned.1);
+    assert_eq!(found("crates/exec/src/kernel.rs"), (vec![gathered], 0));
     // Every function of the merge's module is covered: the cold edge's
     // `to_rows` and `eval_vals` too, and the two annotated cell copies are
     // suppressed; the test module is not covered.
-    let cold_row = at("Row::new(", cloned.1);
+    let cold_row = at("Row::new(", gathered.1);
     let cold_value = at("Value::Int(", cold_row.1);
     let cold_clone = at(".clone()", cold_value.1);
     let every = vec![
@@ -316,6 +320,7 @@ fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
         one,
         row_per_tuple,
         cloned,
+        gathered,
         cold_row,
         cold_value,
         cold_clone,
