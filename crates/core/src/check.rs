@@ -8,7 +8,7 @@
 //! callers (the `CHECK` statement, the shell's `\lint`, `reproduce lint`)
 //! never have to stitch the two systems together.
 
-use crate::context::{optimize_statement, read_script, Planned, RaSqlContext, Scope};
+use crate::context::{optimize_statement, read_script, RaSqlContext, Scope};
 use crate::error::EngineError;
 use crate::prem::{PremCheckOutcome, PremChecker};
 use rasql_parser::ast::{AggFunc, Query, Statement};
@@ -104,7 +104,8 @@ impl RaSqlContext {
                 ))
             }
         };
-        self.check_report(&q, sql, &mut Scope::default())
+        let (report, _) = self.check_report(&q, sql, &mut Scope::default())?;
+        Ok(report)
     }
 
     /// Verify every query statement of a `;`-separated script, *executing*
@@ -117,7 +118,7 @@ impl RaSqlContext {
         read_script(sql, &mut Scope::default(), |stmt, scope| {
             match stmt {
                 Statement::Query(q) | Statement::Check(q) => {
-                    reports.push(self.check_report(q, sql, scope)?);
+                    reports.push(self.check_report(q, sql, scope)?.0);
                 }
                 // Planning a view lands it in the shared catalog.
                 Statement::CreateView { .. } => {
@@ -125,14 +126,12 @@ impl RaSqlContext {
                 }
                 // Lint never executes queries, so a materialized view is
                 // checked (its defining query) and its *schema* registered so
-                // later statements resolve — without materializing anything.
+                // later statements resolve — from the check's analysis,
+                // without materializing or analyzing anything again.
                 Statement::CreateMaterializedView { name, query, .. } => {
-                    reports.push(self.check_report(query, sql, scope)?);
-                    if let Ok(Planned {
-                        statement: AnalyzedStatement::CreateMaterializedView { query: aq, .. },
-                        ..
-                    }) = self.plan(stmt, scope)
-                    {
+                    let (report, analyzed) = self.check_report(query, sql, scope)?;
+                    reports.push(report);
+                    if let Some(aq) = analyzed {
                         self.add_planner_table(name, aq.final_plan.schema());
                     }
                 }
@@ -147,15 +146,17 @@ impl RaSqlContext {
         Ok(reports)
     }
 
-    /// `CHECK q` in `scope`, without running it as a statement.
+    /// `CHECK q` in `scope`, without running it as a statement; with the
+    /// check's analysis of `q`, when it analyzed.
     fn check_report(
         &self,
         q: &Query,
         source: &str,
         scope: &mut Scope<'_>,
-    ) -> Result<CheckReport, EngineError> {
+    ) -> Result<(CheckReport, Option<AnalyzedQuery>), EngineError> {
         let planned = self.plan(&Statement::Check(q.clone()), scope)?;
-        Ok(self.run_check(planned.verification, planned.checked, source))
+        let report = self.run_check(planned.verification, planned.checked.as_ref(), source);
+        Ok((report, planned.checked.and_then(Result::ok)))
     }
 
     /// The shared `CHECK` implementation over the static `verification` of a
@@ -164,7 +165,7 @@ impl RaSqlContext {
     pub(crate) fn run_check(
         &self,
         verification: VerifyReport,
-        checked: Option<Result<AnalyzedQuery, PlanError>>,
+        checked: Option<&Result<AnalyzedQuery, PlanError>>,
         source: &str,
     ) -> CheckReport {
         // Dynamic fallback: run the lock-step checker once if any obligation
@@ -176,7 +177,7 @@ impl RaSqlContext {
             .any(|o| o.verdict == StaticVerdict::Unknown);
         let dynamic_outcome = checked.filter(|_| any_unknown).map(|analysis| {
             let checker = PremChecker::new(self);
-            (analysis.map_err(EngineError::from))
+            (analysis.clone().map_err(EngineError::from))
                 .and_then(|q| {
                     checker.check_analyzed(optimize_statement(AnalyzedStatement::Query(q)))
                 })
