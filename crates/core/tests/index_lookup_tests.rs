@@ -236,21 +236,37 @@ proptest! {
              SELECT Dst FROM reach"
         );
         let all: Vec<(i64, i64)> = pairs.iter().chain(&more).copied().collect();
-        let grown = RaSqlContext::builder().workers(2).result_cache(0).build();
+        let grown = RaSqlContext::builder().workers(2).result_cache(0).tracing(true).build();
         grown.register("edge", Relation::edges(&pairs)).unwrap();
+        // Whether a run gathered, and so fetched the graph's in-edges.
+        let pulled = |r: &rasql_core::QueryResult| {
+            r.trace.as_ref().unwrap().cliques[0].iterations.iter().any(|it| it.pull)
+        };
         // Scan, build, probe — the CSR entry is built by the first query.
-        let first = grown.query(&sql).unwrap().relation;
+        let first = grown.query(&sql).unwrap();
         for _ in 0..2 {
             let again = grown.query(&sql).unwrap().relation;
-            prop_assert_eq!(again.rows(), first.rows());
+            prop_assert_eq!(again.rows(), first.relation.rows());
         }
         let values: Vec<String> = more.iter().map(|(s, d)| format!("({s}, {d})")).collect();
         grown.query(&format!("INSERT INTO edge VALUES {}", values.join(", "))).unwrap();
         let before = grown.index_stats();
-        let advanced = grown.query(&sql).unwrap().relation;
+        let advanced = grown.query(&sql).unwrap();
         let stats = grown.index_stats();
-        prop_assert_eq!(stats.advances - before.advances, 2, "the CSR and the hash entry");
-        prop_assert_eq!(stats.builds + stats.rebuilds, before.builds + before.rebuilds);
+        // The CSR and the hash entry advance, and so do the in-edges when a
+        // run before and the run after the insert both pulled; in-edges only
+        // the run after needs are built then.
+        let (was, is) = (pulled(&first), pulled(&advanced));
+        prop_assert_eq!(
+            stats.advances - before.advances,
+            2 + u64::from(was && is),
+            "the CSR, the hash entry and the in-edges"
+        );
+        prop_assert_eq!(
+            stats.builds + stats.rebuilds,
+            before.builds + before.rebuilds + u64::from(is && !was)
+        );
+        let advanced = advanced.relation;
 
         let fresh = RaSqlContext::builder().workers(2).result_cache(0).build();
         fresh.register("edge", Relation::edges(&all)).unwrap();
