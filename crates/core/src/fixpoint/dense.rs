@@ -18,10 +18,16 @@ impl<'a> FixpointExecutor<'a> {
         kp: &KernelPlan,
     ) -> Result<Option<FixpointResult>, EngineError> {
         let v = &spec.views[0];
-        let Some(seeds) = self.kernel_seeds(v, kp)? else {
-            return Ok(None);
+        // `None`: the base case is the graph's sources, read off the graph.
+        let seeds = if seeds_off_graph(v, kp) {
+            None
+        } else {
+            let Some(seeds) = self.kernel_seeds(v, kp)? else {
+                return Ok(None);
+            };
+            Some(seeds)
         };
-        let Some(graph) = self.kernel_graph(kp, &seeds)? else {
+        let Some(graph) = self.kernel_graph(kp, seeds.as_deref())? else {
             return Ok(None);
         };
         match (kp.op, kp.scalar) {
@@ -75,28 +81,26 @@ impl<'a> FixpointExecutor<'a> {
 
     /// The clique's CSR graph — the index store's entry for the build plan,
     /// lent, advanced by the edges inserted since, or built — with the seeds
-    /// resolved to its dense ids (one `remap` lookup per seed). The store
-    /// keeps the graph of the edge rows alone: seed vertices get their dense
-    /// ids after every edge endpoint, so that one entry serves every seed
-    /// list drawn from the graph's own vertices, and a list that adds a
-    /// vertex gets a private extension of it (typed arrays moved, no row
-    /// read). `None` when the edge rows are not of the kernel's types.
+    /// resolved to its dense ids (one `remap` lookup per seed; `None`: the
+    /// seeds are read off the graph). The store keeps the graph of the edge
+    /// rows alone: seed vertices get their dense ids after every edge
+    /// endpoint, so that one entry serves every seed list drawn from the
+    /// graph's own vertices, and a list that adds a vertex gets a private
+    /// extension of it (typed arrays moved, no row read). The entry is keyed
+    /// on the promoted weight (`CsrWeight::promoted`). `None` when the edge
+    /// rows are not of the kernel's types — for a kernel that does not
+    /// promote, when the graph widened an `Int` weight.
     fn kernel_graph(
         &self,
         kp: &KernelPlan,
-        seeds: &[(i64, u64)],
+        seeds: Option<&[(i64, u64)]>,
     ) -> Result<Option<KernelGraph>, EngineError> {
         let p = self.config().partitions;
-        let resolve = |g: &CsrGraph| -> Option<DenseSeeds> {
-            seeds
-                .iter()
-                .map(|&(k, bits)| Some((g.dense_id(k)?, bits)))
-                .collect()
-        };
+        let weight = kp.weight.promoted();
         let layout = IndexLayout::Csr {
             src: kp.src_col,
             dst: kp.dst_col,
-            weight: kp.weight,
+            weight,
             partitions: p,
         };
         let Some((Index::Csr(shared), at)) =
@@ -104,21 +108,33 @@ impl<'a> FixpointExecutor<'a> {
         else {
             return Ok(None);
         };
+        // `least()` over an `Int` weight is not what an `f64` slab computes.
+        if weight != kp.weight && shared.widened_int() {
+            return Ok(None);
+        }
         let graph = |csr, seeds| KernelGraph {
             csr,
             seeds,
             stored: Arc::clone(&shared),
             at: at.clone(),
         };
+        let Some(seeds) = seeds else {
+            return Ok(Some(graph(Arc::clone(&shared), None)));
+        };
+        let resolve = |g: &CsrGraph| -> Option<DenseSeeds> {
+            seeds
+                .iter()
+                .map(|&(k, bits)| Some((g.dense_id(k)?, bits)))
+                .collect()
+        };
         if let Some(dense) = resolve(&shared) {
-            return Ok(Some(graph(Arc::clone(&shared), dense)));
+            return Ok(Some(graph(Arc::clone(&shared), Some(dense))));
         }
         let extras = seeds.iter().map(|s| s.0);
-        let Some(seeded) = shared.extended(&[], kp.src_col, kp.dst_col, kp.weight, extras, p)
-        else {
+        let Some(seeded) = shared.extended(&[], kp.src_col, kp.dst_col, weight, extras, p) else {
             return Ok(None);
         };
-        Ok(resolve(&seeded).map(|dense| graph(Arc::new(seeded), dense)))
+        Ok(resolve(&seeded).map(|dense| graph(Arc::new(seeded), Some(dense))))
     }
 
     /// The aggregate kernels: [`FixpointExecutor::run_dense`] over
@@ -182,13 +198,13 @@ impl<'a> FixpointExecutor<'a> {
     }
 
     /// A kernel-selected clique, dense from its seeds to its result: bucket
-    /// the seeds, broadcast the graph once, drive [`Dense`] to the fixpoint
-    /// and write each slab's `(Int id, value)` lanes. `along(item, weights,
-    /// edge index, destination)` — the contribution an edge of weight
-    /// `weights[edge index]` carries — is all that differs between kernels;
-    /// a push reads the graph's weights, a pull the in-edges'. `None` when a
-    /// value left `i64`: the run is abandoned, as a word run a value escapes
-    /// from is, and the interpreter answers.
+    /// the seeds or read them off the graph, broadcast the graph once, drive
+    /// [`Dense`] to the fixpoint and write each slab's `(Int id, value)`
+    /// lanes. `along(item, weights, edge index, destination)` — the
+    /// contribution an edge of weight `weights[edge index]` carries — is all
+    /// that differs between kernels; a push reads the graph's weights, a pull
+    /// the in-edges'. `None` when a value left `i64`: the run is abandoned,
+    /// as a word run a value escapes from is, and the interpreter answers.
     fn run_dense<S, Op, W, F>(
         &self,
         v: &ViewSpec,
@@ -209,11 +225,12 @@ impl<'a> FixpointExecutor<'a> {
             at,
         } = graph;
         let n = csr.vertex_count();
-        // Pre-combine the seeds through a scratch state, in first-touch
-        // order, and bucket them exactly where the generic partitioner would
-        // send them: one item per seeded vertex.
+        // Bucket the seeds exactly where the generic partitioner would send
+        // them: one item per seeded vertex.
         let mut base: Vec<Vec<S::Item>> = vec![Vec::new(); p];
-        {
+        if let Some(seeds) = seeds {
+            // Pre-combine the folded seeds through a scratch state, in
+            // first-touch order.
             let mut scratch = S::new(n);
             for &(d, bits) in &seeds {
                 scratch.merge(S::item(d, bits), 0);
@@ -224,6 +241,23 @@ impl<'a> FixpointExecutor<'a> {
             for item in seeded {
                 base[csr.part_of[S::vertex(item) as usize] as usize].push(item);
             }
+        } else {
+            // Each vertex is one partition's, once: nothing to combine.
+            let cluster = self.eval().cluster;
+            let tasks = (0..p)
+                .map(|part| {
+                    let g = Arc::clone(&csr);
+                    StageTask::new(cluster.owner_of(part), move |_| {
+                        graph_seeds::<S, Op>(&g, part)
+                    })
+                })
+                .collect();
+            base = cluster.run_stage_traced(
+                self.eval().trace,
+                "kernel seeds",
+                StageKind::Map,
+                tasks,
+            )?;
         }
 
         // §7.2: the graph is broadcast once and every worker reads that one
@@ -240,15 +274,6 @@ impl<'a> FixpointExecutor<'a> {
         // A pull gathers what the push of the same delta derives only when
         // the merge is idempotent and a delta carries its vertices' totals.
         let pulls = S::PULLS && kp.totals_delta && u32::try_from(stored.edge_count()).is_ok();
-        // One in-edge entry serves both `Float` promotions: a graph built
-        // without promoting is the one built with it, at the same versions.
-        let weight = match kp.weight {
-            CsrWeight::Float { col, .. } => CsrWeight::Float {
-                col,
-                promote_int: true,
-            },
-            w => w,
-        };
         let mut dense = Dense {
             exec: self.step_cx(),
             view: v.name.clone(),
@@ -269,10 +294,11 @@ impl<'a> FixpointExecutor<'a> {
                 snapshot: Arc::new(DeltaSnapshot::new(n)),
                 build: &kp.build,
                 key_cols: [kp.src_col],
+                // The forward graph's key: one entry serves both promotions.
                 layout: IndexLayout::InEdges {
                     src: kp.src_col,
                     dst: kp.dst_col,
-                    weight,
+                    weight: kp.weight.promoted(),
                 },
                 graph: stored,
                 at,
@@ -347,6 +373,41 @@ impl SeedFold {
     }
 }
 
+/// Whether the view's base case is the clique's build plan projected onto
+/// its source column — as the key and, for an aggregate kernel, as its `Int`
+/// value too: CC's `SELECT Src, Src FROM edge`, a set kernel's `SELECT Src
+/// FROM edge`. Its seeds are then the graph's vertices with an out-edge,
+/// each valued its own id, and they are read off the graph the kernel
+/// fetches ([`graph_seeds`]) — from the same table snapshot — instead of
+/// folded out of the rows. A plan comparison, not a data check: a filtered,
+/// constant or `Dst`-keyed base, or several branches, keep the fold.
+fn seeds_off_graph(v: &ViewSpec, kp: &KernelPlan) -> bool {
+    let [LogicalPlan::Projection { input, exprs, .. }] = v.base.as_slice() else {
+        return false;
+    };
+    let src = Some(&PExpr::Col(kp.src_col));
+    let valued = kp
+        .agg_col
+        .is_none_or(|c| kp.scalar == KernelScalar::I64 && exprs.get(c) == src);
+    valued && exprs.get(kp.key_col) == src && input.cache_text() == kp.build.cache_text()
+}
+
+/// Partition `part`'s share of a base case read off the graph: an item for
+/// each vertex it owns that an edge row leaves, valued its own id, in dense
+/// order. A seed vertex interned after the edges' has no out-edge, and no
+/// vertex is any other partition's, so each source is seeded exactly once.
+fn graph_seeds<S: DenseState<Op>, Op>(g: &CsrGraph, part: usize) -> Vec<S::Item> {
+    (0..g.edge_vertices)
+        .filter(|&d| g.part_of[d] as usize == part && g.offsets[d + 1] > g.offsets[d])
+        .map(|d| {
+            // Vertex ids are `u32`.
+            #[allow(clippy::cast_possible_truncation)]
+            let d = d as u32;
+            S::item(d, g.orig_id(d).to_bits())
+        })
+        .collect()
+}
+
 // --------------------------------------------------------------------
 // The kernels' strategy (§7.3): CSR broadcast + dense state
 // --------------------------------------------------------------------
@@ -357,11 +418,12 @@ type DenseSeeds = Vec<(u32, u64)>;
 
 /// What a kernel runs over: the graph its rounds walk (the store's, or a
 /// private extension of it by seed vertices no edge mentions), the seeds in
-/// its dense ids, and the store's graph with the table versions it was lent
-/// at (`None`: built privately), which its in-edges are fetched for.
+/// its dense ids (`None`: read off the graph), and the store's graph with
+/// the table versions it was lent at (`None`: built privately), which its
+/// in-edges are fetched for.
 struct KernelGraph {
     csr: Arc<CsrGraph>,
-    seeds: DenseSeeds,
+    seeds: Option<DenseSeeds>,
     stored: Arc<CsrGraph>,
     at: Option<Vec<IndexDep>>,
 }
@@ -604,5 +666,33 @@ where
         });
         g.tracker().charge(slabs + pull);
         Ok(slabs + pull)
+    }
+}
+
+#[cfg(test)]
+#[allow(clippy::unwrap_used)]
+mod tests {
+    use super::*;
+    use rasql_storage::CsrWeight;
+
+    /// Every source once, in its owner's share, valued its own id; neither a
+    /// destination-only vertex (5) nor a seed vertex interned after the
+    /// edges' (9).
+    #[test]
+    fn graph_seeds_are_the_sources_each_once() {
+        let rows: Vec<Row> = [(7, 2), (7, 2), (3, 3), (2, 5)]
+            .iter()
+            .map(|&(s, d)| Row::new(vec![Value::Int(s), Value::Int(d)]))
+            .collect();
+        let g = CsrGraph::build(&rows, 0, 1, CsrWeight::None, [9], 3).unwrap();
+        let mut seeded = Vec::new();
+        for part in 0..3 {
+            for (d, v) in graph_seeds::<DenseAggState<i64>, MinOp>(&g, part) {
+                assert_eq!(g.part_of[d as usize] as usize, part);
+                seeded.push((g.orig_id(d), v));
+            }
+        }
+        seeded.sort_unstable();
+        assert_eq!(seeded, [(2, 2), (3, 3), (7, 7)]);
     }
 }

@@ -49,8 +49,8 @@ use rasql_plan::{
 use rasql_storage::codec::CompressedRelation;
 use rasql_storage::sync::{LockRank, RankedMutex};
 use rasql_storage::{
-    CsrGraph, CsrWeight, FxHashSet, InEdges, Index, IndexDep, IndexLayout, KeyIndex, Relation, Row,
-    RowPatch, Schema, Value, WordShape, WordTable,
+    CsrGraph, FxHashSet, InEdges, Index, IndexDep, IndexLayout, KeyIndex, Relation, Row, RowPatch,
+    Schema, Value, WordShape, WordTable,
 };
 use std::marker::PhantomData;
 use std::ops::Range;

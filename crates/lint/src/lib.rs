@@ -13,9 +13,9 @@
 //! | code | rule |
 //! |---|---|
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
-//! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s block executor, `exec::kernel`'s edge walk and gather, `core::fixpoint`'s block loop, emit/merge sinks and seed-fold sink) without an allow annotation |
+//! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s block executor, `exec::kernel`'s edge walk and gather, `core::fixpoint`'s block loop, emit/merge sinks, seed-fold sink and graph seed read) without an allow annotation |
 //! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `WordIndex::build(`, `WordTable::from_rows(`/`from_tuples(`/`from_batch(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast, seed and recursive-snapshot builds carry an allow annotation saying why they are not kept |
-//! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s block executor, `exec::tuples`' set and its block interns, `exec::state`'s single and block inserts, `plan::expr`'s word evaluator, `exec::kernel`'s edge walk and gather, `core::fixpoint`'s branch run and block merge) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
+//! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s block executor, `exec::tuples`' set and its block interns, `exec::state`'s single and block inserts, `plan::expr`'s word evaluator, `exec::kernel`'s edge walk and gather, `core::fixpoint`'s branch run, block merge and graph seed read) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
 //! | `RL0011` | statement bookkeeping in `core::context` outside the lifecycle function that owns it: a clock (`Instant::now(`) or a `QueryStats {` literal outside `run_statement`, a metrics delta (`.snapshot().since(`) outside `execute`, an `EvalContext {` literal outside `eval_context` — every statement is timed by one clock, measured by one delta, evaluated through one context and reported by one assembly |
 //!
 //! The codes missing from the table are retired: the checks they made by
@@ -531,22 +531,27 @@ fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppres
 
 /// The borrowed-tuple path covered by RL0007, as (module, functions): the
 /// block executor, the fixpoint's block loop and its emit/merge sinks, the
-/// sink of the kernels' seed fold, and the kernels' edge walk and gather. `run_unfused`
-/// (the §7.3 ablation) materializes rows by design and is not listed.
+/// sink of the kernels' seed fold and their read of seeds off the graph, and
+/// the kernels' edge walk and gather. `run_unfused` (the §7.3 ablation)
+/// materializes rows by design and is not listed.
 const TUPLE_PATHS: &[(&str, &[&str])] = &[
     ("crates/exec/src/pipeline.rs", PIPELINE_FNS),
     ("crates/exec/src/kernel.rs", KERNEL_EDGE_FNS),
     ("crates/core/src/fixpoint/io.rs", BRANCH_IO_FNS),
     ("crates/core/src/fixpoint/merge.rs", EVERY_FN),
     ("crates/core/src/fixpoint/state.rs", &["assemble"]),
-    ("crates/core/src/fixpoint/dense.rs", &["push_seed"]),
+    (
+        "crates/core/src/fixpoint/dense.rs",
+        &["push_seed", "graph_seeds"],
+    ),
     ("crates/exec/src/tuples.rs", WORD_SET_FNS),
     ("crates/exec/src/state.rs", WORD_STATE_FNS),
 ];
 
 /// The word-lane tuple path covered by RL0010, as (module, functions): what
 /// a packed tuple passes through between the join probe and the state's
-/// arena. (`plan::expr`'s `eval_vals`, `exec::tuples`' `Cell for Value` and
+/// arena, and the kernels' read of seeds off the graph, typed from the CSR
+/// arrays to the base items. (`plan::expr`'s `eval_vals`, `exec::tuples`' `Cell for Value` and
 /// the row-only paths of `core::fixpoint` work on values by definition.)
 const WORD_PATHS: &[(&str, &[&str])] = &[
     ("crates/exec/src/pipeline.rs", PIPELINE_FNS),
@@ -559,6 +564,7 @@ const WORD_PATHS: &[(&str, &[&str])] = &[
     ("crates/core/src/fixpoint/io.rs", BRANCH_IO_FNS),
     ("crates/core/src/fixpoint/merge.rs", EVERY_FN),
     ("crates/core/src/fixpoint/state.rs", &["assemble"]),
+    ("crates/core/src/fixpoint/dense.rs", &["graph_seeds"]),
 ];
 /// A module that is hot path from end to end: every function in it is
 /// covered.

@@ -3,7 +3,7 @@
 // `emit`; `crates/exec/src/kernel.rs`: `edge_walk`, `edge_gather`;
 // `crates/core/src/fixpoint/`:
 // `io.rs`'s `push_block`, `state.rs`'s `assemble`, `dense.rs`'s `push_seed`
-// and every function of `merge.rs`).
+// and `graph_seeds`, and every function of `merge.rs`).
 impl Pipeline {
     fn join(&self, row: &Row, out: &mut Vec<Row>) {
         let key = row.values().to_vec();
@@ -36,6 +36,13 @@ impl SeedFold {
     fn push_seed(&mut self, tuple: &[Value]) {
         self.rows.push(Row::from_slice(tuple));
     }
+}
+
+fn graph_seeds(g: &CsrGraph, part: usize) -> Vec<Row> {
+    (0..g.edge_vertices)
+        .filter(|&d| g.part_of[d] as usize == part)
+        .map(|d| Row::new(vec![Value::Int(g.orig_id(d as u32))]))
+        .collect()
 }
 
 fn edge_walk(csr: &CsrGraph, delta: &[(u32, i64)], out: &mut Vec<Row>) {

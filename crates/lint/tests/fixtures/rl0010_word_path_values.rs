@@ -6,7 +6,8 @@
 // `crates/plan/src/expr.rs`: `eval_cells`; `crates/exec/src/kernel.rs`:
 // `edge_walk`, `edge_gather`; `crates/core/src/fixpoint/`:
 // `io.rs`'s `run_branch`, `run_blocks`, `input`, `emit_block`, `push_block`,
-// `state.rs`'s `assemble` and every function of `merge.rs`).
+// `state.rs`'s `assemble`, `dense.rs`'s `graph_seeds` and every function of
+// `merge.rs`).
 impl<C: Cell> Pipeline<C> {
     fn join(&self, s: &mut Scratch<C>) {
         let key = Value::Int(s.tuple[1] as i64);
@@ -60,6 +61,13 @@ fn edge_gather(inn: &InEdges, owned: &[u32], seen: &[bool], out: &mut Vec<Value>
             out.push(Value::Int(i64::from(v)));
         }
     }
+}
+
+fn graph_seeds(g: &CsrGraph, part: usize) -> Vec<(u32, Value)> {
+    (0..g.edge_vertices as u32)
+        .filter(|&d| g.part_of[d as usize] as usize == part)
+        .map(|d| (d, Value::Int(g.orig_id(d))))
+        .collect()
 }
 
 // The cold edge builds rows by definition, and `eval_vals` works on values.

@@ -84,6 +84,7 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
     let new_row = at("Row::new(", concat.2 as usize);
     let pushed = at("Row::from_slice(", new_row.2 as usize);
     let seeded = at("Row::from_slice(", at("fn push_seed", 0).2 as usize);
+    let read = at("Row::new(", at("fn graph_seeds", 0).2 as usize);
     let walked = at("Row::new(", at("fn edge_walk", 0).2 as usize);
     let gathered = at("Row::new(", at("fn edge_gather", 0).2 as usize);
     let unfused = at(".concat(", at("fn run_unfused", 0).2 as usize);
@@ -94,23 +95,24 @@ fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
         vec![to_vec, concat, new_row],
         "{diags:#?}"
     );
-    // `push_block`, `assemble`, `push_seed` and the edge walks are not among
+    // `push_block`, `assemble`, the kernels' seeds and the edge walks are not among
     // them; `run_unfused` and the test module never are.
     assert_eq!(suppressed, 0);
     // ... the fixpoint's sinks are the branch run's `push_block`, the state's
     // `assemble`, whose annotated copy is suppressed, and the seed fold's
-    // `push_seed`, each in its own module ...
+    // `push_seed` and the graph's seed read `graph_seeds`, each in its own
+    // module ...
     let fixpoint = |file: &str| format!("crates/core/src/fixpoint/{file}");
     assert_eq!(spans(&fixpoint("io.rs")), vec![pushed]);
     let (_, suppressed) = lint_file_counting(&fixpoint("state.rs"), src);
     assert_eq!((spans(&fixpoint("state.rs")), suppressed), (vec![], 1));
-    assert_eq!(spans(&fixpoint("dense.rs")), vec![seeded]);
+    assert_eq!(spans(&fixpoint("dense.rs")), vec![seeded, read]);
     // ... and the merge is hot path from end to end: every function of its
     // module is covered, the test module still is not.
     let (diags, suppressed) = lint_file_counting(&fixpoint("merge.rs"), src);
     assert_eq!(
         spans(&fixpoint("merge.rs")),
-        vec![to_vec, concat, new_row, pushed, seeded, walked, gathered, unfused],
+        vec![to_vec, concat, new_row, pushed, seeded, read, walked, gathered, unfused],
         "{diags:#?}"
     );
     assert_eq!(suppressed, 1);
@@ -305,10 +307,16 @@ fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
     // The kernels' gather builds a value per vertex; their walk builds none.
     let gathered = at("Value::Int(", cloned.1);
     assert_eq!(found("crates/exec/src/kernel.rs"), (vec![gathered], 0));
+    // The kernels' seed read off the graph builds a value per vertex.
+    let seeded = at("Value::Int(", gathered.1);
+    assert_eq!(
+        found("crates/core/src/fixpoint/dense.rs"),
+        (vec![seeded], 0)
+    );
     // Every function of the merge's module is covered: the cold edge's
     // `to_rows` and `eval_vals` too, and the two annotated cell copies are
     // suppressed; the test module is not covered.
-    let cold_row = at("Row::new(", gathered.1);
+    let cold_row = at("Row::new(", seeded.1);
     let cold_value = at("Value::Int(", cold_row.1);
     let cold_clone = at(".clone()", cold_value.1);
     let every = vec![
@@ -321,6 +329,7 @@ fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
         row_per_tuple,
         cloned,
         gathered,
+        seeded,
         cold_row,
         cold_value,
         cold_clone,

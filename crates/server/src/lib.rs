@@ -45,7 +45,7 @@ use rasql_core::{RaSqlContext, Session};
 use rasql_storage::sync::{LockRank, RankedMutex};
 use std::io;
 use std::net::{Ipv4Addr, Ipv6Addr, SocketAddr, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread;
 use std::time::{Duration, Instant};
@@ -72,6 +72,8 @@ pub(crate) struct ServerState {
     /// Idle keepalive: reap connections quiet for this long
     /// (`Duration::ZERO` disables reaping).
     pub(crate) idle_timeout: Duration,
+    /// Times the acceptor woke from `accept`: once per connection.
+    accept_wakeups: Arc<AtomicU64>,
 }
 
 pub(crate) struct ConnEntry {
@@ -133,6 +135,7 @@ pub fn serve_full(
         shutdown: AtomicBool::new(false),
         connections: RankedMutex::new(LockRank::ServerConnections, Vec::new()),
         idle_timeout,
+        accept_wakeups: Arc::new(AtomicU64::new(0)),
     });
     let accept_state = Arc::clone(&state);
     let accept = thread::Builder::new()
@@ -162,6 +165,13 @@ impl ServerHandle {
     /// Open client sessions right now.
     pub fn live_sessions(&self) -> usize {
         self.state.live_sessions()
+    }
+
+    /// The acceptor's wake-up count, readable after shutdown too: one per
+    /// accepted connection, and one for the connection shutdown wakes it
+    /// with. An acceptor that polled would wake once per poll.
+    pub fn accept_wakeups(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.state.accept_wakeups)
     }
 
     /// Block until something requests shutdown (a client `Shutdown` frame,
@@ -252,6 +262,7 @@ impl Drop for ServerHandle {
 fn accept_loop(listener: &TcpListener, state: &Arc<ServerState>) {
     loop {
         let accepted = listener.accept();
+        state.accept_wakeups.fetch_add(1, Ordering::SeqCst);
         if state.shutdown.load(Ordering::SeqCst) {
             return;
         }

@@ -44,6 +44,23 @@ pub enum CsrWeight {
     },
 }
 
+impl CsrWeight {
+    /// The weight the index store keys a graph on: a `Float` weight with
+    /// promotion on. Over `Double` weights the graph built without promoting
+    /// is the graph built with it, so one entry serves both; a kernel that
+    /// does not promote reads [`CsrGraph::widened_int`] to refuse a graph
+    /// that did.
+    pub fn promoted(self) -> CsrWeight {
+        match self {
+            CsrWeight::Float { col, .. } => CsrWeight::Float {
+                col,
+                promote_int: true,
+            },
+            w => w,
+        }
+    }
+}
+
 /// A static edge relation in CSR form with dense vertex ids.
 ///
 /// Adjacency for dense vertex `v` is `targets[offsets[v]..offsets[v + 1]]`,
@@ -73,6 +90,9 @@ pub struct CsrGraph {
     /// to what the generic path computes for a single-column `Int` key.
     pub part_of: Vec<u32>,
     remap: FxHashMap<i64, u32>,
+    /// An `Int` weight was widened to `f64` ([`CsrWeight::Float`] with
+    /// `promote_int`).
+    widened: bool,
 }
 
 impl CsrGraph {
@@ -134,6 +154,7 @@ impl CsrGraph {
         let mut ends: Vec<(u32, u32)> = Vec::with_capacity(m);
         let mut edge_w_i: Vec<i64> = Vec::new();
         let mut edge_w_f: Vec<f64> = Vec::new();
+        let mut widened = self.widened;
         match weight {
             CsrWeight::None => {}
             CsrWeight::Int { .. } => edge_w_i.reserve_exact(m),
@@ -155,7 +176,10 @@ impl CsrGraph {
                 CsrWeight::Float { col, promote_int } => match row.get(col) {
                     Value::Double(w) => edge_w_f.push(*w),
                     #[allow(clippy::cast_precision_loss)]
-                    Value::Int(w) if promote_int => edge_w_f.push(*w as f64),
+                    Value::Int(w) if promote_int => {
+                        widened = true;
+                        edge_w_f.push(*w as f64);
+                    }
                     _ => return None,
                 },
             }
@@ -228,6 +252,7 @@ impl CsrGraph {
             edge_vertices,
             part_of,
             remap,
+            widened,
         })
     }
 
@@ -247,6 +272,13 @@ impl CsrGraph {
     #[inline]
     pub fn dense_id(&self, orig_id: i64) -> Option<u32> {
         self.remap.get(&orig_id).copied()
+    }
+
+    /// Whether the graph widened an `Int` weight to `f64`: what a graph
+    /// built without promotion would have refused.
+    #[inline]
+    pub fn widened_int(&self) -> bool {
+        self.widened
     }
 
     /// Original id of a dense vertex id.
@@ -479,5 +511,29 @@ mod tests {
             2
         )
         .is_some());
+    }
+
+    #[test]
+    fn a_graph_records_whether_it_widened_an_int_weight() {
+        let weight = CsrWeight::Float {
+            col: 2,
+            promote_int: false,
+        }
+        .promoted();
+        let doubles = vec![Row::new(vec![
+            Value::Int(1),
+            Value::Int(2),
+            Value::Double(1.5),
+        ])];
+        let g = CsrGraph::build(&doubles, 0, 1, weight, [], 2).unwrap();
+        assert!(!g.widened_int());
+        // An appended `Int` weight widens the advanced graph, and the flag
+        // outlives a seed extension.
+        let advanced = g.extended(&edge_rows(&[(2, 3, 4)]), 0, 1, weight, [], 2);
+        let advanced = advanced.unwrap().extended(&[], 0, 1, weight, [9], 2);
+        assert!(advanced.unwrap().widened_int());
+        assert!(!CsrGraph::build(&doubles, 0, 1, CsrWeight::None, [], 2)
+            .unwrap()
+            .widened_int());
     }
 }

@@ -54,6 +54,7 @@ fn assert_same_graph(a: &CsrGraph, b: &CsrGraph) -> Result<(), TestCaseError> {
     prop_assert_eq!(&a.orig, &b.orig);
     prop_assert_eq!(a.edge_vertices, b.edge_vertices);
     prop_assert_eq!(&a.part_of, &b.part_of);
+    prop_assert_eq!(a.widened_int(), b.widened_int());
     for (dense, &id) in a.orig.iter().enumerate() {
         prop_assert_eq!(a.dense_id(id), Some(dense as u32));
         prop_assert_eq!(b.dense_id(id), Some(dense as u32));
