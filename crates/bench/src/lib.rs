@@ -99,12 +99,21 @@ impl System {
     }
 }
 
+/// The host's cores as the OS reports them (`available_parallelism`), if
+/// it does. The BENCH artifacts record it beside their worker count.
+fn host_cores() -> Option<usize> {
+    std::thread::available_parallelism().ok().map(|n| n.get())
+}
+
 /// Default worker count for the harness.
 pub fn default_workers() -> usize {
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8)
+    host_cores().unwrap_or(4).clamp(2, 8)
+}
+
+/// The `"cores"` field of a BENCH artifact: the host's cores, or null.
+fn cores_field() -> (String, JsonValue) {
+    let cores = host_cores().map_or(JsonValue::Null, |n| JsonValue::Num(n as f64));
+    ("cores".into(), cores)
 }
 
 /// Time a closure.
@@ -895,6 +904,7 @@ pub fn fig13(scale: f64) -> (Table, JsonValue) {
     let json = JsonValue::Obj(vec![
         ("figure".into(), JsonValue::Str("fig13_kernels".into())),
         ("workers".into(), JsonValue::Num(workers as f64)),
+        cores_field(),
         ("scale".into(), JsonValue::Num(scale)),
         ("rows".into(), JsonValue::Arr(records)),
     ]);
@@ -2631,6 +2641,7 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
     let json = JsonValue::Obj(vec![
         ("figure".into(), JsonValue::Str("ivm_refresh".into())),
         ("workers".into(), JsonValue::Num(workers as f64)),
+        cores_field(),
         ("scale".into(), JsonValue::Num(scale)),
         ("vertices".into(), JsonValue::Num(n as f64)),
         ("edges".into(), JsonValue::Num(edges.len() as f64)),

@@ -80,7 +80,6 @@ impl<'a, C: Cell> Merge<'a, C> {
                 for j in (0..width).filter(|&j| v.counts_tuples(j)) {
                     let one = C::one(v.agg_kinds[j])?;
                     for t in 0..block.len() {
-                        // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
                         self.vals[t * width + j] = one.clone();
                     }
                 }
@@ -140,7 +139,6 @@ pub(super) fn gather<'o, C: Cell>(
 ) -> Block<'o, C> {
     out.clear();
     for tuple in block.iter() {
-        // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
         out.extend(cols.iter().map(|&c| tuple[c].clone()));
     }
     Block::new(out, cols.len(), block.len())

@@ -232,7 +232,6 @@ pub(super) fn assemble<C: Cell>(layout: &[Slot], key: &[C], aggs: &[C], buf: &mu
         Slot::Key(i) => &key[i],
         Slot::Agg(j) => &aggs[j],
     };
-    // lint: allow(RL0010, a cell: a word copy when the clique runs on words)
     buf.extend(layout.iter().map(|slot| cell(slot).clone()));
 }
 

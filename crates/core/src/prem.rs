@@ -319,10 +319,13 @@ impl<'a> PremChecker<'a> {
         // Aggregated run.
         let mut agg_state: FxHashMap<Box<[Value]>, Vec<Value>> = FxHashMap::default();
         let mut agg_delta = merge_agg(&mut agg_state, &base);
-        // Stratified run.
+        // Stratified run, and γ of its state: the state only grows, so γ
+        // folds each round's new rows into one running extrema map.
         let mut strat_state: FxHashSet<Row> = base.iter().cloned().collect();
         let mut strat_delta: Vec<Row> = base.clone();
         let mut strat_diverged = false;
+        let mut gamma: FxHashMap<Box<[Value]>, Vec<Value>> = FxHashMap::default();
+        merge_agg(&mut gamma, &base);
 
         for iteration in 1..=self.bounds.max_iterations {
             let agg_converged = agg_delta.is_empty();
@@ -351,6 +354,7 @@ impl<'a> PremChecker<'a> {
                         fresh.push(row);
                     }
                 }
+                merge_agg(&mut gamma, &fresh);
                 strat_delta = fresh;
                 if strat_state.len() > self.bounds.max_rows {
                     strat_diverged = true;
@@ -361,22 +365,6 @@ impl<'a> PremChecker<'a> {
             // aggregated state knows (the stratified side can only be ahead
             // when it diverges past the bound).
             if !strat_diverged {
-                let mut gamma: FxHashMap<Box<[Value]>, Vec<Value>> = FxHashMap::default();
-                for row in &strat_state {
-                    let key: Box<[Value]> = key_cols.iter().map(|&c| row[c].clone()).collect();
-                    let vals: Vec<Value> = agg_cols.iter().map(|&c| row[c].clone()).collect();
-                    let entry = gamma.entry(key).or_insert_with(|| vals.clone());
-                    for (j, v) in vals.iter().enumerate() {
-                        let better = if mins[j] {
-                            *v < entry[j]
-                        } else {
-                            *v > entry[j]
-                        };
-                        if better {
-                            entry[j] = v.clone();
-                        }
-                    }
-                }
                 if gamma.len() != agg_state.len() {
                     return Ok(PremCheckOutcome::Violated {
                         iteration,
@@ -586,6 +574,34 @@ mod tests {
         assert!(
             matches!(outcome, PremCheckOutcome::Holds { .. }),
             "{outcome:?}"
+        );
+    }
+
+    /// `Cost - path.Cost` is not monotone: around the cycle 2→3→2 the
+    /// stratified run finds ever cheaper costs for 2 after the aggregated run
+    /// has converged on 0.0. The round and the group it is caught on are
+    /// pinned as the checker reported them when it rebuilt γ every round.
+    #[test]
+    fn non_monotone_min_is_violated_at_a_pinned_round() {
+        let ctx = RaSqlContext::in_memory();
+        ctx.register(
+            "edge",
+            Relation::weighted_edges(&[(1, 2, 1.0), (2, 3, 2.0), (3, 2, 1.0), (1, 4, 20.0)]),
+        )
+        .unwrap();
+        let sql = "WITH recursive path (Dst, min() AS Cost) AS \
+                     (SELECT 1, 0.0) UNION \
+                     (SELECT edge.Dst, edge.Cost - path.Cost FROM path, edge \
+                      WHERE path.Dst = edge.Src) \
+                   SELECT Dst, Cost FROM path";
+        let outcome = PremChecker::new(&ctx).check(sql).unwrap();
+        assert_eq!(
+            outcome,
+            PremCheckOutcome::Violated {
+                iteration: 5,
+                detail: "key [Int(2)]: γ(stratified)=[Double(-1.0)] aggregated=Some([Double(0.0)])"
+                    .into(),
+            }
         );
     }
 

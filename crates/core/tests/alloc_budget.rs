@@ -10,11 +10,11 @@
 //! statement that returns its view (TC, APSP) pays one row per view tuple;
 //! one that folds it (stratified CC, a count) does not. Counted with this
 //! binary's own global allocator; one worker and one partition make the
-//! counts repeat exactly.
+//! counts repeat to within a few allocations between runs.
 
 use rasql_core::{library, RaSqlContext};
 use rasql_datagen::{rmat, RmatConfig};
-use rasql_storage::Relation;
+use rasql_storage::{DataType, Relation, Row, Schema, Value};
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -49,16 +49,24 @@ static GLOBAL: Counting = Counting;
 /// The tests of this binary count one at a time.
 static SERIAL: Mutex<()> = Mutex::new(());
 
-/// Result rows, heap allocations and fixpoint rounds of one statement, on
-/// the generic interpreter or with the kernels on.
-fn measure_on(kernels: bool, edges: Relation, sql: &str) -> (u64, u64, u64) {
+/// A one-worker, one-partition context over `edges`, on the generic
+/// interpreter or with the kernels on.
+fn context(kernels: bool, tracing: bool, edges: Relation) -> RaSqlContext {
     let ctx = RaSqlContext::builder()
         .workers(1)
         .partitions(1)
         .stage_latency_us(0)
         .specialized_kernels(kernels)
+        .tracing(tracing)
         .build();
     ctx.register("edge", edges).unwrap();
+    ctx
+}
+
+/// Result rows, heap allocations and fixpoint rounds of one statement, on
+/// the generic interpreter or with the kernels on.
+fn measure_on(kernels: bool, edges: Relation, sql: &str) -> (u64, u64, u64) {
+    let ctx = context(kernels, false, edges);
     let before = ALLOCATIONS.load(Ordering::Relaxed);
     let result = ctx.query(sql).unwrap();
     let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
@@ -72,6 +80,25 @@ fn measure(edges: Relation, sql: &str) -> (u64, u64) {
     (rows, allocations)
 }
 
+/// The first clique's kernel, tuple representation and pulled rounds, read
+/// off a traced twin of a counted run (the counted runs trace nothing: a
+/// trace allocates per round).
+fn traced_twin(kernels: bool, edges: Relation, sql: &str) -> (String, String, usize) {
+    let result = context(kernels, true, edges).query(sql).unwrap();
+    let clique = &result.trace.as_ref().expect("tracing is on").cliques[0];
+    let pulled = clique.iterations.iter().filter(|it| it.pull).count();
+    (clique.kernel.clone(), clique.tuples.clone(), pulled)
+}
+
+/// RMAT-300, seed 7: the graph every leg but the cliques runs on.
+fn rmat_300(weighted: bool) -> Relation {
+    let config = RmatConfig {
+        weighted,
+        ..RmatConfig::default()
+    };
+    rmat(300, config, 7)
+}
+
 /// Serialized with the other test, so nothing else in this binary
 /// allocates while it counts.
 #[test]
@@ -79,13 +106,7 @@ fn a_statement_allocates_for_its_result_not_for_its_derivations() {
     let _alone = SERIAL
         .lock()
         .unwrap_or_else(std::sync::PoisonError::into_inner);
-    let graph = |weighted| {
-        let config = RmatConfig {
-            weighted,
-            ..RmatConfig::default()
-        };
-        rmat(300, config, 7)
-    };
+    let graph = rmat_300;
 
     // Measured 1.011 per row (83 232 for 82 322 rows: the rows themselves
     // and the statement's fixed cost, now with the block executor's buffers,
@@ -109,6 +130,18 @@ fn a_statement_allocates_for_its_result_not_for_its_derivations() {
     assert!(
         allocations * 100 <= 104 * rows,
         "APSP: {allocations} allocations for {rows} rows"
+    );
+
+    // SSSP from one source is not decomposable (its key moves along the
+    // edge), so the interpreter runs it semi-naive with a map-side combine:
+    // a branch run fills a partial aggregate that is shuffled, rather than
+    // merging into the state in place. Measured 2 349 for 297 rows and 9
+    // rounds (the kernel: 1 256, below).
+    let (rows, allocations, rounds) = measure_on(false, graph(true), &library::sssp(0));
+    assert!(rows >= 250, "shortest paths worth measuring: {rows} rows");
+    assert!(
+        allocations <= rows + 190 * rounds + 700,
+        "SSSP: {allocations} allocations for {rows} rows, {rounds} rounds"
     );
 
     // A clique: round 1 derives every pair `n - 1` times over and finds `n`
@@ -164,6 +197,12 @@ fn a_statement_allocates_for_its_result_not_for_its_derivations() {
         "kernel CC: {allocations} allocations for {rows} rows, {rounds} rounds"
     );
 
+    // The count above holds the kernels' pull as well as their push: three
+    // of CC's four rounds gather in-edges here.
+    let (kernel, _, pulled) = traced_twin(true, graph(false), &library::cc());
+    assert_eq!(kernel, "csr_min_i64");
+    assert!(pulled >= 1, "kernel CC pulled {pulled} rounds");
+
     // Kernel CC counted: the slabs leave the fixpoint as `(Int id, value)`
     // lanes and `count(distinct …)` folds them typed, so the one answer row
     // and the constant above are all. Measured 995; the parent built a row
@@ -174,6 +213,71 @@ fn a_statement_allocates_for_its_result_not_for_its_derivations() {
         allocations <= rows + 1_200,
         "kernel CC count: {allocations} allocations for {rows} rows"
     );
+}
+
+/// A clique whose ids are strings runs on rows (`Value` cells), not packed
+/// words, through the same block executor, sinks and state: it too
+/// allocates per result row, not per derivation.
+#[test]
+fn a_row_clique_allocates_for_its_rows_not_its_derivations() {
+    let _alone = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    let n = 60;
+    let id = |v: usize| Value::str(format!("v{v}"));
+    let pairs = (0..n).flat_map(|a| (0..n).filter(move |b| *b != a).map(move |b| (a, b)));
+    let rows: Vec<Row> = pairs.map(|(a, b)| Row::new(vec![id(a), id(b)])).collect();
+    let schema = Schema::new(vec![("Src", DataType::Str), ("Dst", DataType::Str)]);
+    let clique = || Relation::try_new(schema.clone(), rows.clone()).unwrap();
+    let (kernel, tuples, _) = traced_twin(false, clique(), &library::transitive_closure());
+    assert_eq!((kernel.as_str(), tuples.as_str()), ("generic", "rows"));
+    // Measured 18 892 for 3 600 rows and 208 860 derivations; 5.5, 5.2 and
+    // 5.1 per row at n = 40, 60 and 90: the cost follows the new rows, not
+    // the derivations.
+    let derivations = (n * (n - 1) * (n - 1)) as u64;
+    let (rows, allocations) = measure(clique(), &library::transitive_closure());
+    assert_eq!(rows, (n * n) as u64);
+    assert!(
+        allocations <= rows * 6 && allocations < derivations / 8,
+        "string clique: {allocations} allocations for {rows} rows, {derivations} derivations"
+    );
+}
+
+/// The kernels allocate for their answer and a constant per round, on every
+/// seed path and edge weight: no row per base tuple, seed or edge.
+#[test]
+fn a_kernel_allocates_for_its_answer_not_its_seeds_or_edges() {
+    let _alone = SERIAL
+        .lock()
+        .unwrap_or_else(std::sync::PoisonError::into_inner);
+    // A filtered base case is not the build plan's source column, so its
+    // seeds are folded from the base rows (`SeedFold`) rather than read off
+    // the graph. Measured 1 212 for 299 rows and 4 rounds; with a row built
+    // per base tuple, 4 214.
+    let folded = library::cc().replace(
+        "SELECT Src, Src FROM edge",
+        "SELECT Src, Src FROM edge WHERE Src >= 0",
+    );
+    let (rows, allocations, rounds) = measure_on(true, rmat_300(false), &folded);
+    assert!(rows >= 250, "components worth measuring: {rows} rows");
+    assert!(
+        allocations <= rows * 12 / 10 + 160 * (rounds + 2),
+        "kernel CC, folded seeds: {allocations} allocations for {rows} rows, {rounds} rounds"
+    );
+
+    // The weighted kernels: measured 1 256 for SSSP (297 rows, 9 rounds)
+    // and 1 463 for widest path (297 rows, 14 rounds), about 40 per round.
+    for (name, sql) in [
+        ("SSSP", library::sssp(0)),
+        ("widest path", library::widest_path(0)),
+    ] {
+        let (rows, allocations, rounds) = measure_on(true, rmat_300(true), &sql);
+        assert!(rows >= 250, "{name}: {rows} rows");
+        assert!(
+            allocations <= rows + 50 * rounds + 650,
+            "kernel {name}: {allocations} allocations for {rows} rows, {rounds} rounds"
+        );
+    }
 }
 
 /// Of an SSSP view over weighted RMAT-`n`: the bytes requested by its first

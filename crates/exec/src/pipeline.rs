@@ -82,7 +82,6 @@ impl<C: Cell> Projection<C> {
     fn apply(&self, tuple: &[C], out: &mut Vec<C>) -> Result<(), Escaped> {
         match self {
             Projection::Columns(cols) => {
-                // lint: allow(RL0010, a cell: a word copy when the tuple is packed words)
                 out.extend(cols.iter().map(|&c| tuple[c].clone()));
                 Ok(())
             }
@@ -389,7 +388,6 @@ fn join<C: Cell, S: TupleSource<C> + ?Sized>(
                             None => &tuple[c],
                             Some(b) => &m[b],
                         };
-                        // lint: allow(RL0010, a cell: a word copy when the tuple is packed words)
                         dst.cells.push(cell.clone());
                     }
                     dst.arity = cols.len();

@@ -13,9 +13,7 @@
 //! | code | rule |
 //! |---|---|
 //! | `RL0006` | whole-buffer row copy (`.rows().to_vec()`, `rows.to_vec()`, `chunk.to_vec()`) in a read-path module (`core::{eval,fixpoint,wire,context}`, `server::conn`) without an allow annotation |
-//! | `RL0007` | per-tuple row construction (`Row::new(`, `Row::from_slice(`, `.concat(`, `.to_vec(`) in a function of the borrowed-tuple path (`exec::pipeline`'s block executor, `exec::kernel`'s edge walk and gather, `core::fixpoint`'s block loop, emit/merge sinks, seed-fold sink and graph seed read) without an allow annotation |
 //! | `RL0008` | a join index of base data built outside the store's feeder: `HashTable::build(`, `WordIndex::build(`, `WordTable::from_rows(`/`from_tuples(`/`from_batch(`, `partition_rows(` or `CsrGraph::build(` in `crates/core/src` anywhere but `core::index` — per-query sort-merge, broadcast, seed and recursive-snapshot builds carry an allow annotation saying why they are not kept |
-//! | `RL0010` | a `Value::…(` / `Row::…(` construction or a `.clone()` in a function of the word-lane tuple path (`exec::pipeline`'s block executor, `exec::tuples`' set and its block interns, `exec::state`'s single and block inserts, `plan::expr`'s word evaluator, `exec::kernel`'s edge walk and gather, `core::fixpoint`'s branch run, block merge and graph seed read) — there a tuple is packed cells from probe to merge; the few generic cell copies carry an allow annotation |
 //! | `RL0011` | statement bookkeeping in `core::context` outside the lifecycle function that owns it: a clock (`Instant::now(`) or a `QueryStats {` literal outside `run_statement`, a metrics delta (`.snapshot().since(`) outside `execute`, an `EvalContext {` literal outside `eval_context` — every statement is timed by one clock, measured by one delta, evaluated through one context and reported by one assembly |
 //!
 //! The codes missing from the table are retired: the checks they made by
@@ -27,7 +25,11 @@
 //! `tables` write guard, which owns the counter; and only the module of
 //! `core::fixpoint` that holds the round loop (`drive`) can run a round —
 //! a `RoundStep`'s round methods take a `Turn` that no other module can
-//! make — or reach the trace's round records and the iteration count.
+//! make — or reach the trace's round records and the iteration count. The
+//! per-tuple disciplines of the hot paths (no row, value or clone built per
+//! derived tuple, edge or seed) are not spelled as lists of hot functions:
+//! `rasql-core`'s `alloc_budget` test counts what the real code allocates
+//! per answer row on the generic, word, row and kernel paths.
 //!
 //! A finding is suppressed — and counted as suppressed, not silently
 //! dropped — by a justification comment on the same line or the line
@@ -67,12 +69,6 @@ pub enum LintCode {
     /// the socket; a copy on that path costs one allocation per row per
     /// query, so each one needs a stated reason.
     ReadPathRowCopy,
-    /// `RL0007`: a row or value vector built per tuple (`Row::new(`,
-    /// `Row::from_slice(`, `.concat(`, `.to_vec(`) inside a function of the
-    /// borrowed-tuple path. A derived tuple stays a slice of a reused
-    /// buffer until the state finds it new; the allocation for a new tuple
-    /// is the reasoned exception.
-    PerTupleRowBuild,
     /// `RL0008`: `HashTable::build(`, `WordIndex::build(`, `WordTable::from_…(`,
     /// `partition_rows(` or `CsrGraph::build(`
     /// in `crates/core/src` outside `index.rs`, the one module that feeds
@@ -81,14 +77,6 @@ pub enum LintCode {
     /// build that is per query by design (a sort-merge run, the broadcast
     /// that models the network, a snapshot of a recursive relation) says so.
     IndexBuiltOutsideStore,
-    /// `RL0010`: a `Value::Variant(` or `Row::constructor(` call, or a
-    /// `.clone()`, in a function that a word-lane tuple passes through. On
-    /// that path a tuple is `u64` cells from the join probe to the state's
-    /// arena; building a `Value` or a `Row` for it, or cloning one, brings
-    /// back the 16-byte tagged cell and the allocation the representation
-    /// removed. The functions are generic over the cell type, so the few
-    /// places that copy a *cell* say so in an allow annotation.
-    WordPathValueBuild,
     /// `RL0011`: statement bookkeeping in `core::context` outside the
     /// lifecycle function that owns it — a clock (`Instant::now(`) or a
     /// `QueryStats {` literal outside `run_statement`, a metrics delta
@@ -105,9 +93,7 @@ impl LintCode {
     pub fn code(&self) -> &'static str {
         match self {
             LintCode::ReadPathRowCopy => "RL0006",
-            LintCode::PerTupleRowBuild => "RL0007",
             LintCode::IndexBuiltOutsideStore => "RL0008",
-            LintCode::WordPathValueBuild => "RL0010",
             LintCode::StatementOutsideLifecycle => "RL0011",
         }
     }
@@ -119,12 +105,10 @@ impl LintCode {
     }
 
     /// All codes, for `--explain`-style listings.
-    pub fn all() -> [LintCode; 5] {
+    pub fn all() -> [LintCode; 3] {
         [
             LintCode::ReadPathRowCopy,
-            LintCode::PerTupleRowBuild,
             LintCode::IndexBuiltOutsideStore,
-            LintCode::WordPathValueBuild,
             LintCode::StatementOutsideLifecycle,
         ]
     }
@@ -135,14 +119,8 @@ impl LintCode {
             LintCode::ReadPathRowCopy => {
                 "whole-buffer row copy in a read-path module without an allow annotation"
             }
-            LintCode::PerTupleRowBuild => {
-                "per-tuple row construction in the borrowed-tuple path without an allow annotation"
-            }
             LintCode::IndexBuiltOutsideStore => {
                 "join index of base data built in core outside the index store's feeder module"
-            }
-            LintCode::WordPathValueBuild => {
-                "Value/Row built or cloned in the word-lane tuple path without an allow annotation"
             }
             LintCode::StatementOutsideLifecycle => {
                 "statement clock, metrics delta, EvalContext or QueryStats in core::context \
@@ -529,208 +507,6 @@ fn rule_read_path_copy(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppres
     }
 }
 
-/// The borrowed-tuple path covered by RL0007, as (module, functions): the
-/// block executor, the fixpoint's block loop and its emit/merge sinks, the
-/// sink of the kernels' seed fold and their read of seeds off the graph, and
-/// the kernels' edge walk and gather. `run_unfused` (the §7.3 ablation)
-/// materializes rows by design and is not listed.
-const TUPLE_PATHS: &[(&str, &[&str])] = &[
-    ("crates/exec/src/pipeline.rs", PIPELINE_FNS),
-    ("crates/exec/src/kernel.rs", KERNEL_EDGE_FNS),
-    ("crates/core/src/fixpoint/io.rs", BRANCH_IO_FNS),
-    ("crates/core/src/fixpoint/merge.rs", EVERY_FN),
-    ("crates/core/src/fixpoint/state.rs", &["assemble"]),
-    (
-        "crates/core/src/fixpoint/dense.rs",
-        &["push_seed", "graph_seeds"],
-    ),
-    ("crates/exec/src/tuples.rs", WORD_SET_FNS),
-    ("crates/exec/src/state.rs", WORD_STATE_FNS),
-];
-
-/// The word-lane tuple path covered by RL0010, as (module, functions): what
-/// a packed tuple passes through between the join probe and the state's
-/// arena, and the kernels' read of seeds off the graph, typed from the CSR
-/// arrays to the base items. (`plan::expr`'s `eval_vals`, `exec::tuples`' `Cell for Value` and
-/// the row-only paths of `core::fixpoint` work on values by definition.)
-const WORD_PATHS: &[(&str, &[&str])] = &[
-    ("crates/exec/src/pipeline.rs", PIPELINE_FNS),
-    ("crates/exec/src/tuples.rs", WORD_SET_FNS),
-    ("crates/exec/src/state.rs", WORD_STATE_FNS),
-    ("crates/plan/src/expr.rs", &["eval_cells"]),
-    ("crates/exec/src/kernel.rs", KERNEL_EDGE_FNS),
-    ("crates/storage/src/index.rs", PACKED_TABLE_FNS),
-    ("crates/storage/src/keys.rs", KEY_INDEX_FNS),
-    ("crates/core/src/fixpoint/io.rs", BRANCH_IO_FNS),
-    ("crates/core/src/fixpoint/merge.rs", EVERY_FN),
-    ("crates/core/src/fixpoint/state.rs", &["assemble"]),
-    ("crates/core/src/fixpoint/dense.rs", &["graph_seeds"]),
-];
-/// A module that is hot path from end to end: every function in it is
-/// covered.
-const EVERY_FN: &[&str] = &[];
-/// The kernels' loops over a graph: the push's edge walk and the pull's
-/// in-edge gather (`exec::kernel`).
-const KERNEL_EDGE_FNS: &[&str] = &["edge_walk", "edge_gather"];
-/// A fixpoint branch's run over its input blocks (`core::fixpoint::io`).
-const BRANCH_IO_FNS: &[&str] = &[
-    "run_branch",
-    "run_blocks",
-    "input",
-    "emit_block",
-    "push_block",
-];
-/// The block executor (`exec::pipeline`): a block's selection, its joins and
-/// its projection, and `for_each`, which runs it over rows.
-const PIPELINE_FNS: &[&str] = &[
-    "for_each",
-    "run_block",
-    "select",
-    "filter",
-    "join",
-    "emit",
-    "apply",
-];
-const WORD_SET_FNS: &[&str] = &[
-    "intern",
-    "intern_hashed",
-    "intern_block",
-    "intern_run",
-    "probe",
-    "find",
-    "push",
-    "get",
-    "hash_block",
-    "hash_run",
-    "partition_of",
-    "lane_partition",
-];
-const WORD_STATE_FNS: &[&str] = &[
-    "insert_slice",
-    "insert_block",
-    "merge_in_place",
-    "merge_block",
-    "merge_run",
-    "settle",
-];
-/// The packed build side's probe and build (`storage::index::WordTable`).
-const PACKED_TABLE_FNS: &[&str] = &[
-    "probe",
-    "next",
-    "key_cells",
-    "laid_out",
-    "push_row",
-    "link",
-    "lay_out",
-    "from_tuples",
-    "from_batch",
-];
-/// The key index under both (`storage::keys::KeyIndex`): a lookup or an
-/// insert, by position or hashed.
-const KEY_INDEX_FNS: &[&str] = &[
-    "find", "intern", "probe", "position", "note", "hash32", "nth",
-];
-/// RL0007: `Row::new(` / `Row::from_slice(` / `.concat(` / `.to_vec(` in a
-/// function that runs once per derived tuple. Most derived tuples are
-/// duplicates; building a row for each is what the borrowed-tuple path
-/// removed.
-fn rule_per_tuple_row(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    let Some((_, hot)) = TUPLE_PATHS.iter().find(|(p, _)| ctx.path.ends_with(p)) else {
-        return;
-    };
-    let code = &ctx.code;
-    let fns = enclosing_fns(code);
-    let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
-    for i in 0..code.len() {
-        if !fns[i].is_some_and(|(name, _)| hot.is_empty() || hot.contains(&name)) {
-            continue;
-        }
-        let t = &code[i];
-        // `Row::new(` / `Row::from_slice(`, or a `.concat(` / `.to_vec(` call.
-        let end = if t.is_ident("Row")
-            && is(i + 1, &|t| t.is_punct(':'))
-            && is(i + 2, &|t| t.is_punct(':'))
-            && is(i + 3, &|t| t.is_ident("new") || t.is_ident("from_slice"))
-            && is(i + 4, &|t| t.is_punct('('))
-        {
-            i + 4
-        } else if t.is_punct('.')
-            && is(i + 1, &|t| t.is_ident("concat") || t.is_ident("to_vec"))
-            && is(i + 2, &|t| t.is_punct('('))
-        {
-            i + 2
-        } else {
-            continue;
-        };
-        let span = Span::new(t.start, code[end].end);
-        ctx.emit(
-            out,
-            suppressed,
-            LintDiagnostic::new(
-                LintCode::PerTupleRowBuild,
-                ctx.path,
-                span,
-                "row built per tuple in the borrowed-tuple path",
-            )
-            .with_help(
-                "keep the tuple a `&[Value]` of the scratch buffer and look it up by slice; the \
-                 copy kept for a tuple the state found new needs \
-                 `// lint: allow(RL0007, <reason>)`",
-            ),
-        );
-    }
-}
-
-/// RL0010: `Value::Ident(` / `Row::ident(` / `.clone()` in a function of the
-/// word-lane tuple path.
-fn rule_word_path_value(ctx: &FileCtx<'_>, out: &mut Vec<LintDiagnostic>, suppressed: &mut usize) {
-    let Some((_, hot)) = WORD_PATHS.iter().find(|(p, _)| ctx.path.ends_with(p)) else {
-        return;
-    };
-    let code = &ctx.code;
-    let fns = enclosing_fns(code);
-    let is = |i: usize, f: &dyn Fn(&Token<'_>) -> bool| code.get(i).is_some_and(f);
-    for i in 0..code.len() {
-        if !fns[i].is_some_and(|(name, _)| hot.is_empty() || hot.contains(&name)) {
-            continue;
-        }
-        let t = &code[i];
-        // `Value::X(` / `Row::x(`, or a `.clone()` call.
-        let end = if (t.is_ident("Value") || t.is_ident("Row"))
-            && is(i + 1, &|t| t.is_punct(':'))
-            && is(i + 2, &|t| t.is_punct(':'))
-            && is(i + 3, &|t| t.kind == TokenKind::Ident)
-            && is(i + 4, &|t| t.is_punct('('))
-        {
-            i + 4
-        } else if t.is_punct('.')
-            && is(i + 1, &|t| t.is_ident("clone"))
-            && is(i + 2, &|t| t.is_punct('('))
-            && is(i + 3, &|t| t.is_punct(')'))
-        {
-            i + 3
-        } else {
-            continue;
-        };
-        let span = Span::new(t.start, code[end].end);
-        ctx.emit(
-            out,
-            suppressed,
-            LintDiagnostic::new(
-                LintCode::WordPathValueBuild,
-                ctx.path,
-                span,
-                "value or row built, or cloned, in the word-lane tuple path",
-            )
-            .with_help(
-                "keep the tuple packed cells: read a column with its lane, compute on the words \
-                 and let the cold edge (`Tuples::to_rows`, `finish`) build rows; the copy of one \
-                 generic cell needs `// lint: allow(RL0010, <reason>)`",
-            ),
-        );
-    }
-}
-
 /// RL0008: `HashTable::build(` / `WordIndex::build(` / `WordTable::from_…(`
 /// / `partition_rows(` / `CsrGraph::build(` in
 /// `crates/core/src` outside `index.rs`. The index store builds, keeps,
@@ -883,9 +659,7 @@ pub fn lint_file_counting(path: &str, src: &str) -> (Vec<LintDiagnostic>, usize)
     let mut out = Vec::new();
     let mut suppressed = 0;
     rule_read_path_copy(&ctx, &mut out, &mut suppressed);
-    rule_per_tuple_row(&ctx, &mut out, &mut suppressed);
     rule_index_outside_store(&ctx, &mut out, &mut suppressed);
-    rule_word_path_value(&ctx, &mut out, &mut suppressed);
     rule_statement_lifecycle(&ctx, &mut out, &mut suppressed);
     out.sort_by_key(|d| d.span.start);
     (out, suppressed)
@@ -944,9 +718,7 @@ mod tests {
     #[test]
     fn codes_are_stable_and_error_severity() {
         assert_eq!(LintCode::ReadPathRowCopy.code(), "RL0006");
-        assert_eq!(LintCode::PerTupleRowBuild.code(), "RL0007");
         assert_eq!(LintCode::IndexBuiltOutsideStore.code(), "RL0008");
-        assert_eq!(LintCode::WordPathValueBuild.code(), "RL0010");
         assert_eq!(LintCode::StatementOutsideLifecycle.code(), "RL0011");
         for c in LintCode::all() {
             assert_eq!(c.severity(), Severity::Error);
@@ -975,7 +747,7 @@ mod tests {
 
     #[test]
     fn allow_for_wrong_code_does_not_suppress() {
-        let src = "// lint: allow(RL0007, wrong rule)\nrows.to_vec();\n";
+        let src = "// lint: allow(RL0011, wrong rule)\nrows.to_vec();\n";
         let diags = lint_file("crates/server/src/conn.rs", src);
         assert_eq!(diags.len(), 1);
         assert_eq!(diags[0].code, LintCode::ReadPathRowCopy);

@@ -61,69 +61,6 @@ fn rl0006_only_covers_read_path_modules() {
 }
 
 #[test]
-fn rl0007_flags_per_tuple_row_construction_in_the_borrowed_tuple_path() {
-    let src = include_str!("fixtures/rl0007_per_tuple_rows.rs");
-    // (RL0010 covers some of the same functions; it has its own fixture.)
-    let spans = |path: &str| -> Vec<_> {
-        lint_file(path, src)
-            .iter()
-            .filter(|d| d.code == LintCode::PerTupleRowBuild)
-            .map(|d| (d.code, d.span.start, d.span.end))
-            .collect()
-    };
-    let at = |needle: &str, from: usize| {
-        let start = from + src[from..].find(needle).unwrap();
-        (
-            LintCode::PerTupleRowBuild,
-            start as u32,
-            (start + needle.len()) as u32,
-        )
-    };
-    let to_vec = at(".to_vec(", 0);
-    let concat = at(".concat(", to_vec.2 as usize);
-    let new_row = at("Row::new(", concat.2 as usize);
-    let pushed = at("Row::from_slice(", new_row.2 as usize);
-    let seeded = at("Row::from_slice(", at("fn push_seed", 0).2 as usize);
-    let read = at("Row::new(", at("fn graph_seeds", 0).2 as usize);
-    let walked = at("Row::new(", at("fn edge_walk", 0).2 as usize);
-    let gathered = at("Row::new(", at("fn edge_gather", 0).2 as usize);
-    let unfused = at(".concat(", at("fn run_unfused", 0).2 as usize);
-    // `join` and `emit` are the block executor's functions ...
-    let (diags, suppressed) = lint_file_counting("crates/exec/src/pipeline.rs", src);
-    assert_eq!(
-        spans("crates/exec/src/pipeline.rs"),
-        vec![to_vec, concat, new_row],
-        "{diags:#?}"
-    );
-    // `push_block`, `assemble`, the kernels' seeds and the edge walks are not among
-    // them; `run_unfused` and the test module never are.
-    assert_eq!(suppressed, 0);
-    // ... the fixpoint's sinks are the branch run's `push_block`, the state's
-    // `assemble`, whose annotated copy is suppressed, and the seed fold's
-    // `push_seed` and the graph's seed read `graph_seeds`, each in its own
-    // module ...
-    let fixpoint = |file: &str| format!("crates/core/src/fixpoint/{file}");
-    assert_eq!(spans(&fixpoint("io.rs")), vec![pushed]);
-    let (_, suppressed) = lint_file_counting(&fixpoint("state.rs"), src);
-    assert_eq!((spans(&fixpoint("state.rs")), suppressed), (vec![], 1));
-    assert_eq!(spans(&fixpoint("dense.rs")), vec![seeded, read]);
-    // ... and the merge is hot path from end to end: every function of its
-    // module is covered, the test module still is not.
-    let (diags, suppressed) = lint_file_counting(&fixpoint("merge.rs"), src);
-    assert_eq!(
-        spans(&fixpoint("merge.rs")),
-        vec![to_vec, concat, new_row, pushed, seeded, read, walked, gathered, unfused],
-        "{diags:#?}"
-    );
-    assert_eq!(suppressed, 1);
-    // ... and the kernels' edge walk and gather are the functions of theirs.
-    assert_eq!(spans("crates/exec/src/kernel.rs"), vec![walked, gathered]);
-    for path in ["crates/exec/src/state.rs", "crates/core/src/eval.rs"] {
-        assert!(lint_file(path, src).is_empty(), "{path} is not covered");
-    }
-}
-
-#[test]
 fn rl0008_flags_index_builds_in_core_outside_the_store_feeder() {
     let src = include_str!("fixtures/rl0008_index_builds.rs");
     let (diags, suppressed) = lint_file_counting("crates/core/src/kernel.rs", src);
@@ -250,96 +187,16 @@ fn live_workspace_lints_clean() {
             .join("\n")
     );
     // Sanity: the walk actually visited the tree and honored real
-    // annotations (the per-query index builds in core, the cell copies on
-    // the word path), rather than scanning nothing.
+    // annotations (the seven per-query index builds in core), rather than
+    // scanning nothing.
     assert!(
         report.files_scanned >= 60,
         "only {} files",
         report.files_scanned
     );
     assert!(
-        report.suppressed >= 8,
+        report.suppressed >= 7,
         "only {} suppressions",
         report.suppressed
     );
-}
-
-#[test]
-fn rl0010_flags_values_and_rows_built_in_the_word_lane_tuple_path() {
-    let src = include_str!("fixtures/rl0010_word_path_values.rs");
-    let found = |path: &str| -> (Vec<(u32, u32)>, usize) {
-        let (diags, suppressed) = lint_file_counting(path, src);
-        let spans = diags
-            .iter()
-            .filter(|d| d.code == LintCode::WordPathValueBuild)
-            .map(|d| (d.span.start, d.span.end))
-            .collect();
-        (spans, suppressed)
-    };
-    // The executor's `join` builds a key value, clones it and builds a row;
-    // its `emit` copies a cell under an annotation.
-    let at = |needle: &str, from: u32| {
-        let start = from as usize + src[from as usize..].find(needle).unwrap();
-        (start as u32, (start + needle.len()) as u32)
-    };
-    let key = at("Value::Int(", 0);
-    let clone = at(".clone()", key.1);
-    let row = at("Row::from_slice(", clone.1);
-    assert_eq!(
-        found("crates/exec/src/pipeline.rs"),
-        (vec![key, clone, row], 1)
-    );
-    // The word evaluator and the state's insert are functions of their own
-    // modules only.
-    let double = at("Value::Double(", row.1);
-    assert_eq!(found("crates/plan/src/expr.rs"), (vec![double], 0));
-    let boxed = at("Row::new(", double.1);
-    assert_eq!(found("crates/exec/src/state.rs"), (vec![boxed], 0));
-    // The branch run's block sink builds a value and a row per tuple and
-    // clones the value.
-    let one = at("Value::Int(", boxed.1);
-    let row_per_tuple = at("Row::from_slice(", one.1);
-    let cloned = at(".clone()", row_per_tuple.1);
-    assert_eq!(
-        found("crates/core/src/fixpoint/io.rs"),
-        (vec![one, row_per_tuple, cloned], 0)
-    );
-    // The kernels' gather builds a value per vertex; their walk builds none.
-    let gathered = at("Value::Int(", cloned.1);
-    assert_eq!(found("crates/exec/src/kernel.rs"), (vec![gathered], 0));
-    // The kernels' seed read off the graph builds a value per vertex.
-    let seeded = at("Value::Int(", gathered.1);
-    assert_eq!(
-        found("crates/core/src/fixpoint/dense.rs"),
-        (vec![seeded], 0)
-    );
-    // Every function of the merge's module is covered: the cold edge's
-    // `to_rows` and `eval_vals` too, and the two annotated cell copies are
-    // suppressed; the test module is not covered.
-    let cold_row = at("Row::new(", seeded.1);
-    let cold_value = at("Value::Int(", cold_row.1);
-    let cold_clone = at(".clone()", cold_value.1);
-    let every = vec![
-        key,
-        clone,
-        row,
-        double,
-        boxed,
-        one,
-        row_per_tuple,
-        cloned,
-        gathered,
-        seeded,
-        cold_row,
-        cold_value,
-        cold_clone,
-    ];
-    assert_eq!(found("crates/core/src/fixpoint/merge.rs"), (every, 2));
-    // `to_rows`, `eval_vals` and the test module are nobody's hot function,
-    // and other modules are not covered.
-    for path in ["crates/core/src/eval.rs", "crates/exec/src/checkpoint.rs"] {
-        assert_eq!(found(path), (vec![], 0), "{path} is not covered");
-    }
-    let diags = lint_file("crates/plan/src/expr.rs", src);
-    assert!(diags[0].help.as_deref().unwrap().contains("packed cells"));
 }

@@ -248,9 +248,18 @@ impl Conn {
         // Set once a result could not be framed: its error is sent, and the
         // script's remaining events are drained without reply.
         let mut abandoned = false;
+        // Set by a timed wake: a reply the next `try_recv` finds already
+        // queued waited for the timer instead of waking the thread.
+        let mut timed_out = false;
         loop {
+            let woke_on_timer = std::mem::take(&mut timed_out);
             let event = match self.events.try_recv() {
-                Ok(event) => event,
+                Ok(event) => {
+                    if woke_on_timer {
+                        self.state.late_replies.fetch_add(1, Ordering::Relaxed);
+                    }
+                    event
+                }
                 Err(TryRecvError::Empty) => {
                     self.flush()?;
                     match self.events.recv_timeout(DISCONNECT_PROBE) {
@@ -261,6 +270,7 @@ impl Conn {
                                 // Keep draining: the worker will surface
                                 // `Cancelled` as Event::Failed shortly.
                             }
+                            timed_out = true;
                             continue;
                         }
                         Err(RecvTimeoutError::Disconnected) => return Err(self.worker_died()),

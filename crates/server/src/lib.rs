@@ -74,6 +74,9 @@ pub(crate) struct ServerState {
     pub(crate) idle_timeout: Duration,
     /// Times the acceptor woke from `accept`: once per connection.
     accept_wakeups: Arc<AtomicU64>,
+    /// Replies a connection thread found already queued right after a timed
+    /// wake (see [`ServerHandle::late_replies`]).
+    late_replies: Arc<AtomicU64>,
 }
 
 pub(crate) struct ConnEntry {
@@ -136,6 +139,7 @@ pub fn serve_full(
         connections: RankedMutex::new(LockRank::ServerConnections, Vec::new()),
         idle_timeout,
         accept_wakeups: Arc::new(AtomicU64::new(0)),
+        late_replies: Arc::new(AtomicU64::new(0)),
     });
     let accept_state = Arc::clone(&state);
     let accept = thread::Builder::new()
@@ -172,6 +176,15 @@ impl ServerHandle {
     /// with. An acceptor that polled would wake once per poll.
     pub fn accept_wakeups(&self) -> Arc<AtomicU64> {
         Arc::clone(&self.state.accept_wakeups)
+    }
+
+    /// Replies the connection threads found already queued right after a
+    /// timed wake, over all connections. A thread that waits on its
+    /// statement worker wakes the moment a reply is sent, so this stays near
+    /// 0; one that slept and polled would find every reply that arrived
+    /// during a sleep this way.
+    pub fn late_replies(&self) -> Arc<AtomicU64> {
+        Arc::clone(&self.state.late_replies)
     }
 
     /// Block until something requests shutdown (a client `Shutdown` frame,

@@ -326,6 +326,8 @@ fn disconnect_mid_query_cancels_and_leaks_nothing() {
 /// engine must cost the client its engine time plus a round trip — the
 /// connection thread wakes on the worker's result, it does not finish a
 /// socket poll first (which used to add a flat 25 ms to every such query).
+/// Counted, not timed: a reply that the connection thread finds already
+/// queued right after a timed wake is one that waited for the timer.
 #[test]
 fn slow_statement_costs_the_client_its_engine_time_not_a_poll_quantum() {
     let ctx = Arc::new(RaSqlContext::builder().workers(2).build());
@@ -333,8 +335,9 @@ fn slow_statement_costs_the_client_its_engine_time_not_a_poll_quantum() {
     // store in microseconds from its second use on, and this test needs the
     // scan.
     let sql = "SELECT Dst FROM edge WHERE Src + 0 = 77";
+    const STATEMENTS: usize = 9;
     let median_ms = |run: &mut dyn FnMut()| {
-        let mut ms: Vec<f64> = (0..9)
+        let mut ms: Vec<f64> = (0..STATEMENTS)
             .map(|_| {
                 let t = Instant::now();
                 run();
@@ -348,11 +351,10 @@ fn slow_statement_costs_the_client_its_engine_time_not_a_poll_quantum() {
     // whatever the build profile: past the first 10 ms probe, and where the
     // old 25 ms poll always landed on top of it.
     let mut n: i64 = 150_000;
-    let mut in_process = 0.0;
     for _ in 0..6 {
         ctx.register_or_replace("edge", Relation::edges(&chain_edges(n)))
             .unwrap();
-        in_process = median_ms(&mut || assert_eq!(ctx.query(sql).unwrap().relation.len(), 1));
+        let in_process = median_ms(&mut || assert_eq!(ctx.query(sql).unwrap().relation.len(), 1));
         if (12.0..=20.0).contains(&in_process) {
             break;
         }
@@ -360,11 +362,18 @@ fn slow_statement_costs_the_client_its_engine_time_not_a_poll_quantum() {
     }
     let handle =
         rasql_server::serve_with(Arc::clone(&ctx), "127.0.0.1:0", Duration::from_secs(5)).unwrap();
+    let late = handle.late_replies();
     let mut client = Client::connect(handle.addr()).unwrap();
-    let over_the_wire = median_ms(&mut || assert_eq!(client.query(sql).unwrap()[0].rows.len(), 1));
+    for _ in 0..STATEMENTS {
+        assert_eq!(client.query(sql).unwrap()[0].rows.len(), 1);
+    }
+    // A reply sent in the instant between a timed wake and the next look at
+    // the queue counts too, so one is allowed; a poll counts one per
+    // statement.
+    let late = late.load(Ordering::SeqCst);
     assert!(
-        over_the_wire <= in_process + 5.0,
-        "client-side median {over_the_wire:.1} ms vs in-process {in_process:.1} ms ({n} rows)"
+        late <= 1,
+        "{late} of {STATEMENTS} replies waited for a timed wake ({n} rows)"
     );
     client.close().unwrap();
     assert!(handle.shutdown());
