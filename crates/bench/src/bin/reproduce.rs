@@ -133,7 +133,7 @@ fn main() {
 
     println!(
         "RaSQL reproduction harness — scale {scale} — {} workers",
-        bench::default_workers()
+        rasql_exec::default_workers()
     );
 
     if want("fig1") {

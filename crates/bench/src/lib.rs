@@ -9,8 +9,8 @@ use rasql_datagen::{
     erdos_renyi, grid, real_graph_standin, rmat, tree_hierarchy, RealGraph, RmatConfig, TreeConfig,
 };
 use rasql_exec::{
-    scan_delta, scan_delta_set, Cluster, ClusterConfig, DenseAggState, DenseSetState, FaultSpec,
-    KernelValue, MinOp, RecoveryKind,
+    default_workers, scan_delta, scan_delta_set, Cluster, ClusterConfig, DenseAggState,
+    DenseSetState, FaultSpec, KernelValue, MinOp, RecoveryKind,
 };
 use rasql_gap::Csr;
 use rasql_myria::{Algorithm as MyriaAlgo, MyriaEngine};
@@ -105,11 +105,6 @@ fn host_cores() -> Option<usize> {
     std::thread::available_parallelism().ok().map(|n| n.get())
 }
 
-/// Default worker count for the harness.
-pub fn default_workers() -> usize {
-    host_cores().unwrap_or(4).clamp(2, 8)
-}
-
 /// The `"cores"` field of a BENCH artifact: the host's cores, or null.
 fn cores_field() -> (String, JsonValue) {
     let cores = host_cores().map_or(JsonValue::Null, |n| JsonValue::Num(n as f64));
@@ -132,14 +127,9 @@ pub fn run_graph_query(
     workers: usize,
 ) -> (Duration, usize) {
     match system {
-        System::RaSql => run_rasql(
-            EngineConfig::rasql().with_workers(workers),
-            query,
-            edges,
-            source,
-        ),
+        System::RaSql => run_rasql(EngineConfig::rasql().workers(workers), query, edges, source),
         System::BigDatalog => run_rasql(
-            EngineConfig::bigdatalog_like().with_workers(workers),
+            EngineConfig::bigdatalog_like().workers(workers),
             query,
             edges,
             source,
@@ -243,7 +233,7 @@ pub fn run_rasql(
     edges: &Relation,
     source: i64,
 ) -> (Duration, usize) {
-    let ctx = RaSqlContext::with_config(config);
+    let ctx = config.build();
     ctx.register("edge", edges.clone()).unwrap();
     let (d, result) = time(|| ctx.query(&query.rasql_sql(source)).unwrap());
     (d, result.relation.len())
@@ -255,7 +245,7 @@ pub fn run_sql_with(
     tables: &[(&str, &Relation)],
     sql: &str,
 ) -> (Duration, usize, rasql_core::QueryStats) {
-    let ctx = RaSqlContext::with_config(config);
+    let ctx = config.build();
     for (name, rel) in tables {
         ctx.register(name, (*rel).clone()).unwrap();
     }
@@ -271,7 +261,7 @@ pub fn run_traced(
     tables: &[(&str, &Relation)],
     sql: &str,
 ) -> (Duration, usize, rasql_core::QueryTrace) {
-    let ctx = RaSqlContext::with_config(config.with_tracing(true));
+    let ctx = config.tracing(true).build();
     for (name, rel) in tables {
         ctx.register(name, (*rel).clone()).unwrap();
     }
@@ -375,11 +365,10 @@ pub fn fig1(scale: f64) -> Table {
         // paper's `360*` footnote.
         ("Stratified-SSSP", library::sssp_stratified(1), 8),
     ] {
-        let ctx = RaSqlContext::with_config(
-            EngineConfig::rasql()
-                .with_workers(workers)
-                .with_max_iterations(cap),
-        );
+        let ctx = EngineConfig::rasql()
+            .workers(workers)
+            .max_iterations(cap)
+            .build();
         ctx.register("edge", edges.clone()).unwrap();
         let t0 = Instant::now();
         match ctx.query(&sql) {
@@ -453,17 +442,17 @@ pub fn fig5(scale: f64) -> Table {
             let edges = rmat_graph(n, q.weighted(), 7);
             let (on, _) = run_rasql(
                 EngineConfig::rasql()
-                    .with_workers(workers)
-                    .with_decomposed(false),
+                    .workers(workers)
+                    .decomposed_plans(false),
                 q,
                 &edges,
                 1,
             );
             let (off, _) = run_rasql(
                 EngineConfig::rasql()
-                    .with_workers(workers)
-                    .with_decomposed(false)
-                    .with_stage_combination(false),
+                    .workers(workers)
+                    .decomposed_plans(false)
+                    .stage_combination(false),
                 q,
                 &edges,
                 1,
@@ -511,9 +500,9 @@ pub fn fig6(scale: f64) -> Table {
         let run = |decomposed: bool, compress: bool| {
             run_sql_with(
                 EngineConfig::rasql()
-                    .with_workers(workers)
-                    .with_decomposed(decomposed)
-                    .with_broadcast_compression(compress),
+                    .workers(workers)
+                    .decomposed_plans(decomposed)
+                    .broadcast_compression(compress),
                 &[("edge", &edges)],
                 &library::transitive_closure(),
             )
@@ -554,10 +543,10 @@ pub fn fig7(scale: f64) -> Table {
     );
     let interpreter = |fused: bool| {
         EngineConfig::rasql()
-            .with_workers(workers)
-            .with_decomposed(false)
-            .with_specialized_kernels(false)
-            .with_fused_codegen(fused)
+            .workers(workers)
+            .decomposed_plans(false)
+            .specialized_kernels(false)
+            .fused_codegen(fused)
     };
     for &n in &sizes {
         for q in [GraphQuery::Cc, GraphQuery::Reach, GraphQuery::Sssp] {
@@ -692,14 +681,11 @@ pub fn fig10(scale: f64) -> Table {
         ];
         for (name, tables, sql) in workloads {
             let (t_rasql, _, _) =
-                run_sql_with(EngineConfig::rasql().with_workers(workers), &tables, &sql);
-            let (t_sn, _, _) = run_sql_with(
-                EngineConfig::spark_sql_sn().with_workers(workers),
-                &tables,
-                &sql,
-            );
+                run_sql_with(EngineConfig::rasql().workers(workers), &tables, &sql);
+            let (t_sn, _, _) =
+                run_sql_with(EngineConfig::spark_sql_sn().workers(workers), &tables, &sql);
             let (t_naive, _, _) = run_sql_with(
-                EngineConfig::spark_sql_naive().with_workers(workers),
+                EngineConfig::spark_sql_naive().workers(workers),
                 &tables,
                 &sql,
             );
@@ -733,11 +719,11 @@ pub fn fig11(scale: f64) -> Table {
         for q in [GraphQuery::Cc, GraphQuery::Reach, GraphQuery::Sssp] {
             let edges = rmat_graph(n, q.weighted(), 7);
             let interpreter = EngineConfig::rasql()
-                .with_workers(workers)
-                .with_decomposed(false)
-                .with_specialized_kernels(false);
+                .workers(workers)
+                .decomposed_plans(false)
+                .specialized_kernels(false);
             let (h, _) = run_rasql(interpreter.clone(), q, &edges, 1);
-            let (m, _) = run_rasql(interpreter.with_join(JoinStrategy::SortMerge), q, &edges, 1);
+            let (m, _) = run_rasql(interpreter.join(JoinStrategy::SortMerge), q, &edges, 1);
             t.row(vec![
                 format!("RMAT-{}k", n / 1000),
                 q.name().into(),
@@ -780,7 +766,7 @@ pub fn fig12(scale: f64) -> Table {
     .unwrap();
     for &w in &worker_counts {
         let (d, _, _) = run_sql_with(
-            EngineConfig::rasql().with_workers(w),
+            EngineConfig::rasql().workers(w),
             &[("edge", &g)],
             &library::transitive_closure(),
         );
@@ -788,7 +774,7 @@ pub fn fig12(scale: f64) -> Table {
     }
     for &w in &worker_counts {
         let (d, _, _) = run_sql_with(
-            EngineConfig::rasql().with_workers(w),
+            EngineConfig::rasql().workers(w),
             &[("rel", &rel)],
             &library::same_generation(),
         );
@@ -829,11 +815,7 @@ pub fn fig13(scale: f64) -> (Table, JsonValue) {
             "edges kernel/generic",
         ],
     );
-    let base_cfg = || {
-        EngineConfig::rasql()
-            .with_workers(workers)
-            .with_stage_latency_us(0)
-    };
+    let base_cfg = || EngineConfig::rasql().workers(workers).stage_latency_us(0);
     let mut records = Vec::new();
     for &n in &sizes {
         for q in [GraphQuery::Cc, GraphQuery::Reach, GraphQuery::Sssp] {
@@ -855,7 +837,7 @@ pub fn fig13(scale: f64) -> (Table, JsonValue) {
                     .unwrap()
             };
             let (spec_t, spec_rows) = best(&base_cfg());
-            let (gen_t, gen_rows) = best(&base_cfg().with_specialized_kernels(false));
+            let (gen_t, gen_rows) = best(&base_cfg().specialized_kernels(false));
             assert_eq!(
                 spec_rows,
                 gen_rows,
@@ -1112,7 +1094,7 @@ pub fn table2(scale: f64) -> Table {
         let sg_oracle = rasql_gap::same_generation_count(&edges);
         // Cross-check TC with the engine.
         let (_, tc_engine, _) = run_sql_with(
-            EngineConfig::rasql().with_workers(workers),
+            EngineConfig::rasql().workers(workers),
             &[("edge", &edges)],
             &library::transitive_closure(),
         );
@@ -1138,21 +1120,21 @@ pub fn trace_suite(scale: f64) -> Vec<(String, rasql_core::QueryTrace)> {
     let weighted = rmat_graph(n, true, 7);
     let mut out = Vec::new();
     let (_, _, trace) = run_traced(
-        EngineConfig::rasql().with_workers(default_workers()),
+        EngineConfig::rasql().workers(default_workers()),
         &[("edge", &plain)],
         &library::cc(),
     );
     out.push(("cc".to_string(), trace));
     let (_, _, trace) = run_traced(
-        EngineConfig::rasql().with_workers(default_workers()),
+        EngineConfig::rasql().workers(default_workers()),
         &[("edge", &weighted)],
         &library::sssp(1),
     );
     out.push(("sssp".to_string(), trace));
     let (_, _, trace) = run_traced(
         EngineConfig::rasql()
-            .with_workers(default_workers())
-            .with_decomposed(true),
+            .workers(default_workers())
+            .decomposed_plans(true),
         &[("edge", &plain)],
         &library::transitive_closure(),
     );
@@ -1217,19 +1199,19 @@ pub fn fault_soak(scale: f64, spec: FaultSpec, retries: u32, checkpoint_every: u
     let mut injected = 0u64;
     for (i, (name, tables, sql)) in workloads.into_iter().enumerate() {
         let (_, clean, _) = run_sql_with(
-            EngineConfig::rasql().with_workers(default_workers()),
+            EngineConfig::rasql().workers(default_workers()),
             &tables,
             &sql,
         );
         let faulted_cfg = EngineConfig::rasql()
-            .with_workers(default_workers())
-            .with_faults(Some(FaultSpec {
+            .workers(default_workers())
+            .faults(Some(FaultSpec {
                 seed: spec.seed + 101 * i as u64,
                 ..spec
             }))
-            .with_max_task_retries(retries)
-            .with_checkpoint_interval(checkpoint_every);
-        let ctx = RaSqlContext::with_config(faulted_cfg);
+            .max_task_retries(retries)
+            .checkpoint_interval(checkpoint_every);
+        let ctx = faulted_cfg.build();
         for (tname, rel) in &tables {
             ctx.register(tname, (*rel).clone()).unwrap();
         }
@@ -1262,7 +1244,7 @@ pub fn fault_soak(scale: f64, spec: FaultSpec, retries: u32, checkpoint_every: u
     let chain: Vec<(i64, i64)> = (0..9).map(|i| (i, i + 1)).collect();
     let edges = Relation::edges(&chain);
     let clean = {
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+        let ctx = EngineConfig::rasql().workers(2).build();
         ctx.register("edge", edges.clone()).unwrap();
         ctx.query(&library::transitive_closure()).unwrap().relation
     };
@@ -1280,19 +1262,19 @@ pub fn fault_soak(scale: f64, spec: FaultSpec, retries: u32, checkpoint_every: u
     ];
     for seed in 0..50u64 {
         let cfg = EngineConfig::rasql()
-            .with_workers(2)
-            .with_decomposed(false)
-            .with_faults(Some(FaultSpec {
+            .workers(2)
+            .decomposed_plans(false)
+            .faults(Some(FaultSpec {
                 kill: 0.12,
                 delay: 0.0,
                 loss: 0.0,
                 delay_us: 0,
                 seed,
             }))
-            .with_max_task_retries(0)
-            .with_checkpoint_interval(1)
-            .with_tracing(true);
-        let ctx = RaSqlContext::with_config(cfg);
+            .max_task_retries(0)
+            .checkpoint_interval(1)
+            .tracing(true);
+        let ctx = cfg.build();
         ctx.register("edge", edges.clone()).unwrap();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ctx.query(&library::transitive_closure())
@@ -1370,7 +1352,7 @@ pub fn soak(scale: f64) -> Table {
 
     // Ungoverned baselines for the differential check.
     let baseline: Vec<Relation> = {
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(default_workers()));
+        let ctx = EngineConfig::rasql().workers(default_workers()).build();
         ctx.register("edge", edges.clone()).unwrap();
         workloads
             .iter()
@@ -1386,22 +1368,22 @@ pub fn soak(scale: f64) -> Table {
     // path that spills, so the governed leg pins it — the differential check
     // then also crosses evaluation paths.
     let cfg = EngineConfig::rasql()
-        .with_workers(default_workers())
-        .with_specialized_kernels(false)
-        .with_decomposed(false)
-        .with_memory_budget(256 * 1024)
-        .with_max_concurrent_queries(2)
-        .with_admission_queue(8)
-        .with_faults(Some(FaultSpec {
+        .workers(default_workers())
+        .specialized_kernels(false)
+        .decomposed_plans(false)
+        .memory_budget(256 * 1024)
+        .max_concurrent_queries(2)
+        .admission_queue(8)
+        .faults(Some(FaultSpec {
             kill: 0.05,
             delay: 0.0,
             loss: 0.0,
             delay_us: 0,
             seed: 11,
         }))
-        .with_max_task_retries(3)
-        .with_checkpoint_interval(3);
-    let ctx = RaSqlContext::with_config(cfg);
+        .max_task_retries(3)
+        .checkpoint_interval(3);
+    let ctx = cfg.build();
     ctx.register("edge", edges).unwrap();
 
     let mut table = Table::new(
@@ -1677,7 +1659,7 @@ pub fn serve_soak(scale: f64) -> Table {
 
     // Ungoverned, fault-free local baseline: the bit-identical oracle.
     let baseline: Vec<Vec<rasql_api::Row>> = {
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(default_workers()));
+        let ctx = EngineConfig::rasql().workers(default_workers()).build();
         for (name, rel) in &dataset {
             ctx.register(name, rel.clone()).unwrap();
         }
@@ -2449,7 +2431,7 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
             continue;
         }
         let oracle = {
-            let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(workers));
+            let ctx = EngineConfig::rasql().workers(workers).build();
             for (n, rel) in &dataset {
                 ctx.register(n, rel.clone()).unwrap();
             }
@@ -2458,7 +2440,7 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
                 .relation
                 .sorted()
         };
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(workers));
+        let ctx = EngineConfig::rasql().workers(workers).build();
         for (n, rel) in &dataset {
             let k = held(rel);
             let init =
@@ -2531,23 +2513,22 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
         let edges = rmat_graph(((4_000.0 * scale) as usize).max(600), true, 7);
         let split = edges.len() - 24;
         let clean = {
-            let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(workers));
+            let ctx = EngineConfig::rasql().workers(workers).build();
             ctx.register("edge", edges.clone()).unwrap();
             ctx.query(&library::sssp(1)).unwrap().relation.sorted()
         };
-        let ctx = RaSqlContext::with_config(
-            EngineConfig::rasql()
-                .with_workers(workers)
-                .with_faults(Some(FaultSpec {
-                    kill: 0.1,
-                    delay: 0.08,
-                    loss: 0.04,
-                    delay_us: 40,
-                    seed: 13,
-                }))
-                .with_max_task_retries(3)
-                .with_checkpoint_interval(3),
-        );
+        let ctx = EngineConfig::rasql()
+            .workers(workers)
+            .faults(Some(FaultSpec {
+                kill: 0.1,
+                delay: 0.08,
+                loss: 0.04,
+                delay_us: 40,
+                seed: 13,
+            }))
+            .max_task_retries(3)
+            .checkpoint_interval(3)
+            .build();
         let initial =
             Relation::try_new(edges.schema().clone(), edges.rows()[..split].to_vec()).unwrap();
         ctx.register("edge", initial).unwrap();
@@ -2586,15 +2567,15 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
     let delta = 32usize.min(edges.len() / (10 * IVM_TRAIN)).max(1);
     let cfg = || {
         EngineConfig::rasql()
-            .with_workers(workers)
-            .with_stage_latency_us(0)
-            .with_specialized_kernels(false)
+            .workers(workers)
+            .stage_latency_us(0)
+            .specialized_kernels(false)
     };
     let sql = library::sssp(1);
     let mut full_best = Duration::MAX;
     let mut full_rows = Relation::edges(&[]);
     for _ in 0..3 {
-        let ctx = RaSqlContext::with_config(cfg());
+        let ctx = cfg().build();
         ctx.register("edge", edges.clone()).unwrap();
         let t0 = Instant::now();
         let r = ctx.query(&sql).unwrap();
@@ -2686,7 +2667,7 @@ fn refresh_train(
     let split = edges.len() - delta * IVM_TRAIN;
     let (mut median, mut max, mut rows) = (Duration::MAX, Duration::MAX, Relation::edges(&[]));
     for _ in 0..3 {
-        let ctx = RaSqlContext::with_config(cfg());
+        let ctx = cfg().build();
         let initial =
             Relation::try_new(edges.schema().clone(), edges.rows()[..split].to_vec()).unwrap();
         ctx.register("edge", initial).unwrap();

@@ -33,7 +33,7 @@
 //! The REPL machinery lives in this library crate so it is unit-testable; the
 //! binary is a thin stdin/stdout wrapper.
 
-use rasql_core::{EngineConfig, PremChecker, QueryResult, RaSqlContext};
+use rasql_core::{PremChecker, QueryResult, RaSqlContext};
 use rasql_datagen::{rmat, tree_hierarchy, RmatConfig, TreeConfig};
 use rasql_storage::{DataType, Relation, Schema};
 use std::path::Path;
@@ -52,9 +52,6 @@ pub enum LineResult {
 /// The shell session: a context plus REPL state.
 pub struct Shell {
     ctx: RaSqlContext,
-    /// The engine configuration the context was built from, kept so session
-    /// restarts (`\workers`, `\fault`) preserve the other settings.
-    config: EngineConfig,
     buffer: String,
     timing: bool,
     /// The most recent statement's result (for `\trace`).
@@ -73,14 +70,15 @@ impl Default for Shell {
 impl Shell {
     /// A shell with the default engine configuration.
     pub fn new() -> Self {
-        Shell::with_config(EngineConfig::rasql())
+        Shell::with_context(RaSqlContext::in_memory())
     }
 
-    /// A shell with an explicit configuration.
-    pub fn with_config(config: EngineConfig) -> Self {
+    /// A shell over a context built from an explicit configuration. Session
+    /// restarts (`\workers`, `\fault`, `\limits`) rebuild from that
+    /// context's configuration, so they keep its other settings.
+    pub fn with_context(ctx: RaSqlContext) -> Self {
         Shell {
-            ctx: RaSqlContext::with_config(config.clone()),
-            config,
+            ctx,
             buffer: String::new(),
             timing: false,
             last: None,
@@ -336,8 +334,7 @@ impl Shell {
             }
             "\\workers" => match parts.get(1).and_then(|s| s.parse::<usize>().ok()) {
                 Some(n) => {
-                    self.config = self.config.clone().with_workers(n);
-                    self.ctx = RaSqlContext::with_config(self.config.clone());
+                    self.ctx = self.ctx.config().clone().workers(n).build();
                     LineResult::Output(format!("restarted with {n} workers (tables cleared)\n"))
                 }
                 None => LineResult::Output("usage: \\workers <n>\n".into()),
@@ -465,10 +462,11 @@ impl Shell {
     /// once its workers are spawned), so tables are cleared.
     fn fault(&mut self, parts: &[&str]) -> LineResult {
         match parts.get(1) {
-            None => LineResult::Output(match &self.config.fault_spec {
+            None => LineResult::Output(match &self.ctx.config().fault_spec {
                 Some(spec) => format!(
                     "fault injection: {spec} (retries={}, checkpoint every {} rounds)\n",
-                    self.config.max_task_retries, self.config.checkpoint_interval
+                    self.ctx.config().max_task_retries,
+                    self.ctx.config().checkpoint_interval
                 ),
                 None => "fault injection off \
                          (usage: \\fault kill=0.1[,loss=P][,delay=P][,delay_us=N][,seed=N] \
@@ -476,8 +474,7 @@ impl Shell {
                     .into(),
             }),
             Some(&"off") => {
-                self.config = self.config.clone().with_faults(None);
-                self.ctx = RaSqlContext::with_config(self.config.clone());
+                self.ctx = self.ctx.config().clone().faults(None).build();
                 LineResult::Output(
                     "fault injection off (session restarted, tables cleared)\n".into(),
                 )
@@ -486,8 +483,8 @@ impl Shell {
                 // `retries=` and `checkpoint=` belong to the engine, not the
                 // spec; peel them off before handing the rest to the parser.
                 let mut spec_tokens: Vec<&str> = Vec::new();
-                let mut retries = self.config.max_task_retries;
-                let mut checkpoint = self.config.checkpoint_interval;
+                let mut retries = self.ctx.config().max_task_retries;
+                let mut checkpoint = self.ctx.config().checkpoint_interval;
                 for token in &parts[1..] {
                     if let Some(v) = token.strip_prefix("retries=") {
                         match v.parse() {
@@ -513,13 +510,14 @@ impl Shell {
                 }
                 match rasql_exec::FaultSpec::parse(&spec_tokens.join(",")) {
                     Ok(spec) => {
-                        self.config = self
-                            .config
+                        self.ctx = self
+                            .ctx
+                            .config()
                             .clone()
-                            .with_faults(Some(spec))
-                            .with_max_task_retries(retries)
-                            .with_checkpoint_interval(checkpoint);
-                        self.ctx = RaSqlContext::with_config(self.config.clone());
+                            .faults(Some(spec))
+                            .max_task_retries(retries)
+                            .checkpoint_interval(checkpoint)
+                            .build();
                         LineResult::Output(format!(
                             "fault injection: {spec} (retries={retries}, checkpoint every \
                              {checkpoint} rounds; session restarted, tables cleared)\n"
@@ -539,11 +537,12 @@ impl Shell {
             return LineResult::Output(format!(
                 "memory budget: {} bytes, timeout: {} ms (0 = unlimited; \
                  usage: \\limits [budget=BYTES] [timeout=MS])\n",
-                self.config.memory_budget, self.config.query_timeout_ms
+                self.ctx.config().memory_budget,
+                self.ctx.config().query_timeout_ms
             ));
         }
-        let mut budget = self.config.memory_budget;
-        let mut timeout = self.config.query_timeout_ms;
+        let mut budget = self.ctx.config().memory_budget;
+        let mut timeout = self.ctx.config().query_timeout_ms;
         for token in &parts[1..] {
             if let Some(v) = token.strip_prefix("budget=") {
                 match v.parse() {
@@ -563,12 +562,13 @@ impl Shell {
                 ));
             }
         }
-        self.config = self
-            .config
+        self.ctx = self
+            .ctx
+            .config()
             .clone()
-            .with_memory_budget(budget)
-            .with_query_timeout_ms(timeout);
-        self.ctx = RaSqlContext::with_config(self.config.clone());
+            .memory_budget(budget)
+            .query_timeout_ms(timeout)
+            .build();
         LineResult::Output(format!(
             "memory budget: {budget} bytes, timeout: {timeout} ms \
              (session restarted, tables cleared)\n"

@@ -32,35 +32,35 @@ fn parse_args(args: &[String]) -> Result<(EngineConfig, Option<String>), String>
                 let n = value("--workers")?
                     .parse::<usize>()
                     .map_err(|e| format!("bad --workers: {e}"))?;
-                config = config.with_workers(n);
+                config = config.workers(n);
             }
             "--faults" => {
                 let spec = FaultSpec::parse(value("--faults")?)?;
-                config = config.with_faults(Some(spec));
+                config = config.faults(Some(spec));
             }
             "--retries" => {
                 let n = value("--retries")?
                     .parse::<u32>()
                     .map_err(|e| format!("bad --retries: {e}"))?;
-                config = config.with_max_task_retries(n);
+                config = config.max_task_retries(n);
             }
             "--checkpoint-every" => {
                 let k = value("--checkpoint-every")?
                     .parse::<u32>()
                     .map_err(|e| format!("bad --checkpoint-every: {e}"))?;
-                config = config.with_checkpoint_interval(k);
+                config = config.checkpoint_interval(k);
             }
             "--memory-budget" => {
                 let b = value("--memory-budget")?
                     .parse::<u64>()
                     .map_err(|e| format!("bad --memory-budget: {e}"))?;
-                config = config.with_memory_budget(b);
+                config = config.memory_budget(b);
             }
             "--timeout" => {
                 let t = value("--timeout")?
                     .parse::<u64>()
                     .map_err(|e| format!("bad --timeout: {e}"))?;
-                config = config.with_query_timeout_ms(t);
+                config = config.query_timeout_ms(t);
             }
             "--connect" => connect = Some(value("--connect")?.clone()),
             other => return Err(format!("unknown flag '{other}'")),
@@ -99,7 +99,7 @@ fn main() {
             config.memory_budget, config.query_timeout_ms
         );
     }
-    let mut shell = Shell::with_config(config);
+    let mut shell = Shell::with_context(config.build());
     if let Some(addr) = connect {
         match shell.connect(&addr) {
             Ok(banner) => print!("{banner}"),

@@ -1,7 +1,7 @@
 //! Engine configuration: every optimization axis of the paper, toggleable for
 //! the ablation benchmarks.
 
-use rasql_exec::FaultSpec;
+use rasql_exec::{default_workers, FaultSpec};
 
 /// Naive vs. semi-naive fixpoint evaluation (§6, Algorithms 2 vs 4).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -180,148 +180,164 @@ impl EngineConfig {
         }
     }
 
-    /// Set worker (and partition) count.
-    pub fn with_workers(mut self, workers: usize) -> Self {
-        self.workers = workers.max(1);
+    /// Simulated worker count (floored at 1). Also resets `partitions` to the
+    /// same count, so a `.partitions(n)` meant to differ must come after it.
+    pub fn workers(mut self, n: usize) -> Self {
+        self.workers = n.max(1);
         self.partitions = self.workers;
         self
     }
 
-    /// Toggle stage combination.
-    pub fn with_stage_combination(mut self, on: bool) -> Self {
-        self.stage_combination = on;
+    /// Partition count, decoupled from the worker count (floored at 1).
+    pub fn partitions(mut self, n: usize) -> Self {
+        self.partitions = n.max(1);
         self
     }
 
-    /// Toggle fused code generation.
-    pub fn with_fused_codegen(mut self, on: bool) -> Self {
-        self.fused_codegen = on;
-        self
-    }
-
-    /// Select the join strategy.
-    pub fn with_join(mut self, join: JoinStrategy) -> Self {
+    /// Join strategy for the recursive join.
+    pub fn join(mut self, join: JoinStrategy) -> Self {
         self.join = join;
         self
     }
 
-    /// Toggle decomposed-plan evaluation.
-    pub fn with_decomposed(mut self, on: bool) -> Self {
+    /// Fixpoint evaluation mode (semi-naive vs. naive).
+    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
+        self.eval_mode = mode;
+        self
+    }
+
+    /// Toggle stage combination (§7.1).
+    pub fn stage_combination(mut self, on: bool) -> Self {
+        self.stage_combination = on;
+        self
+    }
+
+    /// Toggle decomposed-plan evaluation (§7.2).
+    pub fn decomposed_plans(mut self, on: bool) -> Self {
         self.decomposed_plans = on;
         self
     }
 
-    /// Toggle broadcast compression.
-    pub fn with_broadcast_compression(mut self, on: bool) -> Self {
+    /// Toggle fused code generation (§7.3).
+    pub fn fused_codegen(mut self, on: bool) -> Self {
+        self.fused_codegen = on;
+        self
+    }
+
+    /// Toggle partition-aware scheduling (§6.1).
+    pub fn partition_aware(mut self, on: bool) -> Self {
+        self.partition_aware = on;
+        self
+    }
+
+    /// Toggle broadcast compression (§7.2).
+    pub fn broadcast_compression(mut self, on: bool) -> Self {
         self.broadcast_compression = on;
         self
     }
 
-    /// Toggle specialized fixpoint kernels.
-    pub fn with_specialized_kernels(mut self, on: bool) -> Self {
+    /// Toggle specialized fixpoint kernels (CSR + dense vertex state).
+    pub fn specialized_kernels(mut self, on: bool) -> Self {
         self.specialized_kernels = on;
         self
     }
 
     /// Set the iteration cap.
-    pub fn with_max_iterations(mut self, n: u32) -> Self {
+    pub fn max_iterations(mut self, n: u32) -> Self {
         self.max_iterations = n;
         self
     }
 
     /// Set the simulated per-stage scheduler latency (µs); 0 disables it.
-    pub fn with_stage_latency_us(mut self, us: u64) -> Self {
+    pub fn stage_latency_us(mut self, us: u64) -> Self {
         self.stage_latency_us = us;
         self
     }
 
-    /// Toggle query tracing (see [`EngineConfig::tracing`]).
-    pub fn with_tracing(mut self, on: bool) -> Self {
+    /// Collect a [`rasql_exec::QueryTrace`] for every query.
+    pub fn tracing(mut self, on: bool) -> Self {
         self.tracing = on;
         self
     }
 
     /// Enable deterministic fault injection (`None` disables it).
-    pub fn with_faults(mut self, spec: Option<FaultSpec>) -> Self {
+    pub fn faults(mut self, spec: Option<FaultSpec>) -> Self {
         self.fault_spec = spec;
         self
     }
 
     /// Set the retry budget for injected task failures.
-    pub fn with_max_task_retries(mut self, retries: u32) -> Self {
+    pub fn max_task_retries(mut self, retries: u32) -> Self {
         self.max_task_retries = retries;
         self
     }
 
     /// Checkpoint fixpoint state every `k` rounds (0 disables).
-    pub fn with_checkpoint_interval(mut self, k: u32) -> Self {
+    pub fn checkpoint_interval(mut self, k: u32) -> Self {
         self.checkpoint_interval = k;
         self
     }
 
-    /// Set the per-query memory budget in bytes (0 = unlimited).
-    pub fn with_memory_budget(mut self, bytes: u64) -> Self {
+    /// Set the per-query memory budget in bytes (0 = unlimited). Over
+    /// budget, shuffle buffers and fixpoint state spill to disk.
+    pub fn memory_budget(mut self, bytes: u64) -> Self {
         self.memory_budget = bytes;
         self
     }
 
-    /// Set the per-query deadline in milliseconds (0 = none).
-    pub fn with_query_timeout_ms(mut self, ms: u64) -> Self {
+    /// Set the per-query deadline in milliseconds (0 = none), enforced
+    /// cooperatively at stage and fixpoint-round boundaries.
+    pub fn query_timeout_ms(mut self, ms: u64) -> Self {
         self.query_timeout_ms = ms;
         self
     }
 
     /// Cap concurrent queries on the context (0 = unlimited).
-    pub fn with_max_concurrent_queries(mut self, n: usize) -> Self {
+    pub fn max_concurrent_queries(mut self, n: usize) -> Self {
         self.max_concurrent_queries = n;
         self
     }
 
-    /// Set the admission wait-queue capacity.
-    pub fn with_admission_queue(mut self, n: usize) -> Self {
+    /// Set the admission wait-queue capacity; queries beyond it are rejected.
+    pub fn admission_queue(mut self, n: usize) -> Self {
         self.admission_queue = n;
         self
     }
 
     /// Set the result-cache capacity in entries (0 disables caching).
-    pub fn with_result_cache(mut self, entries: usize) -> Self {
+    pub fn result_cache(mut self, entries: usize) -> Self {
         self.result_cache_entries = entries;
         self
     }
 
-    /// Persist catalog and view state under `dir` (WAL + snapshots) and
-    /// recover from it on startup.
-    pub fn with_data_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
+    /// Attach a data directory: catalog and materialized-view mutations are
+    /// journaled to a checksummed write-ahead log in `dir`, and building the
+    /// context first recovers whatever state the directory holds.
+    pub fn data_dir(mut self, dir: impl Into<std::path::PathBuf>) -> Self {
         self.data_dir = Some(dir.into());
         self
     }
 
-    /// Snapshot/compact the journal every `n` records (0 disables).
-    pub fn with_snapshot_every(mut self, n: u64) -> Self {
+    /// Publish a compacting snapshot every `n` journaled records (0 leaves
+    /// the log to grow until the next startup compaction).
+    pub fn snapshot_every(mut self, n: u64) -> Self {
         self.snapshot_every = n;
         self
     }
 
-    /// Arm deterministic crashpoint injection in the durability layer.
-    pub fn with_crash_spec(mut self, spec: Option<rasql_storage::CrashSpec>) -> Self {
+    /// Arm deterministic crashpoint injection on the durability write path
+    /// (testing only: write/fsync/rename boundaries simulate process death
+    /// as `StorageError::InjectedCrash`).
+    pub fn crash_spec(mut self, spec: Option<rasql_storage::CrashSpec>) -> Self {
         self.crash_spec = spec;
         self
     }
 }
 
-fn default_workers() -> usize {
-    // At least 2 simulated workers even on a single-core host: the engine's
-    // stage/shuffle/locality behavior (what the paper's ablations measure)
-    // needs multiple partitions to be meaningful.
-    std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(4)
-        .clamp(2, 8)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::RaSqlContext;
 
     #[test]
     fn presets_differ_on_the_right_axes() {
@@ -336,17 +352,66 @@ mod tests {
         assert!(!naive.partition_aware);
     }
 
+    /// Each row calls one setter on `RaSqlContext::builder()`, builds the
+    /// context, and reads the field the setter names back from its config;
+    /// the value must differ from the default's, or the row proves nothing.
+    macro_rules! setter_table {
+        ($($setter:ident($value:expr) => $field:ident == $expect:expr;)*) => {{
+            let mut rows = 0;
+            $(
+                let ctx = RaSqlContext::builder().$setter($value).build();
+                assert_eq!(ctx.config().$field, $expect, stringify!($setter));
+                assert_ne!(EngineConfig::default().$field, $expect, stringify!($setter));
+                rows += 1;
+            )*
+            rows
+        }};
+    }
+
     #[test]
     fn builder_methods() {
-        let c = EngineConfig::rasql()
-            .with_workers(3)
-            .with_stage_combination(false)
-            .with_join(JoinStrategy::SortMerge)
-            .with_max_iterations(7);
-        assert_eq!(c.workers, 3);
-        assert_eq!(c.partitions, 3);
-        assert!(!c.stage_combination);
-        assert_eq!(c.join, JoinStrategy::SortMerge);
-        assert_eq!(c.max_iterations, 7);
+        let dir = std::env::temp_dir().join(format!("rasql-config-setters-{}", std::process::id()));
+        let faults = FaultSpec {
+            kill: 0.25,
+            ..FaultSpec::default()
+        };
+        let crash = rasql_storage::CrashSpec::at(u64::MAX);
+        let rows = setter_table! {
+            workers(3) => workers == 3;
+            partitions(5) => partitions == 5;
+            join(JoinStrategy::SortMerge) => join == JoinStrategy::SortMerge;
+            eval_mode(EvalMode::Naive) => eval_mode == EvalMode::Naive;
+            stage_combination(false) => stage_combination == false;
+            decomposed_plans(false) => decomposed_plans == false;
+            fused_codegen(false) => fused_codegen == false;
+            partition_aware(false) => partition_aware == false;
+            broadcast_compression(false) => broadcast_compression == false;
+            specialized_kernels(false) => specialized_kernels == false;
+            max_iterations(7) => max_iterations == 7;
+            stage_latency_us(11) => stage_latency_us == 11;
+            tracing(true) => tracing == true;
+            faults(Some(faults)) => fault_spec == Some(faults);
+            max_task_retries(9) => max_task_retries == 9;
+            checkpoint_interval(4) => checkpoint_interval == 4;
+            memory_budget(1 << 20) => memory_budget == 1 << 20;
+            query_timeout_ms(500) => query_timeout_ms == 500;
+            max_concurrent_queries(2) => max_concurrent_queries == 2;
+            admission_queue(3) => admission_queue == 3;
+            result_cache(8) => result_cache_entries == 8;
+            data_dir(&dir) => data_dir == Some(dir.clone());
+            snapshot_every(17) => snapshot_every == 17;
+            crash_spec(Some(crash)) => crash_spec == Some(crash);
+        };
+        let _ = std::fs::remove_dir_all(&dir);
+        assert_eq!(rows, 24, "one row per EngineConfig setter");
+
+        // `workers` also sets `partitions`, so of the two the later call wins.
+        let c = RaSqlContext::builder().partitions(4).workers(2).build();
+        assert_eq!(c.config().partitions, 2);
+        let c = RaSqlContext::builder().workers(2).partitions(4).build();
+        assert_eq!(c.config().partitions, 4);
+        // Both counts floor at 1.
+        let c = RaSqlContext::builder().workers(0).partitions(0).build();
+        assert_eq!((c.config().workers, c.config().partitions), (1, 1));
     }
 }

@@ -1,7 +1,7 @@
 //! [`RaSqlContext`] — the public entry point of the engine.
 
 use crate::cache::{version_fingerprint, CachedQuery, ResultCache};
-use crate::config::{EngineConfig, EvalMode, JoinStrategy};
+use crate::config::EngineConfig;
 use crate::error::EngineError;
 use crate::eval::{view_reads, EvalContext, ViewData};
 use crate::fixpoint::{CliqueState, FixpointExecutor, FixpointResult};
@@ -236,65 +236,14 @@ struct Durability {
 impl RaSqlContext {
     /// A context with the default (fully optimized) configuration.
     pub fn in_memory() -> Self {
-        Self::with_config(EngineConfig::default())
+        Self::builder().build()
     }
 
-    /// A builder for configuring a context fluently; see [`ContextBuilder`].
-    pub fn builder() -> ContextBuilder {
-        ContextBuilder::new()
-    }
-
-    /// A context with an explicit configuration.
-    ///
-    /// # Panics
-    /// When [`EngineConfig::data_dir`] is set and recovery fails (corrupt
-    /// durability state, filesystem failure); use
-    /// [`RaSqlContext::try_with_config`] to handle those as typed errors.
-    pub fn with_config(config: EngineConfig) -> Self {
-        Self::try_with_config(config).expect("durability recovery failed")
-    }
-
-    /// A context with an explicit configuration, surfacing durability
-    /// recovery failures as typed errors. With no
-    /// [`EngineConfig::data_dir`], this never fails.
-    ///
-    /// # Errors
-    /// [`EngineError::Storage`] wrapping [`StorageError::Corrupt`] for a
-    /// damaged snapshot or mid-log WAL record (torn *tails* are healed
-    /// silently), or an I/O failure opening the data directory.
-    pub fn try_with_config(config: EngineConfig) -> Result<Self, EngineError> {
-        let cluster = Cluster::new(ClusterConfig {
-            workers: config.workers,
-            partition_aware: config.partition_aware,
-            stage_latency: std::time::Duration::from_micros(config.stage_latency_us),
-            fault_spec: config.fault_spec,
-            max_task_retries: config.max_task_retries,
-            ..Default::default()
-        });
-        let admission = Arc::new(AdmissionController::new(
-            config.max_concurrent_queries,
-            config.admission_queue,
-        ));
-        let mut ctx = RaSqlContext {
-            catalog: Catalog::new(),
-            planner_catalog: RankedMutex::new(LockRank::PlannerCatalog, ViewCatalog::new()),
-            cluster,
-            tracing: AtomicBool::new(config.tracing),
-            index: IndexStore::new(),
-            result_cache: ResultCache::new(config.result_cache_entries),
-            config,
-            admission,
-            query_seq: AtomicU64::new(0),
-            active: RankedMutex::new(LockRank::ActiveQueries, HashMap::new()),
-            spill_root: std::env::temp_dir(),
-            matviews: RankedMutex::new(LockRank::MatViewRegistry, BTreeMap::new()),
-            view_locks: RankedMutex::new(LockRank::ViewLockMap, HashMap::new()),
-            durability: None,
-        };
-        if let Some(dir) = ctx.config.data_dir.clone() {
-            ctx.recover(&dir)?;
-        }
-        Ok(ctx)
+    /// The default configuration, to adjust with its setters and finish
+    /// with [`EngineConfig::build`]; a preset such as
+    /// `EngineConfig::bigdatalog_like()` starts a chain the same way.
+    pub fn builder() -> EngineConfig {
+        EngineConfig::default()
     }
 
     /// Recover the exact pre-crash catalog and view registry from `dir`
@@ -1908,8 +1857,11 @@ fn count_relation(label: &str, n: usize) -> Relation {
     Relation::new_unchecked(schema, vec![Row::new(vec![Value::Int(n as i64)])])
 }
 
-/// Fluent construction of a [`RaSqlContext`]; obtained from
-/// [`RaSqlContext::builder`].
+/// The former name of the context builder, kept because the benchmark
+/// package (`perf/`, built unmodified from this tree) still spells it.
+pub type ContextBuilder = EngineConfig;
+
+/// Building a context from its configuration.
 ///
 /// ```
 /// use rasql_core::{JoinStrategy, RaSqlContext};
@@ -1921,203 +1873,57 @@ fn count_relation(label: &str, n: usize) -> Relation {
 ///     .build();
 /// assert!(ctx.tracing_enabled());
 /// ```
-#[derive(Debug, Clone)]
-pub struct ContextBuilder {
-    config: EngineConfig,
-}
-
-impl Default for ContextBuilder {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl ContextBuilder {
-    /// Start from the default (fully optimized) configuration.
-    pub fn new() -> Self {
-        ContextBuilder {
-            config: EngineConfig::default(),
-        }
-    }
-
-    /// Start from an explicit preset (e.g. `EngineConfig::bigdatalog_like()`).
-    pub fn preset(mut self, config: EngineConfig) -> Self {
-        self.config = config;
-        self
-    }
-
-    /// Simulated worker (and partition) count.
-    pub fn workers(mut self, n: usize) -> Self {
-        self.config = self.config.with_workers(n);
-        self
-    }
-
-    /// Partition count, decoupled from the worker count.
-    pub fn partitions(mut self, n: usize) -> Self {
-        self.config.partitions = n.max(1);
-        self
-    }
-
-    /// Join strategy for the recursive join.
-    pub fn join(mut self, join: JoinStrategy) -> Self {
-        self.config = self.config.with_join(join);
-        self
-    }
-
-    /// Fixpoint evaluation mode (semi-naive vs. naive).
-    pub fn eval_mode(mut self, mode: EvalMode) -> Self {
-        self.config.eval_mode = mode;
-        self
-    }
-
-    /// Toggle stage combination (§7.1).
-    pub fn stage_combination(mut self, on: bool) -> Self {
-        self.config = self.config.with_stage_combination(on);
-        self
-    }
-
-    /// Toggle decomposed-plan evaluation (§7.2).
-    pub fn decomposed_plans(mut self, on: bool) -> Self {
-        self.config = self.config.with_decomposed(on);
-        self
-    }
-
-    /// Toggle fused code generation (§7.3).
-    pub fn fused_codegen(mut self, on: bool) -> Self {
-        self.config = self.config.with_fused_codegen(on);
-        self
-    }
-
-    /// Toggle partition-aware scheduling (§6.1).
-    pub fn partition_aware(mut self, on: bool) -> Self {
-        self.config.partition_aware = on;
-        self
-    }
-
-    /// Toggle broadcast compression (§7.2).
-    pub fn broadcast_compression(mut self, on: bool) -> Self {
-        self.config = self.config.with_broadcast_compression(on);
-        self
-    }
-
-    /// Toggle specialized fixpoint kernels (CSR + dense vertex state).
-    pub fn specialized_kernels(mut self, on: bool) -> Self {
-        self.config = self.config.with_specialized_kernels(on);
-        self
-    }
-
-    /// Iteration cap.
-    pub fn max_iterations(mut self, n: u32) -> Self {
-        self.config = self.config.with_max_iterations(n);
-        self
-    }
-
-    /// Simulated per-stage scheduler latency in microseconds.
-    pub fn stage_latency_us(mut self, us: u64) -> Self {
-        self.config = self.config.with_stage_latency_us(us);
-        self
-    }
-
-    /// Collect a [`QueryTrace`] for every query.
-    pub fn tracing(mut self, on: bool) -> Self {
-        self.config = self.config.with_tracing(on);
-        self
-    }
-
-    /// Enable deterministic fault injection on the simulated cluster.
-    pub fn faults(mut self, spec: Option<rasql_exec::FaultSpec>) -> Self {
-        self.config = self.config.with_faults(spec);
-        self
-    }
-
-    /// Retry budget for injected task failures.
-    pub fn max_task_retries(mut self, retries: u32) -> Self {
-        self.config = self.config.with_max_task_retries(retries);
-        self
-    }
-
-    /// Checkpoint fixpoint state every `k` rounds (0 disables).
-    pub fn checkpoint_interval(mut self, k: u32) -> Self {
-        self.config = self.config.with_checkpoint_interval(k);
-        self
-    }
-
-    /// Per-query memory budget in bytes (0 = unlimited). Over budget, shuffle
-    /// buffers and fixpoint state spill to disk.
-    pub fn memory_budget(mut self, bytes: u64) -> Self {
-        self.config = self.config.with_memory_budget(bytes);
-        self
-    }
-
-    /// Per-query deadline in milliseconds (0 = none), enforced cooperatively
-    /// at stage and fixpoint-round boundaries.
-    pub fn query_timeout_ms(mut self, ms: u64) -> Self {
-        self.config = self.config.with_query_timeout_ms(ms);
-        self
-    }
-
-    /// Cap queries executing concurrently on the context (0 = unlimited).
-    pub fn max_concurrent_queries(mut self, n: usize) -> Self {
-        self.config = self.config.with_max_concurrent_queries(n);
-        self
-    }
-
-    /// Admission wait-queue capacity; queries beyond it are rejected.
-    pub fn admission_queue(mut self, n: usize) -> Self {
-        self.config = self.config.with_admission_queue(n);
-        self
-    }
-
-    /// Version-keyed result-cache capacity in entries (0 disables caching).
-    pub fn result_cache(mut self, entries: usize) -> Self {
-        self.config = self.config.with_result_cache(entries);
-        self
-    }
-
-    /// Attach a data directory: catalog and materialized-view mutations are
-    /// journaled to a checksummed write-ahead log in `dir`, and building the
-    /// context first recovers whatever state the directory holds.
-    pub fn data_dir(mut self, dir: impl Into<PathBuf>) -> Self {
-        self.config = self.config.with_data_dir(dir);
-        self
-    }
-
-    /// Publish a compacting snapshot every `n` journaled records (0 leaves
-    /// the log to grow until the next startup compaction).
-    pub fn snapshot_every(mut self, n: u64) -> Self {
-        self.config = self.config.with_snapshot_every(n);
-        self
-    }
-
-    /// Enable deterministic crashpoint injection on the durability write
-    /// path (testing only: write/fsync/rename boundaries simulate process
-    /// death as [`StorageError::InjectedCrash`]).
-    pub fn crash_spec(mut self, spec: Option<rasql_storage::CrashSpec>) -> Self {
-        self.config = self.config.with_crash_spec(spec);
-        self
-    }
-
-    /// The configuration built so far.
-    pub fn config(&self) -> &EngineConfig {
-        &self.config
-    }
-
+impl EngineConfig {
     /// Build the context.
     ///
     /// # Panics
-    /// When a data directory is attached and recovery fails; use
-    /// [`ContextBuilder::try_build`] to handle that as a typed error.
+    /// When a data directory is attached and recovery fails (corrupt
+    /// durability state, filesystem failure); use
+    /// [`EngineConfig::try_build`] to handle those as typed errors.
     pub fn build(self) -> RaSqlContext {
-        RaSqlContext::with_config(self.config)
+        self.try_build().expect("durability recovery failed")
     }
 
     /// Build the context, surfacing durability recovery failures as typed
-    /// errors (never fails without a data directory).
+    /// errors. With no data directory, this never fails.
     ///
     /// # Errors
-    /// See [`RaSqlContext::try_with_config`].
+    /// [`EngineError::Storage`] wrapping [`StorageError::Corrupt`] for a
+    /// damaged snapshot or mid-log WAL record (torn *tails* are healed
+    /// silently), or an I/O failure opening the data directory.
     pub fn try_build(self) -> Result<RaSqlContext, EngineError> {
-        RaSqlContext::try_with_config(self.config)
+        let cluster = Cluster::new(ClusterConfig {
+            workers: self.workers,
+            partition_aware: self.partition_aware,
+            stage_latency: std::time::Duration::from_micros(self.stage_latency_us),
+            fault_spec: self.fault_spec,
+            max_task_retries: self.max_task_retries,
+            ..Default::default()
+        });
+        let admission = Arc::new(AdmissionController::new(
+            self.max_concurrent_queries,
+            self.admission_queue,
+        ));
+        let mut ctx = RaSqlContext {
+            catalog: Catalog::new(),
+            planner_catalog: RankedMutex::new(LockRank::PlannerCatalog, ViewCatalog::new()),
+            cluster,
+            tracing: AtomicBool::new(self.tracing),
+            index: IndexStore::new(),
+            result_cache: ResultCache::new(self.result_cache_entries),
+            config: self,
+            admission,
+            query_seq: AtomicU64::new(0),
+            active: RankedMutex::new(LockRank::ActiveQueries, HashMap::new()),
+            spill_root: std::env::temp_dir(),
+            matviews: RankedMutex::new(LockRank::MatViewRegistry, BTreeMap::new()),
+            view_locks: RankedMutex::new(LockRank::ViewLockMap, HashMap::new()),
+            durability: None,
+        };
+        if let Some(dir) = ctx.config.data_dir.clone() {
+            ctx.recover(&dir)?;
+        }
+        Ok(ctx)
     }
 }
 

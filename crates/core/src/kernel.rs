@@ -417,15 +417,15 @@ mod tests {
         for (why, cfg) in [
             (
                 "kernels off",
-                EngineConfig::rasql().with_specialized_kernels(false),
+                EngineConfig::rasql().specialized_kernels(false),
             ),
             (
                 "stage combination off",
-                EngineConfig::rasql().with_stage_combination(false),
+                EngineConfig::rasql().stage_combination(false),
             ),
             (
                 "fused codegen off",
-                EngineConfig::rasql().with_fused_codegen(false),
+                EngineConfig::rasql().fused_codegen(false),
             ),
             ("naive evaluation", EngineConfig::spark_sql_naive()),
         ] {

@@ -6,7 +6,7 @@ use rasql_core::{library, EngineConfig, JoinStrategy, RaSqlContext};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 fn ctx2(cfg: EngineConfig) -> RaSqlContext {
-    RaSqlContext::with_config(cfg.with_workers(2))
+    cfg.workers(2).build()
 }
 
 #[test]
@@ -54,7 +54,7 @@ fn apsp_decomposed_equals_plain() {
         5,
     );
     let run = |decomposed: bool| {
-        let ctx = ctx2(EngineConfig::rasql().with_decomposed(decomposed));
+        let ctx = ctx2(EngineConfig::rasql().decomposed_plans(decomposed));
         ctx.register("edge", edges.clone()).unwrap();
         ctx.query(&library::apsp()).unwrap().relation.sorted()
     };
@@ -142,13 +142,13 @@ fn chained_cliques_second_reads_first() {
 #[test]
 fn non_partition_aware_is_slower_but_correct() {
     let edges = rasql_datagen::rmat(300, rasql_datagen::RmatConfig::default(), 3);
-    let aware = ctx2(EngineConfig::rasql().with_decomposed(false));
+    let aware = ctx2(EngineConfig::rasql().decomposed_plans(false));
     aware.register("edge", edges.clone()).unwrap();
     let ra = aware.query(&library::reach(1)).unwrap();
     let a = ra.relation.sorted();
     let aware_fetch = ra.stats.metrics.remote_fetch_bytes;
 
-    let mut cfg = EngineConfig::rasql().with_decomposed(false);
+    let mut cfg = EngineConfig::rasql().decomposed_plans(false);
     cfg.partition_aware = false;
     let drift = ctx2(cfg);
     drift.register("edge", edges).unwrap();
@@ -163,7 +163,7 @@ fn non_partition_aware_is_slower_but_correct() {
 
 #[test]
 fn zero_stage_latency_configuration() {
-    let ctx = ctx2(EngineConfig::rasql().with_stage_latency_us(0));
+    let ctx = ctx2(EngineConfig::rasql().stage_latency_us(0));
     ctx.register("edge", Relation::edges(&[(1, 2), (2, 3)]))
         .unwrap();
     let r = ctx.query(&library::reach(1)).unwrap().relation;
@@ -479,15 +479,15 @@ fn equi_joins_never_match_null_keys() {
          SELECT Src, Dst FROM tc";
     let configs = [
         ("decomposed", EngineConfig::rasql()),
-        ("hash", EngineConfig::rasql().with_decomposed(false)),
-        ("unfused", EngineConfig::rasql().with_fused_codegen(false)),
+        ("hash", EngineConfig::rasql().decomposed_plans(false)),
+        ("unfused", EngineConfig::rasql().fused_codegen(false)),
         (
             "sort-merge",
-            EngineConfig::rasql().with_join(JoinStrategy::SortMerge),
+            EngineConfig::rasql().join(JoinStrategy::SortMerge),
         ),
     ];
     for (name, cfg) in configs {
-        let ctx = ctx2(cfg.with_specialized_kernels(false));
+        let ctx = ctx2(cfg.specialized_kernels(false));
         ctx.register("edge", edge.clone()).unwrap();
         for sql in [linear.as_str(), squared] {
             let got = ctx.query(sql).unwrap().relation.sorted();

@@ -11,12 +11,12 @@
 //!    checkpointed round* (trace-verified: a `Restore` recovery event with
 //!    `round >= 1`), not from round 0.
 
-use rasql_core::{library, EngineConfig, RaSqlContext};
+use rasql_core::{library, EngineConfig};
 use rasql_exec::{FaultSpec, RecoveryKind};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 fn run_query(cfg: EngineConfig, tables: &[(&str, Relation)], sql: &str) -> rasql_core::QueryResult {
-    let ctx = RaSqlContext::with_config(cfg.with_workers(2));
+    let ctx = cfg.workers(2).build();
     for (name, rel) in tables {
         ctx.register(name, rel.clone()).unwrap();
     }
@@ -99,9 +99,9 @@ fn faulted_runs_match_fault_free_results() {
             seed: 1000 + 37 * i as u64,
         };
         let faulted_cfg = EngineConfig::rasql()
-            .with_faults(Some(spec))
-            .with_max_task_retries(3)
-            .with_checkpoint_interval(3);
+            .faults(Some(spec))
+            .max_task_retries(3)
+            .checkpoint_interval(3);
         let result = run_query(faulted_cfg, &tables, &sql);
         assert_eq!(
             result.relation.sorted().rows(),
@@ -121,7 +121,7 @@ fn restore_resumes_from_last_checkpointed_round() {
     let chain: Vec<(i64, i64)> = (0..9).map(|i| (i, i + 1)).collect();
     let edges = Relation::edges(&chain);
     let clean = {
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+        let ctx = EngineConfig::rasql().workers(2).build();
         ctx.register("edge", edges.clone()).unwrap();
         ctx.query(&library::transitive_closure())
             .unwrap()
@@ -140,19 +140,19 @@ fn restore_resumes_from_last_checkpointed_round() {
     let mut witnessed = None;
     for seed in 0..50u64 {
         let cfg = EngineConfig::rasql()
-            .with_decomposed(false) // exercise the global round loop
-            .with_faults(Some(FaultSpec {
+            .decomposed_plans(false) // exercise the global round loop
+            .faults(Some(FaultSpec {
                 kill: 0.12,
                 delay: 0.0,
                 loss: 0.0,
                 delay_us: 0,
                 seed,
             }))
-            .with_max_task_retries(0)
-            .with_checkpoint_interval(1)
-            .with_tracing(true)
-            .with_workers(2);
-        let ctx = RaSqlContext::with_config(cfg);
+            .max_task_retries(0)
+            .checkpoint_interval(1)
+            .tracing(true)
+            .workers(2);
+        let ctx = cfg.build();
         ctx.register("edge", edges.clone()).unwrap();
         let outcome = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
             ctx.query(&library::transitive_closure())
@@ -199,7 +199,7 @@ fn checkpointing_off_is_byte_for_byte_identical() {
     // checkpoint_interval > 0 must not perturb results even without faults.
     let edges = rasql_datagen::rmat(150, rasql_datagen::RmatConfig::default(), 3);
     let base = run_query(
-        EngineConfig::rasql().with_decomposed(false),
+        EngineConfig::rasql().decomposed_plans(false),
         &[("edge", edges.clone())],
         &library::transitive_closure(),
     )
@@ -207,8 +207,8 @@ fn checkpointing_off_is_byte_for_byte_identical() {
     .sorted();
     let checked = run_query(
         EngineConfig::rasql()
-            .with_decomposed(false)
-            .with_checkpoint_interval(2),
+            .decomposed_plans(false)
+            .checkpoint_interval(2),
         &[("edge", edges)],
         &library::transitive_closure(),
     );
@@ -237,18 +237,18 @@ fn lost_kernel_stage_resets_and_reruns_to_the_fault_free_answer() {
     let mut mid_fixpoint_reruns = 0;
     for seed in 0..60u64 {
         let cfg = EngineConfig::rasql()
-            .with_faults(Some(FaultSpec {
+            .faults(Some(FaultSpec {
                 kill: 0.1,
                 delay: 0.0,
                 loss: 0.0,
                 delay_us: 0,
                 seed,
             }))
-            .with_max_task_retries(0)
-            .with_checkpoint_interval(1)
-            .with_tracing(true)
-            .with_workers(2);
-        let ctx = RaSqlContext::with_config(cfg);
+            .max_task_retries(0)
+            .checkpoint_interval(1)
+            .tracing(true)
+            .workers(2);
+        let ctx = cfg.build();
         ctx.register("edge", edges.clone()).unwrap();
         let Ok(result) = ctx.query(&library::cc()) else {
             continue;
@@ -299,18 +299,18 @@ fn lost_naive_stage_reruns_to_the_fault_free_answer() {
     let mut reruns = 0;
     for seed in 0..60u64 {
         let cfg = EngineConfig::spark_sql_naive()
-            .with_faults(Some(FaultSpec {
+            .faults(Some(FaultSpec {
                 kill: 0.1,
                 delay: 0.0,
                 loss: 0.0,
                 delay_us: 0,
                 seed,
             }))
-            .with_max_task_retries(0)
-            .with_checkpoint_interval(1)
-            .with_tracing(true)
-            .with_workers(2);
-        let ctx = RaSqlContext::with_config(cfg);
+            .max_task_retries(0)
+            .checkpoint_interval(1)
+            .tracing(true)
+            .workers(2);
+        let ctx = cfg.build();
         ctx.register("edge", edges.clone()).unwrap();
         // A kill outside the round loop (the base case, the final plan)
         // still fails the query.
@@ -358,7 +358,7 @@ fn a_task_killed_in_a_pull_round_recovers_to_the_fault_free_answer() {
     let tables = [("edge", edges)];
     let sql = library::sssp(0);
     let traced = |cfg: EngineConfig| {
-        let ctx = RaSqlContext::with_config(cfg.with_tracing(true).with_workers(2));
+        let ctx = cfg.tracing(true).workers(2).build();
         ctx.register("edge", tables[0].1.clone()).unwrap();
         ctx.query(&sql)
     };
@@ -388,11 +388,11 @@ fn a_task_killed_in_a_pull_round_recovers_to_the_fault_free_answer() {
                 seed,
             });
             let cfg = if checkpointed {
-                (EngineConfig::rasql().with_faults(faults))
-                    .with_max_task_retries(0)
-                    .with_checkpoint_interval(1)
+                (EngineConfig::rasql().faults(faults))
+                    .max_task_retries(0)
+                    .checkpoint_interval(1)
             } else {
-                EngineConfig::rasql().with_faults(faults)
+                EngineConfig::rasql().faults(faults)
             };
             // A kill outside the round loop fails the query without retries.
             let Ok(result) = traced(cfg) else {

@@ -9,7 +9,7 @@ use rasql_gap::Csr;
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 fn ctx_with(config: EngineConfig) -> RaSqlContext {
-    RaSqlContext::with_config(config.with_workers(2))
+    config.workers(2).build()
 }
 
 fn int_rel(cols: &[&str], rows: &[&[i64]]) -> Relation {
@@ -33,16 +33,16 @@ fn all_configs() -> Vec<(&'static str, EngineConfig)> {
         ("rasql", EngineConfig::rasql()),
         (
             "no-stage-combination",
-            EngineConfig::rasql().with_stage_combination(false),
+            EngineConfig::rasql().stage_combination(false),
         ),
-        ("unfused", EngineConfig::rasql().with_fused_codegen(false)),
+        ("unfused", EngineConfig::rasql().fused_codegen(false)),
         (
             "sort-merge",
-            EngineConfig::rasql().with_join(JoinStrategy::SortMerge),
+            EngineConfig::rasql().join(JoinStrategy::SortMerge),
         ),
         (
             "no-decomposed",
-            EngineConfig::rasql().with_decomposed(false),
+            EngineConfig::rasql().decomposed_plans(false),
         ),
         ("bigdatalog-like", EngineConfig::bigdatalog_like()),
         ("spark-sql-sn", EngineConfig::spark_sql_sn()),
@@ -73,7 +73,7 @@ fn tc_matches_oracle_on_random_graph() {
         ("rasql", EngineConfig::rasql()),
         (
             "no-decomposed",
-            EngineConfig::rasql().with_decomposed(false),
+            EngineConfig::rasql().decomposed_plans(false),
         ),
         ("naive", EngineConfig::spark_sql_naive()),
     ] {
@@ -154,7 +154,7 @@ fn sssp_terminates_on_cyclic_graph() {
 #[test]
 fn stratified_sssp_on_cycle_hits_iteration_cap() {
     let edges = Relation::weighted_edges(&[(1, 2, 1.0), (2, 1, 1.0)]);
-    let ctx = ctx_with(EngineConfig::rasql().with_max_iterations(30));
+    let ctx = ctx_with(EngineConfig::rasql().max_iterations(30));
     ctx.register("edge", edges).unwrap();
     let err = ctx.query(&library::sssp_stratified(1)).unwrap_err();
     assert!(err.to_string().contains("did not converge"), "{err}");
@@ -260,7 +260,7 @@ fn management_matches_oracle() {
         ("rasql", EngineConfig::rasql()),
         (
             "no-stage-combination",
-            EngineConfig::rasql().with_stage_combination(false),
+            EngineConfig::rasql().stage_combination(false),
         ),
         ("spark-sql-sn", EngineConfig::spark_sql_sn()),
     ] {
@@ -463,7 +463,7 @@ fn same_generation_matches_oracle() {
         ("rasql", EngineConfig::rasql()),
         (
             "no-stage-combination",
-            EngineConfig::rasql().with_stage_combination(false),
+            EngineConfig::rasql().stage_combination(false),
         ),
     ] {
         let ctx = ctx_with(cfg);
@@ -515,7 +515,7 @@ fn interval_coalesce_example() {
 #[test]
 fn naive_and_semi_naive_agree_but_naive_does_more_work() {
     let edges = rasql_datagen::rmat(100, rasql_datagen::RmatConfig::default(), 2);
-    let sn_ctx = ctx_with(EngineConfig::rasql().with_decomposed(false));
+    let sn_ctx = ctx_with(EngineConfig::rasql().decomposed_plans(false));
     sn_ctx.register("edge", edges.clone()).unwrap();
     let sn = sn_ctx.query(&library::reach(1)).unwrap().relation.sorted();
 
@@ -540,9 +540,9 @@ fn stage_combination_halves_stages() {
         // engine's stage combination, not the specialized kernels.
         let ctx = ctx_with(
             EngineConfig::rasql()
-                .with_stage_combination(combine)
-                .with_decomposed(false)
-                .with_specialized_kernels(false),
+                .stage_combination(combine)
+                .decomposed_plans(false)
+                .specialized_kernels(false),
         );
         ctx.register("edge", edges.clone()).unwrap();
         let stats = ctx.query(&library::sssp(1)).unwrap().stats;
@@ -569,7 +569,7 @@ fn decomposed_tc_runs_in_constant_stages() {
         .metrics
         .stages;
 
-    let ctx2 = ctx_with(EngineConfig::rasql().with_decomposed(false));
+    let ctx2 = ctx_with(EngineConfig::rasql().decomposed_plans(false));
     ctx2.register("edge", edges).unwrap();
     let plain_stages = ctx2
         .query(&library::transitive_closure())
@@ -587,7 +587,7 @@ fn decomposed_tc_runs_in_constant_stages() {
 fn broadcast_compression_reduces_bytes() {
     let edges = rasql_datagen::grid(40, false, 1);
     let run = |compress: bool| -> u64 {
-        let ctx = ctx_with(EngineConfig::rasql().with_broadcast_compression(compress));
+        let ctx = ctx_with(EngineConfig::rasql().broadcast_compression(compress));
         ctx.register("edge", edges.clone()).unwrap();
         let result = ctx.query(&library::transitive_closure()).unwrap();
         result.stats.metrics.broadcast_bytes
@@ -639,7 +639,7 @@ fn workers_sweep_gives_same_answers() {
     let edges = rasql_datagen::rmat(150, rasql_datagen::RmatConfig::default(), 12);
     let mut reference: Option<Relation> = None;
     for workers in [1, 2, 4] {
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(workers));
+        let ctx = EngineConfig::rasql().workers(workers).build();
         ctx.register("edge", edges.clone()).unwrap();
         let got = ctx.query(&library::cc()).unwrap().relation.sorted();
         match &reference {

@@ -25,10 +25,10 @@ use std::time::Duration;
 /// interpreter.
 fn interp(budget: u64) -> EngineConfig {
     EngineConfig::rasql()
-        .with_workers(2)
-        .with_specialized_kernels(false)
-        .with_decomposed(false)
-        .with_memory_budget(budget)
+        .workers(2)
+        .specialized_kernels(false)
+        .decomposed_plans(false)
+        .memory_budget(budget)
 }
 
 fn rmat(n: usize, seed: u64) -> Relation {
@@ -103,7 +103,7 @@ fn spilling_run_is_bit_identical_to_in_memory() {
     );
     for (sql, stage) in [(tc, None), (counted, Some("aggregate shuffle read"))] {
         let run = |budget: u64| {
-            let ctx = RaSqlContext::with_config(interp(budget).with_tracing(true));
+            let ctx = interp(budget).tracing(true).build();
             ctx.register("edge", edges.clone()).unwrap();
             ctx.query(&sql).unwrap()
         };
@@ -133,7 +133,7 @@ fn spilling_run_is_bit_identical_to_in_memory() {
 
 #[test]
 fn explain_analyze_reports_governance() {
-    let ctx = RaSqlContext::with_config(interp(64 * 1024));
+    let ctx = interp(64 * 1024).build();
     ctx.register("edge", rmat(200, 9)).unwrap();
     let sql = format!("EXPLAIN ANALYZE {}", library::transitive_closure());
     let results = ctx.query_script(&sql).unwrap();
@@ -155,10 +155,8 @@ fn deadline_is_typed_and_context_serves_next_query() {
     // 3 ms of injected latency per stage makes the 100-round reachability
     // blow far past a 150 ms deadline, while a scan-and-count stays far
     // under it.
-    let cfg = interp(0)
-        .with_query_timeout_ms(150)
-        .with_stage_latency_us(3000);
-    let ctx = RaSqlContext::with_config(cfg);
+    let cfg = interp(0).query_timeout_ms(150).stage_latency_us(3000);
+    let ctx = cfg.build();
     ctx.register("edge", rasql_datagen::grid(50, false, 42))
         .unwrap();
     let err = ctx.query(&library::reach(0)).unwrap_err();
@@ -182,10 +180,8 @@ fn broadcast_over_budget_is_a_hard_typed_error() {
     // Kernels broadcast the whole CSR graph to every worker; replicas are
     // pinned, so a budget below the replicated payload cannot spill its way
     // out — it must fail with a typed MemoryExceeded.
-    let cfg = EngineConfig::rasql()
-        .with_workers(2)
-        .with_memory_budget(1024);
-    let ctx = RaSqlContext::with_config(cfg);
+    let cfg = EngineConfig::rasql().workers(2).memory_budget(1024);
+    let ctx = cfg.build();
     ctx.register("edge", rmat(200, 9)).unwrap();
     let err = ctx.query(&library::transitive_closure()).unwrap_err();
     assert!(
@@ -203,8 +199,8 @@ fn broadcast_over_budget_is_a_hard_typed_error() {
 #[test]
 fn kill_is_typed_and_rerun_is_bit_identical() {
     let before = spill_dirs();
-    let cfg = interp(0).with_stage_latency_us(1000);
-    let ctx = RaSqlContext::with_config(cfg);
+    let cfg = interp(0).stage_latency_us(1000);
+    let ctx = cfg.build();
     let edges = rasql_datagen::grid(40, false, 42);
     ctx.register("edge", edges.clone()).unwrap();
     let sql = library::reach(0);
@@ -222,7 +218,7 @@ fn kill_is_typed_and_rerun_is_bit_identical() {
     // The same context re-runs the killed query to completion, matching a
     // fresh ungoverned context bit for bit.
     let rerun = ctx.query(&sql).unwrap().relation.sorted();
-    let clean_ctx = RaSqlContext::with_config(interp(0));
+    let clean_ctx = interp(0).build();
     clean_ctx.register("edge", edges).unwrap();
     let clean = clean_ctx.query(&sql).unwrap().relation.sorted();
     assert_eq!(rerun.rows(), clean.rows(), "post-kill rerun diverged");
@@ -233,10 +229,10 @@ fn kill_is_typed_and_rerun_is_bit_identical() {
 fn admission_rejects_beyond_queue_and_queues_within_it() {
     // Cap 1, queue 0: while one query runs, the next bounces immediately.
     let cfg = interp(0)
-        .with_stage_latency_us(2000)
-        .with_max_concurrent_queries(1)
-        .with_admission_queue(0);
-    let ctx = RaSqlContext::with_config(cfg);
+        .stage_latency_us(2000)
+        .max_concurrent_queries(1)
+        .admission_queue(0);
+    let ctx = cfg.build();
     ctx.register("edge", rasql_datagen::grid(40, false, 42))
         .unwrap();
     std::thread::scope(|s| {
@@ -263,10 +259,8 @@ fn admission_rejects_beyond_queue_and_queues_within_it() {
     });
 
     // Cap 1, queue 4: contending queries wait their turn and all succeed.
-    let cfg = interp(0)
-        .with_max_concurrent_queries(1)
-        .with_admission_queue(4);
-    let ctx = RaSqlContext::with_config(cfg);
+    let cfg = interp(0).max_concurrent_queries(1).admission_queue(4);
+    let ctx = cfg.build();
     ctx.register("edge", rmat(100, 5)).unwrap();
     let results: Vec<_> = std::thread::scope(|s| {
         let handles: Vec<_> = (0..3)
@@ -302,27 +296,27 @@ proptest! {
     ) {
         let before = spill_dirs();
         let mut cfg = EngineConfig::rasql()
-            .with_workers(2)
-            .with_specialized_kernels(kernels)
-            .with_decomposed(false);
+            .workers(2)
+            .specialized_kernels(kernels)
+            .decomposed_plans(false);
         if faults {
             cfg = cfg
-                .with_faults(Some(FaultSpec {
+                .faults(Some(FaultSpec {
                     kill: 0.05,
                     delay: 0.0,
                     loss: 0.0,
                     delay_us: 0,
                     seed,
                 }))
-                .with_max_task_retries(3)
-                .with_checkpoint_interval(2);
+                .max_task_retries(3)
+                .checkpoint_interval(2);
         }
-        let ctx = RaSqlContext::with_config(cfg);
+        let ctx = cfg.build();
         let edges = rmat(150, seed);
         ctx.register("edge", edges.clone()).unwrap();
         let sql = library::cc();
 
-        let clean_ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+        let clean_ctx = EngineConfig::rasql().workers(2).build();
         clean_ctx.register("edge", edges).unwrap();
         let clean = clean_ctx.query(&sql).unwrap().relation.sorted();
 

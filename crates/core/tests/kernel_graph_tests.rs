@@ -40,10 +40,10 @@ fn config(kill: f64, checkpoint: bool, seed: u64) -> EngineConfig {
         ..FaultSpec::default()
     });
     EngineConfig::rasql()
-        .with_workers(2)
-        .with_tracing(true)
-        .with_faults(faults)
-        .with_checkpoint_interval(u32::from(checkpoint))
+        .workers(2)
+        .tracing(true)
+        .faults(faults)
+        .checkpoint_interval(u32::from(checkpoint))
 }
 
 fn pairs(r: &QueryResult) -> Vec<(i64, i64)> {
@@ -129,7 +129,7 @@ proptest! {
 
     #[test]
     fn cc_read_off_the_graph_is_the_oracle(edges in graph()) {
-        let ctx = RaSqlContext::with_config(config(0.0, false, 0));
+        let ctx = config(0.0, false, 0).build();
         ctx.register("edge", Relation::edges(&edges)).unwrap();
         assert_cc(&ctx, &edges)?;
     }
@@ -142,7 +142,7 @@ proptest! {
         edges in graph(),
         more in prop::collection::vec((0i64..24, 0i64..24), 1..10),
     ) {
-        let ctx = RaSqlContext::with_config(config(0.0, false, 0));
+        let ctx = config(0.0, false, 0).build();
         ctx.register("edge", Relation::edges(&edges)).unwrap();
         assert_cc(&ctx, &edges)?;
         let values: Vec<String> = more.iter().map(|(s, d)| format!("({s}, {d})")).collect();
@@ -161,7 +161,7 @@ proptest! {
         checkpoint in any::<bool>(),
         seed in any::<u64>(),
     ) {
-        let ctx = RaSqlContext::with_config(config(0.05, checkpoint, seed));
+        let ctx = config(0.05, checkpoint, seed).build();
         ctx.register("edge", Relation::edges(&edges)).unwrap();
         assert_cc(&ctx, &edges)?;
     }
@@ -190,11 +190,9 @@ proptest! {
             ),
             ("(SELECT Src, Src + 0 FROM edge)".into(), by(|s, _| (s, s))),
         ];
-        let interpreter = RaSqlContext::with_config(
-            EngineConfig::rasql().with_workers(2).with_specialized_kernels(false),
-        );
+        let interpreter = EngineConfig::rasql().workers(2).specialized_kernels(false).build();
         interpreter.register("edge", Relation::edges(&edges)).unwrap();
-        let ctx = RaSqlContext::with_config(config(0.0, false, 0));
+        let ctx = config(0.0, false, 0).build();
         ctx.register("edge", Relation::edges(&edges)).unwrap();
         for (base, seeds) in cases {
             let sql = cc_with_base(&base);
@@ -222,7 +220,7 @@ fn weighted() -> (Relation, Relation) {
 }
 
 fn answer(config: EngineConfig, edges: &Relation, sql: &str) -> QueryResult {
-    let ctx = RaSqlContext::with_config(config.with_workers(2).with_tracing(true));
+    let ctx = config.workers(2).tracing(true).build();
     ctx.register("edge", edges.clone()).unwrap();
     ctx.query(sql).unwrap()
 }
@@ -234,7 +232,7 @@ fn answer(config: EngineConfig, edges: &Relation, sql: &str) -> QueryResult {
 #[test]
 fn sssp_and_widest_path_share_one_forward_graph() {
     let (doubles, _) = weighted();
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2).with_tracing(true));
+    let ctx = EngineConfig::rasql().workers(2).tracing(true).build();
     ctx.register("edge", doubles.clone()).unwrap();
     let pulled = |r: &QueryResult| {
         let trace = r.trace.as_ref().unwrap();
@@ -252,7 +250,7 @@ fn sssp_and_widest_path_share_one_forward_graph() {
     assert_eq!(after.entries - between.entries, in_edges);
     assert_eq!(after.builds - between.builds, in_edges);
 
-    let interpreter = EngineConfig::rasql().with_specialized_kernels(false);
+    let interpreter = EngineConfig::rasql().specialized_kernels(false);
     let slow = answer(interpreter, &doubles, &library::widest_path(1));
     assert_eq!(
         widest.relation.sorted().rows(),
@@ -266,13 +264,13 @@ fn sssp_and_widest_path_share_one_forward_graph() {
 #[test]
 fn widest_path_over_an_int_weight_stays_generic() {
     let (_, one_int) = weighted();
-    let interpreter = EngineConfig::rasql().with_specialized_kernels(false);
+    let interpreter = EngineConfig::rasql().specialized_kernels(false);
     let slow = answer(interpreter, &one_int, &library::widest_path(1))
         .relation
         .sorted();
     let alone = answer(EngineConfig::rasql(), &one_int, &library::widest_path(1));
 
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2).with_tracing(true));
+    let ctx = EngineConfig::rasql().workers(2).tracing(true).build();
     ctx.register("edge", one_int).unwrap();
     let sssp = ctx.query(&library::sssp(1)).unwrap();
     assert_eq!(

@@ -7,12 +7,12 @@
 //! specialize.
 
 use proptest::prelude::*;
-use rasql_core::{library, EngineConfig, QueryResult, RaSqlContext};
+use rasql_core::{library, EngineConfig, QueryResult};
 use rasql_exec::FaultSpec;
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 fn run(cfg: EngineConfig, tables: &[(&str, Relation)], sql: &str) -> QueryResult {
-    let ctx = RaSqlContext::with_config(cfg.with_workers(2).with_tracing(true));
+    let ctx = cfg.workers(2).tracing(true).build();
     for (name, rel) in tables {
         ctx.register(name, rel.clone()).unwrap();
     }
@@ -29,7 +29,7 @@ fn kernel_of(result: &QueryResult) -> &str {
 fn assert_differential(tables: &[(&str, Relation)], sql: &str, expect_kernel: &str) {
     let fast = run(EngineConfig::rasql(), tables, sql);
     let slow = run(
-        EngineConfig::rasql().with_specialized_kernels(false),
+        EngineConfig::rasql().specialized_kernels(false),
         tables,
         sql,
     );
@@ -105,16 +105,16 @@ proptest! {
     fn faulted_kernel_run_matches_generic(seed in 0u64..500) {
         let edges = weighted_rmat(120, 7);
         let clean = run(
-            EngineConfig::rasql().with_specialized_kernels(false),
+            EngineConfig::rasql().specialized_kernels(false),
             &[("edge", edges.clone())],
             &library::sssp(1),
         );
         let spec = FaultSpec { kill: 0.15, delay: 0.1, loss: 0.05, delay_us: 50, seed };
         let faulted = run(
             EngineConfig::rasql()
-                .with_faults(Some(spec))
-                .with_max_task_retries(3)
-                .with_checkpoint_interval(3),
+                .faults(Some(spec))
+                .max_task_retries(3)
+                .checkpoint_interval(3),
             &[("edge", edges)],
             &library::sssp(1),
         );
@@ -148,7 +148,7 @@ fn assert_pull_differential(
 ) {
     let fast = run(EngineConfig::rasql(), tables, sql);
     let slow = run(
-        EngineConfig::rasql().with_specialized_kernels(false),
+        EngineConfig::rasql().specialized_kernels(false),
         tables,
         sql,
     );
@@ -250,7 +250,7 @@ proptest! {
             ([("edge", plain)], library::reach(offset), "csr_set"),
         ] {
             let fast = run(EngineConfig::rasql(), &tables, &sql);
-            let slow = run(EngineConfig::rasql().with_specialized_kernels(false), &tables, &sql);
+            let slow = run(EngineConfig::rasql().specialized_kernels(false), &tables, &sql);
             prop_assert_eq!(kernel_of(&fast), kernel);
             prop_assert_eq!(exact_rows(&fast.relation), exact_rows(&slow.relation));
             prop_assert_eq!(&fast.stats.iterations, &slow.stats.iterations);
@@ -381,7 +381,7 @@ fn assert_interpreter_answers(tables: &[(&str, Relation)], sql: &str) -> Vec<Vec
         typed_rows(&result.relation)
     };
     let fast = typed(EngineConfig::rasql());
-    let slow = typed(EngineConfig::rasql().with_specialized_kernels(false));
+    let slow = typed(EngineConfig::rasql().specialized_kernels(false));
     assert_eq!(format!("{fast:?}"), format!("{slow:?}"), "{sql}");
     fast
 }
@@ -565,13 +565,13 @@ fn library_sweep_is_result_identical_and_kernels_are_pinned() {
     // Interval coalescing is a two-statement script; compare via the script
     // API (its recursion joins on a range predicate, so it never specializes).
     let run_script = |cfg: EngineConfig| {
-        let ctx = RaSqlContext::with_config(cfg.with_workers(2));
+        let ctx = cfg.workers(2).build();
         ctx.register("inter", inter.clone()).unwrap();
         let out = ctx.query_script(&library::interval_coalesce()).unwrap();
         out.last().unwrap().relation.clone().sorted()
     };
     assert_eq!(
         run_script(EngineConfig::rasql()).rows(),
-        run_script(EngineConfig::rasql().with_specialized_kernels(false)).rows()
+        run_script(EngineConfig::rasql().specialized_kernels(false)).rows()
     );
 }

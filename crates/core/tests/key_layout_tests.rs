@@ -12,7 +12,7 @@
 //!   same rounds, stages, tasks, shuffled rows and bytes, combined rows and
 //!   word cliques.
 
-use rasql_core::{library, EngineConfig, QueryResult, RaSqlContext};
+use rasql_core::{library, EngineConfig, QueryResult};
 use rasql_datagen::{rmat, tree_hierarchy, RmatConfig, TreeConfig};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
@@ -72,7 +72,7 @@ struct Stmt {
 const SOURCE: i64 = 3;
 
 fn run(cfg: &EngineConfig, tables: &[Table], stmt: &Stmt, ids: Ids) -> QueryResult {
-    let ctx = RaSqlContext::with_config(cfg.clone());
+    let ctx = cfg.clone().build();
     for t in tables {
         ctx.register(t.name, written(&t.rel, t.ids, ids, false))
             .unwrap();
@@ -144,9 +144,7 @@ fn compare(cfg: &EngineConfig, tables: &[Table], stmts: &[Stmt]) -> u64 {
 }
 
 fn config() -> EngineConfig {
-    EngineConfig::rasql()
-        .with_workers(2)
-        .with_stage_latency_us(0)
+    EngineConfig::rasql().workers(2).stage_latency_us(0)
 }
 
 #[test]
@@ -279,6 +277,6 @@ fn the_kernel_queries_on_words_answer_alike_at_any_id_offset() {
             ids: &[0],
         },
     ];
-    let cfg = config().with_specialized_kernels(false);
+    let cfg = config().specialized_kernels(false);
     assert!(compare(&cfg, &tables, &stmts) > 0);
 }

@@ -6,22 +6,22 @@
 //! value type — and an `Int` sum is exact, so no partitioning changes it.
 
 use proptest::prelude::*;
-use rasql_core::{EngineConfig, QueryResult, RaSqlContext};
+use rasql_core::{EngineConfig, QueryResult};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 type Tables = Vec<(&'static str, Relation)>;
 
 fn config(partitions: usize, fused: bool) -> EngineConfig {
     let mut cfg = EngineConfig::rasql()
-        .with_workers(2)
-        .with_specialized_kernels(false)
-        .with_fused_codegen(fused);
+        .workers(2)
+        .specialized_kernels(false)
+        .fused_codegen(fused);
     cfg.partitions = partitions;
     cfg
 }
 
 fn run(cfg: EngineConfig, tables: &Tables, sql: &str) -> QueryResult {
-    let ctx = RaSqlContext::with_config(cfg);
+    let ctx = cfg.build();
     for (name, rel) in tables {
         ctx.register(name, rel.clone()).unwrap();
     }

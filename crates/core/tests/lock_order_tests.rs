@@ -15,7 +15,7 @@ use rasql_storage::sync::{held_ranks, LockRank};
 use std::sync::Arc;
 
 fn ctx_with_edges(n: usize) -> RaSqlContext {
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     let edges = rasql_datagen::rmat(
         n,
         rasql_datagen::RmatConfig {

@@ -59,7 +59,7 @@ fn insert_sql(table: &str, rows: &[Row]) -> String {
 
 /// Recompute `sql` from scratch on `edges` in a fresh context.
 fn recompute(cfg: &EngineConfig, edges: &Relation, sql: &str) -> Vec<Row> {
-    let ctx = RaSqlContext::with_config(cfg.clone().with_workers(2));
+    let ctx = cfg.clone().workers(2).build();
     ctx.register("edge", edges.clone()).unwrap();
     ctx.query(sql).unwrap().relation.sorted().rows().to_vec()
 }
@@ -78,7 +78,7 @@ fn assert_incremental_matches(
 ) -> rasql_exec::MetricsSnapshot {
     let rows = edges.rows();
     let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
-    let ctx = RaSqlContext::with_config(cfg.clone().with_workers(2));
+    let ctx = cfg.clone().workers(2).build();
     ctx.register("edge", initial).unwrap();
     ctx.query(&format!("CREATE MATERIALIZED VIEW v AS {sql}"))
         .unwrap();
@@ -134,8 +134,8 @@ fn resume_under_checkpointing_and_a_tight_budget_matches_recompute() {
         (library::apsp(), &weighted),
     ];
     let configs = [
-        EngineConfig::rasql().with_checkpoint_interval(1),
-        EngineConfig::rasql().with_memory_budget(32 * 1024),
+        EngineConfig::rasql().checkpoint_interval(1),
+        EngineConfig::rasql().memory_budget(32 * 1024),
     ];
     for cfg in configs {
         let (mut checkpoints, mut spilled) = (0, 0);
@@ -159,10 +159,10 @@ fn resume_under_checkpointing_and_a_tight_budget_matches_recompute() {
 /// state, and still lands on the recompute.
 #[test]
 fn a_word_view_refreshes_after_an_escape_inducing_insert() {
-    let cfg = EngineConfig::rasql().with_specialized_kernels(false);
+    let cfg = EngineConfig::rasql().specialized_kernels(false);
     let sql = library::transitive_closure();
     let edges = plain_rmat(40, 21);
-    let ctx = RaSqlContext::with_config(cfg.clone().with_workers(2));
+    let ctx = cfg.clone().workers(2).build();
     let split = edges.len() - 10;
     let initial = Relation::try_new(edges.schema().clone(), edges.rows()[..split].to_vec());
     ctx.register("edge", initial.unwrap()).unwrap();
@@ -220,7 +220,7 @@ proptest! {
     fn sssp_incremental_matches_recompute_interpreter(n in 16usize..100, seed in 0u64..1000) {
         let edges = weighted_rmat(n, seed);
         let split = edges.len() - (edges.len() / 5).clamp(1, 16);
-        let cfg = EngineConfig::rasql().with_specialized_kernels(false);
+        let cfg = EngineConfig::rasql().specialized_kernels(false);
         assert_incremental_matches(&cfg, &edges, &library::sssp(1), split, 2);
     }
 
@@ -247,13 +247,13 @@ proptest! {
         let edges = weighted_rmat(100, 11);
         let split = edges.len() - 12;
         let cfg = EngineConfig::rasql()
-            .with_faults(Some(FaultSpec { kill: 0.12, delay: 0.08, loss: 0.04, delay_us: 40, seed }))
-            .with_max_task_retries(3)
-            .with_checkpoint_interval(3);
+            .faults(Some(FaultSpec { kill: 0.12, delay: 0.08, loss: 0.04, delay_us: 40, seed }))
+            .max_task_retries(3)
+            .checkpoint_interval(3);
         let clean = EngineConfig::rasql();
         let rows = edges.rows();
         let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
-        let ctx = RaSqlContext::with_config(cfg.with_workers(2));
+        let ctx = cfg.workers(2).build();
         ctx.register("edge", initial).unwrap();
         ctx.query(&format!("CREATE MATERIALIZED VIEW v AS {}", library::sssp(1))).unwrap();
         ctx.query(&insert_sql("edge", &rows[split..])).unwrap();
@@ -275,9 +275,7 @@ fn mid_refresh_kill_leaves_view_consistent() {
     let rows = edges.rows();
     let mut witnessed = false;
     for _attempt in 0..10 {
-        let ctx = Arc::new(RaSqlContext::with_config(
-            EngineConfig::rasql().with_workers(2),
-        ));
+        let ctx = Arc::new(EngineConfig::rasql().workers(2).build());
         let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
         ctx.register("edge", initial).unwrap();
         ctx.query(&format!(
@@ -288,13 +286,14 @@ fn mid_refresh_kill_leaves_view_consistent() {
         ctx.query(&insert_sql("edge", &rows[split..])).unwrap();
 
         // Slow every stage down only for the refresh we are about to kill.
-        // with_config is per-context, so build a second context sharing
+        // A configuration is per-context, so build a second context sharing
         // nothing — instead, rebuild: slow context from scratch.
-        let slow = Arc::new(RaSqlContext::with_config(
+        let slow = Arc::new(
             EngineConfig::rasql()
-                .with_workers(2)
-                .with_stage_latency_us(1500),
-        ));
+                .workers(2)
+                .stage_latency_us(1500)
+                .build(),
+        );
         let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
         slow.register("edge", initial).unwrap();
         slow.query(&format!(
@@ -370,7 +369,7 @@ fn mid_refresh_kill_leaves_view_consistent() {
 #[test]
 fn delete_falls_back_to_full_refresh() {
     let edges = weighted_rmat(80, 3);
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("edge", edges.clone()).unwrap();
     ctx.query(&format!(
         "CREATE MATERIALIZED VIEW v AS {}",
@@ -402,11 +401,12 @@ fn racing_refreshes_never_publish_torn_state() {
     let edges = weighted_rmat(200, 11);
     let split = edges.len() - 16;
     let rows = edges.rows();
-    let ctx = Arc::new(RaSqlContext::with_config(
+    let ctx = Arc::new(
         EngineConfig::rasql()
-            .with_workers(2)
-            .with_stage_latency_us(50),
-    ));
+            .workers(2)
+            .stage_latency_us(50)
+            .build(),
+    );
     let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
     ctx.register("edge", initial).unwrap();
     ctx.query(&format!(
@@ -450,11 +450,12 @@ fn racing_refreshes_never_publish_torn_state() {
 /// unchanged since it was evaluated, re-evaluating otherwise.
 #[test]
 fn delete_does_not_lose_concurrent_inserts() {
-    let ctx = Arc::new(RaSqlContext::with_config(
+    let ctx = Arc::new(
         EngineConfig::rasql()
-            .with_workers(2)
-            .with_stage_latency_us(100),
-    ));
+            .workers(2)
+            .stage_latency_us(100)
+            .build(),
+    );
     let base: Vec<(i64, i64)> = (0..200).map(|i| (i, i + 1)).collect();
     ctx.register("edge", Relation::edges(&base)).unwrap();
     let deleter = {
@@ -511,11 +512,7 @@ fn insert_delete_statement_surface() {
 /// The version-keyed result cache: hit on a repeat, invalidated by INSERT.
 #[test]
 fn result_cache_hits_and_invalidates() {
-    let ctx = RaSqlContext::builder()
-        .preset(EngineConfig::rasql())
-        .workers(2)
-        .result_cache(8)
-        .build();
+    let ctx = EngineConfig::rasql().workers(2).result_cache(8).build();
     ctx.register("edge", weighted_rmat(60, 9)).unwrap();
     let sql = library::sssp(1);
     let first = ctx.query(&sql).unwrap();
@@ -553,7 +550,7 @@ fn count_paths_view_is_ineligible_and_falls_back() {
         .collect();
     let split = rows.len() - 4;
     let edges = Relation::try_new(full.schema().clone(), rows[..split].to_vec()).unwrap();
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("edge", edges).unwrap();
     let sql = library::count_paths(1);
     ctx.query(&format!("CREATE MATERIALIZED VIEW cnt AS {sql}"))
@@ -693,7 +690,7 @@ fn ints(r: &Relation) -> Vec<i64> {
 /// `incremental`; it now refreshes `full`, says why, and is right.
 #[test]
 fn self_joining_build_side_refreshes_full_and_keeps_its_derivations() {
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("edge", Relation::edges(&[(1, 2), (2, 3)]))
         .unwrap();
     ctx.query(&format!("CREATE VIEW two AS {SELF_JOIN}"))
@@ -755,9 +752,7 @@ fn a_session_view_under_a_materialized_view_is_certified_like_a_shared_one() {
     };
     let mut answers = Vec::new();
     for on_session in [false, true] {
-        let ctx = Arc::new(RaSqlContext::with_config(
-            EngineConfig::rasql().with_workers(2),
-        ));
+        let ctx = Arc::new(EngineConfig::rasql().workers(2).build());
         ctx.register("edge", Relation::edges(&[(1, 2), (2, 3)]))
             .unwrap();
         let session = ctx.session();
@@ -818,8 +813,8 @@ proptest! {
         kernels in any::<bool>(),
     ) {
         let sql = reach_through(if self_join { SELF_JOIN } else { TWO_TABLES }, seed);
-        let cfg = EngineConfig::rasql().with_workers(2).with_specialized_kernels(kernels);
-        let ctx = RaSqlContext::with_config(cfg.clone());
+        let cfg = EngineConfig::rasql().workers(2).specialized_kernels(kernels);
+        let ctx = cfg.clone().build();
         let (mut edge, mut hop) = (edge, hop);
         ctx.register("edge", Relation::edges(&edge)).unwrap();
         ctx.register("hop", Relation::edges(&hop)).unwrap();
@@ -838,7 +833,7 @@ proptest! {
                 let mode = if self_join { "full" } else { "incremental" };
                 prop_assert_eq!(ctx.mat_view("mv").unwrap().last_refresh, mode);
             }
-            let fresh = RaSqlContext::with_config(cfg.clone());
+            let fresh = cfg.clone().build();
             fresh.register("edge", Relation::edges(&edge)).unwrap();
             fresh.register("hop", Relation::edges(&hop)).unwrap();
             prop_assert_eq!(ints(&got), ints(&fresh.query(&sql).unwrap().relation));
@@ -859,11 +854,11 @@ fn sixteen_refreshes_advance_one_index_at_an_even_price() {
     let rows = edges.rows();
     let split = rows.len() - TRAIN * BATCH;
     let cfg = EngineConfig::rasql()
-        .with_workers(2)
-        .with_stage_latency_us(0)
-        .with_specialized_kernels(false);
+        .workers(2)
+        .stage_latency_us(0)
+        .specialized_kernels(false);
     let sql = library::sssp(1);
-    let ctx = RaSqlContext::with_config(cfg.clone());
+    let ctx = cfg.clone().build();
     let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
     ctx.register("edge", initial).unwrap();
     ctx.query(&format!("CREATE MATERIALIZED VIEW v AS {sql}"))
@@ -993,10 +988,10 @@ fn refresh_reads_like_a_recompute(
     batches: usize,
     session: bool,
 ) {
-    let cfg = EngineConfig::rasql().with_workers(2);
+    let cfg = EngineConfig::rasql().workers(2);
     let rows = edges.rows();
     let split = rows.len() - (rows.len() / 4).clamp(1, 24);
-    let ctx = Arc::new(RaSqlContext::with_config(cfg.clone()));
+    let ctx = Arc::new(cfg.clone().build());
     let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
     let (table, initial) = base_table(view, &initial);
     ctx.register(table, initial).unwrap();
@@ -1019,7 +1014,7 @@ fn refresh_reads_like_a_recompute(
         );
         query(&insert_sql(table, chunk.rows()));
         query("REFRESH MATERIALIZED VIEW v");
-        let fresh = RaSqlContext::with_config(cfg.clone());
+        let fresh = cfg.clone().build();
         let base = Relation::try_new(edges.schema().clone(), rows[..upto].to_vec()).unwrap();
         let (_, base) = base_table(view, &base);
         fresh.register(table, base).unwrap();
@@ -1056,7 +1051,7 @@ fn a_reader_keeps_the_table_it_holds_across_a_patching_refresh() {
     let edges = weighted_rmat(200, 3);
     let rows = edges.rows();
     let split = rows.len() - 16;
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
     ctx.register("edge", initial).unwrap();
     ctx.query(&format!(
@@ -1088,16 +1083,16 @@ fn a_faulted_refresh_patches_nothing() {
     let mut failed = 0;
     for seed in 0..60 {
         let cfg = EngineConfig::rasql()
-            .with_workers(2)
-            .with_faults(Some(FaultSpec {
+            .workers(2)
+            .faults(Some(FaultSpec {
                 kill: 0.15,
                 delay: 0.0,
                 loss: 0.0,
                 delay_us: 0,
                 seed,
             }))
-            .with_max_task_retries(0);
-        let ctx = RaSqlContext::with_config(cfg);
+            .max_task_retries(0);
+        let ctx = cfg.build();
         let initial = Relation::try_new(edges.schema().clone(), rows[..split].to_vec()).unwrap();
         ctx.register("edge", initial).unwrap();
         if ctx

@@ -10,7 +10,7 @@
 //! *its* parent commit: that configuration always evaluates on rows, so the
 //! sweep also pins words ≡ rows — same result rows, same round tables.
 
-use rasql_core::{library, EngineConfig, EngineError, QueryResult, RaSqlContext};
+use rasql_core::{library, EngineConfig, EngineError, QueryResult};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 type Tables = Vec<(&'static str, Relation)>;
@@ -73,31 +73,31 @@ fn queries() -> Vec<(&'static str, Tables, String)> {
 /// without checkpoint capture and inter-round paging, on both tuple
 /// representations.
 fn configs() -> Vec<(&'static str, EngineConfig)> {
-    let rasql = || EngineConfig::rasql().with_workers(2);
+    let rasql = || EngineConfig::rasql().workers(2);
     vec![
         ("rasql", rasql()),
-        ("no-kernel", rasql().with_specialized_kernels(false)),
-        ("no-combine", rasql().with_stage_combination(false)),
-        ("no-decomposed", rasql().with_decomposed(false)),
-        ("naive", EngineConfig::spark_sql_naive().with_workers(2)),
-        ("checkpoint-1", rasql().with_checkpoint_interval(1)),
+        ("no-kernel", rasql().specialized_kernels(false)),
+        ("no-combine", rasql().stage_combination(false)),
+        ("no-decomposed", rasql().decomposed_plans(false)),
+        ("naive", EngineConfig::spark_sql_naive().workers(2)),
+        ("checkpoint-1", rasql().checkpoint_interval(1)),
         (
             // The interpreter is what pages: kernels and decomposed plans
             // charge their state but never spill it.
             "tight-budget",
             rasql()
-                .with_specialized_kernels(false)
-                .with_decomposed(false)
-                .with_memory_budget(32 * 1024),
+                .specialized_kernels(false)
+                .decomposed_plans(false)
+                .memory_budget(32 * 1024),
         ),
         // Without fused code generation the interpreter keeps its rows (and
         // the kernels stand aside), whatever the column types.
-        ("no-fused", rasql().with_fused_codegen(false)),
+        ("no-fused", rasql().fused_codegen(false)),
     ]
 }
 
 fn run(cfg: &EngineConfig, tables: &Tables, sql: &str) -> Result<QueryResult, EngineError> {
-    let ctx = RaSqlContext::with_config(cfg.clone().with_tracing(true));
+    let ctx = cfg.clone().tracing(true).build();
     for (name, rel) in tables {
         ctx.register(name, rel.clone()).unwrap();
     }
@@ -209,12 +209,8 @@ fn every_strategy_agrees_and_matches_the_golden_round_tables() {
 fn the_iteration_cap_means_the_same_for_every_strategy() {
     let chain: Vec<(i64, i64)> = (0..6).map(|i| (i, i + 1)).collect();
     let edges: Tables = vec![("edge", Relation::edges(&chain))];
-    let rasql = || EngineConfig::rasql().with_workers(2);
-    let interp = || {
-        rasql()
-            .with_specialized_kernels(false)
-            .with_decomposed(false)
-    };
+    let rasql = || EngineConfig::rasql().workers(2);
+    let interp = || rasql().specialized_kernels(false).decomposed_plans(false);
     let cases = [
         (
             "decomposed",
@@ -231,13 +227,13 @@ fn the_iteration_cap_means_the_same_for_every_strategy() {
         (
             "separate",
             "semi_naive",
-            interp().with_stage_combination(false),
+            interp().stage_combination(false),
             library::transitive_closure(),
         ),
         (
             "naive",
             "naive",
-            EngineConfig::spark_sql_naive().with_workers(2),
+            EngineConfig::spark_sql_naive().workers(2),
             library::transitive_closure(),
         ),
         ("kernel", "specialized", rasql(), library::reach(0)),
@@ -251,7 +247,7 @@ fn the_iteration_cap_means_the_same_for_every_strategy() {
             "{name}: a 7-vertex chain needs a round per hop, got {k}"
         );
 
-        let at_cap = run(&cfg.clone().with_max_iterations(k), &edges, &sql)
+        let at_cap = run(&cfg.clone().max_iterations(k), &edges, &sql)
             .unwrap_or_else(|e| panic!("{name}: cap = iterations must succeed, got: {e}"));
         assert_eq!(at_cap.stats.iterations, free.stats.iterations, "{name}");
         assert_eq!(
@@ -260,7 +256,7 @@ fn the_iteration_cap_means_the_same_for_every_strategy() {
             "{name}"
         );
 
-        match run(&cfg.with_max_iterations(k - 1), &edges, &sql) {
+        match run(&cfg.max_iterations(k - 1), &edges, &sql) {
             Err(EngineError::NonTermination { iterations, .. }) => {
                 assert_eq!(iterations, k - 1, "{name}: the error reports the cap");
             }

@@ -6,7 +6,7 @@ use rasql_core::{EngineConfig, RaSqlContext};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 fn ctx() -> RaSqlContext {
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     // t(a int, b int, s str) with a NULL in b.
     let t = Relation::try_new(
         Schema::new(vec![

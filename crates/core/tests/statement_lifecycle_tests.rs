@@ -15,7 +15,7 @@ use rasql_storage::Relation;
 use std::sync::Arc;
 
 fn config() -> EngineConfig {
-    EngineConfig::rasql().with_workers(2).with_result_cache(8)
+    EngineConfig::rasql().workers(2).result_cache(8)
 }
 
 fn edges() -> Relation {
@@ -134,7 +134,7 @@ fn table(surface: &str, ctx: &RaSqlContext, run: impl Fn(&str) -> QueryResult) -
 }
 
 fn fresh() -> Arc<RaSqlContext> {
-    let ctx = Arc::new(RaSqlContext::with_config(config()));
+    let ctx = Arc::new(config().build());
     ctx.register("edge", edges()).unwrap();
     ctx
 }

@@ -10,7 +10,7 @@ fn chain_edges(n: i64) -> Vec<(i64, i64)> {
 }
 
 fn traced_ctx(config: EngineConfig) -> RaSqlContext {
-    RaSqlContext::with_config(config.with_tracing(true))
+    config.tracing(true).build()
 }
 
 fn sssp_trace(config: EngineConfig) -> QueryTrace {
@@ -27,9 +27,9 @@ fn sssp_trace(config: EngineConfig) -> QueryTrace {
 /// of the ablated run over the same number of fixpoint rounds.
 #[test]
 fn stage_combination_halves_traced_stages() {
-    let base = EngineConfig::rasql().with_workers(2).with_decomposed(false);
-    let combined = sssp_trace(base.clone().with_stage_combination(true));
-    let ablated = sssp_trace(base.with_stage_combination(false));
+    let base = EngineConfig::rasql().workers(2).decomposed_plans(false);
+    let combined = sssp_trace(base.clone().stage_combination(true));
+    let ablated = sssp_trace(base.stage_combination(false));
 
     let stages = |t: &QueryTrace| -> u64 { t.cliques[0].iterations.iter().map(|i| i.stages).sum() };
     let (c, a) = (stages(&combined), stages(&ablated));
@@ -51,7 +51,7 @@ fn stage_combination_halves_traced_stages() {
 /// (the slowest partition's, per round).
 #[test]
 fn decomposed_tc_reports_zero_shuffle() {
-    let ctx = traced_ctx(EngineConfig::rasql().with_workers(2).with_decomposed(true));
+    let ctx = traced_ctx(EngineConfig::rasql().workers(2).decomposed_plans(true));
     // Long enough that the early rounds take well over a microsecond.
     ctx.register("edge", Relation::edges(&chain_edges(120)))
         .unwrap();
@@ -81,7 +81,7 @@ fn decomposed_tc_reports_zero_shuffle() {
 /// `combined_rows` metric and the answer is unchanged.
 #[test]
 fn aggregate_shuffle_combines_map_side() {
-    let ctx = traced_ctx(EngineConfig::rasql().with_workers(2));
+    let ctx = traced_ctx(EngineConfig::rasql().workers(2));
     ctx.register("edge", Relation::edges(&chain_edges(10)))
         .unwrap();
     let result = ctx.query(&library::cc_stratified()).unwrap();
@@ -102,7 +102,7 @@ fn aggregate_shuffle_combines_map_side() {
 /// all-relation size never shrinks (rows are only ever added or improved).
 #[test]
 fn iteration_deltas_converge_and_totals_are_monotone() {
-    let ctx = traced_ctx(EngineConfig::rasql().with_workers(2).with_decomposed(false));
+    let ctx = traced_ctx(EngineConfig::rasql().workers(2).decomposed_plans(false));
     ctx.register("edge", Relation::edges(&chain_edges(8)))
         .unwrap();
     let trace = ctx.query(&library::cc()).unwrap().trace.unwrap();
@@ -129,7 +129,7 @@ fn iteration_deltas_converge_and_totals_are_monotone() {
 /// parser.
 #[test]
 fn trace_json_round_trips() {
-    let trace = sssp_trace(EngineConfig::rasql().with_workers(2));
+    let trace = sssp_trace(EngineConfig::rasql().workers(2));
     let json = trace.to_json();
     let back = QueryTrace::from_json(&json).unwrap();
     assert_eq!(back, trace);
@@ -141,7 +141,7 @@ fn trace_json_round_trips() {
 /// live row counts plus the per-iteration fixpoint table.
 #[test]
 fn explain_analyze_annotates_plan_and_iterations() {
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("edge", Relation::edges(&chain_edges(6)))
         .unwrap();
     let result = ctx
@@ -209,7 +209,7 @@ fn traced_statements_are_served_from_the_result_cache() {
 /// Plain `EXPLAIN` renders the plan without executing anything.
 #[test]
 fn plain_explain_does_not_execute() {
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("edge", Relation::edges(&chain_edges(6)))
         .unwrap();
     let result = ctx
@@ -243,7 +243,7 @@ fn builder_configures_tracing_and_workers() {
 /// (the old `sql()`/`last_stats()` side channel is gone).
 #[test]
 fn query_carries_rows_and_stats_together() {
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("edge", Relation::edges(&chain_edges(6)))
         .unwrap();
     let result = ctx.query(&library::transitive_closure()).unwrap();
@@ -354,7 +354,7 @@ fn kernel_queries_pin_their_stages_and_rounds() {
         ),
     ];
     for (kernel, edges, sql, seed_stages, parent) in cases {
-        let ctx = traced_ctx(EngineConfig::rasql().with_workers(2));
+        let ctx = traced_ctx(EngineConfig::rasql().workers(2));
         ctx.register("edge", edges).unwrap();
         let trace = ctx.query(&sql).unwrap().trace.unwrap();
         let clique = &trace.cliques[0];
@@ -387,7 +387,7 @@ fn kernel_queries_pin_their_stages_and_rounds() {
     }
 
     // The seed stage is part of what EXPLAIN ANALYZE prints.
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("edge", Relation::edges(&chain_edges(6)))
         .unwrap();
     let analyzed = ctx
@@ -411,7 +411,7 @@ fn kernel_queries_pin_their_stages_and_rounds() {
 /// joins, found by key, not the whole view.
 #[test]
 fn a_traced_refresh_shows_its_seed_and_its_rounds() {
-    let ctx = traced_ctx(EngineConfig::rasql().with_workers(2));
+    let ctx = traced_ctx(EngineConfig::rasql().workers(2));
     let weighted: Vec<(i64, i64, f64)> = (0..40).map(|i| (i, i + 1, 1.0)).collect();
     ctx.register("edge", Relation::weighted_edges(&weighted))
         .unwrap();

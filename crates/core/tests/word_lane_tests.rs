@@ -5,7 +5,7 @@
 //! from the immutable base. Either way the answer is the row
 //! interpreter's (`fused_codegen(false)` never leaves rows), round for round.
 
-use rasql_core::{EngineConfig, QueryResult, RaSqlContext};
+use rasql_core::{EngineConfig, QueryResult};
 use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 type Tables = Vec<(&'static str, Relation)>;
@@ -28,13 +28,11 @@ fn int_pairs(cols: [&str; 2], rows: &[[i64; 2]]) -> Relation {
 
 /// The interpreter (no kernel), on words where the clique allows it.
 fn interp() -> EngineConfig {
-    EngineConfig::rasql()
-        .with_workers(2)
-        .with_specialized_kernels(false)
+    EngineConfig::rasql().workers(2).specialized_kernels(false)
 }
 
 fn run(cfg: &EngineConfig, tables: &Tables, sql: &str) -> QueryResult {
-    let ctx = RaSqlContext::with_config(cfg.clone().with_tracing(true));
+    let ctx = cfg.clone().tracing(true).build();
     for (name, rel) in tables {
         ctx.register(name, rel.clone()).unwrap();
     }
@@ -57,16 +55,14 @@ fn rounds(result: &QueryResult) -> Vec<(u32, u64, u64)> {
 fn assert_matches_rows(tables: &Tables, sql: &str, escapes: u64) {
     let modes = [
         ("decomposed", interp()),
-        ("combined", interp().with_decomposed(false)),
+        ("combined", interp().decomposed_plans(false)),
         (
             "separate",
-            interp()
-                .with_decomposed(false)
-                .with_stage_combination(false),
+            interp().decomposed_plans(false).stage_combination(false),
         ),
     ];
     for (mode, cfg) in modes {
-        let on_rows = run(&cfg.clone().with_fused_codegen(false), tables, sql);
+        let on_rows = run(&cfg.clone().fused_codegen(false), tables, sql);
         assert_eq!(on_rows.stats.metrics.word_cliques, 0, "{mode}");
         let got = run(&cfg, tables, sql);
         assert_eq!(
@@ -233,7 +229,7 @@ fn a_value_outside_its_declared_type_escapes_wherever_it_is_met() {
 
 #[test]
 fn explain_analyze_and_the_metrics_name_the_representation() {
-    let ctx = RaSqlContext::with_config(interp());
+    let ctx = interp().build();
     ctx.register("seed", int_pairs(["Src", "Dst"], &[[0, 1]]))
         .unwrap();
     ctx.register("edge", int_pairs(["Src", "Dst"], &chain()))

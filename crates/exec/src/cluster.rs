@@ -71,13 +71,21 @@ pub const DEFAULT_RETRY_BACKOFF: Duration = Duration::from_micros(200);
 /// Default injected-failure count that blacklists a worker.
 pub const DEFAULT_BLACKLIST_AFTER: u32 = 3;
 
+/// The default simulated worker count: the host's cores, clamped to 2..=8
+/// (4 when the OS does not say). At least 2 even on a single-core host: the
+/// engine's stage/shuffle/locality behavior (what the paper's ablations
+/// measure) needs multiple partitions to be meaningful.
+pub fn default_workers() -> usize {
+    std::thread::available_parallelism()
+        .map(|n| n.get())
+        .unwrap_or(4)
+        .clamp(2, 8)
+}
+
 impl Default for ClusterConfig {
     fn default() -> Self {
         ClusterConfig {
-            workers: std::thread::available_parallelism()
-                .map(|n| n.get())
-                .unwrap_or(4)
-                .min(8),
+            workers: default_workers(),
             partition_aware: true,
             stage_latency: DEFAULT_STAGE_LATENCY,
             fault_spec: None,
@@ -196,11 +204,6 @@ impl Cluster {
             injector,
             health,
         }
-    }
-
-    /// Start a cluster with default config.
-    pub fn default_local() -> Self {
-        Cluster::new(ClusterConfig::default())
     }
 
     /// Number of workers.

@@ -13,6 +13,7 @@
 //! class for mutable SetRDD-style state: a task that has started merging into
 //! a partition cannot be blindly re-run, but one that never started can.
 
+use rasql_storage::splitmix64;
 use std::time::Duration;
 
 /// Default straggler delay injected by `delay` faults.
@@ -160,21 +161,11 @@ impl FaultInjector {
             .spec
             .seed
             .wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(stage.wrapping_add(1)));
-        h = splitmix(h ^ task.wrapping_mul(0xd134_2543_de82_ef95));
-        h = splitmix(h ^ ((attempt as u64) << 32) ^ salt);
+        h = splitmix64(h ^ task.wrapping_mul(0xd134_2543_de82_ef95));
+        h = splitmix64(h ^ ((attempt as u64) << 32) ^ salt);
         // 53 high bits → an exactly representable double in [0, 1).
         (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
-}
-
-/// The splitmix64 finalizer: a cheap, well-mixed 64-bit hash.
-#[inline]
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

@@ -61,7 +61,7 @@ pub use checkpoint::{
     decode_agg_state, decode_rows, decode_set_state, encode_agg_state, encode_rows,
     encode_set_state, CheckpointStore,
 };
-pub use cluster::{Cluster, ClusterConfig, StageTask};
+pub use cluster::{default_workers, Cluster, ClusterConfig, StageTask};
 pub use dataset::{Dataset, LaneCombiner, LaneDataset, LanePart, Partition, RowCombiner};
 pub use error::ExecError;
 pub use fault::{FaultInjector, FaultSpec, TaskFault};

@@ -262,12 +262,7 @@ struct SplitMix64(u64);
 impl SplitMix64 {
     fn next(&mut self) -> u64 {
         self.0 = self.0.wrapping_add(0x9e37_79b9_7f4a_7c15);
-        let mut x = self.0;
-        x ^= x >> 30;
-        x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-        x ^= x >> 27;
-        x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-        x ^ (x >> 31)
+        rasql_storage::splitmix64(self.0)
     }
 
     /// Uniform draw in `[0, n)`.

@@ -1,7 +1,7 @@
 //! `rasql-server` binary: stand up an engine, listen, serve until a client
 //! sends `Shutdown`.
 
-use rasql_core::RaSqlContext;
+use rasql_core::{EngineConfig, RaSqlContext};
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
@@ -30,54 +30,47 @@ OPTIONS:
     -h, --help             This help
 ";
 
+/// The server's own options; every engine flag parses straight into the
+/// context's configuration, whose defaults the help text quotes.
 struct Options {
     listen: String,
-    workers: usize,
-    data_dir: Option<String>,
-    snapshot_every: u64,
-    memory_budget: u64,
-    timeout_ms: u64,
-    max_concurrent: usize,
-    admission_queue: usize,
-    fault: Option<f64>,
-    retries: u32,
     drain_ms: u64,
     idle_timeout_ms: u64,
 }
 
-fn parse_args() -> Result<Options, String> {
+fn parse_args() -> Result<(Options, EngineConfig), String> {
     let mut opts = Options {
         listen: "127.0.0.1:7432".to_string(),
-        workers: std::thread::available_parallelism()
-            .map(std::num::NonZeroUsize::get)
-            .unwrap_or(2)
-            .clamp(2, 8),
-        data_dir: None,
-        snapshot_every: 256,
-        memory_budget: 0,
-        timeout_ms: 0,
-        max_concurrent: 0,
-        admission_queue: 16,
-        fault: None,
-        retries: 3,
         drain_ms: 10_000,
         idle_timeout_ms: 300_000,
     };
+    let mut config = RaSqlContext::builder();
     let mut args = std::env::args().skip(1);
     while let Some(arg) = args.next() {
         let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
         match arg.as_str() {
             "--listen" => opts.listen = value("--listen")?,
-            "--workers" => opts.workers = parse(&value("--workers")?)?,
-            "--data-dir" => opts.data_dir = Some(value("--data-dir")?),
-            "--snapshot-every" => opts.snapshot_every = parse(&value("--snapshot-every")?)?,
+            "--workers" => config = config.workers(parse(&value("--workers")?)?),
+            "--data-dir" => config = config.data_dir(value("--data-dir")?),
+            "--snapshot-every" => {
+                config = config.snapshot_every(parse(&value("--snapshot-every")?)?);
+            }
             "--idle-timeout-ms" => opts.idle_timeout_ms = parse(&value("--idle-timeout-ms")?)?,
-            "--memory-budget" => opts.memory_budget = parse(&value("--memory-budget")?)?,
-            "--timeout-ms" => opts.timeout_ms = parse(&value("--timeout-ms")?)?,
-            "--max-concurrent" => opts.max_concurrent = parse(&value("--max-concurrent")?)?,
-            "--admission-queue" => opts.admission_queue = parse(&value("--admission-queue")?)?,
-            "--fault" => opts.fault = Some(parse(&value("--fault")?)?),
-            "--retries" => opts.retries = parse(&value("--retries")?)?,
+            "--memory-budget" => config = config.memory_budget(parse(&value("--memory-budget")?)?),
+            "--timeout-ms" => config = config.query_timeout_ms(parse(&value("--timeout-ms")?)?),
+            "--max-concurrent" => {
+                config = config.max_concurrent_queries(parse(&value("--max-concurrent")?)?);
+            }
+            "--admission-queue" => {
+                config = config.admission_queue(parse(&value("--admission-queue")?)?);
+            }
+            "--fault" => {
+                config = config.faults(Some(rasql_exec::FaultSpec {
+                    kill: parse(&value("--fault")?)?,
+                    ..Default::default()
+                }));
+            }
+            "--retries" => config = config.max_task_retries(parse(&value("--retries")?)?),
             "--drain-ms" => opts.drain_ms = parse(&value("--drain-ms")?)?,
             "-h" | "--help" => {
                 print!("{USAGE}");
@@ -86,7 +79,7 @@ fn parse_args() -> Result<Options, String> {
             other => return Err(format!("unknown option '{other}'")),
         }
     }
-    Ok(opts)
+    Ok((opts, config))
 }
 
 fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
@@ -94,32 +87,16 @@ fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
 }
 
 fn main() -> ExitCode {
-    let opts = match parse_args() {
-        Ok(o) => o,
+    let (opts, config) = match parse_args() {
+        Ok(parsed) => parsed,
         Err(e) => {
             eprintln!("error: {e}\n\n{USAGE}");
             return ExitCode::FAILURE;
         }
     };
-    let mut builder = RaSqlContext::builder()
-        .workers(opts.workers)
-        .memory_budget(opts.memory_budget)
-        .query_timeout_ms(opts.timeout_ms)
-        .max_concurrent_queries(opts.max_concurrent)
-        .admission_queue(opts.admission_queue)
-        .max_task_retries(opts.retries);
-    if let Some(p) = opts.fault {
-        builder = builder.faults(Some(rasql_exec::FaultSpec {
-            kill: p,
-            ..Default::default()
-        }));
-    }
-    if let Some(dir) = &opts.data_dir {
-        builder = builder.data_dir(dir).snapshot_every(opts.snapshot_every);
-    }
     // Recovery replays the snapshot and WAL before the listener opens, so
     // a recovered server never serves a partially-restored catalog.
-    let ctx = match builder.try_build() {
+    let ctx = match config.try_build() {
         Ok(ctx) => Arc::new(ctx),
         Err(e) => {
             eprintln!("error: recovery from data dir failed: {e}");

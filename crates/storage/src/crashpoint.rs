@@ -22,6 +22,7 @@
 //! The injector is cheap and lock-free (one atomic counter); a disarmed
 //! injector ([`CrashInjector::none`]) is a handful of relaxed loads.
 
+use crate::hasher::splitmix64;
 use std::fmt;
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -185,17 +186,9 @@ fn draw(site: &str, idx: u64, seed: u64) -> f64 {
         salt = (salt ^ u64::from(b)).wrapping_mul(0x0100_0000_01b3);
     }
     let mut h = seed.wrapping_add(0x9e37_79b9_7f4a_7c15u64.wrapping_mul(salt | 1));
-    h = splitmix(h ^ idx.wrapping_mul(0xd134_2543_de82_ef95));
-    h = splitmix(h ^ salt);
+    h = splitmix64(h ^ idx.wrapping_mul(0xd134_2543_de82_ef95));
+    h = splitmix64(h ^ salt);
     (h >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
-}
-
-fn splitmix(mut x: u64) -> u64 {
-    x ^= x >> 30;
-    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x ^= x >> 27;
-    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
 }
 
 #[cfg(test)]

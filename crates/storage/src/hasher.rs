@@ -81,6 +81,18 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 /// `HashSet` keyed with FxHash.
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
+/// The splitmix64 finalizer: a cheap, well-mixed 64-bit hash. The seeded
+/// draws of fault injection, crashpoint injection and the model checker's
+/// random scheduler all mix through it, so a seed replays bit-identically.
+#[inline]
+pub fn splitmix64(mut x: u64) -> u64 {
+    x ^= x >> 30;
+    x = x.wrapping_mul(0xbf58_476d_1ce4_e5b9);
+    x ^= x >> 27;
+    x = x.wrapping_mul(0x94d0_49bb_1331_11eb);
+    x ^ (x >> 31)
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;

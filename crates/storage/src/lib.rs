@@ -64,7 +64,7 @@ pub use catalog::{Catalog, Derived, KeyLookup, RowPatch, TableVersion};
 pub use crashpoint::{CrashInjector, CrashSpec, CRASH_SITES};
 pub use csr::{CsrGraph, CsrWeight, InEdges};
 pub use error::StorageError;
-pub use hasher::{FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
+pub use hasher::{splitmix64, FxBuildHasher, FxHashMap, FxHashSet, FxHasher};
 pub use index::{
     Fetch, HashIndex, HashTable, Index, IndexDep, IndexKey, IndexLayout, IndexStats, IndexStore,
     WordIndex, WordMatches, WordShape, WordTable,

@@ -6,7 +6,7 @@
 //! cargo run --release --example graph_analytics
 //! ```
 
-use rasql::core::{library, EngineConfig, RaSqlContext};
+use rasql::core::{library, EngineConfig};
 use rasql::datagen::{rmat, RmatConfig};
 use rasql::exec::{Cluster, ClusterConfig};
 use rasql::gap;
@@ -28,7 +28,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
     println!("graph: {n} vertices, {} weighted edges (RMAT)", edges.len());
 
     // --- RaSQL ---
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql());
+    let ctx = EngineConfig::rasql().build();
     ctx.register("edge", edges.clone())?;
 
     let t = Instant::now();

@@ -63,7 +63,7 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
                         (SELECT edge.Dst, path.Cost + edge.Cost FROM path, edge \
                          WHERE path.Dst = edge.Src) \
                       SELECT Dst, min(Cost) FROM path GROUP BY Dst";
-    let capped = RaSqlContext::with_config(EngineConfig::rasql().with_max_iterations(50));
+    let capped = RaSqlContext::builder().max_iterations(50).build();
     capped.register(
         "edge",
         Relation::weighted_edges(&[(1, 2, 1.0), (2, 1, 1.0)]),

@@ -39,14 +39,13 @@ pub use rasql_plan as plan;
 pub use rasql_storage as storage;
 pub use rasql_vertex as vertex;
 
-pub use rasql_core::{ContextBuilder, EngineConfig, QueryResult, QueryTrace, RaSqlContext};
+pub use rasql_core::{EngineConfig, QueryResult, QueryTrace, RaSqlContext};
 pub use rasql_storage::{DataType, Relation, Row, Schema, Value};
 
 /// One-stop imports for examples and tests.
 pub mod prelude {
     pub use rasql_core::{
-        ContextBuilder, EngineConfig, EvalMode, JoinStrategy, QueryResult, QueryStats, QueryTrace,
-        RaSqlContext,
+        EngineConfig, EvalMode, JoinStrategy, QueryResult, QueryStats, QueryTrace, RaSqlContext,
     };
     pub use rasql_storage::{DataType, Relation, Row, Schema, Value};
 }

@@ -27,7 +27,7 @@ fn four_engines_agree_on_sssp() {
     let source = 1i64;
 
     // 1. RaSQL.
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("edge", edges.clone()).unwrap();
     let sql = ctx.query(&library::sssp(source)).unwrap().relation;
     let mut sql_pairs: Vec<(i64, i64)> = sql
@@ -122,7 +122,7 @@ fn fig10_queries_cross_config_agreement() {
             EngineConfig::bigdatalog_like(),
             EngineConfig::spark_sql_sn(),
         ] {
-            let ctx = RaSqlContext::with_config(cfg.with_workers(2));
+            let ctx = cfg.workers(2).build();
             for (n, r) in &tables {
                 ctx.register(n, (*r).clone()).unwrap();
             }
@@ -234,7 +234,7 @@ fn same_generation_cross_engine_count() {
             .map(|r| (r[0].as_int().unwrap(), r[1].as_int().unwrap()))
             .collect::<Vec<_>>(),
     ));
-    let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+    let ctx = EngineConfig::rasql().workers(2).build();
     ctx.register("rel", rel).unwrap();
     let got = ctx.query(&library::same_generation()).unwrap().relation;
     assert_eq!(got.len(), expected);

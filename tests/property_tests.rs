@@ -8,7 +8,7 @@
 //! - semi-naive equals naive evaluation.
 
 use proptest::prelude::*;
-use rasql::core::{library, EngineConfig, JoinStrategy, RaSqlContext};
+use rasql::core::{library, EngineConfig, JoinStrategy};
 use rasql::prelude::*;
 use rasql::storage::codec::CompressedRelation;
 use rasql::storage::Row;
@@ -33,7 +33,7 @@ fn dag_strategy(max_v: i64, max_e: usize) -> impl Strategy<Value = Vec<(i64, i64
 }
 
 fn run_tc(edges: &[(i64, i64)], cfg: EngineConfig) -> Relation {
-    let ctx = RaSqlContext::with_config(cfg);
+    let ctx = cfg.build();
     ctx.register("edge", Relation::edges(edges)).unwrap();
     ctx.query(&library::transitive_closure())
         .unwrap()
@@ -46,26 +46,26 @@ proptest! {
 
     #[test]
     fn tc_invariant_under_engine_configuration(edges in edges_strategy(24, 40)) {
-        let reference = run_tc(&edges, EngineConfig::rasql().with_workers(2));
+        let reference = run_tc(&edges, EngineConfig::rasql().workers(2));
         // Worker counts.
         for w in [1usize, 3] {
-            prop_assert_eq!(&run_tc(&edges, EngineConfig::rasql().with_workers(w)), &reference);
+            prop_assert_eq!(&run_tc(&edges, EngineConfig::rasql().workers(w)), &reference);
         }
         // Optimization axes.
         prop_assert_eq!(
-            &run_tc(&edges, EngineConfig::rasql().with_workers(2).with_decomposed(false)),
+            &run_tc(&edges, EngineConfig::rasql().workers(2).decomposed_plans(false)),
             &reference
         );
         prop_assert_eq!(
-            &run_tc(&edges, EngineConfig::rasql().with_workers(2).with_stage_combination(false)),
+            &run_tc(&edges, EngineConfig::rasql().workers(2).stage_combination(false)),
             &reference
         );
         prop_assert_eq!(
-            &run_tc(&edges, EngineConfig::rasql().with_workers(2).with_fused_codegen(false)),
+            &run_tc(&edges, EngineConfig::rasql().workers(2).fused_codegen(false)),
             &reference
         );
         prop_assert_eq!(
-            &run_tc(&edges, EngineConfig::spark_sql_naive().with_workers(2)),
+            &run_tc(&edges, EngineConfig::spark_sql_naive().workers(2)),
             &reference
         );
     }
@@ -77,7 +77,7 @@ proptest! {
             .iter()
             .map(|&(a, b)| (a, b, ((a * 7 + b * 13) % 10 + 1) as f64))
             .collect();
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+        let ctx = EngineConfig::rasql().workers(2).build();
         ctx.register("edge", Relation::weighted_edges(&weighted)).unwrap();
         let endo = ctx.query(&library::sssp(0)).unwrap().relation.sorted();
         let strat = ctx.query(&library::sssp_stratified(0)).unwrap().relation.sorted();
@@ -90,7 +90,7 @@ proptest! {
     fn cc_agrees_with_oracle(edges in edges_strategy(20, 30)) {
         let rel = Relation::edges(&edges);
         let expected = rasql::gap::algorithms::cc_rasql_oracle(&rel);
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+        let ctx = EngineConfig::rasql().workers(2).build();
         ctx.register("edge", rel).unwrap();
         let got = ctx.query(&library::cc()).unwrap().relation;
         prop_assert_eq!(got.len(), expected.len());
@@ -103,15 +103,11 @@ proptest! {
     #[test]
     fn sort_merge_equals_shuffle_hash(edges in edges_strategy(24, 40)) {
         // Join strategy must not change SSSP-hop results.
-        let ctx1 = RaSqlContext::with_config(
-            EngineConfig::rasql().with_workers(2).with_decomposed(false),
-        );
-        let ctx2 = RaSqlContext::with_config(
-            EngineConfig::rasql()
-                .with_workers(2)
-                .with_decomposed(false)
-                .with_join(JoinStrategy::SortMerge),
-        );
+        let ctx1 = EngineConfig::rasql().workers(2).decomposed_plans(false).build();
+        let ctx2 = EngineConfig::rasql()
+                .workers(2)
+                .decomposed_plans(false)
+                .join(JoinStrategy::SortMerge).build();
         ctx1.register("edge", Relation::edges(&edges)).unwrap();
         ctx2.register("edge", Relation::edges(&edges)).unwrap();
         let a = ctx1.query(&library::sssp_hops(0)).unwrap().relation.sorted();
@@ -134,7 +130,7 @@ proptest! {
     fn reach_subset_of_tc(edges in edges_strategy(20, 30)) {
         // Everything REACH finds from source 0 must appear as (0, x) in TC,
         // plus the source itself.
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+        let ctx = EngineConfig::rasql().workers(2).build();
         ctx.register("edge", Relation::edges(&edges)).unwrap();
         let reach = ctx.query(&library::reach(0)).unwrap().relation;
         let tc = ctx.query(&library::transitive_closure()).unwrap().relation;
@@ -181,7 +177,7 @@ proptest! {
                 .collect(),
         )
         .unwrap();
-        let ctx = RaSqlContext::with_config(EngineConfig::rasql().with_workers(2));
+        let ctx = EngineConfig::rasql().workers(2).build();
         ctx.register("inter", inter).unwrap();
         let results = ctx
             .query_script(&library::interval_coalesce())
