@@ -3,7 +3,7 @@
 //! ```text
 //! reproduce [all|fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|
 //!            table1|table2|table3|premcheck|traces|faults|lint|lint-src|
-//!            modelcheck|bench-kernels|ivm|soak|serve-soak|crash-soak]
+//!            bench-kernels|ivm|soak|serve-soak|crash-soak]
 //!           [--scale X]
 //!           [--faults SPEC] [--retries N] [--checkpoint-every K]
 //! ```
@@ -23,12 +23,6 @@
 //! single-owner disciplines with `RL####` diagnostics (`RL` codes are about
 //! the engine's Rust; `RA` codes are about the user's SQL). Exits non-zero
 //! on any unsuppressed finding.
-//!
-//! The `modelcheck` target runs the interleaving model checker over the
-//! engine's shared-state protocols: each model of HEAD must verify clean
-//! under exhaustive schedule enumeration, and each mechanically reverted
-//! variant must yield a counterexample. Exits non-zero either way a
-//! protocol fails.
 //!
 //! The `bench-kernels` target compares the specialized CSR fixpoint kernels
 //! against the generic interpreter, writes `BENCH_kernels.json` in the
@@ -114,7 +108,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "reproduce [all|fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|\n\
-                     table1|table2|table3|premcheck|traces|faults|lint|lint-src|modelcheck|\n\
+                     table1|table2|table3|premcheck|traces|faults|lint|lint-src|\n\
                      bench-kernels|ivm|soak|serve-soak|crash-soak]...\n\
                      [--scale X] [--faults SPEC] [--retries N] [--checkpoint-every K]"
                 );
@@ -215,14 +209,6 @@ fn main() {
         println!("{report}");
         if !clean {
             die("lint-src found unsuppressed RL#### findings");
-        }
-    }
-    // Not part of `all`: a subsystem check, not a paper artifact.
-    if targets.iter().any(|t| t == "modelcheck") {
-        let (report, ok) = bench::modelcheck();
-        println!("{report}");
-        if !ok {
-            die("modelcheck failed (violation on HEAD, or a reverted variant went undetected)");
         }
     }
     // Not part of `all`: a subsystem check, not a paper artifact.

@@ -1632,30 +1632,7 @@ pub fn serve_soak(scale: f64) -> Table {
 
     const CLIENTS: usize = 4;
     let dataset = example_dataset(scale);
-    let queries: Vec<(&str, String)> = vec![
-        ("bom_delivery", library::bom_delivery()),
-        (
-            "bom_delivery_stratified",
-            library::bom_delivery_stratified(),
-        ),
-        ("sssp", library::sssp(1)),
-        ("sssp_stratified", library::sssp_stratified(1)),
-        ("cc", library::cc()),
-        ("cc_count", library::cc_count()),
-        ("cc_stratified", library::cc_stratified()),
-        ("count_paths", library::count_paths(1)),
-        ("management", library::management()),
-        ("mlm_bonus", library::mlm_bonus()),
-        ("interval_coalesce", library::interval_coalesce()),
-        ("party_attendance", library::party_attendance()),
-        ("company_control", library::company_control()),
-        ("same_generation", library::same_generation()),
-        ("reach", library::reach(1)),
-        ("apsp", library::apsp()),
-        ("transitive_closure", library::transitive_closure()),
-        ("widest_path", library::widest_path(1)),
-        ("sssp_hops", library::sssp_hops(1)),
-    ];
+    let queries = library::all();
 
     // Ungoverned, fault-free local baseline: the bit-identical oracle.
     let baseline: Vec<Vec<rasql_api::Row>> = {
@@ -2181,30 +2158,7 @@ pub fn lint() -> (String, bool) {
         ctx.register(name, Relation::empty(Schema::new(cols.to_vec())))
             .expect("register lint schema");
     }
-    let queries: Vec<(&str, String)> = vec![
-        ("bom_delivery", library::bom_delivery()),
-        (
-            "bom_delivery_stratified",
-            library::bom_delivery_stratified(),
-        ),
-        ("sssp", library::sssp(1)),
-        ("sssp_stratified", library::sssp_stratified(1)),
-        ("cc", library::cc()),
-        ("cc_count", library::cc_count()),
-        ("cc_stratified", library::cc_stratified()),
-        ("count_paths", library::count_paths(1)),
-        ("management", library::management()),
-        ("mlm_bonus", library::mlm_bonus()),
-        ("interval_coalesce", library::interval_coalesce()),
-        ("party_attendance", library::party_attendance()),
-        ("company_control", library::company_control()),
-        ("same_generation", library::same_generation()),
-        ("reach", library::reach(1)),
-        ("apsp", library::apsp()),
-        ("transitive_closure", library::transitive_closure()),
-        ("widest_path", library::widest_path(1)),
-        ("sssp_hops", library::sssp_hops(1)),
-    ];
+    let queries = library::all();
     let mut out = String::from("=== Compile-time query verification (CHECK) ===\n");
     let mut all_clean = true;
     for (name, sql) in queries {
@@ -2275,55 +2229,6 @@ pub fn lint_src() -> (String, bool) {
     (out, report.is_clean())
 }
 
-/// `reproduce modelcheck` — run the interleaving model checker
-/// (`rasql_exec::modelcheck`) over the engine's shared-state protocols.
-/// Every protocol is checked in two variants: the model of HEAD must
-/// verify clean under exhaustive enumeration, and the mechanically
-/// reverted model (the protocol with its fix undone) must produce a
-/// counterexample — proving the checker can still see the bug the fix
-/// removed. Returns the rendered report and whether every protocol met
-/// both criteria.
-pub fn modelcheck() -> (String, bool) {
-    let mut out = String::from("=== Interleaving model check (exec::modelcheck) ===\n");
-    let mut all_ok = true;
-    for report in rasql_exec::modelcheck::protocols::check_all() {
-        let ok = report.ok();
-        all_ok &= ok;
-        out.push_str(&format!(
-            "\n--- {} --- {}\n",
-            report.protocol,
-            if ok { "ok" } else { "FAILED" }
-        ));
-        out.push_str(&format!(
-            "  fixed:    {} schedules, {} steps — {}\n",
-            report.fixed.stats.schedules,
-            report.fixed.stats.steps,
-            match &report.fixed.violation {
-                None => "no violation (expected)".to_string(),
-                Some(v) => format!("UNEXPECTED violation: {v}"),
-            }
-        ));
-        out.push_str(&format!(
-            "  reverted: {} schedules, {} steps — {}\n",
-            report.reverted.stats.schedules,
-            report.reverted.stats.steps,
-            match &report.reverted.violation {
-                None => "NO counterexample (the checker went blunt)".to_string(),
-                Some(v) => format!("counterexample found (expected): {v}"),
-            }
-        ));
-    }
-    out.push_str(&format!(
-        "\nmodelcheck: {}\n",
-        if all_ok {
-            "all protocols verified on HEAD; all reverted variants refuted"
-        } else {
-            "FAILED"
-        }
-    ));
-    (out, all_ok)
-}
-
 /// Render one value as a SQL literal for an `INSERT` statement.
 fn sql_literal(v: &rasql_storage::Value) -> String {
     use rasql_storage::Value;
@@ -2380,42 +2285,19 @@ pub fn ivm(scale: f64) -> (Table, JsonValue) {
 
     // Part A: the library sweep.
     let dataset = example_dataset(scale.max(0.1));
-    let queries: Vec<(&str, String)> = vec![
-        ("bom_delivery", library::bom_delivery()),
-        (
-            "bom_delivery_stratified",
-            library::bom_delivery_stratified(),
-        ),
-        ("sssp", library::sssp(1)),
-        ("sssp_stratified", library::sssp_stratified(1)),
-        ("cc", library::cc()),
-        ("cc_count", library::cc_count()),
-        ("cc_stratified", library::cc_stratified()),
-        ("count_paths", library::count_paths(1)),
-        ("management", library::management()),
-        ("mlm_bonus", library::mlm_bonus()),
-        ("interval_coalesce", library::interval_coalesce()),
-        ("party_attendance", library::party_attendance()),
-        ("company_control", library::company_control()),
-        ("same_generation", library::same_generation()),
-        ("reach", library::reach(1)),
-        ("apsp", library::apsp()),
-        ("transitive_closure", library::transitive_closure()),
-        ("widest_path", library::widest_path(1)),
-        ("sssp_hops", library::sssp_hops(1)),
-        // A build side that scans the changed table twice: overlaying both
-        // occurrences with the delta would lose old⋈Δ, so it refreshes full.
-        // Vertex 8 sits in layer 1, so its two-hop closure ends in the last
-        // layer — over the withheld edges.
-        (
-            "two_hop_reach",
-            "WITH recursive r (Dst) AS (SELECT 8) UNION \
-               (SELECT two.D FROM r, (SELECT a.Src AS S, b.Dst AS D FROM edge a, edge b \
-                 WHERE a.Dst = b.Src) two WHERE r.Dst = two.S) \
-             SELECT Dst FROM r"
-                .to_string(),
-        ),
-    ];
+    // A build side that scans the changed table twice: overlaying both
+    // occurrences with the delta would lose old⋈Δ, so it refreshes full.
+    // Vertex 8 sits in layer 1, so its two-hop closure ends in the last
+    // layer — over the withheld edges.
+    let mut queries = library::all();
+    queries.push((
+        "two_hop_reach",
+        "WITH recursive r (Dst) AS (SELECT 8) UNION \
+           (SELECT two.D FROM r, (SELECT a.Src AS S, b.Dst AS D FROM edge a, edge b \
+             WHERE a.Dst = b.Src) two WHERE r.Dst = two.S) \
+         SELECT Dst FROM r"
+            .to_string(),
+    ));
     let held = |rel: &Relation| (rel.len() / 10).min(4);
     for (name, sql) in &queries {
         // A view is one defining query; multi-statement scripts are out of

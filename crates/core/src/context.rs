@@ -1376,7 +1376,8 @@ impl RaSqlContext {
         // The registry stays locked from the journal append to the insert,
         // so a snapshot collected meanwhile either holds the new entry or
         // fails its log-position check: compaction never truncates a record
-        // whose registry entry it missed (`modelcheck`'s `view-journal`).
+        // whose registry entry it missed (`scheduled_tests::
+        // a_view_statement_racing_a_compacting_insert_keeps_its_record`).
         let mut registry = self.matviews.lock();
         let nrows = match &mv.resident {
             Some(state) => {

@@ -221,35 +221,40 @@ pub fn sssp_hops(source: i64) -> String {
     )
 }
 
+/// Every query of the library by name, the parameterized ones from vertex
+/// 1: the catalogue the soaks, the `CHECK` sweep and the view sweep run.
+pub fn all() -> Vec<(&'static str, String)> {
+    vec![
+        ("bom_delivery", bom_delivery()),
+        ("bom_delivery_stratified", bom_delivery_stratified()),
+        ("sssp", sssp(1)),
+        ("sssp_stratified", sssp_stratified(1)),
+        ("cc", cc()),
+        ("cc_count", cc_count()),
+        ("cc_stratified", cc_stratified()),
+        ("count_paths", count_paths(1)),
+        ("management", management()),
+        ("mlm_bonus", mlm_bonus()),
+        ("interval_coalesce", interval_coalesce()),
+        ("party_attendance", party_attendance()),
+        ("company_control", company_control()),
+        ("same_generation", same_generation()),
+        ("reach", reach(1)),
+        ("apsp", apsp()),
+        ("transitive_closure", transitive_closure()),
+        ("widest_path", widest_path(1)),
+        ("sssp_hops", sssp_hops(1)),
+    ]
+}
+
 #[cfg(test)]
 mod tests {
     use rasql_parser::parse_statements;
 
     #[test]
     fn every_library_query_parses() {
-        let queries = [
-            super::bom_delivery(),
-            super::bom_delivery_stratified(),
-            super::sssp(1),
-            super::sssp_stratified(1),
-            super::cc(),
-            super::cc_count(),
-            super::cc_stratified(),
-            super::count_paths(1),
-            super::management(),
-            super::mlm_bonus(),
-            super::interval_coalesce(),
-            super::party_attendance(),
-            super::company_control(),
-            super::same_generation(),
-            super::reach(1),
-            super::apsp(),
-            super::transitive_closure(),
-            super::sssp_hops(1),
-            super::widest_path(1),
-        ];
-        for q in &queries {
-            parse_statements(q).unwrap_or_else(|e| panic!("{e}\n{q}"));
+        for (name, q) in super::all() {
+            parse_statements(&q).unwrap_or_else(|e| panic!("{name}: {e}\n{q}"));
         }
     }
 }

@@ -47,6 +47,10 @@ unsafe impl GlobalAlloc for Counting {
 static GLOBAL: Counting = Counting;
 
 /// The tests of this binary count one at a time.
+#[expect(
+    clippy::disallowed_methods,
+    reason = "held across whole queries, it would have to rank below every engine lock, and no rank does"
+)]
 static SERIAL: Mutex<()> = Mutex::new(());
 
 /// A one-worker, one-partition context over `edges`, on the generic

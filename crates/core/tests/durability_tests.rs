@@ -483,9 +483,10 @@ fn a_refresh_killed_at_its_last_append_publishes_nothing() {
 /// snapshot is collected without the log's lock and published only if no
 /// record landed meanwhile, so a view statement keeps the registry locked
 /// from its journal append to its registry update: a snapshot collected in
-/// between holds the new entry or fails that check. The interleaving itself
-/// is enumerated by `exec::modelcheck`'s `view-journal` protocol; here the
-/// real locks run it end to end — inserts into an unrelated table compact
+/// between holds the new entry or fails that check. The interleavings of
+/// one such pair are enumerated by `scheduled_tests::
+/// a_view_statement_racing_a_compacting_insert_keeps_its_record`; here OS
+/// threads run it end to end — inserts into an unrelated table compact
 /// after every record while the view is created, refreshed and dropped, and
 /// after each statement a copy of the data directory (what a crash right
 /// then would leave) reopens to the live state.

@@ -447,7 +447,7 @@ fn equi_joins_never_match_null_keys() {
     let t = rows
         .iter()
         .map(|&(k, x)| Row::new(vec![cell(k), Value::Int(x)]));
-    let t = Relation::try_new(schema.clone(), t.collect()).unwrap();
+    let t = Relation::try_new(schema, t.collect()).unwrap();
     let ctx = ctx2(EngineConfig::rasql());
     ctx.register("t", t).unwrap();
     let pairs = |sql: &str| ctx.query(sql).unwrap().relation.sorted();

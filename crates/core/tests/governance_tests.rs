@@ -54,6 +54,10 @@ fn assert_spill_dirs_settle(before: usize) {
         if spill_dirs() <= before {
             return;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "polls the spill directory while a dropped context removes it; nothing to block on"
+        )]
         std::thread::sleep(Duration::from_millis(50));
     }
     panic!(
@@ -81,6 +85,10 @@ fn run_and_kill(
             std::thread::yield_now();
         }
         if !delay.is_zero() {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "waits out the given delay before the kill"
+            )]
             std::thread::sleep(delay);
         }
         (

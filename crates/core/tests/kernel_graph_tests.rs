@@ -83,7 +83,7 @@ fn assert_cc(ctx: &RaSqlContext, edges: &[(i64, i64)]) -> Result<(), TestCaseErr
     let want = sorted(cc_rasql_oracle(&Relation::edges(edges)));
     let cc = ctx.query(&library::cc()).unwrap();
     assert_kernel(&cc);
-    prop_assert_eq!(pairs(&cc), want.clone());
+    prop_assert_eq!(pairs(&cc), want);
     let count = ctx.query(&library::cc_count()).unwrap();
     assert_kernel(&count);
     prop_assert_eq!(

@@ -319,6 +319,10 @@ fn mid_refresh_kill_leaves_view_consistent() {
                     break;
                 }
             }
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "spaces the kill attempts across the refresh's rounds"
+            )]
             std::thread::sleep(std::time::Duration::from_micros(200));
         }
         let outcome = worker.join().unwrap();

@@ -519,6 +519,10 @@ mod tests {
         assert_eq!(t.check(), Err(ExecError::Cancelled { query_id: 7 }));
 
         let d = CancellationToken::new(8, Some(Duration::from_millis(0)));
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "a deadline token must see its deadline pass"
+        )]
         std::thread::sleep(Duration::from_millis(2));
         assert_eq!(
             d.check(),

@@ -188,17 +188,14 @@ mod tests {
     fn null_keys_match_nothing() {
         let null_row = |v: i64| Row::new(vec![Value::Null, Value::Int(v)]);
         let build = vec![null_row(1), int_row(&[2, 2])];
-        let probe = vec![null_row(3), int_row(&[2, 4])];
+        let mut probe = vec![null_row(3), int_row(&[2, 4])];
         let ht = HashTable::build(&build, &[0]);
         assert_eq!(ht.len(), 1);
         assert!(ht.probe(&[Value::Null]).is_empty());
         let mut got = Vec::new();
-        merge_join(
-            &mut probe.clone(),
-            &[0],
-            &SortedRun::build(build, &[0]),
-            |r| got.push(r),
-        );
+        merge_join(&mut probe, &[0], &SortedRun::build(build, &[0]), |r| {
+            got.push(r);
+        });
         assert_eq!(got, vec![int_row(&[2, 4, 2, 2])]);
     }
 

@@ -43,7 +43,6 @@ pub mod governor;
 pub mod join;
 pub mod kernel;
 pub mod metrics;
-pub mod modelcheck;
 pub mod pipeline;
 pub mod spill;
 pub mod state;

@@ -217,7 +217,7 @@ proptest! {
         let value = |t: &[u64]| t.iter().map(|&w| Value::Int(w as i64)).collect::<Vec<_>>();
         let value_data: Vec<Value> = data.iter().map(|&w| Value::Int(w as i64)).collect();
         let (mut single_v, mut batched_v) = (TupleSet::<Value>::default(), TupleSet::<Value>::default());
-        let (mut sets, mut hashes) = ((SetState::<u64>::with_kinds(lanes.clone()), SetState::with_kinds(lanes.clone())), Vec::new());
+        let (mut sets, mut hashes) = ((SetState::<u64>::with_kinds(lanes.clone()), SetState::with_kinds(lanes)), Vec::new());
         for (round, range) in blocks(n, &sizes).into_iter().enumerate() {
             let round = round as u32 / 2;
             for i in range.clone() {

@@ -303,7 +303,7 @@ proptest! {
         // contributor set either way.
         let ops = [MonotoneOp::Min, MonotoneOp::Sum];
         let (mut reported, mut in_place) = (AggState::new(), AggState::new());
-        let mut rounds: Vec<_> = contribs.clone();
+        let mut rounds: Vec<_> = contribs;
         rounds.sort_by_key(|c| c.1 .0);
         for &((k, lo, add), (round, tuple)) in &rounds {
             let (key, vals) = ([Value::Int(k)], [Value::Int(lo), Value::Int(add)]);
@@ -333,7 +333,7 @@ proptest! {
             .map(|&(i, a, b)| Row::new(vec![Value::Int(i), Value::Double(a), Value::Double(b)]))
             .collect();
         let tuples = Tuples::<u64>::from_rows(lanes.clone(), &rows).unwrap();
-        prop_assert_eq!(tuples.to_rows(), rows.clone());
+        prop_assert_eq!(tuples.to_rows(), rows);
         prop_assert_eq!(tuples.size_bytes(), rows.iter().map(|r| r.size_bytes() as u64).sum::<u64>());
         for key in [&[0usize][..], &[1], &[2, 0], &[0, 1, 2]] {
             for (t, row) in tuples.iter().zip(&rows) {

@@ -90,6 +90,10 @@ fn wait_until(secs: u64, mut done: impl FnMut() -> bool) -> bool {
         if Instant::now() >= deadline {
             return false;
         }
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "polls server state another thread changes; nothing to block on"
+        )]
         std::thread::sleep(Duration::from_millis(2));
     }
     true
@@ -199,6 +203,10 @@ fn version_mismatch_is_refused() {
 fn garbage_bytes_are_rejected_not_hung() {
     let (handle, _ctx) = start_server(2);
     let mut stream = TcpStream::connect(handle.addr()).unwrap();
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "writes garbage to a raw socket, not durable bytes"
+    )]
     stream.write_all(b"GET / HTTP/1.1\r\n\r\n").unwrap();
     stream.flush().unwrap();
     // The server answers with a protocol error frame and closes.
@@ -270,6 +278,10 @@ fn disconnect_mid_query_cancels_and_leaks_nothing() {
         // Give the query time to admit and start iterating, then vanish.
         let deadline = Instant::now() + Duration::from_secs(5);
         while ctx.active_queries().is_empty() && Instant::now() < deadline {
+            #[expect(
+                clippy::disallowed_methods,
+                reason = "polls for the query to start on the server; nothing to block on"
+            )]
             std::thread::sleep(Duration::from_millis(2));
         }
         assert!(
@@ -282,6 +294,10 @@ fn disconnect_mid_query_cancels_and_leaks_nothing() {
     // The server must notice the EOF and cancel the in-flight query.
     let deadline = Instant::now() + Duration::from_secs(10);
     while ctx.metrics().cancellations == cancellations_before && Instant::now() < deadline {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "polls for the server to notice the EOF; nothing to block on"
+        )]
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(
@@ -291,6 +307,10 @@ fn disconnect_mid_query_cancels_and_leaks_nothing() {
     // And the active-query table must drain.
     let deadline = Instant::now() + Duration::from_secs(10);
     while !ctx.active_queries().is_empty() && Instant::now() < deadline {
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "polls for the active-query table to drain; nothing to block on"
+        )]
         std::thread::sleep(Duration::from_millis(10));
     }
     assert!(ctx.active_queries().is_empty(), "query still active");
@@ -539,6 +559,10 @@ fn idle_connection_is_reaped_and_client_reconnects() {
     let deadline = Instant::now() + Duration::from_secs(5);
     while ctx.metrics().connections_reaped == before {
         assert!(Instant::now() < deadline, "connection was never reaped");
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "polls for the idle reaper; nothing to block on"
+        )]
         std::thread::sleep(Duration::from_millis(10));
     }
     // The reaped socket is dead; these must reconnect, not fail.

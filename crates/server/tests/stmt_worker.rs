@@ -76,6 +76,10 @@ fn one_statement_worker_per_connection() {
             Instant::now() < deadline,
             "a closed connection kept its worker"
         );
+        #[expect(
+            clippy::disallowed_methods,
+            reason = "polls for the closed connection's worker to exit; nothing to block on"
+        )]
         std::thread::sleep(Duration::from_millis(2));
     }
     assert!(stmt_workers().unwrap().is_subset(&workers));

@@ -82,8 +82,9 @@ pub type FxHashMap<K, V> = std::collections::HashMap<K, V, FxBuildHasher>;
 pub type FxHashSet<T> = std::collections::HashSet<T, FxBuildHasher>;
 
 /// The splitmix64 finalizer: a cheap, well-mixed 64-bit hash. The seeded
-/// draws of fault injection, crashpoint injection and the model checker's
-/// random scheduler all mix through it, so a seed replays bit-identically.
+/// draws of fault injection, crashpoint injection and the seeded schedules
+/// of the debug-build lock scheduler (`sync::schedule`) all mix through it,
+/// so a seed replays bit-identically.
 #[inline]
 pub fn splitmix64(mut x: u64) -> u64 {
     x ^= x >> 30;

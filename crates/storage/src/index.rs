@@ -1126,7 +1126,7 @@ mod tests {
         let wide = Row::new(vec![Value::Double(2f64.powi(60)), Value::Int(1)]);
         assert!(WordTable::from_rows(shape.clone(), &[wide]).is_err());
         let stray = Row::new(vec![Value::Int(3), Value::Double(3.0)]);
-        assert!(WordTable::from_rows(shape.clone(), &[stray.clone()]).is_err());
+        assert!(WordTable::from_rows(shape.clone(), std::slice::from_ref(&stray)).is_err());
         // An index refuses an escaping delta and keeps what it held.
         let mut index = WordIndex::build(&rows, &shape, 2).unwrap();
         assert!(index.append(&[int_row(&[1, 12]), stray]).is_err());

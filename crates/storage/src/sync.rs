@@ -64,6 +64,13 @@
 //!    (`disallowed_methods`).
 //! 3. Run the test suite: any path that acquires against the declared order
 //!    panics with both acquisition sites.
+//!
+//! # Scheduled tests
+//!
+//! Debug builds also carry [`schedule`]: a deterministic scheduler that
+//! runs two or three closures one at a time, switching between them at the
+//! locks of the ranks a test names, so a concurrency protocol is checked on
+//! the code that runs under every interleaving up to a preemption bound.
 #![expect(
     clippy::disallowed_methods,
     reason = "the ranked wrappers are built on the raw primitives"
@@ -71,6 +78,9 @@
 
 use parking_lot as pl;
 use std::fmt;
+
+#[cfg(debug_assertions)]
+pub mod schedule;
 
 /// The global lock-rank table. Variants are declared in ascending
 /// acquisition order; the discriminant *is* the rank.
@@ -277,26 +287,39 @@ pub fn held_ranks() -> Vec<LockRank> {
 }
 
 /// The debug-build bookkeeping token carried by every guard (zero-sized in
-/// release builds).
+/// release builds). A guard drops it after the lock itself, so a scheduled
+/// thread yields at a release only once the lock is free.
 #[derive(Debug)]
 struct HeldToken {
     #[cfg(debug_assertions)]
     id: u64,
+    #[cfg(debug_assertions)]
+    rank: LockRank,
+    /// The lock's address: its identity to the scheduler.
+    #[cfg(debug_assertions)]
+    lock: usize,
 }
 
 impl HeldToken {
+    /// Record an acquisition of the lock at `lock` (`shared` for a read
+    /// lock) before the lock is taken: check its rank and, on a scheduled
+    /// thread, yield to the scheduler.
     #[track_caller]
-    fn acquire(rank: LockRank) -> Self {
+    fn acquire(rank: LockRank, lock: *const (), shared: bool) -> Self {
         #[cfg(debug_assertions)]
         {
             let at = std::panic::Location::caller();
+            let id = held::acquire(rank, at);
+            schedule::acquire(rank, lock as usize, shared);
             HeldToken {
-                id: held::acquire(rank, at),
+                id,
+                rank,
+                lock: lock as usize,
             }
         }
         #[cfg(not(debug_assertions))]
         {
-            let _ = rank;
+            let _ = (rank, lock, shared);
             HeldToken {}
         }
     }
@@ -305,7 +328,10 @@ impl HeldToken {
 impl Drop for HeldToken {
     fn drop(&mut self) {
         #[cfg(debug_assertions)]
-        held::release(self.id);
+        {
+            held::release(self.id);
+            schedule::release(self.rank, self.lock);
+        }
     }
 }
 
@@ -324,13 +350,9 @@ pub struct RankedMutex<T: ?Sized> {
 /// RAII guard returned by [`RankedMutex::lock`].
 #[derive(Debug)]
 pub struct RankedMutexGuard<'a, T: ?Sized> {
-    // Declared before `inner` so the held-stack entry is removed only after
-    // the lock itself is released? No — drop order is declaration order, and
-    // removing the bookkeeping entry first is the conservative choice: the
-    // thread can no longer pass a rank check on the strength of a lock it is
-    // in the middle of releasing.
-    _token: HeldToken,
+    // Fields drop in declaration order: the lock, then its bookkeeping.
     inner: pl::MutexGuard<'a, T>,
+    _token: HeldToken,
 }
 
 impl<T> RankedMutex<T> {
@@ -357,10 +379,10 @@ impl<T: ?Sized> RankedMutex<T> {
     /// Acquire the lock, panicking on a rank inversion in debug builds.
     #[track_caller]
     pub fn lock(&self) -> RankedMutexGuard<'_, T> {
-        let _token = HeldToken::acquire(self.rank);
+        let _token = HeldToken::acquire(self.rank, std::ptr::from_ref(self).cast(), false);
         RankedMutexGuard {
-            _token,
             inner: self.inner.lock(),
+            _token,
         }
     }
 
@@ -398,15 +420,15 @@ pub struct RankedRwLock<T: ?Sized> {
 /// RAII shared guard returned by [`RankedRwLock::read`].
 #[derive(Debug)]
 pub struct RankedReadGuard<'a, T: ?Sized> {
-    _token: HeldToken,
     inner: pl::RwLockReadGuard<'a, T>,
+    _token: HeldToken,
 }
 
 /// RAII exclusive guard returned by [`RankedRwLock::write`].
 #[derive(Debug)]
 pub struct RankedWriteGuard<'a, T: ?Sized> {
-    _token: HeldToken,
     inner: pl::RwLockWriteGuard<'a, T>,
+    _token: HeldToken,
 }
 
 impl<T> RankedRwLock<T> {
@@ -433,20 +455,20 @@ impl<T: ?Sized> RankedRwLock<T> {
     /// Acquire a shared read guard.
     #[track_caller]
     pub fn read(&self) -> RankedReadGuard<'_, T> {
-        let _token = HeldToken::acquire(self.rank);
+        let _token = HeldToken::acquire(self.rank, std::ptr::from_ref(self).cast(), true);
         RankedReadGuard {
-            _token,
             inner: self.inner.read(),
+            _token,
         }
     }
 
     /// Acquire an exclusive write guard.
     #[track_caller]
     pub fn write(&self) -> RankedWriteGuard<'_, T> {
-        let _token = HeldToken::acquire(self.rank);
+        let _token = HeldToken::acquire(self.rank, std::ptr::from_ref(self).cast(), false);
         RankedWriteGuard {
-            _token,
             inner: self.inner.write(),
+            _token,
         }
     }
 
@@ -517,7 +539,7 @@ impl<T> RankedCondvarMutex<T> {
     /// Acquire the lock (poison-free, rank-checked).
     #[track_caller]
     pub fn lock(&self) -> RankedCondvarGuard<'_, T> {
-        let token = HeldToken::acquire(self.rank);
+        let token = HeldToken::acquire(self.rank, std::ptr::from_ref(self).cast(), false);
         let guard = self
             .inner
             .lock()
@@ -529,8 +551,17 @@ impl<T> RankedCondvarMutex<T> {
     }
 
     /// Atomically release the lock, block on the condvar, and re-acquire.
+    /// A scheduled thread parks in its scheduler instead of on the condvar.
     pub fn wait<'a>(&'a self, mut guard: RankedCondvarGuard<'a, T>) -> RankedCondvarGuard<'a, T> {
         let inner = guard.inner.take().expect("guard not mid-wait");
+        #[cfg(debug_assertions)]
+        if schedule::is_scheduled() {
+            drop(inner);
+            schedule::wait(self.rank, std::ptr::from_ref(self) as usize);
+            let inner = self.inner.lock();
+            guard.inner = Some(inner.unwrap_or_else(std::sync::PoisonError::into_inner));
+            return guard;
+        }
         let inner = self
             .cond
             .wait(inner)
@@ -541,11 +572,15 @@ impl<T> RankedCondvarMutex<T> {
 
     /// Wake one waiter.
     pub fn notify_one(&self) {
+        #[cfg(debug_assertions)]
+        schedule::notify(self.rank, std::ptr::from_ref(self) as usize, false);
         self.cond.notify_one();
     }
 
     /// Wake every waiter.
     pub fn notify_all(&self) {
+        #[cfg(debug_assertions)]
+        schedule::notify(self.rank, std::ptr::from_ref(self) as usize, true);
         self.cond.notify_all();
     }
 }
@@ -665,27 +700,148 @@ mod tests {
         assert_eq!(*r, 0);
     }
 
+    /// Every schedule of a waiter and a notifier hands the flag over.
+    #[cfg(debug_assertions)]
     #[test]
     fn condvar_mutex_handoff() {
-        use std::sync::Arc;
-        let m = Arc::new(RankedCondvarMutex::new(LockRank::AdmissionState, 0usize));
-        let m2 = Arc::clone(&m);
-        let waiter = std::thread::spawn(move || {
-            let mut g = m2.lock();
-            while *g == 0 {
-                g = m2.wait(g);
-            }
-            *g
-        });
-        // Let the waiter reach the wait, then publish and wake.
-        std::thread::sleep(std::time::Duration::from_millis(10));
-        {
-            let mut g = m.lock();
-            *g = 7;
-        }
-        m.notify_one();
-        assert_eq!(waiter.join().expect("waiter"), 7);
+        scheduled::covered(scheduled::handoff(true));
         assert!(held_ranks().is_empty());
+    }
+
+    /// The scheduler's own checks: it finds a lost update and a lost
+    /// wake-up, replays a seed, resumes a thread parked on a lock and stops
+    /// at its schedule limit.
+    #[cfg(debug_assertions)]
+    mod scheduled {
+        use super::*;
+        use crate::sync::schedule::{Explored, Schedule, Strategy, MAX_SCHEDULES};
+
+        /// The exploration's counts, which cover more than one schedule and
+        /// the whole bound.
+        pub(super) fn covered(explored: Result<Explored, String>) -> Explored {
+            let explored = explored.unwrap_or_else(|failure| panic!("{failure}"));
+            assert!(
+                explored.schedules > 1 && !explored.truncated,
+                "{explored:?}"
+            );
+            explored
+        }
+
+        /// Two increments of one counter, read and written under one hold,
+        /// or (`torn`) read under one hold and written under a second.
+        fn counter(torn: bool, strategy: Strategy) -> Result<Explored, String> {
+            let inc = move |m: &RankedMutex<u64>| {
+                if torn {
+                    let v = *m.lock();
+                    *m.lock() = v + 1;
+                } else {
+                    *m.lock() += 1;
+                }
+            };
+            Schedule::new(&[LockRank::ResultCache], strategy)
+                .thread("a", inc)
+                .thread("b", inc)
+                .explore(
+                    || RankedMutex::new(LockRank::ResultCache, 0),
+                    |m| match *m.lock() {
+                        2 => Ok(()),
+                        n => Err(format!("lost update: counter is {n}")),
+                    },
+                )
+        }
+
+        #[test]
+        fn a_counter_torn_across_two_holds_loses_an_update() {
+            let failure = counter(true, Strategy::Preemptions(1)).expect_err("lost update");
+            assert!(failure.starts_with("lost update"), "{failure}");
+        }
+
+        #[test]
+        fn a_counter_under_one_hold_never_loses_an_update() {
+            let explored = covered(counter(false, Strategy::Preemptions(2)));
+            assert_eq!(explored.schedules, 14, "{explored:?}");
+        }
+
+        #[test]
+        fn a_seed_replays_the_same_schedules() {
+            let seeded = Strategy::Seeded { seed: 42, runs: 64 };
+            let first = counter(true, seeded).expect_err("lost update");
+            assert_eq!(first, counter(true, seeded).expect_err("lost update"));
+            let clean = Strategy::Seeded { seed: 7, runs: 16 };
+            assert_eq!(covered(counter(false, clean)).schedules, 16);
+        }
+
+        /// A waiter on a flag and a thread that sets it, notifying or not.
+        pub(super) fn handoff(notify: bool) -> Result<Explored, String> {
+            Schedule::new(&[LockRank::AdmissionState], Strategy::Preemptions(2))
+                .thread("waiter", |m: &RankedCondvarMutex<bool>| {
+                    let mut g = m.lock();
+                    while !*g {
+                        g = m.wait(g);
+                    }
+                })
+                .thread("notifier", move |m| {
+                    *m.lock() = true;
+                    if notify {
+                        m.notify_one();
+                    }
+                })
+                .explore(
+                    || RankedCondvarMutex::new(LockRank::AdmissionState, false),
+                    |_| Ok(()),
+                )
+        }
+
+        #[test]
+        fn a_waiter_nobody_notifies_is_a_deadlock() {
+            let failure = handoff(false).expect_err("lost wake-up");
+            let want = "deadlock: every unfinished thread is parked (waiter: wait AdmissionState)";
+            assert!(failure.starts_with(want), "{failure}");
+        }
+
+        /// `outer` is never named, `inner` is: the holder yields at `inner`
+        /// while it holds `outer`.
+        struct Nested {
+            outer: RankedMutex<u32>,
+            inner: RankedMutex<()>,
+        }
+
+        #[test]
+        fn a_thread_parked_on_a_held_lock_runs_once_it_is_released() {
+            let explored = Schedule::new(&[LockRank::ResultCache], Strategy::Preemptions(1))
+                .thread("holder", |s: &Nested| {
+                    let mut g = s.outer.lock();
+                    drop(s.inner.lock());
+                    *g += 1;
+                })
+                .thread("taker", |s| *s.outer.lock() += 10)
+                .explore(
+                    || Nested {
+                        outer: RankedMutex::new(LockRank::CatalogTables, 0),
+                        inner: RankedMutex::new(LockRank::ResultCache, ()),
+                    },
+                    |s| match *s.outer.lock() {
+                        11 => Ok(()),
+                        n => Err(format!("outer is {n}")),
+                    },
+                );
+            assert!(covered(explored).parked > 0);
+        }
+
+        #[test]
+        fn an_exploration_stops_at_its_schedule_limit() {
+            let steps = |m: &RankedMutex<u64>| {
+                for _ in 0..4 {
+                    *m.lock() += 1;
+                }
+            };
+            let explored = Schedule::new(&[LockRank::ResultCache], Strategy::Preemptions(8))
+                .thread("a", steps)
+                .thread("b", steps)
+                .explore(|| RankedMutex::new(LockRank::ResultCache, 0), |_| Ok(()));
+            let explored = explored.unwrap_or_else(|failure| panic!("{failure}"));
+            assert!(explored.truncated && explored.schedules == MAX_SCHEDULES);
+        }
     }
 
     #[test]

@@ -23,15 +23,16 @@ step perf-build cargo build --release --offline --manifest-path perf/Cargo.toml
 # independent oracle among them: a wire change that breaks `serve_mixed`'s
 # answers fails here rather than in a benchmark run.
 step perf-test cargo test --release --offline -q --manifest-path perf/Cargo.toml
-# Every default member (the facade and the engine crates), lint and
-# model-checker suites included. `--no-fail-fast` runs every test binary even
-# after one fails (the exit status is still non-zero), so one failure cannot
-# hide the binaries after it.
+# Every default member (the facade and the engine crates), lint suites and
+# the scheduled concurrency tests included. `--no-fail-fast` runs every test
+# binary even after one fails (the exit status is still non-zero), so one
+# failure cannot hide the binaries after it.
 step test cargo test -q --no-fail-fast
 step fmt cargo fmt --check
-# Default lints plus a curated pedantic subset the codebase holds itself to.
+# Default lints plus a curated pedantic subset the codebase holds itself to,
+# over every target: libraries, binaries, examples and test code alike.
 # `clippy.toml` disallows raw locks, sleeps and direct durable writes.
-step clippy cargo clippy -- -D warnings \
+step clippy cargo clippy --all-targets -- -D warnings \
   -W clippy::needless_pass_by_value \
   -W clippy::redundant_clone \
   -W clippy::semicolon_if_nothing_returned \
