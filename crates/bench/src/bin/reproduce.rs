@@ -2,7 +2,7 @@
 //!
 //! ```text
 //! reproduce [all|fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|
-//!            table1|table2|table3|premcheck|traces|faults|lint|lint-src|
+//!            table1|table2|table3|premcheck|traces|faults|lint|
 //!            bench-kernels|ivm|soak|serve-soak|crash-soak]
 //!           [--scale X]
 //!           [--faults SPEC] [--retries N] [--checkpoint-every K]
@@ -17,12 +17,6 @@
 //! The `lint` target runs the compile-time verifier (`CHECK`) over every
 //! shipped example query and exits non-zero on any error-severity
 //! diagnostic or refuted PreM obligation.
-//!
-//! The `lint-src` target runs the *source* linter (`rasql-lint`) over the
-//! workspace's own `crates/*/src` tree, enforcing the hot-path and
-//! single-owner disciplines with `RL####` diagnostics (`RL` codes are about
-//! the engine's Rust; `RA` codes are about the user's SQL). Exits non-zero
-//! on any unsuppressed finding.
 //!
 //! The `bench-kernels` target compares the specialized CSR fixpoint kernels
 //! against the generic interpreter, writes `BENCH_kernels.json` in the
@@ -108,7 +102,7 @@ fn main() {
             "--help" | "-h" => {
                 println!(
                     "reproduce [all|fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|\n\
-                     table1|table2|table3|premcheck|traces|faults|lint|lint-src|\n\
+                     table1|table2|table3|premcheck|traces|faults|lint|\n\
                      bench-kernels|ivm|soak|serve-soak|crash-soak]...\n\
                      [--scale X] [--faults SPEC] [--retries N] [--checkpoint-every K]"
                 );
@@ -201,14 +195,6 @@ fn main() {
         println!("{report}");
         if !clean {
             die("lint found error-severity diagnostics");
-        }
-    }
-    // Not part of `all`: a subsystem check, not a paper artifact.
-    if targets.iter().any(|t| t == "lint-src") {
-        let (report, clean) = bench::lint_src();
-        println!("{report}");
-        if !clean {
-            die("lint-src found unsuppressed RL#### findings");
         }
     }
     // Not part of `all`: a subsystem check, not a paper artifact.

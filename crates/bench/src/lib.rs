@@ -905,6 +905,10 @@ fn join_edges(edges: &Relation, query: GraphQuery, source: i64) -> u64 {
         },
         GraphQuery::Cc | GraphQuery::Reach => CsrWeight::None,
     };
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the figure replays the kernel's rounds on a graph of its own"
+    )]
     let csr = CsrGraph::build(edges.rows(), 0, 1, weight, [source], 1).expect("numeric edge rows");
     let walked = |vertices: &mut dyn Iterator<Item = u32>| -> u64 {
         vertices.map(|v| csr.adjacency(v).len() as u64).sum()
@@ -2185,48 +2189,6 @@ pub fn lint() -> (String, bool) {
         }
     ));
     (out, all_clean)
-}
-
-/// `reproduce lint-src` — run the workspace source linter (`rasql-lint`)
-/// over `crates/*/src`, enforcing the engine's hot-path and single-owner
-/// disciplines with `RL####` diagnostics (the source-level sibling of the
-/// `RA####` query codes). Returns the rendered report and whether the tree
-/// is clean. The walk is rooted at the workspace this binary was built
-/// from, so it works from any working directory.
-pub fn lint_src() -> (String, bool) {
-    let root = std::path::Path::new(env!("CARGO_MANIFEST_DIR"))
-        .ancestors()
-        .nth(2)
-        .expect("bench crate lives at <root>/crates/bench");
-    let mut out = String::from("=== Workspace source lint (RL####) ===\n");
-    let report = match rasql_lint::lint_workspace(root) {
-        Ok(r) => r,
-        Err(e) => {
-            out.push_str(&format!("lint-src failed to walk the workspace: {e}\n"));
-            return (out, false);
-        }
-    };
-    for code in rasql_lint::LintCode::all() {
-        out.push_str(&format!("  {}: {}\n", code.code(), code.summary()));
-    }
-    out.push('\n');
-    for d in &report.diagnostics {
-        // Re-read the file for the caret snippet; fall back to the compact
-        // form if it has changed underneath us.
-        let rendered = std::fs::read_to_string(root.join(&d.path))
-            .map(|src| d.render(&src))
-            .unwrap_or_else(|_| format!("{d}\n"));
-        out.push_str(&rendered);
-        out.push('\n');
-    }
-    out.push_str(&format!(
-        "lint-src: {} files scanned, {} findings, {} suppressed by `// lint: allow` — {}\n",
-        report.files_scanned,
-        report.diagnostics.len(),
-        report.suppressed,
-        if report.is_clean() { "clean" } else { "FAILED" },
-    ));
-    (out, report.is_clean())
 }
 
 /// Render one value as a SQL literal for an `INSERT` statement.

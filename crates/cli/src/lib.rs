@@ -433,8 +433,7 @@ impl Shell {
                 if sql.is_empty() {
                     return LineResult::Output(
                         "usage: \\lint <query> — static verification (same as CHECK <query>).\n\
-                         Emits RA#### query diagnostics; the engine's own sources are linted \
-                         separately with RL#### codes (`reproduce lint-src`).\n"
+                         Emits RA#### query diagnostics.\n"
                             .into(),
                     );
                 }

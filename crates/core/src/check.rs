@@ -253,8 +253,7 @@ fn render_report(verification: &VerifyReport, prem: &[PremColumnEvidence], sourc
     let violated = prem.iter().any(|p| !p.evidence.supports_prem());
     let pass = errors == 0 && !violated;
     out.push_str(&format!(
-        "CHECK: {} ({errors} error(s), {warnings} warning(s)) \
-         [RA#### = query diagnostics; engine-source lint is RL####, see `reproduce lint-src`]\n",
+        "CHECK: {} ({errors} error(s), {warnings} warning(s)) [RA#### = query diagnostics]\n",
         if pass { "pass" } else { "FAIL" }
     ));
     out

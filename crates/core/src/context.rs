@@ -3,12 +3,12 @@
 use crate::cache::{version_fingerprint, CachedQuery, ResultCache};
 use crate::config::EngineConfig;
 use crate::error::EngineError;
-use crate::eval::{view_reads, EvalContext, ViewData};
-use crate::fixpoint::{CliqueState, FixpointExecutor, FixpointResult};
+use crate::eval::{EvalContext, ViewData};
+use crate::fixpoint::{CliqueState, FixpointExecutor};
 use crate::matview::{query_dep_tables, DepRecord, MatView, TableShape};
 use rasql_exec::{
     AdmissionController, CancellationToken, Cluster, ClusterConfig, ExecError, Metrics,
-    MetricsSnapshot, OperatorTrace, QueryGovernor, QueryTrace, TraceSink,
+    MetricsSnapshot, OperatorTrace, QueryGovernor, QueryTrace,
 };
 use rasql_parser::ast::Query;
 use rasql_parser::{parse_statements, Statement};
@@ -27,27 +27,12 @@ use std::collections::{BTreeMap, HashMap, HashSet};
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
-use std::time::{Duration, Instant};
+use std::time::Duration;
 
-/// Statistics of one statement.
-#[derive(Debug, Clone, Default, PartialEq)]
-pub struct QueryStats {
-    /// The context-assigned query id (the handle `kill` takes) of a statement
-    /// that ran under a governor; 0 for one that never did (e.g. `CREATE
-    /// VIEW`, a result-cache hit).
-    pub query_id: u64,
-    /// Fixpoint iterations, one entry per recursive clique evaluated.
-    pub iterations: Vec<u32>,
-    /// Wall-clock time of the statement, from its analysis to its result.
-    pub elapsed: Duration,
-    /// True when the result was served from the version-keyed result cache
-    /// (nothing executed; `metrics` are zero and `query_id` is 0).
-    pub cached: bool,
-    /// Runtime metric deltas accumulated during the query. The governance
-    /// fields (`peak_memory`, `spilled_bytes`, `spill_files`) are this
-    /// query's own, from its governor — exact even under concurrency.
-    pub metrics: MetricsSnapshot,
-}
+mod lifecycle;
+
+pub use lifecycle::QueryStats;
+use lifecycle::{Clock, Run};
 
 /// The result of one statement: its relation, execution statistics, and —
 /// when tracing is on — the full [`QueryTrace`].
@@ -133,17 +118,6 @@ pub(crate) struct Planned {
     /// The analysis of the query a `CHECK` wraps, or why there is none —
     /// what its dynamic PreM fallback runs on. `None` for anything else.
     pub(crate) checked: Option<Result<AnalyzedQuery, PlanError>>,
-}
-
-/// What running a statement measured — its [`QueryStats`] except the wall
-/// time, which the lifecycle reads last — and its trace.
-#[derive(Default)]
-struct Run {
-    query_id: u64,
-    iterations: Vec<u32>,
-    cached: bool,
-    metrics: MetricsSnapshot,
-    trace: Option<QueryTrace>,
 }
 
 /// One executed query: its result, every clique view's converged tuples by
@@ -469,8 +443,7 @@ impl RaSqlContext {
                     .zip(state.relations(spec))
                     .map(|(v, rel)| (v.name.to_ascii_lowercase(), ViewData::Rows(Arc::new(rel))))
                     .collect();
-                let relation = self
-                    .eval_context(&views, None, None)
+                let relation = EvalContext::statement(self, &views, None, None)
                     .evaluate(&mv.query.final_plan)?;
                 (relation, None)
             }
@@ -490,7 +463,7 @@ impl RaSqlContext {
         rows: &[R],
     ) -> Result<CliqueState, EngineError> {
         let no_views = HashMap::new();
-        let eval = self.eval_context(&no_views, None, None);
+        let eval = EvalContext::statement(self, &no_views, None, None);
         FixpointExecutor::new(&eval, &self.config).load_state(&query.cliques[0], rows)
     }
 
@@ -744,29 +717,25 @@ impl RaSqlContext {
         Ok(out)
     }
 
-    /// The statement lifecycle. Every statement of every surface — a
-    /// context's script, a session's, a prepared replay — runs here, in one
-    /// order: analyze, verify and optimize it in its scope's catalog
-    /// ([`plan`](Self::plan)); refresh the stale views a query reads; probe
-    /// the result cache; admit it under a fresh governor; execute; publish.
-    /// One clock times all of it. A statement kind supplies only what
-    /// differs: whether it is governed, whether its clique runs or resumes,
-    /// and where its result is published.
-    pub(crate) fn run_statement(
+    /// Phases 4–6 of the lifecycle for each statement kind, timed by the
+    /// statement's one `clock`: a kind supplies only what differs — whether
+    /// it is governed, whether its clique runs or resumes, and where its
+    /// result is published.
+    fn run_planned(
         &self,
-        stmt: &Statement,
+        planned: Planned,
         source: &str,
         scope: &mut Scope<'_>,
-    ) -> Result<QueryResult, EngineError> {
+        clock: Clock,
+    ) -> Result<(Relation, Run), EngineError> {
         use AnalyzedStatement as S;
-        let clock = Instant::now();
         let Planned {
             statement,
             verification,
             checked,
-        } = self.plan(stmt, scope)?;
+        } = planned;
         let parent = scope.parent;
-        let (relation, run) = match statement {
+        Ok(match statement {
             S::Query(q) => self.run_query(&q, parent, clock)?,
             S::Explain { analyze, inner } => match *inner {
                 // EXPLAIN ANALYZE query: execute with tracing forced on, then
@@ -774,7 +743,7 @@ impl RaSqlContext {
                 S::Query(q) if analyze => {
                     let Executed { run, .. } =
                         self.execute(&q, parent, true, None, false, clock)?;
-                    let trace = run.trace.as_ref().expect("tracing forced on");
+                    let trace = run.trace().expect("tracing forced on");
                     let text = explain_analyzed(&q, trace, &verification);
                     (text_relation("plan", &text), run)
                 }
@@ -818,7 +787,7 @@ impl RaSqlContext {
                 // silently clobbered (and the deleted count stays exact).
                 let (removed, query_id) = self.with_governor(parent, |governor| loop {
                     let (snapshot, v) = self.catalog.get_versioned(&table)?;
-                    let eval = self.eval_context(&no_views, None, Some(governor));
+                    let eval = EvalContext::statement(self, &no_views, None, Some(governor));
                     let kept = eval.evaluate(&keep_plan)?;
                     let removed = snapshot.len().saturating_sub(kept.len());
                     if self.catalog.replace_rows_if(&table, kept, v.version)? {
@@ -827,11 +796,7 @@ impl RaSqlContext {
                 })?;
                 self.table_rewritten(&table);
                 self.maybe_compact()?;
-                let run = Run {
-                    query_id,
-                    ..Run::default()
-                };
-                (count_relation("deleted", removed), run)
+                (count_relation("deleted", removed), Run::governed(query_id))
             }
             S::CreateMaterializedView { name, query, .. } => {
                 // The view's table joins the shared catalog under the script.
@@ -865,18 +830,6 @@ impl RaSqlContext {
                 let status = format!("dropped materialized view '{name}'");
                 (text_relation("status", &status), Run::default())
             }
-        };
-        let stats = QueryStats {
-            query_id: run.query_id,
-            iterations: run.iterations,
-            elapsed: clock.elapsed(),
-            cached: run.cached,
-            metrics: run.metrics,
-        };
-        Ok(QueryResult {
-            relation,
-            stats,
-            trace: run.trace,
         })
     }
 
@@ -995,7 +948,7 @@ impl RaSqlContext {
         &self,
         q: &AnalyzedQuery,
         parent: Option<&CancellationToken>,
-        clock: Instant,
+        clock: Clock,
     ) -> Result<(Relation, Run), EngineError> {
         let deps = query_dep_tables(q);
         // Reading a stale materialized view refreshes it first — before the
@@ -1017,140 +970,18 @@ impl RaSqlContext {
         });
         if let Some(hit) = key.as_deref().and_then(|k| self.result_cache.get(k)) {
             Metrics::add(&self.cluster.metrics.cache_hits, 1);
-            let run = Run {
-                iterations: hit.iterations,
-                cached: true,
-                // A traced session still gets a trace; it says "cached".
-                trace: traced.then(|| QueryTrace::cached(clock.elapsed())),
-                ..Run::default()
-            };
-            return Ok((hit.relation, run));
+            return Ok((hit.relation, Run::cached(hit.iterations, traced, clock)));
         }
         let Executed { relation, run, .. } = self.execute(q, parent, traced, None, false, clock)?;
         let relation = relation.unwrap_or_else(|| Relation::empty(q.final_plan.schema().clone()));
         if let Some(key) = key {
             let cached = CachedQuery {
                 relation: relation.clone(),
-                iterations: run.iterations.clone(),
+                iterations: run.iterations().to_vec(),
             };
             self.result_cache.put(key, deps, cached);
         }
         Ok((relation, run))
-    }
-
-    /// Phases 5 and 6: admit `q` under a fresh governor and run it — each
-    /// clique to its fixpoint (resumed from `resume` for a view's
-    /// delta-seeded refresh, which also hands back the state it converged
-    /// to), then the final plan — taking what the run measured: the metrics
-    /// delta, the governor's own numbers and, when `traced`, the trace.
-    fn execute(
-        &self,
-        q: &AnalyzedQuery,
-        parent: Option<&CancellationToken>,
-        traced: bool,
-        resume: Option<&Resume>,
-        keep_views: bool,
-        clock: Instant,
-    ) -> Result<Executed, EngineError> {
-        self.with_governor(parent, |governor| {
-            let before = self.cluster.metrics.snapshot();
-            let sink = traced.then(TraceSink::new);
-            let mut views: HashMap<String, ViewData> = HashMap::new();
-            let mut iterations = Vec::new();
-            let mut state = None;
-            for (ci, clique) in q.cliques.iter().enumerate() {
-                let eval = self.eval_context(&views, sink.as_ref(), Some(governor));
-                let exec = FixpointExecutor::new(&eval, &self.config);
-                let result = match resume {
-                    Some(r) => {
-                        let (iterations, resumed) =
-                            exec.run_resume(clique, &r.state, &r.changed)?;
-                        let views = if r.patched {
-                            Vec::new()
-                        } else {
-                            (resumed.relations(clique).into_iter())
-                                .map(|rel| ViewData::Rows(Arc::new(rel)))
-                                .collect()
-                        };
-                        state = Some(resumed);
-                        FixpointResult { views, iterations }
-                    }
-                    None => exec.run(clique)?,
-                };
-                iterations.push(result.iterations);
-                for (spec, data) in clique.views.iter().zip(result.views) {
-                    // A lane view read more than once becomes rows here,
-                    // once, so no two readers convert it.
-                    let reads = view_reads(&spec.name, &q.final_plan, &q.cliques[ci + 1..]);
-                    let data = if reads > 1 && matches!(data, ViewData::Lanes { .. }) {
-                        ViewData::Rows(data.into_relation())
-                    } else {
-                        data
-                    };
-                    views.insert(spec.name.to_ascii_lowercase(), data);
-                }
-            }
-            let eval = self.eval_context(&views, sink.as_ref(), Some(governor));
-            // Operator counters only around the final plan, so base-case and
-            // build-side evaluations inside the fixpoint don't pollute them.
-            if let Some(s) = &sink {
-                s.enable_operators(true);
-            }
-            let answer = match resume {
-                Some(r) if r.patched => None,
-                _ => Some(eval.eval_data(&q.final_plan)?),
-            };
-            if let Some(s) = &sink {
-                s.enable_operators(false);
-            }
-            // The answer's rows are built here, once. The views go first
-            // unless the caller keeps them, so a lane batch the answer reads
-            // is dropped as soon as its rows exist.
-            if !keep_views {
-                views.clear();
-            }
-            let relation = answer.map(|a| a.into_relation(q.final_plan.schema().clone()));
-            let mut metrics = self.cluster.metrics.snapshot().since(&before);
-            // Governance numbers come from this query's own governor: global
-            // counter deltas would bleed across concurrent queries.
-            metrics.peak_memory = governor.tracker().peak();
-            metrics.spilled_bytes = governor.spilled_bytes();
-            metrics.spill_files = governor.spill_files();
-            let run = Run {
-                query_id: governor.query_id(),
-                iterations,
-                cached: false,
-                metrics,
-                trace: sink.map(|s| s.finish(clock.elapsed(), metrics)),
-            };
-            Ok(Executed {
-                relation,
-                views,
-                run,
-                state,
-            })
-        })
-    }
-
-    /// How every plan of a statement is evaluated: on the cluster, over the
-    /// catalog and the index store, with `views` the cliques materialized so
-    /// far.
-    fn eval_context<'e>(
-        &'e self,
-        views: &'e HashMap<String, ViewData>,
-        trace: Option<&'e TraceSink>,
-        governor: Option<&'e QueryGovernor>,
-    ) -> EvalContext<'e> {
-        EvalContext {
-            cluster: &self.cluster,
-            catalog: &self.catalog,
-            views,
-            partitions: self.config.partitions,
-            fused: self.config.fused_codegen,
-            trace,
-            governor,
-            index: Some(&self.index),
-        }
     }
 
     /// Run `f` under full query governance: admission, a fresh query id and
@@ -1212,7 +1043,7 @@ impl RaSqlContext {
         verification: &VerifyReport,
         source: &str,
         parent: Option<&CancellationToken>,
-        clock: Instant,
+        clock: Clock,
     ) -> Result<(Relation, Run), EngineError> {
         let key = name.to_ascii_lowercase();
         // Serialized with other CREATE/REFRESH/DROP of this name: two
@@ -1264,7 +1095,7 @@ impl RaSqlContext {
         &self,
         name: &str,
         parent: Option<&CancellationToken>,
-        clock: Instant,
+        clock: Clock,
     ) -> Result<(Relation, Run), EngineError> {
         let key = name.to_ascii_lowercase();
         // One refresh of a view at a time: interleaved refreshes could pair
@@ -1307,7 +1138,7 @@ impl RaSqlContext {
         mut mv: MatView,
         refresh: bool,
         parent: Option<&CancellationToken>,
-        clock: Instant,
+        clock: Clock,
     ) -> Result<(usize, Run, &'static str), EngineError> {
         // Dependency versions are captured *before* execution — a concurrent
         // insert during materialization leaves the view stale (and thus
@@ -1426,7 +1257,7 @@ impl RaSqlContext {
                         })
                     })?;
                 self.table_rewritten(key);
-                if let Some(trace) = &mut run.trace {
+                if let Some(trace) = run.trace_mut() {
                     trace.operators.push(OperatorTrace {
                         path: "refresh".into(),
                         label: format!("refresh table {}", mv.name),
@@ -1487,7 +1318,7 @@ impl RaSqlContext {
         table: &str,
         visited: &mut HashSet<String>,
         parent: Option<&CancellationToken>,
-        clock: Instant,
+        clock: Clock,
     ) -> Result<(), EngineError> {
         let key = table.to_ascii_lowercase();
         if !visited.insert(key.clone()) {
@@ -1527,7 +1358,7 @@ impl RaSqlContext {
     /// optimization: on failure the refresh builds what it needs.
     fn warm_view_indexes(&self, query: &AnalyzedQuery) {
         let no_views = HashMap::new();
-        let eval = self.eval_context(&no_views, None, None);
+        let eval = EvalContext::statement(self, &no_views, None, None);
         let _ = FixpointExecutor::new(&eval, &self.config).warm_indexes(&query.cliques[0]);
     }
 
@@ -1692,6 +1523,10 @@ impl RaSqlContext {
 
     pub(crate) fn catalog(&self) -> &Catalog {
         &self.catalog
+    }
+
+    pub(crate) fn index_store(&self) -> &IndexStore {
+        &self.index
     }
 }
 

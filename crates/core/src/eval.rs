@@ -16,6 +16,7 @@
 use crate::error::EngineError;
 use crate::fixpoint::{word_pred, word_projection};
 use crate::index::Probed;
+use crate::RaSqlContext;
 use rasql_exec::pipeline::PredFn;
 use rasql_exec::{
     lanes_of, run_fused, run_unfused, values_of, Cluster, Dataset, Emitted, HashTable, Lane,
@@ -114,29 +115,116 @@ impl Data {
     }
 }
 
-/// Everything a plan evaluation needs.
+/// Everything a plan evaluation needs. Its fields are private to this
+/// module: a statement's context, the PreM checker's and a snapshot's
+/// re-scoped copy are the only ones, each made by its named constructor.
 pub struct EvalContext<'a> {
     /// The cluster to run stages on.
-    pub cluster: &'a Cluster,
+    cluster: &'a Cluster,
     /// Base tables.
-    pub catalog: &'a Catalog,
+    catalog: &'a Catalog,
     /// Materialized recursive views (by lower-case name).
-    pub views: &'a HashMap<String, ViewData>,
+    views: &'a HashMap<String, ViewData>,
     /// Partition count for shuffles.
-    pub partitions: usize,
+    partitions: usize,
     /// Fused (codegen-analog) pipelines vs. per-operator passes.
-    pub fused: bool,
+    fused: bool,
     /// Per-query trace recorder; `None` disables all recording.
-    pub trace: Option<&'a TraceSink>,
+    trace: Option<&'a TraceSink>,
     /// Per-query resource governor (memory budget, deadline, cancellation);
     /// `None` runs ungoverned.
-    pub governor: Option<&'a QueryGovernor>,
+    governor: Option<&'a QueryGovernor>,
     /// The store of join indexes of base data; `None` builds every index
     /// privately and scans for every lookup.
-    pub index: Option<&'a IndexStore>,
+    index: Option<&'a IndexStore>,
 }
 
 impl<'a> EvalContext<'a> {
+    /// How every plan of a statement is evaluated: on `ctx`'s cluster, over
+    /// its catalog and index store, with `views` the cliques materialized so
+    /// far.
+    pub(crate) fn statement(
+        ctx: &'a RaSqlContext,
+        views: &'a HashMap<String, ViewData>,
+        trace: Option<&'a TraceSink>,
+        governor: Option<&'a QueryGovernor>,
+    ) -> Self {
+        EvalContext {
+            cluster: ctx.cluster(),
+            catalog: ctx.catalog(),
+            views,
+            partitions: ctx.config().partitions,
+            fused: ctx.config().fused_codegen,
+            trace,
+            governor,
+            index: Some(ctx.index_store()),
+        }
+    }
+
+    /// The lock-step PreM checker's: one query replayed ungoverned and
+    /// untraced on `ctx`'s tables, every index built privately.
+    pub(crate) fn lockstep(ctx: &'a RaSqlContext, views: &'a HashMap<String, ViewData>) -> Self {
+        EvalContext {
+            cluster: ctx.cluster(),
+            catalog: ctx.catalog(),
+            views,
+            partitions: ctx.config().partitions,
+            fused: true,
+            trace: None,
+            governor: None,
+            index: None,
+        }
+    }
+
+    /// This context over `catalog` instead — a snapshot of the tables, not
+    /// the live catalog — untraced and with no index store.
+    pub(crate) fn rescoped<'c>(&self, catalog: &'c Catalog) -> EvalContext<'c>
+    where
+        'a: 'c,
+    {
+        EvalContext {
+            catalog,
+            trace: None,
+            index: None,
+            ..*self
+        }
+    }
+
+    /// The cluster stages run on.
+    pub(crate) fn cluster(&self) -> &'a Cluster {
+        self.cluster
+    }
+
+    /// The base tables.
+    pub(crate) fn catalog(&self) -> &'a Catalog {
+        self.catalog
+    }
+
+    /// The partition count of a shuffle.
+    pub(crate) fn partitions(&self) -> usize {
+        self.partitions
+    }
+
+    /// Fused pipelines, or one pass per operator.
+    pub(crate) fn fused(&self) -> bool {
+        self.fused
+    }
+
+    /// The index store, unless every index is built privately.
+    pub(crate) fn index(&self) -> Option<&'a IndexStore> {
+        self.index
+    }
+
+    /// The statement's trace recorder, if it is traced.
+    pub(crate) fn trace(&self) -> Option<&'a TraceSink> {
+        self.trace
+    }
+
+    /// The statement's governor, if it is governed.
+    pub(crate) fn governor(&self) -> Option<&'a QueryGovernor> {
+        self.governor
+    }
+
     /// Evaluate a plan to a materialized relation: the answer's rows are
     /// built here when the plan ends on lane tuples.
     pub fn evaluate(&self, plan: &LogicalPlan) -> Result<Relation, EngineError> {
@@ -441,7 +529,10 @@ impl<'a> EvalContext<'a> {
         let cluster_metrics = Arc::clone(&self.cluster.metrics);
         Ok(
             l.map_partitions_traced(self.cluster, self.trace, "hash join", move |p, rows| {
-                // lint: allow(RL0008, an ad-hoc join hashes its shuffled right side, whatever plan produced it, for this statement only)
+                #[expect(
+                    clippy::disallowed_methods,
+                    reason = "an ad-hoc join hashes its shuffled right side, whatever plan produced it, for this statement only"
+                )]
                 let table = HashTable::build(&right_parts[p], &right_keys);
                 let mut out = Vec::new();
                 for a in rows {

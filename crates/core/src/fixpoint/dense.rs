@@ -243,7 +243,7 @@ impl<'a> FixpointExecutor<'a> {
             }
         } else {
             // Each vertex is one partition's, once: nothing to combine.
-            let cluster = self.eval().cluster;
+            let cluster = self.eval().cluster();
             let tasks = (0..p)
                 .map(|part| {
                     let g = Arc::clone(&csr);
@@ -253,7 +253,7 @@ impl<'a> FixpointExecutor<'a> {
                 })
                 .collect();
             base = cluster.run_stage_traced(
-                self.eval().trace,
+                self.eval().trace(),
                 "kernel seeds",
                 StageKind::Map,
                 tasks,
@@ -265,11 +265,11 @@ impl<'a> FixpointExecutor<'a> {
         // the network (`payload × workers`), not a memcpy.
         let shared = Arc::clone(&csr);
         let bc = Broadcast::distribute_traced(
-            self.eval().cluster,
-            self.eval().trace,
+            self.eval().cluster(),
+            self.eval().trace(),
             csr.size_bytes(),
             move |_w| Arc::clone(&shared),
-            self.eval().governor,
+            self.eval().governor(),
         )?;
         // A pull gathers what the push of the same delta derives only when
         // the merge is idempotent and a delta carries its vertices' totals.
@@ -670,6 +670,7 @@ where
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "fixtures: graphs made by hand")]
 #[allow(clippy::unwrap_used)]
 mod tests {
     use super::*;

@@ -187,7 +187,7 @@ impl<'a> FixpointExecutor<'a> {
         tally: bool,
         mut run: impl FnMut(bool) -> Result<Option<T>, Halt>,
     ) -> Result<T, EngineError> {
-        let metrics = &self.eval.cluster.metrics;
+        let metrics = &self.eval.cluster().metrics;
         match run(true) {
             Ok(Some(result)) => {
                 if tally {
@@ -413,14 +413,14 @@ impl<'a> StepCx<'_, 'a> {
         tasks: Vec<StageTask<R>>,
     ) -> Result<Vec<R>, Halt> {
         let eval = self.0.eval;
-        let run = (eval.cluster).run_stage_traced(eval.trace, label, kind, tasks);
+        let run = (eval.cluster()).run_stage_traced(eval.trace(), label, kind, tasks);
         run.map_err(Halt::Lost)
     }
 
     /// Record a fault-tolerance or governance action on clique `stage`, if
     /// the query is traced.
     pub(super) fn note(&self, kind: RecoveryKind, stage: String, round: u32, detail: String) {
-        if let Some(t) = self.0.eval.trace {
+        if let Some(t) = self.0.eval.trace() {
             t.record_recovery(RecoveryEvent {
                 kind,
                 stage,
@@ -432,14 +432,14 @@ impl<'a> StepCx<'_, 'a> {
 
     /// Count a checkpoint of `bytes`.
     pub(super) fn count_checkpoint(&self, bytes: u64) {
-        let metrics = &self.0.eval.cluster.metrics;
+        let metrics = &self.0.eval.cluster().metrics;
         Metrics::add(&metrics.checkpoints, 1);
         Metrics::add(&metrics.checkpoint_bytes, bytes);
     }
 
     /// Count a spill of `bytes` in `files`.
     pub(super) fn count_spill(&self, bytes: u64, files: u64) {
-        let metrics = &self.0.eval.cluster.metrics;
+        let metrics = &self.0.eval.cluster().metrics;
         Metrics::add(&metrics.spilled_bytes, bytes);
         Metrics::add(&metrics.spill_files, files);
     }
@@ -449,20 +449,20 @@ impl<'a> StepCx<'_, 'a> {
     }
 
     pub(super) fn governor(&self) -> Option<&'a QueryGovernor> {
-        self.0.eval.governor
+        self.0.eval.governor()
     }
 
     pub(super) fn fused(&self) -> bool {
-        self.0.eval.fused
+        self.0.eval.fused()
     }
 
     pub(super) fn workers(&self) -> usize {
-        self.0.eval.cluster.workers()
+        self.0.eval.cluster().workers()
     }
 
     /// The worker that owns partition `part`.
     pub(super) fn owner_of(&self, part: usize) -> usize {
-        self.0.eval.cluster.owner_of(part)
+        self.0.eval.cluster().owner_of(part)
     }
 
     /// The in-edges of a kernel's graph, from the index store
@@ -483,7 +483,7 @@ impl<'a> FixpointExecutor<'a> {
     /// A run on representation `C` converged: name its tuples in the trace
     /// and count its views' key indexes.
     pub(super) fn converged<C: Repr>(&self, views: &[ViewRt<C>]) {
-        if let Some(t) = self.eval.trace {
+        if let Some(t) = self.eval.trace() {
             t.set_tuples(C::TUPLES);
         }
         for part in views.iter().flat_map(|v| v.state.iter()) {
@@ -496,7 +496,7 @@ impl<'a> FixpointExecutor<'a> {
 
     /// Count the key indexes laid out by position, and their re-layouts.
     fn tally_keys<'k>(&self, indexes: impl IntoIterator<Item = &'k KeyIndex>) {
-        let metrics = &self.eval.cluster.metrics;
+        let metrics = &self.eval.cluster().metrics;
         for index in indexes {
             if index.by_position() {
                 Metrics::add(&metrics.keys_by_position, 1);
@@ -586,7 +586,10 @@ impl<'a> FixpointExecutor<'a> {
                 JoinBuild::Base(plan) if co_partitioned == Some(si) => {
                     if self.config.join == JoinStrategy::SortMerge {
                         let rows = self.eval.evaluate(plan)?.into_rows();
-                        // lint: allow(RL0008, sorted runs are built per query: the store keeps the hash, packed and CSR layouts)
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "sorted runs are built per query: the store keeps the hash, packed and CSR layouts"
+                        )]
                         let parts = rasql_storage::partition_rows(rows, &join.keys, p);
                         BuildSide::PartitionedSorted(
                             parts
@@ -602,14 +605,14 @@ impl<'a> FixpointExecutor<'a> {
                     let rel = self.eval.evaluate(plan)?;
                     // Broadcast build (§7.2): compressed payload +
                     // per-worker build, or ship the prebuilt table.
-                    let governor = self.eval.governor;
+                    let governor = self.eval.governor();
                     let bc = if self.config.broadcast_compression {
                         let compressed =
                             Arc::new(CompressedRelation::compress(rel.schema(), rel.rows()));
                         let payload = compressed.size_bytes();
                         let join = join.clone();
                         Broadcast::try_distribute_traced(
-                            self.eval.cluster,
+                            self.eval.cluster(),
                             None,
                             payload,
                             move |_w| C::payload_table(&compressed, &join),
@@ -619,7 +622,7 @@ impl<'a> FixpointExecutor<'a> {
                         let master = Arc::new(C::rows_table(rel.rows(), join)?);
                         let payload = master.size_bytes();
                         Broadcast::try_distribute_traced(
-                            self.eval.cluster,
+                            self.eval.cluster(),
                             None,
                             payload,
                             move |_w| Ok(master.as_ref().clone()),
@@ -654,15 +657,15 @@ impl<'a> FixpointExecutor<'a> {
     /// so round `max_iterations + 1` may run — and fails the query only if
     /// it is not the closing one.
     pub(super) fn drive(&self, s: &mut dyn RoundStep, start_round: u32) -> Result<u32, Halt> {
-        let sink = self.eval.trace;
-        let metrics = &self.eval.cluster.metrics;
+        let sink = self.eval.trace();
+        let metrics = &self.eval.cluster().metrics;
         let (views, mode, kernel) = s.label();
         let clique = views.join(",");
         if let Some(t) = sink {
             t.begin_clique(views.clone(), mode, kernel);
         }
         let mut resident = Resident {
-            governor: self.eval.governor,
+            governor: self.eval.governor(),
             bytes: 0,
         };
         // Cuts are taken at round boundaries — round 0 (the base delta) and

@@ -145,8 +145,11 @@ impl Repr for Value {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a per-query build side: a seed's delta overlay or a broadcast's master copy"
+    )]
     fn rows_table(rows: &[Row], join: &JoinShape<Value>) -> Result<HashTable, Escaped> {
-        // lint: allow(RL0008, a per-query build side: a seed's delta overlay or a broadcast's master copy)
         Ok(HashTable::build(rows, &join.keys))
     }
 
@@ -319,13 +322,20 @@ impl Repr for u64 {
         }
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a per-query build side: a seed's delta overlay or a broadcast's master copy"
+    )]
     fn rows_table(rows: &[Row], join: &JoinShape<u64>) -> Result<WordTable, Escaped> {
-        // lint: allow(RL0008, a per-query build side: a seed's delta overlay or a broadcast's master copy)
         WordTable::from_rows(join.words(), rows)
     }
 
     /// Straight from the payload's column lanes into cells: no row is built
     /// per decompressed edge or per hashed edge.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the broadcast models the network: every worker builds its copy"
+    )]
     fn payload_table(
         payload: &CompressedRelation,
         join: &JoinShape<u64>,
@@ -335,12 +345,14 @@ impl Repr for u64 {
             reason = "round-tripping a payload this pass just compressed"
         )]
         let batch = payload.decompress_lanes().expect("own payload");
-        // lint: allow(RL0008, the broadcast models the network: every worker builds its copy)
         WordTable::from_batch(join.words(), &batch)
     }
 
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "a snapshot of a recursive relation's own tuples, not of base data"
+    )]
     fn tuples_table(tuples: &Tuples<u64>, join: &JoinShape<u64>) -> Result<WordTable, Escaped> {
-        // lint: allow(RL0008, a snapshot of a recursive relation's own tuples, not of base data)
         WordTable::from_tuples(join.words(), tuples.kinds(), tuples.iter())
     }
 

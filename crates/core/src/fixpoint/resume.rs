@@ -119,7 +119,7 @@ impl<'a> FixpointExecutor<'a> {
                             op_base: 0,
                             part: 0,
                             worker: 0,
-                            fused: self.eval().fused,
+                            fused: self.eval().fused(),
                         };
                         let state = driver.state[0].lock();
                         let mut io = MapIo {
@@ -138,7 +138,7 @@ impl<'a> FixpointExecutor<'a> {
                 }
             }
         }
-        if let Some(t) = self.eval().trace {
+        if let Some(t) = self.eval().trace() {
             for (v, rows) in spec.views.iter().zip(read) {
                 let label = format!("refresh seed {}", v.name);
                 t.record_step("refresh".into(), label, rows, 0, started.elapsed());

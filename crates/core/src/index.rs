@@ -69,7 +69,7 @@ impl EvalContext<'_> {
         layout: IndexLayout,
         eager: bool,
     ) -> Result<Option<Versioned>, EngineError> {
-        let store = self.index.filter(|_| !plan.reads_views());
+        let store = self.index().filter(|_| !plan.reads_views());
         if store.is_none() && !eager {
             return Ok(None);
         }
@@ -94,7 +94,7 @@ impl EvalContext<'_> {
         match store.fetch(&key, &now) {
             Fetch::Hit(index) => {
                 if eager {
-                    Metrics::add(&self.cluster.metrics.cache_hits, 1);
+                    Metrics::add(&self.cluster().metrics.cache_hits, 1);
                 }
                 return Ok(Some((index, Some(now))));
             }
@@ -140,7 +140,7 @@ impl EvalContext<'_> {
             (graph.in_edges().map(Arc::new))
                 .ok_or_else(|| EngineError::Other("a graph too large to transpose".into()))
         };
-        let (Some(store), Some(at)) = (self.index.filter(|_| !plan.reads_views()), at) else {
+        let (Some(store), Some(at)) = (self.index().filter(|_| !plan.reads_views()), at) else {
             return transposed();
         };
         let key = IndexKey {
@@ -177,12 +177,12 @@ impl EvalContext<'_> {
         literal: &Value,
     ) -> Result<Option<Probed>, EngineError> {
         if let LogicalPlan::TableScan { table, .. } = scan {
-            if let Some(rows) = self.catalog.lookup(table, col, literal) {
+            if let Some(rows) = self.catalog().lookup(table, col, literal) {
                 return Ok(Some(Probed::State(rows)));
             }
         }
         let layout = IndexLayout::Hash {
-            partitions: self.partitions,
+            partitions: self.partitions(),
         };
         Ok(match self.fetch_index(scan, &[col], layout, false)? {
             Some(Index::Hash(index)) => Some(Probed::Index(Arc::clone(
@@ -221,7 +221,7 @@ impl EvalContext<'_> {
         tables
             .into_iter()
             .map(|table| {
-                let (rel, v) = self.catalog.get_versioned(&table)?;
+                let (rel, v) = self.catalog().get_versioned(&table)?;
                 Ok(TableSnapshot {
                     table,
                     rel,
@@ -250,12 +250,6 @@ impl EvalContext<'_> {
             };
             catalog.register_shared(&s.table, rel)?;
         }
-        let eval = EvalContext {
-            catalog: &catalog,
-            trace: None,
-            index: None,
-            ..*self
-        };
-        eval.evaluate(plan)
+        self.rescoped(&catalog).evaluate(plan)
     }
 }

@@ -162,16 +162,7 @@ impl<'a> PremChecker<'a> {
     fn lockstep(&self, view: &ViewSpec) -> Result<PremCheckOutcome, EngineError> {
         let ctx = self.ctx;
         let views_empty: HashMap<String, crate::eval::ViewData> = HashMap::new();
-        let eval = EvalContext {
-            cluster: ctx.cluster(),
-            catalog: ctx.catalog(),
-            views: &views_empty,
-            partitions: ctx.config().partitions,
-            fused: true,
-            trace: None,
-            governor: None,
-            index: None,
-        };
+        let eval = EvalContext::lockstep(ctx, &views_empty);
 
         // Base rows (deduped — UNION semantics).
         let mut base: Vec<Row> = Vec::new();
@@ -207,9 +198,13 @@ impl<'a> PremChecker<'a> {
                         ..
                     } => {
                         let rel = eval.evaluate(plan)?;
+                        #[expect(
+                            clippy::disallowed_methods,
+                            reason = "the lock-step PreM checker replays one query sequentially on its own tables"
+                        )]
+                        let table = HashTable::build(rel.rows(), build_keys);
                         steps.push(Step::Join {
-                            // lint: allow(RL0008, the lock-step PreM checker replays one query sequentially on its own tables)
-                            table: HashTable::build(rel.rows(), build_keys),
+                            table,
                             keys: stream_keys.clone(),
                         });
                     }

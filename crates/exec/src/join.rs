@@ -154,6 +154,10 @@ pub fn merge_join(
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fixtures: build sides made by hand"
+)]
 mod tests {
     use super::*;
     use rasql_storage::row::int_row;

@@ -894,6 +894,7 @@ impl DeltaSnapshot {
 }
 
 #[cfg(test)]
+#[expect(clippy::disallowed_methods, reason = "fixtures: graphs made by hand")]
 mod tests {
     use super::*;
 

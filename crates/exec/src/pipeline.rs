@@ -507,6 +507,10 @@ pub fn run_fused(input: &[Row], pipeline: &Pipeline) -> Vec<Row> {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "fixtures: build sides made by hand"
+)]
 mod tests {
     use super::*;
     use crate::join::HashTable;

@@ -3,6 +3,11 @@
 //! emits, in the same order, and inserting or merging a block leaves
 //! exactly the state that the same sequence of single inserts leaves.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "fixtures: build sides made by hand"
+)]
+
 use proptest::prelude::*;
 use rasql_exec::pipeline::KeyFn;
 use rasql_exec::state::{AggChange, AggState, MonotoneOp};

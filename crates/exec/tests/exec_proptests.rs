@@ -2,6 +2,11 @@
 //! multiset of rows, fused and unfused pipelines agree, and the monotone
 //! aggregate state is order-insensitive where the algebra says it must be.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "fixtures: build sides and graphs made by hand"
+)]
+
 use proptest::prelude::*;
 use rasql_exec::checkpoint::{
     decode_agg_state, decode_rows, decode_set_state, encode_agg_state, encode_rows,

@@ -4,6 +4,11 @@
 //! membership, insertion order, length and probe matches — while the keys
 //! move the index between its hashed and by-position layouts.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "fixtures: indexes built directly"
+)]
+
 use proptest::prelude::*;
 use rasql_exec::{Block, Lane, TupleSet};
 use rasql_storage::{Row, Value, WordIndex, WordShape};

@@ -28,7 +28,7 @@ pub use analyzer::{
 };
 pub use branch::{BranchProgram, BranchStep, CountMode, DeltaValueMode, JoinBuild, RecAllMode};
 pub use certificate::{CertificateFailure, PartitionCertificate};
-pub use diag::{render_snippet, DiagCode, Diagnostic, Severity};
+pub use diag::{DiagCode, Diagnostic, Severity};
 pub use error::PlanError;
 pub use expr::{PExpr, ScalarFunc, WordExpr, WordType};
 pub use logical::{AggExpr, FixpointSpec, LogicalPlan, ViewSpec};

@@ -393,6 +393,10 @@ impl InEdges {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests build graphs directly, to check their layout"
+)]
 mod tests {
     use super::*;
     use crate::row::int_row;

@@ -150,6 +150,10 @@ pub struct HashIndex {
 
 impl HashIndex {
     /// Index `rows` on `key_cols` into `partitions` tables.
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the store's co-partitioned index: one empty table per partition, filled by `append`"
+    )]
     pub fn build(rows: &[Row], key_cols: &[usize], partitions: usize) -> Self {
         let mut index = HashIndex {
             parts: (0..partitions.max(1))
@@ -735,6 +739,10 @@ impl Index {
     /// types (the caller falls back to the interpreter), or a packed one a
     /// row that escapes its lanes (the clique runs on rows), and for the
     /// in-edges, which are transposed from a graph ([`CsrGraph::in_edges`]).
+    #[expect(
+        clippy::disallowed_methods,
+        reason = "the index store's feeder: the one build of a kept index"
+    )]
     pub fn build(key: &IndexKey, rows: &[Row]) -> Option<Index> {
         Some(match &key.layout {
             IndexLayout::Hash { partitions } => {
@@ -1063,6 +1071,10 @@ impl IndexStore {
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the tests build each layout the store keeps, to check it against the others"
+)]
 mod tests {
     use super::*;
     use crate::row::int_row;

@@ -84,6 +84,10 @@ pub fn partition_rows(rows: Vec<Row>, key: &[usize], partitions: usize) -> Vec<V
 }
 
 #[cfg(test)]
+#[expect(
+    clippy::disallowed_methods,
+    reason = "the test partitions rows directly"
+)]
 mod tests {
     use super::*;
     use crate::row::int_row;

@@ -5,7 +5,7 @@
 //! below. In debug and test builds each thread keeps a stack of the locks it
 //! currently holds; acquiring a lock whose rank is *not strictly greater*
 //! than every held lock's rank panics immediately with both acquisition
-//! sites (and, with `RUST_BACKTRACE=1`, both capture backtraces). Release
+//! sites (and, with `RUST_BACKTRACE=1`, the offending one's backtrace). Release
 //! builds compile the wrappers down to the underlying `parking_lot`
 //! primitives — no thread-local, no branch, no capture.
 //!
@@ -194,10 +194,11 @@ mod held {
     use std::cell::RefCell;
     use std::panic::Location;
 
+    /// One acquisition this thread holds: its site, not its stack — under
+    /// `RUST_BACKTRACE=1` a backtrace per lock costs a stack walk each.
     struct Held {
         rank: LockRank,
         acquired_at: &'static Location<'static>,
-        backtrace: Backtrace,
         id: u64,
     }
 
@@ -215,13 +216,13 @@ mod held {
                 let inverted = h.rank > rank || (h.rank == rank && !rank.is_sharded());
                 if inverted {
                     // `Backtrace::capture` honors RUST_BACKTRACE: the panic
-                    // always names both acquisition sites, and carries full
-                    // backtraces when the environment asks for them.
+                    // always names both acquisition sites, and carries the
+                    // offending acquisition's backtrace when the environment
+                    // asks for it.
                     let here = Backtrace::capture();
                     panic!(
                         "lock-rank inversion: acquiring {} at {}:{}:{} while holding {} \
                          (acquired at {}:{}:{})\n\
-                         --- backtrace of the held {} acquisition ---\n{}\n\
                          --- backtrace of the offending {} acquisition ---\n{}",
                         rank,
                         at.file(),
@@ -231,8 +232,6 @@ mod held {
                         h.acquired_at.file(),
                         h.acquired_at.line(),
                         h.acquired_at.column(),
-                        h.rank,
-                        h.backtrace,
                         rank,
                         here,
                     );
@@ -248,7 +247,6 @@ mod held {
                 stack.borrow_mut().push(Held {
                     rank,
                     acquired_at: at,
-                    backtrace: Backtrace::capture(),
                     id,
                 });
             });

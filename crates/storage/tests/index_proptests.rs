@@ -6,6 +6,11 @@
 //! apart. The packed layout is also pinned against the row table: a probe
 //! finds exactly the rows the row table finds, projected to lanes.
 
+#![expect(
+    clippy::disallowed_methods,
+    reason = "each layout is built directly, to check it against the others"
+)]
+
 use proptest::prelude::*;
 use rasql_storage::value::Lane;
 use rasql_storage::{

@@ -23,15 +23,17 @@ step perf-build cargo build --release --offline --manifest-path perf/Cargo.toml
 # independent oracle among them: a wire change that breaks `serve_mixed`'s
 # answers fails here rather than in a benchmark run.
 step perf-test cargo test --release --offline -q --manifest-path perf/Cargo.toml
-# Every default member (the facade and the engine crates), lint suites and
-# the scheduled concurrency tests included. `--no-fail-fast` runs every test
-# binary even after one fails (the exit status is still non-zero), so one
-# failure cannot hide the binaries after it.
+# Every default member (the facade and the engine crates), the seals'
+# `compile_fail` doctests, the allocation counts (the read path's included)
+# and the scheduled concurrency tests included. `--no-fail-fast` runs every
+# test binary even after one fails (the exit status is still non-zero), so
+# one failure cannot hide the binaries after it.
 step test cargo test -q --no-fail-fast
 step fmt cargo fmt --check
 # Default lints plus a curated pedantic subset the codebase holds itself to,
 # over every target: libraries, binaries, examples and test code alike.
-# `clippy.toml` disallows raw locks, sleeps and direct durable writes.
+# `clippy.toml` disallows raw locks, sleeps, direct durable writes and the
+# join-index builders outside the index store's feeder.
 step clippy cargo clippy --all-targets -- -D warnings \
   -W clippy::needless_pass_by_value \
   -W clippy::redundant_clone \
