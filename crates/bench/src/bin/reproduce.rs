@@ -1,15 +1,19 @@
 //! `reproduce` — regenerate every table and figure of the paper's evaluation.
 //!
 //! ```text
-//! reproduce [all|fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|
-//!            table1|table2|table3|premcheck|traces|faults|lint|
-//!            bench-kernels|ivm|soak|serve-soak|crash-soak]
-//!           [--scale X]
-//!           [--faults SPEC] [--retries N] [--checkpoint-every K]
+//! reproduce [TARGET]... [--scale X] [--faults SPEC] [--retries N] [--checkpoint-every K]
 //! ```
+//!
+//! `reproduce --help` lists the targets (one table, `TARGETS`, drives both
+//! the list and the dispatch); no target runs `all`. Every argument is read
+//! before anything runs: an unknown target or flag exits 2 with the usage.
 //!
 //! `--scale` multiplies dataset sizes (default 0.25 for a quick run; use 1.0
 //! for the full laptop-scale reproduction recorded in EXPERIMENTS.md).
+//! `--faults`, `--retries` and `--checkpoint-every` are the engine settings
+//! of `rasql_core::config::SETTINGS` by those names, with the fault soak's
+//! own defaults (`kill=0.15,delay=0.1,loss=0.05,delay_us=50,seed=42`, 3
+//! retries, a checkpoint every 3 rounds).
 //!
 //! The `traces` target runs CC/SSSP/decomposed-TC with tracing enabled and
 //! writes one `QueryTrace` JSON file per query under `target/traces/`.
@@ -27,7 +31,8 @@
 //! query under deterministic fault injection must match its fault-free
 //! result, plus a zero-retry checkpoint/restore leg. `--faults` overrides the
 //! default spec (e.g. `--faults kill=0.1,loss=0.05,seed=7`), `--retries` the
-//! retry budget, and `--checkpoint-every` the checkpoint interval.
+//! retry budget, and `--checkpoint-every` the checkpoint interval; the soak
+//! needs a spec, so `--faults off` is refused when it runs.
 //!
 //! The `ivm` target runs the incremental-view-maintenance gate: every
 //! single-statement example query is materialized as a view, a withheld
@@ -55,192 +60,215 @@
 //! state with zero stray snapshot temp files.
 
 use rasql_bench as bench;
-use rasql_exec::FaultSpec;
+use rasql_core::config::SETTINGS;
+use rasql_core::EngineConfig;
+use std::process::ExitCode;
+use Run::{Gate, Table, Text};
 
-fn main() {
-    let args: Vec<String> = std::env::args().skip(1).collect();
-    let mut scale = 0.25f64;
-    let mut spec = FaultSpec {
-        kill: 0.15,
-        delay: 0.1,
-        loss: 0.05,
-        delay_us: 50,
-        seed: 42,
-    };
-    let mut retries = 3u32;
-    let mut checkpoint_every = 3u32;
-    let mut targets: Vec<String> = Vec::new();
-    let mut i = 0;
-    while i < args.len() {
-        match args[i].as_str() {
-            "--scale" => {
-                i += 1;
-                scale = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--scale needs a number"));
-            }
-            "--faults" => {
-                i += 1;
-                let raw = args.get(i).unwrap_or_else(|| die("--faults needs a spec"));
-                spec = FaultSpec::parse(raw).unwrap_or_else(|e| die(&e));
-            }
-            "--retries" => {
-                i += 1;
-                retries = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--retries needs an integer"));
-            }
-            "--checkpoint-every" => {
-                i += 1;
-                checkpoint_every = args
-                    .get(i)
-                    .and_then(|s| s.parse().ok())
-                    .unwrap_or_else(|| die("--checkpoint-every needs an integer"));
-            }
-            "--help" | "-h" => {
-                println!(
-                    "reproduce [all|fig1|fig2|fig5|fig6|fig7|fig8|fig9|fig10|fig11|fig12|\n\
-                     table1|table2|table3|premcheck|traces|faults|lint|\n\
-                     bench-kernels|ivm|soak|serve-soak|crash-soak]...\n\
-                     [--scale X] [--faults SPEC] [--retries N] [--checkpoint-every K]"
-                );
-                return;
-            }
-            t => targets.push(t.to_string()),
-        }
-        i += 1;
-    }
-    if targets.is_empty() {
-        targets.push("all".into());
-    }
+/// What a target runs with: the dataset scale and the fault-soak settings.
+struct Options {
+    scale: f64,
+    config: EngineConfig,
+}
 
-    let all = targets.iter().any(|t| t == "all");
-    let want = |name: &str| all || targets.iter().any(|t| t == name);
+/// How a target runs: print a table at the scale, print a text, or run a
+/// gate that may fail.
+enum Run {
+    Table(fn(f64) -> bench::Table),
+    Text(fn() -> String),
+    Gate(fn(&Options) -> Result<(), String>),
+}
 
-    println!(
-        "RaSQL reproduction harness — scale {scale} — {} workers",
-        rasql_exec::default_workers()
-    );
+/// Every target: the names that select it, whether `all` runs it (the
+/// paper's tables and figures do; the gates with their own artifacts or
+/// checks do not), and how. Targets run in this order.
+const TARGETS: &[(&[&str], bool, Run)] = &[
+    (&["fig1"], true, Table(bench::fig1)),
+    (&["fig2"], true, Text(bench::fig2)),
+    (&["fig5"], true, Table(bench::fig5)),
+    (&["fig6"], true, Table(bench::fig6)),
+    (&["fig7"], true, Table(bench::fig7)),
+    (&["fig8"], true, Table(bench::fig8)),
+    (&["fig9", "table3"], true, Table(bench::fig9)),
+    (&["fig10"], true, Table(bench::fig10)),
+    (&["fig11"], true, Table(bench::fig11)),
+    (&["fig12"], true, Table(bench::fig12)),
+    (&["table1"], true, Table(bench::table1)),
+    (&["table2"], true, Table(bench::table2)),
+    (&["premcheck"], true, Text(bench::premcheck)),
+    (&["bench-kernels"], false, Gate(bench_kernels)),
+    (&["ivm"], false, Gate(ivm)),
+    (&["lint"], false, Gate(lint)),
+    (&["soak"], false, Table(bench::soak)),
+    (&["serve-soak"], false, Table(bench::serve_soak)),
+    (&["crash-soak"], false, Table(bench::crash_soak)),
+    (&["faults"], false, Gate(faults)),
+    (&["traces"], true, Gate(traces)),
+];
 
-    if want("fig1") {
-        println!("{}", bench::fig1(scale).render());
-    }
-    if want("fig2") {
-        println!("{}", bench::fig2());
-    }
-    if want("fig5") {
-        println!("{}", bench::fig5(scale).render());
-    }
-    if want("fig6") {
-        println!("{}", bench::fig6(scale).render());
-    }
-    if want("fig7") {
-        println!("{}", bench::fig7(scale).render());
-    }
-    if want("fig8") {
-        println!("{}", bench::fig8(scale).render());
-    }
-    if want("fig9") || want("table3") {
-        println!("{}", bench::fig9(scale).render());
-    }
-    if want("fig10") {
-        println!("{}", bench::fig10(scale).render());
-    }
-    if want("fig11") {
-        println!("{}", bench::fig11(scale).render());
-    }
-    if want("fig12") {
-        println!("{}", bench::fig12(scale).render());
-    }
-    if want("table1") {
-        println!("{}", bench::table1(scale).render());
-    }
-    if want("table2") {
-        println!("{}", bench::table2(scale).render());
-    }
-    if want("premcheck") {
-        println!("{}", bench::premcheck());
-    }
-    // Not part of `all`: a beyond-the-paper artifact with its own gate.
-    if targets.iter().any(|t| t == "bench-kernels") {
-        let (table, json) = bench::fig13(scale);
-        println!("{}", table.render());
-        let path = std::path::Path::new("BENCH_kernels.json");
-        if let Err(e) = std::fs::write(path, json.render()) {
-            die(&format!("cannot write {}: {e}", path.display()));
-        }
-        println!("wrote {}", path.display());
-        if let Err(e) = bench::kernels_meet_target(&json, bench::KERNEL_SPEEDUP_FLOOR) {
-            die(&e);
-        }
-    }
-    // Not part of `all`: a subsystem gate with its own artifact.
-    if targets.iter().any(|t| t == "ivm") {
-        let (table, json) = bench::ivm(scale);
-        println!("{}", table.render());
-        let path = std::path::Path::new("BENCH_ivm.json");
-        if let Err(e) = std::fs::write(path, json.render()) {
-            die(&format!("cannot write {}: {e}", path.display()));
-        }
-        println!("wrote {}", path.display());
-        if let Err(e) = bench::ivm_meets_target(&json, bench::IVM_SPEEDUP_FLOOR) {
-            die(&e);
-        }
-    }
-    // Not part of `all`: a subsystem check, not a paper artifact.
-    if targets.iter().any(|t| t == "lint") {
-        let (report, clean) = bench::lint();
-        println!("{report}");
-        if !clean {
-            die("lint found error-severity diagnostics");
-        }
-    }
-    // Not part of `all`: a subsystem check, not a paper artifact.
-    if targets.iter().any(|t| t == "soak") {
-        println!("{}", bench::soak(scale).render());
-    }
-    // Not part of `all`: a subsystem check, not a paper artifact.
-    if targets.iter().any(|t| t == "serve-soak") {
-        println!("{}", bench::serve_soak(scale).render());
-    }
-    // Not part of `all`: a subsystem check, not a paper artifact.
-    if targets.iter().any(|t| t == "crash-soak") {
-        println!("{}", bench::crash_soak(scale).render());
-    }
-    // Not part of `all`: a subsystem check, not a paper artifact.
-    if targets.iter().any(|t| t == "faults") {
-        println!(
-            "{}",
-            bench::fault_soak(scale, spec, retries, checkpoint_every).render()
-        );
-    }
-    if want("traces") {
-        let dir = std::path::Path::new("target/traces");
-        if let Err(e) = std::fs::create_dir_all(dir) {
-            die(&format!("cannot create {}: {e}", dir.display()));
-        }
-        for (name, trace) in bench::trace_suite(scale) {
-            let path = dir.join(format!("{name}.json"));
-            if let Err(e) = std::fs::write(&path, trace.to_json()) {
-                die(&format!("cannot write {}: {e}", path.display()));
-            }
-            println!(
-                "wrote {} ({} fixpoint rounds, {} stages)",
-                path.display(),
-                trace
-                    .cliques
-                    .iter()
-                    .map(|c| c.iterations.len())
-                    .sum::<usize>(),
-                trace.stages.len()
-            );
-        }
+/// The engine settings `reproduce` accepts, read through the settings
+/// table, with the fault soak's defaults.
+const SOAK_SETTINGS: [(&str, &str); 3] = [
+    (
+        "faults",
+        "kill=0.15,delay=0.1,loss=0.05,delay_us=50,seed=42",
+    ),
+    ("retries", "3"),
+    ("checkpoint-every", "3"),
+];
+
+fn soak_setting(name: &str) -> bool {
+    SOAK_SETTINGS.iter().any(|(soak, _)| *soak == name)
+}
+
+fn write(path: &str, contents: &str) -> Result<(), String> {
+    std::fs::write(path, contents).map_err(|e| format!("cannot write {path}: {e}"))?;
+    println!("wrote {path}");
+    Ok(())
+}
+
+fn bench_kernels(o: &Options) -> Result<(), String> {
+    let (table, json) = bench::fig13(o.scale);
+    println!("{}", table.render());
+    write("BENCH_kernels.json", &json.render())?;
+    bench::kernels_meet_target(&json, bench::KERNEL_SPEEDUP_FLOOR)
+}
+
+fn ivm(o: &Options) -> Result<(), String> {
+    let (table, json) = bench::ivm(o.scale);
+    println!("{}", table.render());
+    write("BENCH_ivm.json", &json.render())?;
+    bench::ivm_meets_target(&json, bench::IVM_SPEEDUP_FLOOR)
+}
+
+fn lint(_: &Options) -> Result<(), String> {
+    let (report, clean) = bench::lint();
+    println!("{report}");
+    if clean {
+        Ok(())
+    } else {
+        Err("lint found error-severity diagnostics".into())
     }
 }
 
-fn die(msg: &str) -> ! {
-    eprintln!("{msg}");
-    std::process::exit(2)
+fn faults(o: &Options) -> Result<(), String> {
+    let c = &o.config;
+    let spec = c.fault_spec.ok_or("faults needs a spec, not off")?;
+    let table = bench::fault_soak(o.scale, spec, c.max_task_retries, c.checkpoint_interval);
+    println!("{}", table.render());
+    Ok(())
+}
+
+fn traces(o: &Options) -> Result<(), String> {
+    let dir = std::path::Path::new("target/traces");
+    std::fs::create_dir_all(dir).map_err(|e| format!("cannot create {}: {e}", dir.display()))?;
+    for (name, trace) in bench::trace_suite(o.scale) {
+        let path = dir.join(format!("{name}.json"));
+        std::fs::write(&path, trace.to_json())
+            .map_err(|e| format!("cannot write {}: {e}", path.display()))?;
+        let rounds: usize = trace.cliques.iter().map(|c| c.iterations.len()).sum();
+        let stages = trace.stages.len();
+        println!(
+            "wrote {} ({rounds} fixpoint rounds, {stages} stages)",
+            path.display()
+        );
+    }
+    Ok(())
+}
+
+fn defaults() -> Options {
+    let mut config = EngineConfig::rasql();
+    for (name, value) in SOAK_SETTINGS {
+        config.set(name, value).expect("a valid default");
+    }
+    Options {
+        scale: 0.25,
+        config,
+    }
+}
+
+fn usage() -> String {
+    let mut out = String::from(
+        "reproduce [TARGET]... [--scale X] [--faults SPEC] [--retries N] [--checkpoint-every K]\n\n\
+         TARGETS (none given = all; * = part of all):\n    all\n",
+    );
+    for (names, in_all, _) in TARGETS {
+        let star = if *in_all { " *" } else { "" };
+        out.push_str(&format!("    {}{star}\n", names.join(", ")));
+    }
+    out.push_str("\nFLAGS:\n    --scale X                dataset scale (default 0.25)\n");
+    let defaults = defaults().config;
+    for s in SETTINGS.iter().filter(|s| soak_setting(s.name)) {
+        out.push_str(&s.usage(&defaults));
+    }
+    out
+}
+
+/// Read every argument before anything runs: the options and, per target,
+/// whether it was selected.
+fn parse(args: Vec<String>) -> Result<(Options, Vec<bool>), String> {
+    let mut opts = defaults();
+    let mut selected = vec![false; TARGETS.len()];
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        if let Some(flag) = arg.strip_prefix("--") {
+            let value = args.next().ok_or_else(|| format!("{arg} needs a value"))?;
+            match flag {
+                "scale" => {
+                    opts.scale = value
+                        .parse()
+                        .map_err(|e| format!("bad --scale '{value}': {e}"))?;
+                }
+                name if soak_setting(name) => opts.config.set(name, &value)?,
+                _ => return Err(format!("unknown flag '{arg}'")),
+            }
+        } else if arg == "all" {
+            for (s, (_, in_all, _)) in selected.iter_mut().zip(TARGETS) {
+                *s |= in_all;
+            }
+        } else {
+            let i = TARGETS
+                .iter()
+                .position(|(names, ..)| names.contains(&arg.as_str()))
+                .ok_or_else(|| format!("unknown target '{arg}'"))?;
+            selected[i] = true;
+        }
+    }
+    if !selected.contains(&true) {
+        selected = TARGETS.iter().map(|(_, in_all, _)| *in_all).collect();
+    }
+    Ok((opts, selected))
+}
+
+fn main() -> ExitCode {
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    let (opts, selected) = match parse(args) {
+        Ok(parsed) => parsed,
+        Err(e) => {
+            eprintln!("error: {e}\n\n{}", usage());
+            return ExitCode::from(2);
+        }
+    };
+    println!(
+        "RaSQL reproduction harness — scale {} — {} workers",
+        opts.scale,
+        rasql_exec::default_workers()
+    );
+    for ((_, _, run), _) in TARGETS.iter().zip(selected).filter(|(_, on)| *on) {
+        match run {
+            Table(table) => println!("{}", table(opts.scale).render()),
+            Text(text) => println!("{}", text()),
+            Gate(gate) => {
+                if let Err(e) = gate(&opts) {
+                    eprintln!("{e}");
+                    return ExitCode::from(2);
+                }
+            }
+        }
+    }
+    ExitCode::SUCCESS
 }

@@ -2,7 +2,7 @@
 //!
 //! Every figure/table has a `fig*`/`table*` function that produces the same
 //! rows/series the paper reports, at laptop scale. The `reproduce` binary
-//! prints them; the Criterion benches wrap the same runners at reduced sizes.
+//! prints them.
 
 use rasql_core::{library, EngineConfig, EngineError, JoinStrategy, JsonValue, RaSqlContext};
 use rasql_datagen::{
@@ -1114,7 +1114,6 @@ pub fn table2(scale: f64) -> Table {
     t
 }
 
-/// Appendix G: PreM auto-validation demo.
 /// Run the trace suite: CC, SSSP and decomposed TC with tracing enabled,
 /// returning `(name, trace)` pairs ready for JSON export (the `reproduce`
 /// binary writes them under `target/traces/`).
@@ -2085,6 +2084,7 @@ pub fn crash_soak(scale: f64) -> Table {
     table
 }
 
+/// Appendix G: PreM auto-validation demo.
 pub fn premcheck() -> String {
     let mut out = String::from("\n=== Appendix G — PreM auto-validation ===\n");
     let ctx = RaSqlContext::in_memory();
@@ -2116,50 +2116,13 @@ pub fn premcheck() -> String {
 }
 
 /// `reproduce lint` — run the compile-time verifier over every shipped
-/// example query against empty base tables with the library's standard
+/// example query against empty base tables with the example dataset's
 /// schemas. Returns the rendered reports and whether every query came out
 /// clean (no error-severity diagnostic, no refuted PreM obligation).
 pub fn lint() -> (String, bool) {
-    use rasql_storage::{DataType, Schema};
     let ctx = RaSqlContext::in_memory();
-    let tables: [(&str, &[(&str, DataType)]); 11] = [
-        (
-            "assbl",
-            &[("Part", DataType::Int), ("SPart", DataType::Int)],
-        ),
-        ("basic", &[("Part", DataType::Int), ("Days", DataType::Int)]),
-        (
-            "edge",
-            &[
-                ("Src", DataType::Int),
-                ("Dst", DataType::Int),
-                ("Cost", DataType::Double),
-            ],
-        ),
-        ("report", &[("Emp", DataType::Int), ("Mgr", DataType::Int)]),
-        ("sales", &[("M", DataType::Int), ("P", DataType::Double)]),
-        ("sponsor", &[("M1", DataType::Int), ("M2", DataType::Int)]),
-        ("inter", &[("S", DataType::Int), ("E", DataType::Int)]),
-        ("organizer", &[("OrgName", DataType::Str)]),
-        (
-            "friend",
-            &[("Pname", DataType::Str), ("Fname", DataType::Str)],
-        ),
-        (
-            "shares",
-            &[
-                ("By", DataType::Int),
-                ("Of", DataType::Int),
-                ("Percent", DataType::Int),
-            ],
-        ),
-        (
-            "rel",
-            &[("Parent", DataType::Int), ("Child", DataType::Int)],
-        ),
-    ];
-    for (name, cols) in tables {
-        ctx.register(name, Relation::empty(Schema::new(cols.to_vec())))
+    for (name, rel) in example_dataset(0.0) {
+        ctx.register(name, Relation::empty(rel.schema().clone()))
             .expect("register lint schema");
     }
     let queries = library::all();

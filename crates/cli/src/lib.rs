@@ -16,9 +16,7 @@
 //! | `\timing on\|off` | toggle per-query timing |
 //! | `\tracing on\|off` | collect a [`rasql_core::QueryTrace`] per query |
 //! | `\trace [json]` | show (or export as JSON) the last query's trace |
-//! | `\workers <n>` | restart the session with n workers |
-//! | `\fault [spec\|off]` | show/set/clear deterministic fault injection (e.g. `\fault kill=0.1,seed=7 retries=2 checkpoint=3`) |
-//! | `\limits [budget=BYTES] [timeout=MS]` | show/set the per-query memory budget and deadline (0 = off; restarts the session) |
+//! | `\set [NAME VALUE]...` | list the engine settings, or set them and restart the session once (e.g. `\set faults kill=0.1,seed=7 retries 2 checkpoint-every 3`; the names are [`rasql_core::config::SETTINGS`]'s) |
 //! | `\kill <query-id>` | cooperatively cancel a running query (ids from `QueryStats::query_id` / `\running`) |
 //! | `\running` | list active query ids and admission queue depth |
 //! | `\connect <host:port>` | switch to a remote `rasql-server` (SQL, `\d`, `\gen`, `\load`, `\kill`, `\running`, `\metrics` go over the wire) |
@@ -33,6 +31,7 @@
 //! The REPL machinery lives in this library crate so it is unit-testable; the
 //! binary is a thin stdin/stdout wrapper.
 
+use rasql_core::config::SETTINGS;
 use rasql_core::{PremChecker, QueryResult, RaSqlContext};
 use rasql_datagen::{rmat, tree_hierarchy, RmatConfig, TreeConfig};
 use rasql_storage::{DataType, Relation, Schema};
@@ -73,9 +72,9 @@ impl Shell {
         Shell::with_context(RaSqlContext::in_memory())
     }
 
-    /// A shell over a context built from an explicit configuration. Session
-    /// restarts (`\workers`, `\fault`, `\limits`) rebuild from that
-    /// context's configuration, so they keep its other settings.
+    /// A shell over a context built from an explicit configuration. A
+    /// session restart (`\set`) rebuilds from that context's configuration,
+    /// so it keeps the settings it does not name.
     pub fn with_context(ctx: RaSqlContext) -> Self {
         Shell {
             ctx,
@@ -210,9 +209,7 @@ impl Shell {
         // These inspect or rebuild the *local* engine; connected to a
         // server they would silently answer about the wrong session.
         const LOCAL_ONLY: &[&str] = &[
-            "\\workers",
-            "\\fault",
-            "\\limits",
+            "\\set",
             "\\tracing",
             "\\trace",
             "\\explain",
@@ -332,15 +329,7 @@ impl Shell {
                     ),
                 }
             }
-            "\\workers" => match parts.get(1).and_then(|s| s.parse::<usize>().ok()) {
-                Some(n) => {
-                    self.ctx = self.ctx.config().clone().workers(n).build();
-                    LineResult::Output(format!("restarted with {n} workers (tables cleared)\n"))
-                }
-                None => LineResult::Output("usage: \\workers <n>\n".into()),
-            },
-            "\\fault" => self.fault(&parts),
-            "\\limits" => self.limits(&parts),
+            "\\set" => LineResult::Output(self.set(&parts[1..])),
             "\\kill" => match parts.get(1).and_then(|s| s.parse::<u64>().ok()) {
                 Some(id) => {
                     let found = match &mut self.remote {
@@ -450,128 +439,45 @@ impl Shell {
             }
             other => LineResult::Output(format!(
                 "unknown command '{other}' (try \\d, \\views, \\durability, \\load, \\gen, \
-                 \\explain, \\lint, \\prem, \\timing, \\tracing, \\trace, \\fault, \\limits, \
-                 \\kill, \\running, \\connect, \\disconnect, \\metrics, \\q)\n"
+                 \\explain, \\lint, \\prem, \\timing, \\tracing, \\trace, \\set, \\kill, \
+                 \\running, \\connect, \\disconnect, \\metrics, \\q)\n"
             )),
         }
     }
 
-    /// `\fault` — show, set, or clear deterministic fault injection. Setting
-    /// or clearing restarts the session (the simulated cluster is immutable
-    /// once its workers are spawned), so tables are cleared.
-    fn fault(&mut self, parts: &[&str]) -> LineResult {
-        match parts.get(1) {
-            None => LineResult::Output(match &self.ctx.config().fault_spec {
-                Some(spec) => format!(
-                    "fault injection: {spec} (retries={}, checkpoint every {} rounds)\n",
-                    self.ctx.config().max_task_retries,
-                    self.ctx.config().checkpoint_interval
-                ),
-                None => "fault injection off \
-                         (usage: \\fault kill=0.1[,loss=P][,delay=P][,delay_us=N][,seed=N] \
-                         [retries=N] [checkpoint=K] | \\fault off)\n"
-                    .into(),
-            }),
-            Some(&"off") => {
-                self.ctx = self.ctx.config().clone().faults(None).build();
-                LineResult::Output(
-                    "fault injection off (session restarted, tables cleared)\n".into(),
-                )
-            }
-            Some(_) => {
-                // `retries=` and `checkpoint=` belong to the engine, not the
-                // spec; peel them off before handing the rest to the parser.
-                let mut spec_tokens: Vec<&str> = Vec::new();
-                let mut retries = self.ctx.config().max_task_retries;
-                let mut checkpoint = self.ctx.config().checkpoint_interval;
-                for token in &parts[1..] {
-                    if let Some(v) = token.strip_prefix("retries=") {
-                        match v.parse() {
-                            Ok(n) => retries = n,
-                            Err(e) => {
-                                return LineResult::Output(format!(
-                                    "error: bad retries '{v}': {e}\n"
-                                ))
-                            }
-                        }
-                    } else if let Some(v) = token.strip_prefix("checkpoint=") {
-                        match v.parse() {
-                            Ok(k) => checkpoint = k,
-                            Err(e) => {
-                                return LineResult::Output(format!(
-                                    "error: bad checkpoint '{v}': {e}\n"
-                                ))
-                            }
-                        }
-                    } else {
-                        spec_tokens.push(token);
-                    }
-                }
-                match rasql_exec::FaultSpec::parse(&spec_tokens.join(",")) {
-                    Ok(spec) => {
-                        self.ctx = self
-                            .ctx
-                            .config()
-                            .clone()
-                            .faults(Some(spec))
-                            .max_task_retries(retries)
-                            .checkpoint_interval(checkpoint)
-                            .build();
-                        LineResult::Output(format!(
-                            "fault injection: {spec} (retries={retries}, checkpoint every \
-                             {checkpoint} rounds; session restarted, tables cleared)\n"
-                        ))
-                    }
-                    Err(e) => LineResult::Output(format!("error: {e}\n")),
-                }
-            }
+    /// `\set` — with no arguments, list every engine setting; with
+    /// `NAME VALUE` pairs, apply them all and restart the session once on
+    /// the result (the cluster and the governor are fixed when a context is
+    /// built). An in-memory session restarts with no tables; one with a data
+    /// directory recovers from it.
+    fn set(&mut self, args: &[&str]) -> String {
+        if !args.len().is_multiple_of(2) {
+            return "usage: \\set [NAME VALUE]... (\\set alone lists the settings)\n".into();
         }
-    }
-
-    /// `\limits` — show or set the per-query resource limits. Setting restarts
-    /// the session (the governor configuration is baked into the context), so
-    /// tables are cleared.
-    fn limits(&mut self, parts: &[&str]) -> LineResult {
-        if parts.len() == 1 {
-            return LineResult::Output(format!(
-                "memory budget: {} bytes, timeout: {} ms (0 = unlimited; \
-                 usage: \\limits [budget=BYTES] [timeout=MS])\n",
-                self.ctx.config().memory_budget,
-                self.ctx.config().query_timeout_ms
-            ));
-        }
-        let mut budget = self.ctx.config().memory_budget;
-        let mut timeout = self.ctx.config().query_timeout_ms;
-        for token in &parts[1..] {
-            if let Some(v) = token.strip_prefix("budget=") {
-                match v.parse() {
-                    Ok(b) => budget = b,
-                    Err(e) => return LineResult::Output(format!("error: bad budget '{v}': {e}\n")),
-                }
-            } else if let Some(v) = token.strip_prefix("timeout=") {
-                match v.parse() {
-                    Ok(t) => timeout = t,
-                    Err(e) => {
-                        return LineResult::Output(format!("error: bad timeout '{v}': {e}\n"))
-                    }
-                }
-            } else {
-                return LineResult::Output(format!(
-                    "error: unknown limit '{token}' (usage: \\limits [budget=BYTES] [timeout=MS])\n"
-                ));
+        let mut out = String::new();
+        if !args.is_empty() {
+            let mut cfg = self.ctx.config().clone();
+            let restarted = args
+                .chunks(2)
+                .try_for_each(|pair| cfg.set(pair[0], pair[1]))
+                .and_then(|()| {
+                    cfg.try_build()
+                        .map_err(|e| format!("cannot restart the session: {e}"))
+                });
+            match restarted {
+                Ok(ctx) => self.ctx = ctx,
+                Err(e) => return format!("error: {e}\n"),
             }
+            out = format!(
+                "session restarted ({} tables)\n",
+                self.ctx.table_names().len()
+            );
         }
-        self.ctx = self
-            .ctx
-            .config()
-            .clone()
-            .memory_budget(budget)
-            .query_timeout_ms(timeout)
-            .build();
-        LineResult::Output(format!(
-            "memory budget: {budget} bytes, timeout: {timeout} ms \
-             (session restarted, tables cleared)\n"
-        ))
+        let cfg = self.ctx.config();
+        for s in &SETTINGS {
+            out.push_str(&format!("{:<17} {}\n", s.name, (s.show)(cfg)));
+        }
+        out
     }
 
     fn load(&mut self, parts: &[&str]) -> LineResult {
@@ -888,36 +794,49 @@ mod tests {
     #[test]
     fn fault_command_round_trip() {
         let mut sh = Shell::new();
-        match sh.feed("\\fault") {
-            LineResult::Output(o) => assert!(o.contains("fault injection off"), "{o}"),
-            other => panic!("{other:?}"),
-        }
-        match sh.feed("\\fault kill=0.25,seed=7 retries=5 checkpoint=2") {
+        match sh.feed("\\set") {
             LineResult::Output(o) => {
-                assert!(o.contains("kill=0.25"), "{o}");
-                assert!(o.contains("retries=5"), "{o}");
-                assert!(o.contains("checkpoint every 2 rounds"), "{o}");
+                for s in &SETTINGS {
+                    assert_eq!(o.matches(s.name).count(), 1, "{} in {o}", s.name);
+                }
+                assert!(o.contains("faults            off"), "{o}");
             }
             other => panic!("{other:?}"),
         }
+        match sh.feed("\\set faults kill=0.25,seed=7 retries 5 checkpoint-every 2") {
+            LineResult::Output(o) => {
+                assert!(o.contains("kill=0.25"), "{o}");
+                assert!(o.contains("retries           5"), "{o}");
+                assert!(o.contains("checkpoint-every  2"), "{o}");
+                assert!(o.contains("session restarted"), "{o}");
+            }
+            other => panic!("{other:?}"),
+        }
+        let cfg = sh.context().config();
+        assert_eq!(cfg.fault_spec.map(|f| (f.kill, f.seed)), Some((0.25, 7)));
+        assert_eq!((cfg.max_task_retries, cfg.checkpoint_interval), (5, 2));
         // Queries still return correct results under injected faults.
         sh.feed("\\gen g rmat 100");
         match sh.feed("SELECT count(*) FROM g;") {
             LineResult::Output(o) => assert!(o.contains("1000"), "{o}"),
             other => panic!("{other:?}"),
         }
-        match sh.feed("\\fault") {
+        match sh.feed("\\set") {
             LineResult::Output(o) => assert!(o.contains("kill=0.25"), "{o}"),
             other => panic!("{other:?}"),
         }
-        match sh.feed("\\fault off") {
-            LineResult::Output(o) => assert!(o.contains("fault injection off"), "{o}"),
+        match sh.feed("\\set faults off") {
+            LineResult::Output(o) => assert!(o.contains("faults            off"), "{o}"),
             other => panic!("{other:?}"),
         }
-        match sh.feed("\\fault kill=notanumber") {
-            LineResult::Output(o) => assert!(o.contains("error"), "{o}"),
+        assert_eq!(sh.context().config().fault_spec, None);
+        // A bad value is an error line, and leaves the session alone.
+        sh.feed("\\gen g rmat 100");
+        match sh.feed("\\set faults kill=notanumber") {
+            LineResult::Output(o) => assert!(o.starts_with("error") && o.contains("faults"), "{o}"),
             other => panic!("{other:?}"),
         }
+        assert_eq!(sh.feed("\\d"), LineResult::Output("g\n".into()));
     }
 
     #[test]
@@ -947,34 +866,63 @@ mod tests {
     #[test]
     fn limits_command_round_trip() {
         let mut sh = Shell::new();
-        match sh.feed("\\limits") {
+        match sh.feed("\\set") {
             LineResult::Output(o) => {
-                assert!(o.contains("memory budget: 0 bytes"), "{o}");
-                assert!(o.contains("timeout: 0 ms"), "{o}");
+                assert!(o.contains("memory-budget     0\n"), "{o}");
+                assert!(o.contains("timeout-ms        0\n"), "{o}");
             }
             other => panic!("{other:?}"),
         }
-        match sh.feed("\\limits budget=1048576 timeout=5000") {
+        sh.feed("\\gen g rmat 100");
+        match sh.feed("\\set memory-budget 1048576 timeout-ms 5000") {
             LineResult::Output(o) => {
-                assert!(o.contains("memory budget: 1048576 bytes"), "{o}");
-                assert!(o.contains("timeout: 5000 ms"), "{o}");
+                assert!(o.contains("memory-budget     1048576"), "{o}");
+                assert!(o.contains("timeout-ms        5000"), "{o}");
+                assert!(o.contains("session restarted (0 tables)"), "{o}");
             }
             other => panic!("{other:?}"),
         }
+        let cfg = sh.context().config();
+        assert_eq!(
+            (cfg.memory_budget, cfg.query_timeout_ms),
+            (1_048_576, 5_000)
+        );
         // The restarted session still answers queries under the new limits.
         sh.feed("\\gen g rmat 100");
         match sh.feed("SELECT count(*) FROM g;") {
             LineResult::Output(o) => assert!(o.contains("1000"), "{o}"),
             other => panic!("{other:?}"),
         }
-        match sh.feed("\\limits budget=bad") {
-            LineResult::Output(o) => assert!(o.contains("error"), "{o}"),
+        match sh.feed("\\set memory-budget bad") {
+            LineResult::Output(o) => assert!(o.contains("error: bad memory-budget"), "{o}"),
             other => panic!("{other:?}"),
         }
-        match sh.feed("\\limits nonsense=1") {
-            LineResult::Output(o) => assert!(o.contains("unknown limit"), "{o}"),
+        match sh.feed("\\set nonsense 1") {
+            LineResult::Output(o) => assert!(o.contains("unknown setting 'nonsense'"), "{o}"),
             other => panic!("{other:?}"),
         }
+        match sh.feed("\\set workers") {
+            LineResult::Output(o) => assert!(o.starts_with("usage: \\set"), "{o}"),
+            other => panic!("{other:?}"),
+        }
+        assert_eq!(sh.context().config().memory_budget, 1_048_576);
+    }
+
+    /// A data directory the engine cannot open is an error line, not a
+    /// panic, and the session keeps running.
+    #[test]
+    fn set_data_dir_failure_is_an_error_line() {
+        let file = std::env::temp_dir().join(format!("rasql-cli-not-a-dir-{}", std::process::id()));
+        std::fs::write(&file, "").unwrap();
+        let mut sh = Shell::new();
+        sh.feed("\\gen g rmat 50");
+        match sh.feed(&format!("\\set data-dir {}", file.join("data").display())) {
+            LineResult::Output(o) => assert!(o.starts_with("error: cannot restart"), "{o}"),
+            other => panic!("{other:?}"),
+        }
+        std::fs::remove_file(&file).unwrap();
+        assert_eq!(sh.context().config().data_dir, None);
+        assert_eq!(sh.feed("\\d"), LineResult::Output("g\n".into()));
     }
 
     #[test]
@@ -1036,7 +984,7 @@ mod tests {
             other => panic!("{other:?}"),
         }
         // Local-only commands are refused while connected.
-        match sh.feed("\\workers 4") {
+        match sh.feed("\\set workers 4") {
             LineResult::Output(o) => assert!(o.contains("local-only"), "{o}"),
             other => panic!("{other:?}"),
         }

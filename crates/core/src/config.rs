@@ -334,6 +334,182 @@ impl EngineConfig {
     }
 }
 
+/// One engine setting a user can type: `--NAME VALUE` on the command line
+/// of `rasql-shell` and `rasql-server` (`reproduce` takes three of them),
+/// and `\set NAME VALUE` at the shell's prompt. [`SETTINGS`] is the whole
+/// table; the binaries' usage text is generated from it
+/// ([`settings_usage`]).
+pub struct Setting {
+    /// The setting's name, without the `--`.
+    pub name: &'static str,
+    /// Placeholder for the value in usage text.
+    pub value: &'static str,
+    /// One line of help.
+    pub help: &'static str,
+    /// Parse a value and apply it through the field's setter.
+    pub apply: fn(EngineConfig, &str) -> Result<EngineConfig, String>,
+    /// The current value, spelled so that `apply` reads it back.
+    pub show: fn(&EngineConfig) -> String,
+}
+
+fn num<T: std::str::FromStr<Err = std::num::ParseIntError>>(value: &str) -> Result<T, String> {
+    value
+        .parse()
+        .map_err(|e: std::num::ParseIntError| e.to_string())
+}
+
+/// The engine settings the shell, the server and `reproduce` accept.
+pub const SETTINGS: [Setting; 10] = [
+    Setting {
+        name: "workers",
+        value: "N",
+        help: "simulated cluster workers, also the partition count",
+        apply: |c, v| Ok(c.workers(num(v)?)),
+        show: |c| c.workers.to_string(),
+    },
+    Setting {
+        name: "faults",
+        value: "SPEC",
+        help: "fault injection: kill=P,loss=P,delay=P,delay_us=N,seed=N, or off",
+        apply: |c, v| {
+            Ok(c.faults(match v {
+                "off" => None,
+                spec => Some(FaultSpec::parse(spec)?),
+            }))
+        },
+        show: |c| c.fault_spec.map_or_else(|| "off".into(), |s| s.to_string()),
+    },
+    Setting {
+        name: "retries",
+        value: "N",
+        help: "retry budget for injected task failures",
+        apply: |c, v| Ok(c.max_task_retries(num(v)?)),
+        show: |c| c.max_task_retries.to_string(),
+    },
+    Setting {
+        name: "checkpoint-every",
+        value: "K",
+        help: "checkpoint fixpoint state every K rounds, 0 = never",
+        apply: |c, v| Ok(c.checkpoint_interval(num(v)?)),
+        show: |c| c.checkpoint_interval.to_string(),
+    },
+    Setting {
+        name: "memory-budget",
+        value: "BYTES",
+        help: "per-query memory budget, spilling to disk over it, 0 = unlimited",
+        apply: |c, v| Ok(c.memory_budget(num(v)?)),
+        show: |c| c.memory_budget.to_string(),
+    },
+    Setting {
+        name: "timeout-ms",
+        value: "MS",
+        help: "per-query deadline, 0 = none",
+        apply: |c, v| Ok(c.query_timeout_ms(num(v)?)),
+        show: |c| c.query_timeout_ms.to_string(),
+    },
+    Setting {
+        name: "max-concurrent",
+        value: "N",
+        help: "concurrent query cap, 0 = unlimited",
+        apply: |c, v| Ok(c.max_concurrent_queries(num(v)?)),
+        show: |c| c.max_concurrent_queries.to_string(),
+    },
+    Setting {
+        name: "admission-queue",
+        value: "N",
+        help: "queries that may wait for a slot under the concurrent cap",
+        apply: |c, v| Ok(c.admission_queue(num(v)?)),
+        show: |c| c.admission_queue.to_string(),
+    },
+    Setting {
+        name: "data-dir",
+        value: "PATH",
+        help: "recover from PATH on start and log every commit there, or off",
+        apply: |c, v| {
+            Ok(match v {
+                "off" => EngineConfig {
+                    data_dir: None,
+                    ..c
+                },
+                dir => c.data_dir(dir),
+            })
+        },
+        show: |c| {
+            c.data_dir
+                .as_ref()
+                .map_or_else(|| "off".into(), |d| d.display().to_string())
+        },
+    },
+    Setting {
+        name: "snapshot-every",
+        value: "N",
+        help: "compact the log into a snapshot every N records, 0 = never",
+        apply: |c, v| Ok(c.snapshot_every(num(v)?)),
+        show: |c| c.snapshot_every.to_string(),
+    },
+];
+
+impl Setting {
+    /// This setting's `--NAME VALUE` line in a binary's usage text, with its
+    /// help and its value in `defaults`.
+    pub fn usage(&self, defaults: &EngineConfig) -> String {
+        let flag = format!("--{} {}", self.name, self.value);
+        format!(
+            "    {flag:<24} {} (default {})\n",
+            self.help,
+            (self.show)(defaults)
+        )
+    }
+}
+
+/// Every setting's usage line, with [`EngineConfig::rasql`]'s defaults.
+pub fn settings_usage() -> String {
+    let defaults = EngineConfig::rasql();
+    SETTINGS.iter().map(|s| s.usage(&defaults)).collect()
+}
+
+impl EngineConfig {
+    /// Apply one setting of [`SETTINGS`] by name. On an error `self` is
+    /// left as it was.
+    ///
+    /// # Errors
+    /// An unknown name, or a value the setting cannot parse; the message
+    /// names the setting.
+    pub fn set(&mut self, name: &str, value: &str) -> Result<(), String> {
+        let setting = SETTINGS
+            .iter()
+            .find(|s| s.name == name)
+            .ok_or_else(|| format!("unknown setting '{name}'"))?;
+        *self = (setting.apply)(self.clone(), value)
+            .map_err(|e| format!("bad {name} '{value}': {e}"))?;
+        Ok(())
+    }
+
+    /// Apply a command line of `--NAME VALUE` pairs: a setting's name goes
+    /// through [`EngineConfig::set`], any other flag to `own`, which takes
+    /// it and returns `Ok(true)`, or returns `Ok(false)` for a flag it does
+    /// not know either.
+    ///
+    /// # Errors
+    /// An unknown flag, a flag without a value, or a malformed value.
+    pub fn parse_flags(
+        &mut self,
+        args: impl IntoIterator<Item = String>,
+        mut own: impl FnMut(&str, String) -> Result<bool, String>,
+    ) -> Result<(), String> {
+        let mut args = args.into_iter();
+        while let Some(flag) = args.next() {
+            let value = args.next().ok_or_else(|| format!("{flag} needs a value"))?;
+            match flag.strip_prefix("--") {
+                Some(name) if SETTINGS.iter().any(|s| s.name == name) => self.set(name, &value)?,
+                _ if own(&flag, value)? => {}
+                _ => return Err(format!("unknown flag '{flag}'")),
+            }
+        }
+        Ok(())
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -413,5 +589,121 @@ mod tests {
         // Both counts floor at 1.
         let c = RaSqlContext::builder().workers(0).partitions(0).build();
         assert_eq!((c.config().workers, c.config().partitions), (1, 1));
+    }
+
+    fn apply_flags(line: &str) -> Result<EngineConfig, String> {
+        let mut cfg = EngineConfig::rasql();
+        cfg.parse_flags(line.split_whitespace().map(String::from), |flag, _| {
+            Ok(flag == "--listen")
+        })?;
+        Ok(cfg)
+    }
+
+    #[test]
+    fn settings_table_round_trips_every_row() {
+        let names: std::collections::HashSet<_> = SETTINGS.iter().map(|s| s.name).collect();
+        assert_eq!(names.len(), SETTINGS.len(), "setting names are unique");
+        let custom = apply_flags(
+            "--workers 3 --faults kill=0.25,delay=0.5,seed=7 --retries 9 --checkpoint-every 4 \
+             --memory-budget 1048576 --timeout-ms 500 --max-concurrent 2 --admission-queue 3 \
+             --data-dir rasql-unbuilt-dir --snapshot-every 17",
+        )
+        .unwrap();
+        // Each pair differs on every setting's field and nowhere else, so
+        // showing one and setting the other to it must give the first back.
+        for (from, to) in [
+            (EngineConfig::rasql(), custom.clone()),
+            (custom, EngineConfig::rasql()),
+        ] {
+            let mut cfg = from;
+            for s in &SETTINGS {
+                let before = format!("{cfg:?}");
+                cfg.set(s.name, &(s.show)(&to)).unwrap();
+                assert_ne!(format!("{cfg:?}"), before, "{} changed nothing", s.name);
+                assert_eq!((s.show)(&cfg), (s.show)(&to), "{}", s.name);
+            }
+            assert_eq!(format!("{cfg:?}"), format!("{to:?}"));
+        }
+    }
+
+    #[test]
+    fn settings_errors_name_the_setting() {
+        let mut cfg = EngineConfig::rasql();
+        let err = cfg.set("wrokers", "2").unwrap_err();
+        assert!(err.contains("wrokers"), "{err}");
+        let before = format!("{cfg:?}");
+        for (name, bad) in [
+            ("workers", "two"),
+            ("faults", "kill=lots"),
+            ("timeout-ms", "-1"),
+        ] {
+            let err = cfg.set(name, bad).unwrap_err();
+            assert!(err.contains(name) && err.contains(bad), "{err}");
+        }
+        assert_eq!(
+            format!("{cfg:?}"),
+            before,
+            "a failed set leaves the config alone"
+        );
+        let err = apply_flags("--bogus 1").unwrap_err();
+        assert!(err.contains("--bogus"), "{err}");
+        let err = apply_flags("--workers").unwrap_err();
+        assert!(err.contains("--workers"), "{err}");
+    }
+
+    #[test]
+    fn faults_off_clears_the_spec() {
+        let mut cfg = apply_flags("--faults kill=0.5").unwrap();
+        assert!(cfg.fault_spec.is_some());
+        cfg.set("faults", "off").unwrap();
+        assert_eq!(cfg.fault_spec, None);
+    }
+
+    /// The README's invocations and the shell's retired commands, spelled
+    /// through the table, set the fields the old spellings set.
+    #[test]
+    fn old_invocations_spelled_the_new_way() {
+        let c = apply_flags("--faults kill=0.1,seed=7 --retries 3 --checkpoint-every 2").unwrap();
+        let spec = c.fault_spec.unwrap();
+        assert_eq!((spec.kill, spec.seed), (0.1, 7));
+        assert_eq!((c.max_task_retries, c.checkpoint_interval), (3, 2));
+
+        // Shell `--timeout 30000`, server `--timeout-ms 30000`.
+        let c = apply_flags("--memory-budget 67108864 --timeout-ms 30000").unwrap();
+        assert_eq!((c.memory_budget, c.query_timeout_ms), (67_108_864, 30_000));
+
+        let c = apply_flags(
+            "--listen 127.0.0.1:7432 --memory-budget 67108864 --timeout-ms 30000 \
+             --max-concurrent 4",
+        )
+        .unwrap();
+        assert_eq!(c.max_concurrent_queries, 4);
+
+        // Server `--fault 0.2` (kill only).
+        let spec = apply_flags("--faults kill=0.2")
+            .unwrap()
+            .fault_spec
+            .unwrap();
+        assert_eq!(
+            spec,
+            FaultSpec {
+                kill: 0.2,
+                ..FaultSpec::default()
+            }
+        );
+
+        // The shell's old fault command with `retries=5 checkpoint=2`.
+        let c = apply_flags("--faults kill=0.25,seed=7 --retries 5 --checkpoint-every 2").unwrap();
+        let spec = c.fault_spec.unwrap();
+        assert_eq!((spec.kill, spec.seed), (0.25, 7));
+        assert_eq!((c.max_task_retries, c.checkpoint_interval), (5, 2));
+
+        // The shell's old worker-count command.
+        let c = apply_flags("--workers 4").unwrap();
+        assert_eq!((c.workers, c.partitions), (4, 4));
+
+        let c = apply_flags("--data-dir rasql-data --snapshot-every 8").unwrap();
+        assert_eq!(c.data_dir, Some(std::path::PathBuf::from("rasql-data")));
+        assert_eq!(c.snapshot_every, 8);
     }
 }

@@ -1,99 +1,54 @@
 //! `rasql-server` binary: stand up an engine, listen, serve until a client
 //! sends `Shutdown`.
 
-use rasql_core::{EngineConfig, RaSqlContext};
+use rasql_core::config::settings_usage;
+use rasql_core::EngineConfig;
 use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::Duration;
 
-const USAGE: &str = "\
-rasql-server — RaSQL query daemon
-
-USAGE:
-    rasql-server [OPTIONS]
-
-OPTIONS:
-    --listen ADDR          Listen address (default 127.0.0.1:7432; port 0 picks one)
-    --workers N            Simulated cluster workers (default: cores, clamped 2..8)
-    --data-dir PATH        Durable data directory: recover catalog and views on
-                           start, write-ahead log every commit (default in-memory)
-    --snapshot-every N     Compact the WAL into a snapshot every N records
-                           (default 256; 0 never compacts)
-    --memory-budget BYTES  Per-query memory budget, 0 = unlimited (default 0)
-    --timeout-ms MS        Per-query deadline, 0 = none (default 0)
-    --max-concurrent N     Concurrent query cap, 0 = unlimited (default 0)
-    --admission-queue N    Admission wait-queue capacity (default 16)
-    --fault P              Inject task-kill faults with probability P (default off)
-    --retries N            Retry budget for injected faults (default 3)
-    --drain-ms MS          Shutdown drain timeout (default 10000)
-    --idle-timeout-ms MS   Reap connections idle this long, 0 = never (default 300000)
-    -h, --help             This help
-";
-
-/// The server's own options; every engine flag parses straight into the
-/// context's configuration, whose defaults the help text quotes.
-struct Options {
-    listen: String,
-    drain_ms: u64,
-    idle_timeout_ms: u64,
+fn usage() -> String {
+    format!(
+        "rasql-server — RaSQL query daemon\n\n\
+         USAGE:\n    rasql-server [OPTIONS]\n\n\
+         OPTIONS:\n    \
+         --listen ADDR            listen address (default 127.0.0.1:7432; port 0 picks one)\n    \
+         --drain-ms MS            shutdown drain timeout (default 10000)\n    \
+         --idle-timeout-ms MS     reap connections idle this long, 0 = never (default 300000)\n    \
+         -h, --help               this help\n\n\
+         ENGINE SETTINGS:\n{}",
+        settings_usage()
+    )
 }
 
-fn parse_args() -> Result<(Options, EngineConfig), String> {
-    let mut opts = Options {
-        listen: "127.0.0.1:7432".to_string(),
-        drain_ms: 10_000,
-        idle_timeout_ms: 300_000,
-    };
-    let mut config = RaSqlContext::builder();
-    let mut args = std::env::args().skip(1);
-    while let Some(arg) = args.next() {
-        let mut value = |flag: &str| args.next().ok_or_else(|| format!("{flag} expects a value"));
-        match arg.as_str() {
-            "--listen" => opts.listen = value("--listen")?,
-            "--workers" => config = config.workers(parse(&value("--workers")?)?),
-            "--data-dir" => config = config.data_dir(value("--data-dir")?),
-            "--snapshot-every" => {
-                config = config.snapshot_every(parse(&value("--snapshot-every")?)?);
-            }
-            "--idle-timeout-ms" => opts.idle_timeout_ms = parse(&value("--idle-timeout-ms")?)?,
-            "--memory-budget" => config = config.memory_budget(parse(&value("--memory-budget")?)?),
-            "--timeout-ms" => config = config.query_timeout_ms(parse(&value("--timeout-ms")?)?),
-            "--max-concurrent" => {
-                config = config.max_concurrent_queries(parse(&value("--max-concurrent")?)?);
-            }
-            "--admission-queue" => {
-                config = config.admission_queue(parse(&value("--admission-queue")?)?);
-            }
-            "--fault" => {
-                config = config.faults(Some(rasql_exec::FaultSpec {
-                    kill: parse(&value("--fault")?)?,
-                    ..Default::default()
-                }));
-            }
-            "--retries" => config = config.max_task_retries(parse(&value("--retries")?)?),
-            "--drain-ms" => opts.drain_ms = parse(&value("--drain-ms")?)?,
-            "-h" | "--help" => {
-                print!("{USAGE}");
-                std::process::exit(0);
-            }
-            other => return Err(format!("unknown option '{other}'")),
-        }
-    }
-    Ok((opts, config))
-}
-
-fn parse<T: std::str::FromStr>(s: &str) -> Result<T, String> {
+fn parse(s: &str) -> Result<u64, String> {
     s.parse().map_err(|_| format!("invalid value '{s}'"))
 }
 
 fn main() -> ExitCode {
-    let (opts, config) = match parse_args() {
-        Ok(parsed) => parsed,
-        Err(e) => {
-            eprintln!("error: {e}\n\n{USAGE}");
-            return ExitCode::FAILURE;
+    let args: Vec<String> = std::env::args().skip(1).collect();
+    if args.iter().any(|a| a == "-h" || a == "--help") {
+        print!("{}", usage());
+        return ExitCode::SUCCESS;
+    }
+    // The server's own options; every engine setting parses straight into
+    // the context's configuration through the settings table.
+    let (mut listen, mut drain_ms, mut idle_timeout_ms) =
+        ("127.0.0.1:7432".to_string(), 10_000, 300_000);
+    let mut config = EngineConfig::rasql();
+    let parsed = config.parse_flags(args, |flag, value| {
+        match flag {
+            "--listen" => listen = value,
+            "--drain-ms" => drain_ms = parse(&value)?,
+            "--idle-timeout-ms" => idle_timeout_ms = parse(&value)?,
+            _ => return Ok(false),
         }
-    };
+        Ok(true)
+    });
+    if let Err(e) = parsed {
+        eprintln!("error: {e}\n\n{}", usage());
+        return ExitCode::FAILURE;
+    }
     // Recovery replays the snapshot and WAL before the listener opens, so
     // a recovered server never serves a partially-restored catalog.
     let ctx = match config.try_build() {
@@ -116,13 +71,13 @@ fn main() -> ExitCode {
     }
     let handle = match rasql_server::serve_full(
         ctx,
-        &opts.listen,
-        Duration::from_millis(opts.drain_ms),
-        Duration::from_millis(opts.idle_timeout_ms),
+        &listen,
+        Duration::from_millis(drain_ms),
+        Duration::from_millis(idle_timeout_ms),
     ) {
         Ok(h) => h,
         Err(e) => {
-            eprintln!("error: cannot listen on {}: {e}", opts.listen);
+            eprintln!("error: cannot listen on {listen}: {e}");
             return ExitCode::FAILURE;
         }
     };
